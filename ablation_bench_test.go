@@ -1,10 +1,11 @@
 package main
 
-// Ablation benchmarks for the design decisions called out in DESIGN.md:
-// the linear (sorted-array) octree versus a hash-set octree, the locality
-// of space-filling-curve partitioning versus random assignment, the
-// block-AMG Stokes preconditioner versus plain Jacobi, and AMG setup
-// reuse across time steps versus rebuilding every solve.
+// Ablation benchmarks for the design decisions called out in
+// docs/ARCHITECTURE.md: the linear (sorted-array) octree versus a
+// hash-set octree, the locality of space-filling-curve partitioning
+// versus random assignment, the block-AMG Stokes preconditioner versus
+// plain Jacobi, and AMG setup reuse across time steps versus rebuilding
+// every solve.
 
 import (
 	"fmt"

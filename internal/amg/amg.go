@@ -11,7 +11,7 @@
 // identical hierarchy, keeping Krylov iteration counts independent of the
 // rank count like the paper's global BoomerAMG; BlockJacobi builds the
 // hierarchy per rank on the locally owned diagonal block, trading
-// iteration growth for setup cost. See DESIGN.md for how this
+// iteration growth for setup cost. See docs/ARCHITECTURE.md for how this
 // substitution preserves the paper's observable behaviour.
 package amg
 

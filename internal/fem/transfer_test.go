@@ -51,7 +51,10 @@ func randomMeshPair(r *sim.Rank, seed uint64) (fine, coarse *mesh.Mesh) {
 
 // TestTransferTransposePair: <P xc, yf> must equal <xc, R yf> to rounding
 // for randomized vectors — the restriction really is the transpose of the
-// prolongation, including the distributed ghost scatter paths.
+// prolongation, including the distributed ghost scatter paths — at one
+// and at three fields per node, and every field of the three-wide
+// transfer must come out bit for bit as the scalar transfer of that
+// field alone.
 func TestTransferTransposePair(t *testing.T) {
 	for _, p := range []int{1, 2, 4} {
 		for _, seed := range []uint64{11, 12, 13} {
@@ -59,24 +62,56 @@ func TestTransferTransposePair(t *testing.T) {
 			sim.Run(p, func(r *sim.Rank) {
 				fine, coarse := randomMeshPair(r, seed)
 				tr := NewTransfer(fine, coarse)
+				nc, nf := coarse.NumOwned, fine.NumOwned
 
-				xc := la.NewVec(coarse.Layout())
-				for i := range xc.Data {
-					xc.Data[i] = 2*hash01(seed, uint64(coarse.Offset)+uint64(i)) - 1
+				const w = 3
+				xc := make([]float64, w*nc)
+				for i := range xc {
+					xc[i] = 2*hash01(seed, w*uint64(coarse.Offset)+uint64(i)) - 1
 				}
-				yf := la.NewVec(fine.Layout())
-				for i := range yf.Data {
-					yf.Data[i] = 2*hash01(seed+7, uint64(fine.Offset)+uint64(i)) - 1
+				yf := make([]float64, w*nf)
+				for i := range yf {
+					yf[i] = 2*hash01(seed+7, w*uint64(fine.Offset)+uint64(i)) - 1
 				}
-				pxc := la.NewVec(fine.Layout())
-				tr.Prolong(xc, pxc)
-				ryf := la.NewVec(coarse.Layout())
-				tr.Restrict(yf, ryf)
-				d1 := pxc.Dot(yf)
-				d2 := xc.Dot(ryf)
-				scale := math.Max(math.Abs(d1), 1)
-				if math.Abs(d1-d2)/scale > 1e-12 {
-					t.Errorf("ranks=%d seed=%d: transpose violated: <Pxc,yf>=%v <xc,Ryf>=%v", p, seed, d1, d2)
+				pxc, ryf := make([]float64, w*nf), make([]float64, w*nc)
+				tr.Prolong(w, xc, pxc)
+				tr.Restrict(w, yf, ryf)
+
+				for c := 0; c < w; c++ {
+					// Field c alone through the scalar transfer.
+					xc1, yf1 := make([]float64, nc), make([]float64, nf)
+					for i := range xc1 {
+						xc1[i] = xc[w*i+c]
+					}
+					for i := range yf1 {
+						yf1[i] = yf[w*i+c]
+					}
+					pxc1, ryf1 := make([]float64, nf), make([]float64, nc)
+					tr.Prolong(1, xc1, pxc1)
+					tr.Restrict(1, yf1, ryf1)
+					var d1, d2 float64
+					for i, v := range pxc1 {
+						d1 += v * yf1[i]
+						if pxc[w*i+c] != v {
+							t.Errorf("ranks=%d seed=%d: field %d of the 3-wide Prolong differs from the scalar one at node %d: %v vs %v",
+								p, seed, c, i, pxc[w*i+c], v)
+							break
+						}
+					}
+					for i, v := range ryf1 {
+						d2 += xc1[i] * v
+						if ryf[w*i+c] != v {
+							t.Errorf("ranks=%d seed=%d: field %d of the 3-wide Restrict differs from the scalar one at node %d: %v vs %v",
+								p, seed, c, i, ryf[w*i+c], v)
+							break
+						}
+					}
+					d1 = r.Allreduce(d1, sim.OpSum)
+					d2 = r.Allreduce(d2, sim.OpSum)
+					scale := math.Max(math.Abs(d1), 1)
+					if math.Abs(d1-d2)/scale > 1e-12 {
+						t.Errorf("ranks=%d seed=%d field=%d: transpose violated: <Pxc,yf>=%v <xc,Ryf>=%v", p, seed, c, d1, d2)
+					}
 				}
 			})
 		}
@@ -101,7 +136,7 @@ func TestTransferReproducesLinears(t *testing.T) {
 					xc.Data[i] = lin(dom.Coord(pos))
 				}
 				xf := la.NewVec(fine.Layout())
-				tr.Prolong(xc, xf)
+				tr.Prolong(1, xc.Data, xf.Data)
 				var hang int
 				for ei := range fine.Corners {
 					for c := 0; c < 8; c++ {

@@ -155,34 +155,42 @@ func TestRepartIsExactPermutation(t *testing.T) {
 			t.Fatalf("rank %d: shadow mesh presence wrong", r.ID())
 		}
 
-		// Position-keyed node field: after NodeForward, every shadow-owned
-		// node must hold exactly the value its canonical position encodes.
-		nodeVal := func(pos [3]uint32) float64 {
-			return float64(pos[0])*1e-2 + float64(pos[1])*1e3 + float64(pos[2])*1e8 + 0.125
+		// Position-keyed node fields, one and three per node: after
+		// NodeForward, every shadow-owned node must hold exactly the
+		// values its canonical position encodes.
+		nodeVal := func(pos [3]uint32, c int) float64 {
+			return float64(pos[0])*1e-2 + float64(pos[1])*1e3 + float64(pos[2])*1e8 + 0.125 + float64(c)
 		}
-		src := la.NewVec(m.Layout())
-		for i, pos := range m.OwnedPos {
-			src.Data[i] = nodeVal(pos)
-		}
-		var dst *la.Vec
-		if sm != nil {
-			dst = la.NewVec(sm.Layout())
-		}
-		rp.NodeForward(src, dst)
-		if sm != nil {
-			for i, pos := range sm.OwnedPos {
-				if dst.Data[i] != nodeVal(pos) {
-					t.Fatalf("shadow node %d (%v): got %v want %v", i, pos, dst.Data[i], nodeVal(pos))
+		for _, w := range []int{1, 3} {
+			src := make([]float64, w*m.NumOwned)
+			for i, pos := range m.OwnedPos {
+				for c := 0; c < w; c++ {
+					src[w*i+c] = nodeVal(pos, c)
 				}
 			}
-		}
+			var dst []float64
+			if sm != nil {
+				dst = make([]float64, w*sm.NumOwned)
+			}
+			rp.NodeForward(w, src, dst)
+			if sm != nil {
+				for i, pos := range sm.OwnedPos {
+					for c := 0; c < w; c++ {
+						if dst[w*i+c] != nodeVal(pos, c) {
+							t.Fatalf("w=%d: shadow node %d (%v) field %d: got %v want %v",
+								w, i, pos, c, dst[w*i+c], nodeVal(pos, c))
+						}
+					}
+				}
+			}
 
-		// NodeBackward must invert NodeForward exactly.
-		back := la.NewVec(m.Layout())
-		rp.NodeBackward(dst, back)
-		for i := range back.Data {
-			if back.Data[i] != src.Data[i] {
-				t.Fatalf("round trip changed node %d: %v -> %v", i, src.Data[i], back.Data[i])
+			// NodeBackward must invert NodeForward exactly.
+			back := make([]float64, w*m.NumOwned)
+			rp.NodeBackward(w, dst, back)
+			for i := range back {
+				if back[i] != src[i] {
+					t.Fatalf("w=%d: round trip changed entry %d: %v -> %v", w, i, src[i], back[i])
+				}
 			}
 		}
 

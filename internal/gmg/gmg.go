@@ -40,6 +40,12 @@
 // a small fraction of the hierarchy construction cost, and leaves the
 // result indistinguishable from a freshly built hierarchy for the same
 // viscosity.
+//
+// The cycle itself (VCycle, vcycle.go) is written once for w fields per
+// node: the Stokes velocity block runs as one width-3 cycle whose every
+// sweep, transfer and exchange carries the three components of a node
+// together, and the scalar preconditioner of Precond is the same code at
+// w = 1.
 package gmg
 
 import (
@@ -129,45 +135,64 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// level is one mesh level of the hierarchy with its viscosity and cached
-// unit element kernels (viscosity scales linearly, so one [8][8] brick
-// per octree level serves every element of that size). eta is the only
-// viscosity-dependent field; everything else survives a Rebuild.
+// level is one mesh level of the hierarchy with its viscosity and the
+// packed data the level operator streams: unit element kernels in one
+// flat array (viscosity scales linearly, so on axis-aligned meshes one
+// [8][8] brick per octree level serves every element of that size; on
+// mapped meshes every element has its own) and, for elements with no
+// hanging corner, the eight corner slots as one 32-byte row instead of
+// the 448-byte CornerRef table. eta is the only viscosity-dependent
+// field; everything else survives a Rebuild.
 type level struct {
 	mesh   *mesh.Mesh
 	eta    []float64
 	sm     *matfree.SlotMap
-	kern   []*[8][8]float64 // per element, aliased per octree level
-	dplan  []diagTerm       // slot-space diagonal assembly plan (BC-independent)
-	repart bool             // shadow of a repartition gap: same global octants
+	kern   [][8][8]float64 // distinct unit kernels
+	kidx   []int32         // element -> its kernel in kern
+	rows   [][8]int32      // element -> corner slots; rows[ei][0] < 0: constrained, use sm.Corners[ei]
+	dplan  []diagTerm      // slot-space diagonal assembly plan (BC-independent)
+	repart bool            // shadow of a repartition gap: same global octants
 	//                         as the level above on fewer ranks, never smoothed
 }
 
-func newLevel(m *mesh.Mesh, dom fem.Domain) *level {
-	lv := &level{mesh: m, sm: matfree.NewSlotMap(m, 1), kern: fem.UnitStiffnessKernels(m, dom)}
-	lv.dplan = buildDiagPlan(lv)
+// newLevel builds the slot map and packed operator data of a level mesh
+// (collective). Shadow levels of a repartition gap (repart) carry the
+// full slot and kernel machinery — the coarse solve may assemble there,
+// and coarsening continues from them — but no diagonal plan: they pass
+// the residual through unsmoothed, since smoothing them would just
+// repeat the finer twin's sweep on fewer ranks.
+func newLevel(m *mesh.Mesh, dom fem.Domain, repart bool) *level {
+	lv := &level{mesh: m, sm: matfree.NewSlotMap(m, 1), repart: repart}
+	lv.kern, lv.kidx = fem.UnitStiffnessKernels(m, dom)
+
+	// Pack the corner slots of unconstrained elements.
+	lv.rows = make([][8]int32, len(lv.sm.Corners))
+	for ei := range lv.sm.Corners {
+		cs := &lv.sm.Corners[ei]
+		for a := 0; a < 8; a++ {
+			if cs[a].N != 1 || cs[a].W[0] != 1 {
+				lv.rows[ei][0] = -1
+				break
+			}
+			lv.rows[ei][a] = cs[a].Slot[0]
+		}
+	}
+	if !repart {
+		lv.dplan = buildDiagPlan(lv)
+	}
 	return lv
 }
 
-// newShadowLevel builds the repartitioned copy of a level: full slot and
-// kernel machinery (the coarse solve may assemble here, and coarsening
-// continues from it), but no diagonal plan — shadow levels pass the
-// residual through unsmoothed, since smoothing them would just repeat
-// the finer twin's sweep on fewer ranks.
-func newShadowLevel(m *mesh.Mesh, dom fem.Domain) *level {
-	return &level{mesh: m, sm: matfree.NewSlotMap(m, 1),
-		kern: fem.UnitStiffnessKernels(m, dom), repart: true}
-}
-
-// Hierarchy is the geometric level stack shared by the per-component
-// preconditioners: meshes, viscosities and transfer stencils are
-// boundary-condition independent, so they are built once and reused for
-// all three velocity components. The mesh-dependent half (level meshes,
-// slot maps, transfer stencils, unit kernels) is built by NewHierarchy
-// and never touched again; the viscosity-dependent half (per-level etas,
-// smoother diagonals, Chebyshev eigenvalue bounds, coarse AMG) is
-// (re)derived by Rebuild, so a time loop keeps one Hierarchy per mesh and
-// refreshes it per Picard iteration.
+// Hierarchy is the geometric level stack shared by the V-cycles built on
+// it: meshes, viscosities and transfer stencils are boundary-condition
+// independent, so they are built once and serve every field of every
+// cycle (the three velocity components of the Stokes block ride in
+// one). The mesh-dependent half (level meshes, slot maps, transfer
+// stencils, unit kernels) is built by NewHierarchy and never touched
+// again; the viscosity-dependent half (per-level etas, smoother
+// diagonals, Chebyshev eigenvalue bounds, coarse AMG) is (re)derived by
+// Rebuild, so a time loop keeps one Hierarchy per mesh and refreshes it
+// per Picard iteration.
 type Hierarchy struct {
 	dom    fem.Domain
 	opts   Options
@@ -176,7 +201,7 @@ type Hierarchy struct {
 	elems  []int64         // global element count per level
 	restr  [][]int32       // restr[l]: fine element of level l -> coarse element of level l+1; nil at repart gaps
 	rps    []*repart       // rps[l]: the repartition plan of gap l; nil at coarsen gaps
-	comps  []*Component    // components registered by Precond, refreshed by Rebuild
+	cycles []*VCycle       // cycles handed out by Precond/PrecondBlock, refreshed by Rebuild
 	hasEta bool            // Rebuild has run at least once
 
 	// Exactly one of the following holds on every rank: the local stack
@@ -197,9 +222,10 @@ type Hierarchy struct {
 
 	// lmaxEta and diagEta cache the per-level lambda_max estimates and
 	// raw operator diagonals of the current viscosity, computed by the
-	// first component refreshed after a Rebuild and shared by the other
-	// two (the diagonal is boundary-condition independent; each
-	// component only overwrites its own Dirichlet rows with 1).
+	// first cycle refreshed after a Rebuild (from its first field) and
+	// shared by every field of every cycle (the diagonal is
+	// boundary-condition independent; each field only overwrites its own
+	// Dirichlet rows with 1).
 	lmaxEta   []float64
 	diagEta   []*la.Vec
 	lmaxValid bool
@@ -220,7 +246,7 @@ func NewHierarchy(m *mesh.Mesh, dom fem.Domain, opts Options) *Hierarchy {
 	o := opts.withDefaults()
 	h := &Hierarchy{dom: dom, opts: o}
 	fineComm := m.Rank
-	h.levels = append(h.levels, newLevel(m, dom))
+	h.levels = append(h.levels, newLevel(m, dom, false))
 	h.elems = append(h.elems, m.Rank.AllreduceInt64(int64(len(m.Leaves))))
 
 	coarsen := coarsenerFor(m)
@@ -283,7 +309,7 @@ func NewHierarchy(m *mesh.Mesh, dom fem.Domain, opts Options) *Hierarchy {
 		}
 		h.restr = append(h.restr, ci)
 		h.rps = append(h.rps, nil)
-		h.levels = append(h.levels, newLevel(cm, dom))
+		h.levels = append(h.levels, newLevel(cm, dom, false))
 		h.elems = append(h.elems, ce)
 	}
 	// The coarsest level still spans its whole communicator; agglomerate
@@ -323,7 +349,7 @@ func (h *Hierarchy) agglomerate(newP int) bool {
 	h.trans = append(h.trans, nil)
 	h.restr = append(h.restr, nil)
 	h.rps = append(h.rps, rp)
-	h.levels = append(h.levels, newShadowLevel(sm, h.dom))
+	h.levels = append(h.levels, newLevel(sm, h.dom, true))
 	h.elems = append(h.elems, h.elems[len(h.elems)-1])
 	return true
 }
@@ -412,11 +438,11 @@ func New(m *mesh.Mesh, dom fem.Domain, etaElem []float64, opts Options) *Hierarc
 // per-element viscosity while keeping the level meshes, slot maps and
 // transfer stencils (collective): coarse viscosities are volume-weighted
 // restrictions of etaElem (shipped across repartition gaps unchanged —
-// the octants are identical on both sides), and every Component handed
-// out by Precond refreshes its smoother diagonals, Chebyshev eigenvalue
-// estimates and the distributed coarsest operator. After Rebuild the
-// hierarchy preconditions exactly as a freshly built one for the same
-// viscosity.
+// the octants are identical on both sides), and every VCycle handed out
+// by Precond/PrecondBlock refreshes its smoother diagonals, Chebyshev
+// eigenvalue estimates and the distributed coarsest operators. After
+// Rebuild the hierarchy preconditions exactly as a freshly built one for
+// the same viscosity.
 func (h *Hierarchy) Rebuild(etaElem []float64) {
 	h.levels[0].eta = etaElem
 	for l := 1; l < len(h.levels); l++ {
@@ -434,7 +460,7 @@ func (h *Hierarchy) Rebuild(etaElem []float64) {
 	}
 	h.hasEta = true
 	h.lmaxValid = false
-	for _, c := range h.comps {
+	for _, c := range h.cycles {
 		c.refresh()
 	}
 }
@@ -500,39 +526,35 @@ func (h *Hierarchy) Degenerate() bool { return h.gElems[h.gDepth-1] > h.opts.Coa
 func (h *Hierarchy) CoarseTarget() int64 { return h.opts.CoarseElems }
 
 // Precond builds the matrix-free V-cycle preconditioner for one scalar
-// velocity component with the given Dirichlet set (collective: it
-// gathers BC masks per level and allocates the level operators and work
-// vectors). The result implements krylov.Operator and is SPD: symmetric
-// Chebyshev smoothing, transpose transfer pair, symmetric coarse solve.
+// field with the given Dirichlet set, over the node layout: the width-1
+// instance of PrecondBlock (collective).
+func (h *Hierarchy) Precond(bc fem.ScalarBC) krylov.Operator {
+	return h.PrecondBlock([]fem.ScalarBC{bc})
+}
+
+// PrecondBlock builds the matrix-free V-cycle preconditioner for
+// len(bcs) scalar fields on the node layout, field c constrained by
+// bcs[c] (collective: it gathers BC masks per level and allocates the
+// level operators and work buffers). All fields go through one cycle —
+// one sweep over each level's mesh data and one message per neighbor
+// per exchange, whatever the field count — and each comes out exactly as
+// from a cycle of its own. The result is SPD: symmetric Chebyshev
+// smoothing, transpose transfer pair, symmetric coarse solve.
 //
 // Only the mesh/BC-dependent structure is built here. If a viscosity is
-// already attached (New or a prior Rebuild) the component's numeric
-// state — smoother diagonals, lambda_max, coarse AMG — is derived
-// immediately; otherwise it is deferred to the first Rebuild, which is
-// the Setup/Update order the persistent Stokes solver uses.
+// already attached (New or a prior Rebuild) the cycle's numeric state —
+// smoother diagonals, lambda_max, coarse AMG — is derived immediately;
+// otherwise it is deferred to the first Rebuild, which is the
+// Setup/Update order the persistent Stokes solver uses.
 //
-// Every component is registered with the hierarchy and refreshed by
-// every subsequent Rebuild, so call Precond once per distinct Dirichlet
-// set per hierarchy lifetime (the Stokes solver calls it exactly three
-// times per Setup) — repeated calls for the same component would
-// accumulate live registrations that each Rebuild keeps paying for.
-func (h *Hierarchy) Precond(bc fem.ScalarBC) krylov.Operator {
-	c := &Component{h: h}
-	for _, lv := range h.levels {
-		layout := lv.mesh.Layout()
-		bcd := fem.GatherBC(lv.mesh, h.dom, bc)
-		c.bcds = append(c.bcds, bcd)
-		c.ops = append(c.ops, newLevelOp(lv, bcd))
-		c.b = append(c.b, la.NewVec(layout))
-		c.x = append(c.x, la.NewVec(layout))
-		c.dinv = append(c.dinv, la.NewVec(layout))
-		c.lmax = append(c.lmax, 0) // set by refresh from the hierarchy cache
-		c.r = append(c.r, la.NewVec(layout))
-		c.d = append(c.d, la.NewVec(layout))
-		c.z = append(c.z, la.NewVec(layout))
-		c.w = append(c.w, la.NewVec(layout))
-	}
-	h.comps = append(h.comps, c)
+// Every cycle is registered with the hierarchy and refreshed by every
+// subsequent Rebuild, so build one per distinct set of Dirichlet sets
+// per hierarchy lifetime (the Stokes solver builds exactly one per
+// Setup) — repeated calls would accumulate live registrations that each
+// Rebuild keeps paying for.
+func (h *Hierarchy) PrecondBlock(bcs []fem.ScalarBC) *VCycle {
+	c := newVCycle(h, bcs)
+	h.cycles = append(h.cycles, c)
 	if h.hasEta {
 		c.refresh()
 	}
@@ -550,8 +572,8 @@ func (h *Hierarchy) FineDiag() *la.Vec { return h.sharedDiag(0) }
 // the level's current viscosity (collective: one ghost scatter-add): a
 // flat scan of the precomputed slot-space plan, agreeing with
 // fem.AssembleScalarDiag to rounding at unconstrained nodes. The result
-// is boundary-condition independent and cached per Rebuild, so the three
-// velocity components share one scan per level.
+// is boundary-condition independent and cached per Rebuild, so every
+// field of every cycle shares one scan per level.
 func (h *Hierarchy) sharedDiag(l int) *la.Vec {
 	if h.lmaxValid {
 		return h.diagEta[l]
@@ -570,16 +592,16 @@ func (h *Hierarchy) sharedDiag(l int) *la.Vec {
 	return d
 }
 
-// refresh re-derives the component's viscosity-dependent state from the
+// refresh re-derives the cycle's viscosity-dependent state from the
 // current level etas (collective): matrix-free smoother diagonals per
-// smoothed level (inverting the shared diagonal scan, with this
-// component's Dirichlet rows set to 1), the Chebyshev lambda_max
-// estimates (a short Lanczos run per level, done by the first component
-// after each Rebuild and shared via the hierarchy cache), and the
-// distributed coarsest operator, assembled from the cached unit kernels
-// over the agglomerated communicator — never replicated.
-func (c *Component) refresh() {
-	h := c.h
+// smoothed level (inverting the shared diagonal scan, with each field's
+// Dirichlet rows set to 1), the Chebyshev lambda_max estimates (a short
+// Lanczos run per level on the first field's operator, done by the first
+// cycle after each Rebuild and shared via the hierarchy cache), and the
+// distributed coarsest operators, assembled per field from the cached
+// unit kernels over the agglomerated communicator — never replicated.
+func (c *VCycle) refresh() {
+	h, w := c.h, c.w
 	nl := len(h.levels)
 	if len(h.lmaxEta) < nl {
 		h.lmaxEta = make([]float64, nl)
@@ -587,12 +609,12 @@ func (c *Component) refresh() {
 	}
 	for l, lv := range h.levels {
 		if h.coarseHere && l == nl-1 {
-			// Coarsest level: assemble this rank's row block of the
-			// viscosity-scaled operator and set up the distributed solve.
-			kern, eta := lv.kern, lv.eta
+			// Coarsest level: assemble this rank's row block of each
+			// field's viscosity-scaled operator and set up its distributed
+			// solve.
 			elemMat := func(ei int, _ [3]float64) [8][8]float64 {
-				K := *kern[ei]
-				e := eta[ei]
+				K := lv.kern[lv.kidx[ei]]
+				e := lv.eta[ei]
 				for a := 0; a < 8; a++ {
 					for b := 0; b < 8; b++ {
 						K[a][b] *= e
@@ -600,8 +622,10 @@ func (c *Component) refresh() {
 				}
 				return K
 			}
-			Ac, _, _ := fem.AssembleScalarWithBC(lv.mesh, h.dom, elemMat, nil, c.bcds[l])
-			c.coarse = amg.NewDistributed(Ac, h.opts.AMG, h.opts.CoarseRtol, h.opts.CoarseMaxIt)
+			for k, bcd := range c.coarseBC {
+				Ac, _, _ := fem.AssembleScalarWithBC(lv.mesh, h.dom, elemMat, nil, bcd)
+				c.coarse[k] = amg.NewDistributed(Ac, h.opts.AMG, h.opts.CoarseRtol, h.opts.CoarseMaxIt)
+			}
 			break
 		}
 		if lv.repart {
@@ -610,17 +634,23 @@ func (c *Component) refresh() {
 		d := h.sharedDiag(l)
 		dinv := c.dinv[l]
 		for i, v := range d.Data {
+			inv := 1.0
 			if v != 0 {
-				dinv.Data[i] = 1 / v
-			} else {
-				dinv.Data[i] = 1
+				inv = 1 / v
+			}
+			for k := 0; k < w; k++ {
+				dinv[w*i+k] = inv
 			}
 		}
-		for _, s := range c.ops[l].ownFixed {
-			dinv.Data[s] = 1 // Dirichlet identity rows
+		for _, e := range c.ops[l].ownFixed {
+			dinv[e] = 1 // Dirichlet identity rows
 		}
 		if !h.lmaxValid {
-			h.lmaxEta[l] = krylov.EstimateLambdaMaxLanczos(c.ops[l], dinv, h.opts.LanczosSteps)
+			dinv0 := la.NewVec(d.Layout)
+			for i := range dinv0.Data {
+				dinv0.Data[i] = dinv[w*i]
+			}
+			h.lmaxEta[l] = krylov.EstimateLambdaMaxLanczos(c.ops[l].field(0), dinv0, h.opts.LanczosSteps)
 		}
 		c.lmax[l] = h.lmaxEta[l]
 	}

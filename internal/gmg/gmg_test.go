@@ -1,6 +1,7 @@
 package gmg
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -83,7 +84,7 @@ func TestLevelOperatorMatchesAssembled(t *testing.T) {
 			eta := layeredViscosity(m)
 			h := New(m, dom, eta, Options{})
 			bcd := fem.GatherBC(m, dom, zeroBC)
-			op := newLevelOp(h.levels[0], bcd)
+			op := newLevelOp(h.levels[0], []*fem.BCData{bcd})
 
 			stiff := func(ei int, hh [3]float64) [8][8]float64 {
 				return fem.StiffnessBrick(hh, eta[ei])
@@ -125,7 +126,7 @@ func TestVcyclePreconditionsCG(t *testing.T) {
 		h := New(m, dom, eta, Options{})
 		M := h.Precond(zeroBC)
 		bcd := fem.GatherBC(m, dom, zeroBC)
-		op := newLevelOp(h.levels[0], bcd)
+		op := newLevelOp(h.levels[0], []*fem.BCData{bcd})
 
 		// Symmetry.
 		x, y := la.NewVec(m.Layout()), la.NewVec(m.Layout())
@@ -183,28 +184,36 @@ func mustDinv(h *Hierarchy, bcd *fem.BCData, m *mesh.Mesh, dom fem.Domain, eta [
 	return dinv
 }
 
-// BenchmarkGMGVcycle times one V-cycle application of the component
-// preconditioner on a single rank (the per-iteration preconditioner cost
-// of the matrix-free Stokes solve).
+// BenchmarkGMGVcycle times one V-cycle application on a single rank at
+// width 1 (one scalar field) and width 3 (the Stokes velocity block: the
+// per-iteration preconditioner cost of the matrix-free solve). The
+// width-3 cycle does three fields' arithmetic in one sweep over the
+// level data; ns/op divided by the width is the cost per field.
 func BenchmarkGMGVcycle(bench *testing.B) {
 	for _, lvl := range []uint8{3, 4} {
-		bench.Run(map[uint8]string{3: "level3", 4: "level4"}[lvl], func(bench *testing.B) {
-			sim.Run(1, func(r *sim.Rank) {
-				m := buildMesh(r, lvl, true)
-				h := New(m, fem.UnitDomain, layeredViscosity(m), Options{})
-				M := h.Precond(zeroBC)
-				x, y := la.NewVec(m.Layout()), la.NewVec(m.Layout())
-				for i := range x.Data {
-					x.Data[i] = math.Sin(float64(i))
-				}
-				M.Apply(x, y) // warm up
-				bench.ResetTimer()
-				for i := 0; i < bench.N; i++ {
-					M.Apply(x, y)
-				}
-				bench.StopTimer()
-				bench.ReportMetric(float64(4*m.NGlobal), "dofs")
+		for _, w := range []int{1, 3} {
+			bench.Run(fmt.Sprintf("level%d/width%d", lvl, w), func(bench *testing.B) {
+				sim.Run(1, func(r *sim.Rank) {
+					m := buildMesh(r, lvl, true)
+					h := New(m, fem.UnitDomain, layeredViscosity(m), Options{})
+					bcs := make([]fem.ScalarBC, w)
+					for c := range bcs {
+						bcs[c] = zeroBC
+					}
+					M := h.PrecondBlock(bcs)
+					x, y := make([]float64, w*m.NumOwned), make([]float64, w*m.NumOwned)
+					for i := range x {
+						x[i] = math.Sin(float64(i))
+					}
+					M.ApplyStrided(x, y, w) // warm up
+					bench.ResetTimer()
+					for i := 0; i < bench.N; i++ {
+						M.ApplyStrided(x, y, w)
+					}
+					bench.StopTimer()
+					bench.ReportMetric(float64(int64(w)*m.NGlobal), "dofs")
+				})
 			})
-		})
+		}
 	}
 }

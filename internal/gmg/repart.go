@@ -269,48 +269,42 @@ func sortInts(v []int) {
 }
 
 // NodeForward permutes fine-partition node values into the shadow
-// partition (collective on comm): dst[shadow index] = src[fine index].
-// Pass dst nil on ranks outside the subset (they only send).
-func (rp *repart) NodeForward(src, dst *la.Vec) {
-	payloads := make([]any, len(rp.nSendTo))
-	nbytes := make([]int, len(rp.nSendTo))
-	for k, idx := range rp.nSendIdx {
-		vals := make([]float64, len(idx))
-		for t, i := range idx {
-			vals[t] = src.Data[i]
-		}
-		payloads[k] = vals
-		nbytes[k] = 8 * len(idx)
-	}
-	in := rp.comm.NeighborExchange(rp.nSendTo, payloads, nbytes, rp.nRecvFrom)
-	for k, d := range in {
-		vals := d.([]float64)
-		for t, li := range rp.nRecvIdx[k] {
-			dst.Data[li] = vals[t]
-		}
-	}
+// partition (collective on comm): dst[shadow index] = src[fine index],
+// w values per node (node-major, as the V-cycle buffers are) in one
+// message per neighbor. Pass dst nil on ranks outside the subset (they
+// only send).
+func (rp *repart) NodeForward(w int, src, dst []float64) {
+	rp.permute(w, rp.nSendTo, rp.nSendIdx, src, rp.nRecvFrom, rp.nRecvIdx, dst)
 }
 
 // NodeBackward permutes shadow-partition node values back into the fine
 // partition (collective on comm): the exact transpose of NodeForward.
 // Pass src nil on ranks outside the subset (they only receive).
-func (rp *repart) NodeBackward(src, dst *la.Vec) {
-	payloads := make([]any, len(rp.nRecvFrom))
-	nbytes := make([]int, len(rp.nRecvFrom))
-	for k, idx := range rp.nRecvIdx {
-		vals := make([]float64, len(idx))
-		for t, li := range idx {
-			vals[t] = src.Data[li]
+func (rp *repart) NodeBackward(w int, src, dst []float64) {
+	rp.permute(w, rp.nRecvFrom, rp.nRecvIdx, src, rp.nSendTo, rp.nSendIdx, dst)
+}
+
+// permute ships src's node blocks listed in sendIdx[k] to rank to[k] and
+// stores the blocks arriving from from[k] at recvIdx[k] of dst. Payloads
+// come from the shared exchange pool and go back to it once copied out.
+func (rp *repart) permute(w int, to []int, sendIdx [][]int32, src []float64, from []int, recvIdx [][]int32, dst []float64) {
+	out := make([]any, len(to))
+	nb := make([]int, len(to))
+	for k, idx := range sendIdx {
+		vals := la.GetBuf(w * len(idx))
+		for t, i := range idx {
+			copy(vals[w*t:w*t+w], src[w*int(i):w*int(i)+w])
 		}
-		payloads[k] = vals
-		nbytes[k] = 8 * len(idx)
+		out[k] = vals
+		nb[k] = 8 * len(vals)
 	}
-	in := rp.comm.NeighborExchange(rp.nRecvFrom, payloads, nbytes, rp.nSendTo)
+	in := rp.comm.NeighborExchange(to, out, nb, from)
 	for k, d := range in {
 		vals := d.([]float64)
-		for t, i := range rp.nSendIdx[k] {
-			dst.Data[i] = vals[t]
+		for t, i := range recvIdx[k] {
+			copy(dst[w*int(i):w*int(i)+w], vals[w*t:w*t+w])
 		}
+		la.PutBuf(vals)
 	}
 }
 

@@ -63,6 +63,10 @@ type GhostExchange struct {
 	// receives from owners; ScatterAdd is the transpose.
 	owners  []int
 	servers []int
+
+	// out and nb are the per-plan exchange scratch (see scratch).
+	out []any
+	nb  []int
 }
 
 // NewGhostExchange builds the exchange plan for the given off-rank global
@@ -139,7 +143,34 @@ func (g *GhostExchange) NumNeighbors() int {
 // served from every owner's owned slice (length Local()*block)
 // (collective).
 func (g *GhostExchange) Gather(owned, ghost []float64) {
-	g.GatherMulti([][]float64{owned}, [][]float64{ghost})
+	g.GatherBlock(g.block, owned, ghost)
+}
+
+// GatherBlock is Gather with the block width chosen per call: owned and
+// ghost carry `block` values per index instead of the plan's own width.
+// The index tables do not depend on the width, so one plan (one
+// construction handshake) serves every width — the multigrid level
+// operators gather one value per node for a scalar cycle and three for
+// the blocked velocity cycle through the same block-1 plan, in one
+// message per neighbor either way (collective).
+func (g *GhostExchange) GatherBlock(block int, owned, ghost []float64) {
+	out, nb := g.scratch(len(g.servers))
+	for k, j := range g.servers {
+		buf := GetBuf(len(g.sendIdx[j]) * block)
+		for n, li := range g.sendIdx[j] {
+			copy(buf[n*block:(n+1)*block], owned[int(li)*block:(int(li)+1)*block])
+		}
+		out[k] = buf
+		nb[k] = 8 * len(buf)
+	}
+	in := g.layout.rank.NeighborExchange(g.servers, out, nb, g.owners)
+	for k, i := range g.owners {
+		buf := in[k].([]float64)
+		for n, s := range g.reqSlot[i] {
+			copy(ghost[int(s)*block:(int(s)+1)*block], buf[n*block:(n+1)*block])
+		}
+		PutBuf(buf)
+	}
 }
 
 // GatherMulti gathers several same-layout fields in one exchange round
@@ -150,9 +181,7 @@ func (g *GhostExchange) Gather(owned, ghost []float64) {
 // three velocity components together when re-evaluating the viscosity.
 func (g *GhostExchange) GatherMulti(owned, ghost [][]float64) {
 	nf := len(owned)
-	r := g.layout.rank
-	out := make([]any, len(g.servers))
-	nb := make([]int, len(g.servers))
+	out, nb := g.scratch(len(g.servers))
 	for k, j := range g.servers {
 		buf := GetBuf(len(g.sendIdx[j]) * g.block * nf)
 		pos := 0
@@ -164,7 +193,7 @@ func (g *GhostExchange) GatherMulti(owned, ghost [][]float64) {
 		out[k] = buf
 		nb[k] = 8 * len(buf)
 	}
-	in := r.NeighborExchange(g.servers, out, nb, g.owners)
+	in := g.layout.rank.NeighborExchange(g.servers, out, nb, g.owners)
 	for k, i := range g.owners {
 		buf := in[k].([]float64)
 		pos := 0
@@ -181,26 +210,42 @@ func (g *GhostExchange) GatherMulti(owned, ghost [][]float64) {
 // adds them into the owners' owned slices — the transpose of Gather
 // (collective).
 func (g *GhostExchange) ScatterAdd(ghost, owned []float64) {
-	r := g.layout.rank
-	out := make([]any, len(g.owners))
-	nb := make([]int, len(g.owners))
+	g.ScatterAddBlock(g.block, ghost, owned)
+}
+
+// ScatterAddBlock is ScatterAdd with the block width chosen per call —
+// the transpose of GatherBlock at the same width (collective).
+func (g *GhostExchange) ScatterAddBlock(block int, ghost, owned []float64) {
+	out, nb := g.scratch(len(g.owners))
 	for k, j := range g.owners {
-		buf := GetBuf(len(g.reqSlot[j]) * g.block)
+		buf := GetBuf(len(g.reqSlot[j]) * block)
 		for n, s := range g.reqSlot[j] {
-			copy(buf[n*g.block:(n+1)*g.block], ghost[int(s)*g.block:(int(s)+1)*g.block])
+			copy(buf[n*block:(n+1)*block], ghost[int(s)*block:(int(s)+1)*block])
 		}
 		out[k] = buf
 		nb[k] = 8 * len(buf)
 	}
-	in := r.NeighborExchange(g.owners, out, nb, g.servers)
+	in := g.layout.rank.NeighborExchange(g.owners, out, nb, g.servers)
 	for k, i := range g.servers {
 		buf := in[k].([]float64)
 		for n, li := range g.sendIdx[i] {
-			base := int(li) * g.block
-			for c := 0; c < g.block; c++ {
-				owned[base+c] += buf[n*g.block+c]
+			base := int(li) * block
+			for c := 0; c < block; c++ {
+				owned[base+c] += buf[n*block+c]
 			}
 		}
 		PutBuf(buf)
 	}
+}
+
+// scratch returns the plan's payload and size tables cut to n entries.
+// They are handed to sim.NeighborExchange, which reads them before it
+// returns and keeps no reference, and a plan is only ever driven by its
+// own rank, so one pair per plan serves every exchange.
+func (g *GhostExchange) scratch(n int) ([]any, []int) {
+	if cap(g.out) < n {
+		g.out = make([]any, n)
+		g.nb = make([]int, n)
+	}
+	return g.out[:n], g.nb[:n]
 }

@@ -9,9 +9,12 @@ package matfree_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"rhea/internal/fem"
+	"rhea/internal/forest"
+	"rhea/internal/gmg"
 	"rhea/internal/la"
 	"rhea/internal/matfree"
 	"rhea/internal/mesh"
@@ -358,6 +361,106 @@ func TestApplyAllocFree(t *testing.T) {
 		fillTestVec(x2)
 		if n := testing.AllocsPerRun(20, func() { op2.Apply(x2, y2) }); n != 0 {
 			t.Errorf("Q2 sum-factorized Apply allocates %v times per run, want 0", n)
+		}
+	})
+}
+
+// allocsPerCall returns the heap allocations of one f() summed over all
+// ranks of r's world (collective; n timed calls after one warm-up). The
+// counter is process-wide, so every rank's goroutine is held at a
+// barrier while rank 0 reads it.
+func allocsPerCall(r *sim.Rank, n int, f func()) float64 {
+	f()
+	var m0, m1 runtime.MemStats
+	r.Barrier()
+	if r.ID() == 0 {
+		runtime.ReadMemStats(&m0)
+	}
+	r.Barrier()
+	for i := 0; i < n; i++ {
+		f()
+	}
+	r.Barrier()
+	if r.ID() == 0 {
+		runtime.ReadMemStats(&m1)
+	}
+	return r.Allreduce(float64(m1.Mallocs-m0.Mallocs), sim.OpSum) / float64(n)
+}
+
+// TestExchangeAllocsTwoRanks is the 2-rank companion of
+// TestApplyAllocFree: with a neighbor to talk to, the exchanges are no
+// longer allocation-free, and this pins what is left now that the plans
+// keep their payload tables and the repartition payloads are pooled.
+//
+// What is left is 7 small allocations per message, none of them in
+// la's or gmg's own tables: 4 in the sim mailbox (every exchange draws a
+// fresh tag, so its (source, tag) stream is new: the queue object, its
+// slice, the tag's ready set and that set's first entry), 1 for the
+// []any of received payloads sim.NeighborExchange returns, and 2 because
+// a []float64 is boxed each time it crosses an `any` — as the message
+// payload, and when la.PutBuf hands it back to the sync.Pool. The fine
+// mesh's shared nodes all belong to one rank here, so a Gather+ScatterAdd
+// round trip is 2 messages and 14 allocations over the two ranks. (The
+// benchmark's matfree.allocs_per_apply 20.9 was this round trip plus the
+// per-call out/nb tables; gmg.allocs_per_vcycle 469-1269 was a scalar
+// cycle's 25-69 messages at 9 each, per-neighbor repartition payloads,
+// and krylov.CG's work vectors in the coarsest solve.) The blocked
+// V-cycle pays the same 7 per message — it sends one scalar cycle's
+// messages, not three — plus what its three coarsest-level solves
+// allocate; here, as on every shell run, all coarsest-level nodes are
+// boundary nodes and those solves are trivial.
+func TestExchangeAllocsTwoRanks(t *testing.T) {
+	conn := forest.CubedSphere(2)
+	g := mesh.NewShellGeometry(conn)
+	sim.Run(2, func(r *sim.Rank) {
+		m := mesh.ExtractForest(forest.New(r, conn, 2), g)
+		sm := matfree.NewSlotMap(m, 1)
+		owned := make([]float64, sm.NOwned)
+		ghost := make([]float64, sm.GX.NumGhosts())
+		roundTrip := func() {
+			sm.GX.Gather(owned, ghost)
+			sm.GX.ScatterAdd(ghost, owned)
+		}
+		// userMsgs counts the messages of one f() over both ranks.
+		userMsgs := func(f func()) float64 {
+			before := r.Stats().UserMsgs
+			f()
+			return r.Allreduce(float64(r.Stats().UserMsgs-before), sim.OpSum)
+		}
+		tripMsgs := userMsgs(roundTrip)
+		trip := allocsPerCall(r, 50, roundTrip)
+
+		eta := make([]float64, len(m.Leaves))
+		for i := range eta {
+			eta[i] = 1
+		}
+		h := gmg.New(m, fem.UnitDomain, eta, gmg.Options{})
+		boundary := func(x [3]float64) (float64, bool) {
+			rad := math.Sqrt(x[0]*x[0] + x[1]*x[1] + x[2]*x[2])
+			return 0, rad < g.RInner+1e-9 || rad > g.ROuter-1e-9
+		}
+		pc := h.PrecondBlock([]fem.ScalarBC{boundary, boundary, boundary})
+		x, y := make([]float64, 3*m.NumOwned), make([]float64, 3*m.NumOwned)
+		for i := range x {
+			x[i] = math.Sin(float64(i))
+		}
+		cycleFn := func() { pc.ApplyStrided(x, y, 3) }
+		cycleMsgs := userMsgs(cycleFn)
+		cycle := allocsPerCall(r, 20, cycleFn)
+
+		if r.ID() == 0 {
+			t.Logf("allocations over both ranks: %.1f per Gather+ScatterAdd round trip (%.0f messages), %.1f per blocked V-cycle (%.0f messages, levels %v)",
+				trip, tripMsgs, cycle, cycleMsgs, h.LevelElems())
+		}
+		// The slack over 7 per message covers the measurement's own
+		// barriers and a pool refill after a GC cycle.
+		if limit := 7*tripMsgs + 2; trip > limit {
+			t.Errorf("Gather+ScatterAdd round trip allocates %.1f times over 2 ranks, want <= %.0f (7 per message)", trip, limit)
+		}
+		// Each trivial coarsest solve is one CG set-up: its work vectors
+		// and one norm reduction (34 allocations measured, 50 allowed).
+		if limit := 7*cycleMsgs + 3*50; cycle > limit {
+			t.Errorf("blocked V-cycle allocates %.1f times over 2 ranks, want <= %.0f (7 per message + the three coarsest solves)", cycle, limit)
 		}
 	})
 }

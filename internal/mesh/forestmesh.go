@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"rhea/internal/forest"
+	"rhea/internal/la"
 	"rhea/internal/morton"
 )
 
@@ -290,8 +291,8 @@ func ExtractForest(f *forest.Forest, g Geometry) *Mesh {
 		return keys[i].k < keys[j].k
 	})
 	m.NumOwned = len(keys)
-	m.Offset = r.ExScan(int64(m.NumOwned))
-	m.NGlobal = r.AllreduceInt64(int64(m.NumOwned))
+	m.layout = la.NewLayout(r, m.NumOwned)
+	m.Offset, m.NGlobal = m.layout.Start(), m.layout.N()
 	m.OwnedPos = make([][3]uint32, m.NumOwned)
 	m.OwnedTree = make([]int32, m.NumOwned)
 	m.OwnedCell = make([]forest.Octant, m.NumOwned)

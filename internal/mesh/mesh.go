@@ -92,6 +92,10 @@ type Mesh struct {
 	// this struct.
 	GeomCache any
 
+	// layout is the node layout, built once with the numbering (its
+	// offsets are the one collective that also yields Offset and NGlobal).
+	layout *la.Layout
+
 	posToLocal map[uint64]int32 // owned position key -> local node index
 	gidCache   map[uint64]int64 // referenced position key -> global id (incl. remote)
 
@@ -263,8 +267,8 @@ func Extract(t *octree.Tree) *Mesh {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	m.NumOwned = len(keys)
-	m.Offset = r.ExScan(int64(m.NumOwned))
-	m.NGlobal = r.AllreduceInt64(int64(m.NumOwned))
+	m.layout = la.NewLayout(r, m.NumOwned)
+	m.Offset, m.NGlobal = m.layout.Start(), m.layout.N()
 	m.OwnedPos = make([][3]uint32, m.NumOwned)
 	m.posToLocal = make(map[uint64]int32, m.NumOwned)
 	for i, k := range keys {
@@ -437,10 +441,10 @@ func exchangeGhosts(t *octree.Tree) []morton.Octant {
 	return ghosts
 }
 
-// Layout returns the la.Layout over the mesh's independent nodes.
-func (m *Mesh) Layout() *la.Layout {
-	return la.NewLayout(m.Rank, m.NumOwned)
-}
+// Layout returns the la.Layout over the mesh's independent nodes: the
+// one built at extraction, shared by every caller (no communication, no
+// allocation).
+func (m *Mesh) Layout() *la.Layout { return m.layout }
 
 // LocalIndex returns the local index of the owned node at position p and
 // whether this rank owns it.

@@ -386,6 +386,11 @@ type Sim struct {
 	// rebuilding gather maps each call; invalidated with the solver.
 	sm *matfree.SlotMap
 
+	// adv is the cached transport problem (lumped mass, boundary flags
+	// and values: all mesh- and config-dependent only); AdvectSteps swaps
+	// in the current corner velocities. Invalidated with the solver.
+	adv *advect.Problem
+
 	lastMinres krylov.Result
 }
 
@@ -459,13 +464,15 @@ func (s *Sim) extract() {
 	}
 	s.Times.ExtractMesh += time.Since(t0).Seconds()
 	// Velocity and pressure default to zero on the new mesh, and the
-	// cached Stokes solver is bound to the old mesh — drop it.
+	// cached Stokes solver, slot map and transport problem are bound to
+	// the old mesh — drop them.
 	for c := 0; c < 3; c++ {
 		s.U[c] = la.NewVec(s.Mesh.Layout())
 	}
 	s.P = la.NewVec(s.Mesh.Layout())
 	s.solver = nil
 	s.sm = nil
+	s.adv = nil
 }
 
 func (s *Sim) setInitialTemp() {
@@ -892,12 +899,16 @@ func (s *Sim) PrecondStats() stokes.PrecondStats {
 func (s *Sim) AdvectSteps(n int) float64 {
 	t0 := time.Now()
 	vel := s.elemVelocity()
-	var src func(x [3]float64) float64
-	if s.Cfg.InternalHeat != 0 {
-		g := s.Cfg.InternalHeat
-		src = func(_ [3]float64) float64 { return g }
+	if s.adv == nil {
+		var src func(x [3]float64) float64
+		if s.Cfg.InternalHeat != 0 {
+			g := s.Cfg.InternalHeat
+			src = func(_ [3]float64) float64 { return g }
+		}
+		s.adv = advect.New(s.Mesh, s.Cfg.Dom, 1 /* nondimensional kappa */, vel, src, s.TempBC())
 	}
-	p := advect.New(s.Mesh, s.Cfg.Dom, 1 /* nondimensional kappa */, vel, src, s.TempBC())
+	p := s.adv
+	p.Vel = vel
 	dt := p.StableDt(s.Cfg.CFL)
 	for i := 0; i < n; i++ {
 		p.Step(s.T, dt)

@@ -199,10 +199,12 @@ type Solver struct {
 	compBC  [3]fem.ScalarBC // per-velocity-component scalar view of bc
 	compBCD [3]*fem.BCData  // gathered per-component Dirichlet data (AMG path)
 	nodeL   *la.Layout
-	// unit scalar stiffness kernels per element (aliased per octree
-	// level), scaled by the viscosity on the AMG-preconditioner refresh
-	// path instead of re-running quadrature.
-	scalKern []*[8][8]float64
+	// unit scalar stiffness kernels (scalKern[scalIdx[ei]] is element
+	// ei's; one brick per octree level on axis-aligned meshes), scaled by
+	// the viscosity on the AMG-preconditioner refresh path instead of
+	// re-running quadrature.
+	scalKern [][8][8]float64
+	scalIdx  []int32
 	// stokesKern holds the per-element unit-viscosity coupled kernels the
 	// assembled path scales on mapped (forest) meshes, where per-element
 	// Jacobians replace the constant-h brick formulas. Shared provider
@@ -216,8 +218,13 @@ type Solver struct {
 	nodeSM    *matfree.SlotMap
 	schurPlan []schurTerm
 
-	velPC    [3]krylov.Operator // multigrid V-cycle per velocity component
-	schurInv *la.Vec            // nodal inverse of S~ diagonal
+	// Velocity-block preconditioner: on the Q1 GMG path one blocked
+	// V-cycle carrying all three components (velGMG); on the AMG path and
+	// under the Q2 p-coarsening wrapper one scalar operator per component
+	// (velPC), fed through the xc/yc work vectors.
+	velGMG   *gmg.VCycle
+	velPC    [3]krylov.Operator
+	schurInv *la.Vec // nodal inverse of S~ diagonal
 	nOwned   int
 
 	// Free-slip (rotated boundary frame) state, set when Options.Slip
@@ -236,7 +243,7 @@ type Solver struct {
 	slipDinv  *la.Vec
 	null      []*la.Vec
 
-	// work vectors for the preconditioner (node layout)
+	// work vectors for the per-component preconditioners (node layout)
 	xc, yc *la.Vec
 
 	// Order-2 (Taylor-Hood) state, set by setupQ2 when Options.Order == 2
@@ -467,8 +474,8 @@ func Setup(m *mesh.Mesh, dom fem.Domain, bc VelBC, opts Options) *Solver {
 	}
 
 	if opts.Precond == PrecondGMG {
-		// Level meshes, transfer stencils and the per-component V-cycle
-		// structure; smoother diagonals and the distributed coarse solve
+		// Level meshes, transfer stencils and the blocked V-cycle's
+		// structure; smoother diagonals and the distributed coarse solves
 		// wait for the first Update/Rebuild.
 		s.GMGH = gmg.NewHierarchy(m, dom, opts.GMG)
 		if s.GMGH.Degenerate() {
@@ -480,17 +487,16 @@ func Setup(m *mesh.Mesh, dom fem.Domain, bc VelBC, opts Options) *Solver {
 				"stokes: GMG hierarchy is degenerate — coarsening stopped at %d global elements (target <= %d) after %d levels",
 				le[len(le)-1], s.GMGH.CoarseTarget(), s.GMGH.NumLevels()))
 		}
-		for c := 0; c < 3; c++ {
-			s.velPC[c] = s.GMGH.Precond(s.compBC[c])
-		}
+		s.velGMG = s.GMGH.PrecondBlock(s.compBC[:])
 	} else {
 		// Unit stiffness kernels and gathered per-component Dirichlet
 		// data for the Poisson CSRs the AMG refresh re-assembles each
 		// Update; both are mesh-dependent.
-		s.scalKern = fem.UnitStiffnessKernels(m, dom)
+		s.scalKern, s.scalIdx = fem.UnitStiffnessKernels(m, dom)
 		for c := 0; c < 3; c++ {
 			s.compBCD[c] = fem.GatherBC(m, dom, s.compBC[c])
 		}
+		s.xc, s.yc = la.NewVec(s.nodeL), la.NewVec(s.nodeL)
 	}
 
 	if s.hasSlip {
@@ -565,9 +571,8 @@ func (s *Solver) projectNull(v *la.Vec) {
 func (s *Solver) NullDim() int { return len(s.null) }
 
 // finishSetup builds the order-independent tail of Setup: the Schur
-// diagonal's slot-space lumped-mass plan (always on the Q1 vertex
-// space, where the Taylor-Hood pressure also lives) and the
-// preconditioner work vectors.
+// diagonal and its slot-space lumped-mass plan (always on the Q1 vertex
+// space, where the Taylor-Hood pressure also lives).
 func (s *Solver) finishSetup() {
 	m, dom := s.M, s.Dom
 	// Slot map + lumped-mass coefficients for the Schur diagonal refresh.
@@ -596,8 +601,6 @@ func (s *Solver) finishSetup() {
 	}
 
 	s.schurInv = la.NewVec(s.nodeL)
-	s.xc = la.NewVec(s.nodeL)
-	s.yc = la.NewVec(s.nodeL)
 }
 
 // Update refreshes the viscosity- and force-dependent half of the solver
@@ -635,7 +638,7 @@ func (s *Solver) Update(etaElem []float64, force [][8][3]float64) *Solver {
 		s.GMGH.Rebuild(etaElem)
 	} else {
 		elemMat := func(ei int, h [3]float64) [8][8]float64 {
-			K := *s.scalKern[ei]
+			K := s.scalKern[s.scalIdx[ei]]
 			eta := etaElem[ei]
 			for a := 0; a < 8; a++ {
 				for b := 0; b < 8; b++ {
@@ -675,7 +678,7 @@ func (s *Solver) refreshSlipDiag(etaElem []float64) {
 		d = s.GMGH.FineDiag()
 	} else {
 		elemMat := func(ei int, h [3]float64) [8][8]float64 {
-			K := *s.scalKern[ei]
+			K := s.scalKern[s.scalIdx[ei]]
 			eta := etaElem[ei]
 			for a := 0; a < 8; a++ {
 				for b := 0; b < 8; b++ {
@@ -1133,14 +1136,21 @@ func (s *Solver) Precond() krylov.Operator {
 	}
 	return krylov.OpFunc(func(x, y *la.Vec) {
 		n := s.nOwned
-		// Velocity components: one multigrid V-cycle each (AMG or GMG).
-		for c := 0; c < 3; c++ {
-			for i := 0; i < n; i++ {
-				s.xc.Data[i] = x.Data[4*i+c]
-			}
-			s.velPC[c].Apply(s.xc, s.yc)
-			for i := 0; i < n; i++ {
-				y.Data[4*i+c] = s.yc.Data[i]
+		if s.velGMG != nil {
+			// Velocity block: one geometric V-cycle for the three
+			// components, read from and written to the interleaved
+			// vectors in place.
+			s.velGMG.ApplyStrided(x.Data, y.Data, 4)
+		} else {
+			// One algebraic multigrid V-cycle per velocity component.
+			for c := 0; c < 3; c++ {
+				for i := 0; i < n; i++ {
+					s.xc.Data[i] = x.Data[4*i+c]
+				}
+				s.velPC[c].Apply(s.xc, s.yc)
+				for i := 0; i < n; i++ {
+					y.Data[4*i+c] = s.yc.Data[i]
+				}
 			}
 		}
 		// Free-slip tangential rows: the component V-cycles treated slip
@@ -1196,7 +1206,7 @@ func (s *Solver) Solve(x *la.Vec, rtol float64, maxIt int) krylov.Result {
 // SplitSolution extracts nodal velocity components and pressure from the
 // interleaved solution vector (node layout vectors).
 func (s *Solver) SplitSolution(x *la.Vec) (u [3]*la.Vec, p *la.Vec) {
-	nodeL := s.M.Layout()
+	nodeL := s.nodeL
 	if s.q2 != nil {
 		// Order 2: sample the Q2 solution at the vertices (where the
 		// pressure dofs live), returning Q1 node-layout vectors so the
