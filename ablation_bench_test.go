@@ -15,24 +15,29 @@ import (
 
 	"rhea/internal/amg"
 	"rhea/internal/fem"
+	"rhea/internal/forest"
 	"rhea/internal/krylov"
 	"rhea/internal/la"
 	"rhea/internal/mesh"
 	"rhea/internal/morton"
-	"rhea/internal/octree"
 	"rhea/internal/sim"
 	"rhea/internal/stokes"
 )
+
+// unitBox is the one-tree connectivity of the unit cube.
+var unitBox = forest.BrickConnectivity(1, 1, 1)
 
 // buildAdaptedLeaves returns a balanced adapted leaf set for lookups.
 func buildAdaptedLeaves() []morton.Octant {
 	var leaves []morton.Octant
 	sim.Run(1, func(r *sim.Rank) {
-		tr := octree.New(r, 3)
-		tr.Refine(func(o morton.Octant) bool { return o.X == 0 })
-		tr.Refine(func(o morton.Octant) bool { return o.X == 0 && o.Y == 0 })
+		tr := forest.New(r, unitBox, 3)
+		tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 })
+		tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 && o.O.Y == 0 })
 		tr.Balance()
-		leaves = append(leaves, tr.Leaves()...)
+		for _, o := range tr.Leaves() {
+			leaves = append(leaves, o.O)
+		}
 	})
 	return leaves
 }
@@ -40,23 +45,23 @@ func buildAdaptedLeaves() []morton.Octant {
 // BenchmarkAblation_LinearOctreeLookup measures containment queries on
 // the sorted linear octree (binary search over Morton keys).
 func BenchmarkAblation_LinearOctreeLookup(b *testing.B) {
-	var tree *octree.Tree
+	var tree *forest.Forest
 	sim.Run(1, func(r *sim.Rank) {
-		tr := octree.New(r, 3)
-		tr.Refine(func(o morton.Octant) bool { return o.X == 0 })
+		tr := forest.New(r, unitBox, 3)
+		tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 })
 		tr.Balance()
 		tree = tr
 	})
 	leaves := tree.Leaves()
 	rng := rand.New(rand.NewSource(1))
-	queries := make([]morton.Octant, 4096)
+	queries := make([]forest.Octant, 4096)
 	for i := range queries {
 		l := leaves[rng.Intn(len(leaves))]
-		queries[i] = l.FirstDescendant(morton.MaxLevel)
+		queries[i] = forest.Octant{Tree: l.Tree, O: l.O.FirstDescendant(morton.MaxLevel)}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := tree.FindContaining(queries[i%len(queries)]); !ok {
+		if _, _, ok := tree.FindContaining(queries[i%len(queries)]); !ok {
 			b.Fatal("lookup failed")
 		}
 	}
@@ -147,8 +152,8 @@ func BenchmarkAblation_PrecondChoice(b *testing.B) {
 	var itersAMG, itersJacobi int
 	for i := 0; i < b.N; i++ {
 		sim.Run(1, func(r *sim.Rank) {
-			tr := octree.New(r, 3)
-			m := mesh.Extract(tr)
+			tr := forest.New(r, unitBox, 3)
+			m := mesh.Extract(tr, nil)
 			dom := fem.UnitDomain
 			eta := make([]float64, len(m.Leaves))
 			for ei, leaf := range m.Leaves {
@@ -202,8 +207,8 @@ func absJacobi(A *la.Mat) krylov.Operator {
 func BenchmarkAblation_AMGSetupReuse(b *testing.B) {
 	var A *la.CSR
 	sim.Run(1, func(r *sim.Rank) {
-		tr := octree.New(r, 3)
-		m := mesh.Extract(tr)
+		tr := forest.New(r, unitBox, 3)
+		m := mesh.Extract(tr, nil)
 		mat, _, _ := fem.AssembleScalar(m, fem.UnitDomain,
 			func(ei int, h [3]float64) [8][8]float64 { return fem.StiffnessBrick(h, 1) },
 			nil, func(x [3]float64) (float64, bool) { return 0, x[2] == 0 || x[2] == 1 })

@@ -177,11 +177,6 @@ func main() {
 				*restore, meta.Ranks, meta.Ranks)
 			os.Exit(2)
 		}
-		if meta.Forest != *shell {
-			fmt.Fprintf(os.Stderr, "-restore %s: snapshot domain kind (shell=%v) contradicts -shell=%v\n",
-				*restore, meta.Forest, *shell)
-			os.Exit(2)
-		}
 		if fp := cfg.Fingerprint(); meta.ConfigFP != fp {
 			fmt.Fprintf(os.Stderr, "-restore %s: snapshot configuration fingerprint %016x does not match these flags (%016x);\n"+
 				"pass the same scenario flags as the writing run (-shell -slip -order -ra -base -max-level -target -matfree -precond -localamg)\n",
@@ -215,7 +210,7 @@ func main() {
 			s = rhea.New(r, cfg)
 		}
 		startCycle := s.Step / s.Cfg.AdaptEvery
-		n0 := numElems(s) // collective
+		n0 := s.Forest.NumGlobal() // collective
 		if r.ID() == 0 {
 			if *restore != "" {
 				fmt.Printf("restored %s: cycle %d, t=%.3e, %d elements, %d nodes\n",
@@ -306,12 +301,4 @@ func runCase(name string, ranks int) {
 		fmt.Fprintln(os.Stderr, "final Stokes solve did not converge")
 		os.Exit(1)
 	}
-}
-
-// numElems counts global elements for either domain kind (collective).
-func numElems(s *rhea.Sim) int64 {
-	if s.Forest != nil {
-		return s.Forest.NumGlobal()
-	}
-	return s.Tree.NumGlobal()
 }

@@ -1,9 +1,9 @@
 // Quickstart: the smallest end-to-end use of the library. It builds a
-// distributed octree, refines it adaptively, enforces the 2:1 balance,
-// extracts a finite-element mesh with hanging-node constraints, and
-// solves a variable-coefficient Poisson problem with CG preconditioned by
-// algebraic multigrid — the building blocks every larger application in
-// this repository composes.
+// distributed octree (the unit cube as a one-tree forest), refines it
+// adaptively, enforces the 2:1 balance, extracts a finite-element mesh
+// with hanging-node constraints, and solves a variable-coefficient
+// Poisson problem with CG preconditioned by algebraic multigrid — the
+// building blocks every larger application in this repository composes.
 package main
 
 import (
@@ -12,11 +12,11 @@ import (
 
 	"rhea/internal/amg"
 	"rhea/internal/fem"
+	"rhea/internal/forest"
 	"rhea/internal/krylov"
 	"rhea/internal/la"
 	"rhea/internal/mesh"
 	"rhea/internal/morton"
-	"rhea/internal/octree"
 	"rhea/internal/sim"
 )
 
@@ -25,29 +25,29 @@ func main() {
 	sim.Run(ranks, func(r *sim.Rank) {
 		// 1. A uniform level-3 octree (512 elements), partitioned along
 		//    the space-filling curve.
-		tree := octree.New(r, 3)
+		tree := forest.New(r, forest.BrickConnectivity(1, 1, 1), 3)
 
 		// 2. Refine near a spherical front, then restore the 2:1 balance
 		//    and rebalance the partition.
-		tree.Refine(func(o morton.Octant) bool {
+		tree.Refine(func(o forest.Octant) bool {
 			c := 0.5 * float64(morton.RootLen)
-			x := float64(o.X) - c
-			y := float64(o.Y) - c
-			z := float64(o.Z) - c
+			x := float64(o.O.X) - c
+			y := float64(o.O.Y) - c
+			z := float64(o.O.Z) - c
 			rad := math.Sqrt(x*x+y*y+z*z) / c
 			return rad > 0.4 && rad < 0.8
 		})
-		added, rounds := tree.Balance()
+		added := r.AllreduceInt64(int64(tree.Balance()))
 		tree.Partition()
 
 		// 3. Extract the mesh: global node numbering plus hanging-node
-		//    interpolation constraints.
-		m := mesh.Extract(tree)
+		//    interpolation constraints (nil geometry: axis-aligned box).
+		m := mesh.Extract(tree, nil)
 		st := m.GlobalStats()
 		if r.ID() == 0 {
 			fmt.Printf("mesh: %d elements, %d nodes, %d hanging corners "+
-				"(balance added %d leaves in %d rounds)\n",
-				st.Elements, st.Nodes, st.HangingLocal, added, rounds)
+				"(balance added %d leaves)\n",
+				st.Elements, st.Nodes, st.HangingLocal, added)
 		}
 
 		// 4. Assemble -div(k grad u) = 1 with u = 0 on the boundary and a

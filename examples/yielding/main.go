@@ -58,8 +58,8 @@ func main() {
 		}
 
 		// §VI accounting.
-		n := s.Tree.NumGlobal()
-		lo, hi := s.Tree.MinMaxLevel()
+		n := s.Forest.NumGlobal()
+		lo, hi := s.Forest.MinMaxLevel()
 		etas := s.ElementViscosity()
 		loEta, hiEta := math.Inf(1), math.Inf(-1)
 		for _, e := range etas {

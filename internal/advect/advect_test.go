@@ -5,12 +5,15 @@ import (
 	"testing"
 
 	"rhea/internal/fem"
+	"rhea/internal/forest"
 	"rhea/internal/la"
 	"rhea/internal/mesh"
 	"rhea/internal/morton"
-	"rhea/internal/octree"
 	"rhea/internal/sim"
 )
+
+// unitBox is the one-tree connectivity of the unit cube.
+var unitBox = forest.BrickConnectivity(1, 1, 1)
 
 // uniformVel fills per-element corner velocities with a constant vector.
 func uniformVel(m *mesh.Mesh, v [3]float64) [][8][3]float64 {
@@ -54,8 +57,8 @@ func centroid(m *mesh.Mesh, dom fem.Domain, T *la.Vec, d int) float64 {
 
 func TestDiffusionDecayRate(t *testing.T) {
 	sim.Run(2, func(r *sim.Rank) {
-		tr := octree.New(r, 3)
-		m := mesh.Extract(tr)
+		tr := forest.New(r, unitBox, 3)
+		m := mesh.Extract(tr, nil)
 		dom := fem.UnitDomain
 		kappa := 0.05
 		bc := func(x [3]float64) (float64, bool) {
@@ -87,8 +90,8 @@ func TestDiffusionDecayRate(t *testing.T) {
 
 func TestAdvectionTransportsBump(t *testing.T) {
 	sim.Run(2, func(r *sim.Rank) {
-		tr := octree.New(r, 3)
-		m := mesh.Extract(tr)
+		tr := forest.New(r, unitBox, 3)
+		m := mesh.Extract(tr, nil)
 		dom := fem.UnitDomain
 		vel := [3]float64{0.25, 0, 0}
 		p := New(m, dom, 1e-6, uniformVel(m, vel), nil, func(x [3]float64) (float64, bool) {
@@ -126,8 +129,8 @@ func TestAdvectionTransportsBump(t *testing.T) {
 // Galerkin would oscillate wildly.
 func TestSUPGControlsOscillations(t *testing.T) {
 	sim.Run(1, func(r *sim.Rank) {
-		tr := octree.New(r, 3)
-		m := mesh.Extract(tr)
+		tr := forest.New(r, unitBox, 3)
+		m := mesh.Extract(tr, nil)
 		dom := fem.UnitDomain
 		p := New(m, dom, 1e-8, uniformVel(m, [3]float64{1, 0, 0}), nil, func(x [3]float64) (float64, bool) {
 			if x[0] == 0 {
@@ -162,8 +165,8 @@ func TestStableDtScalesWithMesh(t *testing.T) {
 	var dts [2]float64
 	for li, lvl := range []uint8{2, 3} {
 		sim.Run(1, func(r *sim.Rank) {
-			tr := octree.New(r, lvl)
-			m := mesh.Extract(tr)
+			tr := forest.New(r, unitBox, lvl)
+			m := mesh.Extract(tr, nil)
 			p := New(m, fem.UnitDomain, 0, uniformVel(m, [3]float64{1, 0, 0}), nil, fem.NoBC)
 			dts[li] = p.StableDt(1)
 		})
@@ -175,8 +178,8 @@ func TestStableDtScalesWithMesh(t *testing.T) {
 
 func TestSourceHeatsInterior(t *testing.T) {
 	sim.Run(2, func(r *sim.Rank) {
-		tr := octree.New(r, 2)
-		m := mesh.Extract(tr)
+		tr := forest.New(r, unitBox, 2)
+		m := mesh.Extract(tr, nil)
 		dom := fem.UnitDomain
 		p := New(m, dom, 0.01, uniformVel(m, [3]float64{0, 0, 0}),
 			func(x [3]float64) float64 { return 1 },
@@ -206,11 +209,11 @@ func TestSourceHeatsInterior(t *testing.T) {
 // transport correctly.
 func TestAdvectionOnAdaptedMesh(t *testing.T) {
 	sim.Run(3, func(r *sim.Rank) {
-		tr := octree.New(r, 2)
-		tr.Refine(func(o morton.Octant) bool { return o.X < morton.RootLen/2 })
+		tr := forest.New(r, unitBox, 2)
+		tr.Refine(func(o forest.Octant) bool { return o.O.X < morton.RootLen/2 })
 		tr.Balance()
 		tr.Partition()
-		m := mesh.Extract(tr)
+		m := mesh.Extract(tr, nil)
 		dom := fem.UnitDomain
 		p := New(m, dom, 1e-5, uniformVel(m, [3]float64{0.25, 0, 0}), nil, func(x [3]float64) (float64, bool) {
 			if x[0] == 0 || x[0] == 1 {

@@ -9,15 +9,15 @@ import (
 	"testing"
 
 	"rhea/internal/fem"
+	"rhea/internal/forest"
 	"rhea/internal/mesh"
-	"rhea/internal/octree"
 	"rhea/internal/sim"
 )
 
 func TestStableDtDirectional(t *testing.T) {
 	sim.Run(1, func(r *sim.Rank) {
-		tr := octree.New(r, 1)
-		m := mesh.Extract(tr)
+		tr := forest.New(r, unitBox, 1)
+		m := mesh.Extract(tr, nil)
 		dom := fem.Domain{Box: [3]float64{0.01, 1, 1}} // elements 0.005 x 0.5 x 0.5
 		p := New(m, dom, 0, uniformVel(m, [3]float64{0, 1, 0}), nil, fem.NoBC)
 		// Flow along the long y-axis: the limit is h_y/|u_y| = 0.5, not
@@ -35,8 +35,8 @@ func TestStableDtDirectional(t *testing.T) {
 
 func TestStableDtIsotropicUnchanged(t *testing.T) {
 	sim.Run(1, func(r *sim.Rank) {
-		tr := octree.New(r, 2)
-		m := mesh.Extract(tr)
+		tr := forest.New(r, unitBox, 2)
+		m := mesh.Extract(tr, nil)
 		dom := fem.UnitDomain
 		u := [3]float64{0.3, -0.4, 1.2}
 		un := math.Sqrt(u[0]*u[0] + u[1]*u[1] + u[2]*u[2])

@@ -246,11 +246,7 @@ func Run(r *sim.Rank, c Case) Result {
 		Vrms:      s.RMSVelocity(),
 		Iters:     res.Iterations,
 		Converged: res.Converged,
-	}
-	if s.Forest != nil {
-		out.Elements = s.Forest.NumGlobal()
-	} else {
-		out.Elements = s.Tree.NumGlobal()
+		Elements:  s.Forest.NumGlobal(),
 	}
 	return out
 }

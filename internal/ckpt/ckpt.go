@@ -40,8 +40,10 @@ import (
 )
 
 // Version is the current checkpoint format version. Readers reject
-// snapshots written by a different major format.
-const Version = 1
+// snapshots written by a different major format. Version 2 carries a
+// tree id with every leaf (the unit box is a one-tree forest) where
+// version 1 had a second, tree-less shard layout.
+const Version = 2
 
 // magic seals every shard file.
 var magic = [8]byte{'R', 'H', 'E', 'A', 'C', 'K', 'P', 'T'}
@@ -51,18 +53,16 @@ const ManifestName = "manifest.json"
 
 // State is one rank's share of a resumable simulation snapshot: the
 // application layer (rhea) fills it from a running Sim and rebuilds the
-// Sim from it. The octree/forest partition is carried as leaf keys (see
-// octree.LeafKeys / forest.LeafKeys), nodal fields as this rank's owned
-// blocks, and small named scalars (accumulated timings, counters) in
-// Extra.
+// Sim from it. The forest partition is carried as leaf keys (see
+// forest.LeafKeys), nodal fields as this rank's owned blocks, and small
+// named scalars (accumulated timings, counters) in Extra.
 type State struct {
 	Step     int64
 	TimeNow  float64
 	ConfigFP uint64 // fingerprint of the writing Config (see rhea)
 
-	Forest bool     // leaves carry tree ids (multi-tree forest domain)
-	Trees  []int32  // per-leaf tree id; nil unless Forest
-	Leaves []uint64 // per-leaf Morton keys, curve order
+	Trees  []int32  // per-leaf tree id
+	Leaves []uint64 // per-leaf Morton keys, forest-curve order
 
 	T []float64 // owned temperature block
 	U [3][]float64
@@ -82,7 +82,6 @@ type manifest struct {
 	Time         float64     `json:"time"`
 	TimeBits     uint64      `json:"time_bits"`
 	ConfigFP     string      `json:"config_fp"`
-	Forest       bool        `json:"forest"`
 	GlobalLeaves int64       `json:"global_leaves"`
 	GlobalNodes  int64       `json:"global_nodes"`
 	Shards       []shardInfo `json:"shards"`
@@ -100,9 +99,9 @@ func shardName(rank int) string { return fmt.Sprintf("shard-%05d.bin", rank) }
 
 // encodeShard serializes one rank's state. Layout (all little-endian):
 //
-//	magic[8] version:u32 flags:u32 step:i64 timeBits:u64 configFP:u64
+//	magic[8] version:u32 step:i64 timeBits:u64 configFP:u64
 //	nLeaves:u64 nNodes:u64 nExtra:u64
-//	trees[nLeaves]:i32 (forest only)
+//	trees[nLeaves]:i32
 //	leaves[nLeaves]:u64
 //	T,U0,U1,U2,P: nNodes each, float64 bits
 //	extra entries, key-sorted: klen:u32 key[klen] valBits:u64
@@ -117,31 +116,24 @@ func encodeShard(st *State) ([]byte, error) {
 	if len(st.P) != nNodes {
 		return nil, fmt.Errorf("ckpt: P has %d entries, T has %d", len(st.P), nNodes)
 	}
-	if st.Forest && len(st.Trees) != len(st.Leaves) {
+	if len(st.Trees) != len(st.Leaves) {
 		return nil, fmt.Errorf("ckpt: %d tree ids for %d leaves", len(st.Trees), len(st.Leaves))
 	}
 	var buf bytes.Buffer
 	buf.Write(magic[:])
-	var flags uint32
-	if st.Forest {
-		flags |= 1
-	}
 	le := binary.LittleEndian
 	var w [8]byte
 	put32 := func(v uint32) { le.PutUint32(w[:4], v); buf.Write(w[:4]) }
 	put64 := func(v uint64) { le.PutUint64(w[:], v); buf.Write(w[:]) }
 	put32(Version)
-	put32(flags)
 	put64(uint64(st.Step))
 	put64(math.Float64bits(st.TimeNow))
 	put64(st.ConfigFP)
 	put64(uint64(len(st.Leaves)))
 	put64(uint64(nNodes))
 	put64(uint64(len(st.Extra)))
-	if st.Forest {
-		for _, t := range st.Trees {
-			put32(uint32(t))
-		}
+	for _, t := range st.Trees {
+		put32(uint32(t))
 	}
 	for _, k := range st.Leaves {
 		put64(k)
@@ -188,14 +180,13 @@ func decodeShard(b []byte) (*State, error) {
 	}
 	get32 := func() uint32 { v := le.Uint32(body[off:]); off += 4; return v }
 	get64 := func() uint64 { v := le.Uint64(body[off:]); off += 8; return v }
-	if err := need(4*2 + 8*6); err != nil {
+	if err := need(4 + 8*6); err != nil {
 		return nil, err
 	}
 	if v := get32(); v != Version {
 		return nil, fmt.Errorf("ckpt: shard format version %d, this reader handles %d", v, Version)
 	}
-	flags := get32()
-	st := &State{Forest: flags&1 != 0}
+	st := &State{}
 	st.Step = int64(get64())
 	st.TimeNow = math.Float64frombits(get64())
 	st.ConfigFP = get64()
@@ -206,17 +197,12 @@ func decodeShard(b []byte) (*State, error) {
 	if nLeaves > maxCount || nNodes > maxCount || nExtra > maxCount {
 		return nil, fmt.Errorf("ckpt: implausible shard header (leaves %d, nodes %d, extras %d)", nLeaves, nNodes, nExtra)
 	}
-	if st.Forest {
-		if err := need(4 * int(nLeaves)); err != nil {
-			return nil, err
-		}
-		st.Trees = make([]int32, nLeaves)
-		for i := range st.Trees {
-			st.Trees[i] = int32(get32())
-		}
-	}
-	if err := need(8 * int(nLeaves)); err != nil {
+	if err := need((4 + 8) * int(nLeaves)); err != nil {
 		return nil, err
+	}
+	st.Trees = make([]int32, nLeaves)
+	for i := range st.Trees {
+		st.Trees[i] = int32(get32())
 	}
 	st.Leaves = make([]uint64, nLeaves)
 	for i := range st.Leaves {
@@ -325,9 +311,8 @@ func Write(r *sim.Rank, dir string, st *State) error {
 		Step     int64
 		TimeBits uint64
 		ConfigFP uint64
-		Forest   bool
 	}
-	mine := meta{info, st.Step, math.Float64bits(st.TimeNow), st.ConfigFP, st.Forest}
+	mine := meta{info, st.Step, math.Float64bits(st.TimeNow), st.ConfigFP}
 	all := r.Allgather(mine, 64)
 	if r.ID() == 0 {
 		m := manifest{
@@ -338,13 +323,11 @@ func Write(r *sim.Rank, dir string, st *State) error {
 			Time:     st.TimeNow,
 			TimeBits: math.Float64bits(st.TimeNow),
 			ConfigFP: fmt.Sprintf("%016x", st.ConfigFP),
-			Forest:   st.Forest,
 		}
 		err = nil
 		for rank, a := range all {
 			mt := a.(meta)
-			if mt.Step != mine.Step || mt.TimeBits != mine.TimeBits ||
-				mt.ConfigFP != mine.ConfigFP || mt.Forest != mine.Forest {
+			if mt.Step != mine.Step || mt.TimeBits != mine.TimeBits || mt.ConfigFP != mine.ConfigFP {
 				err = fmt.Errorf("rank %d snapshot header disagrees with rank 0 (step %d vs %d)", rank, mt.Step, mine.Step)
 				break
 			}
@@ -387,14 +370,13 @@ func Read(r *sim.Rank, dir string) (*State, error) {
 
 // Meta summarizes a committed snapshot's manifest without touching any
 // shard data: enough for a caller to validate command-line flags (rank
-// count, configuration fingerprint, domain kind, resume step) against a
-// snapshot before entering any collective call.
+// count, configuration fingerprint, resume step) against a snapshot
+// before entering any collective call.
 type Meta struct {
 	Ranks    int
 	Step     int64
 	TimeNow  float64
 	ConfigFP uint64
-	Forest   bool
 }
 
 // Peek reads and validates the manifest in dir (local, non-collective;
@@ -414,7 +396,6 @@ func Peek(dir string) (Meta, error) {
 		Step:     m.Step,
 		TimeNow:  math.Float64frombits(m.TimeBits),
 		ConfigFP: fp,
-		Forest:   m.Forest,
 	}, nil
 }
 
@@ -475,9 +456,6 @@ func readShard(dir string, m *manifest, rank int) (*State, error) {
 	}
 	if fp := fmt.Sprintf("%016x", st.ConfigFP); fp != m.ConfigFP {
 		return nil, fmt.Errorf("%s config fingerprint %s disagrees with manifest %s", info.File, fp, m.ConfigFP)
-	}
-	if st.Forest != m.Forest {
-		return nil, fmt.Errorf("%s domain kind disagrees with manifest", info.File)
 	}
 	if int64(len(st.Leaves)) != info.Leaves || int64(len(st.T)) != info.Nodes {
 		return nil, fmt.Errorf("%s payload counts disagree with manifest", info.File)

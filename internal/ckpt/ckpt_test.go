@@ -19,10 +19,12 @@ func testState(rank int) *State {
 		Step:     42,
 		TimeNow:  0.1 + 0.2, // 0.30000000000000004
 		ConfigFP: 0xdeadbeefcafe0000 + 7,
+		Trees:    make([]int32, 2+rank),
 		Leaves:   make([]uint64, 2+rank),
 		Extra:    map[string]float64{"t.minres": 1.25, "t.extract": math.Pi},
 	}
 	for i := range st.Leaves {
+		st.Trees[i] = int32(20 + i)
 		st.Leaves[i] = uint64(rank*100+i) << 5
 	}
 	st.T = make([]float64, n)
@@ -67,14 +69,14 @@ func TestWriteReadRoundTrip(t *testing.T) {
 			}
 			want := testState(r.ID())
 			if got.Step != want.Step || math.Float64bits(got.TimeNow) != math.Float64bits(want.TimeNow) ||
-				got.ConfigFP != want.ConfigFP || got.Forest {
+				got.ConfigFP != want.ConfigFP {
 				t.Errorf("p=%d rank %d: header mismatch: %+v", p, r.ID(), got)
 			}
-			if len(got.Leaves) != len(want.Leaves) {
-				t.Errorf("p=%d rank %d: %d leaves, want %d", p, r.ID(), len(got.Leaves), len(want.Leaves))
+			if len(got.Leaves) != len(want.Leaves) || len(got.Trees) != len(want.Trees) {
+				t.Fatalf("p=%d rank %d: %d leaves, %d tree ids, want %d", p, r.ID(), len(got.Leaves), len(got.Trees), len(want.Leaves))
 			}
 			for i := range want.Leaves {
-				if got.Leaves[i] != want.Leaves[i] {
+				if got.Leaves[i] != want.Leaves[i] || got.Trees[i] != want.Trees[i] {
 					t.Errorf("p=%d rank %d: leaf %d mismatch", p, r.ID(), i)
 				}
 			}
@@ -93,8 +95,6 @@ func TestForestRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "snap")
 	sim.Run(2, func(r *sim.Rank) {
 		st := testState(r.ID())
-		st.Forest = true
-		st.Trees = make([]int32, len(st.Leaves))
 		for i := range st.Trees {
 			st.Trees[i] = int32(r.ID()*10 + i)
 		}
@@ -107,8 +107,8 @@ func TestForestRoundTrip(t *testing.T) {
 			t.Errorf("rank %d: Read: %v", r.ID(), err)
 			return
 		}
-		if !got.Forest || len(got.Trees) != len(st.Trees) {
-			t.Errorf("rank %d: forest payload lost", r.ID())
+		if len(got.Trees) != len(st.Trees) {
+			t.Errorf("rank %d: tree ids lost", r.ID())
 			return
 		}
 		for i := range st.Trees {

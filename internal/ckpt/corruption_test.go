@@ -11,26 +11,25 @@ package ckpt
 // front of every other use of the bytes.
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rhea/internal/sim"
 )
 
-// fuzzShard is a small but fully featured shard: forest flag, tree ids,
-// leaves, all five fields and extra scalars, so every encoder branch
-// contributes bytes to the corpus.
+// fuzzShard is a small but fully featured shard: tree ids, leaves, all
+// five fields and extra scalars, so every encoder branch contributes
+// bytes to the corpus.
 func fuzzShard(t *testing.T) []byte {
 	t.Helper()
-	st := testState(0)
-	st.Forest = true
-	st.Trees = make([]int32, len(st.Leaves))
-	for i := range st.Trees {
-		st.Trees[i] = int32(20 + i)
-	}
-	b, err := encodeShard(st)
+	b, err := encodeShard(testState(0))
 	if err != nil {
 		t.Fatalf("encodeShard: %v", err)
 	}
@@ -168,12 +167,91 @@ func TestPeek(t *testing.T) {
 		t.Fatalf("Peek: %v", err)
 	}
 	want := testState(0)
-	if meta.Ranks != 3 || meta.Step != want.Step || meta.Forest ||
+	if meta.Ranks != 3 || meta.Step != want.Step ||
 		math.Float64bits(meta.TimeNow) != math.Float64bits(want.TimeNow) ||
 		meta.ConfigFP != want.ConfigFP {
 		t.Errorf("Peek = %+v, want ranks 3 step %d fp %016x", meta, want.Step, want.ConfigFP)
 	}
 	if _, err := Peek(t.TempDir()); err == nil {
 		t.Error("Peek accepted a directory without a manifest")
+	}
+}
+
+// encodeShardV1 forges the tree-less shard layout format version 1 wrote
+// for box runs (magic, version 1, flags 0, header, leaves, fields, no
+// extras), correctly sealed — what a snapshot directory left over from
+// before the one-layout format holds.
+func encodeShardV1(st *State) []byte {
+	var buf bytes.Buffer
+	buf.Write(magic[:])
+	le := binary.LittleEndian
+	put := func(v any) { binary.Write(&buf, le, v) }
+	put(uint32(1)) // version
+	put(uint32(0)) // flags: no tree ids
+	put(st.Step)
+	put(math.Float64bits(st.TimeNow))
+	put(st.ConfigFP)
+	put(uint64(len(st.Leaves)))
+	put(uint64(len(st.T)))
+	put(uint64(0))
+	put(st.Leaves)
+	for _, f := range [][]float64{st.T, st.U[0], st.U[1], st.U[2], st.P} {
+		put(f)
+	}
+	put(crc32.ChecksumIEEE(buf.Bytes()))
+	return buf.Bytes()
+}
+
+// TestReadRejectsVersion1 pins the format break: a version-1 snapshot
+// must be refused with the version error on every rank — never
+// mis-parsed under the version-2 layout — whether the reader meets the
+// old version in the manifest or, behind a manifest that claims the
+// current version, in a shard.
+func TestReadRejectsVersion1(t *testing.T) {
+	const p = 3
+	for _, manifestToo := range []bool{true, false} {
+		dir := filepath.Join(t.TempDir(), "snap")
+		sim.Run(p, func(r *sim.Rank) {
+			if err := Write(r, dir, testState(r.ID())); err != nil {
+				t.Errorf("Write: %v", err)
+			}
+		})
+		mb, err := os.ReadFile(filepath.Join(dir, ManifestName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m manifest
+		if err := json.Unmarshal(mb, &m); err != nil {
+			t.Fatal(err)
+		}
+		// Only rank 1's shard is old when the manifest is current: the
+		// other ranks must still hear about it.
+		for rank := range m.Shards {
+			if !manifestToo && rank != 1 {
+				continue
+			}
+			old := encodeShardV1(testState(rank))
+			if _, err := decodeShard(old); err == nil || !strings.Contains(err.Error(), "format version 1") {
+				t.Fatalf("decodeShard(version-1 shard) = %v, want the version error", err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, m.Shards[rank].File), old, 0o666); err != nil {
+				t.Fatal(err)
+			}
+			m.Shards[rank].Bytes = int64(len(old))
+			m.Shards[rank].CRC32 = crc32.ChecksumIEEE(old)
+		}
+		if manifestToo {
+			m.Version = 1
+		}
+		if mb, err = json.Marshal(m); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), mb, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		expectReadError(t, p, dir, "format version 1")
+		if _, err := Peek(dir); manifestToo && (err == nil || !strings.Contains(err.Error(), "format version 1")) {
+			t.Errorf("Peek(version-1 manifest) = %v, want the version error", err)
+		}
 	}
 }

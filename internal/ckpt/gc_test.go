@@ -16,6 +16,7 @@ func writeSnap(t *testing.T, dir string, step int64) {
 		st := &State{
 			Step:    step,
 			TimeNow: float64(step) * 0.5,
+			Trees:   []int32{0},
 			Leaves:  []uint64{uint64(r.ID()) + 1},
 			T:       []float64{float64(r.ID()) + float64(step)},
 			U:       [3][]float64{{1}, {2}, {3}},

@@ -9,11 +9,9 @@ package errind
 import (
 	"math"
 
-	"rhea/internal/fem"
 	"rhea/internal/forest"
 	"rhea/internal/la"
 	"rhea/internal/mesh"
-	"rhea/internal/octree"
 	"rhea/internal/sim"
 )
 
@@ -31,28 +29,6 @@ func Variation(m *mesh.Mesh, T *la.Vec) []float64 {
 			hi = math.Max(hi, v)
 		}
 		out[ei] = hi - lo
-	}
-	return out
-}
-
-// GradH computes the indicator |grad T|_center * h, an h-weighted
-// gradient measure that equidistributes interpolation error.
-func GradH(m *mesh.Mesh, dom fem.Domain, T *la.Vec) []float64 {
-	vals := m.GatherReferenced(T)
-	out := make([]float64, len(m.Leaves))
-	xi := [3]float64{0.5, 0.5, 0.5}
-	for ei, leaf := range m.Leaves {
-		h := dom.ElemSize(leaf)
-		var g [3]float64
-		for c := 0; c < 8; c++ {
-			v := m.CornerValue(vals, ei, c)
-			sg := fem.ShapeGrad(c, xi)
-			for d := 0; d < 3; d++ {
-				g[d] += v * sg[d] / h[d]
-			}
-		}
-		hm := math.Min(h[0], math.Min(h[1], h[2]))
-		out[ei] = hm * math.Sqrt(g[0]*g[0]+g[1]*g[1]+g[2]*g[2])
 	}
 	return out
 }
@@ -80,27 +56,13 @@ type Options struct {
 // MarkElements chooses refinement and coarsening thresholds so that the
 // expected global element count lands within tol of target (collective).
 // eta is the per-local-element indicator.
-func MarkElements(t *octree.Tree, eta []float64, target int64, opts Options) Marks {
-	levels := make([]uint8, len(t.Leaves()))
-	for i, o := range t.Leaves() {
-		levels[i] = o.Level
-	}
-	return mark(t.Rank(), levels, t.NumGlobal(), t.CountCoarsenableFamilies, eta, target, opts)
-}
-
-// MarkForest is MarkElements for a forest of octrees: identical
-// threshold adjustment, with family counting delegated to the forest
-// (families never span trees).
-func MarkForest(f *forest.Forest, eta []float64, target int64, opts Options) Marks {
+func MarkElements(f *forest.Forest, eta []float64, target int64, opts Options) Marks {
+	r := f.Rank()
+	nGlobal := f.NumGlobal()
 	levels := make([]uint8, len(f.Leaves()))
 	for i, o := range f.Leaves() {
 		levels[i] = o.O.Level
 	}
-	return mark(f.Rank(), levels, f.NumGlobal(), f.CountCoarsenableFamilies, eta, target, opts)
-}
-
-// mark is the shared threshold-adjustment core over per-leaf levels.
-func mark(r *sim.Rank, levels []uint8, nGlobal int64, countFams func([]bool) int, eta []float64, target int64, opts Options) Marks {
 	if opts.Tol == 0 {
 		opts.Tol = 0.1
 	}
@@ -140,7 +102,7 @@ func mark(r *sim.Rank, levels []uint8, nGlobal int64, countFams func([]bool) int
 				m.Coarsen[i] = true
 			}
 		}
-		fams := int64(countFams(m.Coarsen))
+		fams := int64(f.CountCoarsenableFamilies(m.Coarsen))
 		gRef := r.AllreduceInt64(nRef)
 		gFam := r.AllreduceInt64(fams)
 		m.Expected = nGlobal + 7*gRef - 7*gFam

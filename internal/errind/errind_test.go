@@ -5,12 +5,14 @@ import (
 	"testing"
 
 	"rhea/internal/fem"
+	"rhea/internal/forest"
 	"rhea/internal/la"
 	"rhea/internal/mesh"
 	"rhea/internal/morton"
-	"rhea/internal/octree"
 	"rhea/internal/sim"
 )
+
+var unitBox = forest.BrickConnectivity(1, 1, 1)
 
 func frontField(m *mesh.Mesh, dom fem.Domain) *la.Vec {
 	T := la.NewVec(m.Layout())
@@ -24,8 +26,8 @@ func frontField(m *mesh.Mesh, dom fem.Domain) *la.Vec {
 
 func TestVariationPeaksAtFront(t *testing.T) {
 	sim.Run(2, func(r *sim.Rank) {
-		tr := octree.New(r, 3)
-		m := mesh.Extract(tr)
+		tr := forest.New(r, unitBox, 3)
+		m := mesh.Extract(tr, nil)
 		T := frontField(m, fem.UnitDomain)
 		eta := Variation(m, T)
 		// Indicator must be largest for elements near x=0.5 and tiny far away.
@@ -46,26 +48,11 @@ func TestVariationPeaksAtFront(t *testing.T) {
 	})
 }
 
-func TestGradHIndicator(t *testing.T) {
-	sim.Run(1, func(r *sim.Rank) {
-		tr := octree.New(r, 3)
-		m := mesh.Extract(tr)
-		dom := fem.UnitDomain
-		T := frontField(m, dom)
-		eta := GradH(m, dom, T)
-		for _, e := range eta {
-			if e < 0 || math.IsNaN(e) {
-				t.Fatalf("bad indicator %v", e)
-			}
-		}
-	})
-}
-
 func TestMarkElementsHitsTarget(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		sim.Run(p, func(r *sim.Rank) {
-			tr := octree.New(r, 3) // 512 elements
-			m := mesh.Extract(tr)
+			tr := forest.New(r, unitBox, 3) // 512 elements
+			m := mesh.Extract(tr, nil)
 			dom := fem.UnitDomain
 			T := frontField(m, dom)
 			eta := Variation(m, T)
@@ -87,8 +74,8 @@ func TestMarkElementsKeepsCountWhenBalanced(t *testing.T) {
 	// With a target equal to the current size, marking should barely
 	// change the element count.
 	sim.Run(2, func(r *sim.Rank) {
-		tr := octree.New(r, 4)
-		m := mesh.Extract(tr)
+		tr := forest.New(r, unitBox, 4)
+		m := mesh.Extract(tr, nil)
 		dom := fem.UnitDomain
 		T := frontField(m, dom)
 		eta := Variation(m, T)
@@ -102,8 +89,8 @@ func TestMarkElementsKeepsCountWhenBalanced(t *testing.T) {
 
 func TestMarksRespectLevelBounds(t *testing.T) {
 	sim.Run(1, func(r *sim.Rank) {
-		tr := octree.New(r, 2)
-		m := mesh.Extract(tr)
+		tr := forest.New(r, unitBox, 2)
+		m := mesh.Extract(tr, nil)
 		T := frontField(m, fem.UnitDomain)
 		eta := Variation(m, T)
 		marks := MarkElements(tr, eta, 10000, Options{MaxLevel: 2, MinLevel: 2})

@@ -69,7 +69,7 @@ func Fig2StokesWeakScaling(scale Scale) *Table {
 			cfg := blobCfg(3, 6, target)
 			s := rhea.New(r, cfg)
 			res := s.SolveStokes()
-			n := s.Tree.NumGlobal() // collective: all ranks must call
+			n := s.Forest.NumGlobal() // collective: all ranks must call
 			if r.ID() == 0 {
 				dof := 4 * s.Mesh.NGlobal
 				row = []string{iN(p), i64(n), i64(n / int64(p)), i64(dof), iN(res.Iterations)}
@@ -112,7 +112,7 @@ func Fig5AdaptationExtent(scale Scale) (*Table, *Table) {
 				mu.Lock()
 				left.Rows = append(left.Rows, []string{
 					iN(step), i64(res.Coarsened), i64(res.Refined),
-					i64(res.BalanceAdded), i64(res.Unchanged), i64(res.Elements)})
+					i64(res.BalanceAdded), i64(res.Unchanged), i64(res.ElementsNow)})
 				if step == 1 || step == steps/2 || step == steps {
 					lv := ""
 					for l, c := range res.LevelCounts {
@@ -197,6 +197,10 @@ func Fig7WeakScalingBreakdown(scale Scale) (*Table, *Table) {
 	}
 	keys := []string{"NewTree", "CoarsenRefine", "BalanceTree", "PartitionTree",
 		"ExtractMesh", "InterpolateFields", "TransferFields", "MarkElements", "TimeIntegration"}
+	buckets := func(t rhea.Timings) []float64 { // in keys order
+		return []float64{t.NewTree, t.CoarsenRefine, t.BalanceTree, t.PartitionTree,
+			t.ExtractMesh, t.InterpolateFld, t.TransferFld, t.MarkElements, t.TimeIntegrate}
+	}
 	breakdown := &Table{
 		Title:  "Fig 7 (top): % of total runtime per component, weak scaling",
 		Header: append([]string{"#cores"}, append(append([]string{}, keys...), "AMR total")...),
@@ -214,7 +218,7 @@ func Fig7WeakScalingBreakdown(scale Scale) (*Table, *Table) {
 	}
 	var samples []perfmodel.Sample
 	for _, p := range ranks {
-		times := map[string]float64{}
+		var times []float64
 		var total float64
 		var elems int64
 		sim.Run(p, func(r *sim.Rank) {
@@ -227,17 +231,15 @@ func Fig7WeakScalingBreakdown(scale Scale) (*Table, *Table) {
 			r.Barrier()
 			ne := s.tree.NumGlobal() // collective
 			if r.ID() == 0 {
-				for k, v := range s.times {
-					times[k] = *v
-				}
+				times = buckets(s.times)
 				total = s.totalTime()
 				elems = ne
 			}
 		})
 		row := []string{iN(p)}
 		amr := 0.0
-		for _, k := range keys {
-			frac := times[k] / total
+		for i, k := range keys {
+			frac := times[i] / total
 			if k != "TimeIntegration" {
 				amr += frac
 			}

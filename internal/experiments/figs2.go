@@ -12,7 +12,6 @@ import (
 	"rhea/internal/la"
 	"rhea/internal/mesh"
 	"rhea/internal/morton"
-	"rhea/internal/octree"
 	"rhea/internal/perfmodel"
 	"rhea/internal/rhea"
 	"rhea/internal/sim"
@@ -47,7 +46,7 @@ func Fig8MantleWeakScaling(scale Scale) *Table {
 			s := rhea.New(r, cfg)
 			s.Times = rhea.Timings{} // discard setup costs
 			s.RunCycle()
-			n := s.Tree.NumGlobal() // collective
+			n := s.Forest.NumGlobal() // collective
 			if r.ID() == 0 {
 				tt := s.Times
 				stokes := tt.StokesBuild() + tt.MINRES
@@ -92,10 +91,10 @@ func Fig9AMGPoissonVsLaplace(scale Scale) *Table {
 	var femTime, lapTime float64
 	var femN int
 	sim.Run(1, func(r *sim.Rank) {
-		tr := octree.New(r, uint8(math.Round(math.Log2(float64(n1d)))))
-		tr.Refine(func(o morton.Octant) bool { return o.X == 0 && o.Z == 0 })
+		tr := newBox(r, uint8(math.Round(math.Log2(float64(n1d)))))
+		tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 && o.O.Z == 0 })
 		tr.Balance()
-		m := mesh.Extract(tr)
+		m := mesh.Extract(tr, nil)
 		eta := make([]float64, len(m.Leaves))
 		for ei, leaf := range m.Leaves {
 			zn := float64(leaf.Z) / float64(morton.RootLen)
@@ -274,8 +273,8 @@ func Sec6YieldingStats(scale Scale) *Table {
 		for c := 0; c < cycles; c++ {
 			s.RunCycle()
 		}
-		n := s.Tree.NumGlobal()        // collective
-		lo, hi := s.Tree.MinMaxLevel() // collective
+		n := s.Forest.NumGlobal()        // collective
+		lo, hi := s.Forest.MinMaxLevel() // collective
 		// Realized viscosity extremes (collective).
 		etas := s.ElementViscosity()
 		loEta, hiEta := math.Inf(1), math.Inf(-1)

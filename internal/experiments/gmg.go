@@ -6,10 +6,10 @@ import (
 	"time"
 
 	"rhea/internal/fem"
+	"rhea/internal/forest"
 	"rhea/internal/la"
 	"rhea/internal/mesh"
 	"rhea/internal/morton"
-	"rhea/internal/octree"
 	"rhea/internal/sim"
 	"rhea/internal/stokes"
 )
@@ -55,11 +55,11 @@ func FigGMGIterations(scale Scale) (*Table, []GMGCase) {
 	for _, lvl := range levels {
 		var c GMGCase
 		sim.Run(p, func(r *sim.Rank) {
-			tr := octree.New(r, lvl)
-			tr.Refine(func(o morton.Octant) bool { return o.X == 0 && o.Y == 0 && o.Z == 0 })
+			tr := newBox(r, lvl)
+			tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 && o.O.Y == 0 && o.O.Z == 0 })
 			tr.Balance()
 			tr.Partition()
-			m := mesh.Extract(tr)
+			m := mesh.Extract(tr, nil)
 			dom := fem.UnitDomain
 			eta := make([]float64, len(m.Leaves))
 			for ei, leaf := range m.Leaves {

@@ -18,7 +18,6 @@ import (
 	"rhea/internal/krylov"
 	"rhea/internal/la"
 	"rhea/internal/mesh"
-	"rhea/internal/octree"
 	"rhea/internal/sim"
 	"rhea/internal/stokes"
 )
@@ -88,8 +87,8 @@ func FigKernels(scale Scale) (*Table, []KernelCase) {
 	// mesh, Q1-Q1 vs Q2-Q1 (each over its own dof layout).
 	var opQ1, opQ2 KernelCase
 	sim.Run(2, func(r *sim.Rank) {
-		tr := octree.New(r, lvl)
-		m := mesh.Extract(tr)
+		tr := newBox(r, lvl)
+		m := mesh.Extract(tr, nil)
 		dom := fem.UnitDomain
 		eta := make([]float64, len(m.Leaves))
 		for ei := range eta {

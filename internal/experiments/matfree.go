@@ -6,11 +6,11 @@ import (
 	"time"
 
 	"rhea/internal/fem"
+	"rhea/internal/forest"
 	"rhea/internal/krylov"
 	"rhea/internal/la"
 	"rhea/internal/mesh"
 	"rhea/internal/morton"
-	"rhea/internal/octree"
 	"rhea/internal/sim"
 	"rhea/internal/stokes"
 )
@@ -53,11 +53,11 @@ func FigMatFreeThroughput(scale Scale) *Table {
 	for _, lvl := range levels {
 		var c matfreeCase
 		sim.Run(p, func(r *sim.Rank) {
-			tr := octree.New(r, lvl)
-			tr.Refine(func(o morton.Octant) bool { return o.X == 0 && o.Y == 0 && o.Z == 0 })
+			tr := newBox(r, lvl)
+			tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 && o.O.Y == 0 && o.O.Z == 0 })
 			tr.Balance()
 			tr.Partition()
-			m := mesh.Extract(tr)
+			m := mesh.Extract(tr, nil)
 			dom := fem.UnitDomain
 			eta := make([]float64, len(m.Leaves))
 			for ei, leaf := range m.Leaves {

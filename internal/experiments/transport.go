@@ -7,13 +7,18 @@ import (
 	"rhea/internal/advect"
 	"rhea/internal/errind"
 	"rhea/internal/fem"
-	"rhea/internal/field"
+	"rhea/internal/forest"
 	"rhea/internal/la"
 	"rhea/internal/mesh"
-	"rhea/internal/morton"
-	"rhea/internal/octree"
+	"rhea/internal/rhea"
 	"rhea/internal/sim"
 )
+
+// newBox returns the unit cube, uniformly refined to the given level, as
+// a one-tree forest (collective).
+func newBox(r *sim.Rank, level uint8) *forest.Forest {
+	return forest.New(r, forest.BrickConnectivity(1, 1, 1), level)
+}
 
 // transportSim is the advection-dominated test problem of the paper's §V:
 // a sharp temperature front swept through the box by a fixed rotating
@@ -21,8 +26,7 @@ import (
 // It exercises every AMR function without the Stokes solver, exactly the
 // regime used to stress parallel adaptivity.
 type transportSim struct {
-	rank   *sim.Rank
-	tree   *octree.Tree
+	tree   *forest.Forest
 	mesh   *mesh.Mesh
 	dom    fem.Domain
 	T      *la.Vec
@@ -31,8 +35,7 @@ type transportSim struct {
 	maxLvl uint8
 	kappa  float64
 
-	// timings in seconds, same buckets as the paper's Fig 7
-	times map[string]*float64
+	times rhea.Timings // the paper's Fig 7 buckets
 	steps int
 }
 
@@ -43,19 +46,16 @@ func rotVel(x [3]float64) [3]float64 {
 
 func newTransportSim(r *sim.Rank, base, minLvl, maxLvl uint8, target int64) *transportSim {
 	s := &transportSim{
-		rank: r, dom: fem.UnitDomain, target: target,
+		dom: fem.UnitDomain, target: target,
 		minLvl: minLvl, maxLvl: maxLvl, kappa: 1e-4,
 	}
-	s.times = map[string]*float64{}
-	for _, k := range []string{"NewTree", "CoarsenRefine", "BalanceTree", "PartitionTree",
-		"ExtractMesh", "InterpolateFields", "TransferFields", "MarkElements", "TimeIntegration"} {
-		v := 0.0
-		s.times[k] = &v
-	}
 	t0 := time.Now()
-	s.tree = octree.New(r, base)
-	*s.times["NewTree"] += time.Since(t0).Seconds()
-	s.extract()
+	s.tree = newBox(r, base)
+	s.times.NewTree += time.Since(t0).Seconds()
+	t0 = time.Now()
+	s.mesh = mesh.Extract(s.tree, nil)
+	s.times.ExtractMesh += time.Since(t0).Seconds()
+	s.T = la.NewVec(s.mesh.Layout())
 	s.initField()
 	// Initial solution-adaptive rounds.
 	for i := 0; i < 2; i++ {
@@ -72,13 +72,6 @@ func (s *transportSim) initField() {
 		r := math.Sqrt((x[0]-0.3)*(x[0]-0.3) + (x[1]-0.5)*(x[1]-0.5) + (x[2]-0.3)*(x[2]-0.3))
 		s.T.Data[i] = 0.5 * (1 - math.Tanh((r-0.15)/0.03))
 	}
-}
-
-func (s *transportSim) extract() {
-	t0 := time.Now()
-	s.mesh = mesh.Extract(s.tree)
-	*s.times["ExtractMesh"] += time.Since(t0).Seconds()
-	s.T = la.NewVec(s.mesh.Layout())
 }
 
 func (s *transportSim) bc() fem.ScalarBC {
@@ -111,97 +104,25 @@ func (s *transportSim) step(n int) {
 		p.Step(s.T, dt)
 		s.steps++
 	}
-	*s.times["TimeIntegration"] += time.Since(t0).Seconds()
+	s.times.TimeIntegrate += time.Since(t0).Seconds()
 }
 
-// adaptResult mirrors the paper's Fig 5 per-step data.
-type adaptResult struct {
-	Coarsened, Refined, BalanceAdded, Unchanged int64
-	Elements                                    int64
-	LevelCounts                                 []int64
-	MovedOnPartition                            int64 // elements that changed rank
-}
-
-func (s *transportSim) adapt() adaptResult {
-	var res adaptResult
-	prev := s.tree.NumGlobal()
-
+// adapt marks by the temperature variation and runs the shared
+// adaptation pipeline for the one field (collective).
+func (s *transportSim) adapt() rhea.AdaptStats {
 	t0 := time.Now()
 	eta := errind.Variation(s.mesh, s.T)
 	marks := errind.MarkElements(s.tree, eta, s.target, errind.Options{
 		MaxLevel: s.maxLvl, MinLevel: s.minLvl,
 	})
-	*s.times["MarkElements"] += time.Since(t0).Seconds()
+	s.times.MarkElements += time.Since(t0).Seconds()
 
-	t0 = time.Now()
-	data := field.FromNodal(s.mesh, s.T)
-	old := append([]morton.Octant(nil), s.tree.Leaves()...)
-	*s.times["InterpolateFields"] += time.Since(t0).Seconds()
-
-	t0 = time.Now()
-	nC := s.tree.CoarsenMarked(marks.Coarsen)
-	refSet := make(map[morton.Octant]struct{})
-	for i, m := range marks.Refine {
-		if m {
-			refSet[old[i]] = struct{}{}
-		}
-	}
-	ref2 := make([]bool, s.tree.NumLocal())
-	for i, o := range s.tree.Leaves() {
-		if _, ok := refSet[o]; ok {
-			ref2[i] = true
-		}
-	}
-	nR := s.tree.RefineMarked(ref2)
-	*s.times["CoarsenRefine"] += time.Since(t0).Seconds()
-
-	t0 = time.Now()
-	added, _ := s.tree.Balance()
-	*s.times["BalanceTree"] += time.Since(t0).Seconds()
-
-	t0 = time.Now()
-	data = field.ProjectData(old, s.tree.Leaves(), data)
-	*s.times["InterpolateFields"] += time.Since(t0).Seconds()
-
-	t0 = time.Now()
-	dests := s.tree.Partition()
-	*s.times["PartitionTree"] += time.Since(t0).Seconds()
-	var moved int64
-	for _, d := range dests {
-		if d != s.rank.ID() {
-			moved++
-		}
-	}
-
-	t0 = time.Now()
-	data = field.Transfer(s.rank, dests, data)
-	*s.times["TransferFields"] += time.Since(t0).Seconds()
-
-	s.extract()
-	t0 = time.Now()
-	s.T = field.ToNodal(s.mesh, data)
-	*s.times["InterpolateFields"] += time.Since(t0).Seconds()
-
-	res.Coarsened = s.rank.AllreduceInt64(int64(8 * nC))
-	res.Refined = s.rank.AllreduceInt64(int64(nR))
-	res.BalanceAdded = s.rank.AllreduceInt64(int64(added))
-	res.Elements = s.tree.NumGlobal()
-	res.Unchanged = prev - res.Refined - res.Coarsened
-	res.LevelCounts = s.tree.LevelCounts()
-	res.MovedOnPartition = s.rank.AllreduceInt64(moved)
-	return res
+	m, f, st := rhea.AdaptFields(s.tree, s.mesh, []*la.Vec{s.T}, marks, &s.times)
+	s.mesh, s.T = m, f[0]
+	return st
 }
 
 // totalTime sums all recorded buckets.
 func (s *transportSim) totalTime() float64 {
-	var t float64
-	for _, v := range s.times {
-		t += *v
-	}
-	return t
-}
-
-// amrTime sums the adaptivity buckets.
-func (s *transportSim) amrTime() float64 {
-	return s.totalTime() - *s.times["TimeIntegration"]
+	return s.times.NewTree + s.times.AMRTotal() + s.times.TimeIntegrate
 }

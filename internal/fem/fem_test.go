@@ -4,13 +4,16 @@ import (
 	"math"
 	"testing"
 
+	"rhea/internal/forest"
 	"rhea/internal/krylov"
 	"rhea/internal/la"
 	"rhea/internal/mesh"
 	"rhea/internal/morton"
-	"rhea/internal/octree"
 	"rhea/internal/sim"
 )
+
+// unitBox is the one-tree connectivity of the unit cube.
+var unitBox = forest.BrickConnectivity(1, 1, 1)
 
 func TestShapePartitionOfUnity(t *testing.T) {
 	pts := [][3]float64{{0.3, 0.7, 0.1}, {0, 0, 0}, {1, 1, 1}, {0.5, 0.5, 0.5}}
@@ -292,12 +295,12 @@ func TestPoissonPatchTest(t *testing.T) {
 	lin := func(x [3]float64) float64 { return 2*x[0] - 3*x[1] + 0.5*x[2] + 1 }
 	for _, p := range []int{1, 4} {
 		sim.Run(p, func(r *sim.Rank) {
-			tr := octree.New(r, 1)
-			tr.Refine(func(o morton.Octant) bool { return o.X == 0 && o.Y == 0 && o.Z == 0 })
-			tr.Refine(func(o morton.Octant) bool { return o.X == 0 && o.Y == 0 && o.Z == 0 })
+			tr := forest.New(r, unitBox, 1)
+			tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 && o.O.Y == 0 && o.O.Z == 0 })
+			tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 && o.O.Y == 0 && o.O.Z == 0 })
 			tr.Balance()
 			tr.Partition()
-			m := mesh.Extract(tr)
+			m := mesh.Extract(tr, nil)
 			dom := UnitDomain
 			bc := func(x [3]float64) (float64, bool) {
 				onB := x[0] == 0 || x[1] == 0 || x[2] == 0 || x[0] == 1 || x[1] == 1 || x[2] == 1
@@ -336,8 +339,8 @@ func TestPoissonConvergence(t *testing.T) {
 	errAt := func(level uint8) float64 {
 		var maxErr float64
 		sim.Run(2, func(r *sim.Rank) {
-			tr := octree.New(r, level)
-			m := mesh.Extract(tr)
+			tr := forest.New(r, unitBox, level)
+			m := mesh.Extract(tr, nil)
 			dom := UnitDomain
 			bc := func(x [3]float64) (float64, bool) {
 				if x[0] == 0 || x[1] == 0 || x[2] == 0 || x[0] == 1 || x[1] == 1 || x[2] == 1 {

@@ -6,12 +6,11 @@ import (
 
 	"rhea/internal/la"
 	"rhea/internal/mesh"
-	"rhea/internal/morton"
 )
 
 // Transfer is the grid-transfer pair between two extracted meshes of the
 // same domain, the coarse one obtained by octree coarsening of the fine
-// one (octree.CoarsenedCopy): prolongation evaluates the coarse finite-
+// one (forest.CoarsenedCopy): prolongation evaluates the coarse finite-
 // element field — hanging-node constraints included — at every fine
 // independent node, and restriction is its exact transpose. Both are
 // stored as one stencil table (per fine owned node: coarse master slots
@@ -39,25 +38,11 @@ type Transfer struct {
 	buf     []float64 // coarse slot-space work buffer (see slotBuf)
 }
 
-// findContaining returns the index into leaves (sorted along the Morton
-// curve) of the leaf that contains octant o, or -1.
-func findContaining(leaves []morton.Octant, o morton.Octant) int {
-	k := o.Key()
-	i := sort.Search(len(leaves), func(i int) bool { return leaves[i].Key() > k })
-	if i == 0 {
-		return -1
-	}
-	if leaves[i-1].ContainsOrEqual(o) {
-		return i - 1
-	}
-	return -1
-}
-
 // NewTransfer builds the transfer stencils from the coarse mesh to the
-// fine mesh (collective). Both meshes must come from trees (or forests)
-// with identical per-rank curve coverage — true by construction for
-// octree.CoarsenedCopy and forest.CoarsenedCopy — so the coarse element
-// containing a fine owned node is always local.
+// fine mesh (collective). Both meshes must come from forests with
+// identical per-rank curve coverage — true by construction for
+// forest.CoarsenedCopy — so the coarse element containing a fine owned
+// node is always local.
 func NewTransfer(fine, coarse *mesh.Mesh) *Transfer {
 	t := &Transfer{coarseL: coarse.Layout(), nCoarse: coarse.NumOwned}
 
@@ -69,34 +54,15 @@ func NewTransfer(fine, coarse *mesh.Mesh) *Transfer {
 	stencils := make([][]entry, fine.NumOwned)
 	ghostSet := map[int64]struct{}{}
 	acc := map[int64]float64{}
-	for i, P := range fine.OwnedPos {
-		var ci int
-		if fine.Trees != nil {
-			// Forest mesh: the extraction recorded, per owned node, the
-			// incident finest cell that determined ownership and the
-			// node's position in that cell's tree frame; the coarse leaf
-			// containing that cell is local (identical curve coverage).
-			cell := fine.OwnedCell[i]
-			P = fine.OwnedCellPos[i]
-			ci = coarse.FindLocalElement(cell.Tree, cell.O)
-			if ci < 0 {
-				panic(fmt.Sprintf("fem: fine node %v (tree %d) has no local coarse element (meshes not coverage-aligned?)", P, cell.Tree))
-			}
-		} else {
-			// The finest-level cell in the most-positive direction from P
-			// (clamped at the domain boundary) determines P's owner rank,
-			// so its containing coarse leaf is local.
-			var q [3]uint32
-			for a := 0; a < 3; a++ {
-				q[a] = P[a]
-				if q[a] >= morton.RootLen {
-					q[a] = morton.RootLen - 1
-				}
-			}
-			ci = findContaining(coarse.Leaves, morton.Octant{X: q[0], Y: q[1], Z: q[2], Level: morton.MaxLevel})
-			if ci < 0 {
-				panic(fmt.Sprintf("fem: fine node %v has no local coarse element (meshes not coverage-aligned?)", P))
-			}
+	for i, cell := range fine.OwnedCell {
+		// The extraction recorded, per owned node, the incident finest
+		// cell that determined ownership and the node's position in that
+		// cell's tree frame; the coarse leaf containing that cell is local
+		// (identical curve coverage).
+		P := fine.OwnedCellPos[i]
+		ci := coarse.FindLocalElement(cell.Tree, cell.O)
+		if ci < 0 {
+			panic(fmt.Sprintf("fem: fine node %v (tree %d) has no local coarse element (meshes not coverage-aligned?)", P, cell.Tree))
 		}
 		leaf := coarse.Leaves[ci]
 		L := float64(leaf.Len())

@@ -11,10 +11,9 @@ import (
 	"math"
 	"testing"
 
+	"rhea/internal/forest"
 	"rhea/internal/la"
 	"rhea/internal/mesh"
-	"rhea/internal/morton"
-	"rhea/internal/octree"
 	"rhea/internal/sim"
 )
 
@@ -32,20 +31,20 @@ func hash01(seed, key uint64) float64 {
 // randomMeshPair builds a randomly refined fine mesh and its coarsened
 // multigrid companion (fine tree CoarsenedCopy), both extracted.
 func randomMeshPair(r *sim.Rank, seed uint64) (fine, coarse *mesh.Mesh) {
-	tr := octree.New(r, 2)
+	tr := forest.New(r, unitBox, 2)
 	// Two rounds of randomized refinement keyed on the octant, creating
 	// hanging faces and edges after balancing.
 	for round := 0; round < 2; round++ {
 		rd := uint64(round)
-		tr.Refine(func(o morton.Octant) bool {
-			return hash01(seed+rd, o.Key()) < 0.25
+		tr.Refine(func(o forest.Octant) bool {
+			return hash01(seed+rd, o.O.Key()) < 0.25
 		})
 		tr.Balance()
 	}
 	tr.Partition()
-	fine = mesh.Extract(tr)
+	fine = mesh.Extract(tr, nil)
 	ctr, _ := tr.CoarsenedCopy()
-	coarse = mesh.Extract(ctr)
+	coarse = mesh.Extract(ctr, nil)
 	return fine, coarse
 }
 

@@ -74,21 +74,22 @@ func cornerRef(c int) [3]float64 {
 }
 
 // ProjectData maps element-corner data from oldLeaves to newLeaves, two
-// sorted leaf sets covering the same region of the domain on this rank.
-// Each new leaf must be equal to, a descendant of, or an ancestor of old
-// leaves (any number of refinement levels). Purely local.
-func ProjectData(oldLeaves, newLeaves []morton.Octant, data ElemData) ElemData {
+// leaf sets in forest-curve order covering the same region of the domain
+// on this rank. Each new leaf must be equal to, a descendant of, or an
+// ancestor of old leaves of its tree (any number of refinement levels;
+// families never span trees). Purely local.
+func ProjectData(oldLeaves, newLeaves []forest.Octant, data ElemData) ElemData {
 	out := make(ElemData, len(newLeaves))
 	oi := 0
-	for ni, nl := range newLeaves {
-		// Advance past old leaves strictly before nl that cannot contain it.
-		for oi < len(oldLeaves) && !overlaps(oldLeaves[oi], nl) {
+	for ni, nf := range newLeaves {
+		// Advance past old leaves strictly before nf that cannot contain it.
+		for oi < len(oldLeaves) && !overlaps(oldLeaves[oi], nf) {
 			oi++
 		}
 		if oi >= len(oldLeaves) {
-			panic(fmt.Sprintf("field: new leaf %v has no overlapping old leaf", nl))
+			panic(fmt.Sprintf("field: new leaf %v has no overlapping old leaf", nf))
 		}
-		ol := oldLeaves[oi]
+		ol, nl := oldLeaves[oi].O, nf.O
 		switch {
 		case ol == nl:
 			out[ni] = data[oi]
@@ -112,56 +113,25 @@ func ProjectData(oldLeaves, newLeaves []morton.Octant, data ElemData) ElemData {
 			if lastCovered(ol, nl) {
 				oi++
 			}
-		case nl.IsAncestorOf(ol):
+		default:
 			// Coarsening: inject corner values from the descendants whose
 			// corners coincide with nl's corners.
-			for ; oi < len(oldLeaves) && nl.ContainsOrEqual(oldLeaves[oi]); oi++ {
-				d := oldLeaves[oi]
+			for ; oi < len(oldLeaves) && oldLeaves[oi].Tree == nf.Tree && nl.ContainsOrEqual(oldLeaves[oi].O); oi++ {
+				d := oldLeaves[oi].O
 				for c := 0; c < 8; c++ {
 					if cornerMatches(d, c, nl) {
 						out[ni][c] = data[oi][c]
 					}
 				}
 			}
-		default:
-			panic(fmt.Sprintf("field: leaf sets misaligned: old %v vs new %v", ol, nl))
 		}
-	}
-	return out
-}
-
-// ProjectForestData is ProjectData for forest leaf sets: the tree-major
-// leaf order means each tree's segment can be projected independently
-// with the single-tree routine. Purely local.
-func ProjectForestData(oldLeaves, newLeaves []forest.Octant, data ElemData) ElemData {
-	out := make(ElemData, 0, len(newLeaves))
-	oi, ni := 0, 0
-	for oi < len(oldLeaves) || ni < len(newLeaves) {
-		if oi >= len(oldLeaves) || ni >= len(newLeaves) {
-			panic("field: forest leaf sets cover different trees")
-		}
-		tree := oldLeaves[oi].Tree
-		if newLeaves[ni].Tree != tree {
-			panic(fmt.Sprintf("field: forest leaf sets misaligned: old tree %d vs new tree %d",
-				tree, newLeaves[ni].Tree))
-		}
-		oe, ne := oi, ni
-		var oldSeg, newSeg []morton.Octant
-		for ; oe < len(oldLeaves) && oldLeaves[oe].Tree == tree; oe++ {
-			oldSeg = append(oldSeg, oldLeaves[oe].O)
-		}
-		for ; ne < len(newLeaves) && newLeaves[ne].Tree == tree; ne++ {
-			newSeg = append(newSeg, newLeaves[ne].O)
-		}
-		out = append(out, ProjectData(oldSeg, newSeg, data[oi:oe])...)
-		oi, ni = oe, ne
 	}
 	return out
 }
 
 // overlaps reports whether a and b overlap (one contains the other).
-func overlaps(a, b morton.Octant) bool {
-	return a.ContainsOrEqual(b) || b.ContainsOrEqual(a)
+func overlaps(a, b forest.Octant) bool {
+	return a.Tree == b.Tree && (a.O.ContainsOrEqual(b.O) || b.O.ContainsOrEqual(a.O))
 }
 
 // lastCovered reports whether descendant d reaches the far corner of a.
@@ -213,13 +183,4 @@ func Transfer(r *sim.Rank, dests []int, data ElemData) ElemData {
 		merged = append(merged, d.(ElemData)...)
 	}
 	return merged
-}
-
-// MultiTransfer ships several fields using the same destination routing.
-func MultiTransfer(r *sim.Rank, dests []int, fields []ElemData) []ElemData {
-	out := make([]ElemData, len(fields))
-	for i, f := range fields {
-		out[i] = Transfer(r, dests, f)
-	}
-	return out
 }

@@ -5,18 +5,21 @@ import (
 	"testing"
 
 	"rhea/internal/fem"
+	"rhea/internal/forest"
 	"rhea/internal/la"
 	"rhea/internal/mesh"
 	"rhea/internal/morton"
-	"rhea/internal/octree"
 	"rhea/internal/sim"
 )
 
+var unitBox = forest.BrickConnectivity(1, 1, 1)
+
 // linear fills element data with a linear function of position, which
 // every projection step must preserve exactly.
-func linearData(leaves []morton.Octant) ElemData {
+func linearData(leaves []forest.Octant) ElemData {
 	out := make(ElemData, len(leaves))
-	for ei, o := range leaves {
+	for ei, fo := range leaves {
+		o := fo.O
 		h := o.Len()
 		for c := 0; c < 8; c++ {
 			p := [3]float64{float64(o.X), float64(o.Y), float64(o.Z)}
@@ -37,9 +40,10 @@ func linearData(leaves []morton.Octant) ElemData {
 
 func lin(p [3]float64) float64 { return 1 + 2*p[0] - 0.5*p[1] + 0.25*p[2] }
 
-func checkLinear(t *testing.T, leaves []morton.Octant, data ElemData, tag string) {
+func checkLinear(t *testing.T, leaves []forest.Octant, data ElemData, tag string) {
 	t.Helper()
-	for ei, o := range leaves {
+	for ei, fo := range leaves {
+		o := fo.O
 		h := o.Len()
 		for c := 0; c < 8; c++ {
 			p := [3]float64{float64(o.X), float64(o.Y), float64(o.Z)}
@@ -62,10 +66,10 @@ func checkLinear(t *testing.T, leaves []morton.Octant, data ElemData, tag string
 
 func TestProjectRefine(t *testing.T) {
 	sim.Run(1, func(r *sim.Rank) {
-		tr := octree.New(r, 1)
-		old := append([]morton.Octant(nil), tr.Leaves()...)
+		tr := forest.New(r, unitBox, 1)
+		old := append([]forest.Octant(nil), tr.Leaves()...)
 		data := linearData(old)
-		tr.Refine(func(o morton.Octant) bool { return o.X == 0 })
+		tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 })
 		nd := ProjectData(old, tr.Leaves(), data)
 		checkLinear(t, tr.Leaves(), nd, "refine")
 	})
@@ -73,10 +77,10 @@ func TestProjectRefine(t *testing.T) {
 
 func TestProjectCoarsen(t *testing.T) {
 	sim.Run(1, func(r *sim.Rank) {
-		tr := octree.New(r, 2)
-		old := append([]morton.Octant(nil), tr.Leaves()...)
+		tr := forest.New(r, unitBox, 2)
+		old := append([]forest.Octant(nil), tr.Leaves()...)
 		data := linearData(old)
-		tr.Coarsen(func(morton.Octant, []morton.Octant) bool { return true })
+		tr.Coarsen(func(forest.Octant) bool { return true })
 		nd := ProjectData(old, tr.Leaves(), data)
 		checkLinear(t, tr.Leaves(), nd, "coarsen")
 	})
@@ -84,17 +88,17 @@ func TestProjectCoarsen(t *testing.T) {
 
 func TestProjectMixedWithBalance(t *testing.T) {
 	sim.Run(1, func(r *sim.Rank) {
-		tr := octree.New(r, 2)
-		old := append([]morton.Octant(nil), tr.Leaves()...)
+		tr := forest.New(r, unitBox, 2)
+		old := append([]forest.Octant(nil), tr.Leaves()...)
 		data := linearData(old)
 		// Coarsen one region, refine another deeply, then balance.
 		marks := make([]bool, tr.NumLocal())
 		for i, o := range tr.Leaves() {
-			marks[i] = o.X >= morton.RootLen/2
+			marks[i] = o.O.X >= morton.RootLen/2
 		}
 		tr.CoarsenMarked(marks)
 		for pass := 0; pass < 2; pass++ {
-			tr.Refine(func(o morton.Octant) bool { return o.X == 0 && o.Y == 0 && o.Z == 0 })
+			tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 && o.O.Y == 0 && o.O.Z == 0 })
 		}
 		tr.Balance()
 		nd := ProjectData(old, tr.Leaves(), data)
@@ -104,8 +108,8 @@ func TestProjectMixedWithBalance(t *testing.T) {
 
 func TestTransferFollowsPartition(t *testing.T) {
 	sim.Run(4, func(r *sim.Rank) {
-		tr := octree.New(r, 2)
-		tr.Refine(func(o morton.Octant) bool { return o.X == 0 })
+		tr := forest.New(r, unitBox, 2)
+		tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 })
 		data := linearData(tr.Leaves())
 		dests := tr.Partition()
 		nd := Transfer(r, dests, data)
@@ -119,11 +123,11 @@ func TestTransferFollowsPartition(t *testing.T) {
 
 func TestNodalRoundTrip(t *testing.T) {
 	sim.Run(3, func(r *sim.Rank) {
-		tr := octree.New(r, 2)
-		tr.Refine(func(o morton.Octant) bool { return o.Z == 0 && o.X == 0 })
+		tr := forest.New(r, unitBox, 2)
+		tr.Refine(func(o forest.Octant) bool { return o.O.Z == 0 && o.O.X == 0 })
 		tr.Balance()
 		tr.Partition()
-		m := mesh.Extract(tr)
+		m := mesh.Extract(tr, nil)
 		dom := fem.UnitDomain
 		T := la.NewVec(m.Layout())
 		for i, pos := range m.OwnedPos {
@@ -144,22 +148,22 @@ func TestNodalRoundTrip(t *testing.T) {
 // partition -> nodal on the new mesh, preserving a linear field exactly.
 func TestFullPipelinePreservesLinear(t *testing.T) {
 	sim.Run(4, func(r *sim.Rank) {
-		tr := octree.New(r, 2)
-		m := mesh.Extract(tr)
+		tr := forest.New(r, unitBox, 2)
+		m := mesh.Extract(tr, nil)
 		T := la.NewVec(m.Layout())
 		for i, pos := range m.OwnedPos {
 			T.Data[i] = lin([3]float64{float64(pos[0]), float64(pos[1]), float64(pos[2])})
 		}
 		data := FromNodal(m, T)
-		old := append([]morton.Octant(nil), tr.Leaves()...)
+		old := append([]forest.Octant(nil), tr.Leaves()...)
 
 		// Adapt: refine a moving-front region, coarsen the rest.
 		ref := make([]bool, tr.NumLocal())
 		co := make([]bool, tr.NumLocal())
 		for i, o := range tr.Leaves() {
-			if o.X < morton.RootLen/4 {
+			if o.O.X < morton.RootLen/4 {
 				ref[i] = true
-			} else if o.X >= morton.RootLen/2 {
+			} else if o.O.X >= morton.RootLen/2 {
 				co[i] = true
 			}
 		}
@@ -167,44 +171,20 @@ func TestFullPipelinePreservesLinear(t *testing.T) {
 		// Marks were built for the pre-coarsen leaf layout; rebuild for refine.
 		ref2 := make([]bool, tr.NumLocal())
 		for i, o := range tr.Leaves() {
-			ref2[i] = o.X < morton.RootLen/4
+			ref2[i] = o.O.X < morton.RootLen/4
 		}
 		tr.RefineMarked(ref2)
 		tr.Balance()
 		data = ProjectData(old, tr.Leaves(), data)
 		dests := tr.Partition()
 		data = Transfer(r, dests, data)
-		m2 := mesh.Extract(tr)
+		m2 := mesh.Extract(tr, nil)
 		T2 := ToNodal(m2, data)
 		for i, pos := range m2.OwnedPos {
 			want := lin([3]float64{float64(pos[0]), float64(pos[1]), float64(pos[2])})
 			if math.Abs(T2.Data[i]-want) > 1e-6*math.Abs(want) {
 				t.Errorf("pipeline: node %v = %v want %v", pos, T2.Data[i], want)
 				return
-			}
-		}
-	})
-}
-
-func TestMultiTransfer(t *testing.T) {
-	sim.Run(2, func(r *sim.Rank) {
-		tr := octree.New(r, 1)
-		tr.Refine(func(o morton.Octant) bool { return o.X == 0 })
-		d1 := linearData(tr.Leaves())
-		d2 := make(ElemData, len(d1))
-		for i := range d2 {
-			for c := 0; c < 8; c++ {
-				d2[i][c] = 2 * d1[i][c]
-			}
-		}
-		dests := tr.Partition()
-		out := MultiTransfer(r, dests, []ElemData{d1, d2})
-		checkLinear(t, tr.Leaves(), out[0], "multi0")
-		for i := range out[1] {
-			for c := 0; c < 8; c++ {
-				if math.Abs(out[1][i][c]-2*out[0][i][c]) > 1e-9 {
-					t.Fatalf("second field mismatch")
-				}
 			}
 		}
 	})

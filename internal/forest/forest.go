@@ -2,6 +2,7 @@ package forest
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"rhea/internal/morton"
@@ -55,6 +56,7 @@ func New(r *sim.Rank, conn *Connectivity, level uint8) *Forest {
 	perTree := int64(1) << (3 * int64(level))
 	total := perTree * int64(conn.NumTrees())
 	lo, hi := shareRange(total, int64(r.Size()), int64(r.ID()))
+	f.leaves = make([]Octant, 0, hi-lo)
 	for g := lo; g < hi; g++ {
 		tree := int32(g / perTree)
 		idx := uint64(g % perTree)
@@ -466,7 +468,22 @@ func (f *Forest) LevelCounts() []int64 {
 	return out
 }
 
-// CheckLocalOrder verifies the local sort invariant.
+// MinMaxLevel returns the global minimum and maximum leaf level
+// (collective). For an empty global forest it returns (0, 0).
+func (f *Forest) MinMaxLevel() (uint8, uint8) {
+	lo, hi := float64(morton.MaxLevel+1), float64(-1)
+	for _, o := range f.leaves {
+		lo = math.Min(lo, float64(o.O.Level))
+		hi = math.Max(hi, float64(o.O.Level))
+	}
+	glo := f.rank.Allreduce(lo, sim.OpMin)
+	ghi := f.rank.Allreduce(hi, sim.OpMax)
+	if ghi < 0 {
+		return 0, 0
+	}
+	return uint8(glo), uint8(ghi)
+}
+
 // LeafKeys returns this rank's leaves as parallel (tree id, Morton key)
 // slices in forest-curve order — the serialization of one rank's forest
 // partition. A forest rebuilt on the same communicator and connectivity
@@ -511,6 +528,7 @@ func FromKeys(r *sim.Rank, conn *Connectivity, trees []int32, keys []uint64) (*F
 	return f, nil
 }
 
+// CheckLocalOrder verifies the local sort invariant.
 func (f *Forest) CheckLocalOrder() error {
 	for i := 1; i < len(f.leaves); i++ {
 		if !Less(f.leaves[i-1], f.leaves[i]) {

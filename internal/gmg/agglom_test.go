@@ -12,9 +12,9 @@ import (
 	"testing"
 
 	"rhea/internal/fem"
+	"rhea/internal/forest"
 	"rhea/internal/la"
 	"rhea/internal/mesh"
-	"rhea/internal/octree"
 	"rhea/internal/sim"
 )
 
@@ -43,7 +43,7 @@ func agglomTestEta(m *mesh.Mesh, seed float64) []float64 {
 func TestHierarchyAgglomerates(t *testing.T) {
 	const p = 16
 	sim.Run(p, func(r *sim.Rank) {
-		m := mesh.Extract(octree.New(r, 3))
+		m := mesh.Extract(forest.New(r, unitBox, 3), nil)
 		h := New(m, fem.UnitDomain, agglomTestEta(m, 0), Options{})
 
 		if h.Degenerate() {
@@ -107,7 +107,7 @@ func TestHierarchyAgglomerates(t *testing.T) {
 func TestAgglomRebuildMatchesFresh(t *testing.T) {
 	const p = 8
 	sim.Run(p, func(r *sim.Rank) {
-		m := mesh.Extract(octree.New(r, 2))
+		m := mesh.Extract(forest.New(r, unitBox, 2), nil)
 		dom := fem.UnitDomain
 		eta1 := agglomTestEta(m, 0)
 		eta2 := agglomTestEta(m, 2)
@@ -149,7 +149,7 @@ func TestAgglomRebuildMatchesFresh(t *testing.T) {
 func TestRepartIsExactPermutation(t *testing.T) {
 	const p = 16
 	sim.Run(p, func(r *sim.Rank) {
-		m := mesh.Extract(octree.New(r, 2)) // 64 elements, 4 per rank
+		m := mesh.Extract(forest.New(r, unitBox, 2), nil) // 64 elements, 4 per rank
 		rp, sm := buildRepart(m, 4)
 		if (sm != nil) != (r.ID() < 4) {
 			t.Fatalf("rank %d: shadow mesh presence wrong", r.ID())
@@ -229,7 +229,7 @@ func TestSubsetReuseProperty(t *testing.T) {
 	}
 	const p = 8
 	sim.Run(p, func(r *sim.Rank) {
-		m := mesh.Extract(octree.New(r, 2))
+		m := mesh.Extract(forest.New(r, unitBox, 2), nil)
 		dom := fem.UnitDomain
 		h := New(m, dom, agglomTestEta(m, 0), Options{})
 		pc := h.Precond(agglomTestBC)

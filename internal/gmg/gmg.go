@@ -56,7 +56,6 @@ import (
 	"rhea/internal/la"
 	"rhea/internal/matfree"
 	"rhea/internal/mesh"
-	"rhea/internal/octree"
 	"rhea/internal/sim"
 )
 
@@ -232,8 +231,8 @@ type Hierarchy struct {
 }
 
 // NewHierarchy derives the mesh-dependent coarse level stack from the
-// extracted fine mesh (collective): repeated CoarsenedCopy (octree or
-// forest, matching the mesh's origin) + mesh extraction until the global
+// extracted fine mesh (collective): repeated forest CoarsenedCopy + mesh
+// extraction until the global
 // element count falls to Options.CoarseElems or the level cap is hit,
 // agglomerating a level onto a power-of-two rank subset whenever its
 // elements-per-rank falls below Options.AgglomThreshold or coarsening
@@ -305,7 +304,7 @@ func NewHierarchy(m *mesh.Mesh, dom fem.Domain, opts Options) *Hierarchy {
 		// to restrict the viscosity without re-searching the Morton order.
 		ci := make([]int32, len(lv.mesh.Leaves))
 		for ei, leaf := range lv.mesh.Leaves {
-			ci[ei] = int32(findLeafIn(cm, treeOf(lv.mesh, ei), leaf))
+			ci[ei] = int32(findLeafIn(cm, lv.mesh.Trees[ei], leaf))
 		}
 		h.restr = append(h.restr, ci)
 		h.rps = append(h.rps, nil)
@@ -382,48 +381,29 @@ func (h *Hierarchy) finalize(fineComm *sim.Comm) {
 	h.gCoarseP = info.coarseP
 }
 
-// coarsenerFor returns a closure producing successively coarser meshes:
-// octree CoarsenedCopy for single-tree meshes, forest CoarsenedCopy (with
-// the mesh's geometry carried down the levels) for forest meshes. The
-// second return of each call is the number of families merged globally.
+// coarsenerFor returns a closure producing successively coarser meshes
+// by forest CoarsenedCopy, with the mesh's geometry carried down the
+// levels. The second return of each call is the number of families
+// merged globally.
 func coarsenerFor(m *mesh.Mesh) func() (*mesh.Mesh, int64) {
-	if m.Conn != nil {
-		fr := forest.FromLeaves(m.Rank, m.Conn, forestLeaves(m))
-		return func() (*mesh.Mesh, int64) {
-			cfr, merged := fr.CoarsenedCopy()
-			if merged == 0 {
-				return nil, 0
-			}
-			fr = cfr
-			return mesh.ExtractForest(cfr, m.Geom), merged
-		}
-	}
-	tree := octree.FromLeaves(m.Rank, m.Leaves)
+	fr := forest.FromLeaves(m.Rank, m.Conn, forestLeaves(m))
 	return func() (*mesh.Mesh, int64) {
-		ctree, merged := tree.CoarsenedCopy()
+		cfr, merged := fr.CoarsenedCopy()
 		if merged == 0 {
 			return nil, 0
 		}
-		tree = ctree
-		return mesh.Extract(ctree), merged
+		fr = cfr
+		return mesh.Extract(cfr, m.Geom), merged
 	}
 }
 
-// forestLeaves reassembles the forest octants of a forest mesh.
+// forestLeaves reassembles the forest octants of a mesh's elements.
 func forestLeaves(m *mesh.Mesh) []forest.Octant {
 	out := make([]forest.Octant, len(m.Leaves))
 	for i, o := range m.Leaves {
 		out[i] = forest.Octant{Tree: m.Trees[i], O: o}
 	}
 	return out
-}
-
-// treeOf returns the tree id of element ei (0 on single-tree meshes).
-func treeOf(m *mesh.Mesh, ei int) int32 {
-	if m.Trees == nil {
-		return 0
-	}
-	return m.Trees[ei]
 }
 
 // New builds the hierarchy and attaches the fine per-element viscosity in

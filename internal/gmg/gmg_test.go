@@ -6,23 +6,26 @@ import (
 	"testing"
 
 	"rhea/internal/fem"
+	"rhea/internal/forest"
 	"rhea/internal/krylov"
 	"rhea/internal/la"
 	"rhea/internal/mesh"
 	"rhea/internal/morton"
-	"rhea/internal/octree"
 	"rhea/internal/sim"
 )
 
+// unitBox is the one-tree connectivity of the unit cube.
+var unitBox = forest.BrickConnectivity(1, 1, 1)
+
 // buildMesh makes an adaptively refined, balanced, partitioned test mesh.
 func buildMesh(r *sim.Rank, level uint8, adapt bool) *mesh.Mesh {
-	tr := octree.New(r, level)
+	tr := forest.New(r, unitBox, level)
 	if adapt {
-		tr.Refine(func(o morton.Octant) bool { return o.X == 0 && o.Y == 0 && o.Z == 0 })
+		tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 && o.O.Y == 0 && o.O.Z == 0 })
 		tr.Balance()
 		tr.Partition()
 	}
-	return mesh.Extract(tr)
+	return mesh.Extract(tr, nil)
 }
 
 // layeredViscosity is a 100:1 two-layer field keyed on element position.

@@ -24,8 +24,6 @@ import (
 	"rhea/internal/forest"
 	"rhea/internal/la"
 	"rhea/internal/mesh"
-	"rhea/internal/morton"
-	"rhea/internal/octree"
 	"rhea/internal/sim"
 )
 
@@ -90,26 +88,6 @@ func blockRange(total, newP, j int64) (int64, int64) {
 	return lo, hi
 }
 
-// ownerCell returns the canonical incident finest cell that determines
-// ownership of owned node i — the rule the mesh extraction applies — so
-// the repartitioned owner can be computed from the element partition
-// alone.
-func ownerCell(m *mesh.Mesh, i int) (int32, morton.Octant) {
-	if m.Trees != nil {
-		c := m.OwnedCell[i]
-		return c.Tree, c.O
-	}
-	P := m.OwnedPos[i]
-	var q [3]uint32
-	for a := 0; a < 3; a++ {
-		q[a] = P[a]
-		if q[a] >= morton.RootLen {
-			q[a] = morton.RootLen - 1
-		}
-	}
-	return 0, morton.Octant{X: q[0], Y: q[1], Z: q[2], Level: morton.MaxLevel}
-}
-
 // buildRepart repartitions the level mesh onto the first newP ranks of
 // its communicator (collective on m.Rank): it derives the
 // sub-communicator, ships the leaves to their new owners, extracts the
@@ -169,52 +147,29 @@ func buildRepart(m *mesh.Mesh, newP int) (*repart, *mesh.Mesh) {
 
 	// Ship the leaves and extract the repartitioned mesh on the subset.
 	var sm *mesh.Mesh
-	if m.Trees != nil {
-		payloads := make([]any, len(rp.eSendTo))
-		nbytes := make([]int, len(rp.eSendTo))
-		off := 0
-		for k, cnt := range rp.eSendCnt {
-			fo := make([]forest.Octant, cnt)
-			for i := 0; i < cnt; i++ {
-				fo[i] = forest.Octant{Tree: m.Trees[off+i], O: m.Leaves[off+i]}
-			}
-			payloads[k] = fo
-			nbytes[k] = 20 * cnt
-			off += cnt
+	payloads := make([]any, len(rp.eSendTo))
+	nbytes := make([]int, len(rp.eSendTo))
+	mine := forestLeaves(m)
+	off := 0
+	for k, cnt := range rp.eSendCnt {
+		payloads[k] = mine[off : off+cnt : off+cnt]
+		nbytes[k] = 20 * cnt
+		off += cnt
+	}
+	in := comm.NeighborExchange(rp.eSendTo, payloads, nbytes, rp.eRecvFrom)
+	if sub.Member() {
+		leaves := make([]forest.Octant, 0, rp.nElems)
+		for _, d := range in {
+			leaves = append(leaves, d.([]forest.Octant)...)
 		}
-		in := comm.NeighborExchange(rp.eSendTo, payloads, nbytes, rp.eRecvFrom)
-		if sub.Member() {
-			leaves := make([]forest.Octant, 0, rp.nElems)
-			for _, d := range in {
-				leaves = append(leaves, d.([]forest.Octant)...)
-			}
-			sm = mesh.ExtractForest(forest.FromLeaves(sub, m.Conn, leaves), m.Geom)
-		}
-	} else {
-		payloads := make([]any, len(rp.eSendTo))
-		nbytes := make([]int, len(rp.eSendTo))
-		off := 0
-		for k, cnt := range rp.eSendCnt {
-			payloads[k] = append([]morton.Octant(nil), m.Leaves[off:off+cnt]...)
-			nbytes[k] = 16 * cnt
-			off += cnt
-		}
-		in := comm.NeighborExchange(rp.eSendTo, payloads, nbytes, rp.eRecvFrom)
-		if sub.Member() {
-			leaves := make([]morton.Octant, 0, rp.nElems)
-			for _, d := range in {
-				leaves = append(leaves, d.([]morton.Octant)...)
-			}
-			sm = mesh.Extract(octree.FromLeaves(sub, leaves))
-		}
+		sm = mesh.Extract(forest.FromLeaves(sub, m.Conn, leaves), m.Geom)
 	}
 
 	// Node plan: group my owned nodes by their new owner (the block
 	// containing their canonical incident leaf, which is local to me).
 	destIdx := map[int][]int32{}
-	for i := 0; i < m.NumOwned; i++ {
-		tree, cell := ownerCell(m, i)
-		li := m.FindLocalElement(tree, cell)
+	for i, cell := range m.OwnedCell {
+		li := m.FindLocalElement(cell.Tree, cell.O)
 		if li < 0 {
 			panic(fmt.Sprintf("gmg: owned node %d's canonical cell is not local", i))
 		}
@@ -232,9 +187,7 @@ func buildRepart(m *mesh.Mesh, newP int) (*repart, *mesh.Mesh) {
 		idx := destIdx[j]
 		msg := nodeKeyMsg{trees: make([]int32, len(idx)), pos: make([][3]uint32, len(idx))}
 		for t, i := range idx {
-			if m.Trees != nil {
-				msg.trees[t] = m.OwnedTree[i]
-			}
+			msg.trees[t] = m.OwnedTree[i]
 			msg.pos[t] = m.OwnedPos[i]
 		}
 		msgs[k] = msg
@@ -247,7 +200,7 @@ func buildRepart(m *mesh.Mesh, newP int) (*repart, *mesh.Mesh) {
 		msg := datas[k].(nodeKeyMsg)
 		idx := make([]int32, len(msg.pos))
 		for t := range msg.pos {
-			li, ok := sm.LocalIndexTree(msg.trees[t], msg.pos[t])
+			li, ok := sm.LocalIndex(msg.trees[t], msg.pos[t])
 			if !ok {
 				panic(fmt.Sprintf("gmg: repartitioned mesh does not own node %v (tree %d)",
 					msg.pos[t], msg.trees[t]))

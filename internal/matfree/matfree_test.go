@@ -19,9 +19,11 @@ import (
 	"rhea/internal/matfree"
 	"rhea/internal/mesh"
 	"rhea/internal/morton"
-	"rhea/internal/octree"
 	"rhea/internal/sim"
 )
+
+// unitBox is the one-tree connectivity of the unit cube.
+var unitBox = forest.BrickConnectivity(1, 1, 1)
 
 // q1TestBC pins the pressure at gid 0 and (single-rank use) fixes all
 // velocity components of boundary nodes to zero.
@@ -136,11 +138,11 @@ func maxAbsDiff(a, b *la.Vec) (diff, scale float64) {
 // the explicitly assembled CSR on an adapted (hanging-node) mesh.
 func TestQ1ApplyMatchesAssembled(t *testing.T) {
 	sim.Run(1, func(r *sim.Rank) {
-		tr := octree.New(r, 2)
-		tr.Refine(func(o morton.Octant) bool { return o.X == 0 && o.Y == 0 && o.Z == 0 })
+		tr := forest.New(r, unitBox, 2)
+		tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 && o.O.Y == 0 && o.O.Z == 0 })
 		tr.Balance()
 		tr.Partition()
-		m := mesh.Extract(tr)
+		m := mesh.Extract(tr, nil)
 		dom := fem.UnitDomain
 		layout := la.NewLayout(r, 4*m.NumOwned)
 		eta := make([]float64, len(m.Leaves))
@@ -167,8 +169,8 @@ func TestQ1ApplyMatchesAssembled(t *testing.T) {
 // checks the distributed sum-factorized apply against it to 1e-10.
 func TestQ2ApplyMatchesAssembledNaive(t *testing.T) {
 	sim.Run(2, func(r *sim.Rank) {
-		tr := octree.New(r, 2)
-		m := mesh.Extract(tr)
+		tr := forest.New(r, unitBox, 2)
+		m := mesh.Extract(tr, nil)
 		q2 := mesh.ExtractQ2(tr, m)
 		m.Q2 = q2
 		dom := fem.UnitDomain
@@ -267,11 +269,11 @@ func TestQ2ApplyMatchesAssembledNaive(t *testing.T) {
 // element node slot resolves to the mesh's global id.
 func TestSlotMapInvariants(t *testing.T) {
 	sim.Run(4, func(r *sim.Rank) {
-		tr := octree.New(r, 2)
-		tr.Refine(func(o morton.Octant) bool { return o.X == 0 && o.Y == 0 && o.Z == 0 })
+		tr := forest.New(r, unitBox, 2)
+		tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 && o.O.Y == 0 && o.O.Z == 0 })
 		tr.Balance()
 		tr.Partition()
-		ma := mesh.Extract(tr)
+		ma := mesh.Extract(tr, nil)
 		sm := matfree.NewSlotMap(ma, 1)
 		if sm.NOwned != ma.NumOwned {
 			t.Fatalf("SlotMap.NOwned = %d, want %d", sm.NOwned, ma.NumOwned)
@@ -305,8 +307,8 @@ func TestSlotMapInvariants(t *testing.T) {
 		}
 
 		// Q2 slot map on a uniform mesh from the same rank set.
-		tr2 := octree.New(r, 2)
-		m2 := mesh.Extract(tr2)
+		tr2 := forest.New(r, unitBox, 2)
+		m2 := mesh.Extract(tr2, nil)
 		q2 := mesh.ExtractQ2(tr2, m2)
 		sm2 := matfree.NewQ2SlotMap(q2, 1)
 		if sm2.NOwned != q2.NumOwned {
@@ -332,8 +334,8 @@ func TestApplyAllocFree(t *testing.T) {
 	sim.Run(1, func(r *sim.Rank) {
 		dom := fem.UnitDomain
 
-		tr := octree.New(r, 2)
-		m := mesh.Extract(tr)
+		tr := forest.New(r, unitBox, 2)
+		m := mesh.Extract(tr, nil)
 		layout := la.NewLayout(r, 4*m.NumOwned)
 		eta := make([]float64, len(m.Leaves))
 		for i := range eta {
@@ -413,7 +415,7 @@ func TestExchangeAllocsTwoRanks(t *testing.T) {
 	conn := forest.CubedSphere(2)
 	g := mesh.NewShellGeometry(conn)
 	sim.Run(2, func(r *sim.Rank) {
-		m := mesh.ExtractForest(forest.New(r, conn, 2), g)
+		m := mesh.Extract(forest.New(r, conn, 2), g)
 		sm := matfree.NewSlotMap(m, 1)
 		owned := make([]float64, sm.NOwned)
 		ghost := make([]float64, sm.GX.NumGhosts())

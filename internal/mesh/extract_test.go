@@ -33,7 +33,7 @@ func TestExtractForestUniformBrick(t *testing.T) {
 			level, p := level, p
 			sim.Run(p, func(r *sim.Rank) {
 				f := forest.New(r, conn, level)
-				m := ExtractForest(f, g)
+				m := Extract(f, g)
 				st := m.GlobalStats()
 				wantE := int64(2) << (3 * level)
 				wantN := uniformBrickNodes(2, 1, 1, level)
@@ -58,7 +58,7 @@ func TestExtractForestCubedSphere(t *testing.T) {
 		p := p
 		sim.Run(p, func(r *sim.Rank) {
 			f := forest.New(r, conn, level)
-			m := ExtractForest(f, g)
+			m := Extract(f, g)
 			st := m.GlobalStats()
 			if st.Elements != 24<<(3*level) || st.Nodes != wantN || st.HangingLocal != 0 {
 				t.Errorf("ranks %d: got %d elements %d nodes %d hanging, want %d/%d/0",
@@ -111,7 +111,7 @@ func TestExtractForestLinearReproduction(t *testing.T) {
 			f.Refine(func(o forest.Octant) bool { return o.Tree == 0 })
 			f.Balance()
 			f.Partition()
-			m := ExtractForest(f, g)
+			m := Extract(f, g)
 			st := m.GlobalStats()
 			if st.HangingLocal == 0 {
 				t.Fatalf("expected hanging corners across tree boundaries")
@@ -137,7 +137,7 @@ func TestExtractForestShellHanging(t *testing.T) {
 			f.Refine(func(o forest.Octant) bool { return o.Tree < 3 })
 			f.Balance()
 			f.Partition()
-			m := ExtractForest(f, g)
+			m := Extract(f, g)
 			if m.GlobalStats().HangingLocal == 0 {
 				t.Fatalf("expected hanging corners")
 			}

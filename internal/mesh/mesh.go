@@ -1,8 +1,9 @@
 // Package mesh implements ExtractMesh (paper §IV.B): building a
 // distributed trilinear hexahedral finite-element mesh from a 2:1-balanced
-// linear octree. It establishes a unique global numbering of the
-// independent degrees of freedom, identifies hanging nodes on
-// nonconforming faces and edges, attaches the algebraic interpolation
+// forest of linear octrees (the unit box is the one-tree forest). It
+// establishes a unique global numbering of the independent degrees of
+// freedom, identifies hanging nodes on nonconforming faces and edges —
+// across tree boundaries included — attaches the algebraic interpolation
 // constraints that eliminate them at the element level, and gathers the
 // ghost leaf layer needed to do all of this without further communication.
 //
@@ -22,14 +23,12 @@
 package mesh
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
 
 	"rhea/internal/forest"
 	"rhea/internal/la"
 	"rhea/internal/morton"
-	"rhea/internal/octree"
 	"rhea/internal/sim"
 )
 
@@ -59,23 +58,22 @@ type Mesh struct {
 	Offset   int64
 	NGlobal  int64
 
-	// OwnedPos gives the position of each owned node, indexed by
-	// gid-Offset (sorted by position key; for forest meshes the position
-	// is in the frame of the node's canonical tree, OwnedTree).
-	OwnedPos [][3]uint32
+	// OwnedPos gives the position of each owned node in the frame of its
+	// canonical tree, OwnedTree, indexed by gid-Offset (sorted by
+	// canonical tree, then position key).
+	OwnedPos  [][3]uint32
+	OwnedTree []int32
 
-	// Multi-tree (forest) extraction extras; nil for single-tree meshes
-	// built by Extract.
-	Trees     []int32              // per-element tree id, aligned with Leaves
-	Conn      *forest.Connectivity // forest macro-mesh
-	Geom      Geometry             // node mapping (nil => axis-aligned fem.Domain scaling)
-	X         [][8][3]float64      // per-element physical corner coordinates (when Geom != nil)
-	OwnedX    [][3]float64         // physical coordinates of owned nodes (when Geom != nil)
-	OwnedTree []int32              // canonical tree of each owned node
+	Trees  []int32              // per-element tree id, aligned with Leaves
+	Conn   *forest.Connectivity // forest macro-mesh
+	Geom   Geometry             // node mapping (nil => axis-aligned fem.Domain scaling)
+	X      [][8][3]float64      // per-element physical corner coordinates (when Geom != nil)
+	OwnedX [][3]float64         // physical coordinates of owned nodes (when Geom != nil)
 	// OwnedCell and OwnedCellPos record, per owned node, the incident
 	// finest-level cell that determined its ownership and the node's
-	// position in that cell's tree frame — the representation multigrid
-	// transfer uses to find the (always local) coarse containing element.
+	// position in that cell's tree frame. Node ownership is decided here
+	// and nowhere else: multigrid transfer and repartitioning read these
+	// to find the (always local) element containing the cell.
 	OwnedCell    []forest.Octant
 	OwnedCellPos [][3]uint32
 
@@ -96,13 +94,9 @@ type Mesh struct {
 	// offsets are the one collective that also yields Offset and NGlobal).
 	layout *la.Layout
 
-	posToLocal map[uint64]int32 // owned position key -> local node index
-	gidCache   map[uint64]int64 // referenced position key -> global id (incl. remote)
-
-	// Forest-mesh counterparts of posToLocal/gidCache, keyed by the
-	// canonical (tree, position) of each node.
-	posToLocalT map[nodeKey]int32
-	gidCacheT   map[nodeKey]int64
+	// posToLocal maps the canonical (tree, position) key of each owned
+	// node to its local index.
+	posToLocal map[nodeKey]int32
 
 	// Ghost exchange plan over referenced global ids: used to gather
 	// remote nodal values (field transfer, viscosity evaluation, output).
@@ -155,327 +149,19 @@ func alignLevel(p [3]uint32) uint8 {
 	return uint8(lvl)
 }
 
-// leafSet is a sorted collection of octants (local + ghost) supporting
-// containment queries.
-type leafSet struct {
-	leaves []morton.Octant
-}
-
-func newLeafSet(leaves []morton.Octant) *leafSet {
-	s := &leafSet{leaves: leaves}
-	sort.Slice(s.leaves, func(i, j int) bool { return morton.Less(s.leaves[i], s.leaves[j]) })
-	// Deduplicate (ghosts may arrive multiple times).
-	out := s.leaves[:0]
-	for i, o := range s.leaves {
-		if i == 0 || o != s.leaves[i-1] {
-			out = append(out, o)
-		}
-	}
-	s.leaves = out
-	return s
-}
-
-// findContaining returns the leaf that is o or an ancestor of o.
-func (s *leafSet) findContaining(o morton.Octant) (morton.Octant, bool) {
-	k := o.Key()
-	i := sort.Search(len(s.leaves), func(i int) bool { return s.leaves[i].Key() > k })
-	if i == 0 {
-		return morton.Octant{}, false
-	}
-	l := s.leaves[i-1]
-	if l.ContainsOrEqual(o) {
-		return l, true
-	}
-	return morton.Octant{}, false
-}
-
-// Extract builds the distributed finite-element mesh from a balanced
-// octree (collective). The tree must satisfy the 2:1 condition; Extract
-// verifies constraints only in the sense that inconsistent input causes
-// an explicit panic during id resolution.
-func Extract(t *octree.Tree) *Mesh {
-	r := t.Rank()
-	m := &Mesh{Rank: r}
-	m.Leaves = append(m.Leaves, t.Leaves()...)
-
-	// Gather the ghost layer: every local leaf is sent to each remote
-	// rank whose segment overlaps one of its 26 neighbor octants.
-	ghosts := exchangeGhosts(t)
-	m.NumGhostLeaves = len(ghosts)
-	all := newLeafSet(append(append([]morton.Octant(nil), m.Leaves...), ghosts...))
-
-	// Classify every element corner and record master positions.
-	type cornerRef struct {
-		pos    [3]uint32
-		hang   bool
-		n      int8
-		master [4][3]uint32
-		w      [4]float64
-	}
-	refs := make([][8]cornerRef, len(m.Leaves))
-	ownedSet := make(map[uint64][3]uint32)
-	need := make(map[uint64][3]uint32) // all referenced master positions
-
-	for ei, e := range m.Leaves {
-		L := e.Level
-		h := e.Len()
-		for c := 0; c < 8; c++ {
-			P := cornerPos(e, c)
-			cr := cornerRef{pos: P}
-			if alignLevel(P) == L && L > 0 && hasCoarserTouching(all, P, L) {
-				// Hanging: masters at P +/- h along misaligned axes.
-				var axes []int
-				coarse := uint32(1)<<(morton.MaxLevel-uint32(L)+1) - 1
-				for a := 0; a < 3; a++ {
-					if P[a]&coarse != 0 {
-						axes = append(axes, a)
-					}
-				}
-				cr.hang = true
-				cr.n = int8(1 << len(axes))
-				w := 1.0 / float64(int(cr.n))
-				for k := 0; k < int(cr.n); k++ {
-					mp := P
-					for bi, a := range axes {
-						if k>>bi&1 == 0 {
-							mp[a] -= h
-						} else {
-							mp[a] += h
-						}
-					}
-					cr.master[k] = mp
-					cr.w[k] = w
-					need[posKey(mp)] = mp
-				}
-			} else {
-				cr.n = 1
-				cr.master[0] = P
-				cr.w[0] = 1
-				need[posKey(P)] = P
-				if ownerRank(t, P) == r.ID() {
-					ownedSet[posKey(P)] = P
-				}
-			}
-			refs[ei][c] = cr
-		}
-	}
-
-	// Number the owned nodes deterministically by position key.
-	keys := make([]uint64, 0, len(ownedSet))
-	for k := range ownedSet {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	m.NumOwned = len(keys)
-	m.layout = la.NewLayout(r, m.NumOwned)
-	m.Offset, m.NGlobal = m.layout.Start(), m.layout.N()
-	m.OwnedPos = make([][3]uint32, m.NumOwned)
-	m.posToLocal = make(map[uint64]int32, m.NumOwned)
-	for i, k := range keys {
-		m.OwnedPos[i] = ownedSet[k]
-		m.posToLocal[k] = int32(i)
-	}
-
-	// Resolve global ids for every referenced position.
-	m.gidCache = make(map[uint64]int64, len(need))
-	p := r.Size()
-	askPos := make([][][3]uint32, p)
-	for k, pos := range need {
-		o := ownerRank(t, pos)
-		if o == r.ID() {
-			li, ok := m.posToLocal[k]
-			if !ok {
-				panic(fmt.Sprintf("mesh: rank %d owns position %v but did not enumerate it", r.ID(), pos))
-			}
-			m.gidCache[k] = m.Offset + int64(li)
-		} else {
-			askPos[o] = append(askPos[o], pos)
-		}
-	}
-	// Route the position queries to their owners (sparse: only actual
-	// neighbor ranks exchange messages), answer them, and persist the
-	// neighborhood for GatherReferenced.
-	var askOut []any
-	var askNB []int
-	for j := range askPos {
-		if len(askPos[j]) == 0 {
-			continue
-		}
-		m.refOwners = append(m.refOwners, j)
-		askOut = append(askOut, askPos[j])
-		askNB = append(askNB, 12*len(askPos[j]))
-	}
-	froms, asks := r.AlltoallvSparse(m.refOwners, askOut, askNB)
-	m.refSend = make([][]int32, p)
-	m.refAskers = froms
-	resp := make([]any, len(froms))
-	respNB := make([]int, len(froms))
-	for i, d := range asks {
-		asked := d.([][3]uint32)
-		gids := make([]int64, len(asked))
-		send := make([]int32, len(asked))
-		for k, pos := range asked {
-			li, ok := m.posToLocal[posKey(pos)]
-			if !ok {
-				panic(fmt.Sprintf("mesh: rank %d asked for position %v not owned by rank %d", froms[i], pos, r.ID()))
-			}
-			gids[k] = m.Offset + int64(li)
-			send[k] = li
-		}
-		resp[i] = gids
-		respNB[i] = 8 * len(gids)
-		m.refSend[froms[i]] = send
-	}
-	back := r.NeighborExchange(m.refAskers, resp, respNB, m.refOwners)
-	m.refWant = make([][]int64, p)
-	for k, o := range m.refOwners {
-		gids := back[k].([]int64)
-		for i, g := range gids {
-			m.gidCache[posKey(askPos[o][i])] = g
-		}
-		m.refWant[o] = gids
-	}
-
-	// Fill final corner tables with resolved gids.
-	m.Corners = make([][8]Corner, len(m.Leaves))
-	for ei := range refs {
-		for c := 0; c < 8; c++ {
-			cr := &refs[ei][c]
-			co := Corner{Pos: cr.pos, Hanging: cr.hang, N: cr.n}
-			for k := 0; k < int(cr.n); k++ {
-				co.GID[k] = m.gidCache[posKey(cr.master[k])]
-				co.W[k] = cr.w[k]
-			}
-			m.Corners[ei][c] = co
-		}
-	}
-	return m
-}
-
-// hasCoarserTouching reports whether any leaf touching node P has level
-// strictly less than L. The touching leaves are the containers of the up
-// to eight finest-level cells incident to P.
-func hasCoarserTouching(all *leafSet, P [3]uint32, L uint8) bool {
-	for d := 0; d < 8; d++ {
-		var q [3]int64
-		q[0] = int64(P[0])
-		q[1] = int64(P[1])
-		q[2] = int64(P[2])
-		if d&1 != 0 {
-			q[0]--
-		}
-		if d&2 != 0 {
-			q[1]--
-		}
-		if d&4 != 0 {
-			q[2]--
-		}
-		if q[0] < 0 || q[1] < 0 || q[2] < 0 ||
-			q[0] >= morton.RootLen || q[1] >= morton.RootLen || q[2] >= morton.RootLen {
-			continue
-		}
-		cell := morton.Octant{X: uint32(q[0]), Y: uint32(q[1]), Z: uint32(q[2]), Level: morton.MaxLevel}
-		if leaf, ok := all.findContaining(cell); ok && leaf.Level < L {
-			return true
-		}
-	}
-	return false
-}
-
-// ownerRank returns the rank owning node position P: the owner of the
-// finest-level cell in the most-positive direction from P (clamped at the
-// domain boundary). This is computable from the partition markers alone.
-func ownerRank(t *octree.Tree, P [3]uint32) int {
-	var q [3]uint32
-	for a := 0; a < 3; a++ {
-		q[a] = P[a]
-		if q[a] >= morton.RootLen {
-			q[a] = morton.RootLen - 1
-		}
-	}
-	cell := morton.Octant{X: q[0], Y: q[1], Z: q[2], Level: morton.MaxLevel}
-	owners := t.Owners(cell, nil)
-	return owners[0]
-}
-
-// exchangeGhosts sends each local leaf to every remote rank adjacent to
-// it and returns the ghost leaves received.
-func exchangeGhosts(t *octree.Tree) []morton.Octant {
-	r := t.Rank()
-	p := r.Size()
-	byRank := make([][]morton.Octant, p)
-	marked := make([]int, p) // last leaf index sent to rank, -1 none
-	for i := range marked {
-		marked[i] = -1
-	}
-	var nbuf []morton.Octant
-	var owners []int
-	for li, o := range t.Leaves() {
-		nbuf = o.AllNeighbors(nbuf[:0])
-		for _, n := range nbuf {
-			owners = t.Owners(n, owners[:0])
-			for _, ow := range owners {
-				if ow != r.ID() && marked[ow] != li {
-					byRank[ow] = append(byRank[ow], o)
-					marked[ow] = li
-				}
-			}
-		}
-	}
-	var dests []int
-	var out []any
-	var nb []int
-	for j := range byRank {
-		if len(byRank[j]) == 0 {
-			continue
-		}
-		dests = append(dests, j)
-		out = append(out, byRank[j])
-		nb = append(nb, 16*len(byRank[j]))
-	}
-	_, in := r.AlltoallvSparse(dests, out, nb)
-	var ghosts []morton.Octant
-	for _, d := range in {
-		ghosts = append(ghosts, d.([]morton.Octant)...)
-	}
-	return ghosts
-}
-
 // Layout returns the la.Layout over the mesh's independent nodes: the
 // one built at extraction, shared by every caller (no communication, no
 // allocation).
 func (m *Mesh) Layout() *la.Layout { return m.layout }
 
-// LocalIndex returns the local index of the owned node at position p and
-// whether this rank owns it.
-func (m *Mesh) LocalIndex(p [3]uint32) (int32, bool) {
-	li, ok := m.posToLocal[posKey(p)]
+// LocalIndex returns the local index of the owned node at canonical
+// position (tree, p) — the lowest tree sharing the node and the position
+// in that tree's frame — and whether this rank owns it. Cross-rank mesh
+// couplings (the multigrid repartition plans) use this to resolve node
+// identity independently of the partition-dependent global numbering.
+func (m *Mesh) LocalIndex(tree int32, p [3]uint32) (int32, bool) {
+	li, ok := m.posToLocal[nodeKey{tree, posKey(p)}]
 	return li, ok
-}
-
-// LocalIndexTree returns the local index of the owned node at canonical
-// position (tree, p) and whether this rank owns it. On forest meshes the
-// key must be the node's canonical representation (lowest owning tree,
-// canonical in-tree position); on single-tree meshes tree is ignored.
-// Cross-rank mesh couplings (the multigrid repartition plans) use this to
-// resolve node identity independently of the partition-dependent global
-// numbering.
-func (m *Mesh) LocalIndexTree(tree int32, p [3]uint32) (int32, bool) {
-	if m.posToLocalT != nil {
-		li, ok := m.posToLocalT[nodeKey{tree, posKey(p)}]
-		return li, ok
-	}
-	return m.LocalIndex(p)
-}
-
-// GID returns the global id of the referenced node at position p; it
-// panics if p was never referenced by this rank's elements.
-func (m *Mesh) GID(p [3]uint32) int64 {
-	g, ok := m.gidCache[posKey(p)]
-	if !ok {
-		panic(fmt.Sprintf("mesh: position %v not referenced on rank %d", p, m.Rank.ID()))
-	}
-	return g
 }
 
 // GatherReferenced returns the values of every node this rank references
@@ -483,7 +169,11 @@ func (m *Mesh) GID(p [3]uint32) int64 {
 // be laid out over the mesh nodes.
 func (m *Mesh) GatherReferenced(u *la.Vec) map[int64]float64 {
 	r := m.Rank
-	vals := make(map[int64]float64, len(m.gidCache))
+	nRef := m.NumOwned
+	for _, o := range m.refOwners {
+		nRef += len(m.refWant[o])
+	}
+	vals := make(map[int64]float64, nRef)
 	for i := 0; i < m.NumOwned; i++ {
 		vals[m.Offset+int64(i)] = u.Data[i]
 	}
@@ -541,4 +231,20 @@ func (m *Mesh) GlobalStats() Stats {
 		Nodes:        m.NGlobal,
 		HangingLocal: m.Rank.AllreduceInt64(hang),
 	}
+}
+
+// FindLocalElement returns the index of the local element that is (tree,
+// o) or an ancestor of it, or -1.
+func (m *Mesh) FindLocalElement(tree int32, o morton.Octant) int {
+	k := o.Key()
+	i := sort.Search(len(m.Leaves), func(i int) bool {
+		if m.Trees[i] != tree {
+			return m.Trees[i] > tree
+		}
+		return m.Leaves[i].Key() > k
+	})
+	if i == 0 || m.Trees[i-1] != tree || !m.Leaves[i-1].ContainsOrEqual(o) {
+		return -1
+	}
+	return i - 1
 }

@@ -6,9 +6,9 @@ import (
 	"sync"
 	"testing"
 
+	"rhea/internal/forest"
 	"rhea/internal/la"
 	"rhea/internal/morton"
-	"rhea/internal/octree"
 	"rhea/internal/sim"
 )
 
@@ -93,11 +93,14 @@ func (c *collector) addMesh(t *testing.T, m *Mesh) {
 	}
 }
 
-// buildTree creates a deterministic refined+balanced tree.
-func buildTree(r *sim.Rank, base uint8, refine func(morton.Octant) bool, passes int) *octree.Tree {
-	tr := octree.New(r, base)
+// unitBox is the one-tree connectivity every test below runs on.
+var unitBox = forest.BrickConnectivity(1, 1, 1)
+
+// buildTree creates a deterministic refined+balanced one-tree forest.
+func buildTree(r *sim.Rank, base uint8, refine func(morton.Octant) bool, passes int) *forest.Forest {
+	tr := forest.New(r, unitBox, base)
 	for i := 0; i < passes; i++ {
-		tr.Refine(refine)
+		tr.Refine(func(o forest.Octant) bool { return refine(o.O) })
 	}
 	tr.Balance()
 	tr.Partition()
@@ -107,8 +110,8 @@ func buildTree(r *sim.Rank, base uint8, refine func(morton.Octant) bool, passes 
 func TestUniformMeshNodeCount(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		sim.Run(p, func(r *sim.Rank) {
-			tr := octree.New(r, 2)
-			m := Extract(tr)
+			tr := forest.New(r, unitBox, 2)
+			m := Extract(tr, nil)
 			if m.NGlobal != 125 { // (4+1)^3
 				t.Errorf("p=%d: NGlobal=%d, want 125", p, m.NGlobal)
 			}
@@ -131,10 +134,10 @@ func TestSingleRefinementCounts(t *testing.T) {
 	var nGlobal int64
 	var hang int64
 	sim.Run(1, func(r *sim.Rank) {
-		tr := octree.New(r, 1)
-		tr.Refine(func(o morton.Octant) bool { return o.X == 0 && o.Y == 0 && o.Z == 0 })
+		tr := forest.New(r, unitBox, 1)
+		tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 && o.O.Y == 0 && o.O.Z == 0 })
 		tr.Balance()
-		m := Extract(tr)
+		m := Extract(tr, nil)
 		nGlobal = m.NGlobal
 		hang = m.GlobalStats().HangingLocal
 	})
@@ -162,7 +165,7 @@ func TestHangingClassificationMatchesOracle(t *testing.T) {
 		col := newCollector()
 		sim.Run(p, func(r *sim.Rank) {
 			tr := buildTree(r, 1, refine, 2)
-			m := Extract(tr)
+			m := Extract(tr, nil)
 			col.addMesh(t, m)
 		})
 		sort.Slice(col.leaves, func(i, j int) bool { return morton.Less(col.leaves[i], col.leaves[j]) })
@@ -183,7 +186,7 @@ func TestGlobalIDsContiguous(t *testing.T) {
 		var nGlobal int64
 		sim.Run(p, func(r *sim.Rank) {
 			tr := buildTree(r, 1, refine, 1)
-			m := Extract(tr)
+			m := Extract(tr, nil)
 			if r.ID() == 0 { // same value on every rank; avoid racy writes
 				nGlobal = m.NGlobal
 			}
@@ -212,7 +215,7 @@ func TestNGlobalIndependentOfPartition(t *testing.T) {
 		var n int64
 		sim.Run(p, func(r *sim.Rank) {
 			tr := buildTree(r, 1, refine, 3)
-			m := Extract(tr)
+			m := Extract(tr, nil)
 			if r.ID() == 0 { // same value on every rank; avoid racy writes
 				n = m.NGlobal
 			}
@@ -235,7 +238,7 @@ func TestLinearFieldReproduction(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		sim.Run(p, func(r *sim.Rank) {
 			tr := buildTree(r, 1, refine, 2)
-			m := Extract(tr)
+			m := Extract(tr, nil)
 			u := la.NewVec(m.Layout())
 			for i, pos := range m.OwnedPos {
 				u.Data[i] = lin(pos)
@@ -280,7 +283,7 @@ func TestRandomizedMeshInvariants(t *testing.T) {
 		col := newCollector()
 		sim.Run(4, func(r *sim.Rank) {
 			tr := buildTree(r, 2, safeRefine, 2)
-			m := Extract(tr)
+			m := Extract(tr, nil)
 			col.addMesh(t, m)
 		})
 		sort.Slice(col.leaves, func(i, j int) bool { return morton.Less(col.leaves[i], col.leaves[j]) })
@@ -300,15 +303,27 @@ func TestRandomizedMeshInvariants(t *testing.T) {
 
 func TestLocalIndexAndGID(t *testing.T) {
 	sim.Run(2, func(r *sim.Rank) {
-		tr := octree.New(r, 1)
-		m := Extract(tr)
+		tr := forest.New(r, unitBox, 1)
+		m := Extract(tr, nil)
 		for i, pos := range m.OwnedPos {
-			li, ok := m.LocalIndex(pos)
+			li, ok := m.LocalIndex(0, pos)
 			if !ok || li != int32(i) {
 				t.Errorf("LocalIndex(%v) = %d,%v", pos, li, ok)
 			}
-			if g := m.GID(pos); g != m.Offset+int64(i) {
-				t.Errorf("GID(%v) = %d", pos, g)
+		}
+		// Every independent corner carries the gid of the node at its
+		// position: Offset + local index on the owner, outside the owned
+		// range elsewhere.
+		for ei := range m.Corners {
+			for c := 0; c < 8; c++ {
+				co := m.Corners[ei][c]
+				li, owned := m.LocalIndex(0, co.Pos)
+				if owned && co.GID[0] != m.Offset+int64(li) {
+					t.Errorf("corner %v: gid %d, want %d", co.Pos, co.GID[0], m.Offset+int64(li))
+				}
+				if !owned && m.Layout().Owns(co.GID[0]) {
+					t.Errorf("corner %v: gid %d is local but the node is not owned", co.Pos, co.GID[0])
+				}
 			}
 		}
 	})
@@ -316,8 +331,8 @@ func TestLocalIndexAndGID(t *testing.T) {
 
 func TestGhostLayerPresent(t *testing.T) {
 	sim.Run(4, func(r *sim.Rank) {
-		tr := octree.New(r, 2)
-		m := Extract(tr)
+		tr := forest.New(r, unitBox, 2)
+		m := Extract(tr, nil)
 		// With 4 ranks on a 4x4x4 grid every rank has remote neighbors.
 		if m.NumGhostLeaves == 0 {
 			t.Errorf("rank %d: no ghost leaves", r.ID())

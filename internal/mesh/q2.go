@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"sort"
 
+	"rhea/internal/forest"
 	"rhea/internal/morton"
-	"rhea/internal/octree"
 )
 
 // Q2 node layer: the 27-node triquadratic element adds edge, face and
@@ -18,15 +18,14 @@ import (
 // and the sparse id-resolution machinery of Extract carry over
 // verbatim.
 //
-// Ownership generalizes the vertex rule: a Q2 node at half-unit
-// position P2 is owned by the owner of the finest-level cell at
-// clamp(P2 >> 1) — the most-positive incident cell. For even (vertex)
-// positions this reduces exactly to the Q1 ownerRank, so a vertex node
-// is owned by the same rank in both numberings and the vertex<->Q1
-// index maps below are purely local.
+// Ownership is the one-tree case of Extract's rule: a Q2 node is owned
+// by the owner of the most-negative (minimal along the curve) finest
+// cell incident to it. At element corners this is exactly the Q1 rule,
+// so a vertex node is owned by the same rank in both numberings and the
+// vertex<->Q1 index maps below are purely local.
 //
-// Scope: conforming (no hanging corners) single-tree axis-aligned
-// meshes. Q2 hanging-node constraints and forest/mapped geometry are
+// Scope: conforming (no hanging corners) one-tree axis-aligned meshes.
+// Q2 hanging-node constraints and multi-tree/mapped geometry are
 // intentionally out of scope; ExtractQ2 fails fast — collectively, so
 // every rank panics rather than one rank deadlocking the others — on
 // anything else.
@@ -81,27 +80,28 @@ func Q2NodePos2(e morton.Octant, n int) [3]uint32 {
 }
 
 // q2OwnerRank returns the rank owning the Q2 node at half-unit position
-// p2: the owner of the finest-level cell in the most-positive direction
-// (clamped at the boundary), computable from partition markers alone.
-func q2OwnerRank(t *octree.Tree, p2 [3]uint32) int {
+// p2: the owner of the most-negative incident finest-level cell,
+// computable from partition markers alone.
+func q2OwnerRank(f *forest.Forest, p2 [3]uint32) int {
 	var q [3]uint32
 	for a := 0; a < 3; a++ {
 		q[a] = p2[a] >> 1
-		if q[a] >= morton.RootLen {
-			q[a] = morton.RootLen - 1
+		if p2[a]&1 == 0 && q[a] > 0 {
+			q[a]--
 		}
 	}
-	cell := morton.Octant{X: q[0], Y: q[1], Z: q[2], Level: morton.MaxLevel}
-	return t.Owners(cell, nil)[0]
+	cell := forest.Octant{O: morton.Octant{X: q[0], Y: q[1], Z: q[2], Level: morton.MaxLevel}}
+	var owners [1]int
+	return f.Owners(cell, owners[:0])[0]
 }
 
 // ExtractQ2 builds the distributed Q2 node numbering on top of an
-// extracted mesh (collective). The mesh must be conforming (a uniformly
-// refined single tree): hanging Q2 constraints are not implemented, and
-// forest or mapped meshes are out of scope.
-func ExtractQ2(t *octree.Tree, m *Mesh) *Q2Mesh {
-	if m.Conn != nil || m.Geom != nil || m.X != nil {
-		panic("mesh: Q2 extraction requires a single-tree axis-aligned mesh")
+// mesh extracted from f (collective). The mesh must be conforming (a
+// uniformly refined single tree): hanging Q2 constraints are not
+// implemented, and multi-tree or mapped meshes are out of scope.
+func ExtractQ2(f *forest.Forest, m *Mesh) *Q2Mesh {
+	if f.Conn.NumTrees() != 1 || m.Geom != nil {
+		panic("mesh: Q2 extraction requires a one-tree axis-aligned mesh")
 	}
 	r := m.Rank
 	var hang int64
@@ -139,7 +139,7 @@ func ExtractQ2(t *octree.Tree, m *Mesh) *Q2Mesh {
 				continue
 			}
 			need[k] = p
-			if q2OwnerRank(t, p) == r.ID() {
+			if q2OwnerRank(f, p) == r.ID() {
 				ownedSet[k] = p
 			}
 		}
@@ -167,7 +167,7 @@ func ExtractQ2(t *octree.Tree, m *Mesh) *Q2Mesh {
 	p := r.Size()
 	askPos := make([][][3]uint32, p)
 	for k, pp := range need {
-		o := q2OwnerRank(t, pp)
+		o := q2OwnerRank(f, pp)
 		if o == r.ID() {
 			li, ok := q.posToLocal[k]
 			if !ok {
@@ -235,7 +235,7 @@ func ExtractQ2(t *octree.Tree, m *Mesh) *Q2Mesh {
 	for i, p2 := range q.OwnedPos2 {
 		q.VertLocal[i] = -1
 		if q.IsVertex(p2) {
-			li, ok := m.LocalIndex([3]uint32{p2[0] >> 1, p2[1] >> 1, p2[2] >> 1})
+			li, ok := m.LocalIndex(0, [3]uint32{p2[0] >> 1, p2[1] >> 1, p2[2] >> 1})
 			if !ok {
 				panic(fmt.Sprintf("mesh: Q2 vertex %v owned here but its Q1 node is not", p2))
 			}

@@ -7,8 +7,8 @@ package mesh
 import (
 	"testing"
 
+	"rhea/internal/forest"
 	"rhea/internal/morton"
-	"rhea/internal/octree"
 	"rhea/internal/sim"
 )
 
@@ -19,8 +19,8 @@ func TestExtractQ2Counts(t *testing.T) {
 	for _, ranks := range []int{1, 2, 4} {
 		for _, lvl := range []uint8{1, 2, 3} {
 			sim.Run(ranks, func(r *sim.Rank) {
-				tr := octree.New(r, lvl)
-				m := Extract(tr)
+				tr := forest.New(r, unitBox, lvl)
+				m := Extract(tr, nil)
 				q2 := ExtractQ2(tr, m)
 				side := int64(2<<lvl) + 1
 				if want := side * side * side; q2.NGlobal != want {
@@ -58,8 +58,8 @@ func TestExtractQ2Counts(t *testing.T) {
 // [0, NGlobal).
 func TestExtractQ2GidConsistency(t *testing.T) {
 	sim.Run(4, func(r *sim.Rank) {
-		tr := octree.New(r, 2)
-		m := Extract(tr)
+		tr := forest.New(r, unitBox, 2)
+		m := Extract(tr, nil)
 		q2 := ExtractQ2(tr, m)
 		for ei, e := range m.Leaves {
 			for n := 0; n < 27; n++ {
@@ -98,8 +98,8 @@ func TestExtractQ2GidConsistency(t *testing.T) {
 // half-unit coordinates, so parity alone must not classify them.
 func TestExtractQ2IsVertex(t *testing.T) {
 	sim.Run(1, func(r *sim.Rank) {
-		tr := octree.New(r, 1)
-		m := Extract(tr)
+		tr := forest.New(r, unitBox, 1)
+		m := Extract(tr, nil)
 		q2 := ExtractQ2(tr, m)
 		h := m.Leaves[0].Len() // node spacing in half-units
 		if !q2.IsVertex([3]uint32{0, 0, 0}) || !q2.IsVertex([3]uint32{2 * h, 2 * h, 0}) {
@@ -130,11 +130,67 @@ func TestExtractQ2RejectsHanging(t *testing.T) {
 				t.Errorf("rank %d: ExtractQ2 did not panic on a nonconforming mesh", r.ID())
 			}
 		}()
-		tr := octree.New(r, 2)
-		tr.Refine(func(o morton.Octant) bool { return o.X == 0 && o.Y == 0 && o.Z == 0 })
+		tr := forest.New(r, unitBox, 2)
+		tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 && o.O.Y == 0 && o.O.Z == 0 })
 		tr.Balance()
 		tr.Partition()
-		m := Extract(tr)
+		m := Extract(tr, nil)
 		ExtractQ2(tr, m)
 	})
+}
+
+// TestOwnershipDecidedByOwnedCell pins the one ownership rule every
+// consumer reads: on an adapted one-tree forest each owned Q1 node is
+// owned by the owner of its OwnedCell — the most-negative incident
+// finest cell, whose containing element is local — and on a uniform one
+// every Q2 vertex is owned by the rank that owns its Q1 node.
+func TestOwnershipDecidedByOwnedCell(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 4} {
+		sim.Run(p, func(r *sim.Rank) {
+			refine := func(o morton.Octant) bool { return o.X == 0 && o.Z == 0 }
+			for _, passes := range []int{0, 2} {
+				f := buildTree(r, 2, refine, passes)
+				m := Extract(f, nil)
+				for i, pos := range m.OwnedPos {
+					cell := m.OwnedCell[i]
+					for a := 0; a < 3; a++ {
+						want := pos[a]
+						if want > 0 {
+							want--
+						}
+						if got := [3]uint32{cell.O.X, cell.O.Y, cell.O.Z}[a]; got != want {
+							t.Fatalf("p=%d node %v: owner cell %v is not the most-negative incident cell", p, pos, cell)
+						}
+					}
+					if ow := f.Owners(cell, nil); len(ow) != 1 || ow[0] != r.ID() {
+						t.Fatalf("p=%d node %v: owner cell %v belongs to %v, node to %d", p, pos, cell, ow, r.ID())
+					}
+					if m.FindLocalElement(cell.Tree, cell.O) < 0 {
+						t.Fatalf("p=%d node %v: owner cell %v has no local element", p, pos, cell)
+					}
+					if m.OwnedCellPos[i] != pos {
+						t.Fatalf("p=%d node %v: OwnedCellPos %v differs on a one-tree forest", p, pos, m.OwnedCellPos[i])
+					}
+				}
+				if passes > 0 {
+					continue
+				}
+				q2 := ExtractQ2(f, m)
+				verts := 0
+				for i, p2 := range q2.OwnedPos2 {
+					if !q2.IsVertex(p2) {
+						continue
+					}
+					verts++
+					li, ok := m.LocalIndex(0, [3]uint32{p2[0] >> 1, p2[1] >> 1, p2[2] >> 1})
+					if !ok || q2.VertLocal[i] != li {
+						t.Fatalf("p=%d: Q2 vertex %v owned here, its Q1 node is not (ok=%v)", p, p2, ok)
+					}
+				}
+				if verts != m.NumOwned {
+					t.Fatalf("p=%d: %d owned Q2 vertices for %d owned Q1 nodes", p, verts, m.NumOwned)
+				}
+			}
+		})
+	}
 }

@@ -117,8 +117,8 @@ func TestMappedBrickNusseltConductive(t *testing.T) {
 }
 
 // TestMappedIdentityBrickNusselt compares a mapped-identity brick (one
-// unit-cube tree, trilinear map = identity) against the single-tree box
-// path on the same discretization, same temperature field and same
+// unit-cube tree, trilinear map = identity) against the unmapped box
+// path (same tree, Geom == nil) on the same discretization, same temperature field and same
 // synthetic velocity: the two Nusselt branches must agree.
 func TestMappedIdentityBrickNusselt(t *testing.T) {
 	initT := func(x [3]float64) float64 {
@@ -200,10 +200,10 @@ func TestNoInitAdapt(t *testing.T) {
 	}
 	sim.Run(2, func(r *sim.Rank) {
 		s := New(r, cfg)
-		if n := s.Tree.NumGlobal(); n != 64 {
+		if n := s.Forest.NumGlobal(); n != 64 {
 			t.Errorf("NoInitAdapt mesh has %d elements, want the uniform 64", n)
 		}
-		lo, hi := s.Tree.MinMaxLevel()
+		lo, hi := s.Forest.MinMaxLevel()
 		if lo != 2 || hi != 2 {
 			t.Errorf("NoInitAdapt mesh levels %d..%d, want uniform 2", lo, hi)
 		}

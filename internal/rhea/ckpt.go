@@ -1,7 +1,7 @@
 package rhea
 
 // Checkpoint/restart: Sim.Checkpoint serializes the complete resumable
-// state — the octree/forest leaves with their partition boundaries, the
+// state — the forest leaves with their partition boundaries, the
 // nodal T/U/P fields, the time-loop position and the accumulated
 // timings — through internal/ckpt's sharded snapshot format, and
 // Restore rebuilds a Sim from a snapshot without re-running the initial
@@ -23,7 +23,6 @@ import (
 	"rhea/internal/ckpt"
 	"rhea/internal/forest"
 	"rhea/internal/la"
-	"rhea/internal/octree"
 	"rhea/internal/sim"
 )
 
@@ -136,20 +135,17 @@ func timingsFromExtra(x map[string]float64) Timings {
 // point outside a collective call is valid: solver caches are derived
 // state and are rebuilt identically on restore.
 func (s *Sim) Checkpoint(dir string) error {
+	trees, leaves := s.Forest.LeafKeys()
 	st := &ckpt.State{
 		Step:     int64(s.Step),
 		TimeNow:  s.TimeNow,
 		ConfigFP: s.Cfg.Fingerprint(),
+		Trees:    trees,
+		Leaves:   leaves,
 		T:        s.T.Data,
 		U:        [3][]float64{s.U[0].Data, s.U[1].Data, s.U[2].Data},
 		P:        s.P.Data,
 		Extra:    timingsToExtra(s.Times),
-	}
-	if s.Forest != nil {
-		st.Forest = true
-		st.Trees, st.Leaves = s.Forest.LeafKeys()
-	} else {
-		st.Leaves = s.Tree.LeafKeys()
 	}
 	return ckpt.Write(s.Rank, dir, st)
 }
@@ -169,22 +165,16 @@ func Restore(r *sim.Rank, cfg Config, dir string) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	// These checks derive from manifest-validated state and the local
-	// cfg, so every rank takes the same branch; no collective agreement
-	// is needed before the collective rebuild below.
+	// This check derives from manifest-validated state and the local cfg
+	// (the fingerprint covers the domain: Shell and the connectivity), so
+	// every rank takes the same branch; no collective agreement is needed
+	// before the collective rebuild below.
 	if fp := cfg.Fingerprint(); st.ConfigFP != fp {
 		return nil, fmt.Errorf("rhea: snapshot %s was written under a different configuration (fingerprint %016x, this config %016x)", dir, st.ConfigFP, fp)
 	}
-	if st.Forest != (cfg.Conn != nil) {
-		return nil, fmt.Errorf("rhea: snapshot %s domain kind (forest=%v) does not match the config", dir, st.Forest)
-	}
 
 	s := &Sim{Cfg: cfg, Rank: r}
-	if cfg.Conn != nil {
-		s.Forest, err = forest.FromKeys(r, cfg.Conn, st.Trees, st.Leaves)
-	} else {
-		s.Tree, err = octree.FromKeys(r, st.Leaves)
-	}
+	s.Forest, err = forest.FromKeys(r, cfg.conn(), st.Trees, st.Leaves)
 	if err = r.AllreduceError(err); err != nil {
 		return nil, fmt.Errorf("rhea: rebuilding partition from snapshot %s: %w", dir, err)
 	}

@@ -24,15 +24,12 @@ import (
 	"rhea/internal/amg"
 	"rhea/internal/errind"
 	"rhea/internal/fem"
-	"rhea/internal/field"
 	"rhea/internal/forest"
 	"rhea/internal/gmg"
 	"rhea/internal/krylov"
 	"rhea/internal/la"
 	"rhea/internal/matfree"
 	"rhea/internal/mesh"
-	"rhea/internal/morton"
-	"rhea/internal/octree"
 	"rhea/internal/sim"
 	"rhea/internal/stokes"
 )
@@ -104,11 +101,12 @@ type Config struct {
 	ViscMin      float64 // clamp (default 1e-6)
 	ViscMax      float64 // clamp (default 1e6)
 
-	// Conn switches the simulation from the single-tree axis-aligned box
-	// onto a multi-tree forest with mapped element geometry: brick macro
-	// meshes, or the paper's 24-tree cubed-sphere shell. Geom supplies
-	// the node mapping (defaults to the trilinear tree map, or the shell
-	// projection when Shell is set).
+	// Conn switches the simulation from the axis-aligned unit box (nil:
+	// a one-tree forest scaled by Dom, no node mapping) onto a multi-tree
+	// forest with mapped element geometry: brick macro meshes, or the
+	// paper's 24-tree cubed-sphere shell. Geom supplies the node mapping
+	// (defaults to the trilinear tree map, or the shell projection when
+	// Shell is set).
 	Conn *forest.Connectivity
 	Geom mesh.Geometry
 	// Shell selects spherical-shell physics on a cubed-sphere forest:
@@ -171,7 +169,7 @@ type Config struct {
 	// stabilized equal-order Q1-Q1 pair, 2 for the Taylor-Hood Q2-Q1
 	// pair with sum-factorized matrix-free kernels and p-coarsened GMG
 	// (see stokes.Options.Order). Order 2 requires MatrixFree, Precond
-	// == PrecondGMG and a single-tree box domain at a uniform
+	// == PrecondGMG and the one-tree box domain at a uniform
 	// refinement level (set MinLevel = MaxLevel = BaseLevel, or leave
 	// InitAdapt/AdaptEvery unused).
 	Order int
@@ -290,7 +288,7 @@ func (c Config) withDefaults() Config {
 			panic("rhea: Config.Order == 2 requires MatrixFree and Precond == PrecondGMG")
 		}
 		if c.Conn != nil {
-			panic("rhea: Config.Order == 2 is limited to single-tree box domains (Q2 extraction on forests is a roadmap item)")
+			panic("rhea: Config.Order == 2 is limited to the one-tree box domain (Q2 extraction on multi-tree forests is a roadmap item)")
 		}
 	}
 	if c.TargetElems == 0 {
@@ -301,6 +299,15 @@ func (c Config) withDefaults() Config {
 		c.TargetElems = trees << (3 * c.BaseLevel)
 	}
 	return c
+}
+
+// conn returns the forest connectivity of the domain: Conn, or the
+// one-tree unit cube when Conn is nil.
+func (c Config) conn() *forest.Connectivity {
+	if c.Conn != nil {
+		return c.Conn
+	}
+	return forest.BrickConnectivity(1, 1, 1)
 }
 
 // Timings is the per-function wall-clock breakdown of the paper's Figure
@@ -346,24 +353,12 @@ func (t Timings) SolveTotal() float64 {
 	return t.TimeIntegrate + t.StokesSetup + t.StokesUpdate + t.MINRES
 }
 
-// AdaptStats describes one mesh adaptation step (paper Fig 5).
-type AdaptStats struct {
-	Refined      int64 // elements replaced by children
-	Coarsened    int64 // elements removed by family merging (8 per family)
-	BalanceAdded int64 // elements created by 2:1 balance
-	Unchanged    int64
-	ElementsPrev int64
-	ElementsNow  int64
-	LevelCounts  []int64
-}
-
-// Sim is a running mantle-convection simulation on one rank. Exactly one
-// of Tree (single-tree box domains) and Forest (multi-tree mapped
-// domains, Config.Conn) is non-nil.
+// Sim is a running mantle-convection simulation on one rank. Forest is
+// the adapted forest of octrees behind Mesh: Config.Conn, or the one-tree
+// unit cube when that is nil.
 type Sim struct {
 	Cfg    Config
 	Rank   *sim.Rank
-	Tree   *octree.Tree
 	Forest *forest.Forest
 	Mesh   *mesh.Mesh
 
@@ -432,15 +427,15 @@ func New(r *sim.Rank, cfg Config) *Sim {
 	s := &Sim{Cfg: cfg, Rank: r}
 
 	t0 := time.Now()
-	if cfg.Conn != nil {
-		s.Forest = forest.New(r, cfg.Conn, cfg.BaseLevel)
-	} else {
-		s.Tree = octree.New(r, cfg.BaseLevel)
-	}
+	s.Forest = forest.New(r, cfg.conn(), cfg.BaseLevel)
 	s.Times.NewTree += time.Since(t0).Seconds()
 
 	s.extract()
 	s.setInitialTemp()
+	for c := range s.U {
+		s.U[c] = la.NewVec(s.Mesh.Layout())
+	}
+	s.P = la.NewVec(s.Mesh.Layout())
 
 	// Initial solution-adaptive refinement rounds.
 	for i := 0; i < cfg.InitAdapt; i++ {
@@ -450,26 +445,28 @@ func New(r *sim.Rank, cfg Config) *Sim {
 	return s
 }
 
+// extract builds the mesh of the current forest and installs it
+// (collective).
 func (s *Sim) extract() {
 	t0 := time.Now()
-	if s.Forest != nil {
-		s.Mesh = mesh.ExtractForest(s.Forest, s.Cfg.Geom)
-	} else {
-		s.Mesh = mesh.Extract(s.Tree)
-	}
+	m := mesh.Extract(s.Forest, s.Cfg.Geom)
+	s.Times.ExtractMesh += time.Since(t0).Seconds()
+	s.setMesh(m)
+}
+
+// setMesh installs a freshly extracted mesh: attaches the Q2 node layer
+// when Order == 2 (collective then) and drops the cached Stokes solver,
+// slot map and transport problem, which are bound to the old mesh. The
+// caller puts the fields on the new mesh.
+func (s *Sim) setMesh(m *mesh.Mesh) {
+	s.Mesh = m
 	if s.Cfg.Order == 2 {
 		// The Q2 node layer panics on hanging faces — Order 2 runs are
 		// restricted to uniform refinement levels.
-		s.Mesh.Q2 = mesh.ExtractQ2(s.Tree, s.Mesh)
+		t0 := time.Now()
+		m.Q2 = mesh.ExtractQ2(s.Forest, m)
+		s.Times.ExtractMesh += time.Since(t0).Seconds()
 	}
-	s.Times.ExtractMesh += time.Since(t0).Seconds()
-	// Velocity and pressure default to zero on the new mesh, and the
-	// cached Stokes solver, slot map and transport problem are bound to
-	// the old mesh — drop them.
-	for c := 0; c < 3; c++ {
-		s.U[c] = la.NewVec(s.Mesh.Layout())
-	}
-	s.P = la.NewVec(s.Mesh.Layout())
 	s.solver = nil
 	s.sm = nil
 	s.adv = nil
@@ -518,190 +515,30 @@ func (s *Sim) TempBC() fem.ScalarBC {
 	}
 }
 
-// Adapt runs one full mesh adaptation pipeline and carries the
-// temperature and velocity fields to the new mesh (collective).
+// Adapt runs one full mesh adaptation pipeline — MarkElements, then the
+// AdaptFields stage sequence — and carries the temperature, velocity and
+// pressure fields to the new mesh, re-imposing the temperature boundary
+// values there (collective).
 func (s *Sim) Adapt() AdaptStats {
-	if s.Forest != nil {
-		return s.adaptForest()
-	}
-	st := AdaptStats{ElementsPrev: s.Tree.NumGlobal()}
-
 	t0 := time.Now()
 	eta := errind.Variation(s.Mesh, s.T)
-	marks := errind.MarkElements(s.Tree, eta, s.Cfg.TargetElems, errind.Options{
+	marks := errind.MarkElements(s.Forest, eta, s.Cfg.TargetElems, errind.Options{
 		MaxLevel: s.Cfg.MaxLevel, MinLevel: s.Cfg.MinLevel,
 	})
 	s.Times.MarkElements += time.Since(t0).Seconds()
 
-	// Snapshot fields as element data on the old mesh.
-	t0 = time.Now()
-	dataT := field.FromNodal(s.Mesh, s.T)
-	var dataU [3]field.ElemData
-	for c := 0; c < 3; c++ {
-		dataU[c] = field.FromNodal(s.Mesh, s.U[c])
-	}
-	dataP := field.FromNodal(s.Mesh, s.P)
-	oldLeaves := append([]morton.Octant(nil), s.Tree.Leaves()...)
-	s.Times.InterpolateFld += time.Since(t0).Seconds()
-
-	// Coarsen + refine (marks for refinement must be re-derived on the
-	// post-coarsening layout, coarsened regions are never refine-marked
-	// because the mark sets are disjoint).
-	t0 = time.Now()
-	nCoarse := s.Tree.CoarsenMarked(marks.Coarsen)
-	// Rebuild refine marks on the new layout by octant identity.
-	refSet := make(map[morton.Octant]struct{})
-	for i, m := range marks.Refine {
-		if m {
-			refSet[oldLeaves[i]] = struct{}{}
-		}
-	}
-	ref2 := make([]bool, s.Tree.NumLocal())
-	for i, o := range s.Tree.Leaves() {
-		if _, ok := refSet[o]; ok {
-			ref2[i] = true
-		}
-	}
-	nRef := s.Tree.RefineMarked(ref2)
-	s.Times.CoarsenRefine += time.Since(t0).Seconds()
+	m, f, st := AdaptFields(s.Forest, s.Mesh, []*la.Vec{s.T, s.U[0], s.U[1], s.U[2], s.P}, marks, &s.Times)
+	s.setMesh(m)
+	s.T, s.U, s.P = f[0], [3]*la.Vec{f[1], f[2], f[3]}, f[4]
 
 	t0 = time.Now()
-	added, _ := s.Tree.Balance()
-	s.Times.BalanceTree += time.Since(t0).Seconds()
-
-	// Project fields onto the adapted (still old-partition) leaves.
-	t0 = time.Now()
-	dataT = field.ProjectData(oldLeaves, s.Tree.Leaves(), dataT)
-	for c := 0; c < 3; c++ {
-		dataU[c] = field.ProjectData(oldLeaves, s.Tree.Leaves(), dataU[c])
-	}
-	dataP = field.ProjectData(oldLeaves, s.Tree.Leaves(), dataP)
-	s.Times.InterpolateFld += time.Since(t0).Seconds()
-
-	t0 = time.Now()
-	dests := s.Tree.Partition()
-	s.Times.PartitionTree += time.Since(t0).Seconds()
-
-	t0 = time.Now()
-	dataT = field.Transfer(s.Rank, dests, dataT)
-	for c := 0; c < 3; c++ {
-		dataU[c] = field.Transfer(s.Rank, dests, dataU[c])
-	}
-	dataP = field.Transfer(s.Rank, dests, dataP)
-	s.Times.TransferFld += time.Since(t0).Seconds()
-
-	s.extract()
-
-	t0 = time.Now()
-	s.fieldsToNodal(dataT, dataU, dataP)
-	s.Times.InterpolateFld += time.Since(t0).Seconds()
-
-	st.Refined = s.Rank.AllreduceInt64(int64(nRef))
-	st.Coarsened = s.Rank.AllreduceInt64(int64(8 * nCoarse))
-	st.BalanceAdded = s.Rank.AllreduceInt64(int64(added))
-	st.ElementsNow = s.Tree.NumGlobal()
-	st.Unchanged = st.ElementsPrev - st.Refined - st.Coarsened
-	st.LevelCounts = s.Tree.LevelCounts()
-	return st
-}
-
-// fieldsToNodal converts the projected element-corner fields to nodal
-// vectors on the freshly extracted mesh and re-imposes the temperature
-// boundary values (collective).
-func (s *Sim) fieldsToNodal(dataT field.ElemData, dataU [3]field.ElemData, dataP field.ElemData) {
-	s.T = field.ToNodal(s.Mesh, dataT)
-	for c := 0; c < 3; c++ {
-		s.U[c] = field.ToNodal(s.Mesh, dataU[c])
-	}
-	s.P = field.ToNodal(s.Mesh, dataP)
 	bc := s.TempBC()
-	for i := range s.Mesh.OwnedPos {
-		if v, is := bc(fem.NodeCoord(s.Mesh, s.Cfg.Dom, i)); is {
+	for i := range m.OwnedPos {
+		if v, is := bc(fem.NodeCoord(m, s.Cfg.Dom, i)); is {
 			s.T.Data[i] = v
 		}
 	}
-}
-
-// adaptForest is the forest-of-octrees adaptation pipeline: identical
-// stages to the single-tree path, with marking, coarsening/refinement,
-// the full inter-tree 2:1 balance, per-tree field projection and
-// curve partitioning running on the forest (collective).
-func (s *Sim) adaptForest() AdaptStats {
-	st := AdaptStats{ElementsPrev: s.Forest.NumGlobal()}
-
-	t0 := time.Now()
-	eta := errind.Variation(s.Mesh, s.T)
-	marks := errind.MarkForest(s.Forest, eta, s.Cfg.TargetElems, errind.Options{
-		MaxLevel: s.Cfg.MaxLevel, MinLevel: s.Cfg.MinLevel,
-	})
-	s.Times.MarkElements += time.Since(t0).Seconds()
-
-	// Snapshot fields as element data on the old mesh.
-	t0 = time.Now()
-	dataT := field.FromNodal(s.Mesh, s.T)
-	var dataU [3]field.ElemData
-	for c := 0; c < 3; c++ {
-		dataU[c] = field.FromNodal(s.Mesh, s.U[c])
-	}
-	dataP := field.FromNodal(s.Mesh, s.P)
-	oldLeaves := append([]forest.Octant(nil), s.Forest.Leaves()...)
 	s.Times.InterpolateFld += time.Since(t0).Seconds()
-
-	t0 = time.Now()
-	nCoarse := s.Forest.CoarsenMarked(marks.Coarsen)
-	// Rebuild refine marks on the post-coarsening layout by identity.
-	refSet := make(map[forest.Octant]struct{})
-	for i, m := range marks.Refine {
-		if m {
-			refSet[oldLeaves[i]] = struct{}{}
-		}
-	}
-	ref2 := make([]bool, s.Forest.NumLocal())
-	for i, o := range s.Forest.Leaves() {
-		if _, ok := refSet[o]; ok {
-			ref2[i] = true
-		}
-	}
-	nRef := s.Forest.RefineMarked(ref2)
-	s.Times.CoarsenRefine += time.Since(t0).Seconds()
-
-	t0 = time.Now()
-	added := s.Forest.Balance()
-	s.Times.BalanceTree += time.Since(t0).Seconds()
-
-	// Project fields onto the adapted (still old-partition) leaves.
-	t0 = time.Now()
-	dataT = field.ProjectForestData(oldLeaves, s.Forest.Leaves(), dataT)
-	for c := 0; c < 3; c++ {
-		dataU[c] = field.ProjectForestData(oldLeaves, s.Forest.Leaves(), dataU[c])
-	}
-	dataP = field.ProjectForestData(oldLeaves, s.Forest.Leaves(), dataP)
-	s.Times.InterpolateFld += time.Since(t0).Seconds()
-
-	t0 = time.Now()
-	dests := s.Forest.Partition()
-	s.Times.PartitionTree += time.Since(t0).Seconds()
-
-	t0 = time.Now()
-	dataT = field.Transfer(s.Rank, dests, dataT)
-	for c := 0; c < 3; c++ {
-		dataU[c] = field.Transfer(s.Rank, dests, dataU[c])
-	}
-	dataP = field.Transfer(s.Rank, dests, dataP)
-	s.Times.TransferFld += time.Since(t0).Seconds()
-
-	s.extract()
-
-	t0 = time.Now()
-	s.fieldsToNodal(dataT, dataU, dataP)
-	s.Times.InterpolateFld += time.Since(t0).Seconds()
-
-	st.Refined = s.Rank.AllreduceInt64(int64(nRef))
-	st.Coarsened = s.Rank.AllreduceInt64(int64(8 * nCoarse))
-	st.BalanceAdded = s.Rank.AllreduceInt64(int64(added))
-	st.ElementsNow = s.Forest.NumGlobal()
-	st.Unchanged = st.ElementsPrev - st.Refined - st.Coarsened
-	st.LevelCounts = s.Forest.LevelCounts()
 	return st
 }
 

@@ -58,12 +58,12 @@ func TestYieldingLaw(t *testing.T) {
 func TestSimInitialization(t *testing.T) {
 	sim.Run(2, func(r *sim.Rank) {
 		s := New(r, blobConfig())
-		n := s.Tree.NumGlobal()
+		n := s.Forest.NumGlobal()
 		if n < 64 {
 			t.Errorf("too few elements after init: %d", n)
 		}
 		// Initial adaptation should have created multiple levels.
-		lo, hi := s.Tree.MinMaxLevel()
+		lo, hi := s.Forest.MinMaxLevel()
 		if hi <= lo {
 			t.Errorf("no adaptive structure: levels %d..%d", lo, hi)
 		}
@@ -251,6 +251,40 @@ func TestYieldingRunStable(t *testing.T) {
 			if math.IsNaN(v) {
 				t.Fatal("NaN temperature in yielding run")
 			}
+		}
+	})
+}
+
+// TestBoxRunsOnForest pins the single mesh pipeline: a default box Config
+// runs on a one-tree forest with no node mapping — so Mesh.X stays nil and
+// every discretization layer keeps its axis-aligned kernels — every
+// element carries its tree id, and an Order-2 box still builds its Q2 node
+// layer from that forest and solves at two ranks.
+func TestBoxRunsOnForest(t *testing.T) {
+	sim.Run(2, func(r *sim.Rank) {
+		s := New(r, Config{InitialTemp: BoxBlobTemp, BaseLevel: 2, MaxLevel: 3, TargetElems: 150})
+		if s.Forest == nil || s.Forest.Conn.NumTrees() != 1 {
+			t.Fatalf("box Sim has no one-tree forest: %+v", s.Forest)
+		}
+		if s.Cfg.Conn != nil || s.Cfg.Geom != nil || s.Mesh.Geom != nil || s.Mesh.X != nil {
+			t.Error("box mesh carries a node mapping; axis-aligned kernels would be lost")
+		}
+		if s.Mesh.Conn != s.Forest.Conn || len(s.Mesh.Trees) != len(s.Mesh.Leaves) ||
+			len(s.Mesh.OwnedCell) != s.Mesh.NumOwned {
+			t.Errorf("box mesh lacks forest bookkeeping: %d tree ids for %d leaves, %d owner cells for %d nodes",
+				len(s.Mesh.Trees), len(s.Mesh.Leaves), len(s.Mesh.OwnedCell), s.Mesh.NumOwned)
+		}
+		st := s.Adapt()
+		if st.ElementsNow != s.Forest.NumGlobal() {
+			t.Errorf("AdaptStats.ElementsNow = %d, forest holds %d", st.ElementsNow, s.Forest.NumGlobal())
+		}
+
+		q := New(r, q2Config())
+		if q.Mesh.Q2 == nil || q.Mesh.X != nil {
+			t.Fatal("Order-2 box did not build an axis-aligned Q2 node layer")
+		}
+		if res := q.SolveStokes(); !res.Converged {
+			t.Errorf("Order-2 box solve did not converge: %+v", res)
 		}
 	})
 }

@@ -99,7 +99,7 @@ func TestFaultKillAtSend(t *testing.T) {
 // panic message, instead of crashing the process or deadlocking peers.
 func TestPanicBecomesFailure(t *testing.T) {
 	defer leakCheck(t)()
-	_, err := TryRun(3, func(r *Rank) {
+	_, err := NewWorld(3).Run(func(r *Rank) {
 		if r.ID() == 1 {
 			panic("injected bug")
 		}
@@ -117,7 +117,7 @@ func TestPanicBecomesFailure(t *testing.T) {
 // TestKillExplicit: application-level Kill dies at a named operation.
 func TestKillExplicit(t *testing.T) {
 	defer leakCheck(t)()
-	_, err := TryRun(2, func(r *Rank) {
+	_, err := NewWorld(2).Run(func(r *Rank) {
 		if r.ID() == 0 {
 			Kill("cycle 3 boundary")
 		}
@@ -254,9 +254,9 @@ func TestNoFaultClean(t *testing.T) {
 	if err != nil || len(stats) != 2 {
 		t.Fatalf("clean run: stats %d, err %v", len(stats), err)
 	}
-	stats, err = TryRun(2, func(r *Rank) { r.Barrier() })
+	stats, err = NewWorld(2).Run(func(r *Rank) { r.Barrier() })
 	if err != nil || len(stats) != 2 {
-		t.Fatalf("clean TryRun: stats %d, err %v", len(stats), err)
+		t.Fatalf("clean run: stats %d, err %v", len(stats), err)
 	}
 }
 

@@ -316,20 +316,13 @@ func (w *World) Run(fn func(*Rank)) ([]Stats, error) {
 // rank failure as fatal: it panics with the run's ErrRankFailed (which
 // carries the original panic message and stack for a genuine bug), so
 // a failure in a fire-and-forget run is loud instead of silently
-// swallowed. Fault-tolerant callers use World.Run (or TryRun) and
-// handle the error.
+// swallowed. Fault-tolerant callers use World.Run and handle the error.
 func Run(size int, fn func(*Rank)) []Stats {
 	stats, err := NewWorld(size).Run(fn)
 	if err != nil {
 		panic(err)
 	}
 	return stats
-}
-
-// TryRun is shorthand for NewWorld(size).Run(fn): it returns the
-// failure, if any, instead of panicking.
-func TryRun(size int, fn func(*Rank)) ([]Stats, error) {
-	return NewWorld(size).Run(fn)
 }
 
 // Rank is one process's handle on a communicator. The handle World.Run

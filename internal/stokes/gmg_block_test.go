@@ -74,7 +74,7 @@ func blockCases() []blockCase {
 				f.Refine(func(o forest.Octant) bool { return o.Tree%3 == 0 })
 				f.Balance()
 				f.Partition()
-				return mesh.ExtractForest(f, g)
+				return mesh.Extract(f, g)
 			},
 			bc:   RadialNoSlipInner(g.RInner, g.ROuter),
 			slip: ShellSlipNormals(g.RInner, g.ROuter, false, true),
@@ -165,7 +165,7 @@ func TestPrecondCountersOneCycle(t *testing.T) {
 	conn := forest.CubedSphere(2)
 	g := mesh.NewShellGeometry(conn)
 	sim.Run(2, func(r *sim.Rank) {
-		m := mesh.ExtractForest(forest.New(r, conn, 2), g)
+		m := mesh.Extract(forest.New(r, conn, 2), g)
 		dom := fem.UnitDomain
 		s := Setup(m, dom, RadialNoSlipInner(g.RInner, g.ROuter), Options{
 			MatrixFree: true, Precond: PrecondGMG,

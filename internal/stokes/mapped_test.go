@@ -97,7 +97,7 @@ func mappedMMSVelError(t *testing.T, lvl uint8, opts Options) float64 {
 	var err float64
 	sim.Run(2, func(r *sim.Rank) {
 		f := forest.New(r, conn, lvl)
-		m := mesh.ExtractForest(f, mesh.TrilinearGeometry{Conn: conn})
+		m := mesh.Extract(f, mesh.TrilinearGeometry{Conn: conn})
 		dom := fem.UnitDomain
 		eta := make([]float64, len(m.Leaves))
 		for i := range eta {
@@ -225,7 +225,7 @@ func TestMappedMatfreeMatchesAssembled(t *testing.T) {
 					f.Balance()
 					f.Partition()
 				}
-				m := mesh.ExtractForest(f, g)
+				m := mesh.Extract(f, g)
 				dom := fem.UnitDomain
 				eta := shellViscosity(m)
 				force := make([][8][3]float64, len(m.Leaves))

@@ -11,11 +11,10 @@ import (
 	"testing"
 
 	"rhea/internal/fem"
+	"rhea/internal/forest"
 	"rhea/internal/la"
 	"rhea/internal/matfree"
 	"rhea/internal/mesh"
-	"rhea/internal/morton"
-	"rhea/internal/octree"
 	"rhea/internal/sim"
 )
 
@@ -172,10 +171,10 @@ func TestMatrixFreeSolveMatchesAssembled(t *testing.T) {
 // floating-point accumulation but only at rounding level.
 func TestMatrixFreeWorkerDeterminism(t *testing.T) {
 	sim.Run(1, func(r *sim.Rank) {
-		tr := octree.New(r, 2)
-		tr.Refine(func(o morton.Octant) bool { return o.X == 0 })
+		tr := forest.New(r, unitBox, 2)
+		tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 })
 		tr.Balance()
-		m := mesh.Extract(tr)
+		m := mesh.Extract(tr, nil)
 		dom := fem.UnitDomain
 		eta := randomViscosity(m, 3)
 		bc := FreeSlip(dom.Box)

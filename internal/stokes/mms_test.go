@@ -12,9 +12,9 @@ import (
 	"testing"
 
 	"rhea/internal/fem"
+	"rhea/internal/forest"
 	"rhea/internal/la"
 	"rhea/internal/mesh"
-	"rhea/internal/octree"
 	"rhea/internal/sim"
 )
 
@@ -45,8 +45,8 @@ func mmsForce(x [3]float64) [3]float64 {
 func mmsVelError(t *testing.T, lvl uint8, opts Options) float64 {
 	var err float64
 	sim.Run(2, func(r *sim.Rank) {
-		tr := octree.New(r, lvl)
-		m := mesh.Extract(tr)
+		tr := forest.New(r, unitBox, lvl)
+		m := mesh.Extract(tr, nil)
 		dom := fem.UnitDomain
 		eta := constViscosity(m, 1)
 		force := make([][8][3]float64, len(m.Leaves))

@@ -12,9 +12,9 @@ import (
 	"testing"
 
 	"rhea/internal/fem"
+	"rhea/internal/forest"
 	"rhea/internal/la"
 	"rhea/internal/mesh"
-	"rhea/internal/octree"
 	"rhea/internal/sim"
 )
 
@@ -24,8 +24,8 @@ func q2Options() Options {
 
 // buildQ2Mesh extracts a uniform mesh plus its Q2 node layer.
 func buildQ2Mesh(r *sim.Rank, level uint8) *mesh.Mesh {
-	tr := octree.New(r, level)
-	m := mesh.Extract(tr)
+	tr := forest.New(r, unitBox, level)
+	m := mesh.Extract(tr, nil)
 	m.Q2 = mesh.ExtractQ2(tr, m)
 	return m
 }
@@ -36,8 +36,8 @@ func buildQ2Mesh(r *sim.Rank, level uint8) *mesh.Mesh {
 func q2MMSVelError(t *testing.T, lvl uint8, ranks int) float64 {
 	var err float64
 	sim.Run(ranks, func(r *sim.Rank) {
-		tr := octree.New(r, lvl)
-		m := mesh.Extract(tr)
+		tr := forest.New(r, unitBox, lvl)
+		m := mesh.Extract(tr, nil)
 		m.Q2 = mesh.ExtractQ2(tr, m)
 		dom := fem.UnitDomain
 		eta := constViscosity(m, 1)

@@ -12,10 +12,10 @@ import (
 	"testing"
 
 	"rhea/internal/fem"
+	"rhea/internal/forest"
 	"rhea/internal/la"
 	"rhea/internal/mesh"
 	"rhea/internal/morton"
-	"rhea/internal/octree"
 	"rhea/internal/sim"
 )
 
@@ -58,17 +58,17 @@ func TestSetupUpdateMatchesAssemble(t *testing.T) {
 
 					// Adapt cycle 0: uniform level-2 tree; later cycles
 					// refine a moving region like the convection loop does.
-					tr := octree.New(r, 2)
+					tr := forest.New(r, unitBox, 2)
 					for cycle := 0; cycle < 2; cycle++ {
 						if cycle > 0 {
 							cut := uint32(morton.RootLen >> uint(cycle+1))
-							tr.Refine(func(o morton.Octant) bool {
-								return o.X < cut && o.Z < cut
+							tr.Refine(func(o forest.Octant) bool {
+								return o.O.X < cut && o.O.Z < cut
 							})
 							tr.Balance()
 							tr.Partition()
 						}
-						m := mesh.Extract(tr)
+						m := mesh.Extract(tr, nil)
 						// The mesh changed: the cached mesh-dependent half is
 						// rebuilt exactly once per adaptation.
 						sol := Setup(m, dom, bc, combo.opts)

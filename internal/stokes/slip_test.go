@@ -64,7 +64,7 @@ func TestSlipMatfreeMatchesAssembled(t *testing.T) {
 						f.Balance()
 						f.Partition()
 					}
-					m := mesh.ExtractForest(f, g)
+					m := mesh.Extract(f, g)
 					dom := fem.UnitDomain
 					eta := shellViscosity(m)
 					force := shellForce(m)
@@ -121,7 +121,7 @@ func TestSlipSolveNoPenetration(t *testing.T) {
 		mfree := mfree
 		sim.Run(2, func(r *sim.Rank) {
 			f := forest.New(r, conn, 1)
-			m := mesh.ExtractForest(f, g)
+			m := mesh.Extract(f, g)
 			dom := fem.UnitDomain
 			eta := make([]float64, len(m.Leaves))
 			for i := range eta {
@@ -177,7 +177,7 @@ func TestSlipNullSpaceProjection(t *testing.T) {
 		mfree := mfree
 		sim.Run(2, func(r *sim.Rank) {
 			f := forest.New(r, conn, 1)
-			m := mesh.ExtractForest(f, g)
+			m := mesh.Extract(f, g)
 			dom := fem.UnitDomain
 			eta := make([]float64, len(m.Leaves))
 			for i := range eta {
@@ -225,7 +225,7 @@ func TestSlipIterationsLevelIndependent(t *testing.T) {
 		li, lvl := li, lvl
 		sim.Run(2, func(r *sim.Rank) {
 			f := forest.New(r, conn, lvl)
-			m := mesh.ExtractForest(f, g)
+			m := mesh.Extract(f, g)
 			dom := fem.UnitDomain
 			eta := make([]float64, len(m.Leaves))
 			for i := range eta {

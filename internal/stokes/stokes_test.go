@@ -5,23 +5,26 @@ import (
 	"testing"
 
 	"rhea/internal/fem"
+	"rhea/internal/forest"
 	"rhea/internal/la"
 	"rhea/internal/mesh"
 	"rhea/internal/morton"
-	"rhea/internal/octree"
 	"rhea/internal/sim"
 )
+
+// unitBox is the one-tree connectivity of the unit cube.
+var unitBox = forest.BrickConnectivity(1, 1, 1)
 
 // buildMesh makes a small test mesh, optionally with one corner refined
 // (hanging nodes).
 func buildMesh(r *sim.Rank, level uint8, adapt bool) *mesh.Mesh {
-	tr := octree.New(r, level)
+	tr := forest.New(r, unitBox, level)
 	if adapt {
-		tr.Refine(func(o morton.Octant) bool { return o.X == 0 && o.Y == 0 && o.Z == 0 })
+		tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 && o.O.Y == 0 && o.O.Z == 0 })
 		tr.Balance()
 		tr.Partition()
 	}
-	return mesh.Extract(tr)
+	return mesh.Extract(tr, nil)
 }
 
 func constViscosity(m *mesh.Mesh, eta float64) []float64 {
@@ -254,11 +257,11 @@ func TestIterationCountRankInvariance(t *testing.T) {
 	iters := map[int]int{}
 	for _, p := range []int{1, 2, 4} {
 		sim.Run(p, func(r *sim.Rank) {
-			tr := octree.New(r, 2)
-			tr.Refine(func(o morton.Octant) bool { return o.X == 0 && o.Y == 0 && o.Z == 0 })
+			tr := forest.New(r, unitBox, 2)
+			tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 && o.O.Y == 0 && o.O.Z == 0 })
 			tr.Balance()
 			tr.Partition()
-			m := mesh.Extract(tr)
+			m := mesh.Extract(tr, nil)
 			dom := fem.UnitDomain
 			eta := make([]float64, len(m.Leaves))
 			for ei, leaf := range m.Leaves {

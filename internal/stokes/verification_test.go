@@ -12,9 +12,9 @@ import (
 	"testing"
 
 	"rhea/internal/fem"
+	"rhea/internal/forest"
 	"rhea/internal/la"
 	"rhea/internal/mesh"
-	"rhea/internal/octree"
 	"rhea/internal/sim"
 )
 
@@ -50,8 +50,8 @@ func manuF(x [3]float64) [3]float64 {
 func solveManufactured(t *testing.T, level uint8) float64 {
 	var maxErr float64
 	sim.Run(2, func(r *sim.Rank) {
-		tr := octree.New(r, level)
-		m := mesh.Extract(tr)
+		tr := forest.New(r, unitBox, level)
+		m := mesh.Extract(tr, nil)
 		dom := fem.UnitDomain
 		force := make([][8][3]float64, len(m.Leaves))
 		for ei, leaf := range m.Leaves {
