@@ -6,8 +6,15 @@
 //
 // advanced with an explicit two-stage predictor–corrector (Heun) time
 // integrator and a lumped mass matrix. The operator is applied
-// matrix-free by element loops — the work per step is linear in the
-// number of elements, exactly the regime the paper uses to stress AMR.
+// matrix-free and matrix-forming-free: each stage is one loop over the
+// local elements that evaluates the operator's action at the quadrature
+// points (fem.TransportRate) from cached geometry — the mesh's shared
+// per-element Jacobian data on mapped meshes, one table per octree level
+// on axis-aligned ones — in the mesh's slot numbering, with one ghost
+// gather before the loop and one scatter-add after it. The work per step
+// is linear in the number of elements, no element matrix is ever formed,
+// and a stage enters no collective — exactly the regime the paper uses to
+// stress AMR.
 package advect
 
 import (
@@ -15,7 +22,9 @@ import (
 
 	"rhea/internal/fem"
 	"rhea/internal/la"
+	"rhea/internal/matfree"
 	"rhea/internal/mesh"
+	"rhea/internal/morton"
 	"rhea/internal/sim"
 )
 
@@ -32,7 +41,6 @@ type Problem struct {
 	// BC fixes the temperature where it returns true.
 	BC fem.ScalarBC
 
-	layout  *la.Layout
 	lumpInv *la.Vec // inverse lumped mass (zero rows for Dirichlet nodes)
 	bcVal   *la.Vec // Dirichlet values at owned nodes (NaN elsewhere)
 	isBC    []bool
@@ -40,34 +48,54 @@ type Problem struct {
 	// (forest) meshes; nil on axis-aligned meshes, where the constant-h
 	// brick formulas apply.
 	geos []*fem.ElemGeom
+	// qg is each element's quadrature-point geometry: its own (geos[ei].Q)
+	// on mapped meshes, one table per octree level, aliased, on
+	// axis-aligned ones.
+	qg []*[8]fem.QGeom
+
+	// sm is the mesh's shared block-1 node slot map; tbuf and acc are the
+	// slot-space input and accumulator of the element loop, k1, k2 and
+	// pred the stage vectors of Step.
+	sm           *matfree.SlotMap
+	tbuf, acc    []float64
+	k1, k2, pred *la.Vec
 }
 
 // New prepares the transport problem: it assembles the lumped mass matrix
 // and caches boundary flags (collective).
 func New(m *mesh.Mesh, dom fem.Domain, kappa float64, vel [][8][3]float64, src func(x [3]float64) float64, bc fem.ScalarBC) *Problem {
 	p := &Problem{M: m, Dom: dom, Kappa: kappa, Vel: vel, Source: src, BC: bc}
-	p.layout = m.Layout()
+	p.sm = matfree.NodeSlots(m)
+	p.tbuf = make([]float64, p.sm.NSlots())
+	p.acc = make([]float64, p.sm.NSlots())
+	l := m.Layout()
+	p.k1, p.k2, p.pred = la.NewVec(l), la.NewVec(l), la.NewVec(l)
 
+	// Per-element geometry and, in the same pass, the lumped mass.
 	p.geos = fem.ElemGeoms(m)
-	lb := la.NewVecBuilder(p.layout)
+	p.qg = make([]*[8]fem.QGeom, len(m.Leaves))
+	var byLevel [morton.MaxLevel + 1]*[8]fem.QGeom
+	var lm [8]float64
+	var last *[8]fem.QGeom // runs of same-level bricks share one table
 	for ei, leaf := range m.Leaves {
-		var lm [8]float64
+		var q *[8]fem.QGeom
 		if p.geos != nil {
-			lm = fem.LumpedMassGeom(p.geos[ei], 1)
-		} else {
-			lm = fem.LumpedMassBrick(dom.ElemSize(leaf), 1)
+			q = &p.geos[ei].Q
+		} else if q = byLevel[leaf.Level]; q == nil {
+			q = fem.BrickQGeom(dom.ElemSize(leaf))
+			byLevel[leaf.Level] = q
 		}
-		cs := &m.Corners[ei]
-		for a := 0; a < 8; a++ {
-			for ia := 0; ia < int(cs[a].N); ia++ {
-				lb.Add(cs[a].GID[ia], cs[a].W[ia]*lm[a])
-			}
+		p.qg[ei] = q
+		if q != last {
+			lm, last = fem.LumpedMassQ(q, 1), q
 		}
+		p.scatter(ei, &lm)
 	}
-	lump := lb.Finalize()
-	p.lumpInv = la.NewVec(p.layout)
+	lump := la.NewVec(l)
+	p.reduce(lump)
+	p.lumpInv = la.NewVec(l)
 	p.isBC = make([]bool, m.NumOwned)
-	p.bcVal = la.NewVec(p.layout)
+	p.bcVal = la.NewVec(l)
 	for i := range m.OwnedPos {
 		if v, is := bc(fem.NodeCoord(m, dom, i)); is {
 			p.isBC[i] = true
@@ -78,6 +106,31 @@ func New(m *mesh.Mesh, dom fem.Domain, kappa float64, vel [][8][3]float64, src f
 		}
 	}
 	return p
+}
+
+// scatter adds the eight corner values R of element ei into the
+// slot-space accumulator through the hanging-node weights.
+func (p *Problem) scatter(ei int, R *[8]float64) {
+	cs := &p.sm.Corners[ei]
+	for a := 0; a < 8; a++ {
+		cr := &cs[a]
+		for k := 0; k < int(cr.N); k++ {
+			p.acc[cr.Slot[k]] += cr.W[k] * R[a]
+		}
+	}
+}
+
+// reduce completes an element loop: out receives the owned part of the
+// accumulator plus the contributions other ranks scattered to ghost
+// copies of this rank's nodes, and the accumulator is cleared for the
+// next loop (collective).
+func (p *Problem) reduce(out *la.Vec) {
+	n := p.sm.NOwned
+	copy(out.Data, p.acc[:n])
+	p.sm.GX.ScatterAdd(p.acc[n:], out.Data)
+	for i := range p.acc {
+		p.acc[i] = 0
+	}
 }
 
 // ApplyBC overwrites Dirichlet nodes of T with their boundary values.
@@ -94,10 +147,10 @@ func (p *Problem) ApplyBC(T *la.Vec) {
 // maximum corner speed, the element-mean velocity, and the per-axis
 // maximum of |u_d| (the directional advective limit).
 func cornerVelStats(u *[8][3]float64) (umax float64, ubar, uAxisMax [3]float64) {
+	var u2max float64 // sqrt is monotone: one root of the largest square
 	for c := 0; c < 8; c++ {
-		n := math.Sqrt(u[c][0]*u[c][0] + u[c][1]*u[c][1] + u[c][2]*u[c][2])
-		if n > umax {
-			umax = n
+		if n2 := u[c][0]*u[c][0] + u[c][1]*u[c][1] + u[c][2]*u[c][2]; n2 > u2max {
+			u2max = n2
 		}
 		for d := 0; d < 3; d++ {
 			ubar[d] += u[c][d] / 8
@@ -106,67 +159,44 @@ func cornerVelStats(u *[8][3]float64) (umax float64, ubar, uAxisMax [3]float64) 
 			}
 		}
 	}
+	umax = math.Sqrt(u2max)
 	return
 }
 
-// RateOfChange computes dT/dt = M_L^-1 [ F - (K + G + S) T ] with zero
-// rate at Dirichlet nodes (collective).
-func (p *Problem) RateOfChange(T *la.Vec) *la.Vec {
-	vals := p.M.GatherReferenced(T)
-	rb := la.NewVecBuilder(p.layout)
-	for ei, leaf := range p.M.Leaves {
-		cs := &p.M.Corners[ei]
-		var Tc [8]float64
+// elemSize returns the directional extents of element ei.
+func (p *Problem) elemSize(ei int) [3]float64 {
+	if p.geos != nil {
+		return p.geos[ei].H
+	}
+	return p.Dom.ElemSize(p.M.Leaves[ei])
+}
+
+// RateOfChange computes dTdt = M_L^-1 [ F - (K + G + S) T ] with zero
+// rate at Dirichlet nodes (collective: one ghost gather, one ghost
+// scatter-add, no reduction).
+func (p *Problem) RateOfChange(T, dTdt *la.Vec) {
+	p.sm.GatherSlots(T.Data, p.tbuf)
+	for ei := range p.M.Leaves {
+		cs := &p.sm.Corners[ei]
+		var Tc, R [8]float64
 		for c := 0; c < 8; c++ {
-			Tc[c] = p.M.CornerValue(vals, ei, c)
+			Tc[c] = cs[c].Value(p.tbuf)
 		}
 		u := &p.Vel[ei]
 		umax, ubar, _ := cornerVelStats(u)
-		var K, G, S [8][8]float64
-		var lm [8]float64
-		if p.geos != nil {
-			g := p.geos[ei]
-			tau := fem.SUPGTauAniso(g.H, ubar, umax, p.Kappa)
-			K = fem.StiffnessGeom(g, p.Kappa)
-			G = fem.AdvectionGeom(g, u)
-			S = fem.SUPGGeom(g, u, tau)
-			if p.Source != nil {
-				lm = fem.LumpedMassGeom(g, 1)
-			}
-		} else {
-			h := p.Dom.ElemSize(leaf)
-			tau := fem.SUPGTauAniso(h, ubar, umax, p.Kappa)
-			K = fem.StiffnessBrick(h, p.Kappa)
-			G = fem.AdvectionBrick(h, u)
-			S = fem.SUPGBrick(h, u, tau)
-			if p.Source != nil {
-				lm = fem.LumpedMassBrick(h, 1)
-			}
-		}
-
-		var R [8]float64
-		for a := 0; a < 8; a++ {
-			var s float64
-			for b := 0; b < 8; b++ {
-				s += (K[a][b] + G[a][b] + S[a][b]) * Tc[b]
-			}
-			R[a] = -s
-		}
+		tau := fem.SUPGTauAniso(p.elemSize(ei), ubar, umax, p.Kappa)
+		fem.TransportRate(p.qg[ei], p.Kappa, tau, u, &Tc, &R)
 		if p.Source != nil {
+			lm := fem.LumpedMassQ(p.qg[ei], 1)
 			xc := fem.ElemCornerCoords(p.M, p.Dom, ei)
 			for a := 0; a < 8; a++ {
 				R[a] += lm[a] * p.Source(xc[a])
 			}
 		}
-		for a := 0; a < 8; a++ {
-			for ia := 0; ia < int(cs[a].N); ia++ {
-				rb.Add(cs[a].GID[ia], cs[a].W[ia]*R[a])
-			}
-		}
+		p.scatter(ei, &R)
 	}
-	r := rb.Finalize()
-	r.PointwiseMult(r, p.lumpInv)
-	return r
+	p.reduce(dTdt)
+	dTdt.PointwiseMult(dTdt, p.lumpInv)
 }
 
 // StableDt returns the global explicit stability limit scaled by cfl
@@ -215,12 +245,12 @@ func (p *Problem) StableDt(cfl float64) float64 {
 // Step advances T by one time step of size dt using the explicit
 // predictor–corrector (Heun / RK2) integrator (collective).
 func (p *Problem) Step(T *la.Vec, dt float64) {
-	k1 := p.RateOfChange(T)
-	pred := T.Clone()
-	pred.AXPY(dt, k1)
-	p.ApplyBC(pred)
-	k2 := p.RateOfChange(pred)
-	T.AXPY(dt/2, k1)
-	T.AXPY(dt/2, k2)
+	p.RateOfChange(T, p.k1)
+	copy(p.pred.Data, T.Data)
+	p.pred.AXPY(dt, p.k1)
+	p.ApplyBC(p.pred)
+	p.RateOfChange(p.pred, p.k2)
+	T.AXPY(dt/2, p.k1)
+	T.AXPY(dt/2, p.k2)
 	p.ApplyBC(T)
 }

@@ -35,10 +35,29 @@ func setField(m *mesh.Mesh, dom fem.Domain, f func(x [3]float64) float64) *la.Ve
 	return v
 }
 
+// gatherAll returns every node value of T keyed by global id (collective):
+// an allgather of the whole vector, so the tests' reference paths depend
+// on no ghost plan.
+func gatherAll(m *mesh.Mesh, T *la.Vec) map[int64]float64 {
+	type part struct {
+		offset int64
+		data   []float64
+	}
+	vals := make(map[int64]float64, m.NGlobal)
+	mine := part{m.Offset, append([]float64(nil), T.Data...)} // other ranks read it
+	for _, p := range m.Rank.Allgather(mine, 8*len(T.Data)) {
+		p := p.(part)
+		for i, v := range p.data {
+			vals[p.offset+int64(i)] = v
+		}
+	}
+	return vals
+}
+
 // centroid returns the global T-weighted center of mass along axis d,
 // volume-weighted so it is unbiased on adapted meshes.
 func centroid(m *mesh.Mesh, dom fem.Domain, T *la.Vec, d int) float64 {
-	vals := m.GatherReferenced(T)
+	vals := gatherAll(m, T)
 	var wsum, xsum float64
 	for ei, leaf := range m.Leaves {
 		h := dom.ElemSize(leaf)

@@ -11,20 +11,24 @@ import (
 
 	"rhea/internal/forest"
 	"rhea/internal/la"
+	"rhea/internal/matfree"
 	"rhea/internal/mesh"
 	"rhea/internal/sim"
 )
 
 // Variation computes a cheap interpolation-error indicator per local
 // element: the corner-value range of the field (max - min), which is
-// large across unresolved fronts and zero where the field is constant.
+// large across unresolved fronts and zero where the field is constant
+// (collective).
 func Variation(m *mesh.Mesh, T *la.Vec) []float64 {
-	vals := m.GatherReferenced(T)
+	sm := matfree.NodeSlots(m)
+	vals := make([]float64, sm.NSlots())
+	sm.GatherSlots(T.Data, vals)
 	out := make([]float64, len(m.Leaves))
-	for ei := range m.Leaves {
+	for ei := range out {
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for c := 0; c < 8; c++ {
-			v := m.CornerValue(vals, ei, c)
+			v := sm.Corners[ei][c].Value(vals)
 			lo = math.Min(lo, v)
 			hi = math.Max(hi, v)
 		}

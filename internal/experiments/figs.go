@@ -185,6 +185,10 @@ func Fig6StrongScaling(scale Scale) *Table {
 	return t
 }
 
+// fig7StepsPerAdapt is the adaptation cadence of the paper's §V transport
+// runs: the mesh is adapted every 32 time steps.
+const fig7StepsPerAdapt = 32
+
 // Fig7WeakScalingBreakdown reproduces Fig 7: the percentage of total run
 // time in each AMR component versus numerical time integration under weak
 // scaling, plus the parallel efficiency curve.
@@ -206,6 +210,9 @@ func Fig7WeakScalingBreakdown(scale Scale) (*Table, *Table) {
 		Header: append([]string{"#cores"}, append(append([]string{}, keys...), "AMR total")...),
 		Notes: []string{
 			"paper: AMR total <= 11% at 62,464 cores; ExtractMesh the largest AMR cost",
+			fmt.Sprintf("cadence: the mesh is adapted every %d time steps, as in the paper's section-V transport runs (two cycles, after the initial extraction and two initial adaptation rounds, all of which the AMR columns include)", fig7StepsPerAdapt),
+			"2-core reference host at this cadence: AMR total 39% / 39% / 43% / 44% at 1 / 2 / 4 / 8 ranks (ExtractMesh 18-22%, BalanceTree 12-16%), TimeIntegration 56-61%",
+			"the paper's <= 11% is missed: one adaptation costs 8-10 us per element here (ExtractMesh + BalanceTree are 85-90% of it) against 0.9-1.0 us per element per transport step, i.e. nine to ten steps' worth where <= 11% at this cadence allows four; that per-element adaptation cost is ROADMAP item 4's target",
 		},
 	}
 	eff := &Table{
@@ -225,7 +232,7 @@ func Fig7WeakScalingBreakdown(scale Scale) (*Table, *Table) {
 			s := newTransportSim(r, 3, 2, 6, perRank*int64(p))
 			r.Barrier()
 			for c := 0; c < 2; c++ {
-				s.step(6)
+				s.step(fig7StepsPerAdapt)
 				s.adapt()
 			}
 			r.Barrier()

@@ -223,61 +223,6 @@ func StabilizationBrick(h [3]float64, eta float64) [8][8]float64 {
 	return C
 }
 
-// AdvectionBrick returns the Galerkin advection matrix
-// G[a][b] = Integral phi_a (u . grad phi_b) dV with the velocity field
-// interpolated trilinearly from corner values u[c][d].
-func AdvectionBrick(h [3]float64, u *[8][3]float64) [8][8]float64 {
-	var G [8][8]float64
-	vol := h[0] * h[1] * h[2]
-	for _, q := range Quad8 {
-		var uq [3]float64
-		for c := 0; c < 8; c++ {
-			for d := 0; d < 3; d++ {
-				uq[d] += u[c][d] * q.N[c]
-			}
-		}
-		for a := 0; a < 8; a++ {
-			for b := 0; b < 8; b++ {
-				var s float64
-				for d := 0; d < 3; d++ {
-					s += uq[d] * q.dNdX[b][d] / h[d]
-				}
-				G[a][b] += q.W * vol * q.N[a] * s
-			}
-		}
-	}
-	return G
-}
-
-// SUPGBrick returns the streamline-upwind Petrov–Galerkin stabilization
-// matrix S[a][b] = tau * Integral (u.grad phi_a)(u.grad phi_b) dV plus
-// the corresponding stabilized mass correction is handled by the caller.
-// tau is the SUPG parameter for the element.
-func SUPGBrick(h [3]float64, u *[8][3]float64, tau float64) [8][8]float64 {
-	var S [8][8]float64
-	vol := h[0] * h[1] * h[2]
-	for _, q := range Quad8 {
-		var uq [3]float64
-		for c := 0; c < 8; c++ {
-			for d := 0; d < 3; d++ {
-				uq[d] += u[c][d] * q.N[c]
-			}
-		}
-		var ug [8]float64
-		for a := 0; a < 8; a++ {
-			for d := 0; d < 3; d++ {
-				ug[a] += uq[d] * q.dNdX[a][d] / h[d]
-			}
-		}
-		for a := 0; a < 8; a++ {
-			for b := 0; b < 8; b++ {
-				S[a][b] += tau * q.W * vol * ug[a] * ug[b]
-			}
-		}
-	}
-	return S
-}
-
 // SUPGTau returns the standard SUPG parameter for element size h,
 // velocity magnitude unorm and diffusivity kappa:
 // tau = h_min / (2|u|) * coth(Pe) - 1/Pe with Pe = |u| h / (2 kappa),

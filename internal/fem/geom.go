@@ -170,14 +170,7 @@ func MassGeom(g *ElemGeom, coef float64) [8][8]float64 {
 
 // LumpedMassGeom is the row-sum lumped mass vector of MassGeom.
 func LumpedMassGeom(g *ElemGeom, coef float64) [8]float64 {
-	M := MassGeom(g, coef)
-	var m [8]float64
-	for a := 0; a < 8; a++ {
-		for b := 0; b < 8; b++ {
-			m[a] += M[a][b]
-		}
-	}
-	return m
+	return LumpedMassQ(&g.Q, coef)
 }
 
 // ViscousGeom is ViscousBrick on a mapped element: the strain-rate form
@@ -241,56 +234,11 @@ func StabilizationGeom(g *ElemGeom, eta float64) [8][8]float64 {
 	return C
 }
 
-// AdvectionGeom is AdvectionBrick on a mapped element.
-func AdvectionGeom(g *ElemGeom, u *[8][3]float64) [8][8]float64 {
-	var G [8][8]float64
-	for qi := range g.Q {
-		q := &g.Q[qi]
-		N := &Quad8[qi].N
-		var uq [3]float64
-		for c := 0; c < 8; c++ {
-			for d := 0; d < 3; d++ {
-				uq[d] += u[c][d] * N[c]
-			}
-		}
-		for a := 0; a < 8; a++ {
-			for b := 0; b < 8; b++ {
-				s := uq[0]*q.G[b][0] + uq[1]*q.G[b][1] + uq[2]*q.G[b][2]
-				G[a][b] += q.W * N[a] * s
-			}
-		}
-	}
-	return G
-}
-
-// SUPGGeom is SUPGBrick on a mapped element.
-func SUPGGeom(g *ElemGeom, u *[8][3]float64, tau float64) [8][8]float64 {
-	var S [8][8]float64
-	for qi := range g.Q {
-		q := &g.Q[qi]
-		N := &Quad8[qi].N
-		var uq [3]float64
-		for c := 0; c < 8; c++ {
-			for d := 0; d < 3; d++ {
-				uq[d] += u[c][d] * N[c]
-			}
-		}
-		var ug [8]float64
-		for a := 0; a < 8; a++ {
-			ug[a] = uq[0]*q.G[a][0] + uq[1]*q.G[a][1] + uq[2]*q.G[a][2]
-		}
-		for a := 0; a < 8; a++ {
-			for b := 0; b < 8; b++ {
-				S[a][b] += tau * q.W * ug[a] * ug[b]
-			}
-		}
-	}
-	return S
-}
-
 // NewStokesKernelsGeom precomputes the unit-viscosity coupled Stokes
 // element matrices of a mapped element; the result plugs into the same
-// fused StokesKernels.Apply as the brick path.
+// fused StokesKernels.Apply as the brick path. It is the tabulated form
+// of ElemGeom.StokesApply: the assembled path scales its matrices, and
+// the point kernel's tests compare against its Apply.
 func NewStokesKernelsGeom(g *ElemGeom) *StokesKernels {
 	return &StokesKernels{
 		H:  g.H,
@@ -321,12 +269,13 @@ func ElemGeoms(m *mesh.Mesh) []*ElemGeom {
 	return g
 }
 
-// StokesKernelsFor returns the per-element unit-viscosity Stokes kernels
-// of a mesh: for axis-aligned meshes one kernel per octree level
-// (aliased — element size depends only on the level), for mapped meshes
-// one isoparametric kernel per element. The matrix-free operator and the
-// assembled path share this provider, which is what keeps the two in
-// agreement to rounding on curved geometry.
+// StokesKernelsFor returns the per-element tabulated unit-viscosity
+// Stokes kernels of a mesh: for axis-aligned meshes one kernel per octree
+// level (aliased — element size depends only on the level), shared by the
+// matrix-free operator and the assembled path; for mapped meshes one
+// isoparametric kernel per element, which only the assembled oracle path
+// asks for — the matrix-free operator applies ElemGeom.StokesApply from
+// the same ElemGeoms instead and stores nothing per element.
 func StokesKernelsFor(m *mesh.Mesh, dom Domain) []*StokesKernels {
 	kern := make([]*StokesKernels, len(m.Leaves))
 	if g := ElemGeoms(m); g != nil {

@@ -18,6 +18,7 @@ import (
 	"rhea/internal/fem"
 	"rhea/internal/forest"
 	"rhea/internal/la"
+	"rhea/internal/matfree"
 	"rhea/internal/mesh"
 	"rhea/internal/morton"
 	"rhea/internal/sim"
@@ -29,11 +30,13 @@ type ElemData [][8]float64
 // FromNodal samples a nodal field at every element corner, resolving
 // hanging-node interpolation (collective).
 func FromNodal(m *mesh.Mesh, T *la.Vec) ElemData {
-	vals := m.GatherReferenced(T)
+	sm := matfree.NodeSlots(m)
+	vals := make([]float64, sm.NSlots())
+	sm.GatherSlots(T.Data, vals)
 	out := make(ElemData, len(m.Leaves))
-	for ei := range m.Leaves {
+	for ei := range out {
 		for c := 0; c < 8; c++ {
-			out[ei][c] = m.CornerValue(vals, ei, c)
+			out[ei][c] = sm.Corners[ei][c].Value(vals)
 		}
 	}
 	return out

@@ -161,7 +161,7 @@ type level struct {
 // the residual through unsmoothed, since smoothing them would just
 // repeat the finer twin's sweep on fewer ranks.
 func newLevel(m *mesh.Mesh, dom fem.Domain, repart bool) *level {
-	lv := &level{mesh: m, sm: matfree.NewSlotMap(m, 1), repart: repart}
+	lv := &level{mesh: m, sm: matfree.NodeSlots(m), repart: repart}
 	lv.kern, lv.kidx = fem.UnitStiffnessKernels(m, dom)
 
 	// Pack the corner slots of unconstrained elements.
@@ -468,12 +468,6 @@ func restrictEtaMapped(fine, coarse *mesh.Mesh, ci []int32, eta []float64) []flo
 	}
 	return out
 }
-
-// FineSlots returns the finest level's block-1 node slot map (owned
-// nodes first, then ghosts, one reusable exchange plan). Callers that
-// need corner sampling on the fine mesh can share it instead of
-// building a duplicate.
-func (h *Hierarchy) FineSlots() *matfree.SlotMap { return h.levels[0].sm }
 
 // NumLevels returns the global hierarchy depth (1 = no coarsening
 // happened), valid on every rank — including ranks whose local stack

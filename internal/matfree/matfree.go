@@ -1,13 +1,19 @@
 // Package matfree applies the coupled variable-viscosity Stokes operator
 // matrix-free: instead of assembling the global saddle-point CSR, each
-// Krylov apply runs a fused loop over the local elements, multiplying
-// cached per-level element kernels (fem.StokesKernels) against gathered
-// corner values and scatter-adding the results through the hanging-node
-// constraint weights. This is the paper-era route to speed and scale for
-// memory-bound Stokes solves: the operator is never stored, the per-apply
-// data volume drops from CSR values + indices to nodal vectors, and the
-// element loop parallelizes over in-rank cores on top of the rank-level
-// (simulated MPI) parallelism.
+// Krylov apply runs a fused loop over the local elements, evaluating the
+// element operator's action on gathered corner values and scatter-adding
+// the results through the hanging-node constraint weights. On mapped
+// (forest, shell) meshes the action is evaluated at the quadrature points
+// from the per-element geometry the mesh already caches
+// (fem.ElemGeom.StokesApply): nothing is tabulated or stored per element,
+// and an apply streams 1.6 KB of gradients and weights per element. On
+// axis-aligned meshes every element of an octree level shares one
+// cache-resident tabulated kernel (fem.StokesKernels), so no operator
+// bytes are streamed per element at all. This is the paper-era route to
+// speed and scale for memory-bound Stokes solves: the operator is never
+// stored, the per-apply data volume drops from CSR values + indices to
+// nodal vectors plus geometry, and the element loop parallelizes over
+// in-rank cores on top of the rank-level (simulated MPI) parallelism.
 //
 // Off-rank coupling uses one la.GhostExchange plan in both directions:
 // gather remote master-node blocks before the loop, scatter-add remote
@@ -56,9 +62,14 @@ type Options struct {
 // implements krylov.Operator over the interleaved 4N dof layout used by
 // stokes.System.
 type Operator struct {
-	m       *mesh.Mesh
-	layout  *la.Layout // 4*NumOwned dof layout
-	eta     []float64  // per-element viscosity
+	m      *mesh.Mesh
+	layout *la.Layout // 4*NumOwned dof layout
+	eta    []float64  // per-element viscosity
+	// Element operator: on mapped meshes the shared per-element
+	// quadrature geometry (fem.ElemGeoms), applied at the quadrature
+	// points; on axis-aligned meshes (geos nil) one tabulated kernel per
+	// octree level, aliased per element.
+	geos    []*fem.ElemGeom
 	kern    []*fem.StokesKernels
 	corners [][8]CornerRef
 	gx      *la.GhostExchange
@@ -168,10 +179,12 @@ func (p *pool) run(src []float64, loop func(w, lo, hi int, src, dst []float64)) 
 }
 
 // New builds the operator for the extracted mesh, per-element viscosity
-// and Dirichlet data (collective: it sets up the ghost-exchange plan).
+// and Dirichlet data (collective where it is the first user of the mesh's
+// NodeSlots).
 // layout must be the 4N dof layout of the Stokes system. Everything built
-// here — kernels, slot numbering, ghost plan, constraint tables, worker
-// chunks — depends only on the mesh and boundary conditions; etaElem may
+// here — slot numbering, ghost plan, constraint tables, worker chunks,
+// per-level brick kernels — depends only on the mesh and boundary
+// conditions; etaElem may
 // be nil and supplied later via SetViscosity, which is how the persistent
 // solver reuses one Operator across viscosity updates. frame (may be nil)
 // supplies rotated boundary bases for free-slip nodes; where it reports a
@@ -179,14 +192,16 @@ func (p *pool) run(src []float64, loop func(w, lo, hi int, src, dst []float64)) 
 func New(m *mesh.Mesh, dom fem.Domain, layout *la.Layout, etaElem []float64, bc DofBC, frame Frame, opts Options) *Operator {
 	op := &Operator{m: m, layout: layout, eta: etaElem, nOwned: m.NumOwned}
 
-	// Per-element kernels: aliased per octree level on axis-aligned
-	// meshes, one isoparametric kernel per element on mapped (forest)
-	// meshes — the same provider the assembled path scales, so the two
-	// operators agree to rounding on curved geometry too.
-	op.kern = fem.StokesKernelsFor(m, dom)
+	// Mapped meshes read the geometry every layer shares; axis-aligned
+	// ones the per-level kernels the assembled path scales too.
+	if op.geos = fem.ElemGeoms(m); op.geos == nil {
+		op.kern = fem.StokesKernelsFor(m, dom)
+	}
 
 	// Compact slot numbering: owned nodes at gid-Offset, ghosts after.
-	sm := NewSlotMap(m, 4)
+	// The mesh's shared node slot map serves at width 4 (the exchange
+	// plan's index tables do not depend on the block width).
+	sm := NodeSlots(m)
 	op.gx = sm.GX
 	op.nSlots = sm.NSlots()
 	op.corners = sm.Corners
@@ -221,11 +236,55 @@ func New(m *mesh.Mesh, dom fem.Domain, layout *la.Layout, etaElem []float64, bc 
 // Workers returns the in-rank worker count the element loop uses.
 func (op *Operator) Workers() int { return op.pool.workers }
 
-// SetViscosity replaces the per-element viscosity the cached unit kernels
-// are scaled by (local, free). The mesh-dependent state — slot maps,
+// SetViscosity replaces the per-element viscosity the element operators
+// are evaluated with (local, free). The mesh-dependent state — slot maps,
 // ghost plans, constraint tables — is untouched, so this is the entire
 // viscosity-dependent half of the operator's setup.
 func (op *Operator) SetViscosity(etaElem []float64) { op.eta = etaElem }
+
+// applyElem computes ye = A_e xe for local element ei.
+func (op *Operator) applyElem(ei int, xe, ye *[32]float64) {
+	if op.geos != nil {
+		op.geos[ei].StokesApply(op.eta[ei], xe, ye)
+	} else {
+		op.kern[ei].Apply(op.eta[ei], xe, ye)
+	}
+}
+
+// gatherElem interpolates the 32 corner dofs of an element from the
+// slot-space buffer through the constraint weights.
+func gatherElem(cs *[8]CornerRef, src []float64, xe *[32]float64) {
+	for a := 0; a < 8; a++ {
+		cr := &cs[a]
+		var v0, v1, v2, v3 float64
+		for k := 0; k < int(cr.N); k++ {
+			base := int(cr.Slot[k]) * 4
+			w := cr.W[k]
+			v0 += w * src[base]
+			v1 += w * src[base+1]
+			v2 += w * src[base+2]
+			v3 += w * src[base+3]
+		}
+		xe[4*a], xe[4*a+1], xe[4*a+2], xe[4*a+3] = v0, v1, v2, v3
+	}
+}
+
+// scatterElem adds the 32 element results into the slot-space
+// accumulator through the constraint weights (the transpose of
+// gatherElem).
+func scatterElem(cs *[8]CornerRef, ye *[32]float64, dst []float64) {
+	for a := 0; a < 8; a++ {
+		cr := &cs[a]
+		for k := 0; k < int(cr.N); k++ {
+			base := int(cr.Slot[k]) * 4
+			w := cr.W[k]
+			dst[base] += w * ye[4*a]
+			dst[base+1] += w * ye[4*a+1]
+			dst[base+2] += w * ye[4*a+2]
+			dst[base+3] += w * ye[4*a+3]
+		}
+	}
+}
 
 // elementLoop runs ye = A_e xe over elements [lo,hi), accumulating into
 // dst through the constraint weights.
@@ -233,31 +292,9 @@ func (op *Operator) elementLoop(_, lo, hi int, src, dst []float64) {
 	var xe, ye [32]float64
 	for ei := lo; ei < hi; ei++ {
 		cs := &op.corners[ei]
-		for a := 0; a < 8; a++ {
-			cr := &cs[a]
-			var v0, v1, v2, v3 float64
-			for k := 0; k < int(cr.N); k++ {
-				base := int(cr.Slot[k]) * 4
-				w := cr.W[k]
-				v0 += w * src[base]
-				v1 += w * src[base+1]
-				v2 += w * src[base+2]
-				v3 += w * src[base+3]
-			}
-			xe[4*a], xe[4*a+1], xe[4*a+2], xe[4*a+3] = v0, v1, v2, v3
-		}
-		op.kern[ei].Apply(op.eta[ei], &xe, &ye)
-		for a := 0; a < 8; a++ {
-			cr := &cs[a]
-			for k := 0; k < int(cr.N); k++ {
-				base := int(cr.Slot[k]) * 4
-				w := cr.W[k]
-				dst[base] += w * ye[4*a]
-				dst[base+1] += w * ye[4*a+1]
-				dst[base+2] += w * ye[4*a+2]
-				dst[base+3] += w * ye[4*a+3]
-			}
-		}
+		gatherElem(cs, src, &xe)
+		op.applyElem(ei, &xe, &ye)
+		scatterElem(cs, &ye, dst)
 	}
 }
 
@@ -302,7 +339,7 @@ func (op *Operator) rotBwd(buf []float64) {
 func (op *Operator) Apply(x, y *la.Vec) {
 	// Gather owned + ghost nodal blocks into slot space.
 	copy(op.xbuf[:op.nOwned*4], x.Data)
-	op.gx.Gather(x.Data, op.xbuf[op.nOwned*4:])
+	op.gx.GatherBlock(4, x.Data, op.xbuf[op.nOwned*4:])
 	// Eliminated columns read zero (local frame at framed slots).
 	for _, idx := range op.fixedIdx {
 		op.xbuf[idx] = 0
@@ -311,10 +348,30 @@ func (op *Operator) Apply(x, y *la.Vec) {
 	acc := op.pool.run(op.xbuf, op.loopFn)
 	op.rotBwd(acc)
 	copy(y.Data, acc[:op.nOwned*4])
-	op.gx.ScatterAdd(acc[op.nOwned*4:], y.Data)
+	op.gx.ScatterAddBlock(4, acc[op.nOwned*4:], y.Data)
 	// Identity rows for owned constrained dofs.
 	for _, idx := range op.ownFixed {
 		y.Data[idx] = x.Data[idx]
+	}
+}
+
+// elemLoad computes the consistent load F = M_e f of the corner body
+// force f on local element ei.
+func (op *Operator) elemLoad(ei int, f, F *[8][3]float64) {
+	if op.geos != nil {
+		op.geos[ei].Load(f, F)
+		return
+	}
+	M8 := &op.kern[ei].M8
+	for a := 0; a < 8; a++ {
+		var f0, f1, f2 float64
+		for b := 0; b < 8; b++ {
+			m := M8[a][b]
+			f0 += m * f[b][0]
+			f1 += m * f[b][1]
+			f2 += m * f[b][2]
+		}
+		F[a] = [3]float64{f0, f1, f2}
 	}
 }
 
@@ -325,44 +382,24 @@ func (op *Operator) Apply(x, y *la.Vec) {
 func (op *Operator) rhsLoop(force [][8][3]float64, zeroLift bool) func(w, lo, hi int, src, dst []float64) {
 	return func(_, lo, hi int, src, dst []float64) {
 		var xe, ye [32]float64
+		var F [8][3]float64
 		for ei := lo; ei < hi; ei++ {
 			cs := &op.corners[ei]
 			if zeroLift {
 				// Homogeneous Dirichlet data: the lift action is exactly
 				// zero, skip the gather and kernel apply.
-				for i := range ye {
-					ye[i] = 0
-				}
+				ye = [32]float64{}
 			} else {
-				for a := 0; a < 8; a++ {
-					cr := &cs[a]
-					var v0, v1, v2, v3 float64
-					for k := 0; k < int(cr.N); k++ {
-						base := int(cr.Slot[k]) * 4
-						w := cr.W[k]
-						v0 += w * src[base]
-						v1 += w * src[base+1]
-						v2 += w * src[base+2]
-						v3 += w * src[base+3]
-					}
-					xe[4*a], xe[4*a+1], xe[4*a+2], xe[4*a+3] = v0, v1, v2, v3
-				}
-				op.kern[ei].Apply(op.eta[ei], &xe, &ye)
+				gatherElem(cs, src, &xe)
+				op.applyElem(ei, &xe, &ye)
 			}
 			// re = consistent load - lift action; pressure rows carry no load.
 			if force != nil {
-				M8 := &op.kern[ei].M8
+				op.elemLoad(ei, &force[ei], &F)
 				for a := 0; a < 8; a++ {
-					var f0, f1, f2 float64
-					for b := 0; b < 8; b++ {
-						m := M8[a][b]
-						f0 += m * force[ei][b][0]
-						f1 += m * force[ei][b][1]
-						f2 += m * force[ei][b][2]
-					}
-					ye[4*a] = f0 - ye[4*a]
-					ye[4*a+1] = f1 - ye[4*a+1]
-					ye[4*a+2] = f2 - ye[4*a+2]
+					ye[4*a] = F[a][0] - ye[4*a]
+					ye[4*a+1] = F[a][1] - ye[4*a+1]
+					ye[4*a+2] = F[a][2] - ye[4*a+2]
 					ye[4*a+3] = -ye[4*a+3]
 				}
 			} else {
@@ -370,17 +407,7 @@ func (op *Operator) rhsLoop(force [][8][3]float64, zeroLift bool) func(w, lo, hi
 					ye[i] = -ye[i]
 				}
 			}
-			for a := 0; a < 8; a++ {
-				cr := &cs[a]
-				for k := 0; k < int(cr.N); k++ {
-					base := int(cr.Slot[k]) * 4
-					w := cr.W[k]
-					dst[base] += w * ye[4*a]
-					dst[base+1] += w * ye[4*a+1]
-					dst[base+2] += w * ye[4*a+2]
-					dst[base+3] += w * ye[4*a+3]
-				}
-			}
+			scatterElem(cs, &ye, dst)
 		}
 	}
 }
@@ -414,7 +441,7 @@ func (op *Operator) RHS(force [][8][3]float64) *la.Vec {
 	op.rotBwd(acc)
 	b := la.NewVec(op.layout)
 	copy(b.Data, acc[:op.nOwned*4])
-	op.gx.ScatterAdd(acc[op.nOwned*4:], b.Data)
+	op.gx.ScatterAddBlock(4, acc[op.nOwned*4:], b.Data)
 	for _, idx := range op.ownFixed {
 		b.Data[idx] = op.bcval[idx]
 	}

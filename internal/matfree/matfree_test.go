@@ -466,3 +466,37 @@ func TestExchangeAllocsTwoRanks(t *testing.T) {
 		}
 	})
 }
+
+// TestOperatorResidentBytesMapped pins that the operator stores nothing
+// per element on a mapped mesh beyond what the mesh already holds: on the
+// level-2 shell, building it on top of the shared fem.ElemGeoms grows the
+// live heap by the mesh's node slot map (first built here: the 448-byte
+// CornerRef row is most of the total), slot-space buffers and constraint
+// tables only — well under 1.5 KB per element, where a tabulated kernel
+// per element took 8 KB more.
+func TestOperatorResidentBytesMapped(t *testing.T) {
+	conn := forest.CubedSphere(2)
+	g := mesh.NewShellGeometry(conn)
+	sim.Run(1, func(r *sim.Rank) {
+		m := mesh.Extract(forest.New(r, conn, 2), g)
+		geos := fem.ElemGeoms(m)
+		layout := la.NewLayout(r, 4*m.NumOwned)
+		bc := func(g int64, c int) (float64, bool) { return 0, c == 3 && g == 0 }
+		live := func() uint64 {
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			return ms.HeapAlloc
+		}
+		before := live()
+		op := matfree.New(m, fem.UnitDomain, layout, nil, bc, nil, matfree.Options{Workers: 1})
+		after := live()
+		runtime.KeepAlive(op)
+		runtime.KeepAlive(geos)
+		perElem := float64(int64(after)-int64(before)) / float64(len(m.Leaves))
+		t.Logf("matfree.New on %d shell elements: %.0f B/element resident", len(m.Leaves), perElem)
+		if perElem >= 1536 {
+			t.Errorf("matfree.New keeps %.0f B per element beyond the mesh's ElemGeoms, want < 1536", perElem)
+		}
+	})
+}

@@ -14,6 +14,16 @@ type CornerRef struct {
 	W    [4]float64
 }
 
+// Value evaluates the corner from a slot-space buffer of nodal values,
+// resolving the hanging-node interpolation.
+func (cr *CornerRef) Value(buf []float64) float64 {
+	var s float64
+	for k := 0; k < int(cr.N); k++ {
+		s += cr.W[k] * buf[cr.Slot[k]]
+	}
+	return s
+}
+
 // SlotMap is the compact per-rank node numbering matrix-free element
 // loops run over: the rank's owned independent nodes first (slot =
 // gid-Offset), then the distinct off-rank master nodes its elements
@@ -71,6 +81,30 @@ func NewSlotMap(m *mesh.Mesh, block int) *SlotMap {
 		}
 	}
 	return sm
+}
+
+// NodeSlots returns the block-1 node slot map of the mesh, building it on
+// first use and caching it on the mesh (collective on first use: every
+// rank of the mesh's communicator misses together). Everything that
+// samples nodal fields at element corners or scatters element
+// contributions back — multigrid levels, the Schur plan, transport,
+// field transfer, error indication, diagnostics — shares this one
+// numbering and ghost plan.
+func NodeSlots(m *mesh.Mesh) *SlotMap {
+	if sm, ok := m.SlotCache.(*SlotMap); ok {
+		return sm
+	}
+	sm := NewSlotMap(m, 1)
+	m.SlotCache = sm
+	return sm
+}
+
+// GatherSlots fills buf (NSlots blocks) with the slot-space copy of a
+// nodal field: the owned blocks followed by the gathered ghost blocks
+// (collective).
+func (sm *SlotMap) GatherSlots(owned, buf []float64) {
+	copy(buf[:len(owned)], owned)
+	sm.GX.Gather(owned, buf[len(owned):])
 }
 
 // NSlots returns the total slot count (owned + ghosts).

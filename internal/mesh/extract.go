@@ -29,9 +29,12 @@ func (a nodeKey) less(b nodeKey) bool {
 }
 
 // leafSet is a tree-major sorted collection of forest octants
-// (local + ghost) supporting containment queries.
+// (local + ghost) supporting containment queries. keys caches each
+// leaf's Morton key, so a query interleaves bits once for its probe and
+// never for the leaves it is compared against.
 type leafSet struct {
 	leaves []forest.Octant
+	keys   []uint64
 }
 
 func newLeafSet(local, ghosts []forest.Octant) *leafSet {
@@ -44,17 +47,21 @@ func newLeafSet(local, ghosts []forest.Octant) *leafSet {
 		}
 	}
 	s.leaves = out
+	s.keys = make([]uint64, len(out))
+	for i, o := range out {
+		s.keys[i] = o.O.Key()
+	}
 	return s
 }
 
 // findContaining returns the leaf that is o or an ancestor of o.
 func (s *leafSet) findContaining(o forest.Octant) (forest.Octant, bool) {
+	k := o.O.Key()
 	i := sort.Search(len(s.leaves), func(i int) bool {
-		li := s.leaves[i]
-		if li.Tree != o.Tree {
-			return li.Tree > o.Tree
+		if t := s.leaves[i].Tree; t != o.Tree {
+			return t > o.Tree
 		}
-		return li.O.Key() > o.O.Key()
+		return s.keys[i] > k
 	})
 	if i == 0 {
 		return forest.Octant{}, false

@@ -90,6 +90,12 @@ type Mesh struct {
 	// this struct.
 	GeomCache any
 
+	// SlotCache holds the block-1 node slot map of this mesh (set on
+	// first use by matfree.NodeSlots and shared by gmg, stokes, advect,
+	// field, errind and the time loop, so the ghost plan is negotiated
+	// once per mesh). Typed any for the same reason as GeomCache.
+	SlotCache any
+
 	// layout is the node layout, built once with the numbering (its
 	// offsets are the one collective that also yields Offset and NGlobal).
 	layout *la.Layout
@@ -99,7 +105,9 @@ type Mesh struct {
 	posToLocal map[nodeKey]int32
 
 	// Ghost exchange plan over referenced global ids: used to gather
-	// remote nodal values (field transfer, viscosity evaluation, output).
+	// remote nodal values keyed by global id (boundary-condition and
+	// solver set-up masks, output; per-cycle paths sample through the
+	// slot map instead).
 	// refAskers/refOwners persist the sparse neighborhood — the ranks
 	// that reference this rank's nodes (refSend non-empty) and the ranks
 	// this rank references nodes from (refWant non-empty) — so
@@ -166,7 +174,9 @@ func (m *Mesh) LocalIndex(tree int32, p [3]uint32) (int32, bool) {
 
 // GatherReferenced returns the values of every node this rank references
 // (its own plus remote masters), keyed by global id (collective). u must
-// be laid out over the mesh nodes.
+// be laid out over the mesh nodes. It builds a map per call: set-up code
+// that needs values by global id uses it; loops that run every cycle
+// sample corners through the mesh's slot map (matfree.NodeSlots).
 func (m *Mesh) GatherReferenced(u *la.Vec) map[int64]float64 {
 	r := m.Rank
 	nRef := m.NumOwned

@@ -376,33 +376,19 @@ type Sim struct {
 	// viscosity-dependent half (Solver.Update).
 	solver *stokes.Solver
 
-	// sm is the cached block-1 slot map used to sample nodal fields at
-	// element corners (viscosity, buoyancy, advection velocity) without
-	// rebuilding gather maps each call; invalidated with the solver.
-	sm *matfree.SlotMap
-
 	// adv is the cached transport problem (lumped mass, boundary flags
-	// and values: all mesh- and config-dependent only); AdvectSteps swaps
-	// in the current corner velocities. Invalidated with the solver.
+	// and values: all mesh- and config-dependent only); AdvectSteps
+	// refreshes its corner velocities in place. Invalidated with the
+	// solver.
 	adv *advect.Problem
 
 	lastMinres krylov.Result
 }
 
-// slotMap returns the per-mesh corner slot map: the cached Stokes
-// solver's node slot map when one exists (avoiding a duplicate exchange
-// plan), otherwise one built on first use after each extraction
-// (collective on first use).
-func (s *Sim) slotMap() *matfree.SlotMap {
-	if s.sm == nil {
-		if s.solver != nil {
-			s.sm = s.solver.NodeSlots()
-		} else {
-			s.sm = matfree.NewSlotMap(s.Mesh, 1)
-		}
-	}
-	return s.sm
-}
+// slotMap returns the mesh's block-1 node slot map, which samples nodal
+// fields at element corners (viscosity, buoyancy, advection velocity,
+// diagnostics) without gather maps (collective on first use per mesh).
+func (s *Sim) slotMap() *matfree.SlotMap { return matfree.NodeSlots(s.Mesh) }
 
 // gatherSlotsMulti fills one slot-space buffer per field in a single
 // exchange round (collective).
@@ -455,9 +441,9 @@ func (s *Sim) extract() {
 }
 
 // setMesh installs a freshly extracted mesh: attaches the Q2 node layer
-// when Order == 2 (collective then) and drops the cached Stokes solver,
-// slot map and transport problem, which are bound to the old mesh. The
-// caller puts the fields on the new mesh.
+// when Order == 2 (collective then) and drops the cached Stokes solver
+// and transport problem, which are bound to the old mesh. The caller
+// puts the fields on the new mesh.
 func (s *Sim) setMesh(m *mesh.Mesh) {
 	s.Mesh = m
 	if s.Cfg.Order == 2 {
@@ -468,7 +454,6 @@ func (s *Sim) setMesh(m *mesh.Mesh) {
 		s.Times.ExtractMesh += time.Since(t0).Seconds()
 	}
 	s.solver = nil
-	s.sm = nil
 	s.adv = nil
 }
 
@@ -676,9 +661,6 @@ func (s *Sim) SolveStokes() krylov.Result {
 			s.solver = stokes.Setup(s.Mesh, s.Cfg.Dom, s.Cfg.VelBC, s.stokesOptions())
 			s.Times.StokesSetup += time.Since(t0).Seconds()
 			s.Times.StokesSetups++
-			// Share the solver's node slot map for field sampling, even if
-			// a standalone one was built before the first solve.
-			s.sm = s.solver.NodeSlots()
 		}
 		t0 := time.Now()
 		eta, force := s.viscosityAndBuoyancy(true)
@@ -735,17 +717,17 @@ func (s *Sim) PrecondStats() stokes.PrecondStats {
 // velocity field, returning the time step used (collective).
 func (s *Sim) AdvectSteps(n int) float64 {
 	t0 := time.Now()
-	vel := s.elemVelocity()
 	if s.adv == nil {
 		var src func(x [3]float64) float64
 		if s.Cfg.InternalHeat != 0 {
 			g := s.Cfg.InternalHeat
 			src = func(_ [3]float64) float64 { return g }
 		}
+		vel := make([][8][3]float64, len(s.Mesh.Leaves))
 		s.adv = advect.New(s.Mesh, s.Cfg.Dom, 1 /* nondimensional kappa */, vel, src, s.TempBC())
 	}
 	p := s.adv
-	p.Vel = vel
+	s.elemVelocity(p.Vel)
 	dt := p.StableDt(s.Cfg.CFL)
 	for i := 0; i < n; i++ {
 		p.Step(s.T, dt)
@@ -756,25 +738,19 @@ func (s *Sim) AdvectSteps(n int) float64 {
 	return dt
 }
 
-// elemVelocity samples the nodal velocity at element corners.
-func (s *Sim) elemVelocity() [][8][3]float64 {
+// elemVelocity samples the nodal velocity at the element corners into
+// out, one entry per local element (collective).
+func (s *Sim) elemVelocity(out [][8][3]float64) {
 	sm := s.slotMap()
-	bufs := s.gatherSlotsMulti(sm, s.U[0], s.U[1], s.U[2])
-	ub := [3][]float64{bufs[0], bufs[1], bufs[2]}
-	out := make([][8][3]float64, len(s.Mesh.Leaves))
-	for ei := range s.Mesh.Leaves {
+	ub := s.gatherSlotsMulti(sm, s.U[0], s.U[1], s.U[2])
+	for ei := range out {
 		for c := 0; c < 8; c++ {
 			co := &sm.Corners[ei][c]
 			for d := 0; d < 3; d++ {
-				var v float64
-				for k := 0; k < int(co.N); k++ {
-					v += co.W[k] * ub[d][co.Slot[k]]
-				}
-				out[ei][c][d] = v
+				out[ei][c][d] = co.Value(ub[d])
 			}
 		}
 	}
-	return out
 }
 
 // RunCycle performs one paper-style simulation cycle: a Stokes solve,

@@ -76,7 +76,7 @@ func (s *Solver) setupQ2() {
 			"stokes: GMG hierarchy is degenerate — coarsening stopped at %d global elements (target <= %d) after %d levels",
 			le[len(le)-1], s.GMGH.CoarseTarget(), s.GMGH.NumLevels()))
 	}
-	s.nodeSM = s.GMGH.FineSlots()
+	s.nodeSM = matfree.NodeSlots(m)
 	s.q2sm = matfree.NewQ2SlotMap(q2, 1)
 	s.sfKern = fem.SumFactorKernelsFor(m, dom)
 	s.emb = newEmbed(q2, s.nodeSM)

@@ -207,8 +207,9 @@ type Solver struct {
 	scalIdx  []int32
 	// stokesKern holds the per-element unit-viscosity coupled kernels the
 	// assembled path scales on mapped (forest) meshes, where per-element
-	// Jacobians replace the constant-h brick formulas. Shared provider
-	// with the matrix-free operator (fem.StokesKernelsFor).
+	// Jacobians replace the constant-h brick formulas
+	// (fem.StokesKernelsFor; the matrix-free operator evaluates the same
+	// element operator at the quadrature points and stores none).
 	stokesKern []*fem.StokesKernels
 
 	// Schur-diagonal assembly plan: the inverse-viscosity-weighted lumped
@@ -576,13 +577,7 @@ func (s *Solver) NullDim() int { return len(s.null) }
 func (s *Solver) finishSetup() {
 	m, dom := s.M, s.Dom
 	// Slot map + lumped-mass coefficients for the Schur diagonal refresh.
-	// The GMG hierarchy's finest level already built the identical map;
-	// share it rather than re-running the collective plan construction.
-	if s.GMGH != nil {
-		s.nodeSM = s.GMGH.FineSlots()
-	} else {
-		s.nodeSM = matfree.NewSlotMap(m, 1)
-	}
+	s.nodeSM = matfree.NodeSlots(m)
 	geos := fem.ElemGeoms(m)
 	for ei, leaf := range m.Leaves {
 		var lm [8]float64
@@ -1080,10 +1075,9 @@ func (s *Solver) assembleCoupledSlip(etaElem []float64, force [][8][3]float64) {
 	s.Op = A
 }
 
-// NodeSlots returns the solver's block-1 node slot map (owned nodes
-// first, then ghosts, with one reusable exchange plan). Application
-// loops that sample nodal fields at element corners between solves can
-// share it instead of building their own.
+// NodeSlots returns the block-1 node slot map of the solver's mesh
+// (matfree.NodeSlots: owned nodes first, then ghosts, with one reusable
+// exchange plan).
 func (s *Solver) NodeSlots() *matfree.SlotMap { return s.nodeSM }
 
 // Assemble builds the Stokes system in one shot (collective): Setup for
