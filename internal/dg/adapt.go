@@ -176,24 +176,15 @@ func (a *Advection) AdaptOnce(refineTol, coarsenTol float64, maxLevel uint8, vel
 	old := append([]forest.Octant(nil), a.F.Leaves()...)
 	oldU := append([]float64(nil), a.U...)
 
-	// Coarsen families whose members all fall below coarsenTol.
-	indexOf := make(map[forest.Octant]int, len(old))
+	// Coarsen families whose members all fall below coarsenTol, refine
+	// the surviving leaves above refineTol.
+	coarsen := make([]bool, len(old))
+	refine := make([]bool, len(old))
 	for i, o := range old {
-		indexOf[o] = i
+		coarsen[i] = ind[i] < coarsenTol
+		refine[i] = ind[i] > refineTol && o.O.Level < maxLevel
 	}
-	a.F.Coarsen(func(parent forest.Octant) bool {
-		for c := 0; c < 8; c++ {
-			ci, ok := indexOf[forest.Octant{Tree: parent.Tree, O: parent.O.Child(c)}]
-			if !ok || ind[ci] >= coarsenTol {
-				return false
-			}
-		}
-		return true
-	})
-	a.F.Refine(func(o forest.Octant) bool {
-		i, ok := indexOf[o]
-		return ok && ind[i] > refineTol && o.O.Level < maxLevel
-	})
+	a.F.AdaptMarked(coarsen, refine)
 	a.F.Balance()
 	a.ProjectAfterAdapt(old, oldU, vel)
 	dests := a.F.Partition()

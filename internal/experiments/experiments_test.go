@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"io"
+	"math"
 	"runtime"
 	"strconv"
 	"strings"
@@ -131,21 +132,32 @@ func TestFig6SpeedupsMonotone(t *testing.T) {
 	}
 }
 
+// The AMR total (last column) against the paper's <= 11%. On the 2-core
+// reference host the rows read 18.2% / 16.8% / 18.3% / 17.9% at 1 / 2 /
+// 4 / 8 ranks in a fresh process (docs/ARCHITECTURE.md) and between 13%
+// and 27% over twelve repetitions inside one test process; the ceiling
+// is that worst row plus ten points (it was 75% while the rows read
+// 39-44%). The shares are ratios of wall-clock sums of a 0.4 s run, and
+// another process on the host moves any one row by ten points either
+// way, so a disturbed run is repeated: one of five must hold (the rows
+// before this ceiling, 39-44% on an idle host, fail every time).
 func TestFig7AMRFractionModest(t *testing.T) {
 	skipIfShort(t)
-	breakdown, eff := Fig7WeakScalingBreakdown(Small)
-	rs := rows(t, breakdown)
-	rows(t, eff)
-	// The AMR total percentage (last column, like the paper's <= 11%...
-	// our explicit integrator is much cheaper per element than Ranger's,
-	// so allow a wider band but require it to stay a minority share).
-	for _, r := range rs {
-		s := r[len(r)-1]
-		v := atof(t, s[:len(s)-1])
-		if v > 75 {
-			t.Errorf("AMR consumes %v%% of runtime", v)
+	const ceiling = 37
+	var worst float64
+	for attempt := 0; attempt < 5; attempt++ {
+		breakdown, eff := Fig7WeakScalingBreakdown(Small)
+		rows(t, eff)
+		worst = 0
+		for _, r := range rows(t, breakdown) {
+			s := r[len(r)-1]
+			worst = math.Max(worst, atof(t, s[:len(s)-1]))
+		}
+		if worst <= ceiling {
+			return
 		}
 	}
+	t.Errorf("AMR consumes %v%% of runtime in the worst row, want <= %d%%", worst, ceiling)
 }
 
 func TestFig8StokesDominates(t *testing.T) {

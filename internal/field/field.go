@@ -10,6 +10,12 @@
 // data to the new owners after PartitionTree, following the same
 // destination routing. ToNodal/FromNodal convert between element-corner
 // data and global nodal vectors.
+//
+// Every function takes all the fields that cross the adaptation at once:
+// the old/new leaf correspondence is walked once, each destination rank
+// gets one message, and the per-node contribution count is built once per
+// mesh. Each field sees the same operations in the same order as it would
+// alone, so the results do not depend on which fields travel together.
 package field
 
 import (
@@ -27,45 +33,107 @@ import (
 // ElemData holds one scalar value per corner of each local element.
 type ElemData [][8]float64
 
-// FromNodal samples a nodal field at every element corner, resolving
-// hanging-node interpolation (collective).
-func FromNodal(m *mesh.Mesh, T *la.Vec) ElemData {
+// FromNodal samples nodal fields at every element corner, resolving
+// hanging-node interpolation (collective: one ghost exchange for all
+// fields).
+func FromNodal(m *mesh.Mesh, fields []*la.Vec) []ElemData {
 	sm := matfree.NodeSlots(m)
-	vals := make([]float64, sm.NSlots())
-	sm.GatherSlots(T.Data, vals)
-	out := make(ElemData, len(m.Leaves))
-	for ei := range out {
-		for c := 0; c < 8; c++ {
-			out[ei][c] = sm.Corners[ei][c].Value(vals)
+	owned := make([][]float64, len(fields))
+	vals := make([][]float64, len(fields))
+	ghost := make([][]float64, len(fields))
+	for f, v := range fields {
+		owned[f] = v.Data
+		vals[f] = make([]float64, sm.NSlots())
+		copy(vals[f], v.Data)
+		ghost[f] = vals[f][sm.NOwned:]
+	}
+	sm.GX.GatherMulti(owned, ghost)
+	out := make([]ElemData, len(fields))
+	for f := range out {
+		out[f] = make(ElemData, len(m.Leaves))
+		for ei := range out[f] {
+			for c := 0; c < 8; c++ {
+				out[f][ei][c] = sm.Corners[ei][c].Value(vals[f])
+			}
 		}
 	}
 	return out
 }
 
-// ToNodal builds a nodal vector on the (new) mesh from element-corner
-// data by weight-averaging the contributions of all elements sharing each
+// nodalShare is one rank's contributions to nodes another rank owns:
+// for each contributing element corner, in element order, the node's
+// global id and the corner value of every field (field-minor).
+type nodalShare struct {
+	gids []int64
+	vals []float64
+}
+
+// ToNodal builds nodal vectors on the (new) mesh from element-corner data
+// by weight-averaging the contributions of all elements sharing each
 // independent node (collective). Hanging corners do not contribute; their
-// values are implied by their masters.
-func ToNodal(m *mesh.Mesh, data ElemData) *la.Vec {
+// values are implied by their masters. Contributions to nodes of another
+// rank travel in one message per owner for all fields, and the
+// contribution count, the same for every field, is accumulated once. Each
+// node adds its local contributions in element order, then the remote
+// ones in rank order.
+func ToNodal(m *mesh.Mesh, data []ElemData) []*la.Vec {
 	l := m.Layout()
-	sum := la.NewVecBuilder(l)
-	cnt := la.NewVecBuilder(l)
+	r := l.Rank()
+	out := make([]*la.Vec, len(data))
+	for f := range out {
+		out[f] = la.NewVec(l)
+	}
+	cnt := make([]float64, l.Local())
+	shares := make([]nodalShare, r.Size())
 	for ei := range m.Leaves {
 		for c := 0; c < 8; c++ {
 			co := &m.Corners[ei][c]
 			if co.Hanging {
 				continue
 			}
-			sum.Add(co.GID[0], data[ei][c])
-			cnt.Add(co.GID[0], 1)
+			g := co.GID[0]
+			if l.Owns(g) {
+				i := g - l.Start()
+				for f := range out {
+					out[f].Data[i] += data[f][ei][c]
+				}
+				cnt[i]++
+				continue
+			}
+			sh := &shares[l.OwnerOf(g)]
+			sh.gids = append(sh.gids, g)
+			for f := range data {
+				sh.vals = append(sh.vals, data[f][ei][c])
+			}
 		}
 	}
-	s := sum.Finalize()
-	n := cnt.Finalize()
-	out := la.NewVec(l)
-	for i := range out.Data {
-		if n.Data[i] > 0 {
-			out.Data[i] = s.Data[i] / n.Data[i]
+	var dests []int
+	var payloads []any
+	var nb []int
+	for j, sh := range shares {
+		if len(sh.gids) == 0 {
+			continue
+		}
+		dests = append(dests, j)
+		payloads = append(payloads, sh)
+		nb = append(nb, 8*(len(sh.gids)+len(sh.vals)))
+	}
+	_, in := r.AlltoallvSparse(dests, payloads, nb)
+	for _, d := range in {
+		sh := d.(nodalShare)
+		for k, g := range sh.gids {
+			i := g - l.Start()
+			for f := range out {
+				out[f].Data[i] += sh.vals[k*len(out)+f]
+			}
+			cnt[i]++
+		}
+	}
+	for f := range out {
+		for i, n := range cnt {
+			if n > 0 {
+				out[f].Data[i] /= n
+			}
 		}
 	}
 	return out
@@ -80,9 +148,13 @@ func cornerRef(c int) [3]float64 {
 // leaf sets in forest-curve order covering the same region of the domain
 // on this rank. Each new leaf must be equal to, a descendant of, or an
 // ancestor of old leaves of its tree (any number of refinement levels;
-// families never span trees). Purely local.
-func ProjectData(oldLeaves, newLeaves []forest.Octant, data ElemData) ElemData {
-	out := make(ElemData, len(newLeaves))
+// families never span trees). Purely local; the correspondence is walked
+// once for all fields.
+func ProjectData(oldLeaves, newLeaves []forest.Octant, data []ElemData) []ElemData {
+	out := make([]ElemData, len(data))
+	for f := range out {
+		out[f] = make(ElemData, len(newLeaves))
+	}
 	oi := 0
 	for ni, nf := range newLeaves {
 		// Advance past old leaves strictly before nf that cannot contain it.
@@ -95,7 +167,9 @@ func ProjectData(oldLeaves, newLeaves []forest.Octant, data ElemData) ElemData {
 		ol, nl := oldLeaves[oi].O, nf.O
 		switch {
 		case ol == nl:
-			out[ni] = data[oi]
+			for f := range out {
+				out[f][ni] = data[f][oi]
+			}
 			oi++
 		case ol.IsAncestorOf(nl):
 			// Refinement: interpolate within the old leaf. Do not advance
@@ -106,11 +180,21 @@ func ProjectData(oldLeaves, newLeaves []forest.Octant, data ElemData) ElemData {
 				float64(nl.Y-ol.Y) / float64(ol.Len()),
 				float64(nl.Z-ol.Z) / float64(ol.Len()),
 			}
-			src := data[oi]
 			for c := 0; c < 8; c++ {
 				r := cornerRef(c)
 				xi := [3]float64{off[0] + scale*r[0], off[1] + scale*r[1], off[2] + scale*r[2]}
-				out[ni][c] = fem.Interp(&src, xi)
+				// fem.Interp for every field, its shape values computed once.
+				var w [8]float64
+				for k := range w {
+					w[k] = fem.ShapeValue(k, xi)
+				}
+				for f := range out {
+					var v float64
+					for k, src := range data[f][oi] {
+						v += src * w[k]
+					}
+					out[f][ni][c] = v
+				}
 			}
 			// If nl is the last descendant touching ol's end, advance.
 			if lastCovered(ol, nl) {
@@ -123,7 +207,9 @@ func ProjectData(oldLeaves, newLeaves []forest.Octant, data ElemData) ElemData {
 				d := oldLeaves[oi].O
 				for c := 0; c < 8; c++ {
 					if cornerMatches(d, c, nl) {
-						out[ni][c] = data[oi][c]
+						for f := range out {
+							out[f][ni][c] = data[f][oi][c]
+						}
 					}
 				}
 			}
@@ -160,30 +246,37 @@ func cornerMatches(d morton.Octant, c int, a morton.Octant) bool {
 }
 
 // Transfer ships per-element data to the destination ranks returned by
-// PartitionTree, preserving curve order (collective).
-func Transfer(r *sim.Rank, dests []int, data ElemData) ElemData {
-	p := r.Size()
-	byRank := make([]ElemData, p)
-	for i, d := range dests {
-		byRank[d] = append(byRank[d], data[i])
-	}
+// PartitionTree, preserving curve order (collective). Each destination
+// receives one message carrying its elements of every field: ranges of
+// data itself, which the caller must not modify afterwards.
+func Transfer(r *sim.Rank, dests []int, data []ElemData) []ElemData {
+	// PartitionTree's destinations are monotone along the curve, so each
+	// destination's share is one contiguous range of every field.
 	var sendTo []int
 	var out []any
 	var nb []int
-	for j := range byRank {
-		if len(byRank[j]) == 0 {
-			continue
+	for lo := 0; lo < len(dests); {
+		hi := lo
+		for hi < len(dests) && dests[hi] == dests[lo] {
+			hi++
 		}
-		sendTo = append(sendTo, j)
-		out = append(out, byRank[j])
-		nb = append(nb, 64*len(byRank[j]))
+		part := make([]ElemData, len(data))
+		for f := range data {
+			part[f] = data[f][lo:hi]
+		}
+		sendTo = append(sendTo, dests[lo])
+		out = append(out, part)
+		nb = append(nb, 64*len(data)*(hi-lo))
+		lo = hi
 	}
 	// Sources arrive sorted by rank, so the concatenation preserves
 	// curve order exactly as the dense exchange did.
 	_, in := r.AlltoallvSparse(sendTo, out, nb)
-	var merged ElemData
+	merged := make([]ElemData, len(data))
 	for _, d := range in {
-		merged = append(merged, d.(ElemData)...)
+		for f, part := range d.([]ElemData) {
+			merged[f] = append(merged[f], part...)
+		}
 	}
 	return merged
 }

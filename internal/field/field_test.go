@@ -70,7 +70,7 @@ func TestProjectRefine(t *testing.T) {
 		old := append([]forest.Octant(nil), tr.Leaves()...)
 		data := linearData(old)
 		tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 })
-		nd := ProjectData(old, tr.Leaves(), data)
+		nd := ProjectData(old, tr.Leaves(), []ElemData{data})[0]
 		checkLinear(t, tr.Leaves(), nd, "refine")
 	})
 }
@@ -81,7 +81,7 @@ func TestProjectCoarsen(t *testing.T) {
 		old := append([]forest.Octant(nil), tr.Leaves()...)
 		data := linearData(old)
 		tr.Coarsen(func(forest.Octant) bool { return true })
-		nd := ProjectData(old, tr.Leaves(), data)
+		nd := ProjectData(old, tr.Leaves(), []ElemData{data})[0]
 		checkLinear(t, tr.Leaves(), nd, "coarsen")
 	})
 }
@@ -101,7 +101,7 @@ func TestProjectMixedWithBalance(t *testing.T) {
 			tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 && o.O.Y == 0 && o.O.Z == 0 })
 		}
 		tr.Balance()
-		nd := ProjectData(old, tr.Leaves(), data)
+		nd := ProjectData(old, tr.Leaves(), []ElemData{data})[0]
 		checkLinear(t, tr.Leaves(), nd, "mixed")
 	})
 }
@@ -112,7 +112,7 @@ func TestTransferFollowsPartition(t *testing.T) {
 		tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 })
 		data := linearData(tr.Leaves())
 		dests := tr.Partition()
-		nd := Transfer(r, dests, data)
+		nd := Transfer(r, dests, []ElemData{data})[0]
 		if len(nd) != tr.NumLocal() {
 			t.Errorf("transferred %d records for %d leaves", len(nd), tr.NumLocal())
 			return
@@ -134,8 +134,8 @@ func TestNodalRoundTrip(t *testing.T) {
 			x := dom.Coord(pos)
 			T.Data[i] = lin([3]float64{x[0] * float64(morton.RootLen), x[1] * float64(morton.RootLen), x[2] * float64(morton.RootLen)})
 		}
-		data := FromNodal(m, T)
-		back := ToNodal(m, data)
+		data := FromNodal(m, []*la.Vec{T})
+		back := ToNodal(m, data)[0]
 		diff := back.Clone()
 		diff.AXPY(-1, T)
 		if n := diff.NormInf(); n > 1e-6*T.NormInf() {
@@ -154,7 +154,7 @@ func TestFullPipelinePreservesLinear(t *testing.T) {
 		for i, pos := range m.OwnedPos {
 			T.Data[i] = lin([3]float64{float64(pos[0]), float64(pos[1]), float64(pos[2])})
 		}
-		data := FromNodal(m, T)
+		data := FromNodal(m, []*la.Vec{T})
 		old := append([]forest.Octant(nil), tr.Leaves()...)
 
 		// Adapt: refine a moving-front region, coarsen the rest.
@@ -179,12 +179,56 @@ func TestFullPipelinePreservesLinear(t *testing.T) {
 		dests := tr.Partition()
 		data = Transfer(r, dests, data)
 		m2 := mesh.Extract(tr, nil)
-		T2 := ToNodal(m2, data)
+		T2 := ToNodal(m2, data)[0]
 		for i, pos := range m2.OwnedPos {
 			want := lin([3]float64{float64(pos[0]), float64(pos[1]), float64(pos[2])})
 			if math.Abs(T2.Data[i]-want) > 1e-6*math.Abs(want) {
 				t.Errorf("pipeline: node %v = %v want %v", pos, T2.Data[i], want)
 				return
+			}
+		}
+	})
+}
+
+// Fields that cross an adaptation together must come out bit for bit as
+// each would alone: the restart and chaos pins compare T, U and P that
+// travelled in different company.
+func TestFieldsTogetherMatchAlone(t *testing.T) {
+	sim.Run(3, func(r *sim.Rank) {
+		tr := forest.New(r, unitBox, 2)
+		tr.Refine(func(o forest.Octant) bool { return o.O.Y == 0 })
+		tr.Balance()
+		tr.Partition()
+		m := mesh.Extract(tr, nil)
+		fields := make([]*la.Vec, 3)
+		for f := range fields {
+			fields[f] = la.NewVec(m.Layout())
+			for i, pos := range m.OwnedPos {
+				x := fem.UnitDomain.Coord(pos)
+				fields[f].Data[i] = math.Sin(float64(f+1)*x[0]+x[1]) * math.Exp(x[2])
+			}
+		}
+		old := append([]forest.Octant(nil), tr.Leaves()...)
+		tr.Coarsen(func(p forest.Octant) bool { return p.O.X >= morton.RootLen/2 })
+		tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 })
+		tr.Balance()
+		adapted := append([]forest.Octant(nil), tr.Leaves()...)
+		dests := tr.Partition()
+		m2 := mesh.Extract(tr, nil)
+		pipeline := func(fs []*la.Vec) []*la.Vec {
+			data := FromNodal(m, fs)
+			data = ProjectData(old, adapted, data)
+			data = Transfer(r, dests, data)
+			return ToNodal(m2, data)
+		}
+		together := pipeline(fields)
+		for f := range fields {
+			alone := pipeline(fields[f : f+1])[0]
+			for i := range alone.Data {
+				if together[f].Data[i] != alone.Data[i] {
+					t.Errorf("field %d node %d: %v together, %v alone", f, i, together[f].Data[i], alone.Data[i])
+					return
+				}
 			}
 		}
 	})

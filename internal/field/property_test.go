@@ -27,7 +27,7 @@ func TestPropertyPipelineExactOnLinear(t *testing.T) {
 		sim.Run(3, func(r *sim.Rank) {
 			rng := rand.New(rand.NewSource(seed)) // same on all ranks
 			tr := forest.New(r, conn, 2)
-			data := linearData(tr.Leaves())
+			data := []ElemData{linearData(tr.Leaves())}
 			for step := 0; step < 3; step++ {
 				old := append([]forest.Octant(nil), tr.Leaves()...)
 				cut := uint32(rng.Intn(morton.RootLen))
@@ -62,7 +62,7 @@ func TestPropertyPipelineExactOnLinear(t *testing.T) {
 						p[2] += float64(h)
 					}
 					want := lin(p)
-					diff := data[ei][c] - want
+					diff := data[0][ei][c] - want
 					if diff < 0 {
 						diff = -diff
 					}
@@ -72,7 +72,7 @@ func TestPropertyPipelineExactOnLinear(t *testing.T) {
 					}
 					if diff > tol {
 						t.Errorf("seed %d: linear not reproduced at element %d corner %d: got %v want %v",
-							seed, ei, c, data[ei][c], want)
+							seed, ei, c, data[0][ei][c], want)
 						return
 					}
 				}

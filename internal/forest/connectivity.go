@@ -11,6 +11,12 @@
 // by matching the four-vertex sets of tree faces; the transform between
 // connected trees is the unique signed axis permutation consistent with
 // the corner correspondence.
+//
+// Every rank keeps its leaves as one array sorted along the forest-wide
+// space-filling curve, and every adaptation function is a pass over it:
+// Refine and Coarsen copy it, Partition cuts it, Balance merges sorted
+// lists of 2:1 demands into it level by level (balance.go). None keeps a
+// hash set of octants.
 package forest
 
 import (

@@ -1,6 +1,7 @@
 package forest
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -16,14 +17,17 @@ type Octant struct {
 	O    morton.Octant
 }
 
-// Less orders forest octants tree-major, then along each tree's Morton
+// Compare orders forest octants tree-major, then along each tree's Morton
 // curve (the forest-wide space-filling curve).
-func Less(a, b Octant) bool {
+func Compare(a, b Octant) int {
 	if a.Tree != b.Tree {
-		return a.Tree < b.Tree
+		return cmp.Compare(a.Tree, b.Tree)
 	}
-	return morton.Less(a.O, b.O)
+	return cmp.Compare(a.O.Key(), b.O.Key())
 }
+
+// Less reports whether a precedes b along the forest curve.
+func Less(a, b Octant) bool { return Compare(a, b) < 0 }
 
 // curveEnd is one past the last within-tree curve position.
 const curveEnd = uint64(1) << (3 * morton.MaxLevel)
@@ -35,8 +39,12 @@ func gpos(o Octant) uint64 {
 }
 
 // gspan returns the curve positions covered by the octant.
-func gspan(o Octant) uint64 {
-	return 1 << (3 * (morton.MaxLevel - uint64(o.O.Level)))
+func gspan(o Octant) uint64 { return levelSpan(o.O.Level) }
+
+// levelSpan returns the curve positions covered by an octant of the
+// given level.
+func levelSpan(level uint8) uint64 {
+	return 1 << (3 * (morton.MaxLevel - uint64(level)))
 }
 
 // Forest is one rank's partition of a distributed forest of octrees.
@@ -82,19 +90,12 @@ func FromLeaves(r *sim.Rank, conn *Connectivity, leaves []Octant) *Forest {
 
 func shareRange(total, p, i int64) (lo, hi int64) {
 	q, rem := total/p, total%p
-	lo = q*i + minI64(i, rem)
+	lo = q*i + min(i, rem)
 	hi = lo + q
 	if i < rem {
 		hi++
 	}
 	return
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // CoarsenedCopy returns a new forest one geometric level coarser: every
@@ -172,37 +173,9 @@ func (f *Forest) Owners(o Octant, dst []int) []int {
 // an inter-tree connection when the neighbor leaves the tree. The second
 // return is false at a physical boundary.
 func (f *Forest) FaceNeighbor(o Octant, face int) (Octant, bool) {
-	if n, ok := o.O.FaceNeighbor(face); ok {
-		return Octant{Tree: o.Tree, O: n}, true
-	}
-	fc := &f.Conn.conns[o.Tree][face]
-	if !fc.ok {
-		return Octant{}, false
-	}
-	// Compute the out-of-tree anchor and map both cube corners through
-	// the transform; the destination anchor is the componentwise min.
-	l := int64(o.O.Len())
-	src := [3]int64{int64(o.O.X), int64(o.O.Y), int64(o.O.Z)}
-	ax := faceNormalAxis[face]
-	src[ax] += int64(faceNormalSign[face]) * l
-	far := src
-	for i := 0; i < 3; i++ {
-		far[i] += l
-	}
-	a := fc.apply(src)
-	b := fc.apply(far)
-	var q [3]uint32
-	for i := 0; i < 3; i++ {
-		lo := a[i]
-		if b[i] < lo {
-			lo = b[i]
-		}
-		if lo < 0 || lo >= morton.RootLen {
-			panic(fmt.Sprintf("forest: transform produced out-of-tree anchor %v", lo))
-		}
-		q[i] = uint32(lo)
-	}
-	return Octant{Tree: fc.tree, O: morton.Octant{X: q[0], Y: q[1], Z: q[2], Level: o.O.Level}}, true
+	var d [3]int
+	d[faceNormalAxis[face]] = faceNormalSign[face]
+	return f.Neighbor(o, d)
 }
 
 // Refine replaces marked leaves by their children (local).
@@ -226,154 +199,23 @@ func (f *Forest) Refine(should func(Octant) bool) int {
 
 // Coarsen merges complete local families whose predicate holds (local).
 func (f *Forest) Coarsen(should func(parent Octant) bool) int {
-	out := make([]Octant, 0, len(f.leaves))
-	n := 0
-	for i := 0; i < len(f.leaves); {
-		o := f.leaves[i]
-		if o.O.Level > 0 && o.O.ChildID() == 0 && i+8 <= len(f.leaves) {
-			parent := Octant{Tree: o.Tree, O: o.O.Parent()}
-			fam := true
-			for j := 0; j < 8; j++ {
-				if f.leaves[i+j].Tree != o.Tree || f.leaves[i+j].O != parent.O.Child(j) {
-					fam = false
-					break
-				}
-			}
-			if fam && should(parent) {
-				out = append(out, parent)
-				i += 8
-				n++
-				continue
-			}
-		}
-		out = append(out, o)
-		i++
-	}
-	f.leaves = out
-	f.updateStarts()
-	return n
+	return f.coarsen(func(_ int, parent Octant) bool { return should(parent) })
 }
 
-// Balance enforces the full face+edge+corner 2:1 condition, within each
-// tree and across tree boundaries (following face-connection transforms,
-// including the two- and three-hop compositions that reach neighbors
-// across tree edges and corners), collectively. The full inter-tree
-// condition is what makes conforming mesh extraction sound: every master
-// of a hanging node is itself independent, even when the hanging face
-// lies on a tree boundary. It returns the number of leaves added.
-func (f *Forest) Balance() int {
-	set := make(map[Octant]struct{}, len(f.leaves))
-	for _, o := range f.leaves {
-		set[o] = struct{}{}
-	}
-	before := len(f.leaves)
-	pending := append([]Octant(nil), f.leaves...)
-
-	for {
-		var remote []Octant
-		for len(pending) > 0 {
-			o := pending[len(pending)-1]
-			pending = pending[:len(pending)-1]
-			if _, live := set[o]; !live {
-				continue
-			}
-			if o.O.Level <= 1 {
-				continue
-			}
-			// All 26 neighbor directions, within the tree and across
-			// tree boundaries alike.
-			for _, d := range Dirs26 {
-				fn, ok := f.Neighbor(o, d)
-				if !ok {
-					continue
-				}
-				pending = f.enforce(set, fn, o.O.Level, pending)
-				if !f.fullyLocal(fn) {
-					remote = append(remote, fn)
-				}
-			}
-		}
-		incoming := f.exchange(remote)
-		changed := int64(0)
-		for _, n := range incoming {
-			if n.O.Level <= 1 {
-				continue
-			}
-			before := len(pending)
-			pending = f.enforce(set, n, n.O.Level, pending)
-			if len(pending) != before {
-				changed = 1
-			}
-		}
-		if f.rank.AllreduceInt64(changed) == 0 {
-			break
-		}
-	}
-
-	f.leaves = f.leaves[:0]
-	for o := range set {
-		f.leaves = append(f.leaves, o)
-	}
-	sort.Slice(f.leaves, func(i, j int) bool { return Less(f.leaves[i], f.leaves[j]) })
-	f.updateStarts()
-	return len(f.leaves) - before
-}
-
-// enforce splits any local strict ancestor of n at level < reqLevel-1.
-func (f *Forest) enforce(set map[Octant]struct{}, n Octant, reqLevel uint8, pending []Octant) []Octant {
-	if reqLevel < 2 {
-		return pending
-	}
-	for {
-		found := false
-		for l := int(reqLevel) - 2; l >= 0; l-- {
-			a := Octant{Tree: n.Tree, O: n.O.Ancestor(uint8(l))}
-			if _, ok := set[a]; ok {
-				delete(set, a)
-				for i := 0; i < 8; i++ {
-					ch := Octant{Tree: a.Tree, O: a.O.Child(i)}
-					set[ch] = struct{}{}
-					pending = append(pending, ch)
-				}
-				found = true
-				break
-			}
-		}
-		if !found {
-			return pending
-		}
-	}
-}
-
-func (f *Forest) fullyLocal(o Octant) bool {
-	lo := gpos(o)
-	hi := lo + gspan(o)
-	me := f.rank.ID()
-	return f.starts[me] <= lo && hi <= f.starts[me+1]
-}
-
-func (f *Forest) exchange(reqs []Octant) []Octant {
-	p := f.rank.Size()
-	byRank := make([][]Octant, p)
-	var owners []int
-	for _, n := range reqs {
-		owners = f.Owners(n, owners[:0])
-		for _, rk := range owners {
-			if rk != f.rank.ID() {
-				byRank[rk] = append(byRank[rk], n)
-			}
-		}
-	}
+// ExchangeOctants sends byRank[j] to rank j, for every j with something
+// to send, and returns the octants received, concatenated in source-rank
+// order (collective).
+func (f *Forest) ExchangeOctants(byRank [][]Octant) []Octant {
 	var dests []int
 	var out []any
 	var nb []int
-	for j := range byRank {
-		if len(byRank[j]) == 0 {
+	for j, s := range byRank {
+		if len(s) == 0 {
 			continue
 		}
 		dests = append(dests, j)
-		out = append(out, byRank[j])
-		nb = append(nb, octantBytes*len(byRank[j]))
+		out = append(out, s)
+		nb = append(nb, octantBytes*len(s))
 	}
 	_, in := f.rank.AlltoallvSparse(dests, out, nb)
 	var got []Octant
@@ -398,24 +240,9 @@ func (f *Forest) Partition() []int {
 		dest[i] = int(d)
 		byRank[d] = append(byRank[d], f.leaves[i])
 	}
-	var sendTo []int
-	var out []any
-	var nb []int
-	for j := range byRank {
-		if len(byRank[j]) == 0 {
-			continue
-		}
-		sendTo = append(sendTo, j)
-		out = append(out, byRank[j])
-		nb = append(nb, octantBytes*len(byRank[j]))
-	}
 	// Sources arrive sorted by rank, so the concatenation stays in curve
 	// order.
-	_, in := f.rank.AlltoallvSparse(sendTo, out, nb)
-	f.leaves = f.leaves[:0]
-	for _, d := range in {
-		f.leaves = append(f.leaves, d.([]Octant)...)
-	}
+	f.leaves = f.ExchangeOctants(byRank)
 	f.updateStarts()
 	return dest
 }

@@ -142,6 +142,8 @@ func (c *Connectivity) NodeReps(tree int32, pos [3]uint32, dst []NodePos) []Node
 			}
 		}
 	}
-	sort.Slice(dst, func(i, j int) bool { return posLess(dst[i], dst[j]) })
+	if len(dst) > 1 {
+		sort.Slice(dst, func(i, j int) bool { return posLess(dst[i], dst[j]) })
+	}
 	return dst
 }

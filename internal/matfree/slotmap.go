@@ -1,6 +1,8 @@
 package matfree
 
 import (
+	"slices"
+
 	"rhea/internal/la"
 	"rhea/internal/mesh"
 )
@@ -44,28 +46,28 @@ type SlotMap struct {
 func NewSlotMap(m *mesh.Mesh, block int) *SlotMap {
 	sm := &SlotMap{NOwned: m.NumOwned, offset: m.Offset}
 
-	ghostSet := map[int64]struct{}{}
+	// An owned master's slot is its gid minus the offset; a ghost's is its
+	// rank in the sorted, de-duplicated list the exchange plan keeps.
+	lo, hi := m.Offset, m.Offset+int64(m.NumOwned)
+	var ghosts []int64
 	for ei := range m.Corners {
 		for c := 0; c < 8; c++ {
 			co := &m.Corners[ei][c]
 			for k := 0; k < int(co.N); k++ {
-				if g := co.GID[k]; g < m.Offset || g >= m.Offset+int64(m.NumOwned) {
-					ghostSet[g] = struct{}{}
+				if g := co.GID[k]; g < lo || g >= hi {
+					ghosts = append(ghosts, g)
 				}
 			}
 		}
 	}
-	ghosts := make([]int64, 0, len(ghostSet))
-	for g := range ghostSet {
-		ghosts = append(ghosts, g)
-	}
 	sm.GX = la.NewGhostExchange(m.Layout(), ghosts, block)
-	slotOf := make(map[int64]int32, m.NumOwned+sm.GX.NumGhosts())
-	for i := 0; i < m.NumOwned; i++ {
-		slotOf[m.Offset+int64(i)] = int32(i)
-	}
-	for s, g := range sm.GX.Ghosts() {
-		slotOf[g] = int32(m.NumOwned + s)
+	ghosts = sm.GX.Ghosts()
+	slotOf := func(g int64) int32 {
+		if lo <= g && g < hi {
+			return int32(g - lo)
+		}
+		i, _ := slices.BinarySearch(ghosts, g)
+		return int32(m.NumOwned + i)
 	}
 
 	sm.Corners = make([][8]CornerRef, len(m.Leaves))
@@ -74,7 +76,7 @@ func NewSlotMap(m *mesh.Mesh, block int) *SlotMap {
 			co := &m.Corners[ei][c]
 			cr := CornerRef{N: co.N}
 			for k := 0; k < int(co.N); k++ {
-				cr.Slot[k] = slotOf[co.GID[k]]
+				cr.Slot[k] = slotOf(co.GID[k])
 				cr.W[k] = co.W[k]
 			}
 			sm.Corners[ei][c] = cr

@@ -1,32 +1,15 @@
 package mesh
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"rhea/internal/forest"
 	"rhea/internal/la"
 	"rhea/internal/morton"
 )
-
-// nodeKey identifies a forest node by its canonical (tree, packed
-// position) representation.
-type nodeKey struct {
-	tree int32
-	k    uint64
-}
-
-func keyOf(np forest.NodePos) nodeKey {
-	return nodeKey{np.Tree, posKey(np.Pos)}
-}
-
-// less orders keys tree-major, then by packed position.
-func (a nodeKey) less(b nodeKey) bool {
-	if a.tree != b.tree {
-		return a.tree < b.tree
-	}
-	return a.k < b.k
-}
 
 // leafSet is a tree-major sorted collection of forest octants
 // (local + ghost) supporting containment queries. keys caches each
@@ -37,18 +20,21 @@ type leafSet struct {
 	keys   []uint64
 }
 
+// newLeafSet places the ghosts around the local leaves, which are already
+// in curve order: only the ghosts are sorted (in place), and being other
+// ranks' leaves they lie wholly before or wholly after this rank's
+// segment.
 func newLeafSet(local, ghosts []forest.Octant) *leafSet {
-	s := &leafSet{leaves: append(append([]forest.Octant(nil), local...), ghosts...)}
-	sort.Slice(s.leaves, func(i, j int) bool { return forest.Less(s.leaves[i], s.leaves[j]) })
-	out := s.leaves[:0]
-	for i, o := range s.leaves {
-		if i == 0 || o != s.leaves[i-1] {
-			out = append(out, o)
-		}
+	slices.SortFunc(ghosts, forest.Compare)
+	ghosts = slices.Compact(ghosts)
+	before := 0
+	if len(local) > 0 {
+		before, _ = slices.BinarySearchFunc(ghosts, local[0], forest.Compare)
 	}
-	s.leaves = out
-	s.keys = make([]uint64, len(out))
-	for i, o := range out {
+	s := &leafSet{leaves: make([]forest.Octant, 0, len(local)+len(ghosts))}
+	s.leaves = append(append(append(s.leaves, ghosts[:before]...), local...), ghosts[before:]...)
+	s.keys = make([]uint64, len(s.leaves))
+	for i, o := range s.leaves {
 		s.keys[i] = o.O.Key()
 	}
 	return s
@@ -81,57 +67,75 @@ type nodeInfo struct {
 	// cellPos is the node position expressed in cell's tree frame — the
 	// representation multigrid transfer uses to locate the (always
 	// local on the owner) containing coarse element.
-	cellPos  [3]uint32
-	minTouch uint8 // minimal level among leaves touching the node
+	cellPos [3]uint32
+	coarser bool  // a leaf coarser than the node's alignment level touches it
+	need    int32 // index in Extract's master list, -1 until referenced as a master
 }
 
-// resolveNode computes the canonical representation, owner and touching
-// level of the node at pos in tree's frame. Ownership goes to the rank
-// owning the minimal (tree-major, curve-ordered) finest-level cell
-// incident to the node: deterministic from replicated data, and — under
-// the full inter-tree 2:1 balance — guaranteed to be a rank that
-// references the node as an element corner.
-func resolveNode(f *forest.Forest, all *leafSet, tree int32, pos [3]uint32, repBuf []forest.NodePos) (nodeInfo, []forest.NodePos) {
-	repBuf = f.Conn.NodeReps(tree, pos, repBuf)
-	info := nodeInfo{canon: repBuf[0], minTouch: morton.MaxLevel + 1}
-	haveCell := false
-	for _, rp := range repBuf {
-		for d := 0; d < 8; d++ {
-			var q [3]int64
-			q[0] = int64(rp.Pos[0])
-			q[1] = int64(rp.Pos[1])
-			q[2] = int64(rp.Pos[2])
-			if d&1 != 0 {
-				q[0]--
+// resolveNode computes the canonical representation, owner and hanging
+// status of the node whose representations are reps (forest.NodeReps). Ownership
+// goes to the rank owning the minimal (tree-major, curve-ordered)
+// finest-level cell incident to the node: deterministic from replicated
+// data, and — under the full inter-tree 2:1 balance — guaranteed to be a
+// rank that references the node as an element corner.
+func resolveNode(f *forest.Forest, all *leafSet, reps []forest.NodePos) nodeInfo {
+	info := nodeInfo{canon: reps[0], need: -1}
+	level := alignLevel(reps[0].Pos) // the same in every representation
+	for i, rp := range reps {
+		// The first incident cell within a tree lies one unit down every
+		// axis that has room (the curve is monotone in each coordinate).
+		var c [3]uint32
+		for a, x := range rp.Pos {
+			if x > 0 {
+				x--
 			}
-			if d&2 != 0 {
-				q[1]--
-			}
-			if d&4 != 0 {
-				q[2]--
-			}
-			if q[0] < 0 || q[1] < 0 || q[2] < 0 ||
-				q[0] >= morton.RootLen || q[1] >= morton.RootLen || q[2] >= morton.RootLen {
-				continue
-			}
-			cell := forest.Octant{Tree: rp.Tree, O: morton.Octant{
-				X: uint32(q[0]), Y: uint32(q[1]), Z: uint32(q[2]), Level: morton.MaxLevel}}
-			if !haveCell || forest.Less(cell, info.cell) {
-				haveCell = true
-				info.cell = cell
-				info.cellPos = rp.Pos
-			}
-			if leaf, ok := all.findContaining(cell); ok && leaf.O.Level < info.minTouch {
-				info.minTouch = leaf.O.Level
-			}
+			c[a] = x
 		}
-	}
-	if !haveCell {
-		panic(fmt.Sprintf("mesh: node %v of tree %d has no incident cell", pos, tree))
+		cell := forest.Octant{Tree: rp.Tree, O: morton.Octant{X: c[0], Y: c[1], Z: c[2], Level: morton.MaxLevel}}
+		if i == 0 || forest.Less(cell, info.cell) {
+			info.cell, info.cellPos = cell, rp.Pos
+		}
+		info.coarser = info.coarser || level > 0 && touchesCoarser(all, rp, level)
 	}
 	var owners [1]int
 	info.owner = int32(f.Owners(info.cell, owners[:0])[0])
-	return info, repBuf
+	return info
+}
+
+// touchesCoarser reports whether a leaf coarser than level touches the
+// node rp, whose alignment level is level: whether one of the level-1
+// octants around it is a leaf or lies inside one. Along an axis in which
+// the position is not (level-1)-aligned one such octant covers both
+// sides, so there are one, two or four candidates, not eight.
+func touchesCoarser(all *leafSet, rp forest.NodePos, level uint8) bool {
+	h := uint32(1) << (morton.MaxLevel + 1 - uint32(level)) // edge of a level-1 octant
+candidates:
+	for d := 0; d < 8; d++ {
+		var q [3]uint32
+		for a, x := range rp.Pos {
+			below := d>>a&1 != 0
+			switch {
+			case x&(h-1) != 0: // between lattice planes: one octant for both sides
+				if below {
+					continue candidates
+				}
+				x &^= h - 1
+			case below:
+				if x == 0 {
+					continue candidates
+				}
+				x -= h
+			case x == morton.RootLen:
+				continue candidates
+			}
+			q[a] = x
+		}
+		o := forest.Octant{Tree: rp.Tree, O: morton.Octant{X: q[0], Y: q[1], Z: q[2], Level: level - 1}}
+		if _, ok := all.findContaining(o); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // Extract builds the distributed finite-element mesh from a 2:1-balanced
@@ -157,39 +161,49 @@ func Extract(f *forest.Forest, g Geometry) *Mesh {
 	m.NumGhostLeaves = len(ghosts)
 	all := newLeafSet(f.Leaves(), ghosts)
 
-	// Resolve every referenced node position once.
-	infoCache := make(map[nodeKey]nodeInfo, 2*len(m.Leaves))
-	var repBuf []forest.NodePos
-	resolve := func(tree int32, pos [3]uint32) nodeInfo {
-		k := nodeKey{tree, posKey(pos)}
-		if info, ok := infoCache[k]; ok {
-			return info
+	// Resolve every referenced node position once. nodes lists the
+	// distinct nodes in the order they were first met; the table finds a
+	// node by the representation an element uses (its own tree frame) and
+	// by its canonical one, so a node shared between trees is resolved
+	// once whichever tree asks first.
+	nodes := make([]nodeInfo, 0, 2*len(m.Leaves))
+	tab := newNodeTable(2 * len(m.Leaves))
+	var reps []forest.NodePos
+	resolve := func(tree int32, pos [3]uint32) int32 {
+		k := posKey(pos)
+		if ni, ok := tab.get(tree, k); ok {
+			return ni
 		}
-		var info nodeInfo
-		info, repBuf = resolveNode(f, all, tree, pos, repBuf)
-		infoCache[k] = info
-		// Also cache under the canonical key, so the canonical tree's own
-		// elements find the node resolved.
-		if ck := keyOf(info.canon); ck != k {
-			infoCache[ck] = info
+		reps = f.Conn.NodeReps(tree, pos, reps)
+		ct, ck := reps[0].Tree, posKey(reps[0].Pos)
+		aliased := ct != tree || ck != k
+		if aliased {
+			if ni, ok := tab.get(ct, ck); ok {
+				tab.put(tree, k, ni)
+				return ni
+			}
 		}
-		return info
+		ni := int32(len(nodes))
+		nodes = append(nodes, resolveNode(f, all, reps))
+		tab.put(ct, ck, ni)
+		if aliased {
+			tab.put(tree, k, ni)
+		}
+		return ni
 	}
 
 	// Classify every element corner. A master is recorded by its index in
-	// need, the list of distinct referenced nodes; the indices are replaced
-	// by global ids once those are resolved.
-	var need []nodeInfo
-	needIdx := make(map[nodeKey]int64, 2*len(m.Leaves)) // canonical key -> index in need
-	noteMaster := func(info nodeInfo) int64 {
-		ck := keyOf(info.canon)
-		i, ok := needIdx[ck]
-		if !ok {
-			i = int64(len(need))
-			needIdx[ck] = i
-			need = append(need, info)
+	// need, the list of distinct master nodes in first-reference order
+	// (the order of the ask lists sent to their owners); the indices are
+	// replaced by global ids once those are resolved.
+	var need []int32 // indices into nodes
+	noteMaster := func(ni int32) int64 {
+		n := &nodes[ni]
+		if n.need < 0 {
+			n.need = int32(len(need))
+			need = append(need, ni)
 		}
-		return i
+		return int64(n.need)
 	}
 
 	m.Corners = make([][8]Corner, len(m.Leaves))
@@ -201,8 +215,8 @@ func Extract(f *forest.Forest, g Geometry) *Mesh {
 			P := cornerPos(e, c)
 			co := &m.Corners[ei][c]
 			co.Pos = P
-			info := resolve(tree, P)
-			if alignLevel(P) == L && L > 0 && info.minTouch < L {
+			ni := resolve(tree, P)
+			if alignLevel(P) == L && nodes[ni].coarser {
 				// Hanging: masters at P +/- h along misaligned axes, in
 				// this element's own tree frame.
 				axes := make([]int, 0, 3)
@@ -229,7 +243,7 @@ func Extract(f *forest.Forest, g Geometry) *Mesh {
 				}
 			} else {
 				co.N = 1
-				co.GID[0] = noteMaster(info)
+				co.GID[0] = noteMaster(ni)
 				co.W[0] = 1
 			}
 		}
@@ -242,16 +256,20 @@ func Extract(f *forest.Forest, g Geometry) *Mesh {
 	var owned []int64 // need indices
 	askPos := make([][]forest.NodePos, p)
 	askIdx := make([][]int64, p) // need indices, aligned with askPos
-	for i, n := range need {
-		if n.owner == me {
+	for i, ni := range need {
+		if n := &nodes[ni]; n.owner == me {
 			owned = append(owned, int64(i))
 		} else {
 			askPos[n.owner] = append(askPos[n.owner], n.canon)
 			askIdx[n.owner] = append(askIdx[n.owner], int64(i))
 		}
 	}
-	sort.Slice(owned, func(i, j int) bool {
-		return keyOf(need[owned[i]].canon).less(keyOf(need[owned[j]].canon))
+	slices.SortFunc(owned, func(i, j int64) int {
+		a, b := &nodes[need[i]].canon, &nodes[need[j]].canon
+		if a.Tree != b.Tree {
+			return cmp.Compare(a.Tree, b.Tree)
+		}
+		return cmp.Compare(posKey(a.Pos), posKey(b.Pos))
 	})
 	m.NumOwned = len(owned)
 	m.layout = la.NewLayout(r, m.NumOwned)
@@ -260,15 +278,13 @@ func Extract(f *forest.Forest, g Geometry) *Mesh {
 	m.OwnedTree = make([]int32, m.NumOwned)
 	m.OwnedCell = make([]forest.Octant, m.NumOwned)
 	m.OwnedCellPos = make([][3]uint32, m.NumOwned)
-	m.posToLocal = make(map[nodeKey]int32, m.NumOwned)
 	gid := make([]int64, len(need)) // global id of need[i]
 	for li, i := range owned {
-		info := &need[i]
+		info := &nodes[need[i]]
 		m.OwnedPos[li] = info.canon.Pos
 		m.OwnedTree[li] = info.canon.Tree
 		m.OwnedCell[li] = info.cell
 		m.OwnedCellPos[li] = info.cellPos
-		m.posToLocal[keyOf(info.canon)] = int32(li)
 		gid[i] = m.Offset + int64(li)
 	}
 
@@ -295,7 +311,7 @@ func Extract(f *forest.Forest, g Geometry) *Mesh {
 		gids := make([]int64, len(asked))
 		send := make([]int32, len(asked))
 		for k, np := range asked {
-			li, ok := m.posToLocal[keyOf(np)]
+			li, ok := m.LocalIndex(np.Tree, np.Pos)
 			if !ok {
 				panic(fmt.Sprintf("mesh: rank %d asked for node %v not owned by rank %d", froms[i], np, r.ID()))
 			}
@@ -343,9 +359,25 @@ func Extract(f *forest.Forest, g Geometry) *Mesh {
 	return m
 }
 
+// interior reports whether octant o and its 26 same-level neighbours all
+// lie inside this rank's curve segment: then so does every neighbour of
+// every descendant of o, and no other rank needs any of them as a ghost.
+func interior(f *forest.Forest, o forest.Octant) bool {
+	if !f.Contains(o) {
+		return false
+	}
+	for _, d := range forest.Dirs26 {
+		if n, ok := f.Neighbor(o, d); ok && !f.Contains(n) {
+			return false
+		}
+	}
+	return true
+}
+
 // exchangeGhosts sends each local leaf to every remote rank adjacent to
 // it — across tree boundaries included — and returns the ghost leaves
-// received.
+// received. Only leaves next to the partition boundary have anything to
+// send: a family whose parent is interior is skipped after one test.
 func exchangeGhosts(f *forest.Forest) []forest.Octant {
 	r := f.Rank()
 	p := r.Size()
@@ -355,10 +387,20 @@ func exchangeGhosts(f *forest.Forest) []forest.Octant {
 		marked[i] = -1
 	}
 	var owners []int
+	var parent forest.Octant
+	skip := false // parent is interior
 	for li, o := range f.Leaves() {
+		if o.O.Level > 0 {
+			if pa := (forest.Octant{Tree: o.Tree, O: o.O.Parent()}); li == 0 || pa != parent {
+				parent, skip = pa, interior(f, pa)
+			}
+			if skip {
+				continue
+			}
+		}
 		for _, d := range forest.Dirs26 {
 			n, ok := f.Neighbor(o, d)
-			if !ok {
+			if !ok || f.Contains(n) {
 				continue
 			}
 			owners = f.Owners(n, owners[:0])
@@ -370,21 +412,5 @@ func exchangeGhosts(f *forest.Forest) []forest.Octant {
 			}
 		}
 	}
-	var dests []int
-	var out []any
-	var nb []int
-	for j := range byRank {
-		if len(byRank[j]) == 0 {
-			continue
-		}
-		dests = append(dests, j)
-		out = append(out, byRank[j])
-		nb = append(nb, 20*len(byRank[j]))
-	}
-	_, in := r.AlltoallvSparse(dests, out, nb)
-	var ghosts []forest.Octant
-	for _, d := range in {
-		ghosts = append(ghosts, d.([]forest.Octant)...)
-	}
-	return ghosts
+	return f.ExchangeOctants(byRank)
 }

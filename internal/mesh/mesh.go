@@ -20,6 +20,13 @@
 //     with 2 masters at weight 1/2, two misaligned axes give a
 //     face-hanging node with 4 masters at weight 1/4. Masters are always
 //     independent nodes (no constraint chains) under full 2:1 balance.
+//
+// Extraction works on sorted arrays: the leaf set is the local leaves
+// with the sorted ghosts on either side, searched by Morton key; node
+// positions are resolved once through a table local to the call
+// (nodetable.go); owned nodes are numbered in (tree, position key) order,
+// which LocalIndex searches. No Go map is keyed by an octant or a node
+// position.
 package mesh
 
 import (
@@ -100,10 +107,6 @@ type Mesh struct {
 	// offsets are the one collective that also yields Offset and NGlobal).
 	layout *la.Layout
 
-	// posToLocal maps the canonical (tree, position) key of each owned
-	// node to its local index.
-	posToLocal map[nodeKey]int32
-
 	// Ghost exchange plan over referenced global ids: used to gather
 	// remote nodal values keyed by global id (boundary-condition and
 	// solver set-up masks, output; per-cycle paths sample through the
@@ -167,9 +170,19 @@ func (m *Mesh) Layout() *la.Layout { return m.layout }
 // in that tree's frame — and whether this rank owns it. Cross-rank mesh
 // couplings (the multigrid repartition plans) use this to resolve node
 // identity independently of the partition-dependent global numbering.
+// The owned nodes are sorted by (tree, position key): a binary search.
 func (m *Mesh) LocalIndex(tree int32, p [3]uint32) (int32, bool) {
-	li, ok := m.posToLocal[nodeKey{tree, posKey(p)}]
-	return li, ok
+	k := posKey(p)
+	i := sort.Search(m.NumOwned, func(i int) bool {
+		if t := m.OwnedTree[i]; t != tree {
+			return t > tree
+		}
+		return posKey(m.OwnedPos[i]) >= k
+	})
+	if i < m.NumOwned && m.OwnedTree[i] == tree && m.OwnedPos[i] == p {
+		return int32(i), true
+	}
+	return 0, false
 }
 
 // GatherReferenced returns the values of every node this rank references

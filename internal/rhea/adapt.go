@@ -37,29 +37,14 @@ func AdaptFields(f *forest.Forest, m *mesh.Mesh, fields []*la.Vec, marks errind.
 
 	// Snapshot fields as element data on the old mesh.
 	t0 := time.Now()
-	data := make([]field.ElemData, len(fields))
-	for i, v := range fields {
-		data[i] = field.FromNodal(m, v)
-	}
+	data := field.FromNodal(m, fields)
 	oldLeaves := append([]forest.Octant(nil), f.Leaves()...)
 	tm.InterpolateFld += time.Since(t0).Seconds()
 
-	// Coarsen + refine. The refine marks are re-derived on the
-	// post-coarsening layout by octant identity; coarsened regions are
-	// never refine-marked because the mark sets are disjoint.
+	// Coarsen + refine; the mark sets are disjoint, so coarsened regions
+	// are never refine-marked.
 	t0 = time.Now()
-	nCoarse := f.CoarsenMarked(marks.Coarsen)
-	refSet := make(map[forest.Octant]struct{})
-	for i, mk := range marks.Refine {
-		if mk {
-			refSet[oldLeaves[i]] = struct{}{}
-		}
-	}
-	ref2 := make([]bool, f.NumLocal())
-	for i, o := range f.Leaves() {
-		_, ref2[i] = refSet[o]
-	}
-	nRef := f.RefineMarked(ref2)
+	nCoarse, nRef := f.AdaptMarked(marks.Coarsen, marks.Refine)
 	tm.CoarsenRefine += time.Since(t0).Seconds()
 
 	t0 = time.Now()
@@ -68,9 +53,7 @@ func AdaptFields(f *forest.Forest, m *mesh.Mesh, fields []*la.Vec, marks errind.
 
 	// Project fields onto the adapted (still old-partition) leaves.
 	t0 = time.Now()
-	for i := range data {
-		data[i] = field.ProjectData(oldLeaves, f.Leaves(), data[i])
-	}
+	data = field.ProjectData(oldLeaves, f.Leaves(), data)
 	tm.InterpolateFld += time.Since(t0).Seconds()
 
 	t0 = time.Now()
@@ -78,9 +61,7 @@ func AdaptFields(f *forest.Forest, m *mesh.Mesh, fields []*la.Vec, marks errind.
 	tm.PartitionTree += time.Since(t0).Seconds()
 
 	t0 = time.Now()
-	for i := range data {
-		data[i] = field.Transfer(r, dests, data[i])
-	}
+	data = field.Transfer(r, dests, data)
 	tm.TransferFld += time.Since(t0).Seconds()
 
 	t0 = time.Now()
@@ -88,10 +69,7 @@ func AdaptFields(f *forest.Forest, m *mesh.Mesh, fields []*la.Vec, marks errind.
 	tm.ExtractMesh += time.Since(t0).Seconds()
 
 	t0 = time.Now()
-	out := make([]*la.Vec, len(data))
-	for i := range data {
-		out[i] = field.ToNodal(nm, data[i])
-	}
+	out := field.ToNodal(nm, data)
 	tm.InterpolateFld += time.Since(t0).Seconds()
 
 	var moved int64
