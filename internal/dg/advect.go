@@ -381,20 +381,19 @@ func (a *Advection) faceSlice(u []float64, axis, side int8, out []float64) {
 // (collective).
 func (a *Advection) updateGhostValues(u []float64) {
 	r := a.F.Rank()
-	out := make([]any, len(a.ghost.sendTo))
-	nb := make([]int, len(a.ghost.sendTo))
+	out := make([]sim.Payload, len(a.ghost.sendTo))
 	for k, rk := range a.ghost.sendTo {
 		idx := a.ghost.sendIdx[rk]
 		buf := make([]float64, len(idx)*a.n3)
 		for n, li := range idx {
 			copy(buf[n*a.n3:(n+1)*a.n3], u[int(li)*a.n3:(int(li)+1)*a.n3])
 		}
-		out[k] = buf
-		nb[k] = 8 * len(buf)
+		out[k].F64 = buf
 	}
-	in := r.NeighborExchange(a.ghost.sendTo, out, nb, a.ghost.recvFrom)
+	in := make([]sim.Payload, len(a.ghost.recvFrom))
+	r.NeighborExchange(a.ghost.sendTo, out, a.ghost.recvFrom, in)
 	for k, rk := range a.ghost.recvFrom {
-		buf := in[k].([]float64)
+		buf := in[k].F64
 		for n, slot := range a.ghost.recvOff[rk] {
 			copy(a.ghostU[int(slot)*a.n3:(int(slot)+1)*a.n3], buf[n*a.n3:(n+1)*a.n3])
 		}

@@ -46,6 +46,8 @@ type repart struct {
 	// indices filled from nRecvFrom[k], aligned with the sender's order.
 	nSendTo, nRecvFrom []int
 	nSendIdx, nRecvIdx [][]int32
+
+	out, in []sim.Payload // permute's exchange scratch
 }
 
 // nodeKeyMsg carries canonical node keys between partitions.
@@ -147,20 +149,19 @@ func buildRepart(m *mesh.Mesh, newP int) (*repart, *mesh.Mesh) {
 
 	// Ship the leaves and extract the repartitioned mesh on the subset.
 	var sm *mesh.Mesh
-	payloads := make([]any, len(rp.eSendTo))
-	nbytes := make([]int, len(rp.eSendTo))
+	payloads := make([]sim.Payload, len(rp.eSendTo))
 	mine := forestLeaves(m)
 	off := 0
 	for k, cnt := range rp.eSendCnt {
-		payloads[k] = mine[off : off+cnt : off+cnt]
-		nbytes[k] = 20 * cnt
+		payloads[k] = sim.Payload{Data: mine[off : off+cnt : off+cnt], NBytes: 20 * cnt}
 		off += cnt
 	}
-	in := comm.NeighborExchange(rp.eSendTo, payloads, nbytes, rp.eRecvFrom)
+	in := make([]sim.Payload, len(rp.eRecvFrom))
+	comm.NeighborExchange(rp.eSendTo, payloads, rp.eRecvFrom, in)
 	if sub.Member() {
 		leaves := make([]forest.Octant, 0, rp.nElems)
 		for _, d := range in {
-			leaves = append(leaves, d.([]forest.Octant)...)
+			leaves = append(leaves, d.Data.([]forest.Octant)...)
 		}
 		sm = mesh.Extract(forest.FromLeaves(sub, m.Conn, leaves), m.Geom)
 	}
@@ -241,19 +242,20 @@ func (rp *repart) NodeBackward(w int, src, dst []float64) {
 // stores the blocks arriving from from[k] at recvIdx[k] of dst. Payloads
 // come from the shared exchange pool and go back to it once copied out.
 func (rp *repart) permute(w int, to []int, sendIdx [][]int32, src []float64, from []int, recvIdx [][]int32, dst []float64) {
-	out := make([]any, len(to))
-	nb := make([]int, len(to))
+	if n := max(len(rp.nSendTo), len(rp.nRecvFrom)); len(rp.out) < n {
+		rp.out, rp.in = make([]sim.Payload, n), make([]sim.Payload, n)
+	}
+	out, in := rp.out[:len(to)], rp.in[:len(from)]
 	for k, idx := range sendIdx {
 		vals := la.GetBuf(w * len(idx))
 		for t, i := range idx {
 			copy(vals[w*t:w*t+w], src[w*int(i):w*int(i)+w])
 		}
-		out[k] = vals
-		nb[k] = 8 * len(vals)
+		out[k].F64 = vals
 	}
-	in := rp.comm.NeighborExchange(to, out, nb, from)
+	rp.comm.NeighborExchange(to, out, from, in)
 	for k, d := range in {
-		vals := d.([]float64)
+		vals := d.F64
 		for t, i := range recvIdx[k] {
 			copy(dst[w*int(i):w*int(i)+w], vals[w*t:w*t+w])
 		}
@@ -266,18 +268,17 @@ func (rp *repart) permute(w int, to []int, sendIdx [][]int32, src []float64, fro
 // empty on ranks outside the subset. Identical octants on both sides
 // make this a pure permutation — no averaging.
 func (rp *repart) ElemForward(eta []float64) []float64 {
-	payloads := make([]any, len(rp.eSendTo))
-	nbytes := make([]int, len(rp.eSendTo))
+	payloads := make([]sim.Payload, len(rp.eSendTo))
 	off := 0
 	for k, cnt := range rp.eSendCnt {
-		payloads[k] = eta[off : off+cnt : off+cnt]
-		nbytes[k] = 8 * cnt
+		payloads[k].F64 = eta[off : off+cnt : off+cnt]
 		off += cnt
 	}
-	in := rp.comm.NeighborExchange(rp.eSendTo, payloads, nbytes, rp.eRecvFrom)
+	in := make([]sim.Payload, len(rp.eRecvFrom))
+	rp.comm.NeighborExchange(rp.eSendTo, payloads, rp.eRecvFrom, in)
 	out := make([]float64, 0, rp.nElems)
 	for _, d := range in {
-		out = append(out, d.([]float64)...)
+		out = append(out, d.F64...)
 	}
 	return out
 }

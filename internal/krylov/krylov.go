@@ -122,16 +122,17 @@ func MINRES(A Operator, M Operator, b, x *la.Vec, rtol float64, maxIt int) Resul
 
 	for it := 1; it <= maxIt; it++ {
 		s := 1.0 / beta
-		v.Copy(y)
-		v.Scale(s)
+		for i, yi := range y.Data {
+			v.Data[i] = yi * s
+		}
 		A.Apply(v, y)
 		if it >= 2 {
 			y.AXPY(-beta/oldb, r1)
 		}
 		alfa := v.Dot(y)
 		y.AXPY(-alfa/beta, r2)
-		r1.Copy(r2)
-		r2.Copy(y)
+		// r1 <- r2 <- y by renaming; the old r1 becomes M's output.
+		r1, r2, y = r2, y, r1
 		M.Apply(r2, y)
 		oldb = beta
 		b2 := r2.Dot(y)
@@ -159,14 +160,18 @@ func MINRES(A Operator, M Operator, b, x *la.Vec, rtol float64, maxIt int) Resul
 		phibar = sn * phibar
 
 		// Update the solution.
+		// w1 <- w2 <- w by renaming, then w = (v - oldeps w1 - delta w2)/gamma
+		// and x += phi w in one pass, entry by entry in the order the
+		// separate Copy/AXPY/AXPY/Scale/AXPY calls applied them.
 		denom := 1.0 / gamma
-		w1.Copy(w2)
-		w2.Copy(w)
-		w.Copy(v)
-		w.AXPY(-oldeps, w1)
-		w.AXPY(-delta, w2)
-		w.Scale(denom)
-		x.AXPY(phi, w)
+		w1, w2, w = w2, w, w1
+		for i, vi := range v.Data {
+			t := vi + -oldeps*w1.Data[i]
+			t += -delta * w2.Data[i]
+			t *= denom
+			w.Data[i] = t
+			x.Data[i] += phi * t
+		}
 
 		res.Iterations = it
 		res.Residual = math.Abs(phibar)

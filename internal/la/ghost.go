@@ -3,6 +3,8 @@ package la
 import (
 	"sort"
 	"sync"
+
+	"rhea/internal/sim"
 )
 
 // f64bufs pools float64 send buffers for the neighbor exchanges. A
@@ -10,12 +12,24 @@ import (
 // receiver copies the values out and Puts the buffer back. Because a
 // buffer is only returned to the pool after its message has been
 // consumed, reuse can never race with a lagging reader.
-var f64bufs = sync.Pool{New: func() any { return []float64(nil) }}
+//
+// A sync.Pool holds pointers, and the slice header that travels with a
+// message is not one, so each pooled buffer sits in a *[]float64 holder.
+// The holders cycle between two pools — GetBuf empties one and parks it
+// in bufHolders, PutBuf picks one up there — so that in steady state
+// neither call allocates.
+var f64bufs, bufHolders sync.Pool
 
 // GetBuf returns a pooled float64 buffer of length n (shared send-buffer
 // pool for neighbor exchanges; see PutBuf).
 func GetBuf(n int) []float64 {
-	b := f64bufs.Get().([]float64)
+	h, _ := f64bufs.Get().(*[]float64)
+	if h == nil {
+		return make([]float64, n)
+	}
+	b := *h
+	*h = nil
+	bufHolders.Put(h)
 	if cap(b) < n {
 		return make([]float64, n)
 	}
@@ -25,9 +39,15 @@ func GetBuf(n int) []float64 {
 // PutBuf returns a buffer obtained from GetBuf (or received from a
 // neighbor exchange) to the pool once its contents have been consumed.
 func PutBuf(b []float64) {
-	if cap(b) > 0 {
-		f64bufs.Put(b[:0])
+	if cap(b) == 0 {
+		return
 	}
+	h, _ := bufHolders.Get().(*[]float64)
+	if h == nil {
+		h = new([]float64)
+	}
+	*h = b[:0]
+	f64bufs.Put(h)
 }
 
 // GhostExchange is a reusable neighbor-exchange plan over a fixed set of
@@ -64,9 +84,8 @@ type GhostExchange struct {
 	owners  []int
 	servers []int
 
-	// out and nb are the per-plan exchange scratch (see scratch).
-	out []any
-	nb  []int
+	// out and in are the per-plan exchange scratch (see scratch).
+	out, in []sim.Payload
 }
 
 // NewGhostExchange builds the exchange plan for the given off-rank global
@@ -154,18 +173,17 @@ func (g *GhostExchange) Gather(owned, ghost []float64) {
 // the blocked velocity cycle through the same block-1 plan, in one
 // message per neighbor either way (collective).
 func (g *GhostExchange) GatherBlock(block int, owned, ghost []float64) {
-	out, nb := g.scratch(len(g.servers))
+	out, in := g.scratch(len(g.servers), len(g.owners))
 	for k, j := range g.servers {
 		buf := GetBuf(len(g.sendIdx[j]) * block)
 		for n, li := range g.sendIdx[j] {
 			copy(buf[n*block:(n+1)*block], owned[int(li)*block:(int(li)+1)*block])
 		}
-		out[k] = buf
-		nb[k] = 8 * len(buf)
+		out[k].F64 = buf
 	}
-	in := g.layout.rank.NeighborExchange(g.servers, out, nb, g.owners)
+	g.layout.rank.NeighborExchange(g.servers, out, g.owners, in)
 	for k, i := range g.owners {
-		buf := in[k].([]float64)
+		buf := in[k].F64
 		for n, s := range g.reqSlot[i] {
 			copy(ghost[int(s)*block:(int(s)+1)*block], buf[n*block:(n+1)*block])
 		}
@@ -181,7 +199,7 @@ func (g *GhostExchange) GatherBlock(block int, owned, ghost []float64) {
 // three velocity components together when re-evaluating the viscosity.
 func (g *GhostExchange) GatherMulti(owned, ghost [][]float64) {
 	nf := len(owned)
-	out, nb := g.scratch(len(g.servers))
+	out, in := g.scratch(len(g.servers), len(g.owners))
 	for k, j := range g.servers {
 		buf := GetBuf(len(g.sendIdx[j]) * g.block * nf)
 		pos := 0
@@ -190,12 +208,11 @@ func (g *GhostExchange) GatherMulti(owned, ghost [][]float64) {
 				pos += copy(buf[pos:], owned[f][int(li)*g.block:(int(li)+1)*g.block])
 			}
 		}
-		out[k] = buf
-		nb[k] = 8 * len(buf)
+		out[k].F64 = buf
 	}
-	in := g.layout.rank.NeighborExchange(g.servers, out, nb, g.owners)
+	g.layout.rank.NeighborExchange(g.servers, out, g.owners, in)
 	for k, i := range g.owners {
-		buf := in[k].([]float64)
+		buf := in[k].F64
 		pos := 0
 		for _, s := range g.reqSlot[i] {
 			for f := 0; f < nf; f++ {
@@ -216,18 +233,17 @@ func (g *GhostExchange) ScatterAdd(ghost, owned []float64) {
 // ScatterAddBlock is ScatterAdd with the block width chosen per call —
 // the transpose of GatherBlock at the same width (collective).
 func (g *GhostExchange) ScatterAddBlock(block int, ghost, owned []float64) {
-	out, nb := g.scratch(len(g.owners))
+	out, in := g.scratch(len(g.owners), len(g.servers))
 	for k, j := range g.owners {
 		buf := GetBuf(len(g.reqSlot[j]) * block)
 		for n, s := range g.reqSlot[j] {
 			copy(buf[n*block:(n+1)*block], ghost[int(s)*block:(int(s)+1)*block])
 		}
-		out[k] = buf
-		nb[k] = 8 * len(buf)
+		out[k].F64 = buf
 	}
-	in := g.layout.rank.NeighborExchange(g.owners, out, nb, g.servers)
+	g.layout.rank.NeighborExchange(g.owners, out, g.servers, in)
 	for k, i := range g.servers {
-		buf := in[k].([]float64)
+		buf := in[k].F64
 		for n, li := range g.sendIdx[i] {
 			base := int(li) * block
 			for c := 0; c < block; c++ {
@@ -238,14 +254,13 @@ func (g *GhostExchange) ScatterAddBlock(block int, ghost, owned []float64) {
 	}
 }
 
-// scratch returns the plan's payload and size tables cut to n entries.
-// They are handed to sim.NeighborExchange, which reads them before it
-// returns and keeps no reference, and a plan is only ever driven by its
-// own rank, so one pair per plan serves every exchange.
-func (g *GhostExchange) scratch(n int) ([]any, []int) {
-	if cap(g.out) < n {
-		g.out = make([]any, n)
-		g.nb = make([]int, n)
+// scratch returns the plan's tables of nOut outgoing and nIn incoming
+// payloads. sim.NeighborExchange reads the one and fills the other before
+// it returns and keeps no reference, and a plan is only ever driven by
+// its own rank, so one pair per plan serves every exchange.
+func (g *GhostExchange) scratch(nOut, nIn int) (out, in []sim.Payload) {
+	if n := max(len(g.owners), len(g.servers)); len(g.out) < n {
+		g.out, g.in = make([]sim.Payload, n), make([]sim.Payload, n)
 	}
-	return g.out[:n], g.nb[:n]
+	return g.out[:nOut], g.in[:nIn]
 }

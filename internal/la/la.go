@@ -360,19 +360,18 @@ func (m *Mat) updateGhosts(x *Vec) {
 			m.xbuf[s] = x.Data[li]
 		}
 	}
-	out := make([]any, len(m.askers))
-	nb := make([]int, len(m.askers))
+	out := make([]sim.Payload, len(m.askers))
 	for k, j := range m.askers {
 		vals := GetBuf(len(m.sendTo[j]))
 		for n, li := range m.sendTo[j] {
 			vals[n] = x.Data[li]
 		}
-		out[k] = vals
-		nb[k] = 8 * len(vals)
+		out[k].F64 = vals
 	}
-	in := r.NeighborExchange(m.askers, out, nb, m.owners)
+	in := make([]sim.Payload, len(m.owners))
+	r.NeighborExchange(m.askers, out, m.owners, in)
 	for k, i := range m.owners {
-		vals := in[k].([]float64)
+		vals := in[k].F64
 		for n, s := range m.recvSlot[i] {
 			m.xbuf[s] = vals[n]
 		}

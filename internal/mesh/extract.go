@@ -9,6 +9,7 @@ import (
 	"rhea/internal/forest"
 	"rhea/internal/la"
 	"rhea/internal/morton"
+	"rhea/internal/sim"
 )
 
 // leafSet is a tree-major sorted collection of forest octants
@@ -304,8 +305,7 @@ func Extract(f *forest.Forest, g Geometry) *Mesh {
 	froms, asks := r.AlltoallvSparse(m.refOwners, askOut, askNB)
 	m.refSend = make([][]int32, p)
 	m.refAskers = froms
-	resp := make([]any, len(froms))
-	respNB := make([]int, len(froms))
+	resp := make([]sim.Payload, len(froms))
 	for i, d := range asks {
 		asked := d.([]forest.NodePos)
 		gids := make([]int64, len(asked))
@@ -318,14 +318,14 @@ func Extract(f *forest.Forest, g Geometry) *Mesh {
 			gids[k] = m.Offset + int64(li)
 			send[k] = li
 		}
-		resp[i] = gids
-		respNB[i] = 8 * len(gids)
+		resp[i] = sim.Payload{Data: gids, NBytes: 8 * len(gids)}
 		m.refSend[froms[i]] = send
 	}
-	back := r.NeighborExchange(m.refAskers, resp, respNB, m.refOwners)
+	back := make([]sim.Payload, len(m.refOwners))
+	r.NeighborExchange(m.refAskers, resp, m.refOwners, back)
 	m.refWant = make([][]int64, p)
 	for k, o := range m.refOwners {
-		gids := back[k].([]int64)
+		gids := back[k].Data.([]int64)
 		for i, g := range gids {
 			gid[askIdx[o][i]] = g
 		}

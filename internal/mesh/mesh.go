@@ -200,19 +200,18 @@ func (m *Mesh) GatherReferenced(u *la.Vec) map[int64]float64 {
 	for i := 0; i < m.NumOwned; i++ {
 		vals[m.Offset+int64(i)] = u.Data[i]
 	}
-	out := make([]any, len(m.refAskers))
-	nb := make([]int, len(m.refAskers))
+	out := make([]sim.Payload, len(m.refAskers))
 	for k, j := range m.refAskers {
 		v := la.GetBuf(len(m.refSend[j]))
 		for n, li := range m.refSend[j] {
 			v[n] = u.Data[li]
 		}
-		out[k] = v
-		nb[k] = 8 * len(v)
+		out[k].F64 = v
 	}
-	in := r.NeighborExchange(m.refAskers, out, nb, m.refOwners)
+	in := make([]sim.Payload, len(m.refOwners))
+	r.NeighborExchange(m.refAskers, out, m.refOwners, in)
 	for k, o := range m.refOwners {
-		got := in[k].([]float64)
+		got := in[k].F64
 		for n, g := range m.refWant[o] {
 			vals[g] = got[n]
 		}

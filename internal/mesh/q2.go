@@ -6,6 +6,7 @@ import (
 
 	"rhea/internal/forest"
 	"rhea/internal/morton"
+	"rhea/internal/sim"
 )
 
 // Q2 node layer: the 27-node triquadratic element adds edge, face and
@@ -190,8 +191,7 @@ func ExtractQ2(f *forest.Forest, m *Mesh) *Q2Mesh {
 		askNB = append(askNB, 12*len(askPos[j]))
 	}
 	froms, asks := r.AlltoallvSparse(owners, askOut, askNB)
-	resp := make([]any, len(froms))
-	respNB := make([]int, len(froms))
+	resp := make([]sim.Payload, len(froms))
 	for i, d := range asks {
 		asked := d.([][3]uint32)
 		gids := make([]int64, len(asked))
@@ -202,12 +202,12 @@ func ExtractQ2(f *forest.Forest, m *Mesh) *Q2Mesh {
 			}
 			gids[k] = q.Offset + int64(li)
 		}
-		resp[i] = gids
-		respNB[i] = 8 * len(gids)
+		resp[i] = sim.Payload{Data: gids, NBytes: 8 * len(gids)}
 	}
-	back := r.NeighborExchange(froms, resp, respNB, owners)
+	back := make([]sim.Payload, len(owners))
+	r.NeighborExchange(froms, resp, owners, back)
 	for k, o := range owners {
-		gids := back[k].([]int64)
+		gids := back[k].Data.([]int64)
 		for i, g := range gids {
 			gid[posKey(askPos[o][i])] = g
 		}

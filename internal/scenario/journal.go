@@ -54,8 +54,12 @@ func (m *Manager) journalPath() string {
 
 // logLocked appends one record to the journal. Callers hold m.mu, which
 // is what orders the records; append+newline is a single write so a
-// crash can only truncate the final record, never interleave two.
+// crash can only truncate the final record, never interleave two. Every
+// change of a job's state or diagnostics is journalled, so this is also
+// where the diag followers are woken.
 func (m *Manager) logLocked(rec jrec) {
+	close(m.changed)
+	m.changed = make(chan struct{})
 	if m.jf == nil {
 		return
 	}

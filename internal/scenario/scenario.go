@@ -300,6 +300,7 @@ type Manager struct {
 	mu         sync.Mutex
 	jf         *os.File // append handle on the journal; nil after Close
 	jobs       []*job
+	changed    chan struct{} // closed and replaced by logLocked; see changedSignal
 	queue      chan *job
 	wg         sync.WaitGroup
 	closed     bool
@@ -320,6 +321,7 @@ func NewManager(root string, workers int) (*Manager, error) {
 		root:       root,
 		diagWindow: defaultDiagWindow,
 		retryBase:  250 * time.Millisecond,
+		changed:    make(chan struct{}),
 		queue:      make(chan *job, 1024),
 	}
 	if err := os.MkdirAll(root, 0o777); err != nil {
@@ -483,6 +485,15 @@ func (m *Manager) List() []JobView {
 		out[i] = m.viewLocked(j)
 	}
 	return out
+}
+
+// changedSignal returns a channel that is closed at the next change of any
+// job's state or diagnostics. A follower takes it before it reads, so a
+// change between its read and its wait is not missed.
+func (m *Manager) changedSignal() <-chan struct{} {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.changed
 }
 
 // Diags returns a copy of job id's per-cycle diagnostics starting at

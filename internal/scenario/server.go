@@ -26,9 +26,10 @@ import (
 	"time"
 )
 
-// followPoll is the diag-streaming poll interval while a followed job is
-// still producing cycles.
-const followPoll = 50 * time.Millisecond
+// followFallback bounds how long a diag follower sleeps without being
+// woken. Followers wake on Manager.changedSignal; the timer is only there
+// for a change to a job that some day does not pass through logLocked.
+const followFallback = 5 * time.Second
 
 type handler struct {
 	m *Manager
@@ -125,12 +126,13 @@ func (h *handler) item(w http.ResponseWriter, r *http.Request) {
 }
 
 // diag writes per-cycle diagnostics as JSON lines. Without follow it
-// dumps what exists and returns; with follow it keeps polling the
-// manager (state and new cycles are read under one lock, so a terminal
-// state observed here implies every cycle has been drained). When the
-// retention window has dropped cycles the client asked for, the
-// X-Diag-Dropped header carries the count of unavailable leading
-// cycles so streamers can detect the truncated prefix.
+// dumps what exists and returns; with follow it keeps reading the
+// manager each time something changes (state and new cycles are read
+// under one lock, so a terminal state observed here implies every cycle
+// has been drained). When the retention window has dropped cycles the
+// client asked for, the X-Diag-Dropped header carries the count of
+// unavailable leading cycles so streamers can detect the truncated
+// prefix.
 func (h *handler) diag(w http.ResponseWriter, r *http.Request, id int) {
 	q := r.URL.Query()
 	from, _ := strconv.Atoi(q.Get("from"))
@@ -139,6 +141,7 @@ func (h *handler) diag(w http.ResponseWriter, r *http.Request, id int) {
 	enc := json.NewEncoder(w)
 	fl, _ := w.(http.Flusher)
 	for {
+		changed := h.m.changedSignal()
 		ds, dropped, state, err := h.m.Diags(id, from)
 		if err != nil {
 			if first {
@@ -169,10 +172,14 @@ func (h *handler) diag(w http.ResponseWriter, r *http.Request, id int) {
 		if !follow || terminal {
 			return
 		}
+		fallback := time.NewTimer(followFallback)
 		select {
 		case <-r.Context().Done():
+			fallback.Stop()
 			return
-		case <-time.After(followPoll):
+		case <-changed:
+		case <-fallback.C:
 		}
+		fallback.Stop()
 	}
 }

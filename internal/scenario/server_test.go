@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -322,5 +323,98 @@ func TestServerErrors(t *testing.T) {
 			t.Errorf("%s %s: %s, want %d", c.method, c.path, resp.Status, c.want)
 		}
 		resp.Body.Close()
+	}
+}
+
+// followStream opens a follow stream on job id from a goroutine of its
+// own (the response headers only arrive with the first line) and reports
+// when each diag line arrived; the channel closes at the end of the
+// stream.
+func followStream(t *testing.T, url string, id int) <-chan time.Time {
+	arrived := make(chan time.Time, 64) // more lines than the test below produces
+	go func() {
+		defer close(arrived)
+		resp, err := http.Get(fmt.Sprintf("%s/scenarios/%d/diag?follow=1", url, id))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer resp.Body.Close()
+		for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
+			arrived <- time.Now()
+		}
+	}()
+	return arrived
+}
+
+// TestFollowWakesOnAppend pins that a follower sleeps on the manager's
+// change signal, not on a poll interval: a cycle reaches the client
+// within 10 ms of appendDiag (median of seven, so one scheduling hiccup
+// cannot fail it; a 50 ms poll has a 25 ms median), and the stream of a
+// stopped job ends within 10 ms of the job's terminal state.
+func TestFollowWakesOnAppend(t *testing.T) {
+	const bound = 10 * time.Millisecond
+	srv, m := newTestServer(t)
+
+	// A hand-made running job: the test decides when its cycles complete.
+	j := &job{id: 1, state: StateRunning, target: 7}
+	m.mu.Lock()
+	m.jobs = append(m.jobs, j)
+	m.mu.Unlock()
+	arrived := followStream(t, srv.URL, j.id)
+	var lat []time.Duration
+	for k := 1; k <= 7; k++ {
+		time.Sleep(time.Duration(3+(5*k)%11) * time.Millisecond)
+		t0 := time.Now()
+		m.appendDiag(j, CycleDiag{Cycle: k})
+		select {
+		case at := <-arrived:
+			lat = append(lat, at.Sub(t0))
+		case <-time.After(10 * time.Second):
+			t.Fatalf("cycle %d never reached the follower", k)
+		}
+	}
+	sort.Slice(lat, func(a, b int) bool { return lat[a] < lat[b] })
+	if med := lat[len(lat)/2]; med > bound {
+		t.Errorf("median append-to-client latency %v (all: %v), want <= %v", med, lat, bound)
+	}
+	m.mu.Lock()
+	j.state = StateDone
+	m.logLocked(jrec{Op: opState, ID: j.id, State: j.state})
+	m.mu.Unlock()
+	if _, open := <-arrived; open {
+		t.Error("stream of the finished job delivered another line")
+	}
+
+	// A real job, stopped after its first cycle.
+	v, err := m.Submit(tinySpec(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrived = followStream(t, srv.URL, v.ID)
+	if _, open := <-arrived; !open {
+		t.Fatal("stream ended before the first cycle")
+	}
+	if err := m.Stop(v.ID); err != nil {
+		t.Fatal(err)
+	}
+	var terminal time.Time
+	for terminal.IsZero() {
+		jv, err := m.Get(v.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jv.State != StateQueued && jv.State != StateRunning {
+			if jv.State != StateStopped {
+				t.Fatalf("stopped job reached %s (%q)", jv.State, jv.Error)
+			}
+			terminal = time.Now()
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	for range arrived {
+	}
+	if late := time.Since(terminal); late > bound {
+		t.Errorf("follow stream ended %v after the job stopped, want <= %v", late, bound)
 	}
 }

@@ -284,8 +284,9 @@ func TestNeighborExchangeRing(t *testing.T) {
 		next := (r.ID() + 1) % p
 		prev := (r.ID() + p - 1) % p
 		pre := r.Stats()
-		in := r.NeighborExchange([]int{next}, []any{r.ID()}, []int{8}, []int{prev})
-		if in[0].(int) != prev {
+		in := make([]Payload, 1)
+		r.NeighborExchange([]int{next}, []Payload{{Data: r.ID(), NBytes: 8}}, []int{prev}, in)
+		if in[0].Data.(int) != prev {
 			t.Errorf("rank %d: got %v from %d", r.ID(), in[0], prev)
 		}
 		d := r.Stats()

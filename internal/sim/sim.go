@@ -1,6 +1,6 @@
 // Package sim provides a simulated message-passing runtime: the stand-in
 // for MPI on the Ranger supercomputer used in the paper. Ranks are
-// goroutines within one process and the network is Go channels/queues, so
+// goroutines within one process and the network is per-rank mailboxes, so
 // every distributed algorithm in this repository actually executes its
 // true communication pattern (real data moves between ranks) while the
 // per-rank message and byte counts are recorded for the performance model.
@@ -35,16 +35,27 @@
 // one int64-vector tree reduction of send counts — followed by payload
 // transport only between actual communication partners) or, when both
 // sides of the pattern are known from a persisted plan, NeighborExchange
-// (no handshake at all). Per-rank message counts for these are
-// O(communication partners), never O(P).
+// (no handshake at all, float vectors carried typed, results stored in
+// the caller's table: no allocation per message). Per-rank message
+// counts for these are O(communication partners), never O(P).
+//
+// A rank's mailbox keeps one FIFO lane per sender; a receive scans its
+// sender's lane for the wanted (rank, tag) — no map, no per-stream state.
+// A receive that finds nothing polls the mailbox's sequence number for
+// up to pollBudget before it parks on the condition variable, provided
+// the world has a core nobody computing needs (World.coreToSpare): the
+// park and the futex wake-up it forces on the sender cost 10 us and more
+// where a poll costs 0.3 us. How a rank waits changes no result.
 package sim
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Stats records the communication activity of one rank. Transport is
@@ -67,86 +78,150 @@ type Stats struct {
 }
 
 type message struct {
-	from, tag int
-	data      any
-	nbytes    int64
+	from, tag int       // sender's rank in the message's communicator; stream tag
+	f64       []float64 // a float vector travels typed: no boxing on either side
+	data      any       // any other payload
+	wild      bool      // consumed by takeAny (AlltoallvSparse payloads), not by take
 }
 
-// mbkey identifies one (source, tag) message stream. The source is the
-// sender's rank within the communicator the message belongs to; streams
-// from different communicators cannot collide because every communicator
-// draws tags from its own namespace.
-type mbkey struct{ from, tag int }
+// anySource makes lane.remove match on the tag alone.
+const anySource = -1
 
-// msgq is one stream's FIFO queue; head indexing keeps pop O(1) without
-// shifting the slice.
-type msgq struct {
+// lane is a FIFO of pending messages; head indexing keeps pop O(1)
+// without shifting the slice, and the slice is reused for the life of
+// the mailbox.
+type lane struct {
+	src  int // sender's world rank
 	msgs []message
 	head int
 }
 
-func (q *msgq) empty() bool    { return q.head == len(q.msgs) }
-func (q *msgq) push(m message) { q.msgs = append(q.msgs, m) }
-func (q *msgq) pop() message {
-	m := q.msgs[q.head]
-	q.msgs[q.head] = message{}
-	q.head++
-	if q.head == len(q.msgs) {
-		q.msgs = q.msgs[:0]
-		q.head = 0
+// push appends m. A lane lives as long as its world and need never run
+// empty, so when it is full and at least half of it is consumed prefix
+// the backlog slides down instead of the slice growing.
+func (q *lane) push(m message) {
+	if len(q.msgs) == cap(q.msgs) && q.head > 0 && q.head >= len(q.msgs)/2 {
+		n := copy(q.msgs, q.msgs[q.head:])
+		clear(q.msgs[n:])
+		q.msgs, q.head = q.msgs[:n], 0
 	}
-	return m
+	q.msgs = append(q.msgs, m)
 }
 
-// mailbox is a (source,tag)-keyed message store with a single consumer
-// (the owning rank's goroutine). Each key holds its own FIFO queue, so
-// matching costs O(1) in the number of pending messages — not a linear
-// scan — and the consumer is woken only when a message it is actually
-// waiting for arrives.
-type mailbox struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	byKey map[mbkey]*msgq
-	ready map[int]map[int]struct{} // tag -> sources with pending messages
+// remove takes out the oldest message with the given tag from the given
+// communicator rank (any rank for anySource) — normally the head. The
+// messages it skips keep their order, so every (source, tag) stream stays
+// FIFO and the streams stay independent of each other.
+func (q *lane) remove(from, tag int) (message, bool) {
+	for i := q.head; i < len(q.msgs); i++ {
+		m := q.msgs[i]
+		if m.tag != tag || (from != anySource && m.from != from) {
+			continue
+		}
+		copy(q.msgs[q.head+1:i+1], q.msgs[q.head:i])
+		q.msgs[q.head] = message{}
+		q.head++
+		if q.head == len(q.msgs) {
+			q.msgs = q.msgs[:0]
+			q.head = 0
+		}
+		return m, true
+	}
+	return message{}, false
+}
 
-	waiting  bool // consumer is blocked in take/takeAny
+// pollBudget is how long a receive polls for its message before it
+// parks. Parking is what it avoids: a consumer that has slept in
+// cond.Wait for more than ~50 us has had its thread parked on a futex,
+// and the sender's Signal then costs 9-12 us from signal to running on
+// the 2-vCPU reference host (BenchmarkExchangeImbalanced: 6-9 us beyond
+// the work when the sender is 20 us late, 15-18 us when it is 200 us
+// late), against 0.3 us for a poller that sees the sequence number move.
+// The budget has to cover the usual skew between two ranks doing unequal
+// element work between messages, and no more: 81% of the waits of the
+// benchmark's shell-cycle and 94% of serve-jobs' end within 20 us, 88%
+// of shell-cycle's within 32 us, 96% / 99% within 100 us. What bounds it
+// from above is a host whose cores are wanted by someone outside the
+// process, which coreToSpare cannot see: there a poller spends its own
+// world's share of the machine. With one busy-looping process beside the
+// benchmark on 2 cores, shell-cycle against the parking-only receive read
+// -3% at 35 us, -1% at 50, +4% at 70, +10% at 100 (serve-jobs -2% / +2% /
+// +10% at 35 / 50 / 100), while on a quiet host 35 us keeps most of the
+// gain: -34% at 35, -35% at 50, -41% at 100 (-20% at 20).
+const pollBudget = 35 * time.Microsecond
+
+// pollBurst is the number of sequence loads between two yields: about a
+// microsecond. Yielding much more often is worse than not yielding: at
+// 64 loads the scheduler traffic kept moving the two ranks of a small
+// world onto one P, and the imbalanced exchange cost 17-40 us per
+// message instead of 1-2.
+const pollBurst = 1024
+
+// mailbox holds the messages sent to one rank until its single consumer
+// (the owning rank's goroutine) takes them: one lane per sender, created
+// when that sender first writes, plus one arrival-ordered lane for the
+// tag-wildcard payloads of AlltoallvSparse. A targeted receive looks only
+// at its sender's lane, so matching costs nothing in the number of
+// senders, hashes nothing and allocates nothing once the lanes have
+// grown to the deepest backlog.
+type mailbox struct {
+	// What a put and the take it feeds both touch sits together at the
+	// front: it crosses between their cores with every message.
+	mu    sync.Mutex
+	seq   atomic.Uint64 // bumped under mu by every put and by poison; polled without it
+	lanes []lane
+	fail  *ErrRankFailed // set when the world aborts; every take unwinds
+
+	waiting  bool // consumer is parked in cond.Wait and nobody has woken it yet
 	wantAny  bool
 	wantFrom int
 	wantTag  int
 
-	fail *ErrRankFailed // set when the world aborts; every take unwinds
+	wild  lane
+	cond  sync.Cond
+	world *World
+
+	polls, parks int // waits that polled / parked, for the tests
 }
 
-func newMailbox() *mailbox {
-	mb := &mailbox{
-		byKey: make(map[mbkey]*msgq),
-		ready: make(map[int]map[int]struct{}),
-	}
-	mb.cond = sync.NewCond(&mb.mu)
-	return mb
-}
-
-func (mb *mailbox) put(m message) {
+func (mb *mailbox) put(src int, m message) {
 	mb.mu.Lock()
-	k := mbkey{m.from, m.tag}
-	q := mb.byKey[k]
-	if q == nil {
-		q = &msgq{}
-		mb.byKey[k] = q
+	if m.wild {
+		mb.wild.push(m)
+	} else {
+		mb.lane(src).push(m)
 	}
-	q.push(m)
-	set := mb.ready[m.tag]
-	if set == nil {
-		set = make(map[int]struct{})
-		mb.ready[m.tag] = set
-	}
-	set[m.from] = struct{}{}
-	// Targeted wakeup: signal only if the consumer waits for this stream.
+	mb.seq.Add(1)
+	// Targeted wakeup: signal only a parked consumer waiting for this stream.
 	wake := mb.waiting && m.tag == mb.wantTag && (mb.wantAny || m.from == mb.wantFrom)
+	if wake {
+		mb.unpark()
+	}
 	mb.mu.Unlock()
 	if wake {
 		mb.cond.Signal()
 	}
+}
+
+// unpark is the waker's half of a park, under mu: from here on the
+// consumer has something to do, so it stops counting as a waiter now and
+// not when the scheduler gets round to running it.
+func (mb *mailbox) unpark() {
+	mb.waiting = false
+	mb.world.waiters.Add(-1)
+}
+
+// lane returns the lane of the sender with world rank src. A rank hears
+// from its neighbours and its tree partners, so the list is short and a
+// scan beats anything keyed.
+func (mb *mailbox) lane(src int) *lane {
+	for i := range mb.lanes {
+		if mb.lanes[i].src == src {
+			return &mb.lanes[i]
+		}
+	}
+	mb.lanes = append(mb.lanes, lane{src: src})
+	return &mb.lanes[len(mb.lanes)-1]
 }
 
 // poison marks the mailbox dead and wakes its consumer regardless of
@@ -155,71 +230,86 @@ func (mb *mailbox) put(m message) {
 func (mb *mailbox) poison(e *ErrRankFailed) {
 	mb.mu.Lock()
 	mb.fail = e
+	mb.seq.Add(1)
+	if mb.waiting {
+		mb.unpark()
+	}
 	mb.mu.Unlock()
 	mb.cond.Broadcast()
 }
 
-// drop removes the bookkeeping for a drained stream.
-func (mb *mailbox) drop(k mbkey) {
-	delete(mb.byKey, k)
-	if set := mb.ready[k.tag]; set != nil {
-		delete(set, k.from)
-		if len(set) == 0 {
-			delete(mb.ready, k.tag)
-		}
-	}
-}
-
-// take blocks until a message with matching source and tag is available
-// and removes it (FIFO among matching messages).
-func (mb *mailbox) take(from, tag int) message {
+// take blocks until a message from communicator rank `from` (world rank
+// src) with the given tag is available and removes it (FIFO among
+// matching messages).
+func (mb *mailbox) take(src, from, tag int) message {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	k := mbkey{from, tag}
+	var polled time.Duration
 	for {
 		if mb.fail != nil {
 			panic(abortUnwind{err: *mb.fail})
 		}
-		if q := mb.byKey[k]; q != nil && !q.empty() {
-			m := q.pop()
-			if q.empty() {
-				mb.drop(k)
-			}
+		if m, ok := mb.lane(src).remove(from, tag); ok {
 			return m
 		}
-		mb.waiting, mb.wantAny, mb.wantFrom, mb.wantTag = true, false, from, tag
-		mb.cond.Wait()
-		mb.waiting = false
+		mb.wantAny, mb.wantFrom, mb.wantTag = false, from, tag
+		mb.wait(&polled)
 	}
 }
 
-// takeAny blocks until a message with the given tag is available from any
-// source and removes it (FIFO within each source stream).
+// takeAny blocks until a wildcard message with the given tag is
+// available from any source and removes it (arrival order, so FIFO within
+// each source stream).
 func (mb *mailbox) takeAny(tag int) message {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
+	var polled time.Duration
 	for {
 		if mb.fail != nil {
 			panic(abortUnwind{err: *mb.fail})
 		}
-		if set := mb.ready[tag]; len(set) > 0 {
-			var from int
-			for f := range set {
-				from = f
-				break
-			}
-			k := mbkey{from, tag}
-			q := mb.byKey[k]
-			m := q.pop()
-			if q.empty() {
-				mb.drop(k)
-			}
+		if m, ok := mb.wild.remove(anySource, tag); ok {
 			return m
 		}
-		mb.waiting, mb.wantAny, mb.wantTag = true, true, tag
-		mb.cond.Wait()
-		mb.waiting = false
+		mb.wantAny, mb.wantTag = true, tag
+		mb.wait(&polled)
 	}
+}
+
+// wait is called with mu held by a take that found nothing, and returns
+// with mu held once the mailbox may have changed. While the take's poll
+// budget lasts and the world has a core to spare it polls the sequence
+// number with mu released; otherwise it parks. A put or poison between
+// the unlock and the re-lock is seen by the caller's re-check of the
+// queue, and waiting is only ever set under the same hold of mu that
+// found the queue empty, so no wake-up can be lost.
+func (mb *mailbox) wait(polled *time.Duration) {
+	w := mb.world
+	w.waiters.Add(1)
+	if *polled >= pollBudget || !w.coreToSpare() {
+		mb.waiting = true // whoever clears it takes this rank off waiters
+		mb.parks++
+		mb.cond.Wait()
+		return
+	}
+	mb.polls++
+	seq := mb.seq.Load()
+	mb.mu.Unlock()
+	start := time.Now()
+	for spin := 1; mb.seq.Load() == seq; spin++ {
+		if spin%pollBurst != 0 {
+			continue
+		}
+		if *polled+time.Since(start) >= pollBudget || !w.coreToSpare() {
+			break
+		}
+		// Let whatever else is runnable on this P go first: a rank of
+		// another world, an HTTP handler, a GC worker.
+		runtime.Gosched()
+	}
+	*polled += time.Since(start)
+	w.waiters.Add(-1)
+	mb.mu.Lock()
 }
 
 // World is the full set of ranks of one simulated run: the mailboxes and
@@ -227,8 +317,12 @@ func (mb *mailbox) takeAny(tag int) message {
 type World struct {
 	size  int
 	boxes []*mailbox
-	stats []Stats
-	statm []sync.Mutex
+	stats []Stats // entry i is written only by rank i's goroutine
+
+	// Wait policy (see mailbox.wait): procs is GOMAXPROCS when the world
+	// was made, waiters the number of ranks currently inside a wait.
+	procs   int
+	waiters atomic.Int32
 
 	// Fault tolerance (see fault.go): the first failure poisons every
 	// mailbox, closes abortCh and becomes Run's error.
@@ -252,18 +346,29 @@ func NewWorld(size int) *World {
 	if size < 1 {
 		panic(fmt.Sprintf("sim: world size %d < 1", size))
 	}
-	w := &World{size: size}
+	w := &World{size: size, procs: runtime.GOMAXPROCS(0)}
 	w.boxes = make([]*mailbox, size)
 	for i := range w.boxes {
-		w.boxes[i] = newMailbox()
+		mb := &mailbox{world: w}
+		mb.cond.L = &mb.mu
+		w.boxes[i] = mb
 	}
 	w.stats = make([]Stats, size)
-	w.statm = make([]sync.Mutex, size)
 	w.tagReg = make(map[[2]int64]int64)
 	w.tagNext = 2 // 1 is the world communicator's namespace
 	w.abortCh = make(chan struct{})
 	w.ops = make([]opCounts, size)
 	return w
+}
+
+// coreToSpare reports whether a rank that has nothing to do may poll: only
+// while every rank that is not waiting can still have a core to itself —
+// the rule MPI libraries apply when they detect oversubscription. A
+// 2-rank world on 2 cores always polls; a 64-rank world on 2 cores parks
+// at once, except where nearly everyone waits on a straggler; on one core
+// a poller could only delay the rank it waits for, so it never polls.
+func (w *World) coreToSpare() bool {
+	return w.procs > 1 && w.size-int(w.waiters.Load()) < w.procs
 }
 
 // subsetTag returns the collective tag namespace for the subset derived
@@ -410,13 +515,9 @@ func (r *Rank) Subset(members []int) *Comm {
 }
 
 // Stats returns a snapshot of this rank's communication statistics
-// (accumulated across all communicators it participates in).
-func (r *Rank) Stats() Stats {
-	w := r.world
-	w.statm[r.wid].Lock()
-	defer w.statm[r.wid].Unlock()
-	return w.stats[r.wid]
-}
+// (accumulated across all communicators it participates in). Like every
+// method of Rank it belongs to the rank's own goroutine.
+func (r *Rank) Stats() Stats { return r.world.stats[r.wid] }
 
 // ceilLog2 returns ceil(log2(p)) for p >= 1.
 func ceilLog2(p int) int {
@@ -448,18 +549,17 @@ func (r *Rank) Send(to, tag int, data any, nbytes int) {
 	r.sendUser(to, tag, data, int64(nbytes))
 }
 
-// transport delivers one message and records it under a single stats
-// lock acquisition; coll selects the collective-tree vs user category.
-// The message's source stamp is the sender's rank in this communicator.
-func (r *Rank) transport(to, tag int, data any, nbytes int64, coll bool) {
+// transport stamps m with the sender's rank in this communicator,
+// delivers it and records it; coll selects the collective-tree vs user
+// category.
+func (r *Rank) transport(to int, m message, nbytes int64, coll bool) {
 	if r.id < 0 {
 		panic("sim: communication on a communicator this rank is not a member of")
 	}
 	r.checkAbort()
-	r.world.boxes[r.worldOf(to)].put(message{from: r.id, tag: tag, data: data, nbytes: nbytes})
-	w := r.world
-	w.statm[r.wid].Lock()
-	s := &w.stats[r.wid]
+	m.from = r.id
+	r.world.boxes[r.worldOf(to)].put(r.wid, m)
+	s := &r.world.stats[r.wid]
 	s.MsgsSent++
 	s.BytesSent += nbytes
 	if coll {
@@ -469,26 +569,27 @@ func (r *Rank) transport(to, tag int, data any, nbytes int64, coll bool) {
 		s.UserMsgs++
 		s.UserBytes += nbytes
 	}
-	w.statm[r.wid].Unlock()
 }
 
 func (r *Rank) sendUser(to, tag int, data any, nbytes int64) {
-	r.transport(to, tag, data, nbytes, false)
+	r.transport(to, message{tag: tag, data: data}, nbytes, false)
 }
 
 func (r *Rank) sendColl(to, tag int, data any, nbytes int64) {
-	r.transport(to, tag, data, nbytes, true)
+	r.transport(to, message{tag: tag, data: data}, nbytes, true)
+}
+
+// recv blocks until the message from rank `from` of this communicator
+// with the given tag arrives.
+func (r *Rank) recv(from, tag int) message {
+	return r.world.boxes[r.wid].take(r.worldOf(from), from, tag)
 }
 
 // Recv blocks until a message from rank `from` of this communicator with
 // the given tag arrives and returns its payload.
-func (r *Rank) Recv(from, tag int) any {
-	return r.world.boxes[r.wid].take(from, tag).data
-}
+func (r *Rank) Recv(from, tag int) any { return r.recv(from, tag).data }
 
-func (r *Rank) recvColl(from, tag int) any {
-	return r.world.boxes[r.wid].take(from, tag).data
-}
+func (r *Rank) recvColl(from, tag int) any { return r.recv(from, tag).data }
 
 // nextCollTag returns a fresh tag for the next collective. Correct under
 // the SPMD requirement that all members of this communicator invoke its
@@ -513,19 +614,12 @@ func (r *Rank) collTag(op string) int {
 }
 
 func (r *Rank) countCollective(nbytes int64) {
-	w := r.world
-	w.statm[r.wid].Lock()
-	w.stats[r.wid].CollectiveCalls++
-	w.stats[r.wid].CollectiveBytes += nbytes
-	w.statm[r.wid].Unlock()
+	s := &r.world.stats[r.wid]
+	s.CollectiveCalls++
+	s.CollectiveBytes += nbytes
 }
 
-func (r *Rank) bumpRounds(n int) {
-	w := r.world
-	w.statm[r.wid].Lock()
-	w.stats[r.wid].CollRounds += n
-	w.statm[r.wid].Unlock()
-}
+func (r *Rank) bumpRounds(n int) { r.world.stats[r.wid].CollRounds += n }
 
 // bruckMsg is one round's payload in the Bruck concatenation: a window of
 // per-rank blocks with their modeled sizes.
@@ -1015,7 +1109,7 @@ func (r *Rank) AlltoallvSparse(dests []int, payloads []any, nbytes []int) ([]int
 		if nbytes != nil {
 			nb = int64(nbytes[k])
 		}
-		r.sendUser(d, tagPay, payloads[k], nb)
+		r.transport(d, message{tag: tagPay, data: payloads[k], wild: true}, nb, false)
 	}
 	nIn := int(totals[r.id])
 	type inMsg struct {
@@ -1040,40 +1134,52 @@ func (r *Rank) AlltoallvSparse(dests []int, payloads []any, nbytes []int) ([]int
 	return froms, datas
 }
 
-// NeighborExchange sends payloads[k] to sendTo[k] and receives exactly
-// one payload from every rank in recvFrom, returned in recvFrom order.
-// Both sides of the pattern must agree (every rank in someone's sendTo
-// lists that someone in its recvFrom), and all ranks must call it at the
-// same point in their collective sequence — the plan is typically built
-// once via AlltoallvSparse and then reused. No handshake traffic is
-// spent: the per-rank cost is exactly len(sendTo) sends and
-// len(recvFrom) targeted receives. A self entry in sendTo is delivered
-// locally to the matching self entry in recvFrom.
-func (r *Rank) NeighborExchange(sendTo []int, payloads []any, nbytes []int, recvFrom []int) []any {
+// Payload is one message body of a NeighborExchange. A float vector —
+// the only kind of payload on a per-iteration path — travels in F64
+// without being boxed; anything else goes in Data with its modelled wire
+// size in NBytes. F64 is charged 8 bytes per value on top of NBytes.
+type Payload struct {
+	F64    []float64
+	Data   any
+	NBytes int
+}
+
+// NeighborExchange sends out[k] to sendTo[k] and receives exactly one
+// payload from every rank in recvFrom, stored in the caller's in (same
+// length as recvFrom, not aliasing out) in recvFrom order. Both sides of
+// the pattern must agree (every rank in someone's sendTo lists that
+// someone in its recvFrom), and all ranks must call it at the same point
+// in their collective sequence — the plan is typically built once via
+// AlltoallvSparse and then reused. No handshake traffic is spent and
+// nothing is allocated: the per-rank cost is exactly len(sendTo) sends
+// and len(recvFrom) targeted receives. A self entry in sendTo is
+// delivered locally to the matching self entry in recvFrom. Payloads are
+// shared by reference; out is not retained.
+func (r *Rank) NeighborExchange(sendTo []int, out []Payload, recvFrom []int, in []Payload) {
+	if len(out) != len(sendTo) || len(in) != len(recvFrom) {
+		panic("sim: NeighborExchange payload tables do not match the plan")
+	}
 	tag := r.collTag("NeighborExchange")
-	var selfs []any // self payloads, consumed in send order like a FIFO stream
 	for k, to := range sendTo {
-		if to == r.id {
-			selfs = append(selfs, payloads[k])
-			continue
+		if to != r.id {
+			p := out[k]
+			r.transport(to, message{tag: tag, f64: p.F64, data: p.Data}, int64(8*len(p.F64)+p.NBytes), false)
 		}
-		nb := int64(0)
-		if nbytes != nil {
-			nb = int64(nbytes[k])
-		}
-		r.sendUser(to, tag, payloads[k], nb)
 	}
-	in := make([]any, len(recvFrom))
+	self := 0 // self payloads are consumed in send order, like a FIFO stream
 	for k, from := range recvFrom {
-		if from == r.id {
-			if len(selfs) == 0 {
-				panic("sim: NeighborExchange recvFrom expects more self payloads than sendTo provides")
-			}
-			in[k] = selfs[0]
-			selfs = selfs[1:]
+		if from != r.id {
+			m := r.recv(from, tag)
+			in[k] = Payload{F64: m.f64, Data: m.data}
 			continue
 		}
-		in[k] = r.recvColl(from, tag)
+		for self < len(sendTo) && sendTo[self] != r.id {
+			self++
+		}
+		if self == len(sendTo) {
+			panic("sim: NeighborExchange recvFrom expects more self payloads than sendTo provides")
+		}
+		in[k] = out[self]
+		self++
 	}
-	return in
 }
