@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"rhea/internal/fem"
-	"rhea/internal/la"
 	"rhea/internal/morton"
 	"rhea/internal/rhea"
 	"rhea/internal/sim"
@@ -61,9 +60,7 @@ func main() {
 // on the y=const midplane, gathered to rank 0.
 func printSlice(r *sim.Rank, s *rhea.Sim) {
 	const nx, nz = 64, 24
-	temp := la.NewVec(s.Mesh.Layout()) // reuse gather machinery
-	temp.Copy(s.T)
-	vals := s.Mesh.GatherReferenced(temp)
+	vals := s.Mesh.GatherSlots(s.T.Data)[0]
 
 	// Each rank stamps the cells covered by its elements.
 	tGrid := make([]float64, nx*nz)
@@ -75,7 +72,7 @@ func printSlice(r *sim.Rank, s *rhea.Sim) {
 		}
 		var tAvg float64
 		for c := 0; c < 8; c++ {
-			tAvg += s.Mesh.CornerValue(vals, ei, c) / 8
+			tAvg += s.Mesh.Corners[ei][c].Value(vals) / 8
 		}
 		x0 := int(float64(leaf.X) / float64(morton.RootLen) * nx)
 		x1 := int(float64(leaf.X+leaf.Len()) / float64(morton.RootLen) * nx)

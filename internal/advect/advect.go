@@ -22,7 +22,6 @@ import (
 
 	"rhea/internal/fem"
 	"rhea/internal/la"
-	"rhea/internal/matfree"
 	"rhea/internal/mesh"
 	"rhea/internal/morton"
 	"rhea/internal/sim"
@@ -53,10 +52,9 @@ type Problem struct {
 	// axis-aligned ones.
 	qg []*[8]fem.QGeom
 
-	// sm is the mesh's shared block-1 node slot map; tbuf and acc are the
-	// slot-space input and accumulator of the element loop, k1, k2 and
-	// pred the stage vectors of Step.
-	sm           *matfree.SlotMap
+	// tbuf and acc are the slot-space (mesh.Mesh.GX) input and
+	// accumulator of the element loop, k1, k2 and pred the stage vectors
+	// of Step.
 	tbuf, acc    []float64
 	k1, k2, pred *la.Vec
 }
@@ -65,9 +63,8 @@ type Problem struct {
 // and caches boundary flags (collective).
 func New(m *mesh.Mesh, dom fem.Domain, kappa float64, vel [][8][3]float64, src func(x [3]float64) float64, bc fem.ScalarBC) *Problem {
 	p := &Problem{M: m, Dom: dom, Kappa: kappa, Vel: vel, Source: src, BC: bc}
-	p.sm = matfree.NodeSlots(m)
-	p.tbuf = make([]float64, p.sm.NSlots())
-	p.acc = make([]float64, p.sm.NSlots())
+	p.tbuf = make([]float64, m.NSlots())
+	p.acc = make([]float64, m.NSlots())
 	l := m.Layout()
 	p.k1, p.k2, p.pred = la.NewVec(l), la.NewVec(l), la.NewVec(l)
 
@@ -111,7 +108,7 @@ func New(m *mesh.Mesh, dom fem.Domain, kappa float64, vel [][8][3]float64, src f
 // scatter adds the eight corner values R of element ei into the
 // slot-space accumulator through the hanging-node weights.
 func (p *Problem) scatter(ei int, R *[8]float64) {
-	cs := &p.sm.Corners[ei]
+	cs := &p.M.Corners[ei]
 	for a := 0; a < 8; a++ {
 		cr := &cs[a]
 		for k := 0; k < int(cr.N); k++ {
@@ -125,9 +122,9 @@ func (p *Problem) scatter(ei int, R *[8]float64) {
 // copies of this rank's nodes, and the accumulator is cleared for the
 // next loop (collective).
 func (p *Problem) reduce(out *la.Vec) {
-	n := p.sm.NOwned
+	n := p.M.NumOwned
 	copy(out.Data, p.acc[:n])
-	p.sm.GX.ScatterAdd(p.acc[n:], out.Data)
+	p.M.GX.ScatterAdd(p.acc[n:], out.Data)
 	for i := range p.acc {
 		p.acc[i] = 0
 	}
@@ -175,9 +172,10 @@ func (p *Problem) elemSize(ei int) [3]float64 {
 // rate at Dirichlet nodes (collective: one ghost gather, one ghost
 // scatter-add, no reduction).
 func (p *Problem) RateOfChange(T, dTdt *la.Vec) {
-	p.sm.GatherSlots(T.Data, p.tbuf)
+	copy(p.tbuf, T.Data)
+	p.M.GX.Gather(T.Data, p.tbuf[len(T.Data):])
 	for ei := range p.M.Leaves {
-		cs := &p.sm.Corners[ei]
+		cs := &p.M.Corners[ei]
 		var Tc, R [8]float64
 		for c := 0; c < 8; c++ {
 			Tc[c] = cs[c].Value(p.tbuf)

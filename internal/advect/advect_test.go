@@ -35,36 +35,30 @@ func setField(m *mesh.Mesh, dom fem.Domain, f func(x [3]float64) float64) *la.Ve
 	return v
 }
 
-// gatherAll returns every node value of T keyed by global id (collective):
-// an allgather of the whole vector, so the tests' reference paths depend
-// on no ghost plan.
-func gatherAll(m *mesh.Mesh, T *la.Vec) map[int64]float64 {
-	type part struct {
-		offset int64
-		data   []float64
+// cornerValue evaluates corner c of element ei from the whole nodal
+// vector (la.GatherGlobal: an allgather indexed by global id), so the
+// tests' reference paths move no value through the mesh's ghost plan.
+func cornerValue(m *mesh.Mesh, full []float64, ei, c int) float64 {
+	co := &m.Corners[ei][c]
+	var s float64
+	for k := 0; k < int(co.N); k++ {
+		s += co.W[k] * full[m.GID(co.Slot[k])]
 	}
-	vals := make(map[int64]float64, m.NGlobal)
-	mine := part{m.Offset, append([]float64(nil), T.Data...)} // other ranks read it
-	for _, p := range m.Rank.Allgather(mine, 8*len(T.Data)) {
-		p := p.(part)
-		for i, v := range p.data {
-			vals[p.offset+int64(i)] = v
-		}
-	}
-	return vals
+	return s
 }
 
 // centroid returns the global T-weighted center of mass along axis d,
 // volume-weighted so it is unbiased on adapted meshes.
 func centroid(m *mesh.Mesh, dom fem.Domain, T *la.Vec, d int) float64 {
-	vals := gatherAll(m, T)
+	vals := la.GatherGlobal(T)
 	var wsum, xsum float64
 	for ei, leaf := range m.Leaves {
 		h := dom.ElemSize(leaf)
 		w := h[0] * h[1] * h[2] / 8
+		xc := fem.ElemCornerCoords(m, dom, ei)
 		for c := 0; c < 8; c++ {
-			tv := m.CornerValue(vals, ei, c)
-			x := dom.Coord(m.Corners[ei][c].Pos)
+			tv := cornerValue(m, vals, ei, c)
+			x := xc[c]
 			wsum += w * tv
 			xsum += w * tv * x[d]
 		}

@@ -33,12 +33,12 @@ func refQGeom(m *mesh.Mesh, dom fem.Domain, ei int) [8]fem.QGeom {
 }
 
 // refRateOfChange is the matrix-forming implementation RateOfChange
-// replaced, kept as its oracle: corner values through a
-// map[int64]float64 of gathered nodes, the stiffness, Galerkin advection and SUPG element
+// replaced, kept as its oracle: corner values read by global id from
+// the whole gathered vector, the stiffness, Galerkin advection and SUPG element
 // matrices built by quadrature, one 8x8 product, a VecBuilder scatter and
 // a lumped mass assembled the same way.
 func refRateOfChange(m *mesh.Mesh, dom fem.Domain, kappa float64, vel [][8][3]float64, src func([3]float64) float64, bc fem.ScalarBC, T *la.Vec) *la.Vec {
-	vals := gatherAll(m, T)
+	vals := la.GatherGlobal(T)
 	rb := la.NewVecBuilder(m.Layout())
 	lb := la.NewVecBuilder(m.Layout())
 	for ei := range m.Leaves {
@@ -74,7 +74,7 @@ func refRateOfChange(m *mesh.Mesh, dom fem.Domain, kappa float64, vel [][8][3]fl
 		}
 		var Tc, R [8]float64
 		for c := 0; c < 8; c++ {
-			Tc[c] = m.CornerValue(vals, ei, c)
+			Tc[c] = cornerValue(m, vals, ei, c)
 		}
 		for a := 0; a < 8; a++ {
 			for b := 0; b < 8; b++ {
@@ -90,8 +90,8 @@ func refRateOfChange(m *mesh.Mesh, dom fem.Domain, kappa float64, vel [][8][3]fl
 		cs := &m.Corners[ei]
 		for a := 0; a < 8; a++ {
 			for k := 0; k < int(cs[a].N); k++ {
-				rb.Add(cs[a].GID[k], cs[a].W[k]*R[a])
-				lb.Add(cs[a].GID[k], cs[a].W[k]*lm[a])
+				rb.Add(m.GID(cs[a].Slot[k]), cs[a].W[k]*R[a])
+				lb.Add(m.GID(cs[a].Slot[k]), cs[a].W[k]*lm[a])
 			}
 		}
 	}
@@ -215,7 +215,7 @@ func TestRateOfChangeMatchesReference(t *testing.T) {
 					}
 					for ei := range m.Corners {
 						for c := range m.Corners[ei] {
-							if m.Corners[ei][c].Hanging {
+							if m.Corners[ei][c].Hanging() {
 								hanging++
 							}
 						}
@@ -280,13 +280,13 @@ func TestRateOfChangeCounters(t *testing.T) {
 		p.RateOfChange(T, rate)
 		after := r.Stats()
 		owners := map[int]bool{} // ranks this rank references nodes of
-		for _, g := range p.sm.GX.Ghosts() {
+		for _, g := range p.M.GX.Ghosts() {
 			owners[p.M.Layout().OwnerOf(g)] = true
 		}
 		msgs := after.UserMsgs - before.UserMsgs
 		colls := after.CollectiveCalls - before.CollectiveCalls
 		t.Logf("rank %d: %d elements, %d ghost nodes of %d rank(s): RateOfChange sent %d user messages (%d bytes), entered %d collectives",
-			r.ID(), len(p.M.Leaves), p.sm.GX.NumGhosts(), len(owners), msgs, after.UserBytes-before.UserBytes, colls)
+			r.ID(), len(p.M.Leaves), p.M.GX.NumGhosts(), len(owners), msgs, after.UserBytes-before.UserBytes, colls)
 		if colls != 0 || after.CollMsgs != before.CollMsgs {
 			t.Errorf("rank %d: RateOfChange entered %d collectives (%d tree messages), want none",
 				r.ID(), colls, after.CollMsgs-before.CollMsgs)

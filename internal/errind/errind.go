@@ -11,7 +11,6 @@ import (
 
 	"rhea/internal/forest"
 	"rhea/internal/la"
-	"rhea/internal/matfree"
 	"rhea/internal/mesh"
 	"rhea/internal/sim"
 )
@@ -21,14 +20,12 @@ import (
 // large across unresolved fronts and zero where the field is constant
 // (collective).
 func Variation(m *mesh.Mesh, T *la.Vec) []float64 {
-	sm := matfree.NodeSlots(m)
-	vals := make([]float64, sm.NSlots())
-	sm.GatherSlots(T.Data, vals)
+	vals := m.GatherSlots(T.Data)[0]
 	out := make([]float64, len(m.Leaves))
 	for ei := range out {
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for c := 0; c < 8; c++ {
-			v := sm.Corners[ei][c].Value(vals)
+			v := m.Corners[ei][c].Value(vals)
 			lo = math.Min(lo, v)
 			hi = math.Max(hi, v)
 		}

@@ -7,7 +7,6 @@ import (
 	"os"
 	"time"
 
-	"rhea/internal/la"
 	"rhea/internal/perfmodel"
 	"rhea/internal/rhea"
 	"rhea/internal/sim"
@@ -125,24 +124,9 @@ func runScalingCase(series string, p int, cfg rhea.Config) ScalingCase {
 		post := r.Stats()
 
 		// Standalone ghost exchange over the scalar node layout of the
-		// final mesh: plan construction is sparse, Gather messages are
+		// final mesh, through the mesh's own plan: Gather messages are
 		// O(neighbors).
-		lay := s.Mesh.Layout()
-		seen := make(map[int64]struct{})
-		var want []int64
-		for ei := range s.Mesh.Corners {
-			for cr := 0; cr < 8; cr++ {
-				co := &s.Mesh.Corners[ei][cr]
-				for k := 0; k < int(co.N); k++ {
-					g := co.GID[k]
-					if _, ok := seen[g]; !ok && !lay.Owns(g) {
-						seen[g] = struct{}{}
-						want = append(want, g)
-					}
-				}
-			}
-		}
-		gx := la.NewGhostExchange(lay, want, 1)
+		lay, gx := s.Mesh.Layout(), s.Mesh.GX
 		owned := make([]float64, lay.Local())
 		ghost := make([]float64, gx.NumGhosts())
 		gpre := r.Stats()

@@ -39,7 +39,7 @@ func (c TimeLoopCase) BuildPerSolve() float64 {
 // persistent solver reuse, on the fully matrix-free path (matfree apply +
 // GMG preconditioner) where no fine-level matrix is ever assembled.
 //
-// With reuse the mesh-dependent setup (slot maps, ghost plans, GMG level
+// With reuse the mesh-dependent setup (constraint tables, GMG level
 // meshes and transfer stencils) runs only after each Adapt; every Picard
 // iteration in between refreshes just the viscosity-dependent half. The
 // full-rebuild rows reproduce the pre-reuse behaviour for comparison, and

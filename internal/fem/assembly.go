@@ -61,36 +61,38 @@ type ScalarBC func(x [3]float64) (float64, bool)
 func NoBC(x [3]float64) (float64, bool) { return 0, false }
 
 // BCData carries the Dirichlet flags and values of every node this rank
-// references, used during assembly and when post-processing solutions.
+// references, indexed by node slot (mesh.Mesh.GX), used during assembly
+// and by the matrix-free level operators.
 type BCData struct {
-	Flag map[int64]float64 // gid -> 1 if constrained
-	Val  map[int64]float64 // gid -> boundary value
+	Flag []float64 // slot -> 1 if constrained
+	Val  []float64 // slot -> boundary value
 }
 
-// IsSet reports whether gid is constrained.
-func (b *BCData) IsSet(g int64) bool { return b.Flag[g] != 0 }
+// IsSet reports whether the node in a slot is constrained; a nil BCData
+// constrains nothing.
+func (b *BCData) IsSet(slot int32) bool { return b != nil && b.Flag[slot] != 0 }
 
-// GatherBC evaluates bc at every owned node and distributes flags and
-// values to all referencing ranks (collective). Matrix-free operators use
-// it to build their constraint masks without assembling anything.
-func GatherBC(m *mesh.Mesh, dom Domain, bc ScalarBC) *BCData {
-	return gatherBC(m, dom, bc)
-}
-
-// gatherBC evaluates bc at every owned node — at its mapped physical
-// coordinates on forest meshes — and distributes flags and values to all
-// referencing ranks (collective).
-func gatherBC(m *mesh.Mesh, dom Domain, bc ScalarBC) *BCData {
-	l := m.Layout()
-	flag := la.NewVec(l)
-	val := la.NewVec(l)
-	for i := range m.OwnedPos {
-		if v, is := bc(NodeCoord(m, dom, i)); is {
-			flag.Data[i] = 1
-			val.Data[i] = v
+// GatherBC evaluates every bc at the owned nodes — at their mapped
+// physical coordinates on forest meshes — and fetches the ghosts' flags
+// and values from their owners, all conditions in one exchange
+// (collective). The result is aligned with bcs.
+func GatherBC(m *mesh.Mesh, dom Domain, bcs ...ScalarBC) []*BCData {
+	n, ns := m.NumOwned, m.NSlots()
+	out := make([]*BCData, len(bcs))
+	var owned, ghost [][]float64
+	for k, bc := range bcs {
+		b := &BCData{Flag: make([]float64, ns), Val: make([]float64, ns)}
+		for i := 0; i < n; i++ {
+			if v, is := bc(NodeCoord(m, dom, i)); is {
+				b.Flag[i], b.Val[i] = 1, v
+			}
 		}
+		owned = append(owned, b.Flag[:n], b.Val[:n])
+		ghost = append(ghost, b.Flag[n:], b.Val[n:])
+		out[k] = b
 	}
-	return &BCData{Flag: m.GatherReferenced(flag), Val: m.GatherReferenced(val)}
+	m.GX.GatherMulti(owned, ghost)
+	return out
 }
 
 // AssembleScalar assembles the global operator and right-hand side for a
@@ -106,7 +108,7 @@ func AssembleScalar(
 	elemSrc func(ei int, h [3]float64) [8]float64,
 	bc ScalarBC,
 ) (*la.Mat, *la.Vec, *BCData) {
-	return AssembleScalarWithBC(m, dom, elemMat, elemSrc, gatherBC(m, dom, bc))
+	return AssembleScalarWithBC(m, dom, elemMat, elemSrc, GatherBC(m, dom, bc)[0])
 }
 
 // AssembleScalarWithBC is AssembleScalar with the Dirichlet data already
@@ -136,22 +138,23 @@ func AssembleScalarWithBC(
 		cs := &m.Corners[ei]
 		for a := 0; a < 8; a++ {
 			for ia := 0; ia < int(cs[a].N); ia++ {
-				ga, wa := cs[a].GID[ia], cs[a].W[ia]
-				if bcd.IsSet(ga) {
+				sa, wa := cs[a].Slot[ia], cs[a].W[ia]
+				if bcd.IsSet(sa) {
 					continue // identity row, set below
 				}
+				ga := m.GID(sa)
 				bb.Add(ga, wa*F[a])
 				if elemMat == nil {
 					continue
 				}
 				for b := 0; b < 8; b++ {
 					for ib := 0; ib < int(cs[b].N); ib++ {
-						gb, wb := cs[b].GID[ib], cs[b].W[ib]
+						sb, wb := cs[b].Slot[ib], cs[b].W[ib]
 						v := wa * wb * K[a][b]
-						if bcd.IsSet(gb) {
-							bb.Add(ga, -v*bcd.Val[gb])
+						if bcd.IsSet(sb) {
+							bb.Add(ga, -v*bcd.Val[sb])
 						} else {
-							A.AddValue(ga, gb, v)
+							A.AddValue(ga, m.GID(sb), v)
 						}
 					}
 				}
@@ -160,17 +163,15 @@ func AssembleScalarWithBC(
 	}
 	// Identity rows for owned Dirichlet nodes.
 	for i := 0; i < m.NumOwned; i++ {
-		g := m.Offset + int64(i)
-		if bcd.IsSet(g) {
+		if g := m.Offset + int64(i); bcd.IsSet(int32(i)) {
 			A.AddValue(g, g, 1)
 		}
 	}
 	A.Assemble()
 	b := bb.Finalize()
 	for i := 0; i < m.NumOwned; i++ {
-		g := m.Offset + int64(i)
-		if bcd.IsSet(g) {
-			b.Data[i] = bcd.Val[g]
+		if bcd.IsSet(int32(i)) {
+			b.Data[i] = bcd.Val[i]
 		}
 	}
 	return A, b, bcd
@@ -205,17 +206,4 @@ func UnitStiffnessKernels(m *mesh.Mesh, dom Domain) (kern [][8][8]float64, idx [
 		idx[ei] = k
 	}
 	return kern, idx
-}
-
-// ApplyConstrained evaluates a nodal field at every corner of every local
-// element (resolving hanging nodes), returning element-corner values.
-// vals must come from mesh.GatherReferenced on the same field.
-func ApplyConstrained(m *mesh.Mesh, vals map[int64]float64) [][8]float64 {
-	out := make([][8]float64, len(m.Leaves))
-	for ei := range m.Leaves {
-		for c := 0; c < 8; c++ {
-			out[ei][c] = m.CornerValue(vals, ei, c)
-		}
-	}
-	return out
 }

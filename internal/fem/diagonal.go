@@ -26,14 +26,14 @@ func AssembleScalarDiag(
 		cs := &m.Corners[ei]
 		for a := 0; a < 8; a++ {
 			for ia := 0; ia < int(cs[a].N); ia++ {
-				ga, wa := cs[a].GID[ia], cs[a].W[ia]
-				if bcd.IsSet(ga) {
+				sa, wa := cs[a].Slot[ia], cs[a].W[ia]
+				if bcd.IsSet(sa) {
 					continue
 				}
 				for b := 0; b < 8; b++ {
 					for ib := 0; ib < int(cs[b].N); ib++ {
-						if cs[b].GID[ib] == ga {
-							bb.Add(ga, wa*cs[b].W[ib]*K[a][b])
+						if cs[b].Slot[ib] == sa {
+							bb.Add(m.GID(sa), wa*cs[b].W[ib]*K[a][b])
 						}
 					}
 				}
@@ -42,7 +42,7 @@ func AssembleScalarDiag(
 	}
 	d := bb.Finalize()
 	for i := 0; i < m.NumOwned; i++ {
-		if bcd.IsSet(m.Offset + int64(i)) {
+		if bcd.IsSet(int32(i)) {
 			d.Data[i] = 1
 		}
 	}

@@ -46,14 +46,13 @@ type Transfer struct {
 func NewTransfer(fine, coarse *mesh.Mesh) *Transfer {
 	t := &Transfer{coarseL: coarse.Layout(), nCoarse: coarse.NumOwned}
 
-	// Build the raw stencils over coarse global ids.
+	// Build the raw stencils over the coarse mesh's node slots.
 	type entry struct {
-		g int64
+		s int32
 		w float64
 	}
 	stencils := make([][]entry, fine.NumOwned)
-	ghostSet := map[int64]struct{}{}
-	acc := map[int64]float64{}
+	used := make([]bool, coarse.NSlots()) // coarse slots some stencil reads
 	for i, cell := range fine.OwnedCell {
 		// The extraction recorded, per owned node, the incident finest
 		// cell that determined ownership and the node's position in that
@@ -73,55 +72,57 @@ func NewTransfer(fine, coarse *mesh.Mesh) *Transfer {
 		}
 		// Combine the trilinear corner weights with the coarse corner
 		// constraints: the stencil runs over independent coarse nodes.
-		for k := range acc {
-			delete(acc, k)
-		}
+		var acc []entry
 		for c := 0; c < 8; c++ {
 			wc := ShapeValue(c, xi)
 			if wc == 0 {
 				continue
 			}
 			co := &coarse.Corners[ci][c]
+		masters:
 			for k := 0; k < int(co.N); k++ {
-				acc[co.GID[k]] += wc * co.W[k]
+				for j := range acc {
+					if acc[j].s == co.Slot[k] {
+						acc[j].w += wc * co.W[k]
+						continue masters
+					}
+				}
+				acc = append(acc, entry{co.Slot[k], wc * co.W[k]})
 			}
 		}
-		st := make([]entry, 0, len(acc))
-		for g, w := range acc {
-			if w == 0 {
-				continue
-			}
-			st = append(st, entry{g, w})
-			if !t.coarseL.Owns(g) {
-				ghostSet[g] = struct{}{}
+		st := acc[:0]
+		for _, e := range acc {
+			if e.w != 0 {
+				st = append(st, e)
+				used[e.s] = true
 			}
 		}
-		// Deterministic order (map iteration is randomized).
-		sort.Slice(st, func(a, b int) bool { return st[a].g < st[b].g })
+		// Ascending global id: the order the sums have always run in.
+		sort.Slice(st, func(a, b int) bool { return coarse.GID(st[a].s) < coarse.GID(st[b].s) })
 		stencils[i] = st
 	}
 
-	// Coarse slot numbering: owned first, then ghosts in exchange order.
-	ghosts := make([]int64, 0, len(ghostSet))
-	for g := range ghostSet {
-		ghosts = append(ghosts, g)
+	// The transfer's own slot numbering: coarse owned nodes first, then
+	// the ghosts its stencils read — a subset of the coarse mesh's, in the
+	// same (ascending id) order, with a plan over just those.
+	slotOf := make([]int32, len(used))
+	var ghosts []int64
+	for s := range used {
+		switch {
+		case s < t.nCoarse:
+			slotOf[s] = int32(s)
+		case used[s]:
+			slotOf[s] = int32(t.nCoarse + len(ghosts))
+			ghosts = append(ghosts, coarse.GID(int32(s)))
+		}
 	}
 	t.gx = la.NewGhostExchange(t.coarseL, ghosts, 1)
-	slotOf := make(map[int64]int32, t.nCoarse+t.gx.NumGhosts())
-	start := t.coarseL.Start()
-	for s, g := range t.gx.Ghosts() {
-		slotOf[g] = int32(t.nCoarse + s)
-	}
 
 	t.ptr = make([]int32, fine.NumOwned+1)
 	for i, st := range stencils {
 		t.ptr[i+1] = t.ptr[i] + int32(len(st))
 		for _, e := range st {
-			if t.coarseL.Owns(e.g) {
-				t.slot = append(t.slot, int32(e.g-start))
-			} else {
-				t.slot = append(t.slot, slotOf[e.g])
-			}
+			t.slot = append(t.slot, slotOf[e.s])
 			t.w = append(t.w, e.w)
 		}
 	}

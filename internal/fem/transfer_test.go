@@ -139,7 +139,7 @@ func TestTransferReproducesLinears(t *testing.T) {
 				var hang int
 				for ei := range fine.Corners {
 					for c := 0; c < 8; c++ {
-						if fine.Corners[ei][c].Hanging {
+						if fine.Corners[ei][c].Hanging() {
 							hang++
 						}
 					}

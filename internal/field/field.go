@@ -24,7 +24,6 @@ import (
 	"rhea/internal/fem"
 	"rhea/internal/forest"
 	"rhea/internal/la"
-	"rhea/internal/matfree"
 	"rhea/internal/mesh"
 	"rhea/internal/morton"
 	"rhea/internal/sim"
@@ -37,23 +36,17 @@ type ElemData [][8]float64
 // hanging-node interpolation (collective: one ghost exchange for all
 // fields).
 func FromNodal(m *mesh.Mesh, fields []*la.Vec) []ElemData {
-	sm := matfree.NodeSlots(m)
 	owned := make([][]float64, len(fields))
-	vals := make([][]float64, len(fields))
-	ghost := make([][]float64, len(fields))
 	for f, v := range fields {
 		owned[f] = v.Data
-		vals[f] = make([]float64, sm.NSlots())
-		copy(vals[f], v.Data)
-		ghost[f] = vals[f][sm.NOwned:]
 	}
-	sm.GX.GatherMulti(owned, ghost)
+	vals := m.GatherSlots(owned...)
 	out := make([]ElemData, len(fields))
 	for f := range out {
 		out[f] = make(ElemData, len(m.Leaves))
 		for ei := range out[f] {
 			for c := 0; c < 8; c++ {
-				out[f][ei][c] = sm.Corners[ei][c].Value(vals[f])
+				out[f][ei][c] = m.Corners[ei][c].Value(vals[f])
 			}
 		}
 	}
@@ -88,18 +81,17 @@ func ToNodal(m *mesh.Mesh, data []ElemData) []*la.Vec {
 	for ei := range m.Leaves {
 		for c := 0; c < 8; c++ {
 			co := &m.Corners[ei][c]
-			if co.Hanging {
+			if co.Hanging() {
 				continue
 			}
-			g := co.GID[0]
-			if l.Owns(g) {
-				i := g - l.Start()
+			if i := int(co.Slot[0]); i < m.NumOwned {
 				for f := range out {
 					out[f].Data[i] += data[f][ei][c]
 				}
 				cnt[i]++
 				continue
 			}
+			g := m.GID(co.Slot[0])
 			sh := &shares[l.OwnerOf(g)]
 			sh.gids = append(sh.gids, g)
 			for f := range data {

@@ -7,8 +7,8 @@
 // fem.Transfer (prolongation interpolates the constrained coarse space,
 // restriction is its exact transpose). Smoothing is Chebyshev-accelerated
 // Jacobi; the level operators apply the variable-viscosity stiffness per
-// element from cached unit kernels, sharing matfree's compact slot
-// numbering and ghost-exchange machinery. Only the coarsest level
+// element from cached unit kernels, over each level mesh's own node
+// slots and ghost plan. Only the coarsest level
 // assembles a CSR, solved distributed (AMG-preconditioned CG, package
 // amg) on whatever communicator still holds elements — so with a
 // matrix-free Stokes apply the whole solve never assembles a fine-level
@@ -29,7 +29,7 @@
 //
 // Setup is split so a convection time loop can amortize it. NewHierarchy
 // builds everything that depends only on the mesh: level trees and
-// meshes, slot maps, transfer stencils, unit kernels, restriction maps,
+// meshes, transfer stencils, unit kernels, restriction maps,
 // and slot-space assembly plans whose coefficients make the smoother
 // diagonals and the coarse CSR linear functions of the element
 // viscosities. Rebuild refreshes everything that depends on the
@@ -54,7 +54,6 @@ import (
 	"rhea/internal/forest"
 	"rhea/internal/krylov"
 	"rhea/internal/la"
-	"rhea/internal/matfree"
 	"rhea/internal/mesh"
 	"rhea/internal/sim"
 )
@@ -140,34 +139,33 @@ func (o Options) withDefaults() Options {
 // [8][8] brick per octree level serves every element of that size; on
 // mapped meshes every element has its own) and, for elements with no
 // hanging corner, the eight corner slots as one 32-byte row instead of
-// the 448-byte CornerRef table. eta is the only viscosity-dependent
+// the 448-byte corner table row. eta is the only viscosity-dependent
 // field; everything else survives a Rebuild.
 type level struct {
 	mesh   *mesh.Mesh
 	eta    []float64
-	sm     *matfree.SlotMap
 	kern   [][8][8]float64 // distinct unit kernels
 	kidx   []int32         // element -> its kernel in kern
-	rows   [][8]int32      // element -> corner slots; rows[ei][0] < 0: constrained, use sm.Corners[ei]
+	rows   [][8]int32      // element -> corner slots; rows[ei][0] < 0: constrained, use mesh.Corners[ei]
 	dplan  []diagTerm      // slot-space diagonal assembly plan (BC-independent)
 	repart bool            // shadow of a repartition gap: same global octants
 	//                         as the level above on fewer ranks, never smoothed
 }
 
-// newLevel builds the slot map and packed operator data of a level mesh
-// (collective). Shadow levels of a repartition gap (repart) carry the
+// newLevel builds the packed operator data of a level mesh (local).
+// Shadow levels of a repartition gap (repart) carry the
 // full slot and kernel machinery — the coarse solve may assemble there,
 // and coarsening continues from them — but no diagonal plan: they pass
 // the residual through unsmoothed, since smoothing them would just
 // repeat the finer twin's sweep on fewer ranks.
 func newLevel(m *mesh.Mesh, dom fem.Domain, repart bool) *level {
-	lv := &level{mesh: m, sm: matfree.NodeSlots(m), repart: repart}
+	lv := &level{mesh: m, repart: repart}
 	lv.kern, lv.kidx = fem.UnitStiffnessKernels(m, dom)
 
 	// Pack the corner slots of unconstrained elements.
-	lv.rows = make([][8]int32, len(lv.sm.Corners))
-	for ei := range lv.sm.Corners {
-		cs := &lv.sm.Corners[ei]
+	lv.rows = make([][8]int32, len(m.Corners))
+	for ei := range m.Corners {
+		cs := &m.Corners[ei]
 		for a := 0; a < 8; a++ {
 			if cs[a].N != 1 || cs[a].W[0] != 1 {
 				lv.rows[ei][0] = -1
@@ -186,7 +184,7 @@ func newLevel(m *mesh.Mesh, dom fem.Domain, repart bool) *level {
 // it: meshes, viscosities and transfer stencils are boundary-condition
 // independent, so they are built once and serve every field of every
 // cycle (the three velocity components of the Stokes block ride in
-// one). The mesh-dependent half (level meshes, slot maps, transfer
+// one). The mesh-dependent half (level meshes, transfer
 // stencils, unit kernels) is built by NewHierarchy and never touched
 // again; the viscosity-dependent half (per-level etas, smoother
 // diagonals, Chebyshev eigenvalue bounds, coarse AMG) is (re)derived by
@@ -415,7 +413,7 @@ func New(m *mesh.Mesh, dom fem.Domain, etaElem []float64, opts Options) *Hierarc
 }
 
 // Rebuild re-derives every viscosity-dependent quantity from a new fine
-// per-element viscosity while keeping the level meshes, slot maps and
+// per-element viscosity while keeping the level meshes and
 // transfer stencils (collective): coarse viscosities are volume-weighted
 // restrictions of etaElem (shipped across repartition gaps unchanged —
 // the octants are identical on both sides), and every VCycle handed out
@@ -553,15 +551,15 @@ func (h *Hierarchy) sharedDiag(l int) *la.Vec {
 		return h.diagEta[l]
 	}
 	lv := h.levels[l]
-	sm := lv.sm
-	n := sm.NOwned
-	acc := make([]float64, sm.NSlots())
+	m := lv.mesh
+	n := m.NumOwned
+	acc := make([]float64, m.NSlots())
 	for _, t := range lv.dplan {
 		acc[t.Slot] += lv.eta[t.Elem] * t.Coef
 	}
-	d := la.NewVec(lv.mesh.Layout())
+	d := la.NewVec(m.Layout())
 	copy(d.Data, acc[:n])
-	sm.GX.ScatterAdd(acc[n:], d.Data)
+	m.GX.ScatterAdd(acc[n:], d.Data)
 	h.diagEta[l] = d
 	return d
 }

@@ -86,7 +86,7 @@ func TestLevelOperatorMatchesAssembled(t *testing.T) {
 			dom := fem.UnitDomain
 			eta := layeredViscosity(m)
 			h := New(m, dom, eta, Options{})
-			bcd := fem.GatherBC(m, dom, zeroBC)
+			bcd := fem.GatherBC(m, dom, zeroBC)[0]
 			op := newLevelOp(h.levels[0], []*fem.BCData{bcd})
 
 			stiff := func(ei int, hh [3]float64) [8][8]float64 {
@@ -128,7 +128,7 @@ func TestVcyclePreconditionsCG(t *testing.T) {
 		eta := layeredViscosity(m)
 		h := New(m, dom, eta, Options{})
 		M := h.Precond(zeroBC)
-		bcd := fem.GatherBC(m, dom, zeroBC)
+		bcd := fem.GatherBC(m, dom, zeroBC)[0]
 		op := newLevelOp(h.levels[0], []*fem.BCData{bcd})
 
 		// Symmetry.

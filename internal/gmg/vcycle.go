@@ -40,14 +40,13 @@ type levelOp struct {
 // constrained by bcds[c].
 func newLevelOp(lv *level, bcds []*fem.BCData) *levelOp {
 	w := len(bcds)
-	n := lv.sm.NSlots()
+	n := lv.mesh.NSlots()
 	o := &levelOp{lv: lv, w: w, xbuf: make([]float64, w*n), acc: make([]float64, w*n)}
 	for s := 0; s < n; s++ {
-		g := lv.sm.GIDAt(s)
 		for c, bcd := range bcds {
-			if bcd.IsSet(g) {
+			if bcd.IsSet(int32(s)) {
 				o.fixed = append(o.fixed, int32(w*s+c))
-				if s < lv.sm.NOwned {
+				if s < lv.mesh.NumOwned {
 					o.ownFixed = append(o.ownFixed, int32(w*s+c))
 				}
 			}
@@ -81,10 +80,10 @@ func (o *levelOp) field(c int) *levelOp {
 func (o *levelOp) Apply(x, y *la.Vec) { o.apply(x.Data, y.Data) }
 
 func (o *levelOp) apply(x, y []float64) {
-	sm, w := o.lv.sm, o.w
-	n := w * sm.NOwned
+	m, w := o.lv.mesh, o.w
+	n := w * m.NumOwned
 	copy(o.xbuf[:n], x)
-	sm.GX.GatherBlock(w, x, o.xbuf[n:])
+	m.GX.GatherBlock(w, x, o.xbuf[n:])
 	for _, e := range o.fixed {
 		o.xbuf[e] = 0
 	}
@@ -103,7 +102,7 @@ func (o *levelOp) apply(x, y []float64) {
 		panic(fmt.Sprintf("gmg: no element kernel for %d fields per node", w))
 	}
 	copy(y, o.acc[:n])
-	sm.GX.ScatterAddBlock(w, o.acc[n:], y)
+	m.GX.ScatterAddBlock(w, o.acc[n:], y)
 	for _, e := range o.ownFixed {
 		y[e] = x[e]
 	}
@@ -114,9 +113,9 @@ func (o *levelOp) apply(x, y []float64) {
 // scaled kernel, scatter. Elements without a hanging corner take their
 // eight slots from the packed row (C_e is a selection: weight exactly
 // 1, so skipping the multiply changes no bit); constrained elements run
-// the CornerRef interpolation.
+// the mesh.Corner interpolation.
 func (lv *level) applyElems1(x, acc []float64) {
-	corners := lv.sm.Corners
+	corners := lv.mesh.Corners
 	for ei := range lv.rows {
 		row := &lv.rows[ei]
 		plain := row[0] >= 0
@@ -167,7 +166,7 @@ func (lv *level) applyElems1(x, acc []float64) {
 // corner tables and kernels are streamed once for the whole velocity
 // block.
 func (lv *level) applyElems3(x, acc []float64) {
-	corners := lv.sm.Corners
+	corners := lv.mesh.Corners
 	for ei := range lv.rows {
 		row := &lv.rows[ei]
 		plain := row[0] >= 0
@@ -289,11 +288,9 @@ type VCycle struct {
 func newVCycle(h *Hierarchy, bcs []fem.ScalarBC) *VCycle {
 	w := len(bcs)
 	c := &VCycle{h: h, w: w}
-	bcds := make([]*fem.BCData, w)
+	var bcds []*fem.BCData
 	for _, lv := range h.levels {
-		for k, bc := range bcs {
-			bcds[k] = fem.GatherBC(lv.mesh, h.dom, bc)
-		}
+		bcds = fem.GatherBC(lv.mesh, h.dom, bcs...)
 		n := w * lv.mesh.NumOwned
 		c.ops = append(c.ops, newLevelOp(lv, bcds))
 		c.b = append(c.b, make([]float64, n))
@@ -329,9 +326,8 @@ type diagTerm struct {
 // per field after the scan.
 func buildDiagPlan(lv *level) []diagTerm {
 	var plan []diagTerm
-	sm := lv.sm
-	for ei := range sm.Corners {
-		cs := &sm.Corners[ei]
+	for ei := range lv.mesh.Corners {
+		cs := &lv.mesh.Corners[ei]
 		K := &lv.kern[lv.kidx[ei]]
 		var slots [32]int32
 		var coefs [32]float64

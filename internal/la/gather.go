@@ -20,11 +20,15 @@ func (m *Mat) GatherGlobalCSR() *CSR {
 		Vals   []float64
 	}
 	// Flatten local rows with global column ids.
-	nLoc := m.Layout.Local()
 	msg := rowsMsg{Start: m.Layout.Start(), RowPtr: append([]int32(nil), m.rowPtr...)}
 	msg.Cols = make([]int64, len(m.colIdx))
+	nLoc, ghosts := m.Layout.Local(), m.gx.Ghosts()
 	for k, s := range m.colIdx {
-		msg.Cols[k] = m.cols[s]
+		if int(s) < nLoc {
+			msg.Cols[k] = m.Layout.Start() + int64(s)
+		} else {
+			msg.Cols[k] = ghosts[int(s)-nLoc]
+		}
 	}
 	msg.Vals = append([]float64(nil), m.vals...)
 
@@ -59,7 +63,6 @@ func (m *Mat) GatherGlobalCSR() *CSR {
 			}
 		}
 	}
-	_ = nLoc
 	return c
 }
 

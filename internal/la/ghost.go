@@ -1,7 +1,7 @@
 package la
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"rhea/internal/sim"
@@ -71,18 +71,17 @@ type GhostExchange struct {
 	block  int
 	ghosts []int64
 
-	// reqSlot[r] lists the ghost slots served by rank r; sendIdx[r] lists
-	// the local block indices this rank serves to rank r, in the order
-	// rank r requested them (the two sides of the plan line up).
-	reqSlot [][]int32
-	sendIdx [][]int32
-
 	// Persisted neighbor plan: owners holds the ranks this rank requests
-	// ghosts from (reqSlot non-empty), servers the ranks requesting data
-	// from this rank (sendIdx non-empty). Gather sends to servers and
-	// receives from owners; ScatterAdd is the transpose.
+	// ghosts from, servers the ranks requesting data from this rank, both
+	// ascending. reqSlot[k] lists the ghost slots served by owners[k];
+	// sendIdx[k] lists the local block indices this rank serves to
+	// servers[k], in the order that rank requested them (the two sides of
+	// the plan line up). Gather sends to servers and receives from owners;
+	// ScatterAdd is the transpose.
 	owners  []int
+	reqSlot [][]int32
 	servers []int
+	sendIdx [][]int32
 
 	// out and in are the per-plan exchange scratch (see scratch).
 	out, in []sim.Payload
@@ -92,51 +91,57 @@ type GhostExchange struct {
 // indices (collective). want may contain duplicates and need not be
 // sorted; it must not contain indices owned by this rank.
 func NewGhostExchange(l *Layout, want []int64, block int) *GhostExchange {
-	g := &GhostExchange{layout: l, block: block}
-	g.ghosts = append([]int64(nil), want...)
-	sort.Slice(g.ghosts, func(i, j int) bool { return g.ghosts[i] < g.ghosts[j] })
-	out := g.ghosts[:0]
-	for i, gid := range g.ghosts {
+	ghosts := slices.Clone(want)
+	slices.Sort(ghosts)
+	ghosts = slices.Compact(ghosts)
+	for _, gid := range ghosts {
 		if l.Owns(gid) {
 			panic("la: NewGhostExchange wants an owned index")
 		}
-		if i == 0 || gid != g.ghosts[i-1] {
-			out = append(out, gid)
-		}
 	}
-	g.ghosts = out
 
-	r := l.rank
-	p := r.Size()
-	wantByRank := make([][]int64, p)
-	g.reqSlot = make([][]int32, p)
-	for s, gid := range g.ghosts {
-		o := l.OwnerOf(gid)
-		wantByRank[o] = append(wantByRank[o], gid)
-		g.reqSlot[o] = append(g.reqSlot[o], int32(s))
-	}
+	// Ascending ghosts are grouped by owner, owners ascending: each owner
+	// is asked for one run of consecutive slots, by global index.
+	var owners []int
+	var reqSlot [][]int32
 	var reqs []any
 	var nb []int
-	for j, w := range wantByRank {
-		if len(w) == 0 {
-			continue
+	for s := 0; s < len(ghosts); {
+		o := l.OwnerOf(ghosts[s])
+		e := s
+		var slots []int32
+		for ; e < len(ghosts) && ghosts[e] < l.Offsets[o+1]; e++ {
+			slots = append(slots, int32(e))
 		}
-		g.owners = append(g.owners, j)
-		reqs = append(reqs, w)
-		nb = append(nb, 8*len(w))
+		owners = append(owners, o)
+		reqSlot = append(reqSlot, slots)
+		reqs = append(reqs, ghosts[s:e])
+		nb = append(nb, 8*(e-s))
+		s = e
 	}
-	froms, datas := r.AlltoallvSparse(g.owners, reqs, nb)
-	g.sendIdx = make([][]int32, p)
-	g.servers = froms
+	servers, datas := l.rank.AlltoallvSparse(owners, reqs, nb)
+	sendIdx := make([][]int32, len(servers))
 	for i, d := range datas {
 		asked := d.([]int64)
 		idx := make([]int32, len(asked))
 		for k, gid := range asked {
 			idx[k] = int32(gid - l.Start())
 		}
-		g.sendIdx[froms[i]] = idx
+		sendIdx[i] = idx
 	}
-	return g
+	return NewGhostExchangeAgreed(l, ghosts, owners, reqSlot, servers, sendIdx, block)
+}
+
+// NewGhostExchangeAgreed wraps tables the two sides of every pair have
+// already agreed on into a plan, without communication: ghosts are the
+// off-rank global indices in slot order, reqSlot[k] the ghost slots that
+// owners[k] serves, and sendIdx[k] the local indices servers[k] expects,
+// in the order of that rank's reqSlot entry for this rank. An exchange
+// that numbers nodes by asking their owners (mesh.Extract) has these
+// tables in hand when it finishes; NewGhostExchange negotiates them.
+func NewGhostExchangeAgreed(l *Layout, ghosts []int64, owners []int, reqSlot [][]int32, servers []int, sendIdx [][]int32, block int) *GhostExchange {
+	return &GhostExchange{layout: l, block: block, ghosts: ghosts,
+		owners: owners, reqSlot: reqSlot, servers: servers, sendIdx: sendIdx}
 }
 
 // NumGhosts returns the number of distinct off-rank indices in the plan.
@@ -174,17 +179,17 @@ func (g *GhostExchange) Gather(owned, ghost []float64) {
 // message per neighbor either way (collective).
 func (g *GhostExchange) GatherBlock(block int, owned, ghost []float64) {
 	out, in := g.scratch(len(g.servers), len(g.owners))
-	for k, j := range g.servers {
-		buf := GetBuf(len(g.sendIdx[j]) * block)
-		for n, li := range g.sendIdx[j] {
+	for k, idx := range g.sendIdx {
+		buf := GetBuf(len(idx) * block)
+		for n, li := range idx {
 			copy(buf[n*block:(n+1)*block], owned[int(li)*block:(int(li)+1)*block])
 		}
 		out[k].F64 = buf
 	}
 	g.layout.rank.NeighborExchange(g.servers, out, g.owners, in)
-	for k, i := range g.owners {
+	for k, slots := range g.reqSlot {
 		buf := in[k].F64
-		for n, s := range g.reqSlot[i] {
+		for n, s := range slots {
 			copy(ghost[int(s)*block:(int(s)+1)*block], buf[n*block:(n+1)*block])
 		}
 		PutBuf(buf)
@@ -200,10 +205,10 @@ func (g *GhostExchange) GatherBlock(block int, owned, ghost []float64) {
 func (g *GhostExchange) GatherMulti(owned, ghost [][]float64) {
 	nf := len(owned)
 	out, in := g.scratch(len(g.servers), len(g.owners))
-	for k, j := range g.servers {
-		buf := GetBuf(len(g.sendIdx[j]) * g.block * nf)
+	for k, idx := range g.sendIdx {
+		buf := GetBuf(len(idx) * g.block * nf)
 		pos := 0
-		for _, li := range g.sendIdx[j] {
+		for _, li := range idx {
 			for f := 0; f < nf; f++ {
 				pos += copy(buf[pos:], owned[f][int(li)*g.block:(int(li)+1)*g.block])
 			}
@@ -211,10 +216,10 @@ func (g *GhostExchange) GatherMulti(owned, ghost [][]float64) {
 		out[k].F64 = buf
 	}
 	g.layout.rank.NeighborExchange(g.servers, out, g.owners, in)
-	for k, i := range g.owners {
+	for k, slots := range g.reqSlot {
 		buf := in[k].F64
 		pos := 0
-		for _, s := range g.reqSlot[i] {
+		for _, s := range slots {
 			for f := 0; f < nf; f++ {
 				pos += copy(ghost[f][int(s)*g.block:(int(s)+1)*g.block], buf[pos:pos+g.block])
 			}
@@ -234,17 +239,17 @@ func (g *GhostExchange) ScatterAdd(ghost, owned []float64) {
 // the transpose of GatherBlock at the same width (collective).
 func (g *GhostExchange) ScatterAddBlock(block int, ghost, owned []float64) {
 	out, in := g.scratch(len(g.owners), len(g.servers))
-	for k, j := range g.owners {
-		buf := GetBuf(len(g.reqSlot[j]) * block)
-		for n, s := range g.reqSlot[j] {
+	for k, slots := range g.reqSlot {
+		buf := GetBuf(len(slots) * block)
+		for n, s := range slots {
 			copy(buf[n*block:(n+1)*block], ghost[int(s)*block:(int(s)+1)*block])
 		}
 		out[k].F64 = buf
 	}
 	g.layout.rank.NeighborExchange(g.owners, out, g.servers, in)
-	for k, i := range g.servers {
+	for k, idx := range g.sendIdx {
 		buf := in[k].F64
-		for n, li := range g.sendIdx[i] {
+		for n, li := range idx {
 			base := int(li) * block
 			for c := 0; c < block; c++ {
 				owned[base+c] += buf[n*block+c]

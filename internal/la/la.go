@@ -11,6 +11,7 @@ package la
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"rhea/internal/sim"
@@ -180,18 +181,10 @@ type Mat struct {
 	colIdx []int32 // local column slots
 	vals   []float64
 
-	// column slot table
-	cols     []int64 // slot -> global column index; owned cols first is NOT guaranteed
-	ownedCol []int32 // slot -> local index if owned, else -1
-
-	// ghost exchange plan: sendTo/recvSlot are indexed by rank, but only
-	// the sparse neighbor sets are populated — askers lists the ranks
-	// that request this rank's entries (sendTo non-empty), owners the
-	// ranks this rank pulls ghost columns from (recvSlot non-empty).
-	sendTo   [][]int32 // per rank: my local indices to send
-	recvSlot [][]int32 // per rank: column slots to fill from that rank
-	askers   []int
-	owners   []int
+	// Column slots: an owned column's slot is its local index, the
+	// distinct off-rank columns follow in ascending global order — the
+	// ghost slots of gx, which fills that tail of xbuf.
+	gx *GhostExchange
 
 	assembled bool
 	xbuf      []float64 // slot-indexed work buffer for Apply
@@ -260,28 +253,17 @@ func (m *Mat) Assemble() {
 	}
 	m.remote = nil
 
-	// Build the column slot table: all distinct global columns, sorted.
-	colSet := make(map[int64]struct{})
+	// Column slots (collective: the plan over the off-rank columns).
+	nLoc := m.Layout.Local()
+	var ghostCols []int64
 	for _, row := range m.build {
 		for c := range row {
-			colSet[c] = struct{}{}
+			if !m.Layout.Owns(c) {
+				ghostCols = append(ghostCols, c)
+			}
 		}
 	}
-	m.cols = make([]int64, 0, len(colSet))
-	for c := range colSet {
-		m.cols = append(m.cols, c)
-	}
-	sort.Slice(m.cols, func(i, j int) bool { return m.cols[i] < m.cols[j] })
-	slotOf := make(map[int64]int32, len(m.cols))
-	m.ownedCol = make([]int32, len(m.cols))
-	for s, c := range m.cols {
-		slotOf[c] = int32(s)
-		if m.Layout.Owns(c) {
-			m.ownedCol[s] = int32(c - m.Layout.Start())
-		} else {
-			m.ownedCol[s] = -1
-		}
-	}
+	m.gx = NewGhostExchange(m.Layout, ghostCols, 1)
 
 	// CSR.
 	n := len(m.build)
@@ -302,89 +284,32 @@ func (m *Mat) Assemble() {
 		}
 		sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
 		for k, c := range keys {
-			m.colIdx[base+int32(k)] = slotOf[c]
+			if m.Layout.Owns(c) {
+				m.colIdx[base+int32(k)] = int32(c - m.Layout.Start())
+			} else {
+				g, _ := slices.BinarySearch(m.gx.Ghosts(), c)
+				m.colIdx[base+int32(k)] = int32(nLoc + g)
+			}
 			m.vals[base+int32(k)] = row[c]
 		}
 	}
 	m.build = nil
 
-	// Ghost plan: request each non-owned column from its owner and
-	// persist the sparse neighborhood for updateGhosts.
-	wantByRank := make([][]int64, p)
-	slotByRank := make([][]int32, p)
-	for s, c := range m.cols {
-		if m.ownedCol[s] < 0 {
-			o := m.Layout.OwnerOf(c)
-			wantByRank[o] = append(wantByRank[o], c)
-			slotByRank[o] = append(slotByRank[o], int32(s))
-		}
-	}
-	var reqOut []any
-	var reqNB []int
-	m.owners = nil
-	for j := range wantByRank {
-		if len(wantByRank[j]) == 0 {
-			continue
-		}
-		m.owners = append(m.owners, j)
-		reqOut = append(reqOut, wantByRank[j])
-		reqNB = append(reqNB, 8*len(wantByRank[j]))
-	}
-	froms, reqIn := r.AlltoallvSparse(m.owners, reqOut, reqNB)
-	m.sendTo = make([][]int32, p)
-	m.askers = froms
-	for i, d := range reqIn {
-		asked := d.([]int64)
-		idx := make([]int32, len(asked))
-		for k, g := range asked {
-			idx[k] = int32(g - m.Layout.Start())
-		}
-		m.sendTo[froms[i]] = idx
-	}
-	m.recvSlot = slotByRank
-	m.xbuf = make([]float64, len(m.cols))
+	m.xbuf = make([]float64, nLoc+m.gx.NumGhosts())
 	m.assembled = true
 }
 
 // NNZ returns the local number of stored nonzeros (valid after Assemble).
 func (m *Mat) NNZ() int { return len(m.vals) }
 
-// updateGhosts fills m.xbuf (slot-indexed) from the distributed vector x:
-// owned slots locally, non-owned slots via one neighbor exchange over the
-// plan persisted at Assemble (messages only to/from actual neighbors,
-// send buffers drawn from the shared pool).
-func (m *Mat) updateGhosts(x *Vec) {
-	r := m.Layout.rank
-	for s := range m.cols {
-		if li := m.ownedCol[s]; li >= 0 {
-			m.xbuf[s] = x.Data[li]
-		}
-	}
-	out := make([]sim.Payload, len(m.askers))
-	for k, j := range m.askers {
-		vals := GetBuf(len(m.sendTo[j]))
-		for n, li := range m.sendTo[j] {
-			vals[n] = x.Data[li]
-		}
-		out[k].F64 = vals
-	}
-	in := make([]sim.Payload, len(m.owners))
-	r.NeighborExchange(m.askers, out, m.owners, in)
-	for k, i := range m.owners {
-		vals := in[k].F64
-		for n, s := range m.recvSlot[i] {
-			m.xbuf[s] = vals[n]
-		}
-		PutBuf(vals)
-	}
-}
-
 // Apply computes y = A x (collective).
 func (m *Mat) Apply(x, y *Vec) {
 	if !m.assembled {
 		panic("la: Apply before Assemble")
 	}
-	m.updateGhosts(x)
+	n := len(x.Data)
+	copy(m.xbuf[:n], x.Data)
+	m.gx.Gather(x.Data, m.xbuf[n:])
 	for i := 0; i < len(y.Data); i++ {
 		var s float64
 		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
@@ -397,11 +322,9 @@ func (m *Mat) Apply(x, y *Vec) {
 // Diag extracts the global diagonal into a vector.
 func (m *Mat) Diag() *Vec {
 	d := NewVec(m.Layout)
-	start := m.Layout.Start()
 	for i := range d.Data {
-		g := start + int64(i)
 		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			if m.cols[m.colIdx[k]] == g {
+			if int(m.colIdx[k]) == i {
 				d.Data[i] = m.vals[k]
 			}
 		}
@@ -433,7 +356,7 @@ func (m *Mat) LocalCSR() *CSR {
 	c.RowPtr = make([]int32, n+1)
 	for i := 0; i < n; i++ {
 		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			if m.ownedCol[m.colIdx[k]] >= 0 {
+			if int(m.colIdx[k]) < n {
 				c.RowPtr[i+1]++
 			}
 		}
@@ -447,7 +370,7 @@ func (m *Mat) LocalCSR() *CSR {
 	copy(pos, c.RowPtr[:n])
 	for i := 0; i < n; i++ {
 		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			if li := m.ownedCol[m.colIdx[k]]; li >= 0 {
+			if li := m.colIdx[k]; int(li) < n {
 				c.ColIdx[pos[i]] = li
 				c.Vals[pos[i]] = m.vals[k]
 				pos[i]++

@@ -1,6 +1,7 @@
 package la
 
 import (
+	"runtime"
 	"testing"
 
 	"rhea/internal/sim"
@@ -102,6 +103,69 @@ func TestMatApplySparseGhosts(t *testing.T) {
 			if v != wantV {
 				t.Errorf("rank %d: y[%d] = %v, want %v", r.ID(), g, v, wantV)
 			}
+		}
+	})
+}
+
+// TestMatApplyAllocFree pins that Apply allocates nothing in steady
+// state: the matrix keeps one GhostExchange over its off-rank columns,
+// whose payload tables and pooled buffers are reused, where it used to
+// build two fresh payload slices per call. Alone in its world a rank
+// allocates exactly nothing; with neighbours the count over all ranks
+// stays below one per message (headroom for a pool refill after a GC
+// cycle and for the measurement's own barriers), as for every plan-based
+// exchange.
+func TestMatApplyAllocFree(t *testing.T) {
+	laplace := func(r *sim.Rank) (*Mat, *Vec, *Vec) {
+		l := NewLayout(r, 50)
+		m := NewMat(l)
+		n := l.N()
+		for i := 0; i < l.Local(); i++ {
+			g := l.Start() + int64(i)
+			m.AddValue(g, g, 2)
+			if g > 0 {
+				m.AddValue(g, g-1, -1)
+			}
+			if g < n-1 {
+				m.AddValue(g, g+1, -1)
+			}
+		}
+		m.Assemble()
+		x, y := NewVec(l), NewVec(l)
+		x.Set(1)
+		return m, x, y
+	}
+	sim.Run(1, func(r *sim.Rank) {
+		m, x, y := laplace(r)
+		if n := testing.AllocsPerRun(20, func() { m.Apply(x, y) }); n != 0 {
+			t.Errorf("1 rank: Apply allocates %v times per call, want 0", n)
+		}
+	})
+	sim.Run(3, func(r *sim.Rank) {
+		m, x, y := laplace(r)
+		m.Apply(x, y)
+		const calls = 50
+		var m0, m1 runtime.MemStats
+		pre := r.Stats().UserMsgs
+		r.Barrier()
+		if r.ID() == 0 {
+			runtime.ReadMemStats(&m0)
+		}
+		r.Barrier()
+		for i := 0; i < calls; i++ {
+			m.Apply(x, y)
+		}
+		r.Barrier()
+		if r.ID() == 0 {
+			runtime.ReadMemStats(&m1)
+		}
+		allocs := r.Allreduce(float64(m1.Mallocs-m0.Mallocs), sim.OpSum) / calls
+		msgs := r.Allreduce(float64(r.Stats().UserMsgs-pre), sim.OpSum) / calls
+		if r.ID() == 0 {
+			t.Logf("3 ranks: %.2f allocations per Apply over all ranks (%.0f messages)", allocs, msgs)
+		}
+		if allocs > msgs {
+			t.Errorf("3 ranks: Apply allocates %.2f times per call over all ranks, want <= %.0f (1 per message)", allocs, msgs)
 		}
 	})
 }

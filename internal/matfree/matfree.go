@@ -15,8 +15,9 @@
 // nodal vectors plus geometry, and the element loop parallelizes over
 // in-rank cores on top of the rank-level (simulated MPI) parallelism.
 //
-// Off-rank coupling uses one la.GhostExchange plan in both directions:
-// gather remote master-node blocks before the loop, scatter-add remote
+// Nodes are addressed by the mesh's own slots (mesh.Mesh.GX) and
+// off-rank coupling uses that one la.GhostExchange plan in both
+// directions, at width 4: gather remote master-node blocks before the loop, scatter-add remote
 // row contributions after it. Dirichlet conditions are eliminated exactly
 // as in the assembled path — constrained columns read zero, constrained
 // owned rows are identity — so the apply matches stokes.Assemble's CSR to
@@ -32,23 +33,24 @@ import (
 	"rhea/internal/mesh"
 )
 
-// DofBC reports whether dof component c (0..2 velocity, 3 pressure) of
-// the independent node with global id g is Dirichlet-constrained, and its
-// value. It must be evaluable for every node the rank references. At
-// nodes carrying a rotated boundary frame (see Frame) the component index
-// refers to the LOCAL frame: c = 0 is the boundary-normal direction,
-// c = 1,2 the tangential ones.
-type DofBC func(g int64, c int) (float64, bool)
-
-// Frame reports the rotated per-node boundary basis of the independent
-// node with global id g, if it has one: Q's columns are the orthonormal
-// (normal, tangent, tangent) directions, so v_cartesian = Q v_local and
-// v_local = Q^T v_cartesian. Free-slip boundaries supply a frame at every
-// slip node and constrain only local component 0 through DofBC; the
+// Constraints are the Dirichlet and boundary-frame tables of the coupled
+// operator, indexed by node slot (mesh.Mesh.GX) and so covering every
+// node the rank references. Fixed[4*s+c] marks dof component c (0..2
+// velocity, 3 pressure) of the node in slot s Dirichlet-constrained and
+// Val[4*s+c] holds its value. Frames[s], where non-nil, is the node's
+// rotated boundary basis: Q's columns are the orthonormal (normal,
+// tangent, tangent) directions, so v_cartesian = Q v_local and v_local =
+// Q^T v_cartesian. Free-slip boundaries supply a frame at every slip
+// node and constrain only local component 0 — at a framed slot the
+// component index of Fixed and Val refers to the LOCAL frame — and the
 // operator is then applied conjugated, Q^T A Q, so its solution vector
-// lives in the local frames at those nodes. A nil Frame (or one that
-// reports no frames) leaves the operator in plain Cartesian components.
-type Frame func(g int64) (Q [3][3]float64, ok bool)
+// lives in the local frames at those nodes. A nil Frames leaves the
+// operator in plain Cartesian components.
+type Constraints struct {
+	Fixed  []bool
+	Val    []float64
+	Frames []*[3][3]float64
+}
 
 // Options tunes the matrix-free apply.
 type Options struct {
@@ -71,7 +73,7 @@ type Operator struct {
 	// octree level, aliased per element.
 	geos    []*fem.ElemGeom
 	kern    []*fem.StokesKernels
-	corners [][8]CornerRef
+	corners [][8]mesh.Corner
 	gx      *la.GhostExchange
 	nOwned  int
 	nSlots  int
@@ -179,18 +181,15 @@ func (p *pool) run(src []float64, loop func(w, lo, hi int, src, dst []float64)) 
 }
 
 // New builds the operator for the extracted mesh, per-element viscosity
-// and Dirichlet data (collective where it is the first user of the mesh's
-// NodeSlots).
-// layout must be the 4N dof layout of the Stokes system. Everything built
-// here — slot numbering, ghost plan, constraint tables, worker chunks,
-// per-level brick kernels — depends only on the mesh and boundary
-// conditions; etaElem may
-// be nil and supplied later via SetViscosity, which is how the persistent
-// solver reuses one Operator across viscosity updates. frame (may be nil)
-// supplies rotated boundary bases for free-slip nodes; where it reports a
-// frame the operator is conjugated, Q^T A Q, and bc indices are local.
-func New(m *mesh.Mesh, dom fem.Domain, layout *la.Layout, etaElem []float64, bc DofBC, frame Frame, opts Options) *Operator {
-	op := &Operator{m: m, layout: layout, eta: etaElem, nOwned: m.NumOwned}
+// and constraint tables (local). layout must be the 4N dof layout of the
+// Stokes system. Everything built here — constraint index lists, worker
+// chunks, per-level brick kernels — depends only on the mesh and boundary
+// conditions; the node numbering and ghost plan are the mesh's own.
+// etaElem may be nil and supplied later via SetViscosity, which is how
+// the persistent solver reuses one Operator across viscosity updates.
+func New(m *mesh.Mesh, dom fem.Domain, layout *la.Layout, etaElem []float64, cons Constraints, opts Options) *Operator {
+	op := &Operator{m: m, layout: layout, eta: etaElem, nOwned: m.NumOwned,
+		corners: m.Corners, gx: m.GX, nSlots: m.NSlots(), bcval: cons.Val}
 
 	// Mapped meshes read the geometry every layer shares; axis-aligned
 	// ones the per-level kernels the assembled path scales too.
@@ -198,31 +197,17 @@ func New(m *mesh.Mesh, dom fem.Domain, layout *la.Layout, etaElem []float64, bc 
 		op.kern = fem.StokesKernelsFor(m, dom)
 	}
 
-	// Compact slot numbering: owned nodes at gid-Offset, ghosts after.
-	// The mesh's shared node slot map serves at width 4 (the exchange
-	// plan's index tables do not depend on the block width).
-	sm := NodeSlots(m)
-	op.gx = sm.GX
-	op.nSlots = sm.NSlots()
-	op.corners = sm.Corners
-
-	// Constraint tables in slot space.
-	op.bcval = make([]float64, op.nSlots*4)
-	for s := 0; s < op.nSlots; s++ {
-		g := sm.GIDAt(s)
-		if frame != nil {
-			if Q, ok := frame(g); ok {
-				op.rotSlot = append(op.rotSlot, int32(s))
-				op.rotQ = append(op.rotQ, Q)
-			}
+	for s, Q := range cons.Frames {
+		if Q != nil {
+			op.rotSlot = append(op.rotSlot, int32(s))
+			op.rotQ = append(op.rotQ, *Q)
 		}
-		for c := 0; c < 4; c++ {
-			if v, is := bc(g, c); is {
-				op.fixedIdx = append(op.fixedIdx, int32(4*s+c))
-				op.bcval[4*s+c] = v
-				if s < m.NumOwned {
-					op.ownFixed = append(op.ownFixed, int32(4*s+c))
-				}
+	}
+	for idx, is := range cons.Fixed {
+		if is {
+			op.fixedIdx = append(op.fixedIdx, int32(idx))
+			if idx < 4*m.NumOwned {
+				op.ownFixed = append(op.ownFixed, int32(idx))
 			}
 		}
 	}
@@ -237,8 +222,8 @@ func New(m *mesh.Mesh, dom fem.Domain, layout *la.Layout, etaElem []float64, bc 
 func (op *Operator) Workers() int { return op.pool.workers }
 
 // SetViscosity replaces the per-element viscosity the element operators
-// are evaluated with (local, free). The mesh-dependent state — slot maps,
-// ghost plans, constraint tables — is untouched, so this is the entire
+// are evaluated with (local, free). The mesh-dependent state — the constraint
+// index lists — is untouched, so this is the entire
 // viscosity-dependent half of the operator's setup.
 func (op *Operator) SetViscosity(etaElem []float64) { op.eta = etaElem }
 
@@ -253,7 +238,7 @@ func (op *Operator) applyElem(ei int, xe, ye *[32]float64) {
 
 // gatherElem interpolates the 32 corner dofs of an element from the
 // slot-space buffer through the constraint weights.
-func gatherElem(cs *[8]CornerRef, src []float64, xe *[32]float64) {
+func gatherElem(cs *[8]mesh.Corner, src []float64, xe *[32]float64) {
 	for a := 0; a < 8; a++ {
 		cr := &cs[a]
 		var v0, v1, v2, v3 float64
@@ -272,7 +257,7 @@ func gatherElem(cs *[8]CornerRef, src []float64, xe *[32]float64) {
 // scatterElem adds the 32 element results into the slot-space
 // accumulator through the constraint weights (the transpose of
 // gatherElem).
-func scatterElem(cs *[8]CornerRef, ye *[32]float64, dst []float64) {
+func scatterElem(cs *[8]mesh.Corner, ye *[32]float64, dst []float64) {
 	for a := 0; a < 8; a++ {
 		cr := &cs[a]
 		for k := 0; k < int(cr.N); k++ {

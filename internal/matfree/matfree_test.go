@@ -11,7 +11,9 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"unsafe"
 
+	"rhea/internal/advect"
 	"rhea/internal/fem"
 	"rhea/internal/forest"
 	"rhea/internal/gmg"
@@ -20,6 +22,7 @@ import (
 	"rhea/internal/mesh"
 	"rhea/internal/morton"
 	"rhea/internal/sim"
+	"rhea/internal/stokes"
 )
 
 // unitBox is the one-tree connectivity of the unit cube.
@@ -42,6 +45,19 @@ func q1TestBC(m *mesh.Mesh) matfree.DofBC {
 	}
 }
 
+// consFrom tabulates a Dirichlet condition given by global node id into
+// the operator's slot-indexed constraint tables.
+func consFrom(m *mesh.Mesh, bc matfree.DofBC) matfree.Constraints {
+	ns := m.NSlots()
+	cons := matfree.Constraints{Fixed: make([]bool, 4*ns), Val: make([]float64, 4*ns)}
+	for s := 0; s < ns; s++ {
+		for c := 0; c < 4; c++ {
+			cons.Val[4*s+c], cons.Fixed[4*s+c] = bc(m.GID(int32(s)), c)
+		}
+	}
+	return cons
+}
+
 // assembleQ1 builds the eliminated coupled Q1 CSR the way the stokes
 // assembled path does: brick kernels, hanging-node weights, skipped
 // constrained rows/columns and identity diagonals.
@@ -55,7 +71,7 @@ func assembleQ1(m *mesh.Mesh, dom fem.Domain, layout *la.Layout, eta []float64, 
 		cs := &m.Corners[ei]
 		for a := 0; a < 8; a++ {
 			for ia := 0; ia < int(cs[a].N); ia++ {
-				ga, wa := cs[a].GID[ia], cs[a].W[ia]
+				ga, wa := m.GID(cs[a].Slot[ia]), cs[a].W[ia]
 				for i := 0; i < 3; i++ {
 					if _, is := bc(ga, i); is {
 						continue
@@ -63,7 +79,7 @@ func assembleQ1(m *mesh.Mesh, dom fem.Domain, layout *la.Layout, eta []float64, 
 					row := 4*ga + int64(i)
 					for b := 0; b < 8; b++ {
 						for ib := 0; ib < int(cs[b].N); ib++ {
-							gb, wb := cs[b].GID[ib], cs[b].W[ib]
+							gb, wb := m.GID(cs[b].Slot[ib]), cs[b].W[ib]
 							w := wa * wb
 							for j := 0; j < 3; j++ {
 								if _, is := bc(gb, j); is {
@@ -87,7 +103,7 @@ func assembleQ1(m *mesh.Mesh, dom fem.Domain, layout *la.Layout, eta []float64, 
 				prow := 4*ga + 3
 				for b := 0; b < 8; b++ {
 					for ib := 0; ib < int(cs[b].N); ib++ {
-						gb, wb := cs[b].GID[ib], cs[b].W[ib]
+						gb, wb := m.GID(cs[b].Slot[ib]), cs[b].W[ib]
 						w := wa * wb
 						for j := 0; j < 3; j++ {
 							if _, is := bc(gb, j); is {
@@ -150,7 +166,7 @@ func TestQ1ApplyMatchesAssembled(t *testing.T) {
 			eta[i] = 1 + 0.5*math.Sin(float64(i))
 		}
 		bc := q1TestBC(m)
-		op := matfree.New(m, dom, layout, eta, bc, nil, matfree.Options{})
+		op := matfree.New(m, dom, layout, eta, consFrom(m, bc), matfree.Options{})
 		A := assembleQ1(m, dom, layout, eta, bc)
 
 		x := la.NewVec(layout)
@@ -263,9 +279,10 @@ func TestQ2ApplyMatchesAssembledNaive(t *testing.T) {
 	})
 }
 
-// TestSlotMapInvariants checks the structural invariants of the Q1 and
-// Q2 slot maps on a multi-rank mesh: owned slots are gid-offset, GIDAt
-// round-trips, constraint weights are a partition of unity, and every
+// TestSlotMapInvariants checks the structural invariants of the Q1 view
+// of the mesh's numbering and of the Q2 slot map on a multi-rank mesh:
+// owned slots are gid-offset, ghost slots ascend through other ranks'
+// ids, constraint weights are a partition of unity, and every
 // element node slot resolves to the mesh's global id.
 func TestSlotMapInvariants(t *testing.T) {
 	sim.Run(4, func(r *sim.Rank) {
@@ -279,9 +296,18 @@ func TestSlotMapInvariants(t *testing.T) {
 			t.Fatalf("SlotMap.NOwned = %d, want %d", sm.NOwned, ma.NumOwned)
 		}
 		ns := sm.NSlots()
+		if ns != ma.NSlots() || sm.GX != ma.GX {
+			t.Fatalf("the slot map is not a view of the mesh's numbering")
+		}
 		for s := 0; s < sm.NOwned; s++ {
-			if g := sm.GIDAt(s); g != ma.Offset+int64(s) {
+			if g := ma.GID(int32(s)); g != ma.Offset+int64(s) {
 				t.Fatalf("owned slot %d has gid %d, want %d", s, g, ma.Offset+int64(s))
+			}
+		}
+		for s := sm.NOwned; s < ns; s++ {
+			g := ma.GID(int32(s))
+			if ma.Layout().Owns(g) || (s > sm.NOwned && g <= ma.GID(int32(s-1))) {
+				t.Fatalf("ghost slot %d has gid %d: owned here or not ascending", s, g)
 			}
 		}
 		for ei := range sm.Corners {
@@ -342,7 +368,7 @@ func TestApplyAllocFree(t *testing.T) {
 			eta[i] = 1
 		}
 		bc := q1TestBC(m)
-		op := matfree.New(m, dom, layout, eta, bc, nil, matfree.Options{Workers: 1})
+		op := matfree.New(m, dom, layout, eta, consFrom(m, bc), matfree.Options{Workers: 1})
 		x, y := la.NewVec(layout), la.NewVec(layout)
 		fillTestVec(x)
 		if n := testing.AllocsPerRun(20, func() { op.Apply(x, y) }); n != 0 {
@@ -465,10 +491,9 @@ func TestExchangeAllocsTwoRanks(t *testing.T) {
 // TestOperatorResidentBytesMapped pins that the operator stores nothing
 // per element on a mapped mesh beyond what the mesh already holds: on the
 // level-2 shell, building it on top of the shared fem.ElemGeoms grows the
-// live heap by the mesh's node slot map (first built here: the 448-byte
-// CornerRef row is most of the total), slot-space buffers and constraint
-// tables only — well under 1.5 KB per element, where a tabulated kernel
-// per element took 8 KB more.
+// live heap by slot-space buffers and constraint index lists only (the
+// 448-byte corner rows it reads are the mesh's own) — well under 0.5 KB
+// per element, where a tabulated kernel per element took 8 KB more.
 func TestOperatorResidentBytesMapped(t *testing.T) {
 	conn := forest.CubedSphere(2)
 	g := mesh.NewShellGeometry(conn)
@@ -476,7 +501,7 @@ func TestOperatorResidentBytesMapped(t *testing.T) {
 		m := mesh.Extract(forest.New(r, conn, 2), g)
 		geos := fem.ElemGeoms(m)
 		layout := la.NewLayout(r, 4*m.NumOwned)
-		bc := func(g int64, c int) (float64, bool) { return 0, c == 3 && g == 0 }
+		cons := consFrom(m, func(g int64, c int) (float64, bool) { return 0, c == 3 && g == 0 })
 		live := func() uint64 {
 			runtime.GC()
 			var ms runtime.MemStats
@@ -484,14 +509,88 @@ func TestOperatorResidentBytesMapped(t *testing.T) {
 			return ms.HeapAlloc
 		}
 		before := live()
-		op := matfree.New(m, fem.UnitDomain, layout, nil, bc, nil, matfree.Options{Workers: 1})
+		op := matfree.New(m, fem.UnitDomain, layout, nil, cons, matfree.Options{Workers: 1})
 		after := live()
 		runtime.KeepAlive(op)
 		runtime.KeepAlive(geos)
 		perElem := float64(int64(after)-int64(before)) / float64(len(m.Leaves))
 		t.Logf("matfree.New on %d shell elements: %.0f B/element resident", len(m.Leaves), perElem)
-		if perElem >= 1536 {
-			t.Errorf("matfree.New keeps %.0f B per element beyond the mesh's ElemGeoms, want < 1536", perElem)
+		if perElem >= 512 {
+			t.Errorf("matfree.New keeps %.0f B per element beyond the mesh and its ElemGeoms, want < 512", perElem)
+		}
+	})
+}
+
+// TestCornerTableResidentBytesBox pins what a mesh holds per element to
+// address its nodes: one corner table of 8 x 56 = 448 bytes, built by the
+// extraction, and nothing more after every consumer has run on it. On a
+// 23k-element box refined along a tilted front (the shape of the
+// benchmark's box-amr meshes) the live heap grows by the corner rows plus
+// ~60 B of leaves and owned-node tables per element in Extract, by
+// nothing in NodeSlots, and by slot-space buffers and per-element plans —
+// no second table — in advect.New and in stokes.Setup with its GMG
+// hierarchy. Before the mesh numbered its own slots the corner row was
+// 640 B (positions and global ids), the first NodeSlots of a mesh added
+// the 448 B slot table on top, and every multigrid level mesh carried
+// both: measured on this mesh, Extract 699 B, NodeSlots 448 B and
+// Setup 1 256 B per element.
+func TestCornerTableResidentBytesBox(t *testing.T) {
+	if sz := unsafe.Sizeof(mesh.Corner{}); sz != 56 {
+		t.Errorf("mesh.Corner is %d bytes, want 56 (448 per element)", sz)
+	}
+	sim.Run(1, func(r *sim.Rank) {
+		f := forest.New(r, unitBox, 3)
+		for pass := 0; pass < 3; pass++ {
+			f.Refine(func(o forest.Octant) bool {
+				// Octants within two edge lengths below the plane
+				// x + 0.3 y + 0.2 z = 0.75.
+				lo := float64(o.O.X) + 0.3*float64(o.O.Y) + 0.2*float64(o.O.Z)
+				c := 0.75 * float64(morton.RootLen)
+				return lo <= c && c <= lo+2*float64(o.O.Len())
+			})
+		}
+		f.Balance()
+		live := func() int64 {
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			return int64(ms.HeapAlloc)
+		}
+		h0 := live()
+		m := mesh.Extract(f, nil)
+		h1 := live()
+		sm := matfree.NodeSlots(m)
+		h2 := live()
+		vel := make([][8][3]float64, len(m.Leaves))
+		h3 := live()
+		adv := advect.New(m, fem.UnitDomain, 1, vel, nil, fem.NoBC)
+		h4 := live()
+		s := stokes.Setup(m, fem.UnitDomain, stokes.FreeSlip([3]float64{1, 1, 1}),
+			stokes.Options{MatrixFree: true, Precond: stokes.PrecondGMG})
+		h5 := live()
+		runtime.KeepAlive(f)
+		runtime.KeepAlive(sm)
+		runtime.KeepAlive(vel)
+		runtime.KeepAlive(adv)
+		runtime.KeepAlive(s)
+
+		ne := float64(len(m.Leaves))
+		extract, slots, transport, setup := float64(h1-h0)/ne, float64(h2-h1)/ne, float64(h4-h3)/ne, float64(h5-h4)/ne
+		t.Logf("%d elements, %d nodes, GMG levels %v: Extract %.0f B/element, NodeSlots %.1f, advect.New %.0f, stokes.Setup %.0f",
+			len(m.Leaves), m.NumOwned, s.GMGH.LevelElems(), extract, slots, transport, setup)
+		if extract < 448 || extract > 448+72 {
+			t.Errorf("Extract keeps %.0f B per element, want the 448 B corner rows and at most 72 B more", extract)
+		}
+		if slots > 1 {
+			t.Errorf("NodeSlots keeps %.1f B per element, want none: it is a view", slots)
+		}
+		if transport > 128 {
+			t.Errorf("advect.New keeps %.0f B per element, want <= 128 (buffers per node, one pointer per element)", transport)
+		}
+		// A second corner table on this mesh and its level meshes (a third
+		// as many elements again) would add 448 x 4/3 = 600 B.
+		if setup > 1100 {
+			t.Errorf("stokes.Setup with GMG keeps %.0f B per element, want <= 1100", setup)
 		}
 	})
 }

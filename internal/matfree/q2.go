@@ -116,6 +116,11 @@ type OperatorQ2 struct {
 	loopFn func(w, lo, hi int, src, dst []float64) // bound elementLoop (avoids a per-Apply method-value allocation)
 }
 
+// DofBC reports whether dof component c (0..2 velocity, 3 pressure) of
+// the Q2 node with global id g is Dirichlet-constrained, and its value.
+// It must be evaluable for every Q2 node the rank references.
+type DofBC func(g int64, c int) (float64, bool)
+
 // NewQ2 builds the Q2 operator for the extracted second-order node
 // layer (collective: it sets up the ghost-exchange plan). layout must
 // be the 4*NumOwned Q2 dof layout; bc must be evaluable for every Q2

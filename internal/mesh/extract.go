@@ -194,17 +194,16 @@ func Extract(f *forest.Forest, g Geometry) *Mesh {
 	}
 
 	// Classify every element corner. A master is recorded by its index in
-	// need, the list of distinct master nodes in first-reference order
-	// (the order of the ask lists sent to their owners); the indices are
-	// replaced by global ids once those are resolved.
+	// need, the list of distinct master nodes in first-reference order; the
+	// indices are replaced by slots once those are assigned.
 	var need []int32 // indices into nodes
-	noteMaster := func(ni int32) int64 {
+	noteMaster := func(ni int32) int32 {
 		n := &nodes[ni]
 		if n.need < 0 {
 			n.need = int32(len(need))
 			need = append(need, ni)
 		}
-		return int64(n.need)
+		return n.need
 	}
 
 	m.Corners = make([][8]Corner, len(m.Leaves))
@@ -215,7 +214,6 @@ func Extract(f *forest.Forest, g Geometry) *Mesh {
 		for c := 0; c < 8; c++ {
 			P := cornerPos(e, c)
 			co := &m.Corners[ei][c]
-			co.Pos = P
 			ni := resolve(tree, P)
 			if alignLevel(P) == L && nodes[ni].coarser {
 				// Hanging: masters at P +/- h along misaligned axes, in
@@ -227,7 +225,6 @@ func Extract(f *forest.Forest, g Geometry) *Mesh {
 						axes = append(axes, a)
 					}
 				}
-				co.Hanging = true
 				co.N = int8(1 << len(axes))
 				w := 1.0 / float64(int(co.N))
 				for k := 0; k < int(co.N); k++ {
@@ -239,39 +236,41 @@ func Extract(f *forest.Forest, g Geometry) *Mesh {
 							mp[a] += h
 						}
 					}
-					co.GID[k] = noteMaster(resolve(tree, mp))
+					co.Slot[k] = noteMaster(resolve(tree, mp))
 					co.W[k] = w
 				}
 			} else {
 				co.N = 1
-				co.GID[0] = noteMaster(ni)
+				co.Slot[0] = noteMaster(ni)
 				co.W[0] = 1
 			}
 		}
 	}
 
-	// Number the owned nodes deterministically by canonical key; the
-	// others are asked of their owners.
+	// Number the owned nodes deterministically by canonical key: slot =
+	// local index = global id - Offset. The others are asked of their
+	// owners, in the same order — the order of the owner's numbering, so
+	// that each owner's ghosts are listed, answered and laid out in
+	// ascending global id.
 	me := int32(r.ID())
 	p := r.Size()
-	var owned []int64 // need indices
-	askPos := make([][]forest.NodePos, p)
-	askIdx := make([][]int64, p) // need indices, aligned with askPos
-	for i, ni := range need {
-		if n := &nodes[ni]; n.owner == me {
-			owned = append(owned, int64(i))
-		} else {
-			askPos[n.owner] = append(askPos[n.owner], n.canon)
-			askIdx[n.owner] = append(askIdx[n.owner], int64(i))
-		}
-	}
-	slices.SortFunc(owned, func(i, j int64) int {
+	byCanon := func(i, j int32) int {
 		a, b := &nodes[need[i]].canon, &nodes[need[j]].canon
 		if a.Tree != b.Tree {
 			return cmp.Compare(a.Tree, b.Tree)
 		}
 		return cmp.Compare(posKey(a.Pos), posKey(b.Pos))
-	})
+	}
+	var owned []int32         // need indices
+	ask := make([][]int32, p) // need indices, per owner
+	for i, ni := range need {
+		if o := nodes[ni].owner; o == me {
+			owned = append(owned, int32(i))
+		} else {
+			ask[o] = append(ask[o], int32(i))
+		}
+	}
+	slices.SortFunc(owned, byCanon)
 	m.NumOwned = len(owned)
 	m.layout = la.NewLayout(r, m.NumOwned)
 	m.Offset, m.NGlobal = m.layout.Start(), m.layout.N()
@@ -279,33 +278,48 @@ func Extract(f *forest.Forest, g Geometry) *Mesh {
 	m.OwnedTree = make([]int32, m.NumOwned)
 	m.OwnedCell = make([]forest.Octant, m.NumOwned)
 	m.OwnedCellPos = make([][3]uint32, m.NumOwned)
-	gid := make([]int64, len(need)) // global id of need[i]
+	slot := make([]int32, len(need)) // slot of need[i]
 	for li, i := range owned {
 		info := &nodes[need[i]]
 		m.OwnedPos[li] = info.canon.Pos
 		m.OwnedTree[li] = info.canon.Tree
 		m.OwnedCell[li] = info.cell
 		m.OwnedCellPos[li] = info.cellPos
-		gid[i] = m.Offset + int64(li)
+		slot[i] = int32(li)
 	}
 
 	// Route the node queries to their owners (sparse: only actual
-	// neighbor ranks exchange messages), answer them, and persist the
-	// neighborhood for GatherReferenced.
+	// neighbor ranks exchange messages) and answer them. The handshake
+	// leaves both sides of the ghost plan behind: the ghosts this rank was
+	// told the ids of, per owner, are the slots it will request, and the
+	// nodes it looked up for an asker are the ones it will serve, in the
+	// order asked — la.NewGhostExchange would negotiate the same tables.
+	var owners []int
+	var reqSlot [][]int32
 	var askOut []any
 	var askNB []int
-	for j := range askPos {
-		if len(askPos[j]) == 0 {
+	nGhost := 0
+	for o, idx := range ask {
+		if len(idx) == 0 {
 			continue
 		}
-		m.refOwners = append(m.refOwners, j)
-		askOut = append(askOut, askPos[j])
-		askNB = append(askNB, 16*len(askPos[j]))
+		slices.SortFunc(idx, byCanon)
+		pos := make([]forest.NodePos, len(idx))
+		slots := make([]int32, len(idx))
+		for k, i := range idx {
+			pos[k] = nodes[need[i]].canon
+			slots[k] = int32(nGhost + k)
+			slot[i] = int32(m.NumOwned + nGhost + k)
+		}
+		nGhost += len(idx)
+		owners = append(owners, o)
+		reqSlot = append(reqSlot, slots)
+		askOut = append(askOut, pos)
+		askNB = append(askNB, 16*len(pos))
 	}
-	froms, asks := r.AlltoallvSparse(m.refOwners, askOut, askNB)
-	m.refSend = make([][]int32, p)
-	m.refAskers = froms
-	resp := make([]sim.Payload, len(froms))
+	servers, asks := r.AlltoallvSparse(owners, askOut, askNB)
+	sendIdx := make([][]int32, len(servers))
+	resp := make([]sim.Payload, len(servers))
 	for i, d := range asks {
 		asked := d.([]forest.NodePos)
 		gids := make([]int64, len(asked))
@@ -313,31 +327,28 @@ func Extract(f *forest.Forest, g Geometry) *Mesh {
 		for k, np := range asked {
 			li, ok := m.LocalIndex(np.Tree, np.Pos)
 			if !ok {
-				panic(fmt.Sprintf("mesh: rank %d asked for node %v not owned by rank %d", froms[i], np, r.ID()))
+				panic(fmt.Sprintf("mesh: rank %d asked for node %v not owned by rank %d", servers[i], np, r.ID()))
 			}
 			gids[k] = m.Offset + int64(li)
 			send[k] = li
 		}
 		resp[i] = sim.Payload{Data: gids, NBytes: 8 * len(gids)}
-		m.refSend[froms[i]] = send
+		sendIdx[i] = send
 	}
-	back := make([]sim.Payload, len(m.refOwners))
-	r.NeighborExchange(m.refAskers, resp, m.refOwners, back)
-	m.refWant = make([][]int64, p)
-	for k, o := range m.refOwners {
-		gids := back[k].Data.([]int64)
-		for i, g := range gids {
-			gid[askIdx[o][i]] = g
-		}
-		m.refWant[o] = gids
+	back := make([]sim.Payload, len(owners))
+	r.NeighborExchange(servers, resp, owners, back)
+	ghostIDs := make([]int64, 0, nGhost)
+	for k := range owners {
+		ghostIDs = append(ghostIDs, back[k].Data.([]int64)...)
 	}
+	m.GX = la.NewGhostExchangeAgreed(m.layout, ghostIDs, owners, reqSlot, servers, sendIdx, 1)
 
-	// Replace the need indices in the corner tables by global ids.
+	// Replace the need indices in the corner tables by slots.
 	for ei := range m.Corners {
 		for c := 0; c < 8; c++ {
 			co := &m.Corners[ei][c]
 			for k := 0; k < int(co.N); k++ {
-				co.GID[k] = gid[co.GID[k]]
+				co.Slot[k] = slot[co.Slot[k]]
 			}
 		}
 	}

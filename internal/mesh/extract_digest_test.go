@@ -5,9 +5,17 @@ package mesh
 // the interior-family ghost test replaced the map-based extraction (PR
 // 20), over everything Extract decides — elements, corner
 // classification, masters, weights, the global numbering, the owned-node
-// tables, the ghost layer size and the GatherReferenced plan. A change
-// that keeps meshes valid but renumbers a node, reorders an ask list or
-// grows the ghost layer fails here.
+// tables, the ghost layer size and the order in which the off-rank
+// masters are first referenced. A change that keeps meshes valid but
+// renumbers a node, reorders the corner table or grows the ghost layer
+// fails here.
+//
+// When the digests were recorded a corner held global ids and the mesh a
+// gid-keyed gather plan in that first-reference order. Corners hold slots
+// now and the plan is the slot-ordered la.GhostExchange pinned by
+// TestMeshPlanMatchesNegotiated; the digest hashes m.GID(slot) where it
+// hashed the id and rebuilds the old plan's lists from the corner tables
+// of all ranks, so the recorded constants still stand.
 
 import (
 	"encoding/binary"
@@ -20,9 +28,31 @@ import (
 	"rhea/internal/sim"
 )
 
-// meshDigest hashes one rank's extracted mesh (FNV-64a over a fixed
-// little-endian serialization).
-func meshDigest(m *Mesh) uint64 {
+// firstReferenced lists, per owning rank, the global ids of the off-rank
+// masters of m in the order its corner table first references them.
+func firstReferenced(m *Mesh) [][]int64 {
+	want := make([][]int64, m.Rank.Size())
+	seen := make([]bool, m.NSlots())
+	for ei := range m.Corners {
+		for c := 0; c < 8; c++ {
+			co := &m.Corners[ei][c]
+			for k := 0; k < int(co.N); k++ {
+				if s := co.Slot[k]; int(s) >= m.NumOwned && !seen[s] {
+					seen[s] = true
+					g := m.GID(s)
+					o := m.Layout().OwnerOf(g)
+					want[o] = append(want[o], g)
+				}
+			}
+		}
+	}
+	return want
+}
+
+// meshDigest hashes the extracted mesh of rank me (FNV-64a over a fixed
+// little-endian serialization); all holds every rank's mesh.
+func meshDigest(all []*Mesh, me int) uint64 {
+	m := all[me]
 	h := fnv.New64a()
 	var b [8]byte
 	u64 := func(v uint64) {
@@ -38,14 +68,18 @@ func meshDigest(m *Mesh) uint64 {
 	for ei := range m.Corners {
 		for c := 0; c < 8; c++ {
 			co := &m.Corners[ei][c]
-			pos(co.Pos)
+			pos(cornerPos(m.Leaves[ei], c))
 			hang := uint64(0)
-			if co.Hanging {
+			if co.Hanging() {
 				hang = 1
 			}
 			u64(hang<<8 | uint64(co.N))
 			for k := 0; k < 4; k++ {
-				u64(uint64(co.GID[k]))
+				if k < int(co.N) {
+					u64(uint64(m.GID(co.Slot[k])))
+				} else {
+					u64(0)
+				}
 				u64(math.Float64bits(co.W[k]))
 			}
 		}
@@ -60,14 +94,16 @@ func meshDigest(m *Mesh) uint64 {
 		u64(m.OwnedCell[i].O.Key())
 		pos(m.OwnedCellPos[i])
 	}
-	for rk := range m.refWant {
-		u64(uint64(len(m.refWant[rk])))
-		for _, g := range m.refWant[rk] {
+	want := firstReferenced(m)
+	for rk := range all {
+		u64(uint64(len(want[rk])))
+		for _, g := range want[rk] {
 			u64(uint64(g))
 		}
-		u64(uint64(len(m.refSend[rk])))
-		for _, li := range m.refSend[rk] {
-			u64(uint64(li))
+		asked := firstReferenced(all[rk])[me] // what rank rk wants of this rank
+		u64(uint64(len(asked)))
+		for _, g := range asked {
+			u64(uint64(g - m.Offset))
 		}
 	}
 	u64(uint64(m.NumGhostLeaves))
@@ -114,6 +150,7 @@ func TestExtractDigestPinned(t *testing.T) {
 	for _, tc := range digestCases {
 		for _, p := range []int{1, 2, 4} {
 			got := make([]uint64, p)
+			meshes := make([]*Mesh, p)
 			sim.Run(p, func(r *sim.Rank) {
 				f := forest.New(r, tc.conn, tc.base)
 				for pass := 0; pass < tc.passes; pass++ {
@@ -126,8 +163,11 @@ func TestExtractDigestPinned(t *testing.T) {
 				if m.GlobalStats().HangingLocal == 0 {
 					t.Errorf("%s p=%d: no hanging corners, the case pins nothing interesting", tc.name, p)
 				}
-				got[r.ID()] = meshDigest(m)
+				meshes[r.ID()] = m
 			})
+			for rk := range got {
+				got[rk] = meshDigest(meshes, rk)
+			}
 			key := fmt.Sprintf("%s/p=%d", tc.name, p)
 			t.Logf("%q: %#v,", key, got)
 			want := pinnedDigests[key]

@@ -87,14 +87,14 @@ func linearReproduction(t *testing.T, m *Mesh) {
 	for i, x := range m.OwnedX {
 		u.Data[i] = f(x)
 	}
-	vals := m.GatherReferenced(u)
+	vals := m.GatherSlots(u.Data)[0]
 	for ei := range m.Leaves {
 		for c := 0; c < 8; c++ {
-			got := m.CornerValue(vals, ei, c)
+			got := m.Corners[ei][c].Value(vals)
 			want := f(m.X[ei][c])
 			if math.Abs(got-want) > 1e-9 {
 				t.Fatalf("element %d corner %d: got %v want %v (hanging=%v)",
-					ei, c, got, want, m.Corners[ei][c].Hanging)
+					ei, c, got, want, m.Corners[ei][c].Hanging())
 			}
 		}
 	}
@@ -150,13 +150,13 @@ func TestExtractForestShellHanging(t *testing.T) {
 			for i, x := range m.OwnedX {
 				u.Data[i] = fn(x)
 			}
-			vals := m.GatherReferenced(u)
+			vals := m.GatherSlots(u.Data)[0]
 			for ei := range m.Leaves {
 				for c := 0; c < 8; c++ {
-					if m.Corners[ei][c].Hanging {
+					if m.Corners[ei][c].Hanging() {
 						continue
 					}
-					got := m.CornerValue(vals, ei, c)
+					got := m.Corners[ei][c].Value(vals)
 					want := fn(m.X[ei][c])
 					if math.Abs(got-want) > 1e-12 {
 						t.Fatalf("element %d corner %d: got %v want %v", ei, c, got, want)

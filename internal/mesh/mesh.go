@@ -27,6 +27,14 @@
 // (nodetable.go); owned nodes are numbered in (tree, position key) order,
 // which LocalIndex searches. No Go map is keyed by an octant or a node
 // position.
+//
+// There is one way to address a node a rank references: its slot. Owned
+// nodes take slots [0, NumOwned) in numbering order, the off-rank masters
+// follow in ascending global id, the corner table holds slots, and the
+// mesh carries the one ghost-exchange plan over that tail (Mesh.GX) —
+// read off the ask/reply that numbers the off-rank nodes, so extraction
+// ends with everything a solver needs to evaluate constraints and no
+// later negotiation. GID(slot) recovers a global id where one is needed.
 package mesh
 
 import (
@@ -39,15 +47,27 @@ import (
 	"rhea/internal/sim"
 )
 
-// Corner describes one of the eight corners of an element: its node
-// position and the independent global degrees of freedom it interpolates
-// (a single self-entry with weight 1 for an independent corner).
+// Corner describes one of the eight corners of an element by the
+// independent nodes it interpolates, addressed by slot (see Mesh.GX): a
+// single self-entry with weight 1 for an independent corner, 2 or 4
+// masters at weight 1/2 or 1/4 for a hanging one.
 type Corner struct {
-	Pos     [3]uint32  // node position in finest-level integer units
-	Hanging bool       // true if this corner is a constrained hanging node
-	N       int8       // number of master dofs (1, 2, or 4)
-	GID     [4]int64   // master global node ids
-	W       [4]float64 // interpolation weights (sum to 1)
+	N    int8       // number of master nodes (1, 2, or 4)
+	Slot [4]int32   // master node slots
+	W    [4]float64 // interpolation weights (sum to 1)
+}
+
+// Hanging reports whether the corner is a constrained hanging node.
+func (c *Corner) Hanging() bool { return c.N > 1 }
+
+// Value evaluates the corner from a slot-space buffer of nodal values,
+// resolving the hanging-node interpolation.
+func (c *Corner) Value(buf []float64) float64 {
+	var s float64
+	for k := 0; k < int(c.N); k++ {
+		s += c.W[k] * buf[c.Slot[k]]
+	}
+	return s
 }
 
 // Mesh is one rank's portion of the extracted finite-element mesh.
@@ -97,28 +117,21 @@ type Mesh struct {
 	// this struct.
 	GeomCache any
 
-	// SlotCache holds the block-1 node slot map of this mesh (set on
-	// first use by matfree.NodeSlots and shared by gmg, stokes, advect,
-	// field, errind and the time loop, so the ghost plan is negotiated
-	// once per mesh). Typed any for the same reason as GeomCache.
-	SlotCache any
-
 	// layout is the node layout, built once with the numbering (its
 	// offsets are the one collective that also yields Offset and NGlobal).
 	layout *la.Layout
 
-	// Ghost exchange plan over referenced global ids: used to gather
-	// remote nodal values keyed by global id (boundary-condition and
-	// solver set-up masks, output; per-cycle paths sample through the
-	// slot map instead).
-	// refAskers/refOwners persist the sparse neighborhood — the ranks
-	// that reference this rank's nodes (refSend non-empty) and the ranks
-	// this rank references nodes from (refWant non-empty) — so
-	// GatherReferenced exchanges messages only with actual neighbors.
-	refWant   [][]int64 // per rank: remote gids this rank references
-	refSend   [][]int32 // per rank: local node indices to send on request
-	refAskers []int
-	refOwners []int
+	// GX is the ghost-exchange plan over the off-rank nodes this rank's
+	// corners reference, and with it the mesh's one node numbering: slot s
+	// < NumOwned is owned node s, slot NumOwned+k is ghost k of the plan
+	// (ascending global id). Corners address nodes by slot; everything
+	// that samples nodal fields at element corners or scatters element
+	// contributions back — the Stokes and multigrid operators, transport,
+	// field transfer, error indication, diagnostics — gathers into and
+	// scatters out of slot-space buffers through this plan, at any block
+	// width. Extract derives it from the handshake that numbers the
+	// nodes, so it costs no communication of its own.
+	GX *la.GhostExchange
 
 	// NumGhostLeaves records the size of the ghost element layer.
 	NumGhostLeaves int
@@ -185,50 +198,33 @@ func (m *Mesh) LocalIndex(tree int32, p [3]uint32) (int32, bool) {
 	return 0, false
 }
 
-// GatherReferenced returns the values of every node this rank references
-// (its own plus remote masters), keyed by global id (collective). u must
-// be laid out over the mesh nodes. It builds a map per call: set-up code
-// that needs values by global id uses it; loops that run every cycle
-// sample corners through the mesh's slot map (matfree.NodeSlots).
-func (m *Mesh) GatherReferenced(u *la.Vec) map[int64]float64 {
-	r := m.Rank
-	nRef := m.NumOwned
-	for _, o := range m.refOwners {
-		nRef += len(m.refWant[o])
+// NSlots returns the number of nodes this rank addresses: the owned
+// ones and the ghosts after them.
+func (m *Mesh) NSlots() int { return m.NumOwned + m.GX.NumGhosts() }
+
+// GatherSlots returns the slot-space copy of each nodal field: the owned
+// values followed by the ghosts', fetched for all fields in one exchange
+// (collective). Corner.Value samples such a buffer.
+func (m *Mesh) GatherSlots(owned ...[]float64) [][]float64 {
+	bufs := make([][]float64, len(owned))
+	ghost := make([][]float64, len(owned))
+	for f, v := range owned {
+		bufs[f] = make([]float64, m.NSlots())
+		copy(bufs[f], v)
+		ghost[f] = bufs[f][m.NumOwned:]
 	}
-	vals := make(map[int64]float64, nRef)
-	for i := 0; i < m.NumOwned; i++ {
-		vals[m.Offset+int64(i)] = u.Data[i]
-	}
-	out := make([]sim.Payload, len(m.refAskers))
-	for k, j := range m.refAskers {
-		v := la.GetBuf(len(m.refSend[j]))
-		for n, li := range m.refSend[j] {
-			v[n] = u.Data[li]
-		}
-		out[k].F64 = v
-	}
-	in := make([]sim.Payload, len(m.refOwners))
-	r.NeighborExchange(m.refAskers, out, m.refOwners, in)
-	for k, o := range m.refOwners {
-		got := in[k].F64
-		for n, g := range m.refWant[o] {
-			vals[g] = got[n]
-		}
-		la.PutBuf(got)
-	}
-	return vals
+	m.GX.GatherMulti(owned, ghost)
+	return bufs
 }
 
-// CornerValue evaluates the nodal field at element ei's corner c,
-// resolving hanging-node interpolation, from a gathered value map.
-func (m *Mesh) CornerValue(vals map[int64]float64, ei, c int) float64 {
-	co := &m.Corners[ei][c]
-	var s float64
-	for k := 0; k < int(co.N); k++ {
-		s += co.W[k] * vals[co.GID[k]]
+// GID returns the global id of the node in a slot, for the few places
+// that need one: rows and columns of assembled matrices, contributions
+// shipped to a node's owner, partition-independent digests.
+func (m *Mesh) GID(slot int32) int64 {
+	if int(slot) < m.NumOwned {
+		return m.Offset + int64(slot)
 	}
-	return s
+	return m.GX.Ghosts()[int(slot)-m.NumOwned]
 }
 
 // Stats summarizes the mesh (collective).
@@ -243,7 +239,7 @@ func (m *Mesh) GlobalStats() Stats {
 	var hang int64
 	for ei := range m.Corners {
 		for c := 0; c < 8; c++ {
-			if m.Corners[ei][c].Hanging {
+			if m.Corners[ei][c].Hanging() {
 				hang++
 			}
 		}

@@ -71,23 +71,25 @@ func (c *collector) addMesh(t *testing.T, m *Mesh) {
 	for ei := range m.Corners {
 		for k := 0; k < 8; k++ {
 			co := m.Corners[ei][k]
-			key := posKey(co.Pos)
-			if prev, ok := c.hang[key]; ok && prev != co.Hanging {
-				t.Errorf("inconsistent hanging classification at %v", co.Pos)
+			pos := cornerPos(m.Leaves[ei], k)
+			key := posKey(pos)
+			if prev, ok := c.hang[key]; ok && prev != co.Hanging() {
+				t.Errorf("inconsistent hanging classification at %v", pos)
 			}
-			c.hang[key] = co.Hanging
-			if !co.Hanging {
-				if prev, ok := c.gids[key]; ok && prev != co.GID[0] {
-					t.Errorf("inconsistent gid at %v: %d vs %d", co.Pos, prev, co.GID[0])
+			c.hang[key] = co.Hanging()
+			if !co.Hanging() {
+				gid := m.GID(co.Slot[0])
+				if prev, ok := c.gids[key]; ok && prev != gid {
+					t.Errorf("inconsistent gid at %v: %d vs %d", pos, prev, gid)
 				}
-				c.gids[key] = co.GID[0]
+				c.gids[key] = gid
 			}
 			var wsum float64
 			for j := 0; j < int(co.N); j++ {
 				wsum += co.W[j]
 			}
 			if wsum < 0.999999 || wsum > 1.000001 {
-				t.Errorf("weights at %v sum to %v", co.Pos, wsum)
+				t.Errorf("weights at %v sum to %v", pos, wsum)
 			}
 		}
 	}
@@ -243,14 +245,15 @@ func TestLinearFieldReproduction(t *testing.T) {
 			for i, pos := range m.OwnedPos {
 				u.Data[i] = lin(pos)
 			}
-			vals := m.GatherReferenced(u)
+			vals := m.GatherSlots(u.Data)[0]
 			for ei := range m.Corners {
 				for c := 0; c < 8; c++ {
-					got := m.CornerValue(vals, ei, c)
-					want := lin(m.Corners[ei][c].Pos)
+					got := m.Corners[ei][c].Value(vals)
+					pos := cornerPos(m.Leaves[ei], c)
+					want := lin(pos)
 					if diff := got - want; diff > 1e-6 || diff < -1e-6 {
 						t.Errorf("p=%d elem %d corner %d at %v: got %v want %v",
-							p, ei, c, m.Corners[ei][c].Pos, got, want)
+							p, ei, c, pos, got, want)
 						return
 					}
 				}
@@ -317,12 +320,13 @@ func TestLocalIndexAndGID(t *testing.T) {
 		for ei := range m.Corners {
 			for c := 0; c < 8; c++ {
 				co := m.Corners[ei][c]
-				li, owned := m.LocalIndex(0, co.Pos)
-				if owned && co.GID[0] != m.Offset+int64(li) {
-					t.Errorf("corner %v: gid %d, want %d", co.Pos, co.GID[0], m.Offset+int64(li))
+				pos, gid := cornerPos(m.Leaves[ei], c), m.GID(co.Slot[0])
+				li, owned := m.LocalIndex(0, pos)
+				if owned && (co.Slot[0] != li || gid != m.Offset+int64(li)) {
+					t.Errorf("corner %v: slot %d gid %d, want %d and %d", pos, co.Slot[0], gid, li, m.Offset+int64(li))
 				}
-				if !owned && m.Layout().Owns(co.GID[0]) {
-					t.Errorf("corner %v: gid %d is local but the node is not owned", co.Pos, co.GID[0])
+				if !owned && m.Layout().Owns(gid) {
+					t.Errorf("corner %v: gid %d is local but the node is not owned", pos, gid)
 				}
 			}
 		}

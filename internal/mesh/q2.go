@@ -108,7 +108,7 @@ func ExtractQ2(f *forest.Forest, m *Mesh) *Q2Mesh {
 	var hang int64
 	for ei := range m.Corners {
 		for c := 0; c < 8; c++ {
-			if m.Corners[ei][c].Hanging {
+			if m.Corners[ei][c].Hanging() {
 				hang++
 			}
 		}

@@ -8,7 +8,6 @@ import (
 	"rhea/internal/fem"
 	"rhea/internal/forest"
 	"rhea/internal/la"
-	"rhea/internal/matfree"
 	"rhea/internal/mesh"
 	"rhea/internal/morton"
 	"rhea/internal/sim"
@@ -41,7 +40,6 @@ func TestAdaptCounters(t *testing.T) {
 		f.Balance()
 		f.Partition()
 		m := mesh.Extract(f, nil)
-		matfree.NodeSlots(m) // the time loop has built it long before it adapts
 		fields := make([]*la.Vec, nFields)
 		for k := range fields {
 			fields[k] = la.NewVec(m.Layout())

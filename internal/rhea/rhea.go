@@ -313,7 +313,7 @@ func (c Config) conn() *forest.Connectivity {
 // Timings is the per-function wall-clock breakdown of the paper's Figure
 // 10 (seconds, accumulated on this rank). The Stokes solver build is
 // split into its mesh-dependent half (StokesSetup: layouts, Dirichlet
-// gathers, matrix-free slot maps and ghost plans, GMG level meshes and
+// gather, matrix-free constraint tables, GMG level meshes and
 // transfer stencils — paid once per mesh adaptation when solver reuse is
 // on) and its viscosity-dependent half (StokesUpdate: viscosity/force
 // evaluation, operator kernels or CSR values, smoother diagonals, coarse
@@ -385,26 +385,16 @@ type Sim struct {
 	lastMinres krylov.Result
 }
 
-// slotMap returns the mesh's block-1 node slot map, which samples nodal
-// fields at element corners (viscosity, buoyancy, advection velocity,
-// diagnostics) without gather maps (collective on first use per mesh).
-func (s *Sim) slotMap() *matfree.SlotMap { return matfree.NodeSlots(s.Mesh) }
-
-// gatherSlotsMulti fills one slot-space buffer per field in a single
-// exchange round (collective).
-func (s *Sim) gatherSlotsMulti(sm *matfree.SlotMap, vs ...*la.Vec) [][]float64 {
-	n := sm.NOwned
-	bufs := make([][]float64, len(vs))
+// gatherSlotsMulti fills one slot-space buffer (mesh.Mesh.GX: owned
+// nodes, then ghosts) per field in a single exchange round (collective);
+// the corner table samples viscosity, buoyancy, advection velocity and
+// diagnostics from them.
+func (s *Sim) gatherSlotsMulti(vs ...*la.Vec) [][]float64 {
 	owned := make([][]float64, len(vs))
-	ghost := make([][]float64, len(vs))
 	for f, v := range vs {
-		bufs[f] = make([]float64, sm.NSlots())
-		copy(bufs[f], v.Data)
 		owned[f] = v.Data
-		ghost[f] = bufs[f][n:]
 	}
-	sm.GX.GatherMulti(owned, ghost)
-	return bufs
+	return s.Mesh.GatherSlots(owned...)
 }
 
 // New builds the initial adapted mesh and temperature field (collective).
@@ -529,8 +519,8 @@ func (s *Sim) Adapt() AdaptStats {
 
 // ElementViscosity evaluates the viscosity law per local element from the
 // current temperature and velocity fields (collective). Corner values are
-// sampled through the cached slot map, so repeated Picard evaluations on
-// one mesh build no gather maps.
+// sampled through the mesh's node slots and ghost plan, so repeated
+// Picard evaluations on one mesh build nothing.
 func (s *Sim) ElementViscosity() []float64 {
 	eta, _ := s.viscosityAndBuoyancy(false)
 	return eta
@@ -539,15 +529,14 @@ func (s *Sim) ElementViscosity() []float64 {
 // viscosityAndBuoyancy evaluates the per-element viscosity and (when
 // wantForce is set) the buoyancy body force at element corners in one
 // pass (collective): the temperature and velocity are gathered through
-// the cached slot map and each element's corners are resolved once. This
+// the mesh's ghost plan and each element's corners are resolved once. This
 // is the whole per-Picard-iteration field evaluation of the time loop.
 // On the box the force is Ra*T*e_z and depth comes from the z
 // coordinate; on the shell the force is Ra*T*r_hat and depth is the
 // radial coordinate (0 at the inner boundary, 1 at the outer); strain
 // rates use the center Jacobian on mapped meshes.
 func (s *Sim) viscosityAndBuoyancy(wantForce bool) ([]float64, [][8][3]float64) {
-	sm := s.slotMap()
-	bufs := s.gatherSlotsMulti(sm, s.T, s.U[0], s.U[1], s.U[2])
+	bufs := s.gatherSlotsMulti(s.T, s.U[0], s.U[1], s.U[2])
 	tb := bufs[0]
 	ub := [3][]float64{bufs[1], bufs[2], bufs[3]}
 	var force [][8][3]float64
@@ -580,7 +569,7 @@ func (s *Sim) viscosityAndBuoyancy(wantForce bool) ([]float64, [][8][3]float64) 
 		var Tc float64
 		var grad [3][3]float64
 		for c := 0; c < 8; c++ {
-			co := &sm.Corners[ei][c]
+			co := &s.Mesh.Corners[ei][c]
 			var tv float64
 			for k := 0; k < int(co.N); k++ {
 				tv += co.W[k] * tb[co.Slot[k]]
@@ -741,11 +730,10 @@ func (s *Sim) AdvectSteps(n int) float64 {
 // elemVelocity samples the nodal velocity at the element corners into
 // out, one entry per local element (collective).
 func (s *Sim) elemVelocity(out [][8][3]float64) {
-	sm := s.slotMap()
-	ub := s.gatherSlotsMulti(sm, s.U[0], s.U[1], s.U[2])
+	ub := s.gatherSlotsMulti(s.U[0], s.U[1], s.U[2])
 	for ei := range out {
 		for c := 0; c < 8; c++ {
-			co := &sm.Corners[ei][c]
+			co := &s.Mesh.Corners[ei][c]
 			for d := 0; d < 3; d++ {
 				out[ei][c][d] = co.Value(ub[d])
 			}
@@ -787,8 +775,7 @@ func (s *Sim) Nusselt() float64 {
 	}
 	// Box: only u_z and dT/dz enter the flux, so gather exactly T and
 	// U[2].
-	sm := s.slotMap()
-	bufs := s.gatherSlotsMulti(sm, s.T, s.U[2])
+	bufs := s.gatherSlotsMulti(s.T, s.U[2])
 	tb, wb := bufs[0], bufs[1]
 	xi := [3]float64{0.5, 0.5, 0.5}
 	var sum float64
@@ -797,7 +784,7 @@ func (s *Sim) Nusselt() float64 {
 		vol := h[0] * h[1] * h[2]
 		var Tc, wc, dTdz float64
 		for c := 0; c < 8; c++ {
-			co := &sm.Corners[ei][c]
+			co := &s.Mesh.Corners[ei][c]
 			var tv, wv float64
 			for k := 0; k < int(co.N); k++ {
 				tv += co.W[k] * tb[co.Slot[k]]
@@ -821,8 +808,7 @@ func (s *Sim) Nusselt() float64 {
 // same vertical-extent convention the viscosity depth coordinate uses)
 // reduces to the axis-aligned branch's Lx·Ly on a rectangular brick.
 func (s *Sim) nusseltMappedBox() float64 {
-	sm := s.slotMap()
-	bufs := s.gatherSlotsMulti(sm, s.T, s.U[2])
+	bufs := s.gatherSlotsMulti(s.T, s.U[2])
 	tb, wb := bufs[0], bufs[1]
 	geos := fem.ElemGeoms(s.Mesh)
 	var sum, volSum float64
@@ -831,7 +817,7 @@ func (s *Sim) nusseltMappedBox() float64 {
 		vol := g.DetC
 		var Tc, wc, dTdz float64
 		for c := 0; c < 8; c++ {
-			co := &sm.Corners[ei][c]
+			co := &s.Mesh.Corners[ei][c]
 			var tv, wv float64
 			for k := 0; k < int(co.N); k++ {
 				tv += co.W[k] * tb[co.Slot[k]]
@@ -852,8 +838,7 @@ func (s *Sim) nusseltMappedBox() float64 {
 // nusseltShell is the spherical branch of Nusselt: radial flux through
 // the cached center Jacobians of the mapped mesh.
 func (s *Sim) nusseltShell() float64 {
-	sm := s.slotMap()
-	bufs := s.gatherSlotsMulti(sm, s.T, s.U[0], s.U[1], s.U[2])
+	bufs := s.gatherSlotsMulti(s.T, s.U[0], s.U[1], s.U[2])
 	tb := bufs[0]
 	ub := [3][]float64{bufs[1], bufs[2], bufs[3]}
 	geos := fem.ElemGeoms(s.Mesh)
@@ -864,7 +849,7 @@ func (s *Sim) nusseltShell() float64 {
 		var Tc float64
 		var uc, gradT [3]float64
 		for c := 0; c < 8; c++ {
-			co := &sm.Corners[ei][c]
+			co := &s.Mesh.Corners[ei][c]
 			var tv float64
 			for k := 0; k < int(co.N); k++ {
 				tv += co.W[k] * tb[co.Slot[k]]
@@ -897,8 +882,7 @@ func (s *Sim) nusseltShell() float64 {
 // sqrt( (1/V) ∫ |u|^2 dV ), evaluated with midpoint quadrature per
 // element (collective).
 func (s *Sim) RMSVelocity() float64 {
-	sm := s.slotMap()
-	bufs := s.gatherSlotsMulti(sm, s.U[0], s.U[1], s.U[2])
+	bufs := s.gatherSlotsMulti(s.U[0], s.U[1], s.U[2])
 	geos := fem.ElemGeoms(s.Mesh)
 	var sum, volSum float64
 	for ei, leaf := range s.Mesh.Leaves {
@@ -914,7 +898,7 @@ func (s *Sim) RMSVelocity() float64 {
 		for d := 0; d < 3; d++ {
 			var uc float64
 			for c := 0; c < 8; c++ {
-				co := &sm.Corners[ei][c]
+				co := &s.Mesh.Corners[ei][c]
 				var v float64
 				for k := 0; k < int(co.N); k++ {
 					v += co.W[k] * bufs[d][co.Slot[k]]

@@ -122,10 +122,7 @@ func mappedMMSVelError(t *testing.T, lvl uint8, opts Options) float64 {
 			t.Errorf("level %d: MINRES failed: %v after %d", lvl, res.Residual, res.Iterations)
 		}
 		u, _ := sys.SplitSolution(x)
-		var maps [3]map[int64]float64
-		for c := 0; c < 3; c++ {
-			maps[c] = m.GatherReferenced(u[c])
-		}
+		maps := m.GatherSlots(u[0].Data, u[1].Data, u[2].Data)
 		var sum float64
 		for ei := range m.Leaves {
 			g := fem.NewElemGeom(&m.X[ei])
@@ -135,7 +132,7 @@ func mappedMMSVelError(t *testing.T, lvl uint8, opts Options) float64 {
 					co := &m.Corners[ei][c]
 					var v float64
 					for k := 0; k < int(co.N); k++ {
-						v += co.W[k] * maps[d][co.GID[k]]
+						v += co.W[k] * maps[d][co.Slot[k]]
 					}
 					uc[d][c] = v
 				}

@@ -81,10 +81,7 @@ func mmsVelError(t *testing.T, lvl uint8, opts Options) float64 {
 			t.Errorf("level %d: MINRES failed: %v after %d", lvl, res.Residual, res.Iterations)
 		}
 		u, _ := sys.SplitSolution(x)
-		var maps [3]map[int64]float64
-		for c := 0; c < 3; c++ {
-			maps[c] = m.GatherReferenced(u[c])
-		}
+		maps := m.GatherSlots(u[0].Data, u[1].Data, u[2].Data)
 		var sum float64
 		for ei, leaf := range m.Leaves {
 			hph := dom.ElemSize(leaf)
@@ -95,7 +92,7 @@ func mmsVelError(t *testing.T, lvl uint8, opts Options) float64 {
 					uc[d][c] = 0
 					co := &m.Corners[ei][c]
 					for k := 0; k < int(co.N); k++ {
-						uc[d][c] += co.W[k] * maps[d][co.GID[k]]
+						uc[d][c] += co.W[k] * maps[d][co.Slot[k]]
 					}
 				}
 			}

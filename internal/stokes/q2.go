@@ -76,10 +76,9 @@ func (s *Solver) setupQ2() {
 			"stokes: GMG hierarchy is degenerate — coarsening stopped at %d global elements (target <= %d) after %d levels",
 			le[len(le)-1], s.GMGH.CoarseTarget(), s.GMGH.NumLevels()))
 	}
-	s.nodeSM = matfree.NodeSlots(m)
 	s.q2sm = matfree.NewQ2SlotMap(q2, 1)
 	s.sfKern = fem.SumFactorKernelsFor(m, dom)
-	s.emb = newEmbed(q2, s.nodeSM)
+	s.emb = newEmbed(q2)
 
 	// Per-element unit scalar stiffness diagonals, aliased per octree
 	// level, for the Chebyshev-Jacobi smoother of the p-level.
@@ -219,13 +218,13 @@ func (s *Solver) precondQ2() krylov.Operator {
 // vertices, edge-midpoint averages of 2, face averages of 4 and the
 // center average of 8 — the trilinear shape values at the node. Each
 // owned Q2 node's masters are corners of a local element, resolved to
-// Q1 slot space (the shared block-1 slot map), so prolongation is one
+// Q1 slot space (the vertex mesh's node slots), so prolongation is one
 // ghost gather + a flat scan and restriction is the flat scan's
 // transpose + one ghost scatter-add — the same dual pair the
 // matrix-free operators use, which is what makes E and E^T exact
 // transposes across ranks.
 type embed struct {
-	sm    *matfree.SlotMap
+	m     *mesh.Mesh
 	start []int32
 	slot  []int32
 	w     []float64
@@ -233,8 +232,9 @@ type embed struct {
 	acc   []float64
 }
 
-func newEmbed(q2 *mesh.Q2Mesh, sm *matfree.SlotMap) *embed {
-	e := &embed{sm: sm}
+func newEmbed(q2 *mesh.Q2Mesh) *embed {
+	m := q2.M
+	e := &embed{m: m}
 	n := q2.NumOwned
 	w1d := [3][2]float64{{1, 0}, {0.5, 0.5}, {0, 1}}
 	type mw struct {
@@ -243,8 +243,7 @@ func newEmbed(q2 *mesh.Q2Mesh, sm *matfree.SlotMap) *embed {
 	}
 	masters := make([][]mw, n)
 	filled := 0
-	for ei := range sm.Corners {
-		leaf := q2.M.Leaves[ei]
+	for ei, leaf := range m.Leaves {
 		for nn := 0; nn < 27; nn++ {
 			li, ok := q2.LocalIndex2(mesh.Q2NodePos2(leaf, nn))
 			if !ok || masters[li] != nil {
@@ -256,7 +255,7 @@ func newEmbed(q2 *mesh.Q2Mesh, sm *matfree.SlotMap) *embed {
 				if wc == 0 {
 					continue
 				}
-				cr := &sm.Corners[ei][c]
+				cr := &m.Corners[ei][c]
 				for t := 0; t < int(cr.N); t++ {
 					masters[li] = append(masters[li], mw{cr.Slot[t], wc * cr.W[t]})
 				}
@@ -274,12 +273,12 @@ func newEmbed(q2 *mesh.Q2Mesh, sm *matfree.SlotMap) *embed {
 	e.slot = make([]int32, e.start[n])
 	e.w = make([]float64, e.start[n])
 	for i, ms := range masters {
-		for t, m := range ms {
-			e.slot[e.start[i]+int32(t)] = m.slot
-			e.w[e.start[i]+int32(t)] = m.w
+		for t, mt := range ms {
+			e.slot[e.start[i]+int32(t)] = mt.slot
+			e.w[e.start[i]+int32(t)] = mt.w
 		}
 	}
-	ns := sm.NSlots()
+	ns := m.NSlots()
 	e.xbuf = make([]float64, ns)
 	e.acc = make([]float64, ns)
 	return e
@@ -287,9 +286,9 @@ func newEmbed(q2 *mesh.Q2Mesh, sm *matfree.SlotMap) *embed {
 
 // prolong computes y = E xc (collective: one Q1 ghost gather).
 func (e *embed) prolong(xc, y *la.Vec) {
-	n1 := e.sm.NOwned
+	n1 := e.m.NumOwned
 	copy(e.xbuf[:n1], xc.Data)
-	e.sm.GX.Gather(xc.Data, e.xbuf[n1:])
+	e.m.GX.Gather(xc.Data, e.xbuf[n1:])
 	for i := range y.Data {
 		var v float64
 		for t := e.start[i]; t < e.start[i+1]; t++ {
@@ -310,9 +309,9 @@ func (e *embed) restrict(r, rc *la.Vec) {
 			e.acc[e.slot[t]] += e.w[t] * v
 		}
 	}
-	n1 := e.sm.NOwned
+	n1 := e.m.NumOwned
 	copy(rc.Data, e.acc[:n1])
-	e.sm.GX.ScatterAdd(e.acc[n1:], rc.Data)
+	e.m.GX.ScatterAdd(e.acc[n1:], rc.Data)
 }
 
 // pCoarse is the p-coarsened multigrid preconditioner for one Q2

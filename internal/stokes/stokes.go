@@ -20,8 +20,9 @@
 //
 // Solver setup is split into two halves so a time loop can amortize the
 // expensive one. Setup builds everything that depends only on the mesh
-// and boundary conditions: the dof layout, gathered Dirichlet masks, the
-// matrix-free slot maps and ghost-exchange plans, and the GMG level
+// and boundary conditions: the dof layout, the slot-indexed Dirichlet
+// and free-slip frame tables (one ghost exchange over the mesh's own
+// plan), the matrix-free operator's constraint lists, and the GMG level
 // hierarchy with its transfer stencils. Update refreshes everything that
 // depends on the viscosity and body force: operator kernels or CSR
 // values, the right-hand side, multigrid smoother diagonals, the coarse
@@ -193,11 +194,16 @@ type Solver struct {
 	GMGH *gmg.Hierarchy
 
 	// cached mesh/BC-dependent state
-	opts    Options
-	bc      VelBC
-	dofBC   matfree.DofBC   // gathered Dirichlet flags/values per dof
+	opts Options
+	bc   VelBC
+	// cons holds the Dirichlet flags and values of every dof this rank
+	// references and the free-slip frames, by node slot. At a slot with a
+	// frame the component index is LOCAL: 0 is the boundary normal
+	// (constrained to zero), 1 and 2 the free tangentials.
+	cons    matfree.Constraints
+	dofBC   matfree.DofBC   // Order 2: Dirichlet data by Q2 node id
 	compBC  [3]fem.ScalarBC // per-velocity-component scalar view of bc
-	compBCD [3]*fem.BCData  // gathered per-component Dirichlet data (AMG path)
+	compBCD []*fem.BCData   // gathered per-component Dirichlet data (AMG path)
 	nodeL   *la.Layout
 	// unit scalar stiffness kernels (scalKern[scalIdx[ei]] is element
 	// ei's; one brick per octree level on axis-aligned meshes), scaled by
@@ -216,7 +222,6 @@ type Solver struct {
 	// pressure mass is linear in 1/eta per element, so the slot-space
 	// coefficients are precomputed and each Update reduces to a flat scan
 	// plus one ghost scatter-add.
-	nodeSM    *matfree.SlotMap
 	schurPlan []schurTerm
 
 	// Velocity-block preconditioner: on the Q1 GMG path one blocked
@@ -229,9 +234,9 @@ type Solver struct {
 	nOwned   int
 
 	// Free-slip (rotated boundary frame) state, set when Options.Slip
-	// marks any boundary node. frames holds the orthonormal (normal,
-	// tangent, tangent) basis per referenced slip node gid; slipOwned the
-	// owned local node indices with a frame. slipDinv carries the inverse
+	// marks any boundary node: cons.Frames then holds the orthonormal
+	// (normal, tangent, tangent) basis of every referenced slip node and
+	// slipOwned the owned local node indices with one. slipDinv carries the inverse
 	// viscosity-scaled scalar stiffness diagonal at those nodes — the
 	// boundary Jacobi rows the velocity preconditioner uses where the
 	// scalar V-cycles see Dirichlet nodes. null holds the orthonormalized
@@ -239,7 +244,6 @@ type Solver struct {
 	// Dirichlet condition pins the rotations (free-slip on every
 	// boundary); empty otherwise.
 	hasSlip   bool
-	frames    map[int64][3][3]float64
 	slipOwned []int32
 	slipDinv  *la.Vec
 	null      []*la.Vec
@@ -322,9 +326,9 @@ type Options struct {
 }
 
 // Setup builds the mesh- and BC-dependent half of the Stokes solver
-// (collective): the 4N dof layout, gathered velocity Dirichlet masks, the
-// matrix-free operator's slot numbering and ghost-exchange plans (when
-// Options.MatrixFree), and the GMG level hierarchy with transfer stencils
+// (collective): the 4N dof layout, the velocity Dirichlet and free-slip
+// tables of every referenced node (one exchange), the matrix-free
+// operator's constraint lists (when Options.MatrixFree), and the GMG level hierarchy with transfer stencils
 // and per-component V-cycle structure (when Options.Precond ==
 // PrecondGMG). Nothing viscosity-dependent is computed; call Update with
 // the per-element viscosity and body force before Solve. The returned
@@ -370,29 +374,35 @@ func Setup(m *mesh.Mesh, dom fem.Domain, bc VelBC, opts Options) *Solver {
 	}
 	s.Layout = la.NewLayout(m.Rank, 4*m.NumOwned)
 
-	// Gather per-node velocity BC flags and values, and the free-slip
-	// mask and normals (slip takes precedence over bc at a node).
-	mask := la.NewVec(s.nodeL)
-	var vv [3]*la.Vec
-	for c := 0; c < 3; c++ {
-		vv[c] = la.NewVec(s.nodeL)
-	}
-	var smask *la.Vec
-	var nv [3]*la.Vec
+	// Evaluate the velocity BC flags and values, and the free-slip mask
+	// and normals (slip takes precedence over bc at a node), at the owned
+	// nodes, and fetch the ghosts' in one exchange, each field in slot
+	// space: the component bit mask and the three values, then (with
+	// slip) the slip mask and the three normal components.
+	n, ns := m.NumOwned, m.NSlots()
+	fields := make([][]float64, 4)
 	if slip != nil {
-		smask = la.NewVec(s.nodeL)
-		for c := 0; c < 3; c++ {
-			nv[c] = la.NewVec(s.nodeL)
-		}
+		fields = make([][]float64, 8)
+	}
+	owned, ghost := make([][]float64, len(fields)), make([][]float64, len(fields))
+	for f := range fields {
+		fields[f] = make([]float64, ns)
+		owned[f], ghost[f] = fields[f][:n], fields[f][n:]
+	}
+	mask, val := fields[0], fields[1:4]
+	var smask []float64
+	var normal [][]float64
+	if slip != nil {
+		smask, normal = fields[4], fields[5:8]
 	}
 	nFixedCart := 0 // owned velocity dofs pinned in Cartesian components
-	for i := range m.OwnedPos {
+	for i := 0; i < n; i++ {
 		x := fem.NodeCoord(m, dom, i)
 		if slip != nil {
-			if n, ok := slip(x); ok {
-				smask.Data[i] = 1
+			if nrm, ok := slip(x); ok {
+				smask[i] = 1
 				for c := 0; c < 3; c++ {
-					nv[c].Data[i] = n[c]
+					normal[c][i] = nrm[c]
 				}
 				continue
 			}
@@ -402,71 +412,45 @@ func Setup(m *mesh.Mesh, dom fem.Domain, bc VelBC, opts Options) *Solver {
 		for c := 0; c < 3; c++ {
 			if fixed[c] {
 				bits += float64(int(1) << c)
-				vv[c].Data[i] = vals[c]
+				val[c][i] = vals[c]
 				nFixedCart++
 			}
 		}
-		mask.Data[i] = bits
+		mask[i] = bits
 	}
-	maskMap := m.GatherReferenced(mask)
-	var valMap [3]map[int64]float64
-	for c := 0; c < 3; c++ {
-		valMap[c] = m.GatherReferenced(vv[c])
-	}
+	m.GX.GatherMulti(owned, ghost)
+	s.cons.Fixed, s.cons.Val = make([]bool, 4*ns), make([]float64, 4*ns)
 	if slip != nil {
-		slipMap := m.GatherReferenced(smask)
-		var normMap [3]map[int64]float64
-		for c := 0; c < 3; c++ {
-			normMap[c] = m.GatherReferenced(nv[c])
-		}
-		s.frames = make(map[int64][3][3]float64)
-		for g, v := range slipMap {
-			if v != 0 {
-				s.frames[g] = frameFor([3]float64{normMap[0][g], normMap[1][g], normMap[2][g]})
-			}
-		}
 		// Uniform across ranks even when this rank's partition never
 		// touches a slip boundary: the slip code paths contain collective
 		// calls, so the branch must not depend on local node sets.
 		s.hasSlip = true
-		for i := 0; i < m.NumOwned; i++ {
-			if smask.Data[i] != 0 {
-				s.slipOwned = append(s.slipOwned, int32(i))
-			}
-		}
+		s.cons.Frames = make([]*[3][3]float64, ns)
 	}
-	// dofBC returns (value, true) if the dof is constrained. At slip
-	// nodes the component index is LOCAL: c = 0 is the boundary normal
-	// (constrained to zero), c = 1,2 the free tangentials.
-	s.dofBC = func(g int64, c int) (float64, bool) {
-		if c == 3 {
-			if g == 0 { // pressure pin
-				return 0, true
+	for sl := 0; sl < ns; sl++ {
+		if m.GID(int32(sl)) == 0 {
+			s.cons.Fixed[4*sl+3] = true // pressure pin
+		}
+		if slip != nil && smask[sl] != 0 {
+			Q := frameFor([3]float64{normal[0][sl], normal[1][sl], normal[2][sl]})
+			s.cons.Frames[sl] = &Q
+			s.cons.Fixed[4*sl] = true
+			if sl < n {
+				s.slipOwned = append(s.slipOwned, int32(sl))
 			}
-			return 0, false
+			continue
 		}
-		if s.hasSlip {
-			if _, ok := s.frames[g]; ok {
-				return 0, c == 0
+		for c := 0; c < 3; c++ {
+			if int(mask[sl])>>c&1 == 1 {
+				s.cons.Fixed[4*sl+c], s.cons.Val[4*sl+c] = true, val[c][sl]
 			}
 		}
-		if int(maskMap[g])>>c&1 == 1 {
-			return valMap[c][g], true
-		}
-		return 0, false
 	}
 
 	if opts.MatrixFree {
-		// Slot maps, ghost plans, constraint tables and kernels are all
-		// mesh-dependent; the viscosity is attached by Update.
-		var frame matfree.Frame
-		if s.hasSlip {
-			frame = func(g int64) ([3][3]float64, bool) {
-				Q, ok := s.frames[g]
-				return Q, ok
-			}
-		}
-		s.MF = matfree.New(m, dom, s.Layout, nil, s.dofBC, frame, opts.MatFree)
+		// Constraint index lists and kernels are mesh-dependent; the
+		// viscosity is attached by Update.
+		s.MF = matfree.New(m, dom, s.Layout, nil, s.cons, opts.MatFree)
 		s.Op = s.MF
 	} else if m.X != nil {
 		// Mapped assembled path: per-element isoparametric unit kernels,
@@ -494,9 +478,7 @@ func Setup(m *mesh.Mesh, dom fem.Domain, bc VelBC, opts Options) *Solver {
 		// data for the Poisson CSRs the AMG refresh re-assembles each
 		// Update; both are mesh-dependent.
 		s.scalKern, s.scalIdx = fem.UnitStiffnessKernels(m, dom)
-		for c := 0; c < 3; c++ {
-			s.compBCD[c] = fem.GatherBC(m, dom, s.compBC[c])
-		}
+		s.compBCD = fem.GatherBC(m, dom, s.compBC[:]...)
 		s.xc, s.yc = la.NewVec(s.nodeL), la.NewVec(s.nodeL)
 	}
 
@@ -534,16 +516,11 @@ func (s *Solver) buildNullSpace() {
 			case 2:
 				r = [3]float64{-x[1], x[0], 0}
 			}
-			g := m.Offset + int64(i)
-			if Q, ok := s.frames[g]; ok {
-				r = [3]float64{
-					Q[0][0]*r[0] + Q[1][0]*r[1] + Q[2][0]*r[2],
-					Q[0][1]*r[0] + Q[1][1]*r[1] + Q[2][1]*r[2],
-					Q[0][2]*r[0] + Q[1][2]*r[1] + Q[2][2]*r[2],
-				}
+			if Q := s.cons.Frames[i]; Q != nil {
+				r = matTVec(Q, r)
 			}
 			for c := 0; c < 3; c++ {
-				if _, is := s.dofBC(g, c); is {
+				if s.cons.Fixed[4*i+c] {
 					r[c] = 0
 				}
 			}
@@ -576,8 +553,7 @@ func (s *Solver) NullDim() int { return len(s.null) }
 // space, where the Taylor-Hood pressure also lives).
 func (s *Solver) finishSetup() {
 	m, dom := s.M, s.Dom
-	// Slot map + lumped-mass coefficients for the Schur diagonal refresh.
-	s.nodeSM = matfree.NodeSlots(m)
+	// Lumped-mass coefficients for the Schur diagonal refresh.
 	geos := fem.ElemGeoms(m)
 	for ei, leaf := range m.Leaves {
 		var lm [8]float64
@@ -586,7 +562,7 @@ func (s *Solver) finishSetup() {
 		} else {
 			lm = fem.LumpedMassBrick(dom.ElemSize(leaf), 1)
 		}
-		cs := &s.nodeSM.Corners[ei]
+		cs := &m.Corners[ei]
 		for a := 0; a < 8; a++ {
 			for ia := 0; ia < int(cs[a].N); ia++ {
 				s.schurPlan = append(s.schurPlan, schurTerm{
@@ -682,7 +658,7 @@ func (s *Solver) refreshSlipDiag(etaElem []float64) {
 			}
 			return K
 		}
-		d = fem.AssembleScalarDiag(s.M, s.Dom, elemMat, &fem.BCData{})
+		d = fem.AssembleScalarDiag(s.M, s.Dom, elemMat, nil)
 	}
 	for _, i := range s.slipOwned {
 		if v := d.Data[i]; v > 0 {
@@ -697,14 +673,14 @@ func (s *Solver) refreshSlipDiag(etaElem []float64) {
 // pressure mass on the Q1 vertex space, from the precomputed slot-space
 // plan (one scan + one ghost scatter-add; collective).
 func (s *Solver) updateSchur(etaElem []float64) {
-	acc := make([]float64, s.nodeSM.NSlots())
+	acc := make([]float64, s.M.NSlots())
 	for _, t := range s.schurPlan {
 		acc[t.Slot] += t.Coef / etaElem[t.Elem]
 	}
 	sd := la.NewVec(s.nodeL)
 	n1 := s.M.NumOwned
 	copy(sd.Data, acc[:n1])
-	s.nodeSM.GX.ScatterAdd(acc[n1:], sd.Data)
+	s.M.GX.ScatterAdd(acc[n1:], sd.Data)
 	for i, v := range sd.Data {
 		if v > 0 {
 			s.schurInv.Data[i] = 1 / v
@@ -727,7 +703,7 @@ func (s *Solver) assembleCoupled(etaElem []float64, force [][8][3]float64) {
 		return
 	}
 	m, dom := s.M, s.Dom
-	dofBC := s.dofBC
+	fixed, val := s.cons.Fixed, s.cons.Val
 	A := la.NewMat(s.Layout)
 	bb := la.NewVecBuilder(s.Layout)
 
@@ -775,17 +751,19 @@ func (s *Solver) assembleCoupled(etaElem []float64, force [][8][3]float64) {
 
 		for a := 0; a < 8; a++ {
 			for ia := 0; ia < int(cs[a].N); ia++ {
-				ga, wa := cs[a].GID[ia], cs[a].W[ia]
+				sa, wa := int(cs[a].Slot[ia]), cs[a].W[ia]
+				ga := m.GID(cs[a].Slot[ia])
 				// Velocity momentum rows.
 				for i := 0; i < 3; i++ {
-					if _, is := dofBC(ga, i); is {
+					if fixed[4*sa+i] {
 						continue
 					}
 					row := 4*ga + int64(i)
 					bb.Add(row, wa*F[a][i])
 					for b := 0; b < 8; b++ {
 						for ib := 0; ib < int(cs[b].N); ib++ {
-							gb, wb := cs[b].GID[ib], cs[b].W[ib]
+							sb, wb := int(cs[b].Slot[ib]), cs[b].W[ib]
+							gb := m.GID(cs[b].Slot[ib])
 							w := wa * wb
 							// viscous block
 							for j := 0; j < 3; j++ {
@@ -793,8 +771,8 @@ func (s *Solver) assembleCoupled(etaElem []float64, force [][8][3]float64) {
 								if v == 0 {
 									continue
 								}
-								if bv, is := dofBC(gb, j); is {
-									bb.Add(row, -v*bv)
+								if fixed[4*sb+j] {
+									bb.Add(row, -v*val[4*sb+j])
 								} else {
 									A.AddValue(row, 4*gb+int64(j), v)
 								}
@@ -802,8 +780,8 @@ func (s *Solver) assembleCoupled(etaElem []float64, force [][8][3]float64) {
 							// grad-p coupling: entry (v-row (a,i), p-col b)
 							v := w * Bd[b][3*a+i]
 							if v != 0 {
-								if bv, is := dofBC(gb, 3); is {
-									bb.Add(row, -v*bv)
+								if fixed[4*sb+3] {
+									bb.Add(row, -v*val[4*sb+3])
 								} else {
 									A.AddValue(row, 4*gb+3, v)
 								}
@@ -812,21 +790,22 @@ func (s *Solver) assembleCoupled(etaElem []float64, force [][8][3]float64) {
 					}
 				}
 				// Pressure continuity row.
-				if _, is := dofBC(ga, 3); is {
+				if fixed[4*sa+3] {
 					continue
 				}
 				prow := 4*ga + 3
 				for b := 0; b < 8; b++ {
 					for ib := 0; ib < int(cs[b].N); ib++ {
-						gb, wb := cs[b].GID[ib], cs[b].W[ib]
+						sb, wb := int(cs[b].Slot[ib]), cs[b].W[ib]
+						gb := m.GID(cs[b].Slot[ib])
 						w := wa * wb
 						for j := 0; j < 3; j++ {
 							v := w * Bd[a][3*b+j]
 							if v == 0 {
 								continue
 							}
-							if bv, is := dofBC(gb, j); is {
-								bb.Add(prow, -v*bv)
+							if fixed[4*sb+j] {
+								bb.Add(prow, -v*val[4*sb+j])
 							} else {
 								A.AddValue(prow, 4*gb+int64(j), v)
 							}
@@ -834,8 +813,8 @@ func (s *Solver) assembleCoupled(etaElem []float64, force [][8][3]float64) {
 						// stabilization block: -C
 						v := -w * Cs[a][b]
 						if v != 0 {
-							if bv, is := dofBC(gb, 3); is {
-								bb.Add(prow, -v*bv)
+							if fixed[4*sb+3] {
+								bb.Add(prow, -v*val[4*sb+3])
 							} else {
 								A.AddValue(prow, 4*gb+3, v)
 							}
@@ -845,23 +824,23 @@ func (s *Solver) assembleCoupled(etaElem []float64, force [][8][3]float64) {
 			}
 		}
 	}
-	// Identity rows for constrained dofs owned here.
-	for i := 0; i < m.NumOwned; i++ {
-		g := m.Offset + int64(i)
-		for c := 0; c < 4; c++ {
-			if _, is := dofBC(g, c); is {
-				A.AddValue(4*g+int64(c), 4*g+int64(c), 1)
-			}
+	s.finishCoupled(A, bb)
+}
+
+// finishCoupled closes a coupled assembly (collective): identity rows
+// and boundary values for the constrained dofs owned here.
+func (s *Solver) finishCoupled(A *la.Mat, bb *la.VecBuilder) {
+	fixed := s.cons.Fixed[:4*s.M.NumOwned]
+	for d, is := range fixed {
+		if g := 4*s.M.Offset + int64(d); is {
+			A.AddValue(g, g, 1)
 		}
 	}
 	A.Assemble()
 	b := bb.Finalize()
-	for i := 0; i < m.NumOwned; i++ {
-		g := m.Offset + int64(i)
-		for c := 0; c < 4; c++ {
-			if v, is := dofBC(g, c); is {
-				b.Data[4*i+c] = v
-			}
+	for d, is := range fixed {
+		if is {
+			b.Data[d] = s.cons.Val[d]
 		}
 	}
 	s.A, s.B = A, b
@@ -921,7 +900,7 @@ func rotBlock(Qa *[3][3]float64, aRot bool, V [3][3]float64, Qb *[3][3]float64, 
 // exactly the boundary-normal components.
 func (s *Solver) assembleCoupledSlip(etaElem []float64, force [][8][3]float64) {
 	m, dom := s.M, s.Dom
-	dofBC := s.dofBC
+	fixed, val, frames := s.cons.Fixed, s.cons.Val, s.cons.Frames
 	A := la.NewMat(s.Layout)
 	bb := la.NewVecBuilder(s.Layout)
 
@@ -966,25 +945,29 @@ func (s *Solver) assembleCoupledSlip(etaElem []float64, force [][8][3]float64) {
 
 		for a := 0; a < 8; a++ {
 			for ia := 0; ia < int(cs[a].N); ia++ {
-				ga, wa := cs[a].GID[ia], cs[a].W[ia]
-				Qa, aRot := s.frames[ga]
+				sa, wa := int(cs[a].Slot[ia]), cs[a].W[ia]
+				ga := m.GID(cs[a].Slot[ia])
+				Qa := frames[sa]
+				aRot := Qa != nil
 				fa := F[a]
 				if aRot {
-					fa = matTVec(&Qa, fa)
+					fa = matTVec(Qa, fa)
 				}
 				var rowOK [3]bool
 				for i := 0; i < 3; i++ {
-					if _, is := dofBC(ga, i); !is {
+					if !fixed[4*sa+i] {
 						rowOK[i] = true
 						bb.Add(4*ga+int64(i), wa*fa[i])
 					}
 				}
-				_, pFixed := dofBC(ga, 3)
+				pFixed := fixed[4*sa+3]
 				for b := 0; b < 8; b++ {
 					for ib := 0; ib < int(cs[b].N); ib++ {
-						gb, wb := cs[b].GID[ib], cs[b].W[ib]
+						sb, wb := int(cs[b].Slot[ib]), cs[b].W[ib]
+						gb := m.GID(cs[b].Slot[ib])
 						w := wa * wb
-						Qb, bRot := s.frames[gb]
+						Qb := frames[sb]
+						bRot := Qb != nil
 						var V [3][3]float64
 						for i := 0; i < 3; i++ {
 							for j := 0; j < 3; j++ {
@@ -992,15 +975,15 @@ func (s *Solver) assembleCoupledSlip(etaElem []float64, force [][8][3]float64) {
 							}
 						}
 						if aRot || bRot {
-							V = rotBlock(&Qa, aRot, V, &Qb, bRot)
+							V = rotBlock(Qa, aRot, V, Qb, bRot)
 						}
 						G := [3]float64{Bd[b][3*a], Bd[b][3*a+1], Bd[b][3*a+2]}
 						if aRot {
-							G = matTVec(&Qa, G)
+							G = matTVec(Qa, G)
 						}
 						D := [3]float64{Bd[a][3*b], Bd[a][3*b+1], Bd[a][3*b+2]}
 						if bRot {
-							D = vecMat(D, &Qb)
+							D = vecMat(D, Qb)
 						}
 						for i := 0; i < 3; i++ {
 							if !rowOK[i] {
@@ -1012,15 +995,15 @@ func (s *Solver) assembleCoupledSlip(etaElem []float64, force [][8][3]float64) {
 								if v == 0 {
 									continue
 								}
-								if bv, is := dofBC(gb, j); is {
-									bb.Add(row, -v*bv)
+								if fixed[4*sb+j] {
+									bb.Add(row, -v*val[4*sb+j])
 								} else {
 									A.AddValue(row, 4*gb+int64(j), v)
 								}
 							}
 							if v := w * G[i]; v != 0 {
-								if bv, is := dofBC(gb, 3); is {
-									bb.Add(row, -v*bv)
+								if fixed[4*sb+3] {
+									bb.Add(row, -v*val[4*sb+3])
 								} else {
 									A.AddValue(row, 4*gb+3, v)
 								}
@@ -1033,15 +1016,15 @@ func (s *Solver) assembleCoupledSlip(etaElem []float64, force [][8][3]float64) {
 								if v == 0 {
 									continue
 								}
-								if bv, is := dofBC(gb, j); is {
-									bb.Add(prow, -v*bv)
+								if fixed[4*sb+j] {
+									bb.Add(prow, -v*val[4*sb+j])
 								} else {
 									A.AddValue(prow, 4*gb+int64(j), v)
 								}
 							}
 							if v := -w * Cs[a][b]; v != 0 {
-								if bv, is := dofBC(gb, 3); is {
-									bb.Add(prow, -v*bv)
+								if fixed[4*sb+3] {
+									bb.Add(prow, -v*val[4*sb+3])
 								} else {
 									A.AddValue(prow, 4*gb+3, v)
 								}
@@ -1052,33 +1035,12 @@ func (s *Solver) assembleCoupledSlip(etaElem []float64, force [][8][3]float64) {
 			}
 		}
 	}
-	// Identity rows for constrained dofs owned here.
-	for i := 0; i < m.NumOwned; i++ {
-		g := m.Offset + int64(i)
-		for c := 0; c < 4; c++ {
-			if _, is := dofBC(g, c); is {
-				A.AddValue(4*g+int64(c), 4*g+int64(c), 1)
-			}
-		}
-	}
-	A.Assemble()
-	b := bb.Finalize()
-	for i := 0; i < m.NumOwned; i++ {
-		g := m.Offset + int64(i)
-		for c := 0; c < 4; c++ {
-			if v, is := dofBC(g, c); is {
-				b.Data[4*i+c] = v
-			}
-		}
-	}
-	s.A, s.B = A, b
-	s.Op = A
+	s.finishCoupled(A, bb)
 }
 
-// NodeSlots returns the block-1 node slot map of the solver's mesh
-// (matfree.NodeSlots: owned nodes first, then ghosts, with one reusable
-// exchange plan).
-func (s *Solver) NodeSlots() *matfree.SlotMap { return s.nodeSM }
+// NodeSlots returns the view of the solver mesh's node numbering the
+// benchmark harness reads (matfree.NodeSlots).
+func (s *Solver) NodeSlots() *matfree.SlotMap { return matfree.NodeSlots(s.M) }
 
 // Assemble builds the Stokes system in one shot (collective): Setup for
 // the mesh-dependent half followed by Update for the given viscosity and
@@ -1230,7 +1192,7 @@ func (s *Solver) SplitSolution(x *la.Vec) (u [3]*la.Vec, p *la.Vec) {
 	if s.hasSlip {
 		for _, li := range s.slipOwned {
 			i := int(li)
-			Q := s.frames[s.M.Offset+int64(i)]
+			Q := s.cons.Frames[i]
 			v0, v1, v2 := x.Data[4*i], x.Data[4*i+1], x.Data[4*i+2]
 			u[0].Data[i] = Q[0][0]*v0 + Q[0][1]*v1 + Q[0][2]*v2
 			u[1].Data[i] = Q[1][0]*v0 + Q[1][1]*v1 + Q[1][2]*v2
@@ -1255,7 +1217,7 @@ func (s *Solver) ToFrame(x *la.Vec) {
 	}
 	for _, li := range s.slipOwned {
 		i := int(li)
-		Q := s.frames[s.M.Offset+int64(i)]
+		Q := s.cons.Frames[i]
 		u0, u1, u2 := x.Data[4*i], x.Data[4*i+1], x.Data[4*i+2]
 		x.Data[4*i] = Q[0][0]*u0 + Q[1][0]*u1 + Q[2][0]*u2
 		x.Data[4*i+1] = Q[0][1]*u0 + Q[1][1]*u1 + Q[2][1]*u2
@@ -1269,10 +1231,7 @@ func (s *Solver) ToFrame(x *la.Vec) {
 func (s *Solver) DivergenceNorm(x *la.Vec) float64 {
 	// Gather velocity at referenced nodes.
 	u, _ := s.SplitSolution(x)
-	var maps [3]map[int64]float64
-	for c := 0; c < 3; c++ {
-		maps[c] = s.M.GatherReferenced(u[c])
-	}
+	ub := s.M.GatherSlots(u[0].Data, u[1].Data, u[2].Data)
 	geos := fem.ElemGeoms(s.M)
 	var sum float64
 	for ei, leaf := range s.M.Leaves {
@@ -1297,12 +1256,7 @@ func (s *Solver) DivergenceNorm(x *la.Vec) float64 {
 		var uc [8][3]float64
 		for c := 0; c < 8; c++ {
 			for d := 0; d < 3; d++ {
-				co := &s.M.Corners[ei][c]
-				var v float64
-				for k := 0; k < int(co.N); k++ {
-					v += co.W[k] * maps[d][co.GID[k]]
-				}
-				uc[c][d] = v
+				uc[c][d] = s.M.Corners[ei][c].Value(ub[d])
 			}
 		}
 		// Mid-point divergence.
