@@ -4,9 +4,9 @@
 // free-slip outer surface, spherical shell with Earth-like radii) plus
 // the repo's own box and shell regression scenarios — together with a
 // uniform runner that produces the Nu/Vrms diagnostics the reference
-// tables pin. cmd/rhea (-case) and internal/experiments (FigBunge) both
-// resolve cases from here, so a scenario is defined in exactly one
-// place.
+// tables and BENCH_bunge.json pin. cmd/rhea (-case) and the benchmark
+// harness resolve cases from here, so a scenario is defined in exactly
+// one place.
 package bench
 
 import (

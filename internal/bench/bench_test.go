@@ -12,9 +12,17 @@ package bench
 //     ~50x) and the global element counts must match exactly.
 //  3. Rank-1 values are pinned against the reference table below
 //     (relative 1e-9): any drift means the physics changed.
+//
+// Without -short the Bunge rows are also held to the committed record
+// BENCH_bunge.json at every rank count: elements and MINRES iterations
+// exactly, Nu and Vrms to relative 1e-9.
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
+	"os"
+	"strings"
 	"testing"
 
 	"rhea/internal/sim"
@@ -43,11 +51,43 @@ func relErr(a, b float64) float64 {
 	return math.Abs(a-b) / math.Max(math.Abs(b), 1)
 }
 
+// bungeRecord is one row of BENCH_bunge.json.
+type bungeRecord struct {
+	Case     string  `json:"case"`
+	Ranks    int     `json:"ranks"`
+	Elements int64   `json:"elements"`
+	Iters    int     `json:"minres_iters"`
+	Nu       float64 `json:"nu"`
+	Vrms     float64 `json:"vrms"`
+}
+
+// readBungeRecord loads BENCH_bunge.json keyed by "case/ranks".
+func readBungeRecord(t *testing.T) map[string]bungeRecord {
+	buf, err := os.ReadFile("../../BENCH_bunge.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec struct{ Cases []bungeRecord }
+	if err := json.Unmarshal(buf, &rec); err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]bungeRecord{}
+	for _, r := range rec.Cases {
+		rows[fmt.Sprintf("%s/%d", r.Case, r.Ranks)] = r
+	}
+	return rows
+}
+
 // TestBenchCasesPinned runs every registry case on 1, 2 and 4 simulated
 // ranks and checks convergence, the exact global element count, the
-// pinned rank-1 references and cross-rank agreement.
+// pinned rank-1 references, cross-rank agreement and, without -short, the
+// committed Bunge record.
 func TestBenchCasesPinned(t *testing.T) {
 	ranks := []int{1, 2, 4}
+	var record map[string]bungeRecord
+	if !testing.Short() {
+		record = readBungeRecord(t)
+	}
 	for _, c := range Cases() {
 		if testing.Short() && c.Name != "bunge1" && c.Name != "shell" {
 			continue
@@ -74,6 +114,15 @@ func TestBenchCasesPinned(t *testing.T) {
 			if res.Elements != ref.Elems {
 				t.Errorf("%s ranks %d: %d global elements, reference pins %d", c.Name, p, res.Elements, ref.Elems)
 			}
+			if key := fmt.Sprintf("%s/%d", c.Name, p); record != nil && strings.HasPrefix(c.Name, "bunge") {
+				row, ok := record[key]
+				delete(record, key)
+				if !ok || row.Elements != res.Elements || row.Iters != res.Iters ||
+					relErr(res.Nu, row.Nu) > refRelTol || relErr(res.Vrms, row.Vrms) > refRelTol {
+					t.Errorf("%s: run (elements %d, iters %d, Nu %.12g, Vrms %.12g) does not match BENCH_bunge.json %+v",
+						key, res.Elements, res.Iters, res.Nu, res.Vrms, row)
+				}
+			}
 			if p == 1 {
 				nu1, vrms1 = res.Nu, res.Vrms
 				if relErr(res.Nu, ref.Nu) > refRelTol || relErr(res.Vrms, ref.Vrms) > refRelTol {
@@ -87,6 +136,9 @@ func TestBenchCasesPinned(t *testing.T) {
 					c.Name, p, res.Nu, nu1, res.Vrms, vrms1)
 			}
 		}
+	}
+	for key := range record {
+		t.Errorf("BENCH_bunge.json row %s was not run", key)
 	}
 }
 

@@ -30,8 +30,6 @@ type Advection struct {
 	Vel [][3]float64
 	// Inflow is the boundary value used on inflow physical boundaries.
 	Inflow float64
-	// UseMatrixKernel selects the O(p^6) matrix-based derivative.
-	UseMatrixKernel bool
 
 	n3    int
 	faces [][6]faceData
@@ -431,11 +429,7 @@ func (a *Advection) RHS(u, rhs []float64) {
 			if vel[d] == 0 {
 				continue
 			}
-			if a.UseMatrixKernel {
-				a.K.DerivMatrix(ue, du, d)
-			} else {
-				a.K.DerivTensor(ue, du, d)
-			}
+			a.K.DerivTensor(ue, du, d)
 			s := vel[d] * 2 / h
 			for i := range re {
 				re[i] -= s * du[i]

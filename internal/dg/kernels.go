@@ -1,58 +1,18 @@
 package dg
 
-// This file holds the two implementations of the element derivative
-// operator that §VII of the paper benchmarks against each other:
-//
-//   - matrix-based: the full (p+1)^3 x (p+1)^3 derivative matrix per
-//     direction applied as one large dense matrix-matrix multiply across
-//     all elements — 6(p+1)^6 flops per element, very cache friendly;
-//   - tensor-product: the 1-D differentiation matrix applied along each
-//     of the three axes — 6(p+1)^4 flops per element, work-optimal but
-//     with smaller inner kernels.
-//
-// The crossover between them is measured by BenchmarkSec7_MatrixVsTensor.
-
-// Kernels bundles the precomputed operators for order p.
+// Kernels applies the element derivative operator in the tensor-product
+// form: the 1-D differentiation matrix along each of the three axes,
+// 6(p+1)^4 flops per element for all three directions. The dense
+// (p+1)^3 x (p+1)^3 matrix form §VII of the paper benchmarks it against
+// (6(p+1)^6 flops) survives as the test oracle in dg_test.go.
 type Kernels struct {
 	B *Basis
 	N int // nodes per direction = p+1
-	// D3 are the three dense 3-D derivative matrices, each n^3 x n^3
-	// (row-major), used by the matrix-based implementation.
-	D3 [3][]float64
 }
 
-// NewKernels precomputes both operator forms.
+// NewKernels builds the kernels of order p.
 func NewKernels(p int) *Kernels {
-	b := NewBasis(p)
-	n := p + 1
-	k := &Kernels{B: b, N: n}
-	n3 := n * n * n
-	idx := func(i, j, l int) int { return i + n*(j+n*l) }
-	for d := 0; d < 3; d++ {
-		M := make([]float64, n3*n3)
-		for l := 0; l < n; l++ {
-			for j := 0; j < n; j++ {
-				for i := 0; i < n; i++ {
-					row := idx(i, j, l)
-					for m := 0; m < n; m++ {
-						var col int
-						var v float64
-						switch d {
-						case 0:
-							col, v = idx(m, j, l), b.D[i*n+m]
-						case 1:
-							col, v = idx(i, m, l), b.D[j*n+m]
-						default:
-							col, v = idx(i, j, m), b.D[l*n+m]
-						}
-						M[row*n3+col] = v
-					}
-				}
-			}
-		}
-		k.D3[d] = M
-	}
-	return k
+	return &Kernels{B: NewBasis(p), N: p + 1}
 }
 
 // DerivTensor computes the derivative along axis d of the nodal field u
@@ -103,56 +63,4 @@ func (k *Kernels) DerivTensor(u, out []float64, d int) {
 			}
 		}
 	}
-}
-
-// DerivMatrix computes the same derivative via the dense 3-D matrix:
-// 2(p+1)^6 flops.
-func (k *Kernels) DerivMatrix(u, out []float64, d int) {
-	n3 := k.N * k.N * k.N
-	M := k.D3[d]
-	for r := 0; r < n3; r++ {
-		var s float64
-		row := M[r*n3 : r*n3+n3]
-		for c := 0; c < n3; c++ {
-			s += row[c] * u[c]
-		}
-		out[r] = s
-	}
-}
-
-// DerivMatrixBatch applies the dense derivative to many elements at once
-// as one matrix-matrix multiply (the cache-friendly form the paper runs
-// at 145 teraflops): U and Out are n3 x nElems in element-major layout
-// (each element's nodes contiguous).
-func (k *Kernels) DerivMatrixBatch(U, Out []float64, d, nElems int) {
-	n3 := k.N * k.N * k.N
-	M := k.D3[d]
-	// Blocked GEMM: Out[e][r] = sum_c M[r][c] U[e][c].
-	const blk = 64
-	for e := 0; e < nElems; e++ {
-		ue := U[e*n3 : (e+1)*n3]
-		oe := Out[e*n3 : (e+1)*n3]
-		for r0 := 0; r0 < n3; r0 += blk {
-			r1 := r0 + blk
-			if r1 > n3 {
-				r1 = n3
-			}
-			for r := r0; r < r1; r++ {
-				var s float64
-				row := M[r*n3 : r*n3+n3]
-				for c := 0; c < n3; c++ {
-					s += row[c] * ue[c]
-				}
-				oe[r] = s
-			}
-		}
-	}
-}
-
-// FlopsPerElement returns the flop counts (tensor, matrix) for one full
-// 3-direction derivative application, matching the paper's 6(p+1)^4 and
-// 6(p+1)^6 accounting.
-func (k *Kernels) FlopsPerElement() (tensor, matrix int64) {
-	n := int64(k.N)
-	return 6 * n * n * n * n, 6 * n * n * n * n * n * n
 }

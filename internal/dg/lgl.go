@@ -1,11 +1,10 @@
 // Package dg implements the high-order nodal discontinuous Galerkin layer
 // of ALPS — the MANGLL library of the paper (§VII): Legendre–Gauss–
-// Lobatto (LGL) nodal bases on hexahedral elements, spectral
-// differentiation in both the matrix-based O(p^6) and tensor-product
-// O(p^4) formulations, upwind-flux DG advection on a (forest-of-octrees)
-// adaptive mesh with interpolation-based treatment of 2:1 nonconforming
-// faces, and a five-stage fourth-order low-storage Runge–Kutta
-// integrator.
+// Lobatto (LGL) nodal bases on hexahedral elements, tensor-product
+// O(p^4) spectral differentiation, upwind-flux DG advection on a
+// (forest-of-octrees) adaptive mesh with interpolation-based treatment of
+// 2:1 nonconforming faces, and a five-stage fourth-order low-storage
+// Runge–Kutta integrator.
 package dg
 
 import "math"
@@ -132,16 +131,6 @@ func (b *Basis) EvalWeights(x float64) []float64 {
 		out[j] /= denom
 	}
 	return out
-}
-
-// Eval1D evaluates a 1-D nodal polynomial at x.
-func (b *Basis) Eval1D(u []float64, x float64) float64 {
-	w := b.EvalWeights(x)
-	var s float64
-	for j := range w {
-		s += w[j] * u[j]
-	}
-	return s
 }
 
 // Eval2D evaluates a 2-D tensor nodal polynomial (row-major, i fastest)

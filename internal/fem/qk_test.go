@@ -174,9 +174,9 @@ func TestQ2OperatorSymmetryAndDivergence(t *testing.T) {
 	}
 }
 
-// The two Q2 velocity-kernel benchmarks back the CI bench smoke and the
-// alpsbench kernels figure: the dense O(k^6) reference apply against the
-// sum-factorized O(k^4) apply on the same element.
+// The two Q2 velocity-kernel benchmarks back the CI bench smoke: the
+// dense O(k^6) reference apply against the sum-factorized O(k^4) apply
+// on the same element.
 
 func benchQ2Input() (*[108]float64, *[108]float64) {
 	rng := rand.New(rand.NewSource(7))

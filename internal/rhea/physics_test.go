@@ -13,6 +13,7 @@ import (
 
 	"rhea/internal/fem"
 	"rhea/internal/sim"
+	"rhea/internal/stokes"
 )
 
 // regressionConfig is the pinned Rayleigh–Bénard scenario: unit box,
@@ -40,8 +41,8 @@ func regressionConfig() Config {
 
 // runRegression advances the pinned scenario n cycles (Stokes solve + 4
 // transport steps + adaptation each) plus a final solve, and returns the
-// diagnostics.
-func runRegression(r *sim.Rank, cfg Config, cycles int) (nu, vrms float64) {
+// diagnostics and the number of mesh-dependent solver set-ups.
+func runRegression(r *sim.Rank, cfg Config, cycles int) (nu, vrms float64, setups int) {
 	s := New(r, cfg)
 	for c := 0; c < cycles; c++ {
 		s.SolveStokes()
@@ -49,7 +50,7 @@ func runRegression(r *sim.Rank, cfg Config, cycles int) (nu, vrms float64) {
 		s.Adapt()
 	}
 	s.SolveStokes()
-	return s.Nusselt(), s.RMSVelocity()
+	return s.Nusselt(), s.RMSVelocity(), s.Times.StokesSetups
 }
 
 // Reference values logged from the pinned scenario (see t.Logf below to
@@ -72,7 +73,7 @@ func TestConvectionRegressionShort(t *testing.T) {
 		p := p
 		var nu, vrms float64
 		sim.Run(p, func(r *sim.Rank) {
-			n, v := runRegression(r, regressionConfig(), 2)
+			n, v, _ := runRegression(r, regressionConfig(), 2)
 			if r.ID() == 0 {
 				nu, vrms = n, v
 			}
@@ -111,7 +112,7 @@ func TestConvectionRegressionFull(t *testing.T) {
 		p := p
 		var nu, vrms float64
 		sim.Run(p, func(r *sim.Rank) {
-			n, v := runRegression(r, regressionConfig(), 5)
+			n, v, _ := runRegression(r, regressionConfig(), 5)
 			if r.ID() == 0 {
 				nu, vrms = n, v
 			}
@@ -139,26 +140,103 @@ func TestConvectionRegressionFull(t *testing.T) {
 // TestReuseMatchesNoReuse verifies the persistent-solver cache does not
 // change the end-to-end physics: the identical scenario run with the
 // cache disabled (full rebuild every Picard iteration, the pre-reuse
-// behaviour) must produce the same diagnostics to rounding.
+// behaviour) must produce the same diagnostics to rounding. With two
+// Picard iterations per solve, reuse sets the solver up once for the
+// first mesh and once per adaptation followed by a solve; without it,
+// once per Picard iteration.
 func TestReuseMatchesNoReuse(t *testing.T) {
-	var nuR, vrmsR, nuN, vrmsN float64
-	sim.Run(2, func(r *sim.Rank) {
-		n, v := runRegression(r, regressionConfig(), 2)
-		if r.ID() == 0 {
-			nuR, vrmsR = n, v
-		}
-	})
-	sim.Run(2, func(r *sim.Rank) {
-		cfg := regressionConfig()
-		cfg.NoReuse = true
-		n, v := runRegression(r, cfg, 2)
-		if r.ID() == 0 {
-			nuN, vrmsN = n, v
-		}
-	})
-	if math.Abs(nuR-nuN) > 1e-10 || math.Abs(vrmsR-vrmsN) > 1e-10 {
-		t.Errorf("reuse changes physics: Nu %v vs %v, Vrms %v vs %v", nuR, nuN, vrmsR, vrmsN)
+	const cycles, picard = 2, 2
+	var nu, vrms [2]float64
+	var setups [2]int
+	for i, noReuse := range []bool{false, true} {
+		i, noReuse := i, noReuse
+		sim.Run(2, func(r *sim.Rank) {
+			cfg := regressionConfig()
+			cfg.Picard, cfg.NoReuse = picard, noReuse
+			n, v, su := runRegression(r, cfg, cycles)
+			if r.ID() == 0 {
+				nu[i], vrms[i], setups[i] = n, v, su
+			}
+		})
 	}
+	if math.Abs(nu[0]-nu[1]) > 1e-10 || math.Abs(vrms[0]-vrms[1]) > 1e-10 {
+		t.Errorf("reuse changes physics: Nu %v vs %v, Vrms %v vs %v", nu[0], nu[1], vrms[0], vrms[1])
+	}
+	if want := [2]int{1 + cycles, (cycles + 1) * picard}; setups != want {
+		t.Errorf("solver set-ups with/without reuse: %v, want %v", setups, want)
+	}
+}
+
+// TestTimeLoopReuse runs solver reuse on the fully matrix-free path
+// (matrix-free apply, GMG preconditioner, no fine-level matrix ever
+// assembled) through a time loop with a Stokes solve every step and an
+// adaptation every sixth, with and without reuse. Both compute the same
+// physics; the rebuild sets the solver up once per Picard iteration,
+// reuse once for the first mesh and once per adaptation followed by a
+// solve, and so pays less to build the solver per solve.
+func TestTimeLoopReuse(t *testing.T) {
+	const steps, adaptEvery, picard = 12, 6, 2
+	type run struct {
+		nu, vrms, build float64
+		setups          int
+	}
+	var runs [2]run // rebuild, reuse
+	for i, noReuse := range []bool{true, false} {
+		i, noReuse := i, noReuse
+		sim.Run(2, func(r *sim.Rank) {
+			cfg := Config{
+				Dom: fem.UnitDomain,
+				Ra:  1e5,
+				InitialTemp: func(x [3]float64) float64 {
+					r2 := (x[0]-0.5)*(x[0]-0.5) + (x[1]-0.5)*(x[1]-0.5) + (x[2]-0.2)*(x[2]-0.2)
+					return (1 - x[2]) + 0.25*math.Exp(-r2/0.02)
+				},
+				Visc:        TemperatureDependent(1, 4.6), // 100x contrast
+				BaseLevel:   3,
+				MinLevel:    2,
+				MaxLevel:    5,
+				TargetElems: 600,
+				AdaptEvery:  adaptEvery,
+				Picard:      picard,
+				MinresTol:   1e-6,
+				MinresMax:   600,
+				InitAdapt:   1,
+				MatrixFree:  true,
+				Precond:     stokes.PrecondGMG,
+				NoReuse:     noReuse,
+			}
+			s := New(r, cfg)
+			s.Times = Timings{} // discard construction costs
+			for step := 1; step <= steps; step++ {
+				s.SolveStokes()
+				s.AdvectSteps(1)
+				if step%adaptEvery == 0 {
+					s.Adapt()
+				}
+			}
+			nu, vrms := s.Nusselt(), s.RMSVelocity() // collective
+			if r.ID() == 0 {
+				runs[i] = run{nu, vrms, (s.Times.StokesSetup + s.Times.StokesUpdate) / (steps * picard), s.Times.StokesSetups}
+			}
+		})
+	}
+	rebuild, reuse := runs[0], runs[1]
+	if rebuild.nu != reuse.nu || rebuild.vrms != reuse.vrms {
+		t.Errorf("solver reuse changed the physics: Nu %v vs %v, Vrms %v vs %v",
+			rebuild.nu, reuse.nu, rebuild.vrms, reuse.vrms)
+	}
+	if rebuild.setups != steps*picard {
+		t.Errorf("rebuild should set up per Picard solve: %d setups for %d solves", rebuild.setups, steps*picard)
+	}
+	// An adaptation after the last step would be followed by no solve.
+	if want := 1 + (steps-1)/adaptEvery; reuse.setups != want {
+		t.Errorf("reuse set the solver up %d times, want %d", reuse.setups, want)
+	}
+	if reuse.build >= rebuild.build {
+		t.Errorf("reuse per-solve build cost %v s not below rebuild %v s", reuse.build, rebuild.build)
+	}
+	t.Logf("per-solve build: rebuild %.4f s, reuse %.4f s; setups %d -> %d",
+		rebuild.build, reuse.build, rebuild.setups, reuse.setups)
 }
 
 // TestAdaptStatsInvariants checks the bookkeeping identities of

@@ -182,8 +182,8 @@ type Config struct {
 	VelBC stokes.VelBC
 	// NoReuse disables the persistent solver cache: every Picard
 	// iteration rebuilds the full mesh-dependent solver setup from
-	// scratch (the pre-reuse behaviour). Only useful for benchmarking
-	// the cost of the cache (alpsbench -fig timeloop).
+	// scratch (the pre-reuse behaviour). Only useful for measuring the
+	// cost of the cache (cmd/rhea -noreuse).
 	NoReuse bool
 }
 
@@ -342,15 +342,6 @@ type Timings struct {
 func (t Timings) AMRTotal() float64 {
 	return t.CoarsenRefine + t.BalanceTree + t.PartitionTree + t.ExtractMesh +
 		t.InterpolateFld + t.TransferFld + t.MarkElements
-}
-
-// StokesBuild sums both halves of the Stokes solver build (the quantity
-// previously reported as StokesAssemble).
-func (t Timings) StokesBuild() float64 { return t.StokesSetup + t.StokesUpdate }
-
-// SolveTotal sums PDE solution components.
-func (t Timings) SolveTotal() float64 {
-	return t.TimeIntegrate + t.StokesSetup + t.StokesUpdate + t.MINRES
 }
 
 // Sim is a running mantle-convection simulation on one rank. Forest is

@@ -1055,7 +1055,7 @@ func Assemble(m *mesh.Mesh, dom fem.Domain, etaElem []float64, force [][8][3]flo
 }
 
 // PrecondStats identifies the velocity-block preconditioner a Solver
-// actually runs — so scaling experiments can assert (and report) that
+// actually runs — so scaling tests can assert (and report) that
 // GMG really preconditioned a run instead of silently standing in for a
 // cheaper fallback.
 type PrecondStats struct {
