@@ -19,10 +19,10 @@ type Redundant struct {
 }
 
 // NewRedundant gathers the distributed matrix and builds the replicated
-// hierarchy (collective). The multigrid coarse level used to share this
-// path via a pre-replicated CSR; it now solves distributed on an
-// agglomerated communicator instead (see gmg and amg.Distributed), so
-// replication is confined to callers that explicitly ask for it.
+// hierarchy (collective). The geometric multigrid's coarsest level
+// does not come here: package gmg gathers it onto one rank and factors
+// it there, so replication is confined to callers that explicitly ask
+// for it.
 func NewRedundant(A *la.Mat, opts Options) *Redundant {
 	csr := A.GatherGlobalCSR()
 	return &Redundant{

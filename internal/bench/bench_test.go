@@ -15,7 +15,9 @@ package bench
 //
 // Without -short the Bunge rows are also held to the committed record
 // BENCH_bunge.json at every rank count: elements and MINRES iterations
-// exactly, Nu and Vrms to relative 1e-9.
+// exactly, Nu and Vrms to relative 1e-9. On a mismatch the test logs the
+// record it got, which is how the file is regenerated after an explained
+// move.
 
 import (
 	"encoding/json"
@@ -54,6 +56,7 @@ func relErr(a, b float64) float64 {
 // bungeRecord is one row of BENCH_bunge.json.
 type bungeRecord struct {
 	Case     string  `json:"case"`
+	Desc     string  `json:"desc"`
 	Ranks    int     `json:"ranks"`
 	Elements int64   `json:"elements"`
 	Iters    int     `json:"minres_iters"`
@@ -88,6 +91,8 @@ func TestBenchCasesPinned(t *testing.T) {
 	if !testing.Short() {
 		record = readBungeRecord(t)
 	}
+	var got []bungeRecord
+	mismatch := false
 	for _, c := range Cases() {
 		if testing.Short() && c.Name != "bunge1" && c.Name != "shell" {
 			continue
@@ -117,8 +122,11 @@ func TestBenchCasesPinned(t *testing.T) {
 			if key := fmt.Sprintf("%s/%d", c.Name, p); record != nil && strings.HasPrefix(c.Name, "bunge") {
 				row, ok := record[key]
 				delete(record, key)
+				got = append(got, bungeRecord{Case: c.Name, Desc: c.Desc, Ranks: p,
+					Elements: res.Elements, Iters: res.Iters, Nu: res.Nu, Vrms: res.Vrms})
 				if !ok || row.Elements != res.Elements || row.Iters != res.Iters ||
 					relErr(res.Nu, row.Nu) > refRelTol || relErr(res.Vrms, row.Vrms) > refRelTol {
+					mismatch = true
 					t.Errorf("%s: run (elements %d, iters %d, Nu %.12g, Vrms %.12g) does not match BENCH_bunge.json %+v",
 						key, res.Elements, res.Iters, res.Nu, res.Vrms, row)
 				}
@@ -139,6 +147,12 @@ func TestBenchCasesPinned(t *testing.T) {
 	}
 	for key := range record {
 		t.Errorf("BENCH_bunge.json row %s was not run", key)
+	}
+	if mismatch {
+		buf, _ := json.MarshalIndent(struct {
+			Cases []bungeRecord `json:"cases"`
+		}{got}, "", "  ")
+		t.Logf("this run's record:\n%s", buf)
 	}
 }
 

@@ -103,7 +103,7 @@ func TestHierarchyAgglomerates(t *testing.T) {
 // TestAgglomRebuildMatchesFresh: on an agglomerated hierarchy, Rebuild
 // with a new viscosity must leave the preconditioner indistinguishable
 // from a hierarchy freshly built for that viscosity — including the
-// viscosity shipped across the gap and the distributed coarse operator.
+// viscosity shipped across the gap and the coarsest-level factors.
 func TestAgglomRebuildMatchesFresh(t *testing.T) {
 	const p = 8
 	sim.Run(p, func(r *sim.Rank) {

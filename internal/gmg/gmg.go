@@ -5,14 +5,15 @@
 // of the finer tree (complete families merged, 2:1 balance restored) with
 // its own extracted mesh, and grid transfer is the trilinear stencil pair
 // fem.Transfer (prolongation interpolates the constrained coarse space,
-// restriction is its exact transpose). Smoothing is Chebyshev-accelerated
-// Jacobi; the level operators apply the variable-viscosity stiffness per
-// element from cached unit kernels, over each level mesh's own node
-// slots and ghost plan. Only the coarsest level
-// assembles a CSR, solved distributed (AMG-preconditioned CG, package
-// amg) on whatever communicator still holds elements — so with a
-// matrix-free Stokes apply the whole solve never assembles a fine-level
-// matrix, and no level's matrix is ever replicated across ranks.
+// restriction is its exact transpose). Smoothing is one damped-Jacobi
+// sweep on each side of the coarse correction; the level operators apply
+// the variable-viscosity stiffness per element from cached unit kernels,
+// over each level mesh's own node slots and ghost plan. Only the coarsest
+// level is ever assembled: it is gathered onto a single rank, where each
+// field's dense matrix is Cholesky-factored once per viscosity and solved
+// by substitution — so with a matrix-free Stokes apply the whole solve
+// never assembles a fine-level matrix, no level's matrix is ever
+// replicated across ranks, and a V-cycle enters no collective.
 //
 // The hierarchy is partition-aware: once a level falls below
 // Options.AgglomThreshold elements per rank, its octants are
@@ -21,25 +22,24 @@
 // the subset idle below that gap. Agglomeration removes the two
 // obstructions a fixed partition puts in the way of deep coarsening at
 // scale: rank-boundary families never merge, so coarsening stalls with
-// ~P elements left, and coarse-level collectives pay ceil(log2 P)
-// rounds to smooth a handful of elements. The repartition gap itself is
-// a pure permutation of node values (restriction and prolongation
-// across the gap are transposes of each other), so the V-cycle stays
-// symmetric.
+// ~P elements left, and coarse-level exchanges pay for P ranks to smooth
+// a handful of elements. The repartition gap itself is a pure
+// permutation of node values (restriction and prolongation across the
+// gap are transposes of each other), so the V-cycle stays symmetric.
 //
 // Setup is split so a convection time loop can amortize it. NewHierarchy
 // builds everything that depends only on the mesh: level trees and
-// meshes, transfer stencils, unit kernels, restriction maps,
-// and slot-space assembly plans whose coefficients make the smoother
-// diagonals and the coarse CSR linear functions of the element
-// viscosities. Rebuild refreshes everything that depends on the
-// viscosity — restricted per-level etas, smoother diagonals (one flat
-// plan scan each), Chebyshev lambda_max estimates (a short Lanczos run,
-// shared across the three velocity components), and the distributed
-// coarse operator (an assembly over the agglomerated communicator) — at
-// a small fraction of the hierarchy construction cost, and leaves the
-// result indistinguishable from a freshly built hierarchy for the same
-// viscosity.
+// meshes, transfer stencils, unit kernels, restriction maps, and
+// slot-space diagonal plans whose coefficients make the smoother
+// diagonals linear functions of the element viscosities. Rebuild
+// refreshes everything that depends on the viscosity — restricted
+// per-level etas, smoother diagonals (one flat plan scan each), the
+// lambda_max estimates that set the Jacobi damping (a short Lanczos run,
+// shared across the three velocity components), and the coarsest level's
+// Cholesky factors (assembled from the cached kernels on the one rank
+// that holds it, without communication) — at a small fraction of the
+// hierarchy construction cost, and leaves the result indistinguishable
+// from a freshly built hierarchy for the same viscosity.
 //
 // The cycle itself (VCycle, vcycle.go) is written once for w fields per
 // node: the Stokes velocity block runs as one width-3 cycle whose every
@@ -49,7 +49,6 @@
 package gmg
 
 import (
-	"rhea/internal/amg"
 	"rhea/internal/fem"
 	"rhea/internal/forest"
 	"rhea/internal/krylov"
@@ -58,45 +57,22 @@ import (
 	"rhea/internal/sim"
 )
 
-// Options tunes hierarchy depth, smoothing and the coarse solve.
+// Options tunes the depth and partitioning of the hierarchy. The cycle
+// itself — one damped-Jacobi sweep on each side of the coarse correction
+// and an exact coarsest solve — has no knobs.
 type Options struct {
 	// MaxLevels caps the number of mesh levels (default 25).
 	MaxLevels int
 	// CoarseElems stops coarsening once the global element count is at
-	// or below this (default 32); that level assembles its CSR and is
-	// solved distributed on its (agglomerated) communicator.
+	// or below this (default 32); that level is gathered onto one rank,
+	// where its dense matrices are assembled and factored.
 	CoarseElems int64
 	// AgglomThreshold is the minimum elements per rank a level keeps
 	// before its octants are agglomerated onto a power-of-two rank
 	// subset (default 8). Levels below it repartition first, so
 	// coarsening never stalls against rank boundaries and coarse
-	// collectives shrink with the work.
+	// exchanges shrink with the work.
 	AgglomThreshold int64
-	// CoarseRtol/CoarseMaxIt bound the distributed coarsest solve
-	// (AMG-preconditioned CG; defaults 1e-10 and 500). The tight default
-	// keeps the V-cycle symmetric to solver precision.
-	CoarseRtol  float64
-	CoarseMaxIt int
-	// PreSmooth/PostSmooth are the Chebyshev applications before/after
-	// the coarse correction (default 1 each).
-	PreSmooth, PostSmooth int
-	// ChebDegree is the number of operator applies per Chebyshev
-	// application (default 3).
-	ChebDegree int
-	// ChebRatio sets the targeted interval [1.1*lmax/ratio, 1.1*lmax]
-	// (default 4).
-	ChebRatio float64
-	// LanczosSteps is the Lanczos step count for the per-level lambda_max
-	// estimate of the Jacobi-preconditioned spectrum (default 6 —
-	// Lanczos reaches the extreme eigenvalue of these spectra within a
-	// few percent by then, validated against 4-decade random viscosity
-	// fields). The estimate runs once per viscosity rebuild, on one
-	// velocity component only — the three components' spectra differ
-	// just by boundary identity rows, well inside the Chebyshev
-	// interval's 1.1 safety factor.
-	LanczosSteps int
-	// AMG tunes the coarsest-level assembled solve.
-	AMG amg.Options
 }
 
 func (o Options) withDefaults() Options {
@@ -106,32 +82,29 @@ func (o Options) withDefaults() Options {
 	if o.CoarseElems == 0 {
 		o.CoarseElems = 32
 	}
-	if o.PreSmooth == 0 {
-		o.PreSmooth = 1
-	}
-	if o.PostSmooth == 0 {
-		o.PostSmooth = 1
-	}
-	if o.ChebDegree == 0 {
-		o.ChebDegree = 3
-	}
-	if o.ChebRatio == 0 {
-		o.ChebRatio = 4
-	}
-	if o.LanczosSteps == 0 {
-		o.LanczosSteps = 6
-	}
 	if o.AgglomThreshold == 0 {
 		o.AgglomThreshold = 8
 	}
-	if o.CoarseRtol == 0 {
-		o.CoarseRtol = 1e-10
-	}
-	if o.CoarseMaxIt == 0 {
-		o.CoarseMaxIt = 500
-	}
 	return o
 }
+
+const (
+	// lanczosSteps is the Lanczos step count of the per-level lambda_max
+	// estimate of the Jacobi-preconditioned spectrum: Lanczos reaches the
+	// extreme eigenvalue of these spectra within a few percent by then
+	// (validated against 4-decade random viscosity fields). The estimate
+	// runs once per viscosity rebuild, on one velocity component only —
+	// the three components' spectra differ just by boundary identity
+	// rows.
+	lanczosSteps = 6
+	// jacobiTheta sets the smoother's damping, omega = 1/(jacobiTheta *
+	// lambda_max): the midpoint of the interval [1.1*lmax/4, 1.1*lmax], so
+	// the sweep is the degree-1 Chebyshev smoother on that interval.
+	// omega*lambda_max is then 1.45, well below the limit of 2 past which
+	// a Jacobi sweep stops being an A-norm contraction (and the V-cycle
+	// stops being positive definite), even if the estimate is 25% low.
+	jacobiTheta = 0.6875
+)
 
 // level is one mesh level of the hierarchy with its viscosity and the
 // packed data the level operator streams: unit element kernels in one
@@ -187,7 +160,7 @@ func newLevel(m *mesh.Mesh, dom fem.Domain, repart bool) *level {
 // one). The mesh-dependent half (level meshes, transfer
 // stencils, unit kernels) is built by NewHierarchy and never touched
 // again; the viscosity-dependent half (per-level etas, smoother
-// diagonals, Chebyshev eigenvalue bounds, coarse AMG) is (re)derived by
+// diagonals and damping, coarsest-level factors) is (re)derived by
 // Rebuild, so a time loop keeps one Hierarchy per mesh and refreshes it
 // per Picard iteration.
 type Hierarchy struct {
@@ -309,21 +282,12 @@ func NewHierarchy(m *mesh.Mesh, dom fem.Domain, opts Options) *Hierarchy {
 		h.levels = append(h.levels, newLevel(cm, dom, false))
 		h.elems = append(h.elems, ce)
 	}
-	// The coarsest level still spans its whole communicator; agglomerate
-	// once more so the distributed coarsest solve runs on a rank count
-	// matched to its size.
-	if lv := h.levels[len(h.levels)-1]; !lv.repart {
-		E := h.elems[len(h.elems)-1]
-		if P := int64(lv.mesh.Rank.Size()); P > 1 && E < P*o.AgglomThreshold {
-			t := E / o.AgglomThreshold
-			if t < 1 {
-				t = 1
-			}
-			if !h.agglomerate(int(pow2Floor(t))) {
-				h.finalize(fineComm)
-				return h
-			}
-		}
+	// The coarsest level is solved exactly on one rank: gather it there,
+	// so its matrices are that rank's alone and the solve needs no
+	// communication beyond the gap's point-to-point transfers.
+	if h.levels[len(h.levels)-1].mesh.Rank.Size() > 1 && !h.agglomerate(1) {
+		h.finalize(fineComm)
+		return h
 	}
 	h.coarseHere = true
 	h.finalize(fineComm)
@@ -417,10 +381,10 @@ func New(m *mesh.Mesh, dom fem.Domain, etaElem []float64, opts Options) *Hierarc
 // transfer stencils (collective): coarse viscosities are volume-weighted
 // restrictions of etaElem (shipped across repartition gaps unchanged —
 // the octants are identical on both sides), and every VCycle handed out
-// by Precond/PrecondBlock refreshes its smoother diagonals, Chebyshev
-// eigenvalue estimates and the distributed coarsest operators. After
-// Rebuild the hierarchy preconditions exactly as a freshly built one for
-// the same viscosity.
+// by Precond/PrecondBlock refreshes its smoother diagonals, Jacobi
+// damping and coarsest-level Cholesky factors. After Rebuild the
+// hierarchy preconditions exactly as a freshly built one for the same
+// viscosity.
 func (h *Hierarchy) Rebuild(etaElem []float64) {
 	h.levels[0].eta = etaElem
 	for l := 1; l < len(h.levels); l++ {
@@ -510,12 +474,13 @@ func (h *Hierarchy) Precond(bc fem.ScalarBC) krylov.Operator {
 // level operators and work buffers). All fields go through one cycle —
 // one sweep over each level's mesh data and one message per neighbor
 // per exchange, whatever the field count — and each comes out exactly as
-// from a cycle of its own. The result is SPD: symmetric Chebyshev
-// smoothing, transpose transfer pair, symmetric coarse solve.
+// from a cycle of its own. The result is SPD: the same Jacobi sweep
+// before and after the correction, transpose transfer pair, exact
+// coarse solve.
 //
 // Only the mesh/BC-dependent structure is built here. If a viscosity is
 // already attached (New or a prior Rebuild) the cycle's numeric state —
-// smoother diagonals, lambda_max, coarse AMG — is derived immediately;
+// smoother diagonals, damping, coarse factors — is derived immediately;
 // otherwise it is deferred to the first Rebuild, which is the
 // Setup/Update order the persistent Stokes solver uses.
 //
@@ -567,11 +532,12 @@ func (h *Hierarchy) sharedDiag(l int) *la.Vec {
 // refresh re-derives the cycle's viscosity-dependent state from the
 // current level etas (collective): matrix-free smoother diagonals per
 // smoothed level (inverting the shared diagonal scan, with each field's
-// Dirichlet rows set to 1), the Chebyshev lambda_max estimates (a short
-// Lanczos run per level on the first field's operator, done by the first
-// cycle after each Rebuild and shared via the hierarchy cache), and the
-// distributed coarsest operators, assembled per field from the cached
-// unit kernels over the agglomerated communicator — never replicated.
+// Dirichlet rows set to 1), the Jacobi damping from the lambda_max
+// estimates (a short Lanczos run per level on the first field's
+// operator, done by the first cycle after each Rebuild and shared via the
+// hierarchy cache), and on the one rank that holds the coarsest level
+// each field's dense Cholesky factor, assembled from the cached unit
+// kernels without communication.
 func (c *VCycle) refresh() {
 	h, w := c.h, c.w
 	nl := len(h.levels)
@@ -581,22 +547,8 @@ func (c *VCycle) refresh() {
 	}
 	for l, lv := range h.levels {
 		if h.coarseHere && l == nl-1 {
-			// Coarsest level: assemble this rank's row block of each
-			// field's viscosity-scaled operator and set up its distributed
-			// solve.
-			elemMat := func(ei int, _ [3]float64) [8][8]float64 {
-				K := lv.kern[lv.kidx[ei]]
-				e := lv.eta[ei]
-				for a := 0; a < 8; a++ {
-					for b := 0; b < 8; b++ {
-						K[a][b] *= e
-					}
-				}
-				return K
-			}
 			for k, bcd := range c.coarseBC {
-				Ac, _, _ := fem.AssembleScalarWithBC(lv.mesh, h.dom, elemMat, nil, bcd)
-				c.coarse[k] = amg.NewDistributed(Ac, h.opts.AMG, h.opts.CoarseRtol, h.opts.CoarseMaxIt)
+				c.coarse[k] = factorCoarse(lv, bcd, l, k)
 			}
 			break
 		}
@@ -622,9 +574,9 @@ func (c *VCycle) refresh() {
 			for i := range dinv0.Data {
 				dinv0.Data[i] = dinv[w*i]
 			}
-			h.lmaxEta[l] = krylov.EstimateLambdaMaxLanczos(c.ops[l].field(0), dinv0, h.opts.LanczosSteps)
+			h.lmaxEta[l] = krylov.EstimateLambdaMaxLanczos(c.ops[l].field(0), dinv0, lanczosSteps)
 		}
-		c.lmax[l] = h.lmaxEta[l]
+		c.omega[l] = 1 / (jacobiTheta * h.lmaxEta[l])
 	}
 	h.lmaxValid = true
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"rhea/internal/fem"
-	"rhea/internal/krylov"
 	"rhea/internal/la"
 	"rhea/internal/mesh"
 	"rhea/internal/morton"
@@ -252,15 +251,17 @@ func (lv *level) applyElems3(x, acc []float64) {
 // the scalar cycle Hierarchy.Precond hands out, w = 3 the velocity block
 // of the Stokes preconditioner. It approximates, per field, the inverse
 // of the constrained variable-viscosity stiffness operator; one
-// application is one V-cycle from a zero initial guess (collective),
-// which is SPD and hence safe inside MINRES/CG.
+// application is one V-cycle from a zero initial guess (collective), a
+// fixed linear operator that is SPD and hence safe inside MINRES/CG, and
+// that exchanges only with mesh neighbours and across repartition gaps —
+// it enters no collective.
 //
 // The fields share everything mesh-shaped — every smoother sweep,
 // transfer, repartition and ghost exchange moves all w values of a node
 // together, node-major (entry w*i+c is field c at node i) — and keep
 // apart only what differs between them: the Dirichlet masks, the inverse
-// diagonals, and the coarsest-level solves (one scalar solve per field,
-// in field order). A field's arithmetic is the same whatever w is, so a
+// diagonals, and the coarsest-level factors (one per field, solved in
+// field order). A field's arithmetic is the same whatever w is, so a
 // width-3 cycle returns bit for bit what three width-1 cycles would.
 type VCycle struct {
 	h   *Hierarchy
@@ -268,21 +269,18 @@ type VCycle struct {
 	ops []*levelOp
 
 	// Per level: inverse smoother diagonal (w per node, each field's
-	// Dirichlet rows set to 1) and the shared lambda_max.
-	dinv [][]float64
-	lmax []float64
+	// Dirichlet rows set to 1) and the Jacobi damping.
+	dinv  [][]float64
+	omega []float64
 
-	// Coarsest level (ranks that hold it): each field's Dirichlet data,
-	// re-read by every coarse assembly, its distributed solve, and the
-	// scalar in/out vectors of those solves.
+	// Coarsest level (the one rank that holds it): each field's Dirichlet
+	// data, re-read by every factorization, and its Cholesky factor.
 	coarseBC []*fem.BCData
-	coarse   []krylov.Operator
-	cb, cx   *la.Vec
+	coarse   []coarseFactor
 
 	// Per-level work buffers, w per owned node: right-hand side, iterate,
-	// residual, Chebyshev direction, and a scratch holding A·d inside the
-	// smoother and the coarse correction after it.
-	b, x, r, d, t [][]float64
+	// residual, and the prolonged coarse correction.
+	b, x, r, t [][]float64
 }
 
 func newVCycle(h *Hierarchy, bcs []fem.ScalarBC) *VCycle {
@@ -296,16 +294,13 @@ func newVCycle(h *Hierarchy, bcs []fem.ScalarBC) *VCycle {
 		c.b = append(c.b, make([]float64, n))
 		c.x = append(c.x, make([]float64, n))
 		c.r = append(c.r, make([]float64, n))
-		c.d = append(c.d, make([]float64, n))
 		c.t = append(c.t, make([]float64, n))
 		c.dinv = append(c.dinv, make([]float64, n))
-		c.lmax = append(c.lmax, 0) // set by refresh from the hierarchy cache
+		c.omega = append(c.omega, 0) // set by refresh from the hierarchy cache
 	}
 	if h.coarseHere {
 		c.coarseBC = bcds // as gathered last: on the coarsest level
-		c.coarse = make([]krylov.Operator, w)
-		layout := h.levels[len(h.levels)-1].mesh.Layout()
-		c.cb, c.cx = la.NewVec(layout), la.NewVec(layout)
+		c.coarse = make([]coarseFactor, w)
 	}
 	return c
 }
@@ -406,17 +401,19 @@ func (c *VCycle) cycle(l int) {
 		return
 	}
 	b, x, r, t := c.b[l], c.x[l], c.r[l], c.t[l]
-	for i := range x {
-		x[i] = 0
-	}
+	omega, dinv := c.omega[l], c.dinv[l]
 	smoothed := !h.levels[l].repart
 	if !smoothed {
 		// Shadow of a repartition gap: the level above already smoothed
 		// these octants, so pass the residual straight through.
+		for i := range x {
+			x[i] = 0
+		}
 		copy(r, b)
 	} else {
-		for s := 0; s < h.opts.PreSmooth; s++ {
-			c.chebyshev(l, s == 0)
+		// Pre-smooth from the zero guess: x = omega D^-1 b, no apply.
+		for i := range x {
+			x[i] = dinv[i] * b[i] * omega
 		}
 		// Residual, carried to the next level down (Dirichlet rows
 		// masked: the coarse error is zero at constrained nodes).
@@ -458,77 +455,20 @@ func (c *VCycle) cycle(l int) {
 		x[i] += t[i]
 	}
 	if smoothed {
-		for s := 0; s < h.opts.PostSmooth; s++ {
-			c.chebyshev(l, false)
-		}
-	}
-}
-
-// coarseSolve solves the assembled coarsest level field by field — the
-// distributed AMG-CG solve is scalar, and the level is a few dozen
-// elements, so nothing is gained by blocking it.
-func (c *VCycle) coarseSolve(l int) {
-	w, b, x := c.w, c.b[l], c.x[l]
-	for k := 0; k < w; k++ {
-		for i := range c.cb.Data {
-			c.cb.Data[i] = b[w*i+k]
-		}
-		c.coarse[k].Apply(c.cb, c.cx)
-		for i, v := range c.cx.Data {
-			x[w*i+k] = v
-		}
-	}
-}
-
-// chebyshev runs one Chebyshev(degree) smoothing application on level l,
-// improving x toward A^-1 b on the interval [1.1*lmax/ratio, 1.1*lmax]
-// of the Jacobi-preconditioned spectrum, for all w fields in fused
-// passes (the interval is shared; the inverse diagonal is per entry).
-// Each application costs ChebDegree operator applies — one fewer when
-// zeroGuess says x is zero on entry (the first pre-smoothing
-// application of every level), where the initial residual is b itself
-// and the apply of the zero vector is skipped.
-//
-// The explicit float64 conversion rounds the rescaled direction before
-// the update is added, as the separate scale-then-axpy passes this
-// replaces did, so platforms that fuse x*y+z keep the same roundings.
-func (c *VCycle) chebyshev(l int, zeroGuess bool) {
-	op, dinv := c.ops[l], c.dinv[l]
-	x, b, r, d, t := c.x[l], c.b[l], c.r[l], c.d[l], c.t[l]
-	o := &c.h.opts
-	beta := 1.1 * c.lmax[l]
-	alpha := beta / o.ChebRatio
-	theta := (beta + alpha) / 2
-	delta := (beta - alpha) / 2
-	sigma := theta / delta
-	rho := 1 / sigma
-
-	if zeroGuess {
-		copy(r, b)
-	} else {
-		op.apply(x, r)
-		for i := range r {
-			r[i] = -r[i] + b[i]
-		}
-	}
-	scale := 1 / theta
-	for i := range d {
-		d[i] = dinv[i] * r[i] * scale
-	}
-	for k := 1; k < o.ChebDegree; k++ {
+		// Post-smooth: x += omega D^-1 (b - A x), the pre-smoother's
+		// adjoint, which keeps the cycle symmetric.
+		c.ops[l].apply(x, r)
 		for i := range x {
-			x[i] += d[i]
+			x[i] += dinv[i] * (-r[i] + b[i]) * omega
 		}
-		op.apply(d, t)
-		rhoNew := 1 / (2*sigma - rho)
-		p, q := rhoNew*rho, 2*rhoNew/delta
-		for i := range r {
-			r[i] -= t[i]
-			d[i] = float64(d[i]*p) + q*(dinv[i]*r[i])
-		}
-		rho = rhoNew
 	}
-	for i := range x {
-		x[i] += d[i]
+}
+
+// coarseSolve solves the coarsest level exactly, field by field: one
+// forward and one back substitution with each field's Cholesky factor,
+// on the one rank that holds the level (local).
+func (c *VCycle) coarseSolve(l int) {
+	for k, f := range c.coarse {
+		f.solve(c.b[l], c.x[l], c.w, k)
 	}
 }

@@ -207,8 +207,9 @@ func DiagOp(inv *la.Vec) Operator {
 // EstimateLambdaMaxLanczos estimates the largest eigenvalue of D^-1 A by
 // a fixed number of Lanczos steps on the symmetrized operator
 // D^-1/2 A D^-1/2 (same spectrum), where dinv holds the inverse diagonal
-// (collective). It is the setup step of Chebyshev smoothing: the
-// smoother targets the interval (lmax/ratio, 1.1*lmax]. Lanczos reaches
+// (collective). It is the setup step of the multigrid smoothers: gmg
+// damps its Jacobi sweep by it, and the Q2 p-level's Chebyshev smoother
+// targets the interval [1.1*lmax/ratio, 1.1*lmax]. Lanczos reaches
 // the extreme eigenvalue in far fewer operator applies than power
 // iteration — typically within a percent after 5-8 steps where power
 // iteration needs 30+ on clustered FE spectra — which is what makes a

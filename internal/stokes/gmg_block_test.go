@@ -98,9 +98,7 @@ func TestBlockedVcycleMatchesScalarBitwise(t *testing.T) {
 				dom := fem.UnitDomain
 				s := Setup(m, dom, tc.bc, Options{
 					MatrixFree: true, Precond: PrecondGMG, Slip: tc.slip,
-					// The tight coarse tolerance makes the coarsest solves
-					// exact to rounding, so symmetry can be held to 1e-12.
-					GMG: gmg.Options{AgglomThreshold: 64, CoarseRtol: 1e-14},
+					GMG: gmg.Options{AgglomThreshold: 64},
 				})
 				s.Update(contrastViscosity(m, dom, 1e9), nil) // no jump yet
 				var scalar [3]krylov.Operator
@@ -159,8 +157,13 @@ func TestBlockedVcycleMatchesScalarBitwise(t *testing.T) {
 // application of the Stokes preconditioner must send no more user
 // messages than ONE scalar V-cycle on the same hierarchy — the three
 // components share every smoother, transfer and exchange message — and
-// must enter no collective beyond the per-component coarsest solves
-// that three scalar cycles enter too. The counts go to the test log.
+// enter no collective at all: the coarsest level is solved by
+// substitution on the one rank that holds it. The counts go to the test
+// log and are pinned exactly (9 user messages, 0 collectives per rank).
+//
+// Re-pinned 14 → 9 messages and 3 → 0 collectives: velocity
+// preconditioner changed: V(1,1) damped-Jacobi smoothing and an exact
+// coarsest solve. The numbers may only go down; re-pin with the reason.
 func TestPrecondCountersOneCycle(t *testing.T) {
 	conn := forest.CubedSphere(2)
 	g := mesh.NewShellGeometry(conn)
@@ -208,9 +211,12 @@ func TestPrecondCountersOneCycle(t *testing.T) {
 			t.Errorf("rank %d: Precond.Apply sent %d user messages, one scalar V-cycle sends %d — the velocity block must cost one cycle's messages, not three",
 				r.ID(), pcMsgs, scMsgs[0])
 		}
-		if pcColls > sumColls {
-			t.Errorf("rank %d: Precond.Apply entered %d collectives, the three scalar cycles' coarsest solves enter %d — blocking must add none",
+		if pcColls != 0 || sumColls != 0 {
+			t.Errorf("rank %d: Precond.Apply entered %d collectives and the three scalar cycles %d — a V-cycle must enter none",
 				r.ID(), pcColls, sumColls)
+		}
+		if pcMsgs != 9 {
+			t.Errorf("rank %d: Precond.Apply sent %d user messages, pinned 9", r.ID(), pcMsgs)
 		}
 	})
 }

@@ -181,7 +181,7 @@ func (s *Solver) refreshPLevel(etaElem []float64) {
 			pc.dinv.Data[f] = 1
 		}
 		if c == 0 {
-			lmax = krylov.EstimateLambdaMaxLanczos(pc.op, pc.dinv, pc.lanczos)
+			lmax = krylov.EstimateLambdaMaxLanczos(pc.op, pc.dinv, q2LanczosSteps)
 		}
 		pc.lmax = lmax
 	}
@@ -314,6 +314,13 @@ func (e *embed) restrict(r, rc *la.Vec) {
 	e.m.GX.ScatterAdd(e.acc[n1:], rc.Data)
 }
 
+// The p-level smoother's settings (see pCoarse).
+const (
+	q2ChebDegree   = 3
+	q2ChebRatio    = 4
+	q2LanczosSteps = 6
+)
+
 // pCoarse is the p-coarsened multigrid preconditioner for one Q2
 // velocity component: Chebyshev smoothing on the matrix-free Q2 scalar
 // diffusion operator around a coarse correction computed by the
@@ -321,49 +328,28 @@ func (e *embed) restrict(r, rc *la.Vec) {
 // Symmetric smoothing, transpose transfers and an SPD coarse operator
 // keep it SPD, so it is safe inside MINRES. It implements
 // krylov.Operator over the Q2 node layout.
+//
+// Its smoother is one Chebyshev(q2ChebDegree) application before and one
+// after the correction, on the interval [1.1*lmax/q2ChebRatio, 1.1*lmax]
+// of the Jacobi-preconditioned spectrum, lmax from a q2LanczosSteps-step
+// Lanczos estimate.
 type pCoarse struct {
 	op      *matfree.ScalarQ2
 	q1      krylov.Operator // the component's gmg V-cycle
 	emb     *embed
 	q1Fixed []int32 // owned Q1 nodes constrained for this component
 
-	dinv    *la.Vec
-	lmax    float64
-	pre     int
-	post    int
-	degree  int
-	ratio   float64
-	lanczos int
+	dinv *la.Vec
+	lmax float64
 
 	x, b, r, d, z, w *la.Vec // Q2 node layout
 	rc, zc           *la.Vec // Q1 node layout
 }
 
 func newPCoarse(s *Solver, c int) *pCoarse {
-	o := s.opts.GMG
 	p := &pCoarse{
-		q1:      s.GMGH.Precond(s.compBC[c]),
-		emb:     s.emb,
-		pre:     o.PreSmooth,
-		post:    o.PostSmooth,
-		degree:  o.ChebDegree,
-		ratio:   o.ChebRatio,
-		lanczos: o.LanczosSteps,
-	}
-	if p.pre == 0 {
-		p.pre = 1
-	}
-	if p.post == 0 {
-		p.post = 1
-	}
-	if p.degree == 0 {
-		p.degree = 3
-	}
-	if p.ratio == 0 {
-		p.ratio = 4
-	}
-	if p.lanczos == 0 {
-		p.lanczos = 6
+		q1:  s.GMGH.Precond(s.compBC[c]),
+		emb: s.emb,
 	}
 	bc := s.compBC[c]
 	p.op = matfree.NewScalarQ2(s.q2sm, s.sfKern, func(g int64) bool {
@@ -396,9 +382,7 @@ func (p *pCoarse) Apply(x, y *la.Vec) {
 		p.b.Data[s] = 0
 	}
 	p.x.Zero()
-	for k := 0; k < p.pre; k++ {
-		p.chebyshev()
-	}
+	p.chebyshev()
 	p.op.Apply(p.x, p.r)
 	p.r.Scale(-1)
 	p.r.AXPY(1, p.b)
@@ -412,9 +396,7 @@ func (p *pCoarse) Apply(x, y *la.Vec) {
 		p.z.Data[s] = 0
 	}
 	p.x.AXPY(1, p.z)
-	for k := 0; k < p.post; k++ {
-		p.chebyshev()
-	}
+	p.chebyshev()
 	y.Copy(p.x)
 	for _, s := range p.op.OwnFixed() {
 		y.Data[s] = x.Data[s]
@@ -423,10 +405,10 @@ func (p *pCoarse) Apply(x, y *la.Vec) {
 
 // chebyshev runs one Chebyshev(degree) smoothing application improving
 // x toward A^-1 b on the interval [1.1*lmax/ratio, 1.1*lmax] of the
-// Jacobi-preconditioned spectrum (the gmg level smoother, verbatim).
+// Jacobi-preconditioned spectrum.
 func (p *pCoarse) chebyshev() {
 	beta := 1.1 * p.lmax
-	alpha := beta / p.ratio
+	alpha := beta / q2ChebRatio
 	theta := (beta + alpha) / 2
 	delta := (beta - alpha) / 2
 	sigma := theta / delta
@@ -438,7 +420,7 @@ func (p *pCoarse) chebyshev() {
 	p.z.PointwiseMult(p.dinv, p.r)
 	p.d.Copy(p.z)
 	p.d.Scale(1 / theta)
-	for k := 1; k < p.degree; k++ {
+	for k := 1; k < q2ChebDegree; k++ {
 		p.x.AXPY(1, p.d)
 		p.op.Apply(p.d, p.w)
 		p.r.AXPY(-1, p.w)

@@ -460,7 +460,7 @@ func Setup(m *mesh.Mesh, dom fem.Domain, bc VelBC, opts Options) *Solver {
 
 	if opts.Precond == PrecondGMG {
 		// Level meshes, transfer stencils and the blocked V-cycle's
-		// structure; smoother diagonals and the distributed coarse solves
+		// structure; smoother diagonals and the coarsest-level factors
 		// wait for the first Update/Rebuild.
 		s.GMGH = gmg.NewHierarchy(m, dom, opts.GMG)
 		if s.GMGH.Degenerate() {
@@ -577,8 +577,9 @@ func (s *Solver) finishSetup() {
 // Update refreshes the viscosity- and force-dependent half of the solver
 // (collective): the coupled operator (matrix-free kernel viscosities or a
 // re-assembled CSR), the right-hand side, the velocity-block multigrid
-// numerics (GMG smoother diagonals + coarse AMG via Hierarchy.Rebuild, or
-// re-assembled scalar CSRs + AMG hierarchies), and the Schur diagonal.
+// numerics (GMG smoother diagonals + coarsest-level factors via
+// Hierarchy.Rebuild, or re-assembled scalar CSRs + AMG hierarchies), and
+// the Schur diagonal.
 // etaElem gives the constant viscosity of each local element; force gives
 // the body-force vector at each element corner (e.g. Ra*T*e_r), nil for
 // none. After Update the solver is numerically identical to a fresh
