@@ -223,7 +223,7 @@ func main() {
 			res := s.SolveStokes()
 			dt := s.AdvectSteps(s.Cfg.AdaptEvery)
 			st := s.Adapt()
-			umax := s.MaxVelocity() // collective
+			v := s.Diagnose(false) // collective
 			if r.ID() == 0 {
 				lo, hi := uint8(0), uint8(0)
 				for l, n := range st.LevelCounts {
@@ -235,9 +235,16 @@ func main() {
 					}
 				}
 				fmt.Printf("cycle %d: t=%.3e dt=%.2e  elems %d (levels %d..%d)  "+
-					"minres %d its  max|u| %.3e  refined %d coarsened %d\n",
+					"minres %d its  Nu %.4f  Vrms %.3e  refined %d coarsened %d\n",
 					c, s.TimeNow, dt, st.ElementsNow, lo, hi,
-					res.Iterations, umax, st.Refined, st.Coarsened)
+					res.Iterations, v.Nu, v.Vrms, st.Refined, st.Coarsened)
+			}
+			if v.Err != nil {
+				if r.ID() == 0 {
+					fmt.Fprintf(os.Stderr, "cycle %d: %v\n", c, v.Err)
+				}
+				failed.Store(true)
+				return
 			}
 			if *ckptDir != "" {
 				snap := filepath.Join(*ckptDir, fmt.Sprintf("cycle-%04d", c))
@@ -297,8 +304,8 @@ func runCase(name string, ranks int) {
 	})
 	fmt.Printf("%-8s %8s %8s %14s %14s\n", "case", "elems", "minres", "Nu", "Vrms")
 	fmt.Printf("%-8s %8d %8d %14.8f %14.8f\n", c.Name, res.Elements, res.Iters, res.Nu, res.Vrms)
-	if !res.Converged {
-		fmt.Fprintln(os.Stderr, "final Stokes solve did not converge")
+	if res.Err != nil {
+		fmt.Fprintln(os.Stderr, res.Err)
 		os.Exit(1)
 	}
 }

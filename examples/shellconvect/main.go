@@ -62,17 +62,26 @@ func main() {
 		for c := 0; c < *cycles; c++ {
 			st := s.RunCycle()
 			res := s.LastMinres()
-			nu, vrms := s.Nusselt(), s.RMSVelocity()
+			v := s.Diagnose(false)
 			if r.ID() == 0 {
 				fmt.Printf("cycle %d: %5d elements  minres %3d iters  Nu %.4f  Vrms %.4f\n",
-					c, st.ElementsNow, res.Iterations, nu, vrms)
+					c, st.ElementsNow, res.Iterations, v.Nu, v.Vrms)
+			}
+			if v.Err != nil {
+				if r.ID() == 0 {
+					fmt.Println(v.Err)
+				}
+				return
 			}
 		}
 		s.SolveStokes()
-		nu, vrms := s.Nusselt(), s.RMSVelocity()
+		v := s.Diagnose(false)
 		if r.ID() == 0 {
 			fmt.Printf("final: Nu %.6f  Vrms %.6f  (t = %.2e, %d steps)\n",
-				nu, vrms, s.TimeNow, s.Step)
+				v.Nu, v.Vrms, s.TimeNow, s.Step)
+			if v.Err != nil {
+				fmt.Println(v.Err)
+			}
 		}
 	})
 }

@@ -50,10 +50,16 @@ func main() {
 			res := s.SolveStokes()
 			s.AdvectSteps(cfg.AdaptEvery)
 			st := s.Adapt()
-			umax := s.MaxVelocity()
+			v := s.Diagnose(false)
 			if r.ID() == 0 {
-				fmt.Printf("cycle %d: %d elements, MINRES %d its, max|u| %.2e\n",
-					c, st.ElementsNow, res.Iterations, umax)
+				fmt.Printf("cycle %d: %d elements, MINRES %d its, Nu %.3f, Vrms %.2e\n",
+					c, st.ElementsNow, res.Iterations, v.Nu, v.Vrms)
+			}
+			if v.Err != nil {
+				if r.ID() == 0 {
+					fmt.Println(v.Err)
+				}
+				return
 			}
 		}
 

@@ -85,11 +85,11 @@ type Case struct {
 
 // Result holds the diagnostics of one benchmark run.
 type Result struct {
-	Nu        float64
-	Vrms      float64
-	Elements  int64
-	Iters     int // MINRES iterations of the final Stokes solve
-	Converged bool
+	Nu       float64
+	Vrms     float64
+	Elements int64
+	Iters    int   // MINRES iterations of the final Stokes solve
+	Err      error // the final state's rhea.Verdict error
 }
 
 // bungeConfig builds the shared free-slip-top shell configuration for
@@ -241,12 +241,12 @@ func Run(r *sim.Rank, c Case) Result {
 		s.Adapt()
 	}
 	res := s.SolveStokes()
-	out := Result{
-		Nu:        s.Nusselt(),
-		Vrms:      s.RMSVelocity(),
-		Iters:     res.Iterations,
-		Converged: res.Converged,
-		Elements:  s.Forest.NumGlobal(),
+	v := s.Diagnose(false)
+	return Result{
+		Nu:       v.Nu,
+		Vrms:     v.Vrms,
+		Iters:    res.Iterations,
+		Err:      v.Err,
+		Elements: s.Forest.NumGlobal(),
 	}
-	return out
 }

@@ -16,6 +16,7 @@
 package rhea
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -373,7 +374,9 @@ type Sim struct {
 	// solver.
 	adv *advect.Problem
 
-	lastMinres krylov.Result
+	// lastMinres is the last Stokes solve's result; nil until the first
+	// solve, so a Sim that never solved has no convergence verdict.
+	lastMinres *krylov.Result
 }
 
 // gatherSlotsMulti fills one slot-space buffer (mesh.Mesh.GX: owned
@@ -677,12 +680,18 @@ func (s *Sim) SolveStokes() krylov.Result {
 		s.U = u
 		s.P = p
 	}
-	s.lastMinres = res
+	s.lastMinres = &res
 	return res
 }
 
-// LastMinres returns the most recent Stokes solve result.
-func (s *Sim) LastMinres() krylov.Result { return s.lastMinres }
+// LastMinres returns the most recent Stokes solve result (the zero value
+// before the first solve).
+func (s *Sim) LastMinres() krylov.Result {
+	if s.lastMinres == nil {
+		return krylov.Result{}
+	}
+	return *s.lastMinres
+}
 
 // PrecondStats identifies the velocity preconditioner the current Stokes
 // solver runs (zero value before the first solve).
@@ -741,102 +750,72 @@ func (s *Sim) RunCycle() AdaptStats {
 	return s.Adapt()
 }
 
-// Nusselt returns the Nusselt number: the volume-averaged heat flux along
-// the gravity direction (advective u.g_hat*T plus conductive -g_hat.grad
-// T), normalized by the conductive flux of the motionless state,
-// evaluated with midpoint quadrature per element (collective). The
-// motionless conductive profile gives exactly 1 in the continuum limit;
-// vigorous convection pushes it up.
-//
-// On the box (ΔT = 1, κ = 1): Nu = ∫ (u_z T - dT/dz) dV / (Lx Ly). On
-// the shell the flux direction is radial and the normalization is the
-// conductive profile T_c(r) = R1(R2-r)/(r(R2-R1)), whose flux density is
-// R1 R2 / (r^2 (R2-R1)):
-//
-//	Nu = ∫ (u_r T - dT/dr) dV / ∫ R1 R2 / (r^2 (R2-R1)) dV.
-func (s *Sim) Nusselt() float64 {
-	if s.Cfg.Shell {
-		return s.nusseltShell()
-	}
-	if fem.ElemGeoms(s.Mesh) != nil {
-		// Mapped non-shell forest (brick macro mesh): the axis-aligned
-		// ElemSize/Box[0]*Box[1] arithmetic below would be wrong on every
-		// mapped element; route through the cached center Jacobians.
-		return s.nusseltMappedBox()
-	}
-	// Box: only u_z and dT/dz enter the flux, so gather exactly T and
-	// U[2].
-	bufs := s.gatherSlotsMulti(s.T, s.U[2])
-	tb, wb := bufs[0], bufs[1]
-	xi := [3]float64{0.5, 0.5, 0.5}
-	var sum float64
-	for ei, leaf := range s.Mesh.Leaves {
-		h := s.Cfg.Dom.ElemSize(leaf)
-		vol := h[0] * h[1] * h[2]
-		var Tc, wc, dTdz float64
-		for c := 0; c < 8; c++ {
-			co := &s.Mesh.Corners[ei][c]
-			var tv, wv float64
-			for k := 0; k < int(co.N); k++ {
-				tv += co.W[k] * tb[co.Slot[k]]
-				wv += co.W[k] * wb[co.Slot[k]]
-			}
-			Tc += tv / 8
-			wc += wv / 8
-			g := fem.ShapeGrad(c, xi)
-			dTdz += tv * g[2] / h[2]
-		}
-		sum += (wc*Tc - dTdz) * vol
-	}
-	total := s.Rank.Allreduce(sum, sim.OpSum)
-	return total / (s.Cfg.Dom.Box[0] * s.Cfg.Dom.Box[1])
+// ErrNotConverged marks a cycle whose last Stokes solve stopped at
+// MinresMax iterations without reaching MinresTol.
+var ErrNotConverged = errors.New("rhea: Stokes solve did not converge")
+
+// ErrNonFinite marks a cycle whose Nusselt number or rms velocity is NaN
+// or infinite: some temperature or velocity entry is.
+var ErrNonFinite = errors.New("rhea: non-finite diagnostics")
+
+// Verdict is what a cycle reports: its diagnostics, the stop decision
+// every rank agreed on, and its health. Diagnose returns the same
+// Verdict on every rank.
+type Verdict struct {
+	// Nu is the Nusselt number: the volume-averaged heat flux along the
+	// gravity direction (advective u.g_hat*T plus conductive -g_hat.grad
+	// T), normalized by the conductive flux of the motionless state,
+	// with midpoint quadrature per element. The motionless conductive
+	// profile gives exactly 1 in the continuum limit; vigorous convection
+	// pushes it up.
+	//
+	// On the box (ΔT = 1, κ = 1): Nu = ∫ (u_z T - dT/dz) dV / (Lx Ly),
+	// where a mapped brick takes V/H for Lx Ly. On the shell the flux is
+	// radial and the normalization is the conductive profile
+	// T_c(r) = R1(R2-r)/(r(R2-R1)), whose flux density is
+	// R1 R2 / (r^2 (R2-R1)):
+	//
+	//	Nu = ∫ (u_r T - dT/dr) dV / ∫ R1 R2 / (r^2 (R2-R1)) dV.
+	Nu float64
+	// Vrms is the volume-root-mean-square velocity magnitude
+	// sqrt( (1/V) ∫ |u|^2 dV ), with midpoint quadrature per element.
+	Vrms float64
+	// Stop is true when any rank passed stop to Diagnose.
+	Stop bool
+	// Err is nil for a healthy cycle. Otherwise it wraps ErrNonFinite,
+	// or ErrNotConverged when the last Stokes solve did not converge (a
+	// Sim that has not solved yet has no convergence verdict).
+	Err error
 }
 
-// nusseltMappedBox is the mapped (non-shell forest) branch of Nusselt:
-// vertical flux and element volumes through the cached center Jacobians,
-// exactly as nusseltShell and RMSVelocity do. The conductive
-// normalization ∫ (ΔT/H) dV = V/H (with ΔT = 1 and H = Dom.Box[2], the
-// same vertical-extent convention the viscosity depth coordinate uses)
-// reduces to the axis-aligned branch's Lx·Ly on a rectangular brick.
-func (s *Sim) nusseltMappedBox() float64 {
-	bufs := s.gatherSlotsMulti(s.T, s.U[2])
-	tb, wb := bufs[0], bufs[1]
-	geos := fem.ElemGeoms(s.Mesh)
-	var sum, volSum float64
-	for ei := range s.Mesh.Leaves {
-		g := geos[ei]
-		vol := g.DetC
-		var Tc, wc, dTdz float64
-		for c := 0; c < 8; c++ {
-			co := &s.Mesh.Corners[ei][c]
-			var tv, wv float64
-			for k := 0; k < int(co.N); k++ {
-				tv += co.W[k] * tb[co.Slot[k]]
-				wv += co.W[k] * wb[co.Slot[k]]
-			}
-			Tc += tv / 8
-			wc += wv / 8
-			dTdz += tv * g.Gc[c][2]
-		}
-		sum += (wc*Tc - dTdz) * vol
-		volSum += vol
-	}
-	total := s.Rank.Allreduce(sum, sim.OpSum)
-	volTot := s.Rank.Allreduce(volSum, sim.OpSum)
-	return total / (volTot / s.Cfg.Dom.Box[2])
-}
-
-// nusseltShell is the spherical branch of Nusselt: radial flux through
-// the cached center Jacobians of the mapped mesh.
-func (s *Sim) nusseltShell() float64 {
+// Diagnose evaluates the current state in one gather of T and U, one
+// sweep over the elements that reads each corner once, and one
+// reduction, which also carries this rank's stop request (collective).
+// The per-element sums and their rank-order fold are those of the
+// separate Nusselt and rms-velocity sweeps it replaces, bit for bit.
+func (s *Sim) Diagnose(stop bool) Verdict {
 	bufs := s.gatherSlotsMulti(s.T, s.U[0], s.U[1], s.U[2])
 	tb := bufs[0]
 	ub := [3][]float64{bufs[1], bufs[2], bufs[3]}
-	geos := fem.ElemGeoms(s.Mesh)
-	var sum, ref float64
-	for ei := range s.Mesh.Leaves {
-		g := geos[ei]
-		vol := g.DetC
+	geos := fem.ElemGeoms(s.Mesh) // nil on axis-aligned meshes
+	// Axis-aligned elements: z-derivatives of the shape functions at the
+	// element center on the reference cube.
+	var sgz [8]float64
+	for c := range sgz {
+		sgz[c] = fem.ShapeGrad(c, [3]float64{0.5, 0.5, 0.5})[2]
+	}
+	rin, rout := s.Cfg.RInner, s.Cfg.ROuter
+	// flux, shell conductive reference, |u|^2 vol, vol, stop requests
+	var sum [5]float64
+	for ei, leaf := range s.Mesh.Leaves {
+		var h [3]float64
+		var vol float64
+		if geos != nil {
+			vol = geos[ei].DetC
+		} else {
+			h = s.Cfg.Dom.ElemSize(leaf)
+			vol = h[0] * h[1] * h[2]
+		}
 		var Tc float64
 		var uc, gradT [3]float64
 		for c := 0; c < 8; c++ {
@@ -852,71 +831,70 @@ func (s *Sim) nusseltShell() float64 {
 					uv += co.W[k] * ub[d][co.Slot[k]]
 				}
 				uc[d] += uv / 8
-				gradT[d] += tv * g.Gc[c][d]
+			}
+			if geos != nil {
+				for d := 0; d < 3; d++ {
+					gradT[d] += tv * geos[ei].Gc[c][d]
+				}
+			} else {
+				gradT[2] += tv * sgz[c] / h[2]
 			}
 		}
-		rc := math.Sqrt(g.Center[0]*g.Center[0] + g.Center[1]*g.Center[1] + g.Center[2]*g.Center[2])
-		rin, rout := s.Cfg.RInner, s.Cfg.ROuter
-		var ur, dTdr float64
-		for d := 0; d < 3; d++ {
-			ur += uc[d] * g.Center[d] / rc
-			dTdr += gradT[d] * g.Center[d] / rc
-		}
-		sum += (ur*Tc - dTdr) * vol
-		ref += rin * rout / (rc * rc * (rout - rin)) * vol
-	}
-	total := s.Rank.Allreduce(sum, sim.OpSum)
-	return total / s.Rank.Allreduce(ref, sim.OpSum)
-}
-
-// RMSVelocity returns the volume-root-mean-square velocity magnitude
-// sqrt( (1/V) ∫ |u|^2 dV ), evaluated with midpoint quadrature per
-// element (collective).
-func (s *Sim) RMSVelocity() float64 {
-	bufs := s.gatherSlotsMulti(s.U[0], s.U[1], s.U[2])
-	geos := fem.ElemGeoms(s.Mesh)
-	var sum, volSum float64
-	for ei, leaf := range s.Mesh.Leaves {
-		var vol float64
-		if geos != nil {
-			vol = geos[ei].DetC
+		if s.Cfg.Shell {
+			x := geos[ei].Center
+			rc := math.Sqrt(x[0]*x[0] + x[1]*x[1] + x[2]*x[2])
+			var ur, dTdr float64
+			for d := 0; d < 3; d++ {
+				ur += uc[d] * x[d] / rc
+				dTdr += gradT[d] * x[d] / rc
+			}
+			sum[0] += (ur*Tc - dTdr) * vol
+			sum[1] += rin * rout / (rc * rc * (rout - rin)) * vol
 		} else {
-			h := s.Cfg.Dom.ElemSize(leaf)
-			vol = h[0] * h[1] * h[2]
+			sum[0] += (uc[2]*Tc - gradT[2]) * vol
 		}
-		volSum += vol
 		var u2 float64
 		for d := 0; d < 3; d++ {
-			var uc float64
-			for c := 0; c < 8; c++ {
-				co := &s.Mesh.Corners[ei][c]
-				var v float64
-				for k := 0; k < int(co.N); k++ {
-					v += co.W[k] * bufs[d][co.Slot[k]]
-				}
-				uc += v / 8
-			}
-			u2 += uc * uc
+			u2 += uc[d] * uc[d]
 		}
-		sum += u2 * vol
+		sum[2] += u2 * vol
+		sum[3] += vol
 	}
-	total := s.Rank.Allreduce(sum, sim.OpSum)
-	if s.Mesh.X != nil {
-		return math.Sqrt(total / s.Rank.Allreduce(volSum, sim.OpSum))
+	if stop {
+		sum[4] = 1
 	}
+	tot := s.Rank.AllreduceVec(sum[:])
+
+	v := Verdict{Stop: tot[4] > 0}
 	b := s.Cfg.Dom.Box
-	return math.Sqrt(total / (b[0] * b[1] * b[2]))
+	switch {
+	case s.Cfg.Shell:
+		v.Nu = tot[0] / tot[1]
+	case geos != nil:
+		// ∫ (ΔT/H) dV = V/H with H = Dom.Box[2], the vertical extent the
+		// viscosity depth coordinate uses; Lx Ly on a rectangular brick.
+		v.Nu = tot[0] / (tot[3] / b[2])
+	default:
+		v.Nu = tot[0] / (b[0] * b[1])
+	}
+	if geos != nil {
+		v.Vrms = math.Sqrt(tot[2] / tot[3])
+	} else {
+		v.Vrms = math.Sqrt(tot[2] / (b[0] * b[1] * b[2]))
+	}
+	switch res := s.lastMinres; {
+	case !finite(v.Nu) || !finite(v.Vrms):
+		v.Err = fmt.Errorf("%w: Nu = %g, Vrms = %g", ErrNonFinite, v.Nu, v.Vrms)
+	case res != nil && !res.Converged:
+		v.Err = fmt.Errorf("%w: residual %g after %d MINRES iterations", ErrNotConverged, res.Residual, res.Iterations)
+	}
+	return v
 }
 
-// MaxVelocity returns the global maximum velocity magnitude (collective).
-func (s *Sim) MaxVelocity() float64 {
-	var m float64
-	for i := 0; i < s.Mesh.NumOwned; i++ {
-		v := math.Sqrt(s.U[0].Data[i]*s.U[0].Data[i] +
-			s.U[1].Data[i]*s.U[1].Data[i] + s.U[2].Data[i]*s.U[2].Data[i])
-		if v > m {
-			m = v
-		}
-	}
-	return s.Rank.Allreduce(m, sim.OpMax)
-}
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// Nusselt returns Diagnose's Nusselt number (collective).
+func (s *Sim) Nusselt() float64 { return s.Diagnose(false).Nu }
+
+// RMSVelocity returns Diagnose's rms velocity (collective).
+func (s *Sim) RMSVelocity() float64 { return s.Diagnose(false).Vrms }

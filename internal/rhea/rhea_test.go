@@ -83,8 +83,8 @@ func TestStokesDevelopsFlow(t *testing.T) {
 		if !res.Converged {
 			t.Fatalf("Stokes MINRES failed: %v iterations, residual %v", res.Iterations, res.Residual)
 		}
-		if v := s.MaxVelocity(); v <= 0 {
-			t.Errorf("no flow developed: max |u| = %v", v)
+		if v := s.RMSVelocity(); v <= 0 {
+			t.Errorf("no flow developed: Vrms = %v", v)
 		}
 		if s.Times.MINRES <= 0 || s.Times.StokesSetup <= 0 || s.Times.StokesUpdate <= 0 {
 			t.Errorf("timings not recorded: %+v", s.Times)
@@ -150,8 +150,8 @@ func TestMatrixFreeCycleDevelopsFlow(t *testing.T) {
 			t.Fatalf("matrix-free Stokes MINRES failed: %v its, residual %v",
 				res.Iterations, res.Residual)
 		}
-		if v := s.MaxVelocity(); v <= 0 {
-			t.Errorf("no flow developed: max |u| = %v", v)
+		if v := s.RMSVelocity(); v <= 0 {
+			t.Errorf("no flow developed: Vrms = %v", v)
 		}
 		s.AdvectSteps(3)
 		s.Adapt()
@@ -181,8 +181,8 @@ func TestGMGCycleDevelopsFlow(t *testing.T) {
 			t.Fatalf("GMG Stokes MINRES failed: %v its, residual %v",
 				res.Iterations, res.Residual)
 		}
-		if v := s.MaxVelocity(); v <= 0 {
-			t.Errorf("no flow developed: max |u| = %v", v)
+		if v := s.RMSVelocity(); v <= 0 {
+			t.Errorf("no flow developed: Vrms = %v", v)
 		}
 		s.AdvectSteps(3)
 		s.Adapt()

@@ -72,9 +72,9 @@ func (m *Manager) runJob(j *job) {
 
 // runOnce executes one attempt of the job inside a fresh communicator
 // and returns the world's failure, if any. Application-level errors
-// (restore or checkpoint failures, solver panics that reach every rank
-// collectively) are recorded on the job via setError and return a nil
-// world error — they are deterministic and not worth retrying.
+// (restore or checkpoint failures, a cycle whose verdict is unhealthy)
+// are recorded on the job via setError and return a nil world error —
+// they are deterministic and not worth retrying.
 func (m *Manager) runOnce(j *job, target int, resumeFrom string) error {
 	cfg := j.spec.Config()
 	world := sim.NewWorld(j.spec.Ranks)
@@ -126,7 +126,6 @@ func (m *Manager) runOnce(j *job, target int, resumeFrom string) error {
 		// to a rank failure by the sim runtime, which aborts the world
 		// and unblocks every peer — exactly the retryable path.
 		var s *rhea.Sim
-		lastSnap := -1
 		if resumeFrom != "" {
 			restored, rerr := rhea.Restore(r, cfg, resumeFrom)
 			if rerr != nil {
@@ -134,7 +133,6 @@ func (m *Manager) runOnce(j *job, target int, resumeFrom string) error {
 				return
 			}
 			s = restored
-			lastSnap = s.Step / s.Cfg.AdaptEvery
 		} else {
 			s = rhea.New(r, cfg)
 		}
@@ -143,56 +141,67 @@ func (m *Manager) runOnce(j *job, target int, resumeFrom string) error {
 			m.rewindTo(j, start)
 			j.lastBeat.Store(time.Now().UnixNano())
 		}
+		commit := func(cycle int) bool {
+			if err := s.Checkpoint(m.snapDir(j, cycle)); err != nil {
+				m.setError(j, err)
+				return false
+			}
+			if r.ID() == 0 {
+				m.commitSnapshot(j, cycle)
+			}
+			return true
+		}
 
+		// The stop flag is sampled per rank at different times; the sum
+		// makes the decision identical everywhere so no rank leaves the
+		// collective sequence early. Once per attempt here, so a job
+		// stopped while queued or during New/Restore runs no cycle; after
+		// that each cycle's verdict carries the decision.
+		var bit int64
+		if j.stop.Load() {
+			bit = 1
+		}
+		if r.AllreduceInt64(bit) > 0 {
+			if resumeFrom == "" {
+				commit(start)
+			}
+			return
+		}
 		for c := start; c < target; c++ {
 			if injectCycle > 0 && c+1 == injectCycle && r.WorldID() == j.spec.FaultRank {
 				sim.Kill(fmt.Sprintf("cycle %d boundary (injected fault)", injectCycle))
 			}
-			// The stop flag is sampled per rank at different times; the
-			// sum makes the decision identical everywhere so no rank
-			// leaves the collective sequence early.
-			var bit int64
-			if j.stop.Load() {
-				bit = 1
-			}
-			if r.AllreduceInt64(bit) > 0 {
-				if c > lastSnap {
-					if err := s.Checkpoint(m.snapDir(j, c)); err != nil {
-						m.setError(j, err)
-						return
-					}
-					if r.ID() == 0 {
-						m.commitSnapshot(j, c)
-					}
-				}
-				return
-			}
-
 			t0 := time.Now()
 			ad := s.RunCycle()
+			v := s.Diagnose(j.stop.Load())
+			if v.Err != nil {
+				// Deterministic: a retry would fail the same way.
+				m.setError(j, fmt.Errorf("cycle %d: %w", c+1, v.Err))
+				return
+			}
 			d := CycleDiag{
 				Cycle:       c + 1,
 				Step:        s.Step,
 				Time:        s.TimeNow,
 				Elements:    ad.ElementsNow,
 				MinresIters: s.LastMinres().Iterations,
-				Nu:          s.Nusselt(),
-				Vrms:        s.RMSVelocity(),
+				Nu:          v.Nu,
+				Vrms:        v.Vrms,
 				WallSecs:    time.Since(t0).Seconds(),
 			}
 			if r.ID() == 0 {
 				m.appendDiag(j, d)
 				j.lastBeat.Store(time.Now().UnixNano())
 			}
-			if (every > 0 && (c+1)%every == 0) || c+1 == target {
-				if err := s.Checkpoint(m.snapDir(j, c+1)); err != nil {
-					m.setError(j, err)
+			// A stop ends the run here, at a cycle boundary with a
+			// committed snapshot.
+			if v.Stop || c+1 == target || (every > 0 && (c+1)%every == 0) {
+				if !commit(c + 1) {
 					return
 				}
-				lastSnap = c + 1
-				if r.ID() == 0 {
-					m.commitSnapshot(j, c+1)
-				}
+			}
+			if v.Stop {
+				return
 			}
 		}
 	})

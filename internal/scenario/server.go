@@ -158,7 +158,9 @@ func (h *handler) diag(w http.ResponseWriter, r *http.Request, id int) {
 			first = false
 		}
 		for i := range ds {
-			enc.Encode(&ds[i])
+			if enc.Encode(&ds[i]) != nil {
+				return // the client is gone; never skip a line it did not get
+			}
 		}
 		if len(ds) > 0 {
 			// Advance by delivered cycle number, not by count: a recovery

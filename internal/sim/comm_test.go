@@ -158,7 +158,7 @@ func TestSubsetNonMemberPanics(t *testing.T) {
 // TestAllreduceVecHalvingMatchesSerialFold: the recursive-halving path
 // (power-of-two communicator, vector above the cutoff) must return the
 // bit-exact serial left fold over ranks 0..P-1 on every rank — the same
-// guarantee as the gather-tree path — within 2·ceil(log2 P) rounds.
+// guarantee as the allgather path — within 2·ceil(log2 P) rounds.
 func TestAllreduceVecHalvingMatchesSerialFold(t *testing.T) {
 	const p = 8
 	n := allreduceVecCutoff + 137 // odd length: uneven segment split

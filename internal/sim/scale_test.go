@@ -40,13 +40,12 @@ func TestCollectiveRoundsLogP(t *testing.T) {
 			if d := r.Stats().CollRounds - pre.CollRounds; d > want {
 				t.Errorf("P=%d rank %d: Bcast took %d rounds, want <= %d", p, r.ID(), d, want)
 			}
-			// AllreduceVec: gather + broadcast binomial trees, at most
-			// 2 ceil(log2 P) rounds per rank.
+			// A short AllreduceVec is Allreduce's Bruck allgather.
 			pre = r.Stats()
 			r.AllreduceVec([]float64{1, 2})
-			if d := r.Stats().CollRounds - pre.CollRounds; d > 2*want {
-				t.Errorf("P=%d rank %d: AllreduceVec took %d rounds, want <= %d",
-					p, r.ID(), d, 2*want)
+			if d := r.Stats().CollRounds - pre.CollRounds; d != want {
+				t.Errorf("P=%d rank %d: AllreduceVec took %d rounds, want %d",
+					p, r.ID(), d, want)
 			}
 		})
 	}
@@ -135,16 +134,45 @@ func TestAllreduceBitIdentical(t *testing.T) {
 		}
 	}
 	// The fold order is rank order, so the result equals the serial left
-	// fold — pin that too.
+	// fold — pin that too, for Allreduce and for each AllreduceVec entry.
 	Run(p, func(r *Rank) {
 		got := r.Allreduce(vals[r.ID()], OpSum)
+		vec := r.AllreduceVec([]float64{vals[r.ID()]})
 		want := vals[0]
 		for i := 1; i < p; i++ {
 			want = OpSum(want, vals[i])
 		}
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("rank %d: Allreduce %x != serial left fold %x", r.ID(),
-				math.Float64bits(got), math.Float64bits(want))
+		if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(vec[0]) != math.Float64bits(want) {
+			t.Errorf("rank %d: Allreduce %x, AllreduceVec %x != serial left fold %x", r.ID(),
+				math.Float64bits(got), math.Float64bits(vec[0]), math.Float64bits(want))
+		}
+	})
+}
+
+// TestAllreduceVecCallerMayReuseInput: peers fold a rank's contribution
+// after that rank has returned, so AllreduceVec must not hand them the
+// caller's slice — overwriting it at once must change no peer's result.
+func TestAllreduceVecCallerMayReuseInput(t *testing.T) {
+	const p = 5
+	Run(p, func(r *Rank) {
+		buf := make([]float64, 3)
+		bad := 0
+		for k := 0; k < 50; k++ {
+			for i := range buf {
+				buf[i] = float64(k)
+			}
+			got := r.AllreduceVec(buf)
+			for i := range buf {
+				buf[i] = math.NaN()
+			}
+			for _, x := range got {
+				if x != float64(p*k) {
+					bad++
+				}
+			}
+		}
+		if bad > 0 {
+			t.Errorf("rank %d: %d entries in 50 rounds differ from the sum", r.ID(), bad)
 		}
 	})
 }

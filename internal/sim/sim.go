@@ -666,40 +666,6 @@ func (r *Rank) bruckAllgather(tag int, data any, nbytes int64) []any {
 	return out
 }
 
-// treeBundle carries rank-stamped payloads up the binomial gather tree.
-type treeBundle struct {
-	ranks []int32
-	data  []any
-	size  int64
-}
-
-// gatherTree funnels every rank's payload to rank 0 up a binomial tree:
-// each non-root rank sends exactly once, rank 0 receives ceil(log2 P)
-// bundles. Returns the rank-indexed payloads on rank 0, nil elsewhere.
-func (r *Rank) gatherTree(tag int, data any, nbytes int64) []any {
-	p := r.Size()
-	bundle := treeBundle{ranks: []int32{int32(r.id)}, data: []any{data}, size: nbytes}
-	for mask := 1; mask < p; mask <<= 1 {
-		if r.id&mask != 0 {
-			r.sendColl(r.id-mask, tag, bundle, bundle.size)
-			r.bumpRounds(1)
-			return nil
-		}
-		if partner := r.id + mask; partner < p {
-			in := r.recvColl(partner, tag).(treeBundle)
-			bundle.ranks = append(bundle.ranks, in.ranks...)
-			bundle.data = append(bundle.data, in.data...)
-			bundle.size += in.size
-			r.bumpRounds(1)
-		}
-	}
-	out := make([]any, p)
-	for j, rk := range bundle.ranks {
-		out[rk] = bundle.data[j]
-	}
-	return out
-}
-
 // bcastTree distributes root's payload down a binomial tree; every rank
 // spends at most ceil(log2 P) rounds. All ranks must pass the payload's
 // modeled size (forwarding ranks are charged for their tree sends).
@@ -851,23 +817,25 @@ func (r *Rank) AllreduceInt64(v int64) int64 {
 }
 
 // allreduceVecCutoff is the vector length (float64 count) above which
-// AllreduceVec switches from the binomial gather/fold/broadcast tree to
+// AllreduceVec switches from the Bruck allgather with a local fold to
 // recursive-halving reduce-scatter + allgather (power-of-two
 // communicators only). Short vectors are latency-bound and stay on the
-// tree path.
+// allgather path.
 const allreduceVecCutoff = 1024
 
 // AllreduceVec sums float64 vectors elementwise across ranks. All ranks
 // must pass slices of the same length; every rank receives the total.
 //
-// Short vectors are gathered raw up a binomial tree and folded once at
-// rank 0 in rank order, then the result is tree-broadcast — total
-// traffic O(P·n). Long vectors on power-of-two communicators instead use
-// a recursive-halving reduce-scatter followed by a Bruck allgather, so
-// no rank ever receives more than O(n·log2 P) bytes; the per-segment
-// fold still runs in strict rank order, so both paths return bit-
-// identical results (equal to a serial left fold over ranks 0..P-1) in
-// at most 2·ceil(log2 P) rounds.
+// Short vectors take Allreduce's algorithm: a ceil(log2 P)-round Bruck
+// allgather of the raw contributions, then every rank folds them locally
+// in rank order. Each rank receives O(P·n) bytes, which for a short,
+// latency-bound vector costs less than the ceil(log2 P) extra rounds of
+// a reduce-then-broadcast tree. Long vectors on power-of-two
+// communicators instead use a recursive-halving reduce-scatter followed
+// by a Bruck allgather, so no rank ever receives more than O(n·log2 P)
+// bytes, in 2·log2 P rounds. The fold runs in strict rank order on both
+// paths, so they return bit-identical results, equal to a serial left
+// fold over ranks 0..P-1 and to Allreduce per entry.
 func (r *Rank) AllreduceVec(v []float64) []float64 {
 	tag := r.collTag("AllreduceVec")
 	nb := int64(8 * len(v))
@@ -876,21 +844,16 @@ func (r *Rank) AllreduceVec(v []float64) []float64 {
 	if p > 1 && p&(p-1) == 0 && len(v) >= allreduceVecCutoff {
 		return r.allreduceVecHalving(tag, v)
 	}
-	all := r.gatherTree(tag, v, nb)
-	var acc []float64
-	if r.id == 0 {
-		acc = make([]float64, len(v))
-		for _, a := range all {
-			av := a.([]float64)
-			for i := range acc {
-				acc[i] += av[i]
-			}
+	// Peers read the payload after this rank has returned: send a copy the
+	// caller cannot overwrite.
+	all := r.bruckAllgather(tag, append([]float64(nil), v...), nb)
+	acc := make([]float64, len(v))
+	for _, a := range all {
+		for i, x := range a.([]float64) {
+			acc[i] += x
 		}
 	}
-	res := r.bcastTree(0, tag, acc, nb).([]float64)
-	out := make([]float64, len(res))
-	copy(out, res)
-	return out
+	return acc
 }
 
 // rsVecMsg carries rank-stamped raw vector windows during the
@@ -905,11 +868,10 @@ type rsVecMsg struct {
 // raw rank-stamped contributions instead of pairwise-summing them: after
 // log2 P rounds each rank holds every rank's contribution for its own
 // 1/P segment of the index space and folds them locally in strict rank
-// order — bit-identical to the gather-tree path's rank-0 fold. A Bruck
+// order — bit-identical to the allgather path's fold. A Bruck
 // allgather of the folded segments then delivers the full vector to
 // every rank. log2 P + log2 P rounds; every rank sends O(n·log2 P / 2)
-// bytes in the halving phase, eliminating the O(P·n) rank-0 hotspot of
-// the gather tree.
+// bytes in the halving phase instead of the allgather path's O(P·n).
 func (r *Rank) allreduceVecHalving(tag int, v []float64) []float64 {
 	p, n := r.Size(), len(v)
 	tagAG := r.nextCollTag()
