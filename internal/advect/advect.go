@@ -8,9 +8,10 @@
 // integrator and a lumped mass matrix. The operator is applied
 // matrix-free and matrix-forming-free: each stage is one loop over the
 // local elements that evaluates the operator's action at the quadrature
-// points (fem.TransportRate) from cached geometry — the mesh's shared
-// per-element Jacobian data on mapped meshes, one table per octree level
-// on axis-aligned ones — in the mesh's slot numbering, with one ghost
+// points (fem.TransportRate) from cached geometry — on mapped meshes the
+// physical gradients expanded from the mesh's shared per-element
+// Jacobian data into one scratch table, on axis-aligned ones one table
+// per octree level — in the mesh's slot numbering, with one ghost
 // gather before the loop and one scatter-add after it. The work per step
 // is linear in the number of elements, no element matrix is ever formed,
 // and a stage enters no collective — exactly the regime the paper uses to
@@ -47,10 +48,11 @@ type Problem struct {
 	// (forest) meshes; nil on axis-aligned meshes, where the constant-h
 	// brick formulas apply.
 	geos []*fem.ElemGeom
-	// qg is each element's quadrature-point geometry: its own (geos[ei].Q)
-	// on mapped meshes, one table per octree level, aliased, on
-	// axis-aligned ones.
+	// qg is each element's quadrature-point geometry on axis-aligned
+	// meshes: one table per octree level, aliased. Mapped meshes expand
+	// an element's gradients into qs when it is visited instead.
 	qg []*[8]fem.QGeom
+	qs [8]fem.QGeom
 
 	// tbuf and acc are the slot-space (mesh.Mesh.GX) input and
 	// accumulator of the element loop, k1, k2 and pred the stage vectors
@@ -69,24 +71,28 @@ func New(m *mesh.Mesh, dom fem.Domain, kappa float64, vel [][8][3]float64, src f
 	p.k1, p.k2, p.pred = la.NewVec(l), la.NewVec(l), la.NewVec(l)
 
 	// Per-element geometry and, in the same pass, the lumped mass.
-	p.geos = fem.ElemGeoms(m)
-	p.qg = make([]*[8]fem.QGeom, len(m.Leaves))
-	var byLevel [morton.MaxLevel + 1]*[8]fem.QGeom
-	var lm [8]float64
-	var last *[8]fem.QGeom // runs of same-level bricks share one table
-	for ei, leaf := range m.Leaves {
-		var q *[8]fem.QGeom
-		if p.geos != nil {
-			q = &p.geos[ei].Q
-		} else if q = byLevel[leaf.Level]; q == nil {
-			q = fem.BrickQGeom(dom.ElemSize(leaf))
-			byLevel[leaf.Level] = q
+	if p.geos = fem.ElemGeoms(m); p.geos != nil {
+		for ei, g := range p.geos {
+			lm := fem.LumpedMassGeom(g, 1)
+			p.scatter(ei, &lm)
 		}
-		p.qg[ei] = q
-		if q != last {
-			lm, last = fem.LumpedMassQ(q, 1), q
+	} else {
+		p.qg = make([]*[8]fem.QGeom, len(m.Leaves))
+		var byLevel [morton.MaxLevel + 1]*[8]fem.QGeom
+		var lm [8]float64
+		var last *[8]fem.QGeom // runs of same-level bricks share one table
+		for ei, leaf := range m.Leaves {
+			q := byLevel[leaf.Level]
+			if q == nil {
+				q = fem.BrickQGeom(dom.ElemSize(leaf))
+				byLevel[leaf.Level] = q
+			}
+			p.qg[ei] = q
+			if q != last {
+				lm, last = fem.LumpedMassQ(q, 1), q
+			}
+			p.scatter(ei, &lm)
 		}
-		p.scatter(ei, &lm)
 	}
 	lump := la.NewVec(l)
 	p.reduce(lump)
@@ -160,6 +166,18 @@ func cornerVelStats(u *[8][3]float64) (umax float64, ubar, uAxisMax [3]float64) 
 	return
 }
 
+// quad returns the quadrature-point geometry of element ei: the level's
+// table on axis-aligned meshes; on mapped ones the element's gradients,
+// expanded into the problem's scratch table, which the next call
+// overwrites.
+func (p *Problem) quad(ei int) *[8]fem.QGeom {
+	if p.geos == nil {
+		return p.qg[ei]
+	}
+	p.geos[ei].Grads(&p.qs)
+	return &p.qs
+}
+
 // elemSize returns the directional extents of element ei.
 func (p *Problem) elemSize(ei int) [3]float64 {
 	if p.geos != nil {
@@ -183,9 +201,10 @@ func (p *Problem) RateOfChange(T, dTdt *la.Vec) {
 		u := &p.Vel[ei]
 		umax, ubar, _ := cornerVelStats(u)
 		tau := fem.SUPGTauAniso(p.elemSize(ei), ubar, umax, p.Kappa)
-		fem.TransportRate(p.qg[ei], p.Kappa, tau, u, &Tc, &R)
+		q := p.quad(ei)
+		fem.TransportRate(q, p.Kappa, tau, u, &Tc, &R)
 		if p.Source != nil {
-			lm := fem.LumpedMassQ(p.qg[ei], 1)
+			lm := fem.LumpedMassQ(q, 1)
 			xc := fem.ElemCornerCoords(p.M, p.Dom, ei)
 			for a := 0; a < 8; a++ {
 				R[a] += lm[a] * p.Source(xc[a])

@@ -14,14 +14,51 @@ import (
 )
 
 // refQGeom is the reference quadrature geometry of element ei, computed
-// from scratch: the isoparametric Jacobians of the corner coordinates on
-// mapped meshes, dN/h and vol/8 on axis-aligned ones.
+// from scratch: dN/h and vol/8 on axis-aligned meshes; on mapped ones the
+// physical gradients J^{-T} dN and weights |det J| w exactly as mapped
+// elements stored them before they kept J^{-1} instead, so a transport
+// stage over these tables is the stored-gradient path bit for bit.
 func refQGeom(m *mesh.Mesh, dom fem.Domain, ei int) [8]fem.QGeom {
+	var Q [8]fem.QGeom
 	if m.X != nil {
-		return fem.NewElemGeom(&m.X[ei]).Q
+		X := &m.X[ei]
+		for qi, q := range fem.Quad8 {
+			var dN [8][3]float64
+			for c := range dN {
+				dN[c] = fem.ShapeGrad(c, q.Xi)
+			}
+			var J [3][3]float64 // J[i][j] = dx_i/dxi_j
+			for c := 0; c < 8; c++ {
+				for i := 0; i < 3; i++ {
+					for j := 0; j < 3; j++ {
+						J[i][j] += X[c][i] * dN[c][j]
+					}
+				}
+			}
+			det := J[0][0]*(J[1][1]*J[2][2]-J[1][2]*J[2][1]) -
+				J[0][1]*(J[1][0]*J[2][2]-J[1][2]*J[2][0]) +
+				J[0][2]*(J[1][0]*J[2][1]-J[1][1]*J[2][0])
+			inv := 1 / det
+			var Ji [3][3]float64 // J^{-1}
+			Ji[0][0] = (J[1][1]*J[2][2] - J[1][2]*J[2][1]) * inv
+			Ji[0][1] = (J[0][2]*J[2][1] - J[0][1]*J[2][2]) * inv
+			Ji[0][2] = (J[0][1]*J[1][2] - J[0][2]*J[1][1]) * inv
+			Ji[1][0] = (J[1][2]*J[2][0] - J[1][0]*J[2][2]) * inv
+			Ji[1][1] = (J[0][0]*J[2][2] - J[0][2]*J[2][0]) * inv
+			Ji[1][2] = (J[0][2]*J[1][0] - J[0][0]*J[1][2]) * inv
+			Ji[2][0] = (J[1][0]*J[2][1] - J[1][1]*J[2][0]) * inv
+			Ji[2][1] = (J[0][1]*J[2][0] - J[0][0]*J[2][1]) * inv
+			Ji[2][2] = (J[0][0]*J[1][1] - J[0][1]*J[1][0]) * inv
+			for c := 0; c < 8; c++ {
+				for i := 0; i < 3; i++ {
+					Q[qi].G[c][i] = Ji[0][i]*dN[c][0] + Ji[1][i]*dN[c][1] + Ji[2][i]*dN[c][2]
+				}
+			}
+			Q[qi].W = q.W * math.Abs(det)
+		}
+		return Q
 	}
 	h := dom.ElemSize(m.Leaves[ei])
-	var Q [8]fem.QGeom
 	for qi, q := range fem.Quad8 {
 		for c := 0; c < 8; c++ {
 			g := fem.ShapeGrad(c, q.Xi)
@@ -106,6 +143,52 @@ func refRateOfChange(m *mesh.Mesh, dom fem.Domain, kappa float64, vel [][8][3]fl
 	return r
 }
 
+// storedGradientRate is RateOfChange as it ran while mapped elements
+// stored their physical gradients: the lumped mass, the element loop,
+// the scatter and the ghost reductions of p, over refQGeom tables.
+func storedGradientRate(p *Problem, T *la.Vec) *la.Vec {
+	m := p.M
+	for ei := range m.Leaves {
+		Q := refQGeom(m, p.Dom, ei)
+		lm := fem.LumpedMassQ(&Q, 1)
+		p.scatter(ei, &lm)
+	}
+	lump := la.NewVec(m.Layout())
+	p.reduce(lump)
+	copy(p.tbuf, T.Data)
+	m.GX.Gather(T.Data, p.tbuf[len(T.Data):])
+	for ei := range m.Leaves {
+		Q := refQGeom(m, p.Dom, ei)
+		cs := &m.Corners[ei]
+		var Tc, R [8]float64
+		for c := 0; c < 8; c++ {
+			Tc[c] = cs[c].Value(p.tbuf)
+		}
+		u := &p.Vel[ei]
+		umax, ubar, _ := cornerVelStats(u)
+		tau := fem.SUPGTauAniso(p.elemSize(ei), ubar, umax, p.Kappa)
+		fem.TransportRate(&Q, p.Kappa, tau, u, &Tc, &R)
+		if p.Source != nil {
+			lm := fem.LumpedMassQ(&Q, 1)
+			xc := fem.ElemCornerCoords(m, p.Dom, ei)
+			for a := 0; a < 8; a++ {
+				R[a] += lm[a] * p.Source(xc[a])
+			}
+		}
+		p.scatter(ei, &R)
+	}
+	rate := la.NewVec(m.Layout())
+	p.reduce(rate)
+	for i := range rate.Data {
+		var inv float64
+		if !p.isBC[i] && lump.Data[i] > 0 {
+			inv = 1 / lump.Data[i]
+		}
+		rate.Data[i] *= inv
+	}
+	return rate
+}
+
 // rateCase is one adapted domain for the RateOfChange comparison.
 type rateCase struct {
 	name string
@@ -160,7 +243,8 @@ type nodeID struct {
 // TestRateOfChangeMatchesReference: on adapted meshes with hanging
 // nodes, at 1, 2 and 4 ranks, the slot-space point-kernel RateOfChange
 // equals the matrix-forming reference to 1e-12 and does not depend on
-// the rank count, with and without a heat source.
+// the rank count, with and without a heat source. On mapped meshes it is
+// also bit for bit the stored-gradient path.
 func TestRateOfChangeMatchesReference(t *testing.T) {
 	for _, tc := range rateCases() {
 		for _, withSrc := range []bool{false, true} {
@@ -206,6 +290,16 @@ func TestRateOfChangeMatchesReference(t *testing.T) {
 							t.Errorf("%s src %v ranks %d: node %d rate %g, reference %g (diff %g, scale %g)",
 								tc.name, withSrc, p, i, rate.Data[i], want.Data[i], d, scale)
 							break
+						}
+					}
+					if m.X != nil {
+						stored := storedGradientRate(prob, T)
+						for i := range rate.Data {
+							if rate.Data[i] != stored.Data[i] {
+								t.Errorf("%s src %v ranks %d: node %d rate %v, stored-gradient path %v",
+									tc.name, withSrc, p, i, rate.Data[i], stored.Data[i])
+								break
+							}
 						}
 					}
 					mu.Lock()
@@ -310,4 +404,26 @@ func TestRateOfChangeCounters(t *testing.T) {
 			t.Errorf("Step allocates %v objects per call, want 0", allocs)
 		}
 	})
+}
+
+// TestNewAllocsIndependentOfElements: on a mapped mesh New reads the
+// geometry the mesh caches and allocates nothing per element, so a
+// shell with 8x the elements costs New the same number of allocations.
+func TestNewAllocsIndependentOfElements(t *testing.T) {
+	conn := forest.CubedSphere(2)
+	var elems []int
+	var allocs []float64
+	sim.Run(1, func(r *sim.Rank) {
+		for _, level := range []uint8{1, 2} {
+			m := mesh.Extract(forest.New(r, conn, level), mesh.NewShellGeometry(conn))
+			fem.ElemGeoms(m) // the solver builds the cached geometry first
+			vel := make([][8][3]float64, len(m.Leaves))
+			elems = append(elems, len(m.Leaves))
+			allocs = append(allocs, testing.AllocsPerRun(3, func() { New(m, fem.UnitDomain, 1, vel, nil, fem.NoBC) }))
+		}
+	})
+	t.Logf("New allocates %v objects on %v elements", allocs, elems)
+	if allocs[0] != allocs[1] {
+		t.Errorf("New allocates %v objects on %v elements: the count grows with the mesh", allocs, elems)
+	}
 }

@@ -4,11 +4,13 @@ package fem
 // actions at the quadrature points. Instead of tabulating an element
 // matrix and multiplying it against the corner values, each kernel
 // interpolates the corner data to the eight Gauss points, forms the flux
-// there and tests it against the physical shape gradients — reading only
-// the per-point geometry (QGeom: gradients and weight) that ElemGeom
-// already caches for mapped elements and that BrickQGeom tabulates once
-// per octree level for axis-aligned ones. No per-element matrix is formed
-// or stored.
+// there and tests it against the shape gradients. The Stokes kernel
+// works in reference coordinates by sum factorisation and reads only the
+// per-point J^{-1} and weight (QJac) that ElemGeom caches for mapped
+// elements. The transport kernel reads physical gradients (QGeom): one
+// table per octree level from BrickQGeom for axis-aligned elements, an
+// expansion by ElemGeom.Grads for mapped ones. No per-element matrix is
+// formed or stored.
 
 // BrickQGeom returns the quadrature-point geometry of an axis-aligned
 // brick with physical edge lengths h: constant Jacobian diag(h), so the
@@ -88,68 +90,9 @@ func TransportRate(Q *[8]QGeom, kappa, tau float64, u *[8][3]float64, T, R *[8]f
 	}
 }
 
-// StokesApply computes the action of the coupled Q1-Q1 Stokes element
-// operator of the mapped element g with viscosity eta — the same
-// contract and 4a+c dof layout as StokesKernels.Apply, to which it is
-// equal to rounding — without any tabulated matrix. Per quadrature point
-//
-//	L = sum_b u_b (x) G_b,  p_q = sum_b N_b p_b,
-//	S = W (eta (L + L^T) - p_q I),
-//	ye_v[a] += S G_a,  ye_p[a] += N_a W (-tr L - p_q/eta),
-//
-// and after the loop the Dohrmann–Bochev projection term
-// ye_p[a] += (sum_q W p_q) / (eta Vol) * sum_q W N_a, which restores the
-// element-mean pressure the mass term removed.
-func (g *ElemGeom) StokesApply(eta float64, xe, ye *[32]float64) {
-	inv := 1 / eta
-	*ye = [32]float64{}
-	var lump [8]float64 // sum_q W N_a
-	var pbar float64    // sum_q W p_q
-	for qi := range g.Q {
-		q := &g.Q[qi]
-		N := &Quad8[qi].N
-		var l00, l01, l02, l10, l11, l12, l20, l21, l22, pq float64
-		for b := 0; b < 8; b++ {
-			gb := &q.G[b]
-			g0, g1, g2 := gb[0], gb[1], gb[2]
-			x0, x1, x2 := xe[4*b], xe[4*b+1], xe[4*b+2]
-			l00 += x0 * g0
-			l01 += x0 * g1
-			l02 += x0 * g2
-			l10 += x1 * g0
-			l11 += x1 * g1
-			l12 += x1 * g2
-			l20 += x2 * g0
-			l21 += x2 * g1
-			l22 += x2 * g2
-			pq += N[b] * xe[4*b+3]
-		}
-		w := q.W
-		we := w * eta
-		wp := w * pq
-		s00 := 2*we*l00 - wp
-		s11 := 2*we*l11 - wp
-		s22 := 2*we*l22 - wp
-		s01 := we * (l01 + l10)
-		s02 := we * (l02 + l20)
-		s12 := we * (l12 + l21)
-		r := -w*(l00+l11+l22) - inv*wp
-		pbar += wp
-		for a := 0; a < 8; a++ {
-			ga := &q.G[a]
-			g0, g1, g2 := ga[0], ga[1], ga[2]
-			ye[4*a] += s00*g0 + s01*g1 + s02*g2
-			ye[4*a+1] += s01*g0 + s11*g1 + s12*g2
-			ye[4*a+2] += s02*g0 + s12*g1 + s22*g2
-			ye[4*a+3] += N[a] * r
-			lump[a] += w * N[a]
-		}
-	}
-	s := pbar * inv / g.Vol
-	for a := 0; a < 8; a++ {
-		ye[4*a+3] += s * lump[a]
-	}
-}
+// The mapped Stokes point kernel, (*ElemGeom).StokesApply, is generated
+// straight-line code in stokesapply.go.
+//go:generate go run gen_stokesapply.go
 
 // Load computes the consistent load vector of the corner body force f on
 // the mapped element g, F_a = sum_q W N_a (sum_b N_b f_b) — the action of

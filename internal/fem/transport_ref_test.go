@@ -61,11 +61,12 @@ func SUPGBrick(h [3]float64, u *[8][3]float64, tau float64) [8][8]float64 {
 	return S
 }
 
-// AdvectionGeom is AdvectionBrick on a mapped element.
-func AdvectionGeom(g *ElemGeom, u *[8][3]float64) [8][8]float64 {
+// AdvectionGeom is AdvectionBrick on a mapped element with
+// quadrature-point geometry Q.
+func AdvectionGeom(Q *[8]QGeom, u *[8][3]float64) [8][8]float64 {
 	var G [8][8]float64
-	for qi := range g.Q {
-		q := &g.Q[qi]
+	for qi := range Q {
+		q := &Q[qi]
 		N := &Quad8[qi].N
 		var uq [3]float64
 		for c := 0; c < 8; c++ {
@@ -83,11 +84,12 @@ func AdvectionGeom(g *ElemGeom, u *[8][3]float64) [8][8]float64 {
 	return G
 }
 
-// SUPGGeom is SUPGBrick on a mapped element.
-func SUPGGeom(g *ElemGeom, u *[8][3]float64, tau float64) [8][8]float64 {
+// SUPGGeom is SUPGBrick on a mapped element with quadrature-point
+// geometry Q.
+func SUPGGeom(Q *[8]QGeom, u *[8][3]float64, tau float64) [8][8]float64 {
 	var S [8][8]float64
-	for qi := range g.Q {
-		q := &g.Q[qi]
+	for qi := range Q {
+		q := &Q[qi]
 		N := &Quad8[qi].N
 		var uq [3]float64
 		for c := 0; c < 8; c++ {

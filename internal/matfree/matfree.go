@@ -6,8 +6,9 @@
 // (forest, shell) meshes the action is evaluated at the quadrature points
 // from the per-element geometry the mesh already caches
 // (fem.ElemGeom.StokesApply): nothing is tabulated or stored per element,
-// and an apply streams 1.6 KB of gradients and weights per element. On
-// axis-aligned meshes every element of an octree level shares one
+// and an apply streams 648 B of geometry per element (an inverse Jacobian
+// and a weight per quadrature point, and the volume). On axis-aligned
+// meshes every element of an octree level shares one
 // cache-resident tabulated kernel (fem.StokesKernels), so no operator
 // bytes are streamed per element at all. This is the paper-era route to
 // speed and scale for memory-bound Stokes solves: the operator is never
@@ -217,9 +218,6 @@ func New(m *mesh.Mesh, dom fem.Domain, layout *la.Layout, etaElem []float64, con
 	op.loopFn = op.elementLoop
 	return op
 }
-
-// Workers returns the in-rank worker count the element loop uses.
-func (op *Operator) Workers() int { return op.pool.workers }
 
 // SetViscosity replaces the per-element viscosity the element operators
 // are evaluated with (local, free). The mesh-dependent state — the constraint

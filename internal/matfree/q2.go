@@ -160,9 +160,6 @@ func NewQ2(q2 *mesh.Q2Mesh, dom fem.Domain, layout *la.Layout, etaElem []float64
 	return op
 }
 
-// Workers returns the in-rank worker count the element loop uses.
-func (op *OperatorQ2) Workers() int { return op.pool.workers }
-
 // SetViscosity replaces the per-element viscosity (local, free).
 func (op *OperatorQ2) SetViscosity(etaElem []float64) { op.eta = etaElem }
 
