@@ -48,7 +48,6 @@ func main() {
 	matfree := flag.Bool("matfree", false, "apply the Stokes operator matrix-free instead of assembling the coupled CSR")
 	precond := flag.String("precond", "amg", "velocity-block preconditioner: amg (assembled) or gmg (matrix-free geometric multigrid)")
 	localamg := flag.Bool("localamg", false, "per-rank block-Jacobi AMG hierarchies instead of the redundant global hierarchy (cheaper setup, more iterations)")
-	noreuse := flag.Bool("noreuse", false, "rebuild the full Stokes solver setup every Picard iteration instead of caching the mesh-dependent half")
 	order := flag.Int("order", 1, "velocity element order: 1 for the stabilized equal-order Q1-Q1 pair, 2 for the Taylor-Hood Q2-Q1 pair (requires -matfree -precond gmg; runs on a uniform mesh at -base, no AMR)")
 	slip := flag.String("slip", "", "free-slip shell boundaries: top (free outer surface) or both (requires -shell)")
 	ckptDir := flag.String("checkpoint", "", "write a committed snapshot under this directory after every cycle")
@@ -126,7 +125,6 @@ func main() {
 			MatrixFree:  *matfree,
 			Precond:     pk,
 			LocalAMG:    *localamg,
-			NoReuse:     *noreuse,
 		}
 	} else {
 		cfg = rhea.Config{
@@ -150,7 +148,6 @@ func main() {
 			MatrixFree:  *matfree,
 			Precond:     pk,
 			LocalAMG:    *localamg,
-			NoReuse:     *noreuse,
 			Order:       *order,
 		}
 	}

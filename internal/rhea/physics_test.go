@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"rhea/internal/fem"
+	"rhea/internal/krylov"
 	"rhea/internal/sim"
 	"rhea/internal/stokes"
 )
@@ -41,16 +42,34 @@ func regressionConfig() Config {
 
 // runRegression advances the pinned scenario n cycles (Stokes solve + 4
 // transport steps + adaptation each) plus a final solve, and returns the
-// diagnostics and the number of mesh-dependent solver set-ups.
-func runRegression(r *sim.Rank, cfg Config, cycles int) (nu, vrms float64, setups int) {
+// diagnostics and the number of mesh-dependent solver set-ups. solve is
+// the Stokes solve: Sim.SolveStokes, or solveRebuilt.
+func runRegression(r *sim.Rank, cfg Config, cycles int, solve func(*Sim) krylov.Result) (nu, vrms float64, setups int) {
 	s := New(r, cfg)
 	for c := 0; c < cycles; c++ {
-		s.SolveStokes()
+		solve(s)
 		s.AdvectSteps(4)
 		s.Adapt()
 	}
-	s.SolveStokes()
+	solve(s)
 	return s.Nusselt(), s.RMSVelocity(), s.Times.StokesSetups
+}
+
+// solveRebuilt is SolveStokes without the solver cache, the behaviour
+// before it (collective): every Picard iteration sets the solver up from
+// scratch. It runs one single-iteration SolveStokes per Picard iteration
+// on a cleared solver, which is what the Picard loop does with a cached
+// one.
+func solveRebuilt(s *Sim) krylov.Result {
+	picard := s.Cfg.Picard
+	defer func() { s.Cfg.Picard = picard }()
+	s.Cfg.Picard = 1
+	var res krylov.Result
+	for i := 0; i < picard; i++ {
+		s.solver = nil
+		res = s.SolveStokes()
+	}
+	return res
 }
 
 // Reference values logged from the pinned scenario (see t.Logf below to
@@ -73,7 +92,7 @@ func TestConvectionRegressionShort(t *testing.T) {
 		p := p
 		var nu, vrms float64
 		sim.Run(p, func(r *sim.Rank) {
-			n, v, _ := runRegression(r, regressionConfig(), 2)
+			n, v, _ := runRegression(r, regressionConfig(), 2, (*Sim).SolveStokes)
 			if r.ID() == 0 {
 				nu, vrms = n, v
 			}
@@ -112,7 +131,7 @@ func TestConvectionRegressionFull(t *testing.T) {
 		p := p
 		var nu, vrms float64
 		sim.Run(p, func(r *sim.Rank) {
-			n, v, _ := runRegression(r, regressionConfig(), 5)
+			n, v, _ := runRegression(r, regressionConfig(), 5, (*Sim).SolveStokes)
 			if r.ID() == 0 {
 				nu, vrms = n, v
 			}
@@ -138,9 +157,9 @@ func TestConvectionRegressionFull(t *testing.T) {
 }
 
 // TestReuseMatchesNoReuse verifies the persistent-solver cache does not
-// change the end-to-end physics: the identical scenario run with the
-// cache disabled (full rebuild every Picard iteration, the pre-reuse
-// behaviour) must produce the same diagnostics to rounding. With two
+// change the end-to-end physics: the identical scenario run without the
+// cache (solveRebuilt: a full rebuild every Picard iteration, the
+// pre-reuse behaviour) must produce the same diagnostics to rounding. With two
 // Picard iterations per solve, reuse sets the solver up once for the
 // first mesh and once per adaptation followed by a solve; without it,
 // once per Picard iteration.
@@ -148,12 +167,12 @@ func TestReuseMatchesNoReuse(t *testing.T) {
 	const cycles, picard = 2, 2
 	var nu, vrms [2]float64
 	var setups [2]int
-	for i, noReuse := range []bool{false, true} {
-		i, noReuse := i, noReuse
+	for i, solve := range []func(*Sim) krylov.Result{(*Sim).SolveStokes, solveRebuilt} {
+		i, solve := i, solve
 		sim.Run(2, func(r *sim.Rank) {
 			cfg := regressionConfig()
-			cfg.Picard, cfg.NoReuse = picard, noReuse
-			n, v, su := runRegression(r, cfg, cycles)
+			cfg.Picard = picard
+			n, v, su := runRegression(r, cfg, cycles, solve)
 			if r.ID() == 0 {
 				nu[i], vrms[i], setups[i] = n, v, su
 			}
@@ -181,8 +200,8 @@ func TestTimeLoopReuse(t *testing.T) {
 		setups          int
 	}
 	var runs [2]run // rebuild, reuse
-	for i, noReuse := range []bool{true, false} {
-		i, noReuse := i, noReuse
+	for i, solve := range []func(*Sim) krylov.Result{solveRebuilt, (*Sim).SolveStokes} {
+		i, solve := i, solve
 		sim.Run(2, func(r *sim.Rank) {
 			cfg := Config{
 				Dom: fem.UnitDomain,
@@ -203,12 +222,11 @@ func TestTimeLoopReuse(t *testing.T) {
 				InitAdapt:   1,
 				MatrixFree:  true,
 				Precond:     stokes.PrecondGMG,
-				NoReuse:     noReuse,
 			}
 			s := New(r, cfg)
 			s.Times = Timings{} // discard construction costs
 			for step := 1; step <= steps; step++ {
-				s.SolveStokes()
+				solve(s)
 				s.AdvectSteps(1)
 				if step%adaptEvery == 0 {
 					s.Adapt()

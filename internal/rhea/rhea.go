@@ -181,11 +181,6 @@ type Config struct {
 	// VelBC prescribes the velocity boundary condition of the Stokes
 	// solve. Defaults to free-slip on the domain box.
 	VelBC stokes.VelBC
-	// NoReuse disables the persistent solver cache: every Picard
-	// iteration rebuilds the full mesh-dependent solver setup from
-	// scratch (the pre-reuse behaviour). Only useful for measuring the
-	// cost of the cache (cmd/rhea -noreuse).
-	NoReuse bool
 }
 
 func (c Config) withDefaults() Config {
@@ -639,7 +634,7 @@ func (s *Sim) stokesOptions() stokes.Options {
 func (s *Sim) SolveStokes() krylov.Result {
 	var res krylov.Result
 	for pic := 0; pic < s.Cfg.Picard; pic++ {
-		if s.solver == nil || s.Cfg.NoReuse {
+		if s.solver == nil {
 			t0 := time.Now()
 			s.solver = stokes.Setup(s.Mesh, s.Cfg.Dom, s.Cfg.VelBC, s.stokesOptions())
 			s.Times.StokesSetup += time.Since(t0).Seconds()
@@ -691,15 +686,6 @@ func (s *Sim) LastMinres() krylov.Result {
 		return krylov.Result{}
 	}
 	return *s.lastMinres
-}
-
-// PrecondStats identifies the velocity preconditioner the current Stokes
-// solver runs (zero value before the first solve).
-func (s *Sim) PrecondStats() stokes.PrecondStats {
-	if s.solver == nil {
-		return stokes.PrecondStats{}
-	}
-	return s.solver.PrecondStats()
 }
 
 // AdvectSteps advances the temperature n explicit steps with the current

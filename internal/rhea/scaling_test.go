@@ -95,12 +95,13 @@ func runScalingCase(series string, p int, cfg Config) scalingCase {
 		gn, gm := maxI(gx.NumNeighbors()), maxI(gpost.UserMsgs-gpre.UserMsgs)
 		ar := maxI(apost.CollRounds - apre.CollRounds)
 		if r.ID() == 0 {
-			ps := s.PrecondStats()
 			c.Elements, c.Nodes, c.MinresIters = st.Elements, st.Nodes, s.LastMinres().Iterations
 			c.MaxUserMsgs, c.MaxUserBytes, c.MaxCollRounds, c.MaxCollMsgs = mu, mb, mr, mm
 			c.Collectives = post.CollectiveCalls - pre.CollectiveCalls
 			c.MaxGhostNeighbors, c.MaxGhostMsgs, c.AllreduceRounds = gn, gm, ar
-			c.Precond, c.GMGLevels, c.GMGCoarseRanks, c.Degenerate = ps.Kind, ps.GMGLevels, ps.CoarseRanks, ps.Degenerate
+			if h := s.solver.GMGH; h != nil {
+				c.Precond, c.GMGLevels, c.GMGCoarseRanks, c.Degenerate = "gmg", h.NumLevels(), h.CoarseRanks(), h.Degenerate()
+			}
 		}
 	})
 	return c

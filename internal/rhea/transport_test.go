@@ -1,9 +1,11 @@
 package rhea
 
-// The adaptation figures of the paper's §V on the advection-only problem
-// that stresses parallel AMR without a Stokes solve: a sharp temperature
-// front swept through the unit box by a fixed rotation, with the mesh
-// coarsened, refined, balanced and repartitioned to follow it.
+// The adaptation figures of the paper on the advection-only problem that
+// stresses parallel AMR without a Stokes solve: a sharp temperature front
+// swept by a fixed rotation, with the mesh coarsened, refined, balanced
+// and repartitioned to follow it — through the unit box for §V's Fig 5
+// and Fig 7, around the cubed-sphere shell for §VII's Fig 12. Both run
+// the application's transport stack: advect, errind and AdaptFields.
 
 import (
 	"math"
@@ -20,50 +22,90 @@ import (
 	"rhea/internal/sim"
 )
 
-// transportSim is the §V transport problem on one rank. times holds the
-// paper's Fig 7 buckets.
+// transportCase is the domain and flow of a transport run: the forest's
+// connectivity, its geometry (nil for an axis-aligned brick), the
+// velocity and the initial front, both functions of the physical
+// position.
+type transportCase struct {
+	conn  *forest.Connectivity
+	geom  mesh.Geometry
+	vel   func(x [3]float64) [3]float64
+	front func(x [3]float64) float64
+}
+
+// boxTransport is the paper's §V problem: a sharp spherical front off the
+// axis of a solid-body rotation about the unit box's centre in the x-z
+// plane.
+func boxTransport() transportCase {
+	return transportCase{
+		conn: forest.BrickConnectivity(1, 1, 1),
+		vel:  func(x [3]float64) [3]float64 { return [3]float64{-(x[2] - 0.5), 0, x[0] - 0.5} },
+		front: func(x [3]float64) float64 {
+			rad := math.Sqrt((x[0]-0.3)*(x[0]-0.3) + (x[1]-0.5)*(x[1]-0.5) + (x[2]-0.3)*(x[2]-0.3))
+			return 0.5 * (1 - math.Tanh((rad-0.15)/0.03))
+		},
+	}
+}
+
+// sphereTransport is the paper's Fig 12 problem: a front in the middle of
+// the 24-tree cubed-sphere shell (radii 1 and 2), carried by the
+// solid-body rotation (-y, x, 0) about the z axis. The rotation is
+// tangent to every sphere, so nothing crosses the shell's boundaries.
+func sphereTransport() transportCase {
+	conn := forest.CubedSphere(2)
+	return transportCase{
+		conn: conn,
+		geom: mesh.ShellGeometry{Conn: conn, RInner: 1, ROuter: 2},
+		vel:  func(x [3]float64) [3]float64 { return [3]float64{-x[1], x[0], 0} },
+		front: func(x [3]float64) float64 {
+			rad := math.Sqrt((x[0]-1.5)*(x[0]-1.5) + x[1]*x[1] + x[2]*x[2])
+			return 0.5 * (1 - math.Tanh((rad-0.25)/0.05))
+		},
+	}
+}
+
+// transportSim is a transport problem on one rank. times holds the
+// paper's Fig 7 buckets; elapsed is the simulated time stepped so far.
 type transportSim struct {
+	tc             transportCase
 	forest         *forest.Forest
 	mesh           *mesh.Mesh
 	T              *la.Vec
 	target         int64
 	minLvl, maxLvl uint8
+	elapsed        float64
 	times          Timings
 }
 
-// newTransportSim builds the front on a uniform base-level box and adapts
-// to it twice (collective).
-func newTransportSim(r *sim.Rank, base, minLvl, maxLvl uint8, target int64) *transportSim {
-	s := &transportSim{target: target, minLvl: minLvl, maxLvl: maxLvl}
+// newTransportSim builds tc's front on a uniform base-level forest and
+// adapts to it twice (collective).
+func newTransportSim(r *sim.Rank, tc transportCase, base, minLvl, maxLvl uint8, target int64) *transportSim {
+	s := &transportSim{tc: tc, target: target, minLvl: minLvl, maxLvl: maxLvl}
 	t0 := time.Now()
-	s.forest = forest.New(r, forest.BrickConnectivity(1, 1, 1), base)
+	s.forest = forest.New(r, tc.conn, base)
 	s.times.NewTree += time.Since(t0).Seconds()
 	t0 = time.Now()
-	s.mesh = mesh.Extract(s.forest, nil)
+	s.mesh = mesh.Extract(s.forest, tc.geom)
 	s.times.ExtractMesh += time.Since(t0).Seconds()
 	for i := 0; i < 3; i++ {
 		if i > 0 {
 			s.adapt()
 		}
-		// A sharp spherical front off the rotation axis.
 		s.T = la.NewVec(s.mesh.Layout())
 		for j := range s.mesh.OwnedPos {
-			x := fem.NodeCoord(s.mesh, fem.UnitDomain, j)
-			rad := math.Sqrt((x[0]-0.3)*(x[0]-0.3) + (x[1]-0.5)*(x[1]-0.5) + (x[2]-0.3)*(x[2]-0.3))
-			s.T.Data[j] = 0.5 * (1 - math.Tanh((rad-0.15)/0.03))
+			s.T.Data[j] = tc.front(fem.NodeCoord(s.mesh, fem.UnitDomain, j))
 		}
 	}
 	return s
 }
 
-// step advances n explicit SUPG steps of the front under a solid-body
-// rotation about the box centre in the x-z plane (collective).
+// step advances n explicit SUPG steps of the front (collective).
 func (s *transportSim) step(n int) {
 	t0 := time.Now()
 	vel := make([][8][3]float64, len(s.mesh.Leaves))
 	for ei := range vel {
 		for c, x := range fem.ElemCornerCoords(s.mesh, fem.UnitDomain, ei) {
-			vel[ei][c] = [3]float64{-(x[2] - 0.5), 0, x[0] - 0.5}
+			vel[ei][c] = s.tc.vel(x)
 		}
 	}
 	p := advect.New(s.mesh, fem.UnitDomain, 1e-4, vel, nil, func([3]float64) (float64, bool) { return 0, false })
@@ -71,6 +113,7 @@ func (s *transportSim) step(n int) {
 	for i := 0; i < n; i++ {
 		p.Step(s.T, dt)
 	}
+	s.elapsed += float64(n) * dt
 	s.times.TimeIntegrate += time.Since(t0).Seconds()
 }
 
@@ -97,7 +140,7 @@ var (
 func fig5Run() []AdaptStats {
 	fig5Once.Do(func() {
 		sim.Run(4, func(r *sim.Rank) {
-			s := newTransportSim(r, 3, 2, 6, 3000)
+			s := newTransportSim(r, boxTransport(), 3, 2, 6, 3000)
 			var st []AdaptStats
 			for i := 0; i < 8; i++ {
 				s.step(6)
@@ -168,7 +211,7 @@ func TestFig7AMRFractionModest(t *testing.T) {
 		for _, p := range []int{1, 2, 4, 8} {
 			var share float64
 			sim.Run(p, func(r *sim.Rank) {
-				s := newTransportSim(r, 3, 2, 6, 600*int64(p))
+				s := newTransportSim(r, boxTransport(), 3, 2, 6, 600*int64(p))
 				for c := 0; c < 2; c++ {
 					s.step(32)
 					s.adapt()
@@ -186,4 +229,80 @@ func TestFig7AMRFractionModest(t *testing.T) {
 		}
 	}
 	t.Errorf("AMR takes %.1f%% of the run in the worst row, want <= %.0f%%", 100*worst, 100*ceiling)
+}
+
+// frontStats returns the angle about the z axis of the centroid of the
+// nodes where T > 0.5, and T's range (collective).
+func (s *transportSim) frontStats() (angle, lo, hi float64) {
+	var sum [3]float64 // x, y, count
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for j, v := range s.T.Data {
+		lo, hi = math.Min(lo, v), math.Max(hi, v)
+		if v > 0.5 {
+			x := fem.NodeCoord(s.mesh, fem.UnitDomain, j)
+			sum[0], sum[1], sum[2] = sum[0]+x[0], sum[1]+x[1], sum[2]+1
+		}
+	}
+	r := s.forest.Rank()
+	g := r.AllreduceVec(sum[:])
+	return math.Atan2(g[1], g[0]), r.Allreduce(lo, sim.OpMin), r.Allreduce(hi, sim.OpMax)
+}
+
+// TestSphereAdaptRepartition is the paper's Fig 12 on the transport stack
+// the application runs (advect, errind, AdaptFields): a front carried
+// around the 24-tree cubed-sphere shell while the forest adapts to it and
+// repartitions every cycle, at 1, 2 and 4 ranks. Each cycle takes six
+// SUPG steps and one adaptation; the assertions are that elements change
+// rank at 2 and 4 ranks, that the element count stays within 2% of the
+// 1-rank count (forest.CoarsenMarked merges only families held by one
+// rank, so a partition cut can keep 7 extra leaves), that the front's
+// angle grows every cycle and stays within [0.75, 1.15] of the exact
+// rotation angle, and that T stays within [-0.1, 1].
+func TestSphereAdaptRepartition(t *testing.T) {
+	const cycles = 6
+	type cycle struct {
+		elems, moved         int64
+		angle, exact, lo, hi float64
+	}
+	var one []cycle
+	for _, p := range []int{1, 2, 4} {
+		var cs []cycle
+		sim.Run(p, func(r *sim.Rank) {
+			s := newTransportSim(r, sphereTransport(), 2, 1, 5, 3000)
+			var local []cycle
+			for c := 0; c < cycles; c++ {
+				s.step(6)
+				st := s.adapt()
+				angle, lo, hi := s.frontStats()
+				local = append(local, cycle{st.ElementsNow, st.Moved, angle, s.elapsed, lo, hi})
+			}
+			if r.ID() == 0 {
+				cs = local
+			}
+		})
+		if p == 1 {
+			one = cs
+		}
+		var moved int64
+		for c, cy := range cs {
+			moved += cy.moved
+			t.Logf("p=%d cycle %d: %d elements, %d moved, front at %.3f rad (exact %.3f), T in [%.3f, %.3f]",
+				p, c+1, cy.elems, cy.moved, cy.angle, cy.exact, cy.lo, cy.hi)
+			if d := math.Abs(float64(cy.elems-one[c].elems)) / float64(one[c].elems); d > 0.02 {
+				t.Errorf("p=%d cycle %d: %d elements, %.2f%% off the %d at 1 rank", p, c+1, cy.elems, 100*d, one[c].elems)
+			}
+			if cy.angle < 0.75*cy.exact || cy.angle > 1.15*cy.exact {
+				t.Errorf("p=%d cycle %d: front at %.3f rad, want within [0.75, 1.15] of %.3f", p, c+1, cy.angle, cy.exact)
+			}
+			if c > 0 && cy.angle <= cs[c-1].angle {
+				t.Errorf("p=%d cycle %d: front at %.3f rad did not advance from %.3f", p, c+1, cy.angle, cs[c-1].angle)
+			}
+			if cy.lo < -0.1 || cy.hi > 1 || math.IsNaN(cy.lo+cy.hi) {
+				t.Errorf("p=%d cycle %d: T in [%v, %v], want within [-0.1, 1]", p, c+1, cy.lo, cy.hi)
+			}
+		}
+		if p > 1 && moved == 0 {
+			t.Errorf("p=%d: no element changed rank in %d repartitions", p, cycles)
+		}
+	}
 }

@@ -272,9 +272,6 @@ type schurTerm struct {
 	Coef       float64
 }
 
-// System is the historical name for Solver (one-shot Assemble use).
-type System = Solver
-
 // PrecondKind selects the velocity-block preconditioner family.
 type PrecondKind int
 
@@ -691,143 +688,6 @@ func (s *Solver) updateSchur(etaElem []float64) {
 	}
 }
 
-// assembleCoupled builds the coupled saddle-point CSR and right-hand side
-// for the current viscosity and force (collective). The sparsity pattern
-// is mesh-dependent, but la.Mat freezes it at Assemble time, so the CSR
-// is rebuilt per Update; the cached Dirichlet maps are reused.
-func (s *Solver) assembleCoupled(etaElem []float64, force [][8][3]float64) {
-	if s.hasSlip {
-		// The rotated-frame assembly below necessarily visits entries in
-		// a different order; keep the historical loop bit-for-bit when no
-		// slip boundary is configured.
-		s.assembleCoupledSlip(etaElem, force)
-		return
-	}
-	m, dom := s.M, s.Dom
-	fixed, val := s.cons.Fixed, s.cons.Val
-	A := la.NewMat(s.Layout)
-	bb := la.NewVecBuilder(s.Layout)
-
-	for ei, leaf := range m.Leaves {
-		eta := etaElem[ei]
-		var Av [24][24]float64
-		var Bd [8][24]float64
-		var Cs, M8 [8][8]float64
-		if s.stokesKern != nil {
-			// Mapped elements: scale the cached per-element unit kernels —
-			// exactly what the matrix-free apply multiplies against.
-			k := s.stokesKern[ei]
-			Av, Bd, M8 = k.Av, k.Bd, k.M8
-			inv := 1 / eta
-			for a := 0; a < 24; a++ {
-				for b := 0; b < 24; b++ {
-					Av[a][b] *= eta
-				}
-			}
-			for a := 0; a < 8; a++ {
-				for b := 0; b < 8; b++ {
-					Cs[a][b] = inv * k.Cs[a][b]
-				}
-			}
-		} else {
-			h := dom.ElemSize(leaf)
-			Av = fem.ViscousBrick(h, eta)
-			Bd = fem.DivergenceBrick(h)
-			Cs = fem.StabilizationBrick(h, eta)
-			M8 = fem.MassBrick(h, 1)
-		}
-		cs := &m.Corners[ei]
-
-		// Consistent body-force load: F[a][i] = sum_b M8[a][b] f[b][i].
-		var F [8][3]float64
-		if force != nil {
-			for a := 0; a < 8; a++ {
-				for b := 0; b < 8; b++ {
-					for i := 0; i < 3; i++ {
-						F[a][i] += M8[a][b] * force[ei][b][i]
-					}
-				}
-			}
-		}
-
-		for a := 0; a < 8; a++ {
-			for ia := 0; ia < int(cs[a].N); ia++ {
-				sa, wa := int(cs[a].Slot[ia]), cs[a].W[ia]
-				ga := m.GID(cs[a].Slot[ia])
-				// Velocity momentum rows.
-				for i := 0; i < 3; i++ {
-					if fixed[4*sa+i] {
-						continue
-					}
-					row := 4*ga + int64(i)
-					bb.Add(row, wa*F[a][i])
-					for b := 0; b < 8; b++ {
-						for ib := 0; ib < int(cs[b].N); ib++ {
-							sb, wb := int(cs[b].Slot[ib]), cs[b].W[ib]
-							gb := m.GID(cs[b].Slot[ib])
-							w := wa * wb
-							// viscous block
-							for j := 0; j < 3; j++ {
-								v := w * Av[3*a+i][3*b+j]
-								if v == 0 {
-									continue
-								}
-								if fixed[4*sb+j] {
-									bb.Add(row, -v*val[4*sb+j])
-								} else {
-									A.AddValue(row, 4*gb+int64(j), v)
-								}
-							}
-							// grad-p coupling: entry (v-row (a,i), p-col b)
-							v := w * Bd[b][3*a+i]
-							if v != 0 {
-								if fixed[4*sb+3] {
-									bb.Add(row, -v*val[4*sb+3])
-								} else {
-									A.AddValue(row, 4*gb+3, v)
-								}
-							}
-						}
-					}
-				}
-				// Pressure continuity row.
-				if fixed[4*sa+3] {
-					continue
-				}
-				prow := 4*ga + 3
-				for b := 0; b < 8; b++ {
-					for ib := 0; ib < int(cs[b].N); ib++ {
-						sb, wb := int(cs[b].Slot[ib]), cs[b].W[ib]
-						gb := m.GID(cs[b].Slot[ib])
-						w := wa * wb
-						for j := 0; j < 3; j++ {
-							v := w * Bd[a][3*b+j]
-							if v == 0 {
-								continue
-							}
-							if fixed[4*sb+j] {
-								bb.Add(prow, -v*val[4*sb+j])
-							} else {
-								A.AddValue(prow, 4*gb+int64(j), v)
-							}
-						}
-						// stabilization block: -C
-						v := -w * Cs[a][b]
-						if v != 0 {
-							if fixed[4*sb+3] {
-								bb.Add(prow, -v*val[4*sb+3])
-							} else {
-								A.AddValue(prow, 4*gb+3, v)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	s.finishCoupled(A, bb)
-}
-
 // finishCoupled closes a coupled assembly (collective): identity rows
 // and boundary values for the constrained dofs owned here.
 func (s *Solver) finishCoupled(A *la.Mat, bb *la.VecBuilder) {
@@ -892,14 +752,19 @@ func rotBlock(Qa *[3][3]float64, aRot bool, V [3][3]float64, Qb *[3][3]float64, 
 	return V
 }
 
-// assembleCoupledSlip is assembleCoupled with rotated boundary frames:
-// every velocity coupling block is conjugated Qa^T V Qb into the local
-// frames of its row and column master nodes, grad-p columns and
-// divergence rows are rotated on their velocity side, and the body-force
-// load lands in the row node's local frame — after which the plain
-// local-index Dirichlet elimination of the Cartesian path constrains
-// exactly the boundary-normal components.
-func (s *Solver) assembleCoupledSlip(etaElem []float64, force [][8][3]float64) {
+// assembleCoupled builds the coupled saddle-point CSR and right-hand side
+// for the current viscosity and force (collective). The sparsity pattern
+// is mesh-dependent, but la.Mat freezes it at Assemble time, so the CSR
+// is rebuilt per Update; the cached Dirichlet maps are reused.
+//
+// At a node with a rotated boundary frame (free slip, cons.Frames) every
+// velocity coupling block is conjugated Qa^T V Qb into the local frames
+// of its row and column master nodes, grad-p columns and divergence rows
+// are rotated on their velocity side, and the body-force load lands in
+// the row node's local frame — after which the plain local-index
+// Dirichlet elimination constrains exactly the boundary-normal
+// components. Without frames (nil table) nothing rotates.
+func (s *Solver) assembleCoupled(etaElem []float64, force [][8][3]float64) {
 	m, dom := s.M, s.Dom
 	fixed, val, frames := s.cons.Fixed, s.cons.Val, s.cons.Frames
 	A := la.NewMat(s.Layout)
@@ -911,6 +776,8 @@ func (s *Solver) assembleCoupledSlip(etaElem []float64, force [][8][3]float64) {
 		var Bd [8][24]float64
 		var Cs, M8 [8][8]float64
 		if s.stokesKern != nil {
+			// Mapped elements: scale the cached per-element unit kernels —
+			// exactly what the matrix-free apply multiplies against.
 			k := s.stokesKern[ei]
 			Av, Bd, M8 = k.Av, k.Bd, k.M8
 			inv := 1 / eta
@@ -933,6 +800,7 @@ func (s *Solver) assembleCoupledSlip(etaElem []float64, force [][8][3]float64) {
 		}
 		cs := &m.Corners[ei]
 
+		// Consistent body-force load: F[a][i] = sum_b M8[a][b] f[b][i].
 		var F [8][3]float64
 		if force != nil {
 			for a := 0; a < 8; a++ {
@@ -948,7 +816,10 @@ func (s *Solver) assembleCoupledSlip(etaElem []float64, force [][8][3]float64) {
 			for ia := 0; ia < int(cs[a].N); ia++ {
 				sa, wa := int(cs[a].Slot[ia]), cs[a].W[ia]
 				ga := m.GID(cs[a].Slot[ia])
-				Qa := frames[sa]
+				var Qa *[3][3]float64
+				if frames != nil {
+					Qa = frames[sa]
+				}
 				aRot := Qa != nil
 				fa := F[a]
 				if aRot {
@@ -967,7 +838,10 @@ func (s *Solver) assembleCoupledSlip(etaElem []float64, force [][8][3]float64) {
 						sb, wb := int(cs[b].Slot[ib]), cs[b].W[ib]
 						gb := m.GID(cs[b].Slot[ib])
 						w := wa * wb
-						Qb := frames[sb]
+						var Qb *[3][3]float64
+						if frames != nil {
+							Qb = frames[sb]
+						}
 						bRot := Qb != nil
 						var V [3][3]float64
 						for i := 0; i < 3; i++ {
@@ -1053,37 +927,6 @@ func (s *Solver) NodeSlots() *matfree.SlotMap { return matfree.NodeSlots(s.M) }
 // prescribes the velocity Dirichlet conditions.
 func Assemble(m *mesh.Mesh, dom fem.Domain, etaElem []float64, force [][8][3]float64, bc VelBC, opts Options) *Solver {
 	return Setup(m, dom, bc, opts).Update(etaElem, force)
-}
-
-// PrecondStats identifies the velocity-block preconditioner a Solver
-// actually runs — so scaling tests can assert (and report) that
-// GMG really preconditioned a run instead of silently standing in for a
-// cheaper fallback.
-type PrecondStats struct {
-	Kind        string `json:"kind"` // "gmg", "amg-redundant" or "amg-local"
-	GMGLevels   int    `json:"gmg_levels,omitempty"`
-	CoarseElems int64  `json:"coarse_elems,omitempty"`
-	CoarseRanks int    `json:"coarse_ranks,omitempty"`
-	Degenerate  bool   `json:"degenerate,omitempty"`
-}
-
-// PrecondStats reports the active velocity preconditioner (identical on
-// every rank).
-func (s *Solver) PrecondStats() PrecondStats {
-	if s.GMGH != nil {
-		le := s.GMGH.LevelElems()
-		return PrecondStats{
-			Kind:        "gmg",
-			GMGLevels:   s.GMGH.NumLevels(),
-			CoarseElems: le[len(le)-1],
-			CoarseRanks: s.GMGH.CoarseRanks(),
-			Degenerate:  s.GMGH.Degenerate(),
-		}
-	}
-	if s.opts.LocalAMG {
-		return PrecondStats{Kind: "amg-local"}
-	}
-	return PrecondStats{Kind: "amg-redundant"}
 }
 
 // Precond returns the block-diagonal preconditioner operator P^-1.
