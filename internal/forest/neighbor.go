@@ -1,7 +1,8 @@
 package forest
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"rhea/internal/morton"
 )
@@ -91,14 +92,14 @@ type NodePos struct {
 	Pos  [3]uint32
 }
 
-// posLess orders representations tree-major, then by packed position.
-func posLess(a, b NodePos) bool {
+// comparePos orders representations tree-major, then by packed position.
+func comparePos(a, b NodePos) int {
 	if a.Tree != b.Tree {
-		return a.Tree < b.Tree
+		return cmp.Compare(a.Tree, b.Tree)
 	}
 	ka := uint64(a.Pos[0]) | uint64(a.Pos[1])<<21 | uint64(a.Pos[2])<<42
 	kb := uint64(b.Pos[0]) | uint64(b.Pos[1])<<21 | uint64(b.Pos[2])<<42
-	return ka < kb
+	return cmp.Compare(ka, kb)
 }
 
 // NodeReps appends to dst every (tree, position) representation of the
@@ -143,7 +144,7 @@ func (c *Connectivity) NodeReps(tree int32, pos [3]uint32, dst []NodePos) []Node
 		}
 	}
 	if len(dst) > 1 {
-		sort.Slice(dst, func(i, j int) bool { return posLess(dst[i], dst[j]) })
+		slices.SortFunc(dst, comparePos)
 	}
 	return dst
 }

@@ -332,20 +332,6 @@ func (m *Mat) Diag() *Vec {
 	return d
 }
 
-// RowSumAbs returns the vector of absolute row sums (useful for scaling
-// diagnostics).
-func (m *Mat) RowSumAbs() *Vec {
-	d := NewVec(m.Layout)
-	for i := range d.Data {
-		var s float64
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += math.Abs(m.vals[k])
-		}
-		d.Data[i] = s
-	}
-	return d
-}
-
 // LocalCSR exposes this rank's diagonal block as a serial CSR matrix
 // (rows and columns both restricted to owned indices). Off-block entries
 // are dropped. This is the input to the per-rank AMG hierarchy used as a

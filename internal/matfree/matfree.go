@@ -61,27 +61,37 @@ type Options struct {
 	Workers int
 }
 
-// Operator is the matrix-free coupled Stokes operator on one rank. It
-// implements krylov.Operator over the interleaved 4N dof layout used by
-// stokes.Solver.
+// Operator is the matrix-free coupled Stokes operator on one rank, for
+// either element order. It implements krylov.Operator over the
+// interleaved 4N dof layout used by stokes.Solver. The constraint lists,
+// slot buffer, worker pool, Apply and RHS are shared; the element loop is
+// chosen at construction — 8 weighted corners per element for Q1 (New),
+// 27 direct node slots for Q2 (NewQ2, q2.go).
 type Operator struct {
-	m      *mesh.Mesh
-	layout *la.Layout // 4*NumOwned dof layout
+	layout *la.Layout // 4*nOwned dof layout
 	eta    []float64  // per-element viscosity
-	// Element operator: on mapped meshes the shared per-element
+	gx     *la.GhostExchange
+	nOwned int
+	nSlots int
+
+	// Q1 element operator: on mapped meshes the shared per-element
 	// quadrature geometry (fem.ElemGeoms), applied at the quadrature
 	// points; on axis-aligned meshes (geos nil) one tabulated kernel per
 	// octree level, aliased per element.
 	geos    []*fem.ElemGeom
 	kern    []*fem.StokesKernels
 	corners [][8]mesh.Corner
-	gx      *la.GhostExchange
-	nOwned  int
-	nSlots  int
+
+	// Q2 element operator: sum-factorised kernels, the element node
+	// slots, and per-worker scratch.
+	sf    []*fem.SumFactorKernels
+	nodes [][27]int32
+	work  []*q2work
 
 	fixedIdx []int32   // slot-space dof indices read as zero (constrained columns)
 	bcval    []float64 // len nSlots*4: Dirichlet values at constrained dofs
 	ownFixed []int32   // owned dof indices with identity rows
+	zeroLift bool      // every Dirichlet value is zero
 
 	// Rotated boundary frames (free-slip): slots whose velocity block is
 	// conjugated into a local (normal, tangent, tangent) basis, and the
@@ -91,15 +101,15 @@ type Operator struct {
 
 	pool   *pool
 	xbuf   []float64                               // nSlots*4 gathered input
-	loopFn func(w, lo, hi int, src, dst []float64) // bound elementLoop (avoids a per-Apply method-value allocation)
+	loopFn func(w, lo, hi int, src, dst []float64) // the order's element loop, bound once (avoids a per-Apply method-value allocation)
 }
 
 // pool is the in-rank worker pool matrix-free element loops run on:
 // static Morton-contiguous element chunks per worker, per-worker
-// accumulators, and a deterministic two-phase reduction. The Q1 coupled
-// operator, the Q2 (27-node) operator and their right-hand-side loops
-// all share it; the loop callback receives its worker index so
-// higher-order kernels can use per-worker scratch without allocating.
+// accumulators, and a deterministic two-phase reduction. Both orders'
+// element loops and their right-hand-side loops share it; the loop
+// callback receives its worker index so the Q2 loops can use per-worker
+// scratch without allocating.
 type pool struct {
 	workers int
 	chunks  [][2]int    // element ranges per worker
@@ -181,23 +191,32 @@ func (p *pool) run(src []float64, loop func(w, lo, hi int, src, dst []float64)) 
 	return p.acc[0]
 }
 
-// New builds the operator for the extracted mesh, per-element viscosity
-// and constraint tables (local). layout must be the 4N dof layout of the
-// Stokes system. Everything built here — constraint index lists, worker
-// chunks, per-level brick kernels — depends only on the mesh and boundary
-// conditions; the node numbering and ghost plan are the mesh's own.
-// etaElem may be nil and supplied later via SetViscosity, which is how
-// the persistent solver reuses one Operator across viscosity updates.
+// New builds the Q1 operator for the extracted mesh, per-element
+// viscosity and constraint tables (local). layout must be the 4N dof
+// layout of the Stokes system. Everything built here — constraint index
+// lists, worker chunks, per-level brick kernels — depends only on the mesh
+// and boundary conditions; the node numbering and ghost plan are the
+// mesh's own. etaElem may be nil and supplied later via SetViscosity,
+// which is how the persistent solver reuses one Operator across viscosity
+// updates.
 func New(m *mesh.Mesh, dom fem.Domain, layout *la.Layout, etaElem []float64, cons Constraints, opts Options) *Operator {
-	op := &Operator{m: m, layout: layout, eta: etaElem, nOwned: m.NumOwned,
-		corners: m.Corners, gx: m.GX, nSlots: m.NSlots(), bcval: cons.Val}
-
+	op := newOperator(layout, etaElem, m.GX, m.NumOwned, len(m.Leaves), cons, opts)
+	op.corners = m.Corners
 	// Mapped meshes read the geometry every layer shares; axis-aligned
 	// ones the per-level kernels the assembled path scales too.
 	if op.geos = fem.ElemGeoms(m); op.geos == nil {
 		op.kern = fem.StokesKernelsFor(m, dom)
 	}
+	op.loopFn = op.elementLoop
+	return op
+}
 
+// newOperator builds the order-independent half of an operator (local):
+// the constraint index lists over the nOwned owned and gx's ghost slots,
+// the worker pool over ne elements and the slot buffer.
+func newOperator(layout *la.Layout, etaElem []float64, gx *la.GhostExchange, nOwned, ne int, cons Constraints, opts Options) *Operator {
+	op := &Operator{layout: layout, eta: etaElem, gx: gx, nOwned: nOwned,
+		nSlots: nOwned + gx.NumGhosts(), bcval: cons.Val, zeroLift: true}
 	for s, Q := range cons.Frames {
 		if Q != nil {
 			op.rotSlot = append(op.rotSlot, int32(s))
@@ -207,15 +226,16 @@ func New(m *mesh.Mesh, dom fem.Domain, layout *la.Layout, etaElem []float64, con
 	for idx, is := range cons.Fixed {
 		if is {
 			op.fixedIdx = append(op.fixedIdx, int32(idx))
-			if idx < 4*m.NumOwned {
+			if idx < 4*nOwned {
 				op.ownFixed = append(op.ownFixed, int32(idx))
+			}
+			if cons.Val[idx] != 0 {
+				op.zeroLift = false
 			}
 		}
 	}
-
-	op.pool = newPool(opts.Workers, m.Rank.Size(), len(m.Leaves), op.nSlots*4)
+	op.pool = newPool(opts.Workers, layout.Rank().Size(), ne, op.nSlots*4)
 	op.xbuf = make([]float64, op.nSlots*4)
-	op.loopFn = op.elementLoop
 	return op
 }
 
@@ -269,8 +289,8 @@ func scatterElem(cs *[8]mesh.Corner, ye *[32]float64, dst []float64) {
 	}
 }
 
-// elementLoop runs ye = A_e xe over elements [lo,hi), accumulating into
-// dst through the constraint weights.
+// elementLoop runs the Q1 ye = A_e xe over elements [lo,hi), accumulating
+// into dst through the constraint weights.
 func (op *Operator) elementLoop(_, lo, hi int, src, dst []float64) {
 	var xe, ye [32]float64
 	for ei := lo; ei < hi; ei++ {
@@ -358,17 +378,17 @@ func (op *Operator) elemLoad(ei int, f, F *[8][3]float64) {
 	}
 }
 
-// rhsLoop runs the right-hand-side element loop over elements [lo,hi):
-// consistent body-force loads minus the raw operator applied to the
-// Dirichlet lift in src, accumulated into dst through the constraint
+// rhsLoop runs the Q1 right-hand-side element loop over elements
+// [lo,hi): consistent body-force loads minus the raw operator applied to
+// the Dirichlet lift in src, accumulated into dst through the constraint
 // weights.
-func (op *Operator) rhsLoop(force [][8][3]float64, zeroLift bool) func(w, lo, hi int, src, dst []float64) {
+func (op *Operator) rhsLoop(force [][8][3]float64) func(w, lo, hi int, src, dst []float64) {
 	return func(_, lo, hi int, src, dst []float64) {
 		var xe, ye [32]float64
 		var F [8][3]float64
 		for ei := lo; ei < hi; ei++ {
 			cs := &op.corners[ei]
-			if zeroLift {
+			if op.zeroLift {
 				// Homogeneous Dirichlet data: the lift action is exactly
 				// zero, skip the gather and kernel apply.
 				ye = [32]float64{}
@@ -395,30 +415,29 @@ func (op *Operator) rhsLoop(force [][8][3]float64, zeroLift bool) func(w, lo, hi
 	}
 }
 
-// RHS assembles the right-hand side matching the eliminated operator
-// without forming any matrix (collective): consistent body-force loads
-// minus the raw operator applied to the Dirichlet lift, with constrained
-// owned entries set to their boundary values. force gives the body-force
-// vector at each element corner (nil for none). The element loop runs on
-// the same worker pool (and with the same deterministic reduction) as
-// Apply.
-func (op *Operator) RHS(force [][8][3]float64) *la.Vec {
+// RHS assembles the right-hand side matching the eliminated Q1 operator
+// without forming any matrix (collective). force gives the body-force
+// vector at each element corner (nil for none).
+func (op *Operator) RHS(force [][8][3]float64) *la.Vec { return op.rhs(op.rhsLoop(force)) }
+
+// rhs runs an order's right-hand-side element loop (collective):
+// consistent body-force loads minus the raw operator applied to the
+// Dirichlet lift, with constrained owned entries set to their boundary
+// values. The loop runs on the same worker pool (and with the same
+// deterministic reduction) as Apply.
+func (op *Operator) rhs(loop func(w, lo, hi int, src, dst []float64)) *la.Vec {
 	// Dirichlet lift in slot space: boundary values at constrained dofs
 	// (local-frame values at framed slots, rotated forward with the lift).
-	zeroLift := true
 	for i := range op.xbuf {
 		op.xbuf[i] = 0
 	}
 	for _, idx := range op.fixedIdx {
 		op.xbuf[idx] = op.bcval[idx]
-		if op.bcval[idx] != 0 {
-			zeroLift = false
-		}
 	}
-	if !zeroLift {
+	if !op.zeroLift {
 		op.rotFwd(op.xbuf)
 	}
-	acc := op.pool.run(op.xbuf, op.rhsLoop(force, zeroLift))
+	acc := op.pool.run(op.xbuf, loop)
 	// The load (and lift action) was accumulated in Cartesian components;
 	// rotate framed rows into their local frames like the apply does.
 	op.rotBwd(acc)

@@ -28,9 +28,13 @@ import (
 // unitBox is the one-tree connectivity of the unit cube.
 var unitBox = forest.BrickConnectivity(1, 1, 1)
 
+// dofBC reports whether dof component c (0..2 velocity, 3 pressure) of
+// the node with global id g is Dirichlet-constrained, and its value.
+type dofBC func(g int64, c int) (float64, bool)
+
 // q1TestBC pins the pressure at gid 0 and (single-rank use) fixes all
 // velocity components of boundary nodes to zero.
-func q1TestBC(m *mesh.Mesh) matfree.DofBC {
+func q1TestBC(m *mesh.Mesh) dofBC {
 	return func(g int64, c int) (float64, bool) {
 		if c == 3 {
 			return 0, g == 0
@@ -47,7 +51,7 @@ func q1TestBC(m *mesh.Mesh) matfree.DofBC {
 
 // consFrom tabulates a Dirichlet condition given by global node id into
 // the operator's slot-indexed constraint tables.
-func consFrom(m *mesh.Mesh, bc matfree.DofBC) matfree.Constraints {
+func consFrom(m *mesh.Mesh, bc dofBC) matfree.Constraints {
 	ns := m.NSlots()
 	cons := matfree.Constraints{Fixed: make([]bool, 4*ns), Val: make([]float64, 4*ns)}
 	for s := 0; s < ns; s++ {
@@ -61,7 +65,7 @@ func consFrom(m *mesh.Mesh, bc matfree.DofBC) matfree.Constraints {
 // assembleQ1 builds the eliminated coupled Q1 CSR the way the stokes
 // assembled path does: brick kernels, hanging-node weights, skipped
 // constrained rows/columns and identity diagonals.
-func assembleQ1(m *mesh.Mesh, dom fem.Domain, layout *la.Layout, eta []float64, bc matfree.DofBC) *la.Mat {
+func assembleQ1(m *mesh.Mesh, dom fem.Domain, layout *la.Layout, eta []float64, bc dofBC) *la.Mat {
 	A := la.NewMat(layout)
 	for ei, leaf := range m.Leaves {
 		h := dom.ElemSize(leaf)
@@ -180,6 +184,14 @@ func TestQ1ApplyMatchesAssembled(t *testing.T) {
 	})
 }
 
+// q2GID returns the global id of the Q2 node in slot sl.
+func q2GID(q2 *mesh.Q2Mesh, sl int32) int64 {
+	if int(sl) < q2.NumOwned {
+		return q2.Offset + int64(sl)
+	}
+	return q2.GX.Ghosts()[int(sl)-q2.NumOwned]
+}
+
 // TestQ2ApplyMatchesAssembledNaive assembles the global Taylor-Hood CSR
 // from the naive dense reference kernels (fem.Q2StokesKernels) and
 // checks the distributed sum-factorized apply against it to 1e-10.
@@ -195,64 +207,71 @@ func TestQ2ApplyMatchesAssembledNaive(t *testing.T) {
 		for i := range eta {
 			eta[i] = 1 + 0.5*math.Sin(float64(i))
 		}
-		bc := func(g int64, c int) (float64, bool) {
-			p2 := q2.RefPos(g)
-			if c == 3 {
-				return 0, g == 0 || !q2.IsVertex(p2)
-			}
-			for d := 0; d < 3; d++ {
-				if p2[d] == 0 || p2[d] == 2*morton.RootLen {
-					return 0, true
+		// Constrain the box faces' velocities, the non-vertex pressures and
+		// the pressure pin, slot by slot, from the positions the elements
+		// give every referenced slot.
+		ns := q2.NSlots()
+		cons := matfree.Constraints{Fixed: make([]bool, 4*ns), Val: make([]float64, 4*ns)}
+		gid := make([]int64, ns)
+		for ei, leaf := range m.Leaves {
+			for n, sl := range q2.Nodes[ei] {
+				p2 := mesh.Q2NodePos2(leaf, n)
+				gid[sl] = q2GID(q2, sl)
+				cons.Fixed[4*sl+3] = gid[sl] == 0 || !q2.IsVertex(p2)
+				for d := 0; d < 3; d++ {
+					if p2[d] == 0 || p2[d] == 2*morton.RootLen {
+						cons.Fixed[4*sl], cons.Fixed[4*sl+1], cons.Fixed[4*sl+2] = true, true, true
+					}
 				}
 			}
-			return 0, false
 		}
-		op := matfree.NewQ2(q2, dom, layout, eta, bc, matfree.Options{})
+		op := matfree.NewQ2(q2, dom, layout, eta, cons, matfree.Options{})
+		fixed := func(sl int32, c int) bool { return cons.Fixed[4*sl+int32(c)] }
 
 		A := la.NewMat(layout)
 		for ei, leaf := range m.Leaves {
 			k := fem.NewQ2StokesKernels(dom.ElemSize(leaf))
-			g27 := &q2.Nodes[ei]
+			s27 := &q2.Nodes[ei]
 			for a := 0; a < 27; a++ {
 				for i := 0; i < 3; i++ {
-					if _, is := bc(g27[a], i); is {
+					if fixed(s27[a], i) {
 						continue
 					}
-					row := 4*g27[a] + int64(i)
+					row := 4*gid[s27[a]] + int64(i)
 					for b := 0; b < 27; b++ {
 						for j := 0; j < 3; j++ {
-							if _, is := bc(g27[b], j); is {
+							if fixed(s27[b], j) {
 								continue
 							}
 							if v := eta[ei] * k.Av[3*a+i][3*b+j]; v != 0 {
-								A.AddValue(row, 4*g27[b]+int64(j), v)
+								A.AddValue(row, 4*gid[s27[b]]+int64(j), v)
 							}
 						}
 					}
 					for p := 0; p < 8; p++ {
-						gp := g27[fem.Q2CornerNode(p)]
-						if _, is := bc(gp, 3); is {
+						sp := s27[fem.Q2CornerNode(p)]
+						if fixed(sp, 3) {
 							continue
 						}
 						if v := k.Bd[p][3*a+i]; v != 0 {
-							A.AddValue(row, 4*gp+3, v)
+							A.AddValue(row, 4*gid[sp]+3, v)
 						}
 					}
 				}
 			}
 			for a := 0; a < 8; a++ {
-				ga := g27[fem.Q2CornerNode(a)]
-				if _, is := bc(ga, 3); is {
+				sa := s27[fem.Q2CornerNode(a)]
+				if fixed(sa, 3) {
 					continue
 				}
-				prow := 4*ga + 3
+				prow := 4*gid[sa] + 3
 				for b := 0; b < 27; b++ {
 					for j := 0; j < 3; j++ {
-						if _, is := bc(g27[b], j); is {
+						if fixed(s27[b], j) {
 							continue
 						}
 						if v := k.Bd[a][3*b+j]; v != 0 {
-							A.AddValue(prow, 4*g27[b]+int64(j), v)
+							A.AddValue(prow, 4*gid[s27[b]]+int64(j), v)
 						}
 					}
 				}
@@ -261,7 +280,7 @@ func TestQ2ApplyMatchesAssembledNaive(t *testing.T) {
 		for i := 0; i < q2.NumOwned; i++ {
 			g := q2.Offset + int64(i)
 			for c := 0; c < 4; c++ {
-				if _, is := bc(g, c); is {
+				if fixed(int32(i), c) {
 					A.AddValue(4*g+int64(c), 4*g+int64(c), 1)
 				}
 			}
@@ -332,22 +351,22 @@ func TestSlotMapInvariants(t *testing.T) {
 			}
 		}
 
-		// Q2 slot map on a uniform mesh from the same rank set.
+		// The Q2 layer's slots on a uniform mesh from the same rank set:
+		// the same invariants, 27 direct slots per element.
 		tr2 := forest.New(r, unitBox, 2)
 		m2 := mesh.Extract(tr2, nil)
 		q2 := mesh.ExtractQ2(tr2, m2)
-		sm2 := matfree.NewQ2SlotMap(q2, 1)
-		if sm2.NOwned != q2.NumOwned {
-			t.Fatalf("Q2SlotMap.NOwned = %d, want %d", sm2.NOwned, q2.NumOwned)
+		for s := 0; s < q2.NSlots(); s++ {
+			g := q2GID(q2, int32(s))
+			if own := s < q2.NumOwned; own && g != q2.Offset+int64(s) ||
+				!own && (q2.Layout().Owns(g) || s > q2.NumOwned && g <= q2GID(q2, int32(s-1))) {
+				t.Fatalf("Q2 slot %d has gid %d: not gid-offset, owned ghost or not ascending", s, g)
+			}
 		}
-		for ei := range sm2.Nodes {
-			for n := 0; n < 27; n++ {
-				s := sm2.Nodes[ei][n]
-				if s < 0 || int(s) >= sm2.NSlots() {
+		for ei := range q2.Nodes {
+			for _, s := range q2.Nodes[ei] {
+				if s < 0 || int(s) >= q2.NSlots() {
 					t.Fatalf("Q2 node slot %d out of range", s)
-				}
-				if g := sm2.GIDAt(int(s)); g != q2.Nodes[ei][n] {
-					t.Fatalf("Q2 slot %d resolves to gid %d, want %d", s, g, q2.Nodes[ei][n])
 				}
 			}
 		}
@@ -378,13 +397,11 @@ func TestApplyAllocFree(t *testing.T) {
 		q2 := mesh.ExtractQ2(tr, m)
 		m.Q2 = q2
 		layout2 := la.NewLayout(r, 4*q2.NumOwned)
-		bc2 := func(g int64, c int) (float64, bool) {
-			if c == 3 {
-				return 0, g == 0 || !q2.IsVertex(q2.RefPos(g))
-			}
-			return 0, false
+		cons2 := matfree.Constraints{Fixed: make([]bool, 4*q2.NSlots()), Val: make([]float64, 4*q2.NSlots())}
+		for s, p2 := range q2.OwnedPos2 {
+			cons2.Fixed[4*s+3] = s == 0 || !q2.IsVertex(p2)
 		}
-		op2 := matfree.NewQ2(q2, dom, layout2, eta, bc2, matfree.Options{Workers: 1})
+		op2 := matfree.NewQ2(q2, dom, layout2, eta, cons2, matfree.Options{Workers: 1})
 		x2, y2 := la.NewVec(layout2), la.NewVec(layout2)
 		fillTestVec(x2)
 		if n := testing.AllocsPerRun(20, func() { op2.Apply(x2, y2) }); n != 0 {

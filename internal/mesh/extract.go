@@ -247,101 +247,21 @@ func Extract(f *forest.Forest, g Geometry) *Mesh {
 		}
 	}
 
-	// Number the owned nodes deterministically by canonical key: slot =
-	// local index = global id - Offset. The others are asked of their
-	// owners, in the same order — the order of the owner's numbering, so
-	// that each owner's ghosts are listed, answered and laid out in
-	// ascending global id.
-	me := int32(r.ID())
-	p := r.Size()
-	byCanon := func(i, j int32) int {
-		a, b := &nodes[need[i]].canon, &nodes[need[j]].canon
-		if a.Tree != b.Tree {
-			return cmp.Compare(a.Tree, b.Tree)
-		}
-		return cmp.Compare(posKey(a.Pos), posKey(b.Pos))
-	}
-	var owned []int32         // need indices
-	ask := make([][]int32, p) // need indices, per owner
-	for i, ni := range need {
-		if o := nodes[ni].owner; o == me {
-			owned = append(owned, int32(i))
-		} else {
-			ask[o] = append(ask[o], int32(i))
-		}
-	}
-	slices.SortFunc(owned, byCanon)
+	var owned, slot []int32
+	m.layout, owned, slot, m.GX = numberNodes(r, nodes, need)
 	m.NumOwned = len(owned)
-	m.layout = la.NewLayout(r, m.NumOwned)
 	m.Offset, m.NGlobal = m.layout.Start(), m.layout.N()
 	m.OwnedPos = make([][3]uint32, m.NumOwned)
 	m.OwnedTree = make([]int32, m.NumOwned)
 	m.OwnedCell = make([]forest.Octant, m.NumOwned)
 	m.OwnedCellPos = make([][3]uint32, m.NumOwned)
-	slot := make([]int32, len(need)) // slot of need[i]
 	for li, i := range owned {
 		info := &nodes[need[i]]
 		m.OwnedPos[li] = info.canon.Pos
 		m.OwnedTree[li] = info.canon.Tree
 		m.OwnedCell[li] = info.cell
 		m.OwnedCellPos[li] = info.cellPos
-		slot[i] = int32(li)
 	}
-
-	// Route the node queries to their owners (sparse: only actual
-	// neighbor ranks exchange messages) and answer them. The handshake
-	// leaves both sides of the ghost plan behind: the ghosts this rank was
-	// told the ids of, per owner, are the slots it will request, and the
-	// nodes it looked up for an asker are the ones it will serve, in the
-	// order asked — la.NewGhostExchange would negotiate the same tables.
-	var owners []int
-	var reqSlot [][]int32
-	var askOut []any
-	var askNB []int
-	nGhost := 0
-	for o, idx := range ask {
-		if len(idx) == 0 {
-			continue
-		}
-		slices.SortFunc(idx, byCanon)
-		pos := make([]forest.NodePos, len(idx))
-		slots := make([]int32, len(idx))
-		for k, i := range idx {
-			pos[k] = nodes[need[i]].canon
-			slots[k] = int32(nGhost + k)
-			slot[i] = int32(m.NumOwned + nGhost + k)
-		}
-		nGhost += len(idx)
-		owners = append(owners, o)
-		reqSlot = append(reqSlot, slots)
-		askOut = append(askOut, pos)
-		askNB = append(askNB, 16*len(pos))
-	}
-	servers, asks := r.AlltoallvSparse(owners, askOut, askNB)
-	sendIdx := make([][]int32, len(servers))
-	resp := make([]sim.Payload, len(servers))
-	for i, d := range asks {
-		asked := d.([]forest.NodePos)
-		gids := make([]int64, len(asked))
-		send := make([]int32, len(asked))
-		for k, np := range asked {
-			li, ok := m.LocalIndex(np.Tree, np.Pos)
-			if !ok {
-				panic(fmt.Sprintf("mesh: rank %d asked for node %v not owned by rank %d", servers[i], np, r.ID()))
-			}
-			gids[k] = m.Offset + int64(li)
-			send[k] = li
-		}
-		resp[i] = sim.Payload{Data: gids, NBytes: 8 * len(gids)}
-		sendIdx[i] = send
-	}
-	back := make([]sim.Payload, len(owners))
-	r.NeighborExchange(servers, resp, owners, back)
-	ghostIDs := make([]int64, 0, nGhost)
-	for k := range owners {
-		ghostIDs = append(ghostIDs, back[k].Data.([]int64)...)
-	}
-	m.GX = la.NewGhostExchangeAgreed(m.layout, ghostIDs, owners, reqSlot, servers, sendIdx, 1)
 
 	// Replace the need indices in the corner tables by slots.
 	for ei := range m.Corners {
@@ -368,6 +288,97 @@ func Extract(f *forest.Forest, g Geometry) *Mesh {
 		}
 	}
 	return m
+}
+
+// numberNodes numbers the nodes a rank references and builds its ghost
+// plan (collective). need lists them as indices into nodes, each with its
+// canonical position and owner. The owned ones are numbered by canonical
+// key: slot = local index = global id - Offset. The others are asked of
+// their owners in the same order — the order of the owner's numbering —
+// so each owner's ghosts are listed, answered and laid out in ascending
+// global id. Only actual neighbor ranks exchange messages. The handshake
+// leaves both sides of the ghost plan behind: the ghosts this rank was
+// told the ids of, per owner, are the slots it will request, and the nodes
+// it looked up for an asker are the ones it will serve, in the order asked
+// — la.NewGhostExchange would negotiate the same tables. It returns the
+// node layout, the owned need indices in slot order, the slot of every
+// need index and the plan.
+func numberNodes(r *sim.Rank, nodes []nodeInfo, need []int32) (*la.Layout, []int32, []int32, *la.GhostExchange) {
+	me := int32(r.ID())
+	byCanon := func(a, b *forest.NodePos) int {
+		if a.Tree != b.Tree {
+			return cmp.Compare(a.Tree, b.Tree)
+		}
+		return cmp.Compare(posKey(a.Pos), posKey(b.Pos))
+	}
+	byNeed := func(i, j int32) int { return byCanon(&nodes[need[i]].canon, &nodes[need[j]].canon) }
+	var owned []int32                // need indices
+	ask := make([][]int32, r.Size()) // need indices, per owner
+	for i, ni := range need {
+		if o := nodes[ni].owner; o == me {
+			owned = append(owned, int32(i))
+		} else {
+			ask[o] = append(ask[o], int32(i))
+		}
+	}
+	slices.SortFunc(owned, byNeed)
+	layout := la.NewLayout(r, len(owned))
+	slot := make([]int32, len(need)) // slot of need[i]
+	for li, i := range owned {
+		slot[i] = int32(li)
+	}
+
+	var owners []int
+	var reqSlot [][]int32
+	var askOut []any
+	var askNB []int
+	nGhost := 0
+	for o, idx := range ask {
+		if len(idx) == 0 {
+			continue
+		}
+		slices.SortFunc(idx, byNeed)
+		pos := make([]forest.NodePos, len(idx))
+		slots := make([]int32, len(idx))
+		for k, i := range idx {
+			pos[k] = nodes[need[i]].canon
+			slots[k] = int32(nGhost + k)
+			slot[i] = int32(len(owned) + nGhost + k)
+		}
+		nGhost += len(idx)
+		owners = append(owners, o)
+		reqSlot = append(reqSlot, slots)
+		askOut = append(askOut, pos)
+		askNB = append(askNB, 16*len(pos))
+	}
+	servers, asks := r.AlltoallvSparse(owners, askOut, askNB)
+	sendIdx := make([][]int32, len(servers))
+	resp := make([]sim.Payload, len(servers))
+	for i, d := range asks {
+		asked := d.([]forest.NodePos)
+		gids := make([]int64, len(asked))
+		send := make([]int32, len(asked))
+		for k, np := range asked {
+			li, ok := slices.BinarySearchFunc(owned, &np, func(i int32, np *forest.NodePos) int {
+				return byCanon(&nodes[need[i]].canon, np)
+			})
+			if !ok {
+				panic(fmt.Sprintf("mesh: rank %d asked for node %v not owned by rank %d", servers[i], np, r.ID()))
+			}
+			gids[k] = layout.Start() + int64(li)
+			send[k] = int32(li)
+		}
+		resp[i] = sim.Payload{Data: gids, NBytes: 8 * len(gids)}
+		sendIdx[i] = send
+	}
+	back := make([]sim.Payload, len(owners))
+	r.NeighborExchange(servers, resp, owners, back)
+	ghostIDs := make([]int64, 0, nGhost)
+	for k := range owners {
+		ghostIDs = append(ghostIDs, back[k].Data.([]int64)...)
+	}
+	gx := la.NewGhostExchangeAgreed(layout, ghostIDs, owners, reqSlot, servers, sendIdx, 1)
+	return layout, owned, slot, gx
 }
 
 // interior reports whether octant o and its 26 same-level neighbours all

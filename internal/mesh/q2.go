@@ -2,11 +2,10 @@ package mesh
 
 import (
 	"fmt"
-	"sort"
 
 	"rhea/internal/forest"
+	"rhea/internal/la"
 	"rhea/internal/morton"
-	"rhea/internal/sim"
 )
 
 // Q2 node layer: the 27-node triquadratic element adds edge, face and
@@ -15,9 +14,9 @@ import (
 // octree — so every Q2 node of every element has exact integer
 // coordinates (a finest-level element has odd-coordinate midpoints).
 // Doubled coordinates reach 2*RootLen = 2^20, which still fits the
-// 21-bit fields of posKey, so the deterministic position-key numbering
-// and the sparse id-resolution machinery of Extract carry over
-// verbatim.
+// 21-bit fields of posKey, so Extract's node table and its numbering
+// handshake (numberNodes: position-key order, ask the owners, derive the
+// ghost plan) serve the layer unchanged.
 //
 // Ownership is the one-tree case of Extract's rule: a Q2 node is owned
 // by the owner of the most-negative (minimal along the curve) finest
@@ -32,7 +31,10 @@ import (
 // anything else.
 
 // Q2Mesh is one rank's portion of the second-order node numbering,
-// layered over the Q1 Mesh that produced it.
+// layered over the Q1 Mesh that produced it. It addresses nodes the way
+// the mesh does: by slot, owned nodes first (slot = gid-Offset), then the
+// off-rank nodes its elements reference in ascending gid, with one ghost
+// plan GX over that tail, derived from the handshake that numbered them.
 type Q2Mesh struct {
 	M *Mesh
 
@@ -42,13 +44,17 @@ type Q2Mesh struct {
 	NGlobal  int64
 
 	// OwnedPos2 gives the half-unit position of each owned Q2 node,
-	// indexed by gid-Offset (sorted by position key, so node 0 of rank 0
-	// is the domain origin vertex — the pressure pin carries over).
+	// indexed by slot (sorted by position key, so node 0 of rank 0 is the
+	// domain origin vertex — the pressure pin carries over).
 	OwnedPos2 [][3]uint32
 
-	// Nodes holds the 27 node gids of each local element, aligned with
+	// Nodes holds the 27 node slots of each local element, aligned with
 	// M.Leaves, in lexicographic order n = i + 3j + 9k (fem.Q2NodeOffset).
-	Nodes [][27]int64
+	Nodes [][27]int32
+
+	// GX is the ghost-exchange plan over the ghost slots, at any block
+	// width: 4 for the coupled operator, 1 and 3 for the p-level.
+	GX *la.GhostExchange
 
 	// VertLocal maps an owned Q2 node to the Q1 local index of the same
 	// vertex, or -1 for edge/face/center nodes. Q1ToQ2 is the inverse
@@ -56,10 +62,16 @@ type Q2Mesh struct {
 	VertLocal []int32
 	Q1ToQ2    []int32
 
-	posToLocal map[uint64]int32 // owned half-unit position key -> local index
-	refPos     map[int64][3]uint32
-	vertBit    uint32 // element edge length in half-units (node spacing)
+	layout  *la.Layout
+	vertBit uint32 // element edge length in half-units (node spacing)
 }
+
+// Layout returns the la.Layout over the owned Q2 nodes.
+func (q *Q2Mesh) Layout() *la.Layout { return q.layout }
+
+// NSlots returns the number of Q2 nodes this rank addresses: the owned
+// ones and the ghosts after them.
+func (q *Q2Mesh) NSlots() int { return q.NumOwned + q.GX.NumGhosts() }
 
 // IsVertex reports whether the half-unit position p2 is an element
 // corner (a Q1 vertex) rather than an edge/face/center node. On the
@@ -128,99 +140,40 @@ func ExtractQ2(f *forest.Forest, m *Mesh) *Q2Mesh {
 		}
 		q.vertBit = m.Leaves[0].Len()
 	}
-	ownedSet := make(map[uint64][3]uint32)
-	need := make(map[uint64][3]uint32)
-	pos := make([][27][3]uint32, len(m.Leaves))
+	// Every referenced position once, in first-reference order, numbered
+	// and planned by the handshake Extract uses. The element tables hold
+	// node indices until the slots are known.
+	var nodes []nodeInfo
+	tab := newNodeTable(8 * len(m.Leaves))
+	q.Nodes = make([][27]int32, len(m.Leaves))
 	for ei, e := range m.Leaves {
 		for n := 0; n < 27; n++ {
 			p := Q2NodePos2(e, n)
-			pos[ei][n] = p
 			k := posKey(p)
-			if _, seen := need[k]; seen {
-				continue
+			ni, ok := tab.get(0, k)
+			if !ok {
+				ni = int32(len(nodes))
+				nodes = append(nodes, nodeInfo{canon: forest.NodePos{Pos: p}, owner: int32(q2OwnerRank(f, p))})
+				tab.put(0, k, ni)
 			}
-			need[k] = p
-			if q2OwnerRank(f, p) == r.ID() {
-				ownedSet[k] = p
-			}
+			q.Nodes[ei][n] = ni
 		}
 	}
-
-	// Number the owned nodes deterministically by position key.
-	keys := make([]uint64, 0, len(ownedSet))
-	for k := range ownedSet {
-		keys = append(keys, k)
+	need := make([]int32, len(nodes))
+	for i := range need {
+		need[i] = int32(i)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	q.NumOwned = len(keys)
-	q.Offset = r.ExScan(int64(q.NumOwned))
-	q.NGlobal = r.AllreduceInt64(int64(q.NumOwned))
+	var owned, slot []int32
+	q.layout, owned, slot, q.GX = numberNodes(r, nodes, need)
+	q.NumOwned = len(owned)
+	q.Offset, q.NGlobal = q.layout.Start(), q.layout.N()
 	q.OwnedPos2 = make([][3]uint32, q.NumOwned)
-	q.posToLocal = make(map[uint64]int32, q.NumOwned)
-	for i, k := range keys {
-		q.OwnedPos2[i] = ownedSet[k]
-		q.posToLocal[k] = int32(i)
+	for li, i := range owned {
+		q.OwnedPos2[li] = nodes[i].canon.Pos
 	}
-
-	// Resolve global ids for every referenced position (sparse, only
-	// actual neighbor ranks exchange messages — same protocol as Extract).
-	gid := make(map[uint64]int64, len(need))
-	p := r.Size()
-	askPos := make([][][3]uint32, p)
-	for k, pp := range need {
-		o := q2OwnerRank(f, pp)
-		if o == r.ID() {
-			li, ok := q.posToLocal[k]
-			if !ok {
-				panic(fmt.Sprintf("mesh: rank %d owns Q2 position %v but did not enumerate it", r.ID(), pp))
-			}
-			gid[k] = q.Offset + int64(li)
-		} else {
-			askPos[o] = append(askPos[o], pp)
-		}
-	}
-	var owners []int
-	var askOut []any
-	var askNB []int
-	for j := range askPos {
-		if len(askPos[j]) == 0 {
-			continue
-		}
-		owners = append(owners, j)
-		askOut = append(askOut, askPos[j])
-		askNB = append(askNB, 12*len(askPos[j]))
-	}
-	froms, asks := r.AlltoallvSparse(owners, askOut, askNB)
-	resp := make([]sim.Payload, len(froms))
-	for i, d := range asks {
-		asked := d.([][3]uint32)
-		gids := make([]int64, len(asked))
-		for k, pp := range asked {
-			li, ok := q.posToLocal[posKey(pp)]
-			if !ok {
-				panic(fmt.Sprintf("mesh: rank %d asked for Q2 position %v not owned by rank %d", froms[i], pp, r.ID()))
-			}
-			gids[k] = q.Offset + int64(li)
-		}
-		resp[i] = sim.Payload{Data: gids, NBytes: 8 * len(gids)}
-	}
-	back := make([]sim.Payload, len(owners))
-	r.NeighborExchange(froms, resp, owners, back)
-	for k, o := range owners {
-		gids := back[k].Data.([]int64)
-		for i, g := range gids {
-			gid[posKey(askPos[o][i])] = g
-		}
-	}
-
-	// Fill per-element node gids and the referenced position table.
-	q.Nodes = make([][27]int64, len(m.Leaves))
-	q.refPos = make(map[int64][3]uint32, len(need))
-	for ei := range pos {
-		for n := 0; n < 27; n++ {
-			g := gid[posKey(pos[ei][n])]
-			q.Nodes[ei][n] = g
-			q.refPos[g] = pos[ei][n]
+	for ei := range q.Nodes {
+		for n := range q.Nodes[ei] {
+			q.Nodes[ei][n] = slot[q.Nodes[ei][n]]
 		}
 	}
 
@@ -248,21 +201,4 @@ func ExtractQ2(f *forest.Forest, m *Mesh) *Q2Mesh {
 		panic(fmt.Sprintf("mesh: Q2 enumerated %d owned vertices, Q1 owns %d nodes", verts, m.NumOwned))
 	}
 	return q
-}
-
-// RefPos returns the half-unit position of a referenced Q2 node gid; it
-// panics if the gid was never referenced by this rank's elements.
-func (q *Q2Mesh) RefPos(g int64) [3]uint32 {
-	p, ok := q.refPos[g]
-	if !ok {
-		panic(fmt.Sprintf("mesh: Q2 gid %d not referenced on this rank", g))
-	}
-	return p
-}
-
-// LocalIndex2 returns the local index of the owned Q2 node at half-unit
-// position p2 and whether this rank owns it.
-func (q *Q2Mesh) LocalIndex2(p2 [3]uint32) (int32, bool) {
-	li, ok := q.posToLocal[posKey(p2)]
-	return li, ok
 }

@@ -52,24 +52,43 @@ func TestExtractQ2Counts(t *testing.T) {
 	}
 }
 
-// TestExtractQ2GidConsistency checks that the element->gid tables agree
-// across ranks: every gid resolves to exactly one half-unit position,
-// element corners carry the vertex positions, and gids are dense in
-// [0, NGlobal).
+// TestExtractQ2GidConsistency checks that the element->slot tables agree
+// across ranks: every slot an element names holds the node at that
+// element's half-unit position — on the owner, read through the ghost
+// plan — owned slots are gid-offset and ghost slots ascend through other
+// ranks' ids, so gids are dense in [0, NGlobal).
 func TestExtractQ2GidConsistency(t *testing.T) {
 	sim.Run(4, func(r *sim.Rank) {
 		tr := forest.New(r, unitBox, 2)
 		m := Extract(tr, nil)
 		q2 := ExtractQ2(tr, m)
+		n, ns := q2.NumOwned, q2.NSlots()
+		pos := make([][]float64, 3)
+		owned, ghost := make([][]float64, 3), make([][]float64, 3)
+		for a := range pos {
+			pos[a] = make([]float64, ns)
+			for i, p2 := range q2.OwnedPos2 {
+				pos[a][i] = float64(p2[a])
+			}
+			owned[a], ghost[a] = pos[a][:n], pos[a][n:]
+		}
+		q2.GX.GatherMulti(owned, ghost)
 		for ei, e := range m.Leaves {
-			for n := 0; n < 27; n++ {
-				g := q2.Nodes[ei][n]
-				if g < 0 || g >= q2.NGlobal {
-					t.Fatalf("gid %d out of range [0,%d)", g, q2.NGlobal)
+			for nn := 0; nn < 27; nn++ {
+				s := q2.Nodes[ei][nn]
+				if s < 0 || int(s) >= ns {
+					t.Fatalf("slot %d out of range [0,%d)", s, ns)
 				}
-				if p := q2.RefPos(g); p != Q2NodePos2(e, n) {
-					t.Fatalf("element %d node %d: gid %d has position %v, want %v", ei, n, g, p, Q2NodePos2(e, n))
+				want := Q2NodePos2(e, nn)
+				if p := [3]uint32{uint32(pos[0][s]), uint32(pos[1][s]), uint32(pos[2][s])}; p != want {
+					t.Fatalf("element %d node %d: slot %d holds position %v, want %v", ei, nn, s, p, want)
 				}
+			}
+		}
+		ghosts := q2.GX.Ghosts()
+		for k, g := range ghosts {
+			if q2.Layout().Owns(g) || g < 0 || g >= q2.NGlobal || (k > 0 && g <= ghosts[k-1]) {
+				t.Fatalf("ghost slot %d has gid %d: owned here, out of range or not ascending", n+k, g)
 			}
 		}
 		// Owned nodes: position key order implies gid order, and the owner

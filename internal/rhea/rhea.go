@@ -171,8 +171,7 @@ type Config struct {
 	// pair with sum-factorized matrix-free kernels and p-coarsened GMG
 	// (see stokes.Options.Order). Order 2 requires MatrixFree, Precond
 	// == PrecondGMG and the one-tree box domain at a uniform
-	// refinement level (set MinLevel = MaxLevel = BaseLevel, or leave
-	// InitAdapt/AdaptEvery unused).
+	// refinement level: MinLevel = MaxLevel = BaseLevel.
 	Order int
 	// LocalAMG selects per-rank block-Jacobi AMG hierarchies for the
 	// velocity blocks instead of the default redundant hierarchy; see
@@ -285,6 +284,13 @@ func (c Config) withDefaults() Config {
 		}
 		if c.Conn != nil {
 			panic("rhea: Config.Order == 2 is limited to the one-tree box domain (Q2 extraction on multi-tree forests is a roadmap item)")
+		}
+		if c.MinLevel != c.BaseLevel || c.MaxLevel != c.BaseLevel {
+			// Adaptation would leave hanging faces, which the Q2 node
+			// layer rejects — after a full solve and advect, in the first
+			// cycle's Adapt. Refuse the config here instead.
+			panic(fmt.Sprintf("rhea: Config.Order == 2 needs a uniform mesh: MinLevel = MaxLevel = BaseLevel (got %d, %d, %d)",
+				c.MinLevel, c.MaxLevel, c.BaseLevel))
 		}
 	}
 	if c.TargetElems == 0 {

@@ -15,95 +15,18 @@ import (
 // stabilized equal-order Q1-Q1 pair with 27-node triquadratic velocity
 // and trilinear (vertex) pressure. The pair is inf-sup stable, so the
 // Dohrmann-Bochev stabilization block disappears; the pressure dof of
-// the interleaved layout stays at index 4g+3 but is active at vertex
+// the interleaved layout stays at index 4s+3 but is active at vertex
 // nodes only (non-vertex pressure slots are constrained to zero).
 //
-// The operator is always matrix-free (the sum-factorized tensor-product
-// kernels of fem.SumFactorKernels), and the velocity preconditioner
-// enters the existing h-multigrid through one p-coarsening level:
-// Chebyshev smoothing on the matrix-free Q2 scalar diffusion operator,
-// then restriction through the Q1->Q2 embedding transpose down to the
-// vertex space, where the unchanged gmg V-cycle (and all its
-// agglomeration machinery) does the heavy lifting.
-
-// setupQ2 is the Order-2 half of Setup: Q2 dof layout, geometric
-// Dirichlet data, the matrix-free coupled operator, and the p-coarsened
-// velocity preconditioner on top of the Q1 GMG hierarchy (collective).
-func (s *Solver) setupQ2() {
-	m, dom, opts := s.M, s.Dom, s.opts
-	if !opts.MatrixFree || opts.Precond != PrecondGMG {
-		panic("stokes: Order 2 requires MatrixFree and PrecondGMG (no assembled or AMG path)")
-	}
-	q2 := m.Q2
-	if q2 == nil {
-		panic("stokes: Order 2 requires the Q2 node layer — call mesh.ExtractQ2 and set Mesh.Q2")
-	}
-	s.q2 = q2
-	s.Layout = la.NewLayout(m.Rank, 4*q2.NumOwned)
-	s.q2L = la.NewLayout(m.Rank, q2.NumOwned)
-
-	// Dirichlet data is geometric: every referenced Q2 gid resolves to a
-	// half-unit position locally (axis-aligned scope), so no mask gather
-	// rounds are needed. The pressure pin stays at gid 0 — the domain
-	// origin is a vertex in both numberings.
-	bc := s.bc
-	s.dofBC = func(g int64, c int) (float64, bool) {
-		p2 := q2.RefPos(g)
-		if c == 3 {
-			if g == 0 { // pressure pin
-				return 0, true
-			}
-			if !q2.IsVertex(p2) { // non-vertex node: no pressure dof
-				return 0, true
-			}
-			return 0, false
-		}
-		fixed, vals := bc(dom.CoordHalf(p2))
-		if fixed[c] {
-			return vals[c], true
-		}
-		return 0, false
-	}
-	s.MFQ2 = matfree.NewQ2(q2, dom, s.Layout, nil, s.dofBC, opts.MatFree)
-	s.Op = s.MFQ2
-
-	// The h-hierarchy lives on the Q1 vertex mesh, exactly as in the
-	// Order-1 GMG path; p-coarsening feeds it from the Q2 level.
-	s.GMGH = gmg.NewHierarchy(m, dom, opts.GMG)
-	if s.GMGH.Degenerate() {
-		le := s.GMGH.LevelElems()
-		panic(fmt.Sprintf(
-			"stokes: GMG hierarchy is degenerate — coarsening stopped at %d global elements (target <= %d) after %d levels",
-			le[len(le)-1], s.GMGH.CoarseTarget(), s.GMGH.NumLevels()))
-	}
-	s.q2sm = matfree.NewQ2SlotMap(q2, 1)
-	s.sfKern = fem.SumFactorKernelsFor(m, dom)
-	s.emb = newEmbed(q2)
-
-	// Per-element unit scalar stiffness diagonals, aliased per octree
-	// level, for the Chebyshev-Jacobi smoother of the p-level.
-	s.sfDiag = make([]*[27]float64, len(m.Leaves))
-	byLevel := map[uint8]*[27]float64{}
-	for ei, leaf := range m.Leaves {
-		d := byLevel[leaf.Level]
-		if d == nil {
-			K := fem.Q2StiffnessBrick(dom.ElemSize(leaf), 1)
-			d = new([27]float64)
-			for a := 0; a < 27; a++ {
-				d[a] = K[a][a]
-			}
-			byLevel[leaf.Level] = d
-		}
-		s.sfDiag[ei] = d
-	}
-
-	for c := 0; c < 3; c++ {
-		s.pcs[c] = newPCoarse(s, c)
-		s.velPC[c] = s.pcs[c]
-	}
-	s.xc2 = la.NewVec(s.q2L)
-	s.yc2 = la.NewVec(s.q2L)
-}
+// Everything else is the Q1 pipeline run on the Q2 layer's slots
+// (mesh.Q2Mesh): Setup fills the same slot-indexed constraint table with
+// one gather over the layer's ghost plan, the coupled operator is
+// matfree.Operator with the 27-node sum-factorized element loop, and the
+// velocity preconditioner enters the blocked Q1 V-cycle (the one the Q1
+// solver uses) through one p-coarsening level carrying all three
+// components: Chebyshev smoothing on the matrix-free Q2 scalar diffusion
+// operator, then restriction through the Q1->Q2 embedding transpose down
+// to the vertex space.
 
 // interpQ2Force lifts corner body-force values to the 27 element nodes
 // by trilinear interpolation — the exact Q1 representation a corner
@@ -137,74 +60,24 @@ func (s *Solver) interpQ2Force(force [][8][3]float64) [][27][3]float64 {
 // — the path manufactured-solution tests use for full-accuracy loads;
 // Update with corner forces interpolates and delegates here.
 func (s *Solver) UpdateQ2(etaElem []float64, force27 [][27][3]float64) *Solver {
-	s.MFQ2.SetViscosity(etaElem)
-	s.B = s.MFQ2.RHS(force27)
+	s.MF.SetViscosity(etaElem)
+	s.B = s.MF.RHSQ2(force27)
 	s.GMGH.Rebuild(etaElem)
-	s.refreshPLevel(etaElem)
+	s.pl.refresh(etaElem)
 	s.updateSchur(etaElem)
 	return s
 }
 
-// refreshPLevel re-derives the p-level smoother numerics for a new
-// viscosity (collective): the eta-scaled Q2 stiffness diagonal (one
-// flat scan + ghost scatter-add, shared by the three components) and
-// the Chebyshev lambda_max estimate (one short Lanczos run, shared —
-// the component spectra differ only by boundary identity rows, well
-// inside the 1.1 safety factor, mirroring the gmg levels).
-func (s *Solver) refreshPLevel(etaElem []float64) {
-	sm := s.q2sm
-	acc := make([]float64, sm.NSlots())
-	for ei := range sm.Nodes {
-		d := s.sfDiag[ei]
-		eta := etaElem[ei]
-		ns := &sm.Nodes[ei]
-		for n := 0; n < 27; n++ {
-			acc[ns[n]] += eta * d[n]
-		}
-	}
-	diag := la.NewVec(s.q2L)
-	copy(diag.Data, acc[:sm.NOwned])
-	sm.GX.ScatterAdd(acc[sm.NOwned:], diag.Data)
-
-	lmax := 0.0
-	for c := 0; c < 3; c++ {
-		pc := s.pcs[c]
-		pc.op.SetViscosity(etaElem)
-		for i, v := range diag.Data {
-			if v != 0 {
-				pc.dinv.Data[i] = 1 / v
-			} else {
-				pc.dinv.Data[i] = 1
-			}
-		}
-		for _, f := range pc.op.OwnFixed() {
-			pc.dinv.Data[f] = 1
-		}
-		if c == 0 {
-			lmax = krylov.EstimateLambdaMaxLanczos(pc.op, pc.dinv, q2LanczosSteps)
-		}
-		pc.lmax = lmax
-	}
-}
-
-// precondQ2 is the Order-2 block-diagonal preconditioner: p-coarsened
-// multigrid per velocity component, and the inverse-viscosity lumped
-// pressure mass (computed on the Q1 vertex space) mapped onto the
-// active vertex pressure dofs; inactive pressure slots pass through.
+// precondQ2 is the Order-2 block-diagonal preconditioner: the
+// p-coarsened multigrid for the three velocity components, and the
+// inverse-viscosity lumped pressure mass (computed on the Q1 vertex
+// space) mapped onto the active vertex pressure dofs; inactive pressure
+// slots pass through.
 func (s *Solver) precondQ2() krylov.Operator {
 	return krylov.OpFunc(func(x, y *la.Vec) {
-		n := s.q2.NumOwned
-		for c := 0; c < 3; c++ {
-			for i := 0; i < n; i++ {
-				s.xc2.Data[i] = x.Data[4*i+c]
-			}
-			s.velPC[c].Apply(s.xc2, s.yc2)
-			for i := 0; i < n; i++ {
-				y.Data[4*i+c] = s.yc2.Data[i]
-			}
-		}
-		for i := 0; i < n; i++ {
-			if li := s.q2.VertLocal[i]; li >= 0 {
+		s.pl.apply(x.Data, y.Data)
+		for i, li := range s.q2.VertLocal {
+			if li >= 0 {
 				y.Data[4*i+3] = s.schurInv.Data[li] * x.Data[4*i+3]
 			} else {
 				y.Data[4*i+3] = x.Data[4*i+3]
@@ -213,16 +86,16 @@ func (s *Solver) precondQ2() krylov.Operator {
 	})
 }
 
-// embed is the Q1->Q2 nodal embedding E and its exact transpose: a Q2
-// nodal field interpolating a vertex field takes the vertex value at
-// vertices, edge-midpoint averages of 2, face averages of 4 and the
-// center average of 8 — the trilinear shape values at the node. Each
-// owned Q2 node's masters are corners of a local element, resolved to
-// Q1 slot space (the vertex mesh's node slots), so prolongation is one
-// ghost gather + a flat scan and restriction is the flat scan's
-// transpose + one ghost scatter-add — the same dual pair the
-// matrix-free operators use, which is what makes E and E^T exact
-// transposes across ranks.
+// embed is the Q1->Q2 nodal embedding E and its exact transpose, for the
+// three velocity components at once: a Q2 nodal field interpolating a
+// vertex field takes the vertex value at vertices, edge-midpoint averages
+// of 2, face averages of 4 and the center average of 8 — the trilinear
+// shape values at the node. Each owned Q2 node's masters are corners of a
+// local element, resolved to Q1 slot space (the vertex mesh's node
+// slots), so prolongation is one ghost gather + a flat scan and
+// restriction is the flat scan's transpose + one ghost scatter-add — the
+// same dual pair the matrix-free operators use, which is what makes E and
+// E^T exact transposes across ranks.
 type embed struct {
 	m     *mesh.Mesh
 	start []int32
@@ -243,10 +116,9 @@ func newEmbed(q2 *mesh.Q2Mesh) *embed {
 	}
 	masters := make([][]mw, n)
 	filled := 0
-	for ei, leaf := range m.Leaves {
-		for nn := 0; nn < 27; nn++ {
-			li, ok := q2.LocalIndex2(mesh.Q2NodePos2(leaf, nn))
-			if !ok || masters[li] != nil {
+	for ei := range m.Leaves {
+		for nn, li := range q2.Nodes[ei] {
+			if int(li) >= n || masters[li] != nil {
 				continue
 			}
 			i, j, k := fem.Q2NodeOffset(nn)
@@ -278,23 +150,24 @@ func newEmbed(q2 *mesh.Q2Mesh) *embed {
 			e.w[e.start[i]+int32(t)] = mt.w
 		}
 	}
-	ns := m.NSlots()
-	e.xbuf = make([]float64, ns)
-	e.acc = make([]float64, ns)
+	e.xbuf = make([]float64, 3*m.NSlots())
+	e.acc = make([]float64, 3*m.NSlots())
 	return e
 }
 
 // prolong computes y = E xc (collective: one Q1 ghost gather).
 func (e *embed) prolong(xc, y *la.Vec) {
-	n1 := e.m.NumOwned
+	n1 := 3 * e.m.NumOwned
 	copy(e.xbuf[:n1], xc.Data)
-	e.m.GX.Gather(xc.Data, e.xbuf[n1:])
-	for i := range y.Data {
-		var v float64
-		for t := e.start[i]; t < e.start[i+1]; t++ {
-			v += e.w[t] * e.xbuf[e.slot[t]]
+	e.m.GX.GatherBlock(3, xc.Data, e.xbuf[n1:])
+	for i := 0; i < len(e.start)-1; i++ {
+		for c := 0; c < 3; c++ {
+			var v float64
+			for t := e.start[i]; t < e.start[i+1]; t++ {
+				v += e.w[t] * e.xbuf[3*int(e.slot[t])+c]
+			}
+			y.Data[3*i+c] = v
 		}
-		y.Data[i] = v
 	}
 }
 
@@ -303,15 +176,17 @@ func (e *embed) restrict(r, rc *la.Vec) {
 	for i := range e.acc {
 		e.acc[i] = 0
 	}
-	for i := range r.Data {
-		v := r.Data[i]
-		for t := e.start[i]; t < e.start[i+1]; t++ {
-			e.acc[e.slot[t]] += e.w[t] * v
+	for i := 0; i < len(e.start)-1; i++ {
+		for c := 0; c < 3; c++ {
+			v := r.Data[3*i+c]
+			for t := e.start[i]; t < e.start[i+1]; t++ {
+				e.acc[3*int(e.slot[t])+c] += e.w[t] * v
+			}
 		}
 	}
-	n1 := e.m.NumOwned
+	n1 := 3 * e.m.NumOwned
 	copy(rc.Data, e.acc[:n1])
-	e.m.GX.ScatterAdd(e.acc[n1:], rc.Data)
+	e.m.GX.ScatterAddBlock(3, e.acc[n1:], rc.Data)
 }
 
 // The p-level smoother's settings (see pCoarse).
@@ -321,65 +196,128 @@ const (
 	q2LanczosSteps = 6
 )
 
-// pCoarse is the p-coarsened multigrid preconditioner for one Q2
-// velocity component: Chebyshev smoothing on the matrix-free Q2 scalar
-// diffusion operator around a coarse correction computed by the
-// unchanged Q1 geometric V-cycle through the embedding transpose pair.
-// Symmetric smoothing, transpose transfers and an SPD coarse operator
-// keep it SPD, so it is safe inside MINRES. It implements
-// krylov.Operator over the Q2 node layout.
+// pCoarse is the p-coarsened multigrid preconditioner for the three Q2
+// velocity components: Chebyshev smoothing on the matrix-free Q2 scalar
+// diffusion operator around a coarse correction computed by the blocked
+// Q1 V-cycle through the embedding transpose pair. Symmetric smoothing,
+// transpose transfers and an SPD coarse operator keep it SPD, so it is
+// safe inside MINRES. Its vectors hold the three components node-major
+// (entry 3i+c); each component's arithmetic is that of a one-component
+// p-level of its own.
 //
 // Its smoother is one Chebyshev(q2ChebDegree) application before and one
 // after the correction, on the interval [1.1*lmax/q2ChebRatio, 1.1*lmax]
 // of the Jacobi-preconditioned spectrum, lmax from a q2LanczosSteps-step
-// Lanczos estimate.
+// Lanczos estimate on component 0 (the component spectra differ only by
+// boundary identity rows, well inside the 1.1 safety factor, mirroring
+// the gmg levels).
 type pCoarse struct {
-	op      *matfree.ScalarQ2
-	q1      krylov.Operator // the component's gmg V-cycle
+	q2      *mesh.Q2Mesh
+	op      *matfree.ScalarQ2 // the three components
+	op0     *matfree.ScalarQ2 // component 0 alone, for the Lanczos estimate
+	vc      *gmg.VCycle       // the blocked Q1 V-cycle (Solver.velGMG)
 	emb     *embed
-	q1Fixed []int32 // owned Q1 nodes constrained for this component
+	q1Fixed []int32        // owned Q1 entries 3i+c constrained for component c
+	diag    []*[27]float64 // unit scalar stiffness diagonals (aliased per level)
+	dinv    *la.Vec        // 3 per owned Q2 node
+	dinv0   *la.Vec        // component 0's, on the Q2 node layout
+	lmax    float64
 
-	dinv *la.Vec
-	lmax float64
-
-	x, b, r, d, z, w *la.Vec // Q2 node layout
-	rc, zc           *la.Vec // Q1 node layout
+	// Work vectors: 3 per owned Q2 node, then 3 per owned Q1 node. They
+	// carry no layout; only local operations touch them.
+	x, b, r, d, z, w *la.Vec
+	rc, zc           *la.Vec
 }
 
-func newPCoarse(s *Solver, c int) *pCoarse {
+// newPCoarse builds the p-level on the solver's constraint table and
+// blocked V-cycle (local).
+func newPCoarse(s *Solver) *pCoarse {
+	m, q2 := s.M, s.q2
+	kern := fem.SumFactorKernelsFor(m, s.Dom)
 	p := &pCoarse{
-		q1:  s.GMGH.Precond(s.compBC[c]),
-		emb: s.emb,
+		q2:    q2,
+		op:    matfree.NewScalarQ2(q2, kern, s.cons.Fixed, 3),
+		op0:   matfree.NewScalarQ2(q2, kern, s.cons.Fixed, 1),
+		vc:    s.velGMG,
+		emb:   newEmbed(q2),
+		diag:  make([]*[27]float64, len(m.Leaves)),
+		dinv0: la.NewVec(q2.Layout()),
 	}
-	bc := s.compBC[c]
-	p.op = matfree.NewScalarQ2(s.q2sm, s.sfKern, func(g int64) bool {
-		_, is := s.dofBC(g, c)
-		return is
-	})
-	for i := 0; i < s.M.NumOwned; i++ {
-		if _, is := bc(fem.NodeCoord(s.M, s.Dom, i)); is {
-			p.q1Fixed = append(p.q1Fixed, int32(i))
+	for c, bc := range s.compBC {
+		for i := 0; i < m.NumOwned; i++ {
+			if _, is := bc(fem.NodeCoord(m, s.Dom, i)); is {
+				p.q1Fixed = append(p.q1Fixed, int32(3*i+c))
+			}
 		}
 	}
-	p.dinv = la.NewVec(s.q2L)
-	p.x = la.NewVec(s.q2L)
-	p.b = la.NewVec(s.q2L)
-	p.r = la.NewVec(s.q2L)
-	p.d = la.NewVec(s.q2L)
-	p.z = la.NewVec(s.q2L)
-	p.w = la.NewVec(s.q2L)
-	p.rc = la.NewVec(s.nodeL)
-	p.zc = la.NewVec(s.nodeL)
+	byLevel := map[uint8]*[27]float64{}
+	for ei, leaf := range m.Leaves {
+		d := byLevel[leaf.Level]
+		if d == nil {
+			K := fem.Q2StiffnessBrick(s.Dom.ElemSize(leaf), 1)
+			d = new([27]float64)
+			for a := 0; a < 27; a++ {
+				d[a] = K[a][a]
+			}
+			byLevel[leaf.Level] = d
+		}
+		p.diag[ei] = d
+	}
+	work := func(n int) *la.Vec { return &la.Vec{Data: make([]float64, 3*n)} }
+	p.dinv = work(q2.NumOwned)
+	p.x, p.b, p.r = work(q2.NumOwned), work(q2.NumOwned), work(q2.NumOwned)
+	p.d, p.z, p.w = work(q2.NumOwned), work(q2.NumOwned), work(q2.NumOwned)
+	p.rc, p.zc = work(m.NumOwned), work(m.NumOwned)
 	return p
 }
 
-// Apply computes y = M^-1 x: Chebyshev pre-smoothing from zero, one Q1
+// refresh re-derives the p-level smoother numerics for a new viscosity
+// (collective): the eta-scaled Q2 stiffness diagonal (one flat scan +
+// ghost scatter-add, shared by the three components) and the Chebyshev
+// lambda_max estimate.
+func (p *pCoarse) refresh(etaElem []float64) {
+	q2 := p.q2
+	acc := make([]float64, q2.NSlots())
+	for ei, ns := range q2.Nodes {
+		d := p.diag[ei]
+		eta := etaElem[ei]
+		for n := 0; n < 27; n++ {
+			acc[ns[n]] += eta * d[n]
+		}
+	}
+	diag := la.NewVec(q2.Layout())
+	copy(diag.Data, acc[:q2.NumOwned])
+	q2.GX.ScatterAdd(acc[q2.NumOwned:], diag.Data)
+
+	p.op.SetViscosity(etaElem)
+	p.op0.SetViscosity(etaElem)
+	for i, v := range diag.Data {
+		inv := 1.0
+		if v != 0 {
+			inv = 1 / v
+		}
+		p.dinv.Data[3*i], p.dinv.Data[3*i+1], p.dinv.Data[3*i+2] = inv, inv, inv
+	}
+	for _, f := range p.op.OwnFixed() {
+		p.dinv.Data[f] = 1
+	}
+	for i := range p.dinv0.Data {
+		p.dinv0.Data[i] = p.dinv.Data[3*i]
+	}
+	p.lmax = krylov.EstimateLambdaMaxLanczos(p.op0, p.dinv0, q2LanczosSteps)
+}
+
+// apply computes the velocity block of y = M^-1 x on the interleaved
+// 4-per-node dof vectors: Chebyshev pre-smoothing from zero, one Q1
 // V-cycle correction through the embedding, Chebyshev post-smoothing,
 // with identity pass-through at constrained dofs (collective).
-func (p *pCoarse) Apply(x, y *la.Vec) {
-	p.b.Copy(x)
-	for _, s := range p.op.OwnFixed() {
-		p.b.Data[s] = 0
+func (p *pCoarse) apply(x, y []float64) {
+	n := p.q2.NumOwned
+	for i := 0; i < n; i++ {
+		copy(p.b.Data[3*i:3*i+3], x[4*i:4*i+3])
+	}
+	for _, e := range p.op.OwnFixed() {
+		p.b.Data[e] = 0
 	}
 	p.x.Zero()
 	p.chebyshev()
@@ -387,19 +325,22 @@ func (p *pCoarse) Apply(x, y *la.Vec) {
 	p.r.Scale(-1)
 	p.r.AXPY(1, p.b)
 	p.emb.restrict(p.r, p.rc)
-	for _, s := range p.q1Fixed {
-		p.rc.Data[s] = 0
+	for _, e := range p.q1Fixed {
+		p.rc.Data[e] = 0
 	}
-	p.q1.Apply(p.rc, p.zc)
+	p.vc.Apply(p.rc, p.zc)
 	p.emb.prolong(p.zc, p.z)
-	for _, s := range p.op.OwnFixed() {
-		p.z.Data[s] = 0
+	for _, e := range p.op.OwnFixed() {
+		p.z.Data[e] = 0
 	}
 	p.x.AXPY(1, p.z)
 	p.chebyshev()
-	y.Copy(p.x)
-	for _, s := range p.op.OwnFixed() {
-		y.Data[s] = x.Data[s]
+	for i := 0; i < n; i++ {
+		copy(y[4*i:4*i+3], p.x.Data[3*i:3*i+3])
+	}
+	for _, e := range p.op.OwnFixed() {
+		at := 4*(int(e)/3) + int(e)%3
+		y[at] = x[at]
 	}
 }
 

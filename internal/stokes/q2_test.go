@@ -62,23 +62,21 @@ func q2MMSVelError(t *testing.T, lvl uint8, ranks int) float64 {
 			t.Errorf("level %d: MINRES failed: %v after %d", lvl, res.Residual, res.Iterations)
 		}
 		// Gather per-component Q2 nodal values (owned + ghost slots).
-		sm := sys.q2sm
+		q2 := m.Q2
 		var vals [3][]float64
-		xc := la.NewVec(sys.q2L)
 		for c := 0; c < 3; c++ {
-			vals[c] = make([]float64, sm.NSlots())
-			for i := 0; i < m.Q2.NumOwned; i++ {
-				xc.Data[i] = x.Data[4*i+c]
+			vals[c] = make([]float64, q2.NSlots())
+			for i := 0; i < q2.NumOwned; i++ {
+				vals[c][i] = x.Data[4*i+c]
 			}
-			copy(vals[c][:sm.NOwned], xc.Data)
-			sm.GX.Gather(xc.Data, vals[c][sm.NOwned:])
+			q2.GX.Gather(vals[c][:q2.NumOwned], vals[c][q2.NumOwned:])
 		}
 		var sum float64
 		for ei, leaf := range m.Leaves {
 			hph := dom.ElemSize(leaf)
 			vol := hph[0] * hph[1] * hph[2]
 			org := dom.Coord([3]uint32{leaf.X, leaf.Y, leaf.Z})
-			ns := &sm.Nodes[ei]
+			ns := &q2.Nodes[ei]
 			for _, q := range fem.Quad27 {
 				xq := [3]float64{
 					org[0] + q.Xi[0]*hph[0],
@@ -159,7 +157,7 @@ func TestQ2OperatorSymmetry(t *testing.T) {
 		}
 		for i := 0; i < m.Q2.NumOwned; i++ {
 			for c := 0; c < 4; c++ {
-				if _, is := s.dofBC(m.Q2.Offset+int64(i), c); is {
+				if s.cons.Fixed[4*i+c] {
 					x.Data[4*i+c] = 0
 					y.Data[4*i+c] = 0
 				}

@@ -63,18 +63,6 @@ func FreeSlip(box [3]float64) VelBC {
 	}
 }
 
-// NoSlip fixes all velocity components to zero on the boundary.
-func NoSlip(box [3]float64) VelBC {
-	return func(x [3]float64) (fixed [3]bool, vals [3]float64) {
-		for i := 0; i < 3; i++ {
-			if x[i] == 0 || x[i] == box[i] {
-				return [3]bool{true, true, true}, vals
-			}
-		}
-		return
-	}
-}
-
 // RadialNoSlip fixes all velocity components to zero on the inner and
 // outer boundaries of a spherical shell (radius rin or rout, detected
 // with a relative tolerance — shell geometry places boundary nodes on
@@ -185,7 +173,7 @@ type Solver struct {
 	Dom    fem.Domain
 	Layout *la.Layout        // 4N dof layout
 	A      *la.Mat           // coupled saddle-point operator (nil in matrix-free mode)
-	MF     *matfree.Operator // matrix-free apply (nil in assembled mode)
+	MF     *matfree.Operator // matrix-free apply, Q1 or Q2 (nil in assembled mode)
 	Op     krylov.Operator   // the operator Solve uses
 	B      *la.Vec           // right-hand side
 
@@ -201,7 +189,6 @@ type Solver struct {
 	// frame the component index is LOCAL: 0 is the boundary normal
 	// (constrained to zero), 1 and 2 the free tangentials.
 	cons    matfree.Constraints
-	dofBC   matfree.DofBC   // Order 2: Dirichlet data by Q2 node id
 	compBC  [3]fem.ScalarBC // per-velocity-component scalar view of bc
 	compBCD []*fem.BCData   // gathered per-component Dirichlet data (AMG path)
 	nodeL   *la.Layout
@@ -224,10 +211,10 @@ type Solver struct {
 	// plus one ghost scatter-add.
 	schurPlan []schurTerm
 
-	// Velocity-block preconditioner: on the Q1 GMG path one blocked
-	// V-cycle carrying all three components (velGMG); on the AMG path and
-	// under the Q2 p-coarsening wrapper one scalar operator per component
-	// (velPC), fed through the xc/yc work vectors.
+	// Velocity-block preconditioner: on the GMG path one blocked V-cycle
+	// carrying all three components (velGMG; under the Q2 p-level for
+	// Order 2); on the AMG path one scalar operator per component (velPC),
+	// fed through the xc/yc work vectors.
 	velGMG   *gmg.VCycle
 	velPC    [3]krylov.Operator
 	schurInv *la.Vec // nodal inverse of S~ diagonal
@@ -251,18 +238,11 @@ type Solver struct {
 	// work vectors for the per-component preconditioners (node layout)
 	xc, yc *la.Vec
 
-	// Order-2 (Taylor-Hood) state, set by setupQ2 when Options.Order == 2
-	// (see q2.go); q2 != nil selects the Q2 branches everywhere.
-	q2     *mesh.Q2Mesh
-	MFQ2   *matfree.OperatorQ2     // matrix-free coupled Q2 operator
-	q2sm   *matfree.Q2SlotMap      // block-1 map shared by the p-level components
-	sfKern []*fem.SumFactorKernels // per-element tensor-product kernels
-	sfDiag []*[27]float64          // unit scalar stiffness diagonals (aliased per level)
-	emb    *embed                  // Q1->Q2 nodal embedding E and E^T
-	pcs    [3]*pCoarse             // p-coarsened velocity preconditioners
-	q2L    *la.Layout              // Q2 node layout
-	// work vectors for the preconditioner (Q2 node layout)
-	xc2, yc2 *la.Vec
+	// Order-2 (Taylor-Hood) state (see q2.go): the Q2 node layer the
+	// dofs live on and the p-coarsened velocity preconditioner; q2 != nil
+	// selects the Q2 branches.
+	q2 *mesh.Q2Mesh
+	pl *pCoarse
 }
 
 // schurTerm is one precomputed contribution (1/eta[Elem])*Coef to the
@@ -364,92 +344,38 @@ func Setup(m *mesh.Mesh, dom fem.Domain, bc VelBC, opts Options) *Solver {
 		}
 	}
 
+	// The nodes the dofs live on: the mesh's own, or for Order 2 the Q2
+	// layer's. Either way they are addressed by slot, with one ghost plan.
+	n, gx := m.NumOwned, m.GX
+	coord := func(i int) [3]float64 { return fem.NodeCoord(m, dom, i) }
+	pPinned := func(i int) bool { return m.Offset+int64(i) == 0 }
 	if opts.Order == 2 {
-		s.setupQ2()
-		s.finishSetup()
-		return s
+		q2 := m.Q2
+		if !opts.MatrixFree || opts.Precond != PrecondGMG {
+			panic("stokes: Order 2 requires MatrixFree and PrecondGMG (no assembled or AMG path)")
+		}
+		if q2 == nil {
+			panic("stokes: Order 2 requires the Q2 node layer — call mesh.ExtractQ2 and set Mesh.Q2")
+		}
+		s.q2, n, gx = q2, q2.NumOwned, q2.GX
+		coord = func(i int) [3]float64 { return dom.CoordHalf(q2.OwnedPos2[i]) }
+		// The pressure pin stays at gid 0 — the domain origin is a vertex
+		// in both numberings — and non-vertex nodes carry no pressure.
+		pPinned = func(i int) bool { return q2.Offset+int64(i) == 0 || !q2.IsVertex(q2.OwnedPos2[i]) }
 	}
-	s.Layout = la.NewLayout(m.Rank, 4*m.NumOwned)
+	s.Layout = la.NewLayout(m.Rank, 4*n)
+	nFixedCart := s.constrain(n, gx, coord, pPinned)
 
-	// Evaluate the velocity BC flags and values, and the free-slip mask
-	// and normals (slip takes precedence over bc at a node), at the owned
-	// nodes, and fetch the ghosts' in one exchange, each field in slot
-	// space: the component bit mask and the three values, then (with
-	// slip) the slip mask and the three normal components.
-	n, ns := m.NumOwned, m.NSlots()
-	fields := make([][]float64, 4)
-	if slip != nil {
-		fields = make([][]float64, 8)
-	}
-	owned, ghost := make([][]float64, len(fields)), make([][]float64, len(fields))
-	for f := range fields {
-		fields[f] = make([]float64, ns)
-		owned[f], ghost[f] = fields[f][:n], fields[f][n:]
-	}
-	mask, val := fields[0], fields[1:4]
-	var smask []float64
-	var normal [][]float64
-	if slip != nil {
-		smask, normal = fields[4], fields[5:8]
-	}
-	nFixedCart := 0 // owned velocity dofs pinned in Cartesian components
-	for i := 0; i < n; i++ {
-		x := fem.NodeCoord(m, dom, i)
-		if slip != nil {
-			if nrm, ok := slip(x); ok {
-				smask[i] = 1
-				for c := 0; c < 3; c++ {
-					normal[c][i] = nrm[c]
-				}
-				continue
-			}
-		}
-		fixed, vals := bc(x)
-		bits := 0.0
-		for c := 0; c < 3; c++ {
-			if fixed[c] {
-				bits += float64(int(1) << c)
-				val[c][i] = vals[c]
-				nFixedCart++
-			}
-		}
-		mask[i] = bits
-	}
-	m.GX.GatherMulti(owned, ghost)
-	s.cons.Fixed, s.cons.Val = make([]bool, 4*ns), make([]float64, 4*ns)
-	if slip != nil {
-		// Uniform across ranks even when this rank's partition never
-		// touches a slip boundary: the slip code paths contain collective
-		// calls, so the branch must not depend on local node sets.
-		s.hasSlip = true
-		s.cons.Frames = make([]*[3][3]float64, ns)
-	}
-	for sl := 0; sl < ns; sl++ {
-		if m.GID(int32(sl)) == 0 {
-			s.cons.Fixed[4*sl+3] = true // pressure pin
-		}
-		if slip != nil && smask[sl] != 0 {
-			Q := frameFor([3]float64{normal[0][sl], normal[1][sl], normal[2][sl]})
-			s.cons.Frames[sl] = &Q
-			s.cons.Fixed[4*sl] = true
-			if sl < n {
-				s.slipOwned = append(s.slipOwned, int32(sl))
-			}
-			continue
-		}
-		for c := 0; c < 3; c++ {
-			if int(mask[sl])>>c&1 == 1 {
-				s.cons.Fixed[4*sl+c], s.cons.Val[4*sl+c] = true, val[c][sl]
-			}
-		}
-	}
-
-	if opts.MatrixFree {
+	switch {
+	case s.q2 != nil:
+		s.MF = matfree.NewQ2(s.q2, dom, s.Layout, nil, s.cons, opts.MatFree)
+		s.Op = s.MF
+	case opts.MatrixFree:
 		// Constraint index lists and kernels are mesh-dependent; the
 		// viscosity is attached by Update.
 		s.MF = matfree.New(m, dom, s.Layout, nil, s.cons, opts.MatFree)
 		s.Op = s.MF
-	} else if m.X != nil {
+	case m.X != nil:
 		// Mapped assembled path: per-element isoparametric unit kernels,
 		// scaled by the viscosity on every Update.
 		s.stokesKern = fem.StokesKernelsFor(m, dom)
@@ -478,6 +404,9 @@ func Setup(m *mesh.Mesh, dom fem.Domain, bc VelBC, opts Options) *Solver {
 		s.compBCD = fem.GatherBC(m, dom, s.compBC[:]...)
 		s.xc, s.yc = la.NewVec(s.nodeL), la.NewVec(s.nodeL)
 	}
+	if s.q2 != nil {
+		s.pl = newPCoarse(s)
+	}
 
 	if s.hasSlip {
 		s.slipDinv = la.NewVec(s.nodeL)
@@ -492,6 +421,91 @@ func Setup(m *mesh.Mesh, dom fem.Domain, bc VelBC, opts Options) *Solver {
 
 	s.finishSetup()
 	return s
+}
+
+// constrain fills the slot-indexed constraint table s.cons for the n
+// owned nodes and gx's ghosts (collective: one exchange). It evaluates
+// the velocity BC flags and values, and the free-slip mask and normals
+// (slip takes precedence over bc at a node), at the owned nodes (coord),
+// together with the pressure constraint (pPinned), and fetches the
+// ghosts' in one exchange, each field in slot space: the component bit
+// mask and the three values, then (with slip) the slip mask and the three
+// normal components. It returns the number of owned velocity dofs pinned
+// in Cartesian components.
+func (s *Solver) constrain(n int, gx *la.GhostExchange, coord func(int) [3]float64, pPinned func(int) bool) int {
+	slip := s.opts.Slip
+	ns := n + gx.NumGhosts()
+	fields := make([][]float64, 4)
+	if slip != nil {
+		fields = make([][]float64, 8)
+	}
+	owned, ghost := make([][]float64, len(fields)), make([][]float64, len(fields))
+	for f := range fields {
+		fields[f] = make([]float64, ns)
+		owned[f], ghost[f] = fields[f][:n], fields[f][n:]
+	}
+	mask, val := fields[0], fields[1:4]
+	var smask []float64
+	var normal [][]float64
+	if slip != nil {
+		smask, normal = fields[4], fields[5:8]
+	}
+	const pBit = 1 << 3 // pressure constrained
+	nFixedCart := 0
+	for i := 0; i < n; i++ {
+		x := coord(i)
+		bits := 0.0
+		if pPinned(i) {
+			bits = pBit
+		}
+		if slip != nil {
+			if nrm, ok := slip(x); ok {
+				smask[i] = 1
+				for c := 0; c < 3; c++ {
+					normal[c][i] = nrm[c]
+				}
+				mask[i] = bits
+				continue
+			}
+		}
+		fixed, vals := s.bc(x)
+		for c := 0; c < 3; c++ {
+			if fixed[c] {
+				bits += float64(int(1) << c)
+				val[c][i] = vals[c]
+				nFixedCart++
+			}
+		}
+		mask[i] = bits
+	}
+	gx.GatherMulti(owned, ghost)
+	s.cons.Fixed, s.cons.Val = make([]bool, 4*ns), make([]float64, 4*ns)
+	if slip != nil {
+		// Uniform across ranks even when this rank's partition never
+		// touches a slip boundary: the slip code paths contain collective
+		// calls, so the branch must not depend on local node sets.
+		s.hasSlip = true
+		s.cons.Frames = make([]*[3][3]float64, ns)
+	}
+	for sl := 0; sl < ns; sl++ {
+		bits := int(mask[sl])
+		s.cons.Fixed[4*sl+3] = bits&pBit != 0
+		if slip != nil && smask[sl] != 0 {
+			Q := frameFor([3]float64{normal[0][sl], normal[1][sl], normal[2][sl]})
+			s.cons.Frames[sl] = &Q
+			s.cons.Fixed[4*sl] = true
+			if sl < n {
+				s.slipOwned = append(s.slipOwned, int32(sl))
+			}
+			continue
+		}
+		for c := 0; c < 3; c++ {
+			if bits>>c&1 == 1 {
+				s.cons.Fixed[4*sl+c], s.cons.Val[4*sl+c] = true, val[c][sl]
+			}
+		}
+	}
+	return nFixedCart
 }
 
 // buildNullSpace constructs the orthonormalized rigid-rotation modes
