@@ -119,7 +119,7 @@ func main() {
 			MaxLevel:    uint8(*maxLevel),
 			TargetElems: *target,
 			AdaptEvery:  8,
-			Picard:      2,
+			Picard:      1, // the law ignores the strain rate: a second pass repeats the first
 			MinresTol:   1e-6,
 			MinresMax:   800,
 			MatrixFree:  *matfree,

@@ -9,6 +9,7 @@ package rhea
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"rhea/internal/fem"
@@ -183,6 +184,48 @@ func TestReuseMatchesNoReuse(t *testing.T) {
 	}
 	if want := [2]int{1 + cycles, (cycles + 1) * picard}; setups != want {
 		t.Errorf("solver set-ups with/without reuse: %v, want %v", setups, want)
+	}
+}
+
+// TestColdSolveIsStateless: a Stokes solve is a function of the mesh, T
+// and (for strain-rate laws) U alone — it carries no guess from the
+// previous solve. On the box and on the free-slip shell (local frames at
+// the slip nodes), with a temperature-dependent law, a second solve with
+// T unchanged repeats the first bit for bit, iterations included, and
+// Picard 2 repeats Picard 1 bit for bit.
+func TestColdSolveIsStateless(t *testing.T) {
+	shell := shellConfig()
+	shell.ShellSlip = "top"
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"box", regressionConfig()}, {"shell-slip", shell}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim.Run(2, func(r *sim.Rank) {
+				s := New(r, tc.cfg)
+				s.Cfg.Picard = 1
+				first := s.SolveStokes()
+				want := captureState(s)
+				if !first.Converged || first.Iterations == 0 {
+					t.Errorf("rank %d: first solve: converged %v after %d its", r.ID(), first.Converged, first.Iterations)
+				}
+				if again := s.SolveStokes(); again.Iterations != first.Iterations {
+					t.Errorf("rank %d: repeated solve took %d its, first %d", r.ID(), again.Iterations, first.Iterations)
+				}
+				if !reflect.DeepEqual(captureState(s), want) {
+					t.Errorf("rank %d: repeated solve changed U or P", r.ID())
+				}
+				s.Cfg.Picard = 2
+				s.SolveStokes()
+				if last := s.LastMinres(); !reflect.DeepEqual(last, first) {
+					t.Errorf("rank %d: Picard 2 took %d its to %g, Picard 1 %d to %g",
+						r.ID(), last.Iterations, last.Residual, first.Iterations, first.Residual)
+				}
+				if !reflect.DeepEqual(captureState(s), want) {
+					t.Errorf("rank %d: Picard 2 U or P differs from Picard 1", r.ID())
+				}
+			})
+		})
 	}
 }
 

@@ -357,7 +357,7 @@ type Sim struct {
 
 	T *la.Vec    // temperature (nodal)
 	U [3]*la.Vec // velocity components (nodal)
-	P *la.Vec    // pressure (nodal); warm-starts the next Stokes solve
+	P *la.Vec    // pressure (nodal); output of the last Stokes solve
 
 	Times   Timings
 	Step    int
@@ -634,9 +634,10 @@ func (s *Sim) stokesOptions() stokes.Options {
 // temperature with Picard iteration on the strain-rate-dependent
 // viscosity (collective). The mesh-dependent solver setup is cached
 // across Picard iterations and timesteps until the next Adapt; each
-// iteration only refreshes the viscosity-dependent half and warm-starts
-// MINRES from the current velocity and pressure. It returns the last
-// MINRES result.
+// iteration only refreshes the viscosity-dependent half and runs MINRES
+// from zero, so the result depends on the mesh, T and (where the
+// viscosity law reads the strain rate) U alone, never on the previous
+// solve's P. It returns the last MINRES result.
 func (s *Sim) SolveStokes() krylov.Result {
 	var res krylov.Result
 	for pic := 0; pic < s.Cfg.Picard; pic++ {
@@ -652,34 +653,10 @@ func (s *Sim) SolveStokes() krylov.Result {
 		s.Times.StokesUpdate += time.Since(t0).Seconds()
 
 		t0 = time.Now()
-		x := la.NewVec(s.solver.Layout)
-		// Warm start from the current velocity and pressure. On the Q2
-		// layout the nodal Q1 fields seed the vertex dofs; edge, face
-		// and center dofs start from zero.
-		if q2 := s.Mesh.Q2; q2 != nil {
-			for i := 0; i < s.Mesh.NumOwned; i++ {
-				qi := int(q2.Q1ToQ2[i])
-				for c := 0; c < 3; c++ {
-					x.Data[4*qi+c] = s.U[c].Data[i]
-				}
-				x.Data[4*qi+3] = s.P.Data[i]
-			}
-		} else {
-			for i := 0; i < s.Mesh.NumOwned; i++ {
-				for c := 0; c < 3; c++ {
-					x.Data[4*i+c] = s.U[c].Data[i]
-				}
-				x.Data[4*i+3] = s.P.Data[i]
-			}
-		}
-		// Free-slip solvers keep local-frame components at slip nodes;
-		// rotate the Cartesian warm start into them (no-op otherwise).
-		s.solver.ToFrame(x)
-		res = s.solver.Solve(x, s.Cfg.MinresTol, s.Cfg.MinresMax)
+		var x *la.Vec
+		x, res = s.solver.Solve(s.Cfg.MinresTol, s.Cfg.MinresMax)
 		s.Times.MINRES += time.Since(t0).Seconds()
-		u, p := s.solver.SplitSolution(x)
-		s.U = u
-		s.P = p
+		s.U, s.P = s.solver.SplitSolution(x)
 	}
 	s.lastMinres = &res
 	return res

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"rhea/internal/fem"
-	"rhea/internal/la"
 	"rhea/internal/morton"
 	"rhea/internal/sim"
 )
@@ -51,10 +50,8 @@ func TestGMGSolveMatchesAMG(t *testing.T) {
 			t.Errorf("coarsest level (%d nodes) not coarser than fine (%d)", cn, fn)
 		}
 
-		xa := la.NewVec(amgSys.Layout)
-		ra := amgSys.Solve(xa, 1e-9, 1000)
-		xg := la.NewVec(gmgSys.Layout)
-		rg := gmgSys.Solve(xg, 1e-9, 1000)
+		xa, ra := amgSys.Solve(1e-9, 1000)
+		xg, rg := gmgSys.Solve(1e-9, 1000)
 		if !ra.Converged || !rg.Converged {
 			t.Fatalf("convergence: amg=%v (%d its) gmg=%v (%d its)",
 				ra.Converged, ra.Iterations, rg.Converged, rg.Iterations)
@@ -106,8 +103,7 @@ func TestGMGViscosityContrast(t *testing.T) {
 		sys := Assemble(m, dom, eta, force, FreeSlip(dom.Box), Options{
 			MatrixFree: true, Precond: PrecondGMG,
 		})
-		x := la.NewVec(sys.Layout)
-		res := sys.Solve(x, 1e-8, 2000)
+		_, res := sys.Solve(1e-8, 2000)
 		if !res.Converged {
 			t.Errorf("GMG contrast solve failed: %v after %d its", res.Residual, res.Iterations)
 		} else if r.ID() == 0 {
@@ -145,7 +141,7 @@ func TestGMGIterationsLevelIndependent(t *testing.T) {
 				}
 			}
 			sys := Assemble(m, dom, eta, force, FreeSlip(dom.Box), Options{MatrixFree: true, Precond: PrecondGMG})
-			res := sys.Solve(la.NewVec(sys.Layout), 1e-8, 2000)
+			_, res := sys.Solve(1e-8, 2000)
 			if r.ID() != 0 {
 				return
 			}

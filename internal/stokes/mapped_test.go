@@ -116,8 +116,7 @@ func mappedMMSVelError(t *testing.T, lvl uint8, opts Options) float64 {
 			return
 		}
 		sys := Assemble(m, dom, eta, force, bc, opts)
-		x := la.NewVec(sys.Layout)
-		res := sys.Solve(x, 1e-10, 6000)
+		x, res := sys.Solve(1e-10, 6000)
 		if !res.Converged {
 			t.Errorf("level %d: MINRES failed: %v after %d", lvl, res.Residual, res.Iterations)
 		}

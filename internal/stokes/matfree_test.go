@@ -144,15 +144,13 @@ func TestMatrixFreeSolveMatchesAssembled(t *testing.T) {
 		bc := FreeSlip(dom.Box)
 
 		asm := Assemble(m, dom, eta, force, bc, Options{})
-		xa := la.NewVec(asm.Layout)
-		ra := asm.Solve(xa, 1e-9, 3000)
+		xa, ra := asm.Solve(1e-9, 3000)
 		if !ra.Converged {
 			t.Fatalf("assembled solve failed: %v", ra.Residual)
 		}
 
 		mf := Assemble(m, dom, eta, force, bc, Options{MatrixFree: true})
-		xm := la.NewVec(mf.Layout)
-		rm := mf.Solve(xm, 1e-9, 3000)
+		xm, rm := mf.Solve(1e-9, 3000)
 		if !rm.Converged {
 			t.Fatalf("matrix-free solve failed: %v", rm.Residual)
 		}

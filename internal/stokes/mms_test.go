@@ -13,7 +13,6 @@ import (
 
 	"rhea/internal/fem"
 	"rhea/internal/forest"
-	"rhea/internal/la"
 	"rhea/internal/mesh"
 	"rhea/internal/sim"
 )
@@ -75,8 +74,7 @@ func mmsVelError(t *testing.T, lvl uint8, opts Options) float64 {
 			return
 		}
 		sys := Assemble(m, dom, eta, force, bc, opts)
-		x := la.NewVec(sys.Layout)
-		res := sys.Solve(x, 1e-10, 4000)
+		x, res := sys.Solve(1e-10, 4000)
 		if !res.Converged {
 			t.Errorf("level %d: MINRES failed: %v after %d", lvl, res.Residual, res.Iterations)
 		}

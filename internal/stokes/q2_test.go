@@ -56,8 +56,7 @@ func q2MMSVelError(t *testing.T, lvl uint8, ranks int) float64 {
 			return
 		}
 		sys := Setup(m, dom, bc, q2Options()).UpdateQ2(eta, force)
-		x := la.NewVec(sys.Layout)
-		res := sys.Solve(x, 1e-10, 6000)
+		x, res := sys.Solve(1e-10, 6000)
 		if !res.Converged {
 			t.Errorf("level %d: MINRES failed: %v after %d", lvl, res.Residual, res.Iterations)
 		}
@@ -224,8 +223,7 @@ func TestQ2InactivePressureStaysZero(t *testing.T) {
 			}
 		}
 		s := Setup(m, dom, FreeSlip(dom.Box), q2Options()).Update(constViscosity(m, 1), force)
-		x := la.NewVec(s.Layout)
-		res := s.Solve(x, 1e-8, 2000)
+		x, res := s.Solve(1e-8, 2000)
 		if !res.Converged {
 			t.Fatalf("MINRES failed: %v after %d", res.Residual, res.Iterations)
 		}

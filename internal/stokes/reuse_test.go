@@ -100,11 +100,9 @@ func TestSetupUpdateMatchesAssemble(t *testing.T) {
 								t.Errorf("%s p=%d cycle=%d round=%d: apply differs by %v",
 									combo.name, p, cycle, round, d)
 							}
-							// Same solve (zero initial guess on both paths).
-							x1 := la.NewVec(sol.Layout)
-							x2 := la.NewVec(fresh.Layout)
-							r1 := sol.Solve(x1, 1e-9, 2000)
-							r2 := fresh.Solve(x2, 1e-9, 2000)
+							// Same solve on both paths.
+							x1, r1 := sol.Solve(1e-9, 2000)
+							x2, r2 := fresh.Solve(1e-9, 2000)
 							if !r1.Converged || !r2.Converged {
 								t.Fatalf("%s p=%d cycle=%d round=%d: solve failed (reuse %v fresh %v)",
 									combo.name, p, cycle, round, r1.Residual, r2.Residual)
@@ -144,8 +142,7 @@ func TestSetupRequiresUpdate(t *testing.T) {
 			if sol.B == nil || sol.Op == nil {
 				t.Fatalf("%s: Update left the solver incomplete", combo.name)
 			}
-			x := la.NewVec(sol.Layout)
-			if res := sol.Solve(x, 1e-8, 2000); !res.Converged {
+			if _, res := sol.Solve(1e-8, 2000); !res.Converged {
 				t.Errorf("%s: solve after Setup+Update failed: %v", combo.name, res.Residual)
 			}
 		}

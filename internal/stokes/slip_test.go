@@ -133,8 +133,7 @@ func TestSlipSolveNoPenetration(t *testing.T) {
 				opts.Precond = PrecondGMG
 			}
 			s := Assemble(m, dom, eta, force, RadialNoSlipInner(g.RInner, g.ROuter), opts)
-			x := la.NewVec(s.Layout)
-			res := s.Solve(x, 1e-9, 2000)
+			x, res := s.Solve(1e-9, 2000)
 			if !res.Converged {
 				t.Errorf("matfree=%v: free-slip solve failed to converge: %v after %d",
 					mfree, res.Residual, res.Iterations)
@@ -193,8 +192,7 @@ func TestSlipNullSpaceProjection(t *testing.T) {
 			if got := s.NullDim(); got != 3 {
 				t.Fatalf("matfree=%v: NullDim = %d, want 3", mfree, got)
 			}
-			x := la.NewVec(s.Layout)
-			res := s.Solve(x, 1e-9, 2000)
+			x, res := s.Solve(1e-9, 2000)
 			if !res.Converged {
 				t.Errorf("matfree=%v: all-free-slip solve failed to converge: %v after %d",
 					mfree, res.Residual, res.Iterations)
@@ -235,8 +233,7 @@ func TestSlipIterationsLevelIndependent(t *testing.T) {
 			opts := Options{MatrixFree: true, Precond: PrecondGMG,
 				Slip: ShellSlipNormals(g.RInner, g.ROuter, false, true)}
 			s := Assemble(m, dom, eta, force, RadialNoSlipInner(g.RInner, g.ROuter), opts)
-			x := la.NewVec(s.Layout)
-			res := s.Solve(x, 1e-8, 4000)
+			_, res := s.Solve(1e-8, 4000)
 			if !res.Converged {
 				t.Errorf("level %d: free-slip solve failed to converge after %d iterations", lvl, res.Iterations)
 			}

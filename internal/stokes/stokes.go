@@ -991,19 +991,21 @@ func (s *Solver) Precond() krylov.Operator {
 	})
 }
 
-// Solve runs preconditioned MINRES from the initial guess in x, using
-// the assembled or matrix-free operator per Options.MatrixFree. When the
-// free-slip configuration leaves the rigid rotations unconstrained, the
-// iteration runs on the orthogonal complement of the 3 rotation modes:
-// right-hand side, initial guess, operator and preconditioner outputs
-// are all projected, so MINRES never sees (or stagnates on) the null
-// space and the returned solution carries no net rotation.
-func (s *Solver) Solve(x *la.Vec, rtol float64, maxIt int) krylov.Result {
+// Solve runs preconditioned MINRES from a zero initial guess, using the
+// assembled or matrix-free operator per Options.MatrixFree, and returns
+// the solution with the result. The solve depends on the current
+// operator and right-hand side alone, and its stop test is relative to
+// the right-hand side. When the free-slip configuration leaves the
+// rigid rotations unconstrained, the iteration runs on the orthogonal
+// complement of the 3 rotation modes: right-hand side, operator and
+// preconditioner outputs are all projected, so MINRES never sees (or
+// stagnates on) the null space and the returned solution carries no net
+// rotation.
+func (s *Solver) Solve(rtol float64, maxIt int) (*la.Vec, krylov.Result) {
 	op, pc, b := s.Op, s.Precond(), s.B
 	if len(s.null) > 0 {
 		b = b.Clone()
 		s.projectNull(b)
-		s.projectNull(x)
 		innerOp, innerPC := op, pc
 		op = krylov.OpFunc(func(in, out *la.Vec) {
 			innerOp.Apply(in, out)
@@ -1014,7 +1016,8 @@ func (s *Solver) Solve(x *la.Vec, rtol float64, maxIt int) krylov.Result {
 			s.projectNull(out)
 		})
 	}
-	return krylov.MINRES(op, pc, b, x, rtol, maxIt)
+	x := la.NewVec(s.Layout)
+	return x, krylov.MINRES(op, pc, b, x, rtol, maxIt)
 }
 
 // SplitSolution extracts nodal velocity components and pressure from the
@@ -1062,25 +1065,6 @@ func (s *Solver) SplitSolution(x *la.Vec) (u [3]*la.Vec, p *la.Vec) {
 		p.Data[i] = x.Data[4*i+3]
 	}
 	return
-}
-
-// ToFrame rotates the velocity entries of the interleaved dof vector x
-// from Cartesian into the solver's local frames at free-slip nodes
-// (v_local = Q^T u) in place — the inverse of SplitSolution's rotation.
-// Warm starts built from nodal Cartesian fields must pass through it
-// before Solve; without slip boundaries it is a no-op.
-func (s *Solver) ToFrame(x *la.Vec) {
-	if !s.hasSlip {
-		return
-	}
-	for _, li := range s.slipOwned {
-		i := int(li)
-		Q := s.cons.Frames[i]
-		u0, u1, u2 := x.Data[4*i], x.Data[4*i+1], x.Data[4*i+2]
-		x.Data[4*i] = Q[0][0]*u0 + Q[1][0]*u1 + Q[2][0]*u2
-		x.Data[4*i+1] = Q[0][1]*u0 + Q[1][1]*u1 + Q[2][1]*u2
-		x.Data[4*i+2] = Q[0][2]*u0 + Q[1][2]*u1 + Q[2][2]*u2
-	}
 }
 
 // DivergenceNorm returns the global L2 norm of the discrete divergence

@@ -78,8 +78,7 @@ func TestHydrostaticBalance(t *testing.T) {
 			}
 		}
 		s := Assemble(m, dom, constViscosity(m, 1), force, FreeSlip(dom.Box), Options{})
-		x := la.NewVec(s.Layout)
-		res := s.Solve(x, 1e-10, 500)
+		x, res := s.Solve(1e-10, 500)
 		if !res.Converged {
 			t.Fatalf("MINRES failed: residual %v after %d its", res.Residual, res.Iterations)
 		}
@@ -122,8 +121,7 @@ func TestBuoyantFlowDivergenceFree(t *testing.T) {
 			}
 		}
 		s := Assemble(m, dom, constViscosity(m, 1), force, FreeSlip(dom.Box), Options{})
-		x := la.NewVec(s.Layout)
-		res := s.Solve(x, 1e-9, 800)
+		x, res := s.Solve(1e-9, 800)
 		if !res.Converged {
 			t.Fatalf("MINRES failed: %v after %d", res.Residual, res.Iterations)
 		}
@@ -181,8 +179,7 @@ func TestViscosityContrastRobustness(t *testing.T) {
 				}
 			}
 			s := Assemble(m, dom, eta, force, FreeSlip(dom.Box), Options{})
-			x := la.NewVec(s.Layout)
-			res := s.Solve(x, 1e-8, 2000)
+			_, res := s.Solve(1e-8, 2000)
 			if !res.Converged {
 				t.Errorf("contrast %g: MINRES failed", contrast)
 				return
@@ -211,8 +208,7 @@ func TestIterationCountMeshIndependence(t *testing.T) {
 				}
 			}
 			s := Assemble(m, dom, constViscosity(m, 1), force, FreeSlip(dom.Box), Options{})
-			x := la.NewVec(s.Layout)
-			res := s.Solve(x, 1e-8, 2000)
+			_, res := s.Solve(1e-8, 2000)
 			if !res.Converged {
 				t.Errorf("level %d: not converged", lvl)
 				return
@@ -279,8 +275,7 @@ func TestIterationCountRankInvariance(t *testing.T) {
 				}
 			}
 			sys := Assemble(m, dom, eta, force, FreeSlip(dom.Box), Options{})
-			x := la.NewVec(sys.Layout)
-			res := sys.Solve(x, 1e-8, 1500)
+			_, res := sys.Solve(1e-8, 1500)
 			if !res.Converged {
 				t.Errorf("p=%d: not converged", p)
 				return
@@ -314,8 +309,7 @@ func TestLocalAMGOptionConverges(t *testing.T) {
 			}
 		}
 		sys := Assemble(m, dom, constViscosity(m, 1), force, FreeSlip(dom.Box), Options{LocalAMG: true})
-		x := la.NewVec(sys.Layout)
-		res := sys.Solve(x, 1e-7, 2000)
+		_, res := sys.Solve(1e-7, 2000)
 		if !res.Converged {
 			t.Errorf("LocalAMG MINRES failed: %v", res.Residual)
 		}

@@ -13,7 +13,6 @@ import (
 
 	"rhea/internal/fem"
 	"rhea/internal/forest"
-	"rhea/internal/la"
 	"rhea/internal/mesh"
 	"rhea/internal/sim"
 )
@@ -73,8 +72,7 @@ func solveManufactured(t *testing.T, level uint8) float64 {
 		// The manufactured u has zero normal component on every face of
 		// the unit box, so free-slip is the exact boundary condition.
 		s := Assemble(m, dom, constViscosity(m, 1), force, FreeSlip(dom.Box), Options{})
-		x := la.NewVec(s.Layout)
-		res := s.Solve(x, 1e-10, 3000)
+		x, res := s.Solve(1e-10, 3000)
 		if !res.Converged {
 			t.Errorf("level %d: MINRES failed (%v)", level, res.Residual)
 			return
