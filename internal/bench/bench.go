@@ -4,9 +4,9 @@
 // free-slip outer surface, spherical shell with Earth-like radii) plus
 // the repo's own box and shell regression scenarios — together with a
 // uniform runner that produces the Nu/Vrms diagnostics the reference
-// tables and BENCH_bunge.json pin. cmd/rhea (-case) and the benchmark
-// harness resolve cases from here, so a scenario is defined in exactly
-// one place.
+// tables and BENCH_bunge.json pin. cmd/rhea (-case), the scenario
+// service (a spec's kind) and the benchmark harness resolve cases from
+// here, so a scenario is defined in exactly one place.
 package bench
 
 import (
@@ -78,8 +78,7 @@ func BungeTemp(x [3]float64) float64 {
 type Case struct {
 	Name   string
 	Desc   string
-	Cycles int // solve + advect + adapt cycles before the final solve
-	Steps  int // advection steps per cycle
+	Cycles int // RunCycle rounds before the final solve
 	Config func() rhea.Config
 }
 
@@ -166,37 +165,37 @@ var registry = []Case{
 	{
 		Name:   "box",
 		Desc:   "unit-box Rayleigh-Benard regression, Ra 1e4, assembled CSR",
-		Cycles: 2, Steps: 4,
+		Cycles: 2,
 		Config: boxConfig,
 	},
 	{
 		Name:   "shell",
 		Desc:   "no-slip cubed-sphere shell regression, Ra 1e4, matrix-free GMG",
-		Cycles: 1, Steps: 4,
+		Cycles: 1,
 		Config: shellConfig,
 	},
 	{
 		Name:   "bunge1",
 		Desc:   "Bunge case 1: isoviscous 1.7e24 Pa s (Ra 3.8e4), free-slip top",
-		Cycles: 1, Steps: 4,
+		Cycles: 1,
 		Config: func() rhea.Config { return bungeConfig(1.7e24, 1) },
 	},
 	{
 		Name:   "bunge2",
 		Desc:   "Bunge case 2: 5.8e22 Pa s upper mantle (Ra 1.1e6), 30x lower mantle, free-slip top",
-		Cycles: 1, Steps: 4,
+		Cycles: 1,
 		Config: func() rhea.Config { return bungeConfig(5.8e22, 30) },
 	},
 	{
 		Name:   "bunge3",
 		Desc:   "Bunge case 3: isoviscous 5.8e22 Pa s (Ra 1.1e6), free-slip top",
-		Cycles: 1, Steps: 4,
+		Cycles: 1,
 		Config: func() rhea.Config { return bungeConfig(5.8e22, 1) },
 	},
 	{
 		Name:   "bunge4",
 		Desc:   "Bunge case 4: 7e21 Pa s upper mantle (Ra 9.3e6), 30x lower mantle, free-slip top",
-		Cycles: 1, Steps: 4,
+		Cycles: 1,
 		Config: func() rhea.Config { return bungeConfig(7e21, 30) },
 	},
 }
@@ -229,17 +228,22 @@ func Lookup(name string) (Case, bool) {
 }
 
 // Run executes one case on the given communicator (collective): the
-// pinned cycle schedule of solve + advect + adapt rounds followed by a
-// final solve, returning the diagnostics the reference tables pin.
+// pinned cycle schedule of RunCycle rounds (solve, AdaptEvery advection
+// steps, adapt) followed by a final solve, returning the diagnostics the
+// reference tables pin.
 // The run is deterministic per rank count; across rank counts the
 // diagnostics agree to reduction rounding (see bench_test.go).
 func Run(r *sim.Rank, c Case) Result {
 	s := rhea.New(r, c.Config())
 	for i := 0; i < c.Cycles; i++ {
-		s.SolveStokes()
-		s.AdvectSteps(c.Steps)
-		s.Adapt()
+		s.RunCycle()
 	}
+	return Final(s)
+}
+
+// Final runs the closing Stokes solve of a run and returns the row the
+// reference tables pin (collective). cmd/rhea ends every run with it.
+func Final(s *rhea.Sim) Result {
 	res := s.SolveStokes()
 	v := s.Diagnose(false)
 	return Result{

@@ -46,10 +46,10 @@ func TemperatureDependent(eta0, E float64) ViscosityLaw {
 }
 
 // BoxBlobTemp is the canonical unit-box initial condition: the conductive
-// profile plus one off-center Gaussian blob. Named and exported so
-// checkpoint-resuming callers (the scenario service, cmd/rhea) can refer
-// to the exact same function across process restarts — Config
-// fingerprints cannot cover function-valued fields.
+// profile plus one off-center Gaussian blob. Named and exported so the
+// scenario registry (internal/bench), which checkpoint-resuming callers
+// draw from, refers to the exact same function across process restarts
+// — Config fingerprints cannot cover function-valued fields.
 func BoxBlobTemp(x [3]float64) float64 {
 	r2 := (x[0]-0.4)*(x[0]-0.4) + (x[1]-0.6)*(x[1]-0.6) + (x[2]-0.3)*(x[2]-0.3)
 	return (1 - x[2]) + 0.2*math.Exp(-r2/0.03)

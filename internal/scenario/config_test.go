@@ -1,0 +1,100 @@
+package scenario
+
+import (
+	"encoding/json"
+	"testing"
+
+	"rhea/internal/bench"
+	"rhea/internal/stokes"
+)
+
+// TestSpecConfigPinned holds the configurations the service builds. The
+// fingerprints were captured before the service took its kinds from the
+// bench registry, so snapshots written by earlier servers still restore.
+// The scenario itself (domain, levels, schedule, initial temperature,
+// law) must be the registry case's wherever the spec leaves it unset;
+// the solver policy is the service's own (see Spec).
+func TestSpecConfigPinned(t *testing.T) {
+	cases := []struct {
+		spec string // request body, as a client sends it
+		fp   uint64
+	}{
+		{`{"kind":"box"}`, 0x593341fd95356269},
+		{`{"kind":"shell"}`, 0x80530b24f332ecd0},
+		{`{"kind":"box","gmg":true}`, 0x511aff265aa218b3},
+		{`{"kind":"shell","gmg":true}`, 0x6bd2f9a7f05a0c0e},
+		{`{"kind":"box","matrix_free":true}`, 0x384c0da37fa8d5e0},
+		{`{"kind":"shell","matrix_free":true}`, 0x84c42adb94f4c6d9},
+		{`{"kind":"box","picard":2}`, 0x32c8095ce50d431a},
+		{`{"kind":"box","base_level":3,"min_level":2,"max_level":4}`, 0xeefd7d57c4e69e5c},
+		{`{"kind":"shell","base_level":2,"max_level":4}`, 0x9faab82749f61554},
+		{`{"kind":"box","minres_tol":1e-8}`, 0x28e0fc73ef9f4baf},
+		{`{"kind":"shell","minres_tol":1e-7,"picard":3}`, 0x24b025cde84f519e},
+		// The CI rheaserv smokes.
+		{`{"name":"smoke","kind":"box","ranks":2,"cycles":2,"base_level":2,"min_level":1,"max_level":3,"target_elems":100,"adapt_every":2,"checkpoint_every":1}`, 0xc38e722329a3399f},
+		// The serve-jobs benchmark workload's body, full and quick.
+		{`{"kind":"shell","gmg":true,"ranks":2,"cycles":3,"checkpoint_every":1,"target_elems":400,"minres_tol":1e-6,"ra":12000.000000}`, 0x322b9213e4acd5da},
+		{`{"kind":"shell","gmg":true,"ranks":2,"cycles":1,"checkpoint_every":1,"target_elems":200,"minres_tol":1e-6,"ra":9000.000000}`, 0xa90e465cbf709cb7},
+	}
+	samples := [][3]float64{{0.1, 0.2, 0.3}, {0.4, 0.6, 0.3}, {1.2, 0.1, 0.6}, {0.5, -1.1, 1.3}}
+	for _, tc := range cases {
+		var sp Spec
+		if err := json.Unmarshal([]byte(tc.spec), &sp); err != nil {
+			t.Fatal(err)
+		}
+		got := sp.Config()
+		if fp := got.Fingerprint(); fp != tc.fp {
+			t.Errorf("%s: fingerprint %#016x, want %#016x", tc.spec, fp, tc.fp)
+		}
+
+		c, _ := bench.Lookup(sp.Kind)
+		want := c.Config()
+		or := func(v, def int) int {
+			if v != 0 {
+				return v
+			}
+			return def
+		}
+		type scenarioFields struct {
+			Box                      [3]float64
+			Shell                    bool
+			Slip                     string
+			RInner, ROuter, Ra       float64
+			Base, Min, Max           int
+			Target                   int64
+			AdaptEvery, Picard, Init int
+		}
+		gotF := scenarioFields{got.Dom.Box, got.Shell, got.ShellSlip, got.RInner, got.ROuter, got.Ra,
+			int(got.BaseLevel), int(got.MinLevel), int(got.MaxLevel), got.TargetElems,
+			got.AdaptEvery, got.Picard, got.InitAdapt}
+		wantF := scenarioFields{want.Dom.Box, want.Shell, want.ShellSlip, want.RInner, want.ROuter, want.Ra,
+			or(sp.BaseLevel, int(want.BaseLevel)), or(sp.MinLevel, int(want.MinLevel)), or(sp.MaxLevel, int(want.MaxLevel)),
+			int64(or(int(sp.TargetElems), int(want.TargetElems))),
+			or(sp.AdaptEvery, want.AdaptEvery), or(sp.Picard, want.Picard), want.InitAdapt}
+		if sp.Ra != 0 {
+			wantF.Ra = sp.Ra
+		}
+		if gotF != wantF {
+			t.Errorf("%s: scenario fields %+v, want the registry case's %+v", tc.spec, gotF, wantF)
+		}
+		for _, x := range samples {
+			if a, b := got.InitialTemp(x), want.InitialTemp(x); a != b {
+				t.Errorf("%s: initial temperature at %v is %v, registry %v", tc.spec, x, a, b)
+			}
+			if a, b := got.Visc(0.3, x[2], 1e-2), want.Visc(0.3, x[2], 1e-2); a != b {
+				t.Errorf("%s: viscosity at depth %v is %v, registry %v", tc.spec, x[2], a, b)
+			}
+		}
+
+		// The service's solver policy, whatever the case pins.
+		wantPrecond := stokes.PrecondAMG
+		if sp.GMG {
+			wantPrecond = stokes.PrecondGMG
+		}
+		if got.MinresTol != sp.MinresTol || got.MinresMax != 0 ||
+			got.MatrixFree != (sp.MatrixFree || sp.GMG) || got.Precond != wantPrecond {
+			t.Errorf("%s: solver policy tol %v max %d matrix-free %v precond %v", tc.spec,
+				got.MinresTol, got.MinresMax, got.MatrixFree, got.Precond)
+		}
+	}
+}

@@ -440,6 +440,7 @@ func TestNormalizeLevelDefaults(t *testing.T) {
 		{Kind: "box", Cycles: 1, MinLevel: 2},   // default max 3 covers it
 		{Kind: "box", Cycles: 1, MinLevel: 3},   // == default max
 		{Kind: "shell", Cycles: 1, MaxLevel: 1}, // shell default base is 1
+		{Kind: "bunge1", Cycles: 1},             // every registry case is a kind
 	}
 	for i, sp := range ok {
 		if err := sp.normalize(); err != nil {

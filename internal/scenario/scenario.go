@@ -25,11 +25,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"rhea/internal/fem"
+	"rhea/internal/bench"
 	"rhea/internal/rhea"
 	"rhea/internal/stokes"
 )
@@ -57,15 +58,18 @@ const (
 	defaultDiagWindow    = 100000
 )
 
-// Spec describes one convection scenario over the wire. Zero values
-// pick the pinned defaults of the chosen kind, which reproduce the
-// repository's regression scenarios (internal/rhea physics_test.go and
-// shell_test.go). The initial temperature and viscosity law are fixed
-// per kind: rhea's config fingerprint cannot cover function-valued
-// fields, so a resumable spec must not let callers vary them.
+// Spec describes one convection scenario over the wire. Kind names a
+// case of the benchmark registry (internal/bench), whose configuration
+// the job starts from; zero values keep that case's settings. The
+// service solves with its own policy, not the case's: MINRES stops at
+// MinresTol (rhea's default 1e-6 when unset) or 500 iterations, and the
+// operator and preconditioner come from MatrixFree and GMG. The initial
+// temperature and viscosity law are fixed per kind: rhea's config
+// fingerprint cannot cover function-valued fields, so a resumable spec
+// must not let callers vary them.
 type Spec struct {
 	Name string `json:"name"`
-	Kind string `json:"kind"` // "box" | "shell"
+	Kind string `json:"kind"` // a bench registry case: "box", "shell", "bunge1", ...
 
 	Ranks  int `json:"ranks,omitempty"` // communicator size (default 2)
 	Cycles int `json:"cycles"`          // RunCycle count (required)
@@ -118,8 +122,8 @@ const maxRanks = 64
 
 // normalize fills the spec defaults and validates the rest.
 func (sp *Spec) normalize() error {
-	if sp.Kind != "box" && sp.Kind != "shell" {
-		return fmt.Errorf("scenario: kind %q is not \"box\" or \"shell\"", sp.Kind)
+	if _, ok := bench.Lookup(sp.Kind); !ok {
+		return fmt.Errorf("scenario: kind %q is not a registry case (%s)", sp.Kind, strings.Join(bench.Names(), ", "))
 	}
 	if sp.Ranks == 0 {
 		sp.Ranks = 2
@@ -136,12 +140,11 @@ func (sp *Spec) normalize() error {
 	if sp.BaseLevel < 0 || sp.MinLevel < 0 || sp.MaxLevel < 0 {
 		return fmt.Errorf("scenario: negative refinement level (base=%d min=%d max=%d)", sp.BaseLevel, sp.MinLevel, sp.MaxLevel)
 	}
-	// Validate the levels the run will actually use: unset fields take
-	// the per-kind defaults (see Config), so a spec like {min_level: 2}
-	// is checked against the default max, not against literal zero.
-	base, lo, hi := sp.effLevels()
-	if lo > hi || base > hi {
-		return fmt.Errorf("scenario: inconsistent levels base=%d min=%d max=%d (after per-kind defaults)", base, lo, hi)
+	// Validate the levels the run will actually use: unset fields keep
+	// the case's levels, so a spec like {min_level: 2} is checked against
+	// the case's max, not against literal zero.
+	if cfg := sp.Config(); cfg.MinLevel > cfg.MaxLevel || cfg.BaseLevel > cfg.MaxLevel {
+		return fmt.Errorf("scenario: inconsistent levels base=%d min=%d max=%d (after the case's defaults)", cfg.BaseLevel, cfg.MinLevel, cfg.MaxLevel)
 	}
 	if sp.MaxRetries < -1 {
 		return fmt.Errorf("scenario: max_retries %d (use -1 to disable retries)", sp.MaxRetries)
@@ -169,55 +172,12 @@ func (sp *Spec) normalize() error {
 	return nil
 }
 
-// effLevels returns the refinement levels a run of this spec will use:
-// the per-kind defaults with any explicitly set fields applied on top.
-func (sp *Spec) effLevels() (base, lo, hi int) {
-	base, lo, hi = 2, 1, 3
-	if sp.Kind == "shell" {
-		base = 1
-	}
-	if sp.BaseLevel != 0 {
-		base = sp.BaseLevel
-	}
-	if sp.MinLevel != 0 {
-		lo = sp.MinLevel
-	}
-	if sp.MaxLevel != 0 {
-		hi = sp.MaxLevel
-	}
-	return base, lo, hi
-}
-
-// Config translates the spec into a rhea.Config with the pinned
-// per-kind initial condition and viscosity law.
+// Config translates the spec into a rhea.Config: the registry case
+// named by Kind with the spec's fields applied and the service's solver
+// policy (see Spec). The spec must name a registry case.
 func (sp Spec) Config() rhea.Config {
-	var cfg rhea.Config
-	switch sp.Kind {
-	case "shell":
-		cfg = rhea.Config{
-			Shell:       true,
-			Ra:          1e4,
-			InitialTemp: rhea.ShellBlobTemp,
-			BaseLevel:   1,
-			MinLevel:    1,
-			MaxLevel:    3,
-			TargetElems: 400,
-		}
-	default: // "box"
-		cfg = rhea.Config{
-			Dom:         fem.UnitDomain,
-			Ra:          1e4,
-			InitialTemp: rhea.BoxBlobTemp,
-			BaseLevel:   2,
-			MinLevel:    1,
-			MaxLevel:    3,
-			TargetElems: 200,
-		}
-	}
-	cfg.Visc = rhea.TemperatureDependent(1, 1)
-	cfg.AdaptEvery = 4
-	cfg.Picard = 1
-	cfg.InitAdapt = 1
+	c, _ := bench.Lookup(sp.Kind)
+	cfg := c.Config()
 	if sp.Ra != 0 {
 		cfg.Ra = sp.Ra
 	}
@@ -239,10 +199,10 @@ func (sp Spec) Config() rhea.Config {
 	if sp.Picard != 0 {
 		cfg.Picard = sp.Picard
 	}
-	if sp.MinresTol != 0 {
-		cfg.MinresTol = sp.MinresTol
-	}
+	cfg.MinresTol = sp.MinresTol
+	cfg.MinresMax = 0
 	cfg.MatrixFree = sp.MatrixFree
+	cfg.Precond = stokes.PrecondAMG
 	if sp.GMG {
 		cfg.MatrixFree = true
 		cfg.Precond = stokes.PrecondGMG
