@@ -72,7 +72,7 @@ func printSlice(r *sim.Rank, s *rhea.Sim) {
 		}
 		var tAvg float64
 		for c := 0; c < 8; c++ {
-			tAvg += s.Mesh.Corners[ei][c].Value(vals) / 8
+			tAvg += s.Mesh.Corner(ei, c).Value(vals) / 8
 		}
 		x0 := int(float64(leaf.X) / float64(morton.RootLen) * nx)
 		x1 := int(float64(leaf.X+leaf.Len()) / float64(morton.RootLen) * nx)

@@ -84,8 +84,8 @@ func main() {
 			vals := m.GatherSlots(T.Data)[0]
 			counts := make([]float64, conn.NumTrees())
 			for ei, o := range f.Leaves() {
-				for k := range m.Corners[ei] {
-					if m.Corners[ei][k].Value(vals) > 0.5 {
+				for k := range m.Rows[ei] {
+					if m.Corner(ei, k).Value(vals) > 0.5 {
 						counts[o.Tree]++
 						break
 					}

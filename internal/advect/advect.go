@@ -47,7 +47,7 @@ type Problem struct {
 	// geos holds the per-element isoparametric geometry on mapped
 	// (forest) meshes; nil on axis-aligned meshes, where the constant-h
 	// brick formulas apply.
-	geos []*fem.ElemGeom
+	geos []fem.ElemGeom
 	// qg is each element's quadrature-point geometry on axis-aligned
 	// meshes: one table per octree level, aliased. Mapped meshes expand
 	// an element's gradients into qs when it is visited instead.
@@ -72,8 +72,8 @@ func New(m *mesh.Mesh, dom fem.Domain, kappa float64, vel [][8][3]float64, src f
 
 	// Per-element geometry and, in the same pass, the lumped mass.
 	if p.geos = fem.ElemGeoms(m); p.geos != nil {
-		for ei, g := range p.geos {
-			lm := fem.LumpedMassGeom(g, 1)
+		for ei := range p.geos {
+			lm := fem.LumpedMassGeom(&p.geos[ei], 1)
 			p.scatter(ei, &lm)
 		}
 	} else {
@@ -112,13 +112,19 @@ func New(m *mesh.Mesh, dom fem.Domain, kappa float64, vel [][8][3]float64, src f
 }
 
 // scatter adds the eight corner values R of element ei into the
-// slot-space accumulator through the hanging-node weights.
+// slot-space accumulator: an independent corner's slot at weight 1, a
+// hanging corner's masters at weight 1/N.
 func (p *Problem) scatter(ei int, R *[8]float64) {
-	cs := &p.M.Corners[ei]
+	row := &p.M.Rows[ei]
 	for a := 0; a < 8; a++ {
-		cr := &cs[a]
-		for k := 0; k < int(cr.N); k++ {
-			p.acc[cr.Slot[k]] += cr.W[k] * R[a]
+		if s := row[a]; s >= 0 {
+			p.acc[s] += R[a]
+			continue
+		}
+		h := &p.M.Hang[^row[a]]
+		w := h.W()
+		for k := 0; k < int(h.N); k++ {
+			p.acc[h.Slot[k]] += w * R[a]
 		}
 	}
 }
@@ -193,10 +199,14 @@ func (p *Problem) RateOfChange(T, dTdt *la.Vec) {
 	copy(p.tbuf, T.Data)
 	p.M.GX.Gather(T.Data, p.tbuf[len(T.Data):])
 	for ei := range p.M.Leaves {
-		cs := &p.M.Corners[ei]
+		row := &p.M.Rows[ei]
 		var Tc, R [8]float64
 		for c := 0; c < 8; c++ {
-			Tc[c] = cs[c].Value(p.tbuf)
+			if s := row[c]; s >= 0 {
+				Tc[c] = p.tbuf[s]
+			} else {
+				Tc[c] = p.M.Hang[^s].Value(p.tbuf)
+			}
 		}
 		u := &p.Vel[ei]
 		umax, ubar, _ := cornerVelStats(u)

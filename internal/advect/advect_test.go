@@ -39,7 +39,7 @@ func setField(m *mesh.Mesh, dom fem.Domain, f func(x [3]float64) float64) *la.Ve
 // vector (la.GatherGlobal: an allgather indexed by global id), so the
 // tests' reference paths move no value through the mesh's ghost plan.
 func cornerValue(m *mesh.Mesh, full []float64, ei, c int) float64 {
-	co := &m.Corners[ei][c]
+	co := m.Corner(ei, c)
 	var s float64
 	for k := 0; k < int(co.N); k++ {
 		s += co.W[k] * full[m.GID(co.Slot[k])]

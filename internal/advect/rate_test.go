@@ -124,7 +124,10 @@ func refRateOfChange(m *mesh.Mesh, dom fem.Domain, kappa float64, vel [][8][3]fl
 				R[a] += lm[a] * src(xc[a])
 			}
 		}
-		cs := &m.Corners[ei]
+		var cs [8]mesh.Corner
+		for a := range cs {
+			cs[a] = m.Corner(ei, a)
+		}
 		for a := 0; a < 8; a++ {
 			for k := 0; k < int(cs[a].N); k++ {
 				rb.Add(m.GID(cs[a].Slot[k]), cs[a].W[k]*R[a])
@@ -159,7 +162,10 @@ func storedGradientRate(p *Problem, T *la.Vec) *la.Vec {
 	m.GX.Gather(T.Data, p.tbuf[len(T.Data):])
 	for ei := range m.Leaves {
 		Q := refQGeom(m, p.Dom, ei)
-		cs := &m.Corners[ei]
+		var cs [8]mesh.Corner
+		for a := range cs {
+			cs[a] = m.Corner(ei, a)
+		}
 		var Tc, R [8]float64
 		for c := 0; c < 8; c++ {
 			Tc[c] = cs[c].Value(p.tbuf)
@@ -307,9 +313,9 @@ func TestRateOfChangeMatchesReference(t *testing.T) {
 					for i, v := range rate.Data {
 						got[nodeID{m.OwnedTree[i], m.OwnedPos[i]}] = v
 					}
-					for ei := range m.Corners {
-						for c := range m.Corners[ei] {
-							if m.Corners[ei][c].Hanging() {
+					for ei := range m.Rows {
+						for c := range m.Rows[ei] {
+							if m.Corner(ei, c).Hanging() {
 								hanging++
 							}
 						}

@@ -24,8 +24,13 @@ func Variation(m *mesh.Mesh, T *la.Vec) []float64 {
 	out := make([]float64, len(m.Leaves))
 	for ei := range out {
 		lo, hi := math.Inf(1), math.Inf(-1)
-		for c := 0; c < 8; c++ {
-			v := m.Corners[ei][c].Value(vals)
+		for _, s := range m.Rows[ei] {
+			var v float64
+			if s >= 0 {
+				v = vals[s]
+			} else {
+				v = m.Hang[^s].Value(vals)
+			}
 			lo = math.Min(lo, v)
 			hi = math.Max(hi, v)
 		}

@@ -135,7 +135,10 @@ func AssembleScalarWithBC(
 		if elemSrc != nil {
 			F = elemSrc(ei, h)
 		}
-		cs := &m.Corners[ei]
+		var cs [8]mesh.Corner
+		for a := range cs {
+			cs[a] = m.Corner(ei, a)
+		}
 		for a := 0; a < 8; a++ {
 			for ia := 0; ia < int(cs[a].N); ia++ {
 				sa, wa := cs[a].Slot[ia], cs[a].W[ia]
@@ -187,10 +190,22 @@ func AssembleScalarWithBC(
 // element, and the multigrid level operators stream them.
 func UnitStiffnessKernels(m *mesh.Mesh, dom Domain) (kern [][8][8]float64, idx []int32) {
 	idx = make([]int32, len(m.Leaves))
-	if g := ElemGeoms(m); g != nil {
+	if m.X != nil {
+		// The mesh's cached geometry when some consumer built it (the
+		// fine level's operator does, first); otherwise each element's,
+		// evaluated here and dropped, so a coarse multigrid level keeps
+		// its kernels and no geometry.
+		geos, _ := m.GeomCache.([]ElemGeom)
+		var tmp ElemGeom
 		kern = make([][8][8]float64, len(m.Leaves))
 		for ei := range m.Leaves {
-			kern[ei] = StiffnessGeom(g[ei], 1)
+			g := &tmp
+			if geos != nil {
+				g = &geos[ei]
+			} else {
+				tmp.set(&m.X[ei])
+			}
+			kern[ei] = StiffnessGeom(g, 1)
 			idx[ei] = int32(ei)
 		}
 		return kern, idx

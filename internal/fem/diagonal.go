@@ -23,7 +23,10 @@ func AssembleScalarDiag(
 	for ei, leaf := range m.Leaves {
 		h := dom.ElemSize(leaf)
 		K := elemMat(ei, h)
-		cs := &m.Corners[ei]
+		var cs [8]mesh.Corner
+		for a := range cs {
+			cs[a] = m.Corner(ei, a)
+		}
 		for a := 0; a < 8; a++ {
 			for ia := 0; ia < int(cs[a].N); ia++ {
 				sa, wa := cs[a].Slot[ia], cs[a].W[ia]

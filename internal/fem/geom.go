@@ -7,17 +7,16 @@ import (
 )
 
 // ElemGeom carries the isoparametric geometry of one mapped trilinear
-// hexahedral element: physical corner coordinates plus, per quadrature
-// point, the inverse Jacobian J^{-1} and the quadrature weight scaled by
-// |det J|. Kernels that evaluate the element operator in reference
-// coordinates (StokesApply) read those directly; consumers that want the
-// physical shape-function gradients J^{-T} dN expand them with Grads. The
-// brick kernels are the special case J = diag(h); these general kernels
-// serve multi-tree meshes with trilinear tree maps and radially projected
-// shells.
+// hexahedral element: per quadrature point, the inverse Jacobian J^{-1}
+// and the quadrature weight scaled by |det J| (the corner coordinates
+// themselves stay in mesh.Mesh.X). Kernels that evaluate the element
+// operator in reference coordinates (StokesApply) read those directly;
+// consumers that want the physical shape-function gradients J^{-T} dN
+// expand them with Grads. The brick kernels are the special case
+// J = diag(h); these general kernels serve multi-tree meshes with
+// trilinear tree maps and radially projected shells.
 type ElemGeom struct {
-	X [8][3]float64 // corner coordinates (z-order)
-	Q [8]QJac       // one entry per Quad8 point
+	Q [8]QJac // one entry per Quad8 point
 	// Vol is the element volume (sum of the weights).
 	Vol float64
 	// Hmin is the shortest physical edge, used for SUPG parameters and
@@ -116,7 +115,14 @@ func physGrads(Ji *[3][3]float64, dN *[8][3]float64, G *[8][3]float64) {
 // example) integrate correctly; the physical gradients come from the
 // signed inverse and are orientation-independent.
 func NewElemGeom(X *[8][3]float64) *ElemGeom {
-	g := &ElemGeom{X: *X}
+	g := new(ElemGeom)
+	g.set(X)
+	return g
+}
+
+// set fills g with the geometry of the element with corners X.
+func (g *ElemGeom) set(X *[8][3]float64) {
+	*g = ElemGeom{}
 	for qi := range Quad8 {
 		q := &Quad8[qi]
 		Ji, det := inverseJacobian(X, &q.dNdX)
@@ -142,7 +148,6 @@ func NewElemGeom(X *[8][3]float64) *ElemGeom {
 			g.Center[i] += X[c][i] / 8
 		}
 	}
-	return g
 }
 
 // Grads expands the element's quadrature-point geometry into physical
@@ -304,20 +309,20 @@ func NewStokesKernelsGeom(g *ElemGeom) *StokesKernels {
 }
 
 // ElemGeoms returns the per-element quadrature geometry of a mapped
-// mesh, computing it on first use and caching it on the mesh: every
-// consumer of per-element Jacobians (matrix-free kernels, multigrid
-// level kernels, Schur plans, transport) shares one set of Jacobian
+// mesh, computing it on first use into one slab and caching it on the
+// mesh: every consumer of per-element Jacobians (matrix-free kernels,
+// Schur plans, transport, diagnostics) shares one set of Jacobian
 // inversions per mesh. Returns nil for axis-aligned meshes.
-func ElemGeoms(m *mesh.Mesh) []*ElemGeom {
+func ElemGeoms(m *mesh.Mesh) []ElemGeom {
 	if m.X == nil {
 		return nil
 	}
-	if g, ok := m.GeomCache.([]*ElemGeom); ok {
+	if g, ok := m.GeomCache.([]ElemGeom); ok {
 		return g
 	}
-	g := make([]*ElemGeom, len(m.Leaves))
-	for ei := range m.Leaves {
-		g[ei] = NewElemGeom(&m.X[ei])
+	g := make([]ElemGeom, len(m.Leaves))
+	for ei := range g {
+		g[ei].set(&m.X[ei])
 	}
 	m.GeomCache = g
 	return g
@@ -334,7 +339,7 @@ func StokesKernelsFor(m *mesh.Mesh, dom Domain) []*StokesKernels {
 	kern := make([]*StokesKernels, len(m.Leaves))
 	if g := ElemGeoms(m); g != nil {
 		for ei := range m.Leaves {
-			kern[ei] = NewStokesKernelsGeom(g[ei])
+			kern[ei] = NewStokesKernelsGeom(&g[ei])
 		}
 		return kern
 	}

@@ -183,11 +183,13 @@ func TestGradsMatchStoredGradients(t *testing.T) {
 }
 
 // TestElemGeomSize guards what a mapped element keeps resident: J^{-1}
-// and a weight per point, not 24 gradients (1 096 B, the 1 152 B
-// allocation class).
+// and a weight per point, not 24 gradients, and no second copy of the
+// corner coordinates Mesh.X holds (904 B, one slot of ElemGeoms' slab;
+// 1 096 B with the corners, which as one object per element took the
+// 1 152 B allocation class).
 func TestElemGeomSize(t *testing.T) {
-	if n := unsafe.Sizeof(ElemGeom{}); n > 1096 {
-		t.Errorf("ElemGeom is %d B, want <= 1096", n)
+	if n := unsafe.Sizeof(ElemGeom{}); n > 904 {
+		t.Errorf("ElemGeom is %d B, want <= 904", n)
 	}
 }
 

@@ -78,7 +78,7 @@ func NewTransfer(fine, coarse *mesh.Mesh) *Transfer {
 			if wc == 0 {
 				continue
 			}
-			co := &coarse.Corners[ci][c]
+			co := coarse.Corner(ci, c)
 		masters:
 			for k := 0; k < int(co.N); k++ {
 				for j := range acc {

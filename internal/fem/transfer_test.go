@@ -137,9 +137,9 @@ func TestTransferReproducesLinears(t *testing.T) {
 				xf := la.NewVec(fine.Layout())
 				tr.Prolong(1, xc.Data, xf.Data)
 				var hang int
-				for ei := range fine.Corners {
+				for ei := range fine.Rows {
 					for c := 0; c < 8; c++ {
-						if fine.Corners[ei][c].Hanging() {
+						if fine.Corner(ei, c).Hanging() {
 							hang++
 						}
 					}

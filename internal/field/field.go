@@ -45,8 +45,12 @@ func FromNodal(m *mesh.Mesh, fields []*la.Vec) []ElemData {
 	for f := range out {
 		out[f] = make(ElemData, len(m.Leaves))
 		for ei := range out[f] {
-			for c := 0; c < 8; c++ {
-				out[f][ei][c] = m.Corners[ei][c].Value(vals[f])
+			for c, s := range m.Rows[ei] {
+				if s >= 0 {
+					out[f][ei][c] = vals[f][s]
+				} else {
+					out[f][ei][c] = m.Hang[^s].Value(vals[f])
+				}
 			}
 		}
 	}
@@ -79,19 +83,18 @@ func ToNodal(m *mesh.Mesh, data []ElemData) []*la.Vec {
 	cnt := make([]float64, l.Local())
 	shares := make([]nodalShare, r.Size())
 	for ei := range m.Leaves {
-		for c := 0; c < 8; c++ {
-			co := &m.Corners[ei][c]
-			if co.Hanging() {
-				continue
+		for c, s := range m.Rows[ei] {
+			if s < 0 {
+				continue // hanging
 			}
-			if i := int(co.Slot[0]); i < m.NumOwned {
+			if i := int(s); i < m.NumOwned {
 				for f := range out {
 					out[f].Data[i] += data[f][ei][c]
 				}
 				cnt[i]++
 				continue
 			}
-			g := m.GID(co.Slot[0])
+			g := m.GID(s)
 			sh := &shares[l.OwnerOf(g)]
 			sh.gids = append(sh.gids, g)
 			for f := range data {

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"rhea/internal/fem"
+	"rhea/internal/mesh"
 )
 
 // coarseFactor is the exact solve of one field on the coarsest level: the
@@ -38,8 +39,11 @@ func factorCoarse(lv *level, bcd *fem.BCData, l, k int) coarseFactor {
 		panic(fmt.Sprintf("gmg: coarsest level %d has %d ghost slots; it must sit on one rank", l, m.NSlots()-n))
 	}
 	a := make([]float64, n*(n+1)/2)
-	for ei := range m.Corners {
-		cs := &m.Corners[ei]
+	for ei := range m.Rows {
+		var cs [8]mesh.Corner
+		for a := range cs {
+			cs[a] = m.Corner(ei, a)
+		}
 		K, eta := &lv.kern[lv.kidx[ei]], lv.eta[ei]
 		for p := 0; p < 8; p++ {
 			for ip := 0; ip < int(cs[p].N); ip++ {

@@ -107,19 +107,17 @@ const (
 )
 
 // level is one mesh level of the hierarchy with its viscosity and the
-// packed data the level operator streams: unit element kernels in one
-// flat array (viscosity scales linearly, so on axis-aligned meshes one
-// [8][8] brick per octree level serves every element of that size; on
-// mapped meshes every element has its own) and, for elements with no
-// hanging corner, the eight corner slots as one 32-byte row instead of
-// the 448-byte corner table row. eta is the only viscosity-dependent
-// field; everything else survives a Rebuild.
+// packed data the level operator streams beside the mesh's corner rows:
+// unit element kernels in one flat array (viscosity scales linearly, so
+// on axis-aligned meshes one [8][8] brick per octree level serves every
+// element of that size; on mapped meshes every element has its own). eta
+// is the only viscosity-dependent field; everything else survives a
+// Rebuild.
 type level struct {
 	mesh   *mesh.Mesh
 	eta    []float64
 	kern   [][8][8]float64 // distinct unit kernels
 	kidx   []int32         // element -> its kernel in kern
-	rows   [][8]int32      // element -> corner slots; rows[ei][0] < 0: constrained, use mesh.Corners[ei]
 	dplan  []diagTerm      // slot-space diagonal assembly plan (BC-independent)
 	repart bool            // shadow of a repartition gap: same global octants
 	//                         as the level above on fewer ranks, never smoothed
@@ -135,18 +133,6 @@ func newLevel(m *mesh.Mesh, dom fem.Domain, repart bool) *level {
 	lv := &level{mesh: m, repart: repart}
 	lv.kern, lv.kidx = fem.UnitStiffnessKernels(m, dom)
 
-	// Pack the corner slots of unconstrained elements.
-	lv.rows = make([][8]int32, len(m.Corners))
-	for ei := range m.Corners {
-		cs := &m.Corners[ei]
-		for a := 0; a < 8; a++ {
-			if cs[a].N != 1 || cs[a].W[0] != 1 {
-				lv.rows[ei][0] = -1
-				break
-			}
-			lv.rows[ei][a] = cs[a].Slot[0]
-		}
-	}
 	if !repart {
 		lv.dplan = buildDiagPlan(lv)
 	}

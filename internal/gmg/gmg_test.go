@@ -85,6 +85,43 @@ func TestHierarchyShape(t *testing.T) {
 	})
 }
 
+// Only the fine level of a mapped hierarchy keeps element geometry: the
+// fine mesh's cache (built first by its operator, as the Stokes solver
+// does) feeds its kernels, and every coarser level evaluates each
+// element's geometry transiently for its kernels and keeps none. The
+// transient kernels equal those computed from a cache bit for bit.
+func TestCoarseLevelsKeepNoGeometry(t *testing.T) {
+	shell := forest.CubedSphere(2)
+	sim.Run(2, func(r *sim.Rank) {
+		m := mesh.Extract(forest.New(r, shell, 2), mesh.NewShellGeometry(shell))
+		fine := fem.ElemGeoms(m)
+		h := NewHierarchy(m, fem.UnitDomain, Options{})
+		if len(h.levels) < 2 {
+			t.Errorf("rank %d: %d levels, want a coarse level", r.ID(), len(h.levels))
+		}
+		if g, ok := m.GeomCache.([]fem.ElemGeom); !ok || &g[0] != &fine[0] {
+			t.Errorf("rank %d: the fine level's geometry cache was replaced", r.ID())
+		}
+		for l, lv := range h.levels[1:] {
+			if lv.mesh.GeomCache != nil {
+				t.Errorf("rank %d: level %d keeps geometry", r.ID(), l+1)
+			}
+			fem.ElemGeoms(lv.mesh)
+			kern, _ := fem.UnitStiffnessKernels(lv.mesh, fem.UnitDomain)
+			for ei := range kern {
+				for a := 0; a < 8; a++ {
+					for b := 0; b < 8; b++ {
+						if math.Float64bits(kern[ei][a][b]) != math.Float64bits(lv.kern[lv.kidx[ei]][a][b]) {
+							t.Errorf("rank %d level %d element %d: kernel from the cache differs", r.ID(), l+1, ei)
+							return
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 // The level operator must match the assembled constrained scalar matrix
 // (fem.AssembleScalar) to rounding, and the matrix-free diagonal must
 // match the assembled diagonal exactly — on a hanging-node mesh across

@@ -24,7 +24,7 @@ func findLeafIn(m *mesh.Mesh, tree int32, o morton.Octant) int {
 // constrained columns read zero, constrained owned rows are identity —
 // per field exactly the matrix fem.AssembleScalar would build, never
 // assembled. Vectors are node-major (entry w*i+c is field c at node i),
-// so one sweep over the level's corner tables and element kernels, one
+// so one sweep over the level mesh's corner rows and element kernels, one
 // ghost gather and one scatter-add serve all w fields.
 type levelOp struct {
 	lv       *level
@@ -109,28 +109,20 @@ func (o *levelOp) apply(x, y []float64) {
 
 // applyElems1 accumulates acc += sum_e C_e^T (eta_e K_e) C_e x for one
 // field in slot space: gather the eight corner values, multiply by the
-// scaled kernel, scatter. Elements without a hanging corner take their
-// eight slots from the packed row (C_e is a selection: weight exactly
-// 1, so skipping the multiply changes no bit); constrained elements run
-// the mesh.Corner interpolation.
+// scaled kernel, scatter. An independent corner reads its slot straight
+// from the mesh's corner row (C_e selects it: weight exactly 1, so
+// skipping the multiply changes no bit); a hanging one runs its masters
+// from the mesh's Hang table.
 func (lv *level) applyElems1(x, acc []float64) {
-	corners := lv.mesh.Corners
-	for ei := range lv.rows {
-		row := &lv.rows[ei]
-		plain := row[0] >= 0
+	rows, hang := lv.mesh.Rows, lv.mesh.Hang
+	for ei := range rows {
+		row := &rows[ei]
 		var xe [8]float64
-		if plain {
-			for a := 0; a < 8; a++ {
-				xe[a] = x[row[a]]
-			}
-		} else {
-			for a := 0; a < 8; a++ {
-				cr := &corners[ei][a]
-				var v float64
-				for k := 0; k < int(cr.N); k++ {
-					v += cr.W[k] * x[cr.Slot[k]]
-				}
-				xe[a] = v
+		for a := 0; a < 8; a++ {
+			if s := row[a]; s >= 0 {
+				xe[a] = x[s]
+			} else {
+				xe[a] = hang[^s].Value(x)
 			}
 		}
 		K, eta := &lv.kern[lv.kidx[ei]], lv.eta[ei]
@@ -148,13 +140,14 @@ func (lv *level) applyElems1(x, acc []float64) {
 			s += ka[6] * xe[6]
 			s += ka[7] * xe[7]
 			s *= eta
-			if plain {
-				acc[row[a]] += s
+			if r := row[a]; r >= 0 {
+				acc[r] += s
 				continue
 			}
-			cr := &corners[ei][a]
-			for k := 0; k < int(cr.N); k++ {
-				acc[cr.Slot[k]] += cr.W[k] * s
+			h := &hang[^row[a]]
+			w := h.W()
+			for k := 0; k < int(h.N); k++ {
+				acc[h.Slot[k]] += w * s
 			}
 		}
 	}
@@ -162,31 +155,29 @@ func (lv *level) applyElems1(x, acc []float64) {
 
 // applyElems3 is applyElems1 for three interleaved fields: every corner
 // gathers three values and every K[a][b] multiplies all three, so the
-// corner tables and kernels are streamed once for the whole velocity
+// corner rows and kernels are streamed once for the whole velocity
 // block.
 func (lv *level) applyElems3(x, acc []float64) {
-	corners := lv.mesh.Corners
-	for ei := range lv.rows {
-		row := &lv.rows[ei]
-		plain := row[0] >= 0
+	rows, hang := lv.mesh.Rows, lv.mesh.Hang
+	for ei := range rows {
+		row := &rows[ei]
 		var xe [8][3]float64
-		if plain {
-			for a := 0; a < 8; a++ {
-				p := x[3*int(row[a]) : 3*int(row[a])+3]
+		for a := 0; a < 8; a++ {
+			if s := row[a]; s >= 0 {
+				p := x[3*int(s) : 3*int(s)+3]
 				xe[a] = [3]float64{p[0], p[1], p[2]}
+				continue
 			}
-		} else {
-			for a := 0; a < 8; a++ {
-				cr := &corners[ei][a]
-				var v0, v1, v2 float64
-				for k := 0; k < int(cr.N); k++ {
-					p := x[3*int(cr.Slot[k]) : 3*int(cr.Slot[k])+3]
-					v0 += cr.W[k] * p[0]
-					v1 += cr.W[k] * p[1]
-					v2 += cr.W[k] * p[2]
-				}
-				xe[a] = [3]float64{v0, v1, v2}
+			h := &hang[^row[a]]
+			w := h.W()
+			var v0, v1, v2 float64
+			for k := 0; k < int(h.N); k++ {
+				p := x[3*int(h.Slot[k]) : 3*int(h.Slot[k])+3]
+				v0 += w * p[0]
+				v1 += w * p[1]
+				v2 += w * p[2]
 			}
+			xe[a] = [3]float64{v0, v1, v2}
 		}
 		K, eta := &lv.kern[lv.kidx[ei]], lv.eta[ei]
 		for a := 0; a < 8; a++ {
@@ -228,19 +219,20 @@ func (lv *level) applyElems3(x, acc []float64) {
 			s0 *= eta
 			s1 *= eta
 			s2 *= eta
-			if plain {
-				p := acc[3*int(row[a]) : 3*int(row[a])+3]
+			if r := row[a]; r >= 0 {
+				p := acc[3*int(r) : 3*int(r)+3]
 				p[0] += s0
 				p[1] += s1
 				p[2] += s2
 				continue
 			}
-			cr := &corners[ei][a]
-			for k := 0; k < int(cr.N); k++ {
-				p := acc[3*int(cr.Slot[k]) : 3*int(cr.Slot[k])+3]
-				p[0] += cr.W[k] * s0
-				p[1] += cr.W[k] * s1
-				p[2] += cr.W[k] * s2
+			h := &hang[^row[a]]
+			w := h.W()
+			for k := 0; k < int(h.N); k++ {
+				p := acc[3*int(h.Slot[k]) : 3*int(h.Slot[k])+3]
+				p[0] += w * s0
+				p[1] += w * s1
+				p[2] += w * s2
 			}
 		}
 	}
@@ -321,8 +313,11 @@ type diagTerm struct {
 // per field after the scan.
 func buildDiagPlan(lv *level) []diagTerm {
 	var plan []diagTerm
-	for ei := range lv.mesh.Corners {
-		cs := &lv.mesh.Corners[ei]
+	for ei := range lv.mesh.Rows {
+		var cs [8]mesh.Corner
+		for a := range cs {
+			cs[a] = lv.mesh.Corner(ei, a)
+		}
 		K := &lv.kern[lv.kidx[ei]]
 		var slots [32]int32
 		var coefs [32]float64

@@ -65,7 +65,7 @@ type Options struct {
 // either element order. It implements krylov.Operator over the
 // interleaved 4N dof layout used by stokes.Solver. The constraint lists,
 // slot buffer, worker pool, Apply and RHS are shared; the element loop is
-// chosen at construction — 8 weighted corners per element for Q1 (New),
+// chosen at construction — the mesh's 8 corner rows per element for Q1 (New),
 // 27 direct node slots for Q2 (NewQ2, q2.go).
 type Operator struct {
 	layout *la.Layout // 4*nOwned dof layout
@@ -78,9 +78,10 @@ type Operator struct {
 	// quadrature geometry (fem.ElemGeoms), applied at the quadrature
 	// points; on axis-aligned meshes (geos nil) one tabulated kernel per
 	// octree level, aliased per element.
-	geos    []*fem.ElemGeom
-	kern    []*fem.StokesKernels
-	corners [][8]mesh.Corner
+	geos []fem.ElemGeom
+	kern []*fem.StokesKernels
+	rows [][8]int32  // the mesh's corner rows (Mesh.Rows)
+	hang []mesh.Hang // and its hanging corners (Mesh.Hang)
 
 	// Q2 element operator: sum-factorised kernels, the element node
 	// slots, and per-worker scratch.
@@ -201,7 +202,7 @@ func (p *pool) run(src []float64, loop func(w, lo, hi int, src, dst []float64)) 
 // updates.
 func New(m *mesh.Mesh, dom fem.Domain, layout *la.Layout, etaElem []float64, cons Constraints, opts Options) *Operator {
 	op := newOperator(layout, etaElem, m.GX, m.NumOwned, len(m.Leaves), cons, opts)
-	op.corners = m.Corners
+	op.rows, op.hang = m.Rows, m.Hang
 	// Mapped meshes read the geometry every layer shares; axis-aligned
 	// ones the per-level kernels the assembled path scales too.
 	if op.geos = fem.ElemGeoms(m); op.geos == nil {
@@ -255,14 +256,20 @@ func (op *Operator) applyElem(ei int, xe, ye *[32]float64) {
 }
 
 // gatherElem interpolates the 32 corner dofs of an element from the
-// slot-space buffer through the constraint weights.
-func gatherElem(cs *[8]mesh.Corner, src []float64, xe *[32]float64) {
+// slot-space buffer: an independent corner reads its slot (weight exactly
+// 1), a hanging one sums its masters at weight 1/N.
+func gatherElem(row *[8]int32, hang []mesh.Hang, src []float64, xe *[32]float64) {
 	for a := 0; a < 8; a++ {
-		cr := &cs[a]
+		if s := row[a]; s >= 0 {
+			p := src[4*int(s) : 4*int(s)+4]
+			xe[4*a], xe[4*a+1], xe[4*a+2], xe[4*a+3] = p[0], p[1], p[2], p[3]
+			continue
+		}
+		h := &hang[^row[a]]
+		w := h.W()
 		var v0, v1, v2, v3 float64
-		for k := 0; k < int(cr.N); k++ {
-			base := int(cr.Slot[k]) * 4
-			w := cr.W[k]
+		for k := 0; k < int(h.N); k++ {
+			base := int(h.Slot[k]) * 4
 			v0 += w * src[base]
 			v1 += w * src[base+1]
 			v2 += w * src[base+2]
@@ -275,12 +282,20 @@ func gatherElem(cs *[8]mesh.Corner, src []float64, xe *[32]float64) {
 // scatterElem adds the 32 element results into the slot-space
 // accumulator through the constraint weights (the transpose of
 // gatherElem).
-func scatterElem(cs *[8]mesh.Corner, ye *[32]float64, dst []float64) {
+func scatterElem(row *[8]int32, hang []mesh.Hang, ye *[32]float64, dst []float64) {
 	for a := 0; a < 8; a++ {
-		cr := &cs[a]
-		for k := 0; k < int(cr.N); k++ {
-			base := int(cr.Slot[k]) * 4
-			w := cr.W[k]
+		if s := row[a]; s >= 0 {
+			p := dst[4*int(s) : 4*int(s)+4]
+			p[0] += ye[4*a]
+			p[1] += ye[4*a+1]
+			p[2] += ye[4*a+2]
+			p[3] += ye[4*a+3]
+			continue
+		}
+		h := &hang[^row[a]]
+		w := h.W()
+		for k := 0; k < int(h.N); k++ {
+			base := int(h.Slot[k]) * 4
 			dst[base] += w * ye[4*a]
 			dst[base+1] += w * ye[4*a+1]
 			dst[base+2] += w * ye[4*a+2]
@@ -294,10 +309,10 @@ func scatterElem(cs *[8]mesh.Corner, ye *[32]float64, dst []float64) {
 func (op *Operator) elementLoop(_, lo, hi int, src, dst []float64) {
 	var xe, ye [32]float64
 	for ei := lo; ei < hi; ei++ {
-		cs := &op.corners[ei]
-		gatherElem(cs, src, &xe)
+		row := &op.rows[ei]
+		gatherElem(row, op.hang, src, &xe)
 		op.applyElem(ei, &xe, &ye)
-		scatterElem(cs, &ye, dst)
+		scatterElem(row, op.hang, &ye, dst)
 	}
 }
 
@@ -387,13 +402,13 @@ func (op *Operator) rhsLoop(force [][8][3]float64) func(w, lo, hi int, src, dst 
 		var xe, ye [32]float64
 		var F [8][3]float64
 		for ei := lo; ei < hi; ei++ {
-			cs := &op.corners[ei]
+			row := &op.rows[ei]
 			if op.zeroLift {
 				// Homogeneous Dirichlet data: the lift action is exactly
 				// zero, skip the gather and kernel apply.
 				ye = [32]float64{}
 			} else {
-				gatherElem(cs, src, &xe)
+				gatherElem(row, op.hang, src, &xe)
 				op.applyElem(ei, &xe, &ye)
 			}
 			// re = consistent load - lift action; pressure rows carry no load.
@@ -410,7 +425,7 @@ func (op *Operator) rhsLoop(force [][8][3]float64) func(w, lo, hi int, src, dst 
 					ye[i] = -ye[i]
 				}
 			}
-			scatterElem(cs, &ye, dst)
+			scatterElem(row, op.hang, &ye, dst)
 		}
 	}
 }

@@ -206,46 +206,45 @@ func Extract(f *forest.Forest, g Geometry) *Mesh {
 		return n.need
 	}
 
-	m.Corners = make([][8]Corner, len(m.Leaves))
+	m.Rows = make([][8]int32, len(m.Leaves))
+	var hang []Hang
 	for ei, e := range m.Leaves {
 		tree := m.Trees[ei]
 		L := e.Level
 		h := e.Len()
 		for c := 0; c < 8; c++ {
 			P := cornerPos(e, c)
-			co := &m.Corners[ei][c]
 			ni := resolve(tree, P)
-			if alignLevel(P) == L && nodes[ni].coarser {
-				// Hanging: masters at P +/- h along misaligned axes, in
-				// this element's own tree frame.
-				axes := make([]int, 0, 3)
-				coarse := uint32(1)<<(morton.MaxLevel-uint32(L)+1) - 1
-				for a := 0; a < 3; a++ {
-					if P[a]&coarse != 0 {
-						axes = append(axes, a)
-					}
-				}
-				co.N = int8(1 << len(axes))
-				w := 1.0 / float64(int(co.N))
-				for k := 0; k < int(co.N); k++ {
-					mp := P
-					for bi, a := range axes {
-						if k>>bi&1 == 0 {
-							mp[a] -= h
-						} else {
-							mp[a] += h
-						}
-					}
-					co.Slot[k] = noteMaster(resolve(tree, mp))
-					co.W[k] = w
-				}
-			} else {
-				co.N = 1
-				co.Slot[0] = noteMaster(ni)
-				co.W[0] = 1
+			if alignLevel(P) != L || !nodes[ni].coarser {
+				m.Rows[ei][c] = noteMaster(ni)
+				continue
 			}
+			// Hanging: masters at P +/- h along misaligned axes, in this
+			// element's own tree frame.
+			axes := make([]int, 0, 3)
+			coarse := uint32(1)<<(morton.MaxLevel-uint32(L)+1) - 1
+			for a := 0; a < 3; a++ {
+				if P[a]&coarse != 0 {
+					axes = append(axes, a)
+				}
+			}
+			hc := Hang{N: 1 << len(axes)}
+			for k := 0; k < int(hc.N); k++ {
+				mp := P
+				for bi, a := range axes {
+					if k>>bi&1 == 0 {
+						mp[a] -= h
+					} else {
+						mp[a] += h
+					}
+				}
+				hc.Slot[k] = noteMaster(resolve(tree, mp))
+			}
+			m.Rows[ei][c] = ^int32(len(hang))
+			hang = append(hang, hc)
 		}
 	}
+	m.Hang = append([]Hang(nil), hang...) // exact length: the table stays resident
 
 	var owned, slot []int32
 	m.layout, owned, slot, m.GX = numberNodes(r, nodes, need)
@@ -263,13 +262,20 @@ func Extract(f *forest.Forest, g Geometry) *Mesh {
 		m.OwnedCellPos[li] = info.cellPos
 	}
 
-	// Replace the need indices in the corner tables by slots.
-	for ei := range m.Corners {
-		for c := 0; c < 8; c++ {
-			co := &m.Corners[ei][c]
-			for k := 0; k < int(co.N); k++ {
-				co.Slot[k] = slot[co.Slot[k]]
+	// Replace the need indices in the corner rows and hanging table by
+	// slots.
+	for ei := range m.Rows {
+		row := &m.Rows[ei]
+		for c, s := range row {
+			if s >= 0 {
+				row[c] = slot[s]
 			}
+		}
+	}
+	for i := range m.Hang {
+		hc := &m.Hang[i]
+		for k := 0; k < int(hc.N); k++ {
+			hc.Slot[k] = slot[hc.Slot[k]]
 		}
 	}
 

@@ -12,10 +12,12 @@ package mesh
 //
 // When the digests were recorded a corner held global ids and the mesh a
 // gid-keyed gather plan in that first-reference order. Corners hold slots
-// now and the plan is the slot-ordered la.GhostExchange pinned by
-// TestMeshPlanMatchesNegotiated; the digest hashes m.GID(slot) where it
-// hashed the id and rebuilds the old plan's lists from the corner tables
-// of all ranks, so the recorded constants still stand.
+// now, in compact rows (Mesh.Rows, Mesh.Hang), and the plan is the
+// slot-ordered la.GhostExchange pinned by TestMeshPlanMatchesNegotiated;
+// the digest reads every corner as {N, Slot, W} through m.Corner, hashes
+// m.GID(slot) where it hashed the id and rebuilds the old plan's lists
+// from the corner tables of all ranks, so the recorded constants still
+// stand.
 
 import (
 	"encoding/binary"
@@ -33,9 +35,9 @@ import (
 func firstReferenced(m *Mesh) [][]int64 {
 	want := make([][]int64, m.Rank.Size())
 	seen := make([]bool, m.NSlots())
-	for ei := range m.Corners {
+	for ei := range m.Rows {
 		for c := 0; c < 8; c++ {
-			co := &m.Corners[ei][c]
+			co := m.Corner(ei, c)
 			for k := 0; k < int(co.N); k++ {
 				if s := co.Slot[k]; int(s) >= m.NumOwned && !seen[s] {
 					seen[s] = true
@@ -65,9 +67,9 @@ func meshDigest(all []*Mesh, me int) uint64 {
 		u64(o.Key())
 		u64(uint64(m.Trees[i]))
 	}
-	for ei := range m.Corners {
+	for ei := range m.Rows {
 		for c := 0; c < 8; c++ {
-			co := &m.Corners[ei][c]
+			co := m.Corner(ei, c)
 			pos(cornerPos(m.Leaves[ei], c))
 			hang := uint64(0)
 			if co.Hanging() {

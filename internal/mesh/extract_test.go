@@ -90,11 +90,11 @@ func linearReproduction(t *testing.T, m *Mesh) {
 	vals := m.GatherSlots(u.Data)[0]
 	for ei := range m.Leaves {
 		for c := 0; c < 8; c++ {
-			got := m.Corners[ei][c].Value(vals)
+			got := m.Corner(ei, c).Value(vals)
 			want := f(m.X[ei][c])
 			if math.Abs(got-want) > 1e-9 {
 				t.Fatalf("element %d corner %d: got %v want %v (hanging=%v)",
-					ei, c, got, want, m.Corners[ei][c].Hanging())
+					ei, c, got, want, m.Corner(ei, c).Hanging())
 			}
 		}
 	}
@@ -153,10 +153,10 @@ func TestExtractForestShellHanging(t *testing.T) {
 			vals := m.GatherSlots(u.Data)[0]
 			for ei := range m.Leaves {
 				for c := 0; c < 8; c++ {
-					if m.Corners[ei][c].Hanging() {
+					if m.Corner(ei, c).Hanging() {
 						continue
 					}
-					got := m.Corners[ei][c].Value(vals)
+					got := m.Corner(ei, c).Value(vals)
 					want := fn(m.X[ei][c])
 					if math.Abs(got-want) > 1e-12 {
 						t.Fatalf("element %d corner %d: got %v want %v", ei, c, got, want)

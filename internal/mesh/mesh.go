@@ -50,7 +50,8 @@ import (
 // Corner describes one of the eight corners of an element by the
 // independent nodes it interpolates, addressed by slot (see Mesh.GX): a
 // single self-entry with weight 1 for an independent corner, 2 or 4
-// masters at weight 1/2 or 1/4 for a hanging one.
+// masters at weight 1/2 or 1/4 for a hanging one. It is the expanded form
+// Mesh.Corner returns; the mesh itself stores Rows and Hang.
 type Corner struct {
 	N    int8       // number of master nodes (1, 2, or 4)
 	Slot [4]int32   // master node slots
@@ -58,14 +59,35 @@ type Corner struct {
 }
 
 // Hanging reports whether the corner is a constrained hanging node.
-func (c *Corner) Hanging() bool { return c.N > 1 }
+func (c Corner) Hanging() bool { return c.N > 1 }
 
 // Value evaluates the corner from a slot-space buffer of nodal values,
 // resolving the hanging-node interpolation.
-func (c *Corner) Value(buf []float64) float64 {
+func (c Corner) Value(buf []float64) float64 {
 	var s float64
 	for k := 0; k < int(c.N); k++ {
 		s += c.W[k] * buf[c.Slot[k]]
+	}
+	return s
+}
+
+// Hang is the constraint of one hanging corner: N = 2 (edge) or 4 (face)
+// master slots, each at weight exactly 1/N.
+type Hang struct {
+	N    int32
+	Slot [4]int32
+}
+
+// W returns the weight of each master: 1/2 or 1/4, exactly.
+func (h *Hang) W() float64 { return 1 / float64(h.N) }
+
+// Value interpolates the corner from a slot-space buffer of nodal values,
+// summing its weighted masters from zero in order, as Corner.Value does.
+func (h *Hang) Value(buf []float64) float64 {
+	w := h.W()
+	var s float64
+	for k := 0; k < int(h.N); k++ {
+		s += w * buf[h.Slot[k]]
 	}
 	return s
 }
@@ -76,8 +98,13 @@ type Mesh struct {
 
 	// Leaves are the local elements, in space-filling-curve order.
 	Leaves []morton.Octant
-	// Corners holds per-element constraint data, aligned with Leaves.
-	Corners [][8]Corner
+	// Rows holds per element, aligned with Leaves, the slot of each
+	// independent corner, or ^h for a hanging corner whose masters are
+	// Hang[h]. An independent corner's weight is exactly 1, so element
+	// loops read its slot straight from the row; Corner(ei, c) expands
+	// either kind into a Corner.
+	Rows [][8]int32
+	Hang []Hang
 
 	// NumOwned is the number of independent nodes owned by this rank;
 	// they carry global ids [Offset, Offset+NumOwned).
@@ -124,7 +151,7 @@ type Mesh struct {
 	// GX is the ghost-exchange plan over the off-rank nodes this rank's
 	// corners reference, and with it the mesh's one node numbering: slot s
 	// < NumOwned is owned node s, slot NumOwned+k is ghost k of the plan
-	// (ascending global id). Corners address nodes by slot; everything
+	// (ascending global id). Rows and Hang address nodes by slot; everything
 	// that samples nodal fields at element corners or scatters element
 	// contributions back — the Stokes and multigrid operators, transport,
 	// field transfer, error indication, diagnostics — gathers into and
@@ -227,6 +254,23 @@ func (m *Mesh) GID(slot int32) int64 {
 	return m.GX.Ghosts()[int(slot)-m.NumOwned]
 }
 
+// Corner returns corner c of local element ei as {N, Slot, W}: one slot
+// at weight 1 for an independent corner, the masters of its Hang entry at
+// weight 1/N for a hanging one (local, free).
+func (m *Mesh) Corner(ei, c int) Corner {
+	s := m.Rows[ei][c]
+	if s >= 0 {
+		return Corner{N: 1, Slot: [4]int32{s}, W: [4]float64{1}}
+	}
+	h := &m.Hang[^s]
+	co := Corner{N: int8(h.N), Slot: h.Slot}
+	w := h.W()
+	for k := 0; k < int(h.N); k++ {
+		co.W[k] = w
+	}
+	return co
+}
+
 // Stats summarizes the mesh (collective).
 type Stats struct {
 	Elements     int64
@@ -236,18 +280,10 @@ type Stats struct {
 
 // GlobalStats returns element/node counts (collective).
 func (m *Mesh) GlobalStats() Stats {
-	var hang int64
-	for ei := range m.Corners {
-		for c := 0; c < 8; c++ {
-			if m.Corners[ei][c].Hanging() {
-				hang++
-			}
-		}
-	}
 	return Stats{
 		Elements:     m.Rank.AllreduceInt64(int64(len(m.Leaves))),
 		Nodes:        m.NGlobal,
-		HangingLocal: m.Rank.AllreduceInt64(hang),
+		HangingLocal: m.Rank.AllreduceInt64(int64(len(m.Hang))),
 	}
 }
 

@@ -68,9 +68,9 @@ func (c *collector) addMesh(t *testing.T, m *Mesh) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.leaves = append(c.leaves, m.Leaves...)
-	for ei := range m.Corners {
+	for ei := range m.Rows {
 		for k := 0; k < 8; k++ {
-			co := m.Corners[ei][k]
+			co := m.Corner(ei, k)
 			pos := cornerPos(m.Leaves[ei], k)
 			key := posKey(pos)
 			if prev, ok := c.hang[key]; ok && prev != co.Hanging() {
@@ -246,9 +246,9 @@ func TestLinearFieldReproduction(t *testing.T) {
 				u.Data[i] = lin(pos)
 			}
 			vals := m.GatherSlots(u.Data)[0]
-			for ei := range m.Corners {
+			for ei := range m.Rows {
 				for c := 0; c < 8; c++ {
-					got := m.Corners[ei][c].Value(vals)
+					got := m.Corner(ei, c).Value(vals)
 					pos := cornerPos(m.Leaves[ei], c)
 					want := lin(pos)
 					if diff := got - want; diff > 1e-6 || diff < -1e-6 {
@@ -317,9 +317,9 @@ func TestLocalIndexAndGID(t *testing.T) {
 		// Every independent corner carries the gid of the node at its
 		// position: Offset + local index on the owner, outside the owned
 		// range elsewhere.
-		for ei := range m.Corners {
+		for ei := range m.Rows {
 			for c := 0; c < 8; c++ {
-				co := m.Corners[ei][c]
+				co := m.Corner(ei, c)
 				pos, gid := cornerPos(m.Leaves[ei], c), m.GID(co.Slot[0])
 				li, owned := m.LocalIndex(0, pos)
 				if owned && (co.Slot[0] != li || gid != m.Offset+int64(li)) {

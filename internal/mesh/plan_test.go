@@ -65,9 +65,9 @@ func TestMeshPlanMatchesNegotiated(t *testing.T) {
 				// The oracle: negotiate a plan for the off-rank masters
 				// of the corner table, duplicates and all.
 				var want []int64
-				for ei := range m.Corners {
+				for ei := range m.Rows {
 					for c := 0; c < 8; c++ {
-						co := &m.Corners[ei][c]
+						co := m.Corner(ei, c)
 						for k := 0; k < int(co.N); k++ {
 							if s := co.Slot[k]; int(s) >= m.NumOwned {
 								want = append(want, m.GID(s))

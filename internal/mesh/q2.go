@@ -117,15 +117,7 @@ func ExtractQ2(f *forest.Forest, m *Mesh) *Q2Mesh {
 		panic("mesh: Q2 extraction requires a one-tree axis-aligned mesh")
 	}
 	r := m.Rank
-	var hang int64
-	for ei := range m.Corners {
-		for c := 0; c < 8; c++ {
-			if m.Corners[ei][c].Hanging() {
-				hang++
-			}
-		}
-	}
-	if r.AllreduceInt64(hang) > 0 {
+	if r.AllreduceInt64(int64(len(m.Hang))) > 0 {
 		panic("mesh: Q2 extraction requires a conforming mesh (no hanging nodes); " +
 			"run without adaptation or use Order 1")
 	}

@@ -33,7 +33,7 @@ func nusseltRef(s *Sim) float64 {
 		vol := h[0] * h[1] * h[2]
 		var Tc, wc, dTdz float64
 		for c := 0; c < 8; c++ {
-			co := &s.Mesh.Corners[ei][c]
+			co := s.Mesh.Corner(ei, c)
 			var tv, wv float64
 			for k := 0; k < int(co.N); k++ {
 				tv += co.W[k] * tb[co.Slot[k]]
@@ -56,11 +56,11 @@ func nusseltMappedBoxRef(s *Sim) float64 {
 	geos := fem.ElemGeoms(s.Mesh)
 	var sum, volSum float64
 	for ei := range s.Mesh.Leaves {
-		g := geos[ei]
+		g := &geos[ei]
 		vol := g.DetC
 		var Tc, wc, dTdz float64
 		for c := 0; c < 8; c++ {
-			co := &s.Mesh.Corners[ei][c]
+			co := s.Mesh.Corner(ei, c)
 			var tv, wv float64
 			for k := 0; k < int(co.N); k++ {
 				tv += co.W[k] * tb[co.Slot[k]]
@@ -85,12 +85,12 @@ func nusseltShellRef(s *Sim) float64 {
 	geos := fem.ElemGeoms(s.Mesh)
 	var sum, ref float64
 	for ei := range s.Mesh.Leaves {
-		g := geos[ei]
+		g := &geos[ei]
 		vol := g.DetC
 		var Tc float64
 		var uc, gradT [3]float64
 		for c := 0; c < 8; c++ {
-			co := &s.Mesh.Corners[ei][c]
+			co := s.Mesh.Corner(ei, c)
 			var tv float64
 			for k := 0; k < int(co.N); k++ {
 				tv += co.W[k] * tb[co.Slot[k]]
@@ -136,7 +136,7 @@ func rmsVelocityRef(s *Sim) float64 {
 		for d := 0; d < 3; d++ {
 			var uc float64
 			for c := 0; c < 8; c++ {
-				co := &s.Mesh.Corners[ei][c]
+				co := s.Mesh.Corner(ei, c)
 				var v float64
 				for k := 0; k < int(co.N); k++ {
 					v += co.W[k] * bufs[d][co.Slot[k]]
@@ -184,9 +184,9 @@ func TestDiagnoseMatchesReference(t *testing.T) {
 					s := New(r, cfg)
 					swirl(s)
 					var hanging int64
-					for ei := range s.Mesh.Corners {
-						for c := range s.Mesh.Corners[ei] {
-							if s.Mesh.Corners[ei][c].Hanging() {
+					for ei := range s.Mesh.Rows {
+						for c := range s.Mesh.Rows[ei] {
+							if s.Mesh.Corner(ei, c).Hanging() {
 								hanging++
 							}
 						}

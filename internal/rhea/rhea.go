@@ -564,7 +564,7 @@ func (s *Sim) viscosityAndBuoyancy(wantForce bool) ([]float64, [][8][3]float64) 
 		var Tc float64
 		var grad [3][3]float64
 		for c := 0; c < 8; c++ {
-			co := &s.Mesh.Corners[ei][c]
+			co := s.Mesh.Corner(ei, c)
 			var tv float64
 			for k := 0; k < int(co.N); k++ {
 				tv += co.W[k] * tb[co.Slot[k]]
@@ -702,7 +702,7 @@ func (s *Sim) elemVelocity(out [][8][3]float64) {
 	ub := s.gatherSlotsMulti(s.U[0], s.U[1], s.U[2])
 	for ei := range out {
 		for c := 0; c < 8; c++ {
-			co := &s.Mesh.Corners[ei][c]
+			co := s.Mesh.Corner(ei, c)
 			for d := 0; d < 3; d++ {
 				out[ei][c][d] = co.Value(ub[d])
 			}
@@ -788,7 +788,7 @@ func (s *Sim) Diagnose(stop bool) Verdict {
 		var Tc float64
 		var uc, gradT [3]float64
 		for c := 0; c < 8; c++ {
-			co := &s.Mesh.Corners[ei][c]
+			co := s.Mesh.Corner(ei, c)
 			var tv float64
 			for k := 0; k < int(co.N); k++ {
 				tv += co.W[k] * tb[co.Slot[k]]

@@ -56,7 +56,10 @@ func (s *Solver) assembleCoupledRef(etaElem []float64, force [][8][3]float64) {
 			Cs = fem.StabilizationBrick(h, eta)
 			M8 = fem.MassBrick(h, 1)
 		}
-		cs := &m.Corners[ei]
+		var cs [8]mesh.Corner
+		for a := range cs {
+			cs[a] = m.Corner(ei, a)
+		}
 
 		// Consistent body-force load: F[a][i] = sum_b M8[a][b] f[b][i].
 		var F [8][3]float64

@@ -128,7 +128,7 @@ func mappedMMSVelError(t *testing.T, lvl uint8, opts Options) float64 {
 			var uc [3][8]float64
 			for c := 0; c < 8; c++ {
 				for d := 0; d < 3; d++ {
-					co := &m.Corners[ei][c]
+					co := m.Corner(ei, c)
 					var v float64
 					for k := 0; k < int(co.N); k++ {
 						v += co.W[k] * maps[d][co.Slot[k]]

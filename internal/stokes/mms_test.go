@@ -88,7 +88,7 @@ func mmsVelError(t *testing.T, lvl uint8, opts Options) float64 {
 			for c := 0; c < 8; c++ {
 				for d := 0; d < 3; d++ {
 					uc[d][c] = 0
-					co := &m.Corners[ei][c]
+					co := m.Corner(ei, c)
 					for k := 0; k < int(co.N); k++ {
 						uc[d][c] += co.W[k] * maps[d][co.Slot[k]]
 					}

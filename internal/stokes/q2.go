@@ -127,7 +127,7 @@ func newEmbed(q2 *mesh.Q2Mesh) *embed {
 				if wc == 0 {
 					continue
 				}
-				cr := &m.Corners[ei][c]
+				cr := m.Corner(ei, c)
 				for t := 0; t < int(cr.N); t++ {
 					masters[li] = append(masters[li], mw{cr.Slot[t], wc * cr.W[t]})
 				}

@@ -569,15 +569,15 @@ func (s *Solver) finishSetup() {
 	for ei, leaf := range m.Leaves {
 		var lm [8]float64
 		if geos != nil {
-			lm = fem.LumpedMassGeom(geos[ei], 1)
+			lm = fem.LumpedMassGeom(&geos[ei], 1)
 		} else {
 			lm = fem.LumpedMassBrick(dom.ElemSize(leaf), 1)
 		}
-		cs := &m.Corners[ei]
 		for a := 0; a < 8; a++ {
-			for ia := 0; ia < int(cs[a].N); ia++ {
+			ca := m.Corner(ei, a)
+			for ia := 0; ia < int(ca.N); ia++ {
 				s.schurPlan = append(s.schurPlan, schurTerm{
-					Slot: cs[a].Slot[ia], Elem: int32(ei), Coef: cs[a].W[ia] * lm[a]})
+					Slot: ca.Slot[ia], Elem: int32(ei), Coef: ca.W[ia] * lm[a]})
 			}
 		}
 	}
@@ -812,7 +812,10 @@ func (s *Solver) assembleCoupled(etaElem []float64, force [][8][3]float64) {
 			Cs = fem.StabilizationBrick(h, eta)
 			M8 = fem.MassBrick(h, 1)
 		}
-		cs := &m.Corners[ei]
+		var cs [8]mesh.Corner
+		for a := range cs {
+			cs[a] = m.Corner(ei, a)
+		}
 
 		// Consistent body-force load: F[a][i] = sum_b M8[a][b] f[b][i].
 		var F [8][3]float64
@@ -1098,7 +1101,7 @@ func (s *Solver) DivergenceNorm(x *la.Vec) float64 {
 		var uc [8][3]float64
 		for c := 0; c < 8; c++ {
 			for d := 0; d < 3; d++ {
-				uc[c][d] = s.M.Corners[ei][c].Value(ub[d])
+				uc[c][d] = s.M.Corner(ei, c).Value(ub[d])
 			}
 		}
 		// Mid-point divergence.
