@@ -181,14 +181,14 @@ func AssembleScalarWithBC(
 }
 
 // UnitStiffnessKernels returns the unit-viscosity scalar stiffness
-// matrices of the local elements, packed: kern holds the distinct
-// matrices in one flat array and kern[idx[ei]] is element ei's. For
-// axis-aligned meshes that is one brick per octree level (element size
-// depends only on the level), for mapped forest meshes one
+// matrices of the local elements as packed upper triangles: kern holds
+// the distinct matrices in one flat array and kern[idx[ei]] is element
+// ei's. For axis-aligned meshes that is one brick per octree level
+// (element size depends only on the level), for mapped forest meshes one
 // isoparametric matrix per element, in element order. Viscosity-refresh
 // paths scale these cached kernels instead of re-running quadrature per
 // element, and the multigrid level operators stream them.
-func UnitStiffnessKernels(m *mesh.Mesh, dom Domain) (kern [][8][8]float64, idx []int32) {
+func UnitStiffnessKernels(m *mesh.Mesh, dom Domain) (kern []SymKernel, idx []int32) {
 	idx = make([]int32, len(m.Leaves))
 	if m.X != nil {
 		// The mesh's cached geometry when some consumer built it (the
@@ -197,7 +197,7 @@ func UnitStiffnessKernels(m *mesh.Mesh, dom Domain) (kern [][8][8]float64, idx [
 		// its kernels and no geometry.
 		geos, _ := m.GeomCache.([]ElemGeom)
 		var tmp ElemGeom
-		kern = make([][8][8]float64, len(m.Leaves))
+		kern = make([]SymKernel, len(m.Leaves))
 		for ei := range m.Leaves {
 			g := &tmp
 			if geos != nil {
@@ -205,7 +205,7 @@ func UnitStiffnessKernels(m *mesh.Mesh, dom Domain) (kern [][8][8]float64, idx [
 			} else {
 				tmp.set(&m.X[ei])
 			}
-			kern[ei] = StiffnessGeom(g, 1)
+			kern[ei] = stiffnessGeomSym(g, 1)
 			idx[ei] = int32(ei)
 		}
 		return kern, idx
@@ -216,7 +216,7 @@ func UnitStiffnessKernels(m *mesh.Mesh, dom Domain) (kern [][8][8]float64, idx [
 		if !ok {
 			k = int32(len(kern))
 			byLevel[leaf.Level] = k
-			kern = append(kern, StiffnessBrick(dom.ElemSize(leaf), 1))
+			kern = append(kern, stiffnessBrickSym(dom.ElemSize(leaf), 1))
 		}
 		idx[ei] = k
 	}

@@ -98,26 +98,58 @@ func Interp(vals *[8]float64, xi [3]float64) float64 {
 	return s
 }
 
+// SymKernel is a symmetric 8x8 element matrix kept as its upper
+// triangle, packed by rows: entry (a, b) sits at SymIndex[a][b], which
+// names the same offset as SymIndex[b][a]. 36 values instead of 64.
+type SymKernel [36]float64
+
+// SymIndex[a][b] is the packed offset of entry (min(a, b), max(a, b)) of
+// a SymKernel: row a of the upper triangle starts at 8a - a(a-1)/2.
+var SymIndex = func() (ix [8][8]int) {
+	k := 0
+	for a := 0; a < 8; a++ {
+		for b := a; b < 8; b++ {
+			ix[a][b], ix[b][a] = k, k
+			k++
+		}
+	}
+	return ix
+}()
+
+// Full expands the packed triangle into the full symmetric matrix.
+func (k *SymKernel) Full() (K [8][8]float64) {
+	for a := 0; a < 8; a++ {
+		for b := 0; b < 8; b++ {
+			K[a][b] = k[SymIndex[a][b]]
+		}
+	}
+	return K
+}
+
 // StiffnessBrick returns the scalar diffusion element matrix
 // K[a][b] = coef * Integral grad(phi_a) . grad(phi_b) dV on a brick with
 // physical edge lengths h.
 func StiffnessBrick(h [3]float64, coef float64) [8][8]float64 {
-	var K [8][8]float64
+	K := stiffnessBrickSym(h, coef)
+	return K.Full()
+}
+
+// stiffnessBrickSym is StiffnessBrick's upper triangle, the only half it
+// integrates.
+func stiffnessBrickSym(h [3]float64, coef float64) SymKernel {
+	var K SymKernel
 	vol := h[0] * h[1] * h[2]
 	for _, q := range Quad8 {
+		k := 0
 		for a := 0; a < 8; a++ {
 			for b := a; b < 8; b++ {
 				var s float64
 				for d := 0; d < 3; d++ {
 					s += q.dNdX[a][d] / h[d] * q.dNdX[b][d] / h[d]
 				}
-				K[a][b] += coef * q.W * vol * s
+				K[k] += coef * q.W * vol * s
+				k++
 			}
-		}
-	}
-	for a := 0; a < 8; a++ {
-		for b := 0; b < a; b++ {
-			K[a][b] = K[b][a]
 		}
 	}
 	return K

@@ -28,13 +28,6 @@ type ElemGeom struct {
 	// these to Hmin makes SUPG parameters and advective time-step limits
 	// needlessly conservative in the long directions.
 	H [3]float64
-	// Center-point data for midpoint sampling (strain rates,
-	// diagnostics): physical shape gradients, |det J| and the physical
-	// center, cached here so per-iteration hot paths never re-invert the
-	// Jacobian.
-	Gc     [8][3]float64
-	DetC   float64
-	Center [3]float64
 }
 
 // QJac is the Jacobian data of one quadrature point of a mapped element.
@@ -142,12 +135,6 @@ func (g *ElemGeom) set(X *[8][3]float64) {
 		}
 		g.H[en/4] += l / 4 // elemEdges lists 4 x-edges, then 4 y, then 4 z
 	}
-	g.Gc, g.DetC = CenterGradients(X)
-	for c := 0; c < 8; c++ {
-		for i := 0; i < 3; i++ {
-			g.Center[i] += X[c][i] / 8
-		}
-	}
 }
 
 // Grads expands the element's quadrature-point geometry into physical
@@ -161,39 +148,61 @@ func (g *ElemGeom) Grads(Q *[8]QGeom) {
 	}
 }
 
+// centerDN holds the reference shape-function gradients at the element
+// center, the same for every element.
+var centerDN = func() (dN [8][3]float64) {
+	for c := range dN {
+		dN[c] = ShapeGrad(c, [3]float64{0.5, 0.5, 0.5})
+	}
+	return dN
+}()
+
 // CenterGradients returns the physical shape-function gradients and
 // |det J| of the trilinear map at the element center — the mapped
 // counterpart of the constant midpoint gradients used by diagnostics and
-// strain-rate sampling on axis-aligned meshes.
+// strain-rate sampling on axis-aligned meshes. Those sweeps run once per
+// solve or cycle, so the center point is evaluated from the corners on
+// each call rather than kept in ElemGeom.
 func CenterGradients(X *[8][3]float64) (G [8][3]float64, det float64) {
-	xi := [3]float64{0.5, 0.5, 0.5}
-	var dN [8][3]float64
-	for c := 0; c < 8; c++ {
-		dN[c] = ShapeGrad(c, xi)
-	}
-	Ji, d := inverseJacobian(X, &dN)
-	physGrads(&Ji, &dN, &G)
+	Ji, d := inverseJacobian(X, &centerDN)
+	physGrads(&Ji, &centerDN, &G)
 	return G, math.Abs(d)
+}
+
+// CenterPoint returns the physical point the trilinear map takes the
+// element center to: the mean of the eight corners, summed in corner
+// order.
+func CenterPoint(X *[8][3]float64) (x [3]float64) {
+	for c := 0; c < 8; c++ {
+		for i := 0; i < 3; i++ {
+			x[i] += X[c][i] / 8
+		}
+	}
+	return x
 }
 
 // StiffnessGeom is StiffnessBrick on a mapped element.
 func StiffnessGeom(g *ElemGeom, coef float64) [8][8]float64 {
+	K := stiffnessGeomSym(g, coef)
+	return K.Full()
+}
+
+// stiffnessGeomSym is StiffnessGeom's upper triangle, the only half it
+// integrates.
+func stiffnessGeomSym(g *ElemGeom, coef float64) SymKernel {
 	var Q [8]QGeom
 	g.Grads(&Q)
-	var K [8][8]float64
+	var K SymKernel
 	for qi := range Q {
 		q := &Q[qi]
 		w := coef * q.W
+		k := 0
 		for a := 0; a < 8; a++ {
 			for b := a; b < 8; b++ {
 				s := q.G[a][0]*q.G[b][0] + q.G[a][1]*q.G[b][1] + q.G[a][2]*q.G[b][2]
-				K[a][b] += w * s
+				K[k] += w * s
+				k++
 			}
-		}
-	}
-	for a := 0; a < 8; a++ {
-		for b := 0; b < a; b++ {
-			K[a][b] = K[b][a]
 		}
 	}
 	return K
@@ -310,9 +319,10 @@ func NewStokesKernelsGeom(g *ElemGeom) *StokesKernels {
 
 // ElemGeoms returns the per-element quadrature geometry of a mapped
 // mesh, computing it on first use into one slab and caching it on the
-// mesh: every consumer of per-element Jacobians (matrix-free kernels,
-// Schur plans, transport, diagnostics) shares one set of Jacobian
-// inversions per mesh. Returns nil for axis-aligned meshes.
+// mesh: every consumer of per-element Jacobians at the quadrature points
+// (matrix-free kernels, multigrid kernels, the Schur diagonal,
+// transport) shares one set of Jacobian inversions per mesh. Returns nil
+// for axis-aligned meshes.
 func ElemGeoms(m *mesh.Mesh) []ElemGeom {
 	if m.X == nil {
 		return nil

@@ -159,7 +159,7 @@ func TestStokesPointKernelMatchesTabulated(t *testing.T) {
 // from J^{-1} are bit for bit the ones the stored-gradient geometry
 // held, as are the weights, the volume, the lumped mass and the center
 // gradients, so every consumer of gradients (the assembled and multigrid
-// element matrices, the Schur plan, mapped transport, the diagnostics)
+// element matrices, the Schur diagonal, mapped transport, the diagnostics)
 // computes exactly what it did.
 func TestGradsMatchStoredGradients(t *testing.T) {
 	for name, X := range testElemsAndShell() {
@@ -176,20 +176,22 @@ func TestGradsMatchStoredGradients(t *testing.T) {
 		for c := range dN {
 			dN[c] = ShapeGrad(c, [3]float64{0.5, 0.5, 0.5})
 		}
-		if det := refJacobianAt(&X, &dN, &Gc); g.Gc != Gc || g.DetC != math.Abs(det) {
+		det := refJacobianAt(&X, &dN, &Gc)
+		if G, detC := CenterGradients(&X); G != Gc || detC != math.Abs(det) {
 			t.Errorf("%s: center gradients differ from the stored-gradient ones", name)
 		}
 	}
 }
 
 // TestElemGeomSize guards what a mapped element keeps resident: J^{-1}
-// and a weight per point, not 24 gradients, and no second copy of the
-// corner coordinates Mesh.X holds (904 B, one slot of ElemGeoms' slab;
-// 1 096 B with the corners, which as one object per element took the
-// 1 152 B allocation class).
+// and a weight per point, not 24 gradients, no second copy of the corner
+// coordinates Mesh.X holds and no center-point data the once-per-solve
+// sweeps evaluate from those corners (680 B, one slot of ElemGeoms'
+// slab; 904 B with the center gradients, |det J| and center, 1 096 B
+// with the corners as well).
 func TestElemGeomSize(t *testing.T) {
-	if n := unsafe.Sizeof(ElemGeom{}); n > 904 {
-		t.Errorf("ElemGeom is %d B, want <= 904", n)
+	if n := unsafe.Sizeof(ElemGeom{}); n > 680 {
+		t.Errorf("ElemGeom is %d B, want <= 680", n)
 	}
 }
 

@@ -58,7 +58,7 @@ func factorCoarse(lv *level, bcd *fem.BCData, l, k int) coarseFactor {
 						if sq > sp || bcd.IsSet(int32(sq)) {
 							continue
 						}
-						row[sq] += wp * cs[q].W[iq] * (K[p][q] * eta)
+						row[sq] += wp * cs[q].W[iq] * (K[fem.SymIndex[p][q]] * eta)
 					}
 				}
 			}
@@ -69,8 +69,15 @@ func factorCoarse(lv *level, bcd *fem.BCData, l, k int) coarseFactor {
 			a[i*(i+1)/2+i] = 1
 		}
 	}
+	cholesky(a, n, l, k)
+	return coarseFactor{n: n, l: a}
+}
 
-	// Row-oriented (Cholesky–Banachiewicz) factorization in place.
+// cholesky factors the n x n matrix whose lower triangle a holds, packed
+// by rows, in place (row-oriented, Cholesky–Banachiewicz). l and k name
+// the level and field in the panic of a pivot that is not safely
+// positive.
+func cholesky(a []float64, n, l, k int) {
 	for i := 0; i < n; i++ {
 		ri := a[i*(i+1)/2:][:i+1]
 		for j := 0; j < i; j++ {
@@ -91,7 +98,6 @@ func factorCoarse(lv *level, bcd *fem.BCData, l, k int) coarseFactor {
 		}
 		ri[i] = math.Sqrt(d)
 	}
-	return coarseFactor{n: n, l: a}
 }
 
 // solve writes A⁻¹ b into field k of x, both holding w fields per node

@@ -120,7 +120,7 @@ func TestCoarseCholeskyMatchesDistributedCG(t *testing.T) {
 		c.coarseSolve(l)
 
 		elemMat := func(ei int, _ [3]float64) [8][8]float64 {
-			K := lv.kern[lv.kidx[ei]]
+			K := lv.kern[lv.kidx[ei]].Full()
 			for p := range K {
 				for q := range K[p] {
 					K[p][q] *= lv.eta[ei]

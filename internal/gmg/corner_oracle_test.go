@@ -96,9 +96,9 @@ func oracleStokesApply(m *mesh.Mesh, dom fem.Domain, eta []float64, fixed []bool
 }
 
 // oracleLevelApply is levelOp.apply with the per-corner weighted element
-// loop: for each of o.w interleaved fields the eight corners gathered
-// from zero, K's rows summed in corner order, scaled by eta, scattered
-// through the weights.
+// loop over the full 8x8 kernel: for each of o.w interleaved fields the
+// eight corners gathered from zero, K's rows summed in corner order,
+// scaled by eta, scattered through the weights.
 func oracleLevelApply(o *levelOp, x, y []float64) {
 	lv, w := o.lv, o.w
 	m := lv.mesh
@@ -112,7 +112,7 @@ func oracleLevelApply(o *levelOp, x, y []float64) {
 	acc := make([]float64, len(src))
 	for ei := range m.Leaves {
 		cs := oracleCorners(m, ei)
-		K, eta := &lv.kern[lv.kidx[ei]], lv.eta[ei]
+		K, eta := lv.kern[lv.kidx[ei]].Full(), lv.eta[ei]
 		var xe [8][3]float64
 		for a := 0; a < 8; a++ {
 			cr := &cs[a]
@@ -351,6 +351,18 @@ func frontBox(r *sim.Rank, base uint8) *mesh.Mesh {
 	return mesh.Extract(f, nil)
 }
 
+// adaptedShell is the level-1 cubed-sphere shell refined once on three
+// trees and once more along one face of tree 1.
+func adaptedShell(r *sim.Rank) *mesh.Mesh {
+	shell := forest.CubedSphere(2)
+	f := forest.New(r, shell, 1)
+	f.Refine(func(o forest.Octant) bool { return o.Tree < 3 })
+	f.Refine(func(o forest.Octant) bool { return o.Tree == 1 && o.O.Level == 2 && o.O.X == 0 })
+	f.Balance()
+	f.Partition()
+	return mesh.Extract(f, mesh.NewShellGeometry(shell))
+}
+
 // TestCornerRowsMatchOracles runs the production loops that read
 // Mesh.Rows and Mesh.Hang — the matrix-free Stokes apply, a width-1 and
 // a width-3 multigrid level apply, advect.RateOfChange, field.FromNodal
@@ -359,20 +371,12 @@ func frontBox(r *sim.Rank, base uint8) *mesh.Mesh {
 // cubed-sphere shell (both with hanging corners on and across the rank
 // boundary), and requires every output bit for bit.
 func TestCornerRowsMatchOracles(t *testing.T) {
-	shell := forest.CubedSphere(2)
 	cases := []struct {
 		name  string
 		build func(r *sim.Rank) *mesh.Mesh
 	}{
 		{"front box", func(r *sim.Rank) *mesh.Mesh { return frontBox(r, 2) }},
-		{"adapted shell", func(r *sim.Rank) *mesh.Mesh {
-			f := forest.New(r, shell, 1)
-			f.Refine(func(o forest.Octant) bool { return o.Tree < 3 })
-			f.Refine(func(o forest.Octant) bool { return o.Tree == 1 && o.O.Level == 2 && o.O.X == 0 })
-			f.Balance()
-			f.Partition()
-			return mesh.Extract(f, mesh.NewShellGeometry(shell))
-		}},
+		{"adapted shell", adaptedShell},
 	}
 	dom := fem.UnitDomain
 	for _, tc := range cases {

@@ -29,11 +29,10 @@
 //
 // Setup is split so a convection time loop can amortize it. NewHierarchy
 // builds everything that depends only on the mesh: level trees and
-// meshes, transfer stencils, unit kernels, restriction maps, and
-// slot-space diagonal plans whose coefficients make the smoother
-// diagonals linear functions of the element viscosities. Rebuild
+// meshes, transfer stencils, unit kernels and restriction maps. Rebuild
 // refreshes everything that depends on the viscosity — restricted
-// per-level etas, smoother diagonals (one flat plan scan each), the
+// per-level etas, smoother diagonals (one sweep over each level's
+// kernels: a diagonal is linear in the element viscosities), the
 // lambda_max estimates that set the Jacobi damping (a short Lanczos run,
 // shared across the three velocity components), and the coarsest level's
 // Cholesky factors (assembled from the cached kernels on the one rank
@@ -108,34 +107,30 @@ const (
 
 // level is one mesh level of the hierarchy with its viscosity and the
 // packed data the level operator streams beside the mesh's corner rows:
-// unit element kernels in one flat array (viscosity scales linearly, so
-// on axis-aligned meshes one [8][8] brick per octree level serves every
-// element of that size; on mapped meshes every element has its own). eta
-// is the only viscosity-dependent field; everything else survives a
-// Rebuild.
+// unit element kernels in one flat array, each the 36-entry upper
+// triangle of its symmetric 8x8 matrix (288 B; viscosity scales
+// linearly, so on axis-aligned meshes one brick per octree level serves
+// every element of that size; on mapped meshes every element has its
+// own). eta is the only viscosity-dependent field; everything else
+// survives a Rebuild.
 type level struct {
 	mesh   *mesh.Mesh
 	eta    []float64
-	kern   [][8][8]float64 // distinct unit kernels
+	kern   []fem.SymKernel // distinct unit kernels
 	kidx   []int32         // element -> its kernel in kern
-	dplan  []diagTerm      // slot-space diagonal assembly plan (BC-independent)
 	repart bool            // shadow of a repartition gap: same global octants
 	//                         as the level above on fewer ranks, never smoothed
 }
 
 // newLevel builds the packed operator data of a level mesh (local).
-// Shadow levels of a repartition gap (repart) carry the
-// full slot and kernel machinery — the coarse solve may assemble there,
-// and coarsening continues from them — but no diagonal plan: they pass
-// the residual through unsmoothed, since smoothing them would just
-// repeat the finer twin's sweep on fewer ranks.
+// Shadow levels of a repartition gap (repart) carry the full slot and
+// kernel machinery — the coarse solve may assemble there, and coarsening
+// continues from them — but are never smoothed: they pass the residual
+// through, since smoothing them would just repeat the finer twin's sweep
+// on fewer ranks.
 func newLevel(m *mesh.Mesh, dom fem.Domain, repart bool) *level {
 	lv := &level{mesh: m, repart: repart}
 	lv.kern, lv.kidx = fem.UnitStiffnessKernels(m, dom)
-
-	if !repart {
-		lv.dplan = buildDiagPlan(lv)
-	}
 	return lv
 }
 
@@ -492,11 +487,12 @@ func (h *Hierarchy) PrecondBlock(bcs []fem.ScalarBC) *VCycle {
 func (h *Hierarchy) FineDiag() *la.Vec { return h.sharedDiag(0) }
 
 // sharedDiag computes the raw operator diagonal of smoothed level l for
-// the level's current viscosity (collective: one ghost scatter-add): a
-// flat scan of the precomputed slot-space plan, agreeing with
-// fem.AssembleScalarDiag to rounding at unconstrained nodes. The result
-// is boundary-condition independent and cached per Rebuild, so every
-// field of every cycle shares one scan per level.
+// the level's current viscosity (collective: one ghost scatter-add): one
+// sweep that derives each element's diagonal coefficients from its
+// kernel (elemDiag) and adds them times the element viscosity, agreeing
+// with fem.AssembleScalarDiag to rounding at unconstrained nodes. The
+// result is boundary-condition independent and cached per Rebuild, so
+// every field of every cycle shares one sweep per level.
 func (h *Hierarchy) sharedDiag(l int) *la.Vec {
 	if h.lmaxValid {
 		return h.diagEta[l]
@@ -505,8 +501,14 @@ func (h *Hierarchy) sharedDiag(l int) *la.Vec {
 	m := lv.mesh
 	n := m.NumOwned
 	acc := make([]float64, m.NSlots())
-	for _, t := range lv.dplan {
-		acc[t.Slot] += lv.eta[t.Elem] * t.Coef
+	var slots [32]int32
+	var coefs [32]float64
+	for ei := range m.Rows {
+		nk := elemDiag(m, ei, &lv.kern[lv.kidx[ei]], &slots, &coefs)
+		eta := lv.eta[ei]
+		for k := 0; k < nk; k++ {
+			acc[slots[k]] += eta * coefs[k]
+		}
 	}
 	d := la.NewVec(m.Layout())
 	copy(d.Data, acc[:n])

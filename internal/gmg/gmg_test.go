@@ -89,7 +89,11 @@ func TestHierarchyShape(t *testing.T) {
 // fine mesh's cache (built first by its operator, as the Stokes solver
 // does) feeds its kernels, and every coarser level evaluates each
 // element's geometry transiently for its kernels and keeps none. The
-// transient kernels equal those computed from a cache bit for bit.
+// transient kernels equal those computed from a cache bit for bit. Every
+// level keeps the packed upper triangle only, which is the whole kernel
+// because the kernel is exactly symmetric: integrating both triangles
+// entry by entry gives K[a][b] and K[b][a] bit for bit equal to the
+// packed entry.
 func TestCoarseLevelsKeepNoGeometry(t *testing.T) {
 	shell := forest.CubedSphere(2)
 	sim.Run(2, func(r *sim.Rank) {
@@ -102,17 +106,26 @@ func TestCoarseLevelsKeepNoGeometry(t *testing.T) {
 		if g, ok := m.GeomCache.([]fem.ElemGeom); !ok || &g[0] != &fine[0] {
 			t.Errorf("rank %d: the fine level's geometry cache was replaced", r.ID())
 		}
-		for l, lv := range h.levels[1:] {
-			if lv.mesh.GeomCache != nil {
-				t.Errorf("rank %d: level %d keeps geometry", r.ID(), l+1)
+		for l, lv := range h.levels {
+			if l > 0 && lv.mesh.GeomCache != nil {
+				t.Errorf("rank %d: level %d keeps geometry", r.ID(), l)
 			}
-			fem.ElemGeoms(lv.mesh)
+			geos := fem.ElemGeoms(lv.mesh)
 			kern, _ := fem.UnitStiffnessKernels(lv.mesh, fem.UnitDomain)
 			for ei := range kern {
+				K := &lv.kern[lv.kidx[ei]]
+				if kern[ei] != *K {
+					t.Errorf("rank %d level %d element %d: kernel from the cache differs", r.ID(), l, ei)
+					return
+				}
+				full := fullStiffness(&geos[ei])
 				for a := 0; a < 8; a++ {
 					for b := 0; b < 8; b++ {
-						if math.Float64bits(kern[ei][a][b]) != math.Float64bits(lv.kern[lv.kidx[ei]][a][b]) {
-							t.Errorf("rank %d level %d element %d: kernel from the cache differs", r.ID(), l+1, ei)
+						pk := K[fem.SymIndex[a][b]]
+						if math.Float64bits(full[a][b]) != math.Float64bits(full[b][a]) ||
+							math.Float64bits(full[a][b]) != math.Float64bits(pk) {
+							t.Errorf("rank %d level %d element %d: K[%d][%d] = %v, K[%d][%d] = %v, packed %v",
+								r.ID(), l, ei, a, b, full[a][b], b, a, full[b][a], pk)
 							return
 						}
 					}
@@ -120,6 +133,23 @@ func TestCoarseLevelsKeepNoGeometry(t *testing.T) {
 			}
 		}
 	})
+}
+
+// fullStiffness integrates every entry of the mapped element's unit
+// stiffness matrix, both triangles, with fem.StiffnessGeom's arithmetic.
+func fullStiffness(g *fem.ElemGeom) (K [8][8]float64) {
+	var Q [8]fem.QGeom
+	g.Grads(&Q)
+	for qi := range Q {
+		q := &Q[qi]
+		for a := 0; a < 8; a++ {
+			for b := 0; b < 8; b++ {
+				s := q.G[a][0]*q.G[b][0] + q.G[a][1]*q.G[b][1] + q.G[a][2]*q.G[b][2]
+				K[a][b] += q.W * s
+			}
+		}
+	}
+	return K
 }
 
 // The level operator must match the assembled constrained scalar matrix
@@ -235,21 +265,50 @@ func mustDinv(h *Hierarchy, bcd *fem.BCData, m *mesh.Mesh, dom fem.Domain, eta [
 	return dinv
 }
 
+// benchMeshes are the single-rank meshes the benchmarks run on: adapted
+// boxes, whose kernels are shared per octree level and stay in cache,
+// and the uniform level-3 cubed-sphere shell, where every element streams
+// its own kernel. Each comes with a Dirichlet set on its boundary.
+func benchMeshes() []struct {
+	name  string
+	build func(r *sim.Rank) (*mesh.Mesh, fem.ScalarBC)
+} {
+	box := func(lvl uint8) func(r *sim.Rank) (*mesh.Mesh, fem.ScalarBC) {
+		return func(r *sim.Rank) (*mesh.Mesh, fem.ScalarBC) { return buildMesh(r, lvl, true), zeroBC }
+	}
+	return []struct {
+		name  string
+		build func(r *sim.Rank) (*mesh.Mesh, fem.ScalarBC)
+	}{
+		{"level3", box(3)},
+		{"level4", box(4)},
+		{"shell3", func(r *sim.Rank) (*mesh.Mesh, fem.ScalarBC) {
+			conn := forest.CubedSphere(2)
+			g := mesh.NewShellGeometry(conn)
+			bc := func(x [3]float64) (float64, bool) {
+				rad := math.Sqrt(x[0]*x[0] + x[1]*x[1] + x[2]*x[2])
+				return 0, rad < g.RInner+1e-9 || rad > g.ROuter-1e-9
+			}
+			return mesh.Extract(forest.New(r, conn, 3), g), bc
+		}},
+	}
+}
+
 // BenchmarkGMGVcycle times one V-cycle application on a single rank at
 // width 1 (one scalar field) and width 3 (the Stokes velocity block: the
 // per-iteration preconditioner cost of the matrix-free solve). The
 // width-3 cycle does three fields' arithmetic in one sweep over the
 // level data; ns/op divided by the width is the cost per field.
 func BenchmarkGMGVcycle(bench *testing.B) {
-	for _, lvl := range []uint8{3, 4} {
+	for _, bm := range benchMeshes() {
 		for _, w := range []int{1, 3} {
-			bench.Run(fmt.Sprintf("level%d/width%d", lvl, w), func(bench *testing.B) {
+			bench.Run(fmt.Sprintf("%s/width%d", bm.name, w), func(bench *testing.B) {
 				sim.Run(1, func(r *sim.Rank) {
-					m := buildMesh(r, lvl, true)
+					m, bc := bm.build(r)
 					h := New(m, fem.UnitDomain, layeredViscosity(m), Options{})
 					bcs := make([]fem.ScalarBC, w)
 					for c := range bcs {
-						bcs[c] = zeroBC
+						bcs[c] = bc
 					}
 					M := h.PrecondBlock(bcs)
 					x, y := make([]float64, w*m.NumOwned), make([]float64, w*m.NumOwned)
@@ -263,6 +322,39 @@ func BenchmarkGMGVcycle(bench *testing.B) {
 					}
 					bench.StopTimer()
 					bench.ReportMetric(float64(int64(w)*m.NGlobal), "dofs")
+				})
+			})
+		}
+	}
+}
+
+// BenchmarkLevelApply times one application of the finest level's
+// operator — the element loop over the corner rows and unit kernels, the
+// ghost exchange and the Dirichlet rows — and reports it per element.
+// On the shell every element reads its own 288-byte kernel.
+func BenchmarkLevelApply(bench *testing.B) {
+	for _, bm := range benchMeshes() {
+		for _, w := range []int{1, 3} {
+			bench.Run(fmt.Sprintf("%s/width%d", bm.name, w), func(bench *testing.B) {
+				sim.Run(1, func(r *sim.Rank) {
+					m, bc := bm.build(r)
+					h := New(m, fem.UnitDomain, layeredViscosity(m), Options{})
+					bcs := make([]fem.ScalarBC, w)
+					for c := range bcs {
+						bcs[c] = bc
+					}
+					o := h.PrecondBlock(bcs).ops[0]
+					x, y := make([]float64, w*m.NumOwned), make([]float64, w*m.NumOwned)
+					for i := range x {
+						x[i] = math.Sin(float64(i))
+					}
+					o.apply(x, y) // warm up
+					bench.ResetTimer()
+					for i := 0; i < bench.N; i++ {
+						o.apply(x, y)
+					}
+					bench.StopTimer()
+					bench.ReportMetric(float64(bench.Elapsed().Nanoseconds())/float64(bench.N)/float64(len(m.Leaves)), "ns/elem")
 				})
 			})
 		}

@@ -107,134 +107,28 @@ func (o *levelOp) apply(x, y []float64) {
 	}
 }
 
-// applyElems1 accumulates acc += sum_e C_e^T (eta_e K_e) C_e x for one
-// field in slot space: gather the eight corner values, multiply by the
-// scaled kernel, scatter. An independent corner reads its slot straight
-// from the mesh's corner row (C_e selects it: weight exactly 1, so
-// skipping the multiply changes no bit); a hanging one runs its masters
-// from the mesh's Hang table.
-func (lv *level) applyElems1(x, acc []float64) {
-	rows, hang := lv.mesh.Rows, lv.mesh.Hang
-	for ei := range rows {
-		row := &rows[ei]
-		var xe [8]float64
-		for a := 0; a < 8; a++ {
-			if s := row[a]; s >= 0 {
-				xe[a] = x[s]
-			} else {
-				xe[a] = hang[^s].Value(x)
-			}
-		}
-		K, eta := &lv.kern[lv.kidx[ei]], lv.eta[ei]
-		for a := 0; a < 8; a++ {
-			// Row a of K times xe, summed from zero in corner order
-			// (written out: as a loop the V-cycle ran a quarter slower).
-			var s float64
-			ka := &K[a]
-			s += ka[0] * xe[0]
-			s += ka[1] * xe[1]
-			s += ka[2] * xe[2]
-			s += ka[3] * xe[3]
-			s += ka[4] * xe[4]
-			s += ka[5] * xe[5]
-			s += ka[6] * xe[6]
-			s += ka[7] * xe[7]
-			s *= eta
-			if r := row[a]; r >= 0 {
-				acc[r] += s
-				continue
-			}
-			h := &hang[^row[a]]
-			w := h.W()
-			for k := 0; k < int(h.N); k++ {
-				acc[h.Slot[k]] += w * s
-			}
-		}
+// The element loops applyElems1 and applyElems3, which read the packed
+// kernels at fixed offsets, are generated straight-line code in
+// levelkernel.go.
+//go:generate go run gen_levelkernel.go
+
+// scatterHang1 adds one element row's value s at a hanging corner's
+// masters, each at weight 1/N (the generated loops' cold branch).
+func scatterHang1(acc []float64, h *mesh.Hang, s float64) {
+	w := h.W()
+	for k := 0; k < int(h.N); k++ {
+		acc[h.Slot[k]] += w * s
 	}
 }
 
-// applyElems3 is applyElems1 for three interleaved fields: every corner
-// gathers three values and every K[a][b] multiplies all three, so the
-// corner rows and kernels are streamed once for the whole velocity
-// block.
-func (lv *level) applyElems3(x, acc []float64) {
-	rows, hang := lv.mesh.Rows, lv.mesh.Hang
-	for ei := range rows {
-		row := &rows[ei]
-		var xe [8][3]float64
-		for a := 0; a < 8; a++ {
-			if s := row[a]; s >= 0 {
-				p := x[3*int(s) : 3*int(s)+3]
-				xe[a] = [3]float64{p[0], p[1], p[2]}
-				continue
-			}
-			h := &hang[^row[a]]
-			w := h.W()
-			var v0, v1, v2 float64
-			for k := 0; k < int(h.N); k++ {
-				p := x[3*int(h.Slot[k]) : 3*int(h.Slot[k])+3]
-				v0 += w * p[0]
-				v1 += w * p[1]
-				v2 += w * p[2]
-			}
-			xe[a] = [3]float64{v0, v1, v2}
-		}
-		K, eta := &lv.kern[lv.kidx[ei]], lv.eta[ei]
-		for a := 0; a < 8; a++ {
-			// Per field the same sum as applyElems1's, in the same order.
-			var s0, s1, s2, k float64
-			ka := &K[a]
-			k = ka[0]
-			s0 += k * xe[0][0]
-			s1 += k * xe[0][1]
-			s2 += k * xe[0][2]
-			k = ka[1]
-			s0 += k * xe[1][0]
-			s1 += k * xe[1][1]
-			s2 += k * xe[1][2]
-			k = ka[2]
-			s0 += k * xe[2][0]
-			s1 += k * xe[2][1]
-			s2 += k * xe[2][2]
-			k = ka[3]
-			s0 += k * xe[3][0]
-			s1 += k * xe[3][1]
-			s2 += k * xe[3][2]
-			k = ka[4]
-			s0 += k * xe[4][0]
-			s1 += k * xe[4][1]
-			s2 += k * xe[4][2]
-			k = ka[5]
-			s0 += k * xe[5][0]
-			s1 += k * xe[5][1]
-			s2 += k * xe[5][2]
-			k = ka[6]
-			s0 += k * xe[6][0]
-			s1 += k * xe[6][1]
-			s2 += k * xe[6][2]
-			k = ka[7]
-			s0 += k * xe[7][0]
-			s1 += k * xe[7][1]
-			s2 += k * xe[7][2]
-			s0 *= eta
-			s1 *= eta
-			s2 *= eta
-			if r := row[a]; r >= 0 {
-				p := acc[3*int(r) : 3*int(r)+3]
-				p[0] += s0
-				p[1] += s1
-				p[2] += s2
-				continue
-			}
-			h := &hang[^row[a]]
-			w := h.W()
-			for k := 0; k < int(h.N); k++ {
-				p := acc[3*int(h.Slot[k]) : 3*int(h.Slot[k])+3]
-				p[0] += w * s0
-				p[1] += w * s1
-				p[2] += w * s2
-			}
-		}
+// scatterHang3 is scatterHang1 for three interleaved fields.
+func scatterHang3(acc []float64, h *mesh.Hang, s0, s1, s2 float64) {
+	w := h.W()
+	for k := 0; k < int(h.N); k++ {
+		p := acc[3*int(h.Slot[k]) : 3*int(h.Slot[k])+3]
+		p[0] += w * s0
+		p[1] += w * s1
+		p[2] += w * s2
 	}
 }
 
@@ -271,8 +165,11 @@ type VCycle struct {
 	coarse   []coarseFactor
 
 	// Per-level work buffers, w per owned node: right-hand side, iterate,
-	// residual, and the prolonged coarse correction.
-	b, x, r, t [][]float64
+	// and residual. The residual buffer also receives the prolonged
+	// coarse correction: the residual is dead from its restriction until
+	// the post-smoother recomputes it, and the transfers overwrite their
+	// output.
+	b, x, r [][]float64
 }
 
 func newVCycle(h *Hierarchy, bcs []fem.ScalarBC) *VCycle {
@@ -286,7 +183,6 @@ func newVCycle(h *Hierarchy, bcs []fem.ScalarBC) *VCycle {
 		c.b = append(c.b, make([]float64, n))
 		c.x = append(c.x, make([]float64, n))
 		c.r = append(c.r, make([]float64, n))
-		c.t = append(c.t, make([]float64, n))
 		c.dinv = append(c.dinv, make([]float64, n))
 		c.omega = append(c.omega, 0) // set by refresh from the hierarchy cache
 	}
@@ -297,63 +193,61 @@ func newVCycle(h *Hierarchy, bcs []fem.ScalarBC) *VCycle {
 	return c
 }
 
-// diagTerm is one precomputed contribution eta[Elem]*Coef to the
-// operator diagonal at Slot.
-type diagTerm struct {
-	Slot, Elem int32
-	Coef       float64
-}
-
-// buildDiagPlan collects, for every slot of the level, the coefficients
-// of its operator-diagonal entry as a linear function of the element
-// viscosities: Coef sums wa*wb*K_unit[a][b] over every corner pair of
-// Elem whose constraint masters both resolve to the slot's node —
-// exactly the terms fem.AssembleScalarDiag would accumulate. The plan is
-// boundary-condition independent; Dirichlet rows are overwritten with 1
-// per field after the scan.
-func buildDiagPlan(lv *level) []diagTerm {
-	var plan []diagTerm
-	for ei := range lv.mesh.Rows {
-		var cs [8]mesh.Corner
-		for a := range cs {
-			cs[a] = lv.mesh.Corner(ei, a)
+// elemDiag writes element ei's contributions to its level's operator
+// diagonal at unit viscosity into slots and coefs and returns their
+// count: coefs[k] sums wa*wb*K[a][b] over every corner pair of the
+// element whose masters both resolve to slots[k] — exactly the terms
+// fem.AssembleScalarDiag would accumulate — in order of first appearance
+// over the corners and their masters.
+func elemDiag(m *mesh.Mesh, ei int, K *fem.SymKernel, slots *[32]int32, coefs *[32]float64) int {
+	row := &m.Rows[ei]
+	plain := true
+	for _, s := range row {
+		plain = plain && s >= 0
+	}
+	if plain {
+		// Eight independent corners are eight distinct nodes at weight
+		// exactly 1: corner a's only matching pair is (a, a).
+		for a, s := range row {
+			var v float64
+			v += K[fem.SymIndex[a][a]]
+			slots[a], coefs[a] = s, v
 		}
-		K := &lv.kern[lv.kidx[ei]]
-		var slots [32]int32
-		var coefs [32]float64
-		nloc := 0
-		for a := 0; a < 8; a++ {
-			ca := &cs[a]
-			for ia := 0; ia < int(ca.N); ia++ {
-				sa, wa := ca.Slot[ia], ca.W[ia]
-				var v float64
-				for b := 0; b < 8; b++ {
-					cb := &cs[b]
-					for ib := 0; ib < int(cb.N); ib++ {
-						if cb.Slot[ib] == sa {
-							v += wa * cb.W[ib] * K[a][b]
-						}
+		return 8
+	}
+	var cs [8]mesh.Corner
+	for a := range cs {
+		cs[a] = m.Corner(ei, a)
+	}
+	nloc := 0
+	for a := 0; a < 8; a++ {
+		ca := &cs[a]
+		for ia := 0; ia < int(ca.N); ia++ {
+			sa, wa := ca.Slot[ia], ca.W[ia]
+			var v float64
+			for b := 0; b < 8; b++ {
+				cb := &cs[b]
+				for ib := 0; ib < int(cb.N); ib++ {
+					if cb.Slot[ib] == sa {
+						v += wa * cb.W[ib] * K[fem.SymIndex[a][b]]
 					}
-				}
-				found := false
-				for k := 0; k < nloc; k++ {
-					if slots[k] == sa {
-						coefs[k] += v
-						found = true
-						break
-					}
-				}
-				if !found {
-					slots[nloc], coefs[nloc] = sa, v
-					nloc++
 				}
 			}
-		}
-		for k := 0; k < nloc; k++ {
-			plan = append(plan, diagTerm{Slot: slots[k], Elem: int32(ei), Coef: coefs[k]})
+			found := false
+			for k := 0; k < nloc; k++ {
+				if slots[k] == sa {
+					coefs[k] += v
+					found = true
+					break
+				}
+			}
+			if !found {
+				slots[nloc], coefs[nloc] = sa, v
+				nloc++
+			}
 		}
 	}
-	return plan
+	return nloc
 }
 
 // Apply computes y = M^-1 x on vectors holding the w fields node-major
@@ -395,7 +289,8 @@ func (c *VCycle) cycle(l int) {
 		c.coarseSolve(l)
 		return
 	}
-	b, x, r, t := c.b[l], c.x[l], c.r[l], c.t[l]
+	b, x, r := c.b[l], c.x[l], c.r[l]
+	t := r // the prolonged correction, see VCycle
 	omega, dinv := c.omega[l], c.dinv[l]
 	smoothed := !h.levels[l].repart
 	if !smoothed {

@@ -545,12 +545,15 @@ func TestOperatorResidentBytesMapped(t *testing.T) {
 // along a tilted front (the shape of the benchmark's box-amr meshes, 2.06
 // hanging corners per element here) the live heap grows by the rows, the
 // hanging table and ~60 B of leaves and owned-node tables per element in
-// Extract, and by slot-space buffers and per-element plans — no second
-// table — in advect.New and in stokes.Setup with its GMG hierarchy. The
+// Extract, by slot-space buffers in advect.New, and by slot-space
+// buffers and one unit kernel per octree level — no second table, no
+// per-element plan — in stokes.Setup with its GMG hierarchy. The
 // harness's expanded corner table (NodeSlots) is built on request and
 // must equal m.Corner(ei, c) field for field. History, measured on this
-// mesh: while the mesh kept the expanded 8 x 56 = 448-byte corner row,
-// Extract kept 507 B and stokes.Setup 950 B per element; before the mesh
+// mesh: while the hierarchy kept a (slot, elem, coef) diagonal plan per
+// level and the solver a Schur plan, stokes.Setup kept 803 B per
+// element; while the mesh kept the expanded 8 x 56 = 448-byte corner
+// row, Extract kept 507 B and stokes.Setup 950 B per element; before the mesh
 // numbered its own slots the row was 640 B (positions and global ids),
 // the first NodeSlots of a mesh added a 448 B slot table on top, and
 // every multigrid level mesh carried both: Extract 699 B, NodeSlots
@@ -605,11 +608,59 @@ func TestCornerTableResidentBytesBox(t *testing.T) {
 		if transport > 128 {
 			t.Errorf("advect.New keeps %.0f B per element, want <= 128 (buffers per node, one pointer per element)", transport)
 		}
-		// Measured at 803 B; a second corner table on this mesh and its
-		// level meshes (a third as many elements again) would add at least
-		// 32 x 4/3 = 43 B, an expanded one 448 x 4/3 = 600 B.
-		if setup > 883 {
-			t.Errorf("stokes.Setup with GMG keeps %.0f B per element, want <= 883", setup)
+		// Measured at 375 B (803 B while the hierarchy kept a diagonal
+		// plan per level and the solver a Schur plan, 16 B per term); a
+		// second corner table on this mesh and its level meshes (a third as
+		// many elements again) would add at least 32 x 4/3 = 43 B, an
+		// expanded one 448 x 4/3 = 600 B.
+		if setup > 412 {
+			t.Errorf("stokes.Setup with GMG keeps %.0f B per element, want <= 412", setup)
+		}
+	})
+}
+
+// TestSolverResidentBytesShell pins what the Stokes solver keeps per
+// element on a mapped mesh, where every element has its own geometry and
+// multigrid kernel: on the uniform level-3 shell (12 288 elements, one
+// rank, free-slip top as in the benchmark's shell-solve), stokes.Setup
+// with GMG plus the first Update grow the live heap by the fine level's
+// fem.ElemGeoms (680 B per element: J^-1 and a weight per point), each
+// level's packed unit kernels (288 B per element of every level, a
+// seventh again beyond the fine level) and slot-space vectors — no
+// center-point cache, no diagonal or Schur plan, no full 8x8 kernels.
+// Measured at 1 597 B per element, bounded at that + 10%; with full 8x8
+// kernels, the two per-element (slot, elem, coef) plans, the center-point
+// data and a separate prolongation buffer per level it was 2 434 B.
+func TestSolverResidentBytesShell(t *testing.T) {
+	conn := forest.CubedSphere(2)
+	g := mesh.NewShellGeometry(conn)
+	sim.Run(1, func(r *sim.Rank) {
+		m := mesh.Extract(forest.New(r, conn, 3), g)
+		eta := make([]float64, len(m.Leaves))
+		for ei := range eta {
+			x := m.X[ei][0]
+			eta[ei] = math.Exp(math.Sin(3*x[0] + 2*x[1] - x[2]))
+		}
+		live := func() int64 {
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			return int64(ms.HeapAlloc)
+		}
+		h0 := live()
+		s := stokes.Setup(m, fem.UnitDomain, stokes.RadialNoSlipInner(g.RInner, g.ROuter), stokes.Options{
+			MatrixFree: true, Precond: stokes.PrecondGMG,
+			Slip: stokes.ShellSlipNormals(g.RInner, g.ROuter, false, true),
+		})
+		s.Update(eta, nil)
+		h1 := live()
+		runtime.KeepAlive(s)
+		runtime.KeepAlive(eta)
+
+		perElem := float64(h1-h0) / float64(len(m.Leaves))
+		t.Logf("%d elements, GMG levels %v: stokes.Setup + Update %.0f B/element", len(m.Leaves), s.GMGH.LevelElems(), perElem)
+		if perElem > 1757 {
+			t.Errorf("stokes.Setup + Update keep %.0f B per element on the shell, want <= 1757", perElem)
 		}
 	})
 }

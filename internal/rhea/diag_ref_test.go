@@ -53,11 +53,9 @@ func nusseltRef(s *Sim) float64 {
 func nusseltMappedBoxRef(s *Sim) float64 {
 	bufs := s.gatherSlotsMulti(s.T, s.U[2])
 	tb, wb := bufs[0], bufs[1]
-	geos := fem.ElemGeoms(s.Mesh)
 	var sum, volSum float64
 	for ei := range s.Mesh.Leaves {
-		g := &geos[ei]
-		vol := g.DetC
+		Gc, vol := fem.CenterGradients(&s.Mesh.X[ei])
 		var Tc, wc, dTdz float64
 		for c := 0; c < 8; c++ {
 			co := s.Mesh.Corner(ei, c)
@@ -68,7 +66,7 @@ func nusseltMappedBoxRef(s *Sim) float64 {
 			}
 			Tc += tv / 8
 			wc += wv / 8
-			dTdz += tv * g.Gc[c][2]
+			dTdz += tv * Gc[c][2]
 		}
 		sum += (wc*Tc - dTdz) * vol
 		volSum += vol
@@ -82,11 +80,10 @@ func nusseltShellRef(s *Sim) float64 {
 	bufs := s.gatherSlotsMulti(s.T, s.U[0], s.U[1], s.U[2])
 	tb := bufs[0]
 	ub := [3][]float64{bufs[1], bufs[2], bufs[3]}
-	geos := fem.ElemGeoms(s.Mesh)
 	var sum, ref float64
 	for ei := range s.Mesh.Leaves {
-		g := &geos[ei]
-		vol := g.DetC
+		Gc, vol := fem.CenterGradients(&s.Mesh.X[ei])
+		center := fem.CenterPoint(&s.Mesh.X[ei])
 		var Tc float64
 		var uc, gradT [3]float64
 		for c := 0; c < 8; c++ {
@@ -102,15 +99,15 @@ func nusseltShellRef(s *Sim) float64 {
 					uv += co.W[k] * ub[d][co.Slot[k]]
 				}
 				uc[d] += uv / 8
-				gradT[d] += tv * g.Gc[c][d]
+				gradT[d] += tv * Gc[c][d]
 			}
 		}
-		rc := math.Sqrt(g.Center[0]*g.Center[0] + g.Center[1]*g.Center[1] + g.Center[2]*g.Center[2])
+		rc := math.Sqrt(center[0]*center[0] + center[1]*center[1] + center[2]*center[2])
 		rin, rout := s.Cfg.RInner, s.Cfg.ROuter
 		var ur, dTdr float64
 		for d := 0; d < 3; d++ {
-			ur += uc[d] * g.Center[d] / rc
-			dTdr += gradT[d] * g.Center[d] / rc
+			ur += uc[d] * center[d] / rc
+			dTdr += gradT[d] * center[d] / rc
 		}
 		sum += (ur*Tc - dTdr) * vol
 		ref += rin * rout / (rc * rc * (rout - rin)) * vol
@@ -121,12 +118,11 @@ func nusseltShellRef(s *Sim) float64 {
 
 func rmsVelocityRef(s *Sim) float64 {
 	bufs := s.gatherSlotsMulti(s.U[0], s.U[1], s.U[2])
-	geos := fem.ElemGeoms(s.Mesh)
 	var sum, volSum float64
 	for ei, leaf := range s.Mesh.Leaves {
 		var vol float64
-		if geos != nil {
-			vol = geos[ei].DetC
+		if s.Mesh.X != nil {
+			_, vol = fem.CenterGradients(&s.Mesh.X[ei])
 		} else {
 			h := s.Cfg.Dom.ElemSize(leaf)
 			vol = h[0] * h[1] * h[2]

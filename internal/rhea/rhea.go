@@ -529,7 +529,8 @@ func (s *Sim) ElementViscosity() []float64 {
 // On the box the force is Ra*T*e_z and depth comes from the z
 // coordinate; on the shell the force is Ra*T*r_hat and depth is the
 // radial coordinate (0 at the inner boundary, 1 at the outer); strain
-// rates use the center Jacobian on mapped meshes.
+// rates use the center Jacobian on mapped meshes, evaluated from the
+// element's corners.
 func (s *Sim) viscosityAndBuoyancy(wantForce bool) ([]float64, [][8][3]float64) {
 	bufs := s.gatherSlotsMulti(s.T, s.U[0], s.U[1], s.U[2])
 	tb := bufs[0]
@@ -544,15 +545,16 @@ func (s *Sim) viscosityAndBuoyancy(wantForce bool) ([]float64, [][8][3]float64) 
 	for c := 0; c < 8; c++ {
 		sgc[c] = fem.ShapeGrad(c, xi)
 	}
-	geos := fem.ElemGeoms(s.Mesh) // nil on axis-aligned meshes
-	for ei, leaf := range s.Mesh.Leaves {
-		// Mid-point shape gradients: constant-h scaling or the cached
-		// mapped center Jacobian.
+	m := s.Mesh
+	mapped := m.X != nil
+	for ei, leaf := range m.Leaves {
+		// Mid-point shape gradients: constant-h scaling or the mapped
+		// center Jacobian.
 		var sg [8][3]float64
 		var center [3]float64
-		if geos != nil {
-			sg = geos[ei].Gc
-			center = geos[ei].Center
+		if mapped {
+			sg, _ = fem.CenterGradients(&m.X[ei])
+			center = fem.CenterPoint(&m.X[ei])
 		} else {
 			h := s.Cfg.Dom.ElemSize(leaf)
 			for c := 0; c < 8; c++ {
@@ -563,16 +565,21 @@ func (s *Sim) viscosityAndBuoyancy(wantForce bool) ([]float64, [][8][3]float64) 
 		}
 		var Tc float64
 		var grad [3][3]float64
-		for c := 0; c < 8; c++ {
-			co := s.Mesh.Corner(ei, c)
+		for c, r := range m.Rows[ei] {
 			var tv float64
-			for k := 0; k < int(co.N); k++ {
-				tv += co.W[k] * tb[co.Slot[k]]
+			var uv [3]float64
+			if r >= 0 {
+				tv = tb[r]
+				uv = [3]float64{ub[0][r], ub[1][r], ub[2][r]}
+			} else {
+				h := &m.Hang[^r]
+				tv = h.Value(tb)
+				uv = [3]float64{h.Value(ub[0]), h.Value(ub[1]), h.Value(ub[2])}
 			}
 			Tc += tv / 8
 			if wantForce {
 				if s.Cfg.Shell {
-					x := s.Mesh.X[ei][c]
+					x := m.X[ei][c]
 					rad := math.Sqrt(x[0]*x[0] + x[1]*x[1] + x[2]*x[2])
 					f := s.Cfg.Ra * tv / rad
 					force[ei][c] = [3]float64{f * x[0], f * x[1], f * x[2]}
@@ -581,12 +588,8 @@ func (s *Sim) viscosityAndBuoyancy(wantForce bool) ([]float64, [][8][3]float64) 
 				}
 			}
 			for d := 0; d < 3; d++ {
-				var uv float64
-				for k := 0; k < int(co.N); k++ {
-					uv += co.W[k] * ub[d][co.Slot[k]]
-				}
 				for j := 0; j < 3; j++ {
-					grad[d][j] += uv * sg[c][j]
+					grad[d][j] += uv[d] * sg[c][j]
 				}
 			}
 		}
@@ -604,7 +607,7 @@ func (s *Sim) viscosityAndBuoyancy(wantForce bool) ([]float64, [][8][3]float64) 
 		case s.Cfg.Shell:
 			rc := math.Sqrt(center[0]*center[0] + center[1]*center[1] + center[2]*center[2])
 			zc = (rc - s.Cfg.RInner) / (s.Cfg.ROuter - s.Cfg.RInner)
-		case geos != nil:
+		case mapped:
 			zc = center[2] / s.Cfg.Dom.Box[2]
 		default:
 			zc = s.Cfg.Dom.ElemCenter(leaf)[2] / s.Cfg.Dom.Box[2]
@@ -700,11 +703,15 @@ func (s *Sim) AdvectSteps(n int) float64 {
 // out, one entry per local element (collective).
 func (s *Sim) elemVelocity(out [][8][3]float64) {
 	ub := s.gatherSlotsMulti(s.U[0], s.U[1], s.U[2])
+	m := s.Mesh
 	for ei := range out {
-		for c := 0; c < 8; c++ {
-			co := s.Mesh.Corner(ei, c)
+		for c, r := range m.Rows[ei] {
 			for d := 0; d < 3; d++ {
-				out[ei][c][d] = co.Value(ub[d])
+				if r >= 0 {
+					out[ei][c][d] = ub[d][r]
+				} else {
+					out[ei][c][d] = m.Hang[^r].Value(ub[d])
+				}
 			}
 		}
 	}
@@ -766,7 +773,8 @@ func (s *Sim) Diagnose(stop bool) Verdict {
 	bufs := s.gatherSlotsMulti(s.T, s.U[0], s.U[1], s.U[2])
 	tb := bufs[0]
 	ub := [3][]float64{bufs[1], bufs[2], bufs[3]}
-	geos := fem.ElemGeoms(s.Mesh) // nil on axis-aligned meshes
+	m := s.Mesh
+	mapped := m.X != nil
 	// Axis-aligned elements: z-derivatives of the shape functions at the
 	// element center on the reference cube.
 	var sgz [8]float64
@@ -776,41 +784,43 @@ func (s *Sim) Diagnose(stop bool) Verdict {
 	rin, rout := s.Cfg.RInner, s.Cfg.ROuter
 	// flux, shell conductive reference, |u|^2 vol, vol, stop requests
 	var sum [5]float64
-	for ei, leaf := range s.Mesh.Leaves {
+	for ei, leaf := range m.Leaves {
 		var h [3]float64
 		var vol float64
-		if geos != nil {
-			vol = geos[ei].DetC
+		var gc [8][3]float64
+		if mapped {
+			gc, vol = fem.CenterGradients(&m.X[ei])
 		} else {
 			h = s.Cfg.Dom.ElemSize(leaf)
 			vol = h[0] * h[1] * h[2]
 		}
 		var Tc float64
 		var uc, gradT [3]float64
-		for c := 0; c < 8; c++ {
-			co := s.Mesh.Corner(ei, c)
+		for c, r := range m.Rows[ei] {
 			var tv float64
-			for k := 0; k < int(co.N); k++ {
-				tv += co.W[k] * tb[co.Slot[k]]
+			var uv [3]float64
+			if r >= 0 {
+				tv = tb[r]
+				uv = [3]float64{ub[0][r], ub[1][r], ub[2][r]}
+			} else {
+				hg := &m.Hang[^r]
+				tv = hg.Value(tb)
+				uv = [3]float64{hg.Value(ub[0]), hg.Value(ub[1]), hg.Value(ub[2])}
 			}
 			Tc += tv / 8
 			for d := 0; d < 3; d++ {
-				var uv float64
-				for k := 0; k < int(co.N); k++ {
-					uv += co.W[k] * ub[d][co.Slot[k]]
-				}
-				uc[d] += uv / 8
+				uc[d] += uv[d] / 8
 			}
-			if geos != nil {
+			if mapped {
 				for d := 0; d < 3; d++ {
-					gradT[d] += tv * geos[ei].Gc[c][d]
+					gradT[d] += tv * gc[c][d]
 				}
 			} else {
 				gradT[2] += tv * sgz[c] / h[2]
 			}
 		}
 		if s.Cfg.Shell {
-			x := geos[ei].Center
+			x := fem.CenterPoint(&m.X[ei])
 			rc := math.Sqrt(x[0]*x[0] + x[1]*x[1] + x[2]*x[2])
 			var ur, dTdr float64
 			for d := 0; d < 3; d++ {
@@ -839,14 +849,14 @@ func (s *Sim) Diagnose(stop bool) Verdict {
 	switch {
 	case s.Cfg.Shell:
 		v.Nu = tot[0] / tot[1]
-	case geos != nil:
+	case mapped:
 		// ∫ (ΔT/H) dV = V/H with H = Dom.Box[2], the vertical extent the
 		// viscosity depth coordinate uses; Lx Ly on a rectangular brick.
 		v.Nu = tot[0] / (tot[3] / b[2])
 	default:
 		v.Nu = tot[0] / (b[0] * b[1])
 	}
-	if geos != nil {
+	if mapped {
 		v.Vrms = math.Sqrt(tot[2] / tot[3])
 	} else {
 		v.Vrms = math.Sqrt(tot[2] / (b[0] * b[1] * b[2]))

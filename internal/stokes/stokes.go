@@ -192,11 +192,11 @@ type Solver struct {
 	compBC  [3]fem.ScalarBC // per-velocity-component scalar view of bc
 	compBCD []*fem.BCData   // gathered per-component Dirichlet data (AMG path)
 	nodeL   *la.Layout
-	// unit scalar stiffness kernels (scalKern[scalIdx[ei]] is element
-	// ei's; one brick per octree level on axis-aligned meshes), scaled by
-	// the viscosity on the AMG-preconditioner refresh path instead of
-	// re-running quadrature.
-	scalKern [][8][8]float64
+	// unit scalar stiffness kernels as packed upper triangles
+	// (scalKern[scalIdx[ei]] is element ei's; one brick per octree level
+	// on axis-aligned meshes), expanded and scaled by the viscosity on the
+	// AMG-preconditioner refresh path instead of re-running quadrature.
+	scalKern []fem.SymKernel
 	scalIdx  []int32
 	// stokesKern holds the per-element unit-viscosity coupled kernels the
 	// assembled path scales on mapped (forest) meshes, where per-element
@@ -204,12 +204,6 @@ type Solver struct {
 	// (fem.StokesKernelsFor; the matrix-free operator evaluates the same
 	// element operator at the quadrature points and stores none).
 	stokesKern []*fem.StokesKernels
-
-	// Schur-diagonal assembly plan: the inverse-viscosity-weighted lumped
-	// pressure mass is linear in 1/eta per element, so the slot-space
-	// coefficients are precomputed and each Update reduces to a flat scan
-	// plus one ghost scatter-add.
-	schurPlan []schurTerm
 
 	// Velocity-block preconditioner: on the GMG path one blocked V-cycle
 	// carrying all three components (velGMG; under the Q2 p-level for
@@ -243,13 +237,6 @@ type Solver struct {
 	// selects the Q2 branches.
 	q2 *mesh.Q2Mesh
 	pl *pCoarse
-}
-
-// schurTerm is one precomputed contribution (1/eta[Elem])*Coef to the
-// lumped pressure mass at Slot.
-type schurTerm struct {
-	Slot, Elem int32
-	Coef       float64
 }
 
 // PrecondKind selects the velocity-block preconditioner family.
@@ -560,28 +547,9 @@ func (s *Solver) projectNull(v *la.Vec) {
 func (s *Solver) NullDim() int { return len(s.null) }
 
 // finishSetup builds the order-independent tail of Setup: the Schur
-// diagonal and its slot-space lumped-mass plan (always on the Q1 vertex
-// space, where the Taylor-Hood pressure also lives).
+// diagonal's vector (always on the Q1 vertex space, where the
+// Taylor-Hood pressure also lives), filled by every Update.
 func (s *Solver) finishSetup() {
-	m, dom := s.M, s.Dom
-	// Lumped-mass coefficients for the Schur diagonal refresh.
-	geos := fem.ElemGeoms(m)
-	for ei, leaf := range m.Leaves {
-		var lm [8]float64
-		if geos != nil {
-			lm = fem.LumpedMassGeom(&geos[ei], 1)
-		} else {
-			lm = fem.LumpedMassBrick(dom.ElemSize(leaf), 1)
-		}
-		for a := 0; a < 8; a++ {
-			ca := m.Corner(ei, a)
-			for ia := 0; ia < int(ca.N); ia++ {
-				s.schurPlan = append(s.schurPlan, schurTerm{
-					Slot: ca.Slot[ia], Elem: int32(ei), Coef: ca.W[ia] * lm[a]})
-			}
-		}
-	}
-
 	s.schurInv = la.NewVec(s.nodeL)
 }
 
@@ -621,7 +589,7 @@ func (s *Solver) Update(etaElem []float64, force [][8][3]float64) *Solver {
 		s.GMGH.Rebuild(etaElem)
 	} else {
 		elemMat := func(ei int, h [3]float64) [8][8]float64 {
-			K := s.scalKern[s.scalIdx[ei]]
+			K := s.scalKern[s.scalIdx[ei]].Full()
 			eta := etaElem[ei]
 			for a := 0; a < 8; a++ {
 				for b := 0; b < 8; b++ {
@@ -661,7 +629,7 @@ func (s *Solver) refreshSlipDiag(etaElem []float64) {
 		d = s.GMGH.FineDiag()
 	} else {
 		elemMat := func(ei int, h [3]float64) [8][8]float64 {
-			K := s.scalKern[s.scalIdx[ei]]
+			K := s.scalKern[s.scalIdx[ei]].Full()
 			eta := etaElem[ei]
 			for a := 0; a < 8; a++ {
 				for b := 0; b < 8; b++ {
@@ -682,17 +650,38 @@ func (s *Solver) refreshSlipDiag(etaElem []float64) {
 }
 
 // updateSchur refreshes S~, the inverse-viscosity-weighted lumped
-// pressure mass on the Q1 vertex space, from the precomputed slot-space
-// plan (one scan + one ghost scatter-add; collective).
+// pressure mass on the Q1 vertex space (one sweep + one ghost
+// scatter-add; collective). Each element adds W*lm[a]/eta at the masters
+// of corner a, lm its unit lumped mass, in element, corner and master
+// order.
 func (s *Solver) updateSchur(etaElem []float64) {
-	acc := make([]float64, s.M.NSlots())
-	for _, t := range s.schurPlan {
-		acc[t.Slot] += t.Coef / etaElem[t.Elem]
+	m, dom := s.M, s.Dom
+	acc := make([]float64, m.NSlots())
+	geos := fem.ElemGeoms(m)
+	for ei, leaf := range m.Leaves {
+		var lm [8]float64
+		if geos != nil {
+			lm = fem.LumpedMassGeom(&geos[ei], 1)
+		} else {
+			lm = fem.LumpedMassBrick(dom.ElemSize(leaf), 1)
+		}
+		eta := etaElem[ei]
+		for a, r := range m.Rows[ei] {
+			if r >= 0 {
+				acc[r] += lm[a] / eta
+				continue
+			}
+			h := &m.Hang[^r]
+			w := h.W()
+			for k := 0; k < int(h.N); k++ {
+				acc[h.Slot[k]] += w * lm[a] / eta
+			}
+		}
 	}
 	sd := la.NewVec(s.nodeL)
-	n1 := s.M.NumOwned
+	n1 := m.NumOwned
 	copy(sd.Data, acc[:n1])
-	s.M.GX.ScatterAdd(acc[n1:], sd.Data)
+	m.GX.ScatterAdd(acc[n1:], sd.Data)
 	for i, v := range sd.Data {
 		if v > 0 {
 			s.schurInv.Data[i] = 1 / v
@@ -1077,16 +1066,15 @@ func (s *Solver) DivergenceNorm(x *la.Vec) float64 {
 	// Gather velocity at referenced nodes.
 	u, _ := s.SplitSolution(x)
 	ub := s.M.GatherSlots(u[0].Data, u[1].Data, u[2].Data)
-	geos := fem.ElemGeoms(s.M)
 	var sum float64
 	for ei, leaf := range s.M.Leaves {
 		// Mid-point shape gradients and element volume: constant-h
-		// scaling on axis-aligned meshes, the cached center Jacobian on
-		// mapped ones.
+		// scaling on axis-aligned meshes, the center Jacobian on mapped
+		// ones.
 		var sg [8][3]float64
 		var vol float64
-		if geos != nil {
-			sg, vol = geos[ei].Gc, geos[ei].DetC
+		if s.M.X != nil {
+			sg, vol = fem.CenterGradients(&s.M.X[ei])
 		} else {
 			h := s.Dom.ElemSize(leaf)
 			vol = h[0] * h[1] * h[2]
@@ -1099,9 +1087,13 @@ func (s *Solver) DivergenceNorm(x *la.Vec) float64 {
 			}
 		}
 		var uc [8][3]float64
-		for c := 0; c < 8; c++ {
+		for c, r := range s.M.Rows[ei] {
 			for d := 0; d < 3; d++ {
-				uc[c][d] = s.M.Corner(ei, c).Value(ub[d])
+				if r >= 0 {
+					uc[c][d] = ub[d][r]
+				} else {
+					uc[c][d] = s.M.Hang[^r].Value(ub[d])
+				}
 			}
 		}
 		// Mid-point divergence.

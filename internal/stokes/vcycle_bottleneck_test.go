@@ -27,7 +27,7 @@ func exactVelocityPrecond(s *Solver, eta []float64) krylov.Operator {
 	m, dom := s.M, s.Dom
 	kern, kidx := fem.UnitStiffnessKernels(m, dom)
 	elemMat := func(ei int, _ [3]float64) [8][8]float64 {
-		K := kern[kidx[ei]]
+		K := kern[kidx[ei]].Full()
 		for a := range K {
 			for b := range K[a] {
 				K[a][b] *= eta[ei]
