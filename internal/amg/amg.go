@@ -119,18 +119,6 @@ func (h *Hierarchy) OperatorComplexity() float64 {
 	return s / float64(h.levels[0].A.NNZ())
 }
 
-// GridComplexity is sum of unknowns over levels divided by fine unknowns.
-func (h *Hierarchy) GridComplexity() float64 {
-	if len(h.levels) == 0 || h.levels[0].A.N == 0 {
-		return 1
-	}
-	var s float64
-	for _, lv := range h.levels {
-		s += float64(lv.A.N)
-	}
-	return s / float64(h.levels[0].A.N)
-}
-
 // LevelSizes returns the unknown count per level.
 func (h *Hierarchy) LevelSizes() []int {
 	out := make([]int, len(h.levels))

@@ -210,9 +210,6 @@ func TestComplexities(t *testing.T) {
 	if oc := h.OperatorComplexity(); oc > 3.5 {
 		t.Errorf("operator complexity %v too high", oc)
 	}
-	if gc := h.GridComplexity(); gc > 2.0 {
-		t.Errorf("grid complexity %v too high", gc)
-	}
 	sizes := h.LevelSizes()
 	for i := 1; i < len(sizes); i++ {
 		if sizes[i] >= sizes[i-1] {

@@ -2,11 +2,11 @@
 // simulation scenarios — the community mantle-convection benchmark of
 // Bunge, Richards & Baumgartner (cases 1–4: layered viscosity,
 // free-slip outer surface, spherical shell with Earth-like radii) plus
-// the repo's own box and shell regression scenarios — together with a
-// uniform runner that produces the Nu/Vrms diagnostics the reference
-// tables and BENCH_bunge.json pin. cmd/rhea (-case), the scenario
-// service (a spec's kind) and the benchmark harness resolve cases from
-// here, so a scenario is defined in exactly one place.
+// the repo's own box and shell regression scenarios — together with
+// Final, the closing solve whose Nu/Vrms row the reference tables and
+// BENCH_bunge.json pin. cmd/rhea (-case), the scenario service (a
+// spec's kind) and the benchmark harness resolve cases from here, so a
+// scenario is defined in exactly one place.
 package bench
 
 import (
@@ -15,7 +15,6 @@ import (
 
 	"rhea/internal/fem"
 	"rhea/internal/rhea"
-	"rhea/internal/sim"
 	"rhea/internal/stokes"
 )
 
@@ -200,13 +199,6 @@ var registry = []Case{
 	},
 }
 
-// Cases returns the registry in its canonical order.
-func Cases() []Case {
-	out := make([]Case, len(registry))
-	copy(out, registry)
-	return out
-}
-
 // Names returns the sorted case names (for error messages and -help).
 func Names() []string {
 	names := make([]string, len(registry))
@@ -225,20 +217,6 @@ func Lookup(name string) (Case, bool) {
 		}
 	}
 	return Case{}, false
-}
-
-// Run executes one case on the given communicator (collective): the
-// pinned cycle schedule of RunCycle rounds (solve, AdaptEvery advection
-// steps, adapt) followed by a final solve, returning the diagnostics the
-// reference tables pin.
-// The run is deterministic per rank count; across rank counts the
-// diagnostics agree to reduction rounding (see bench_test.go).
-func Run(r *sim.Rank, c Case) Result {
-	s := rhea.New(r, c.Config())
-	for i := 0; i < c.Cycles; i++ {
-		s.RunCycle()
-	}
-	return Final(s)
 }
 
 // Final runs the closing Stokes solve of a run and returns the row the

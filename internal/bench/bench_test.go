@@ -27,6 +27,7 @@ import (
 	"strings"
 	"testing"
 
+	"rhea/internal/rhea"
 	"rhea/internal/sim"
 )
 
@@ -81,6 +82,19 @@ func readBungeRecord(t *testing.T) map[string]bungeRecord {
 	return rows
 }
 
+// Run executes one case on the given communicator (collective): the
+// pinned cycle schedule of RunCycle rounds (solve, AdaptEvery advection
+// steps, adapt) followed by a final solve, returning the diagnostics the
+// reference tables pin. The run is deterministic per rank count; across
+// rank counts the diagnostics agree to reduction rounding.
+func Run(r *sim.Rank, c Case) Result {
+	s := rhea.New(r, c.Config())
+	for i := 0; i < c.Cycles; i++ {
+		s.RunCycle()
+	}
+	return Final(s)
+}
+
 // TestBenchCasesPinned runs every registry case on 1, 2 and 4 simulated
 // ranks and checks convergence, the exact global element count, the
 // pinned rank-1 references, cross-rank agreement and, without -short, the
@@ -93,7 +107,7 @@ func TestBenchCasesPinned(t *testing.T) {
 	}
 	var got []bungeRecord
 	mismatch := false
-	for _, c := range Cases() {
+	for _, c := range registry {
 		if testing.Short() && c.Name != "bunge1" && c.Name != "shell" {
 			continue
 		}

@@ -181,14 +181,8 @@ func CenterPoint(X *[8][3]float64) (x [3]float64) {
 	return x
 }
 
-// StiffnessGeom is StiffnessBrick on a mapped element.
-func StiffnessGeom(g *ElemGeom, coef float64) [8][8]float64 {
-	K := stiffnessGeomSym(g, coef)
-	return K.Full()
-}
-
-// stiffnessGeomSym is StiffnessGeom's upper triangle, the only half it
-// integrates.
+// stiffnessGeomSym is StiffnessBrick on a mapped element, packed: the
+// upper triangle, the only half it integrates.
 func stiffnessGeomSym(g *ElemGeom, coef float64) SymKernel {
 	var Q [8]QGeom
 	g.Grads(&Q)

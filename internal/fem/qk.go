@@ -155,23 +155,6 @@ func Q2StiffnessBrick(h [3]float64, coef float64) [27][27]float64 {
 	return K
 }
 
-// Q2MassBrick returns the triquadratic consistent mass matrix scaled
-// by coef.
-func Q2MassBrick(h [3]float64, coef float64) [27][27]float64 {
-	var M [27][27]float64
-	vol := h[0] * h[1] * h[2]
-	for qi := range Quad27 {
-		q := &Quad27[qi]
-		w := coef * q.W * vol
-		for a := 0; a < 27; a++ {
-			for b := 0; b < 27; b++ {
-				M[a][b] += w * q.N[a] * q.N[b]
-			}
-		}
-	}
-	return M
-}
-
 // Q2StokesKernels is the naive dense reference for the Q2-Q1
 // Taylor-Hood element: the 81x81 unit-viscosity viscous block in
 // strain-rate form and the 8x81 divergence coupling against the

@@ -6,6 +6,23 @@ import (
 	"testing"
 )
 
+// Q2MassBrick returns the triquadratic consistent mass matrix scaled
+// by coef.
+func Q2MassBrick(h [3]float64, coef float64) [27][27]float64 {
+	var M [27][27]float64
+	vol := h[0] * h[1] * h[2]
+	for qi := range Quad27 {
+		q := &Quad27[qi]
+		w := coef * q.W * vol
+		for a := 0; a < 27; a++ {
+			for b := 0; b < 27; b++ {
+				M[a][b] += w * q.N[a] * q.N[b]
+			}
+		}
+	}
+	return M
+}
+
 func TestQ2BasisProperties(t *testing.T) {
 	// Kronecker property at the 1-D nodes {0, 1/2, 1}.
 	for i := 0; i < 3; i++ {

@@ -169,15 +169,6 @@ func (f *Forest) Owners(o Octant, dst []int) []int {
 	return dst
 }
 
-// FaceNeighbor returns the same-level neighbor across face fc, following
-// an inter-tree connection when the neighbor leaves the tree. The second
-// return is false at a physical boundary.
-func (f *Forest) FaceNeighbor(o Octant, face int) (Octant, bool) {
-	var d [3]int
-	d[faceNormalAxis[face]] = faceNormalSign[face]
-	return f.Neighbor(o, d)
-}
-
 // Refine replaces marked leaves by their children (local).
 func (f *Forest) Refine(should func(Octant) bool) int {
 	out := make([]Octant, 0, len(f.leaves))
@@ -353,14 +344,4 @@ func FromKeys(r *sim.Rank, conn *Connectivity, trees []int32, keys []uint64) (*F
 	f := &Forest{Conn: conn, rank: r, leaves: leaves}
 	f.updateStarts()
 	return f, nil
-}
-
-// CheckLocalOrder verifies the local sort invariant.
-func (f *Forest) CheckLocalOrder() error {
-	for i := 1; i < len(f.leaves); i++ {
-		if !Less(f.leaves[i-1], f.leaves[i]) {
-			return fmt.Errorf("forest: leaves out of order at %d", i)
-		}
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package forest
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -56,6 +57,24 @@ func TestCubedSphereTopology(t *testing.T) {
 	}
 }
 
+// faceNeighbor is the same-level neighbour across face fc, through
+// Neighbor's inter-tree hops; false at a physical boundary.
+func faceNeighbor(f *Forest, o Octant, fc int) (Octant, bool) {
+	var d [3]int
+	d[faceNormalAxis[fc]] = faceNormalSign[fc]
+	return f.Neighbor(o, d)
+}
+
+// CheckLocalOrder verifies the local sort invariant.
+func (f *Forest) CheckLocalOrder() error {
+	for i := 1; i < len(f.leaves); i++ {
+		if !Less(f.leaves[i-1], f.leaves[i]) {
+			return fmt.Errorf("forest: leaves out of order at %d", i)
+		}
+	}
+	return nil
+}
+
 func TestFaceNeighborRoundTrip(t *testing.T) {
 	conns := map[string]*Connectivity{
 		"brick":   BrickConnectivity(2, 2, 1),
@@ -67,19 +86,16 @@ func TestFaceNeighborRoundTrip(t *testing.T) {
 			f := New(r, c, 2)
 			for _, o := range f.Leaves() {
 				for face := 0; face < 6; face++ {
-					if _, inside := o.O.FaceNeighbor(face); inside {
-						continue // within-tree: covered by morton tests
-					}
-					n, ok := f.FaceNeighbor(o, face)
-					if !ok {
-						continue // boundary
+					n, ok := faceNeighbor(f, o, face)
+					if !ok || n.Tree == o.Tree {
+						continue // boundary, or within the tree
 					}
 					if !n.O.Valid() {
 						t.Fatalf("%s: invalid neighbor %v of %v", name, n, o)
 					}
 					// Crossing back through the neighbor's connecting face
 					// must return the original octant.
-					back, ok2 := f.FaceNeighbor(n, int(c.conns[o.Tree][face].face))
+					back, ok2 := faceNeighbor(f, n, int(c.conns[o.Tree][face].face))
 					if !ok2 || back != o {
 						t.Fatalf("%s: round trip failed: %v -> %v -> %v", name, o, n, back)
 					}
@@ -160,7 +176,7 @@ func TestBalanceAcrossTrees(t *testing.T) {
 			fAll.leaves = g.ls
 			for _, o := range g.ls {
 				for face := 0; face < 6; face++ {
-					n, ok := fAll.FaceNeighbor(o, face)
+					n, ok := faceNeighbor(fAll, o, face)
 					if !ok {
 						continue
 					}
@@ -192,7 +208,7 @@ func TestBalanceOnSphere(t *testing.T) {
 		fAll.leaves = g.ls
 		for _, o := range g.ls {
 			for face := 0; face < 6; face++ {
-				n, ok := fAll.FaceNeighbor(o, face)
+				n, ok := faceNeighbor(fAll, o, face)
 				if !ok {
 					continue
 				}

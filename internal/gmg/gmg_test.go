@@ -136,7 +136,8 @@ func TestCoarseLevelsKeepNoGeometry(t *testing.T) {
 }
 
 // fullStiffness integrates every entry of the mapped element's unit
-// stiffness matrix, both triangles, with fem.StiffnessGeom's arithmetic.
+// stiffness matrix, both triangles, with the arithmetic of the packed
+// kernels fem.UnitStiffnessKernels builds.
 func fullStiffness(g *fem.ElemGeom) (K [8][8]float64) {
 	var Q [8]fem.QGeom
 	g.Grads(&Q)

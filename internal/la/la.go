@@ -299,9 +299,6 @@ func (m *Mat) Assemble() {
 	m.assembled = true
 }
 
-// NNZ returns the local number of stored nonzeros (valid after Assemble).
-func (m *Mat) NNZ() int { return len(m.vals) }
-
 // Apply computes y = A x (collective).
 func (m *Mat) Apply(x, y *Vec) {
 	if !m.assembled {

@@ -1,7 +1,7 @@
 // Package morton implements the space-filling-curve arithmetic that
 // underlies the ALPS/p4est-style linear octree: octant keys, Morton
-// (z-order) encoding, parent/child/neighbor navigation, and the total
-// ordering used to partition octrees across ranks.
+// (z-order) encoding, parent/child navigation, and the total ordering
+// used to partition octrees across ranks.
 //
 // An octant is identified by its anchor corner (the corner closest to
 // the origin) expressed in integer units of the finest admissible level,
@@ -92,15 +92,6 @@ func (o Octant) Child(i int) Octant {
 	return c
 }
 
-// Children returns all eight children in z-order.
-func (o Octant) Children() [8]Octant {
-	var cs [8]Octant
-	for i := 0; i < 8; i++ {
-		cs[i] = o.Child(i)
-	}
-	return cs
-}
-
 // Ancestor returns the octant's ancestor at the given (shallower) level.
 func (o Octant) Ancestor(level uint8) Octant {
 	if level >= o.Level {
@@ -132,19 +123,9 @@ func (o Octant) FirstDescendant(level uint8) Octant {
 	return Octant{o.X, o.Y, o.Z, level}
 }
 
-// LastDescendant returns the last (in Morton order) descendant of o at
-// the given deeper level.
-func (o Octant) LastDescendant(level uint8) Octant {
-	if level <= o.Level {
-		return o
-	}
-	d := o.Len() - uint32(1)<<(MaxLevel-uint32(level))
-	return Octant{o.X + d, o.Y + d, o.Z + d, level}
-}
-
-// Key encodes the octant as a single uint64 that sorts identically to
-// Compare for octants of equal level: the Morton interleave of the anchor
-// bits (57 bits) shifted left over 5 level bits. For mixed levels, an
+// Key encodes the octant as a single uint64 that sorts in curve order
+// (Less): the Morton interleave of the anchor bits (57 bits) shifted
+// left over 5 level bits. For mixed levels, an
 // ancestor and its first descendant share the interleave, and the level
 // field breaks the tie so the ancestor sorts first (pre-order traversal).
 func (o Octant) Key() uint64 {
@@ -190,126 +171,10 @@ func compact(m uint64) uint32 {
 	return uint32(x)
 }
 
-// Compare orders octants along the Morton curve, with ancestors preceding
-// descendants (pre-order traversal of the octree). It returns -1, 0, or 1.
-func Compare(a, b Octant) int {
-	ka, kb := a.Key(), b.Key()
-	switch {
-	case ka < kb:
-		return -1
-	case ka > kb:
-		return 1
-	default:
-		return 0
-	}
-}
-
 // Less reports whether a precedes b along the space-filling curve.
 func Less(a, b Octant) bool { return a.Key() < b.Key() }
-
-// Face numbering follows the convention -x,+x,-y,+y,-z,+z = 0..5.
-
-// faceDir gives the anchor displacement direction for each face.
-var faceDir = [6][3]int64{
-	{-1, 0, 0}, {1, 0, 0},
-	{0, -1, 0}, {0, 1, 0},
-	{0, 0, -1}, {0, 0, 1},
-}
-
-// FaceNeighbor returns the same-level neighbor across face f and whether
-// it lies inside the root domain.
-func (o Octant) FaceNeighbor(f int) (Octant, bool) {
-	return o.shift(faceDir[f][0], faceDir[f][1], faceDir[f][2])
-}
-
-// edgeDir lists the 12 edge-neighbor displacement directions, indexed by
-// the standard hexahedral edge numbering: edges 0-3 are parallel to x,
-// 4-7 parallel to y, 8-11 parallel to z.
-var edgeDir = [12][3]int64{
-	{0, -1, -1}, {0, 1, -1}, {0, -1, 1}, {0, 1, 1},
-	{-1, 0, -1}, {1, 0, -1}, {-1, 0, 1}, {1, 0, 1},
-	{-1, -1, 0}, {1, -1, 0}, {-1, 1, 0}, {1, 1, 0},
-}
-
-// EdgeNeighbor returns the same-level neighbor across edge e and whether
-// it lies inside the root domain.
-func (o Octant) EdgeNeighbor(e int) (Octant, bool) {
-	return o.shift(edgeDir[e][0], edgeDir[e][1], edgeDir[e][2])
-}
-
-// CornerNeighbor returns the same-level neighbor across corner c
-// (z-order corner numbering) and whether it lies inside the root domain.
-func (o Octant) CornerNeighbor(c int) (Octant, bool) {
-	dx, dy, dz := int64(-1), int64(-1), int64(-1)
-	if c&1 != 0 {
-		dx = 1
-	}
-	if c&2 != 0 {
-		dy = 1
-	}
-	if c&4 != 0 {
-		dz = 1
-	}
-	return o.shift(dx, dy, dz)
-}
-
-// shift displaces the octant by (dx,dy,dz) octant edge lengths, reporting
-// whether the result stays within the root domain.
-func (o Octant) shift(dx, dy, dz int64) (Octant, bool) {
-	l := int64(o.Len())
-	nx := int64(o.X) + dx*l
-	ny := int64(o.Y) + dy*l
-	nz := int64(o.Z) + dz*l
-	if nx < 0 || ny < 0 || nz < 0 || nx >= RootLen || ny >= RootLen || nz >= RootLen {
-		return Octant{}, false
-	}
-	return Octant{uint32(nx), uint32(ny), uint32(nz), o.Level}, true
-}
-
-// AllNeighbors appends to dst every same-level face, edge, and corner
-// neighbor of o that lies inside the root domain and returns dst. The
-// result has up to 26 entries.
-func (o Octant) AllNeighbors(dst []Octant) []Octant {
-	for dz := int64(-1); dz <= 1; dz++ {
-		for dy := int64(-1); dy <= 1; dy++ {
-			for dx := int64(-1); dx <= 1; dx++ {
-				if dx == 0 && dy == 0 && dz == 0 {
-					continue
-				}
-				if n, ok := o.shift(dx, dy, dz); ok {
-					dst = append(dst, n)
-				}
-			}
-		}
-	}
-	return dst
-}
-
-// ContainingOctant returns the octant at the given level that contains
-// the point (x,y,z) expressed in finest-level units.
-func ContainingOctant(x, y, z uint32, level uint8) Octant {
-	mask := ^(uint32(1)<<(MaxLevel-uint32(level)) - 1)
-	return Octant{x & mask, y & mask, z & mask, level}
-}
 
 // String implements fmt.Stringer.
 func (o Octant) String() string {
 	return fmt.Sprintf("oct(l=%d %d,%d,%d)", o.Level, o.X, o.Y, o.Z)
-}
-
-// NearestCommonAncestor returns the deepest octant containing both a and b.
-func NearestCommonAncestor(a, b Octant) Octant {
-	maxl := a.Level
-	if b.Level < maxl {
-		maxl = b.Level
-	}
-	for l := maxl; ; l-- {
-		aa, ba := a.Ancestor(l), b.Ancestor(l)
-		if aa == ba {
-			return aa
-		}
-		if l == 0 {
-			return Root()
-		}
-	}
 }

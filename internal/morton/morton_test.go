@@ -91,11 +91,6 @@ func TestPreOrderProperty(t *testing.T) {
 			}
 			prev = c
 		}
-		// Last descendant of o precedes o's successor at the same level.
-		last := o.LastDescendant(MaxLevel)
-		if !o.ContainsOrEqual(last) {
-			t.Fatalf("last descendant %v not inside %v", last, o)
-		}
 	}
 }
 
@@ -125,64 +120,6 @@ func TestSortMatchesTraversal(t *testing.T) {
 	}
 }
 
-func TestFaceNeighbor(t *testing.T) {
-	o := Octant{0, 0, 0, 2}
-	if _, ok := o.FaceNeighbor(0); ok {
-		t.Fatal("-x neighbor of domain corner must be outside")
-	}
-	n, ok := o.FaceNeighbor(1)
-	if !ok || n.X != o.Len() || n.Y != 0 || n.Z != 0 || n.Level != 2 {
-		t.Fatalf("+x neighbor = %v, ok=%v", n, ok)
-	}
-	// Neighbor relation is symmetric: +x then -x returns the original.
-	back, ok := n.FaceNeighbor(0)
-	if !ok || back != o {
-		t.Fatalf("neighbor round trip failed: %v", back)
-	}
-}
-
-func TestNeighborSymmetry(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	opposite := [6]int{1, 0, 3, 2, 5, 4}
-	for iter := 0; iter < 1000; iter++ {
-		o := randOctant(r, 10)
-		for f := 0; f < 6; f++ {
-			n, ok := o.FaceNeighbor(f)
-			if !ok {
-				continue
-			}
-			back, ok2 := n.FaceNeighbor(opposite[f])
-			if !ok2 || back != o {
-				t.Fatalf("face %d symmetry broken for %v", f, o)
-			}
-		}
-	}
-}
-
-func TestAllNeighborsCount(t *testing.T) {
-	// Interior octant has exactly 26 neighbors.
-	o := Octant{RootLen / 2, RootLen / 2, RootLen / 2, 4}
-	ns := o.AllNeighbors(nil)
-	if len(ns) != 26 {
-		t.Fatalf("interior octant has %d neighbors, want 26", len(ns))
-	}
-	seen := map[Octant]bool{}
-	for _, n := range ns {
-		if seen[n] {
-			t.Fatalf("duplicate neighbor %v", n)
-		}
-		seen[n] = true
-		if !n.Valid() {
-			t.Fatalf("invalid neighbor %v", n)
-		}
-	}
-	// Domain corner has exactly 7.
-	c := Octant{0, 0, 0, 4}
-	if got := len(c.AllNeighbors(nil)); got != 7 {
-		t.Fatalf("corner octant has %d neighbors, want 7", got)
-	}
-}
-
 func TestAncestor(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for iter := 0; iter < 1000; iter++ {
@@ -207,59 +144,27 @@ func TestAncestor(t *testing.T) {
 func TestFirstLastDescendant(t *testing.T) {
 	o := Octant{0, 0, 0, 1}
 	fd := o.FirstDescendant(3)
-	if fd.X != 0 || fd.Level != 3 {
+	if fd != o.Child(0).Child(0) {
 		t.Fatalf("first descendant %v", fd)
 	}
-	ld := o.LastDescendant(3)
+	// The last level-3 descendant, its last child's last child, sits one
+	// level-3 edge short of o's far corner.
+	ld := o.Child(7).Child(7)
 	want := o.Len() - uint32(1)<<(MaxLevel-3)
 	if ld.X != want || ld.Y != want || ld.Z != want {
 		t.Fatalf("last descendant %v, want anchor %d", ld, want)
 	}
-	if !o.IsAncestorOf(ld) {
-		t.Fatal("last descendant must be inside octant")
+	if !o.IsAncestorOf(ld) || !Less(fd, ld) {
+		t.Fatal("last descendant must be inside the octant and after the first")
 	}
 }
 
-func TestNearestCommonAncestor(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	for iter := 0; iter < 500; iter++ {
-		o := randOctant(r, 10)
-		a, b := o.Child(0).Child(3), o.Child(7)
-		if o.Level+2 > MaxLevel {
-			continue
-		}
-		nca := NearestCommonAncestor(a, b)
-		if nca != o {
-			t.Fatalf("NCA(%v,%v) = %v, want %v", a, b, nca, o)
-		}
-	}
-	// NCA of an octant with itself is itself.
-	o := Octant{0, 0, 0, 5}
-	if NearestCommonAncestor(o, o) != o {
-		t.Fatal("NCA(o,o) != o")
-	}
-}
-
+// The level-l octant containing a finest-level point is the point's
+// ancestor at level l.
 func TestContainingOctant(t *testing.T) {
-	o := ContainingOctant(RootLen-1, 0, 0, 1)
+	o := Octant{RootLen - 1, 0, 0, MaxLevel}.Ancestor(1)
 	if o.X != RootLen/2 || o.Y != 0 || o.Level != 1 {
 		t.Fatalf("containing octant %v", o)
-	}
-}
-
-func TestCornerEdgeNeighbors(t *testing.T) {
-	o := Octant{RootLen / 2, RootLen / 2, RootLen / 2, 3}
-	n, ok := o.CornerNeighbor(0)
-	if !ok {
-		t.Fatal("corner neighbor 0 must exist for interior octant")
-	}
-	if n.X != o.X-o.Len() || n.Y != o.Y-o.Len() || n.Z != o.Z-o.Len() {
-		t.Fatalf("corner neighbor %v", n)
-	}
-	for e := 0; e < 12; e++ {
-		if _, ok := o.EdgeNeighbor(e); !ok {
-			t.Fatalf("edge neighbor %d must exist for interior octant", e)
-		}
 	}
 }
 

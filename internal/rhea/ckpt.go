@@ -55,7 +55,9 @@ func (c Config) Fingerprint() uint64 {
 	}
 	w(uint32(ckpt.Version))
 	w(c.Dom.Box[0], c.Dom.Box[1], c.Dom.Box[2])
-	w(c.Ra, c.InternalHeat, c.ViscMin, c.ViscMax)
+	// 0.0 fills the slot of the retired internal-heating rate, which was
+	// always zero, so existing fingerprints and snapshots still match.
+	w(c.Ra, 0.0, c.ViscMin, c.ViscMax)
 	w(b(c.Shell), c.RInner, c.ROuter)
 	w(c.BaseLevel, c.MinLevel, c.MaxLevel, c.TargetElems)
 	w(int64(c.AdaptEvery), c.CFL, int64(c.Picard))

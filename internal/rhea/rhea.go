@@ -3,7 +3,7 @@
 //
 //	div u = 0
 //	grad p - div( eta(T,u) (grad u + grad u^T) ) = Ra T e_z
-//	dT/dt + u . grad T - Laplace T = gamma
+//	dT/dt + u . grad T - Laplace T = 0
 //
 // solved by operator splitting — an explicit SUPG advection–diffusion
 // step for the temperature followed by a variable-viscosity Stokes solve
@@ -94,22 +94,20 @@ func YieldingLaw(sigmaY float64) ViscosityLaw {
 
 // Config sets up a simulation.
 type Config struct {
-	Dom          fem.Domain
-	Ra           float64 // Rayleigh number
-	InternalHeat float64 // gamma
-	InitialTemp  func(x [3]float64) float64
-	Visc         ViscosityLaw
-	ViscMin      float64 // clamp (default 1e-6)
-	ViscMax      float64 // clamp (default 1e6)
+	Dom         fem.Domain
+	Ra          float64 // Rayleigh number
+	InitialTemp func(x [3]float64) float64
+	Visc        ViscosityLaw
+	ViscMin     float64 // clamp (default 1e-6)
+	ViscMax     float64 // clamp (default 1e6)
 
 	// Conn switches the simulation from the axis-aligned unit box (nil:
 	// a one-tree forest scaled by Dom, no node mapping) onto a multi-tree
 	// forest with mapped element geometry: brick macro meshes, or the
-	// paper's 24-tree cubed-sphere shell. Geom supplies the node mapping
-	// (defaults to the trilinear tree map, or the shell projection when
-	// Shell is set).
+	// paper's 24-tree cubed-sphere shell. The node mapping is the
+	// trilinear tree map, or the shell projection when Shell is set
+	// (Config.geom).
 	Conn *forest.Connectivity
-	Geom mesh.Geometry
 	// Shell selects spherical-shell physics on a cubed-sphere forest:
 	// radial gravity Ra*T*r_hat, radius-based depth for the viscosity
 	// law, T=1 on the inner and T=0 on the outer boundary, and no-slip
@@ -193,9 +191,6 @@ func (c Config) withDefaults() Config {
 		if c.Conn == nil {
 			c.Conn = forest.CubedSphere(2)
 		}
-		if c.Geom == nil {
-			c.Geom = mesh.ShellGeometry{Conn: c.Conn, RInner: c.RInner, ROuter: c.ROuter}
-		}
 		switch c.ShellSlip {
 		case "", "top", "both":
 		default:
@@ -219,9 +214,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ShellSlip != "" && !c.Shell {
 		panic("rhea: Config.ShellSlip needs Shell (use SlipBC for custom mapped domains)")
-	}
-	if c.Conn != nil && c.Geom == nil {
-		c.Geom = mesh.TrilinearGeometry{Conn: c.Conn}
 	}
 	if c.Conn == nil && c.Dom.Box == [3]float64{} {
 		// A zero-size box makes every element Jacobian singular and the
@@ -310,6 +302,19 @@ func (c Config) conn() *forest.Connectivity {
 		return c.Conn
 	}
 	return forest.BrickConnectivity(1, 1, 1)
+}
+
+// geom is the node mapping of a defaulted config's mesh: the shell
+// projection, the trilinear tree map of a multi-tree forest, or nil for
+// the axis-aligned unit box.
+func (c Config) geom() mesh.Geometry {
+	switch {
+	case c.Shell:
+		return mesh.ShellGeometry{Conn: c.Conn, RInner: c.RInner, ROuter: c.ROuter}
+	case c.Conn != nil:
+		return mesh.TrilinearGeometry{Conn: c.Conn}
+	}
+	return nil
 }
 
 // Timings is the per-function wall-clock breakdown of the paper's Figure
@@ -420,7 +425,7 @@ func New(r *sim.Rank, cfg Config) *Sim {
 // (collective).
 func (s *Sim) extract() {
 	t0 := time.Now()
-	m := mesh.Extract(s.Forest, s.Cfg.Geom)
+	m := mesh.Extract(s.Forest, s.Cfg.geom())
 	s.Times.ExtractMesh += time.Since(t0).Seconds()
 	s.setMesh(m)
 }
@@ -679,13 +684,8 @@ func (s *Sim) LastMinres() krylov.Result {
 func (s *Sim) AdvectSteps(n int) float64 {
 	t0 := time.Now()
 	if s.adv == nil {
-		var src func(x [3]float64) float64
-		if s.Cfg.InternalHeat != 0 {
-			g := s.Cfg.InternalHeat
-			src = func(_ [3]float64) float64 { return g }
-		}
 		vel := make([][8][3]float64, len(s.Mesh.Leaves))
-		s.adv = advect.New(s.Mesh, s.Cfg.Dom, 1 /* nondimensional kappa */, vel, src, s.TempBC())
+		s.adv = advect.New(s.Mesh, s.Cfg.Dom, 1 /* nondimensional kappa */, vel, nil, s.TempBC())
 	}
 	p := s.adv
 	s.elemVelocity(p.Vel)

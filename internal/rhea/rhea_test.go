@@ -266,7 +266,7 @@ func TestBoxRunsOnForest(t *testing.T) {
 		if s.Forest == nil || s.Forest.Conn.NumTrees() != 1 {
 			t.Fatalf("box Sim has no one-tree forest: %+v", s.Forest)
 		}
-		if s.Cfg.Conn != nil || s.Cfg.Geom != nil || s.Mesh.Geom != nil || s.Mesh.X != nil {
+		if s.Cfg.Conn != nil || s.Cfg.geom() != nil || s.Mesh.Geom != nil || s.Mesh.X != nil {
 			t.Error("box mesh carries a node mapping; axis-aligned kernels would be lost")
 		}
 		if s.Mesh.Conn != s.Forest.Conn || len(s.Mesh.Trees) != len(s.Mesh.Leaves) ||

@@ -92,15 +92,14 @@ func TestStatsTransportSplit(t *testing.T) {
 	}
 }
 
-// reduceOnce runs one P-rank Allreduce/AllreduceVec/ExScanFloat over a
-// fixed set of adversarial values and returns rank 0's results.
-func reduceOnce(p int, vals []float64) (sum, vec0, vec1, scan float64) {
+// reduceOnce runs one P-rank Allreduce/AllreduceVec over a fixed set of
+// adversarial values and returns rank 0's results.
+func reduceOnce(p int, vals []float64) (sum, vec0, vec1 float64) {
 	Run(p, func(r *Rank) {
 		s := r.Allreduce(vals[r.ID()], OpSum)
 		v := r.AllreduceVec([]float64{vals[r.ID()], vals[(r.ID()+1)%p]})
-		e := r.ExScanFloat(vals[r.ID()])
 		if r.ID() == p-1 {
-			sum, vec0, vec1, scan = s, v[0], v[1], e
+			sum, vec0, vec1 = s, v[0], v[1]
 		}
 	})
 	return
@@ -118,19 +117,17 @@ func TestAllreduceBitIdentical(t *testing.T) {
 	for i := range vals {
 		vals[i] = math.Ldexp(rng.Float64()-0.5, rng.Intn(60)-30)
 	}
-	s0, v00, v10, e0 := reduceOnce(p, vals)
+	s0, v00, v10 := reduceOnce(p, vals)
 	for trial := 1; trial < 30; trial++ {
 		runtime.GOMAXPROCS(1 + trial%4) // vary scheduling pressure
-		s, v0, v1, e := reduceOnce(p, vals)
+		s, v0, v1 := reduceOnce(p, vals)
 		if math.Float64bits(s) != math.Float64bits(s0) ||
 			math.Float64bits(v0) != math.Float64bits(v00) ||
-			math.Float64bits(v1) != math.Float64bits(v10) ||
-			math.Float64bits(e) != math.Float64bits(e0) {
-			t.Fatalf("trial %d: reduction not bit-identical: sum %x vs %x, vec %x/%x vs %x/%x, scan %x vs %x",
+			math.Float64bits(v1) != math.Float64bits(v10) {
+			t.Fatalf("trial %d: reduction not bit-identical: sum %x vs %x, vec %x/%x vs %x/%x",
 				trial, math.Float64bits(s), math.Float64bits(s0),
 				math.Float64bits(v0), math.Float64bits(v1),
-				math.Float64bits(v00), math.Float64bits(v10),
-				math.Float64bits(e), math.Float64bits(e0))
+				math.Float64bits(v00), math.Float64bits(v10))
 		}
 	}
 	// The fold order is rank order, so the result equals the serial left

@@ -6,10 +6,9 @@
 // per-rank message and byte counts are recorded for the performance model.
 //
 // The programming model is SPMD: World.Run launches P rank functions that
-// communicate through point-to-point Send/Recv with (source, tag)
-// matching, and through collectives (Barrier, Allgather, Allreduce,
-// ExScan, Bcast, AlltoallvSparse, NeighborExchange) that every rank must
-// call in the same order.
+// communicate through collectives (Barrier, Allgather, Allreduce, ExScan,
+// Bcast, AlltoallvSparse, NeighborExchange) that every rank must call in
+// the same order; messages are matched by (source, tag).
 //
 // Communicator subsets: Subset derives a communicator spanning a subset
 // of an existing communicator's ranks (the analogue of MPI_Comm_create).
@@ -519,8 +518,9 @@ func (r *Rank) Subset(members []int) *Comm {
 // method of Rank it belongs to the rank's own goroutine.
 func (r *Rank) Stats() Stats { return r.world.stats[r.wid] }
 
-// ceilLog2 returns ceil(log2(p)) for p >= 1.
-func ceilLog2(p int) int {
+// CeilLog2 returns ceil(log2(p)) for p >= 1: the rounds of a tree
+// collective, which tests assert per-rank collective rounds against.
+func CeilLog2(p int) int {
 	d := 0
 	for n := 1; n < p; n <<= 1 {
 		d++
@@ -528,26 +528,11 @@ func ceilLog2(p int) int {
 	return d
 }
 
-// CeilLog2 exposes the collective tree depth ceil(log2(p)); tests assert
-// per-rank collective rounds against it.
-func CeilLog2(p int) int { return ceilLog2(p) }
-
 // Tags at or above collTagBase are reserved for collective transport.
 // Each communicator's collective tags live at tagBase<<33 + collTagBase +
 // seq, so distinct communicators draw from disjoint ranges and user tags
 // (which must stay below collTagBase) can never collide with them.
 const collTagBase = 1 << 24
-
-// Send delivers data to rank `to` of this communicator with the given
-// tag. nbytes is the modeled wire size of the payload, recorded in
-// Stats. Send never blocks.
-func (r *Rank) Send(to, tag int, data any, nbytes int) {
-	if tag >= collTagBase {
-		panic("sim: user tag collides with collective tag space")
-	}
-	r.enterOp(opSend, "Send")
-	r.sendUser(to, tag, data, int64(nbytes))
-}
 
 // transport stamps m with the sender's rank in this communicator,
 // delivers it and records it; coll selects the collective-tree vs user
@@ -571,10 +556,6 @@ func (r *Rank) transport(to int, m message, nbytes int64, coll bool) {
 	}
 }
 
-func (r *Rank) sendUser(to, tag int, data any, nbytes int64) {
-	r.transport(to, message{tag: tag, data: data}, nbytes, false)
-}
-
 func (r *Rank) sendColl(to, tag int, data any, nbytes int64) {
 	r.transport(to, message{tag: tag, data: data}, nbytes, true)
 }
@@ -584,10 +565,6 @@ func (r *Rank) sendColl(to, tag int, data any, nbytes int64) {
 func (r *Rank) recv(from, tag int) message {
 	return r.world.boxes[r.wid].take(r.worldOf(from), from, tag)
 }
-
-// Recv blocks until a message from rank `from` of this communicator with
-// the given tag arrives and returns its payload.
-func (r *Rank) Recv(from, tag int) any { return r.recv(from, tag).data }
 
 func (r *Rank) recvColl(from, tag int) any { return r.recv(from, tag).data }
 
@@ -944,20 +921,6 @@ func (r *Rank) ExScan(v int64) int64 {
 	return run
 }
 
-// ExScanFloat returns the exclusive prefix sum of v across ranks for
-// float64 values (0 on rank 0); the fold runs in rank order, so results
-// are bit-identical across runs.
-func (r *Rank) ExScanFloat(v float64) float64 {
-	tag := r.collTag("ExScanFloat")
-	r.countCollective(8)
-	all := r.bruckAllgather(tag, v, 8)
-	var run float64
-	for i := 0; i < r.id; i++ {
-		run += all[i].(float64)
-	}
-	return run
-}
-
 // AllreduceError agrees on the outcome of a per-rank fallible operation
 // (collective). Every rank passes its local error (nil on success); the
 // call returns nil on every rank iff every rank passed nil, and
@@ -993,44 +956,6 @@ func (r *Rank) Bcast(root int, data any, nbytes int) any {
 	tag := r.collTag("Bcast")
 	r.countCollective(int64(nbytes))
 	return r.bcastTree(root, tag, data, int64(nbytes))
-}
-
-// Alltoall exchanges one payload between every pair of ranks: out[j] is
-// sent to rank j, and the returned slice holds in[i] received from rank i.
-// nbytes[j] is the modeled size of out[j]. out[r.ID()] is returned in
-// place without transport.
-//
-// This is the dense O(P) messages-per-rank exchange; production call
-// sites use AlltoallvSparse or NeighborExchange instead, which only touch
-// actual communication partners. Alltoall remains as the reference dense
-// pattern (and as the baseline the sparse-exchange tests compare message
-// counts against).
-func (r *Rank) Alltoall(out []any, nbytes []int) []any {
-	if len(out) != r.Size() {
-		panic("sim: Alltoall payload count != communicator size")
-	}
-	tag := r.collTag("Alltoall")
-	var total int64
-	for j, d := range out {
-		if j == r.id {
-			continue
-		}
-		nb := int64(0)
-		if nbytes != nil {
-			nb = int64(nbytes[j])
-		}
-		total += nb
-		r.sendColl(j, tag, d, nb)
-	}
-	r.countCollective(total)
-	in := make([]any, r.Size())
-	in[r.id] = out[r.id]
-	for i := 0; i < r.Size(); i++ {
-		if i != r.id {
-			in[i] = r.recvColl(i, tag)
-		}
-	}
-	return in
 }
 
 // AlltoallvSparse exchanges payloads with only the ranks actually

@@ -111,7 +111,7 @@ func TestOversubscribedWorldParks(t *testing.T) {
 		all[i] = i
 	}
 	polls, parks := waitCounts(w, all...)
-	receives := p * calls * ceilLog2(p)
+	receives := p * calls * CeilLog2(p)
 	t.Logf("%d ranks on 2 cores, %d Allreduces: %d receives, %d polls, %d parks", p, calls, receives, polls, parks)
 	if polls*10 > receives {
 		t.Errorf("%d polls in %d receives: an oversubscribed world must park, not poll", polls, receives)

@@ -542,10 +542,6 @@ func (s *Solver) projectNull(v *la.Vec) {
 	}
 }
 
-// NullDim reports the dimension of the projected-out velocity null space
-// (3 for an all-free-slip shell, 0 otherwise).
-func (s *Solver) NullDim() int { return len(s.null) }
-
 // finishSetup builds the order-independent tail of Setup: the Schur
 // diagonal's vector (always on the Q1 vertex space, where the
 // Taylor-Hood pressure also lives), filled by every Update.
@@ -1057,54 +1053,4 @@ func (s *Solver) SplitSolution(x *la.Vec) (u [3]*la.Vec, p *la.Vec) {
 		p.Data[i] = x.Data[4*i+3]
 	}
 	return
-}
-
-// DivergenceNorm returns the global L2 norm of the discrete divergence
-// residual B u (pressure rows of A x without stabilization and pressure
-// coupling give an indication; here we recompute element-wise).
-func (s *Solver) DivergenceNorm(x *la.Vec) float64 {
-	// Gather velocity at referenced nodes.
-	u, _ := s.SplitSolution(x)
-	ub := s.M.GatherSlots(u[0].Data, u[1].Data, u[2].Data)
-	var sum float64
-	for ei, leaf := range s.M.Leaves {
-		// Mid-point shape gradients and element volume: constant-h
-		// scaling on axis-aligned meshes, the center Jacobian on mapped
-		// ones.
-		var sg [8][3]float64
-		var vol float64
-		if s.M.X != nil {
-			sg, vol = fem.CenterGradients(&s.M.X[ei])
-		} else {
-			h := s.Dom.ElemSize(leaf)
-			vol = h[0] * h[1] * h[2]
-			xi := [3]float64{0.5, 0.5, 0.5}
-			for c := 0; c < 8; c++ {
-				g := fem.ShapeGrad(c, xi)
-				for d := 0; d < 3; d++ {
-					sg[c][d] = g[d] / h[d]
-				}
-			}
-		}
-		var uc [8][3]float64
-		for c, r := range s.M.Rows[ei] {
-			for d := 0; d < 3; d++ {
-				if r >= 0 {
-					uc[c][d] = ub[d][r]
-				} else {
-					uc[c][d] = s.M.Hang[^r].Value(ub[d])
-				}
-			}
-		}
-		// Mid-point divergence.
-		var div float64
-		for c := 0; c < 8; c++ {
-			for d := 0; d < 3; d++ {
-				div += uc[c][d] * sg[c][d]
-			}
-		}
-		sum += div * div * vol
-	}
-	total := s.M.Rank.Allreduce(sum, sim.OpSum)
-	return math.Sqrt(total)
 }
