@@ -49,17 +49,19 @@ func main() {
 		f := forest.New(r, conn, 2)
 		m := mesh.Extract(f, geom)
 		var T *la.Vec
-		adapt := func() rhea.AdaptStats {
+		// adapt marks by T's variation and adapts the mesh to it, carrying
+		// fields.
+		adapt := func(fields []*la.Vec) ([]*la.Vec, rhea.AdaptStats) {
 			marks := errind.MarkElements(f, errind.Variation(m, T), target, opts)
-			nm, fields, st := rhea.AdaptFields(f, m, []*la.Vec{T}, marks, &tm)
-			m, T = nm, fields[0]
-			return st
+			nm, out, st := rhea.AdaptFields(f, m, fields, marks, &tm)
+			m = nm
+			return out, st
 		}
 		// Sample the front, adapt to it, and sample it again on the
-		// adapted mesh: twice.
+		// adapted mesh: twice. The samples replace T, so it is not carried.
 		for i := 0; i < 3; i++ {
 			if i > 0 {
-				adapt()
+				adapt(nil)
 			}
 			T = la.NewVec(m.Layout())
 			for j := range T.Data {
@@ -78,7 +80,8 @@ func main() {
 			for s := 0; s < steps; s++ {
 				p.Step(T, dt)
 			}
-			st := adapt()
+			out, st := adapt([]*la.Vec{T})
+			T = out[0]
 			// Where does the front live now? Count the elements with a
 			// corner above 0.5, per tree.
 			vals := m.GatherSlots(T.Data)[0]

@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"fmt"
 	"testing"
 
 	"rhea/internal/forest"
@@ -8,9 +9,9 @@ import (
 	"rhea/internal/sim"
 )
 
-// frontForest builds, on one rank, a balanced forest refined from base to
-// max towards a tilted plane through every tree: the sharp-front meshes
-// the adaptive workloads extract every cycle.
+// frontForest builds a balanced forest refined from base to max towards
+// a tilted plane through every tree: the sharp-front meshes the adaptive
+// workloads extract every cycle (collective).
 func frontForest(r *sim.Rank, c *forest.Connectivity, base, max uint8) *forest.Forest {
 	front := func(x, y, z uint32) int64 { return 4*int64(x) + 2*int64(y) + int64(z) - 3*morton.RootLen }
 	f := forest.New(r, c, base)
@@ -24,8 +25,11 @@ func frontForest(r *sim.Rank, c *forest.Connectivity, base, max uint8) *forest.F
 	return f
 }
 
-// BenchmarkExtract times Extract on one rank on the box-amr-like adapted
-// level-3..6 box and on the adapted 24-tree shell.
+// BenchmarkExtract times Extract on the box-amr-like adapted level-3..6
+// box and on the adapted 24-tree shell, at one rank ("box", "shell") and
+// at two ("box-2ranks", "shell-2ranks"), where the ghost layer and the
+// numbering handshake have work to do. ns/leaf is per global leaf: the
+// wall time of one collective extraction over the whole forest.
 func BenchmarkExtract(b *testing.B) {
 	shell := forest.CubedSphere(2)
 	for _, bc := range []struct {
@@ -37,17 +41,30 @@ func BenchmarkExtract(b *testing.B) {
 		{"box", unitBox, nil, 3, 6},
 		{"shell", shell, NewShellGeometry(shell), 1, 4},
 	} {
-		b.Run(bc.name, func(b *testing.B) {
-			sim.Run(1, func(r *sim.Rank) {
-				f := frontForest(r, bc.conn, bc.base, bc.max)
-				var m *Mesh
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					m = Extract(f, bc.geom)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(m.Leaves)), "ns/leaf")
-				b.ReportMetric(float64(len(m.Leaves)), "leaves")
+		for _, p := range []int{1, 2} {
+			name := bc.name
+			if p > 1 {
+				name = fmt.Sprintf("%s-%dranks", bc.name, p)
+			}
+			b.Run(name, func(b *testing.B) {
+				sim.Run(p, func(r *sim.Rank) {
+					f := frontForest(r, bc.conn, bc.base, bc.max)
+					f.Partition()
+					n := f.NumGlobal()
+					r.Barrier()
+					if r.ID() == 0 {
+						b.ResetTimer()
+					}
+					for i := 0; i < b.N; i++ {
+						Extract(f, bc.geom)
+					}
+					r.Barrier()
+					if r.ID() == 0 {
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*n), "ns/leaf")
+						b.ReportMetric(float64(n), "leaves")
+					}
+				})
 			})
-		})
+		}
 	}
 }

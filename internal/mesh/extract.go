@@ -246,7 +246,8 @@ func Extract(f *forest.Forest, g Geometry) *Mesh {
 	}
 	m.Hang = append([]Hang(nil), hang...) // exact length: the table stays resident
 
-	var owned, slot []int32
+	var owned []canonKey
+	var slot []int32
 	m.layout, owned, slot, m.GX = numberNodes(r, nodes, need)
 	m.NumOwned = len(owned)
 	m.Offset, m.NGlobal = m.layout.Start(), m.layout.N()
@@ -254,8 +255,8 @@ func Extract(f *forest.Forest, g Geometry) *Mesh {
 	m.OwnedTree = make([]int32, m.NumOwned)
 	m.OwnedCell = make([]forest.Octant, m.NumOwned)
 	m.OwnedCellPos = make([][3]uint32, m.NumOwned)
-	for li, i := range owned {
-		info := &nodes[need[i]]
+	for li, k := range owned {
+		info := &nodes[need[k.need]]
 		m.OwnedPos[li] = info.canon.Pos
 		m.OwnedTree[li] = info.canon.Tree
 		m.OwnedCell[li] = info.cell
@@ -296,6 +297,23 @@ func Extract(f *forest.Forest, g Geometry) *Mesh {
 	return m
 }
 
+// canonKey is a node's canonical representation packed for sorting,
+// (tree, position key), with the need index it stands for.
+type canonKey struct {
+	tree int32
+	need int32
+	pos  uint64
+}
+
+// cmpCanon orders canonKeys tree-major, then by position key. Distinct
+// nodes have distinct canonical representations, so it has no ties.
+func cmpCanon(a, b canonKey) int {
+	if a.tree != b.tree {
+		return cmp.Compare(a.tree, b.tree)
+	}
+	return cmp.Compare(a.pos, b.pos)
+}
+
 // numberNodes numbers the nodes a rank references and builds its ghost
 // plan (collective). need lists them as indices into nodes, each with its
 // canonical position and owner. The owned ones are numbered by canonical
@@ -307,31 +325,26 @@ func Extract(f *forest.Forest, g Geometry) *Mesh {
 // told the ids of, per owner, are the slots it will request, and the nodes
 // it looked up for an asker are the ones it will serve, in the order asked
 // — la.NewGhostExchange would negotiate the same tables. It returns the
-// node layout, the owned need indices in slot order, the slot of every
+// node layout, the owned nodes' keys in slot order, the slot of every
 // need index and the plan.
-func numberNodes(r *sim.Rank, nodes []nodeInfo, need []int32) (*la.Layout, []int32, []int32, *la.GhostExchange) {
+func numberNodes(r *sim.Rank, nodes []nodeInfo, need []int32) (*la.Layout, []canonKey, []int32, *la.GhostExchange) {
 	me := int32(r.ID())
-	byCanon := func(a, b *forest.NodePos) int {
-		if a.Tree != b.Tree {
-			return cmp.Compare(a.Tree, b.Tree)
-		}
-		return cmp.Compare(posKey(a.Pos), posKey(b.Pos))
-	}
-	byNeed := func(i, j int32) int { return byCanon(&nodes[need[i]].canon, &nodes[need[j]].canon) }
-	var owned []int32                // need indices
-	ask := make([][]int32, r.Size()) // need indices, per owner
+	var owned []canonKey                // in slot order once sorted
+	ask := make([][]canonKey, r.Size()) // per owner
 	for i, ni := range need {
-		if o := nodes[ni].owner; o == me {
-			owned = append(owned, int32(i))
+		n := &nodes[ni]
+		k := canonKey{tree: n.canon.Tree, need: int32(i), pos: posKey(n.canon.Pos)}
+		if n.owner == me {
+			owned = append(owned, k)
 		} else {
-			ask[o] = append(ask[o], int32(i))
+			ask[n.owner] = append(ask[n.owner], k)
 		}
 	}
-	slices.SortFunc(owned, byNeed)
+	slices.SortFunc(owned, cmpCanon)
 	layout := la.NewLayout(r, len(owned))
 	slot := make([]int32, len(need)) // slot of need[i]
-	for li, i := range owned {
-		slot[i] = int32(li)
+	for li, k := range owned {
+		slot[k.need] = int32(li)
 	}
 
 	var owners []int
@@ -339,19 +352,19 @@ func numberNodes(r *sim.Rank, nodes []nodeInfo, need []int32) (*la.Layout, []int
 	var askOut []any
 	var askNB []int
 	nGhost := 0
-	for o, idx := range ask {
-		if len(idx) == 0 {
+	for o, keys := range ask {
+		if len(keys) == 0 {
 			continue
 		}
-		slices.SortFunc(idx, byNeed)
-		pos := make([]forest.NodePos, len(idx))
-		slots := make([]int32, len(idx))
-		for k, i := range idx {
-			pos[k] = nodes[need[i]].canon
-			slots[k] = int32(nGhost + k)
-			slot[i] = int32(len(owned) + nGhost + k)
+		slices.SortFunc(keys, cmpCanon)
+		pos := make([]forest.NodePos, len(keys))
+		slots := make([]int32, len(keys))
+		for j, k := range keys {
+			pos[j] = nodes[need[k.need]].canon
+			slots[j] = int32(nGhost + j)
+			slot[k.need] = int32(len(owned) + nGhost + j)
 		}
-		nGhost += len(idx)
+		nGhost += len(keys)
 		owners = append(owners, o)
 		reqSlot = append(reqSlot, slots)
 		askOut = append(askOut, pos)
@@ -364,15 +377,13 @@ func numberNodes(r *sim.Rank, nodes []nodeInfo, need []int32) (*la.Layout, []int
 		asked := d.([]forest.NodePos)
 		gids := make([]int64, len(asked))
 		send := make([]int32, len(asked))
-		for k, np := range asked {
-			li, ok := slices.BinarySearchFunc(owned, &np, func(i int32, np *forest.NodePos) int {
-				return byCanon(&nodes[need[i]].canon, np)
-			})
+		for j, np := range asked {
+			li, ok := slices.BinarySearchFunc(owned, canonKey{tree: np.Tree, pos: posKey(np.Pos)}, cmpCanon)
 			if !ok {
 				panic(fmt.Sprintf("mesh: rank %d asked for node %v not owned by rank %d", servers[i], np, r.ID()))
 			}
-			gids[k] = layout.Start() + int64(li)
-			send[k] = int32(li)
+			gids[j] = layout.Start() + int64(li)
+			send[j] = int32(li)
 		}
 		resp[i] = sim.Payload{Data: gids, NBytes: 8 * len(gids)}
 		sendIdx[i] = send

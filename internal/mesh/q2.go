@@ -155,13 +155,14 @@ func ExtractQ2(f *forest.Forest, m *Mesh) *Q2Mesh {
 	for i := range need {
 		need[i] = int32(i)
 	}
-	var owned, slot []int32
+	var owned []canonKey
+	var slot []int32
 	q.layout, owned, slot, q.GX = numberNodes(r, nodes, need)
 	q.NumOwned = len(owned)
 	q.Offset, q.NGlobal = q.layout.Start(), q.layout.N()
 	q.OwnedPos2 = make([][3]uint32, q.NumOwned)
-	for li, i := range owned {
-		q.OwnedPos2[li] = nodes[i].canon.Pos
+	for li, k := range owned {
+		q.OwnedPos2[li] = nodes[k.need].canon.Pos
 	}
 	for ei := range q.Nodes {
 		for n := range q.Nodes[ei] {

@@ -31,19 +31,29 @@ type AdaptStats struct {
 // errind.MarkElements' decisions for f's current leaves. f is adapted in
 // place; the new mesh and the fields on it, in the order given, are
 // returned. Each stage's wall-clock is added to its bucket of tm.
+//
+// With no fields the four field stages (snapshot, projection, transfer,
+// nodal conversion) are skipped, their ghost gather and two exchanges
+// included: every rank passes the same number of fields, so every rank
+// skips the same collectives.
 func AdaptFields(f *forest.Forest, m *mesh.Mesh, fields []*la.Vec, marks errind.Marks, tm *Timings) (*mesh.Mesh, []*la.Vec, AdaptStats) {
 	r := f.Rank()
 	st := AdaptStats{ElementsPrev: f.NumGlobal()}
+	carry := len(fields) > 0
 
 	// Snapshot fields as element data on the old mesh.
-	t0 := time.Now()
-	data := field.FromNodal(m, fields)
-	oldLeaves := append([]forest.Octant(nil), f.Leaves()...)
-	tm.InterpolateFld += time.Since(t0).Seconds()
+	var data []field.ElemData
+	var oldLeaves []forest.Octant
+	if carry {
+		t0 := time.Now()
+		data = field.FromNodal(m, fields)
+		oldLeaves = append([]forest.Octant(nil), f.Leaves()...)
+		tm.InterpolateFld += time.Since(t0).Seconds()
+	}
 
 	// Coarsen + refine; the mark sets are disjoint, so coarsened regions
 	// are never refine-marked.
-	t0 = time.Now()
+	t0 := time.Now()
 	nCoarse, nRef := f.AdaptMarked(marks.Coarsen, marks.Refine)
 	tm.CoarsenRefine += time.Since(t0).Seconds()
 
@@ -52,25 +62,32 @@ func AdaptFields(f *forest.Forest, m *mesh.Mesh, fields []*la.Vec, marks errind.
 	tm.BalanceTree += time.Since(t0).Seconds()
 
 	// Project fields onto the adapted (still old-partition) leaves.
-	t0 = time.Now()
-	data = field.ProjectData(oldLeaves, f.Leaves(), data)
-	tm.InterpolateFld += time.Since(t0).Seconds()
+	if carry {
+		t0 = time.Now()
+		data = field.ProjectData(oldLeaves, f.Leaves(), data)
+		tm.InterpolateFld += time.Since(t0).Seconds()
+	}
 
 	t0 = time.Now()
 	dests := f.Partition()
 	tm.PartitionTree += time.Since(t0).Seconds()
 
-	t0 = time.Now()
-	data = field.Transfer(r, dests, data)
-	tm.TransferFld += time.Since(t0).Seconds()
+	if carry {
+		t0 = time.Now()
+		data = field.Transfer(r, dests, data)
+		tm.TransferFld += time.Since(t0).Seconds()
+	}
 
 	t0 = time.Now()
 	nm := mesh.Extract(f, m.Geom)
 	tm.ExtractMesh += time.Since(t0).Seconds()
 
-	t0 = time.Now()
-	out := field.ToNodal(nm, data)
-	tm.InterpolateFld += time.Since(t0).Seconds()
+	var out []*la.Vec
+	if carry {
+		t0 = time.Now()
+		out = field.ToNodal(nm, data)
+		tm.InterpolateFld += time.Since(t0).Seconds()
+	}
 
 	var moved int64
 	for _, d := range dests {

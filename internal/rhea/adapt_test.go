@@ -15,9 +15,10 @@ import (
 
 // TestAdaptCounters pins what one AdaptFields costs in communication at
 // two ranks on a small adapted box, with the five fields of the time loop
-// (T, U0-U2, P) and with one: deterministic counts, no wall clock. The
-// fields cross the adaptation together, so the counts do not depend on
-// how many there are. Per call, each rank enters
+// (T, U0-U2, P), with one, and with none (New's initial rounds):
+// deterministic counts, no wall clock. The fields cross the adaptation
+// together, so the counts do not depend on how many there are, as long
+// as there are any. Per call, each rank enters
 //
 //	1 NumGlobal
 //	2 CoarsenMarked + RefineMarked partition markers
@@ -30,7 +31,9 @@ import (
 //
 // = 20 collectives (18 + 3 per field while every field made the trip
 // alone: 33 for the time loop's five, and 8 and 13 user messages on the
-// two ranks where there are now 4 and 4).
+// two ranks where there are now 4 and 4). With no field the snapshot's
+// ghost gather (one user message), Transfer and ToNodal are skipped: 18
+// collectives and 3 user messages.
 func TestAdaptCounters(t *testing.T) {
 	box := forest.BrickConnectivity(1, 1, 1)
 	type counts struct{ colls, collMsgs, userMsgs int }
@@ -67,14 +70,17 @@ func TestAdaptCounters(t *testing.T) {
 		}
 	}
 	sim.Run(2, func(r *sim.Rank) {
-		five, one := measure(r, 5), measure(r, 1)
-		t.Logf("rank %d: AdaptFields with 5 fields: %d collectives, %d tree messages, %d user messages; with 1 field: %d, %d, %d",
-			r.ID(), five.colls, five.collMsgs, five.userMsgs, one.colls, one.collMsgs, one.userMsgs)
+		five, one, none := measure(r, 5), measure(r, 1), measure(r, 0)
+		t.Logf("rank %d: AdaptFields with 5 fields: %d collectives, %d tree messages, %d user messages; with 1 field: %d, %d, %d; with none: %d, %d, %d",
+			r.ID(), five.colls, five.collMsgs, five.userMsgs, one.colls, one.collMsgs, one.userMsgs, none.colls, none.collMsgs, none.userMsgs)
 		if five != one {
 			t.Errorf("rank %d: counts depend on the number of fields: %+v with 5, %+v with 1", r.ID(), five, one)
 		}
 		if want := (counts{colls: 20, collMsgs: 20, userMsgs: 4}); five != want {
 			t.Errorf("rank %d: AdaptFields cost %+v, want %+v", r.ID(), five, want)
+		}
+		if want := (counts{colls: 18, collMsgs: 18, userMsgs: 3}); none != want {
+			t.Errorf("rank %d: AdaptFields with no field cost %+v, want %+v", r.ID(), none, want)
 		}
 	})
 }

@@ -321,10 +321,12 @@ func (c Config) geom() mesh.Geometry {
 // 10 (seconds, accumulated on this rank). The Stokes solver build is
 // split into its mesh-dependent half (StokesSetup: layouts, Dirichlet
 // gather, matrix-free constraint tables, GMG level meshes and
-// transfer stencils — paid once per mesh adaptation when solver reuse is
-// on) and its viscosity-dependent half (StokesUpdate: viscosity/force
-// evaluation, operator kernels or CSR values, smoother diagonals, coarse
-// AMG, Schur diagonal — paid every Picard iteration).
+// transfer stencils — paid once per mesh, at the first solve after an
+// adaptation) and its viscosity-dependent half (StokesUpdate:
+// viscosity/force evaluation, operator kernels or CSR values, smoother
+// diagonals, coarse AMG, Schur diagonal — paid every Picard iteration).
+// New's initial rounds carry no field, so they add nothing to
+// InterpolateFld or TransferFld.
 type Timings struct {
 	NewTree        float64
 	CoarsenRefine  float64 // CoarsenTree + RefineTree
@@ -339,9 +341,9 @@ type Timings struct {
 	StokesUpdate   float64 // viscosity-dependent refresh (Solver.Update)
 	MINRES         float64 // Krylov iterations including V-cycles
 
-	// StokesSetups counts how many times the mesh-dependent setup ran;
-	// with reuse enabled it equals 1 + the number of Adapt calls that
-	// were followed by a solve.
+	// StokesSetups counts how many times the mesh-dependent setup ran:
+	// once per mesh that was solved on, so 1 + the number of Adapt calls
+	// that were followed by a solve.
 	StokesSetups int
 }
 
@@ -408,16 +410,19 @@ func New(r *sim.Rank, cfg Config) *Sim {
 
 	s.extract()
 	s.setInitialTemp()
+	// Initial solution-adaptive refinement rounds. Each marks on the
+	// initial temperature and samples it afresh on the new mesh, so no
+	// field crosses the adaptation; the velocity and pressure are zero
+	// until the first solve.
+	for i := 0; i < cfg.InitAdapt; i++ {
+		m, _, _ := AdaptFields(s.Forest, s.Mesh, nil, s.mark(), &s.Times)
+		s.setMesh(m)
+		s.setInitialTemp()
+	}
 	for c := range s.U {
 		s.U[c] = la.NewVec(s.Mesh.Layout())
 	}
 	s.P = la.NewVec(s.Mesh.Layout())
-
-	// Initial solution-adaptive refinement rounds.
-	for i := 0; i < cfg.InitAdapt; i++ {
-		s.Adapt()
-		s.setInitialTemp()
-	}
 	return s
 }
 
@@ -495,18 +500,11 @@ func (s *Sim) TempBC() fem.ScalarBC {
 // pressure fields to the new mesh, re-imposing the temperature boundary
 // values there (collective).
 func (s *Sim) Adapt() AdaptStats {
-	t0 := time.Now()
-	eta := errind.Variation(s.Mesh, s.T)
-	marks := errind.MarkElements(s.Forest, eta, s.Cfg.TargetElems, errind.Options{
-		MaxLevel: s.Cfg.MaxLevel, MinLevel: s.Cfg.MinLevel,
-	})
-	s.Times.MarkElements += time.Since(t0).Seconds()
-
-	m, f, st := AdaptFields(s.Forest, s.Mesh, []*la.Vec{s.T, s.U[0], s.U[1], s.U[2], s.P}, marks, &s.Times)
+	m, f, st := AdaptFields(s.Forest, s.Mesh, []*la.Vec{s.T, s.U[0], s.U[1], s.U[2], s.P}, s.mark(), &s.Times)
 	s.setMesh(m)
 	s.T, s.U, s.P = f[0], [3]*la.Vec{f[1], f[2], f[3]}, f[4]
 
-	t0 = time.Now()
+	t0 := time.Now()
 	bc := s.TempBC()
 	for i := range m.OwnedPos {
 		if v, is := bc(fem.NodeCoord(m, s.Cfg.Dom, i)); is {
@@ -515,6 +513,19 @@ func (s *Sim) Adapt() AdaptStats {
 	}
 	s.Times.InterpolateFld += time.Since(t0).Seconds()
 	return st
+}
+
+// mark is MarkElements on the temperature's variation: the refine and
+// coarsen decisions for the current leaves that hold the element count
+// near TargetElems within [MinLevel, MaxLevel] (collective).
+func (s *Sim) mark() errind.Marks {
+	t0 := time.Now()
+	eta := errind.Variation(s.Mesh, s.T)
+	marks := errind.MarkElements(s.Forest, eta, s.Cfg.TargetElems, errind.Options{
+		MaxLevel: s.Cfg.MaxLevel, MinLevel: s.Cfg.MinLevel,
+	})
+	s.Times.MarkElements += time.Since(t0).Seconds()
+	return marks
 }
 
 // ElementViscosity evaluates the viscosity law per local element from the
