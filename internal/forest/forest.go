@@ -152,8 +152,13 @@ func (f *Forest) updateStarts() {
 
 // Owners appends the ranks whose curve segment overlaps octant o.
 func (f *Forest) Owners(o Octant, dst []int) []int {
-	lo := gpos(o)
-	hi := lo + gspan(o)
+	return f.owners(gpos(o), gspan(o), dst)
+}
+
+// owners appends the ranks whose curve segment overlaps the span curve
+// positions from lo.
+func (f *Forest) owners(lo, span uint64, dst []int) []int {
+	hi := lo + span
 	i := sort.Search(len(f.starts), func(i int) bool { return f.starts[i] > lo }) - 1
 	if i < 0 {
 		i = 0

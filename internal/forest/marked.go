@@ -61,7 +61,7 @@ func (f *Forest) AdaptMarked(coarsen, refine []bool) (int, int) {
 func (f *Forest) CountCoarsenableFamilies(marks []bool) int {
 	n := 0
 	for i := 0; i < len(f.leaves); i++ {
-		if _, ok := f.family(i); ok && !slices.Contains(marks[i:i+8], false) {
+		if _, ok := f.Family(i); ok && !slices.Contains(marks[i:i+8], false) {
 			n++
 			i += 7
 		}
@@ -69,9 +69,9 @@ func (f *Forest) CountCoarsenableFamilies(marks []bool) int {
 	return n
 }
 
-// family reports whether the eight leaves from index i are the children
-// of one parent, which it returns.
-func (f *Forest) family(i int) (Octant, bool) {
+// Family reports whether the eight local leaves from index i are the
+// children of one parent, which it returns.
+func (f *Forest) Family(i int) (Octant, bool) {
 	o := f.leaves[i]
 	if o.O.Level == 0 || o.O.ChildID() != 0 || i+8 > len(f.leaves) {
 		return Octant{}, false
@@ -92,7 +92,7 @@ func (f *Forest) coarsen(should func(i int, parent Octant) bool) int {
 	out := make([]Octant, 0, len(f.leaves))
 	n := 0
 	for i := 0; i < len(f.leaves); i++ {
-		if parent, ok := f.family(i); ok && should(i, parent) {
+		if parent, ok := f.Family(i); ok && should(i, parent) {
 			out = append(out, parent)
 			i += 7
 			n++

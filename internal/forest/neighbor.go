@@ -148,3 +148,75 @@ func (c *Connectivity) NodeReps(tree int32, pos [3]uint32, dst []NodePos) []Node
 	}
 	return dst
 }
+
+// dilX selects the x bits of a Morton interleave (morton.Octant.Key
+// without its level field); y and z are the same mask shifted by 1 and 2.
+const dilX = 0x1249249249249249 & (1<<(3*morton.MaxLevel) - 1)
+
+// GhostRanks appends to dst, once each, the ranks other than this one
+// whose curve segment overlaps one of o's 26 same-size neighbours, across
+// tree faces, edges and corners included: the ranks whose ghost layer
+// holds o. It equals Neighbor, Contains and Owners over Dirs26, but a
+// neighbour inside o's tree is placed on the curve by dilated arithmetic
+// on o's key, adding or subtracting the edge length in one axis's bits,
+// and only one across a tree boundary goes through Neighbor. The curve is
+// monotone in each coordinate, so when the lowest and the highest in-tree
+// neighbour lie in this rank's segment, so do the others.
+func (f *Forest) GhostRanks(o Octant, dst []int) []int {
+	const off = ^uint64(0) // the offset leaves the tree
+	me, span := f.rank.ID(), gspan(o)
+	first, end := f.starts[me], f.starts[me+1]
+	base, key := uint64(o.Tree)*curveEnd, o.O.Key()>>5
+	low, high, crosses := base, base+span, false
+	var bits [3][3]uint64 // per axis, the neighbour's bits at -h, 0, +h
+	for a, x := range [3]uint32{o.O.X, o.O.Y, o.O.Z} {
+		mask, hd := uint64(dilX)<<a, span<<a // the edge length, dilated
+		k := key & mask
+		bits[a] = [3]uint64{off, k, off}
+		if x > 0 {
+			bits[a][0] = (k - hd) & mask
+		}
+		if x+o.O.Len() < morton.RootLen {
+			bits[a][2] = ((k | ^mask) + hd) & mask
+		}
+		lo, hi := bits[a][0], bits[a][2]
+		if lo == off {
+			lo, crosses = k, true
+		}
+		if hi == off {
+			hi, crosses = k, true
+		}
+		low, high = low+lo, high+hi
+	}
+	sealed := first <= low && high <= end // every in-tree neighbour is local
+	if sealed && !crosses {
+		return dst
+	}
+	n0 := len(dst)
+	for _, d := range Dirs26 {
+		bx, by, bz := bits[0][d[0]+1], bits[1][d[1]+1], bits[2][d[2]+1]
+		lo := base | bx | by | bz
+		if bx == off || by == off || bz == off {
+			n, ok := f.Neighbor(o, d)
+			if !ok {
+				continue
+			}
+			lo = gpos(n)
+		} else if sealed {
+			continue
+		}
+		if first <= lo && lo+span <= end {
+			continue
+		}
+		k := len(dst)
+		dst = f.owners(lo, span, dst)
+		kept := dst[:k]
+		for _, rk := range dst[k:] {
+			if rk != me && !slices.Contains(kept[n0:], rk) {
+				kept = append(kept, rk)
+			}
+		}
+		dst = kept
+	}
+	return dst
+}

@@ -10,6 +10,8 @@ package forest
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"rhea/internal/morton"
@@ -123,6 +125,66 @@ func TestNodeRepsConsistency(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestGhostRanksMatchNeighborOwners holds the arithmetic ghost test to
+// its definition: for every leaf, and every leaf's parent, GhostRanks
+// lists exactly the ranks other than this one that Owners gives for the
+// neighbours Neighbor finds and Contains rejects, in first-met order.
+// Randomly refined bricks of 2x1x1 and 2x2x1 trees and the cubed sphere
+// put leaves at tree faces, edges and corners; 1 to 4 ranks cut them
+// anywhere.
+func TestGhostRanksMatchNeighborOwners(t *testing.T) {
+	conns := map[string]*Connectivity{
+		"brick211": BrickConnectivity(2, 1, 1),
+		"brick221": BrickConnectivity(2, 2, 1),
+		"sphere2":  CubedSphere(2),
+	}
+	want := func(f *Forest, o Octant) []int {
+		var out, owners []int
+		for _, d := range Dirs26 {
+			n, ok := f.Neighbor(o, d)
+			if !ok || f.Contains(n) {
+				continue
+			}
+			for _, rk := range f.Owners(n, owners[:0]) {
+				if rk != f.Rank().ID() && !slices.Contains(out, rk) {
+					out = append(out, rk)
+				}
+			}
+		}
+		return out
+	}
+	for name, c := range conns {
+		for p := 1; p <= 4; p++ {
+			checked := make([]int, p)
+			sim.Run(p, func(r *sim.Rank) {
+				rng := rand.New(rand.NewSource(int64(p))) // same stream on all ranks
+				f := New(r, c, 1)
+				for pass := 0; pass < 3; pass++ {
+					marks := rng.Uint64()
+					f.Refine(func(o Octant) bool { return (o.O.Key()^uint64(o.Tree)*0x9e3779b9^marks)%3 == 0 })
+				}
+				f.Balance()
+				f.Partition()
+				var got []int
+				for _, o := range f.Leaves() {
+					for _, q := range []Octant{o, {Tree: o.Tree, O: o.O.Parent()}} {
+						got = f.GhostRanks(q, got[:0])
+						if w := want(f, q); !slices.Equal(got, w) {
+							t.Errorf("%s p=%d rank %d: GhostRanks(%v) = %v, Neighbor+Contains+Owners give %v", name, p, r.ID(), q, got, w)
+						}
+						if len(got) > 0 {
+							checked[r.ID()]++
+						}
+					}
+				}
+			})
+			if p > 1 && slices.Contains(checked, 0) {
+				t.Errorf("%s p=%d: a rank saw no leaf with a remote neighbour (%v)", name, p, checked)
 			}
 		}
 	}

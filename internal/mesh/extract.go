@@ -4,61 +4,12 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"rhea/internal/forest"
 	"rhea/internal/la"
 	"rhea/internal/morton"
 	"rhea/internal/sim"
 )
-
-// leafSet is a tree-major sorted collection of forest octants
-// (local + ghost) supporting containment queries. keys caches each
-// leaf's Morton key, so a query interleaves bits once for its probe and
-// never for the leaves it is compared against.
-type leafSet struct {
-	leaves []forest.Octant
-	keys   []uint64
-}
-
-// newLeafSet places the ghosts around the local leaves, which are already
-// in curve order: only the ghosts are sorted (in place), and being other
-// ranks' leaves they lie wholly before or wholly after this rank's
-// segment.
-func newLeafSet(local, ghosts []forest.Octant) *leafSet {
-	slices.SortFunc(ghosts, forest.Compare)
-	ghosts = slices.Compact(ghosts)
-	before := 0
-	if len(local) > 0 {
-		before, _ = slices.BinarySearchFunc(ghosts, local[0], forest.Compare)
-	}
-	s := &leafSet{leaves: make([]forest.Octant, 0, len(local)+len(ghosts))}
-	s.leaves = append(append(append(s.leaves, ghosts[:before]...), local...), ghosts[before:]...)
-	s.keys = make([]uint64, len(s.leaves))
-	for i, o := range s.leaves {
-		s.keys[i] = o.O.Key()
-	}
-	return s
-}
-
-// findContaining returns the leaf that is o or an ancestor of o.
-func (s *leafSet) findContaining(o forest.Octant) (forest.Octant, bool) {
-	k := o.O.Key()
-	i := sort.Search(len(s.leaves), func(i int) bool {
-		if t := s.leaves[i].Tree; t != o.Tree {
-			return t > o.Tree
-		}
-		return s.keys[i] > k
-	})
-	if i == 0 {
-		return forest.Octant{}, false
-	}
-	l := s.leaves[i-1]
-	if l.Tree == o.Tree && l.O.ContainsOrEqual(o.O) {
-		return l, true
-	}
-	return forest.Octant{}, false
-}
 
 // nodeInfo is the resolved identity of one referenced node position.
 type nodeInfo struct {
@@ -69,74 +20,204 @@ type nodeInfo struct {
 	// representation multigrid transfer uses to locate the (always
 	// local on the owner) containing coarse element.
 	cellPos [3]uint32
-	coarser bool  // a leaf coarser than the node's alignment level touches it
-	need    int32 // index in Extract's master list, -1 until referenced as a master
 }
 
-// resolveNode computes the canonical representation, owner and hanging
-// status of the node whose representations are reps (forest.NodeReps). Ownership
-// goes to the rank owning the minimal (tree-major, curve-ordered)
-// finest-level cell incident to the node: deterministic from replicated
-// data, and — under the full inter-tree 2:1 balance — guaranteed to be a
-// rank that references the node as an element corner.
-func resolveNode(f *forest.Forest, all *leafSet, reps []forest.NodePos) nodeInfo {
-	info := nodeInfo{canon: reps[0], need: -1}
-	level := alignLevel(reps[0].Pos) // the same in every representation
+// resolveNode computes the canonical representation and owner of the
+// node whose representations are reps (forest.NodeReps), and the number
+// of leaves that have it as a corner when no coarser leaf touches it:
+// 2^(axes strictly inside the tree), summed over the representations.
+// Ownership goes to the rank owning the minimal
+// (tree-major, curve-ordered) finest-level cell incident to the node:
+// deterministic from replicated data, and — under the full inter-tree
+// 2:1 balance — guaranteed to be a rank that references the node as an
+// element corner.
+func resolveNode(f *forest.Forest, reps []forest.NodePos) (info nodeInfo, sides int8) {
+	info.canon = reps[0]
 	for i, rp := range reps {
 		// The first incident cell within a tree lies one unit down every
 		// axis that has room (the curve is monotone in each coordinate).
 		var c [3]uint32
+		n := int8(1)
 		for a, x := range rp.Pos {
+			if x > 0 && x < morton.RootLen {
+				n <<= 1
+			}
 			if x > 0 {
 				x--
 			}
 			c[a] = x
 		}
+		sides += n
 		cell := forest.Octant{Tree: rp.Tree, O: morton.Octant{X: c[0], Y: c[1], Z: c[2], Level: morton.MaxLevel}}
 		if i == 0 || forest.Less(cell, info.cell) {
 			info.cell, info.cellPos = cell, rp.Pos
 		}
-		info.coarser = info.coarser || level > 0 && touchesCoarser(all, rp, level)
 	}
 	var owners [1]int
 	info.owner = int32(f.Owners(info.cell, owners[:0])[0])
-	return info
+	return info, sides
 }
 
-// touchesCoarser reports whether a leaf coarser than level touches the
-// node rp, whose alignment level is level: whether one of the level-1
-// octants around it is a leaf or lies inside one. Along an axis in which
-// the position is not (level-1)-aligned one such octant covers both
-// sides, so there are one, two or four candidates, not eight.
-func touchesCoarser(all *leafSet, rp forest.NodePos, level uint8) bool {
-	h := uint32(1) << (morton.MaxLevel + 1 - uint32(level)) // edge of a level-1 octant
-candidates:
-	for d := 0; d < 8; d++ {
-		var q [3]uint32
-		for a, x := range rp.Pos {
-			below := d>>a&1 != 0
-			switch {
-			case x&(h-1) != 0: // between lattice planes: one octant for both sides
-				if below {
-					continue candidates
-				}
-				x &^= h - 1
-			case below:
-				if x == 0 {
-					continue candidates
-				}
-				x -= h
-			case x == morton.RootLen:
-				continue candidates
-			}
-			q[a] = x
-		}
-		o := forest.Octant{Tree: rp.Tree, O: morton.Octant{X: q[0], Y: q[1], Z: q[2], Level: level - 1}}
-		if _, ok := all.findContaining(o); ok {
-			return true
+// The parent's 3x3x3 lattice of child-edge points, point x + 3y + 9z:
+// latticeOf[c][d] is corner d of child c, so latticeOf[k][k] is parent
+// corner k, and between[l] holds the axes along which point l lies
+// between two parent corners.
+var latticeOf, between = func() (t [8][8]uint8, b [27]uint8) {
+	for c := range t {
+		for d := range t[c] {
+			t[c][d] = uint8(c&1 + d&1 + 3*(c>>1&1+d>>1&1) + 9*(c>>2&1+d>>2&1))
 		}
 	}
-	return false
+	for l := range b {
+		for a, v := range [3]int{l % 3, l / 3 % 3, l / 9} {
+			b[l] |= uint8(v&1) << a
+		}
+	}
+	return t, b
+}()
+
+// latticePos returns the position of lattice point l of the parent of e.
+func latticePos(e morton.Octant, l int) [3]uint32 {
+	pa, h := e.Parent(), e.Len()
+	return [3]uint32{pa.X + uint32(l%3)*h, pa.Y + uint32(l/3%3)*h, pa.Z + uint32(l/9)*h}
+}
+
+// extraction is Extract's per-call node state: the distinct nodes in the
+// order they were first met and the table that finds them by the
+// representation an element uses (its own tree frame) and by the
+// canonical one, so a node shared between trees is resolved once
+// whichever tree asks first. Beside each node, short holds the
+// references it lacks to be a corner of every leaf that touches it, and
+// needOf its index in need, the nodes corners reference as masters.
+type extraction struct {
+	f      *forest.Forest
+	tab    *nodeTable
+	reps   []forest.NodePos
+	nodes  []nodeInfo
+	short  []int8
+	needOf []int32
+	need   []int32
+}
+
+// newNode lists the node whose representations are reps.
+func (x *extraction) newNode(reps []forest.NodePos) int32 {
+	info, sides := resolveNode(x.f, reps)
+	x.nodes, x.short, x.needOf = append(x.nodes, info), append(x.short, sides), append(x.needOf, -1)
+	return int32(len(x.nodes) - 1)
+}
+
+// resolve returns the node at pos in tree's frame, creating it if no
+// leaf met it yet; without create such a position gives -1.
+func (x *extraction) resolve(tree int32, pos [3]uint32, create bool) int32 {
+	k := posKey(pos)
+	if ni, ok := x.tab.get(tree, k); ok {
+		return ni
+	}
+	x.reps = x.f.Conn.NodeReps(tree, pos, x.reps)
+	ct, ck := x.reps[0].Tree, posKey(x.reps[0].Pos)
+	aliased := ct != tree || ck != k
+	if aliased {
+		if ni, ok := x.tab.get(ct, ck); ok {
+			x.tab.put(tree, k, ni)
+			return ni
+		}
+	}
+	if !create {
+		return -1
+	}
+	ni := x.newNode(x.reps)
+	x.tab.put(ct, ck, ni)
+	if aliased {
+		x.tab.put(tree, k, ni)
+	}
+	return ni
+}
+
+// master returns node ni's index in need, listing it on first use.
+func (x *extraction) master(ni int32) int32 {
+	if x.needOf[ni] < 0 {
+		x.needOf[ni] = int32(len(x.need))
+		x.need = append(x.need, ni)
+	}
+	return x.needOf[ni]
+}
+
+// classify turns the node indices in the rows of leaves i..i+n-1 — one
+// leaf, or a complete family (n = 8) — into need indices and hanging
+// entries, once per point of their parent's lattice. A corner of a
+// level-L leaf can only hang at a point between parent corners (its
+// alignment level is L), and it does iff its node is short of
+// references.
+func (x *extraction) classify(m *Mesh, i, n int) {
+	e, tree := m.Leaves[i], m.Trees[i]
+	first := 0 // child id of leaf i
+	if n == 1 {
+		first = e.ChildID()
+	}
+	var lat, out [27]int32 // node index (-1: not a corner of the leaves), need index (-1: hanging)
+	var hangs [27]Hang
+	for l := range lat {
+		lat[l] = -1
+	}
+	for c, row := range m.Rows[i : i+n] {
+		for d, ni := range row {
+			lat[latticeOf[first+c][d]] = ni
+		}
+	}
+	for l, ni := range lat {
+		if ni < 0 {
+			continue
+		}
+		if between[l] == 0 || e.Level == 0 || x.short[ni] == 0 {
+			out[l] = x.master(ni)
+		} else {
+			out[l] = -1
+			x.constrain(&hangs[l], &lat, l, tree, e)
+		}
+	}
+	for c := range m.Rows[i : i+n] {
+		row := &m.Rows[i+c]
+		for d := range row {
+			if l := latticeOf[first+c][d]; out[l] >= 0 {
+				row[d] = out[l]
+			} else {
+				row[d] = ^int32(len(m.Hang))
+				m.Hang = append(m.Hang, hangs[l])
+			}
+		}
+	}
+}
+
+// constrain sets hc to the constraint, in need indices, of the hanging
+// lattice point l of e's parent: its masters are the parent corners at
+// -h and +h along each axis on which it lies between two. One that lat
+// holds is a corner of a local leaf, so every leaf touching it was
+// counted, and under 2:1 balance none is coarser.
+func (x *extraction) constrain(hc *Hang, lat *[27]int32, l int, tree int32, e morton.Octant) {
+	var axes [3]int
+	na := 0
+	for a := 0; a < 3; a++ {
+		if between[l]>>a&1 != 0 {
+			axes[na] = a
+			na++
+		}
+	}
+	hc.N = 1 << na
+	for k := 0; k < int(hc.N); k++ {
+		pc := l%3>>1 | l/3%3>>1<<1 | l/9>>1<<2
+		for bi, a := range axes[:na] {
+			pc |= k >> bi & 1 << a
+		}
+		pl := int(latticeOf[pc][pc])
+		mn := lat[pl]
+		if mn < 0 {
+			mn = x.resolve(tree, latticePos(e, pl), true)
+		} else if x.short[mn] != 0 {
+			panic(fmt.Sprintf("mesh: forest is not 2:1 balanced: hanging-node master %v of element %v in tree %d lies inside a coarser leaf's face or edge",
+				x.nodes[mn].canon, e, tree))
+		}
+		hc.Slot[k] = x.master(mn)
+	}
 }
 
 // Extract builds the distributed finite-element mesh from a 2:1-balanced
@@ -147,8 +228,8 @@ candidates:
 // its eight corners (trilinear tree map, or radial shell projection),
 // which the discretization layers turn into general per-element
 // Jacobians. With g nil (the unit box) X stays nil and they keep their
-// axis-aligned constant-h kernels. Inconsistent (unbalanced) input causes
-// an explicit panic during id resolution.
+// axis-aligned constant-h kernels. An unbalanced forest panics when a
+// hanging corner's master lies inside a coarser leaf's face or edge.
 func Extract(f *forest.Forest, g Geometry) *Mesh {
 	r := f.Rank()
 	m := &Mesh{Rank: r, Conn: f.Conn, Geom: g}
@@ -160,91 +241,77 @@ func Extract(f *forest.Forest, g Geometry) *Mesh {
 
 	ghosts := exchangeGhosts(f)
 	m.NumGhostLeaves = len(ghosts)
-	all := newLeafSet(f.Leaves(), ghosts)
-
-	// Resolve every referenced node position once. nodes lists the
-	// distinct nodes in the order they were first met; the table finds a
-	// node by the representation an element uses (its own tree frame) and
-	// by its canonical one, so a node shared between trees is resolved
-	// once whichever tree asks first.
-	nodes := make([]nodeInfo, 0, 2*len(m.Leaves))
-	tab := newNodeTable(2 * len(m.Leaves))
-	var reps []forest.NodePos
-	resolve := func(tree int32, pos [3]uint32) int32 {
-		k := posKey(pos)
-		if ni, ok := tab.get(tree, k); ok {
-			return ni
+	for i := 1; i < len(ghosts); i++ {
+		if !forest.Less(ghosts[i-1], ghosts[i]) {
+			panic(fmt.Sprintf("mesh: rank %d received ghost %v twice or out of curve order", r.ID(), ghosts[i]))
 		}
-		reps = f.Conn.NodeReps(tree, pos, reps)
-		ct, ck := reps[0].Tree, posKey(reps[0].Pos)
-		aliased := ct != tree || ck != k
-		if aliased {
-			if ni, ok := tab.get(ct, ck); ok {
-				tab.put(tree, k, ni)
-				return ni
-			}
-		}
-		ni := int32(len(nodes))
-		nodes = append(nodes, resolveNode(f, all, reps))
-		tab.put(ct, ck, ni)
-		if aliased {
-			tab.put(tree, k, ni)
-		}
-		return ni
 	}
 
-	// Classify every element corner. A master is recorded by its index in
-	// need, the list of distinct master nodes in first-reference order; the
-	// indices are replaced by slots once those are assigned.
-	var need []int32 // indices into nodes
-	noteMaster := func(ni int32) int32 {
-		n := &nodes[ni]
-		if n.need < 0 {
-			n.need = int32(len(need))
-			need = append(need, ni)
-		}
-		return n.need
-	}
-
+	// Resolve the corners of every local element into Rows, as node
+	// indices for now. A complete family resolves its parent's lattice:
+	// 26 lookups for 64 corners, none for the centre, which no other leaf
+	// touches.
+	n := 2 * len(m.Leaves)
+	x := &extraction{f: f, tab: newNodeTable(n), nodes: make([]nodeInfo, 0, n),
+		short: make([]int8, 0, n), needOf: make([]int32, 0, n)}
 	m.Rows = make([][8]int32, len(m.Leaves))
-	var hang []Hang
-	for ei, e := range m.Leaves {
-		tree := m.Trees[ei]
-		L := e.Level
-		h := e.Len()
+	for i := 0; i < len(m.Leaves); {
+		e, tree := m.Leaves[i], m.Trees[i]
+		if _, ok := f.Family(i); !ok {
+			for c := range m.Rows[i] {
+				m.Rows[i][c] = x.resolve(tree, cornerPos(e, c), true)
+			}
+			i++
+			continue
+		}
+		var lat [27]int32
+		for l := range lat {
+			if l == 13 {
+				lat[l] = x.newNode(append(x.reps[:0], forest.NodePos{Tree: tree, Pos: latticePos(e, l)}))
+			} else {
+				lat[l] = x.resolve(tree, latticePos(e, l), true)
+			}
+		}
 		for c := 0; c < 8; c++ {
-			P := cornerPos(e, c)
-			ni := resolve(tree, P)
-			if alignLevel(P) != L || !nodes[ni].coarser {
-				m.Rows[ei][c] = noteMaster(ni)
-				continue
+			for d := range m.Rows[i+c] {
+				m.Rows[i+c][d] = lat[latticeOf[c][d]]
 			}
-			// Hanging: masters at P +/- h along misaligned axes, in this
-			// element's own tree frame.
-			axes := make([]int, 0, 3)
-			coarse := uint32(1)<<(morton.MaxLevel-uint32(L)+1) - 1
-			for a := 0; a < 3; a++ {
-				if P[a]&coarse != 0 {
-					axes = append(axes, a)
-				}
-			}
-			hc := Hang{N: 1 << len(axes)}
-			for k := 0; k < int(hc.N); k++ {
-				mp := P
-				for bi, a := range axes {
-					if k>>bi&1 == 0 {
-						mp[a] -= h
-					} else {
-						mp[a] += h
-					}
-				}
-				hc.Slot[k] = noteMaster(resolve(tree, mp))
-			}
-			m.Rows[ei][c] = ^int32(len(hang))
-			hang = append(hang, hc)
+		}
+		i += 8
+	}
+
+	// Count the leaves referencing each node. Every leaf that touches a
+	// corner P of a local element is local or a ghost, and one that
+	// touches P without having it as a corner is coarser than P's
+	// alignment level and covers more than one of the sides counted in
+	// resolveNode.
+	for _, row := range m.Rows {
+		for _, ni := range row {
+			x.short[ni]--
 		}
 	}
-	m.Hang = append([]Hang(nil), hang...) // exact length: the table stays resident
+	for _, o := range ghosts {
+		for c := 0; c < 8; c++ {
+			if ni := x.resolve(o.Tree, cornerPos(o.O, c), false); ni >= 0 {
+				x.short[ni]--
+			}
+		}
+	}
+
+	// Classify every element corner. A row entry becomes the master's
+	// index in need, or ^h for a hanging corner whose masters' need
+	// indices are Hang[h]; the indices are replaced by slots once those
+	// are assigned.
+	for i := 0; i < len(m.Leaves); {
+		n := 1
+		if _, ok := f.Family(i); ok {
+			n = 8
+		}
+		x.classify(m, i, n)
+		i += n
+	}
+	m.Hang = append([]Hang(nil), m.Hang...) // exact length: the table stays resident
+	nodes, need := x.nodes, x.need
 
 	var owned []canonKey
 	var slot []int32
@@ -398,57 +465,36 @@ func numberNodes(r *sim.Rank, nodes []nodeInfo, need []int32) (*la.Layout, []can
 	return layout, owned, slot, gx
 }
 
-// interior reports whether octant o and its 26 same-level neighbours all
-// lie inside this rank's curve segment: then so does every neighbour of
+// interior reports whether octant o and its 26 same-size neighbours all
+// lie in this rank's curve segment: then so does every neighbour of
 // every descendant of o, and no other rank needs any of them as a ghost.
-func interior(f *forest.Forest, o forest.Octant) bool {
-	if !f.Contains(o) {
-		return false
-	}
-	for _, d := range forest.Dirs26 {
-		if n, ok := f.Neighbor(o, d); ok && !f.Contains(n) {
-			return false
-		}
-	}
-	return true
+// buf is scratch for forest.GhostRanks.
+func interior(f *forest.Forest, o forest.Octant, buf []int) bool {
+	return f.Contains(o) && len(f.GhostRanks(o, buf[:0])) == 0
 }
 
 // exchangeGhosts sends each local leaf to every remote rank adjacent to
 // it — across tree boundaries included — and returns the ghost leaves
-// received. Only leaves next to the partition boundary have anything to
-// send: a family whose parent is interior is skipped after one test.
+// received, in curve order (sources arrive in rank order, each in its own
+// curve order). Only leaves next to the partition boundary have anything
+// to send: a family whose parent is interior is skipped after one test.
 func exchangeGhosts(f *forest.Forest) []forest.Octant {
-	r := f.Rank()
-	p := r.Size()
-	byRank := make([][]forest.Octant, p)
-	marked := make([]int, p)
-	for i := range marked {
-		marked[i] = -1
-	}
-	var owners []int
+	byRank := make([][]forest.Octant, f.Rank().Size())
+	var ranks []int
 	var parent forest.Octant
 	skip := false // parent is interior
 	for li, o := range f.Leaves() {
 		if o.O.Level > 0 {
 			if pa := (forest.Octant{Tree: o.Tree, O: o.O.Parent()}); li == 0 || pa != parent {
-				parent, skip = pa, interior(f, pa)
+				parent, skip = pa, interior(f, pa, ranks)
 			}
 			if skip {
 				continue
 			}
 		}
-		for _, d := range forest.Dirs26 {
-			n, ok := f.Neighbor(o, d)
-			if !ok || f.Contains(n) {
-				continue
-			}
-			owners = f.Owners(n, owners[:0])
-			for _, ow := range owners {
-				if ow != r.ID() && marked[ow] != li {
-					byRank[ow] = append(byRank[ow], o)
-					marked[ow] = li
-				}
-			}
+		ranks = f.GhostRanks(o, ranks[:0])
+		for _, rk := range ranks {
+			byRank[rk] = append(byRank[rk], o)
 		}
 	}
 	return f.ExchangeOctants(byRank)

@@ -13,20 +13,24 @@
 //   - A node position P is "l-aligned" when every coordinate is divisible
 //     by 2^(MaxLevel-l). The alignment level of P is the smallest such l.
 //   - A corner P of a level-L element hangs iff its alignment level is
-//     exactly L and some leaf touching P has level L-1.
+//     exactly L and some leaf touching P has level L-1. In count form: a
+//     leaf touching P without having it as a corner is coarser than P's
+//     alignment level, so P hangs iff fewer leaves have it as a corner
+//     than the 2^(axes strictly inside the tree) of each representation.
 //   - A hanging node's masters are obtained arithmetically: for each axis
 //     in which P is not (L-1)-aligned, the two positions P +/- h (h = the
-//     element edge length); one misaligned axis gives an edge-hanging node
-//     with 2 masters at weight 1/2, two misaligned axes give a
-//     face-hanging node with 4 masters at weight 1/4. Masters are always
-//     independent nodes (no constraint chains) under full 2:1 balance.
+//     element edge length), corners of the element's parent; one
+//     misaligned axis gives an edge-hanging node with 2 masters at weight
+//     1/2, two give a face-hanging node with 4 masters at weight 1/4.
+//     Masters are always independent nodes (no constraint chains) under
+//     full 2:1 balance.
 //
-// Extraction works on sorted arrays: the leaf set is the local leaves
-// with the sorted ghosts on either side, searched by Morton key; node
-// positions are resolved once through a table local to the call
-// (nodetable.go); owned nodes are numbered in (tree, position key) order,
-// which LocalIndex searches. No Go map is keyed by an octant or a node
-// position.
+// Extraction searches for no leaf: node positions are resolved once
+// through a table local to the call (nodetable.go), a complete family
+// through its parent's 3x3x3 lattice; each node counts the local and
+// ghost leaves that have it as a corner; owned nodes are numbered in
+// (tree, position key) order, which LocalIndex searches. No Go map is
+// keyed by an octant or a node position.
 //
 // There is one way to address a node a rank references: its slot. Owned
 // nodes take slots [0, NumOwned) in numbering order, the off-rank masters
@@ -38,7 +42,6 @@
 package mesh
 
 import (
-	"math/bits"
 	"sort"
 
 	"rhea/internal/forest"
@@ -183,21 +186,6 @@ func cornerPos(o morton.Octant, c int) [3]uint32 {
 		p[2] += h
 	}
 	return p
-}
-
-// alignLevel returns the smallest level l such that P is l-aligned.
-func alignLevel(p [3]uint32) uint8 {
-	lvl := 0
-	for _, c := range p {
-		tz := bits.TrailingZeros32(c)
-		if tz > morton.MaxLevel {
-			tz = morton.MaxLevel
-		}
-		if l := morton.MaxLevel - tz; l > lvl {
-			lvl = l
-		}
-	}
-	return uint8(lvl)
 }
 
 // Layout returns the la.Layout over the mesh's independent nodes: the
