@@ -8,14 +8,17 @@
 // integrator and a lumped mass matrix. The operator is applied
 // matrix-free and matrix-forming-free: each stage is one loop over the
 // local elements that evaluates the operator's action at the quadrature
-// points (fem.TransportRate) from cached geometry — on mapped meshes the
-// physical gradients expanded from the mesh's shared per-element
-// Jacobian data into one scratch table, on axis-aligned ones one table
-// per octree level — in the mesh's slot numbering, with one ghost
-// gather before the loop and one scatter-add after it. The work per step
-// is linear in the number of elements, no element matrix is ever formed,
-// and a stage enters no collective — exactly the regime the paper uses to
-// stress AMR.
+// points, in the mesh's slot numbering, with one ghost gather before the
+// loop and one scatter-add after it. Axis-aligned bricks take the
+// separable kernel (fem.BrickGeom.TransportRate) with their geometry
+// looked up by octree level; mapped elements take the dense one
+// (fem.TransportRate) on the physical gradients expanded from the mesh's
+// shared per-element Jacobian data. What depends on the velocity alone —
+// each element's SUPG parameter and the rank's stable-step minimum — is
+// derived once per velocity (New, SetVelocity), so a stage does only the
+// work that depends on T. The work per step is linear in the number of
+// elements, no element matrix is ever formed, and a stage enters no
+// collective — exactly the regime the paper uses to stress AMR.
 package advect
 
 import (
@@ -28,31 +31,34 @@ import (
 	"rhea/internal/sim"
 )
 
-// Problem couples a mesh with transport coefficients and boundary data.
+// Problem couples a mesh with transport coefficients, a velocity and
+// boundary data.
 type Problem struct {
 	M   *mesh.Mesh
 	Dom fem.Domain
-	// Kappa is the diffusivity (1/Pe in nondimensional form).
-	Kappa float64
-	// Vel gives the velocity at each corner of each local element.
-	Vel [][8][3]float64
 	// Source is the internal heat generation gamma (may be nil).
 	Source func(x [3]float64) float64
 	// BC fixes the temperature where it returns true.
 	BC fem.ScalarBC
 
+	kappa float64 // diffusivity (1/Pe in nondimensional form)
+	// vel is the caller's corner velocity table (one entry per local
+	// element, not copied); tau and dtMin are derived from it by
+	// SetVelocity: each element's SUPG parameter and the rank's smallest
+	// stable step before the CFL factor.
+	vel   [][8][3]float64
+	tau   []float64
+	dtMin float64
+
 	lumpInv *la.Vec // inverse lumped mass (zero rows for Dirichlet nodes)
 	bcVal   *la.Vec // Dirichlet values at owned nodes (NaN elsewhere)
 	isBC    []bool
 	// geos holds the per-element isoparametric geometry on mapped
-	// (forest) meshes; nil on axis-aligned meshes, where the constant-h
-	// brick formulas apply.
-	geos []fem.ElemGeom
-	// qg is each element's quadrature-point geometry on axis-aligned
-	// meshes: one table per octree level, aliased. Mapped meshes expand
-	// an element's gradients into qs when it is visited instead.
-	qg []*[8]fem.QGeom
-	qs [8]fem.QGeom
+	// (forest) meshes, whose gradients a stage expands into qs; nil on
+	// axis-aligned meshes, which read brick[level] instead.
+	geos  []fem.ElemGeom
+	qs    [8]fem.QGeom
+	brick [morton.MaxLevel + 1]brickLevel
 
 	// tbuf and acc are the slot-space (mesh.Mesh.GX) input and
 	// accumulator of the element loop, k1, k2 and pred the stage vectors
@@ -61,12 +67,24 @@ type Problem struct {
 	k1, k2, pred *la.Vec
 }
 
-// New prepares the transport problem: it assembles the lumped mass matrix
-// and caches boundary flags (collective).
+// brickLevel is the geometry shared by every axis-aligned element of one
+// octree level: its edge lengths, the separable kernel's 1/h and point
+// weight, and its lumped mass.
+type brickLevel struct {
+	h  [3]float64
+	g  fem.BrickGeom
+	lm [8]float64
+}
+
+// New prepares the transport problem with corner velocities vel (one
+// entry per local element, retained, not copied): it assembles the
+// lumped mass matrix, caches boundary flags and derives the velocity's
+// SUPG parameters and stable step (collective).
 func New(m *mesh.Mesh, dom fem.Domain, kappa float64, vel [][8][3]float64, src func(x [3]float64) float64, bc fem.ScalarBC) *Problem {
-	p := &Problem{M: m, Dom: dom, Kappa: kappa, Vel: vel, Source: src, BC: bc}
+	p := &Problem{M: m, Dom: dom, kappa: kappa, Source: src, BC: bc}
 	p.tbuf = make([]float64, m.NSlots())
 	p.acc = make([]float64, m.NSlots())
+	p.tau = make([]float64, len(m.Leaves))
 	l := m.Layout()
 	p.k1, p.k2, p.pred = la.NewVec(l), la.NewVec(l), la.NewVec(l)
 
@@ -77,21 +95,14 @@ func New(m *mesh.Mesh, dom fem.Domain, kappa float64, vel [][8][3]float64, src f
 			p.scatter(ei, &lm)
 		}
 	} else {
-		p.qg = make([]*[8]fem.QGeom, len(m.Leaves))
-		var byLevel [morton.MaxLevel + 1]*[8]fem.QGeom
-		var lm [8]float64
-		var last *[8]fem.QGeom // runs of same-level bricks share one table
 		for ei, leaf := range m.Leaves {
-			q := byLevel[leaf.Level]
-			if q == nil {
-				q = fem.BrickQGeom(dom.ElemSize(leaf))
-				byLevel[leaf.Level] = q
+			b := &p.brick[leaf.Level]
+			if b.h == ([3]float64{}) {
+				b.h = dom.ElemSize(leaf)
+				b.g = fem.NewBrickGeom(b.h)
+				b.lm = b.g.LumpedMass()
 			}
-			p.qg[ei] = q
-			if q != last {
-				lm, last = fem.LumpedMassQ(q, 1), q
-			}
-			p.scatter(ei, &lm)
+			p.scatter(ei, &b.lm)
 		}
 	}
 	lump := la.NewVec(l)
@@ -108,7 +119,53 @@ func New(m *mesh.Mesh, dom fem.Domain, kappa float64, vel [][8][3]float64, src f
 			p.lumpInv.Data[i] = 1 / lump.Data[i]
 		}
 	}
+	p.SetVelocity(vel)
 	return p
+}
+
+// SetVelocity makes vel (corner velocities, one entry per local element,
+// retained, not copied) the problem's velocity. One pass over it derives
+// each element's SUPG parameter and the rank's stable-step minimum, so a
+// caller that rewrites the table in place must call SetVelocity again
+// before the next RateOfChange, Step or StableDt. The advective limit is
+// directional — min_d h_d / max|u_d| — so thin elements do not throttle
+// transport along their long axes; isotropic elements reduce to the
+// classical h/|u| exactly (bitwise, for the pinned box regressions). The
+// diffusive limit keeps the conservative shortest edge: h_min^2/(6 kappa).
+func (p *Problem) SetVelocity(vel [][8][3]float64) {
+	p.vel = vel
+	p.dtMin = math.Inf(1)
+	for ei, leaf := range p.M.Leaves {
+		var h [3]float64
+		var hm float64
+		if p.geos != nil {
+			h = p.geos[ei].H
+			hm = p.geos[ei].Hmin // true shortest edge for the diffusive limit
+		} else {
+			h = p.brick[leaf.Level].h
+			hm = math.Min(h[0], math.Min(h[1], h[2]))
+		}
+		umax, ubar, uAxisMax := cornerVelStats(&vel[ei])
+		p.tau[ei] = fem.SUPGTauAniso(h, ubar, umax, p.kappa)
+		dt := math.Inf(1)
+		if h[0] == h[1] && h[2] == h[1] {
+			if umax > 0 {
+				dt = hm / umax
+			}
+		} else {
+			for d := 0; d < 3; d++ {
+				if uAxisMax[d] > 0 {
+					dt = math.Min(dt, h[d]/uAxisMax[d])
+				}
+			}
+		}
+		if p.kappa > 0 {
+			dt = math.Min(dt, hm*hm/(6*p.kappa))
+		}
+		if dt < p.dtMin {
+			p.dtMin = dt
+		}
+	}
 }
 
 // scatter adds the eight corner values R of element ei into the
@@ -172,33 +229,13 @@ func cornerVelStats(u *[8][3]float64) (umax float64, ubar, uAxisMax [3]float64) 
 	return
 }
 
-// quad returns the quadrature-point geometry of element ei: the level's
-// table on axis-aligned meshes; on mapped ones the element's gradients,
-// expanded into the problem's scratch table, which the next call
-// overwrites.
-func (p *Problem) quad(ei int) *[8]fem.QGeom {
-	if p.geos == nil {
-		return p.qg[ei]
-	}
-	p.geos[ei].Grads(&p.qs)
-	return &p.qs
-}
-
-// elemSize returns the directional extents of element ei.
-func (p *Problem) elemSize(ei int) [3]float64 {
-	if p.geos != nil {
-		return p.geos[ei].H
-	}
-	return p.Dom.ElemSize(p.M.Leaves[ei])
-}
-
 // RateOfChange computes dTdt = M_L^-1 [ F - (K + G + S) T ] with zero
 // rate at Dirichlet nodes (collective: one ghost gather, one ghost
 // scatter-add, no reduction).
 func (p *Problem) RateOfChange(T, dTdt *la.Vec) {
 	copy(p.tbuf, T.Data)
 	p.M.GX.Gather(T.Data, p.tbuf[len(T.Data):])
-	for ei := range p.M.Leaves {
+	for ei, leaf := range p.M.Leaves {
 		row := &p.M.Rows[ei]
 		var Tc, R [8]float64
 		for c := 0; c < 8; c++ {
@@ -208,16 +245,19 @@ func (p *Problem) RateOfChange(T, dTdt *la.Vec) {
 				Tc[c] = p.M.Hang[^s].Value(p.tbuf)
 			}
 		}
-		u := &p.Vel[ei]
-		umax, ubar, _ := cornerVelStats(u)
-		tau := fem.SUPGTauAniso(p.elemSize(ei), ubar, umax, p.Kappa)
-		q := p.quad(ei)
-		fem.TransportRate(q, p.Kappa, tau, u, &Tc, &R)
-		if p.Source != nil {
-			lm := fem.LumpedMassQ(q, 1)
-			xc := fem.ElemCornerCoords(p.M, p.Dom, ei)
-			for a := 0; a < 8; a++ {
-				R[a] += lm[a] * p.Source(xc[a])
+		u, tau := &p.vel[ei], p.tau[ei]
+		if p.geos == nil {
+			b := &p.brick[leaf.Level]
+			b.g.TransportRate(p.kappa, tau, u, &Tc, &R)
+			if p.Source != nil {
+				p.addSource(ei, &b.lm, &R)
+			}
+		} else {
+			p.geos[ei].Grads(&p.qs)
+			fem.TransportRate(&p.qs, p.kappa, tau, u, &Tc, &R)
+			if p.Source != nil {
+				lm := fem.LumpedMassQ(&p.qs, 1)
+				p.addSource(ei, &lm, &R)
 			}
 		}
 		p.scatter(ei, &R)
@@ -226,47 +266,18 @@ func (p *Problem) RateOfChange(T, dTdt *la.Vec) {
 	dTdt.PointwiseMult(dTdt, p.lumpInv)
 }
 
-// StableDt returns the global explicit stability limit scaled by cfl
-// (collective). The advective limit is directional — min_d h_d /
-// max|u_d| — so thin elements do not throttle transport along their
-// long axes; isotropic elements reduce to the classical h/|u| exactly
-// (bitwise, for the pinned box regressions). The diffusive limit keeps
-// the conservative shortest edge: h_min^2/(6 kappa).
-func (p *Problem) StableDt(cfl float64) float64 {
-	local := math.Inf(1)
-	for ei, leaf := range p.M.Leaves {
-		var h [3]float64
-		var hm float64
-		if p.geos != nil {
-			h = p.geos[ei].H
-			hm = p.geos[ei].Hmin // true shortest edge for the diffusive limit
-		} else {
-			h = p.Dom.ElemSize(leaf)
-			hm = math.Min(h[0], math.Min(h[1], h[2]))
-		}
-		u := &p.Vel[ei]
-		umax, _, uAxisMax := cornerVelStats(u)
-		dt := math.Inf(1)
-		if h[0] == h[1] && h[2] == h[1] {
-			if umax > 0 {
-				dt = hm / umax
-			}
-		} else {
-			for d := 0; d < 3; d++ {
-				if uAxisMax[d] > 0 {
-					dt = math.Min(dt, h[d]/uAxisMax[d])
-				}
-			}
-		}
-		if p.Kappa > 0 {
-			dt = math.Min(dt, hm*hm/(6*p.Kappa))
-		}
-		if dt < local {
-			local = dt
-		}
+// addSource adds element ei's lumped heat source, lm_a gamma(x_a), to R.
+func (p *Problem) addSource(ei int, lm, R *[8]float64) {
+	xc := fem.ElemCornerCoords(p.M, p.Dom, ei)
+	for a := 0; a < 8; a++ {
+		R[a] += lm[a] * p.Source(xc[a])
 	}
-	g := p.M.Rank.Allreduce(local, sim.OpMin)
-	return cfl * g
+}
+
+// StableDt returns the global explicit stability limit of the current
+// velocity (see SetVelocity) scaled by cfl (collective: one reduction).
+func (p *Problem) StableDt(cfl float64) float64 {
+	return cfl * p.M.Rank.Allreduce(p.dtMin, sim.OpMin)
 }
 
 // Step advances T by one time step of size dt using the explicit

@@ -26,7 +26,7 @@ func TestStableDtDirectional(t *testing.T) {
 			t.Errorf("directional StableDt = %v, want 0.5", dt)
 		}
 		// Flow across the thin axis is limited by the thin extent.
-		p.Vel = uniformVel(m, [3]float64{1, 0, 0})
+		p.SetVelocity(uniformVel(m, [3]float64{1, 0, 0}))
 		if dt := p.StableDt(1); math.Abs(dt-0.005) > 1e-14 {
 			t.Errorf("thin-axis StableDt = %v, want 0.005", dt)
 		}

@@ -146,10 +146,14 @@ func refRateOfChange(m *mesh.Mesh, dom fem.Domain, kappa float64, vel [][8][3]fl
 	return r
 }
 
-// storedGradientRate is RateOfChange as it ran while mapped elements
-// stored their physical gradients: the lumped mass, the element loop,
-// the scatter and the ghost reductions of p, over refQGeom tables.
-func storedGradientRate(p *Problem, T *la.Vec) *la.Vec {
+// elemRate is RateOfChange rebuilt per element from scratch: the lumped
+// mass from refQGeom tables, each element's SUPG parameter from its
+// corner velocities, and the production kernel for the element's
+// geometry — the dense one on the stored-gradient tables of a mapped
+// element (the path as it ran while mapped elements stored their
+// physical gradients), the separable one on a brick — with the element
+// loop, the scatter and the ghost reductions of p.
+func elemRate(p *Problem, vel [][8][3]float64, T *la.Vec) *la.Vec {
 	m := p.M
 	for ei := range m.Leaves {
 		Q := refQGeom(m, p.Dom, ei)
@@ -170,10 +174,19 @@ func storedGradientRate(p *Problem, T *la.Vec) *la.Vec {
 		for c := 0; c < 8; c++ {
 			Tc[c] = cs[c].Value(p.tbuf)
 		}
-		u := &p.Vel[ei]
+		u := &vel[ei]
+		h := p.Dom.ElemSize(m.Leaves[ei])
+		if m.X != nil {
+			h = fem.NewElemGeom(&m.X[ei]).H
+		}
 		umax, ubar, _ := cornerVelStats(u)
-		tau := fem.SUPGTauAniso(p.elemSize(ei), ubar, umax, p.Kappa)
-		fem.TransportRate(&Q, p.Kappa, tau, u, &Tc, &R)
+		tau := fem.SUPGTauAniso(h, ubar, umax, p.kappa)
+		if m.X != nil {
+			fem.TransportRate(&Q, p.kappa, tau, u, &Tc, &R)
+		} else {
+			g := fem.NewBrickGeom(h)
+			g.TransportRate(p.kappa, tau, u, &Tc, &R)
+		}
 		if p.Source != nil {
 			lm := fem.LumpedMassQ(&Q, 1)
 			xc := fem.ElemCornerCoords(m, p.Dom, ei)
@@ -249,8 +262,10 @@ type nodeID struct {
 // TestRateOfChangeMatchesReference: on adapted meshes with hanging
 // nodes, at 1, 2 and 4 ranks, the slot-space point-kernel RateOfChange
 // equals the matrix-forming reference to 1e-12 and does not depend on
-// the rank count, with and without a heat source. On mapped meshes it is
-// also bit for bit the stored-gradient path.
+// the rank count, with and without a heat source. It is also bit for bit
+// the per-element reference (elemRate): on mapped meshes the
+// stored-gradient path, on the box the separable kernel with the SUPG
+// parameter derived per element.
 func TestRateOfChangeMatchesReference(t *testing.T) {
 	for _, tc := range rateCases() {
 		for _, withSrc := range []bool{false, true} {
@@ -298,14 +313,12 @@ func TestRateOfChangeMatchesReference(t *testing.T) {
 							break
 						}
 					}
-					if m.X != nil {
-						stored := storedGradientRate(prob, T)
-						for i := range rate.Data {
-							if rate.Data[i] != stored.Data[i] {
-								t.Errorf("%s src %v ranks %d: node %d rate %v, stored-gradient path %v",
-									tc.name, withSrc, p, i, rate.Data[i], stored.Data[i])
-								break
-							}
+					elem := elemRate(prob, vel, T)
+					for i := range rate.Data {
+						if rate.Data[i] != elem.Data[i] {
+							t.Errorf("%s src %v ranks %d: node %d rate %v, per-element reference %v",
+								tc.name, withSrc, p, i, rate.Data[i], elem.Data[i])
+							break
 						}
 					}
 					mu.Lock()
@@ -431,5 +444,56 @@ func TestNewAllocsIndependentOfElements(t *testing.T) {
 	t.Logf("New allocates %v objects on %v elements", allocs, elems)
 	if allocs[0] != allocs[1] {
 		t.Errorf("New allocates %v objects on %v elements: the count grows with the mesh", allocs, elems)
+	}
+}
+
+// TestSetVelocityMatchesNew is the staleness guard of the velocity pass:
+// a problem built with one velocity and then given another through
+// SetVelocity has the rate and the stable step of a problem built with
+// the second one, bit for bit — on the adapted box with hanging corners
+// (separable kernel), the mapped 2x1x1 brick and the shell, at 2 ranks.
+// The second velocity is written into the first one's table, the way
+// rhea.Sim.AdvectSteps reuses it.
+func TestSetVelocityMatchesNew(t *testing.T) {
+	for _, tc := range rateCases() {
+		sim.Run(2, func(r *sim.Rank) {
+			m := tc.adaptedMesh(r)
+			dom := fem.UnitDomain
+			bc := func(x [3]float64) (float64, bool) { return 0, tc.bottom(x) }
+			velocity := func(f func(x [3]float64) [3]float64) [][8][3]float64 {
+				vel := make([][8][3]float64, len(m.Leaves))
+				for ei := range vel {
+					for c, x := range fem.ElemCornerCoords(m, dom, ei) {
+						vel[ei][c] = f(x)
+					}
+				}
+				return vel
+			}
+			v1 := velocity(func(x [3]float64) [3]float64 { return [3]float64{0.1, -x[2], 0.4 * x[1]} })
+			v2 := velocity(func(x [3]float64) [3]float64 { return [3]float64{-3 * x[1], 3 * x[0], 0.7 - x[2]} })
+			T := la.NewVec(m.Layout())
+			for i := range T.Data {
+				x := fem.NodeCoord(m, dom, i)
+				T.Data[i] = math.Cos(4*x[0]+x[1]) * x[2]
+			}
+
+			stale := New(m, dom, 0.02, v1, nil, bc)
+			dt1 := stale.StableDt(0.5)
+			copy(v1, v2)
+			stale.SetVelocity(v1)
+			fresh := New(m, dom, 0.02, v2, nil, bc)
+			if got, want := stale.StableDt(0.5), fresh.StableDt(0.5); got != want || got == dt1 {
+				t.Errorf("%s rank %d: StableDt after SetVelocity %v, fresh problem %v (first velocity %v)", tc.name, r.ID(), got, want, dt1)
+			}
+			got, want := la.NewVec(m.Layout()), la.NewVec(m.Layout())
+			stale.RateOfChange(T, got)
+			fresh.RateOfChange(T, want)
+			for i := range got.Data {
+				if got.Data[i] != want.Data[i] {
+					t.Errorf("%s rank %d: node %d rate %v after SetVelocity, %v from a fresh problem", tc.name, r.ID(), i, got.Data[i], want.Data[i])
+					break
+				}
+			}
+		})
 	}
 }

@@ -33,11 +33,16 @@ import (
 
 // refs holds the reference diagnostics, logged from rank-1 runs of
 // each registry case (regenerate via the t.Logf in TestBenchCasesPinned).
+// "box" was re-pinned when transport on bricks became the separable
+// kernel, whose sums run in a different order: Nu and Vrms moved by
+// 1.7e-9 relative (from 32.1145641787 / 48.5525967081), the size of the
+// case's spread over 1, 2 and 4 ranks (2.1e-9 before, 2.5e-9 after) and
+// far inside crossRelTol.
 var refs = map[string]struct {
 	Nu, Vrms float64
 	Elems    int64
 }{
-	"box":    {32.1145641787, 48.5525967081, 190},
+	"box":    {32.1145641250, 48.5525966274, 190},
 	"shell":  {35.9954083191, 74.1663000266, 360},
 	"bunge1": {116.4968214274, 214.9813661638, 402},
 	"bunge2": {125.5047921526, 237.1020876622, 402},

@@ -292,9 +292,14 @@ func TestLoadAndLumpedMassMatchMassMatrix(t *testing.T) {
 	}
 	h := [3]float64{0.01, 1, 0.25}
 	lm, want := LumpedMassQ(BrickQGeom(h), 3), LumpedMassBrick(h, 3)
+	g := NewBrickGeom(h)
+	lmg, lmq := g.LumpedMass(), LumpedMassQ(BrickQGeom(h), 1)
 	for a := range lm {
 		if math.Abs(lm[a]-want[a]) > 1e-15*want[a] {
 			t.Errorf("brick lumped mass %d = %g, want %g", a, lm[a], want[a])
+		}
+		if lmg[a] != lmq[a] {
+			t.Errorf("BrickGeom lumped mass %d = %v, from the brick's point table %v", a, lmg[a], lmq[a])
 		}
 	}
 }
@@ -311,10 +316,11 @@ func transportCase(seed uint64) (u [8][3]float64, T [8]float64) {
 	return
 }
 
-// checkTransport compares TransportRate on Q against -(K+G+S)T.
-func checkTransport(t *testing.T, name string, Q *[8]QGeom, K, G, S *[8][8]float64, kappa, tau float64, u *[8][3]float64, T *[8]float64) {
+// checkTransport compares a transport rate got (accumulated from zero)
+// against -(K+G+S)T.
+func checkTransport(t *testing.T, name string, got *[8]float64, K, G, S *[8][8]float64, T *[8]float64) {
 	t.Helper()
-	var got, want [8]float64
+	var want [8]float64
 	var scale float64
 	for a := 0; a < 8; a++ {
 		for b := 0; b < 8; b++ {
@@ -322,7 +328,6 @@ func checkTransport(t *testing.T, name string, Q *[8]QGeom, K, G, S *[8][8]float
 			scale = math.Max(scale, math.Abs(K[a][b])+math.Abs(G[a][b])+math.Abs(S[a][b]))
 		}
 	}
-	TransportRate(Q, kappa, tau, u, T, &got)
 	for a := range got {
 		if d := math.Abs(got[a] - want[a]); d > 1e-12*scale {
 			t.Errorf("%s: R[%d] = %g, -(K+G+S)T = %g (diff %g, scale %g)", name, a, got[a], want[a], d, scale)
@@ -330,44 +335,98 @@ func checkTransport(t *testing.T, name string, Q *[8]QGeom, K, G, S *[8][8]float
 	}
 }
 
-func TestTransportPointKernelMatchesMatrices(t *testing.T) {
-	const kappa, tau = 0.37, 0.21
-	u, T := transportCase(41)
-	for _, h := range [][3]float64{{1, 1, 1}, {0.01, 1, 0.25}, {3, 0.125, 0.5}} {
-		K, G, S := StiffnessBrick(h, kappa), AdvectionBrick(h, &u), SUPGBrick(h, &u, tau)
-		checkTransport(t, "brick", BrickQGeom(h), &K, &G, &S, kappa, tau, &u, &T)
+// randomBricks returns n axis-aligned bricks with edge ratios up to 1:8
+// and absolute sizes between 1/64 and 8, after the unit cube.
+func randomBricks(n int) [][3]float64 {
+	hs := [][3]float64{{1, 1, 1}}
+	for i := 1; i < n; i++ {
+		base := math.Exp2(-6 + 9*hash01(97, uint64(4*i)))
+		var h [3]float64
+		for d := range h {
+			h[d] = base * math.Exp2(3*hash01(97, uint64(4*i+1+d)))
+		}
+		hs = append(hs, h)
 	}
-	for name, X := range testElems() {
-		g := NewElemGeom(&X)
-		var Q [8]QGeom
-		g.Grads(&Q)
-		K, G, S := StiffnessGeom(g, kappa), AdvectionGeom(&Q, &u), SUPGGeom(&Q, &u, tau)
-		checkTransport(t, name, &Q, &K, &G, &S, kappa, tau, &u, &T)
+	return hs
+}
+
+// transportCoefs are the (kappa, tau) pairs the transport kernels are
+// checked at: with and without diffusion and streamline diffusion.
+var transportCoefs = [][2]float64{{0, 0}, {0, 0.21}, {0.37, 0}, {0.37, 0.21}}
+
+// TestTransportPointKernelMatchesMatrices: both transport kernels equal
+// the stiffness, advection and SUPG element matrices to 1e-12 — the
+// separable brick kernel on random anisotropic bricks up to 1:8, where
+// it also agrees with the dense kernel on the brick's gradient table,
+// and the dense kernel on mapped elements — with and without diffusion
+// and streamline diffusion.
+func TestTransportPointKernelMatchesMatrices(t *testing.T) {
+	for _, kt := range transportCoefs {
+		kappa, tau := kt[0], kt[1]
+		for i, h := range randomBricks(24) {
+			u, T := transportCase(41 + uint64(i))
+			K, G, S := StiffnessBrick(h, kappa), AdvectionBrick(h, &u), SUPGBrick(h, &u, tau)
+			var got, dense [8]float64
+			g := NewBrickGeom(h)
+			g.TransportRate(kappa, tau, &u, &T, &got)
+			name := fmt.Sprintf("brick %.4g (kappa %g, tau %g)", h, kappa, tau)
+			checkTransport(t, name, &got, &K, &G, &S, &T)
+			TransportRate(BrickQGeom(h), kappa, tau, &u, &T, &dense)
+			var scale float64
+			for a := range dense {
+				scale = math.Max(scale, math.Abs(dense[a]))
+			}
+			for a := range got {
+				if d := math.Abs(got[a] - dense[a]); d > 1e-13*scale {
+					t.Errorf("%s: R[%d] = %g, dense kernel %g (diff %g)", name, a, got[a], dense[a], d)
+				}
+			}
+		}
+		u, T := transportCase(41)
+		for name, X := range testElems() {
+			g := NewElemGeom(&X)
+			var Q [8]QGeom
+			g.Grads(&Q)
+			K, G, S := StiffnessGeom(g, kappa), AdvectionGeom(&Q, &u), SUPGGeom(&Q, &u, tau)
+			var got [8]float64
+			TransportRate(&Q, kappa, tau, &u, &T, &got)
+			checkTransport(t, fmt.Sprintf("%s (kappa %g, tau %g)", name, kappa, tau), &got, &K, &G, &S, &T)
+		}
 	}
 }
 
-// TestTransportPointKernelInvariants: a constant temperature has exactly
-// zero rate (the kernel differentiates T - T_0), and pure diffusion
-// conserves heat (the test functions sum to one, so their gradients to
-// zero).
+// TestTransportPointKernelInvariants: on random bricks (separable
+// kernel) and mapped elements (dense kernel), a constant temperature has
+// exactly zero rate (the brick kernel differentiates edge differences,
+// the dense one T - T_0), and pure diffusion conserves heat (the test
+// functions sum to one, so their gradients to zero).
 func TestTransportPointKernelInvariants(t *testing.T) {
 	u, T := transportCase(43)
-	geoms := map[string]*[8]QGeom{"brick": BrickQGeom([3]float64{0.01, 1, 0.25})}
+	kernels := map[string]func(kappa, tau float64, u *[8][3]float64, T, R *[8]float64){}
+	for i, h := range randomBricks(12) {
+		g := NewBrickGeom(h)
+		kernels[fmt.Sprintf("brick %d %.4g", i, h)] = g.TransportRate
+	}
 	for name, X := range testElems() {
 		Q := new([8]QGeom)
 		NewElemGeom(&X).Grads(Q)
-		geoms[name] = Q
+		kernels[name] = func(kappa, tau float64, u *[8][3]float64, T, R *[8]float64) {
+			TransportRate(Q, kappa, tau, u, T, R)
+		}
 	}
-	for name, Q := range geoms {
-		var R [8]float64
-		Tc := [8]float64{0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3}
-		TransportRate(Q, 0.37, 0.21, &u, &Tc, &R)
-		if R != ([8]float64{}) {
-			t.Errorf("%s: constant T gives rate %v, want exactly 0", name, R)
+	for name, rate := range kernels {
+		for _, kt := range transportCoefs {
+			var R [8]float64
+			Tc := [8]float64{0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3}
+			rate(kt[0], kt[1], &u, &Tc, &R)
+			if R != ([8]float64{}) {
+				t.Errorf("%s (kappa %g, tau %g): constant T gives rate %v, want exactly 0", name, kt[0], kt[1], R)
+			}
 		}
 
 		var zero [8][3]float64
-		TransportRate(Q, 0.37, 0, &zero, &T, &R)
+		var R [8]float64
+		rate(0.37, 0, &zero, &T, &R)
 		var sum, scale float64
 		for _, v := range R {
 			sum += v
@@ -408,14 +467,30 @@ func BenchmarkStokesTabulatedKernel(b *testing.B) {
 	kernelSink = ye[0]
 }
 
+// BenchmarkTransportPointKernel times one element of each transport
+// kernel: the dense one on a mapped element's gradient table and on a
+// brick's, and the separable brick kernel.
 func BenchmarkTransportPointKernel(b *testing.B) {
 	X := shearedHex(1)
 	var Q [8]QGeom
 	NewElemGeom(&X).Grads(&Q)
+	h := [3]float64{0.5, 0.25, 0.125}
+	brick, qb := NewBrickGeom(h), BrickQGeom(h)
 	u, T := transportCase(1)
 	var R [8]float64
-	for i := 0; i < b.N; i++ {
-		TransportRate(&Q, 0.3, 0.2, &u, &T, &R)
+	for _, bc := range []struct {
+		name string
+		rate func()
+	}{
+		{"mapped-dense", func() { TransportRate(&Q, 0.3, 0.2, &u, &T, &R) }},
+		{"brick-dense", func() { TransportRate(qb, 0.3, 0.2, &u, &T, &R) }},
+		{"brick-separable", func() { brick.TransportRate(0.3, 0.2, &u, &T, &R) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				bc.rate()
+			}
+			kernelSink = R[0]
+		})
 	}
-	kernelSink = R[0]
 }

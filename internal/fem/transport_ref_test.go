@@ -6,6 +6,25 @@ package fem
 // points (TransportRate) and never forms them; they are kept here as the
 // reference the point kernel's tests compare against.
 
+// BrickQGeom returns the quadrature-point geometry of an axis-aligned
+// brick with physical edge lengths h: constant Jacobian diag(h), so the
+// physical gradients are dN/h and every weight is vol/8. On it the dense
+// TransportRate is the oracle of the separable BrickGeom.TransportRate.
+func BrickQGeom(h [3]float64) *[8]QGeom {
+	var Q [8]QGeom
+	vol := h[0] * h[1] * h[2]
+	for qi := range Quad8 {
+		q := &Quad8[qi]
+		for c := 0; c < 8; c++ {
+			for d := 0; d < 3; d++ {
+				Q[qi].G[c][d] = q.dNdX[c][d] / h[d]
+			}
+		}
+		Q[qi].W = q.W * vol
+	}
+	return &Q
+}
+
 // AdvectionBrick returns the Galerkin advection matrix
 // G[a][b] = Integral phi_a (u . grad phi_b) dV with the velocity field
 // interpolated trilinearly from corner values u[c][d].

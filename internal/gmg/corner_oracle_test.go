@@ -147,19 +147,12 @@ func oracleLevelApply(o *levelOp, x, y []float64) {
 
 // oracleRate is advect.RateOfChange with no source, built from scratch
 // the way advect.New and RateOfChange do it: the lumped mass and the rate
-// each gathered and scattered through the corner weights.
+// each gathered and scattered through the corner weights, the SUPG
+// parameter derived per element, and the production kernel for the
+// element's geometry (dense on mapped elements, separable on bricks).
 func oracleRate(m *mesh.Mesh, dom fem.Domain, kappa float64, vel [][8][3]float64, bc fem.ScalarBC, T *la.Vec) *la.Vec {
 	n := m.NumOwned
 	geos := fem.ElemGeoms(m)
-	var qs [8]fem.QGeom
-	quad := func(ei int) (*[8]fem.QGeom, [3]float64) {
-		if geos != nil {
-			geos[ei].Grads(&qs)
-			return &qs, geos[ei].H
-		}
-		h := dom.ElemSize(m.Leaves[ei])
-		return fem.BrickQGeom(h), h
-	}
 	acc := make([]float64, m.NSlots())
 	scatter := func(ei int, R *[8]float64) {
 		cs := oracleCorners(m, ei)
@@ -184,8 +177,8 @@ func oracleRate(m *mesh.Mesh, dom fem.Domain, kappa float64, vel [][8][3]float64
 		if geos != nil {
 			lm = fem.LumpedMassGeom(&geos[ei], 1)
 		} else {
-			q, _ := quad(ei)
-			lm = fem.LumpedMassQ(q, 1)
+			g := fem.NewBrickGeom(dom.ElemSize(m.Leaves[ei]))
+			lm = g.LumpedMass()
 		}
 		scatter(ei, &lm)
 	}
@@ -217,9 +210,17 @@ func oracleRate(m *mesh.Mesh, dom fem.Domain, kappa float64, vel [][8][3]float64
 				ubar[d] += u[c][d] / 8
 			}
 		}
-		q, h := quad(ei)
-		tau := fem.SUPGTauAniso(h, ubar, math.Sqrt(u2max), kappa)
-		fem.TransportRate(q, kappa, tau, u, &Tc, &R)
+		if geos != nil {
+			tau := fem.SUPGTauAniso(geos[ei].H, ubar, math.Sqrt(u2max), kappa)
+			var qs [8]fem.QGeom
+			geos[ei].Grads(&qs)
+			fem.TransportRate(&qs, kappa, tau, u, &Tc, &R)
+		} else {
+			h := dom.ElemSize(m.Leaves[ei])
+			tau := fem.SUPGTauAniso(h, ubar, math.Sqrt(u2max), kappa)
+			g := fem.NewBrickGeom(h)
+			g.TransportRate(kappa, tau, u, &Tc, &R)
+		}
 		scatter(ei, &R)
 	}
 	rate := reduce()

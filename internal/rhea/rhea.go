@@ -377,10 +377,11 @@ type Sim struct {
 	solver *stokes.Solver
 
 	// adv is the cached transport problem (lumped mass, boundary flags
-	// and values: all mesh- and config-dependent only); AdvectSteps
-	// refreshes its corner velocities in place. Invalidated with the
-	// solver.
-	adv *advect.Problem
+	// and values: all mesh- and config-dependent only) and advVel its
+	// corner velocity table, which AdvectSteps refills in place and hands
+	// back through SetVelocity. Invalidated with the solver.
+	adv    *advect.Problem
+	advVel [][8][3]float64
 
 	// lastMinres is the last Stokes solve's result; nil until the first
 	// solve, so a Sim that never solved has no convergence verdict.
@@ -449,7 +450,7 @@ func (s *Sim) setMesh(m *mesh.Mesh) {
 		s.Times.ExtractMesh += time.Since(t0).Seconds()
 	}
 	s.solver = nil
-	s.adv = nil
+	s.adv, s.advVel = nil, nil
 }
 
 func (s *Sim) setInitialTemp() {
@@ -695,11 +696,14 @@ func (s *Sim) LastMinres() krylov.Result {
 func (s *Sim) AdvectSteps(n int) float64 {
 	t0 := time.Now()
 	if s.adv == nil {
-		vel := make([][8][3]float64, len(s.Mesh.Leaves))
-		s.adv = advect.New(s.Mesh, s.Cfg.Dom, 1 /* nondimensional kappa */, vel, nil, s.TempBC())
+		s.advVel = make([][8][3]float64, len(s.Mesh.Leaves))
+		s.elemVelocity(s.advVel)
+		s.adv = advect.New(s.Mesh, s.Cfg.Dom, 1 /* nondimensional kappa */, s.advVel, nil, s.TempBC())
+	} else {
+		s.elemVelocity(s.advVel)
+		s.adv.SetVelocity(s.advVel)
 	}
 	p := s.adv
-	s.elemVelocity(p.Vel)
 	dt := p.StableDt(s.Cfg.CFL)
 	for i := 0; i < n; i++ {
 		p.Step(s.T, dt)

@@ -51,12 +51,14 @@ func (e ErrRankFailed) Error() string {
 // same point of the communication schedule on every run. Operation
 // counts are per KillRank and 1-based: AtCollective n fires when the
 // rank enters its n-th collective call (on any communicator, Subset
-// included), AtSend n when it enters its n-th Rank.Send. At most one
-// trigger may be set.
+// included), AtSend n when it enters its n-th point-to-point send to
+// another rank: a Rank.Send, or one payload of an AlltoallvSparse or a
+// NeighborExchange, so a plan can kill a rank halfway through one
+// exchange. At most one trigger may be set.
 type Faults struct {
 	KillRank     int           // world rank to kill
 	AtCollective int           // fire entering this rank's n-th collective (0: unused)
-	AtSend       int           // fire entering this rank's n-th Send (0: unused)
+	AtSend       int           // fire entering this rank's n-th point-to-point send (0: unused)
 	Hang         bool          // hang (wakeable only by abort) instead of dying loudly
 	Delay        time.Duration // optional pause before the fault takes effect
 }

@@ -94,6 +94,38 @@ func TestFaultKillAtSend(t *testing.T) {
 	}
 }
 
+// TestFaultKillAtSendMidNeighborExchange: a plan's send count includes
+// the payloads of a NeighborExchange, so AtSend can kill a rank between
+// two of them. Rank 0 delivers its first payload to rank 1 and dies
+// entering the one to rank 2; rank 2, blocked on that receive, must
+// unwind, and the run's failure names the exchange.
+func TestFaultKillAtSendMidNeighborExchange(t *testing.T) {
+	defer leakCheck(t)()
+	w := NewWorld(3)
+	w.SetFaults(&Faults{KillRank: 0, AtSend: 2})
+	_, err := w.Run(func(r *Rank) {
+		var peers []int
+		for q := 0; q < r.Size(); q++ {
+			if q != r.ID() {
+				peers = append(peers, q)
+			}
+		}
+		out := make([]Payload, len(peers))
+		for k := range out {
+			out[k] = Payload{F64: []float64{float64(r.ID())}}
+		}
+		in := make([]Payload, len(peers))
+		r.NeighborExchange(peers, out, peers, in)
+		if r.ID() != 1 { // rank 1 may get both its payloads before the abort
+			t.Errorf("rank %d completed an exchange rank 0 died in", r.ID())
+		}
+	})
+	var rf ErrRankFailed
+	if !errors.As(err, &rf) || rf.Rank != 0 || rf.Op != "NeighborExchange send[2] (injected fault)" {
+		t.Fatalf("Run error = %v, want rank 0 failed at NeighborExchange send[2]", err)
+	}
+}
+
 // TestPanicBecomesFailure: a genuine bug (panic escaping the rank
 // function) aborts the world and surfaces as a failure carrying the
 // panic message, instead of crashing the process or deadlocking peers.

@@ -992,6 +992,9 @@ func (r *Rank) AlltoallvSparse(dests []int, payloads []any, nbytes []int) ([]int
 		if d == r.id {
 			continue
 		}
+		if r.world.faults != nil {
+			r.enterOp(opSend, "AlltoallvSparse send")
+		}
 		nb := int64(0)
 		if nbytes != nil {
 			nb = int64(nbytes[k])
@@ -1049,6 +1052,9 @@ func (r *Rank) NeighborExchange(sendTo []int, out []Payload, recvFrom []int, in 
 	tag := r.collTag("NeighborExchange")
 	for k, to := range sendTo {
 		if to != r.id {
+			if r.world.faults != nil {
+				r.enterOp(opSend, "NeighborExchange send")
+			}
 			p := out[k]
 			r.transport(to, message{tag: tag, f64: p.F64, data: p.Data}, int64(8*len(p.F64)+p.NBytes), false)
 		}

@@ -11,7 +11,8 @@ import (
 
 // Send delivers data to rank `to` of this communicator with the given
 // tag. nbytes is the modeled wire size of the payload, recorded in
-// Stats. Send never blocks; it is the call a Faults.AtSend plan counts.
+// Stats. Send never blocks; a Faults.AtSend plan counts it with the
+// payload sends of AlltoallvSparse and NeighborExchange.
 func (r *Rank) Send(to, tag int, data any, nbytes int) {
 	if tag >= collTagBase {
 		panic("sim: user tag collides with collective tag space")
