@@ -207,7 +207,8 @@ func (b *BrickGeom) TransportRate(kappa, tau float64, u *[8][3]float64, T, R *[8
 }
 
 // The mapped Stokes point kernel, (*ElemGeom).StokesApply, is generated
-// straight-line code in stokesapply.go.
+// straight-line code in stokesapply.go, and its four-lane AVX2 form is
+// compiled from that code into stokesapply_amd64.s.
 //go:generate go run gen_stokesapply.go
 
 // Load computes the consistent load vector of the corner body force f on

@@ -445,15 +445,42 @@ func TestTransportPointKernelInvariants(t *testing.T) {
 
 var kernelSink float64
 
+// BenchmarkStokesPointKernel times the sum-factorised kernel per
+// element: go is one StokesApply call, avx2 one StokesApply4 call on
+// four elements (skipped without AVX2), both reported as ns/elem.
 func BenchmarkStokesPointKernel(b *testing.B) {
-	X := shearedHex(1)
-	g := NewElemGeom(&X)
-	xe := randVec32(1)
-	var ye [32]float64
-	for i := 0; i < b.N; i++ {
-		g.StokesApply(1.5, &xe, &ye)
-	}
-	kernelSink = ye[0]
+	b.Run("go", func(b *testing.B) {
+		X := shearedHex(1)
+		g := NewElemGeom(&X)
+		xe := randVec32(1)
+		var ye [32]float64
+		for i := 0; i < b.N; i++ {
+			g.StokesApply(1.5, &xe, &ye)
+		}
+		kernelSink = ye[0]
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/elem")
+	})
+	b.Run("avx2", func(b *testing.B) {
+		if !HasAVX2() {
+			b.Skip("no AVX2 on this CPU")
+		}
+		geos := make([]ElemGeom, 4)
+		eta := [4]float64{1.5, 0.5, 2, 3}
+		var xe, ye Lanes4
+		for l := range geos {
+			X := shearedHex(uint64(1 + l))
+			geos[l].set(&X)
+			x := randVec32(uint64(1 + l))
+			for i := range x {
+				xe[i][l] = x[i]
+			}
+		}
+		for i := 0; i < b.N; i++ {
+			StokesApply4(geos, &eta, &xe, &ye)
+		}
+		kernelSink = ye[0][0]
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(4*b.N), "ns/elem")
+	})
 }
 
 func BenchmarkStokesTabulatedKernel(b *testing.B) {

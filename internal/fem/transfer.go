@@ -134,13 +134,26 @@ func NewTransfer(fine, coarse *mesh.Mesh) *Transfer {
 // node-major with w values per node (xc[w*i+c] is component c of coarse
 // owned node i), so w same-mesh fields share one stencil sweep and one
 // message per neighbor; each component is interpolated exactly as a
-// lone scalar field would be.
+// lone scalar field would be. At w = 3 (the velocity block) each stencil
+// entry is read once for all three fields, each still summed from zero
+// in stencil order.
 func (t *Transfer) Prolong(w int, xc, xf []float64) {
 	buf := t.slotBuf(w)
 	nc := w * t.nCoarse
 	copy(buf[:nc], xc)
 	t.gx.GatherBlock(w, xc, buf[nc:])
 	for i, nf := 0, len(t.ptr)-1; i < nf; i++ {
+		if w == 3 {
+			var s0, s1, s2 float64
+			for k := t.ptr[i]; k < t.ptr[i+1]; k++ {
+				wk, p := t.w[k], buf[3*int(t.slot[k]):3*int(t.slot[k])+3]
+				s0 += wk * p[0]
+				s1 += wk * p[1]
+				s2 += wk * p[2]
+			}
+			xf[3*i], xf[3*i+1], xf[3*i+2] = s0, s1, s2
+			continue
+		}
 		for c := 0; c < w; c++ {
 			var s float64
 			for k := t.ptr[i]; k < t.ptr[i+1]; k++ {
@@ -154,13 +167,25 @@ func (t *Transfer) Prolong(w int, xc, xf []float64) {
 // Restrict applies the exact transpose of Prolong: fine nodal values are
 // scatter-added through the same stencils into the coarse nodes
 // (collective: one coarse ghost scatter-add), w values per node as in
-// Prolong.
+// Prolong. At w = 3 each stencil entry is read once for all three
+// fields; a coarse value still receives its fine contributions in
+// fine-node order, since the slots of one stencil are distinct.
 func (t *Transfer) Restrict(w int, rf, rc []float64) {
 	buf := t.slotBuf(w)
 	for i := range buf {
 		buf[i] = 0
 	}
 	for i, nf := 0, len(t.ptr)-1; i < nf; i++ {
+		if w == 3 {
+			v0, v1, v2 := rf[3*i], rf[3*i+1], rf[3*i+2]
+			for k := t.ptr[i]; k < t.ptr[i+1]; k++ {
+				wk, p := t.w[k], buf[3*int(t.slot[k]):3*int(t.slot[k])+3]
+				p[0] += wk * v0
+				p[1] += wk * v1
+				p[2] += wk * v2
+			}
+			continue
+		}
 		for c := 0; c < w; c++ {
 			v := rf[w*i+c]
 			for k := t.ptr[i]; k < t.ptr[i+1]; k++ {

@@ -1,8 +1,11 @@
 //go:build ignore
 
 // gen_levelkernel writes levelkernel.go, the element loops of the
-// multigrid level operator at one and three fields per node. Run it with
-// `go generate ./internal/gmg`.
+// multigrid level operator at one and three fields per node, and the
+// AVX2 form of the three-field loop (levelkernel_amd64.s, with its
+// declaration and dispatch in levelkernel_amd64.go and the portable
+// dispatch in levelkernel_other.go). Run it with `go generate
+// ./internal/gmg`.
 //
 // A level kernel is a symmetric 8x8 matrix kept as its packed upper
 // triangle (fem.SymKernel), so entry (a, b) sits at an offset that is not
@@ -12,6 +15,15 @@
 // loop ran 10-15% slower at width 3. Each row still sums b = 0..7 in
 // ascending order from zero, so the result is bit for bit the full
 // matrix's.
+//
+// The AVX2 loop puts a corner's three fields in one register (lane 3
+// unused: loaded under a mask, never stored) and does each row of the
+// Go loop once for all three: zero, then eight times broadcast K(a, b),
+// VMULPD, VADDPD in corner order, then the product with eta, the same
+// operations as the Go loop's per field, never fused into an FMA. It
+// runs maximal stretches of elements without a hanging corner and hands
+// back at the first element with one, which the Go loop does; elements
+// stay in order, so every accumulation keeps its order.
 package main
 
 import (
@@ -20,6 +32,10 @@ import (
 	"go/format"
 	"log"
 	"os"
+	"unsafe"
+
+	"rhea/internal/fem"
+	"rhea/internal/mesh"
 )
 
 var buf bytes.Buffer
@@ -77,14 +93,14 @@ func main() {
 	p("}")
 	p("}")
 	p("")
-	p(`// applyElems3 is applyElems1 for three interleaved fields: every corner
-// gathers three values and every kernel entry multiplies all three, so
-// the corner rows and kernels are streamed once for the whole velocity
-// block. Per field it is the same sum as applyElems1's, in the same
-// order.`)
-	p("func (lv *level) applyElems3(x, acc []float64) {")
+	p(`// applyRange3 is applyElems1 for three interleaved fields, over the
+// elements [lo, hi): every corner gathers three values and every kernel
+// entry multiplies all three, so the corner rows and kernels are
+// streamed once for the whole velocity block. Per field it is the same
+// sum as applyElems1's, in the same order.`)
+	p("func (lv *level) applyRange3(x, acc []float64, lo, hi int) {")
 	p("rows, hang := lv.mesh.Rows, lv.mesh.Hang")
-	p("for ei := range rows {")
+	p("for ei := lo; ei < hi; ei++ {")
 	p("row := &rows[ei]")
 	p("var xe [8][3]float64")
 	p("for a := 0; a < 8; a++ {")
@@ -137,4 +153,165 @@ func main() {
 	if err := os.WriteFile("levelkernel.go", src, 0o644); err != nil {
 		log.Fatal(err)
 	}
+	genAsm()
+}
+
+// The layout the AVX2 loop bakes in, read from the compiled packages.
+var (
+	kernSize = int(unsafe.Sizeof(fem.SymKernel{}))
+	rowSize  = int(unsafe.Sizeof(mesh.Mesh{}.Rows[0]))
+)
+
+func write(name string, code []byte) {
+	if err := os.WriteFile(name, code, 0o644); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func gofmt(code []byte) []byte {
+	src, err := format.Source(code)
+	if err != nil {
+		log.Fatalf("formatting generated code: %v\n%s", err, code)
+	}
+	return src
+}
+
+func genAsm() {
+	buf.Reset()
+	w := func(format string, args ...any) { p("\t"+format, args...) }
+	p("// Code generated by gen_levelkernel.go; DO NOT EDIT.")
+	p("")
+	p("#include \"textflag.h\"")
+	p("")
+	p("// Lanes 0..2 of a corner's register: its three fields.")
+	for l := 0; l < 4; l++ {
+		v := "0xffffffffffffffff"
+		if l == 3 {
+			v = "0"
+		}
+		p("DATA levelmask3<>+%d(SB)/8, $%s", 8*l, v)
+	}
+	p("GLOBL levelmask3<>(SB), RODATA|NOPTR, $32")
+	p("")
+	p("// func levelRun3(rows *[8]int32, kern *fem.SymKernel, kidx *int32, eta *float64, x, acc *float64, n int) int")
+	p("TEXT ·levelRun3(SB), NOSPLIT, $0-64")
+	w("MOVQ rows+0(FP), SI")
+	w("MOVQ kern+8(FP), R8")
+	w("MOVQ kidx+16(FP), R9")
+	w("MOVQ eta+24(FP), R10")
+	w("MOVQ x+32(FP), DI")
+	w("MOVQ acc+40(FP), DX")
+	w("MOVQ n+48(FP), CX")
+	w("XORQ AX, AX")
+	w("VMOVDQU levelmask3<>(SB), Y15")
+	p("loop:")
+	w("CMPQ AX, CX")
+	w("JGE done")
+	p("\t// Stop at an element with a hanging corner (a negative row entry).")
+	w("VMOVDQU (SI), Y14")
+	w("VMOVMSKPS Y14, BX")
+	w("TESTL BX, BX")
+	w("JNE done")
+	w("MOVLQSX (R9)(AX*4), BX")
+	w("IMUL3Q $%d, BX, BX", kernSize)
+	w("ADDQ R8, BX")
+	w("VBROADCASTSD (R10)(AX*8), Y13")
+	p("\t// Y0..Y7: the three fields of corners 0..7.")
+	for b := 0; b < 8; b++ {
+		w("MOVLQSX %d(SI), R11", 4*b)
+		w("LEAQ (R11)(R11*2), R11")
+		w("VMASKMOVPD (DI)(R11*8), Y15, Y%d", b)
+	}
+	for a := 0; a < 8; a++ {
+		p("\t// Row %d, scaled by eta and added to the corner's three values.", a)
+		w("VXORPD Y8, Y8, Y8")
+		for b := 0; b < 8; b++ {
+			w("VBROADCASTSD %d(BX), Y9", 8*off(a, b))
+			w("VMULPD Y%d, Y9, Y9", b)
+			w("VADDPD Y9, Y8, Y8")
+		}
+		w("VMULPD Y13, Y8, Y8")
+		w("MOVLQSX %d(SI), R11", 4*a)
+		w("LEAQ (R11)(R11*2), R11")
+		w("VMOVUPD (DX)(R11*8), X10")
+		w("VADDPD X8, X10, X10")
+		w("VMOVUPD X10, (DX)(R11*8)")
+		w("VEXTRACTF128 $1, Y8, X11")
+		w("VADDSD 16(DX)(R11*8), X11, X11")
+		w("VMOVSD X11, 16(DX)(R11*8)")
+	}
+	w("ADDQ $%d, SI", rowSize)
+	w("INCQ AX")
+	w("JMP loop")
+	p("done:")
+	w("MOVQ AX, ret+56(FP)")
+	w("VZEROUPPER")
+	w("RET")
+	write("levelkernel_amd64.s", buf.Bytes())
+
+	buf.Reset()
+	p("// Code generated by gen_levelkernel.go; DO NOT EDIT.")
+	p("")
+	p("package gmg")
+	p("")
+	p("import (")
+	p(`"unsafe"`)
+	p("")
+	p(`"rhea/internal/fem"`)
+	p(`"rhea/internal/mesh"`)
+	p(")")
+	p("")
+	p(`// levelRun3 is applyRange3 in AVX2 over the n elements from rows[0] on
+// (levelkernel_amd64.s): kidx and eta point at those elements' entries,
+// kern at the level's first kernel, x and acc at slot 0. It stops before
+// the first element with a hanging corner and returns how many it did.
+//
+//go:noescape
+func levelRun3(rows *[8]int32, kern *fem.SymKernel, kidx *int32, eta *float64, x, acc *float64, n int) int`)
+	p("")
+	p(`// The layout levelRun3 reads; TestLevelKernelLayout fails when it
+// changes, and so does applyElems3 on an AVX2 CPU.
+const (
+	asmKernSize = %d
+	asmRowSize  = %d
+)`, kernSize, rowSize)
+	p("")
+	p(`// applyElems3 runs applyRange3 over every element: on AVX2 CPUs the
+// stretches without a hanging corner in levelRun3 and each element with
+// one in the Go loop, in element order.
+func (lv *level) applyElems3(x, acc []float64) {
+	rows := lv.mesh.Rows
+	if !fem.HasAVX2() {
+		lv.applyRange3(x, acc, 0, len(rows))
+		return
+	}
+	if unsafe.Sizeof(fem.SymKernel{}) != asmKernSize || unsafe.Sizeof(mesh.Mesh{}.Rows[0]) != asmRowSize {
+		panic("gmg: the level kernel layout changed: run go generate ./internal/gmg")
+	}
+	lv.applyVec3(x, acc)
+}
+
+// applyVec3 is applyElems3 on an AVX2 CPU.
+func (lv *level) applyVec3(x, acc []float64) {
+	rows := lv.mesh.Rows
+	for lo := 0; lo < len(rows); {
+		lo += levelRun3(&rows[lo], &lv.kern[0], &lv.kidx[lo], &lv.eta[lo], &x[0], &acc[0], len(rows)-lo)
+		if lo < len(rows) {
+			lv.applyRange3(x, acc, lo, lo+1)
+			lo++
+		}
+	}
+}`)
+	write("levelkernel_amd64.go", gofmt(buf.Bytes()))
+
+	buf.Reset()
+	p("// Code generated by gen_levelkernel.go; DO NOT EDIT.")
+	p("")
+	p("//go:build !amd64")
+	p("")
+	p("package gmg")
+	p("")
+	p("// applyElems3 runs applyRange3 over every element.")
+	p("func (lv *level) applyElems3(x, acc []float64) { lv.applyRange3(x, acc, 0, len(lv.mesh.Rows)) }")
+	write("levelkernel_other.go", gofmt(buf.Bytes()))
 }

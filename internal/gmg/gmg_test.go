@@ -329,11 +329,20 @@ func BenchmarkGMGVcycle(bench *testing.B) {
 	}
 }
 
+// vecLoop3 is the AVX2 width-3 element loop (applyVec3) on amd64, nil
+// elsewhere.
+var vecLoop3 func(lv *level, x, acc []float64)
+
 // BenchmarkLevelApply times one application of the finest level's
 // operator — the element loop over the corner rows and unit kernels, the
 // ghost exchange and the Dirichlet rows — and reports it per element.
-// On the shell every element reads its own 288-byte kernel.
+// On the shell every element reads its own 288-byte kernel. The
+// width3-loop sub-benchmarks time the width-3 element loop alone: go is
+// the generated Go loop, avx2 the vector loop (skipped without AVX2).
 func BenchmarkLevelApply(bench *testing.B) {
+	perElem := func(bench *testing.B, ne int) {
+		bench.ReportMetric(float64(bench.Elapsed().Nanoseconds())/float64(bench.N)/float64(ne), "ns/elem")
+	}
 	for _, bm := range benchMeshes() {
 		for _, w := range []int{1, 3} {
 			bench.Run(fmt.Sprintf("%s/width%d", bm.name, w), func(bench *testing.B) {
@@ -355,7 +364,33 @@ func BenchmarkLevelApply(bench *testing.B) {
 						o.apply(x, y)
 					}
 					bench.StopTimer()
-					bench.ReportMetric(float64(bench.Elapsed().Nanoseconds())/float64(bench.N)/float64(len(m.Leaves)), "ns/elem")
+					perElem(bench, len(m.Leaves))
+				})
+			})
+		}
+		for _, impl := range []string{"go", "avx2"} {
+			bench.Run(fmt.Sprintf("%s/width3-loop/%s", bm.name, impl), func(bench *testing.B) {
+				if impl == "avx2" && (vecLoop3 == nil || !fem.HasAVX2()) {
+					bench.Skip("no AVX2 on this CPU")
+				}
+				sim.Run(1, func(r *sim.Rank) {
+					m, _ := bm.build(r)
+					h := New(m, fem.UnitDomain, layeredViscosity(m), Options{})
+					lv := h.levels[0]
+					x, acc := make([]float64, 3*m.NSlots()), make([]float64, 3*m.NSlots())
+					for i := range x {
+						x[i] = math.Sin(float64(i))
+					}
+					bench.ResetTimer()
+					for i := 0; i < bench.N; i++ {
+						if impl == "go" {
+							lv.applyRange3(x, acc, 0, len(m.Leaves))
+						} else {
+							vecLoop3(lv, x, acc)
+						}
+					}
+					bench.StopTimer()
+					perElem(bench, len(m.Leaves))
 				})
 			})
 		}

@@ -162,14 +162,14 @@ func (lv *level) applyElems1(x, acc []float64) {
 	}
 }
 
-// applyElems3 is applyElems1 for three interleaved fields: every corner
-// gathers three values and every kernel entry multiplies all three, so
-// the corner rows and kernels are streamed once for the whole velocity
-// block. Per field it is the same sum as applyElems1's, in the same
-// order.
-func (lv *level) applyElems3(x, acc []float64) {
+// applyRange3 is applyElems1 for three interleaved fields, over the
+// elements [lo, hi): every corner gathers three values and every kernel
+// entry multiplies all three, so the corner rows and kernels are
+// streamed once for the whole velocity block. Per field it is the same
+// sum as applyElems1's, in the same order.
+func (lv *level) applyRange3(x, acc []float64, lo, hi int) {
 	rows, hang := lv.mesh.Rows, lv.mesh.Hang
-	for ei := range rows {
+	for ei := lo; ei < hi; ei++ {
 		row := &rows[ei]
 		var xe [8][3]float64
 		for a := 0; a < 8; a++ {

@@ -1,0 +1,148 @@
+package gmg
+
+import (
+	"math"
+	"testing"
+	"unsafe"
+
+	"rhea/internal/fem"
+	"rhea/internal/mesh"
+	"rhea/internal/sim"
+)
+
+func init() { vecLoop3 = (*level).applyVec3 }
+
+// spacedLevel returns a level over the elements order of lv (repeats
+// allowed) whose node slots are doubled: slot s becomes 2s, so every
+// node's three entries are followed by three entries no element reads
+// or writes.
+func spacedLevel(lv *level, order []int) *level {
+	m := *lv.mesh
+	m.Rows = make([][8]int32, len(order))
+	m.Hang = append([]mesh.Hang(nil), lv.mesh.Hang...)
+	for i := range m.Hang {
+		for k := range m.Hang[i].Slot {
+			m.Hang[i].Slot[k] *= 2
+		}
+	}
+	out := &level{mesh: &m, kern: lv.kern, kidx: make([]int32, len(order)), eta: make([]float64, len(order))}
+	for i, ei := range order {
+		for a, s := range lv.mesh.Rows[ei] {
+			if s >= 0 {
+				s *= 2
+			}
+			m.Rows[i][a] = s
+		}
+		out.kidx[i], out.eta[i] = lv.kidx[ei], lv.eta[ei]
+	}
+	return out
+}
+
+// TestLevelVectorLoopMatchesGoBitwise: the AVX2 width-3 level loop
+// (stretches without a hanging corner in assembly, the rest in Go) adds
+// exactly the bits of the Go loop applyRange3, on two ranks of the front
+// box and of the adapted free-slip shell, both with hanging corners.
+// Besides every element in mesh order, the elements are replayed as
+// plain stretches of every length 0..9 between elements with a hanging
+// corner. Node slots are spread out so each node's three entries are
+// followed by sentinels, and the buffers end on a node with one more
+// sentinel past their length: the unused fourth lane is neither read
+// into a result nor ever written.
+func TestLevelVectorLoopMatchesGoBitwise(t *testing.T) {
+	if !fem.HasAVX2() {
+		t.Skip("no AVX2 on this CPU: applyElems3 runs the Go loop itself")
+	}
+	cases := []struct {
+		name  string
+		build func(r *sim.Rank) *mesh.Mesh
+	}{
+		{"front box", func(r *sim.Rank) *mesh.Mesh { return frontBox(r, 2) }},
+		{"adapted shell", adaptedShell},
+	}
+	for _, tc := range cases {
+		sim.Run(2, func(r *sim.Rank) {
+			m := tc.build(r)
+			lv := newLevel(m, fem.UnitDomain, false)
+			lv.eta = make([]float64, len(m.Leaves))
+			var plain, hanging []int
+			for ei, row := range m.Rows {
+				lv.eta[ei] = math.Exp(3 * math.Sin(float64(7*ei+1)))
+				isHanging := false
+				for _, s := range row {
+					isHanging = isHanging || s < 0
+				}
+				if isHanging {
+					hanging = append(hanging, ei)
+				} else {
+					plain = append(plain, ei)
+				}
+			}
+			if len(hanging) < 10 || len(plain) < 45 {
+				t.Fatalf("%s rank %d: %d elements with hanging corners, %d without", tc.name, r.ID(), len(hanging), len(plain))
+			}
+			var all, runs []int
+			for ei := range m.Rows {
+				all = append(all, ei)
+			}
+			p := 0
+			for n := 0; n < 10; n++ {
+				runs = append(runs, hanging[n])
+				runs = append(runs, plain[p:p+n]...)
+				p += n
+			}
+			for _, order := range [][]int{all, runs} {
+				sl := spacedLevel(lv, order)
+				n := 3 * (2*m.NSlots() - 1) // ends on the last (even) node
+				sentinel := func(i int) bool { return i == n || i/3%2 == 1 }
+				// A NaN in x reaching a result, or any write to a -0
+				// in acc (even of +0), changes the sentinel's bits.
+				x := make([]float64, n+1)
+				for i := range x {
+					switch {
+					case sentinel(i):
+						x[i] = math.NaN()
+					case i%11 == 4:
+						x[i] = 0
+					case i%13 == 5:
+						x[i] = math.Copysign(0, -1)
+					default:
+						x[i] = math.Sin(0.37*float64(i)) - 0.1
+					}
+				}
+				want, got := make([]float64, n+1), make([]float64, n+1)
+				for i := range want {
+					want[i] = math.Cos(float64(i))
+					if sentinel(i) {
+						want[i] = math.Copysign(0, -1)
+					}
+				}
+				copy(got, want)
+				sl.applyRange3(x[:n], want[:n], 0, len(order))
+				sl.applyVec3(x[:n], got[:n])
+				for i := range got {
+					if sentinel(i) && math.Float64bits(want[i]) != 1<<63 {
+						t.Fatalf("%s rank %d: the Go loop wrote sentinel acc[%d]", tc.name, r.ID(), i)
+					}
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s rank %d, %d elements: acc[%d] = %v, Go loop %v", tc.name, r.ID(), len(order), i, got[i], want[i])
+					}
+				}
+			}
+			if r.ID() == 0 {
+				t.Logf("%s: %d elements with a hanging corner, %d without; stretches of 0..9 replayed", tc.name, len(hanging), len(plain))
+			}
+		})
+	}
+}
+
+// TestLevelKernelLayout guards the layout levelRun3 bakes in: fail if
+// fem.SymKernel or a mesh corner row changed without `go generate
+// ./internal/gmg`.
+func TestLevelKernelLayout(t *testing.T) {
+	if n := unsafe.Sizeof(fem.SymKernel{}); n != asmKernSize {
+		t.Errorf("fem.SymKernel is %d B, the AVX2 loop was generated for %d: run go generate ./internal/gmg", n, asmKernSize)
+	}
+	if n := unsafe.Sizeof(mesh.Mesh{}.Rows[0]); n != asmRowSize {
+		t.Errorf("a corner row is %d B, the AVX2 loop was generated for %d: run go generate ./internal/gmg", n, asmRowSize)
+	}
+}

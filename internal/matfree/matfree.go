@@ -209,6 +209,9 @@ func New(m *mesh.Mesh, dom fem.Domain, layout *la.Layout, etaElem []float64, con
 		op.kern = fem.StokesKernelsFor(m, dom)
 	}
 	op.loopFn = op.elementLoop
+	if op.geos != nil && fem.HasAVX2() {
+		op.loopFn = op.elementLoop4
+	}
 	return op
 }
 
@@ -313,6 +316,76 @@ func (op *Operator) elementLoop(_, lo, hi int, src, dst []float64) {
 		gatherElem(row, op.hang, src, &xe)
 		op.applyElem(ei, &xe, &ye)
 		scatterElem(row, op.hang, &ye, dst)
+	}
+}
+
+// elementLoop4 is elementLoop on a mapped mesh with the elements in
+// vector lanes: four consecutive elements are gathered side by side
+// (fem.Lanes4), applied in one fem.StokesApply4 and scattered one after
+// the other, so every accumulation into dst keeps elementLoop's order
+// and the result is bit for bit its result. The last (hi-lo) mod 4
+// elements run elementLoop.
+func (op *Operator) elementLoop4(w, lo, hi int, src, dst []float64) {
+	var xe, ye fem.Lanes4
+	ei := lo
+	for ; ei+4 <= hi; ei += 4 {
+		for l := 0; l < 4; l++ {
+			gatherLane(&op.rows[ei+l], op.hang, src, &xe, l)
+		}
+		fem.StokesApply4(op.geos[ei:ei+4], (*[4]float64)(op.eta[ei:ei+4]), &xe, &ye)
+		for l := 0; l < 4; l++ {
+			scatterLane(&op.rows[ei+l], op.hang, &ye, l, dst)
+		}
+	}
+	op.elementLoop(w, ei, hi, src, dst)
+}
+
+// gatherLane is gatherElem into lane l of xe.
+func gatherLane(row *[8]int32, hang []mesh.Hang, src []float64, xe *fem.Lanes4, l int) {
+	l &= 3
+	for a := 0; a < 8; a++ {
+		x := xe[4*a : 4*a+4]
+		if s := row[a]; s >= 0 {
+			p := src[4*int(s) : 4*int(s)+4]
+			x[0][l], x[1][l], x[2][l], x[3][l] = p[0], p[1], p[2], p[3]
+			continue
+		}
+		h := &hang[^row[a]]
+		w := h.W()
+		var v0, v1, v2, v3 float64
+		for k := 0; k < int(h.N); k++ {
+			base := int(h.Slot[k]) * 4
+			v0 += w * src[base]
+			v1 += w * src[base+1]
+			v2 += w * src[base+2]
+			v3 += w * src[base+3]
+		}
+		x[0][l], x[1][l], x[2][l], x[3][l] = v0, v1, v2, v3
+	}
+}
+
+// scatterLane is scatterElem from lane l of ye.
+func scatterLane(row *[8]int32, hang []mesh.Hang, ye *fem.Lanes4, l int, dst []float64) {
+	l &= 3
+	for a := 0; a < 8; a++ {
+		y := ye[4*a : 4*a+4]
+		if s := row[a]; s >= 0 {
+			p := dst[4*int(s) : 4*int(s)+4]
+			p[0] += y[0][l]
+			p[1] += y[1][l]
+			p[2] += y[2][l]
+			p[3] += y[3][l]
+			continue
+		}
+		h := &hang[^row[a]]
+		w := h.W()
+		for k := 0; k < int(h.N); k++ {
+			base := int(h.Slot[k]) * 4
+			dst[base] += w * y[0][l]
+			dst[base+1] += w * y[1][l]
+			dst[base+2] += w * y[2][l]
+			dst[base+3] += w * y[3][l]
+		}
 	}
 }
 

@@ -172,7 +172,8 @@ func linkedSymbols(t *testing.T, dir string) map[string]bool {
 			if len(f) < 3 || (f[1] != "T" && f[1] != "t") || !strings.HasPrefix(f[2], "rhea/internal/") {
 				continue
 			}
-			sym := f[2]
+			// An assembly function's body is linked as name.abi0.
+			sym := strings.TrimSuffix(f[2], ".abi0")
 			for s := typeArgs.ReplaceAllString(sym, ""); s != sym; s = typeArgs.ReplaceAllString(sym, "") {
 				sym = s
 			}
