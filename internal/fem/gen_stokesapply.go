@@ -29,14 +29,12 @@ import (
 	"go/format"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"log"
 	"math"
 	"os"
 	"sort"
 	"strings"
-	"unsafe"
-
-	"rhea/internal/fem"
 )
 
 var buf bytes.Buffer
@@ -303,15 +301,49 @@ func main() {
 // IEEE arithmetic makes exact. An expression the source computes twice
 // (2*we) is computed once.
 
-// The struct layout the kernel bakes in, read from the compiled package.
-var (
-	geomSize = int(unsafe.Sizeof(fem.ElemGeom{}))
-	qjacSize = int(unsafe.Sizeof(fem.QJac{}))
-	offQ     = int(unsafe.Offsetof(fem.ElemGeom{}.Q))
-	offVol   = int(unsafe.Offsetof(fem.ElemGeom{}.Vol))
-	offJi    = int(unsafe.Offsetof(fem.QJac{}.Ji))
-	offW     = int(unsafe.Offsetof(fem.QJac{}.W))
-)
+// The struct layout the kernel bakes in, computed from the declarations
+// in geom.go with the gc compiler's amd64 sizes, so the generator runs
+// even when the package it regenerates does not build.
+var geomSize, qjacSize, offQ, offVol, offJi, offW = structLayout()
+
+func structLayout() (geomSize, qjacSize, offQ, offVol, offJi, offW int) {
+	fs := token.NewFileSet()
+	f, err := parser.ParseFile(fs, "geom.go", nil, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// Type-check the two declarations alone: they use no other package.
+	decl := &ast.GenDecl{Tok: token.TYPE}
+	for _, d := range f.Decls {
+		if d, ok := d.(*ast.GenDecl); ok && d.Tok == token.TYPE {
+			for _, s := range d.Specs {
+				if n := s.(*ast.TypeSpec).Name.Name; n == "ElemGeom" || n == "QJac" {
+					decl.Specs = append(decl.Specs, s)
+				}
+			}
+		}
+	}
+	pkg, err := new(types.Config).Check("fem", fs, []*ast.File{{Name: f.Name, Decls: []ast.Decl{decl}}}, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sizes := types.SizesFor("gc", "amd64")
+	layout := func(name string) (int, map[string]int) {
+		st := pkg.Scope().Lookup(name).Type().Underlying().(*types.Struct)
+		fields := make([]*types.Var, st.NumFields())
+		for i := range fields {
+			fields[i] = st.Field(i)
+		}
+		off := map[string]int{}
+		for i, o := range sizes.Offsetsof(fields) {
+			off[fields[i].Name()] = int(o)
+		}
+		return int(sizes.Sizeof(st)), off
+	}
+	gs, g := layout("ElemGeom")
+	qs, q := layout("QJac")
+	return gs, qs, g["Q"], g["Vol"], q["Ji"], q["W"]
+}
 
 type vkind int
 

@@ -6,18 +6,3 @@ package fem
 // element per lane with every scalar operation of StokesApply done once
 // for all four.
 type Lanes4 [32][4]float64
-
-// stokesApply4Go is StokesApply4 as four StokesApply calls: the portable
-// form, and the reference the vector kernel is held to.
-func stokesApply4Go(g []ElemGeom, eta *[4]float64, xe, ye *Lanes4) {
-	for l := 0; l < 4; l++ {
-		var x, y [32]float64
-		for i := range x {
-			x[i] = xe[i][l]
-		}
-		g[l].StokesApply(eta[l], &x, &y)
-		for i := range y {
-			ye[i][l] = y[i]
-		}
-	}
-}

@@ -25,23 +25,27 @@ var hasAVX2 = func() bool {
 
 // HasAVX2 reports whether the generated AVX2 element kernels run on this
 // CPU (fem's StokesApply4 and the multigrid level loop); without them the
-// generated Go loops do the same arithmetic.
+// generated Go loops do the same arithmetic. It is the one dispatch test:
+// matfree and gmg pick their element loop by it. The kernels never fuse a
+// multiply and an add, so they equal the Go loops only while the compiler
+// keeps x*y+z as two roundings too; Go's amd64 backend does at every
+// GOAMD64 level, and CI runs the bitwise tests at GOAMD64=v3.
 func HasAVX2() bool { return hasAVX2 }
 
 // StokesApply4 applies the Stokes element operator to the four
 // consecutive elements g[0:4] at once: ye lane l is what
-// g[l].StokesApply(eta[l], xe lane l) writes, bit for bit. On CPUs
-// without AVX2 it runs those four calls.
+// g[l].StokesApply(eta[l], xe lane l) writes, bit for bit. It runs the
+// AVX2 kernel only; callers check HasAVX2 and run StokesApply on CPUs
+// without it.
 func StokesApply4(g []ElemGeom, eta *[4]float64, xe, ye *Lanes4) {
 	_ = g[3]
-	if hasAVX2 {
-		if unsafe.Sizeof(ElemGeom{}) != asmGeomSize || unsafe.Sizeof(QJac{}) != asmQJacSize ||
-			unsafe.Offsetof(ElemGeom{}.Q) != asmOffQ || unsafe.Offsetof(ElemGeom{}.Vol) != asmOffVol ||
-			unsafe.Offsetof(QJac{}.Ji) != asmOffJi || unsafe.Offsetof(QJac{}.W) != asmOffW {
-			panic("fem: the ElemGeom layout changed: run go generate ./internal/fem")
-		}
-		stokesApply4AVX2(&g[0], eta, xe, ye)
-		return
+	if !hasAVX2 {
+		panic("fem: StokesApply4 needs AVX2 (check HasAVX2)")
 	}
-	stokesApply4Go(g, eta, xe, ye)
+	if unsafe.Sizeof(ElemGeom{}) != asmGeomSize || unsafe.Sizeof(QJac{}) != asmQJacSize ||
+		unsafe.Offsetof(ElemGeom{}.Q) != asmOffQ || unsafe.Offsetof(ElemGeom{}.Vol) != asmOffVol ||
+		unsafe.Offsetof(QJac{}.Ji) != asmOffJi || unsafe.Offsetof(QJac{}.W) != asmOffW {
+		panic("fem: the ElemGeom layout changed: run go generate ./internal/fem")
+	}
+	stokesApply4AVX2(&g[0], eta, xe, ye)
 }

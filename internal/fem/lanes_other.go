@@ -6,9 +6,8 @@ package fem
 // CPU: never on this architecture, where the generated Go loops run.
 func HasAVX2() bool { return false }
 
-// StokesApply4 applies the Stokes element operator to the four
-// consecutive elements g[0:4]: ye lane l is what g[l].StokesApply(eta[l],
-// xe lane l) writes.
+// StokesApply4 is the AVX2 Stokes kernel, which this architecture does
+// not have: callers check HasAVX2 and run StokesApply instead.
 func StokesApply4(g []ElemGeom, eta *[4]float64, xe, ye *Lanes4) {
-	stokesApply4Go(g, eta, xe, ye)
+	panic("fem: StokesApply4 needs AVX2 (check HasAVX2)")
 }

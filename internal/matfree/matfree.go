@@ -260,7 +260,7 @@ func (op *Operator) applyElem(ei int, xe, ye *[32]float64) {
 
 // gatherElem interpolates the 32 corner dofs of an element from the
 // slot-space buffer: an independent corner reads its slot (weight exactly
-// 1), a hanging one sums its masters at weight 1/N.
+// 1), a hanging one sums its masters (hangValue).
 func gatherElem(row *[8]int32, hang []mesh.Hang, src []float64, xe *[32]float64) {
 	for a := 0; a < 8; a++ {
 		if s := row[a]; s >= 0 {
@@ -268,17 +268,7 @@ func gatherElem(row *[8]int32, hang []mesh.Hang, src []float64, xe *[32]float64)
 			xe[4*a], xe[4*a+1], xe[4*a+2], xe[4*a+3] = p[0], p[1], p[2], p[3]
 			continue
 		}
-		h := &hang[^row[a]]
-		w := h.W()
-		var v0, v1, v2, v3 float64
-		for k := 0; k < int(h.N); k++ {
-			base := int(h.Slot[k]) * 4
-			v0 += w * src[base]
-			v1 += w * src[base+1]
-			v2 += w * src[base+2]
-			v3 += w * src[base+3]
-		}
-		xe[4*a], xe[4*a+1], xe[4*a+2], xe[4*a+3] = v0, v1, v2, v3
+		xe[4*a], xe[4*a+1], xe[4*a+2], xe[4*a+3] = hangValue(&hang[^row[a]], src)
 	}
 }
 
@@ -295,15 +285,35 @@ func scatterElem(row *[8]int32, hang []mesh.Hang, ye *[32]float64, dst []float64
 			p[3] += ye[4*a+3]
 			continue
 		}
-		h := &hang[^row[a]]
-		w := h.W()
-		for k := 0; k < int(h.N); k++ {
-			base := int(h.Slot[k]) * 4
-			dst[base] += w * ye[4*a]
-			dst[base+1] += w * ye[4*a+1]
-			dst[base+2] += w * ye[4*a+2]
-			dst[base+3] += w * ye[4*a+3]
-		}
+		hangAdd(&hang[^row[a]], ye[4*a], ye[4*a+1], ye[4*a+2], ye[4*a+3], dst)
+	}
+}
+
+// hangValue is a hanging corner's four dofs: its masters' blocks summed
+// from zero in master order at weight 1/N. Both gathers use it, so the
+// per-element and the four-lane loop round alike.
+func hangValue(h *mesh.Hang, src []float64) (v0, v1, v2, v3 float64) {
+	w := h.W()
+	for k := 0; k < int(h.N); k++ {
+		base := int(h.Slot[k]) * 4
+		v0 += w * src[base]
+		v1 += w * src[base+1]
+		v2 += w * src[base+2]
+		v3 += w * src[base+3]
+	}
+	return v0, v1, v2, v3
+}
+
+// hangAdd adds a hanging corner's four results into each master's block
+// at weight 1/N, in master order (the transpose of hangValue).
+func hangAdd(h *mesh.Hang, y0, y1, y2, y3 float64, dst []float64) {
+	w := h.W()
+	for k := 0; k < int(h.N); k++ {
+		base := int(h.Slot[k]) * 4
+		dst[base] += w * y0
+		dst[base+1] += w * y1
+		dst[base+2] += w * y2
+		dst[base+3] += w * y3
 	}
 }
 
@@ -350,17 +360,7 @@ func gatherLane(row *[8]int32, hang []mesh.Hang, src []float64, xe *fem.Lanes4, 
 			x[0][l], x[1][l], x[2][l], x[3][l] = p[0], p[1], p[2], p[3]
 			continue
 		}
-		h := &hang[^row[a]]
-		w := h.W()
-		var v0, v1, v2, v3 float64
-		for k := 0; k < int(h.N); k++ {
-			base := int(h.Slot[k]) * 4
-			v0 += w * src[base]
-			v1 += w * src[base+1]
-			v2 += w * src[base+2]
-			v3 += w * src[base+3]
-		}
-		x[0][l], x[1][l], x[2][l], x[3][l] = v0, v1, v2, v3
+		x[0][l], x[1][l], x[2][l], x[3][l] = hangValue(&hang[^row[a]], src)
 	}
 }
 
@@ -377,15 +377,7 @@ func scatterLane(row *[8]int32, hang []mesh.Hang, ye *fem.Lanes4, l int, dst []f
 			p[3] += y[3][l]
 			continue
 		}
-		h := &hang[^row[a]]
-		w := h.W()
-		for k := 0; k < int(h.N); k++ {
-			base := int(h.Slot[k]) * 4
-			dst[base] += w * y[0][l]
-			dst[base+1] += w * y[1][l]
-			dst[base+2] += w * y[2][l]
-			dst[base+3] += w * y[3][l]
-		}
+		hangAdd(&hang[^row[a]], y[0][l], y[1][l], y[2][l], y[3][l], dst)
 	}
 }
 
