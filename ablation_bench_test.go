@@ -209,7 +209,7 @@ func BenchmarkAblation_AMGSetupReuse(b *testing.B) {
 		tr := forest.New(r, unitBox, 3)
 		m := mesh.Extract(tr, nil)
 		mat, _, _ := fem.AssembleScalar(m, fem.UnitDomain,
-			func(ei int, h [3]float64) [8][8]float64 { return fem.StiffnessBrick(h, 1) },
+			func(ei int, h [3]float64) [8][8]float64 { return fem.StiffnessGeom(fem.BrickElemGeom(h), 1) },
 			nil, func(x [3]float64) (float64, bool) { return 0, x[2] == 0 || x[2] == 1 })
 		A = mat.LocalCSR()
 	})

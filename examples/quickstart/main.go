@@ -57,17 +57,17 @@ func main() {
 			onB := x[0] == 0 || x[1] == 0 || x[2] == 0 || x[0] == 1 || x[1] == 1 || x[2] == 1
 			return 0, onB
 		}
+		geo := fem.ElemGeomOf(m, dom) // one brick geometry per octree level
 		A, b, _ := fem.AssembleScalar(m, dom,
-			func(ei int, h [3]float64) [8][8]float64 {
+			func(ei int, _ [3]float64) [8][8]float64 {
 				k := 1.0
 				if dom.ElemCenter(m.Leaves[ei])[2] > 0.5 {
 					k = 100.0
 				}
-				return fem.StiffnessBrick(h, k)
+				return fem.StiffnessGeom(geo(ei), k)
 			},
-			func(ei int, h [3]float64) [8]float64 {
-				lm := fem.LumpedMassBrick(h, 1)
-				return lm // source f = 1
+			func(ei int, _ [3]float64) [8]float64 {
+				return fem.LumpedMassGeom(geo(ei), 1) // source f = 1
 			}, bc)
 		x := la.NewVec(m.Layout())
 		res := krylov.CG(A, amg.NewBlockJacobi(A, amg.Options{}), b, x, 1e-10, 500)

@@ -11,15 +11,7 @@ import (
 
 func TestElemGeomDirectionalH(t *testing.T) {
 	h := [3]float64{0.01, 1, 0.25}
-	var X [8][3]float64
-	for c := 0; c < 8; c++ {
-		X[c] = [3]float64{
-			float64(c&1) * h[0],
-			float64(c>>1&1) * h[1],
-			float64(c>>2&1) * h[2],
-		}
-	}
-	g := NewElemGeom(&X)
+	g := BrickElemGeom(h)
 	for d := 0; d < 3; d++ {
 		if math.Abs(g.H[d]-h[d]) > 1e-14 {
 			t.Errorf("H[%d] = %v, want %v", d, g.H[d], h[d])
@@ -27,9 +19,6 @@ func TestElemGeomDirectionalH(t *testing.T) {
 	}
 	if math.Abs(g.Hmin-0.01) > 1e-14 {
 		t.Errorf("Hmin = %v, want 0.01", g.Hmin)
-	}
-	if k := NewStokesKernelsGeom(g); k.H != g.H {
-		t.Errorf("StokesKernels.H = %v, want the directional extents %v", k.H, g.H)
 	}
 }
 

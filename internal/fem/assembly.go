@@ -189,7 +189,6 @@ func AssembleScalarWithBC(
 // paths scale these cached kernels instead of re-running quadrature per
 // element, and the multigrid level operators stream them.
 func UnitStiffnessKernels(m *mesh.Mesh, dom Domain) (kern []SymKernel, idx []int32) {
-	idx = make([]int32, len(m.Leaves))
 	if m.X != nil {
 		// The mesh's cached geometry when some consumer built it (the
 		// fine level's operator does, first); otherwise each element's,
@@ -197,6 +196,7 @@ func UnitStiffnessKernels(m *mesh.Mesh, dom Domain) (kern []SymKernel, idx []int
 		// its kernels and no geometry.
 		geos, _ := m.GeomCache.([]ElemGeom)
 		var tmp ElemGeom
+		idx = make([]int32, len(m.Leaves))
 		kern = make([]SymKernel, len(m.Leaves))
 		for ei := range m.Leaves {
 			g := &tmp
@@ -210,15 +210,10 @@ func UnitStiffnessKernels(m *mesh.Mesh, dom Domain) (kern []SymKernel, idx []int
 		}
 		return kern, idx
 	}
-	byLevel := map[uint8]int32{}
-	for ei, leaf := range m.Leaves {
-		k, ok := byLevel[leaf.Level]
-		if !ok {
-			k = int32(len(kern))
-			byLevel[leaf.Level] = k
-			kern = append(kern, stiffnessBrickSym(dom.ElemSize(leaf), 1))
-		}
-		idx[ei] = k
+	geo, idx := brickLevels(m, dom)
+	kern = make([]SymKernel, len(geo))
+	for k, g := range geo {
+		kern[k] = stiffnessGeomSym(g, 1)
 	}
 	return kern, idx
 }

@@ -6,11 +6,12 @@
 // for the energy equation, and the constrained global assembly that
 // eliminates hanging nodes at the element level.
 //
-// All elements are axis-aligned bricks (the octree supplies cubes in
-// reference coordinates; an anisotropic physical domain stretches them by
-// a constant factor per axis). The reference element is [0,1]^3 with
-// corners numbered in z-order: bit 0 = x, bit 1 = y, bit 2 = z, matching
-// package mesh.
+// Every element matrix has one formula, integrated isoparametrically on
+// an ElemGeom (geom.go): a mapped element's comes from its corners, an
+// axis-aligned brick's from BrickElemGeom, built once per octree level
+// and shared by the level's elements. The reference element is [0,1]^3
+// with corners numbered in z-order: bit 0 = x, bit 1 = y, bit 2 = z,
+// matching package mesh.
 package fem
 
 import "math"
@@ -124,135 +125,6 @@ func (k *SymKernel) Full() (K [8][8]float64) {
 		}
 	}
 	return K
-}
-
-// StiffnessBrick returns the scalar diffusion element matrix
-// K[a][b] = coef * Integral grad(phi_a) . grad(phi_b) dV on a brick with
-// physical edge lengths h.
-func StiffnessBrick(h [3]float64, coef float64) [8][8]float64 {
-	K := stiffnessBrickSym(h, coef)
-	return K.Full()
-}
-
-// stiffnessBrickSym is StiffnessBrick's upper triangle, the only half it
-// integrates.
-func stiffnessBrickSym(h [3]float64, coef float64) SymKernel {
-	var K SymKernel
-	vol := h[0] * h[1] * h[2]
-	for _, q := range Quad8 {
-		k := 0
-		for a := 0; a < 8; a++ {
-			for b := a; b < 8; b++ {
-				var s float64
-				for d := 0; d < 3; d++ {
-					s += q.dNdX[a][d] / h[d] * q.dNdX[b][d] / h[d]
-				}
-				K[k] += coef * q.W * vol * s
-				k++
-			}
-		}
-	}
-	return K
-}
-
-// MassBrick returns the consistent mass matrix scaled by coef.
-func MassBrick(h [3]float64, coef float64) [8][8]float64 {
-	var M [8][8]float64
-	vol := h[0] * h[1] * h[2]
-	for _, q := range Quad8 {
-		for a := 0; a < 8; a++ {
-			for b := 0; b < 8; b++ {
-				M[a][b] += coef * q.W * vol * q.N[a] * q.N[b]
-			}
-		}
-	}
-	return M
-}
-
-// LumpedMassBrick returns the row-sum lumped mass vector scaled by coef.
-func LumpedMassBrick(h [3]float64, coef float64) [8]float64 {
-	var m [8]float64
-	vol := coef * h[0] * h[1] * h[2] / 8
-	for a := 0; a < 8; a++ {
-		m[a] = vol
-	}
-	return m
-}
-
-// ViscousBrick returns the 24x24 viscous element matrix for the
-// variable-viscosity Stokes operator in strain-rate form:
-// A[3a+i][3b+j] = eta * Integral (grad(phi_a).grad(phi_b) delta_ij +
-// d_j phi_a d_i phi_b) dV, i.e. the discretization of
-// -div(eta (grad u + grad u^T)) with constant element viscosity eta.
-func ViscousBrick(h [3]float64, eta float64) [24][24]float64 {
-	var A [24][24]float64
-	vol := h[0] * h[1] * h[2]
-	for _, q := range Quad8 {
-		var g [8][3]float64
-		for a := 0; a < 8; a++ {
-			for d := 0; d < 3; d++ {
-				g[a][d] = q.dNdX[a][d] / h[d]
-			}
-		}
-		w := eta * q.W * vol
-		for a := 0; a < 8; a++ {
-			for b := 0; b < 8; b++ {
-				dot := g[a][0]*g[b][0] + g[a][1]*g[b][1] + g[a][2]*g[b][2]
-				for i := 0; i < 3; i++ {
-					for j := 0; j < 3; j++ {
-						v := g[a][j] * g[b][i]
-						if i == j {
-							v += dot
-						}
-						A[3*a+i][3*b+j] += w * v
-					}
-				}
-			}
-		}
-	}
-	return A
-}
-
-// DivergenceBrick returns the 8x24 pressure-velocity coupling
-// B[a][3b+j] = -Integral phi_a d_j phi_b dV (discrete divergence tested
-// against the pressure basis).
-func DivergenceBrick(h [3]float64) [8][24]float64 {
-	var B [8][24]float64
-	vol := h[0] * h[1] * h[2]
-	for _, q := range Quad8 {
-		for a := 0; a < 8; a++ {
-			for b := 0; b < 8; b++ {
-				for j := 0; j < 3; j++ {
-					B[a][3*b+j] -= q.W * vol * q.N[a] * q.dNdX[b][j] / h[j]
-				}
-			}
-		}
-	}
-	return B
-}
-
-// StabilizationBrick returns the Dohrmann–Bochev polynomial pressure
-// projection stabilization C = (1/eta) (M - v v^T / V), where M is the
-// pressure mass matrix, v its row sums, and V the element volume. C
-// annihilates element-constant pressures and penalizes the spurious
-// modes of the equal-order pair.
-func StabilizationBrick(h [3]float64, eta float64) [8][8]float64 {
-	M := MassBrick(h, 1)
-	vol := h[0] * h[1] * h[2]
-	var v [8]float64
-	for a := 0; a < 8; a++ {
-		for b := 0; b < 8; b++ {
-			v[a] += M[a][b]
-		}
-	}
-	var C [8][8]float64
-	inv := 1.0 / eta
-	for a := 0; a < 8; a++ {
-		for b := 0; b < 8; b++ {
-			C[a][b] = inv * (M[a][b] - v[a]*v[b]/vol)
-		}
-	}
-	return C
 }
 
 // SUPGTau returns the standard SUPG parameter for element size h,

@@ -12,9 +12,10 @@ import (
 // themselves stay in mesh.Mesh.X). Kernels that evaluate the element
 // operator in reference coordinates (StokesApply) read those directly;
 // consumers that want the physical shape-function gradients J^{-T} dN
-// expand them with Grads. The brick kernels are the special case
-// J = diag(h); these general kernels serve multi-tree meshes with
-// trilinear tree maps and radially projected shells.
+// expand them with Grads. Every element matrix of the package is
+// integrated from an ElemGeom: the multi-tree meshes' trilinear tree maps
+// and radially projected shells give one per element, and an
+// axis-aligned brick (J = diag(h)) is BrickElemGeom of its edge lengths.
 type ElemGeom struct {
 	Q [8]QJac // one entry per Quad8 point
 	// Vol is the element volume (sum of the weights).
@@ -113,6 +114,22 @@ func NewElemGeom(X *[8][3]float64) *ElemGeom {
 	return g
 }
 
+// BrickElemGeom returns the geometry of an axis-aligned brick with edge
+// lengths h, corners at the origin: a brick's element matrices are the
+// mapped formulas evaluated on it. It depends only on h, so a mesh
+// builds one per octree level (brickLevels).
+func BrickElemGeom(h [3]float64) *ElemGeom {
+	var X [8][3]float64
+	for c := range X {
+		for i := range X[c] {
+			if c>>i&1 == 1 {
+				X[c][i] = h[i]
+			}
+		}
+	}
+	return NewElemGeom(&X)
+}
+
 // set fills g with the geometry of the element with corners X.
 func (g *ElemGeom) set(X *[8][3]float64) {
 	*g = ElemGeom{}
@@ -181,8 +198,15 @@ func CenterPoint(X *[8][3]float64) (x [3]float64) {
 	return x
 }
 
-// stiffnessGeomSym is StiffnessBrick on a mapped element, packed: the
-// upper triangle, the only half it integrates.
+// StiffnessGeom returns the scalar diffusion element matrix
+// K[a][b] = coef * Integral grad(phi_a) . grad(phi_b) dV.
+func StiffnessGeom(g *ElemGeom, coef float64) [8][8]float64 {
+	K := stiffnessGeomSym(g, coef)
+	return K.Full()
+}
+
+// stiffnessGeomSym is StiffnessGeom packed: the upper triangle, the only
+// half it integrates.
 func stiffnessGeomSym(g *ElemGeom, coef float64) SymKernel {
 	var Q [8]QGeom
 	g.Grads(&Q)
@@ -202,7 +226,7 @@ func stiffnessGeomSym(g *ElemGeom, coef float64) SymKernel {
 	return K
 }
 
-// MassGeom is MassBrick on a mapped element.
+// MassGeom returns the consistent mass matrix scaled by coef.
 func MassGeom(g *ElemGeom, coef float64) [8][8]float64 {
 	var M [8][8]float64
 	for qi := range g.Q {
@@ -231,8 +255,11 @@ func LumpedMassGeom(g *ElemGeom, coef float64) [8]float64 {
 	return m
 }
 
-// ViscousGeom is ViscousBrick on a mapped element: the strain-rate form
-// of the variable-viscosity vector Laplacian with constant viscosity eta.
+// ViscousGeom returns the 24x24 viscous element matrix for the
+// variable-viscosity Stokes operator in strain-rate form:
+// A[3a+i][3b+j] = eta * Integral (grad(phi_a).grad(phi_b) delta_ij +
+// d_j phi_a d_i phi_b) dV, i.e. the discretization of
+// -div(eta (grad u + grad u^T)) with constant element viscosity eta.
 func ViscousGeom(g *ElemGeom, eta float64) [24][24]float64 {
 	var Q [8]QGeom
 	g.Grads(&Q)
@@ -258,7 +285,9 @@ func ViscousGeom(g *ElemGeom, eta float64) [24][24]float64 {
 	return A
 }
 
-// DivergenceGeom is DivergenceBrick on a mapped element.
+// DivergenceGeom returns the 8x24 pressure-velocity coupling
+// B[a][3b+j] = -Integral phi_a d_j phi_b dV (discrete divergence tested
+// against the pressure basis).
 func DivergenceGeom(g *ElemGeom) [8][24]float64 {
 	var Q [8]QGeom
 	g.Grads(&Q)
@@ -277,7 +306,11 @@ func DivergenceGeom(g *ElemGeom) [8][24]float64 {
 	return B
 }
 
-// StabilizationGeom is StabilizationBrick on a mapped element.
+// StabilizationGeom returns the Dohrmann–Bochev polynomial pressure
+// projection stabilization C = (1/eta) (M - v v^T / V), where M is the
+// pressure mass matrix, v its row sums, and V the element volume. C
+// annihilates element-constant pressures and penalizes the spurious
+// modes of the equal-order pair.
 func StabilizationGeom(g *ElemGeom, eta float64) [8][8]float64 {
 	M := MassGeom(g, 1)
 	var v [8]float64
@@ -294,21 +327,6 @@ func StabilizationGeom(g *ElemGeom, eta float64) [8][8]float64 {
 		}
 	}
 	return C
-}
-
-// NewStokesKernelsGeom precomputes the unit-viscosity coupled Stokes
-// element matrices of a mapped element; the result plugs into the same
-// fused StokesKernels.Apply as the brick path. It is the tabulated form
-// of ElemGeom.StokesApply: the assembled path scales its matrices, and
-// the point kernel's tests compare against its Apply.
-func NewStokesKernelsGeom(g *ElemGeom) *StokesKernels {
-	return &StokesKernels{
-		H:  g.H,
-		Av: ViscousGeom(g, 1),
-		Bd: DivergenceGeom(g),
-		Cs: StabilizationGeom(g, 1),
-		M8: MassGeom(g, 1),
-	}
 }
 
 // ElemGeoms returns the per-element quadrature geometry of a mapped
@@ -332,13 +350,42 @@ func ElemGeoms(m *mesh.Mesh) []ElemGeom {
 	return g
 }
 
+// ElemGeomOf returns the quadrature geometry of each local element:
+// the mesh's cached ElemGeoms on mapped meshes, and on axis-aligned ones
+// one BrickElemGeom per octree level, shared by the level's elements.
+func ElemGeomOf(m *mesh.Mesh, dom Domain) func(ei int) *ElemGeom {
+	if geos := ElemGeoms(m); geos != nil {
+		return func(ei int) *ElemGeom { return &geos[ei] }
+	}
+	geo, idx := brickLevels(m, dom)
+	return func(ei int) *ElemGeom { return geo[idx[ei]] }
+}
+
+// brickLevels returns the geometry of an axis-aligned mesh's bricks, one
+// BrickElemGeom per octree level present (element size depends only on
+// the level), and idx[ei], the index of element ei's.
+func brickLevels(m *mesh.Mesh, dom Domain) (geo []*ElemGeom, idx []int32) {
+	idx = make([]int32, len(m.Leaves))
+	byLevel := map[uint8]int32{}
+	for ei, leaf := range m.Leaves {
+		k, ok := byLevel[leaf.Level]
+		if !ok {
+			k = int32(len(geo))
+			byLevel[leaf.Level] = k
+			geo = append(geo, BrickElemGeom(dom.ElemSize(leaf)))
+		}
+		idx[ei] = k
+	}
+	return geo, idx
+}
+
 // StokesKernelsFor returns the per-element tabulated unit-viscosity
 // Stokes kernels of a mesh: for axis-aligned meshes one kernel per octree
-// level (aliased — element size depends only on the level), shared by the
-// matrix-free operator and the assembled path; for mapped meshes one
-// isoparametric kernel per element, which only the assembled oracle path
-// asks for — the matrix-free operator applies ElemGeom.StokesApply from
-// the same ElemGeoms instead and stores nothing per element.
+// level (aliased), shared by the matrix-free operator and the assembled
+// path; for mapped meshes one kernel per element, which only the
+// assembled path asks for — the matrix-free operator applies
+// ElemGeom.StokesApply from the same ElemGeoms instead and stores
+// nothing per element.
 func StokesKernelsFor(m *mesh.Mesh, dom Domain) []*StokesKernels {
 	kern := make([]*StokesKernels, len(m.Leaves))
 	if g := ElemGeoms(m); g != nil {
@@ -347,14 +394,13 @@ func StokesKernelsFor(m *mesh.Mesh, dom Domain) []*StokesKernels {
 		}
 		return kern
 	}
-	byLevel := map[uint8]*StokesKernels{}
-	for ei, leaf := range m.Leaves {
-		k, ok := byLevel[leaf.Level]
-		if !ok {
-			k = NewStokesKernels(dom.ElemSize(leaf))
-			byLevel[leaf.Level] = k
-		}
-		kern[ei] = k
+	geo, idx := brickLevels(m, dom)
+	byLevel := make([]*StokesKernels, len(geo))
+	for k, g := range geo {
+		byLevel[k] = NewStokesKernelsGeom(g)
+	}
+	for ei, k := range idx {
+		kern[ei] = byLevel[k]
 	}
 	return kern
 }

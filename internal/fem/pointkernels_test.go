@@ -291,7 +291,11 @@ func TestLoadAndLumpedMassMatchMassMatrix(t *testing.T) {
 		}
 	}
 	h := [3]float64{0.01, 1, 0.25}
-	lm, want := LumpedMassQ(BrickQGeom(h), 3), LumpedMassBrick(h, 3)
+	lm, vol := LumpedMassQ(BrickQGeom(h), 3), h[0]*h[1]*h[2]
+	want := [8]float64{}
+	for a := range want {
+		want[a] = 3 * vol / 8
+	}
 	g := NewBrickGeom(h)
 	lmg, lmq := g.LumpedMass(), LumpedMassQ(BrickQGeom(h), 1)
 	for a := range lm {
@@ -365,7 +369,7 @@ func TestTransportPointKernelMatchesMatrices(t *testing.T) {
 		kappa, tau := kt[0], kt[1]
 		for i, h := range randomBricks(24) {
 			u, T := transportCase(41 + uint64(i))
-			K, G, S := StiffnessBrick(h, kappa), AdvectionBrick(h, &u), SUPGBrick(h, &u, tau)
+			K, G, S := StiffnessGeom(BrickElemGeom(h), kappa), AdvectionBrick(h, &u), SUPGBrick(h, &u, tau)
 			var got, dense [8]float64
 			g := NewBrickGeom(h)
 			g.TransportRate(kappa, tau, &u, &T, &got)

@@ -1,29 +1,36 @@
 package fem
 
 // StokesKernels bundles the element matrices of the coupled Q1-Q1 Stokes
-// operator for one brick size h, factored so a matrix-free apply can
-// reuse them across every element of the same octree level: the viscous
-// block and the stabilization scale linearly in eta and 1/eta
-// respectively, the divergence coupling and the mass are
+// operator for one element, factored so the assembled path and a
+// matrix-free apply can reuse them across viscosity updates (and, for
+// axis-aligned bricks, across every element of the same octree level):
+// the viscous block and the stabilization scale linearly in eta and
+// 1/eta respectively, the divergence coupling and the mass are
 // viscosity-independent.
 type StokesKernels struct {
-	H  [3]float64
-	Av [24][24]float64 // ViscousBrick(h, 1); scale by eta
-	Bd [8][24]float64  // DivergenceBrick(h)
-	Cs [8][8]float64   // StabilizationBrick(h, 1); scale by 1/eta
-	M8 [8][8]float64   // MassBrick(h, 1), for consistent load vectors
+	Av [24][24]float64 // ViscousGeom(g, 1); scale by eta
+	Bd [8][24]float64  // DivergenceGeom(g)
+	Cs [8][8]float64   // StabilizationGeom(g, 1); scale by 1/eta
+	M8 [8][8]float64   // MassGeom(g, 1), for consistent load vectors
+}
+
+// NewStokesKernelsGeom precomputes the unit-viscosity coupled Stokes
+// element matrices of an element. It is the tabulated form of
+// ElemGeom.StokesApply: the assembled path scales its matrices, and the
+// point kernel's tests compare against its Apply.
+func NewStokesKernelsGeom(g *ElemGeom) *StokesKernels {
+	return &StokesKernels{
+		Av: ViscousGeom(g, 1),
+		Bd: DivergenceGeom(g),
+		Cs: StabilizationGeom(g, 1),
+		M8: MassGeom(g, 1),
+	}
 }
 
 // NewStokesKernels precomputes the unit-viscosity element matrices for a
 // brick with physical edge lengths h.
 func NewStokesKernels(h [3]float64) *StokesKernels {
-	return &StokesKernels{
-		H:  h,
-		Av: ViscousBrick(h, 1),
-		Bd: DivergenceBrick(h),
-		Cs: StabilizationBrick(h, 1),
-		M8: MassBrick(h, 1),
-	}
+	return NewStokesKernelsGeom(BrickElemGeom(h))
 }
 
 // Apply computes the action of the coupled element operator with element

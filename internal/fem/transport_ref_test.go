@@ -80,12 +80,6 @@ func SUPGBrick(h [3]float64, u *[8][3]float64, tau float64) [8][8]float64 {
 	return S
 }
 
-// StiffnessGeom is StiffnessBrick on a mapped element, both triangles.
-func StiffnessGeom(g *ElemGeom, coef float64) [8][8]float64 {
-	K := stiffnessGeomSym(g, coef)
-	return K.Full()
-}
-
 // AdvectionGeom is AdvectionBrick on a mapped element with
 // quadrature-point geometry Q.
 func AdvectionGeom(Q *[8]QGeom, u *[8][3]float64) [8][8]float64 {

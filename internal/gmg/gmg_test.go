@@ -168,7 +168,7 @@ func TestLevelOperatorMatchesAssembled(t *testing.T) {
 			op := newLevelOp(h.levels[0], []*fem.BCData{bcd})
 
 			stiff := func(ei int, hh [3]float64) [8][8]float64 {
-				return fem.StiffnessBrick(hh, eta[ei])
+				return fem.StiffnessGeom(fem.BrickElemGeom(hh), eta[ei])
 			}
 			A, _, _ := fem.AssembleScalar(m, dom, stiff, nil, zeroBC)
 
@@ -253,7 +253,7 @@ func TestVcyclePreconditionsCG(t *testing.T) {
 
 func mustDinv(h *Hierarchy, bcd *fem.BCData, m *mesh.Mesh, dom fem.Domain, eta []float64) *la.Vec {
 	diag := fem.AssembleScalarDiag(m, dom, func(ei int, hh [3]float64) [8][8]float64 {
-		return fem.StiffnessBrick(hh, eta[ei])
+		return fem.StiffnessGeom(fem.BrickElemGeom(hh), eta[ei])
 	}, bcd)
 	dinv := la.NewVec(diag.Layout)
 	for i, v := range diag.Data {

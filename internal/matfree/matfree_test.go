@@ -63,15 +63,15 @@ func consFrom(m *mesh.Mesh, bc dofBC) matfree.Constraints {
 }
 
 // assembleQ1 builds the eliminated coupled Q1 CSR the way the stokes
-// assembled path does: brick kernels, hanging-node weights, skipped
+// assembled path does: element matrices, hanging-node weights, skipped
 // constrained rows/columns and identity diagonals.
 func assembleQ1(m *mesh.Mesh, dom fem.Domain, layout *la.Layout, eta []float64, bc dofBC) *la.Mat {
 	A := la.NewMat(layout)
 	for ei, leaf := range m.Leaves {
-		h := dom.ElemSize(leaf)
-		Av := fem.ViscousBrick(h, eta[ei])
-		Bd := fem.DivergenceBrick(h)
-		Cs := fem.StabilizationBrick(h, eta[ei])
+		g := fem.BrickElemGeom(dom.ElemSize(leaf))
+		Av := fem.ViscousGeom(g, eta[ei])
+		Bd := fem.DivergenceGeom(g)
+		Cs := fem.StabilizationGeom(g, eta[ei])
 		var cs [8]mesh.Corner
 		for a := range cs {
 			cs[a] = m.Corner(ei, a)

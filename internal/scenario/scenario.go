@@ -137,6 +137,12 @@ func (sp *Spec) normalize() error {
 	if sp.CheckpointEvery < 0 {
 		return fmt.Errorf("scenario: checkpoint_every %d must be non-negative", sp.CheckpointEvery)
 	}
+	// Zero keeps the case's setting; a negative one can never run: no
+	// Picard pass solves, no step advances time, MINRES cannot reach it.
+	if sp.TargetElems < 0 || sp.AdaptEvery < 0 || sp.Picard < 0 || sp.MinresTol < 0 {
+		return fmt.Errorf("scenario: negative solver setting (target_elems=%d adapt_every=%d picard=%d minres_tol=%g)",
+			sp.TargetElems, sp.AdaptEvery, sp.Picard, sp.MinresTol)
+	}
 	if sp.BaseLevel < 0 || sp.MinLevel < 0 || sp.MaxLevel < 0 {
 		return fmt.Errorf("scenario: negative refinement level (base=%d min=%d max=%d)", sp.BaseLevel, sp.MinLevel, sp.MaxLevel)
 	}

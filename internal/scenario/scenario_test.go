@@ -205,6 +205,10 @@ func TestSubmitValidation(t *testing.T) {
 		{Kind: "box", Cycles: 1, Ranks: maxRanks + 1},
 		{Kind: "box", Cycles: 1, CheckpointEvery: -1},
 		{Kind: "box", Cycles: 1, MinLevel: 3, MaxLevel: 2},
+		{Kind: "box", Cycles: 1, Picard: -1},
+		{Kind: "box", Cycles: 1, AdaptEvery: -1},
+		{Kind: "box", Cycles: 1, TargetElems: -1},
+		{Kind: "box", Cycles: 1, MinresTol: -1},
 	}
 	for i, sp := range bad {
 		if _, err := m.Submit(sp); err == nil {

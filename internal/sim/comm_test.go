@@ -155,13 +155,13 @@ func TestSubsetNonMemberPanics(t *testing.T) {
 	})
 }
 
-// TestAllreduceVecHalvingMatchesSerialFold: the recursive-halving path
-// (power-of-two communicator, vector above the cutoff) must return the
-// bit-exact serial left fold over ranks 0..P-1 on every rank — the same
-// guarantee as the allgather path — within 2·ceil(log2 P) rounds.
+// TestAllreduceVecHalvingMatchesSerialFold: a long, odd-length vector
+// (the size a recursive-halving algorithm would take) on a power-of-two
+// communicator must come back as the bit-exact serial left fold over
+// ranks 0..P-1 on every rank, within ceil(log2 P) rounds.
 func TestAllreduceVecHalvingMatchesSerialFold(t *testing.T) {
 	const p = 8
-	n := allreduceVecCutoff + 137 // odd length: uneven segment split
+	n := 1024 + 137
 	mk := func(id int) []float64 {
 		v := make([]float64, n)
 		for j := range v {
@@ -180,25 +180,25 @@ func TestAllreduceVecHalvingMatchesSerialFold(t *testing.T) {
 		got := r.AllreduceVec(mk(r.ID()))
 		for j := range want {
 			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-				t.Errorf("rank %d: halving allreducevec[%d] = %v, want serial fold %v", r.ID(), j, got[j], want[j])
+				t.Errorf("rank %d: allreducevec[%d] = %v, want serial fold %v", r.ID(), j, got[j], want[j])
 				return
 			}
 		}
 	})
-	bound := 2 * CeilLog2(p)
+	bound := CeilLog2(p)
 	for id, s := range stats {
 		if s.CollRounds > bound {
-			t.Errorf("rank %d: %d rounds > 2*ceil(log2 %d) = %d", id, s.CollRounds, p, bound)
+			t.Errorf("rank %d: %d rounds > ceil(log2 %d) = %d", id, s.CollRounds, p, bound)
 		}
 	}
 }
 
-// TestAllreduceVecHalvingOnSubset: the halving path composes with
-// subsets — a power-of-two subset of a non-power-of-two world.
+// TestAllreduceVecHalvingOnSubset: a long vector's allreduce composes
+// with subsets — a power-of-two subset of a non-power-of-two world.
 func TestAllreduceVecHalvingOnSubset(t *testing.T) {
 	const p = 6
 	members := []int{0, 2, 3, 5}
-	n := allreduceVecCutoff
+	n := 1024 + 37
 	Run(p, func(r *Rank) {
 		sub := r.Subset(members)
 		if !sub.Member() {

@@ -793,34 +793,16 @@ func (r *Rank) AllreduceInt64(v int64) int64 {
 	return acc
 }
 
-// allreduceVecCutoff is the vector length (float64 count) above which
-// AllreduceVec switches from the Bruck allgather with a local fold to
-// recursive-halving reduce-scatter + allgather (power-of-two
-// communicators only). Short vectors are latency-bound and stay on the
-// allgather path.
-const allreduceVecCutoff = 1024
-
 // AllreduceVec sums float64 vectors elementwise across ranks. All ranks
 // must pass slices of the same length; every rank receives the total.
-//
-// Short vectors take Allreduce's algorithm: a ceil(log2 P)-round Bruck
-// allgather of the raw contributions, then every rank folds them locally
-// in rank order. Each rank receives O(P·n) bytes, which for a short,
-// latency-bound vector costs less than the ceil(log2 P) extra rounds of
-// a reduce-then-broadcast tree. Long vectors on power-of-two
-// communicators instead use a recursive-halving reduce-scatter followed
-// by a Bruck allgather, so no rank ever receives more than O(n·log2 P)
-// bytes, in 2·log2 P rounds. The fold runs in strict rank order on both
-// paths, so they return bit-identical results, equal to a serial left
-// fold over ranks 0..P-1 and to Allreduce per entry.
+// It takes Allreduce's algorithm: a ceil(log2 P)-round Bruck allgather of
+// the raw contributions, then every rank folds them locally in rank
+// order, so the result is equal to a serial left fold over ranks
+// 0..P-1 and to Allreduce per entry.
 func (r *Rank) AllreduceVec(v []float64) []float64 {
 	tag := r.collTag("AllreduceVec")
 	nb := int64(8 * len(v))
 	r.countCollective(nb)
-	p := r.Size()
-	if p > 1 && p&(p-1) == 0 && len(v) >= allreduceVecCutoff {
-		return r.allreduceVecHalving(tag, v)
-	}
 	// Peers read the payload after this rank has returned: send a copy the
 	// caller cannot overwrite.
 	all := r.bruckAllgather(tag, append([]float64(nil), v...), nb)
@@ -831,81 +813,6 @@ func (r *Rank) AllreduceVec(v []float64) []float64 {
 		}
 	}
 	return acc
-}
-
-// rsVecMsg carries rank-stamped raw vector windows during the
-// recursive-halving reduce-scatter.
-type rsVecMsg struct {
-	ranks []int32
-	parts [][]float64
-}
-
-// allreduceVecHalving implements AllreduceVec for power-of-two
-// communicators and long vectors. The recursive halving concatenates the
-// raw rank-stamped contributions instead of pairwise-summing them: after
-// log2 P rounds each rank holds every rank's contribution for its own
-// 1/P segment of the index space and folds them locally in strict rank
-// order — bit-identical to the allgather path's fold. A Bruck
-// allgather of the folded segments then delivers the full vector to
-// every rank. log2 P + log2 P rounds; every rank sends O(n·log2 P / 2)
-// bytes in the halving phase instead of the allgather path's O(P·n).
-func (r *Rank) allreduceVecHalving(tag int, v []float64) []float64 {
-	p, n := r.Size(), len(v)
-	tagAG := r.nextCollTag()
-	segStart := func(i int) int { return i * n / p }
-	type contrib struct {
-		rank int32
-		vals []float64 // covers the current window of the index space
-	}
-	// Window of whole segments [slo, shi) this rank still reduces.
-	slo, shi := 0, p
-	held := []contrib{{rank: int32(r.id), vals: v}}
-	for dist := p / 2; dist >= 1; dist /= 2 {
-		partner := r.id ^ dist
-		mid := (slo + shi) / 2
-		cut := segStart(mid) - segStart(slo) // element offset of the split
-		out := rsVecMsg{ranks: make([]int32, len(held)), parts: make([][]float64, len(held))}
-		var nb int64
-		keepLow := r.id&dist == 0
-		for i, c := range held {
-			out.ranks[i] = c.rank
-			if keepLow {
-				out.parts[i] = c.vals[cut:]
-				held[i].vals = c.vals[:cut]
-			} else {
-				out.parts[i] = c.vals[:cut]
-				held[i].vals = c.vals[cut:]
-			}
-			nb += int64(8 * len(out.parts[i]))
-		}
-		if keepLow {
-			shi = mid
-		} else {
-			slo = mid
-		}
-		r.sendColl(partner, tag, out, nb)
-		in := r.recvColl(partner, tag).(rsVecMsg)
-		for i, rk := range in.ranks {
-			held = append(held, contrib{rank: rk, vals: in.parts[i]})
-		}
-		r.bumpRounds(1)
-	}
-	// held now has one contribution per rank for my segment; fold them in
-	// strict rank order (identical to the serial left fold).
-	sort.Slice(held, func(i, j int) bool { return held[i].rank < held[j].rank })
-	segLen := segStart(r.id+1) - segStart(r.id)
-	acc := make([]float64, segLen)
-	for _, c := range held {
-		for j, x := range c.vals {
-			acc[j] += x
-		}
-	}
-	segs := r.bruckAllgather(tagAG, acc, int64(8*segLen))
-	res := make([]float64, n)
-	for i, s := range segs {
-		copy(res[segStart(i):], s.([]float64))
-	}
-	return res
 }
 
 // ExScan returns the exclusive prefix sum of v across ranks: rank i

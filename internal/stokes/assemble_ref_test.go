@@ -23,38 +23,29 @@ import (
 // (collective): assembleCoupled with no frame table, without the
 // rotation branches.
 func (s *Solver) assembleCoupledRef(etaElem []float64, force [][8][3]float64) {
-	m, dom := s.M, s.Dom
+	m := s.M
 	fixed, val := s.cons.Fixed, s.cons.Val
 	A := la.NewMat(s.Layout)
 	bb := la.NewVecBuilder(s.Layout)
+	geo := fem.ElemGeomOf(m, s.Dom)
 
-	for ei, leaf := range m.Leaves {
+	for ei := range m.Leaves {
+		// Each element's unit kernels from its geometry, not the solver's
+		// cache, scaled by the viscosity.
 		eta := etaElem[ei]
-		var Av [24][24]float64
-		var Bd [8][24]float64
-		var Cs, M8 [8][8]float64
-		if s.stokesKern != nil {
-			// Mapped elements: scale the cached per-element unit kernels —
-			// exactly what the matrix-free apply multiplies against.
-			k := s.stokesKern[ei]
-			Av, Bd, M8 = k.Av, k.Bd, k.M8
-			inv := 1 / eta
-			for a := 0; a < 24; a++ {
-				for b := 0; b < 24; b++ {
-					Av[a][b] *= eta
-				}
+		k := fem.NewStokesKernelsGeom(geo(ei))
+		Av, Bd, M8 := k.Av, k.Bd, k.M8
+		var Cs [8][8]float64
+		inv := 1 / eta
+		for a := 0; a < 24; a++ {
+			for b := 0; b < 24; b++ {
+				Av[a][b] *= eta
 			}
-			for a := 0; a < 8; a++ {
-				for b := 0; b < 8; b++ {
-					Cs[a][b] = inv * k.Cs[a][b]
-				}
+		}
+		for a := 0; a < 8; a++ {
+			for b := 0; b < 8; b++ {
+				Cs[a][b] = inv * k.Cs[a][b]
 			}
-		} else {
-			h := dom.ElemSize(leaf)
-			Av = fem.ViscousBrick(h, eta)
-			Bd = fem.DivergenceBrick(h)
-			Cs = fem.StabilizationBrick(h, eta)
-			M8 = fem.MassBrick(h, 1)
 		}
 		var cs [8]mesh.Corner
 		for a := range cs {
@@ -191,8 +182,8 @@ func TestAssembledBodyMatchesPlainLoop(t *testing.T) {
 					return fixed, vals
 				}
 				s := Setup(m, d.dom, bc, Options{}).Update(eta, force)
-				if s.hasSlip || (d.name == "brick") != (s.stokesKern != nil) {
-					t.Fatalf("%s p=%d: not the frameless %s path", d.name, p, d.name)
+				if s.hasSlip || s.stokesKern == nil {
+					t.Fatalf("%s p=%d: not the frameless assembled path", d.name, p)
 				}
 				A, B := s.A.GatherGlobalCSR(), s.B.Clone()
 				s.assembleCoupledRef(eta, force)

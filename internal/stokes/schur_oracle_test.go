@@ -29,14 +29,15 @@ type schurTerm struct {
 func schurPlanRef(s *Solver) []schurTerm {
 	m, dom := s.M, s.Dom
 	var plan []schurTerm
-	geos := fem.ElemGeoms(m)
 	for ei, leaf := range m.Leaves {
-		var lm [8]float64
-		if geos != nil {
-			lm = fem.LumpedMassGeom(&geos[ei], 1)
+		// Each element's own geometry, built here rather than shared.
+		var g *fem.ElemGeom
+		if m.X != nil {
+			g = fem.NewElemGeom(&m.X[ei])
 		} else {
-			lm = fem.LumpedMassBrick(dom.ElemSize(leaf), 1)
+			g = fem.BrickElemGeom(dom.ElemSize(leaf))
 		}
+		lm := fem.LumpedMassGeom(g, 1)
 		for a := 0; a < 8; a++ {
 			ca := m.Corner(ei, a)
 			for ia := 0; ia < int(ca.N); ia++ {

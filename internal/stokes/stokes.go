@@ -199,10 +199,10 @@ type Solver struct {
 	scalKern []fem.SymKernel
 	scalIdx  []int32
 	// stokesKern holds the per-element unit-viscosity coupled kernels the
-	// assembled path scales on mapped (forest) meshes, where per-element
-	// Jacobians replace the constant-h brick formulas
-	// (fem.StokesKernelsFor; the matrix-free operator evaluates the same
-	// element operator at the quadrature points and stores none).
+	// assembled path scales on every Update (fem.StokesKernelsFor: one per
+	// element on mapped meshes, one per octree level on axis-aligned
+	// ones; the matrix-free operator evaluates the same element operator
+	// at the quadrature points on mapped meshes and stores none).
 	stokesKern []*fem.StokesKernels
 
 	// Velocity-block preconditioner: on the GMG path one blocked V-cycle
@@ -362,9 +362,9 @@ func Setup(m *mesh.Mesh, dom fem.Domain, bc VelBC, opts Options) *Solver {
 		// viscosity is attached by Update.
 		s.MF = matfree.New(m, dom, s.Layout, nil, s.cons, opts.MatFree)
 		s.Op = s.MF
-	case m.X != nil:
-		// Mapped assembled path: per-element isoparametric unit kernels,
-		// scaled by the viscosity on every Update.
+	default:
+		// Assembled path: the unit kernels, scaled by the viscosity on
+		// every Update.
 		s.stokesKern = fem.StokesKernelsFor(m, dom)
 	}
 
@@ -651,16 +651,11 @@ func (s *Solver) refreshSlipDiag(etaElem []float64) {
 // of corner a, lm its unit lumped mass, in element, corner and master
 // order.
 func (s *Solver) updateSchur(etaElem []float64) {
-	m, dom := s.M, s.Dom
+	m := s.M
 	acc := make([]float64, m.NSlots())
-	geos := fem.ElemGeoms(m)
-	for ei, leaf := range m.Leaves {
-		var lm [8]float64
-		if geos != nil {
-			lm = fem.LumpedMassGeom(&geos[ei], 1)
-		} else {
-			lm = fem.LumpedMassBrick(dom.ElemSize(leaf), 1)
-		}
+	geo := fem.ElemGeomOf(m, s.Dom)
+	for ei := range m.Leaves {
+		lm := fem.LumpedMassGeom(geo(ei), 1)
 		eta := etaElem[ei]
 		for a, r := range m.Rows[ei] {
 			if r >= 0 {
@@ -764,38 +759,28 @@ func rotBlock(Qa *[3][3]float64, aRot bool, V [3][3]float64, Qb *[3][3]float64, 
 // Dirichlet elimination constrains exactly the boundary-normal
 // components. Without frames (nil table) nothing rotates.
 func (s *Solver) assembleCoupled(etaElem []float64, force [][8][3]float64) {
-	m, dom := s.M, s.Dom
+	m := s.M
 	fixed, val, frames := s.cons.Fixed, s.cons.Val, s.cons.Frames
 	A := la.NewMat(s.Layout)
 	bb := la.NewVecBuilder(s.Layout)
 
-	for ei, leaf := range m.Leaves {
+	for ei := range m.Leaves {
+		// Scale the cached unit kernels — exactly what the matrix-free
+		// apply multiplies against.
 		eta := etaElem[ei]
-		var Av [24][24]float64
-		var Bd [8][24]float64
-		var Cs, M8 [8][8]float64
-		if s.stokesKern != nil {
-			// Mapped elements: scale the cached per-element unit kernels —
-			// exactly what the matrix-free apply multiplies against.
-			k := s.stokesKern[ei]
-			Av, Bd, M8 = k.Av, k.Bd, k.M8
-			inv := 1 / eta
-			for a := 0; a < 24; a++ {
-				for b := 0; b < 24; b++ {
-					Av[a][b] *= eta
-				}
+		k := s.stokesKern[ei]
+		Av, Bd, M8 := k.Av, k.Bd, k.M8
+		var Cs [8][8]float64
+		inv := 1 / eta
+		for a := 0; a < 24; a++ {
+			for b := 0; b < 24; b++ {
+				Av[a][b] *= eta
 			}
-			for a := 0; a < 8; a++ {
-				for b := 0; b < 8; b++ {
-					Cs[a][b] = inv * k.Cs[a][b]
-				}
+		}
+		for a := 0; a < 8; a++ {
+			for b := 0; b < 8; b++ {
+				Cs[a][b] = inv * k.Cs[a][b]
 			}
-		} else {
-			h := dom.ElemSize(leaf)
-			Av = fem.ViscousBrick(h, eta)
-			Bd = fem.DivergenceBrick(h)
-			Cs = fem.StabilizationBrick(h, eta)
-			M8 = fem.MassBrick(h, 1)
 		}
 		var cs [8]mesh.Corner
 		for a := range cs {
