@@ -34,6 +34,7 @@ import (
 	"rhea/internal/bench"
 	"rhea/internal/ckpt"
 	"rhea/internal/fem"
+	"rhea/internal/morton"
 	"rhea/internal/rhea"
 	"rhea/internal/sim"
 	"rhea/internal/stokes"
@@ -107,10 +108,10 @@ func main() {
 		case "cycles":
 			c.Cycles = *cycles
 		case "base":
-			cfg.BaseLevel = uint8(*base)
+			cfg.BaseLevel = level("base", *base)
 			cfg.MinLevel = min(cfg.MinLevel, cfg.BaseLevel)
 		case "max-level":
-			cfg.MaxLevel = uint8(*maxLevel)
+			cfg.MaxLevel = level("max-level", *maxLevel)
 		case "target":
 			cfg.TargetElems = *target
 		case "ra":
@@ -308,6 +309,15 @@ func main() {
 	if failed.Load() {
 		os.Exit(1)
 	}
+}
+
+// level converts a refinement-level flag, refusing a value outside
+// [0, morton.MaxLevel] before it could wrap through uint8.
+func level(name string, v int) uint8 {
+	if v < 0 || v > morton.MaxLevel {
+		fail("-%s %d outside [0, %d]", name, v, morton.MaxLevel)
+	}
+	return uint8(v)
 }
 
 // fail reports a usage error and exits with status 2.

@@ -64,10 +64,10 @@ func main() {
 				if dom.ElemCenter(m.Leaves[ei])[2] > 0.5 {
 					k = 100.0
 				}
-				return fem.StiffnessGeom(geo(ei), k)
+				return fem.StiffnessGeom(geo[ei], k)
 			},
 			func(ei int, _ [3]float64) [8]float64 {
-				return fem.LumpedMassGeom(geo(ei), 1) // source f = 1
+				return fem.LumpedMassGeom(geo[ei], 1) // source f = 1
 			}, bc)
 		x := la.NewVec(m.Layout())
 		res := krylov.CG(A, amg.NewBlockJacobi(A, amg.Options{}), b, x, 1e-10, 500)

@@ -375,7 +375,7 @@ func TestPoissonPatchTest(t *testing.T) {
 				}
 				geo := ElemGeomOf(m, dom)
 				A, b, _ := AssembleScalar(m, dom,
-					func(ei int, _ [3]float64) [8][8]float64 { return StiffnessGeom(geo(ei), 1) },
+					func(ei int, _ [3]float64) [8][8]float64 { return StiffnessGeom(geo[ei], 1) },
 					nil, bc)
 				x := la.NewVec(m.Layout())
 				res := krylov.CG(A, krylov.Jacobi(A), b, x, 1e-12, 2000)
@@ -418,11 +418,11 @@ func TestPoissonConvergence(t *testing.T) {
 				}
 				geo := ElemGeomOf(m, dom)
 				A, b, _ := AssembleScalar(m, dom,
-					func(ei int, _ [3]float64) [8][8]float64 { return StiffnessGeom(geo(ei), 1) },
+					func(ei int, _ [3]float64) [8][8]float64 { return StiffnessGeom(geo[ei], 1) },
 					func(ei int, _ [3]float64) [8]float64 {
 						// Consistent load: f = 3 pi^2 u at corners, lumped.
 						var F [8]float64
-						lm := LumpedMassGeom(geo(ei), 1)
+						lm := LumpedMassGeom(geo[ei], 1)
 						X := ElemCornerCoords(m, dom, ei)
 						for c := 0; c < 8; c++ {
 							F[c] = lm[c] * 3 * math.Pi * math.Pi * exact(X[c])

@@ -288,8 +288,10 @@ func main() {
 // rounds exactly as the scalar code does. Constants are the float64
 // values of Go's exact constant arithmetic (gb = 1 - ga rounded at run
 // time would be one ulp off). Geometry is gathered from the four
-// elements' ElemGeom entries (VGATHERQPD at the struct's stride), the
-// inputs and outputs are Lanes4 (one register per dof).
+// elements' ElemGeom entries by address (VGATHERQPD with the four
+// pointers as indices over a zero base, so lanes may alias one geometry
+// or come from anywhere), the inputs and outputs are Lanes4 (one
+// register per dof).
 //
 // The source is straight-line, so each local is one SSA value and the
 // registers are assigned by Belady's rule: when all 14 value registers
@@ -697,7 +699,7 @@ func src(n ast.Node) string {
 
 // Register allocation and emission.
 
-const nreg = 14 // Y0..Y13 hold values; Y14 is the gather mask, Y15 the gather offsets
+const nreg = 14 // Y0..Y13 hold values; Y14 is the gather mask, Y15 the four geometry addresses
 
 type alloc struct {
 	k      *kernel
@@ -929,21 +931,16 @@ func genAsm(code []byte) {
 	}
 	w("GLOBL stokessign<>(SB), RODATA|NOPTR, $32")
 	w("")
-	w("// Byte offsets of the four elements: the ElemGeom stride.")
-	for l := 0; l < 4; l++ {
-		w("DATA stokesstride<>+%d(SB)/8, $%d", 8*l, l*geomSize)
-	}
-	w("GLOBL stokesstride<>(SB), RODATA|NOPTR, $32")
-	w("")
-	w("// func stokesApply4AVX2(geo *ElemGeom, eta *[4]float64, xe, ye *Lanes4)")
+	w("// func stokesApply4AVX2(geo *[4]*ElemGeom, eta *[4]float64, xe, ye *Lanes4)")
 	w("TEXT ·stokesApply4AVX2(SB), 0, $%d-32", 32*a.nslots+32)
 	w("\tMOVQ geo+0(FP), AX")
+	w("\tVMOVDQU (AX), Y15")
+	w("\tXORQ AX, AX")
 	w("\tMOVQ eta+8(FP), BX")
 	w("\tMOVQ xe+16(FP), SI")
 	w("\tMOVQ ye+24(FP), DI")
 	w("\tLEAQ 31(SP), R11")
 	w("\tANDQ $~31, R11")
-	w("\tVMOVDQU stokesstride<>(SB), Y15")
 	b.Write(a.out.Bytes())
 	w("\tVZEROUPPER")
 	w("\tRET")
@@ -956,11 +953,11 @@ func genAsm(code []byte) {
 	w("")
 	w("package fem")
 	w("")
-	w("// stokesApply4AVX2 is StokesApply on the four consecutive elements at geo,")
-	w("// one per lane (stokesapply_amd64.s). The CPU must have AVX2.")
+	w("// stokesApply4AVX2 is StokesApply on the four elements *geo[0:4], one")
+	w("// per lane (stokesapply_amd64.s). The CPU must have AVX2.")
 	w("//")
 	w("//go:noescape")
-	w("func stokesApply4AVX2(geo *ElemGeom, eta *[4]float64, xe, ye *Lanes4)")
+	w("func stokesApply4AVX2(geo *[4]*ElemGeom, eta *[4]float64, xe, ye *Lanes4)")
 	w("")
 	w("// The struct layout stokesApply4AVX2 reads; TestLanesLayout fails when")
 	w("// ElemGeom or QJac no longer has it.")

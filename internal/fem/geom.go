@@ -350,15 +350,23 @@ func ElemGeoms(m *mesh.Mesh) []ElemGeom {
 	return g
 }
 
-// ElemGeomOf returns the quadrature geometry of each local element:
-// the mesh's cached ElemGeoms on mapped meshes, and on axis-aligned ones
-// one BrickElemGeom per octree level, shared by the level's elements.
-func ElemGeomOf(m *mesh.Mesh, dom Domain) func(ei int) *ElemGeom {
+// ElemGeomOf returns the table of the local elements' quadrature
+// geometries, 8 B per element: entry ei points into the mesh's cached
+// ElemGeoms on mapped meshes, and on axis-aligned ones at the one
+// BrickElemGeom of its octree level, shared by the level's elements.
+func ElemGeomOf(m *mesh.Mesh, dom Domain) []*ElemGeom {
+	tab := make([]*ElemGeom, len(m.Leaves))
 	if geos := ElemGeoms(m); geos != nil {
-		return func(ei int) *ElemGeom { return &geos[ei] }
+		for ei := range tab {
+			tab[ei] = &geos[ei]
+		}
+		return tab
 	}
 	geo, idx := brickLevels(m, dom)
-	return func(ei int) *ElemGeom { return geo[idx[ei]] }
+	for ei, k := range idx {
+		tab[ei] = geo[k]
+	}
+	return tab
 }
 
 // brickLevels returns the geometry of an axis-aligned mesh's bricks, one
@@ -380,12 +388,11 @@ func brickLevels(m *mesh.Mesh, dom Domain) (geo []*ElemGeom, idx []int32) {
 }
 
 // StokesKernelsFor returns the per-element tabulated unit-viscosity
-// Stokes kernels of a mesh: for axis-aligned meshes one kernel per octree
-// level (aliased), shared by the matrix-free operator and the assembled
-// path; for mapped meshes one kernel per element, which only the
-// assembled path asks for — the matrix-free operator applies
-// ElemGeom.StokesApply from the same ElemGeoms instead and stores
-// nothing per element.
+// Stokes kernels of a mesh, which the assembled path scales: for
+// axis-aligned meshes one kernel per octree level (aliased), for mapped
+// meshes one kernel per element. The matrix-free operator tabulates
+// nothing: it applies ElemGeom.StokesApply on ElemGeomOf's table on every
+// mesh.
 func StokesKernelsFor(m *mesh.Mesh, dom Domain) []*StokesKernels {
 	kern := make([]*StokesKernels, len(m.Leaves))
 	if g := ElemGeoms(m); g != nil {

@@ -32,13 +32,13 @@ var hasAVX2 = func() bool {
 // GOAMD64 level, and CI runs the bitwise tests at GOAMD64=v3.
 func HasAVX2() bool { return hasAVX2 }
 
-// StokesApply4 applies the Stokes element operator to the four
-// consecutive elements g[0:4] at once: ye lane l is what
-// g[l].StokesApply(eta[l], xe lane l) writes, bit for bit. It runs the
-// AVX2 kernel only; callers check HasAVX2 and run StokesApply on CPUs
-// without it.
-func StokesApply4(g []ElemGeom, eta *[4]float64, xe, ye *Lanes4) {
-	_ = g[3]
+// StokesApply4 applies the Stokes element operator to the four elements
+// *g[0:4] at once: ye lane l is what g[l].StokesApply(eta[l], xe lane l)
+// writes, bit for bit. The geometry is gathered by address, so lanes may
+// alias one geometry (four bricks of one octree level) or come from
+// anywhere in memory. It runs the AVX2 kernel only; callers check
+// HasAVX2 and run StokesApply on CPUs without it.
+func StokesApply4(g *[4]*ElemGeom, eta *[4]float64, xe, ye *Lanes4) {
 	if !hasAVX2 {
 		panic("fem: StokesApply4 needs AVX2 (check HasAVX2)")
 	}
@@ -47,5 +47,5 @@ func StokesApply4(g []ElemGeom, eta *[4]float64, xe, ye *Lanes4) {
 		unsafe.Offsetof(QJac{}.Ji) != asmOffJi || unsafe.Offsetof(QJac{}.W) != asmOffW {
 		panic("fem: the ElemGeom layout changed: run go generate ./internal/fem")
 	}
-	stokesApply4AVX2(&g[0], eta, xe, ye)
+	stokesApply4AVX2(g, eta, xe, ye)
 }

@@ -12,7 +12,10 @@ import (
 // every element of a level-2 shell and near-degenerate elements, at
 // viscosities from 1e-6 to 1e6, with inputs that hold zeros of both
 // signs (and one lane that is all zero), so the signs of zero products
-// and sums are compared too.
+// and sums are compared too. The lanes are read by address: four
+// consecutive slab entries, entries taken out of slab order, and lanes
+// that alias one brick geometry (as four bricks of one octree level do)
+// or mix bricks and mapped elements.
 func TestStokesApply4MatchesScalarBitwise(t *testing.T) {
 	if !HasAVX2() {
 		t.Skip("no AVX2 on this CPU: the element loops run StokesApply, there is no vector kernel to compare")
@@ -43,17 +46,19 @@ func TestStokesApply4MatchesScalarBitwise(t *testing.T) {
 	for i := range elems {
 		geos[i].set(&elems[i])
 	}
+	bricks := []*ElemGeom{BrickElemGeom([3]float64{1, 1, 1}), BrickElemGeom([3]float64{0.125, 0.125, 0.0625}),
+		BrickElemGeom([3]float64{1e-3, 2e-3, 5e-4})}
 
 	checked := 0
-	for e0 := 0; e0+4 <= len(geos); e0 += 3 {
+	check := func(what string, seed int, g *[4]*ElemGeom) {
 		var eta [4]float64
 		var xe, ye Lanes4
 		for l := range eta {
-			eta[l] = math.Pow(10, -6+12*hash01(uint64(e0), uint64(l)))
+			eta[l] = math.Pow(10, -6+12*hash01(uint64(seed), uint64(l)))
 			for i := range xe {
-				h := hash01(uint64(e0+l), uint64(100+i))
+				h := hash01(uint64(seed+l), uint64(100+i))
 				switch {
-				case e0%7 == 2 && l == 1:
+				case seed%7 == 2 && l == 1:
 					xe[i][l] = 0
 				case h < 0.15:
 					xe[i][l] = 0
@@ -64,20 +69,31 @@ func TestStokesApply4MatchesScalarBitwise(t *testing.T) {
 				}
 			}
 		}
-		StokesApply4(geos[e0:], &eta, &xe, &ye)
+		StokesApply4(g, &eta, &xe, &ye)
 		for l := range eta {
 			var x, y [32]float64
 			for i := range x {
 				x[i] = xe[i][l]
 			}
-			geos[e0+l].StokesApply(eta[l], &x, &y)
+			g[l].StokesApply(eta[l], &x, &y)
 			for i := range y {
 				if math.Float64bits(ye[i][l]) != math.Float64bits(y[i]) {
-					t.Fatalf("element %d (lane %d, eta %g): dof %d = %v, StokesApply %v (a toolchain that fuses x*y+z into an FMA also fails here)", e0+l, l, eta[l], i, ye[i][l], y[i])
+					t.Fatalf("%s %d (lane %d, eta %g): dof %d = %v, StokesApply %v (a toolchain that fuses x*y+z into an FMA also fails here)", what, seed, l, eta[l], i, ye[i][l], y[i])
 				}
 			}
 			checked++
 		}
+	}
+	n := len(geos)
+	for e0 := 0; e0+4 <= n; e0 += 3 {
+		check("consecutive elements from", e0, &[4]*ElemGeom{&geos[e0], &geos[e0+1], &geos[e0+2], &geos[e0+3]})
+	}
+	for e0 := 0; e0 < n; e0 += 5 {
+		check("out of slab order from", e0, &[4]*ElemGeom{&geos[(e0+3)%n], &geos[n-1-e0], &geos[e0], &geos[(7*e0+2)%n]})
+	}
+	for k, b := range bricks {
+		check("one aliased brick", 1000+k, &[4]*ElemGeom{b, b, b, b})
+		check("bricks and mapped elements", 2000+k, &[4]*ElemGeom{b, &geos[k], bricks[(k+1)%len(bricks)], b})
 	}
 	t.Logf("%d elements in lanes equal StokesApply bit for bit", checked)
 }

@@ -468,19 +468,19 @@ func BenchmarkStokesPointKernel(b *testing.B) {
 		if !HasAVX2() {
 			b.Skip("no AVX2 on this CPU")
 		}
-		geos := make([]ElemGeom, 4)
+		var geos [4]*ElemGeom
 		eta := [4]float64{1.5, 0.5, 2, 3}
 		var xe, ye Lanes4
 		for l := range geos {
 			X := shearedHex(uint64(1 + l))
-			geos[l].set(&X)
+			geos[l] = NewElemGeom(&X)
 			x := randVec32(uint64(1 + l))
 			for i := range x {
 				xe[i][l] = x[i]
 			}
 		}
 		for i := 0; i < b.N; i++ {
-			StokesApply4(geos, &eta, &xe, &ye)
+			StokesApply4(&geos, &eta, &xe, &ye)
 		}
 		kernelSink = ye[0][0]
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(4*b.N), "ns/elem")

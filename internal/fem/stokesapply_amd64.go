@@ -2,11 +2,11 @@
 
 package fem
 
-// stokesApply4AVX2 is StokesApply on the four consecutive elements at geo,
-// one per lane (stokesapply_amd64.s). The CPU must have AVX2.
+// stokesApply4AVX2 is StokesApply on the four elements *geo[0:4], one
+// per lane (stokesapply_amd64.s). The CPU must have AVX2.
 //
 //go:noescape
-func stokesApply4AVX2(geo *ElemGeom, eta *[4]float64, xe, ye *Lanes4)
+func stokesApply4AVX2(geo *[4]*ElemGeom, eta *[4]float64, xe, ye *Lanes4)
 
 // The struct layout stokesApply4AVX2 reads; TestLanesLayout fails when
 // ElemGeom or QJac no longer has it.

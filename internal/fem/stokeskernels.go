@@ -1,12 +1,13 @@
 package fem
 
 // StokesKernels bundles the element matrices of the coupled Q1-Q1 Stokes
-// operator for one element, factored so the assembled path and a
-// matrix-free apply can reuse them across viscosity updates (and, for
-// axis-aligned bricks, across every element of the same octree level):
-// the viscous block and the stabilization scale linearly in eta and
-// 1/eta respectively, the divergence coupling and the mass are
-// viscosity-independent.
+// operator for one element, factored so the assembled path can reuse
+// them across viscosity updates (and, for axis-aligned bricks, across
+// every element of the same octree level): the viscous block and the
+// stabilization scale linearly in eta and 1/eta respectively, the
+// divergence coupling and the mass are viscosity-independent. The
+// matrix-free apply does not use them: it runs ElemGeom.StokesApply, and
+// Apply below is its tabulated oracle.
 type StokesKernels struct {
 	Av [24][24]float64 // ViscousGeom(g, 1); scale by eta
 	Bd [8][24]float64  // DivergenceGeom(g)
@@ -41,9 +42,10 @@ func NewStokesKernels(h [3]float64) *StokesKernels {
 //	ye_v = eta Av xe_v + Bd^T xe_p
 //	ye_p = Bd xe_v - (1/eta) Cs xe_p
 //
-// This is one fused pass over the cached matrices — the matrix-free
-// counterpart of the element contributions stokes.Assemble inserts into
-// the global CSR.
+// This is one fused pass over the cached matrices, the action of the
+// element contributions stokes.Assemble inserts into the global CSR: the
+// tests hold ElemGeom.StokesApply to it, and the benchmark harness times
+// it.
 func (k *StokesKernels) Apply(eta float64, xe, ye *[32]float64) {
 	inv := 1 / eta
 	for a := 0; a < 8; a++ {

@@ -48,11 +48,7 @@ func oracleStokesApply(m *mesh.Mesh, dom fem.Domain, eta []float64, fixed []bool
 		}
 	}
 	dst := make([]float64, 4*ns)
-	geos := fem.ElemGeoms(m)
-	var kern []*fem.StokesKernels
-	if geos == nil {
-		kern = fem.StokesKernelsFor(m, dom)
-	}
+	geos := fem.ElemGeomOf(m, dom)
 	var xe, ye [32]float64
 	for ei := range m.Leaves {
 		cs := oracleCorners(m, ei)
@@ -69,11 +65,7 @@ func oracleStokesApply(m *mesh.Mesh, dom fem.Domain, eta []float64, fixed []bool
 			}
 			xe[4*a], xe[4*a+1], xe[4*a+2], xe[4*a+3] = v0, v1, v2, v3
 		}
-		if geos != nil {
-			geos[ei].StokesApply(eta[ei], &xe, &ye)
-		} else {
-			kern[ei].Apply(eta[ei], &xe, &ye)
-		}
+		geos[ei].StokesApply(eta[ei], &xe, &ye)
 		for a := 0; a < 8; a++ {
 			cr := &cs[a]
 			for k := 0; k < int(cr.N); k++ {

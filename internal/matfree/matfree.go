@@ -2,19 +2,21 @@
 // matrix-free: instead of assembling the global saddle-point CSR, each
 // Krylov apply runs a fused loop over the local elements, evaluating the
 // element operator's action on gathered corner values and scatter-adding
-// the results through the hanging-node constraint weights. On mapped
-// (forest, shell) meshes the action is evaluated at the quadrature points
-// from the per-element geometry the mesh already caches
-// (fem.ElemGeom.StokesApply): nothing is tabulated or stored per element,
-// and an apply streams 648 B of geometry per element (an inverse Jacobian
-// and a weight per quadrature point, and the volume). On axis-aligned
-// meshes every element of an octree level shares one
-// cache-resident tabulated kernel (fem.StokesKernels), so no operator
-// bytes are streamed per element at all. This is the paper-era route to
-// speed and scale for memory-bound Stokes solves: the operator is never
-// stored, the per-apply data volume drops from CSR values + indices to
-// nodal vectors plus geometry, and the element loop parallelizes over
-// in-rank cores on top of the rank-level (simulated MPI) parallelism.
+// the results through the hanging-node constraint weights. One element
+// operator serves every mesh: the action is evaluated at the quadrature
+// points from the element's geometry (fem.ElemGeom.StokesApply, four
+// elements per AVX2 register where the CPU has it), reached through an
+// 8-byte pointer per element (fem.ElemGeomOf). On mapped (forest, shell)
+// meshes the pointer leads into the geometry the mesh already caches, so
+// an apply streams 648 B of geometry per element (an inverse Jacobian and
+// a weight per quadrature point, and the volume); on axis-aligned meshes
+// every element of an octree level points at one cache-resident brick
+// geometry. Nothing is tabulated per element. This is the paper-era
+// route to speed and scale for memory-bound Stokes solves: the operator
+// is never stored, the per-apply data volume drops from CSR values +
+// indices to nodal vectors plus geometry, and the element loop
+// parallelizes over in-rank cores on top of the rank-level (simulated
+// MPI) parallelism.
 //
 // Nodes are addressed by the mesh's own slots (mesh.Mesh.GX) and
 // off-rank coupling uses that one la.GhostExchange plan in both
@@ -74,12 +76,9 @@ type Operator struct {
 	nOwned int
 	nSlots int
 
-	// Q1 element operator: on mapped meshes the shared per-element
-	// quadrature geometry (fem.ElemGeoms), applied at the quadrature
-	// points; on axis-aligned meshes (geos nil) one tabulated kernel per
-	// octree level, aliased per element.
-	geos []fem.ElemGeom
-	kern []*fem.StokesKernels
+	// Q1 element operator: each element's quadrature geometry
+	// (fem.ElemGeomOf), applied at the quadrature points.
+	geos []*fem.ElemGeom
 	rows [][8]int32  // the mesh's corner rows (Mesh.Rows)
 	hang []mesh.Hang // and its hanging corners (Mesh.Hang)
 
@@ -195,21 +194,16 @@ func (p *pool) run(src []float64, loop func(w, lo, hi int, src, dst []float64)) 
 // New builds the Q1 operator for the extracted mesh, per-element
 // viscosity and constraint tables (local). layout must be the 4N dof
 // layout of the Stokes system. Everything built here — constraint index
-// lists, worker chunks, per-level brick kernels — depends only on the mesh
+// lists, worker chunks, the geometry table — depends only on the mesh
 // and boundary conditions; the node numbering and ghost plan are the
 // mesh's own. etaElem may be nil and supplied later via SetViscosity,
 // which is how the persistent solver reuses one Operator across viscosity
 // updates.
 func New(m *mesh.Mesh, dom fem.Domain, layout *la.Layout, etaElem []float64, cons Constraints, opts Options) *Operator {
 	op := newOperator(layout, etaElem, m.GX, m.NumOwned, len(m.Leaves), cons, opts)
-	op.rows, op.hang = m.Rows, m.Hang
-	// Mapped meshes read the geometry every layer shares; axis-aligned
-	// ones the per-level kernels the assembled path scales too.
-	if op.geos = fem.ElemGeoms(m); op.geos == nil {
-		op.kern = fem.StokesKernelsFor(m, dom)
-	}
+	op.rows, op.hang, op.geos = m.Rows, m.Hang, fem.ElemGeomOf(m, dom)
 	op.loopFn = op.elementLoop
-	if op.geos != nil && fem.HasAVX2() {
+	if fem.HasAVX2() {
 		op.loopFn = op.elementLoop4
 	}
 	return op
@@ -248,15 +242,6 @@ func newOperator(layout *la.Layout, etaElem []float64, gx *la.GhostExchange, nOw
 // index lists — is untouched, so this is the entire
 // viscosity-dependent half of the operator's setup.
 func (op *Operator) SetViscosity(etaElem []float64) { op.eta = etaElem }
-
-// applyElem computes ye = A_e xe for local element ei.
-func (op *Operator) applyElem(ei int, xe, ye *[32]float64) {
-	if op.geos != nil {
-		op.geos[ei].StokesApply(op.eta[ei], xe, ye)
-	} else {
-		op.kern[ei].Apply(op.eta[ei], xe, ye)
-	}
-}
 
 // gatherElem interpolates the 32 corner dofs of an element from the
 // slot-space buffer: an independent corner reads its slot (weight exactly
@@ -324,17 +309,17 @@ func (op *Operator) elementLoop(_, lo, hi int, src, dst []float64) {
 	for ei := lo; ei < hi; ei++ {
 		row := &op.rows[ei]
 		gatherElem(row, op.hang, src, &xe)
-		op.applyElem(ei, &xe, &ye)
+		op.geos[ei].StokesApply(op.eta[ei], &xe, &ye)
 		scatterElem(row, op.hang, &ye, dst)
 	}
 }
 
-// elementLoop4 is elementLoop on a mapped mesh with the elements in
-// vector lanes: four consecutive elements are gathered side by side
-// (fem.Lanes4), applied in one fem.StokesApply4 and scattered one after
-// the other, so every accumulation into dst keeps elementLoop's order
-// and the result is bit for bit its result. The last (hi-lo) mod 4
-// elements run elementLoop.
+// elementLoop4 is elementLoop with the elements in vector lanes: four
+// consecutive elements are gathered side by side (fem.Lanes4), applied in
+// one fem.StokesApply4 on their four geometry pointers (four bricks of
+// one level share one) and scattered one after the other, so every
+// accumulation into dst keeps elementLoop's order and the result is bit
+// for bit its result. The last (hi-lo) mod 4 elements run elementLoop.
 func (op *Operator) elementLoop4(w, lo, hi int, src, dst []float64) {
 	var xe, ye fem.Lanes4
 	ei := lo
@@ -342,7 +327,7 @@ func (op *Operator) elementLoop4(w, lo, hi int, src, dst []float64) {
 		for l := 0; l < 4; l++ {
 			gatherLane(&op.rows[ei+l], op.hang, src, &xe, l)
 		}
-		fem.StokesApply4(op.geos[ei:ei+4], (*[4]float64)(op.eta[ei:ei+4]), &xe, &ye)
+		fem.StokesApply4((*[4]*fem.ElemGeom)(op.geos[ei:ei+4]), (*[4]float64)(op.eta[ei:ei+4]), &xe, &ye)
 		for l := 0; l < 4; l++ {
 			scatterLane(&op.rows[ei+l], op.hang, &ye, l, dst)
 		}
@@ -438,26 +423,6 @@ func (op *Operator) Apply(x, y *la.Vec) {
 	}
 }
 
-// elemLoad computes the consistent load F = M_e f of the corner body
-// force f on local element ei.
-func (op *Operator) elemLoad(ei int, f, F *[8][3]float64) {
-	if op.geos != nil {
-		op.geos[ei].Load(f, F)
-		return
-	}
-	M8 := &op.kern[ei].M8
-	for a := 0; a < 8; a++ {
-		var f0, f1, f2 float64
-		for b := 0; b < 8; b++ {
-			m := M8[a][b]
-			f0 += m * f[b][0]
-			f1 += m * f[b][1]
-			f2 += m * f[b][2]
-		}
-		F[a] = [3]float64{f0, f1, f2}
-	}
-}
-
 // rhsLoop runs the Q1 right-hand-side element loop over elements
 // [lo,hi): consistent body-force loads minus the raw operator applied to
 // the Dirichlet lift in src, accumulated into dst through the constraint
@@ -474,11 +439,11 @@ func (op *Operator) rhsLoop(force [][8][3]float64) func(w, lo, hi int, src, dst 
 				ye = [32]float64{}
 			} else {
 				gatherElem(row, op.hang, src, &xe)
-				op.applyElem(ei, &xe, &ye)
+				op.geos[ei].StokesApply(op.eta[ei], &xe, &ye)
 			}
 			// re = consistent load - lift action; pressure rows carry no load.
 			if force != nil {
-				op.elemLoad(ei, &force[ei], &F)
+				op.geos[ei].Load(&force[ei], &F)
 				for a := 0; a < 8; a++ {
 					ye[4*a] = F[a][0] - ye[4*a]
 					ye[4*a+1] = F[a][1] - ye[4*a+1]

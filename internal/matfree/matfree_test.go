@@ -505,12 +505,14 @@ func TestExchangeAllocsTwoRanks(t *testing.T) {
 	})
 }
 
-// TestOperatorResidentBytesMapped pins that the operator stores nothing
-// per element on a mapped mesh beyond what the mesh already holds: on the
-// level-2 shell, building it on top of the shared fem.ElemGeoms grows the
-// live heap by slot-space buffers and constraint index lists only (the
-// 32-byte corner rows it reads are the mesh's own) — well under 0.5 KB
-// per element, where a tabulated kernel per element took 8 KB more.
+// TestOperatorResidentBytesMapped pins that the operator stores no
+// geometry per element on a mapped mesh beyond what the mesh already
+// holds: on the level-2 shell, building it on top of the shared
+// fem.ElemGeoms grows the live heap by its 8-byte pointer per element into
+// them (fem.ElemGeomOf), slot-space buffers and constraint index lists
+// only (the 32-byte corner rows it reads are the mesh's own) — measured
+// at 65 B, well under 0.5 KB per element, where a tabulated kernel per
+// element took 8 KB more.
 func TestOperatorResidentBytesMapped(t *testing.T) {
 	conn := forest.CubedSphere(2)
 	g := mesh.NewShellGeometry(conn)
@@ -563,17 +565,7 @@ func TestCornerTableResidentBytesBox(t *testing.T) {
 		t.Errorf("mesh.Corner is %d bytes, want 56 (the harness's CornerRef)", sz)
 	}
 	sim.Run(1, func(r *sim.Rank) {
-		f := forest.New(r, unitBox, 3)
-		for pass := 0; pass < 3; pass++ {
-			f.Refine(func(o forest.Octant) bool {
-				// Octants within two edge lengths below the plane
-				// x + 0.3 y + 0.2 z = 0.75.
-				lo := float64(o.O.X) + 0.3*float64(o.O.Y) + 0.2*float64(o.O.Z)
-				c := 0.75 * float64(morton.RootLen)
-				return lo <= c && c <= lo+2*float64(o.O.Len())
-			})
-		}
-		f.Balance()
+		f := frontBox(r, 3)
 		live := func() int64 {
 			runtime.GC()
 			var ms runtime.MemStats

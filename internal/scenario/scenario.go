@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"rhea/internal/bench"
+	"rhea/internal/morton"
 	"rhea/internal/rhea"
 	"rhea/internal/stokes"
 )
@@ -143,8 +144,12 @@ func (sp *Spec) normalize() error {
 		return fmt.Errorf("scenario: negative solver setting (target_elems=%d adapt_every=%d picard=%d minres_tol=%g)",
 			sp.TargetElems, sp.AdaptEvery, sp.Picard, sp.MinresTol)
 	}
-	if sp.BaseLevel < 0 || sp.MinLevel < 0 || sp.MaxLevel < 0 {
-		return fmt.Errorf("scenario: negative refinement level (base=%d min=%d max=%d)", sp.BaseLevel, sp.MinLevel, sp.MaxLevel)
+	// Config converts the levels to uint8: refuse one that would wrap
+	// (258 would run at 2) or that no octant can have.
+	for _, l := range []int{sp.BaseLevel, sp.MinLevel, sp.MaxLevel} {
+		if l < 0 || l > morton.MaxLevel {
+			return fmt.Errorf("scenario: refinement level outside [0, %d] (base=%d min=%d max=%d)", morton.MaxLevel, sp.BaseLevel, sp.MinLevel, sp.MaxLevel)
+		}
 	}
 	// Validate the levels the run will actually use: unset fields keep
 	// the case's levels, so a spec like {min_level: 2} is checked against

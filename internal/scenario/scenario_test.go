@@ -209,6 +209,9 @@ func TestSubmitValidation(t *testing.T) {
 		{Kind: "box", Cycles: 1, AdaptEvery: -1},
 		{Kind: "box", Cycles: 1, TargetElems: -1},
 		{Kind: "box", Cycles: 1, MinresTol: -1},
+		{Kind: "box", Cycles: 1, MaxLevel: 258},
+		{Kind: "box", Cycles: 1, BaseLevel: 256},
+		{Kind: "box", Cycles: 1, MaxLevel: 25},
 	}
 	for i, sp := range bad {
 		if _, err := m.Submit(sp); err == nil {

@@ -33,7 +33,7 @@ func (s *Solver) assembleCoupledRef(etaElem []float64, force [][8][3]float64) {
 		// Each element's unit kernels from its geometry, not the solver's
 		// cache, scaled by the viscosity.
 		eta := etaElem[ei]
-		k := fem.NewStokesKernelsGeom(geo(ei))
+		k := fem.NewStokesKernelsGeom(geo[ei])
 		Av, Bd, M8 := k.Av, k.Bd, k.M8
 		var Cs [8][8]float64
 		inv := 1 / eta

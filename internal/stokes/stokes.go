@@ -202,7 +202,7 @@ type Solver struct {
 	// assembled path scales on every Update (fem.StokesKernelsFor: one per
 	// element on mapped meshes, one per octree level on axis-aligned
 	// ones; the matrix-free operator evaluates the same element operator
-	// at the quadrature points on mapped meshes and stores none).
+	// at the quadrature points on every mesh and stores none).
 	stokesKern []*fem.StokesKernels
 
 	// Velocity-block preconditioner: on the GMG path one blocked V-cycle
@@ -655,7 +655,7 @@ func (s *Solver) updateSchur(etaElem []float64) {
 	acc := make([]float64, m.NSlots())
 	geo := fem.ElemGeomOf(m, s.Dom)
 	for ei := range m.Leaves {
-		lm := fem.LumpedMassGeom(geo(ei), 1)
+		lm := fem.LumpedMassGeom(geo[ei], 1)
 		eta := etaElem[ei]
 		for a, r := range m.Rows[ei] {
 			if r >= 0 {
