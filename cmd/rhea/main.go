@@ -137,28 +137,25 @@ func main() {
 			cfg.ShellSlip = *slip
 		}
 	})
-	switch {
-	case cfg.Order != 0 && cfg.Order != 1 && cfg.Order != 2:
-		fail("unknown -order %d (want 1 or 2)", cfg.Order)
-	case cfg.Order == 2 && (!cfg.MatrixFree || cfg.Precond != stokes.PrecondGMG):
-		fail("-order 2 requires -matfree -precond gmg")
-	case cfg.Order == 2 && cfg.Shell:
-		fail("-order 2 is limited to the box scenarios")
-	case cfg.ShellSlip != "" && cfg.ShellSlip != "top" && cfg.ShellSlip != "both":
-		fail("unknown -slip %q (want top or both)", cfg.ShellSlip)
-	case cfg.ShellSlip != "" && !cfg.Shell:
-		fail("-slip needs a shell scenario (free-slip frames apply to the shell boundaries)")
-	case *keep < 0:
-		fail("-keep wants a positive snapshot count (or 0 to keep all)")
-	case *keep > 0 && *ckptDir == "":
-		fail("-keep prunes checkpoint snapshots and needs -checkpoint")
-	}
 	if cfg.Order == 2 {
 		// The Q2 node layer needs a conforming mesh: pin the octree at the
 		// base level and skip the initial adaptation pass.
 		cfg.MinLevel = cfg.BaseLevel
 		cfg.MaxLevel = cfg.BaseLevel
 		cfg.NoInitAdapt = true
+	}
+	if err := cfg.Validate(); err != nil {
+		fail("%v", err)
+	}
+	switch {
+	case *ranks < 1:
+		fail("-ranks %d: want at least one rank", *ranks)
+	case c.Cycles < 0:
+		fail("-cycles %d: want a non-negative cycle count", c.Cycles)
+	case *keep < 0:
+		fail("-keep wants a positive snapshot count (or 0 to keep all)")
+	case *keep > 0 && *ckptDir == "":
+		fail("-keep prunes checkpoint snapshots and needs -checkpoint")
 	}
 
 	if *restore != "" {

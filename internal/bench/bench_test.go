@@ -201,3 +201,14 @@ func TestBenchRunToRunBitwise(t *testing.T) {
 			nu[0], nu[1], vrms[0], vrms[1])
 	}
 }
+
+// TestRegistryConfigsValidate: every registry case is a config rhea can
+// run, so cmd/rhea and the scenario service start from a valid one.
+func TestRegistryConfigsValidate(t *testing.T) {
+	for _, name := range Names() {
+		c, _ := Lookup(name)
+		if err := c.Config().Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}

@@ -56,8 +56,10 @@ type Options struct {
 	MaxLevel uint8   // never refine beyond this octree level
 	MinLevel uint8   // never coarsen below this level
 	Tol      float64 // relative tolerance on the element target (default 0.1)
-	MaxIter  int     // threshold adjustment iterations (default 30)
 }
+
+// maxIter bounds the threshold adjustment iterations.
+const maxIter = 30
 
 // MarkElements chooses refinement and coarsening thresholds so that the
 // expected global element count lands within tol of target (collective).
@@ -71,9 +73,6 @@ func MarkElements(f *forest.Forest, eta []float64, target int64, opts Options) M
 	}
 	if opts.Tol == 0 {
 		opts.Tol = 0.1
-	}
-	if opts.MaxIter == 0 {
-		opts.MaxIter = 30
 	}
 	if opts.MaxLevel == 0 {
 		opts.MaxLevel = 19
@@ -94,7 +93,7 @@ func MarkElements(f *forest.Forest, eta []float64, target int64, opts Options) M
 	var best Marks
 	bestDiff := int64(math.MaxInt64)
 	m := Marks{}
-	for it := 1; it <= opts.MaxIter; it++ {
+	for it := 1; it <= maxIter; it++ {
 		m.Rounds = it
 		thetaC := ratio * thetaR
 		m.Refine = make([]bool, len(levels))

@@ -53,8 +53,8 @@ func TestHierarchyAgglomerates(t *testing.T) {
 		if le[0] != 512 {
 			t.Errorf("fine level has %d elements, want 512", le[0])
 		}
-		if last := le[len(le)-1]; last > h.CoarseTarget() {
-			t.Errorf("coarsest level has %d elements, want <= %d", last, h.CoarseTarget())
+		if last := le[len(le)-1]; last > CoarseElems {
+			t.Errorf("coarsest level has %d elements, want <= %d", last, CoarseElems)
 		}
 		if cr := h.CoarseRanks(); cr >= p {
 			t.Errorf("coarsest level still on %d ranks, want < %d", cr, p)

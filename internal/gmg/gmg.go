@@ -56,16 +56,10 @@ import (
 	"rhea/internal/sim"
 )
 
-// Options tunes the depth and partitioning of the hierarchy. The cycle
-// itself — one damped-Jacobi sweep on each side of the coarse correction
-// and an exact coarsest solve — has no knobs.
+// Options tunes the partitioning of the hierarchy. The cycle itself —
+// one damped-Jacobi sweep on each side of the coarse correction and an
+// exact coarsest solve — has no knobs.
 type Options struct {
-	// MaxLevels caps the number of mesh levels (default 25).
-	MaxLevels int
-	// CoarseElems stops coarsening once the global element count is at
-	// or below this (default 32); that level is gathered onto one rank,
-	// where its dense matrices are assembled and factored.
-	CoarseElems int64
 	// AgglomThreshold is the minimum elements per rank a level keeps
 	// before its octants are agglomerated onto a power-of-two rank
 	// subset (default 8). Levels below it repartition first, so
@@ -75,17 +69,20 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxLevels == 0 {
-		o.MaxLevels = 25
-	}
-	if o.CoarseElems == 0 {
-		o.CoarseElems = 32
-	}
 	if o.AgglomThreshold == 0 {
 		o.AgglomThreshold = 8
 	}
 	return o
 }
+
+const (
+	// CoarseElems stops coarsening once the global element count is at
+	// or below it; that level is gathered onto one rank, where its dense
+	// matrices are assembled and factored.
+	CoarseElems = 32
+	// maxLevels caps the number of mesh levels.
+	maxLevels = 25
+)
 
 const (
 	// lanczosSteps is the Lanczos step count of the per-level lambda_max
@@ -146,7 +143,6 @@ func newLevel(m *mesh.Mesh, dom fem.Domain, repart bool) *level {
 // per Picard iteration.
 type Hierarchy struct {
 	dom    fem.Domain
-	opts   Options
 	levels []*level        // levels[0] is the finest (input) mesh; local stack only
 	trans  []*fem.Transfer // trans[l] couples levels l (fine) and l+1 (coarse); nil at repart gaps
 	elems  []int64         // global element count per level
@@ -185,7 +181,7 @@ type Hierarchy struct {
 // NewHierarchy derives the mesh-dependent coarse level stack from the
 // extracted fine mesh (collective): repeated forest CoarsenedCopy + mesh
 // extraction until the global
-// element count falls to Options.CoarseElems or the level cap is hit,
+// element count falls to CoarseElems or the level cap is hit,
 // agglomerating a level onto a power-of-two rank subset whenever its
 // elements-per-rank falls below Options.AgglomThreshold or coarsening
 // stalls against the partition. Ranks that drop out of a subset return
@@ -195,13 +191,13 @@ type Hierarchy struct {
 // from it.
 func NewHierarchy(m *mesh.Mesh, dom fem.Domain, opts Options) *Hierarchy {
 	o := opts.withDefaults()
-	h := &Hierarchy{dom: dom, opts: o}
+	h := &Hierarchy{dom: dom}
 	fineComm := m.Rank
 	h.levels = append(h.levels, newLevel(m, dom, false))
 	h.elems = append(h.elems, m.Rank.AllreduceInt64(int64(len(m.Leaves))))
 
 	coarsen := coarsenerFor(m)
-	for len(h.levels) < o.MaxLevels && h.elems[len(h.elems)-1] > o.CoarseElems {
+	for len(h.levels) < maxLevels && h.elems[len(h.elems)-1] > CoarseElems {
 		lv := h.levels[len(h.levels)-1]
 		E := h.elems[len(h.elems)-1]
 		P := int64(lv.mesh.Rank.Size())
@@ -430,17 +426,13 @@ func (h *Hierarchy) CoarseNodes() int64 { return h.gCoarseNodes }
 // agglomeration. Valid on every rank.
 func (h *Hierarchy) CoarseRanks() int { return h.gCoarseP }
 
-// Degenerate reports that coarsening stopped above Options.CoarseElems
+// Degenerate reports that coarsening stopped above CoarseElems
 // — the hierarchy is too shallow for level-independent convergence and
 // its coarsest solve carries more work than intended. With
 // agglomeration this only happens on meshes a single rank cannot
 // coarsen (pathological refinement patterns), not from partition
 // stalls. Valid on every rank.
-func (h *Hierarchy) Degenerate() bool { return h.gElems[h.gDepth-1] > h.opts.CoarseElems }
-
-// CoarseTarget returns the effective CoarseElems option after defaults —
-// the element count coarsening aims for.
-func (h *Hierarchy) CoarseTarget() int64 { return h.opts.CoarseElems }
+func (h *Hierarchy) Degenerate() bool { return h.gElems[h.gDepth-1] > CoarseElems }
 
 // Precond builds the matrix-free V-cycle preconditioner for one scalar
 // field with the given Dirichlet set, over the node layout: the width-1

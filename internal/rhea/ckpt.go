@@ -80,7 +80,7 @@ func (c Config) Fingerprint() uint64 {
 
 // slipCode maps the ShellSlip preset onto the stable integer stored in
 // the fingerprint: 0 no-slip, 1 free-slip top, 2 free-slip both.
-// withDefaults has already rejected any other value.
+// Validate rejects any other value.
 func slipCode(s string) int64 {
 	switch s {
 	case "top":
@@ -162,6 +162,9 @@ func (s *Sim) Checkpoint(dir string) error {
 // evaluation run, so the restored Sim continues the interrupted
 // trajectory exactly.
 func Restore(r *sim.Rank, cfg Config, dir string) (*Sim, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	st, err := ckpt.Read(r, dir)
 	if err != nil {

@@ -96,28 +96,6 @@ func TestQ2ConvectionRankConsistency(t *testing.T) {
 	}
 }
 
-// TestQ2ConfigValidation pins the fail-fast paths: Order 2 without the
-// matrix-free GMG stack, or with levels that let the mesh adapt (which
-// would leave hanging faces the Q2 node layer rejects), must panic in
-// withDefaults, before any work is done.
-func TestQ2ConfigValidation(t *testing.T) {
-	for name, edit := range map[string]func(*Config){
-		"assembled": func(c *Config) { c.MatrixFree = false },
-		"adaptive":  func(c *Config) { c.MaxLevel, c.TargetElems = 3, 400 },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: Order 2 config did not panic", name)
-				}
-			}()
-			cfg := q2Config()
-			edit(&cfg)
-			cfg.withDefaults()
-		}()
-	}
-}
-
 // TestQ1CirculationDecaysTowardTaylorHood keeps the finding that decided
 // to keep the Taylor-Hood pair: on the pinned Ra = 1e4 box, one solve at
 // uniform levels 2, 3 and 4, the stabilised Q1-Q1 Nu and Vrms sit far

@@ -31,6 +31,7 @@ import (
 	"rhea/internal/la"
 	"rhea/internal/matfree"
 	"rhea/internal/mesh"
+	"rhea/internal/morton"
 	"rhea/internal/sim"
 	"rhea/internal/stokes"
 )
@@ -167,9 +168,7 @@ type Config struct {
 	// Order selects the velocity element order: 0 or 1 for the default
 	// stabilized equal-order Q1-Q1 pair, 2 for the Taylor-Hood Q2-Q1
 	// pair with sum-factorized matrix-free kernels and p-coarsened GMG
-	// (see stokes.Options.Order). Order 2 requires MatrixFree, Precond
-	// == PrecondGMG and the one-tree box domain at a uniform
-	// refinement level: MinLevel = MaxLevel = BaseLevel.
+	// (see stokes.Options.Order), whose requirements Validate holds.
 	Order int
 	// LocalAMG selects per-rank block-Jacobi AMG hierarchies for the
 	// velocity blocks instead of the default redundant hierarchy; see
@@ -180,6 +179,49 @@ type Config struct {
 	VelBC stokes.VelBC
 }
 
+// Validate reports the first rule c breaks, or nil when New and Restore
+// can run it. It judges the config as given, before withDefaults, so a
+// zero field still means "default". It is the one place a runnable-config
+// rule lives: New panics with its error, Restore returns it, cmd/rhea and
+// the scenario service report it.
+func (c Config) Validate() error {
+	switch {
+	case c.ShellSlip != "" && c.ShellSlip != "top" && c.ShellSlip != "both":
+		return fmt.Errorf("rhea: unknown Config.ShellSlip %q (want \"\", \"top\" or \"both\")", c.ShellSlip)
+	case c.ShellSlip != "" && !c.Shell:
+		return errors.New("rhea: Config.ShellSlip needs Shell (use SlipBC for custom mapped domains)")
+	case c.Conn != nil && !c.Shell && c.VelBC == nil:
+		return errors.New("rhea: Config.Conn without Shell needs an explicit VelBC (box-equality defaults cannot see mapped boundaries)")
+	case c.Order < 0 || c.Order > 2:
+		return fmt.Errorf("rhea: unknown Config.Order %d (want 0, 1 or 2)", c.Order)
+	case c.Order == 2 && (!c.MatrixFree || c.Precond != stokes.PrecondGMG):
+		return errors.New("rhea: Config.Order == 2 requires MatrixFree and Precond == PrecondGMG")
+	case c.Order == 2 && (c.Conn != nil || c.Shell):
+		return errors.New("rhea: Config.Order == 2 is limited to the one-tree box domain (no Conn, no Shell)")
+	case c.Order == 2 && (c.MinLevel != c.BaseLevel || c.MaxLevel != c.BaseLevel):
+		// Adaptation would leave hanging faces, which the Q2 node layer
+		// rejects only in the first cycle's Adapt, after a solve.
+		return fmt.Errorf("rhea: Config.Order == 2 needs a uniform mesh: MinLevel = MaxLevel = BaseLevel (got %d, %d, %d)",
+			c.MinLevel, c.MaxLevel, c.BaseLevel)
+	case c.MaxLevel > morton.MaxLevel:
+		return fmt.Errorf("rhea: Config.MaxLevel %d above the deepest octree level %d", c.MaxLevel, morton.MaxLevel)
+	case c.MinLevel > c.MaxLevel:
+		return fmt.Errorf("rhea: Config.MinLevel %d above MaxLevel %d", c.MinLevel, c.MaxLevel)
+	case c.BaseLevel > c.MaxLevel:
+		return fmt.Errorf("rhea: Config.BaseLevel %d above MaxLevel %d", c.BaseLevel, c.MaxLevel)
+	}
+	// Zero picks the default; a negative value can never run: no Picard
+	// pass solves, no step advances time, MINRES cannot reach it.
+	vals := [...]float64{float64(c.TargetElems), float64(c.AdaptEvery), float64(c.Picard), c.MinresTol, float64(c.MinresMax)}
+	for i, name := range [...]string{"TargetElems", "AdaptEvery", "Picard", "MinresTol", "MinresMax"} {
+		if vals[i] < 0 {
+			return fmt.Errorf("rhea: negative Config.%s %g (zero picks the default)", name, vals[i])
+		}
+	}
+	return nil
+}
+
+// withDefaults fills the zero fields of a config Validate accepted.
 func (c Config) withDefaults() Config {
 	if c.Shell {
 		if c.RInner == 0 {
@@ -190,11 +232,6 @@ func (c Config) withDefaults() Config {
 		}
 		if c.Conn == nil {
 			c.Conn = forest.CubedSphere(2)
-		}
-		switch c.ShellSlip {
-		case "", "top", "both":
-		default:
-			panic(fmt.Sprintf("rhea: unknown Config.ShellSlip %q (want \"\", \"top\" or \"both\")", c.ShellSlip))
 		}
 		if c.SlipBC == nil && c.ShellSlip != "" {
 			c.SlipBC = stokes.ShellSlipNormals(c.RInner, c.ROuter, c.ShellSlip == "both", true)
@@ -211,26 +248,12 @@ func (c Config) withDefaults() Config {
 				c.VelBC = stokes.RadialNoSlip(c.RInner, c.ROuter)
 			}
 		}
-	}
-	if c.ShellSlip != "" && !c.Shell {
-		panic("rhea: Config.ShellSlip needs Shell (use SlipBC for custom mapped domains)")
-	}
-	if c.Conn == nil && c.Dom.Box == [3]float64{} {
+	} else if c.Dom.Box == [3]float64{} {
 		// A zero-size box makes every element Jacobian singular and the
-		// whole run NaN; an unset Dom always means the unit box.
+		// whole run NaN; an unset Dom always means the unit box. Mapped
+		// non-shell domains still use Dom.Box for the depth coordinate
+		// and the Nusselt normalization.
 		c.Dom = fem.UnitDomain
-	}
-	if c.Conn != nil && !c.Shell {
-		// Mapped non-shell domains: the box-equality FreeSlip default
-		// cannot detect a mapped boundary, and Dom.Box is still used for
-		// the depth coordinate and Nusselt normalization — fail fast and
-		// keep those finite instead of silently dividing by zero.
-		if c.VelBC == nil {
-			panic("rhea: Config.Conn without Shell needs an explicit VelBC (box-equality defaults cannot see mapped boundaries)")
-		}
-		if c.Dom.Box == [3]float64{} {
-			c.Dom = fem.UnitDomain
-		}
 	}
 	if c.ViscMin == 0 {
 		c.ViscMin = 1e-6
@@ -269,21 +292,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.VelBC == nil {
 		c.VelBC = stokes.FreeSlip(c.Dom.Box)
-	}
-	if c.Order == 2 {
-		if !c.MatrixFree || c.Precond != stokes.PrecondGMG {
-			panic("rhea: Config.Order == 2 requires MatrixFree and Precond == PrecondGMG")
-		}
-		if c.Conn != nil {
-			panic("rhea: Config.Order == 2 is limited to the one-tree box domain (Q2 extraction on multi-tree forests is a roadmap item)")
-		}
-		if c.MinLevel != c.BaseLevel || c.MaxLevel != c.BaseLevel {
-			// Adaptation would leave hanging faces, which the Q2 node
-			// layer rejects — after a full solve and advect, in the first
-			// cycle's Adapt. Refuse the config here instead.
-			panic(fmt.Sprintf("rhea: Config.Order == 2 needs a uniform mesh: MinLevel = MaxLevel = BaseLevel (got %d, %d, %d)",
-				c.MinLevel, c.MaxLevel, c.BaseLevel))
-		}
 	}
 	if c.TargetElems == 0 {
 		trees := int64(1)
@@ -401,7 +409,11 @@ func (s *Sim) gatherSlotsMulti(vs ...*la.Vec) [][]float64 {
 }
 
 // New builds the initial adapted mesh and temperature field (collective).
+// It panics with Validate's error on a config that cannot run.
 func New(r *sim.Rank, cfg Config) *Sim {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	cfg = cfg.withDefaults()
 	s := &Sim{Cfg: cfg, Rank: r}
 

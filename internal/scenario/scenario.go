@@ -121,7 +121,8 @@ type Spec struct {
 // for; every rank is a goroutine driving real solves.
 const maxRanks = 64
 
-// normalize fills the spec defaults and validates the rest.
+// normalize fills the spec defaults and validates the rest: the
+// spec-only fields here, the run's rhea.Config through Config.Validate.
 func (sp *Spec) normalize() error {
 	if _, ok := bench.Lookup(sp.Kind); !ok {
 		return fmt.Errorf("scenario: kind %q is not a registry case (%s)", sp.Kind, strings.Join(bench.Names(), ", "))
@@ -138,24 +139,12 @@ func (sp *Spec) normalize() error {
 	if sp.CheckpointEvery < 0 {
 		return fmt.Errorf("scenario: checkpoint_every %d must be non-negative", sp.CheckpointEvery)
 	}
-	// Zero keeps the case's setting; a negative one can never run: no
-	// Picard pass solves, no step advances time, MINRES cannot reach it.
-	if sp.TargetElems < 0 || sp.AdaptEvery < 0 || sp.Picard < 0 || sp.MinresTol < 0 {
-		return fmt.Errorf("scenario: negative solver setting (target_elems=%d adapt_every=%d picard=%d minres_tol=%g)",
-			sp.TargetElems, sp.AdaptEvery, sp.Picard, sp.MinresTol)
-	}
 	// Config converts the levels to uint8: refuse one that would wrap
 	// (258 would run at 2) or that no octant can have.
 	for _, l := range []int{sp.BaseLevel, sp.MinLevel, sp.MaxLevel} {
 		if l < 0 || l > morton.MaxLevel {
 			return fmt.Errorf("scenario: refinement level outside [0, %d] (base=%d min=%d max=%d)", morton.MaxLevel, sp.BaseLevel, sp.MinLevel, sp.MaxLevel)
 		}
-	}
-	// Validate the levels the run will actually use: unset fields keep
-	// the case's levels, so a spec like {min_level: 2} is checked against
-	// the case's max, not against literal zero.
-	if cfg := sp.Config(); cfg.MinLevel > cfg.MaxLevel || cfg.BaseLevel > cfg.MaxLevel {
-		return fmt.Errorf("scenario: inconsistent levels base=%d min=%d max=%d (after the case's defaults)", cfg.BaseLevel, cfg.MinLevel, cfg.MaxLevel)
 	}
 	if sp.MaxRetries < -1 {
 		return fmt.Errorf("scenario: max_retries %d (use -1 to disable retries)", sp.MaxRetries)
@@ -180,7 +169,10 @@ func (sp *Spec) normalize() error {
 			return fmt.Errorf("scenario: fault_rank %d outside [0, %d)", sp.FaultRank, sp.Ranks)
 		}
 	}
-	return nil
+	// Judge the config the run will actually use: unset fields keep the
+	// case's settings, so a spec like {min_level: 2} is checked against
+	// the case's max, not against literal zero.
+	return sp.Config().Validate()
 }
 
 // Config translates the spec into a rhea.Config: the registry case

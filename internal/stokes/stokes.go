@@ -380,7 +380,7 @@ func Setup(m *mesh.Mesh, dom fem.Domain, bc VelBC, opts Options) *Solver {
 			le := s.GMGH.LevelElems()
 			panic(fmt.Sprintf(
 				"stokes: GMG hierarchy is degenerate — coarsening stopped at %d global elements (target <= %d) after %d levels",
-				le[len(le)-1], s.GMGH.CoarseTarget(), s.GMGH.NumLevels()))
+				le[len(le)-1], gmg.CoarseElems, s.GMGH.NumLevels()))
 		}
 		s.velGMG = s.GMGH.PrecondBlock(s.compBC[:])
 	} else {
