@@ -96,6 +96,33 @@ func TestQ2ConvectionRankConsistency(t *testing.T) {
 	}
 }
 
+// TestQ2ConfigValidation pins the fail-fast paths: Order 2 without the
+// matrix-free GMG stack, or with levels that let the mesh adapt (which
+// would leave hanging faces the Q2 node layer rejects), must be refused by
+// Validate, and New must panic with that error before any work is done.
+func TestQ2ConfigValidation(t *testing.T) {
+	for name, edit := range map[string]func(*Config){
+		"assembled": func(c *Config) { c.MatrixFree = false },
+		"adaptive":  func(c *Config) { c.MaxLevel, c.TargetElems = 3, 400 },
+	} {
+		cfg := q2Config()
+		edit(&cfg)
+		err := cfg.Validate()
+		if err == nil {
+			t.Errorf("%s: Order 2 config accepted", name)
+			continue
+		}
+		func() {
+			defer func() {
+				if p, _ := recover().(error); p == nil || p.Error() != err.Error() {
+					t.Errorf("%s: New panicked with %v, want %v", name, p, err)
+				}
+			}()
+			New(nil, cfg) // a nil rank: New must refuse before it communicates
+		}()
+	}
+}
+
 // TestQ1CirculationDecaysTowardTaylorHood keeps the finding that decided
 // to keep the Taylor-Hood pair: on the pinned Ra = 1e4 box, one solve at
 // uniform levels 2, 3 and 4, the stabilised Q1-Q1 Nu and Vrms sit far
