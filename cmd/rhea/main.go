@@ -215,15 +215,7 @@ func main() {
 			st := s.Adapt()
 			v := s.Diagnose(false) // collective
 			if r.ID() == 0 {
-				lo, hi := uint8(0), uint8(0)
-				for l, n := range st.LevelCounts {
-					if n > 0 {
-						if lo == 0 {
-							lo = uint8(l)
-						}
-						hi = uint8(l)
-					}
-				}
+				lo, hi := levelRange(st.LevelCounts)
 				fmt.Printf("cycle %d: t=%.3e dt=%.2e  elems %d (levels %d..%d)  "+
 					"minres %d its  Nu %.4f  Vrms %.3e  refined %d coarsened %d\n",
 					cyc, s.TimeNow, dt, st.ElementsNow, lo, hi,
@@ -321,4 +313,19 @@ func level(name string, v int) uint8 {
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
 	os.Exit(2)
+}
+
+// levelRange returns the coarsest and finest level that hold leaves in a
+// per-level leaf count, (0, 0) when none does.
+func levelRange(counts []int64) (lo, hi int) {
+	found := false
+	for l, n := range counts {
+		if n > 0 {
+			if !found {
+				lo, found = l, true
+			}
+			hi = l
+		}
+	}
+	return lo, hi
 }

@@ -62,11 +62,12 @@ type Options struct {
 const maxIter = 30
 
 // MarkElements chooses refinement and coarsening thresholds so that the
-// expected global element count lands within tol of target (collective).
-// eta is the per-local-element indicator.
+// expected global element count lands within tol of target (collective:
+// one reduction for the indicator's maximum, then one per round, which
+// sums the refine marks, the coarsenable families and the elements
+// together). eta is the per-local-element indicator.
 func MarkElements(f *forest.Forest, eta []float64, target int64, opts Options) Marks {
 	r := f.Rank()
-	nGlobal := f.NumGlobal()
 	levels := make([]uint8, len(f.Leaves()))
 	for i, o := range f.Leaves() {
 		levels[i] = o.O.Level
@@ -107,10 +108,8 @@ func MarkElements(f *forest.Forest, eta []float64, target int64, opts Options) M
 				m.Coarsen[i] = true
 			}
 		}
-		fams := int64(f.CountCoarsenableFamilies(m.Coarsen))
-		gRef := r.AllreduceInt64(nRef)
-		gFam := r.AllreduceInt64(fams)
-		m.Expected = nGlobal + 7*gRef - 7*gFam
+		g := r.AllreduceVec([]float64{float64(nRef), float64(f.CountCoarsenableFamilies(m.Coarsen)), float64(len(levels))})
+		m.Expected = int64(g[2]) + 7*int64(g[0]) - 7*int64(g[1])
 		m.RefineThreshold = thetaR
 		m.CoarsenThreshold = thetaC
 

@@ -7,9 +7,9 @@
 // new one produced by any combination of local coarsening and refinement:
 // refined leaves receive trilinearly interpolated values, coarsened
 // leaves receive injected corner values. Transfer ships the per-element
-// data to the new owners after PartitionTree, following the same
-// destination routing. ToNodal/FromNodal convert between element-corner
-// data and global nodal vectors.
+// data to the new owners after PartitionTree, over the route Partition
+// returned. ToNodal/FromNodal convert between element-corner data and
+// global nodal vectors.
 //
 // Every function takes all the fields that cross the adaptation at once:
 // the old/new leaf correspondence is walked once, each destination rank
@@ -240,37 +240,31 @@ func cornerMatches(d morton.Octant, c int, a morton.Octant) bool {
 	return true
 }
 
-// Transfer ships per-element data to the destination ranks returned by
-// PartitionTree, preserving curve order (collective). Each destination
-// receives one message carrying its elements of every field: ranges of
-// data itself, which the caller must not modify afterwards.
-func Transfer(r *sim.Rank, dests []int, data []ElemData) []ElemData {
-	// PartitionTree's destinations are monotone along the curve, so each
-	// destination's share is one contiguous range of every field.
-	var sendTo []int
-	var out []any
-	var nb []int
-	for lo := 0; lo < len(dests); {
-		hi := lo
-		for hi < len(dests) && dests[hi] == dests[lo] {
-			hi++
-		}
+// Transfer ships per-element data along the Route that PartitionTree
+// returned for the same leaves, preserving curve order (collective). Both
+// sides of the exchange are in the route, so no handshake is spent. Each
+// destination receives one message carrying its elements of every field:
+// ranges of data itself, which the caller must not modify afterwards.
+func Transfer(r *sim.Rank, rt forest.Route, data []ElemData) []ElemData {
+	out := make([]sim.Payload, len(rt.SendTo))
+	lo := 0
+	for k, n := range rt.SendCnt {
 		part := make([]ElemData, len(data))
 		for f := range data {
-			part[f] = data[f][lo:hi]
+			part[f] = data[f][lo : lo+n]
 		}
-		sendTo = append(sendTo, dests[lo])
-		out = append(out, part)
-		nb = append(nb, 64*len(data)*(hi-lo))
-		lo = hi
+		out[k] = sim.Payload{Data: part, NBytes: 64 * len(data) * n}
+		lo += n
 	}
-	// Sources arrive sorted by rank, so the concatenation preserves
-	// curve order exactly as the dense exchange did.
-	_, in := r.AlltoallvSparse(sendTo, out, nb)
+	in := make([]sim.Payload, len(rt.RecvFrom))
+	r.NeighborExchange(rt.SendTo, out, rt.RecvFrom, in)
+	// Sources arrive in ascending rank order, so the concatenation is in
+	// curve order.
 	merged := make([]ElemData, len(data))
-	for _, d := range in {
-		for f, part := range d.([]ElemData) {
-			merged[f] = append(merged[f], part...)
+	for f := range merged {
+		merged[f] = make(ElemData, 0, rt.Received())
+		for _, d := range in {
+			merged[f] = append(merged[f], d.Data.([]ElemData)[f]...)
 		}
 	}
 	return merged

@@ -111,8 +111,8 @@ func TestTransferFollowsPartition(t *testing.T) {
 		tr := forest.New(r, unitBox, 2)
 		tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 })
 		data := linearData(tr.Leaves())
-		dests := tr.Partition()
-		nd := Transfer(r, dests, []ElemData{data})[0]
+		rt := tr.Partition()
+		nd := Transfer(r, rt, []ElemData{data})[0]
 		if len(nd) != tr.NumLocal() {
 			t.Errorf("transferred %d records for %d leaves", len(nd), tr.NumLocal())
 			return
@@ -176,8 +176,8 @@ func TestFullPipelinePreservesLinear(t *testing.T) {
 		tr.RefineMarked(ref2)
 		tr.Balance()
 		data = ProjectData(old, tr.Leaves(), data)
-		dests := tr.Partition()
-		data = Transfer(r, dests, data)
+		rt := tr.Partition()
+		data = Transfer(r, rt, data)
 		m2 := mesh.Extract(tr, nil)
 		T2 := ToNodal(m2, data)[0]
 		for i, pos := range m2.OwnedPos {
@@ -213,12 +213,12 @@ func TestFieldsTogetherMatchAlone(t *testing.T) {
 		tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 })
 		tr.Balance()
 		adapted := append([]forest.Octant(nil), tr.Leaves()...)
-		dests := tr.Partition()
+		rt := tr.Partition()
 		m2 := mesh.Extract(tr, nil)
 		pipeline := func(fs []*la.Vec) []*la.Vec {
 			data := FromNodal(m, fs)
 			data = ProjectData(old, adapted, data)
-			data = Transfer(r, dests, data)
+			data = Transfer(r, rt, data)
 			return ToNodal(m2, data)
 		}
 		together := pipeline(fields)

@@ -44,8 +44,8 @@ func TestPropertyPipelineExactOnLinear(t *testing.T) {
 				}
 				tr.Balance()
 				data = ProjectData(old, tr.Leaves(), data)
-				dests := tr.Partition()
-				data = Transfer(r, dests, data)
+				rt := tr.Partition()
+				data = Transfer(r, rt, data)
 			}
 			for ei, fo := range tr.Leaves() {
 				o := fo.O

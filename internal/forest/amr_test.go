@@ -288,19 +288,27 @@ func TestPartitionDestsRouteEverything(t *testing.T) {
 			f := New(r, c, 2)
 			f.Refine(func(o Octant) bool { return o.O.Z == 0 })
 			nBefore := f.NumLocal()
-			dests := f.Partition()
-			if len(dests) != nBefore {
-				t.Errorf("dest map has %d entries for %d leaves", len(dests), nBefore)
+			rt := f.Partition()
+			if len(rt.SendCnt) != len(rt.SendTo) || len(rt.RecvCnt) != len(rt.RecvFrom) {
+				t.Fatalf("route lists differ in length: %+v", rt)
 			}
+			sent, got := 0, 0
 			arrive := make([]float64, r.Size())
-			for i, d := range dests {
+			for k, d := range rt.SendTo {
 				if d < 0 || d >= r.Size() {
 					t.Fatalf("invalid destination %d", d)
 				}
-				if i > 0 && d < dests[i-1] {
-					t.Fatalf("destinations not monotone along the curve at %d", i)
+				if k > 0 && d <= rt.SendTo[k-1] {
+					t.Fatalf("destinations not ascending along the curve: %v", rt.SendTo)
 				}
-				arrive[d]++
+				arrive[d] += float64(rt.SendCnt[k])
+				sent += rt.SendCnt[k]
+			}
+			for _, n := range rt.RecvCnt {
+				got += n
+			}
+			if sent != nBefore || got != f.NumLocal() {
+				t.Errorf("rank %d: route sends %d of %d leaves and receives %d of %d", r.ID(), sent, nBefore, got, f.NumLocal())
 			}
 			// Every rank holds exactly what was routed to it.
 			if got := r.AllreduceVec(arrive)[r.ID()]; int(got) != f.NumLocal() {
@@ -344,7 +352,7 @@ func TestShareRange(t *testing.T) {
 	var sum int64
 	prevHi := int64(0)
 	for i := int64(0); i < 5; i++ {
-		lo, hi := shareRange(total, 5, i)
+		lo, hi := ShareRange(total, 5, i)
 		if lo != prevHi {
 			t.Fatalf("share %d starts at %d, want %d", i, lo, prevHi)
 		}
@@ -359,11 +367,14 @@ func TestShareRange(t *testing.T) {
 func TestDestRankMonotone(t *testing.T) {
 	var total, p int64 = 103, 7
 	counts := make([]int64, p)
-	prev := int64(0)
+	prev := 0
 	for g := int64(0); g < total; g++ {
-		d := destRank(g, total, p)
+		d := ShareOwner(total, p, g)
 		if d < prev {
-			t.Fatalf("destRank not monotone at %d", g)
+			t.Fatalf("ShareOwner not monotone at %d", g)
+		}
+		if lo, hi := ShareRange(total, p, int64(d)); g < lo || g >= hi {
+			t.Fatalf("index %d is outside its owner %d's share [%d, %d)", g, d, lo, hi)
 		}
 		prev = d
 		counts[d]++
@@ -380,9 +391,13 @@ func TestLevelCountsAndMinMax(t *testing.T) {
 		sim.Run(p, func(r *sim.Rank) {
 			f := New(r, c, 2)
 			f.Refine(originCorner)
-			counts := f.LevelCounts()
-			if want := int64(64*c.NumTrees() - 1); counts[2] != want || counts[3] != 8 {
-				t.Errorf("level counts: l2=%d l3=%d, want %d and 8", counts[2], counts[3], want)
+			local := make([]float64, morton.MaxLevel+1)
+			for _, o := range f.Leaves() {
+				local[o.O.Level]++
+			}
+			counts := r.AllreduceVec(local)
+			if want := float64(64*c.NumTrees() - 1); counts[2] != want || counts[3] != 8 {
+				t.Errorf("level counts: l2=%v l3=%v, want %v and 8", counts[2], counts[3], want)
 			}
 			if lo, hi := f.MinMaxLevel(); lo != 2 || hi != 3 {
 				t.Errorf("min/max level = %d/%d", lo, hi)

@@ -110,7 +110,6 @@ func (f *Forest) Balance() int {
 			f.leaves[i] = a.octant()
 		}
 	}
-	f.updateStarts()
 	return added
 }
 

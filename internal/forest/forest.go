@@ -63,7 +63,7 @@ func New(r *sim.Rank, conn *Connectivity, level uint8) *Forest {
 	f := &Forest{Conn: conn, rank: r}
 	perTree := int64(1) << (3 * int64(level))
 	total := perTree * int64(conn.NumTrees())
-	lo, hi := shareRange(total, int64(r.Size()), int64(r.ID()))
+	lo, hi := ShareRange(total, int64(r.Size()), int64(r.ID()))
 	f.leaves = make([]Octant, 0, hi-lo)
 	for g := lo; g < hi; g++ {
 		tree := int32(g / perTree)
@@ -88,7 +88,10 @@ func FromLeaves(r *sim.Rank, conn *Connectivity, leaves []Octant) *Forest {
 	return f
 }
 
-func shareRange(total, p, i int64) (lo, hi int64) {
+// ShareRange returns share i's global index range [lo, hi) when total
+// curve-ordered items are split into p contiguous even shares, the
+// remainder going one each to the lowest shares. A share i >= p is empty.
+func ShareRange(total, p, i int64) (lo, hi int64) {
 	q, rem := total/p, total%p
 	lo = q*i + min(i, rem)
 	hi = lo + q
@@ -96,6 +99,16 @@ func shareRange(total, p, i int64) (lo, hi int64) {
 		hi++
 	}
 	return
+}
+
+// ShareOwner returns the share of ShareRange(total, p, ·) that holds
+// global index g, 0 <= g < total.
+func ShareOwner(total, p, g int64) int {
+	q, rem := total/p, total%p
+	if cut := (q + 1) * rem; g >= cut {
+		return int(rem + (g-cut)/q)
+	}
+	return int(g / (q + 1))
 }
 
 // CoarsenedCopy returns a new forest one geometric level coarser: every
@@ -106,9 +119,8 @@ func shareRange(total, p, i int64) (lo, hi int64) {
 // return is the number of families merged globally; zero means the forest
 // cannot be coarsened further under the current partition.
 func (f *Forest) CoarsenedCopy() (*Forest, int64) {
-	c := &Forest{Conn: f.Conn, rank: f.rank}
+	c := &Forest{Conn: f.Conn, rank: f.rank, starts: f.starts}
 	c.leaves = append([]Octant(nil), f.leaves...)
-	c.updateStarts()
 	n := c.Coarsen(func(Octant) bool { return true })
 	merged := f.rank.AllreduceInt64(int64(n))
 	if merged > 0 {
@@ -129,6 +141,11 @@ func (f *Forest) NumLocal() int { return len(f.leaves) }
 // NumGlobal returns the global leaf count (collective).
 func (f *Forest) NumGlobal() int64 { return f.rank.AllreduceInt64(int64(len(f.leaves))) }
 
+// updateStarts exchanges the partition markers: each rank's first curve
+// position (collective). Only a partition change moves them. A local
+// refinement, coarsening or Balance keeps every rank's first-leaf anchor,
+// since a split leaf's first child and a merged family's parent start
+// where the family's child 0 did, so those steps keep f.starts as it is.
 func (f *Forest) updateStarts() {
 	sentinel := uint64(f.Conn.NumTrees()) * curveEnd
 	my := sentinel
@@ -189,7 +206,6 @@ func (f *Forest) Refine(should func(Octant) bool) int {
 		}
 	}
 	f.leaves = out
-	f.updateStarts()
 	return n
 }
 
@@ -221,41 +237,82 @@ func (f *Forest) ExchangeOctants(byRank [][]Octant) []Octant {
 	return got
 }
 
-// Partition redistributes leaves evenly along the forest curve
-// (collective). It returns each previously local leaf's destination rank.
-func (f *Forest) Partition() []int {
-	p := int64(f.rank.Size())
-	local := int64(len(f.leaves))
-	total := f.rank.AllreduceInt64(local)
-	first := f.rank.ExScan(local)
-	dest := make([]int, local)
-	byRank := make([][]Octant, p)
-	for i := int64(0); i < local; i++ {
-		g := first + i
-		d := destRank(g, total, p)
-		dest[i] = int(d)
-		byRank[d] = append(byRank[d], f.leaves[i])
-	}
-	// Sources arrive sorted by rank, so the concatenation stays in curve
-	// order.
-	f.leaves = f.ExchangeOctants(byRank)
-	f.updateStarts()
-	return dest
+// Route is how one Partition moved the leaves along the forest curve, as
+// seen from one rank: its old leaves went in contiguous runs, SendCnt[k]
+// of them to rank SendTo[k], and its new leaves came as RecvCnt[k] from
+// rank RecvFrom[k]. Both lists ascend and include the rank itself where
+// it keeps leaves. The element data of the same leaves travels over it
+// (field.Transfer).
+type Route struct {
+	SendTo, SendCnt   []int
+	RecvFrom, RecvCnt []int
 }
 
-func destRank(g, total, p int64) int64 {
-	if total == 0 {
-		return 0
+// Received returns the number of items the route delivers to this rank.
+func (rt Route) Received() int {
+	n := 0
+	for _, c := range rt.RecvCnt {
+		n += c
 	}
-	q, rem := total/p, total%p
-	cut := (q + 1) * rem
-	if g < cut {
-		return g / (q + 1)
+	return n
+}
+
+// ShareRoute returns rank me's Route for moving curve-ordered items, of
+// which rank i holds counts[i] (in rank order), into p even shares
+// (ShareRange). It is derived from the counts alone, so every rank knows
+// both sides of the exchange without a handshake. A rank me >= p receives
+// nothing.
+func ShareRoute(counts []int64, p, me int) Route {
+	var total, first int64
+	for i, c := range counts {
+		if i < me {
+			first += c
+		}
+		total += c
 	}
-	if q == 0 {
-		return p - 1
+	var rt Route
+	for g, end := first, first+counts[me]; g < end; {
+		d := ShareOwner(total, int64(p), g)
+		_, hi := ShareRange(total, int64(p), int64(d))
+		hi = min(hi, end)
+		rt.SendTo = append(rt.SendTo, d)
+		rt.SendCnt = append(rt.SendCnt, int(hi-g))
+		g = hi
 	}
-	return rem + (g-cut)/q
+	lo, hi := ShareRange(total, int64(p), int64(me))
+	var off int64
+	for s, c := range counts {
+		if a, b := max(off, lo), min(off+c, hi); a < b {
+			rt.RecvFrom = append(rt.RecvFrom, s)
+			rt.RecvCnt = append(rt.RecvCnt, int(b-a))
+		}
+		off += c
+	}
+	return rt
+}
+
+// Partition redistributes leaves evenly along the forest curve
+// (collective). One allgather of the leaf counts gives every rank the
+// whole route (ShareRoute), the leaves move without a handshake, and the
+// partition markers are exchanged once. It returns this rank's Route.
+func (f *Forest) Partition() Route {
+	rt := ShareRoute(f.rank.AllgatherInt64(int64(len(f.leaves))), f.rank.Size(), f.rank.ID())
+	out := make([]sim.Payload, len(rt.SendTo))
+	off := 0
+	for k, n := range rt.SendCnt {
+		out[k] = sim.Payload{Data: f.leaves[off : off+n : off+n], NBytes: octantBytes * n}
+		off += n
+	}
+	in := make([]sim.Payload, len(rt.RecvFrom))
+	f.rank.NeighborExchange(rt.SendTo, out, rt.RecvFrom, in)
+	// Sources arrive in ascending rank order, so the concatenation stays
+	// in curve order.
+	f.leaves = make([]Octant, 0, rt.Received())
+	for _, d := range in {
+		f.leaves = append(f.leaves, d.Data.([]Octant)...)
+	}
+	f.updateStarts()
+	return rt
 }
 
 // FindContaining returns the local leaf equal to or an ancestor of o.
@@ -275,20 +332,6 @@ func (f *Forest) FindContaining(o Octant) (Octant, int, bool) {
 		return l, i - 1, true
 	}
 	return Octant{}, -1, false
-}
-
-// LevelCounts returns the global leaf count per level (collective).
-func (f *Forest) LevelCounts() []int64 {
-	counts := make([]float64, morton.MaxLevel+1)
-	for _, o := range f.leaves {
-		counts[o.O.Level]++
-	}
-	tot := f.rank.AllreduceVec(counts)
-	out := make([]int64, len(tot))
-	for i, v := range tot {
-		out[i] = int64(v)
-	}
-	return out
 }
 
 // MinMaxLevel returns the global minimum and maximum leaf level

@@ -23,7 +23,6 @@ func (f *Forest) RefineMarked(marks []bool) int {
 		}
 	}
 	f.leaves = out
-	f.updateStarts()
 	return n
 }
 
@@ -101,6 +100,5 @@ func (f *Forest) coarsen(should func(i int, parent Octant) bool) int {
 		}
 	}
 	f.leaves = out
-	f.updateStarts()
 	return n
 }

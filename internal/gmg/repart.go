@@ -34,12 +34,10 @@ type repart struct {
 	comm *sim.Comm // the pre-agglomeration level's communicator
 	sub  *sim.Comm // the agglomerated communicator (comm ranks [0, newP))
 
-	// Element plan: contiguous curve-order leaf ranges. eSendCnt[k]
-	// leaves go to comm rank eSendTo[k]; eRecvCnt[k] arrive from
-	// eRecvFrom[k] (ascending, concatenating to the shadow's leaf order).
-	eSendTo, eRecvFrom []int
-	eSendCnt, eRecvCnt []int
-	nElems             int // local elements on the shadow side
+	// Element plan: contiguous curve-order leaf runs between the two
+	// partitions, the even-share route of forest.Partition onto newP
+	// ranks (receives ascend, concatenating to the shadow's leaf order).
+	elems forest.Route
 
 	// Node plan: nSendIdx[k] lists the fine-side owned node indices
 	// shipped to nSendTo[k]; nRecvIdx[k] the shadow-side owned node
@@ -65,31 +63,6 @@ func pow2Floor(n int64) int64 {
 	return p
 }
 
-// blockOwner returns which of newP contiguous even shares (remainders to
-// the low shares, as in the tree partitioners) contains global index gi.
-func blockOwner(total, newP, gi int64) int {
-	q, rem := total/newP, total%newP
-	cut := rem * (q + 1)
-	if gi < cut {
-		return int(gi / (q + 1))
-	}
-	return int(rem + (gi-cut)/q)
-}
-
-// blockRange returns block j's [lo, hi) of the even-share partition.
-func blockRange(total, newP, j int64) (int64, int64) {
-	q, rem := total/newP, total%newP
-	lo := q*j + j
-	if j >= rem {
-		lo = q*j + rem
-	}
-	hi := lo + q
-	if j < rem {
-		hi++
-	}
-	return lo, hi
-}
-
 // buildRepart repartitions the level mesh onto the first newP ranks of
 // its communicator (collective on m.Rank): it derives the
 // sub-communicator, ships the leaves to their new owners, extracts the
@@ -105,61 +78,30 @@ func buildRepart(m *mesh.Mesh, newP int) (*repart, *mesh.Mesh) {
 	sub := comm.Subset(members)
 	rp := &repart{comm: comm, sub: sub}
 
-	// Element partition: current offsets vs target blocks.
-	ne := int64(len(m.Leaves))
-	counts := comm.AllgatherInt64(ne)
-	offs := make([]int64, len(counts)+1)
+	// Element partition: current runs vs target shares.
+	counts := comm.AllgatherInt64(int64(len(m.Leaves)))
+	rp.elems = forest.ShareRoute(counts, newP, comm.ID())
+	var E, myOff int64
 	for i, c := range counts {
-		offs[i+1] = offs[i] + c
-	}
-	E := offs[len(offs)-1]
-	np := int64(newP)
-	myOff := offs[comm.ID()]
-
-	// Send side: split my contiguous leaf range over the target blocks.
-	for gi := myOff; gi < myOff+ne; {
-		j := blockOwner(E, np, gi)
-		_, bhi := blockRange(E, np, int64(j))
-		hi := myOff + ne
-		if bhi < hi {
-			hi = bhi
+		if i < comm.ID() {
+			myOff += c
 		}
-		rp.eSendTo = append(rp.eSendTo, j)
-		rp.eSendCnt = append(rp.eSendCnt, int(hi-gi))
-		gi = hi
-	}
-	// Receive side: my block against the current rank ranges.
-	if sub.Member() {
-		blo, bhi := blockRange(E, np, int64(sub.ID()))
-		rp.nElems = int(bhi - blo)
-		for a := 0; a < comm.Size(); a++ {
-			lo, hi := offs[a], offs[a+1]
-			if lo < blo {
-				lo = blo
-			}
-			if hi > bhi {
-				hi = bhi
-			}
-			if lo < hi {
-				rp.eRecvFrom = append(rp.eRecvFrom, a)
-				rp.eRecvCnt = append(rp.eRecvCnt, int(hi-lo))
-			}
-		}
+		E += c
 	}
 
 	// Ship the leaves and extract the repartitioned mesh on the subset.
 	var sm *mesh.Mesh
-	payloads := make([]sim.Payload, len(rp.eSendTo))
+	payloads := make([]sim.Payload, len(rp.elems.SendTo))
 	mine := forestLeaves(m)
 	off := 0
-	for k, cnt := range rp.eSendCnt {
+	for k, cnt := range rp.elems.SendCnt {
 		payloads[k] = sim.Payload{Data: mine[off : off+cnt : off+cnt], NBytes: 20 * cnt}
 		off += cnt
 	}
-	in := make([]sim.Payload, len(rp.eRecvFrom))
-	comm.NeighborExchange(rp.eSendTo, payloads, rp.eRecvFrom, in)
+	in := make([]sim.Payload, len(rp.elems.RecvFrom))
+	comm.NeighborExchange(rp.elems.SendTo, payloads, rp.elems.RecvFrom, in)
 	if sub.Member() {
-		leaves := make([]forest.Octant, 0, rp.nElems)
+		leaves := make([]forest.Octant, 0, rp.elems.Received())
 		for _, d := range in {
 			leaves = append(leaves, d.Data.([]forest.Octant)...)
 		}
@@ -174,7 +116,7 @@ func buildRepart(m *mesh.Mesh, newP int) (*repart, *mesh.Mesh) {
 		if li < 0 {
 			panic(fmt.Sprintf("gmg: owned node %d's canonical cell is not local", i))
 		}
-		j := blockOwner(E, np, myOff+int64(li))
+		j := forest.ShareOwner(E, int64(newP), myOff+int64(li))
 		destIdx[j] = append(destIdx[j], int32(i))
 	}
 	var dests []int
@@ -268,15 +210,15 @@ func (rp *repart) permute(w int, to []int, sendIdx [][]int32, src []float64, fro
 // empty on ranks outside the subset. Identical octants on both sides
 // make this a pure permutation — no averaging.
 func (rp *repart) ElemForward(eta []float64) []float64 {
-	payloads := make([]sim.Payload, len(rp.eSendTo))
+	payloads := make([]sim.Payload, len(rp.elems.SendTo))
 	off := 0
-	for k, cnt := range rp.eSendCnt {
+	for k, cnt := range rp.elems.SendCnt {
 		payloads[k].F64 = eta[off : off+cnt : off+cnt]
 		off += cnt
 	}
-	in := make([]sim.Payload, len(rp.eRecvFrom))
-	rp.comm.NeighborExchange(rp.eSendTo, payloads, rp.eRecvFrom, in)
-	out := make([]float64, 0, rp.nElems)
+	in := make([]sim.Payload, len(rp.elems.RecvFrom))
+	rp.comm.NeighborExchange(rp.elems.SendTo, payloads, rp.elems.RecvFrom, in)
+	out := make([]float64, 0, rp.elems.Received())
 	for _, d := range in {
 		out = append(out, d.F64...)
 	}

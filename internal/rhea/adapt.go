@@ -8,6 +8,7 @@ import (
 	"rhea/internal/forest"
 	"rhea/internal/la"
 	"rhea/internal/mesh"
+	"rhea/internal/morton"
 )
 
 // AdaptStats describes one mesh adaptation step (paper Fig 5).
@@ -38,7 +39,7 @@ type AdaptStats struct {
 // skips the same collectives.
 func AdaptFields(f *forest.Forest, m *mesh.Mesh, fields []*la.Vec, marks errind.Marks, tm *Timings) (*mesh.Mesh, []*la.Vec, AdaptStats) {
 	r := f.Rank()
-	st := AdaptStats{ElementsPrev: f.NumGlobal()}
+	nPrev := f.NumLocal()
 	carry := len(fields) > 0
 
 	// Snapshot fields as element data on the old mesh.
@@ -69,12 +70,12 @@ func AdaptFields(f *forest.Forest, m *mesh.Mesh, fields []*la.Vec, marks errind.
 	}
 
 	t0 = time.Now()
-	dests := f.Partition()
+	route := f.Partition()
 	tm.PartitionTree += time.Since(t0).Seconds()
 
 	if carry {
 		t0 = time.Now()
-		data = field.Transfer(r, dests, data)
+		data = field.Transfer(r, route, data)
 		tm.TransferFld += time.Since(t0).Seconds()
 	}
 
@@ -89,20 +90,34 @@ func AdaptFields(f *forest.Forest, m *mesh.Mesh, fields []*la.Vec, marks errind.
 		tm.InterpolateFld += time.Since(t0).Seconds()
 	}
 
-	var moved int64
-	for _, d := range dests {
+	// Every tally in one reduction: the previous count, the three
+	// adaptation counts, the leaves that changed rank and the new leaves
+	// per level.
+	tally := make([]float64, 5+morton.MaxLevel+1)
+	tally[0], tally[1], tally[2], tally[3] = float64(nPrev), float64(nRef), float64(8*nCoarse), float64(added)
+	for k, d := range route.SendTo {
 		if d != r.ID() {
-			moved++
+			tally[4] += float64(route.SendCnt[k])
 		}
 	}
-	st.Refined = r.AllreduceInt64(int64(nRef))
-	st.Coarsened = r.AllreduceInt64(int64(8 * nCoarse))
-	st.BalanceAdded = r.AllreduceInt64(int64(added))
-	st.Moved = r.AllreduceInt64(moved)
+	for _, o := range f.Leaves() {
+		tally[5+o.O.Level]++
+	}
+	tally = r.AllreduceVec(tally)
+	st := AdaptStats{
+		ElementsPrev: int64(tally[0]),
+		Refined:      int64(tally[1]),
+		Coarsened:    int64(tally[2]),
+		BalanceAdded: int64(tally[3]),
+		Moved:        int64(tally[4]),
+		LevelCounts:  make([]int64, morton.MaxLevel+1),
+	}
+	for l := range st.LevelCounts {
+		st.LevelCounts[l] = int64(tally[5+l])
+	}
 	// No reduction needed for the new total: a refinement adds 7 leaves,
 	// a merged family of 8 removes 7.
 	st.ElementsNow = st.ElementsPrev + 7*st.Refined - 7*st.Coarsened/8 + st.BalanceAdded
 	st.Unchanged = st.ElementsPrev - st.Refined - st.Coarsened
-	st.LevelCounts = f.LevelCounts()
 	return nm, out, st
 }

@@ -20,20 +20,29 @@ import (
 // together, so the counts do not depend on how many there are, as long
 // as there are any. Per call, each rank enters
 //
-//	1 NumGlobal
-//	2 CoarsenMarked + RefineMarked partition markers
-//	2 per Balance round (request exchange + changed flag), here 1 round, + 1 markers
-//	4 Partition (total, exscan, leaf exchange, markers)
-//	1 Transfer (one message per destination for all fields)
+//	2 per Balance round (request exchange + changed flag), here 1 round
+//	2 Partition (leaf counts, markers; the leaves move over the route the counts give)
 //	3 Extract (ghost layer, node layout, node ownership queries)
 //	1 ToNodal (one message per owner for all fields and the count)
-//	5 statistics (four counters, level histogram)
+//	1 statistics (every tally and the level histogram in one reduction)
 //
-// = 20 collectives (18 + 3 per field while every field made the trip
-// alone: 33 for the time loop's five, and 8 and 13 user messages on the
-// two ranks where there are now 4 and 4). With no field the snapshot's
-// ghost gather (one user message), Transfer and ToNodal are skipped: 18
-// collectives and 3 user messages.
+// = 9 collectives. Transfer ships the fields over Partition's route and
+// the local coarsen, refine and Balance keep the partition markers, so
+// none of them exchanges anything to learn what every rank already
+// holds. It was 20 while the statistics took five reductions and a
+// leading NumGlobal, Partition four (total, exclusive scan, a leaf
+// exchange with a count handshake, markers), Transfer a handshake of its
+// own and every local step a marker exchange. With no field the
+// snapshot's ghost gather (one user message), Transfer and ToNodal are
+// skipped: 8 collectives (18 before) and 3 user messages.
+//
+// It also counts, at 8 ranks on the Fig 7 schedule (600 elements per
+// rank), one whole adaptation: MarkElements enters 1 + Rounds
+// collectives (the indicator's maximum, then one reduction per threshold
+// round; here 3 rounds, 4 collectives, 8 while the element count was a
+// reduction of its own and each round took two) and AdaptFields carrying
+// T 11 (Balance takes two rounds there; 22 before): 15 per adaptation,
+// 30 before. Both are logged.
 func TestAdaptCounters(t *testing.T) {
 	box := forest.BrickConnectivity(1, 1, 1)
 	type counts struct{ colls, collMsgs, userMsgs int }
@@ -76,11 +85,32 @@ func TestAdaptCounters(t *testing.T) {
 		if five != one {
 			t.Errorf("rank %d: counts depend on the number of fields: %+v with 5, %+v with 1", r.ID(), five, one)
 		}
-		if want := (counts{colls: 20, collMsgs: 20, userMsgs: 4}); five != want {
+		if want := (counts{colls: 9, collMsgs: 9, userMsgs: 4}); five != want {
 			t.Errorf("rank %d: AdaptFields cost %+v, want %+v", r.ID(), five, want)
 		}
-		if want := (counts{colls: 18, collMsgs: 18, userMsgs: 3}); none != want {
+		if want := (counts{colls: 8, collMsgs: 8, userMsgs: 3}); none != want {
 			t.Errorf("rank %d: AdaptFields with no field cost %+v, want %+v", r.ID(), none, want)
+		}
+	})
+	sim.Run(8, func(r *sim.Rank) {
+		s := newTransportSim(r, boxTransport(), 3, 2, 6, 600*8)
+		s.step(32)
+		s0 := r.Stats()
+		marks := errind.MarkElements(s.forest, errind.Variation(s.mesh, s.T), s.target,
+			errind.Options{MaxLevel: s.maxLvl, MinLevel: s.minLvl})
+		s1 := r.Stats()
+		AdaptFields(s.forest, s.mesh, []*la.Vec{s.T}, marks, &s.times)
+		s2 := r.Stats()
+		mark, adapt := s1.CollectiveCalls-s0.CollectiveCalls, s2.CollectiveCalls-s1.CollectiveCalls
+		if r.ID() == 0 {
+			t.Logf("8 ranks, Fig 7 schedule: MarkElements %d collectives (%d rounds), AdaptFields %d: %d per adaptation",
+				mark, marks.Rounds, adapt, mark+adapt)
+		}
+		if mark != 1+marks.Rounds {
+			t.Errorf("rank %d: MarkElements entered %d collectives in %d rounds, want 1 + rounds", r.ID(), mark, marks.Rounds)
+		}
+		if adapt != 11 {
+			t.Errorf("rank %d: AdaptFields entered %d collectives at 8 ranks, pinned 11", r.ID(), adapt)
 		}
 	})
 }

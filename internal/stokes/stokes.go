@@ -584,16 +584,7 @@ func (s *Solver) Update(etaElem []float64, force [][8][3]float64) *Solver {
 	if opts.Precond == PrecondGMG {
 		s.GMGH.Rebuild(etaElem)
 	} else {
-		elemMat := func(ei int, h [3]float64) [8][8]float64 {
-			K := s.scalKern[s.scalIdx[ei]].Full()
-			eta := etaElem[ei]
-			for a := 0; a < 8; a++ {
-				for b := 0; b < 8; b++ {
-					K[a][b] *= eta
-				}
-			}
-			return K
-		}
+		elemMat := s.viscousElemMat(etaElem)
 		for c := 0; c < 3; c++ {
 			Ac, _, _ := fem.AssembleScalarWithBC(m, dom, elemMat, nil, s.compBCD[c])
 			if opts.LocalAMG {
@@ -611,6 +602,21 @@ func (s *Solver) Update(etaElem []float64, force [][8][3]float64) *Solver {
 	return s
 }
 
+// viscousElemMat returns the element matrix of the viscosity-scaled
+// scalar Laplacian: element ei's unit stiffness kernel times etaElem[ei].
+func (s *Solver) viscousElemMat(etaElem []float64) func(ei int, h [3]float64) [8][8]float64 {
+	return func(ei int, _ [3]float64) [8][8]float64 {
+		K := s.scalKern[s.scalIdx[ei]].Full()
+		eta := etaElem[ei]
+		for a := 0; a < 8; a++ {
+			for b := 0; b < 8; b++ {
+				K[a][b] *= eta
+			}
+		}
+		return K
+	}
+}
+
 // refreshSlipDiag rebuilds the boundary Jacobi rows of the velocity
 // preconditioner at free-slip nodes from the raw (unconstrained)
 // viscosity-scaled scalar stiffness diagonal — the component V-cycles
@@ -624,17 +630,7 @@ func (s *Solver) refreshSlipDiag(etaElem []float64) {
 	if s.GMGH != nil {
 		d = s.GMGH.FineDiag()
 	} else {
-		elemMat := func(ei int, h [3]float64) [8][8]float64 {
-			K := s.scalKern[s.scalIdx[ei]].Full()
-			eta := etaElem[ei]
-			for a := 0; a < 8; a++ {
-				for b := 0; b < 8; b++ {
-					K[a][b] *= eta
-				}
-			}
-			return K
-		}
-		d = fem.AssembleScalarDiag(s.M, s.Dom, elemMat, nil)
+		d = fem.AssembleScalarDiag(s.M, s.Dom, s.viscousElemMat(etaElem), nil)
 	}
 	for _, i := range s.slipOwned {
 		if v := d.Data[i]; v > 0 {
