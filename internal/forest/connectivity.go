@@ -32,6 +32,13 @@ type Connectivity struct {
 	TreeVerts [][8]int     // per tree: corner vertex ids in z-order
 
 	conns [][6]faceConn // derived: face connections per tree
+	// across is derived too: per tree and Dirs26 direction, the tree
+	// that the tree's neighbour in that direction lies in, -1 at a
+	// physical boundary. An octant's neighbour across its tree's
+	// boundary lies in the tree across in the direction of the axes on
+	// which it leaves the tree: MapOctant crosses the same faces for the
+	// octant as for its tree's root.
+	across [][26]int32
 }
 
 // faceConn describes the neighbor across one tree face.
@@ -119,6 +126,16 @@ func (c *Connectivity) Finalize() error {
 		}
 		c.conns[a.tree][a.face] = ca
 		c.conns[b.tree][b.face] = cb
+	}
+	c.across = make([][26]int32, nt)
+	for t := range c.across {
+		for i, d := range Dirs26 {
+			c.across[t][i] = -1
+			p := [3]int64{int64(d[0]) * morton.RootLen, int64(d[1]) * morton.RootLen, int64(d[2]) * morton.RootLen}
+			if n, ok := c.MapOctant(int32(t), p, 0); ok {
+				c.across[t][i] = n.Tree
+			}
+		}
 	}
 	return nil
 }

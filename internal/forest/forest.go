@@ -176,8 +176,15 @@ func (f *Forest) Owners(o Octant, dst []int) []int {
 // positions from lo.
 func (f *Forest) owners(lo, span uint64, dst []int) []int {
 	hi := lo + span
-	i := sort.Search(len(f.starts), func(i int) bool { return f.starts[i] > lo }) - 1
-	if i < 0 {
+	i, j := 0, len(f.starts) // the first start past lo, less one: the rank holding lo
+	for i < j {
+		if h := int(uint(i+j) >> 1); f.starts[h] > lo {
+			j = h
+		} else {
+			i = h + 1
+		}
+	}
+	if i--; i < 0 {
 		i = 0
 	}
 	for ; i < f.rank.Size(); i++ {

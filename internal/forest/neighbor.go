@@ -26,6 +26,15 @@ func buildDirs26() [][3]int {
 	return out
 }
 
+// dirIndex returns the index in Dirs26 of direction (dx, dy, dz).
+func dirIndex(dx, dy, dz int) int {
+	i := (dz+1)*9 + (dy+1)*3 + dx + 1
+	if i > 13 {
+		i--
+	}
+	return i
+}
+
 // MapOctant maps an octant anchor given in tree's reference frame —
 // possibly outside [0, RootLen) along any number of axes — into the tree
 // that contains it, hopping across face connections one out-of-range axis
@@ -159,9 +168,12 @@ const dilX = 0x1249249249249249 & (1<<(3*morton.MaxLevel) - 1)
 // holds o. It equals Neighbor, Contains and Owners over Dirs26, but a
 // neighbour inside o's tree is placed on the curve by dilated arithmetic
 // on o's key, adding or subtracting the edge length in one axis's bits,
-// and only one across a tree boundary goes through Neighbor. The curve is
-// monotone in each coordinate, so when the lowest and the highest in-tree
-// neighbour lie in this rank's segment, so do the others.
+// and only one across a tree boundary goes through Neighbor, unless one
+// rank holds the whole tree it lies in or there is none. The curve is
+// monotone in each coordinate, so the in-tree neighbours lie between the
+// lowest and the highest: when both lie in this rank's segment, so do the
+// others, and when one remote rank's segment alone meets that range, the
+// in-tree neighbours are done once they have found it.
 func (f *Forest) GhostRanks(o Octant, dst []int) []int {
 	const off = ^uint64(0) // the offset leaves the tree
 	me, span := f.rank.ID(), gspan(o)
@@ -192,28 +204,67 @@ func (f *Forest) GhostRanks(o Octant, dst []int) []int {
 	if sealed && !crosses {
 		return dst
 	}
-	n0 := len(dst)
+	// one is the only remote rank whose segment meets the in-tree
+	// neighbours' curve range (-1: none or several); once dst holds it the
+	// in-tree neighbours can add nothing.
+	n0, one, found := len(dst), -1, false
+	if !sealed {
+		remote, ext := 0, f.owners(low, high-low, dst)
+		for _, rk := range ext[n0:] {
+			if rk != me {
+				one, remote = rk, remote+1
+			}
+		}
+		dst = ext[:n0] // keeps the grown buffer
+		if remote != 1 {
+			one = -1
+		}
+	}
 	for _, d := range Dirs26 {
 		bx, by, bz := bits[0][d[0]+1], bits[1][d[1]+1], bits[2][d[2]+1]
-		lo := base | bx | by | bz
+		lo, sp := base|bx|by|bz, span
 		if bx == off || by == off || bz == off {
-			n, ok := f.Neighbor(o, d)
-			if !ok {
+			var out [3]int // d on the axes on which the neighbour leaves the tree
+			for a, b := range [3]uint64{bx, by, bz} {
+				if b == off {
+					out[a] = d[a]
+				}
+			}
+			nt := f.Conn.across[o.Tree][dirIndex(out[0], out[1], out[2])]
+			if nt < 0 {
 				continue
 			}
-			lo = gpos(n)
-		} else if sealed {
+			tb, k := uint64(nt)*curveEnd, len(dst)
+			if first <= tb && tb+curveEnd <= end {
+				continue // the whole tree across is local
+			}
+			ext := f.owners(tb, curveEnd, dst)
+			if dst = ext[:k]; len(ext) == k+1 {
+				// One rank holds the tree across, so the neighbour.
+				if slices.Contains(dst[n0:], ext[k]) {
+					continue
+				}
+				lo, sp = tb, curveEnd
+			} else {
+				n, ok := f.Neighbor(o, d)
+				if !ok {
+					continue
+				}
+				lo = gpos(n)
+			}
+		} else if sealed || found {
 			continue
 		}
-		if first <= lo && lo+span <= end {
+		if first <= lo && lo+sp <= end {
 			continue
 		}
 		k := len(dst)
-		dst = f.owners(lo, span, dst)
+		dst = f.owners(lo, sp, dst)
 		kept := dst[:k]
 		for _, rk := range dst[k:] {
 			if rk != me && !slices.Contains(kept[n0:], rk) {
 				kept = append(kept, rk)
+				found = found || rk == one
 			}
 		}
 		dst = kept

@@ -38,13 +38,14 @@ func frontForest(r *sim.Rank, c *forest.Connectivity, base, max uint8, plane [4]
 }
 
 // BenchmarkExtract times Extract on the box-amr-like adapted level-3..6
-// box ("box", tilted front; "box-amr", box-amr's level front) and on the
-// adapted 24-tree shell, at one rank and at two ("-2ranks"), where the
-// ghost layer and the numbering handshake have work to do. ns/leaf is
-// per global leaf: the wall time of one collective extraction over the
-// whole forest. At two ranks loop-frac is the fraction of leaves whose
-// family is not interior, which the ghost layer visits neighbour by
-// neighbour.
+// box ("box", tilted front; "box-amr", box-amr's level front), on the
+// adapted 24-tree shell and on the uniform level-3 shell the shell-solve
+// workload extracts ("shell-uniform3"), at one rank and at two
+// ("-2ranks"), where the ghost layer and the numbering handshake have
+// work to do. ns/leaf is per global leaf: the wall time of one
+// collective extraction over the whole forest. At two ranks loop-frac is
+// the fraction of leaves whose family is not interior, which the ghost
+// layer visits neighbour by neighbour.
 func BenchmarkExtract(b *testing.B) {
 	shell := forest.CubedSphere(2)
 	for _, bc := range []struct {
@@ -57,6 +58,7 @@ func BenchmarkExtract(b *testing.B) {
 		{"box", unitBox, nil, 3, 6, tilted},
 		{"box-amr", unitBox, nil, 3, 6, level},
 		{"shell", shell, NewShellGeometry(shell), 1, 4, tilted},
+		{"shell-uniform3", shell, NewShellGeometry(shell), 3, 3, tilted},
 	} {
 		for _, p := range []int{1, 2} {
 			name := bc.name
@@ -64,6 +66,7 @@ func BenchmarkExtract(b *testing.B) {
 				name = fmt.Sprintf("%s-%dranks", bc.name, p)
 			}
 			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
 				sim.Run(p, func(r *sim.Rank) {
 					f := frontForest(r, bc.conn, bc.base, bc.max, bc.plane)
 					f.Partition()

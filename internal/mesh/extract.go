@@ -3,6 +3,7 @@ package mesh
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"rhea/internal/forest"
@@ -11,51 +12,43 @@ import (
 	"rhea/internal/sim"
 )
 
-// nodeInfo is the resolved identity of one referenced node position.
-type nodeInfo struct {
-	canon forest.NodePos // canonical representation (minimal rep)
+// node is one distinct node position an extraction meets.
+type node struct {
+	canon forest.NodePos // canonical representation (NodeReps' first)
 	owner int32          // owning rank
-	cell  forest.Octant  // incident finest cell that determines ownership
-	// cellPos is the node position expressed in cell's tree frame — the
-	// representation multigrid transfer uses to locate the (always
-	// local on the owner) containing coarse element.
-	cellPos [3]uint32
+	// cell indexes extraction.cells: the representation whose first
+	// incident finest cell decided ownership, or -1 when canon's did.
+	// Only owned nodes read it (Mesh.OwnedCell, Mesh.OwnedCellPos).
+	cell int32
+	// at is the flat index 8e+c of the first element corner whose tree
+	// and position are canon's, -1 until one is met: the corner whose
+	// coordinate every other canonical corner of the node copies.
+	at int32
+	// short counts the references the node lacks to be a corner of
+	// every leaf that touches it (newNode), and master marks an
+	// independent node a row or a hanging constraint references.
+	short  int8
+	master bool
 }
 
-// resolveNode computes the canonical representation and owner of the
-// node whose representations are reps (forest.NodeReps), and the number
-// of leaves that have it as a corner when no coarser leaf touches it:
-// 2^(axes strictly inside the tree), summed over the representations.
-// Ownership goes to the rank owning the minimal
-// (tree-major, curve-ordered) finest-level cell incident to the node:
-// deterministic from replicated data, and — under the full inter-tree
-// 2:1 balance — guaranteed to be a rank that references the node as an
-// element corner.
-func resolveNode(f *forest.Forest, reps []forest.NodePos) (info nodeInfo, sides int8) {
-	info.canon = reps[0]
-	for i, rp := range reps {
-		// The first incident cell within a tree lies one unit down every
-		// axis that has room (the curve is monotone in each coordinate).
-		var c [3]uint32
-		n := int8(1)
-		for a, x := range rp.Pos {
-			if x > 0 && x < morton.RootLen {
-				n <<= 1
-			}
-			if x > 0 {
-				x--
-			}
-			c[a] = x
+// firstCell returns the first finest-level cell incident to the node at
+// rp within rp's tree — one unit down every axis that has room (the
+// curve is monotone in each coordinate) — and the number of leaves that
+// have the node as a corner within that tree when none is coarser:
+// 2^(axes strictly inside the tree).
+func firstCell(rp forest.NodePos) (forest.Octant, int8) {
+	var c [3]uint32
+	n := int8(1)
+	for a, x := range rp.Pos {
+		if x > 0 && x < morton.RootLen {
+			n <<= 1
 		}
-		sides += n
-		cell := forest.Octant{Tree: rp.Tree, O: morton.Octant{X: c[0], Y: c[1], Z: c[2], Level: morton.MaxLevel}}
-		if i == 0 || forest.Less(cell, info.cell) {
-			info.cell, info.cellPos = cell, rp.Pos
+		if x > 0 {
+			x--
 		}
+		c[a] = x
 	}
-	var owners [1]int
-	info.owner = int32(f.Owners(info.cell, owners[:0])[0])
-	return info, sides
+	return forest.Octant{Tree: rp.Tree, O: morton.Octant{X: c[0], Y: c[1], Z: c[2], Level: morton.MaxLevel}}, n
 }
 
 // The parent's 3x3x3 lattice of child-edge points, point x + 3y + 9z:
@@ -76,6 +69,17 @@ var latticeOf, between = func() (t [8][8]uint8, b [27]uint8) {
 	return t, b
 }()
 
+// latticeFirst[l] is the first (child, corner) of the parent's children
+// at lattice point l.
+var latticeFirst = func() (t [27][2]uint8) {
+	for c := 7; c >= 0; c-- {
+		for d := 7; d >= 0; d-- {
+			t[latticeOf[c][d]] = [2]uint8{uint8(c), uint8(d)}
+		}
+	}
+	return t
+}()
+
 // latticePos returns the position of lattice point l of the parent of e.
 func latticePos(e morton.Octant, l int) [3]uint32 {
 	pa, h := e.Parent(), e.Len()
@@ -83,68 +87,98 @@ func latticePos(e morton.Octant, l int) [3]uint32 {
 }
 
 // extraction is Extract's per-call node state: the distinct nodes in the
-// order they were first met and the table that finds them by the
-// representation an element uses (its own tree frame) and by the
-// canonical one, so a node shared between trees is resolved once
-// whichever tree asks first. Beside each node, short holds the
-// references it lacks to be a corner of every leaf that touches it, and
-// needOf its index in need, the nodes corners reference as masters.
+// order they were first met, the table that finds them by any of their
+// representations, so a node shared between trees is resolved once
+// whichever tree asks first, and the representations that decided the
+// ownership of nodes whose canonical one did not (node.cell).
 type extraction struct {
-	f      *forest.Forest
-	tab    *nodeTable
-	reps   []forest.NodePos
-	nodes  []nodeInfo
-	short  []int8
-	needOf []int32
-	need   []int32
+	f       *forest.Forest
+	me      int32
+	tab     *nodeTable
+	reps    []forest.NodePos
+	nodes   []node
+	cells   []forest.NodePos
+	masters int // nodes marked master
 }
 
-// newNode lists the node whose representations are reps.
+// newNode lists the node whose representations are reps. Ownership goes
+// to the rank owning the minimal (tree-major, curve-ordered) finest-level
+// cell incident to the node: deterministic from replicated data, and —
+// under the full inter-tree 2:1 balance — guaranteed to be a rank that
+// references the node as an element corner. Its short starts at the
+// number of leaves that have it as a corner when no coarser leaf touches
+// it, summed over the representations.
 func (x *extraction) newNode(reps []forest.NodePos) int32 {
-	info, sides := resolveNode(x.f, reps)
-	x.nodes, x.short, x.needOf = append(x.nodes, info), append(x.short, sides), append(x.needOf, -1)
+	nd := node{canon: reps[0], cell: -1, at: -1}
+	var best forest.Octant
+	win := 0
+	for i, rp := range reps {
+		c, n := firstCell(rp)
+		nd.short += n
+		if i == 0 || forest.Less(c, best) {
+			best, win = c, i
+		}
+	}
+	if win > 0 {
+		nd.cell = int32(len(x.cells))
+		x.cells = append(x.cells, reps[win])
+	}
+	if x.f.Contains(best) {
+		nd.owner = x.me
+	} else {
+		var owners [1]int
+		nd.owner = int32(x.f.Owners(best, owners[:0])[0])
+	}
+	x.nodes = append(x.nodes, nd)
 	return int32(len(x.nodes) - 1)
 }
 
 // resolve returns the node at pos in tree's frame, creating it if no
-// leaf met it yet; without create such a position gives -1.
+// leaf met it yet; without create such a position gives -1. A node is
+// entered in the table under all its representations at once, so a
+// position absent from it is a node not met yet, in any tree's frame.
 func (x *extraction) resolve(tree int32, pos [3]uint32, create bool) int32 {
 	k := posKey(pos)
-	if ni, ok := x.tab.get(tree, k); ok {
-		return ni
-	}
-	x.reps = x.f.Conn.NodeReps(tree, pos, x.reps)
-	ct, ck := x.reps[0].Tree, posKey(x.reps[0].Pos)
-	aliased := ct != tree || ck != k
-	if aliased {
-		if ni, ok := x.tab.get(ct, ck); ok {
-			x.tab.put(tree, k, ni)
-			return ni
-		}
+	i, ok := x.tab.find(tree, k)
+	if ok {
+		return x.tab.slots[i].idx - 1
 	}
 	if !create {
 		return -1
 	}
+	if inside(pos) { // the only representation
+		ni := x.newNode(append(x.reps[:0], forest.NodePos{Tree: tree, Pos: pos}))
+		x.tab.putAt(i, tree, k, ni)
+		return ni
+	}
+	x.reps = x.f.Conn.NodeReps(tree, pos, x.reps)
 	ni := x.newNode(x.reps)
-	x.tab.put(ct, ck, ni)
-	if aliased {
-		x.tab.put(tree, k, ni)
+	for _, rp := range x.reps {
+		x.tab.put(rp.Tree, posKey(rp.Pos), ni)
 	}
 	return ni
 }
 
-// master returns node ni's index in need, listing it on first use.
-func (x *extraction) master(ni int32) int32 {
-	if x.needOf[ni] < 0 {
-		x.needOf[ni] = int32(len(x.need))
-		x.need = append(x.need, ni)
-	}
-	return x.needOf[ni]
+// inside reports whether pos lies strictly inside its tree, off every
+// tree face: then it is the node's one representation.
+func inside(pos [3]uint32) bool {
+	return pos[0]-1 < morton.RootLen-1 && pos[1]-1 < morton.RootLen-1 && pos[2]-1 < morton.RootLen-1
 }
 
-// classify turns the node indices in the rows of leaves i..i+n-1 — one
-// leaf, or a complete family (n = 8) — into need indices and hanging
-// entries, once per point of their parent's lattice. A corner of a
+// master marks node ni as an independent node the mesh references and
+// returns it.
+func (x *extraction) master(ni int32) int32 {
+	if nd := &x.nodes[ni]; !nd.master {
+		nd.master = true
+		x.masters++
+	}
+	return ni
+}
+
+// classify finds the hanging corners among the rows of leaves
+// i..i+n-1 — one leaf, or a complete family (n = 8) — once per point of
+// their parent's lattice, replaces each by ^h with its constraint in
+// Hang[h], and marks the other corners' nodes as masters. A corner of a
 // level-L leaf can only hang at a point between parent corners (its
 // alignment level is L), and it does iff its node is short of
 // references.
@@ -154,8 +188,8 @@ func (x *extraction) classify(m *Mesh, i, n int) {
 	if n == 1 {
 		first = e.ChildID()
 	}
-	var lat, out [27]int32 // node index (-1: not a corner of the leaves), need index (-1: hanging)
-	var hangs [27]Hang
+	var lat [27]int32  // node index (-1: not a corner of the leaves)
+	var hangs [27]Hang // the constraint of a hanging point; N = 0 elsewhere
 	for l := range lat {
 		lat[l] = -1
 	}
@@ -164,31 +198,33 @@ func (x *extraction) classify(m *Mesh, i, n int) {
 			lat[latticeOf[first+c][d]] = ni
 		}
 	}
+	hanging := false
 	for l, ni := range lat {
 		if ni < 0 {
 			continue
 		}
-		if between[l] == 0 || e.Level == 0 || x.short[ni] == 0 {
-			out[l] = x.master(ni)
+		if between[l] == 0 || e.Level == 0 || x.nodes[ni].short == 0 {
+			x.master(ni)
 		} else {
-			out[l] = -1
 			x.constrain(&hangs[l], &lat, l, tree, e)
+			hanging = true
 		}
+	}
+	if !hanging {
+		return
 	}
 	for c := range m.Rows[i : i+n] {
 		row := &m.Rows[i+c]
 		for d := range row {
-			if l := latticeOf[first+c][d]; out[l] >= 0 {
-				row[d] = out[l]
-			} else {
+			if hc := &hangs[latticeOf[first+c][d]]; hc.N > 0 {
 				row[d] = ^int32(len(m.Hang))
-				m.Hang = append(m.Hang, hangs[l])
+				m.Hang = append(m.Hang, *hc)
 			}
 		}
 	}
 }
 
-// constrain sets hc to the constraint, in need indices, of the hanging
+// constrain sets hc to the constraint, in node indices, of the hanging
 // lattice point l of e's parent: its masters are the parent corners at
 // -h and +h along each axis on which it lies between two. One that lat
 // holds is a corner of a local leaf, so every leaf touching it was
@@ -212,12 +248,67 @@ func (x *extraction) constrain(hc *Hang, lat *[27]int32, l int, tree int32, e mo
 		mn := lat[pl]
 		if mn < 0 {
 			mn = x.resolve(tree, latticePos(e, pl), true)
-		} else if x.short[mn] != 0 {
+		} else if x.nodes[mn].short != 0 {
 			panic(fmt.Sprintf("mesh: forest is not 2:1 balanced: hanging-node master %v of element %v in tree %d lies inside a coarser leaf's face or edge",
 				x.nodes[mn].canon, e, tree))
 		}
 		hc.Slot[k] = x.master(mn)
 	}
+}
+
+// coords returns the physical coordinates of every element corner,
+// calling g once per distinct (tree, position) representation: a corner
+// in its node's canonical representation copies the first such corner
+// (node.at), any other the first corner with its tree and position,
+// found through a table of its own. A complete family fills its 64
+// corners from its parent's 27 lattice points. The rows must hold node
+// indices.
+func (x *extraction) coords(m *Mesh, g Geometry) [][8][3]float64 {
+	X := make([][8][3]float64, len(m.Leaves))
+	var alias *nodeTable // flat corner index by non-canonical representation
+	coord := func(ei, c int) [3]float64 {
+		tree, p, at, from := m.Trees[ei], cornerPos(m.Leaves[ei], c), int32(8*ei+c), int32(-1)
+		if nd := &x.nodes[m.Rows[ei][c]]; nd.canon.Tree == tree && nd.canon.Pos == p {
+			if nd.at < 0 {
+				nd.at = at
+			} else {
+				from = nd.at
+			}
+		} else {
+			if alias == nil { // room for every non-canonical entry of the node table
+				alias = newNodeTable(max(0, x.tab.n-len(x.nodes)+len(m.Leaves)/8))
+			}
+			if a, ok := alias.get(tree, posKey(p)); ok {
+				from = a
+			} else {
+				alias.put(tree, posKey(p), at)
+			}
+		}
+		if from < 0 {
+			return g.NodeCoord(tree, p)
+		}
+		return X[from>>3][from&7]
+	}
+	for i := 0; i < len(m.Leaves); {
+		if _, ok := x.f.Family(i); !ok {
+			for c := range X[i] {
+				X[i][c] = coord(i, c)
+			}
+			i++
+			continue
+		}
+		var lat [27][3]float64
+		for l, cd := range latticeFirst {
+			lat[l] = coord(i+int(cd[0]), int(cd[1]))
+		}
+		for c := 0; c < 8; c++ {
+			for d := range X[i+c] {
+				X[i+c][d] = lat[latticeOf[c][d]]
+			}
+		}
+		i += 8
+	}
+	return X
 }
 
 // Extract builds the distributed finite-element mesh from a 2:1-balanced
@@ -226,10 +317,15 @@ func (x *extraction) constrain(hc *Hang, lat *[27]int32, l int, tree int32, e mo
 // transforms, hanging nodes are classified across tree boundaries, and —
 // when g is non-nil — every element records the physical coordinates of
 // its eight corners (trilinear tree map, or radial shell projection),
-// which the discretization layers turn into general per-element
-// Jacobians. With g nil (the unit box) X stays nil and they keep their
-// axis-aligned constant-h kernels. An unbalanced forest panics when a
+// computed once per distinct (tree, position) representation, which the
+// discretization layers turn into general per-element Jacobians. With g
+// nil (the unit box) X stays nil and every brick of one octree level
+// shares one element geometry. An unbalanced forest panics when a
 // hanging corner's master lies inside a coarser leaf's face or edge.
+//
+// Beside the mesh it returns, one extraction allocates per leaf about
+// one node record, the table slots that find it and the sort keys of
+// the numbering; none of it outlives the call.
 func Extract(f *forest.Forest, g Geometry) *Mesh {
 	r := f.Rank()
 	m := &Mesh{Rank: r, Conn: f.Conn, Geom: g}
@@ -248,14 +344,15 @@ func Extract(f *forest.Forest, g Geometry) *Mesh {
 	}
 
 	// Resolve the corners of every local element into Rows, as node
-	// indices for now. A complete family resolves its parent's lattice:
-	// 26 lookups for 64 corners, none for the centre, which no other leaf
-	// touches.
-	n := 2 * len(m.Leaves)
-	x := &extraction{f: f, tab: newNodeTable(n), nodes: make([]nodeInfo, 0, n),
-		short: make([]int8, 0, n), needOf: make([]int32, 0, n)}
-	m.Rows = make([][8]int32, len(m.Leaves))
-	for i := 0; i < len(m.Leaves); {
+	// indices. A complete family resolves its parent's lattice: 19
+	// lookups for 64 corners, none for the 8 points it is the first to
+	// meet, the centre among them. On the benchmarks' uniform and adapted
+	// meshes at 1 to 8 ranks, nodes run to 1.1-1.6 per leaf and table
+	// entries, one per representation, to 1.25-1.75.
+	n := len(m.Leaves)
+	x := &extraction{f: f, me: int32(r.ID()), tab: newNodeTable(n + 3*n/4), nodes: make([]node, 0, n+5*n/8)}
+	m.Rows = make([][8]int32, n)
+	for i := 0; i < n; {
 		e, tree := m.Leaves[i], m.Trees[i]
 		if _, ok := f.Family(i); !ok {
 			for c := range m.Rows[i] {
@@ -265,11 +362,22 @@ func Extract(f *forest.Forest, g Geometry) *Mesh {
 			continue
 		}
 		var lat [27]int32
+		pa, h := e.Parent(), e.Len()
 		for l := range lat {
-			if l == 13 {
-				lat[l] = x.newNode(append(x.reps[:0], forest.NodePos{Tree: tree, Pos: latticePos(e, l)}))
-			} else {
-				lat[l] = x.resolve(tree, latticePos(e, l), true)
+			p := [3]uint32{pa.X + uint32(l%3)*h, pa.Y + uint32(l/3%3)*h, pa.Z + uint32(l/9)*h}
+			if l%3 == 0 || l/3%3 == 0 || l/9 == 0 || !inside(p) {
+				lat[l] = x.resolve(tree, p, true)
+				continue
+			}
+			// Off the parent's lower faces and inside the tree, a point is
+			// met here first: a leaf touching it is a child of this parent
+			// or lies beyond it in +x, +y or +z, later along the curve. Its
+			// first incident cell lies in the parent, so it is owned here
+			// (newNode's rule) and has one representation with 8 sides.
+			lat[l] = int32(len(x.nodes))
+			x.nodes = append(x.nodes, node{canon: forest.NodePos{Tree: tree, Pos: p}, owner: x.me, cell: -1, at: -1, short: 8})
+			if l != 13 {
+				x.tab.put(tree, posKey(p), lat[l])
 			}
 		}
 		for c := 0; c < 8; c++ {
@@ -284,53 +392,88 @@ func Extract(f *forest.Forest, g Geometry) *Mesh {
 	// corner P of a local element is local or a ghost, and one that
 	// touches P without having it as a corner is coarser than P's
 	// alignment level and covers more than one of the sides counted in
-	// resolveNode.
+	// newNode.
 	for _, row := range m.Rows {
 		for _, ni := range row {
-			x.short[ni]--
+			x.nodes[ni].short--
 		}
 	}
 	for _, o := range ghosts {
 		for c := 0; c < 8; c++ {
 			if ni := x.resolve(o.Tree, cornerPos(o.O, c), false); ni >= 0 {
-				x.short[ni]--
+				x.nodes[ni].short--
 			}
 		}
 	}
 
-	// Classify every element corner. A row entry becomes the master's
-	// index in need, or ^h for a hanging corner whose masters' need
-	// indices are Hang[h]; the indices are replaced by slots once those
-	// are assigned.
-	for i := 0; i < len(m.Leaves); {
-		n := 1
-		if _, ok := f.Family(i); ok {
-			n = 8
-		}
-		x.classify(m, i, n)
-		i += n
+	// Physical geometry of the element corners, read while the rows
+	// still hold every corner's node.
+	if g != nil {
+		m.X = x.coords(m, g)
 	}
-	m.Hang = append([]Hang(nil), m.Hang...) // exact length: the table stays resident
-	nodes, need := x.nodes, x.need
 
+	// Classify every element corner: a row entry stays its node's index,
+	// or becomes ^h for a hanging corner whose masters' node indices are
+	// Hang[h]; the indices are replaced by slots once those are assigned.
+	// A corner hangs iff classify's test holds for its lattice point, so
+	// the hanging table is allocated at its final length.
+	nh := 0
+	for i, e := range m.Leaves {
+		if e.Level == 0 {
+			continue
+		}
+		lat := &latticeOf[e.ChildID()]
+		for d, ni := range m.Rows[i] {
+			if between[lat[d]] != 0 && x.nodes[ni].short != 0 {
+				nh++
+			}
+		}
+	}
+	m.Hang = make([]Hang, 0, nh)
+	for i := 0; i < n; {
+		k := 1
+		if _, ok := f.Family(i); ok {
+			k = 8
+		}
+		x.classify(m, i, k)
+		i += k
+	}
+
+	keys := make([]canonKey, 0, x.masters)
+	for ni := range x.nodes {
+		if nd := &x.nodes[ni]; nd.master {
+			keys = append(keys, canonKey{pos: posKey(nd.canon.Pos), tree: nd.canon.Tree, owner: nd.owner, node: int32(ni)})
+		}
+	}
 	var owned []canonKey
 	var slot []int32
-	m.layout, owned, slot, m.GX = numberNodes(r, nodes, need)
+	m.layout, owned, slot, m.GX = numberNodes(r, keys, len(x.nodes))
 	m.NumOwned = len(owned)
 	m.Offset, m.NGlobal = m.layout.Start(), m.layout.N()
 	m.OwnedPos = make([][3]uint32, m.NumOwned)
 	m.OwnedTree = make([]int32, m.NumOwned)
 	m.OwnedCell = make([]forest.Octant, m.NumOwned)
 	m.OwnedCellPos = make([][3]uint32, m.NumOwned)
+	if g != nil {
+		m.OwnedX = make([][3]float64, m.NumOwned)
+	}
 	for li, k := range owned {
-		info := &nodes[need[k.need]]
-		m.OwnedPos[li] = info.canon.Pos
-		m.OwnedTree[li] = info.canon.Tree
-		m.OwnedCell[li] = info.cell
-		m.OwnedCellPos[li] = info.cellPos
+		nd := &x.nodes[k.node]
+		m.OwnedPos[li], m.OwnedTree[li] = nd.canon.Pos, nd.canon.Tree
+		rp := nd.canon
+		if nd.cell >= 0 {
+			rp = x.cells[nd.cell]
+		}
+		m.OwnedCell[li], _ = firstCell(rp)
+		m.OwnedCellPos[li] = rp.Pos
+		if g != nil && nd.at >= 0 {
+			m.OwnedX[li] = m.X[nd.at>>3][nd.at&7]
+		} else if g != nil {
+			m.OwnedX[li] = g.NodeCoord(nd.canon.Tree, nd.canon.Pos)
+		}
 	}
 
-	// Replace the need indices in the corner rows and hanging table by
+	// Replace the node indices in the corner rows and hanging table by
 	// slots.
 	for ei := range m.Rows {
 		row := &m.Rows[ei]
@@ -346,30 +489,16 @@ func Extract(f *forest.Forest, g Geometry) *Mesh {
 			hc.Slot[k] = slot[hc.Slot[k]]
 		}
 	}
-
-	// Physical geometry: per-element corner coordinates and owned-node
-	// coordinates.
-	if g != nil {
-		m.X = make([][8][3]float64, len(m.Leaves))
-		for ei, e := range m.Leaves {
-			for c := 0; c < 8; c++ {
-				m.X[ei][c] = g.NodeCoord(m.Trees[ei], cornerPos(e, c))
-			}
-		}
-		m.OwnedX = make([][3]float64, m.NumOwned)
-		for i := range m.OwnedX {
-			m.OwnedX[i] = g.NodeCoord(m.OwnedTree[i], m.OwnedPos[i])
-		}
-	}
 	return m
 }
 
 // canonKey is a node's canonical representation packed for sorting,
-// (tree, position key), with the need index it stands for.
+// (tree, position key), with its owner and the index it stands for.
 type canonKey struct {
-	tree int32
-	need int32
-	pos  uint64
+	pos   uint64
+	tree  int32
+	owner int32
+	node  int32
 }
 
 // cmpCanon orders canonKeys tree-major, then by position key. Distinct
@@ -381,61 +510,110 @@ func cmpCanon(a, b canonKey) int {
 	return cmp.Compare(a.pos, b.pos)
 }
 
-// numberNodes numbers the nodes a rank references and builds its ghost
-// plan (collective). need lists them as indices into nodes, each with its
-// canonical position and owner. The owned ones are numbered by canonical
-// key: slot = local index = global id - Offset. The others are asked of
-// their owners in the same order — the order of the owner's numbering —
-// so each owner's ghosts are listed, answered and laid out in ascending
-// global id. Only actual neighbor ranks exchange messages. The handshake
-// leaves both sides of the ghost plan behind: the ghosts this rank was
-// told the ids of, per owner, are the slots it will request, and the nodes
-// it looked up for an asker are the ones it will serve, in the order asked
-// — la.NewGhostExchange would negotiate the same tables. It returns the
-// node layout, the owned nodes' keys in slot order, the slot of every
-// need index and the plan.
-func numberNodes(r *sim.Rank, nodes []nodeInfo, need []int32) (*la.Layout, []canonKey, []int32, *la.GhostExchange) {
-	me := int32(r.ID())
-	var owned []canonKey                // in slot order once sorted
-	ask := make([][]canonKey, r.Size()) // per owner
-	for i, ni := range need {
-		n := &nodes[ni]
-		k := canonKey{tree: n.canon.Tree, need: int32(i), pos: posKey(n.canon.Pos)}
-		if n.owner == me {
-			owned = append(owned, k)
-		} else {
-			ask[n.owner] = append(ask[n.owner], k)
+// major packs the owner and the tree of k, the fields sortCanon orders
+// by before the position key.
+func (k *canonKey) major() uint64 { return uint64(uint32(k.owner))<<32 | uint64(uint32(k.tree)) }
+
+// digit returns the byte of k's position key (w = 0) or of its major
+// fields (w = 1) from bit s.
+func (k *canonKey) digit(w int, s uint) uint8 {
+	if w == 0 {
+		return uint8(k.pos >> s)
+	}
+	return uint8(k.major() >> s)
+}
+
+// sortCanon sorts keys by owner, then in cmpCanon's order, with a
+// least-significant-digit radix sort over the 8-bit windows in which
+// some keys differ: a few linear passes, however the positions are
+// spread. tmp is scratch of the same length; the sorted keys are in
+// whichever of the two it returns.
+func sortCanon(keys, tmp []canonKey) []canonKey {
+	if len(keys) < 2 {
+		return keys
+	}
+	var diff [2]uint64 // the bits in which a key differs from the first
+	k0 := &keys[0]
+	for i := range keys {
+		diff[0] |= keys[i].pos ^ k0.pos
+		diff[1] |= keys[i].major() ^ k0.major()
+	}
+	for w, d := range diff {
+		for d != 0 {
+			s := uint(bits.TrailingZeros64(d))
+			var start [256]int32
+			for i := range keys {
+				start[keys[i].digit(w, s)]++
+			}
+			var sum int32
+			for b, c := range start {
+				start[b], sum = sum, sum+c
+			}
+			for i := range keys {
+				b := keys[i].digit(w, s)
+				tmp[start[b]] = keys[i]
+				start[b]++
+			}
+			keys, tmp = tmp, keys
+			d &^= 0xff << s
 		}
 	}
-	slices.SortFunc(owned, cmpCanon)
+	return keys
+}
+
+// numberNodes numbers the nodes a rank references and builds its ghost
+// plan (collective). keys holds each node's canonical key and owner, its
+// node the caller's index in [0, n); numberNodes reorders them. The
+// owned ones are numbered by canonical key: slot = local index = global
+// id - Offset. The others are asked of their owners in the same order —
+// the order of the owner's numbering — so each owner's ghosts are
+// listed, answered and laid out in ascending global id. Only actual
+// neighbor ranks exchange messages. The handshake leaves both sides of
+// the ghost plan behind: the ghosts this rank was told the ids of, per
+// owner, are the slots it will request, and the nodes it looked up for
+// an asker are the ones it will serve, in the order asked —
+// la.NewGhostExchange would negotiate the same tables. It returns the
+// node layout, the owned nodes' keys in slot order, the slot of every
+// caller index and the plan.
+func numberNodes(r *sim.Rank, keys []canonKey, n int) (*la.Layout, []canonKey, []int32, *la.GhostExchange) {
+	me := int32(r.ID())
+	keys = sortCanon(keys, make([]canonKey, len(keys)))
+	lo, _ := slices.BinarySearchFunc(keys, me, func(k canonKey, o int32) int { return cmp.Compare(k.owner, o) })
+	hi, _ := slices.BinarySearchFunc(keys, me+1, func(k canonKey, o int32) int { return cmp.Compare(k.owner, o) })
+	owned := keys[lo:hi]
 	layout := la.NewLayout(r, len(owned))
-	slot := make([]int32, len(need)) // slot of need[i]
+	slot := make([]int32, n)
 	for li, k := range owned {
-		slot[k.need] = int32(li)
+		slot[k.node] = int32(li)
 	}
 
+	// Each other owner's run of keys is one ask, in its numbering order.
+	nAsk := len(keys) - len(owned)
+	posBuf, slotBuf := make([]forest.NodePos, nAsk), make([]int32, nAsk)
 	var owners []int
 	var reqSlot [][]int32
 	var askOut []any
 	var askNB []int
 	nGhost := 0
-	for o, keys := range ask {
-		if len(keys) == 0 {
-			continue
+	for i := 0; i < len(keys); {
+		o, j := keys[i].owner, i+1
+		for j < len(keys) && keys[j].owner == o {
+			j++
 		}
-		slices.SortFunc(keys, cmpCanon)
-		pos := make([]forest.NodePos, len(keys))
-		slots := make([]int32, len(keys))
-		for j, k := range keys {
-			pos[j] = nodes[need[k.need]].canon
-			slots[j] = int32(nGhost + j)
-			slot[k.need] = int32(len(owned) + nGhost + j)
+		if o != me {
+			pos, slots := posBuf[nGhost:nGhost+j-i:nGhost+j-i], slotBuf[nGhost:nGhost+j-i:nGhost+j-i]
+			for q, k := range keys[i:j] {
+				pos[q] = forest.NodePos{Tree: k.tree, Pos: unpackKey(k.pos)}
+				slots[q] = int32(nGhost + q)
+				slot[k.node] = int32(len(owned) + nGhost + q)
+			}
+			nGhost += j - i
+			owners = append(owners, int(o))
+			reqSlot = append(reqSlot, slots)
+			askOut = append(askOut, pos)
+			askNB = append(askNB, 16*len(pos))
 		}
-		nGhost += len(keys)
-		owners = append(owners, o)
-		reqSlot = append(reqSlot, slots)
-		askOut = append(askOut, pos)
-		askNB = append(askNB, 16*len(pos))
+		i = j
 	}
 	servers, asks := r.AlltoallvSparse(owners, askOut, askNB)
 	sendIdx := make([][]int32, len(servers))
@@ -477,18 +655,29 @@ func interior(f *forest.Forest, o forest.Octant, buf []int) bool {
 // it — across tree boundaries included — and returns the ghost leaves
 // received, in curve order (sources arrive in rank order, each in its own
 // curve order). Only leaves next to the partition boundary have anything
-// to send: a family whose parent is interior is skipped after one test.
+// to send: the leaves below an interior grandparent are skipped after one
+// test, those of a family whose parent is interior after two.
 func exchangeGhosts(f *forest.Forest) []forest.Octant {
 	byRank := make([][]forest.Octant, f.Rank().Size())
-	var ranks []int
-	var parent forest.Octant
-	skip := false // parent is interior
+	ranks := make([]int, 0, 32)
+	var grand, parent forest.Octant
+	inGrand, inParent := false, false // grand, parent is interior
 	for li, o := range f.Leaves() {
+		if inGrand && grand.Tree == o.Tree && grand.O.IsAncestorOf(o.O) {
+			continue
+		}
+		if o.O.Level > 1 {
+			if g := (forest.Octant{Tree: o.Tree, O: o.O.Ancestor(o.O.Level - 2)}); li == 0 || g != grand {
+				if grand, inGrand = g, interior(f, g, ranks); inGrand {
+					continue
+				}
+			}
+		}
 		if o.O.Level > 0 {
 			if pa := (forest.Octant{Tree: o.Tree, O: o.O.Parent()}); li == 0 || pa != parent {
-				parent, skip = pa, interior(f, pa, ranks)
+				parent, inParent = pa, interior(f, pa, ranks)
 			}
-			if skip {
+			if inParent {
 				continue
 			}
 		}

@@ -9,6 +9,7 @@ package mesh
 // bit.
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -17,6 +18,7 @@ import (
 	"testing"
 
 	"rhea/internal/forest"
+	"rhea/internal/la"
 	"rhea/internal/morton"
 	"rhea/internal/sim"
 )
@@ -205,7 +207,7 @@ func extractRef(f *forest.Forest, g Geometry) (*Mesh, []forest.Octant) {
 			}
 		}
 		ni := int32(len(nodes))
-		info, _ := resolveNode(f, reps)
+		info, _ := resolveNodeRef(f, reps)
 		level := alignLevel(reps[0].Pos)
 		c := false
 		for _, rp := range reps {
@@ -263,9 +265,9 @@ func extractRef(f *forest.Forest, g Geometry) (*Mesh, []forest.Octant) {
 		}
 	}
 
-	var owned []canonKey
+	var owned []canonKeyRef
 	var slot []int32
-	m.layout, owned, slot, m.GX = numberNodes(r, nodes, need)
+	m.layout, owned, slot, m.GX = numberNodesRef(r, nodes, need)
 	m.NumOwned = len(owned)
 	m.Offset, m.NGlobal = m.layout.Start(), m.layout.N()
 	for _, k := range owned {
@@ -433,4 +435,155 @@ func TestExtractRejectsUnbalanced(t *testing.T) {
 			Extract(f, nil)
 		})
 	}
+}
+
+// nodeInfo is the resolved identity of one referenced node position.
+type nodeInfo struct {
+	canon forest.NodePos // canonical representation (minimal rep)
+	owner int32          // owning rank
+	cell  forest.Octant  // incident finest cell that determines ownership
+	// cellPos is the node position expressed in cell's tree frame — the
+	// representation multigrid transfer uses to locate the (always
+	// local on the owner) containing coarse element.
+	cellPos [3]uint32
+}
+
+// resolveNodeRef computes the canonical representation and owner of the
+// node whose representations are reps (forest.NodeReps), and the number
+// of leaves that have it as a corner when no coarser leaf touches it:
+// 2^(axes strictly inside the tree), summed over the representations.
+// It is the extraction's node resolution before the node records
+// shrank, kept for the oracle.
+// Ownership goes to the rank owning the minimal
+// (tree-major, curve-ordered) finest-level cell incident to the node:
+// deterministic from replicated data, and — under the full inter-tree
+// 2:1 balance — guaranteed to be a rank that references the node as an
+// element corner.
+func resolveNodeRef(f *forest.Forest, reps []forest.NodePos) (info nodeInfo, sides int8) {
+	info.canon = reps[0]
+	for i, rp := range reps {
+		// The first incident cell within a tree lies one unit down every
+		// axis that has room (the curve is monotone in each coordinate).
+		var c [3]uint32
+		n := int8(1)
+		for a, x := range rp.Pos {
+			if x > 0 && x < morton.RootLen {
+				n <<= 1
+			}
+			if x > 0 {
+				x--
+			}
+			c[a] = x
+		}
+		sides += n
+		cell := forest.Octant{Tree: rp.Tree, O: morton.Octant{X: c[0], Y: c[1], Z: c[2], Level: morton.MaxLevel}}
+		if i == 0 || forest.Less(cell, info.cell) {
+			info.cell, info.cellPos = cell, rp.Pos
+		}
+	}
+	var owners [1]int
+	info.owner = int32(f.Owners(info.cell, owners[:0])[0])
+	return info, sides
+}
+
+// numberNodesRef numbers the nodes a rank references and builds its ghost
+// plan (collective). need lists them as indices into nodes, each with its
+// canonical position and owner. The owned ones are numbered by canonical
+// key: slot = local index = global id - Offset. The others are asked of
+// their owners in the same order — the order of the owner's numbering —
+// so each owner's ghosts are listed, answered and laid out in ascending
+// global id. Only actual neighbor ranks exchange messages. The handshake
+// leaves both sides of the ghost plan behind: the ghosts this rank was
+// told the ids of, per owner, are the slots it will request, and the nodes
+// it looked up for an asker are the ones it will serve, in the order asked
+// — la.NewGhostExchange would negotiate the same tables. It returns the
+// node layout, the owned nodes' keys in slot order, the slot of every
+// need index and the plan. It is the numbering before the radix sort,
+// kept for the oracle.
+func numberNodesRef(r *sim.Rank, nodes []nodeInfo, need []int32) (*la.Layout, []canonKeyRef, []int32, *la.GhostExchange) {
+	me := int32(r.ID())
+	var owned []canonKeyRef                // in slot order once sorted
+	ask := make([][]canonKeyRef, r.Size()) // per owner
+	for i, ni := range need {
+		n := &nodes[ni]
+		k := canonKeyRef{tree: n.canon.Tree, need: int32(i), pos: posKey(n.canon.Pos)}
+		if n.owner == me {
+			owned = append(owned, k)
+		} else {
+			ask[n.owner] = append(ask[n.owner], k)
+		}
+	}
+	slices.SortFunc(owned, cmpCanonRef)
+	layout := la.NewLayout(r, len(owned))
+	slot := make([]int32, len(need)) // slot of need[i]
+	for li, k := range owned {
+		slot[k.need] = int32(li)
+	}
+
+	var owners []int
+	var reqSlot [][]int32
+	var askOut []any
+	var askNB []int
+	nGhost := 0
+	for o, keys := range ask {
+		if len(keys) == 0 {
+			continue
+		}
+		slices.SortFunc(keys, cmpCanonRef)
+		pos := make([]forest.NodePos, len(keys))
+		slots := make([]int32, len(keys))
+		for j, k := range keys {
+			pos[j] = nodes[need[k.need]].canon
+			slots[j] = int32(nGhost + j)
+			slot[k.need] = int32(len(owned) + nGhost + j)
+		}
+		nGhost += len(keys)
+		owners = append(owners, o)
+		reqSlot = append(reqSlot, slots)
+		askOut = append(askOut, pos)
+		askNB = append(askNB, 16*len(pos))
+	}
+	servers, asks := r.AlltoallvSparse(owners, askOut, askNB)
+	sendIdx := make([][]int32, len(servers))
+	resp := make([]sim.Payload, len(servers))
+	for i, d := range asks {
+		asked := d.([]forest.NodePos)
+		gids := make([]int64, len(asked))
+		send := make([]int32, len(asked))
+		for j, np := range asked {
+			li, ok := slices.BinarySearchFunc(owned, canonKeyRef{tree: np.Tree, pos: posKey(np.Pos)}, cmpCanonRef)
+			if !ok {
+				panic(fmt.Sprintf("mesh: rank %d asked for node %v not owned by rank %d", servers[i], np, r.ID()))
+			}
+			gids[j] = layout.Start() + int64(li)
+			send[j] = int32(li)
+		}
+		resp[i] = sim.Payload{Data: gids, NBytes: 8 * len(gids)}
+		sendIdx[i] = send
+	}
+	back := make([]sim.Payload, len(owners))
+	r.NeighborExchange(servers, resp, owners, back)
+	ghostIDs := make([]int64, 0, nGhost)
+	for k := range owners {
+		ghostIDs = append(ghostIDs, back[k].Data.([]int64)...)
+	}
+	gx := la.NewGhostExchangeAgreed(layout, ghostIDs, owners, reqSlot, servers, sendIdx, 1)
+	return layout, owned, slot, gx
+}
+
+// canonKeyRef is numberNodesRef's sort key: a node's canonical
+// representation, (tree, position key), with the need index it stands
+// for.
+type canonKeyRef struct {
+	tree int32
+	need int32
+	pos  uint64
+}
+
+// cmpCanonRef orders canonKeyRefs tree-major, then by position key.
+func cmpCanonRef(a, b canonKeyRef) int {
+	if a.tree != b.tree {
+		return cmp.Compare(a.tree, b.tree)
+	}
+	return cmp.Compare(a.pos, b.pos)
 }

@@ -172,6 +172,12 @@ func posKey(p [3]uint32) uint64 {
 	return uint64(p[0]) | uint64(p[1])<<21 | uint64(p[2])<<42
 }
 
+// unpackKey returns the position posKey packed.
+func unpackKey(k uint64) [3]uint32 {
+	const field = 1<<21 - 1
+	return [3]uint32{uint32(k & field), uint32(k >> 21 & field), uint32(k >> 42)}
+}
+
 // cornerPos returns the position of corner c (z-order) of octant o.
 func cornerPos(o morton.Octant, c int) [3]uint32 {
 	h := o.Len()

@@ -74,11 +74,10 @@ func TestNodeTableProbeLength(t *testing.T) {
 			}
 		}
 	}
-	mask := uint64(len(tab.slots) - 1)
 	var probes int
 	for i, s := range tab.slots {
 		if s.idx != 0 {
-			probes += int((uint64(i)-hashNode(s.tree, s.k))&mask) + 1
+			probes += (i-tab.home(s.tree, s.k)+len(tab.slots))%len(tab.slots) + 1
 		}
 	}
 	if avg := float64(probes) / float64(tab.n); avg > 2 {

@@ -135,7 +135,7 @@ func ExtractQ2(f *forest.Forest, m *Mesh) *Q2Mesh {
 	// Every referenced position once, in first-reference order, numbered
 	// and planned by the handshake Extract uses. The element tables hold
 	// node indices until the slots are known.
-	var nodes []nodeInfo
+	var keys []canonKey
 	tab := newNodeTable(8 * len(m.Leaves))
 	q.Nodes = make([][27]int32, len(m.Leaves))
 	for ei, e := range m.Leaves {
@@ -144,25 +144,21 @@ func ExtractQ2(f *forest.Forest, m *Mesh) *Q2Mesh {
 			k := posKey(p)
 			ni, ok := tab.get(0, k)
 			if !ok {
-				ni = int32(len(nodes))
-				nodes = append(nodes, nodeInfo{canon: forest.NodePos{Pos: p}, owner: int32(q2OwnerRank(f, p))})
+				ni = int32(len(keys))
+				keys = append(keys, canonKey{pos: k, owner: int32(q2OwnerRank(f, p)), node: ni})
 				tab.put(0, k, ni)
 			}
 			q.Nodes[ei][n] = ni
 		}
 	}
-	need := make([]int32, len(nodes))
-	for i := range need {
-		need[i] = int32(i)
-	}
 	var owned []canonKey
 	var slot []int32
-	q.layout, owned, slot, q.GX = numberNodes(r, nodes, need)
+	q.layout, owned, slot, q.GX = numberNodes(r, keys, len(keys))
 	q.NumOwned = len(owned)
 	q.Offset, q.NGlobal = q.layout.Start(), q.layout.N()
 	q.OwnedPos2 = make([][3]uint32, q.NumOwned)
 	for li, k := range owned {
-		q.OwnedPos2[li] = nodes[k.need].canon.Pos
+		q.OwnedPos2[li] = unpackKey(k.pos)
 	}
 	for ei := range q.Nodes {
 		for n := range q.Nodes[ei] {
