@@ -89,10 +89,10 @@ func NewSumFactorKernels(h [3]float64) *SumFactorKernels {
 	return k
 }
 
-// SFScratch is the fixed-size per-worker workspace of the
-// sum-factorized applies: gradient/flux planes and stage pipelines.
-// One instance per worker goroutine keeps the hot loop allocation-free
-// while the kernels stay shared and immutable.
+// SFScratch is the fixed-size workspace of the sum-factorized applies:
+// gradient/flux planes and stage pipelines. One instance per operator
+// keeps the hot loop allocation-free while the kernels stay shared and
+// immutable.
 type SFScratch struct {
 	g          [3][3][27]float64 // per component x direction: gradients, then flux
 	u, v, w    [3][27]float64    // 3-component stage pipelines of the coupled apply

@@ -33,8 +33,8 @@ func oracleCorners(m *mesh.Mesh, ei int) (cs [8]mesh.Corner) {
 	return cs
 }
 
-// oracleStokesApply is matfree.Operator.Apply with one worker and no
-// rotated frames: slot-space gather, the per-corner weighted gather and
+// oracleStokesApply is matfree.Operator.Apply with no rotated frames,
+// every element accumulated in order into one slot-space buffer: slot-space gather, the per-corner weighted gather and
 // scatter around each element kernel, the ghost scatter-add and identity
 // rows at fixed dofs.
 func oracleStokesApply(m *mesh.Mesh, dom fem.Domain, eta []float64, fixed []bool, x, y *la.Vec) {
@@ -360,26 +360,32 @@ func adaptedShell(r *sim.Rank) *mesh.Mesh {
 // Mesh.Rows and Mesh.Hang — the matrix-free Stokes apply, a width-1 and
 // a width-3 multigrid level apply, advect.RateOfChange, field.FromNodal
 // and ToNodal, errind.Variation — against the per-corner {N, Slot, W}
-// oracles above, on two ranks of the front box and of an adapted
-// cubed-sphere shell (both with hanging corners on and across the rank
-// boundary), and requires every output bit for bit.
+// oracles above, on one and two ranks of the front box and of an adapted
+// cubed-sphere shell (both with hanging corners, at two ranks also across
+// the rank boundary), and requires every output bit for bit. At one rank
+// the matrix-free apply is the whole mesh's plain element-order
+// accumulation, whatever the host's core count.
 func TestCornerRowsMatchOracles(t *testing.T) {
+	frontBox2 := func(r *sim.Rank) *mesh.Mesh { return frontBox(r, 2) }
 	cases := []struct {
 		name  string
 		build func(r *sim.Rank) *mesh.Mesh
+		ranks int
 	}{
-		{"front box", func(r *sim.Rank) *mesh.Mesh { return frontBox(r, 2) }},
-		{"adapted shell", adaptedShell},
+		{"front box", frontBox2, 1},
+		{"front box", frontBox2, 2},
+		{"adapted shell", adaptedShell, 1},
+		{"adapted shell", adaptedShell, 2},
 	}
 	dom := fem.UnitDomain
 	for _, tc := range cases {
-		sim.Run(2, func(r *sim.Rank) {
+		sim.Run(tc.ranks, func(r *sim.Rank) {
 			m := tc.build(r)
-			id := fmt.Sprintf("%s rank %d", tc.name, r.ID())
+			id := fmt.Sprintf("%s rank %d of %d", tc.name, r.ID(), tc.ranks)
 			if st := m.GlobalStats(); st.HangingLocal == 0 {
 				t.Errorf("%s: mesh has no hanging corners", id)
 			} else if r.ID() == 0 {
-				t.Logf("%s: %d elements, %d hanging corners", tc.name, st.Elements, st.HangingLocal)
+				t.Logf("%s at %d ranks: %d elements, %d hanging corners", tc.name, tc.ranks, st.Elements, st.HangingLocal)
 			}
 			same := func(what string, got, want []float64) {
 				t.Helper()
@@ -426,7 +432,7 @@ func TestCornerRowsMatchOracles(t *testing.T) {
 				cons.Fixed[4*s+3] = g == 0
 			}
 			layout := la.NewLayout(r, 4*m.NumOwned)
-			op := matfree.New(m, dom, layout, eta, cons, matfree.Options{Workers: 1})
+			op := matfree.New(m, dom, layout, eta, cons)
 			x := la.NewVec(layout)
 			for i := range x.Data {
 				x.Data[i] = math.Cos(0.37*float64(4*m.Offset+int64(i))) - 0.2

@@ -30,8 +30,8 @@ func frontBox(r *sim.Rank, passes int) *forest.Forest {
 	return f
 }
 
-// BenchmarkApply times one Q1 matrix-free Apply on one rank and one
-// worker, reported per element: on the front box refined twice (bricks
+// BenchmarkApply times one Q1 matrix-free Apply on one rank, reported
+// per element: on the front box refined twice (bricks
 // of three octree levels, one shared geometry per level) and on the
 // uniform level-3 shell (12 288 elements, a geometry per element).
 func BenchmarkApply(b *testing.B) {
@@ -54,7 +54,7 @@ func BenchmarkApply(b *testing.B) {
 				}
 				layout := la.NewLayout(r, 4*m.NumOwned)
 				cons := consFrom(m, func(g int64, c int) (float64, bool) { return 0, c == 3 && g == 0 })
-				op := matfree.New(m, fem.UnitDomain, layout, eta, cons, matfree.Options{Workers: 1})
+				op := matfree.New(m, fem.UnitDomain, layout, eta, cons)
 				x, y := la.NewVec(layout), la.NewVec(layout)
 				fillTestVec(x)
 				b.ResetTimer()

@@ -15,8 +15,7 @@ import (
 
 // TestApplyLanesMatchesScalarBitwise: Apply through the four-lane
 // element loop (elementLoop4, the loop New picks on an AVX2 CPU) equals
-// Apply through the per-element loop bit for bit, at 1 and 3 workers, on
-// one to three ranks, on two families of meshes whose local element
+// Apply through the per-element loop bit for bit on one to three ranks, on two families of meshes whose local element
 // counts each cover every residue mod 4: adapted cubed-sphere shells with
 // hanging corners (a geometry per element), and adapted boxes with three
 // octree levels, two or three on a rank, and hanging corners (lanes that
@@ -78,7 +77,7 @@ func TestApplyLanesMatchesScalarBitwise(t *testing.T) {
 }
 
 // checkLanes applies a rank's operator on m through both element loops
-// at 1 and 3 workers and fails unless the results agree bit for bit.
+// and fails unless the results agree bit for bit.
 func checkLanes(t *testing.T, id string, r *sim.Rank, m *mesh.Mesh) {
 	eta := make([]float64, len(m.Leaves))
 	for ei := range eta {
@@ -99,17 +98,15 @@ func checkLanes(t *testing.T, id string, r *sim.Rank, m *mesh.Mesh) {
 			x.Data[i] = 0
 		}
 	}
-	for _, workers := range []int{1, 3} {
-		op := New(m, fem.UnitDomain, layout, eta, cons, Options{Workers: workers})
-		y4, y1 := la.NewVec(layout), la.NewVec(layout)
-		op.loopFn = op.elementLoop4
-		op.Apply(x, y4)
-		op.loopFn = op.elementLoop
-		op.Apply(x, y1)
-		for i := range y1.Data {
-			if math.Float64bits(y4.Data[i]) != math.Float64bits(y1.Data[i]) {
-				t.Fatalf("%s, %d workers: y[%d] = %v in lanes, %v per element", id, workers, i, y4.Data[i], y1.Data[i])
-			}
+	op := New(m, fem.UnitDomain, layout, eta, cons)
+	y4, y1 := la.NewVec(layout), la.NewVec(layout)
+	op.loopFn = op.elementLoop4
+	op.Apply(x, y4)
+	op.loopFn = op.elementLoop
+	op.Apply(x, y1)
+	for i := range y1.Data {
+		if math.Float64bits(y4.Data[i]) != math.Float64bits(y1.Data[i]) {
+			t.Fatalf("%s: y[%d] = %v in lanes, %v per element", id, i, y4.Data[i], y1.Data[i])
 		}
 	}
 	t.Logf("%s: equal bit for bit", id)

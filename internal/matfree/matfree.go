@@ -13,10 +13,12 @@
 // every element of an octree level points at one cache-resident brick
 // geometry. Nothing is tabulated per element. This is the paper-era
 // route to speed and scale for memory-bound Stokes solves: the operator
-// is never stored, the per-apply data volume drops from CSR values +
-// indices to nodal vectors plus geometry, and the element loop
-// parallelizes over in-rank cores on top of the rank-level (simulated
-// MPI) parallelism.
+// is never stored, and the per-apply data volume drops from CSR values +
+// indices to nodal vectors plus geometry. Like every loop of a rank, the
+// element loop runs on the rank's own goroutine: the ranks are the
+// parallelism, and one accumulation order, element by element into one
+// slot-space buffer, makes a rank's result independent of the host's
+// core count.
 //
 // Nodes are addressed by the mesh's own slots (mesh.Mesh.GX) and
 // off-rank coupling uses that one la.GhostExchange plan in both
@@ -28,9 +30,6 @@
 package matfree
 
 import (
-	"runtime"
-	"sync"
-
 	"rhea/internal/fem"
 	"rhea/internal/la"
 	"rhea/internal/mesh"
@@ -55,19 +54,19 @@ type Constraints struct {
 	Frames []*[3][3]float64
 }
 
-// Options tunes the matrix-free apply.
+// Options is the matrix-free apply's configuration, of which New and
+// NewQ2 read nothing: the element loop runs on the rank's goroutine.
 type Options struct {
-	// Workers is the number of goroutines the element loop uses within
-	// this rank. 0 picks NumCPU()/worldSize (at least 1), so in-rank
-	// cores left idle by the rank decomposition contribute to throughput.
+	// Workers is read only by rhea.Config.Validate, which refuses a value
+	// above 1; 0 and 1 both mean the one loop there is.
 	Workers int
 }
 
 // Operator is the matrix-free coupled Stokes operator on one rank, for
 // either element order. It implements krylov.Operator over the
 // interleaved 4N dof layout used by stokes.Solver. The constraint lists,
-// slot buffer, worker pool, Apply and RHS are shared; the element loop is
-// chosen at construction — the mesh's 8 corner rows per element for Q1 (New),
+// slot buffers, Apply and RHS are shared; the element loop is chosen at
+// construction — the mesh's 8 corner rows per element for Q1 (New),
 // 27 direct node slots for Q2 (NewQ2, q2.go).
 type Operator struct {
 	layout *la.Layout // 4*nOwned dof layout
@@ -83,10 +82,10 @@ type Operator struct {
 	hang []mesh.Hang // and its hanging corners (Mesh.Hang)
 
 	// Q2 element operator: sum-factorised kernels, the element node
-	// slots, and per-worker scratch.
+	// slots, and the loops' scratch.
 	sf    []*fem.SumFactorKernels
 	nodes [][27]int32
-	work  []*q2work
+	work  *q2work
 
 	fixedIdx []int32   // slot-space dof indices read as zero (constrained columns)
 	bcval    []float64 // len nSlots*4: Dirichlet values at constrained dofs
@@ -99,108 +98,20 @@ type Operator struct {
 	rotSlot []int32
 	rotQ    [][3][3]float64
 
-	pool   *pool
-	xbuf   []float64                               // nSlots*4 gathered input
-	loopFn func(w, lo, hi int, src, dst []float64) // the order's element loop, bound once (avoids a per-Apply method-value allocation)
-}
-
-// pool is the in-rank worker pool matrix-free element loops run on:
-// static Morton-contiguous element chunks per worker, per-worker
-// accumulators, and a deterministic two-phase reduction. Both orders'
-// element loops and their right-hand-side loops share it; the loop
-// callback receives its worker index so the Q2 loops can use per-worker
-// scratch without allocating.
-type pool struct {
-	workers int
-	chunks  [][2]int    // element ranges per worker
-	acc     [][]float64 // per-worker accumulators, nfloats each
-}
-
-// newPool sizes the worker pool: explicit count, or NumCPU()/worldSize
-// (at least 1) so in-rank cores left idle by the rank decomposition
-// contribute, clamped to the element count. nfloats is the slot-space
-// accumulator length.
-func newPool(workers, worldSize, ne, nfloats int) *pool {
-	p := &pool{workers: workers}
-	if p.workers <= 0 {
-		p.workers = runtime.NumCPU() / worldSize
-	}
-	if p.workers > ne && ne > 0 {
-		p.workers = ne
-	}
-	if p.workers < 1 {
-		p.workers = 1
-	}
-	// Static Morton-contiguous chunks: deterministic accumulation order
-	// regardless of goroutine scheduling.
-	for w := 0; w < p.workers; w++ {
-		p.chunks = append(p.chunks, [2]int{ne * w / p.workers, ne * (w + 1) / p.workers})
-	}
-	p.acc = make([][]float64, p.workers)
-	for w := range p.acc {
-		p.acc[w] = make([]float64, nfloats)
-	}
-	return p
-}
-
-// run executes loop over all chunks and reduces the per-worker
-// accumulators into acc[0], returning it. The single-worker path runs
-// inline (no goroutines, no allocation); the reduction sums buffers in
-// fixed worker order, so results are bitwise independent of scheduling.
-func (p *pool) run(src []float64, loop func(w, lo, hi int, src, dst []float64)) []float64 {
-	if p.workers == 1 {
-		acc := p.acc[0]
-		for i := range acc {
-			acc[i] = 0
-		}
-		loop(0, p.chunks[0][0], p.chunks[0][1], src, acc)
-		return acc
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < p.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			acc := p.acc[w]
-			for i := range acc {
-				acc[i] = 0
-			}
-			loop(w, p.chunks[w][0], p.chunks[w][1], src, acc)
-		}(w)
-	}
-	wg.Wait()
-	// Parallel reduction: each worker sums a contiguous slot range across
-	// all buffers into acc[0], in fixed worker order (deterministic).
-	n := len(p.acc[0])
-	for w := 0; w < p.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lo := n * w / p.workers
-			hi := n * (w + 1) / p.workers
-			dst := p.acc[0][lo:hi]
-			for v := 1; v < p.workers; v++ {
-				srcv := p.acc[v][lo:hi]
-				for i := range dst {
-					dst[i] += srcv[i]
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return p.acc[0]
+	xbuf   []float64                // nSlots*4 gathered input
+	acc    []float64                // nSlots*4 element-loop accumulator
+	loopFn func(src, dst []float64) // the order's element loop, bound once (avoids a per-Apply method-value allocation)
 }
 
 // New builds the Q1 operator for the extracted mesh, per-element
 // viscosity and constraint tables (local). layout must be the 4N dof
 // layout of the Stokes system. Everything built here — constraint index
-// lists, worker chunks, the geometry table — depends only on the mesh
-// and boundary conditions; the node numbering and ghost plan are the
-// mesh's own. etaElem may be nil and supplied later via SetViscosity,
+// lists, the geometry table — depends only on the mesh and boundary
+// conditions; the node numbering and ghost plan are the mesh's own. etaElem may be nil and supplied later via SetViscosity,
 // which is how the persistent solver reuses one Operator across viscosity
 // updates.
-func New(m *mesh.Mesh, dom fem.Domain, layout *la.Layout, etaElem []float64, cons Constraints, opts Options) *Operator {
-	op := newOperator(layout, etaElem, m.GX, m.NumOwned, len(m.Leaves), cons, opts)
+func New(m *mesh.Mesh, dom fem.Domain, layout *la.Layout, etaElem []float64, cons Constraints) *Operator {
+	op := newOperator(layout, etaElem, m.GX, m.NumOwned, cons)
 	op.rows, op.hang, op.geos = m.Rows, m.Hang, fem.ElemGeomOf(m, dom)
 	op.loopFn = op.elementLoop
 	if fem.HasAVX2() {
@@ -211,8 +122,8 @@ func New(m *mesh.Mesh, dom fem.Domain, layout *la.Layout, etaElem []float64, con
 
 // newOperator builds the order-independent half of an operator (local):
 // the constraint index lists over the nOwned owned and gx's ghost slots,
-// the worker pool over ne elements and the slot buffer.
-func newOperator(layout *la.Layout, etaElem []float64, gx *la.GhostExchange, nOwned, ne int, cons Constraints, opts Options) *Operator {
+// and the slot buffers.
+func newOperator(layout *la.Layout, etaElem []float64, gx *la.GhostExchange, nOwned int, cons Constraints) *Operator {
 	op := &Operator{layout: layout, eta: etaElem, gx: gx, nOwned: nOwned,
 		nSlots: nOwned + gx.NumGhosts(), bcval: cons.Val, zeroLift: true}
 	for s, Q := range cons.Frames {
@@ -232,8 +143,8 @@ func newOperator(layout *la.Layout, etaElem []float64, gx *la.GhostExchange, nOw
 			}
 		}
 	}
-	op.pool = newPool(opts.Workers, layout.Rank().Size(), ne, op.nSlots*4)
 	op.xbuf = make([]float64, op.nSlots*4)
+	op.acc = make([]float64, op.nSlots*4)
 	return op
 }
 
@@ -302,11 +213,14 @@ func hangAdd(h *mesh.Hang, y0, y1, y2, y3 float64, dst []float64) {
 	}
 }
 
-// elementLoop runs the Q1 ye = A_e xe over elements [lo,hi), accumulating
-// into dst through the constraint weights.
-func (op *Operator) elementLoop(_, lo, hi int, src, dst []float64) {
+// elementLoop runs the Q1 ye = A_e xe over every element in order,
+// accumulating into dst through the constraint weights.
+func (op *Operator) elementLoop(src, dst []float64) { op.elementsFrom(0, src, dst) }
+
+// elementsFrom is elementLoop over the elements from first on.
+func (op *Operator) elementsFrom(first int, src, dst []float64) {
 	var xe, ye [32]float64
-	for ei := lo; ei < hi; ei++ {
+	for ei := first; ei < len(op.rows); ei++ {
 		row := &op.rows[ei]
 		gatherElem(row, op.hang, src, &xe)
 		op.geos[ei].StokesApply(op.eta[ei], &xe, &ye)
@@ -319,11 +233,12 @@ func (op *Operator) elementLoop(_, lo, hi int, src, dst []float64) {
 // one fem.StokesApply4 on their four geometry pointers (four bricks of
 // one level share one) and scattered one after the other, so every
 // accumulation into dst keeps elementLoop's order and the result is bit
-// for bit its result. The last (hi-lo) mod 4 elements run elementLoop.
-func (op *Operator) elementLoop4(w, lo, hi int, src, dst []float64) {
+// for bit its result. The last (number of elements) mod 4 run
+// elementLoop.
+func (op *Operator) elementLoop4(src, dst []float64) {
 	var xe, ye fem.Lanes4
-	ei := lo
-	for ; ei+4 <= hi; ei += 4 {
+	ei := 0
+	for ; ei+4 <= len(op.rows); ei += 4 {
 		for l := 0; l < 4; l++ {
 			gatherLane(&op.rows[ei+l], op.hang, src, &xe, l)
 		}
@@ -332,7 +247,7 @@ func (op *Operator) elementLoop4(w, lo, hi int, src, dst []float64) {
 			scatterLane(&op.rows[ei+l], op.hang, &ye, l, dst)
 		}
 	}
-	op.elementLoop(w, ei, hi, src, dst)
+	op.elementsFrom(ei, src, dst)
 }
 
 // gatherLane is gatherElem into lane l of xe.
@@ -413,25 +328,25 @@ func (op *Operator) Apply(x, y *la.Vec) {
 		op.xbuf[idx] = 0
 	}
 	op.rotFwd(op.xbuf)
-	acc := op.pool.run(op.xbuf, op.loopFn)
-	op.rotBwd(acc)
-	copy(y.Data, acc[:op.nOwned*4])
-	op.gx.ScatterAddBlock(4, acc[op.nOwned*4:], y.Data)
+	clear(op.acc)
+	op.loopFn(op.xbuf, op.acc)
+	op.rotBwd(op.acc)
+	copy(y.Data, op.acc[:op.nOwned*4])
+	op.gx.ScatterAddBlock(4, op.acc[op.nOwned*4:], y.Data)
 	// Identity rows for owned constrained dofs.
 	for _, idx := range op.ownFixed {
 		y.Data[idx] = x.Data[idx]
 	}
 }
 
-// rhsLoop runs the Q1 right-hand-side element loop over elements
-// [lo,hi): consistent body-force loads minus the raw operator applied to
-// the Dirichlet lift in src, accumulated into dst through the constraint
-// weights.
-func (op *Operator) rhsLoop(force [][8][3]float64) func(w, lo, hi int, src, dst []float64) {
-	return func(_, lo, hi int, src, dst []float64) {
+// rhsLoop runs the Q1 right-hand-side element loop: consistent
+// body-force loads minus the raw operator applied to the Dirichlet lift
+// in src, accumulated into dst through the constraint weights.
+func (op *Operator) rhsLoop(force [][8][3]float64) func(src, dst []float64) {
+	return func(src, dst []float64) {
 		var xe, ye [32]float64
 		var F [8][3]float64
-		for ei := lo; ei < hi; ei++ {
+		for ei := range op.rows {
 			row := &op.rows[ei]
 			if op.zeroLift {
 				// Homogeneous Dirichlet data: the lift action is exactly
@@ -468,27 +383,25 @@ func (op *Operator) RHS(force [][8][3]float64) *la.Vec { return op.rhs(op.rhsLoo
 // rhs runs an order's right-hand-side element loop (collective):
 // consistent body-force loads minus the raw operator applied to the
 // Dirichlet lift, with constrained owned entries set to their boundary
-// values. The loop runs on the same worker pool (and with the same
-// deterministic reduction) as Apply.
-func (op *Operator) rhs(loop func(w, lo, hi int, src, dst []float64)) *la.Vec {
+// values. The loop accumulates into the slot buffer Apply uses.
+func (op *Operator) rhs(loop func(src, dst []float64)) *la.Vec {
 	// Dirichlet lift in slot space: boundary values at constrained dofs
 	// (local-frame values at framed slots, rotated forward with the lift).
-	for i := range op.xbuf {
-		op.xbuf[i] = 0
-	}
+	clear(op.xbuf)
 	for _, idx := range op.fixedIdx {
 		op.xbuf[idx] = op.bcval[idx]
 	}
 	if !op.zeroLift {
 		op.rotFwd(op.xbuf)
 	}
-	acc := op.pool.run(op.xbuf, loop)
+	clear(op.acc)
+	loop(op.xbuf, op.acc)
 	// The load (and lift action) was accumulated in Cartesian components;
 	// rotate framed rows into their local frames like the apply does.
-	op.rotBwd(acc)
+	op.rotBwd(op.acc)
 	b := la.NewVec(op.layout)
-	copy(b.Data, acc[:op.nOwned*4])
-	op.gx.ScatterAddBlock(4, acc[op.nOwned*4:], b.Data)
+	copy(b.Data, op.acc[:op.nOwned*4])
+	op.gx.ScatterAddBlock(4, op.acc[op.nOwned*4:], b.Data)
 	for _, idx := range op.ownFixed {
 		b.Data[idx] = op.bcval[idx]
 	}

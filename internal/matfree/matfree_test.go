@@ -173,7 +173,7 @@ func TestQ1ApplyMatchesAssembled(t *testing.T) {
 			eta[i] = 1 + 0.5*math.Sin(float64(i))
 		}
 		bc := q1TestBC(m)
-		op := matfree.New(m, dom, layout, eta, consFrom(m, bc), matfree.Options{})
+		op := matfree.New(m, dom, layout, eta, consFrom(m, bc))
 		A := assembleQ1(m, dom, layout, eta, bc)
 
 		x := la.NewVec(layout)
@@ -228,7 +228,7 @@ func TestQ2ApplyMatchesAssembledNaive(t *testing.T) {
 				}
 			}
 		}
-		op := matfree.NewQ2(q2, dom, layout, eta, cons, matfree.Options{})
+		op := matfree.NewQ2(q2, dom, layout, eta, cons)
 		fixed := func(sl int32, c int) bool { return cons.Fixed[4*sl+int32(c)] }
 
 		A := la.NewMat(layout)
@@ -377,7 +377,7 @@ func TestSlotMapInvariants(t *testing.T) {
 }
 
 // TestApplyAllocFree pins the zero-allocation property of the hot apply
-// loops (single worker, so the measurement excludes goroutine spawns).
+// loops, Q1 and Q2.
 func TestApplyAllocFree(t *testing.T) {
 	sim.Run(1, func(r *sim.Rank) {
 		dom := fem.UnitDomain
@@ -390,7 +390,7 @@ func TestApplyAllocFree(t *testing.T) {
 			eta[i] = 1
 		}
 		bc := q1TestBC(m)
-		op := matfree.New(m, dom, layout, eta, consFrom(m, bc), matfree.Options{Workers: 1})
+		op := matfree.New(m, dom, layout, eta, consFrom(m, bc))
 		x, y := la.NewVec(layout), la.NewVec(layout)
 		fillTestVec(x)
 		if n := testing.AllocsPerRun(20, func() { op.Apply(x, y) }); n != 0 {
@@ -404,7 +404,7 @@ func TestApplyAllocFree(t *testing.T) {
 		for s, p2 := range q2.OwnedPos2 {
 			cons2.Fixed[4*s+3] = s == 0 || !q2.IsVertex(p2)
 		}
-		op2 := matfree.NewQ2(q2, dom, layout2, eta, cons2, matfree.Options{Workers: 1})
+		op2 := matfree.NewQ2(q2, dom, layout2, eta, cons2)
 		x2, y2 := la.NewVec(layout2), la.NewVec(layout2)
 		fillTestVec(x2)
 		if n := testing.AllocsPerRun(20, func() { op2.Apply(x2, y2) }); n != 0 {
@@ -528,7 +528,7 @@ func TestOperatorResidentBytesMapped(t *testing.T) {
 			return ms.HeapAlloc
 		}
 		before := live()
-		op := matfree.New(m, fem.UnitDomain, layout, nil, cons, matfree.Options{Workers: 1})
+		op := matfree.New(m, fem.UnitDomain, layout, nil, cons)
 		after := live()
 		runtime.KeepAlive(op)
 		runtime.KeepAlive(geos)

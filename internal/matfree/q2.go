@@ -12,12 +12,12 @@ import (
 // constraints: every element node is one slot of the layer's numbering
 // (mesh.Q2Mesh.Nodes) and the gathers and scatters are straight copies.
 // The element kernel is the sum-factorized tensor-product apply
-// (fem.SumFactorKernels, O(k^4) work per element); per-worker scratch
-// keeps the hot loop allocation-free on the shared pool.
+// (fem.SumFactorKernels, O(k^4) work per element); the operator's one
+// scratch keeps the hot loop allocation-free.
 
-// q2work is one worker's scratch for the Q2 element loops: the
-// sum-factorization stage buffers plus the per-component force buffers
-// of the right-hand-side loop.
+// q2work is the scratch of the Q2 element loops: the sum-factorization
+// stage buffers plus the per-component force buffers of the
+// right-hand-side loop.
 type q2work struct {
 	s      fem.SFScratch
 	f, mf  [27]float64
@@ -31,14 +31,11 @@ type q2work struct {
 // with Frames nil, must constrain the non-vertex pressure dofs to zero.
 // layout must be the 4*NumOwned Q2 dof layout; etaElem may be nil and
 // supplied later via SetViscosity.
-func NewQ2(q2 *mesh.Q2Mesh, dom fem.Domain, layout *la.Layout, etaElem []float64, cons Constraints, opts Options) *Operator {
-	op := newOperator(layout, etaElem, q2.GX, q2.NumOwned, len(q2.Nodes), cons, opts)
+func NewQ2(q2 *mesh.Q2Mesh, dom fem.Domain, layout *la.Layout, etaElem []float64, cons Constraints) *Operator {
+	op := newOperator(layout, etaElem, q2.GX, q2.NumOwned, cons)
 	op.sf = fem.SumFactorKernelsFor(q2.M, dom)
 	op.nodes = q2.Nodes
-	op.work = make([]*q2work, op.pool.workers)
-	for w := range op.work {
-		op.work[w] = &q2work{}
-	}
+	op.work = &q2work{}
 	op.loopFn = op.elementLoopQ2
 	return op
 }
@@ -65,11 +62,11 @@ func scatterQ2(ns *[27]int32, ye *[108]float64, dst []float64) {
 	}
 }
 
-// elementLoopQ2 runs the sum-factorized ye = A_e xe over elements
-// [lo,hi), accumulating into dst.
-func (op *Operator) elementLoopQ2(w, lo, hi int, src, dst []float64) {
-	wk := op.work[w]
-	for ei := lo; ei < hi; ei++ {
+// elementLoopQ2 runs the sum-factorized ye = A_e xe over every element
+// in order, accumulating into dst.
+func (op *Operator) elementLoopQ2(src, dst []float64) {
+	wk := op.work
+	for ei := range op.nodes {
 		ns := &op.nodes[ei]
 		gatherQ2(ns, src, &wk.xe)
 		op.sf[ei].Apply(op.eta[ei], &wk.xe, &wk.ye, &wk.s)
@@ -80,10 +77,10 @@ func (op *Operator) elementLoopQ2(w, lo, hi int, src, dst []float64) {
 // rhsLoopQ2 runs the Q2 right-hand-side element loop: consistent
 // body-force loads (tri-quadratic mass apply per component) minus the
 // raw operator applied to the Dirichlet lift in src.
-func (op *Operator) rhsLoopQ2(force [][27][3]float64) func(w, lo, hi int, src, dst []float64) {
-	return func(w, lo, hi int, src, dst []float64) {
-		wk := op.work[w]
-		for ei := lo; ei < hi; ei++ {
+func (op *Operator) rhsLoopQ2(force [][27][3]float64) func(src, dst []float64) {
+	return func(src, dst []float64) {
+		wk := op.work
+		for ei := range op.nodes {
 			ns := &op.nodes[ei]
 			if op.zeroLift {
 				wk.ye = [108]float64{}
@@ -120,9 +117,7 @@ func (op *Operator) RHSQ2(force [][27][3]float64) *la.Vec { return op.rhs(op.rhs
 // p-level smoother operator of the Q2->Q1 coarsening preconditioner.
 // Vectors hold the w fields node-major (entry w*s+c is field c at node
 // s), constrained columns read zero and constrained owned rows are
-// identity. A field's arithmetic is the same whatever w is. Like the gmg
-// level operators it runs single-threaded: smoother applies are
-// latency-bound at the sizes the V-cycle sees.
+// identity. A field's arithmetic is the same whatever w is.
 type ScalarQ2 struct {
 	w      int
 	nOwned int

@@ -10,6 +10,7 @@ package rhea
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"rhea/internal/fem"
@@ -226,6 +227,58 @@ func TestColdSolveIsStateless(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestCycleBitsIndependentOfGOMAXPROCS: a 2-rank shell cycle (solve,
+// advect, adapt) and the verdict after it give the same T, U, P, Nu, Vrms
+// and per-rank sim.Stats, bit for bit, under GOMAXPROCS 1, 2 and 4. The
+// core count changes how a rank waits for a message (sim's wait policy)
+// and nothing that is computed.
+func TestCycleBitsIndependentOfGOMAXPROCS(t *testing.T) {
+	type outcome struct {
+		state    [2]rankState
+		nu, vrms uint64
+		stats    []sim.Stats
+	}
+	var ref outcome
+	for _, procs := range []int{1, 2, 4} {
+		var got outcome
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			stats, err := sim.NewWorld(2).Run(func(r *sim.Rank) {
+				s := New(r, shellConfig())
+				s.RunCycle()
+				v := s.Diagnose(false)
+				got.state[r.ID()] = captureState(s)
+				if r.ID() == 0 {
+					got.nu, got.vrms = math.Float64bits(v.Nu), math.Float64bits(v.Vrms)
+				}
+			})
+			if err != nil {
+				t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+			}
+			got.stats = stats
+		}()
+		t.Logf("GOMAXPROCS %d: Nu %v Vrms %v, rank 0 %d collectives %d messages",
+			procs, math.Float64frombits(got.nu), math.Float64frombits(got.vrms), got.stats[0].CollectiveCalls, got.stats[0].MsgsSent)
+		if procs == 1 {
+			ref = got
+			continue
+		}
+		for rank := range got.state {
+			if !reflect.DeepEqual(got.state[rank], ref.state[rank]) {
+				t.Errorf("GOMAXPROCS %d: rank %d's T, U or P differs from GOMAXPROCS 1", procs, rank)
+			}
+		}
+		if got.nu != ref.nu || got.vrms != ref.vrms {
+			t.Errorf("GOMAXPROCS %d: Nu %v Vrms %v, at GOMAXPROCS 1 %v %v", procs,
+				math.Float64frombits(got.nu), math.Float64frombits(got.vrms),
+				math.Float64frombits(ref.nu), math.Float64frombits(ref.vrms))
+		}
+		if !reflect.DeepEqual(got.stats, ref.stats) {
+			t.Errorf("GOMAXPROCS %d: stats %+v, at GOMAXPROCS 1 %+v", procs, got.stats, ref.stats)
+		}
 	}
 }
 

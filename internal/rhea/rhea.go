@@ -155,8 +155,9 @@ type Config struct {
 	// MatrixFree applies the coupled Stokes operator by fused per-element
 	// loops instead of an assembled CSR (see stokes.Options.MatrixFree).
 	MatrixFree bool
-	// MatFree tunes the matrix-free apply (in-rank worker count); see
-	// stokes.Options.MatFree.
+	// MatFree configures the matrix-free apply. Its one field, Workers,
+	// is read only by Validate, which refuses a value above 1: the
+	// element loop runs on the rank's goroutine.
 	MatFree matfree.Options
 	// Precond selects the velocity-block preconditioner: assembled AMG
 	// (default) or the matrix-free geometric multigrid hierarchy.
@@ -209,6 +210,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("rhea: Config.MinLevel %d above MaxLevel %d", c.MinLevel, c.MaxLevel)
 	case c.BaseLevel > c.MaxLevel:
 		return fmt.Errorf("rhea: Config.BaseLevel %d above MaxLevel %d", c.BaseLevel, c.MaxLevel)
+	case c.MatFree.Workers > 1:
+		return fmt.Errorf("rhea: Config.MatFree.Workers %d above 1: every element loop runs on its rank's goroutine", c.MatFree.Workers)
 	}
 	// Zero picks the default; a negative value can never run: no Picard
 	// pass solves, no step advances time, MINRES cannot reach it.

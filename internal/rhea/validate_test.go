@@ -10,7 +10,8 @@ import (
 )
 
 // TestConfigValidate holds the one judge of a runnable Config: each rule
-// refuses its row with an error naming the field, the test scenarios
+// refuses its row with an error naming the field (an in-rank worker
+// count above 1 included: there is no in-rank worker pool), the test scenarios
 // pass, and New panics with Validate's error before any work (the Order
 // 2 rows are the fail-fast paths of the Taylor-Hood layer: without the
 // matrix-free GMG stack, or with levels that let the mesh adapt and
@@ -52,6 +53,7 @@ func TestConfigValidate(t *testing.T) {
 		{"picard", "Picard", regressionConfig, func(c *Config) { c.Picard = -1 }},
 		{"minres tol", "MinresTol", regressionConfig, func(c *Config) { c.MinresTol = -1e-6 }},
 		{"minres max", "MinresMax", regressionConfig, func(c *Config) { c.MinresMax = -1 }},
+		{"matfree workers", "MatFree.Workers", regressionConfig, func(c *Config) { c.MatrixFree, c.MatFree.Workers = true, 2 }},
 	}
 	for _, row := range rows {
 		cfg := row.base()

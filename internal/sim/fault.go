@@ -21,7 +21,9 @@ package sim
 // next Send/Recv/collective, where it unwinds. A rank that hangs
 // without communicating (modeled by Faults.Hang) can only be freed by
 // World.Abort — which is what the scenario service's per-cycle
-// watchdog calls when a job stops making progress.
+// watchdog calls when a job stops making progress. A world that can
+// never progress again — every rank that has not returned is parked in
+// a receive — is failed by the runtime itself (World.block).
 
 import (
 	"fmt"
@@ -149,6 +151,7 @@ const (
 func (r *Rank) enterOp(kind int, op string) {
 	r.checkAbort()
 	w := r.world
+	w.ops[r.wid].op = op
 	f := w.faults
 	if f == nil || r.wid != f.KillRank {
 		return
@@ -180,9 +183,56 @@ func (r *Rank) enterOp(kind int, op string) {
 	panic(killUnwind{op: fmt.Sprintf("%s[%d] (injected fault)", op, n)})
 }
 
-// opCounts tracks one rank's fault-relevant operation indices. Each
-// entry is touched only by its owning rank goroutine.
-type opCounts struct{ colls, sends int }
+// opCounts tracks one rank's fault-relevant operation indices and the
+// operation it last entered. Each entry is written only by its owning
+// rank goroutine; failStuck reads op under the rank's mailbox lock while
+// the rank is parked.
+type opCounts struct {
+	colls, sends int
+	op           string
+}
+
+// stuckGrace is how long a world nobody can move any more waits before
+// it fails itself: a supervisor that is already aborting it (the
+// scenario watchdog, a test) names the cause better, and its abort wins.
+const stuckGrace = 500 * time.Millisecond
+
+// block adds delta to the progress watch: +1 when a rank parks in a
+// receive, -1 when its waker (or a poison) takes it off again, +1<<32
+// when a rank's function returns. A rank is only ever taken off by a
+// rank that is running, so once every rank that has not returned is
+// parked no message can arrive any more: the world is stuck for good,
+// and block arms the timer that fails it.
+func (w *World) block(delta int64) {
+	v := w.blocked.Add(delta)
+	parked, done := int(int32(v)), int(v>>32)
+	if delta > 0 && parked > 0 && parked+done == w.size && w.failed.Load() == nil && w.stuckSeen.CompareAndSwap(false, true) {
+		w.stuckTimer = time.AfterFunc(stuckGrace, w.failStuck)
+	}
+}
+
+// failStuck fails a stuck world with an ErrRankFailed that names the
+// first rank that returned (-1 when none did: a deadlock) and the
+// operation the lowest parked rank waits in.
+func (w *World) failStuck() {
+	for i, mb := range w.boxes {
+		mb.mu.Lock()
+		waiting, op := mb.waiting, ""
+		if waiting {
+			op = w.ops[i].op
+		}
+		mb.mu.Unlock()
+		if !waiting {
+			continue // a rank that returned, or one a failure took off meanwhile
+		}
+		first, what := int(w.firstDone.Load())-1, "deadlock: every rank waits, rank %d in %s"
+		if first >= 0 {
+			what = "return while rank %d waits in %s"
+		}
+		w.fail(ErrRankFailed{Rank: first, Op: fmt.Sprintf(what, i, op)})
+		return
+	}
+}
 
 // runRank executes fn as rank id, converting every way the rank can
 // die into a recorded failure: an injected or explicit Kill, or a
@@ -193,6 +243,8 @@ func (w *World) runRank(id int, fn func(*Rank)) {
 	defer func() {
 		p := recover()
 		if p == nil {
+			w.firstDone.CompareAndSwap(0, int32(id)+1)
+			w.block(1 << 32)
 			return
 		}
 		switch v := p.(type) {

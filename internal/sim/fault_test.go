@@ -310,3 +310,73 @@ func TestSetFaultsValidation(t *testing.T) {
 		}()
 	}
 }
+
+// TestStuckWorldFails: a world in which every rank that has not returned
+// is parked in a receive fails by itself, with an error naming the first
+// rank that returned (or -1 for a deadlock) and the operation the waiter
+// is parked in; a world whose ranks all return normally, one of them
+// early, still returns nil. Each run has its own timeout, so a regression
+// fails the test instead of hanging the binary. It runs at GOMAXPROCS 1
+// (every waiter parks at once) and 2 (waiters poll first).
+func TestStuckWorldFails(t *testing.T) {
+	cases := []struct {
+		name, want string // want "" for a clean run
+		ranks      int
+		fn         func(*Rank)
+	}{
+		{"return before a peer's collective", "sim: rank 1 failed at return while rank 0 waits in AllreduceInt64", 2, func(r *Rank) {
+			if r.ID() == 0 {
+				r.AllreduceInt64(1)
+			}
+		}},
+		{"different collectives", "sim: run aborted: deadlock: every rank waits, rank 0 in AlltoallvSparse", 2, func(r *Rank) {
+			if r.ID() == 0 {
+				r.AlltoallvSparse(nil, nil, nil)
+			} else {
+				r.Bcast(0, nil, 0)
+			}
+		}},
+		{"early return, peers finish", "", 3, func(r *Rank) {
+			if r.ID() == 2 {
+				return
+			}
+			peer := []int{1 - r.ID()}
+			out, in := make([]Payload, 1), make([]Payload, 1)
+			for i := 0; i < 200; i++ {
+				r.NeighborExchange(peer, out, peer, in)
+			}
+		}},
+		{"every rank returns", "", 4, func(r *Rank) {
+			for i := 0; i < 20; i++ {
+				r.Barrier()
+			}
+		}},
+	}
+	for _, procs := range []int{1, 2} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, c := range cases {
+				func() {
+					defer leakCheck(t)()
+					done := make(chan error, 1)
+					go func() {
+						_, err := NewWorld(c.ranks).Run(c.fn)
+						done <- err
+					}()
+					select {
+					case err := <-done:
+						got := ""
+						if err != nil {
+							got = err.Error()
+						}
+						if got != c.want {
+							t.Errorf("GOMAXPROCS %d, %s: Run error %q, want %q", procs, c.name, got, c.want)
+						}
+					case <-time.After(20 * time.Second):
+						t.Fatalf("GOMAXPROCS %d, %s: Run did not return", procs, c.name)
+					}
+				}()
+			}
+		}()
+	}
+}

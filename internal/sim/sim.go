@@ -210,6 +210,7 @@ func (mb *mailbox) put(src int, m message) {
 func (mb *mailbox) unpark() {
 	mb.waiting = false
 	mb.world.waiters.Add(-1)
+	mb.world.block(-1)
 }
 
 // lane returns the lane of the sender with world rank src. A rank hears
@@ -288,8 +289,9 @@ func (mb *mailbox) wait(polled *time.Duration) {
 	w := mb.world
 	w.waiters.Add(1)
 	if *polled >= pollBudget || !w.coreToSpare() {
-		mb.waiting = true // whoever clears it takes this rank off waiters
+		mb.waiting = true // whoever clears it takes this rank off waiters and blocked
 		mb.parks++
+		w.block(1)
 		mb.cond.Wait()
 		return
 	}
@@ -331,6 +333,15 @@ type World struct {
 	abortCh chan struct{}
 	faults  *Faults
 	ops     []opCounts
+
+	// Progress watch (see World.block): the ranks parked in a receive
+	// (low 32 bits) and the ranks whose function returned (high 32 bits)
+	// in one word, 1 + the first rank that returned (0 while none has),
+	// and the timer that fails a world nobody can move any more.
+	blocked    atomic.Int64
+	firstDone  atomic.Int32
+	stuckSeen  atomic.Bool
+	stuckTimer *time.Timer
 
 	// Collective tag namespace registry: every communicator derived via
 	// Subset gets a world-unique tagBase, allocated on first request and
@@ -399,7 +410,11 @@ func (w *World) Size() int { return w.size }
 // statistics, plus the failure (an ErrRankFailed) if any rank died —
 // by injected fault, explicit Kill, escaping panic — or the world was
 // aborted; surviving ranks unwind at their next communication
-// operation instead of deadlocking on the dead rank.
+// operation instead of deadlocking on the dead rank. A world in which
+// every rank that has not returned is parked in a receive fails too
+// (World.block), so a rank that returns while a peer waits on it, or
+// ranks that enter different collectives, end the run with an error
+// instead of hanging it.
 func (w *World) Run(fn func(*Rank)) ([]Stats, error) {
 	var wg sync.WaitGroup
 	wg.Add(w.size)
@@ -410,6 +425,9 @@ func (w *World) Run(fn func(*Rank)) ([]Stats, error) {
 		}(i)
 	}
 	wg.Wait()
+	if w.stuckTimer != nil {
+		w.stuckTimer.Stop()
+	}
 	out := make([]Stats, w.size)
 	copy(out, w.stats)
 	if f := w.failed.Load(); f != nil {

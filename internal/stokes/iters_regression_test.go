@@ -5,9 +5,9 @@ package stokes
 // 1, 1e3, 1e6) are pinned with ±2 slack for both preconditioner paths.
 // A preconditioner regression that slows solves now fails loudly instead
 // of silently costing iterations. All arithmetic in the solve is
-// deterministic (fixed reduction orders in sim collectives and the
-// matrix-free worker reduction), so the counts are exactly reproducible
-// for a given source tree.
+// deterministic (fixed reduction orders in sim collectives, and the
+// matrix-free element loop accumulates in element order), so the counts
+// are exactly reproducible for a given source tree.
 
 import (
 	"math"

@@ -11,9 +11,7 @@ import (
 	"testing"
 
 	"rhea/internal/fem"
-	"rhea/internal/forest"
 	"rhea/internal/la"
-	"rhea/internal/matfree"
 	"rhea/internal/mesh"
 	"rhea/internal/sim"
 )
@@ -89,9 +87,7 @@ func TestMatrixFreeMatchesAssembled(t *testing.T) {
 				bc := FreeSlip(dom.Box)
 
 				asm := Assemble(m, dom, eta, force, bc, Options{})
-				mf := Assemble(m, dom, eta, force, bc, Options{
-					MatrixFree: true, MatFree: matfree.Options{Workers: 2},
-				})
+				mf := Assemble(m, dom, eta, force, bc, Options{MatrixFree: true})
 				if mf.A != nil || mf.MF == nil {
 					t.Errorf("matrix-free system assembled a CSR anyway")
 				}
@@ -160,45 +156,6 @@ func TestMatrixFreeSolveMatchesAssembled(t *testing.T) {
 		// Same operator and preconditioner: iteration counts match closely.
 		if di := rm.Iterations - ra.Iterations; di > 3 || di < -3 {
 			t.Errorf("iteration counts diverge: %d vs %d", rm.Iterations, ra.Iterations)
-		}
-	})
-}
-
-// A fixed worker count must be bitwise deterministic (static chunks,
-// fixed-order reduction); different worker counts may reorder the
-// floating-point accumulation but only at rounding level.
-func TestMatrixFreeWorkerDeterminism(t *testing.T) {
-	sim.Run(1, func(r *sim.Rank) {
-		tr := forest.New(r, unitBox, 2)
-		tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 })
-		tr.Balance()
-		m := mesh.Extract(tr, nil)
-		dom := fem.UnitDomain
-		eta := randomViscosity(m, 3)
-		bc := FreeSlip(dom.Box)
-		x := la.NewVec(la.NewLayout(r, 4*m.NumOwned))
-		for i := range x.Data {
-			x.Data[i] = 2*prand(21, uint64(i)) - 1
-		}
-		apply := func(w int) *la.Vec {
-			s := Assemble(m, dom, eta, nil, bc, Options{
-				MatrixFree: true, MatFree: matfree.Options{Workers: w},
-			})
-			y := la.NewVec(s.Layout)
-			s.Op.Apply(x, y)
-			return y
-		}
-		a, b := apply(3), apply(3)
-		for i := range a.Data {
-			if a.Data[i] != b.Data[i] {
-				t.Fatalf("workers=3 not deterministic at %d: %v vs %v",
-					i, a.Data[i], b.Data[i])
-			}
-		}
-		for _, w := range []int{1, 5} {
-			if d := relDiff(apply(w), a); d > 1e-13 {
-				t.Errorf("workers=%d: result drifts by %v", w, d)
-			}
 		}
 	})
 }

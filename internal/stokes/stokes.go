@@ -270,7 +270,8 @@ type Options struct {
 	// matfree). The preconditioner is unchanged. The apply agrees with
 	// the assembled operator to rounding.
 	MatrixFree bool
-	// MatFree tunes the matrix-free apply (in-rank worker count).
+	// MatFree is not read: the matrix-free element loop runs on the
+	// rank's goroutine (rhea.Config.Validate refuses MatFree.Workers > 1).
 	MatFree matfree.Options
 	// Slip marks free-slip boundary nodes and their outward normals. At
 	// each marked node the velocity operator (assembled or matrix-free)
@@ -355,12 +356,12 @@ func Setup(m *mesh.Mesh, dom fem.Domain, bc VelBC, opts Options) *Solver {
 
 	switch {
 	case s.q2 != nil:
-		s.MF = matfree.NewQ2(s.q2, dom, s.Layout, nil, s.cons, opts.MatFree)
+		s.MF = matfree.NewQ2(s.q2, dom, s.Layout, nil, s.cons)
 		s.Op = s.MF
 	case opts.MatrixFree:
 		// Constraint index lists and kernels are mesh-dependent; the
 		// viscosity is attached by Update.
-		s.MF = matfree.New(m, dom, s.Layout, nil, s.cons, opts.MatFree)
+		s.MF = matfree.New(m, dom, s.Layout, nil, s.cons)
 		s.Op = s.MF
 	default:
 		// Assembled path: the unit kernels, scaled by the viscosity on
