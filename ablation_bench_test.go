@@ -174,7 +174,7 @@ func BenchmarkAblation_PrecondChoice(b *testing.B) {
 			_, res := sys.Solve(1e-8, 3000)
 			itersAMG = res.Iterations
 			x2 := la.NewVec(sys.Layout)
-			res2 := krylov.MINRES(sys.A, absJacobi(sys.A), sys.B, x2, 1e-8, 3000)
+			res2 := krylov.MINRES(sys.Op, absJacobi(sys.Op, sys.Layout), sys.B, x2, 1e-8, 3000)
 			itersJacobi = res2.Iterations
 		})
 	}
@@ -185,13 +185,16 @@ func BenchmarkAblation_PrecondChoice(b *testing.B) {
 	}
 }
 
-// absJacobi builds |diag|^-1 scaling, the SPD variant of Jacobi usable
-// inside MINRES on an indefinite system.
-func absJacobi(A *la.Mat) krylov.Operator {
-	d := A.Diag()
-	inv := la.NewVec(d.Layout)
-	for i, v := range d.Data {
-		a := math.Abs(v)
+// absJacobi builds the |diag|^-1 scaling of op, the SPD variant of
+// Jacobi usable inside MINRES on an indefinite system. The diagonal is
+// probed with one unit vector per dof, so l must live on one rank.
+func absJacobi(op krylov.Operator, l *la.Layout) krylov.Operator {
+	e, y, inv := la.NewVec(l), la.NewVec(l), la.NewVec(l)
+	for i := range e.Data {
+		e.Data[i] = 1
+		op.Apply(e, y)
+		e.Data[i] = 0
+		a := math.Abs(y.Data[i])
 		if a < 1e-30 {
 			a = 1
 		}

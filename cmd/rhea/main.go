@@ -85,10 +85,9 @@ func main() {
 	target := flag.Int64("target", 0, "element budget for MarkElements")
 	ra := flag.Float64("ra", 0, "Rayleigh number")
 	sigmaY := flag.Float64("yield", 0, "use the §VI yielding viscosity law with this yield stress (0 = no yielding)")
-	matfree := flag.Bool("matfree", false, "apply the Stokes operator matrix-free instead of assembling the coupled CSR")
-	precond := flag.String("precond", "", "velocity-block preconditioner: amg (assembled) or gmg (matrix-free geometric multigrid)")
+	precond := flag.String("precond", "", "velocity-block preconditioner: amg (algebraic multigrid on assembled scalar CSRs) or gmg (matrix-free geometric multigrid)")
 	localamg := flag.Bool("localamg", false, "per-rank block-Jacobi AMG hierarchies instead of the redundant global hierarchy (cheaper setup, more iterations)")
-	order := flag.Int("order", 0, "velocity element order: 1 for the stabilized equal-order Q1-Q1 pair, 2 for the Taylor-Hood Q2-Q1 pair (requires -matfree -precond gmg; runs on a uniform mesh at the base level, no AMR)")
+	order := flag.Int("order", 0, "velocity element order: 1 for the stabilized equal-order Q1-Q1 pair, 2 for the Taylor-Hood Q2-Q1 pair (requires -precond gmg; runs on a uniform mesh at the base level, no AMR)")
 	slip := flag.String("slip", "", "free-slip shell boundaries: top (free outer surface) or both (shell scenarios only)")
 	ckptDir := flag.String("checkpoint", "", "write a committed snapshot under this directory after every cycle")
 	keep := flag.Int("keep", 0, "prune superseded snapshots after each checkpoint, keeping the newest N committed (0 = keep all; requires -checkpoint)")
@@ -118,8 +117,6 @@ func main() {
 			cfg.Ra = *ra
 		case "yield":
 			cfg.Visc = rhea.YieldingLaw(*sigmaY)
-		case "matfree":
-			cfg.MatrixFree = *matfree
 		case "precond":
 			switch *precond {
 			case "amg":
@@ -172,7 +169,7 @@ func main() {
 		}
 		if fp := cfg.Fingerprint(); meta.ConfigFP != fp {
 			fail("-restore %s: snapshot configuration fingerprint %016x does not match these flags (%016x);\n"+
-				"pass the same scenario flags as the writing run (-case -slip -order -ra -base -max-level -target -matfree -precond -localamg)",
+				"pass the same scenario flags as the writing run (-case -slip -order -ra -base -max-level -target -precond -localamg)",
 				*restore, meta.ConfigFP, fp)
 		}
 		if done := meta.Step / int64(cfg.AdaptEvery); done >= int64(c.Cycles) {

@@ -111,14 +111,13 @@ func bungeConfig(etaUM, jump float64) rhea.Config {
 		InitAdapt:   1,
 		MinresTol:   1e-9,
 		MinresMax:   4000,
-		MatrixFree:  true,
 		Precond:     stokes.PrecondGMG,
 	}
 }
 
 // boxConfig is the repo's pinned unit-box Rayleigh–Bénard regression
-// (the assembled-CSR path), identical to the scenario physics_test.go
-// pins.
+// (the AMG-preconditioned path), identical to the scenario
+// physics_test.go pins.
 func boxConfig() rhea.Config {
 	return rhea.Config{
 		Dom:         fem.UnitDomain,
@@ -138,7 +137,7 @@ func boxConfig() rhea.Config {
 }
 
 // shellConfig is the repo's pinned no-slip cubed-sphere shell
-// regression (matrix-free + GMG), identical to the scenario
+// regression (GMG-preconditioned), identical to the scenario
 // shell_test.go pins.
 func shellConfig() rhea.Config {
 	return rhea.Config{
@@ -155,7 +154,6 @@ func shellConfig() rhea.Config {
 		InitAdapt:   1,
 		MinresTol:   1e-9,
 		MinresMax:   3000,
-		MatrixFree:  true,
 		Precond:     stokes.PrecondGMG,
 	}
 }
@@ -163,7 +161,7 @@ func shellConfig() rhea.Config {
 var registry = []Case{
 	{
 		Name:   "box",
-		Desc:   "unit-box Rayleigh-Benard regression, Ra 1e4, assembled CSR",
+		Desc:   "unit-box Rayleigh-Benard regression, Ra 1e4, matrix-free AMG",
 		Cycles: 2,
 		Config: boxConfig,
 	},

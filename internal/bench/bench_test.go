@@ -17,7 +17,9 @@ package bench
 // BENCH_bunge.json at every rank count: elements and MINRES iterations
 // exactly, Nu and Vrms to relative 1e-9. On a mismatch the test logs the
 // record it got, which is how the file is regenerated after an explained
-// move.
+// move. Every row logs its relative Nu and Vrms drift from the reference
+// below and from its record, so a drift inside the tolerances still shows
+// in -v output.
 
 import (
 	"encoding/json"
@@ -42,12 +44,18 @@ import (
 // which round differently from the closed forms they replaced: Nu and
 // Vrms moved by 3.4e-9 and 3.1e-9 relative (from 32.1145641250 /
 // 48.5525966274), the size of the case's rounding band over 1 to 6 ranks
-// (2.9e-9 before, 3.5e-9 after) and far inside crossRelTol.
+// (2.9e-9 before, 3.5e-9 after) and far inside crossRelTol. It was
+// re-pinned a third time when the assembled coupled CSR left the solver
+// and the case's solves went matrix-free, whose element sums round
+// differently: Nu and Vrms moved by 3.2e-9 and 3.4e-9 relative (from
+// 32.1145642327 / 48.5525967802), the size of the case's spread over 1,
+// 2 and 4 ranks (3.1e-9 after), with 190 elements and 113 iterations
+// unchanged.
 var refs = map[string]struct {
 	Nu, Vrms float64
 	Elems    int64
 }{
-	"box":    {32.1145642327, 48.5525967802, 190},
+	"box":    {32.1145641287, 48.5525966166, 190},
 	"shell":  {35.9954083191, 74.1663000266, 360},
 	"bunge1": {116.4968214274, 214.9813661638, 402},
 	"bunge2": {125.5047921526, 237.1020876622, 402},
@@ -135,20 +143,25 @@ func TestBenchCasesPinned(t *testing.T) {
 					res = out
 				}
 			})
-			t.Logf("%s ranks %d: Nu %.10f Vrms %.10f elems %d iters %d",
-				c.Name, p, res.Nu, res.Vrms, res.Elements, res.Iters)
+			key := fmt.Sprintf("%s/%d", c.Name, p)
+			row, inRecord := record[key]
+			drift := fmt.Sprintf("drift from refs Nu %.1e Vrms %.1e", relErr(res.Nu, ref.Nu), relErr(res.Vrms, ref.Vrms))
+			if inRecord {
+				drift += fmt.Sprintf(", from BENCH_bunge.json Nu %.1e Vrms %.1e", relErr(res.Nu, row.Nu), relErr(res.Vrms, row.Vrms))
+			}
+			t.Logf("%s ranks %d: Nu %.10f Vrms %.10f elems %d iters %d; %s",
+				c.Name, p, res.Nu, res.Vrms, res.Elements, res.Iters, drift)
 			if res.Err != nil {
 				t.Fatalf("%s ranks %d: %v", c.Name, p, res.Err)
 			}
 			if res.Elements != ref.Elems {
 				t.Errorf("%s ranks %d: %d global elements, reference pins %d", c.Name, p, res.Elements, ref.Elems)
 			}
-			if key := fmt.Sprintf("%s/%d", c.Name, p); record != nil && strings.HasPrefix(c.Name, "bunge") {
-				row, ok := record[key]
+			if record != nil && strings.HasPrefix(c.Name, "bunge") {
 				delete(record, key)
 				got = append(got, bungeRecord{Case: c.Name, Desc: c.Desc, Ranks: p,
 					Elements: res.Elements, Iters: res.Iters, Nu: res.Nu, Vrms: res.Vrms})
-				if !ok || row.Elements != res.Elements || row.Iters != res.Iters ||
+				if !inRecord || row.Elements != res.Elements || row.Iters != res.Iters ||
 					relErr(res.Nu, row.Nu) > refRelTol || relErr(res.Vrms, row.Vrms) > refRelTol {
 					mismatch = true
 					t.Errorf("%s: run (elements %d, iters %d, Nu %.12g, Vrms %.12g) does not match BENCH_bunge.json %+v",

@@ -387,31 +387,6 @@ func brickLevels(m *mesh.Mesh, dom Domain) (geo []*ElemGeom, idx []int32) {
 	return geo, idx
 }
 
-// StokesKernelsFor returns the per-element tabulated unit-viscosity
-// Stokes kernels of a mesh, which the assembled path scales: for
-// axis-aligned meshes one kernel per octree level (aliased), for mapped
-// meshes one kernel per element. The matrix-free operator tabulates
-// nothing: it applies ElemGeom.StokesApply on ElemGeomOf's table on every
-// mesh.
-func StokesKernelsFor(m *mesh.Mesh, dom Domain) []*StokesKernels {
-	kern := make([]*StokesKernels, len(m.Leaves))
-	if g := ElemGeoms(m); g != nil {
-		for ei := range m.Leaves {
-			kern[ei] = NewStokesKernelsGeom(&g[ei])
-		}
-		return kern
-	}
-	geo, idx := brickLevels(m, dom)
-	byLevel := make([]*StokesKernels, len(geo))
-	for k, g := range geo {
-		byLevel[k] = NewStokesKernelsGeom(g)
-	}
-	for ei, k := range idx {
-		kern[ei] = byLevel[k]
-	}
-	return kern
-}
-
 // NodeCoord returns the physical coordinates of owned node i: the mapped
 // coordinates on forest meshes, the axis-aligned Domain scaling
 // otherwise.

@@ -1,13 +1,12 @@
 package fem
 
 // StokesKernels bundles the element matrices of the coupled Q1-Q1 Stokes
-// operator for one element, factored so the assembled path can reuse
-// them across viscosity updates (and, for axis-aligned bricks, across
-// every element of the same octree level): the viscous block and the
+// operator for one element at unit viscosity: the viscous block and the
 // stabilization scale linearly in eta and 1/eta respectively, the
-// divergence coupling and the mass are viscosity-independent. The
-// matrix-free apply does not use them: it runs ElemGeom.StokesApply, and
-// Apply below is its tabulated oracle.
+// divergence coupling and the mass are viscosity-independent. No solver
+// uses them: the matrix-free apply runs ElemGeom.StokesApply, and Apply
+// below is its tabulated oracle. The tests assemble the coupled CSR
+// oracle from them, and the benchmark harness times Apply.
 type StokesKernels struct {
 	Av [24][24]float64 // ViscousGeom(g, 1); scale by eta
 	Bd [8][24]float64  // DivergenceGeom(g)
@@ -17,8 +16,8 @@ type StokesKernels struct {
 
 // NewStokesKernelsGeom precomputes the unit-viscosity coupled Stokes
 // element matrices of an element. It is the tabulated form of
-// ElemGeom.StokesApply: the assembled path scales its matrices, and the
-// point kernel's tests compare against its Apply.
+// ElemGeom.StokesApply: the tests' assembled oracle scales its matrices,
+// and the point kernel's tests compare against its Apply.
 func NewStokesKernelsGeom(g *ElemGeom) *StokesKernels {
 	return &StokesKernels{
 		Av: ViscousGeom(g, 1),
@@ -43,9 +42,8 @@ func NewStokesKernels(h [3]float64) *StokesKernels {
 //	ye_p = Bd xe_v - (1/eta) Cs xe_p
 //
 // This is one fused pass over the cached matrices, the action of the
-// element contributions stokes.Assemble inserts into the global CSR: the
-// tests hold ElemGeom.StokesApply to it, and the benchmark harness times
-// it.
+// element contributions the tests' coupled CSR oracle inserts: the tests
+// hold ElemGeom.StokesApply to it, and the benchmark harness times it.
 func (k *StokesKernels) Apply(eta float64, xe, ye *[32]float64) {
 	inv := 1 / eta
 	for a := 0; a < 8; a++ {

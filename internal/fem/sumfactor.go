@@ -471,8 +471,8 @@ func (k *SumFactorKernels) ApplyMass(xe, ye *[27]float64, s *SFScratch) {
 }
 
 // SumFactorKernelsFor returns the per-element Q2 kernels of an
-// axis-aligned mesh, aliased per octree level exactly like
-// StokesKernelsFor. Mapped (forest) meshes are not supported by the Q2
+// axis-aligned mesh, one per octree level, aliased by every element of
+// that level. Mapped (forest) meshes are not supported by the Q2
 // path and panic.
 func SumFactorKernelsFor(m *mesh.Mesh, dom Domain) []*SumFactorKernels {
 	if m.X != nil {

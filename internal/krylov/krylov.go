@@ -325,8 +325,8 @@ func tridiagLambdaMax(alphas, betas []float64) float64 {
 
 // Counted wraps an operator and accumulates the number of applies and
 // the wall-clock seconds spent in them — the instrumentation the
-// evaluation layer uses to compare assembled and matrix-free operator
-// throughput inside an otherwise identical solve.
+// benchmark harness uses to split a solve's time between the operator
+// and the preconditioner.
 type Counted struct {
 	Op      Operator
 	Applies int

@@ -23,10 +23,10 @@
 // Nodes are addressed by the mesh's own slots (mesh.Mesh.GX) and
 // off-rank coupling uses that one la.GhostExchange plan in both
 // directions, at width 4: gather remote master-node blocks before the loop, scatter-add remote
-// row contributions after it. Dirichlet conditions are eliminated exactly
-// as in the assembled path — constrained columns read zero, constrained
-// owned rows are identity — so the apply matches stokes.Assemble's CSR to
-// rounding.
+// row contributions after it. Dirichlet conditions are eliminated in the
+// operator — constrained columns read zero, constrained owned rows are
+// identity. This is the only Stokes operator the solver applies; package
+// stokes's tests hold it to an assembled coupled CSR oracle to rounding.
 package matfree
 
 import (
@@ -313,12 +313,12 @@ func (op *Operator) rotBwd(buf []float64) {
 }
 
 // Apply computes y = A x for the Dirichlet-eliminated coupled Stokes
-// operator (collective). It matches the assembled CSR of stokes.Assemble
-// to rounding: constrained columns are read as zero and constrained owned
-// rows return x unchanged (identity). At framed (free-slip) nodes the
-// apply is conjugated — x and y hold local-frame velocity components
-// there, and constraint elimination happens in the local frame before the
-// forward rotation.
+// operator (collective). It matches the coupled CSR oracle of package
+// stokes's tests to rounding: constrained columns are read as zero and
+// constrained owned rows return x unchanged (identity). At framed
+// (free-slip) nodes the apply is conjugated — x and y hold local-frame
+// velocity components there, and constraint elimination happens in the
+// local frame before the forward rotation.
 func (op *Operator) Apply(x, y *la.Vec) {
 	// Gather owned + ghost nodal blocks into slot space.
 	copy(op.xbuf[:op.nOwned*4], x.Data)

@@ -580,7 +580,7 @@ func TestCornerTableResidentBytesBox(t *testing.T) {
 		adv := advect.New(m, fem.UnitDomain, 1, vel, nil, fem.NoBC)
 		h3 := live()
 		s := stokes.Setup(m, fem.UnitDomain, stokes.FreeSlip([3]float64{1, 1, 1}),
-			stokes.Options{MatrixFree: true, Precond: stokes.PrecondGMG})
+			stokes.Options{Precond: stokes.PrecondGMG})
 		h4 := live()
 		runtime.KeepAlive(f)
 		runtime.KeepAlive(vel)
@@ -641,8 +641,8 @@ func TestSolverResidentBytesShell(t *testing.T) {
 		}
 		h0 := live()
 		s := stokes.Setup(m, fem.UnitDomain, stokes.RadialNoSlipInner(g.RInner, g.ROuter), stokes.Options{
-			MatrixFree: true, Precond: stokes.PrecondGMG,
-			Slip: stokes.ShellSlipNormals(g.RInner, g.ROuter, false, true),
+			Precond: stokes.PrecondGMG,
+			Slip:    stokes.ShellSlipNormals(g.RInner, g.ROuter, false, true),
 		})
 		s.Update(eta, nil)
 		h1 := live()

@@ -316,7 +316,6 @@ func TestTimeLoopReuse(t *testing.T) {
 				MinresTol:   1e-6,
 				MinresMax:   600,
 				InitAdapt:   1,
-				MatrixFree:  true,
 				Precond:     stokes.PrecondGMG,
 			}
 			s := New(r, cfg)

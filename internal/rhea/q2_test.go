@@ -25,16 +25,15 @@ func q2Config() Config {
 			r2 := (x[0]-0.4)*(x[0]-0.4) + (x[1]-0.6)*(x[1]-0.6) + (x[2]-0.3)*(x[2]-0.3)
 			return (1 - x[2]) + 0.2*math.Exp(-r2/0.03)
 		},
-		Visc:       TemperatureDependent(1, 1),
-		BaseLevel:  2,
-		MinLevel:   2,
-		MaxLevel:   2,
-		Picard:     1,
-		MinresTol:  1e-9,
-		MinresMax:  3000,
-		MatrixFree: true,
-		Precond:    stokes.PrecondGMG,
-		Order:      2,
+		Visc:      TemperatureDependent(1, 1),
+		BaseLevel: 2,
+		MinLevel:  2,
+		MaxLevel:  2,
+		Picard:    1,
+		MinresTol: 1e-9,
+		MinresMax: 3000,
+		Precond:   stokes.PrecondGMG,
+		Order:     2,
 	}
 }
 
@@ -97,13 +96,13 @@ func TestQ2ConvectionRankConsistency(t *testing.T) {
 }
 
 // TestQ2ConfigValidation pins the fail-fast paths: Order 2 without the
-// matrix-free GMG stack, or with levels that let the mesh adapt (which
+// GMG preconditioner, or with levels that let the mesh adapt (which
 // would leave hanging faces the Q2 node layer rejects), must be refused by
 // Validate, and New must panic with that error before any work is done.
 func TestQ2ConfigValidation(t *testing.T) {
 	for name, edit := range map[string]func(*Config){
-		"assembled": func(c *Config) { c.MatrixFree = false },
-		"adaptive":  func(c *Config) { c.MaxLevel, c.TargetElems = 3, 400 },
+		"amg":      func(c *Config) { c.Precond = stokes.PrecondAMG },
+		"adaptive": func(c *Config) { c.MaxLevel, c.TargetElems = 3, 400 },
 	} {
 		cfg := q2Config()
 		edit(&cfg)

@@ -18,6 +18,7 @@ import (
 	"strings"
 	"testing"
 
+	"rhea/internal/ckpt"
 	"rhea/internal/la"
 	"rhea/internal/sim"
 )
@@ -277,6 +278,44 @@ func TestRestoreRejectsConfigMismatch(t *testing.T) {
 	sim.Run(2, func(r *sim.Rank) {
 		if _, err := Restore(r, ok, dir); err != nil {
 			t.Errorf("rank %d: Restore with different InitAdapt rejected: %v", r.ID(), err)
+		}
+	})
+}
+
+// The fingerprints of regressionConfig while the coupled operator could
+// still be assembled: 0 in the operator slot for the assembled CSR, 1 for
+// the matrix-free apply, the one operator left.
+const (
+	assembledFP  = 0x3dd423bef689e030
+	matrixFreeFP = 0x5ebb58190c166cb9
+)
+
+// TestRestoreRefusesAssembledSnapshot: a snapshot written under the
+// retired assembled coupled operator would not continue bit for bit on
+// the matrix-free one, so Restore refuses it with the fingerprint error,
+// while matrix-free runs keep their fingerprint and their snapshots.
+func TestRestoreRefusesAssembledSnapshot(t *testing.T) {
+	if fp := regressionConfig().Fingerprint(); fp != matrixFreeFP {
+		t.Fatalf("fingerprint %#016x, want the matrix-free run's %#016x", fp, matrixFreeFP)
+	}
+	dir := filepath.Join(t.TempDir(), "snap")
+	writeBoxSnapshot(t, 2, dir)
+	// The same state, stamped as the assembled operator stamped it.
+	old := filepath.Join(t.TempDir(), "assembled")
+	sim.Run(2, func(r *sim.Rank) {
+		st, err := ckpt.Read(r, dir)
+		if err == nil {
+			st.ConfigFP = assembledFP
+			err = ckpt.Write(r, old, st)
+		}
+		if err != nil {
+			t.Errorf("rank %d: %v", r.ID(), err)
+		}
+	})
+	expectRestoreError(t, 2, regressionConfig(), old, "different configuration")
+	sim.Run(2, func(r *sim.Rank) {
+		if _, err := Restore(r, regressionConfig(), dir); err != nil {
+			t.Errorf("rank %d: Restore of the matrix-free snapshot refused: %v", r.ID(), err)
 		}
 	})
 }

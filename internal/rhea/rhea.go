@@ -152,17 +152,17 @@ type Config struct {
 	MinresTol  float64 // default 1e-6
 	MinresMax  int     // default 500
 	AMG        amg.Options
-	// MatrixFree applies the coupled Stokes operator by fused per-element
-	// loops instead of an assembled CSR (see stokes.Options.MatrixFree).
+	// MatrixFree is not read: the Stokes operator is always applied
+	// matrix-free. It stays only because the benchmark harness copies it
+	// (ROADMAP item 1(v)).
 	MatrixFree bool
 	// MatFree configures the matrix-free apply. Its one field, Workers,
 	// is read only by Validate, which refuses a value above 1: the
 	// element loop runs on the rank's goroutine.
 	MatFree matfree.Options
 	// Precond selects the velocity-block preconditioner: assembled AMG
-	// (default) or the matrix-free geometric multigrid hierarchy.
-	// Combined with MatrixFree the Stokes solve assembles no fine-level
-	// matrix at all.
+	// (default) or the matrix-free geometric multigrid hierarchy, with
+	// which the Stokes solve assembles no fine-level matrix at all.
 	Precond stokes.PrecondKind
 	// GMG tunes the geometric hierarchy when Precond is PrecondGMG.
 	GMG gmg.Options
@@ -195,8 +195,8 @@ func (c Config) Validate() error {
 		return errors.New("rhea: Config.Conn without Shell needs an explicit VelBC (box-equality defaults cannot see mapped boundaries)")
 	case c.Order < 0 || c.Order > 2:
 		return fmt.Errorf("rhea: unknown Config.Order %d (want 0, 1 or 2)", c.Order)
-	case c.Order == 2 && (!c.MatrixFree || c.Precond != stokes.PrecondGMG):
-		return errors.New("rhea: Config.Order == 2 requires MatrixFree and Precond == PrecondGMG")
+	case c.Order == 2 && c.Precond != stokes.PrecondGMG:
+		return errors.New("rhea: Config.Order == 2 requires Precond == PrecondGMG")
 	case c.Order == 2 && (c.Conn != nil || c.Shell):
 		return errors.New("rhea: Config.Order == 2 is limited to the one-tree box domain (no Conn, no Shell)")
 	case c.Order == 2 && (c.MinLevel != c.BaseLevel || c.MaxLevel != c.BaseLevel):
@@ -659,7 +659,7 @@ func (s *Sim) viscosityAndBuoyancy(wantForce bool) ([]float64, [][8][3]float64) 
 // stokesOptions maps the Config onto the Stokes solver options.
 func (s *Sim) stokesOptions() stokes.Options {
 	return stokes.Options{
-		AMG: s.Cfg.AMG, MatrixFree: s.Cfg.MatrixFree, MatFree: s.Cfg.MatFree,
+		AMG: s.Cfg.AMG, MatFree: s.Cfg.MatFree,
 		Precond: s.Cfg.Precond, GMG: s.Cfg.GMG, LocalAMG: s.Cfg.LocalAMG,
 		Order: s.Cfg.Order, Slip: s.Cfg.SlipBC,
 	}

@@ -136,14 +136,13 @@ func TestPlumeRises(t *testing.T) {
 	})
 }
 
-// The full convection cycle must run identically well on the matrix-free
-// Stokes path, including variable (temperature-dependent) viscosity and
-// mesh adaptation between solves.
+// The full convection cycle must run on the matrix-free Stokes operator
+// with the default AMG preconditioner, including variable
+// (temperature-dependent) viscosity and mesh adaptation between solves.
 func TestMatrixFreeCycleDevelopsFlow(t *testing.T) {
 	sim.Run(2, func(r *sim.Rank) {
 		cfg := blobConfig()
 		cfg.Visc = TemperatureDependent(1, 2)
-		cfg.MatrixFree = true
 		s := New(r, cfg)
 		res := s.SolveStokes()
 		if !res.Converged {
@@ -166,14 +165,12 @@ func TestMatrixFreeCycleDevelopsFlow(t *testing.T) {
 	})
 }
 
-// The fully matrix-free configuration (matfree apply + GMG precond) must
-// drive the application loop — Stokes solve, transport, adaptation,
+// The fully matrix-free configuration (GMG preconditioner) must drive the application loop — Stokes solve, transport, adaptation,
 // re-solve on the adapted mesh — without assembling any fine-level CSR.
 func TestGMGCycleDevelopsFlow(t *testing.T) {
 	sim.Run(2, func(r *sim.Rank) {
 		cfg := blobConfig()
 		cfg.Visc = TemperatureDependent(1, 2)
-		cfg.MatrixFree = true
 		cfg.Precond = stokes.PrecondGMG
 		s := New(r, cfg)
 		res := s.SolveStokes()

@@ -36,7 +36,6 @@ func shellConfig() Config {
 		InitAdapt:   1,
 		MinresTol:   1e-9,
 		MinresMax:   3000,
-		MatrixFree:  true,
 		Precond:     stokes.PrecondGMG,
 	}
 }

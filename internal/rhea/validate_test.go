@@ -38,7 +38,7 @@ func TestConfigValidate(t *testing.T) {
 		{"conn without velbc", "VelBC", regressionConfig, func(c *Config) { c.Conn = forest.BrickConnectivity(1, 1, 1) }},
 		{"order 3", "Order", regressionConfig, func(c *Config) { c.Order = 3 }},
 		{"order -1", "Order", regressionConfig, func(c *Config) { c.Order = -1 }},
-		{"q2 assembled", "MatrixFree", q2Config, func(c *Config) { c.MatrixFree = false }},
+		{"q2 local amg", "Precond", q2Config, func(c *Config) { c.Precond, c.LocalAMG = stokes.PrecondAMG, true }},
 		{"q2 amg", "Precond", q2Config, func(c *Config) { c.Precond = stokes.PrecondAMG }},
 		{"q2 shell", "Shell", q2Config, func(c *Config) { c.Shell = true }},
 		{"q2 conn", "Conn", q2Config, func(c *Config) {
@@ -53,7 +53,7 @@ func TestConfigValidate(t *testing.T) {
 		{"picard", "Picard", regressionConfig, func(c *Config) { c.Picard = -1 }},
 		{"minres tol", "MinresTol", regressionConfig, func(c *Config) { c.MinresTol = -1e-6 }},
 		{"minres max", "MinresMax", regressionConfig, func(c *Config) { c.MinresMax = -1 }},
-		{"matfree workers", "MatFree.Workers", regressionConfig, func(c *Config) { c.MatrixFree, c.MatFree.Workers = true, 2 }},
+		{"matfree workers", "MatFree.Workers", regressionConfig, func(c *Config) { c.MatFree.Workers = 2 }},
 	}
 	for _, row := range rows {
 		cfg := row.base()

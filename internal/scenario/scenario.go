@@ -63,8 +63,9 @@ const (
 // case of the benchmark registry (internal/bench), whose configuration
 // the job starts from; zero values keep that case's settings. The
 // service solves with its own policy, not the case's: MINRES stops at
-// MinresTol (rhea's default 1e-6 when unset) or 500 iterations, and the
-// operator and preconditioner come from MatrixFree and GMG. The initial
+// MinresTol (rhea's default 1e-6 when unset) or 500 iterations, the
+// operator is always matrix-free, and the velocity preconditioner is
+// geometric multigrid with GMG, algebraic without. The initial
 // temperature and viscosity law are fixed per kind: rhea's config
 // fingerprint cannot cover function-valued fields, so a resumable spec
 // must not let callers vary them.
@@ -83,7 +84,6 @@ type Spec struct {
 	AdaptEvery  int     `json:"adapt_every,omitempty"`
 	Picard      int     `json:"picard,omitempty"`
 	MinresTol   float64 `json:"minres_tol,omitempty"`
-	MatrixFree  bool    `json:"matrix_free,omitempty"`
 	GMG         bool    `json:"gmg,omitempty"` // geometric multigrid preconditioner
 
 	// CheckpointEvery writes a committed snapshot every N completed
@@ -204,10 +204,8 @@ func (sp Spec) Config() rhea.Config {
 	}
 	cfg.MinresTol = sp.MinresTol
 	cfg.MinresMax = 0
-	cfg.MatrixFree = sp.MatrixFree
 	cfg.Precond = stokes.PrecondAMG
 	if sp.GMG {
-		cfg.MatrixFree = true
 		cfg.Precond = stokes.PrecondGMG
 	}
 	return cfg

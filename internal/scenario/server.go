@@ -16,6 +16,9 @@ package scenario
 //	                                 from the latest committed snapshot
 //	POST /scenarios/{id}/stop        halt at the next cycle boundary
 //	                                 (a resumable snapshot is written)
+//
+// A POST body with a field its type does not declare is a 400 naming the
+// field (decodeStrict).
 
 import (
 	"encoding/json"
@@ -61,13 +64,23 @@ func writeErr(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), code)
 }
 
+// decodeStrict decodes a request body into v, refusing any field v does
+// not declare: a misspelt or retired field is a 400 naming it, not a
+// setting the job silently ignores. (Journal replay decodes leniently, so
+// records written before a field retired still load.)
+func decodeStrict(r *http.Request, v any) error {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
 func (h *handler) collection(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		writeJSON(w, http.StatusOK, h.m.List())
 	case http.MethodPost:
 		var sp Spec
-		if err := json.NewDecoder(r.Body).Decode(&sp); err != nil {
+		if err := decodeStrict(r, &sp); err != nil {
 			http.Error(w, "invalid spec: "+err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -104,7 +117,7 @@ func (h *handler) item(w http.ResponseWriter, r *http.Request) {
 		var req struct {
 			Cycles int `json:"cycles"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := decodeStrict(r, &req); err != nil {
 			http.Error(w, "invalid resume request: "+err.Error(), http.StatusBadRequest)
 			return
 		}

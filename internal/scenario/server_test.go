@@ -8,6 +8,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -323,6 +325,54 @@ func TestServerErrors(t *testing.T) {
 			t.Errorf("%s %s: %s, want %d", c.method, c.path, resp.Status, c.want)
 		}
 		resp.Body.Close()
+	}
+}
+
+// TestServerRefusesUnknownFields: a request body is decoded strictly, so
+// a field the Spec (or the resume request) does not declare — a retired
+// one such as matrix_free, or a typo such as target_elem — is a 400
+// naming it, and no job is submitted or resumed.
+func TestServerRefusesUnknownFields(t *testing.T) {
+	srv, m := newTestServer(t)
+	for _, c := range []struct {
+		path, body, field string
+	}{
+		{"/scenarios", `{"kind":"box","cycles":1,"matrix_free":true}`, "matrix_free"},
+		{"/scenarios", `{"kind":"box","cycles":1,"target_elem":100}`, "target_elem"},
+		{"/scenarios/1/resume", `{"cycles":1,"cycle":1}`, "cycle"},
+	} {
+		resp := postJSON(t, srv.URL+c.path, json.RawMessage(c.body))
+		msg := new(bytes.Buffer)
+		msg.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.String(), `"`+c.field+`"`) {
+			t.Errorf("POST %s %s: %s %q, want 400 naming %q", c.path, c.body, resp.Status, msg, c.field)
+		}
+	}
+	if jobs := m.List(); len(jobs) != 0 {
+		t.Errorf("refused requests submitted %d jobs", len(jobs))
+	}
+}
+
+// TestJournalReplayKeepsRetiredFields: journal replay stays lenient, so
+// a submit record written while the spec still carried matrix_free
+// loads with the rest of its spec intact.
+func TestJournalReplayKeepsRetiredFields(t *testing.T) {
+	root := t.TempDir()
+	journal := `{"op":"submit","id":1,"spec":{"name":"old","kind":"shell","cycles":2,"matrix_free":true,"gmg":true},"target":2}
+{"op":"state","id":1,"state":"done"}
+`
+	if err := os.WriteFile(filepath.Join(root, journalName), []byte(journal), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	m := newTestManager(t, root, 1)
+	defer m.Close()
+	v, err := m.Get(1)
+	if err != nil {
+		t.Fatalf("journaled job with a retired field did not replay: %v", err)
+	}
+	if v.Spec.Name != "old" || v.Spec.Kind != "shell" || !v.Spec.GMG || v.State != StateDone {
+		t.Errorf("replayed job %+v, want the journaled shell spec, done", v)
 	}
 }
 

@@ -35,14 +35,11 @@ func TestGMGSolveMatchesAMG(t *testing.T) {
 
 		amgSys := Assemble(m, dom, eta, force, bc, Options{})
 		gmgSys := Assemble(m, dom, eta, force, bc, Options{
-			MatrixFree: true, Precond: PrecondGMG,
+			Precond: PrecondGMG,
 		})
 
-		// Fully matrix-free: no coupled CSR, hierarchy present, only the
-		// coarsest level small enough that its assembled CSR is trivial.
-		if gmgSys.A != nil {
-			t.Fatalf("GMG+matfree system assembled the coupled CSR")
-		}
+		// Fully matrix-free: hierarchy present, only the coarsest level
+		// small enough that its assembled CSR is trivial.
 		if gmgSys.GMGH == nil {
 			t.Fatalf("GMG hierarchy missing")
 		}
@@ -101,7 +98,7 @@ func TestGMGViscosityContrast(t *testing.T) {
 			}
 		}
 		sys := Assemble(m, dom, eta, force, FreeSlip(dom.Box), Options{
-			MatrixFree: true, Precond: PrecondGMG,
+			Precond: PrecondGMG,
 		})
 		_, res := sys.Solve(1e-8, 2000)
 		if !res.Converged {
@@ -140,7 +137,7 @@ func TestGMGIterationsLevelIndependent(t *testing.T) {
 					force[ei][c] = [3]float64{0, 0, math.Sin(math.Pi * x[0])}
 				}
 			}
-			sys := Assemble(m, dom, eta, force, FreeSlip(dom.Box), Options{MatrixFree: true, Precond: PrecondGMG})
+			sys := Assemble(m, dom, eta, force, FreeSlip(dom.Box), Options{Precond: PrecondGMG})
 			_, res := sys.Solve(1e-8, 2000)
 			if r.ID() != 0 {
 				return

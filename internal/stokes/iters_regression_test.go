@@ -78,9 +78,9 @@ func TestIterationCountRegression(t *testing.T) {
 		// Re-pinned 92/200/200 → 99/205/206: velocity preconditioner
 		// changed: V(1,1) damped-Jacobi smoothing and an exact coarsest
 		// solve; MINRES stops at the same relative tolerance.
-		{"gmg", Options{MatrixFree: true, Precond: PrecondGMG}, 1, 99},
-		{"gmg", Options{MatrixFree: true, Precond: PrecondGMG}, 1e3, 205},
-		{"gmg", Options{MatrixFree: true, Precond: PrecondGMG}, 1e6, 206},
+		{"gmg", Options{Precond: PrecondGMG}, 1, 99},
+		{"gmg", Options{Precond: PrecondGMG}, 1e3, 205},
+		{"gmg", Options{Precond: PrecondGMG}, 1e6, 206},
 	}
 	for _, pin := range pins {
 		got := regressionIters(t, pin.contrast, pin.opts)

@@ -1,16 +1,18 @@
 package stokes
 
-// Property tests for the matrix-free coupled operator (package matfree):
-// on randomized viscosity and velocity fields, the fused per-element
-// apply must reproduce the assembled CSR operator and right-hand side to
+// Property tests for the matrix-free coupled operator (package matfree),
+// the one operator the solver applies: on randomized viscosity and
+// velocity fields, the fused per-element apply must reproduce the
+// assembled CSR oracle (assemble_ref_test.go) and its right-hand side to
 // rounding, across refinement levels (with hanging nodes) and rank
-// counts, and the matrix-free solve must return the assembled solution.
+// counts, and the matrix-free solve must return the oracle's solution.
 
 import (
 	"math"
 	"testing"
 
 	"rhea/internal/fem"
+	"rhea/internal/krylov"
 	"rhea/internal/la"
 	"rhea/internal/mesh"
 	"rhea/internal/sim"
@@ -86,38 +88,35 @@ func TestMatrixFreeMatchesAssembled(t *testing.T) {
 				force := randomForce(m, seed+17)
 				bc := FreeSlip(dom.Box)
 
-				asm := Assemble(m, dom, eta, force, bc, Options{})
-				mf := Assemble(m, dom, eta, force, bc, Options{MatrixFree: true})
-				if mf.A != nil || mf.MF == nil {
-					t.Errorf("matrix-free system assembled a CSR anyway")
-				}
+				mf := Assemble(m, dom, eta, force, bc, Options{})
+				A, b := oracle(t, mf, eta, force)
 
 				// Right-hand sides agree.
-				if d := relDiff(mf.B, asm.B); d > 1e-12 {
+				if d := relDiff(mf.B, b); d > 1e-12 {
 					t.Errorf("p=%d level=%d: rhs differs by %v", p, level, d)
 				}
 
 				// Applies agree on randomized input vectors.
-				x := la.NewVec(asm.Layout)
+				x := la.NewVec(mf.Layout)
 				for i := range x.Data {
-					g := uint64(asm.Layout.Start() + int64(i))
+					g := uint64(mf.Layout.Start() + int64(i))
 					x.Data[i] = 2*prand(seed+99, g) - 1
 				}
-				y1 := la.NewVec(asm.Layout)
-				y2 := la.NewVec(asm.Layout)
-				asm.A.Apply(x, y1)
+				y1 := la.NewVec(mf.Layout)
+				y2 := la.NewVec(mf.Layout)
+				A.Apply(x, y1)
 				mf.Op.Apply(x, y2)
 				if d := relDiff(y2, y1); d > 1e-10 {
 					t.Errorf("p=%d level=%d: apply differs by %v", p, level, d)
 				}
 
 				// The matrix-free operator stays symmetric.
-				z := la.NewVec(asm.Layout)
+				z := la.NewVec(mf.Layout)
 				for i := range z.Data {
-					g := uint64(asm.Layout.Start() + int64(i))
+					g := uint64(mf.Layout.Start() + int64(i))
 					z.Data[i] = 2*prand(seed+7, g) - 1
 				}
-				az := la.NewVec(asm.Layout)
+				az := la.NewVec(mf.Layout)
 				mf.Op.Apply(z, az)
 				d1, d2 := y2.Dot(z), az.Dot(x)
 				if scale := math.Max(math.Abs(d1), 1); math.Abs(d1-d2)/scale > 1e-10 {
@@ -129,8 +128,8 @@ func TestMatrixFreeMatchesAssembled(t *testing.T) {
 	}
 }
 
-// The matrix-free solve must reach the assembled solution: same operator,
-// same preconditioner, same right-hand side.
+// The matrix-free solve must reach the oracle's solution: MINRES on the
+// assembled CSR and its right-hand side with the solver's preconditioner.
 func TestMatrixFreeSolveMatchesAssembled(t *testing.T) {
 	sim.Run(2, func(r *sim.Rank) {
 		m := buildMesh(r, 2, true)
@@ -139,13 +138,14 @@ func TestMatrixFreeSolveMatchesAssembled(t *testing.T) {
 		force := randomForce(m, 11)
 		bc := FreeSlip(dom.Box)
 
-		asm := Assemble(m, dom, eta, force, bc, Options{})
-		xa, ra := asm.Solve(1e-9, 3000)
+		mf := Assemble(m, dom, eta, force, bc, Options{})
+		A, b := oracle(t, mf, eta, force)
+		xa := la.NewVec(mf.Layout)
+		ra := krylov.MINRES(A, mf.Precond(), b, xa, 1e-9, 3000)
 		if !ra.Converged {
 			t.Fatalf("assembled solve failed: %v", ra.Residual)
 		}
 
-		mf := Assemble(m, dom, eta, force, bc, Options{MatrixFree: true})
 		xm, rm := mf.Solve(1e-9, 3000)
 		if !rm.Converged {
 			t.Fatalf("matrix-free solve failed: %v", rm.Residual)

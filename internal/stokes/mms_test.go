@@ -4,8 +4,8 @@ package stokes
 // a smooth analytic divergence-free velocity / pressure pair is imposed
 // through the body force and inhomogeneous Dirichlet data, and the
 // discrete L2 velocity error must fall at the Q1 rate O(h^2) as the mesh
-// refines — for both the assembled+AMG and the fully matrix-free
-// (matfree apply + GMG preconditioner) solver configurations.
+// refines — for the matrix-free operator under both velocity
+// preconditioners (AMG and GMG).
 
 import (
 	"math"
@@ -130,8 +130,8 @@ func TestMMSConvergence(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"assembled+AMG", Options{}},
-		{"matfree+GMG", Options{MatrixFree: true, Precond: PrecondGMG}},
+		{"matfree+AMG", Options{}},
+		{"matfree+GMG", Options{Precond: PrecondGMG}},
 	}
 	for _, path := range paths {
 		var errs []float64

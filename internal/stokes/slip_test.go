@@ -3,7 +3,7 @@ package stokes
 // Free-slip (rotated boundary frame) property tests: on the curved
 // cubed-sphere shell — full per-element Jacobians, inter-tree coupling
 // and (after refinement) hanging nodes — the conjugated matrix-free
-// apply must reproduce the conjugated assembled CSR to 1e-10, the
+// apply must reproduce the conjugated assembled CSR oracle to 1e-10, the
 // rotated operator must stay symmetric, free-slip solves must converge
 // with level-independent-ish iteration counts and produce velocities
 // with no normal component at slip nodes, and the all-free-slip
@@ -16,6 +16,7 @@ import (
 
 	"rhea/internal/fem"
 	"rhea/internal/forest"
+	"rhea/internal/krylov"
 	"rhea/internal/la"
 	"rhea/internal/mesh"
 	"rhea/internal/sim"
@@ -38,9 +39,10 @@ func shellForce(m *mesh.Mesh) [][8][3]float64 {
 }
 
 // TestSlipMatfreeMatchesAssembled pins the rotated-frame matrix-free
-// apply and RHS against the rotated-frame assembled CSR on the shell,
-// and checks symmetry of both conjugated operators, for free-slip-top
-// and free-slip-both configurations, with and without hanging nodes.
+// apply and RHS against the rotated-frame assembled CSR oracle on the
+// shell, and checks symmetry of both conjugated operators, for
+// free-slip-top and free-slip-both configurations, with and without
+// hanging nodes.
 func TestSlipMatfreeMatchesAssembled(t *testing.T) {
 	conn := forest.CubedSphere(1)
 	g := mesh.NewShellGeometry(conn)
@@ -68,34 +70,34 @@ func TestSlipMatfreeMatchesAssembled(t *testing.T) {
 					dom := fem.UnitDomain
 					eta := shellViscosity(m)
 					force := shellForce(m)
-					asm := Assemble(m, dom, eta, force, tc.bc, Options{Slip: tc.slip})
-					mf := Assemble(m, dom, eta, force, tc.bc, Options{MatrixFree: true, Slip: tc.slip})
+					mf := Assemble(m, dom, eta, force, tc.bc, Options{Slip: tc.slip})
+					A, b := oracle(t, mf, eta, force)
 
-					if d := relDiff(mf.B, asm.B); d > 1e-10 {
+					if d := relDiff(mf.B, b); d > 1e-10 {
 						t.Errorf("%s ranks %d adapt %v: RHS differs by %v", tc.name, p, adapt, d)
 					}
-					x := la.NewVec(asm.Layout)
-					z := la.NewVec(asm.Layout)
+					x := la.NewVec(mf.Layout)
+					z := la.NewVec(mf.Layout)
 					for i := range x.Data {
-						gidx := uint64(asm.Layout.Start()) + uint64(i)
+						gidx := uint64(mf.Layout.Start()) + uint64(i)
 						x.Data[i] = 2*prand(11, gidx) - 1
 						z.Data[i] = 2*prand(13, gidx) - 1
 					}
-					ya := la.NewVec(asm.Layout)
-					ym := la.NewVec(asm.Layout)
-					asm.Op.Apply(x, ya)
+					ya := la.NewVec(mf.Layout)
+					ym := la.NewVec(mf.Layout)
+					A.Apply(x, ya)
 					mf.Op.Apply(x, ym)
 					if d := relDiff(ym, ya); d > 1e-10 {
 						t.Errorf("%s ranks %d adapt %v: apply differs by %v", tc.name, p, adapt, d)
 					}
 					// Symmetry of the conjugated operators: (Ax).z == (Az).x.
-					az := la.NewVec(asm.Layout)
+					az := la.NewVec(mf.Layout)
 					for _, op := range []struct {
 						name string
-						s    *Solver
+						op   krylov.Operator
 						ax   *la.Vec
-					}{{"assembled", asm, ya}, {"matfree", mf, ym}} {
-						op.s.Op.Apply(z, az)
+					}{{"assembled", A, ya}, {"matfree", mf.Op, ym}} {
+						op.op.Apply(z, az)
 						lhs, rhs := op.ax.Dot(z), az.Dot(x)
 						scale := math.Max(math.Abs(lhs), 1)
 						if d := math.Abs(lhs-rhs) / scale; d > 1e-10 {
@@ -109,16 +111,16 @@ func TestSlipMatfreeMatchesAssembled(t *testing.T) {
 	}
 }
 
-// TestSlipSolveNoPenetration solves free-slip-top shell Stokes on both
-// operator paths and checks the physics of the rotated constraint: the
-// velocity at outer-boundary nodes has (to solver tolerance) no radial
-// component but nonzero tangential flow — a no-slip treatment would
-// zero both.
+// TestSlipSolveNoPenetration solves free-slip-top shell Stokes under both
+// velocity preconditioners and checks the physics of the rotated
+// constraint: the velocity at outer-boundary nodes has (to solver
+// tolerance) no radial component but nonzero tangential flow — a no-slip
+// treatment would zero both.
 func TestSlipSolveNoPenetration(t *testing.T) {
 	conn := forest.CubedSphere(1)
 	g := mesh.NewShellGeometry(conn)
-	for _, mfree := range []bool{false, true} {
-		mfree := mfree
+	for _, gmg := range []bool{false, true} {
+		gmg := gmg
 		sim.Run(2, func(r *sim.Rank) {
 			f := forest.New(r, conn, 1)
 			m := mesh.Extract(f, g)
@@ -128,15 +130,15 @@ func TestSlipSolveNoPenetration(t *testing.T) {
 				eta[i] = 1
 			}
 			force := shellForce(m)
-			opts := Options{MatrixFree: mfree, Slip: ShellSlipNormals(g.RInner, g.ROuter, false, true)}
-			if mfree {
+			opts := Options{Slip: ShellSlipNormals(g.RInner, g.ROuter, false, true)}
+			if gmg {
 				opts.Precond = PrecondGMG
 			}
 			s := Assemble(m, dom, eta, force, RadialNoSlipInner(g.RInner, g.ROuter), opts)
 			x, res := s.Solve(1e-9, 2000)
 			if !res.Converged {
-				t.Errorf("matfree=%v: free-slip solve failed to converge: %v after %d",
-					mfree, res.Residual, res.Iterations)
+				t.Errorf("gmg=%v: free-slip solve failed to converge: %v after %d",
+					gmg, res.Residual, res.Iterations)
 			}
 			u, _ := s.SplitSolution(x)
 			tol := 1e-9 * g.ROuter
@@ -156,10 +158,10 @@ func TestSlipSolveNoPenetration(t *testing.T) {
 			maxN = m.Rank.Allreduce(maxN, sim.OpMax)
 			maxT = m.Rank.Allreduce(maxT, sim.OpMax)
 			if maxN > 1e-12 {
-				t.Errorf("matfree=%v: normal velocity leaks through the free-slip boundary: max |u.n| = %v", mfree, maxN)
+				t.Errorf("gmg=%v: normal velocity leaks through the free-slip boundary: max |u.n| = %v", gmg, maxN)
 			}
 			if maxT < 1e-8 {
-				t.Errorf("matfree=%v: tangential velocity at the free-slip boundary is %v — boundary behaves as no-slip", mfree, maxT)
+				t.Errorf("gmg=%v: tangential velocity at the free-slip boundary is %v — boundary behaves as no-slip", gmg, maxT)
 			}
 		})
 	}
@@ -172,8 +174,8 @@ func TestSlipSolveNoPenetration(t *testing.T) {
 func TestSlipNullSpaceProjection(t *testing.T) {
 	conn := forest.CubedSphere(1)
 	g := mesh.NewShellGeometry(conn)
-	for _, mfree := range []bool{false, true} {
-		mfree := mfree
+	for _, gmg := range []bool{false, true} {
+		gmg := gmg
 		sim.Run(2, func(r *sim.Rank) {
 			f := forest.New(r, conn, 1)
 			m := mesh.Extract(f, g)
@@ -184,23 +186,23 @@ func TestSlipNullSpaceProjection(t *testing.T) {
 			}
 			force := shellForce(m)
 			noBC := func([3]float64) ([3]bool, [3]float64) { return [3]bool{}, [3]float64{} }
-			opts := Options{MatrixFree: mfree, Slip: ShellSlipNormals(g.RInner, g.ROuter, true, true)}
-			if mfree {
+			opts := Options{Slip: ShellSlipNormals(g.RInner, g.ROuter, true, true)}
+			if gmg {
 				opts.Precond = PrecondGMG
 			}
 			s := Assemble(m, dom, eta, force, noBC, opts)
 			if got := s.NullDim(); got != 3 {
-				t.Fatalf("matfree=%v: NullDim = %d, want 3", mfree, got)
+				t.Fatalf("gmg=%v: NullDim = %d, want 3", gmg, got)
 			}
 			x, res := s.Solve(1e-9, 2000)
 			if !res.Converged {
-				t.Errorf("matfree=%v: all-free-slip solve failed to converge: %v after %d",
-					mfree, res.Residual, res.Iterations)
+				t.Errorf("gmg=%v: all-free-slip solve failed to converge: %v after %d",
+					gmg, res.Residual, res.Iterations)
 			}
 			// The solution must stay orthogonal to the projected-out modes.
 			for k, mode := range s.null {
 				if a := math.Abs(x.Dot(mode)); a > 1e-8*math.Max(x.Norm2(), 1) {
-					t.Errorf("matfree=%v: solution has rotation-mode %d component %v", mfree, k, a)
+					t.Errorf("gmg=%v: solution has rotation-mode %d component %v", gmg, k, a)
 				}
 			}
 		})
@@ -230,7 +232,7 @@ func TestSlipIterationsLevelIndependent(t *testing.T) {
 				eta[i] = 1
 			}
 			force := shellForce(m)
-			opts := Options{MatrixFree: true, Precond: PrecondGMG,
+			opts := Options{Precond: PrecondGMG,
 				Slip: ShellSlipNormals(g.RInner, g.ROuter, false, true)}
 			s := Assemble(m, dom, eta, force, RadialNoSlipInner(g.RInner, g.ROuter), opts)
 			_, res := s.Solve(1e-8, 4000)

@@ -4,15 +4,16 @@
 //	-div( eta (grad u + grad u^T) ) + grad p = f
 //	 div u                                   = 0  (stabilized)
 //
-// assembled as one symmetric saddle-point matrix, solved by preconditioned
-// MINRES with the block-diagonal preconditioner
+// applied matrix-free as one symmetric saddle-point operator (package
+// matfree), solved by preconditioned MINRES with the block-diagonal
+// preconditioner
 //
 //	P = diag( A~ , S~ )
 //
 // where A~ is a variable-viscosity discrete vector Laplacian approximated
-// by one AMG V-cycle per component, and S~ is the inverse-viscosity-
-// weighted lumped pressure mass matrix, spectrally equivalent to the
-// Schur complement.
+// by one multigrid V-cycle (geometric, or algebraic per component), and
+// S~ is the inverse-viscosity-weighted lumped pressure mass matrix,
+// spectrally equivalent to the Schur complement.
 //
 // Degrees of freedom are interleaved per node: dof(g,c) = 4 g + c with
 // c = 0,1,2 the velocity components and c = 3 the pressure. Because node
@@ -24,11 +25,11 @@
 // and free-slip frame tables (one ghost exchange over the mesh's own
 // plan), the matrix-free operator's constraint lists, and the GMG level
 // hierarchy with its transfer stencils. Update refreshes everything that
-// depends on the viscosity and body force: operator kernels or CSR
-// values, the right-hand side, multigrid smoother diagonals, the coarse
-// AMG, and the Schur diagonal. A convection loop calls Setup once per
-// mesh adaptation and Update once per Picard iteration; Assemble remains
-// the one-shot composition of the two.
+// depends on the viscosity and body force: the operator's viscosity,
+// the right-hand side, multigrid smoother diagonals, the coarse AMG, and
+// the Schur diagonal. A convection loop calls Setup once per mesh
+// adaptation and Update once per Picard iteration; Assemble remains the
+// one-shot composition of the two.
 package stokes
 
 import (
@@ -164,17 +165,16 @@ func frameFor(n [3]float64) [3][3]float64 {
 
 // Solver is a Stokes problem plus its preconditioner, split into cached
 // mesh-dependent state (built once by Setup) and viscosity-dependent
-// state (refreshed by Update). The coupled operator is either an
-// assembled distributed CSR (A) or a matrix-free per-element apply (MF),
-// selected by Options.MatrixFree; Op is whichever one Solve iterates
-// with. A Solver is only usable after at least one Update.
+// state (refreshed by Update). The coupled operator is the matrix-free
+// per-element apply MF for every order, mesh and boundary condition; Op
+// is the same operator as the krylov.Operator Solve iterates with. A
+// Solver is only usable after at least one Update.
 type Solver struct {
 	M      *mesh.Mesh
 	Dom    fem.Domain
 	Layout *la.Layout        // 4N dof layout
-	A      *la.Mat           // coupled saddle-point operator (nil in matrix-free mode)
-	MF     *matfree.Operator // matrix-free apply, Q1 or Q2 (nil in assembled mode)
-	Op     krylov.Operator   // the operator Solve uses
+	MF     *matfree.Operator // matrix-free apply, Q1 or Q2
+	Op     krylov.Operator   // MF, the operator Solve uses
 	B      *la.Vec           // right-hand side
 
 	// GMGH is the geometric multigrid hierarchy backing the velocity
@@ -198,12 +198,6 @@ type Solver struct {
 	// AMG-preconditioner refresh path instead of re-running quadrature.
 	scalKern []fem.SymKernel
 	scalIdx  []int32
-	// stokesKern holds the per-element unit-viscosity coupled kernels the
-	// assembled path scales on every Update (fem.StokesKernelsFor: one per
-	// element on mapped meshes, one per octree level on axis-aligned
-	// ones; the matrix-free operator evaluates the same element operator
-	// at the quadrature points on every mesh and stores none).
-	stokesKern []*fem.StokesKernels
 
 	// Velocity-block preconditioner: on the GMG path one blocked V-cycle
 	// carrying all three components (velGMG; under the Q2 p-level for
@@ -265,36 +259,35 @@ type Options struct {
 	// (redundant) hierarchy. Cheaper setup, but Krylov iteration counts
 	// then grow with the rank count — see the ablation benchmarks.
 	LocalAMG bool
-	// MatrixFree skips assembling the coupled saddle-point CSR and
-	// applies the operator by fused per-element loops instead (package
-	// matfree). The preconditioner is unchanged. The apply agrees with
-	// the assembled operator to rounding.
+	// MatrixFree is not read: the coupled operator is always applied
+	// matrix-free (package matfree). It stays only because the benchmark
+	// harness copies it (ROADMAP item 1(v)).
 	MatrixFree bool
 	// MatFree is not read: the matrix-free element loop runs on the
 	// rank's goroutine (rhea.Config.Validate refuses MatFree.Workers > 1).
 	MatFree matfree.Options
 	// Slip marks free-slip boundary nodes and their outward normals. At
-	// each marked node the velocity operator (assembled or matrix-free)
-	// is conjugated into a rotated (normal, tangent, tangent) frame and
-	// only the normal component is constrained; the solution vector holds
-	// local-frame components there (SplitSolution rotates back). When the
-	// slip set leaves the 3 rigid rotations unconstrained (no Cartesian
-	// Dirichlet velocity anywhere), Solve projects them out of the Krylov
-	// space. Not supported with Order == 2.
+	// each marked node the velocity operator is conjugated into a rotated
+	// (normal, tangent, tangent) frame and only the normal component is
+	// constrained; the solution vector holds local-frame components there
+	// (SplitSolution rotates back). When the slip set leaves the 3 rigid
+	// rotations unconstrained (no Cartesian Dirichlet velocity anywhere),
+	// Solve projects them out of the Krylov space. Not supported with
+	// Order == 2.
 	Slip SlipNormal
 	// Order selects the velocity element order: 0 or 1 for the stabilized
 	// equal-order Q1-Q1 pair (default), 2 for Q2-Q1 Taylor-Hood with the
 	// sum-factorized matrix-free apply and the p-coarsened GMG velocity
-	// preconditioner. Order 2 requires MatrixFree, Precond == PrecondGMG,
-	// and a mesh with the Q2 node layer attached (mesh.ExtractQ2).
+	// preconditioner. Order 2 requires Precond == PrecondGMG and a mesh
+	// with the Q2 node layer attached (mesh.ExtractQ2).
 	Order int
 }
 
 // Setup builds the mesh- and BC-dependent half of the Stokes solver
 // (collective): the 4N dof layout, the velocity Dirichlet and free-slip
 // tables of every referenced node (one exchange), the matrix-free
-// operator's constraint lists (when Options.MatrixFree), and the GMG level hierarchy with transfer stencils
-// and per-component V-cycle structure (when Options.Precond ==
+// operator's constraint lists, and the GMG level hierarchy with transfer
+// stencils and per-component V-cycle structure (when Options.Precond ==
 // PrecondGMG). Nothing viscosity-dependent is computed; call Update with
 // the per-element viscosity and body force before Solve. The returned
 // Solver is cached by the convection time loop and survives unchanged
@@ -339,8 +332,8 @@ func Setup(m *mesh.Mesh, dom fem.Domain, bc VelBC, opts Options) *Solver {
 	pPinned := func(i int) bool { return m.Offset+int64(i) == 0 }
 	if opts.Order == 2 {
 		q2 := m.Q2
-		if !opts.MatrixFree || opts.Precond != PrecondGMG {
-			panic("stokes: Order 2 requires MatrixFree and PrecondGMG (no assembled or AMG path)")
+		if opts.Precond != PrecondGMG {
+			panic("stokes: Order 2 requires PrecondGMG (no AMG path)")
 		}
 		if q2 == nil {
 			panic("stokes: Order 2 requires the Q2 node layer — call mesh.ExtractQ2 and set Mesh.Q2")
@@ -354,20 +347,14 @@ func Setup(m *mesh.Mesh, dom fem.Domain, bc VelBC, opts Options) *Solver {
 	s.Layout = la.NewLayout(m.Rank, 4*n)
 	nFixedCart := s.constrain(n, gx, coord, pPinned)
 
-	switch {
-	case s.q2 != nil:
+	// The operator's constraint lists are mesh-dependent; the viscosity
+	// is attached by Update.
+	if s.q2 != nil {
 		s.MF = matfree.NewQ2(s.q2, dom, s.Layout, nil, s.cons)
-		s.Op = s.MF
-	case opts.MatrixFree:
-		// Constraint index lists and kernels are mesh-dependent; the
-		// viscosity is attached by Update.
+	} else {
 		s.MF = matfree.New(m, dom, s.Layout, nil, s.cons)
-		s.Op = s.MF
-	default:
-		// Assembled path: the unit kernels, scaled by the viscosity on
-		// every Update.
-		s.stokesKern = fem.StokesKernelsFor(m, dom)
 	}
+	s.Op = s.MF
 
 	if opts.Precond == PrecondGMG {
 		// Level meshes, transfer stencils and the blocked V-cycle's
@@ -516,7 +503,12 @@ func (s *Solver) buildNullSpace() {
 				r = [3]float64{-x[1], x[0], 0}
 			}
 			if Q := s.cons.Frames[i]; Q != nil {
-				r = matTVec(Q, r)
+				// Q^T r: the mode in the node's local frame.
+				r = [3]float64{
+					Q[0][0]*r[0] + Q[1][0]*r[1] + Q[2][0]*r[2],
+					Q[0][1]*r[0] + Q[1][1]*r[1] + Q[2][1]*r[2],
+					Q[0][2]*r[0] + Q[1][2]*r[1] + Q[2][2]*r[2],
+				}
 			}
 			for c := 0; c < 3; c++ {
 				if s.cons.Fixed[4*i+c] {
@@ -551,11 +543,10 @@ func (s *Solver) finishSetup() {
 }
 
 // Update refreshes the viscosity- and force-dependent half of the solver
-// (collective): the coupled operator (matrix-free kernel viscosities or a
-// re-assembled CSR), the right-hand side, the velocity-block multigrid
-// numerics (GMG smoother diagonals + coarsest-level factors via
-// Hierarchy.Rebuild, or re-assembled scalar CSRs + AMG hierarchies), and
-// the Schur diagonal.
+// (collective): the matrix-free operator's viscosity, the right-hand
+// side, the velocity-block multigrid numerics (GMG smoother diagonals +
+// coarsest-level factors via Hierarchy.Rebuild, or re-assembled scalar
+// CSRs + AMG hierarchies), and the Schur diagonal.
 // etaElem gives the constant viscosity of each local element; force gives
 // the body-force vector at each element corner (e.g. Ra*T*e_r), nil for
 // none. After Update the solver is numerically identical to a fresh
@@ -566,12 +557,8 @@ func (s *Solver) Update(etaElem []float64, force [][8][3]float64) *Solver {
 	}
 	m, dom, opts := s.M, s.Dom, s.opts
 
-	if opts.MatrixFree {
-		s.MF.SetViscosity(etaElem)
-		s.B = s.MF.RHS(force)
-	} else {
-		s.assembleCoupled(etaElem, force)
-	}
+	s.MF.SetViscosity(etaElem)
+	s.B = s.MF.RHS(force)
 
 	// --- Preconditioner ---------------------------------------------
 
@@ -679,224 +666,6 @@ func (s *Solver) updateSchur(etaElem []float64) {
 	}
 }
 
-// finishCoupled closes a coupled assembly (collective): identity rows
-// and boundary values for the constrained dofs owned here.
-func (s *Solver) finishCoupled(A *la.Mat, bb *la.VecBuilder) {
-	fixed := s.cons.Fixed[:4*s.M.NumOwned]
-	for d, is := range fixed {
-		if g := 4*s.M.Offset + int64(d); is {
-			A.AddValue(g, g, 1)
-		}
-	}
-	A.Assemble()
-	b := bb.Finalize()
-	for d, is := range fixed {
-		if is {
-			b.Data[d] = s.cons.Val[d]
-		}
-	}
-	s.A, s.B = A, b
-	s.Op = A
-}
-
-// matTVec returns Q^T v (Cartesian -> local components).
-func matTVec(Q *[3][3]float64, v [3]float64) [3]float64 {
-	return [3]float64{
-		Q[0][0]*v[0] + Q[1][0]*v[1] + Q[2][0]*v[2],
-		Q[0][1]*v[0] + Q[1][1]*v[1] + Q[2][1]*v[2],
-		Q[0][2]*v[0] + Q[1][2]*v[1] + Q[2][2]*v[2],
-	}
-}
-
-// vecMat returns v^T Q, the row vector v with its columns rotated into
-// the local frame of the column node.
-func vecMat(v [3]float64, Q *[3][3]float64) [3]float64 {
-	return [3]float64{
-		v[0]*Q[0][0] + v[1]*Q[1][0] + v[2]*Q[2][0],
-		v[0]*Q[0][1] + v[1]*Q[1][1] + v[2]*Q[2][1],
-		v[0]*Q[0][2] + v[1]*Q[1][2] + v[2]*Q[2][2],
-	}
-}
-
-// rotBlock conjugates the 3x3 Cartesian coupling block V into the row
-// node's and column node's local frames: Qa^T V Qb (each rotation only
-// where the node actually carries a frame).
-func rotBlock(Qa *[3][3]float64, aRot bool, V [3][3]float64, Qb *[3][3]float64, bRot bool) [3][3]float64 {
-	if aRot {
-		var W [3][3]float64
-		for i := 0; i < 3; i++ {
-			for j := 0; j < 3; j++ {
-				W[i][j] = Qa[0][i]*V[0][j] + Qa[1][i]*V[1][j] + Qa[2][i]*V[2][j]
-			}
-		}
-		V = W
-	}
-	if bRot {
-		var W [3][3]float64
-		for i := 0; i < 3; i++ {
-			for j := 0; j < 3; j++ {
-				W[i][j] = V[i][0]*Qb[0][j] + V[i][1]*Qb[1][j] + V[i][2]*Qb[2][j]
-			}
-		}
-		V = W
-	}
-	return V
-}
-
-// assembleCoupled builds the coupled saddle-point CSR and right-hand side
-// for the current viscosity and force (collective). The sparsity pattern
-// is mesh-dependent, but la.Mat freezes it at Assemble time, so the CSR
-// is rebuilt per Update; the cached Dirichlet maps are reused.
-//
-// At a node with a rotated boundary frame (free slip, cons.Frames) every
-// velocity coupling block is conjugated Qa^T V Qb into the local frames
-// of its row and column master nodes, grad-p columns and divergence rows
-// are rotated on their velocity side, and the body-force load lands in
-// the row node's local frame — after which the plain local-index
-// Dirichlet elimination constrains exactly the boundary-normal
-// components. Without frames (nil table) nothing rotates.
-func (s *Solver) assembleCoupled(etaElem []float64, force [][8][3]float64) {
-	m := s.M
-	fixed, val, frames := s.cons.Fixed, s.cons.Val, s.cons.Frames
-	A := la.NewMat(s.Layout)
-	bb := la.NewVecBuilder(s.Layout)
-
-	for ei := range m.Leaves {
-		// Scale the cached unit kernels — exactly what the matrix-free
-		// apply multiplies against.
-		eta := etaElem[ei]
-		k := s.stokesKern[ei]
-		Av, Bd, M8 := k.Av, k.Bd, k.M8
-		var Cs [8][8]float64
-		inv := 1 / eta
-		for a := 0; a < 24; a++ {
-			for b := 0; b < 24; b++ {
-				Av[a][b] *= eta
-			}
-		}
-		for a := 0; a < 8; a++ {
-			for b := 0; b < 8; b++ {
-				Cs[a][b] = inv * k.Cs[a][b]
-			}
-		}
-		var cs [8]mesh.Corner
-		for a := range cs {
-			cs[a] = m.Corner(ei, a)
-		}
-
-		// Consistent body-force load: F[a][i] = sum_b M8[a][b] f[b][i].
-		var F [8][3]float64
-		if force != nil {
-			for a := 0; a < 8; a++ {
-				for b := 0; b < 8; b++ {
-					for i := 0; i < 3; i++ {
-						F[a][i] += M8[a][b] * force[ei][b][i]
-					}
-				}
-			}
-		}
-
-		for a := 0; a < 8; a++ {
-			for ia := 0; ia < int(cs[a].N); ia++ {
-				sa, wa := int(cs[a].Slot[ia]), cs[a].W[ia]
-				ga := m.GID(cs[a].Slot[ia])
-				var Qa *[3][3]float64
-				if frames != nil {
-					Qa = frames[sa]
-				}
-				aRot := Qa != nil
-				fa := F[a]
-				if aRot {
-					fa = matTVec(Qa, fa)
-				}
-				var rowOK [3]bool
-				for i := 0; i < 3; i++ {
-					if !fixed[4*sa+i] {
-						rowOK[i] = true
-						bb.Add(4*ga+int64(i), wa*fa[i])
-					}
-				}
-				pFixed := fixed[4*sa+3]
-				for b := 0; b < 8; b++ {
-					for ib := 0; ib < int(cs[b].N); ib++ {
-						sb, wb := int(cs[b].Slot[ib]), cs[b].W[ib]
-						gb := m.GID(cs[b].Slot[ib])
-						w := wa * wb
-						var Qb *[3][3]float64
-						if frames != nil {
-							Qb = frames[sb]
-						}
-						bRot := Qb != nil
-						var V [3][3]float64
-						for i := 0; i < 3; i++ {
-							for j := 0; j < 3; j++ {
-								V[i][j] = Av[3*a+i][3*b+j]
-							}
-						}
-						if aRot || bRot {
-							V = rotBlock(Qa, aRot, V, Qb, bRot)
-						}
-						G := [3]float64{Bd[b][3*a], Bd[b][3*a+1], Bd[b][3*a+2]}
-						if aRot {
-							G = matTVec(Qa, G)
-						}
-						D := [3]float64{Bd[a][3*b], Bd[a][3*b+1], Bd[a][3*b+2]}
-						if bRot {
-							D = vecMat(D, Qb)
-						}
-						for i := 0; i < 3; i++ {
-							if !rowOK[i] {
-								continue
-							}
-							row := 4*ga + int64(i)
-							for j := 0; j < 3; j++ {
-								v := w * V[i][j]
-								if v == 0 {
-									continue
-								}
-								if fixed[4*sb+j] {
-									bb.Add(row, -v*val[4*sb+j])
-								} else {
-									A.AddValue(row, 4*gb+int64(j), v)
-								}
-							}
-							if v := w * G[i]; v != 0 {
-								if fixed[4*sb+3] {
-									bb.Add(row, -v*val[4*sb+3])
-								} else {
-									A.AddValue(row, 4*gb+3, v)
-								}
-							}
-						}
-						if !pFixed {
-							prow := 4*ga + 3
-							for j := 0; j < 3; j++ {
-								v := w * D[j]
-								if v == 0 {
-									continue
-								}
-								if fixed[4*sb+j] {
-									bb.Add(prow, -v*val[4*sb+j])
-								} else {
-									A.AddValue(prow, 4*gb+int64(j), v)
-								}
-							}
-							if v := -w * Cs[a][b]; v != 0 {
-								if fixed[4*sb+3] {
-									bb.Add(prow, -v*val[4*sb+3])
-								} else {
-									A.AddValue(prow, 4*gb+3, v)
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	s.finishCoupled(A, bb)
-}
-
 // NodeSlots returns the view of the solver mesh's node numbering the
 // benchmark harness reads (matfree.NodeSlots).
 func (s *Solver) NodeSlots() *matfree.SlotMap { return matfree.NodeSlots(s.M) }
@@ -961,9 +730,8 @@ func (s *Solver) Precond() krylov.Operator {
 	})
 }
 
-// Solve runs preconditioned MINRES from a zero initial guess, using the
-// assembled or matrix-free operator per Options.MatrixFree, and returns
-// the solution with the result. The solve depends on the current
+// Solve runs preconditioned MINRES from a zero initial guess on the
+// matrix-free operator and returns the solution with the result. The solve depends on the current
 // operator and right-hand side alone, and its stop test is relative to
 // the right-hand side. When the free-slip configuration leaves the
 // rigid rotations unconstrained, the iteration runs on the orthogonal

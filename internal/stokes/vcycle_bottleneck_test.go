@@ -98,14 +98,14 @@ func TestVcycleIsNotTheBottleneck(t *testing.T) {
 				}
 			}
 			return Assemble(m, fem.UnitDomain, eta, shellForce(m), RadialNoSlipInner(g.RInner, g.ROuter), Options{
-				MatrixFree: true, Precond: PrecondGMG,
-				Slip: ShellSlipNormals(g.RInner, g.ROuter, false, true),
+				Precond: PrecondGMG,
+				Slip:    ShellSlipNormals(g.RInner, g.ROuter, false, true),
 			}), eta
 		}},
 		{"adapted free-slip box", func(r *sim.Rank) (*Solver, []float64) {
 			m, eta, force := regressionProblem(r, 1e3)
 			return Assemble(m, fem.UnitDomain, eta, force, FreeSlip(fem.UnitDomain.Box), Options{
-				MatrixFree: true, Precond: PrecondGMG,
+				Precond: PrecondGMG,
 			}), eta
 		}},
 	}
