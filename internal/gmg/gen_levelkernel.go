@@ -21,9 +21,12 @@
 // Go loop once for all three: zero, then eight times broadcast K(a, b),
 // VMULPD, VADDPD in corner order, then the product with eta, the same
 // operations as the Go loop's per field, never fused into an FMA. It
-// runs maximal stretches of elements without a hanging corner and hands
-// back at the first element with one, which the Go loop does; elements
-// stay in order, so every accumulation keeps its order.
+// runs every element in order, so every accumulation keeps its order.
+// An element without a hanging corner runs straight-line code; one with
+// a hanging corner runs a second copy that branches per corner: a
+// hanging corner sums its masters from zero in master order at weight
+// 1/N (read from a table of 1/1..1/4), and its row adds w*s into each
+// master in master order, as the Go loop's scatterHang3 does.
 package main
 
 import (
@@ -31,6 +34,7 @@ import (
 	"fmt"
 	"go/format"
 	"log"
+	"math"
 	"os"
 	"unsafe"
 
@@ -160,6 +164,10 @@ func main() {
 var (
 	kernSize = int(unsafe.Sizeof(fem.SymKernel{}))
 	rowSize  = int(unsafe.Sizeof(mesh.Mesh{}.Rows[0]))
+	hangSize = int(unsafe.Sizeof(mesh.Hang{}))
+	hangN    = int(unsafe.Offsetof(mesh.Hang{}.N))
+	hangSlot = int(unsafe.Offsetof(mesh.Hang{}.Slot))
+	maxN     = len(mesh.Hang{}.Slot)
 )
 
 func write(name string, code []byte) {
@@ -193,58 +201,143 @@ func genAsm() {
 	}
 	p("GLOBL levelmask3<>(SB), RODATA|NOPTR, $32")
 	p("")
-	p("// func levelRun3(rows *[8]int32, kern *fem.SymKernel, kidx *int32, eta *float64, x, acc *float64, n int) int")
-	p("TEXT ·levelRun3(SB), NOSPLIT, $0-64")
+	p("// The weight of each master of a hanging corner with N masters,")
+	p("// mesh.Hang.W, at N*8 (N = 0 has no masters and reads none).")
+	for n := 0; n <= maxN; n++ {
+		var v float64
+		if n > 0 {
+			v = (&mesh.Hang{N: int32(n)}).W()
+		}
+		p("DATA levelw<>+%d(SB)/8, $0x%016x", 8*n, math.Float64bits(v))
+	}
+	p("GLOBL levelw<>(SB), RODATA|NOPTR, $%d", 8*(maxN+1))
+	p("")
+	p("// func levelRun3(rows *[8]int32, kern *fem.SymKernel, kidx *int32, eta *float64, hang *mesh.Hang, x, acc *float64, n int) int")
+	p("TEXT ·levelRun3(SB), NOSPLIT, $0-72")
 	w("MOVQ rows+0(FP), SI")
 	w("MOVQ kern+8(FP), R8")
 	w("MOVQ kidx+16(FP), R9")
 	w("MOVQ eta+24(FP), R10")
-	w("MOVQ x+32(FP), DI")
-	w("MOVQ acc+40(FP), DX")
-	w("MOVQ n+48(FP), CX")
+	w("MOVQ hang+32(FP), R12")
+	w("MOVQ x+40(FP), DI")
+	w("MOVQ acc+48(FP), DX")
+	w("MOVQ n+56(FP), CX")
 	w("XORQ AX, AX")
 	w("VMOVDQU levelmask3<>(SB), Y15")
+	// element emits one element's body; with hanging set, every corner
+	// and row branches on the sign of its row entry.
+	element := func(hanging bool) {
+		w("MOVLQSX (R9)(AX*4), BX")
+		w("IMUL3Q $%d, BX, BX", kernSize)
+		w("ADDQ R8, BX")
+		w("VBROADCASTSD (R10)(AX*8), Y13")
+		if hanging {
+			p("\t// R9: the weight table; R12: the hanging table; R13: one entry of it.")
+			w("LEAQ levelw<>(SB), R9")
+		}
+		// hangEntry points R13 at the entry ^R11 of the hanging table,
+		// puts its N in R10 and broadcasts its weight into Y9.
+		hangEntry := func() {
+			w("NOTQ R11")
+			w("IMUL3Q $%d, R11, R13", hangSize)
+			w("ADDQ R12, R13")
+			w("MOVLQSX %d(R13), R10", hangN)
+			w("VBROADCASTSD (R9)(R10*8), Y9")
+		}
+		// masters emits body once per master k, in order, stopping after
+		// the N-th at label end; R11 holds 3 * the master's slot.
+		masters := func(end string, body func()) {
+			for k := 0; k < maxN; k++ {
+				w("CMPQ R10, $%d", k+1)
+				w("JLT %s", end)
+				w("MOVLQSX %d(R13), R11", hangSlot+4*k)
+				w("LEAQ (R11)(R11*2), R11")
+				body()
+			}
+		}
+		p("\t// Y0..Y7: the three fields of corners 0..7.")
+		for b := 0; b < 8; b++ {
+			w("MOVLQSX %d(SI), R11", 4*b)
+			if hanging {
+				w("TESTQ R11, R11")
+				w("JLT gh%d", b)
+			}
+			w("LEAQ (R11)(R11*2), R11")
+			w("VMASKMOVPD (DI)(R11*8), Y15, Y%d", b)
+			if hanging {
+				w("JMP gd%d", b)
+				p("gh%d:", b)
+				p("\t// A hanging corner: its masters' fields at weight w, summed from zero.")
+				hangEntry()
+				w("VXORPD Y%d, Y%d, Y%d", b, b, b)
+				masters(fmt.Sprintf("gd%d", b), func() {
+					w("VMASKMOVPD (DI)(R11*8), Y15, Y10")
+					w("VMULPD Y10, Y9, Y10")
+					w("VADDPD Y10, Y%d, Y%d", b, b)
+				})
+				p("gd%d:", b)
+			}
+		}
+		for a := 0; a < 8; a++ {
+			p("\t// Row %d, scaled by eta and added to the corner's three values.", a)
+			w("VXORPD Y8, Y8, Y8")
+			for b := 0; b < 8; b++ {
+				w("VBROADCASTSD %d(BX), Y9", 8*off(a, b))
+				w("VMULPD Y%d, Y9, Y9", b)
+				w("VADDPD Y9, Y8, Y8")
+			}
+			w("VMULPD Y13, Y8, Y8")
+			w("MOVLQSX %d(SI), R11", 4*a)
+			if hanging {
+				w("TESTQ R11, R11")
+				w("JLT sh%d", a)
+			}
+			w("LEAQ (R11)(R11*2), R11")
+			w("VMOVUPD (DX)(R11*8), X10")
+			w("VADDPD X8, X10, X10")
+			w("VMOVUPD X10, (DX)(R11*8)")
+			w("VEXTRACTF128 $1, Y8, X11")
+			w("VADDSD 16(DX)(R11*8), X11, X11")
+			w("VMOVSD X11, 16(DX)(R11*8)")
+			if hanging {
+				w("JMP sd%d", a)
+				p("sh%d:", a)
+				p("\t// A hanging corner: w times the row added into each master.")
+				hangEntry()
+				w("VMULPD Y8, Y9, Y9")
+				w("VEXTRACTF128 $1, Y9, X11")
+				masters(fmt.Sprintf("sd%d", a), func() {
+					w("VMOVUPD (DX)(R11*8), X10")
+					w("VADDPD X9, X10, X10")
+					w("VMOVUPD X10, (DX)(R11*8)")
+					w("VADDSD 16(DX)(R11*8), X11, X12")
+					w("VMOVSD X12, 16(DX)(R11*8)")
+				})
+				p("sd%d:", a)
+			}
+		}
+		if hanging {
+			w("MOVQ kidx+16(FP), R9")
+			w("MOVQ eta+24(FP), R10")
+		}
+		w("ADDQ $%d, SI", rowSize)
+		w("INCQ AX")
+		w("JMP loop")
+	}
 	p("loop:")
 	w("CMPQ AX, CX")
 	w("JGE done")
-	p("\t// Stop at an element with a hanging corner (a negative row entry).")
+	p("\t// An element with a hanging corner (a negative row entry) runs the")
+	p("\t// branching copy.")
 	w("VMOVDQU (SI), Y14")
 	w("VMOVMSKPS Y14, BX")
 	w("TESTL BX, BX")
-	w("JNE done")
-	w("MOVLQSX (R9)(AX*4), BX")
-	w("IMUL3Q $%d, BX, BX", kernSize)
-	w("ADDQ R8, BX")
-	w("VBROADCASTSD (R10)(AX*8), Y13")
-	p("\t// Y0..Y7: the three fields of corners 0..7.")
-	for b := 0; b < 8; b++ {
-		w("MOVLQSX %d(SI), R11", 4*b)
-		w("LEAQ (R11)(R11*2), R11")
-		w("VMASKMOVPD (DI)(R11*8), Y15, Y%d", b)
-	}
-	for a := 0; a < 8; a++ {
-		p("\t// Row %d, scaled by eta and added to the corner's three values.", a)
-		w("VXORPD Y8, Y8, Y8")
-		for b := 0; b < 8; b++ {
-			w("VBROADCASTSD %d(BX), Y9", 8*off(a, b))
-			w("VMULPD Y%d, Y9, Y9", b)
-			w("VADDPD Y9, Y8, Y8")
-		}
-		w("VMULPD Y13, Y8, Y8")
-		w("MOVLQSX %d(SI), R11", 4*a)
-		w("LEAQ (R11)(R11*2), R11")
-		w("VMOVUPD (DX)(R11*8), X10")
-		w("VADDPD X8, X10, X10")
-		w("VMOVUPD X10, (DX)(R11*8)")
-		w("VEXTRACTF128 $1, Y8, X11")
-		w("VADDSD 16(DX)(R11*8), X11, X11")
-		w("VMOVSD X11, 16(DX)(R11*8)")
-	}
-	w("ADDQ $%d, SI", rowSize)
-	w("INCQ AX")
-	w("JMP loop")
+	w("JNE hanging")
+	element(false)
+	p("hanging:")
+	element(true)
 	p("done:")
-	w("MOVQ AX, ret+56(FP)")
+	w("MOVQ AX, ret+64(FP)")
 	w("VZEROUPPER")
 	w("RET")
 	write("levelkernel_amd64.s", buf.Bytes())
@@ -262,30 +355,35 @@ func genAsm() {
 	p(")")
 	p("")
 	p(`// levelRun3 is applyRange3 in AVX2 over the n elements from rows[0] on
-// (levelkernel_amd64.s): kidx and eta point at those elements' entries,
-// kern at the level's first kernel, x and acc at slot 0. It stops before
-// the first element with a hanging corner and returns how many it did.
+// (levelkernel_amd64.s), hanging corners included: kidx and eta point at
+// those elements' entries, kern at the level's first kernel, hang at the
+// mesh's hanging table (nil when it is empty), x and acc at slot 0. It
+// returns n, the number of elements it did.
 //
 //go:noescape
-func levelRun3(rows *[8]int32, kern *fem.SymKernel, kidx *int32, eta *float64, x, acc *float64, n int) int`)
+func levelRun3(rows *[8]int32, kern *fem.SymKernel, kidx *int32, eta *float64, hang *mesh.Hang, x, acc *float64, n int) int`)
 	p("")
 	p(`// The layout levelRun3 reads; TestLevelKernelLayout fails when it
 // changes, and so does applyElems3 on an AVX2 CPU.
 const (
 	asmKernSize = %d
 	asmRowSize  = %d
-)`, kernSize, rowSize)
+	asmHangSize = %d
+	asmHangN    = %d
+	asmHangSlot = %d
+)`, kernSize, rowSize, hangSize, hangN, hangSlot)
 	p("")
-	p(`// applyElems3 runs applyRange3 over every element: on AVX2 CPUs the
-// stretches without a hanging corner in levelRun3 and each element with
-// one in the Go loop, in element order.
+	p(`// applyElems3 runs applyRange3 over every element: on AVX2 CPUs in one
+// levelRun3 call, elements with a hanging corner included.
 func (lv *level) applyElems3(x, acc []float64) {
 	rows := lv.mesh.Rows
 	if !fem.HasAVX2() {
 		lv.applyRange3(x, acc, 0, len(rows))
 		return
 	}
-	if unsafe.Sizeof(fem.SymKernel{}) != asmKernSize || unsafe.Sizeof(mesh.Mesh{}.Rows[0]) != asmRowSize {
+	var h mesh.Hang
+	if unsafe.Sizeof(fem.SymKernel{}) != asmKernSize || unsafe.Sizeof(rows[0]) != asmRowSize ||
+		unsafe.Sizeof(h) != asmHangSize || unsafe.Offsetof(h.N) != asmHangN || unsafe.Offsetof(h.Slot) != asmHangSlot {
 		panic("gmg: the level kernel layout changed: run go generate ./internal/gmg")
 	}
 	lv.applyVec3(x, acc)
@@ -293,13 +391,8 @@ func (lv *level) applyElems3(x, acc []float64) {
 
 // applyVec3 is applyElems3 on an AVX2 CPU.
 func (lv *level) applyVec3(x, acc []float64) {
-	rows := lv.mesh.Rows
-	for lo := 0; lo < len(rows); {
-		lo += levelRun3(&rows[lo], &lv.kern[0], &lv.kidx[lo], &lv.eta[lo], &x[0], &acc[0], len(rows)-lo)
-		if lo < len(rows) {
-			lv.applyRange3(x, acc, lo, lo+1)
-			lo++
-		}
+	if rows := lv.mesh.Rows; len(rows) > 0 {
+		levelRun3(&rows[0], &lv.kern[0], &lv.kidx[0], &lv.eta[0], unsafe.SliceData(lv.mesh.Hang), &x[0], &acc[0], len(rows))
 	}
 }`)
 	write("levelkernel_amd64.go", gofmt(buf.Bytes()))

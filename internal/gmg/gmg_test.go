@@ -268,14 +268,21 @@ func mustDinv(h *Hierarchy, bcd *fem.BCData, m *mesh.Mesh, dom fem.Domain, eta [
 
 // benchMeshes are the single-rank meshes the benchmarks run on: adapted
 // boxes, whose kernels are shared per octree level and stay in cache,
-// and the uniform level-3 cubed-sphere shell, where every element streams
-// its own kernel. Each comes with a Dirichlet set on its boundary.
+// the uniform level-3 cubed-sphere shell, where every element streams
+// its own kernel, and two meshes where many elements have a hanging
+// corner: the adapted shell (half of them) and the front box at base
+// level 3 (two thirds). Each comes with a Dirichlet set on its boundary.
 func benchMeshes() []struct {
 	name  string
 	build func(r *sim.Rank) (*mesh.Mesh, fem.ScalarBC)
 } {
 	box := func(lvl uint8) func(r *sim.Rank) (*mesh.Mesh, fem.ScalarBC) {
 		return func(r *sim.Rank) (*mesh.Mesh, fem.ScalarBC) { return buildMesh(r, lvl, true), zeroBC }
+	}
+	g := mesh.NewShellGeometry(forest.CubedSphere(2))
+	shellBC := func(x [3]float64) (float64, bool) {
+		rad := math.Sqrt(x[0]*x[0] + x[1]*x[1] + x[2]*x[2])
+		return 0, rad < g.RInner+1e-9 || rad > g.ROuter-1e-9
 	}
 	return []struct {
 		name  string
@@ -285,14 +292,25 @@ func benchMeshes() []struct {
 		{"level4", box(4)},
 		{"shell3", func(r *sim.Rank) (*mesh.Mesh, fem.ScalarBC) {
 			conn := forest.CubedSphere(2)
-			g := mesh.NewShellGeometry(conn)
-			bc := func(x [3]float64) (float64, bool) {
-				rad := math.Sqrt(x[0]*x[0] + x[1]*x[1] + x[2]*x[2])
-				return 0, rad < g.RInner+1e-9 || rad > g.ROuter-1e-9
-			}
-			return mesh.Extract(forest.New(r, conn, 3), g), bc
+			return mesh.Extract(forest.New(r, conn, 3), mesh.NewShellGeometry(conn)), shellBC
 		}},
+		{"shell-adapted", func(r *sim.Rank) (*mesh.Mesh, fem.ScalarBC) { return adaptedShell(r), shellBC }},
+		{"front3", func(r *sim.Rank) (*mesh.Mesh, fem.ScalarBC) { return frontBox(r, 3), zeroBC }},
 	}
+}
+
+// hangingShare is the share of m's elements with a hanging corner.
+func hangingShare(m *mesh.Mesh) float64 {
+	n := 0
+	for _, row := range m.Rows {
+		for _, s := range row {
+			if s < 0 {
+				n++
+				break
+			}
+		}
+	}
+	return float64(n) / float64(len(m.Rows))
 }
 
 // BenchmarkGMGVcycle times one V-cycle application on a single rank at
@@ -335,13 +353,15 @@ var vecLoop3 func(lv *level, x, acc []float64)
 
 // BenchmarkLevelApply times one application of the finest level's
 // operator — the element loop over the corner rows and unit kernels, the
-// ghost exchange and the Dirichlet rows — and reports it per element.
-// On the shell every element reads its own 288-byte kernel. The
+// ghost exchange and the Dirichlet rows — and reports it per element,
+// with the share of elements that have a hanging corner (hang-frac).
+// On the shells every element reads its own 288-byte kernel. The
 // width3-loop sub-benchmarks time the width-3 element loop alone: go is
 // the generated Go loop, avx2 the vector loop (skipped without AVX2).
 func BenchmarkLevelApply(bench *testing.B) {
-	perElem := func(bench *testing.B, ne int) {
-		bench.ReportMetric(float64(bench.Elapsed().Nanoseconds())/float64(bench.N)/float64(ne), "ns/elem")
+	perElem := func(bench *testing.B, m *mesh.Mesh) {
+		bench.ReportMetric(float64(bench.Elapsed().Nanoseconds())/float64(bench.N)/float64(len(m.Leaves)), "ns/elem")
+		bench.ReportMetric(hangingShare(m), "hang-frac")
 	}
 	for _, bm := range benchMeshes() {
 		for _, w := range []int{1, 3} {
@@ -364,7 +384,7 @@ func BenchmarkLevelApply(bench *testing.B) {
 						o.apply(x, y)
 					}
 					bench.StopTimer()
-					perElem(bench, len(m.Leaves))
+					perElem(bench, m)
 				})
 			})
 		}
@@ -390,7 +410,7 @@ func BenchmarkLevelApply(bench *testing.B) {
 						}
 					}
 					bench.StopTimer()
-					perElem(bench, len(m.Leaves))
+					perElem(bench, m)
 				})
 			})
 		}

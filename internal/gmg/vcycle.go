@@ -110,7 +110,8 @@ func (o *levelOp) apply(x, y []float64) {
 // The element loops applyElems1 and applyRange3, which read the packed
 // kernels at fixed offsets, are generated straight-line code in
 // levelkernel.go; so are the AVX2 form of the width-3 loop
-// (levelkernel_amd64.s) and applyElems3, which picks it on AVX2 CPUs.
+// (levelkernel_amd64.s), which runs every element, hanging corners
+// included, and applyElems3, which picks it on AVX2 CPUs.
 //go:generate go run gen_levelkernel.go
 
 // scatterHang1 adds one element row's value s at a hanging corner's

@@ -30,10 +30,27 @@ func frontBox(r *sim.Rank, passes int) *forest.Forest {
 	return f
 }
 
+// hangingShare is the share of m's elements with a hanging corner.
+func hangingShare(m *mesh.Mesh) float64 {
+	n := 0
+	for _, row := range m.Rows {
+		for _, s := range row {
+			if s < 0 {
+				n++
+				break
+			}
+		}
+	}
+	return float64(n) / float64(len(m.Rows))
+}
+
 // BenchmarkApply times one Q1 matrix-free Apply on one rank, reported
-// per element: on the front box refined twice (bricks
-// of three octree levels, one shared geometry per level) and on the
-// uniform level-3 shell (12 288 elements, a geometry per element).
+// per element with the share of elements that have a hanging corner
+// (hang-frac): on the front box refined twice (bricks of three octree
+// levels, one shared geometry per level), on the uniform level-3 shell
+// (12 288 elements, a geometry per element) and on the level-1 shell
+// refined on three trees and again along a face of one (half of its
+// elements have a hanging corner).
 func BenchmarkApply(b *testing.B) {
 	shell := forest.CubedSphere(2)
 	for _, c := range []struct {
@@ -43,6 +60,13 @@ func BenchmarkApply(b *testing.B) {
 		{"box", func(r *sim.Rank) *mesh.Mesh { return mesh.Extract(frontBox(r, 2), nil) }},
 		{"shell", func(r *sim.Rank) *mesh.Mesh {
 			return mesh.Extract(forest.New(r, shell, 3), mesh.NewShellGeometry(shell))
+		}},
+		{"shell-adapted", func(r *sim.Rank) *mesh.Mesh {
+			f := forest.New(r, shell, 1)
+			f.Refine(func(o forest.Octant) bool { return o.Tree < 3 })
+			f.Refine(func(o forest.Octant) bool { return o.Tree == 1 && o.O.Level == 2 && o.O.X == 0 })
+			f.Balance()
+			return mesh.Extract(f, mesh.NewShellGeometry(shell))
 		}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
@@ -62,6 +86,7 @@ func BenchmarkApply(b *testing.B) {
 					op.Apply(x, y)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(m.Leaves)), "ns/elem")
+				b.ReportMetric(hangingShare(m), "hang-frac")
 			})
 		})
 	}

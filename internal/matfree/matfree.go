@@ -5,7 +5,8 @@
 // the results through the hanging-node constraint weights. One element
 // operator serves every mesh: the action is evaluated at the quadrature
 // points from the element's geometry (fem.ElemGeom.StokesApply, four
-// elements per AVX2 register where the CPU has it), reached through an
+// elements per AVX2 register where the CPU has it, gathered and scattered
+// by generated AVX2 too, hanging corners included), reached through an
 // 8-byte pointer per element (fem.ElemGeomOf). On mapped (forest, shell)
 // meshes the pointer leads into the geometry the mesh already caches, so
 // an apply streams 648 B of geometry per element (an inverse Jacobian and
@@ -30,6 +31,8 @@
 package matfree
 
 import (
+	"unsafe"
+
 	"rhea/internal/fem"
 	"rhea/internal/la"
 	"rhea/internal/mesh"
@@ -115,6 +118,7 @@ func New(m *mesh.Mesh, dom fem.Domain, layout *la.Layout, etaElem []float64, con
 	op.rows, op.hang, op.geos = m.Rows, m.Hang, fem.ElemGeomOf(m, dom)
 	op.loopFn = op.elementLoop
 	if fem.HasAVX2() {
+		checkLanesLayout()
 		op.loopFn = op.elementLoop4
 	}
 	return op
@@ -186,8 +190,8 @@ func scatterElem(row *[8]int32, hang []mesh.Hang, ye *[32]float64, dst []float64
 }
 
 // hangValue is a hanging corner's four dofs: its masters' blocks summed
-// from zero in master order at weight 1/N. Both gathers use it, so the
-// per-element and the four-lane loop round alike.
+// from zero in master order at weight 1/N. The four-lane loop's gather4
+// does the same operations in AVX2, so both loops round alike.
 func hangValue(h *mesh.Hang, src []float64) (v0, v1, v2, v3 float64) {
 	w := h.W()
 	for k := 0; k < int(h.N); k++ {
@@ -201,7 +205,8 @@ func hangValue(h *mesh.Hang, src []float64) (v0, v1, v2, v3 float64) {
 }
 
 // hangAdd adds a hanging corner's four results into each master's block
-// at weight 1/N, in master order (the transpose of hangValue).
+// at weight 1/N, in master order (the transpose of hangValue), as the
+// four-lane loop's scatter4 does in AVX2.
 func hangAdd(h *mesh.Hang, y0, y1, y2, y3 float64, dst []float64) {
 	w := h.W()
 	for k := 0; k < int(h.N); k++ {
@@ -233,53 +238,25 @@ func (op *Operator) elementsFrom(first int, src, dst []float64) {
 // one fem.StokesApply4 on their four geometry pointers (four bricks of
 // one level share one) and scattered one after the other, so every
 // accumulation into dst keeps elementLoop's order and the result is bit
-// for bit its result. The last (number of elements) mod 4 run
-// elementLoop.
+// for bit its result. The gather and scatter are generated AVX2
+// (gather4, scatter4), hanging corners included. The last (number of
+// elements) mod 4 run elementLoop.
 func (op *Operator) elementLoop4(src, dst []float64) {
 	var xe, ye fem.Lanes4
+	hang := unsafe.SliceData(op.hang)
 	ei := 0
 	for ; ei+4 <= len(op.rows); ei += 4 {
-		for l := 0; l < 4; l++ {
-			gatherLane(&op.rows[ei+l], op.hang, src, &xe, l)
-		}
+		rows := (*[4][8]int32)(op.rows[ei : ei+4])
+		gather4(rows, hang, &src[0], &xe)
 		fem.StokesApply4((*[4]*fem.ElemGeom)(op.geos[ei:ei+4]), (*[4]float64)(op.eta[ei:ei+4]), &xe, &ye)
-		for l := 0; l < 4; l++ {
-			scatterLane(&op.rows[ei+l], op.hang, &ye, l, dst)
-		}
+		scatter4(rows, hang, &ye, &dst[0])
 	}
 	op.elementsFrom(ei, src, dst)
 }
 
-// gatherLane is gatherElem into lane l of xe.
-func gatherLane(row *[8]int32, hang []mesh.Hang, src []float64, xe *fem.Lanes4, l int) {
-	l &= 3
-	for a := 0; a < 8; a++ {
-		x := xe[4*a : 4*a+4]
-		if s := row[a]; s >= 0 {
-			p := src[4*int(s) : 4*int(s)+4]
-			x[0][l], x[1][l], x[2][l], x[3][l] = p[0], p[1], p[2], p[3]
-			continue
-		}
-		x[0][l], x[1][l], x[2][l], x[3][l] = hangValue(&hang[^row[a]], src)
-	}
-}
-
-// scatterLane is scatterElem from lane l of ye.
-func scatterLane(row *[8]int32, hang []mesh.Hang, ye *fem.Lanes4, l int, dst []float64) {
-	l &= 3
-	for a := 0; a < 8; a++ {
-		y := ye[4*a : 4*a+4]
-		if s := row[a]; s >= 0 {
-			p := dst[4*int(s) : 4*int(s)+4]
-			p[0] += y[0][l]
-			p[1] += y[1][l]
-			p[2] += y[2][l]
-			p[3] += y[3][l]
-			continue
-		}
-		hangAdd(&hang[^row[a]], y[0][l], y[1][l], y[2][l], y[3][l], dst)
-	}
-}
+// The AVX2 gather and scatter of elementLoop4 are generated by
+// gen_lanes.go (lanes_amd64.s).
+//go:generate go run gen_lanes.go
 
 // rotFwd rotates the velocity blocks of the slot-space buffer at every
 // framed slot from local to Cartesian components: v <- Q v. The element
