@@ -3,9 +3,8 @@ package main
 // Ablation benchmarks for the design decisions called out in
 // docs/ARCHITECTURE.md: the linear (sorted-array) octree versus a
 // hash-set octree, the locality of space-filling-curve partitioning
-// versus random assignment, the block-AMG Stokes preconditioner versus
-// plain Jacobi, and AMG setup reuse across time steps versus rebuilding
-// every solve.
+// versus random assignment, and the block geometric-multigrid Stokes
+// preconditioner versus plain Jacobi.
 
 import (
 	"fmt"
@@ -13,7 +12,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"rhea/internal/amg"
 	"rhea/internal/fem"
 	"rhea/internal/forest"
 	"rhea/internal/krylov"
@@ -146,10 +144,11 @@ func BenchmarkAblation_PartitionLocality(b *testing.B) {
 }
 
 // BenchmarkAblation_PrecondChoice compares MINRES iteration counts for
-// the paper's block-diagonal AMG + weighted-mass preconditioner against
+// the paper's block-diagonal preconditioner (one geometric multigrid
+// V-cycle for the velocity block, weighted mass for the pressure) against
 // plain Jacobi on the same variable-viscosity Stokes system.
 func BenchmarkAblation_PrecondChoice(b *testing.B) {
-	var itersAMG, itersJacobi int
+	var itersGMG, itersJacobi int
 	for i := 0; i < b.N; i++ {
 		sim.Run(1, func(r *sim.Rank) {
 			tr := forest.New(r, unitBox, 3)
@@ -172,15 +171,15 @@ func BenchmarkAblation_PrecondChoice(b *testing.B) {
 			}
 			sys := stokes.Assemble(m, dom, eta, force, stokes.FreeSlip(dom.Box), stokes.Options{})
 			_, res := sys.Solve(1e-8, 3000)
-			itersAMG = res.Iterations
+			itersGMG = res.Iterations
 			x2 := la.NewVec(sys.Layout)
 			res2 := krylov.MINRES(sys.Op, absJacobi(sys.Op, sys.Layout), sys.B, x2, 1e-8, 3000)
 			itersJacobi = res2.Iterations
 		})
 	}
-	b.ReportMetric(float64(itersAMG), "iters/blockAMG")
+	b.ReportMetric(float64(itersGMG), "iters/blockGMG")
 	b.ReportMetric(float64(itersJacobi), "iters/jacobi")
-	if i := itersAMG; i >= itersJacobi {
+	if i := itersGMG; i >= itersJacobi {
 		fmt.Printf("warning: block preconditioner (%d) not beating Jacobi (%d)\n", i, itersJacobi)
 	}
 }
@@ -201,41 +200,4 @@ func absJacobi(op krylov.Operator, l *la.Layout) krylov.Operator {
 		inv.Data[i] = 1 / a
 	}
 	return krylov.DiagOp(inv)
-}
-
-// BenchmarkAblation_AMGSetupReuse compares rebuilding the AMG hierarchy
-// every application (setup-per-solve) against the paper's protocol of one
-// setup per adaptation reused over 16 steps.
-func BenchmarkAblation_AMGSetupReuse(b *testing.B) {
-	var A *la.CSR
-	sim.Run(1, func(r *sim.Rank) {
-		tr := forest.New(r, unitBox, 3)
-		m := mesh.Extract(tr, nil)
-		mat, _, _ := fem.AssembleScalar(m, fem.UnitDomain,
-			func(ei int, h [3]float64) [8][8]float64 { return fem.StiffnessGeom(fem.BrickElemGeom(h), 1) },
-			nil, func(x [3]float64) (float64, bool) { return 0, x[2] == 0 || x[2] == 1 })
-		A = mat.LocalCSR()
-	})
-	rhs := make([]float64, A.N)
-	x := make([]float64, A.N)
-	for i := range rhs {
-		rhs[i] = float64(i % 7)
-	}
-	b.Run("reuse", func(b *testing.B) {
-		h := amg.Setup(A, amg.Options{})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for c := 0; c < 16; c++ {
-				h.Cycle(rhs, x)
-			}
-		}
-	})
-	b.Run("rebuild", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for c := 0; c < 16; c++ {
-				h := amg.Setup(A, amg.Options{})
-				h.Cycle(rhs, x)
-			}
-		}
-	})
 }

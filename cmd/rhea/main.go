@@ -37,7 +37,6 @@ import (
 	"rhea/internal/morton"
 	"rhea/internal/rhea"
 	"rhea/internal/sim"
-	"rhea/internal/stokes"
 )
 
 // yielding is the default scenario, the paper's §VI headline experiment:
@@ -85,9 +84,7 @@ func main() {
 	target := flag.Int64("target", 0, "element budget for MarkElements")
 	ra := flag.Float64("ra", 0, "Rayleigh number")
 	sigmaY := flag.Float64("yield", 0, "use the §VI yielding viscosity law with this yield stress (0 = no yielding)")
-	precond := flag.String("precond", "", "velocity-block preconditioner: amg (algebraic multigrid on assembled scalar CSRs) or gmg (matrix-free geometric multigrid)")
-	localamg := flag.Bool("localamg", false, "per-rank block-Jacobi AMG hierarchies instead of the redundant global hierarchy (cheaper setup, more iterations)")
-	order := flag.Int("order", 0, "velocity element order: 1 for the stabilized equal-order Q1-Q1 pair, 2 for the Taylor-Hood Q2-Q1 pair (requires -precond gmg; runs on a uniform mesh at the base level, no AMR)")
+	order := flag.Int("order", 0, "velocity element order: 1 for the stabilized equal-order Q1-Q1 pair, 2 for the Taylor-Hood Q2-Q1 pair (runs on a uniform mesh at the base level, no AMR)")
 	slip := flag.String("slip", "", "free-slip shell boundaries: top (free outer surface) or both (shell scenarios only)")
 	ckptDir := flag.String("checkpoint", "", "write a committed snapshot under this directory after every cycle")
 	keep := flag.Int("keep", 0, "prune superseded snapshots after each checkpoint, keeping the newest N committed (0 = keep all; requires -checkpoint)")
@@ -117,17 +114,6 @@ func main() {
 			cfg.Ra = *ra
 		case "yield":
 			cfg.Visc = rhea.YieldingLaw(*sigmaY)
-		case "precond":
-			switch *precond {
-			case "amg":
-				cfg.Precond = stokes.PrecondAMG
-			case "gmg":
-				cfg.Precond = stokes.PrecondGMG
-			default:
-				fail("unknown -precond %q (want amg or gmg)", *precond)
-			}
-		case "localamg":
-			cfg.LocalAMG = *localamg
 		case "order":
 			cfg.Order = *order
 		case "slip":
@@ -169,7 +155,7 @@ func main() {
 		}
 		if fp := cfg.Fingerprint(); meta.ConfigFP != fp {
 			fail("-restore %s: snapshot configuration fingerprint %016x does not match these flags (%016x);\n"+
-				"pass the same scenario flags as the writing run (-case -slip -order -ra -base -max-level -target -precond -localamg)",
+				"pass the same scenario flags as the writing run (-case -slip -order -ra -base -max-level -target)",
 				*restore, meta.ConfigFP, fp)
 		}
 		if done := meta.Step / int64(cfg.AdaptEvery); done >= int64(c.Cycles) {

@@ -15,7 +15,6 @@ import (
 
 	"rhea/internal/fem"
 	"rhea/internal/rhea"
-	"rhea/internal/stokes"
 )
 
 // Bunge et al. physical constants. The benchmark is specified in SI
@@ -111,13 +110,11 @@ func bungeConfig(etaUM, jump float64) rhea.Config {
 		InitAdapt:   1,
 		MinresTol:   1e-9,
 		MinresMax:   4000,
-		Precond:     stokes.PrecondGMG,
 	}
 }
 
-// boxConfig is the repo's pinned unit-box Rayleigh–Bénard regression
-// (the AMG-preconditioned path), identical to the scenario
-// physics_test.go pins.
+// boxConfig is the repo's pinned unit-box Rayleigh–Bénard regression,
+// identical to the scenario physics_test.go pins.
 func boxConfig() rhea.Config {
 	return rhea.Config{
 		Dom:         fem.UnitDomain,
@@ -137,8 +134,7 @@ func boxConfig() rhea.Config {
 }
 
 // shellConfig is the repo's pinned no-slip cubed-sphere shell
-// regression (GMG-preconditioned), identical to the scenario
-// shell_test.go pins.
+// regression, identical to the scenario shell_test.go pins.
 func shellConfig() rhea.Config {
 	return rhea.Config{
 		Shell:       true,
@@ -154,14 +150,13 @@ func shellConfig() rhea.Config {
 		InitAdapt:   1,
 		MinresTol:   1e-9,
 		MinresMax:   3000,
-		Precond:     stokes.PrecondGMG,
 	}
 }
 
 var registry = []Case{
 	{
 		Name:   "box",
-		Desc:   "unit-box Rayleigh-Benard regression, Ra 1e4, matrix-free AMG",
+		Desc:   "unit-box Rayleigh-Benard regression, Ra 1e4, matrix-free GMG",
 		Cycles: 2,
 		Config: boxConfig,
 	},

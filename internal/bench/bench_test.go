@@ -50,12 +50,19 @@ import (
 // differently: Nu and Vrms moved by 3.2e-9 and 3.4e-9 relative (from
 // 32.1145642327 / 48.5525967802), the size of the case's spread over 1,
 // 2 and 4 ranks (3.1e-9 after), with 190 elements and 113 iterations
-// unchanged.
+// unchanged. It was re-pinned a fourth time when the velocity-block
+// preconditioner went AMG → GMG (the algebraic multigrid left the
+// repository): MINRES stops at the same relative tolerance 1e-9 with a
+// different preconditioner, so the solutions differ inside it. Nu and
+// Vrms moved by 1.3e-9 and 1.5e-9 relative (from 32.1145641287 /
+// 48.5525966166), inside the case's rank spread and far inside
+// crossRelTol; the element count is 190 after every cycle, as before,
+// and the final MINRES count went 113 → 117 (119 at 4 ranks).
 var refs = map[string]struct {
 	Nu, Vrms float64
 	Elems    int64
 }{
-	"box":    {32.1145641287, 48.5525966166, 190},
+	"box":    {32.1145641703, 48.5525966890, 190},
 	"shell":  {35.9954083191, 74.1663000266, 360},
 	"bunge1": {116.4968214274, 214.9813661638, 402},
 	"bunge2": {125.5047921526, 237.1020876622, 402},

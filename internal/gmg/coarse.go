@@ -31,7 +31,10 @@ const pivotTol = 1e-10
 // rows and columns identity, as fem.AssembleScalarWithBC builds them — and
 // factors it (local). A pivot that is not safely positive means the
 // operator is not SPD; that panics with the level, field and pivot
-// instead of handing the cycle a solve that is not one.
+// instead of handing the cycle a solve that is not one. A non-finite
+// pivot (a NaN or infinite viscosity) is a fault of the data, not of the
+// operator: the factor carries NaN into every solve, so the caller's
+// verdict on the non-finite result reports it.
 func factorCoarse(lv *level, bcd *fem.BCData, l, k int) coarseFactor {
 	m := lv.mesh
 	n := m.NumOwned
@@ -91,6 +94,10 @@ func cholesky(a []float64, n, l, k int) {
 		d := ri[i]
 		for _, v := range ri[:i] {
 			d -= v * v
+		}
+		if math.IsNaN(d) || math.IsInf(d, 0) {
+			ri[i] = math.NaN()
+			continue
 		}
 		if !(d > pivotTol*ri[i]) {
 			panic(fmt.Sprintf("gmg: coarsest level %d, field %d: Cholesky pivot %d of %d is %g (diagonal %g): the coarse operator is not positive definite",

@@ -1,8 +1,8 @@
 package gmg
 
 // Coarse-solve tests: the V-cycle with its one-rank Cholesky coarsest
-// level is a fixed linear operator, the factor solves exactly what the
-// distributed AMG-preconditioned CG it replaced solved iteratively, and
+// level is a fixed linear operator, the factor solves exactly what a
+// distributed preconditioned CG solves iteratively, and
 // an operator that is not positive definite is refused loudly at
 // set-up instead of being iterated on.
 
@@ -12,27 +12,25 @@ import (
 	"strings"
 	"testing"
 
-	"rhea/internal/amg"
 	"rhea/internal/fem"
 	"rhea/internal/krylov"
 	"rhea/internal/la"
 	"rhea/internal/sim"
 )
 
-// distributedRef is the coarsest-level solve the V-cycle ran before the
-// level was factored on one rank (amg.Distributed): CG preconditioned by
-// block-Jacobi AMG on the assembled operator, to a relative tolerance,
-// over whatever communicator held the level. It stays as the oracle the
-// dense Cholesky solve is held to.
+// distributedRef is an iterative coarsest-level solve over whatever
+// communicator holds the level: CG preconditioned by Jacobi on the
+// assembled operator, to a relative tolerance. It is the oracle the dense
+// Cholesky solve is held to.
 type distributedRef struct {
 	A     *la.Mat
-	pc    *amg.BlockJacobi
+	pc    krylov.Operator
 	rtol  float64
 	maxIt int
 }
 
-func newDistributedRef(A *la.Mat, opts amg.Options, rtol float64, maxIt int) *distributedRef {
-	return &distributedRef{A: A, pc: amg.NewBlockJacobi(A, opts), rtol: rtol, maxIt: maxIt}
+func newDistributedRef(A *la.Mat, rtol float64, maxIt int) *distributedRef {
+	return &distributedRef{A: A, pc: krylov.Jacobi(A), rtol: rtol, maxIt: maxIt}
 }
 
 // Apply solves A y = x from a zero initial guess (collective).
@@ -92,8 +90,8 @@ func TestVcycleIsLinear(t *testing.T) {
 }
 
 // TestCoarseCholeskyMatchesDistributedCG holds the coarsest level's dense
-// Cholesky solve, field by field, to the distributed AMG-preconditioned
-// CG solve it replaced, run to 1e-13 on the same assembled operator
+// Cholesky solve, field by field, to a distributed Jacobi-preconditioned
+// CG solve run to 1e-13 on the same assembled operator
 // (fem.AssembleScalarWithBC over the level's one-rank communicator):
 // they must agree to 1e-10.
 func TestCoarseCholeskyMatchesDistributedCG(t *testing.T) {
@@ -135,7 +133,7 @@ func TestCoarseCholeskyMatchesDistributedCG(t *testing.T) {
 			for i := 0; i < nc; i++ {
 				bk.Data[i] = b[w*i+k]
 			}
-			newDistributedRef(A, amg.Options{}, 1e-13, 500).Apply(bk, xk)
+			newDistributedRef(A, 1e-13, 500).Apply(bk, xk)
 			var diff, scale float64
 			for i := 0; i < nc; i++ {
 				diff = math.Max(diff, math.Abs(c.x[l][w*i+k]-xk.Data[i]))
@@ -145,6 +143,35 @@ func TestCoarseCholeskyMatchesDistributedCG(t *testing.T) {
 			if diff > 1e-10*scale {
 				t.Errorf("field %d: Cholesky coarse solve differs from distributed CG by %v (scale %v)", k, diff, scale)
 			}
+		}
+	})
+}
+
+// TestNonFiniteViscosityReachesOutput: a NaN viscosity is a fault of the
+// data, not a singular operator. The V-cycle sets up without panicking
+// and its output is NaN, which the Stokes solve's caller reports as a
+// non-finite verdict.
+func TestNonFiniteViscosityReachesOutput(t *testing.T) {
+	sim.Run(2, func(r *sim.Rank) {
+		m := buildMesh(r, 3, true)
+		eta := make([]float64, len(m.Leaves))
+		for i := range eta {
+			eta[i] = math.NaN()
+		}
+		pc := New(m, fem.UnitDomain, eta, Options{}).Precond(agglomTestBC)
+		x, y := la.NewVec(m.Layout()), la.NewVec(m.Layout())
+		for i := range x.Data {
+			x.Data[i] = 1
+		}
+		pc.Apply(x, y)
+		nan := 0
+		for _, v := range y.Data {
+			if math.IsNaN(v) {
+				nan++
+			}
+		}
+		if r.AllreduceInt64(int64(nan)) == 0 {
+			t.Errorf("rank %d: the V-cycle of a NaN viscosity returned finite values", r.ID())
 		}
 	})
 }

@@ -1,7 +1,7 @@
 // Package gmg implements a matrix-free geometric multigrid preconditioner
-// for the velocity block of the Stokes system — the paper-scale
-// alternative to the assembled AMG hierarchies of package amg. The level
-// hierarchy is the octree itself: each coarser level is a CoarsenedCopy
+// for the velocity block of the Stokes system, the one velocity
+// preconditioner of every Stokes solve (the source paper runs one
+// multigrid V-cycle per velocity component). The level hierarchy is the octree itself: each coarser level is a CoarsenedCopy
 // of the finer tree (complete families merged, 2:1 balance restored) with
 // its own extracted mesh, and grid transfer is the trilinear stencil pair
 // fem.Transfer (prolongation interpolates the constrained coarse space,

@@ -1,40 +1,10 @@
 package la
 
 import (
-	"math"
 	"testing"
 
 	"rhea/internal/sim"
 )
-
-func TestGatherGlobalCSRMatchesDistributedApply(t *testing.T) {
-	sim.Run(3, func(r *sim.Rank) {
-		m, l := buildLaplace1D(r, 4)
-		g := m.GatherGlobalCSR()
-		if g.N != int(l.N()) {
-			t.Fatalf("gathered N=%d want %d", g.N, l.N())
-		}
-		// Apply both to the same global vector and compare the local part.
-		full := make([]float64, g.N)
-		for i := range full {
-			full[i] = math.Sin(float64(i))
-		}
-		want := make([]float64, g.N)
-		g.Apply(full, want)
-
-		x := NewVec(l)
-		for i := range x.Data {
-			x.Data[i] = full[l.Start()+int64(i)]
-		}
-		y := NewVec(l)
-		m.Apply(x, y)
-		for i, v := range y.Data {
-			if math.Abs(v-want[l.Start()+int64(i)]) > 1e-12 {
-				t.Fatalf("row %d: distributed %v vs gathered %v", int(l.Start())+i, v, want[l.Start()+int64(i)])
-			}
-		}
-	})
-}
 
 func TestGatherGlobalVector(t *testing.T) {
 	sim.Run(4, func(r *sim.Rank) {

@@ -331,8 +331,7 @@ func (m *Mat) Diag() *Vec {
 
 // LocalCSR exposes this rank's diagonal block as a serial CSR matrix
 // (rows and columns both restricted to owned indices). Off-block entries
-// are dropped. This is the input to the per-rank AMG hierarchy used as a
-// block-Jacobi preconditioner.
+// are dropped.
 func (m *Mat) LocalCSR() *CSR {
 	n := m.Layout.Local()
 	c := &CSR{N: n}
@@ -381,9 +380,6 @@ func (c *CSR) Apply(x, y []float64) {
 		y[i] = s
 	}
 }
-
-// NNZ returns the number of stored entries.
-func (c *CSR) NNZ() int { return len(c.Vals) }
 
 // Diag returns the diagonal entries.
 func (c *CSR) Diag() []float64 {

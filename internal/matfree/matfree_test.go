@@ -579,8 +579,7 @@ func TestCornerTableResidentBytesBox(t *testing.T) {
 		h2 := live()
 		adv := advect.New(m, fem.UnitDomain, 1, vel, nil, fem.NoBC)
 		h3 := live()
-		s := stokes.Setup(m, fem.UnitDomain, stokes.FreeSlip([3]float64{1, 1, 1}),
-			stokes.Options{Precond: stokes.PrecondGMG})
+		s := stokes.Setup(m, fem.UnitDomain, stokes.FreeSlip([3]float64{1, 1, 1}), stokes.Options{})
 		h4 := live()
 		runtime.KeepAlive(f)
 		runtime.KeepAlive(vel)
@@ -641,8 +640,7 @@ func TestSolverResidentBytesShell(t *testing.T) {
 		}
 		h0 := live()
 		s := stokes.Setup(m, fem.UnitDomain, stokes.RadialNoSlipInner(g.RInner, g.ROuter), stokes.Options{
-			Precond: stokes.PrecondGMG,
-			Slip:    stokes.ShellSlipNormals(g.RInner, g.ROuter, false, true),
+			Slip: stokes.ShellSlipNormals(g.RInner, g.ROuter, false, true),
 		})
 		s.Update(eta, nil)
 		h1 := live()

@@ -62,11 +62,13 @@ func (c Config) Fingerprint() uint64 {
 	w(c.BaseLevel, c.MinLevel, c.MaxLevel, c.TargetElems)
 	w(int64(c.AdaptEvery), c.CFL, int64(c.Picard))
 	w(c.MinresTol, int64(c.MinresMax))
-	// 1 fills the slot of the retired operator choice: every matrix-free
-	// run wrote 1, so its snapshots still restore, and a snapshot of the
-	// assembled operator (0), which would not continue bit for bit, is
-	// refused.
-	w(uint8(1), int64(c.Precond), int64(c.Order), b(c.LocalAMG))
+	// Constants fill the slots of the retired solver choices, the values
+	// every run of today's solver wrote: 1 for the operator (matrix-free)
+	// and the velocity preconditioner (geometric multigrid), false for
+	// LocalAMG. Those snapshots still restore, and one written with the
+	// assembled operator or the algebraic multigrid, which would not
+	// continue bit for bit, is refused.
+	w(uint8(1), int64(1), int64(c.Order), uint8(0))
 	w(slipCode(c.ShellSlip))
 	if c.Conn != nil {
 		w(int64(c.Conn.NumTrees()), int64(len(c.Conn.Verts)))

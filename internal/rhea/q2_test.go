@@ -11,7 +11,6 @@ import (
 
 	"rhea/internal/fem"
 	"rhea/internal/sim"
-	"rhea/internal/stokes"
 )
 
 // q2Config is the pinned scenario on a uniform level-2 box: no
@@ -32,7 +31,6 @@ func q2Config() Config {
 		Picard:    1,
 		MinresTol: 1e-9,
 		MinresMax: 3000,
-		Precond:   stokes.PrecondGMG,
 		Order:     2,
 	}
 }
@@ -95,13 +93,14 @@ func TestQ2ConvectionRankConsistency(t *testing.T) {
 	}
 }
 
-// TestQ2ConfigValidation pins the fail-fast paths: Order 2 without the
-// GMG preconditioner, or with levels that let the mesh adapt (which
-// would leave hanging faces the Q2 node layer rejects), must be refused by
-// Validate, and New must panic with that error before any work is done.
+// TestQ2ConfigValidation pins the fail-fast paths: Order 2 on the shell,
+// which the Q2 node layer does not cover, or with levels that let the
+// mesh adapt (which would leave hanging faces the Q2 node layer rejects),
+// must be refused by Validate, and New must panic with that error before
+// any work is done.
 func TestQ2ConfigValidation(t *testing.T) {
 	for name, edit := range map[string]func(*Config){
-		"amg":      func(c *Config) { c.Precond = stokes.PrecondAMG },
+		"shell":    func(c *Config) { c.Shell = true },
 		"adaptive": func(c *Config) { c.MaxLevel, c.TargetElems = 3, 400 },
 	} {
 		cfg := q2Config()

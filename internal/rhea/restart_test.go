@@ -282,40 +282,46 @@ func TestRestoreRejectsConfigMismatch(t *testing.T) {
 	})
 }
 
-// The fingerprints of regressionConfig while the coupled operator could
-// still be assembled: 0 in the operator slot for the assembled CSR, 1 for
-// the matrix-free apply, the one operator left.
+// The fingerprints of regressionConfig under retired solver choices: the
+// assembled coupled CSR (0 in the operator slot), and the matrix-free
+// operator with the algebraic-multigrid velocity preconditioner (0 in the
+// preconditioner slot). The solver left, matrix-free with geometric
+// multigrid, writes 1 in both, as it always did.
 const (
-	assembledFP  = 0x3dd423bef689e030
-	matrixFreeFP = 0x5ebb58190c166cb9
+	assembledFP = 0x3dd423bef689e030
+	amgFP       = 0x5ebb58190c166cb9
+	gmgFP       = 0x45ec6696311d29e6
 )
 
-// TestRestoreRefusesAssembledSnapshot: a snapshot written under the
-// retired assembled coupled operator would not continue bit for bit on
-// the matrix-free one, so Restore refuses it with the fingerprint error,
-// while matrix-free runs keep their fingerprint and their snapshots.
+// TestRestoreRefusesAssembledSnapshot: a snapshot written under a retired
+// solver choice — the assembled coupled operator, or the algebraic
+// multigrid velocity preconditioner — would not continue bit for bit, so
+// Restore refuses it with the fingerprint error, while runs of the solver
+// left keep their fingerprint and their snapshots.
 func TestRestoreRefusesAssembledSnapshot(t *testing.T) {
-	if fp := regressionConfig().Fingerprint(); fp != matrixFreeFP {
-		t.Fatalf("fingerprint %#016x, want the matrix-free run's %#016x", fp, matrixFreeFP)
+	if fp := regressionConfig().Fingerprint(); fp != gmgFP {
+		t.Fatalf("fingerprint %#016x, want the geometric-multigrid run's %#016x", fp, gmgFP)
 	}
 	dir := filepath.Join(t.TempDir(), "snap")
 	writeBoxSnapshot(t, 2, dir)
-	// The same state, stamped as the assembled operator stamped it.
-	old := filepath.Join(t.TempDir(), "assembled")
-	sim.Run(2, func(r *sim.Rank) {
-		st, err := ckpt.Read(r, dir)
-		if err == nil {
-			st.ConfigFP = assembledFP
-			err = ckpt.Write(r, old, st)
-		}
-		if err != nil {
-			t.Errorf("rank %d: %v", r.ID(), err)
-		}
-	})
-	expectRestoreError(t, 2, regressionConfig(), old, "different configuration")
+	for _, fp := range []uint64{assembledFP, amgFP} {
+		// The same state, stamped as the retired solver stamped it.
+		old := filepath.Join(t.TempDir(), "retired")
+		sim.Run(2, func(r *sim.Rank) {
+			st, err := ckpt.Read(r, dir)
+			if err == nil {
+				st.ConfigFP = fp
+				err = ckpt.Write(r, old, st)
+			}
+			if err != nil {
+				t.Errorf("rank %d: %v", r.ID(), err)
+			}
+		})
+		expectRestoreError(t, 2, regressionConfig(), old, "different configuration")
+	}
 	sim.Run(2, func(r *sim.Rank) {
 		if _, err := Restore(r, regressionConfig(), dir); err != nil {
-			t.Errorf("rank %d: Restore of the matrix-free snapshot refused: %v", r.ID(), err)
+			t.Errorf("rank %d: Restore of the geometric-multigrid snapshot refused: %v", r.ID(), err)
 		}
 	})
 }

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"rhea/internal/advect"
-	"rhea/internal/amg"
 	"rhea/internal/errind"
 	"rhea/internal/fem"
 	"rhea/internal/forest"
@@ -151,7 +150,10 @@ type Config struct {
 	Picard     int     // Picard iterations per Stokes solve (default 2)
 	MinresTol  float64 // default 1e-6
 	MinresMax  int     // default 500
-	AMG        amg.Options
+	// AMG holds nothing: every Stokes solve preconditions the velocity
+	// block with geometric multigrid. It stays only because the benchmark
+	// harness copies it (ROADMAP item 1(v)).
+	AMG struct{}
 	// MatrixFree is not read: the Stokes operator is always applied
 	// matrix-free. It stays only because the benchmark harness copies it
 	// (ROADMAP item 1(v)).
@@ -160,21 +162,21 @@ type Config struct {
 	// is read only by Validate, which refuses a value above 1: the
 	// element loop runs on the rank's goroutine.
 	MatFree matfree.Options
-	// Precond selects the velocity-block preconditioner: assembled AMG
-	// (default) or the matrix-free geometric multigrid hierarchy, with
-	// which the Stokes solve assembles no fine-level matrix at all.
+	// Precond holds no choice (stokes.PrecondKind): the velocity block is
+	// always preconditioned by the matrix-free geometric multigrid
+	// V-cycle. It stays only because the benchmark harness copies it
+	// (ROADMAP item 1(v)).
 	Precond stokes.PrecondKind
-	// GMG tunes the geometric hierarchy when Precond is PrecondGMG.
+	// GMG tunes the geometric hierarchy of the velocity preconditioner.
 	GMG gmg.Options
 	// Order selects the velocity element order: 0 or 1 for the default
 	// stabilized equal-order Q1-Q1 pair, 2 for the Taylor-Hood Q2-Q1
 	// pair with sum-factorized matrix-free kernels and p-coarsened GMG
 	// (see stokes.Options.Order), whose requirements Validate holds.
 	Order int
-	// LocalAMG selects per-rank block-Jacobi AMG hierarchies for the
-	// velocity blocks instead of the default redundant hierarchy; see
-	// stokes.Options.LocalAMG.
-	LocalAMG bool
+	// LocalAMG holds nothing, like AMG. It stays only because the
+	// benchmark harness copies it (ROADMAP item 1(v)).
+	LocalAMG struct{}
 	// VelBC prescribes the velocity boundary condition of the Stokes
 	// solve. Defaults to free-slip on the domain box.
 	VelBC stokes.VelBC
@@ -193,10 +195,14 @@ func (c Config) Validate() error {
 		return errors.New("rhea: Config.ShellSlip needs Shell (use SlipBC for custom mapped domains)")
 	case c.Conn != nil && !c.Shell && c.VelBC == nil:
 		return errors.New("rhea: Config.Conn without Shell needs an explicit VelBC (box-equality defaults cannot see mapped boundaries)")
+	case c.Conn != nil && c.Conn.NumTrees() > gmg.CoarseElems:
+		// Multigrid coarsening stops at one element per tree; the
+		// velocity preconditioner's exact coarsest solve is sized for at
+		// most CoarseElems elements.
+		return fmt.Errorf("rhea: Config.Conn has %d trees, more than the %d elements the multigrid's coarsest level can hold (coarsening stops at one element per tree)",
+			c.Conn.NumTrees(), gmg.CoarseElems)
 	case c.Order < 0 || c.Order > 2:
 		return fmt.Errorf("rhea: unknown Config.Order %d (want 0, 1 or 2)", c.Order)
-	case c.Order == 2 && c.Precond != stokes.PrecondGMG:
-		return errors.New("rhea: Config.Order == 2 requires Precond == PrecondGMG")
 	case c.Order == 2 && (c.Conn != nil || c.Shell):
 		return errors.New("rhea: Config.Order == 2 is limited to the one-tree box domain (no Conn, no Shell)")
 	case c.Order == 2 && (c.MinLevel != c.BaseLevel || c.MaxLevel != c.BaseLevel):
@@ -334,8 +340,8 @@ func (c Config) geom() mesh.Geometry {
 // gather, matrix-free constraint tables, GMG level meshes and
 // transfer stencils — paid once per mesh, at the first solve after an
 // adaptation) and its viscosity-dependent half (StokesUpdate:
-// viscosity/force evaluation, operator kernels or CSR values, smoother
-// diagonals, coarse AMG, Schur diagonal — paid every Picard iteration).
+// viscosity/force evaluation, operator viscosity, smoother diagonals and
+// coarsest-level factors, Schur diagonal — paid every Picard iteration).
 // New's initial rounds carry no field, so they add nothing to
 // InterpolateFld or TransferFld.
 type Timings struct {
@@ -658,11 +664,7 @@ func (s *Sim) viscosityAndBuoyancy(wantForce bool) ([]float64, [][8][3]float64) 
 
 // stokesOptions maps the Config onto the Stokes solver options.
 func (s *Sim) stokesOptions() stokes.Options {
-	return stokes.Options{
-		AMG: s.Cfg.AMG, MatFree: s.Cfg.MatFree,
-		Precond: s.Cfg.Precond, GMG: s.Cfg.GMG, LocalAMG: s.Cfg.LocalAMG,
-		Order: s.Cfg.Order, Slip: s.Cfg.SlipBC,
-	}
+	return stokes.Options{GMG: s.Cfg.GMG, Order: s.Cfg.Order, Slip: s.Cfg.SlipBC}
 }
 
 // SolveStokes updates the velocity and pressure from the current

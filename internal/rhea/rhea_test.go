@@ -6,7 +6,6 @@ import (
 
 	"rhea/internal/fem"
 	"rhea/internal/sim"
-	"rhea/internal/stokes"
 )
 
 func blobConfig() Config {
@@ -136,9 +135,9 @@ func TestPlumeRises(t *testing.T) {
 	})
 }
 
-// The full convection cycle must run on the matrix-free Stokes operator
-// with the default AMG preconditioner, including variable
-// (temperature-dependent) viscosity and mesh adaptation between solves.
+// The full convection cycle must run on the matrix-free Stokes operator,
+// including variable (temperature-dependent) viscosity and mesh
+// adaptation between solves.
 func TestMatrixFreeCycleDevelopsFlow(t *testing.T) {
 	sim.Run(2, func(r *sim.Rank) {
 		cfg := blobConfig()
@@ -165,13 +164,13 @@ func TestMatrixFreeCycleDevelopsFlow(t *testing.T) {
 	})
 }
 
-// The fully matrix-free configuration (GMG preconditioner) must drive the application loop — Stokes solve, transport, adaptation,
+// The fully matrix-free solver (matrix-free operator, GMG preconditioner)
+// must drive the application loop — Stokes solve, transport, adaptation,
 // re-solve on the adapted mesh — without assembling any fine-level CSR.
 func TestGMGCycleDevelopsFlow(t *testing.T) {
 	sim.Run(2, func(r *sim.Rank) {
 		cfg := blobConfig()
 		cfg.Visc = TemperatureDependent(1, 2)
-		cfg.Precond = stokes.PrecondGMG
 		s := New(r, cfg)
 		res := s.SolveStokes()
 		if !res.Converged {

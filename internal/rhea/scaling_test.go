@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"rhea/internal/sim"
-	"rhea/internal/stokes"
 )
 
 // scalingCase holds the exact counters of one shell Stokes solve at P
@@ -54,7 +53,6 @@ func scalingShellConfig(target int64, maxLvl uint8, tol float64) Config {
 		Shell: true, Ra: 1e4, InitialTemp: ShellBlobTemp, Visc: TemperatureDependent(1, 1),
 		BaseLevel: 2, MinLevel: 2, MaxLevel: maxLvl, TargetElems: target, InitAdapt: initAdapt,
 		AdaptEvery: 4, Picard: 1, MinresTol: tol, MinresMax: 3000,
-		Precond: stokes.PrecondGMG,
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"rhea/internal/sim"
-	"rhea/internal/stokes"
 )
 
 // shellConfig is the pinned shell scenario: conductive radial profile
@@ -36,7 +35,6 @@ func shellConfig() Config {
 		InitAdapt:   1,
 		MinresTol:   1e-9,
 		MinresMax:   3000,
-		Precond:     stokes.PrecondGMG,
 	}
 }
 

@@ -13,9 +13,13 @@ import (
 // refuses its row with an error naming the field (an in-rank worker
 // count above 1 included: there is no in-rank worker pool), the test scenarios
 // pass, and New panics with Validate's error before any work (the Order
-// 2 rows are the fail-fast paths of the Taylor-Hood layer: without the
-// matrix-free GMG stack, or with levels that let the mesh adapt and
-// leave hanging faces the Q2 node layer rejects).
+// 2 rows are the fail-fast paths of the Taylor-Hood layer: off the
+// one-tree box, or with levels that let the mesh adapt and leave hanging
+// faces the Q2 node layer rejects). The 36-tree brick is the one forest
+// the velocity preconditioner cannot run: multigrid coarsening stops at
+// one element per tree, so its coarsest level would hold more than
+// gmg.CoarseElems elements, and it is refused here rather than at the
+// first solve's Setup.
 func TestConfigValidate(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"box":   regressionConfig(),
@@ -38,8 +42,10 @@ func TestConfigValidate(t *testing.T) {
 		{"conn without velbc", "VelBC", regressionConfig, func(c *Config) { c.Conn = forest.BrickConnectivity(1, 1, 1) }},
 		{"order 3", "Order", regressionConfig, func(c *Config) { c.Order = 3 }},
 		{"order -1", "Order", regressionConfig, func(c *Config) { c.Order = -1 }},
-		{"q2 local amg", "Precond", q2Config, func(c *Config) { c.Precond, c.LocalAMG = stokes.PrecondAMG, true }},
-		{"q2 amg", "Precond", q2Config, func(c *Config) { c.Precond = stokes.PrecondAMG }},
+		{"too many trees", "Conn", regressionConfig, func(c *Config) {
+			c.Conn, c.VelBC = forest.BrickConnectivity(4, 3, 3), stokes.FreeSlip([3]float64{4, 3, 3})
+		}},
+		{"q2 min level", "MinLevel", q2Config, func(c *Config) { c.MinLevel = 1 }},
 		{"q2 shell", "Shell", q2Config, func(c *Config) { c.Shell = true }},
 		{"q2 conn", "Conn", q2Config, func(c *Config) {
 			c.Conn, c.VelBC = forest.BrickConnectivity(1, 1, 1), stokes.FreeSlip([3]float64{1, 1, 1})

@@ -33,7 +33,6 @@ import (
 	"rhea/internal/bench"
 	"rhea/internal/morton"
 	"rhea/internal/rhea"
-	"rhea/internal/stokes"
 )
 
 // ErrNotFound reports a job id that was never issued.
@@ -65,10 +64,10 @@ const (
 // service solves with its own policy, not the case's: MINRES stops at
 // MinresTol (rhea's default 1e-6 when unset) or 500 iterations, the
 // operator is always matrix-free, and the velocity preconditioner is
-// geometric multigrid with GMG, algebraic without. The initial
-// temperature and viscosity law are fixed per kind: rhea's config
-// fingerprint cannot cover function-valued fields, so a resumable spec
-// must not let callers vary them.
+// always geometric multigrid. The initial temperature and viscosity law
+// are fixed per kind: rhea's config fingerprint cannot cover
+// function-valued fields, so a resumable spec must not let callers vary
+// them.
 type Spec struct {
 	Name string `json:"name"`
 	Kind string `json:"kind"` // a bench registry case: "box", "shell", "bunge1", ...
@@ -84,7 +83,10 @@ type Spec struct {
 	AdaptEvery  int     `json:"adapt_every,omitempty"`
 	Picard      int     `json:"picard,omitempty"`
 	MinresTol   float64 `json:"minres_tol,omitempty"`
-	GMG         bool    `json:"gmg,omitempty"` // geometric multigrid preconditioner
+	// GMG is accepted and ignored: every solve preconditions with
+	// geometric multigrid. It stays on the wire so that specs and journals
+	// that set it still decode under strict decoding.
+	GMG bool `json:"gmg,omitempty"`
 
 	// CheckpointEvery writes a committed snapshot every N completed
 	// cycles (0: only at the end of the run and on stop).
@@ -204,10 +206,6 @@ func (sp Spec) Config() rhea.Config {
 	}
 	cfg.MinresTol = sp.MinresTol
 	cfg.MinresMax = 0
-	cfg.Precond = stokes.PrecondAMG
-	if sp.GMG {
-		cfg.Precond = stokes.PrecondGMG
-	}
 	return cfg
 }
 

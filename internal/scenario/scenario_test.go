@@ -5,8 +5,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"rhea/internal/ckpt"
+	"rhea/internal/sim"
 )
 
 // tinySpec is the smallest well-posed box scenario: 64 base elements
@@ -192,6 +196,52 @@ func TestStopAndResume(t *testing.T) {
 	bv = waitTerminal(t, m, b.ID)
 	if bv.State != StateDone || bv.CyclesDone != 3 {
 		t.Fatalf("resumed job finished %s with %d cycles (%q)", bv.State, bv.CyclesDone, bv.Error)
+	}
+}
+
+// amgEraFP is tinySpec's configuration fingerprint while specs without
+// gmg were preconditioned by algebraic multigrid (TestSpecConfigPinned's
+// CI smoke row, the same configuration, before its re-pin).
+const amgEraFP = 0xa2a73dc91416ad16
+
+// TestResumeRefusesAMGEraSnapshot: a job whose committed snapshot carries
+// the fingerprint of the retired algebraic-multigrid preconditioner would
+// not continue bit for bit under geometric multigrid. Resumed after the
+// upgrade, it ends failed with the fingerprint error after one attempt,
+// without retry.
+func TestResumeRefusesAMGEraSnapshot(t *testing.T) {
+	m := newTestManager(t, t.TempDir(), 1)
+	m.retryBase = time.Millisecond
+	defer m.Close()
+	v, err := m.Submit(tinySpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v = waitTerminal(t, m, v.ID)
+	if v.State != StateDone || v.Snapshot == "" {
+		t.Fatalf("job finished %s with snapshot %q (%q)", v.State, v.Snapshot, v.Error)
+	}
+	// The same state, stamped as the service stamped it before the upgrade.
+	sim.Run(v.Spec.Ranks, func(r *sim.Rank) {
+		st, err := ckpt.Read(r, v.Snapshot)
+		if err == nil {
+			st.ConfigFP = amgEraFP
+			err = ckpt.Write(r, v.Snapshot, st)
+		}
+		if err != nil {
+			t.Errorf("rank %d: %v", r.ID(), err)
+		}
+	})
+	if _, err := m.Resume(v.ID, 1); err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	v = waitTerminal(t, m, v.ID)
+	if v.State != StateFailed || v.Retries != 0 || v.CyclesDone != 1 {
+		t.Errorf("resumed job finished %s after %d retries with %d cycles (%q), want failed, 0, 1",
+			v.State, v.Retries, v.CyclesDone, v.Error)
+	}
+	if !strings.Contains(v.Error, "different configuration") {
+		t.Errorf("job error %q, want the fingerprint error", v.Error)
 	}
 }
 

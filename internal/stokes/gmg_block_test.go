@@ -97,8 +97,8 @@ func TestBlockedVcycleMatchesScalarBitwise(t *testing.T) {
 				m := tc.build(r)
 				dom := fem.UnitDomain
 				s := Setup(m, dom, tc.bc, Options{
-					Precond: PrecondGMG, Slip: tc.slip,
-					GMG: gmg.Options{AgglomThreshold: 64},
+					Slip: tc.slip,
+					GMG:  gmg.Options{AgglomThreshold: 64},
 				})
 				s.Update(contrastViscosity(m, dom, 1e9), nil) // no jump yet
 				var scalar [3]krylov.Operator
@@ -171,8 +171,7 @@ func TestPrecondCountersOneCycle(t *testing.T) {
 		m := mesh.Extract(forest.New(r, conn, 2), g)
 		dom := fem.UnitDomain
 		s := Setup(m, dom, RadialNoSlipInner(g.RInner, g.ROuter), Options{
-			Precond: PrecondGMG,
-			Slip:    ShellSlipNormals(g.RInner, g.ROuter, false, true),
+			Slip: ShellSlipNormals(g.RInner, g.ROuter, false, true),
 		})
 		var scalar [3]krylov.Operator
 		for c := 0; c < 3; c++ {

@@ -1,10 +1,9 @@
 package stokes
 
-// Integration tests for the geometric-multigrid preconditioner path
-// (Options.Precond == PrecondGMG): combined with the matrix-free apply it
-// must solve the same systems as the assembled+AMG path to the same
-// tolerance without assembling any fine-level CSR, with iteration counts
-// that stay essentially level-independent.
+// Integration tests for the geometric-multigrid velocity preconditioner:
+// combined with the matrix-free apply it must converge under strong
+// viscosity contrast without assembling any fine-level CSR, with
+// iteration counts that stay essentially level-independent.
 
 import (
 	"math"
@@ -15,68 +14,8 @@ import (
 	"rhea/internal/sim"
 )
 
-// TestGMGSolveMatchesAMG solves the identical buoyancy-driven problem
-// with the assembled+AMG and the fully matrix-free (matfree apply + GMG
-// precond) configurations: both must converge and produce the same
-// velocity field.
-func TestGMGSolveMatchesAMG(t *testing.T) {
-	sim.Run(2, func(r *sim.Rank) {
-		m := buildMesh(r, 2, true)
-		dom := fem.UnitDomain
-		eta := constViscosity(m, 1)
-		force := make([][8][3]float64, len(m.Leaves))
-		for ei := range force {
-			x := dom.ElemCenter(m.Leaves[ei])
-			for c := 0; c < 8; c++ {
-				force[ei][c] = [3]float64{0, 0, math.Sin(math.Pi * x[0])}
-			}
-		}
-		bc := FreeSlip(dom.Box)
-
-		amgSys := Assemble(m, dom, eta, force, bc, Options{})
-		gmgSys := Assemble(m, dom, eta, force, bc, Options{
-			Precond: PrecondGMG,
-		})
-
-		// Fully matrix-free: hierarchy present, only the coarsest level
-		// small enough that its assembled CSR is trivial.
-		if gmgSys.GMGH == nil {
-			t.Fatalf("GMG hierarchy missing")
-		}
-		if cn, fn := gmgSys.GMGH.CoarseNodes(), m.NGlobal; cn >= fn {
-			t.Errorf("coarsest level (%d nodes) not coarser than fine (%d)", cn, fn)
-		}
-
-		xa, ra := amgSys.Solve(1e-9, 1000)
-		xg, rg := gmgSys.Solve(1e-9, 1000)
-		if !ra.Converged || !rg.Converged {
-			t.Fatalf("convergence: amg=%v (%d its) gmg=%v (%d its)",
-				ra.Converged, ra.Iterations, rg.Converged, rg.Iterations)
-		}
-		if r.ID() == 0 {
-			t.Logf("iterations: amg=%d gmg=%d", ra.Iterations, rg.Iterations)
-		}
-
-		ua, _ := amgSys.SplitSolution(xa)
-		ug, _ := gmgSys.SplitSolution(xg)
-		var scale float64
-		for c := 0; c < 3; c++ {
-			if n := ua[c].NormInf(); n > scale {
-				scale = n
-			}
-		}
-		for c := 0; c < 3; c++ {
-			diff := ua[c].Clone()
-			diff.AXPY(-1, ug[c])
-			if n := diff.NormInf(); n > 1e-5*scale {
-				t.Errorf("component %d solutions differ: %v (scale %v)", c, n, scale)
-			}
-		}
-	})
-}
-
 // TestGMGViscosityContrast: the GMG-preconditioned solve must stay
-// convergent under strong viscosity contrast, like the AMG path.
+// convergent under strong viscosity contrast.
 func TestGMGViscosityContrast(t *testing.T) {
 	sim.Run(2, func(r *sim.Rank) {
 		m := buildMesh(r, 2, false)
@@ -97,9 +36,7 @@ func TestGMGViscosityContrast(t *testing.T) {
 				force[ei][c] = [3]float64{0, 0, math.Sin(math.Pi * x[0])}
 			}
 		}
-		sys := Assemble(m, dom, eta, force, FreeSlip(dom.Box), Options{
-			Precond: PrecondGMG,
-		})
+		sys := Assemble(m, dom, eta, force, FreeSlip(dom.Box), Options{})
 		_, res := sys.Solve(1e-8, 2000)
 		if !res.Converged {
 			t.Errorf("GMG contrast solve failed: %v after %d its", res.Residual, res.Iterations)
@@ -137,7 +74,7 @@ func TestGMGIterationsLevelIndependent(t *testing.T) {
 					force[ei][c] = [3]float64{0, 0, math.Sin(math.Pi * x[0])}
 				}
 			}
-			sys := Assemble(m, dom, eta, force, FreeSlip(dom.Box), Options{Precond: PrecondGMG})
+			sys := Assemble(m, dom, eta, force, FreeSlip(dom.Box), Options{})
 			_, res := sys.Solve(1e-8, 2000)
 			if r.ID() != 0 {
 				return

@@ -2,7 +2,7 @@ package stokes
 
 // Iteration-count regression test: MINRES counts for a fixed, fully
 // deterministic problem family (hash-seeded blob viscosity over contrasts
-// 1, 1e3, 1e6) are pinned with ±2 slack for both preconditioner paths.
+// 1, 1e3, 1e6) are pinned with ±2 slack.
 // A preconditioner regression that slows solves now fails loudly instead
 // of silently costing iterations. All arithmetic in the solve is
 // deterministic (fixed reduction orders in sim collectives, and the
@@ -44,12 +44,12 @@ func regressionProblem(r *sim.Rank, contrast float64) (*mesh.Mesh, []float64, []
 }
 
 // regressionIters runs the pinned solve on 2 ranks at rtol 1e-8.
-func regressionIters(t *testing.T, contrast float64, opts Options) int {
+func regressionIters(t *testing.T, contrast float64) int {
 	t.Helper()
 	iters := -1
 	sim.Run(2, func(r *sim.Rank) {
 		m, eta, force := regressionProblem(r, contrast)
-		sys := Assemble(m, fem.UnitDomain, eta, force, FreeSlip(fem.UnitDomain.Box), opts)
+		sys := Assemble(m, fem.UnitDomain, eta, force, FreeSlip(fem.UnitDomain.Box), Options{})
 		_, res := sys.Solve(1e-8, 4000)
 		if !res.Converged {
 			t.Errorf("contrast %g: MINRES failed (%v after %d its)", contrast, res.Residual, res.Iterations)
@@ -62,31 +62,26 @@ func regressionIters(t *testing.T, contrast float64, opts Options) int {
 }
 
 // TestIterationCountRegression pins the MINRES iteration counts (±2) for
-// viscosity contrasts 1, 1e3, 1e6 under both velocity preconditioners.
+// viscosity contrasts 1, 1e3, 1e6.
 // If a pin moves because of an intentional algorithmic change, re-record
 // it here and say why in the commit.
 func TestIterationCountRegression(t *testing.T) {
 	pins := []struct {
-		name     string
-		opts     Options
 		contrast float64
 		want     int
 	}{
-		{"amg", Options{}, 1, 92},
-		{"amg", Options{}, 1e3, 198},
-		{"amg", Options{}, 1e6, 199},
 		// Re-pinned 92/200/200 → 99/205/206: velocity preconditioner
 		// changed: V(1,1) damped-Jacobi smoothing and an exact coarsest
 		// solve; MINRES stops at the same relative tolerance.
-		{"gmg", Options{Precond: PrecondGMG}, 1, 99},
-		{"gmg", Options{Precond: PrecondGMG}, 1e3, 205},
-		{"gmg", Options{Precond: PrecondGMG}, 1e6, 206},
+		{1, 99},
+		{1e3, 205},
+		{1e6, 206},
 	}
 	for _, pin := range pins {
-		got := regressionIters(t, pin.contrast, pin.opts)
-		t.Logf("seed 42 %s contrast %g: %d iterations (pinned %d)", pin.name, pin.contrast, got, pin.want)
+		got := regressionIters(t, pin.contrast)
+		t.Logf("seed 42 contrast %g: %d iterations (pinned %d)", pin.contrast, got, pin.want)
 		if got < pin.want-2 || got > pin.want+2 {
-			t.Errorf("%s contrast %g: %d iterations, pinned %d (±2)", pin.name, pin.contrast, got, pin.want)
+			t.Errorf("contrast %g: %d iterations, pinned %d (±2)", pin.contrast, got, pin.want)
 		}
 	}
 }

@@ -4,8 +4,7 @@ package stokes
 // a smooth analytic divergence-free velocity / pressure pair is imposed
 // through the body force and inhomogeneous Dirichlet data, and the
 // discrete L2 velocity error must fall at the Q1 rate O(h^2) as the mesh
-// refines — for the matrix-free operator under both velocity
-// preconditioners (AMG and GMG).
+// refines.
 
 import (
 	"math"
@@ -39,9 +38,9 @@ func mmsForce(x [3]float64) [3]float64 {
 	}
 }
 
-// mmsVelError runs one uniform-level solve with the given options and
-// returns the global L2 velocity error by 2x2x2 Gauss quadrature.
-func mmsVelError(t *testing.T, lvl uint8, opts Options) float64 {
+// mmsVelError runs one uniform-level solve and returns the global L2
+// velocity error by 2x2x2 Gauss quadrature.
+func mmsVelError(t *testing.T, lvl uint8) float64 {
 	var err float64
 	sim.Run(2, func(r *sim.Rank) {
 		tr := forest.New(r, unitBox, lvl)
@@ -73,7 +72,7 @@ func mmsVelError(t *testing.T, lvl uint8, opts Options) float64 {
 			}
 			return
 		}
-		sys := Assemble(m, dom, eta, force, bc, opts)
+		sys := Assemble(m, dom, eta, force, bc, Options{})
 		x, res := sys.Solve(1e-10, 4000)
 		if !res.Converged {
 			t.Errorf("level %d: MINRES failed: %v after %d", lvl, res.Residual, res.Iterations)
@@ -117,43 +116,34 @@ func mmsVelError(t *testing.T, lvl uint8, opts Options) float64 {
 }
 
 // TestMMSConvergence drives the manufactured solution through three
-// refinement levels for both preconditioner paths and asserts the L2
+// refinement levels and asserts the L2
 // velocity error contracts at (close to) the expected second-order rate
 // on every refinement step.
 func TestMMSConvergence(t *testing.T) {
-	// Levels 1..3 keep both paths' solves in the seconds range; the first
+	// Levels 1..3 keep the solves in the seconds range; the first
 	// step is pre-asymptotic (observed rate ~1.65), the last is clean
 	// second order (~1.9). Level 4 confirms rate 1.97 but costs minutes,
 	// so it stays out of the tier-1 suite.
 	levels := []uint8{1, 2, 3}
-	paths := []struct {
-		name string
-		opts Options
-	}{
-		{"matfree+AMG", Options{}},
-		{"matfree+GMG", Options{Precond: PrecondGMG}},
+	var errs []float64
+	for _, lvl := range levels {
+		e := mmsVelError(t, lvl)
+		errs = append(errs, e)
+		t.Logf("level %d L2 velocity error %.4e", lvl, e)
 	}
-	for _, path := range paths {
-		var errs []float64
-		for _, lvl := range levels {
-			e := mmsVelError(t, lvl, path.opts)
-			errs = append(errs, e)
-			t.Logf("%s: level %d L2 velocity error %.4e", path.name, lvl, e)
+	for i := 1; i < len(errs); i++ {
+		if errs[i] <= 0 {
+			t.Fatalf("zero/negative error at step %d", i)
 		}
-		for i := 1; i < len(errs); i++ {
-			if errs[i] <= 0 {
-				t.Fatalf("%s: zero/negative error at step %d", path.name, i)
-			}
-			rate := math.Log2(errs[i-1] / errs[i])
-			t.Logf("%s: observed rate %.2f (levels %d->%d)", path.name, rate, levels[i-1], levels[i])
-			// Q1 velocity converges at rate 2; allow pre-asymptotic slack
-			// on early steps but demand near-second-order on the last.
-			if rate < 1.5 {
-				t.Errorf("%s: convergence rate %.2f below expected ~2 (errors %v)", path.name, rate, errs)
-			}
+		rate := math.Log2(errs[i-1] / errs[i])
+		t.Logf("observed rate %.2f (levels %d->%d)", rate, levels[i-1], levels[i])
+		// Q1 velocity converges at rate 2; allow pre-asymptotic slack
+		// on early steps but demand near-second-order on the last.
+		if rate < 1.5 {
+			t.Errorf("convergence rate %.2f below expected ~2 (errors %v)", rate, errs)
 		}
-		if last := math.Log2(errs[len(errs)-2] / errs[len(errs)-1]); last < 1.7 {
-			t.Errorf("%s: final-step rate %.2f below asymptotic ~2 (errors %v)", path.name, last, errs)
-		}
+	}
+	if last := math.Log2(errs[len(errs)-2] / errs[len(errs)-1]); last < 1.7 {
+		t.Errorf("final-step rate %.2f below asymptotic ~2 (errors %v)", last, errs)
 	}
 }

@@ -19,7 +19,7 @@ import (
 )
 
 func q2Options() Options {
-	return Options{Precond: PrecondGMG, Order: 2}
+	return Options{Order: 2}
 }
 
 // buildQ2Mesh extracts a uniform mesh plus its Q2 node layer.

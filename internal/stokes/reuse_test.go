@@ -19,21 +19,6 @@ import (
 	"rhea/internal/sim"
 )
 
-// reuseCombos are the velocity preconditioners the solver supports, each
-// with the matrix-free operator.
-func reuseCombos() []struct {
-	name string
-	opts Options
-} {
-	return []struct {
-		name string
-		opts Options
-	}{
-		{"matfree+amg", Options{}},
-		{"matfree+gmg", Options{Precond: PrecondGMG}},
-	}
-}
-
 // TestSetupUpdateMatchesAssemble drives one cached solver through
 // several viscosity updates per mesh and several adaptation cycles
 // (refine + rebalance + repartition, then a fresh Setup, as rhea.Adapt
@@ -44,81 +29,80 @@ func TestSetupUpdateMatchesAssemble(t *testing.T) {
 	if testing.Short() {
 		ranks = []int{1, 2}
 	}
-	for _, combo := range reuseCombos() {
-		combo := combo
-		t.Run(combo.name, func(t *testing.T) {
-			for _, p := range ranks {
-				p := p
-				sim.Run(p, func(r *sim.Rank) {
-					dom := fem.UnitDomain
-					bc := FreeSlip(dom.Box)
-					seed := uint64(1000*p) + 17
+	// One subtest, named for the solver path it runs (the matrix-free
+	// operator with the geometric multigrid velocity preconditioner).
+	t.Run("matfree+gmg", func(t *testing.T) {
+		for _, p := range ranks {
+			p := p
+			sim.Run(p, func(r *sim.Rank) {
+				dom := fem.UnitDomain
+				bc := FreeSlip(dom.Box)
+				seed := uint64(1000*p) + 17
 
-					// Adapt cycle 0: uniform level-2 tree; later cycles
-					// refine a moving region like the convection loop does.
-					tr := forest.New(r, unitBox, 2)
-					for cycle := 0; cycle < 2; cycle++ {
-						if cycle > 0 {
-							cut := uint32(morton.RootLen >> uint(cycle+1))
-							tr.Refine(func(o forest.Octant) bool {
-								return o.O.X < cut && o.O.Z < cut
-							})
-							tr.Balance()
-							tr.Partition()
+				// Adapt cycle 0: uniform level-2 tree; later cycles
+				// refine a moving region like the convection loop does.
+				tr := forest.New(r, unitBox, 2)
+				for cycle := 0; cycle < 2; cycle++ {
+					if cycle > 0 {
+						cut := uint32(morton.RootLen >> uint(cycle+1))
+						tr.Refine(func(o forest.Octant) bool {
+							return o.O.X < cut && o.O.Z < cut
+						})
+						tr.Balance()
+						tr.Partition()
+					}
+					m := mesh.Extract(tr, nil)
+					// The mesh changed: the cached mesh-dependent half is
+					// rebuilt exactly once per adaptation.
+					sol := Setup(m, dom, bc, Options{})
+
+					for round := 0; round < 2; round++ {
+						rseed := seed + uint64(16*cycle+round)
+						eta := randomViscosity(m, rseed)
+						force := randomForce(m, rseed+5)
+						sol.Update(eta, force)
+
+						fresh := Assemble(m, dom, eta, force, bc, Options{})
+
+						// Same rhs.
+						if d := relDiff(sol.B, fresh.B); d > 1e-12 {
+							t.Errorf("p=%d cycle=%d round=%d: rhs differs by %v",
+								p, cycle, round, d)
 						}
-						m := mesh.Extract(tr, nil)
-						// The mesh changed: the cached mesh-dependent half is
-						// rebuilt exactly once per adaptation.
-						sol := Setup(m, dom, bc, combo.opts)
-
-						for round := 0; round < 2; round++ {
-							rseed := seed + uint64(16*cycle+round)
-							eta := randomViscosity(m, rseed)
-							force := randomForce(m, rseed+5)
-							sol.Update(eta, force)
-
-							fresh := Assemble(m, dom, eta, force, bc, combo.opts)
-
-							// Same rhs.
-							if d := relDiff(sol.B, fresh.B); d > 1e-12 {
-								t.Errorf("%s p=%d cycle=%d round=%d: rhs differs by %v",
-									combo.name, p, cycle, round, d)
-							}
-							// Same operator action on a randomized vector.
-							x := la.NewVec(sol.Layout)
-							for i := range x.Data {
-								g := uint64(sol.Layout.Start() + int64(i))
-								x.Data[i] = 2*prand(rseed+9, g) - 1
-							}
-							y1 := la.NewVec(sol.Layout)
-							y2 := la.NewVec(fresh.Layout)
-							sol.Op.Apply(x, y1)
-							fresh.Op.Apply(x, y2)
-							if d := relDiff(y1, y2); d > 1e-10 {
-								t.Errorf("%s p=%d cycle=%d round=%d: apply differs by %v",
-									combo.name, p, cycle, round, d)
-							}
-							// Same solve on both paths.
-							x1, r1 := sol.Solve(1e-9, 2000)
-							x2, r2 := fresh.Solve(1e-9, 2000)
-							if !r1.Converged || !r2.Converged {
-								t.Fatalf("%s p=%d cycle=%d round=%d: solve failed (reuse %v fresh %v)",
-									combo.name, p, cycle, round, r1.Residual, r2.Residual)
-							}
-							if d := relDiff(x1, x2); d > 1e-10 {
-								t.Errorf("%s p=%d cycle=%d round=%d: reuse solution differs from fresh assembly by %v",
-									combo.name, p, cycle, round, d)
-							}
-							if r1.Iterations != r2.Iterations {
-								t.Errorf("%s p=%d cycle=%d round=%d: iteration counts diverge: %d vs %d",
-									combo.name, p, cycle, round, r1.Iterations, r2.Iterations)
-							}
+						// Same operator action on a randomized vector.
+						x := la.NewVec(sol.Layout)
+						for i := range x.Data {
+							g := uint64(sol.Layout.Start() + int64(i))
+							x.Data[i] = 2*prand(rseed+9, g) - 1
+						}
+						y1 := la.NewVec(sol.Layout)
+						y2 := la.NewVec(fresh.Layout)
+						sol.Op.Apply(x, y1)
+						fresh.Op.Apply(x, y2)
+						if d := relDiff(y1, y2); d > 1e-10 {
+							t.Errorf("p=%d cycle=%d round=%d: apply differs by %v",
+								p, cycle, round, d)
+						}
+						// Same solve on both paths.
+						x1, r1 := sol.Solve(1e-9, 2000)
+						x2, r2 := fresh.Solve(1e-9, 2000)
+						if !r1.Converged || !r2.Converged {
+							t.Fatalf("p=%d cycle=%d round=%d: solve failed (reuse %v fresh %v)",
+								p, cycle, round, r1.Residual, r2.Residual)
+						}
+						if d := relDiff(x1, x2); d > 1e-10 {
+							t.Errorf("p=%d cycle=%d round=%d: reuse solution differs from fresh assembly by %v",
+								p, cycle, round, d)
+						}
+						if r1.Iterations != r2.Iterations {
+							t.Errorf("p=%d cycle=%d round=%d: iteration counts diverge: %d vs %d",
+								p, cycle, round, r1.Iterations, r2.Iterations)
 						}
 					}
-				})
-			}
-		})
-	}
+				}
+			})
+		}
+	})
 }
 
 // TestSetupRequiresUpdate pins the contract that Assemble == Setup;Update
@@ -131,18 +115,16 @@ func TestSetupRequiresUpdate(t *testing.T) {
 		bc := FreeSlip(dom.Box)
 		eta := randomViscosity(m, 3)
 		force := randomForce(m, 4)
-		for _, combo := range reuseCombos() {
-			sol := Setup(m, dom, bc, combo.opts)
-			if sol.B != nil {
-				t.Errorf("%s: Setup built a right-hand side before Update", combo.name)
-			}
-			sol.Update(eta, force)
-			if sol.B == nil || sol.Op == nil {
-				t.Fatalf("%s: Update left the solver incomplete", combo.name)
-			}
-			if _, res := sol.Solve(1e-8, 2000); !res.Converged {
-				t.Errorf("%s: solve after Setup+Update failed: %v", combo.name, res.Residual)
-			}
+		sol := Setup(m, dom, bc, Options{})
+		if sol.B != nil {
+			t.Errorf("Setup built a right-hand side before Update")
+		}
+		sol.Update(eta, force)
+		if sol.B == nil || sol.Op == nil {
+			t.Fatalf("Update left the solver incomplete")
+		}
+		if _, res := sol.Solve(1e-8, 2000); !res.Converged {
+			t.Errorf("solve after Setup+Update failed: %v", res.Residual)
 		}
 	})
 }

@@ -113,7 +113,7 @@ func TestSchurDiagMatchesPlan(t *testing.T) {
 			if len(m.Hang) == 0 {
 				t.Errorf("%s rank %d: no hanging corner", tc.name, r.ID())
 			}
-			s := Setup(m, dom, tc.bc, Options{Precond: PrecondGMG})
+			s := Setup(m, dom, tc.bc, Options{})
 			plan := schurPlanRef(s)
 			for _, s0 := range []float64{0.3, 1.7} {
 				eta := contrastViscosity(m, dom, s0)

@@ -60,8 +60,7 @@ func TestSetupCounters(t *testing.T) {
 		r.Barrier()
 		before := r.Stats()
 		s := Setup(m, dom, RadialNoSlipInner(g.RInner, g.ROuter), Options{
-			Precond: PrecondGMG,
-			Slip:    ShellSlipNormals(g.RInner, g.ROuter, false, true),
+			Slip: ShellSlipNormals(g.RInner, g.ROuter, false, true),
 		})
 		s.Update(eta, nil)
 		after := r.Stats()

@@ -111,60 +111,52 @@ func TestSlipMatfreeMatchesAssembled(t *testing.T) {
 	}
 }
 
-// TestSlipSolveNoPenetration solves free-slip-top shell Stokes under both
-// velocity preconditioners and checks the physics of the rotated
-// constraint: the velocity at outer-boundary nodes has (to solver
-// tolerance) no radial component but nonzero tangential flow — a no-slip
-// treatment would zero both.
+// TestSlipSolveNoPenetration solves free-slip-top shell Stokes and checks
+// the physics of the rotated constraint: the velocity at outer-boundary
+// nodes has (to solver tolerance) no radial component but nonzero
+// tangential flow — a no-slip treatment would zero both.
 func TestSlipSolveNoPenetration(t *testing.T) {
 	conn := forest.CubedSphere(1)
 	g := mesh.NewShellGeometry(conn)
-	for _, gmg := range []bool{false, true} {
-		gmg := gmg
-		sim.Run(2, func(r *sim.Rank) {
-			f := forest.New(r, conn, 1)
-			m := mesh.Extract(f, g)
-			dom := fem.UnitDomain
-			eta := make([]float64, len(m.Leaves))
-			for i := range eta {
-				eta[i] = 1
+	sim.Run(2, func(r *sim.Rank) {
+		f := forest.New(r, conn, 1)
+		m := mesh.Extract(f, g)
+		dom := fem.UnitDomain
+		eta := make([]float64, len(m.Leaves))
+		for i := range eta {
+			eta[i] = 1
+		}
+		force := shellForce(m)
+		opts := Options{Slip: ShellSlipNormals(g.RInner, g.ROuter, false, true)}
+		s := Assemble(m, dom, eta, force, RadialNoSlipInner(g.RInner, g.ROuter), opts)
+		x, res := s.Solve(1e-9, 2000)
+		if !res.Converged {
+			t.Errorf("free-slip solve failed to converge: %v after %d", res.Residual, res.Iterations)
+		}
+		u, _ := s.SplitSolution(x)
+		tol := 1e-9 * g.ROuter
+		maxN, maxT := 0.0, 0.0
+		for i := 0; i < m.NumOwned; i++ {
+			xx := fem.NodeCoord(m, dom, i)
+			rad := math.Sqrt(xx[0]*xx[0] + xx[1]*xx[1] + xx[2]*xx[2])
+			if math.Abs(rad-g.ROuter) >= tol {
+				continue
 			}
-			force := shellForce(m)
-			opts := Options{Slip: ShellSlipNormals(g.RInner, g.ROuter, false, true)}
-			if gmg {
-				opts.Precond = PrecondGMG
-			}
-			s := Assemble(m, dom, eta, force, RadialNoSlipInner(g.RInner, g.ROuter), opts)
-			x, res := s.Solve(1e-9, 2000)
-			if !res.Converged {
-				t.Errorf("gmg=%v: free-slip solve failed to converge: %v after %d",
-					gmg, res.Residual, res.Iterations)
-			}
-			u, _ := s.SplitSolution(x)
-			tol := 1e-9 * g.ROuter
-			maxN, maxT := 0.0, 0.0
-			for i := 0; i < m.NumOwned; i++ {
-				xx := fem.NodeCoord(m, dom, i)
-				rad := math.Sqrt(xx[0]*xx[0] + xx[1]*xx[1] + xx[2]*xx[2])
-				if math.Abs(rad-g.ROuter) >= tol {
-					continue
-				}
-				un := (u[0].Data[i]*xx[0] + u[1].Data[i]*xx[1] + u[2].Data[i]*xx[2]) / rad
-				ut := math.Sqrt(u[0].Data[i]*u[0].Data[i] + u[1].Data[i]*u[1].Data[i] +
-					u[2].Data[i]*u[2].Data[i] - un*un)
-				maxN = math.Max(maxN, math.Abs(un))
-				maxT = math.Max(maxT, ut)
-			}
-			maxN = m.Rank.Allreduce(maxN, sim.OpMax)
-			maxT = m.Rank.Allreduce(maxT, sim.OpMax)
-			if maxN > 1e-12 {
-				t.Errorf("gmg=%v: normal velocity leaks through the free-slip boundary: max |u.n| = %v", gmg, maxN)
-			}
-			if maxT < 1e-8 {
-				t.Errorf("gmg=%v: tangential velocity at the free-slip boundary is %v — boundary behaves as no-slip", gmg, maxT)
-			}
-		})
-	}
+			un := (u[0].Data[i]*xx[0] + u[1].Data[i]*xx[1] + u[2].Data[i]*xx[2]) / rad
+			ut := math.Sqrt(u[0].Data[i]*u[0].Data[i] + u[1].Data[i]*u[1].Data[i] +
+				u[2].Data[i]*u[2].Data[i] - un*un)
+			maxN = math.Max(maxN, math.Abs(un))
+			maxT = math.Max(maxT, ut)
+		}
+		maxN = m.Rank.Allreduce(maxN, sim.OpMax)
+		maxT = m.Rank.Allreduce(maxT, sim.OpMax)
+		if maxN > 1e-12 {
+			t.Errorf("normal velocity leaks through the free-slip boundary: max |u.n| = %v", maxN)
+		}
+		if maxT < 1e-8 {
+			t.Errorf("tangential velocity at the free-slip boundary is %v — boundary behaves as no-slip", maxT)
+		}
+	})
 }
 
 // TestSlipNullSpaceProjection runs the all-free-slip shell (no Dirichlet
@@ -174,39 +166,32 @@ func TestSlipSolveNoPenetration(t *testing.T) {
 func TestSlipNullSpaceProjection(t *testing.T) {
 	conn := forest.CubedSphere(1)
 	g := mesh.NewShellGeometry(conn)
-	for _, gmg := range []bool{false, true} {
-		gmg := gmg
-		sim.Run(2, func(r *sim.Rank) {
-			f := forest.New(r, conn, 1)
-			m := mesh.Extract(f, g)
-			dom := fem.UnitDomain
-			eta := make([]float64, len(m.Leaves))
-			for i := range eta {
-				eta[i] = 1
+	sim.Run(2, func(r *sim.Rank) {
+		f := forest.New(r, conn, 1)
+		m := mesh.Extract(f, g)
+		dom := fem.UnitDomain
+		eta := make([]float64, len(m.Leaves))
+		for i := range eta {
+			eta[i] = 1
+		}
+		force := shellForce(m)
+		noBC := func([3]float64) ([3]bool, [3]float64) { return [3]bool{}, [3]float64{} }
+		opts := Options{Slip: ShellSlipNormals(g.RInner, g.ROuter, true, true)}
+		s := Assemble(m, dom, eta, force, noBC, opts)
+		if got := s.NullDim(); got != 3 {
+			t.Fatalf("NullDim = %d, want 3", got)
+		}
+		x, res := s.Solve(1e-9, 2000)
+		if !res.Converged {
+			t.Errorf("all-free-slip solve failed to converge: %v after %d", res.Residual, res.Iterations)
+		}
+		// The solution must stay orthogonal to the projected-out modes.
+		for k, mode := range s.null {
+			if a := math.Abs(x.Dot(mode)); a > 1e-8*math.Max(x.Norm2(), 1) {
+				t.Errorf("solution has rotation-mode %d component %v", k, a)
 			}
-			force := shellForce(m)
-			noBC := func([3]float64) ([3]bool, [3]float64) { return [3]bool{}, [3]float64{} }
-			opts := Options{Slip: ShellSlipNormals(g.RInner, g.ROuter, true, true)}
-			if gmg {
-				opts.Precond = PrecondGMG
-			}
-			s := Assemble(m, dom, eta, force, noBC, opts)
-			if got := s.NullDim(); got != 3 {
-				t.Fatalf("gmg=%v: NullDim = %d, want 3", gmg, got)
-			}
-			x, res := s.Solve(1e-9, 2000)
-			if !res.Converged {
-				t.Errorf("gmg=%v: all-free-slip solve failed to converge: %v after %d",
-					gmg, res.Residual, res.Iterations)
-			}
-			// The solution must stay orthogonal to the projected-out modes.
-			for k, mode := range s.null {
-				if a := math.Abs(x.Dot(mode)); a > 1e-8*math.Max(x.Norm2(), 1) {
-					t.Errorf("gmg=%v: solution has rotation-mode %d component %v", gmg, k, a)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestSlipIterationsLevelIndependent checks the acceptance criterion on
@@ -232,8 +217,7 @@ func TestSlipIterationsLevelIndependent(t *testing.T) {
 				eta[i] = 1
 			}
 			force := shellForce(m)
-			opts := Options{Precond: PrecondGMG,
-				Slip: ShellSlipNormals(g.RInner, g.ROuter, false, true)}
+			opts := Options{Slip: ShellSlipNormals(g.RInner, g.ROuter, false, true)}
 			s := Assemble(m, dom, eta, force, RadialNoSlipInner(g.RInner, g.ROuter), opts)
 			_, res := s.Solve(1e-8, 4000)
 			if !res.Converged {

@@ -11,9 +11,9 @@
 //	P = diag( A~ , S~ )
 //
 // where A~ is a variable-viscosity discrete vector Laplacian approximated
-// by one multigrid V-cycle (geometric, or algebraic per component), and
-// S~ is the inverse-viscosity-weighted lumped pressure mass matrix,
-// spectrally equivalent to the Schur complement.
+// by one geometric multigrid V-cycle carrying all three components
+// (package gmg), and S~ is the inverse-viscosity-weighted lumped pressure
+// mass matrix, spectrally equivalent to the Schur complement.
 //
 // Degrees of freedom are interleaved per node: dof(g,c) = 4 g + c with
 // c = 0,1,2 the velocity components and c = 3 the pressure. Because node
@@ -26,17 +26,16 @@
 // plan), the matrix-free operator's constraint lists, and the GMG level
 // hierarchy with its transfer stencils. Update refreshes everything that
 // depends on the viscosity and body force: the operator's viscosity,
-// the right-hand side, multigrid smoother diagonals, the coarse AMG, and
-// the Schur diagonal. A convection loop calls Setup once per mesh
-// adaptation and Update once per Picard iteration; Assemble remains the
-// one-shot composition of the two.
+// the right-hand side, the multigrid smoother diagonals and
+// coarsest-level factors, and the Schur diagonal. A convection loop calls
+// Setup once per mesh adaptation and Update once per Picard iteration;
+// Assemble remains the one-shot composition of the two.
 package stokes
 
 import (
 	"fmt"
 	"math"
 
-	"rhea/internal/amg"
 	"rhea/internal/fem"
 	"rhea/internal/gmg"
 	"rhea/internal/krylov"
@@ -178,7 +177,7 @@ type Solver struct {
 	B      *la.Vec           // right-hand side
 
 	// GMGH is the geometric multigrid hierarchy backing the velocity
-	// preconditioner when Options.Precond == PrecondGMG (nil otherwise).
+	// preconditioner.
 	GMGH *gmg.Hierarchy
 
 	// cached mesh/BC-dependent state
@@ -188,23 +187,13 @@ type Solver struct {
 	// references and the free-slip frames, by node slot. At a slot with a
 	// frame the component index is LOCAL: 0 is the boundary normal
 	// (constrained to zero), 1 and 2 the free tangentials.
-	cons    matfree.Constraints
-	compBC  [3]fem.ScalarBC // per-velocity-component scalar view of bc
-	compBCD []*fem.BCData   // gathered per-component Dirichlet data (AMG path)
-	nodeL   *la.Layout
-	// unit scalar stiffness kernels as packed upper triangles
-	// (scalKern[scalIdx[ei]] is element ei's; one brick per octree level
-	// on axis-aligned meshes), expanded and scaled by the viscosity on the
-	// AMG-preconditioner refresh path instead of re-running quadrature.
-	scalKern []fem.SymKernel
-	scalIdx  []int32
+	cons   matfree.Constraints
+	compBC [3]fem.ScalarBC // per-velocity-component scalar view of bc
+	nodeL  *la.Layout
 
-	// Velocity-block preconditioner: on the GMG path one blocked V-cycle
-	// carrying all three components (velGMG; under the Q2 p-level for
-	// Order 2); on the AMG path one scalar operator per component (velPC),
-	// fed through the xc/yc work vectors.
+	// Velocity-block preconditioner: one blocked V-cycle carrying all
+	// three components (under the Q2 p-level for Order 2).
 	velGMG   *gmg.VCycle
-	velPC    [3]krylov.Operator
 	schurInv *la.Vec // nodal inverse of S~ diagonal
 	nOwned   int
 
@@ -223,9 +212,6 @@ type Solver struct {
 	slipDinv  *la.Vec
 	null      []*la.Vec
 
-	// work vectors for the per-component preconditioners (node layout)
-	xc, yc *la.Vec
-
 	// Order-2 (Taylor-Hood) state (see q2.go): the Q2 node layer the
 	// dofs live on and the p-coarsened velocity preconditioner; q2 != nil
 	// selects the Q2 branches.
@@ -233,32 +219,29 @@ type Solver struct {
 	pl *pCoarse
 }
 
-// PrecondKind selects the velocity-block preconditioner family.
-type PrecondKind int
+// PrecondKind names the velocity-block preconditioner, and holds no
+// choice: every solve runs the matrix-free geometric multigrid V-cycle of
+// package gmg, which assembles only its coarsest level. It stays only
+// because the benchmark harness compares Options.Precond with PrecondGMG
+// (ROADMAP item 1(v)).
+type PrecondKind struct{}
 
-const (
-	// PrecondAMG (default) assembles one scalar Poisson CSR per velocity
-	// component and runs an algebraic multigrid V-cycle (package amg).
-	PrecondAMG PrecondKind = iota
-	// PrecondGMG runs a matrix-free geometric multigrid V-cycle on the
-	// octree level hierarchy (package gmg): no fine-level velocity CSR is
-	// assembled — only the coarsest level of the hierarchy is.
-	PrecondGMG
-)
+// PrecondGMG is the one PrecondKind.
+var PrecondGMG PrecondKind
 
 // Options tunes assembly and preconditioning.
 type Options struct {
-	AMG amg.Options
-	// Precond selects the velocity-block preconditioner: assembled AMG
-	// (default) or the matrix-free geometric multigrid of package gmg.
+	// AMG holds nothing: no algebraic multigrid is left. It stays only
+	// because the benchmark harness copies it (ROADMAP item 1(v)).
+	AMG struct{}
+	// Precond holds no choice (see PrecondKind). It stays only because
+	// the benchmark harness copies it (ROADMAP item 1(v)).
 	Precond PrecondKind
-	// GMG tunes the geometric hierarchy when Precond == PrecondGMG.
+	// GMG tunes the geometric hierarchy of the velocity preconditioner.
 	GMG gmg.Options
-	// LocalAMG selects per-rank block-Jacobi AMG hierarchies for the
-	// velocity blocks instead of the default globally consistent
-	// (redundant) hierarchy. Cheaper setup, but Krylov iteration counts
-	// then grow with the rank count — see the ablation benchmarks.
-	LocalAMG bool
+	// LocalAMG holds nothing: no algebraic multigrid is left. It stays
+	// only because the benchmark harness copies it (ROADMAP item 1(v)).
+	LocalAMG struct{}
 	// MatrixFree is not read: the coupled operator is always applied
 	// matrix-free (package matfree). It stays only because the benchmark
 	// harness copies it (ROADMAP item 1(v)).
@@ -278,8 +261,8 @@ type Options struct {
 	// Order selects the velocity element order: 0 or 1 for the stabilized
 	// equal-order Q1-Q1 pair (default), 2 for Q2-Q1 Taylor-Hood with the
 	// sum-factorized matrix-free apply and the p-coarsened GMG velocity
-	// preconditioner. Order 2 requires Precond == PrecondGMG and a mesh
-	// with the Q2 node layer attached (mesh.ExtractQ2).
+	// preconditioner. Order 2 requires a mesh with the Q2 node layer
+	// attached (mesh.ExtractQ2).
 	Order int
 }
 
@@ -287,9 +270,9 @@ type Options struct {
 // (collective): the 4N dof layout, the velocity Dirichlet and free-slip
 // tables of every referenced node (one exchange), the matrix-free
 // operator's constraint lists, and the GMG level hierarchy with transfer
-// stencils and per-component V-cycle structure (when Options.Precond ==
-// PrecondGMG). Nothing viscosity-dependent is computed; call Update with
-// the per-element viscosity and body force before Solve. The returned
+// stencils and the blocked V-cycle's structure. Nothing
+// viscosity-dependent is computed; call Update with the per-element
+// viscosity and body force before Solve. The returned
 // Solver is cached by the convection time loop and survives unchanged
 // until the mesh adapts.
 func Setup(m *mesh.Mesh, dom fem.Domain, bc VelBC, opts Options) *Solver {
@@ -305,8 +288,8 @@ func Setup(m *mesh.Mesh, dom fem.Domain, bc VelBC, opts Options) *Solver {
 	for c := 0; c < 3; c++ {
 		c := c
 		s.compBC[c] = func(x [3]float64) (float64, bool) {
-			// Slip nodes look fully Dirichlet to the scalar component
-			// preconditioners: a frame-rotated identity block is still the
+			// Slip nodes look fully Dirichlet to the V-cycle's component
+			// fields: a frame-rotated identity block is still the
 			// identity, so treating all three components as fixed is the
 			// one choice that is invariant under the per-node rotation —
 			// and, being position-based, automatically consistent on every
@@ -332,9 +315,6 @@ func Setup(m *mesh.Mesh, dom fem.Domain, bc VelBC, opts Options) *Solver {
 	pPinned := func(i int) bool { return m.Offset+int64(i) == 0 }
 	if opts.Order == 2 {
 		q2 := m.Q2
-		if opts.Precond != PrecondGMG {
-			panic("stokes: Order 2 requires PrecondGMG (no AMG path)")
-		}
 		if q2 == nil {
 			panic("stokes: Order 2 requires the Q2 node layer — call mesh.ExtractQ2 and set Mesh.Q2")
 		}
@@ -356,29 +336,22 @@ func Setup(m *mesh.Mesh, dom fem.Domain, bc VelBC, opts Options) *Solver {
 	}
 	s.Op = s.MF
 
-	if opts.Precond == PrecondGMG {
-		// Level meshes, transfer stencils and the blocked V-cycle's
-		// structure; smoother diagonals and the coarsest-level factors
-		// wait for the first Update/Rebuild.
-		s.GMGH = gmg.NewHierarchy(m, dom, opts.GMG)
-		if s.GMGH.Degenerate() {
-			// The caller asked for GMG; a hierarchy whose coarsest level
-			// is still large would quietly cost per-iteration work the
-			// method promises to avoid. Fail loudly instead.
-			le := s.GMGH.LevelElems()
-			panic(fmt.Sprintf(
-				"stokes: GMG hierarchy is degenerate — coarsening stopped at %d global elements (target <= %d) after %d levels",
-				le[len(le)-1], gmg.CoarseElems, s.GMGH.NumLevels()))
-		}
-		s.velGMG = s.GMGH.PrecondBlock(s.compBC[:])
-	} else {
-		// Unit stiffness kernels and gathered per-component Dirichlet
-		// data for the Poisson CSRs the AMG refresh re-assembles each
-		// Update; both are mesh-dependent.
-		s.scalKern, s.scalIdx = fem.UnitStiffnessKernels(m, dom)
-		s.compBCD = fem.GatherBC(m, dom, s.compBC[:]...)
-		s.xc, s.yc = la.NewVec(s.nodeL), la.NewVec(s.nodeL)
+	// Level meshes, transfer stencils and the blocked V-cycle's
+	// structure; smoother diagonals and the coarsest-level factors wait
+	// for the first Update/Rebuild.
+	s.GMGH = gmg.NewHierarchy(m, dom, opts.GMG)
+	if s.GMGH.Degenerate() {
+		// Coarsening stops at one element per tree. A hierarchy whose
+		// coarsest level is still large would quietly cost per-iteration
+		// work the method promises to avoid; rhea.Config.Validate refuses
+		// a forest with more trees than that, and this fails loudly for
+		// every other caller.
+		le := s.GMGH.LevelElems()
+		panic(fmt.Sprintf(
+			"stokes: GMG hierarchy is degenerate — coarsening stopped at %d global elements (target <= %d) after %d levels",
+			le[len(le)-1], gmg.CoarseElems, s.GMGH.NumLevels()))
 	}
+	s.velGMG = s.GMGH.PrecondBlock(s.compBC[:])
 	if s.q2 != nil {
 		s.pl = newPCoarse(s)
 	}
@@ -544,9 +517,8 @@ func (s *Solver) finishSetup() {
 
 // Update refreshes the viscosity- and force-dependent half of the solver
 // (collective): the matrix-free operator's viscosity, the right-hand
-// side, the velocity-block multigrid numerics (GMG smoother diagonals +
-// coarsest-level factors via Hierarchy.Rebuild, or re-assembled scalar
-// CSRs + AMG hierarchies), and the Schur diagonal.
+// side, the velocity-block multigrid numerics (smoother diagonals and
+// coarsest-level factors via Hierarchy.Rebuild), and the Schur diagonal.
 // etaElem gives the constant viscosity of each local element; force gives
 // the body-force vector at each element corner (e.g. Ra*T*e_r), nil for
 // none. After Update the solver is numerically identical to a fresh
@@ -555,54 +527,20 @@ func (s *Solver) Update(etaElem []float64, force [][8][3]float64) *Solver {
 	if s.q2 != nil {
 		return s.UpdateQ2(etaElem, s.interpQ2Force(force))
 	}
-	m, dom, opts := s.M, s.Dom, s.opts
-
 	s.MF.SetViscosity(etaElem)
 	s.B = s.MF.RHS(force)
 
-	// --- Preconditioner ---------------------------------------------
-
 	// A~: the variable-viscosity vector Laplacian, approximated per
 	// velocity component (with that component's Dirichlet set) by one
-	// multigrid V-cycle. PrecondAMG assembles a scalar Poisson CSR per
-	// component and builds an algebraic hierarchy; PrecondGMG refreshes
-	// the matrix-free geometric hierarchy instead — the three components
-	// share one level stack, and the only matrix ever assembled is the
-	// coarsest level's.
-	if opts.Precond == PrecondGMG {
-		s.GMGH.Rebuild(etaElem)
-	} else {
-		elemMat := s.viscousElemMat(etaElem)
-		for c := 0; c < 3; c++ {
-			Ac, _, _ := fem.AssembleScalarWithBC(m, dom, elemMat, nil, s.compBCD[c])
-			if opts.LocalAMG {
-				s.velPC[c] = amg.NewBlockJacobi(Ac, opts.AMG)
-			} else {
-				s.velPC[c] = amg.NewRedundant(Ac, opts.AMG)
-			}
-		}
-	}
-
+	// matrix-free geometric multigrid V-cycle. The three components share
+	// one level stack, and the only matrix ever assembled is the coarsest
+	// level's.
+	s.GMGH.Rebuild(etaElem)
 	if s.hasSlip {
-		s.refreshSlipDiag(etaElem)
+		s.refreshSlipDiag()
 	}
 	s.updateSchur(etaElem)
 	return s
-}
-
-// viscousElemMat returns the element matrix of the viscosity-scaled
-// scalar Laplacian: element ei's unit stiffness kernel times etaElem[ei].
-func (s *Solver) viscousElemMat(etaElem []float64) func(ei int, h [3]float64) [8][8]float64 {
-	return func(ei int, _ [3]float64) [8][8]float64 {
-		K := s.scalKern[s.scalIdx[ei]].Full()
-		eta := etaElem[ei]
-		for a := 0; a < 8; a++ {
-			for b := 0; b < 8; b++ {
-				K[a][b] *= eta
-			}
-		}
-		return K
-	}
 }
 
 // refreshSlipDiag rebuilds the boundary Jacobi rows of the velocity
@@ -611,15 +549,9 @@ func (s *Solver) viscousElemMat(etaElem []float64) func(ei int, h [3]float64) [8
 // treat slip nodes as Dirichlet, so their tangential rows need an
 // explicit SPD stand-in, and a Jacobi row in the rotated frame equals a
 // Jacobi row in Cartesian components (the scalar diagonal is isotropic
-// per node). Collective on the AMG path; on the GMG path the hierarchy's
-// post-Rebuild diagonal cache is reused.
-func (s *Solver) refreshSlipDiag(etaElem []float64) {
-	var d *la.Vec
-	if s.GMGH != nil {
-		d = s.GMGH.FineDiag()
-	} else {
-		d = fem.AssembleScalarDiag(s.M, s.Dom, s.viscousElemMat(etaElem), nil)
-	}
+// per node). It reads the hierarchy's post-Rebuild diagonal cache.
+func (s *Solver) refreshSlipDiag() {
+	d := s.GMGH.FineDiag()
 	for _, i := range s.slipOwned {
 		if v := d.Data[i]; v > 0 {
 			s.slipDinv.Data[i] = 1 / v
@@ -688,25 +620,10 @@ func (s *Solver) Precond() krylov.Operator {
 		return s.precondQ2()
 	}
 	return krylov.OpFunc(func(x, y *la.Vec) {
-		n := s.nOwned
-		if s.velGMG != nil {
-			// Velocity block: one geometric V-cycle for the three
-			// components, read from and written to the interleaved
-			// vectors in place.
-			s.velGMG.ApplyStrided(x.Data, y.Data, 4)
-		} else {
-			// One algebraic multigrid V-cycle per velocity component.
-			for c := 0; c < 3; c++ {
-				for i := 0; i < n; i++ {
-					s.xc.Data[i] = x.Data[4*i+c]
-				}
-				s.velPC[c].Apply(s.xc, s.yc)
-				for i := 0; i < n; i++ {
-					y.Data[4*i+c] = s.yc.Data[i]
-				}
-			}
-		}
-		// Free-slip tangential rows: the component V-cycles treated slip
+		// Velocity block: one geometric V-cycle for the three components,
+		// read from and written to the interleaved vectors in place.
+		s.velGMG.ApplyStrided(x.Data, y.Data, 4)
+		// Free-slip tangential rows: the V-cycle treated slip
 		// nodes as Dirichlet (identity pass-through), which would leave
 		// the unconstrained tangential dofs effectively unpreconditioned
 		// and iteration counts growing with refinement. Overwrite them
@@ -724,7 +641,7 @@ func (s *Solver) Precond() krylov.Operator {
 			}
 		}
 		// Pressure: diagonal Schur approximation.
-		for i := 0; i < n; i++ {
+		for i := 0; i < s.nOwned; i++ {
 			y.Data[4*i+3] = s.schurInv.Data[i] * x.Data[4*i+3]
 		}
 	})

@@ -98,15 +98,12 @@ func TestVcycleIsNotTheBottleneck(t *testing.T) {
 				}
 			}
 			return Assemble(m, fem.UnitDomain, eta, shellForce(m), RadialNoSlipInner(g.RInner, g.ROuter), Options{
-				Precond: PrecondGMG,
-				Slip:    ShellSlipNormals(g.RInner, g.ROuter, false, true),
+				Slip: ShellSlipNormals(g.RInner, g.ROuter, false, true),
 			}), eta
 		}},
 		{"adapted free-slip box", func(r *sim.Rank) (*Solver, []float64) {
 			m, eta, force := regressionProblem(r, 1e3)
-			return Assemble(m, fem.UnitDomain, eta, force, FreeSlip(fem.UnitDomain.Box), Options{
-				Precond: PrecondGMG,
-			}), eta
+			return Assemble(m, fem.UnitDomain, eta, force, FreeSlip(fem.UnitDomain.Box), Options{}), eta
 		}},
 	}
 	for _, tc := range cases {
