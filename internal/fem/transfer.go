@@ -116,7 +116,7 @@ func NewTransfer(fine, coarse *mesh.Mesh) *Transfer {
 			ghosts = append(ghosts, coarse.GID(int32(s)))
 		}
 	}
-	t.gx = la.NewGhostExchange(t.coarseL, ghosts, 1)
+	t.gx = la.NewGhostExchange(t.coarseL, ghosts)
 
 	t.ptr = make([]int32, fine.NumOwned+1)
 	for i, st := range stencils {

@@ -8,14 +8,16 @@
 // refined leaves receive trilinearly interpolated values, coarsened
 // leaves receive injected corner values. Transfer ships the per-element
 // data to the new owners after PartitionTree, over the route Partition
-// returned. ToNodal/FromNodal convert between element-corner data and
-// global nodal vectors.
+// returned. FromNodal samples nodal vectors at element corners (one ghost
+// exchange); ToNodal turns corner data back into nodal vectors locally,
+// each owned node reading its corner in the element that holds its
+// canonical cell, so no value is routed by global id.
 //
 // Every function takes all the fields that cross the adaptation at once:
-// the old/new leaf correspondence is walked once, each destination rank
-// gets one message, and the per-node contribution count is built once per
-// mesh. Each field sees the same operations in the same order as it would
-// alone, so the results do not depend on which fields travel together.
+// the old/new leaf correspondence is walked once and each destination
+// rank gets one message. Each field sees the same operations in the same
+// order as it would alone, so the results do not depend on which fields
+// travel together.
 package field
 
 import (
@@ -57,77 +59,31 @@ func FromNodal(m *mesh.Mesh, fields []*la.Vec) []ElemData {
 	return out
 }
 
-// nodalShare is one rank's contributions to nodes another rank owns:
-// for each contributing element corner, in element order, the node's
-// global id and the corner value of every field (field-minor).
-type nodalShare struct {
-	gids []int64
-	vals []float64
-}
-
 // ToNodal builds nodal vectors on the (new) mesh from element-corner data
-// by weight-averaging the contributions of all elements sharing each
-// independent node (collective). Hanging corners do not contribute; their
-// values are implied by their masters. Contributions to nodes of another
-// rank travel in one message per owner for all fields, and the
-// contribution count, the same for every field, is accumulated once. Each
-// node adds its local contributions in element order, then the remote
-// ones in rank order.
+// (local: no message, no collective). Each owned node takes its value
+// from one corner: that of the first element in curve order having the
+// node as an independent corner, which is the element holding the
+// node's canonical cell (Mesh.OwnedCell), the cell that decides its
+// ownership. The forest alone fixes that element, so a node's value does
+// not depend on which ranks share the node. The corners of a continuous
+// field agree at a node to rounding, so reading one loses nothing that
+// averaging them would keep, and ToNodal(FromNodal(v)) returns v bit for
+// bit. Hanging corners carry no value of their own; their masters imply
+// them.
 func ToNodal(m *mesh.Mesh, data []ElemData) []*la.Vec {
-	l := m.Layout()
-	r := l.Rank()
 	out := make([]*la.Vec, len(data))
 	for f := range out {
-		out[f] = la.NewVec(l)
+		out[f] = la.NewVec(m.Layout())
 	}
-	cnt := make([]float64, l.Local())
-	shares := make([]nodalShare, r.Size())
-	for ei := range m.Leaves {
-		for c, s := range m.Rows[ei] {
-			if s < 0 {
-				continue // hanging
+	taken := make([]bool, m.NumOwned)
+	for ei, row := range m.Rows {
+		for c, s := range row {
+			if s < 0 || int(s) >= m.NumOwned || taken[s] {
+				continue // hanging, ghost or already taken
 			}
-			if i := int(s); i < m.NumOwned {
-				for f := range out {
-					out[f].Data[i] += data[f][ei][c]
-				}
-				cnt[i]++
-				continue
-			}
-			g := m.GID(s)
-			sh := &shares[l.OwnerOf(g)]
-			sh.gids = append(sh.gids, g)
-			for f := range data {
-				sh.vals = append(sh.vals, data[f][ei][c])
-			}
-		}
-	}
-	var dests []int
-	var payloads []any
-	var nb []int
-	for j, sh := range shares {
-		if len(sh.gids) == 0 {
-			continue
-		}
-		dests = append(dests, j)
-		payloads = append(payloads, sh)
-		nb = append(nb, 8*(len(sh.gids)+len(sh.vals)))
-	}
-	_, in := r.AlltoallvSparse(dests, payloads, nb)
-	for _, d := range in {
-		sh := d.(nodalShare)
-		for k, g := range sh.gids {
-			i := g - l.Start()
+			taken[s] = true
 			for f := range out {
-				out[f].Data[i] += sh.vals[k*len(out)+f]
-			}
-			cnt[i]++
-		}
-	}
-	for f := range out {
-		for i, n := range cnt {
-			if n > 0 {
-				out[f].Data[i] /= n
+				out[f].Data[s] = data[f][ei][c]
 			}
 		}
 	}

@@ -121,27 +121,64 @@ func TestTransferFollowsPartition(t *testing.T) {
 	})
 }
 
+// TestNodalRoundTrip requires ToNodal(FromNodal(v)) to return a
+// non-linear v bit for bit on a box refined along a tilted front and on
+// an adapted cubed-sphere shell (both with hanging corners) at 1, 2 and 4
+// ranks: every owned node reads one of its own corners, never an average
+// over the elements and ranks sharing it.
 func TestNodalRoundTrip(t *testing.T) {
-	sim.Run(3, func(r *sim.Rank) {
+	frontBox := func(r *sim.Rank) *mesh.Mesh {
 		tr := forest.New(r, unitBox, 2)
-		tr.Refine(func(o forest.Octant) bool { return o.O.Z == 0 && o.O.X == 0 })
+		for pass := 0; pass < 2; pass++ {
+			tr.Refine(func(o forest.Octant) bool {
+				lo := float64(o.O.X) + 0.3*float64(o.O.Y) + 0.2*float64(o.O.Z)
+				c := 0.6 * float64(morton.RootLen)
+				return lo <= c && c <= lo+2*float64(o.O.Len())
+			})
+		}
 		tr.Balance()
 		tr.Partition()
-		m := mesh.Extract(tr, nil)
-		dom := fem.UnitDomain
-		T := la.NewVec(m.Layout())
-		for i, pos := range m.OwnedPos {
-			x := dom.Coord(pos)
-			T.Data[i] = lin([3]float64{x[0] * float64(morton.RootLen), x[1] * float64(morton.RootLen), x[2] * float64(morton.RootLen)})
+		return mesh.Extract(tr, nil)
+	}
+	shell := func(r *sim.Rank) *mesh.Mesh {
+		conn := forest.CubedSphere(2)
+		tr := forest.New(r, conn, 1)
+		tr.Refine(func(o forest.Octant) bool { return o.Tree < 3 })
+		tr.Refine(func(o forest.Octant) bool { return o.Tree == 1 && o.O.Level == 2 && o.O.X == 0 })
+		tr.Balance()
+		tr.Partition()
+		return mesh.Extract(tr, mesh.NewShellGeometry(conn))
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(*sim.Rank) *mesh.Mesh
+	}{{"front box", frontBox}, {"shell", shell}} {
+		for _, p := range []int{1, 2, 4} {
+			sim.Run(p, func(r *sim.Rank) {
+				m := tc.build(r)
+				if m.GlobalStats().HangingLocal == 0 {
+					t.Errorf("%s at %d ranks: no hanging corners", tc.name, p)
+				}
+				fields := make([]*la.Vec, 2)
+				for f := range fields {
+					fields[f] = la.NewVec(m.Layout())
+					for i := range fields[f].Data {
+						x := fem.NodeCoord(m, fem.UnitDomain, i)
+						fields[f].Data[i] = math.Sin(float64(f+1)*x[0]+3*x[1]) * math.Exp(x[2]*x[0])
+					}
+				}
+				back := ToNodal(m, FromNodal(m, fields))
+				for f := range fields {
+					for i, v := range fields[f].Data {
+						if math.Float64bits(back[f].Data[i]) != math.Float64bits(v) {
+							t.Errorf("%s at %d ranks, rank %d field %d node %d: %v back, %v sent", tc.name, p, r.ID(), f, i, back[f].Data[i], v)
+							return
+						}
+					}
+				}
+			})
 		}
-		data := FromNodal(m, []*la.Vec{T})
-		back := ToNodal(m, data)[0]
-		diff := back.Clone()
-		diff.AXPY(-1, T)
-		if n := diff.NormInf(); n > 1e-6*T.NormInf() {
-			t.Errorf("nodal round trip error %v", n)
-		}
-	})
+	}
 }
 
 // Full adaptation pipeline: nodal -> element -> adapt -> balance ->

@@ -240,69 +240,29 @@ func oracleFromNodal(m *mesh.Mesh, fields []*la.Vec) []field.ElemData {
 	return out
 }
 
-// oracleShare is one rank's contributions to another rank's nodes.
-type oracleShare struct {
-	gids []int64
-	vals []float64
-}
-
-// oracleToNodal is field.ToNodal: each independent (N = 1) corner's value
-// added at its node, local contributions in element order, then the
-// remote ones in rank order, divided by the contribution count.
+// oracleToNodal is field.ToNodal: each owned node takes the value of
+// its corner in the element that holds its canonical cell
+// (Mesh.OwnedCell), the corner found by slot.
 func oracleToNodal(m *mesh.Mesh, data []field.ElemData) []*la.Vec {
-	l := m.Layout()
 	out := make([]*la.Vec, len(data))
 	for f := range out {
-		out[f] = la.NewVec(l)
+		out[f] = la.NewVec(m.Layout())
 	}
-	cnt := make([]float64, l.Local())
-	shares := make([]oracleShare, m.Rank.Size())
-	for ei := range m.Leaves {
+	for i, cell := range m.OwnedCell {
+		ei := m.FindLocalElement(cell.Tree, cell.O)
+		if ei < 0 {
+			panic(fmt.Sprintf("oracleToNodal: node %d's canonical cell %v is not local", i, cell))
+		}
 		cs := oracleCorners(m, ei)
-		for c := 0; c < 8; c++ {
-			if cs[c].N != 1 {
-				continue
-			}
-			if i := int(cs[c].Slot[0]); i < m.NumOwned {
-				for f := range out {
-					out[f].Data[i] += data[f][ei][c]
-				}
-				cnt[i]++
-				continue
-			}
-			g := m.GID(cs[c].Slot[0])
-			sh := &shares[l.OwnerOf(g)]
-			sh.gids = append(sh.gids, g)
-			for f := range data {
-				sh.vals = append(sh.vals, data[f][ei][c])
-			}
+		c := 0
+		for c < 8 && (cs[c].N != 1 || int(cs[c].Slot[0]) != i) {
+			c++
 		}
-	}
-	var dests, nb []int
-	var payloads []any
-	for j, sh := range shares {
-		if len(sh.gids) > 0 {
-			dests = append(dests, j)
-			payloads = append(payloads, sh)
-			nb = append(nb, 8*(len(sh.gids)+len(sh.vals)))
+		if c == 8 {
+			panic(fmt.Sprintf("oracleToNodal: node %d is no independent corner of element %d", i, ei))
 		}
-	}
-	_, in := m.Rank.AlltoallvSparse(dests, payloads, nb)
-	for _, d := range in {
-		sh := d.(oracleShare)
-		for k, g := range sh.gids {
-			i := g - l.Start()
-			for f := range out {
-				out[f].Data[i] += sh.vals[k*len(out)+f]
-			}
-			cnt[i]++
-		}
-	}
-	for f := range out {
-		for i, c := range cnt {
-			if c > 0 {
-				out[f].Data[i] /= c
-			}
+		for f := range out {
+			out[f].Data[i] = data[f][ei][c]
 		}
 	}
 	return out

@@ -56,11 +56,11 @@ func PutBuf(b []float64) {
 // before their element loops and scatter-add remote row contributions
 // back afterwards, using the same plan in both directions.
 //
-// Indices carry fixed-size blocks of `block` float64 components (the
-// Stokes operator uses block = 4: three velocity components plus
-// pressure per node). Owned data lives in caller-managed slices of
-// length Local()*block; ghost data in slices of length NumGhosts()*block,
-// indexed by ghost slot in the order of Ghosts().
+// Gather, GatherMulti and ScatterAdd move one float64 per index; owned
+// data lives in caller-managed slices of length Local(), ghost data in
+// slices of length NumGhosts(), indexed by ghost slot in the order of
+// Ghosts(). GatherBlock and ScatterAddBlock move a block of values per
+// index, the width chosen per call, over the same index tables.
 //
 // The plan persists the sparse neighborhood discovered at construction:
 // Gather and ScatterAdd exchange messages only with actual neighbor
@@ -68,7 +68,6 @@ func PutBuf(b []float64) {
 // and draw their send buffers from a shared pool.
 type GhostExchange struct {
 	layout *Layout
-	block  int
 	ghosts []int64
 
 	// Persisted neighbor plan: owners holds the ranks this rank requests
@@ -90,7 +89,7 @@ type GhostExchange struct {
 // NewGhostExchange builds the exchange plan for the given off-rank global
 // indices (collective). want may contain duplicates and need not be
 // sorted; it must not contain indices owned by this rank.
-func NewGhostExchange(l *Layout, want []int64, block int) *GhostExchange {
+func NewGhostExchange(l *Layout, want []int64) *GhostExchange {
 	ghosts := slices.Clone(want)
 	slices.Sort(ghosts)
 	ghosts = slices.Compact(ghosts)
@@ -129,7 +128,7 @@ func NewGhostExchange(l *Layout, want []int64, block int) *GhostExchange {
 		}
 		sendIdx[i] = idx
 	}
-	return NewGhostExchangeAgreed(l, ghosts, owners, reqSlot, servers, sendIdx, block)
+	return NewGhostExchangeAgreed(l, ghosts, owners, reqSlot, servers, sendIdx)
 }
 
 // NewGhostExchangeAgreed wraps tables the two sides of every pair have
@@ -139,8 +138,8 @@ func NewGhostExchange(l *Layout, want []int64, block int) *GhostExchange {
 // in the order of that rank's reqSlot entry for this rank. An exchange
 // that numbers nodes by asking their owners (mesh.Extract) has these
 // tables in hand when it finishes; NewGhostExchange negotiates them.
-func NewGhostExchangeAgreed(l *Layout, ghosts []int64, owners []int, reqSlot [][]int32, servers []int, sendIdx [][]int32, block int) *GhostExchange {
-	return &GhostExchange{layout: l, block: block, ghosts: ghosts,
+func NewGhostExchangeAgreed(l *Layout, ghosts []int64, owners []int, reqSlot [][]int32, servers []int, sendIdx [][]int32) *GhostExchange {
+	return &GhostExchange{layout: l, ghosts: ghosts,
 		owners: owners, reqSlot: reqSlot, servers: servers, sendIdx: sendIdx}
 }
 
@@ -163,20 +162,19 @@ func (g *GhostExchange) NumNeighbors() int {
 	return len(seen)
 }
 
-// Gather fills ghost (length NumGhosts()*block) with the remote blocks,
-// served from every owner's owned slice (length Local()*block)
-// (collective).
+// Gather fills ghost (length NumGhosts()) with the remote values, served
+// from every owner's owned slice (length Local()) (collective).
 func (g *GhostExchange) Gather(owned, ghost []float64) {
-	g.GatherBlock(g.block, owned, ghost)
+	g.GatherBlock(1, owned, ghost)
 }
 
-// GatherBlock is Gather with the block width chosen per call: owned and
-// ghost carry `block` values per index instead of the plan's own width.
+// GatherBlock is Gather with `block` values per index, the width chosen
+// per call: owned and ghost are Local()*block and NumGhosts()*block long.
 // The index tables do not depend on the width, so one plan (one
 // construction handshake) serves every width — the multigrid level
 // operators gather one value per node for a scalar cycle and three for
-// the blocked velocity cycle through the same block-1 plan, in one
-// message per neighbor either way (collective).
+// the blocked velocity cycle through the same plan, in one message per
+// neighbor either way (collective).
 func (g *GhostExchange) GatherBlock(block int, owned, ghost []float64) {
 	out, in := g.scratch(len(g.servers), len(g.owners))
 	for k, idx := range g.sendIdx {
@@ -198,7 +196,7 @@ func (g *GhostExchange) GatherBlock(block int, owned, ghost []float64) {
 
 // GatherMulti gathers several same-layout fields in one exchange round
 // (collective): owned[f] and ghost[f] are field f's owned and ghost
-// slices, shaped exactly as in Gather. One message carries all fields,
+// slices, one value per index as in Gather. One message carries all fields,
 // so the collective cost is that of a single Gather regardless of the
 // field count — the time loop uses this to fetch temperature and the
 // three velocity components together when re-evaluating the viscosity.
@@ -206,11 +204,12 @@ func (g *GhostExchange) GatherMulti(owned, ghost [][]float64) {
 	nf := len(owned)
 	out, in := g.scratch(len(g.servers), len(g.owners))
 	for k, idx := range g.sendIdx {
-		buf := GetBuf(len(idx) * g.block * nf)
+		buf := GetBuf(len(idx) * nf)
 		pos := 0
 		for _, li := range idx {
 			for f := 0; f < nf; f++ {
-				pos += copy(buf[pos:], owned[f][int(li)*g.block:(int(li)+1)*g.block])
+				buf[pos] = owned[f][li]
+				pos++
 			}
 		}
 		out[k].F64 = buf
@@ -221,7 +220,8 @@ func (g *GhostExchange) GatherMulti(owned, ghost [][]float64) {
 		pos := 0
 		for _, s := range slots {
 			for f := 0; f < nf; f++ {
-				pos += copy(ghost[f][int(s)*g.block:(int(s)+1)*g.block], buf[pos:pos+g.block])
+				ghost[f][s] = buf[pos]
+				pos++
 			}
 		}
 		PutBuf(buf)
@@ -232,7 +232,7 @@ func (g *GhostExchange) GatherMulti(owned, ghost [][]float64) {
 // adds them into the owners' owned slices — the transpose of Gather
 // (collective).
 func (g *GhostExchange) ScatterAdd(ghost, owned []float64) {
-	g.ScatterAddBlock(g.block, ghost, owned)
+	g.ScatterAddBlock(1, ghost, owned)
 }
 
 // ScatterAddBlock is ScatterAdd with the block width chosen per call —

@@ -8,11 +8,11 @@ import (
 
 // Round trip: every rank gathers blocks for a set of remote indices, then
 // scatter-adds a known contribution back; owners must see the sum of all
-// referencing ranks' contributions.
+// referencing ranks' contributions. Width 1 runs Gather and ScatterAdd,
+// width 3 GatherBlock and ScatterAddBlock over the same kind of plan.
 func TestGhostExchangeGatherScatter(t *testing.T) {
-	const block = 3
-	for _, p := range []int{2, 4} {
-		p := p
+	for _, tc := range []struct{ p, block int }{{2, 1}, {4, 1}, {2, 3}, {4, 3}} {
+		p, block := tc.p, tc.block
 		sim.Run(p, func(r *sim.Rank) {
 			l := NewLayout(r, 5+r.ID()) // uneven blocks
 			owned := make([]float64, l.Local()*block)
@@ -30,17 +30,22 @@ func TestGhostExchangeGatherScatter(t *testing.T) {
 				}
 				want = append(want, l.Offsets[rk], l.Offsets[rk], l.Offsets[rk]+1)
 			}
-			gx := NewGhostExchange(l, want, block)
+			gx := NewGhostExchange(l, want)
+			gather, scatterAdd := gx.Gather, gx.ScatterAdd
+			if block != 1 {
+				gather = func(owned, ghost []float64) { gx.GatherBlock(block, owned, ghost) }
+				scatterAdd = func(ghost, owned []float64) { gx.ScatterAddBlock(block, ghost, owned) }
+			}
 			if gx.NumGhosts() != 2*(p-1) {
 				t.Errorf("ghost count %d, want %d", gx.NumGhosts(), 2*(p-1))
 			}
 			ghost := make([]float64, gx.NumGhosts()*block)
-			gx.Gather(owned, ghost)
+			gather(owned, ghost)
 			for s, g := range gx.Ghosts() {
 				for c := 0; c < block; c++ {
 					if ghost[s*block+c] != float64(100*g+int64(c)) {
-						t.Errorf("ghost %d comp %d = %v, want %v",
-							g, c, ghost[s*block+c], float64(100*g+int64(c)))
+						t.Errorf("p=%d width %d: ghost %d comp %d = %v, want %v",
+							p, block, g, c, ghost[s*block+c], float64(100*g+int64(c)))
 					}
 				}
 			}
@@ -51,7 +56,7 @@ func TestGhostExchangeGatherScatter(t *testing.T) {
 				add[i] = 1
 			}
 			acc := make([]float64, len(owned))
-			gx.ScatterAdd(add, acc)
+			scatterAdd(add, acc)
 			for i := 0; i < l.Local(); i++ {
 				wantV := 0.0
 				if i < 2 {
@@ -59,8 +64,8 @@ func TestGhostExchangeGatherScatter(t *testing.T) {
 				}
 				for c := 0; c < block; c++ {
 					if acc[i*block+c] != wantV {
-						t.Errorf("scatter-add at local %d comp %d = %v, want %v",
-							i, c, acc[i*block+c], wantV)
+						t.Errorf("p=%d width %d: scatter-add at local %d comp %d = %v, want %v",
+							p, block, i, c, acc[i*block+c], wantV)
 					}
 				}
 			}

@@ -263,7 +263,7 @@ func (m *Mat) Assemble() {
 			}
 		}
 	}
-	m.gx = NewGhostExchange(m.Layout, ghostCols, 1)
+	m.gx = NewGhostExchange(m.Layout, ghostCols)
 
 	// CSR.
 	n := len(m.build)

@@ -20,7 +20,7 @@ func TestGhostExchangeMsgsAreSparse(t *testing.T) {
 		prev := (r.ID() + p - 1) % p
 		// Reference one index from each ring neighbor.
 		want := []int64{l.Offsets[next], l.Offsets[prev] + 1}
-		gx := NewGhostExchange(l, want, 1)
+		gx := NewGhostExchange(l, want)
 		if n := gx.NumNeighbors(); n != 2 {
 			t.Errorf("rank %d: %d plan neighbors, want 2", r.ID(), n)
 		}

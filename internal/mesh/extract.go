@@ -639,7 +639,7 @@ func numberNodes(r *sim.Rank, keys []canonKey, n int) (*la.Layout, []canonKey, [
 	for k := range owners {
 		ghostIDs = append(ghostIDs, back[k].Data.([]int64)...)
 	}
-	gx := la.NewGhostExchangeAgreed(layout, ghostIDs, owners, reqSlot, servers, sendIdx, 1)
+	gx := la.NewGhostExchangeAgreed(layout, ghostIDs, owners, reqSlot, servers, sendIdx)
 	return layout, owned, slot, gx
 }
 

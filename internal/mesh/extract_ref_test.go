@@ -567,7 +567,7 @@ func numberNodesRef(r *sim.Rank, nodes []nodeInfo, need []int32) (*la.Layout, []
 	for k := range owners {
 		ghostIDs = append(ghostIDs, back[k].Data.([]int64)...)
 	}
-	gx := la.NewGhostExchangeAgreed(layout, ghostIDs, owners, reqSlot, servers, sendIdx, 1)
+	gx := la.NewGhostExchangeAgreed(layout, ghostIDs, owners, reqSlot, servers, sendIdx)
 	return layout, owned, slot, gx
 }
 

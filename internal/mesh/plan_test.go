@@ -105,7 +105,7 @@ func TestMeshPlanMatchesNegotiated(t *testing.T) {
 // tables, and the same bits through either plan at widths 1 and 3 and
 // several fields at once (collective).
 func checkPlan(t *testing.T, id string, gx *la.GhostExchange, layout *la.Layout, want []int64) {
-	neg := la.NewGhostExchange(layout, want, 1)
+	neg := la.NewGhostExchange(layout, want)
 	if got, exp := planTables(gx), planTables(neg); got != exp {
 		t.Errorf("%s: derived plan differs from the negotiated one\n derived    %s\n negotiated %s", id, got, exp)
 	}

@@ -6,6 +6,7 @@ package rhea
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"rhea/internal/fem"
@@ -160,9 +161,9 @@ func TestMappedIdentityBrickNusselt(t *testing.T) {
 }
 
 // TestNoInitAdapt covers the InitAdapt defaulting semantics: zero still
-// means "default 2", NoInitAdapt (or a negative count, the legacy
-// spelling) means exactly zero rounds, and explicit positive counts are
-// untouched.
+// means "default 2", NoInitAdapt means exactly zero rounds, explicit
+// positive counts are untouched, and Validate refuses a negative count
+// with an error that names NoInitAdapt, the one way to ask for none.
 func TestNoInitAdapt(t *testing.T) {
 	base := Config{Dom: fem.UnitDomain, InitialTemp: func([3]float64) float64 { return 0 }}
 	if got := base.withDefaults().InitAdapt; got != 2 {
@@ -180,8 +181,8 @@ func TestNoInitAdapt(t *testing.T) {
 	}
 	neg := base
 	neg.InitAdapt = -1
-	if got := neg.withDefaults().InitAdapt; got != 0 {
-		t.Errorf("negative InitAdapt yielded %d rounds, want 0", got)
+	if err := neg.Validate(); err == nil || !strings.Contains(err.Error(), "NoInitAdapt") {
+		t.Errorf("negative InitAdapt: Validate returned %v, want an error naming NoInitAdapt", err)
 	}
 
 	// A NoInitAdapt run really skips the initial refinement: the mesh

@@ -137,7 +137,7 @@ type Config struct {
 	// rounds New runs. Zero means "default" (2 rounds, or none when
 	// Order == 2); to request exactly zero rounds set NoInitAdapt —
 	// InitAdapt alone cannot express it because 0 is the default
-	// sentinel.
+	// sentinel, and Validate refuses a negative count.
 	InitAdapt int
 	// NoInitAdapt requests exactly zero initial adaptation rounds: the
 	// mesh stays at the uniform BaseLevel until the first Adapt of the
@@ -220,11 +220,16 @@ func (c Config) Validate() error {
 		return fmt.Errorf("rhea: Config.MatFree.Workers %d above 1: every element loop runs on its rank's goroutine", c.MatFree.Workers)
 	}
 	// Zero picks the default; a negative value can never run: no Picard
-	// pass solves, no step advances time, MINRES cannot reach it.
-	vals := [...]float64{float64(c.TargetElems), float64(c.AdaptEvery), float64(c.Picard), c.MinresTol, float64(c.MinresMax)}
-	for i, name := range [...]string{"TargetElems", "AdaptEvery", "Picard", "MinresTol", "MinresMax"} {
+	// pass solves, no step advances time, MINRES cannot reach it, and
+	// NoInitAdapt is the one way to ask for no initial rounds.
+	vals := [...]float64{float64(c.TargetElems), float64(c.AdaptEvery), float64(c.Picard), c.MinresTol, float64(c.MinresMax), float64(c.InitAdapt)}
+	for i, name := range [...]string{"TargetElems", "AdaptEvery", "Picard", "MinresTol", "MinresMax", "InitAdapt"} {
 		if vals[i] < 0 {
-			return fmt.Errorf("rhea: negative Config.%s %g (zero picks the default)", name, vals[i])
+			hint := ""
+			if name == "InitAdapt" {
+				hint = "; NoInitAdapt asks for none"
+			}
+			return fmt.Errorf("rhea: negative Config.%s %g (zero picks the default%s)", name, vals[i], hint)
 		}
 	}
 	return nil
@@ -286,9 +291,7 @@ func (c Config) withDefaults() Config {
 		c.MinresMax = 500
 	}
 	switch {
-	case c.NoInitAdapt || c.InitAdapt < 0:
-		// Explicitly requested zero rounds (negative values are the
-		// legacy spelling of "none"; NoInitAdapt is the documented one).
+	case c.NoInitAdapt:
 		c.InitAdapt = 0
 	case c.InitAdapt == 0 && c.Order != 2:
 		// Order 2 keeps the mesh at the uniform base level by default:

@@ -45,13 +45,10 @@ type scalingCase struct {
 // at P = 256), matrix-free with GMG, adapted towards target when maxLvl
 // allows it.
 func scalingShellConfig(target int64, maxLvl uint8, tol float64) Config {
-	initAdapt := -1 // uniform base mesh
-	if maxLvl > 2 {
-		initAdapt = 1
-	}
 	return Config{
 		Shell: true, Ra: 1e4, InitialTemp: ShellBlobTemp, Visc: TemperatureDependent(1, 1),
-		BaseLevel: 2, MinLevel: 2, MaxLevel: maxLvl, TargetElems: target, InitAdapt: initAdapt,
+		BaseLevel: 2, MinLevel: 2, MaxLevel: maxLvl, TargetElems: target,
+		InitAdapt: 1, NoInitAdapt: maxLvl <= 2, // a uniform base mesh when it cannot refine
 		AdaptEvery: 4, Picard: 1, MinresTol: tol, MinresMax: 3000,
 	}
 }

@@ -59,6 +59,7 @@ func TestConfigValidate(t *testing.T) {
 		{"picard", "Picard", regressionConfig, func(c *Config) { c.Picard = -1 }},
 		{"minres tol", "MinresTol", regressionConfig, func(c *Config) { c.MinresTol = -1e-6 }},
 		{"minres max", "MinresMax", regressionConfig, func(c *Config) { c.MinresMax = -1 }},
+		{"negative init adapt", "NoInitAdapt", regressionConfig, func(c *Config) { c.InitAdapt = -1 }},
 		{"matfree workers", "MatFree.Workers", regressionConfig, func(c *Config) { c.MatFree.Workers = 2 }},
 	}
 	for _, row := range rows {
