@@ -2,6 +2,8 @@ package field
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"rhea/internal/fem"
@@ -14,83 +16,72 @@ import (
 
 var unitBox = forest.BrickConnectivity(1, 1, 1)
 
-// linear fills element data with a linear function of position, which
-// every projection step must preserve exactly.
-func linearData(leaves []forest.Octant) ElemData {
-	out := make(ElemData, len(leaves))
-	for ei, fo := range leaves {
-		o := fo.O
-		h := o.Len()
-		for c := 0; c < 8; c++ {
-			p := [3]float64{float64(o.X), float64(o.Y), float64(o.Z)}
-			if c&1 != 0 {
-				p[0] += float64(h)
-			}
-			if c&2 != 0 {
-				p[1] += float64(h)
-			}
-			if c&4 != 0 {
-				p[2] += float64(h)
-			}
-			out[ei][c] = lin(p)
-		}
-	}
-	return out
+// linAt is the linear function every projection step must preserve
+// exactly, at position p in tree's frame. Tree t of a brick nx x 1 x 1
+// sits t root lengths along x, so it is one linear function across the
+// brick.
+func linAt(tree int32, p [3]float64) float64 {
+	return 1 + 2*(p[0]+float64(tree)*morton.RootLen) - 0.5*p[1] + 0.25*p[2]
 }
 
-func lin(p [3]float64) float64 { return 1 + 2*p[0] - 0.5*p[1] + 0.25*p[2] }
+// linearField returns linAt as a nodal field on m.
+func linearField(m *mesh.Mesh) *la.Vec {
+	v := la.NewVec(m.Layout())
+	for i, pos := range m.OwnedPos {
+		v.Data[i] = linAt(m.OwnedTree[i], [3]float64{float64(pos[0]), float64(pos[1]), float64(pos[2])})
+	}
+	return v
+}
 
-func checkLinear(t *testing.T, leaves []forest.Octant, data ElemData, tag string) {
+// checkLinear requires the nodal field v on m to hold linAt at every
+// owned node.
+func checkLinear(t *testing.T, m *mesh.Mesh, v *la.Vec, tag string) {
 	t.Helper()
-	for ei, fo := range leaves {
-		o := fo.O
-		h := o.Len()
-		for c := 0; c < 8; c++ {
-			p := [3]float64{float64(o.X), float64(o.Y), float64(o.Z)}
-			if c&1 != 0 {
-				p[0] += float64(h)
-			}
-			if c&2 != 0 {
-				p[1] += float64(h)
-			}
-			if c&4 != 0 {
-				p[2] += float64(h)
-			}
-			want := lin(p)
-			if math.Abs(data[ei][c]-want) > 1e-6*math.Abs(want) {
-				t.Fatalf("%s: elem %d corner %d: %v want %v", tag, ei, c, data[ei][c], want)
-			}
+	for i, pos := range m.OwnedPos {
+		want := linAt(m.OwnedTree[i], [3]float64{float64(pos[0]), float64(pos[1]), float64(pos[2])})
+		if math.Abs(v.Data[i]-want) > 1e-6*math.Abs(want) {
+			t.Fatalf("%s: node %v of tree %d: %v want %v", tag, pos, m.OwnedTree[i], v.Data[i], want)
 		}
 	}
+}
+
+// carry runs the field pass after tr, whose leaves m was extracted from,
+// has been adapted locally: Partition, Project from m onto the adapted
+// leaves, Transfer, Extract and ToNodal (collective). It returns the new
+// mesh and the fields on it.
+func carry(r *sim.Rank, m *mesh.Mesh, tr *forest.Forest, fields []*la.Vec) (*mesh.Mesh, []*la.Vec) {
+	adapted := tr.Leaves()
+	rt := tr.Partition()
+	routed := Project(m, fields, adapted, rt)
+	routed.Transfer(r)
+	m2 := mesh.Extract(tr, nil)
+	return m2, routed.ToNodal(m2)
 }
 
 func TestProjectRefine(t *testing.T) {
 	sim.Run(1, func(r *sim.Rank) {
 		tr := forest.New(r, unitBox, 1)
-		old := append([]forest.Octant(nil), tr.Leaves()...)
-		data := linearData(old)
+		m := mesh.Extract(tr, nil)
 		tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 })
-		nd := ProjectData(old, tr.Leaves(), []ElemData{data})[0]
-		checkLinear(t, tr.Leaves(), nd, "refine")
+		m2, out := carry(r, m, tr, []*la.Vec{linearField(m)})
+		checkLinear(t, m2, out[0], "refine")
 	})
 }
 
 func TestProjectCoarsen(t *testing.T) {
 	sim.Run(1, func(r *sim.Rank) {
 		tr := forest.New(r, unitBox, 2)
-		old := append([]forest.Octant(nil), tr.Leaves()...)
-		data := linearData(old)
+		m := mesh.Extract(tr, nil)
 		tr.Coarsen(func(forest.Octant) bool { return true })
-		nd := ProjectData(old, tr.Leaves(), []ElemData{data})[0]
-		checkLinear(t, tr.Leaves(), nd, "coarsen")
+		m2, out := carry(r, m, tr, []*la.Vec{linearField(m)})
+		checkLinear(t, m2, out[0], "coarsen")
 	})
 }
 
 func TestProjectMixedWithBalance(t *testing.T) {
 	sim.Run(1, func(r *sim.Rank) {
 		tr := forest.New(r, unitBox, 2)
-		old := append([]forest.Octant(nil), tr.Leaves()...)
-		data := linearData(old)
+		m := mesh.Extract(tr, nil)
 		// Coarsen one region, refine another deeply, then balance.
 		marks := make([]bool, tr.NumLocal())
 		for i, o := range tr.Leaves() {
@@ -101,23 +92,22 @@ func TestProjectMixedWithBalance(t *testing.T) {
 			tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 && o.O.Y == 0 && o.O.Z == 0 })
 		}
 		tr.Balance()
-		nd := ProjectData(old, tr.Leaves(), []ElemData{data})[0]
-		checkLinear(t, tr.Leaves(), nd, "mixed")
+		m2, out := carry(r, m, tr, []*la.Vec{linearField(m)})
+		checkLinear(t, m2, out[0], "mixed")
 	})
 }
 
+// TestTransferFollowsPartition refines half the box at 4 ranks, so the
+// partition moves leaves between neighbouring ranks, and requires every
+// node to read the linear field: from the range its rank kept or from a
+// range that arrived.
 func TestTransferFollowsPartition(t *testing.T) {
 	sim.Run(4, func(r *sim.Rank) {
 		tr := forest.New(r, unitBox, 2)
+		m := mesh.Extract(tr, nil)
 		tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 })
-		data := linearData(tr.Leaves())
-		rt := tr.Partition()
-		nd := Transfer(r, rt, []ElemData{data})[0]
-		if len(nd) != tr.NumLocal() {
-			t.Errorf("transferred %d records for %d leaves", len(nd), tr.NumLocal())
-			return
-		}
-		checkLinear(t, tr.Leaves(), nd, "transfer")
+		m2, out := carry(r, m, tr, []*la.Vec{linearField(m)})
+		checkLinear(t, m2, out[0], "transfer")
 	})
 }
 
@@ -181,49 +171,29 @@ func TestNodalRoundTrip(t *testing.T) {
 	}
 }
 
-// Full adaptation pipeline: nodal -> element -> adapt -> balance ->
-// partition -> nodal on the new mesh, preserving a linear field exactly.
+// Full adaptation pipeline: nodal -> adapt -> balance -> partition ->
+// project -> transfer -> nodal on the new mesh, preserving a linear field
+// exactly.
 func TestFullPipelinePreservesLinear(t *testing.T) {
 	sim.Run(4, func(r *sim.Rank) {
 		tr := forest.New(r, unitBox, 2)
 		m := mesh.Extract(tr, nil)
-		T := la.NewVec(m.Layout())
-		for i, pos := range m.OwnedPos {
-			T.Data[i] = lin([3]float64{float64(pos[0]), float64(pos[1]), float64(pos[2])})
-		}
-		data := FromNodal(m, []*la.Vec{T})
-		old := append([]forest.Octant(nil), tr.Leaves()...)
+		T := linearField(m)
 
 		// Adapt: refine a moving-front region, coarsen the rest.
-		ref := make([]bool, tr.NumLocal())
 		co := make([]bool, tr.NumLocal())
 		for i, o := range tr.Leaves() {
-			if o.O.X < morton.RootLen/4 {
-				ref[i] = true
-			} else if o.O.X >= morton.RootLen/2 {
-				co[i] = true
-			}
+			co[i] = o.O.X >= morton.RootLen/2
 		}
 		tr.CoarsenMarked(co)
-		// Marks were built for the pre-coarsen leaf layout; rebuild for refine.
-		ref2 := make([]bool, tr.NumLocal())
+		ref := make([]bool, tr.NumLocal())
 		for i, o := range tr.Leaves() {
-			ref2[i] = o.O.X < morton.RootLen/4
+			ref[i] = o.O.X < morton.RootLen/4
 		}
-		tr.RefineMarked(ref2)
+		tr.RefineMarked(ref)
 		tr.Balance()
-		data = ProjectData(old, tr.Leaves(), data)
-		rt := tr.Partition()
-		data = Transfer(r, rt, data)
-		m2 := mesh.Extract(tr, nil)
-		T2 := ToNodal(m2, data)[0]
-		for i, pos := range m2.OwnedPos {
-			want := lin([3]float64{float64(pos[0]), float64(pos[1]), float64(pos[2])})
-			if math.Abs(T2.Data[i]-want) > 1e-6*math.Abs(want) {
-				t.Errorf("pipeline: node %v = %v want %v", pos, T2.Data[i], want)
-				return
-			}
-		}
+		m2, out := carry(r, m, tr, []*la.Vec{T})
+		checkLinear(t, m2, out[0], "pipeline")
 	})
 }
 
@@ -237,26 +207,17 @@ func TestFieldsTogetherMatchAlone(t *testing.T) {
 		tr.Balance()
 		tr.Partition()
 		m := mesh.Extract(tr, nil)
-		fields := make([]*la.Vec, 3)
-		for f := range fields {
-			fields[f] = la.NewVec(m.Layout())
-			for i, pos := range m.OwnedPos {
-				x := fem.UnitDomain.Coord(pos)
-				fields[f].Data[i] = math.Sin(float64(f+1)*x[0]+x[1]) * math.Exp(x[2])
-			}
-		}
-		old := append([]forest.Octant(nil), tr.Leaves()...)
+		fields := smoothFields(m, 3)
 		tr.Coarsen(func(p forest.Octant) bool { return p.O.X >= morton.RootLen/2 })
 		tr.Refine(func(o forest.Octant) bool { return o.O.X == 0 })
 		tr.Balance()
-		adapted := append([]forest.Octant(nil), tr.Leaves()...)
+		adapted := tr.Leaves()
 		rt := tr.Partition()
 		m2 := mesh.Extract(tr, nil)
 		pipeline := func(fs []*la.Vec) []*la.Vec {
-			data := FromNodal(m, fs)
-			data = ProjectData(old, adapted, data)
-			data = Transfer(r, rt, data)
-			return ToNodal(m2, data)
+			routed := Project(m, fs, adapted, rt)
+			routed.Transfer(r)
+			return routed.ToNodal(m2)
 		}
 		together := pipeline(fields)
 		for f := range fields {
@@ -269,4 +230,125 @@ func TestFieldsTogetherMatchAlone(t *testing.T) {
 			}
 		}
 	})
+}
+
+// smoothFields returns n distinct non-linear nodal fields on m.
+func smoothFields(m *mesh.Mesh, n int) []*la.Vec {
+	fields := make([]*la.Vec, n)
+	for f := range fields {
+		fields[f] = la.NewVec(m.Layout())
+		for i := range fields[f].Data {
+			x := fem.NodeCoord(m, fem.UnitDomain, i)
+			fields[f].Data[i] = math.Sin(float64(f+1)*x[0]+x[1]) * math.Exp(x[2])
+		}
+	}
+	return fields
+}
+
+// TestProjectMatchesOldPipeline holds Project, Transfer and ToNodal to
+// the three copies they replaced (FromNodal, ProjectData and the
+// concatenating Transfer, kept in ref_test.go, then ToNodal) bit for bit:
+// five non-linear fields across random coarsening, refinement and balance
+// with hanging corners, then a partition that moves leaves, on the unit
+// box, a 3x1x1 brick and the cubed-sphere shell at 1 to 4 ranks.
+func TestProjectMatchesOldPipeline(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		conn *forest.Connectivity
+		geom func(*forest.Connectivity) mesh.Geometry
+	}{
+		{"unit box", unitBox, func(*forest.Connectivity) mesh.Geometry { return nil }},
+		{"3x1x1 brick", forest.BrickConnectivity(3, 1, 1), func(*forest.Connectivity) mesh.Geometry { return nil }},
+		{"shell", forest.CubedSphere(2), func(c *forest.Connectivity) mesh.Geometry { return mesh.NewShellGeometry(c) }},
+	} {
+		for p := 1; p <= 4; p++ {
+			moved := make([]int, p)
+			sim.Run(p, func(r *sim.Rank) {
+				rng := rand.New(rand.NewSource(int64(7*p + r.ID())))
+				tr := forest.New(r, tc.conn, 1)
+				tr.Refine(func(forest.Octant) bool { return rng.Intn(2) == 0 })
+				tr.Refine(func(forest.Octant) bool { return rng.Intn(3) == 0 })
+				tr.Balance()
+				tr.Partition()
+				m := mesh.Extract(tr, tc.geom(tc.conn))
+				fields := smoothFields(m, 5)
+				old := append([]forest.Octant(nil), tr.Leaves()...)
+				data := FromNodal(m, fields)
+				tr.Coarsen(func(forest.Octant) bool { return rng.Intn(2) == 0 })
+				tr.Refine(func(o forest.Octant) bool { return o.O.Level < 4 && rng.Intn(4) == 0 })
+				tr.Balance()
+				adapted := tr.Leaves()
+				data = projectDataRef(old, adapted, data)
+				rt := tr.Partition()
+				routed := Project(m, fields, adapted, rt)
+				routed.Transfer(r)
+				data = transferRef(r, rt, data)
+				m2 := mesh.Extract(tr, tc.geom(tc.conn))
+				got, want := routed.ToNodal(m2), ToNodal(m2, data)
+				for k, from := range rt.RecvFrom {
+					if from != r.ID() {
+						moved[r.ID()] += rt.RecvCnt[k]
+					}
+				}
+				for f := range want {
+					for i, v := range want[f].Data {
+						if math.Float64bits(got[f].Data[i]) != math.Float64bits(v) {
+							t.Errorf("%s at %d ranks, rank %d field %d node %d: %v, want %v", tc.name, p, r.ID(), f, i, got[f].Data[i], v)
+							return
+						}
+					}
+				}
+			})
+			if p > 1 && !slices.ContainsFunc(moved, func(n int) bool { return n > 0 }) {
+				t.Errorf("%s at %d ranks: the partition moved no leaf", tc.name, p)
+			}
+		}
+	}
+}
+
+// TestToNodalReadsCanonicalCell gives every element corner its own value,
+// so the corners at a node disagree, and requires each owned node to read
+// the corner of the element holding its canonical cell (Mesh.OwnedCell),
+// found by search and by slot, on adapted meshes with hanging corners at
+// 1 to 4 ranks.
+func TestToNodalReadsCanonicalCell(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		conn *forest.Connectivity
+		geom func(*forest.Connectivity) mesh.Geometry
+	}{
+		{"3x1x1 brick", forest.BrickConnectivity(3, 1, 1), func(*forest.Connectivity) mesh.Geometry { return nil }},
+		{"shell", forest.CubedSphere(2), func(c *forest.Connectivity) mesh.Geometry { return mesh.NewShellGeometry(c) }},
+	} {
+		for p := 1; p <= 4; p++ {
+			sim.Run(p, func(r *sim.Rank) {
+				rng := rand.New(rand.NewSource(int64(11*p + r.ID())))
+				tr := forest.New(r, tc.conn, 1)
+				tr.Refine(func(forest.Octant) bool { return rng.Intn(2) == 0 })
+				tr.Refine(func(forest.Octant) bool { return rng.Intn(3) == 0 })
+				tr.Balance()
+				tr.Partition()
+				m := mesh.Extract(tr, tc.geom(tc.conn))
+				data := FromNodal(m, smoothFields(m, 2))
+				for f := range data {
+					for ei := range data[f] {
+						for c := range data[f][ei] {
+							data[f][ei][c] += 0.01 * float64((8*ei+c)%7)
+						}
+					}
+				}
+				got := ToNodal(m, data)
+				for i, cell := range m.OwnedCell {
+					ei := m.FindLocalElement(cell.Tree, cell.O)
+					c := slices.Index(m.Rows[ei][:], int32(i))
+					for f := range data {
+						if want := data[f][ei][c]; math.Float64bits(got[f].Data[i]) != math.Float64bits(want) {
+							t.Errorf("%s at %d ranks, rank %d field %d node %d: %v, want %v (element %d corner %d)", tc.name, p, r.ID(), f, i, got[f].Data[i], want, ei, c)
+							return
+						}
+					}
+				}
+			})
+		}
+	}
 }

@@ -1,21 +1,25 @@
 package field
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"rhea/internal/forest"
+	"rhea/internal/la"
+	"rhea/internal/mesh"
 	"rhea/internal/morton"
 	"rhea/internal/sim"
 )
 
 // Property: any random sequence of coarsen/refine/balance operations,
-// followed by ProjectData and a repartition Transfer, reproduces a linear
-// field exactly at every element corner (trilinear transfer operators are
-// exact on linears). Fixed per-case seeds, logged so failures are
-// replayable. Odd seeds run on the unit box, even ones on a two-tree
-// brick (the field is linear in each tree's own frame), so projection
-// across a tree boundary in the leaf order is covered too.
+// each followed by a repartition, Project, Transfer and ToNodal on the new
+// mesh, reproduces a linear field exactly at every node (trilinear
+// transfer operators are exact on linears). Fixed per-case
+// seeds, logged so failures are replayable. Odd seeds run on the unit
+// box, even ones on a two-tree brick (linAt is one linear function across
+// it), so projection across a tree boundary in the leaf order is covered
+// too.
 func TestPropertyPipelineExactOnLinear(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5, 6, 7, 8} {
 		seed := seed
@@ -27,9 +31,9 @@ func TestPropertyPipelineExactOnLinear(t *testing.T) {
 		sim.Run(3, func(r *sim.Rank) {
 			rng := rand.New(rand.NewSource(seed)) // same on all ranks
 			tr := forest.New(r, conn, 2)
-			data := []ElemData{linearData(tr.Leaves())}
+			m := mesh.Extract(tr, nil)
+			T := linearField(m)
 			for step := 0; step < 3; step++ {
-				old := append([]forest.Octant(nil), tr.Leaves()...)
 				cut := uint32(rng.Intn(morton.RootLen))
 				axis := rng.Intn(3)
 				sel := func(o morton.Octant) bool {
@@ -43,38 +47,16 @@ func TestPropertyPipelineExactOnLinear(t *testing.T) {
 					})
 				}
 				tr.Balance()
-				data = ProjectData(old, tr.Leaves(), data)
-				rt := tr.Partition()
-				data = Transfer(r, rt, data)
+				var out []*la.Vec
+				m, out = carry(r, m, tr, []*la.Vec{T})
+				T = out[0]
 			}
-			for ei, fo := range tr.Leaves() {
-				o := fo.O
-				h := o.Len()
-				for c := 0; c < 8; c++ {
-					p := [3]float64{float64(o.X), float64(o.Y), float64(o.Z)}
-					if c&1 != 0 {
-						p[0] += float64(h)
-					}
-					if c&2 != 0 {
-						p[1] += float64(h)
-					}
-					if c&4 != 0 {
-						p[2] += float64(h)
-					}
-					want := lin(p)
-					diff := data[0][ei][c] - want
-					if diff < 0 {
-						diff = -diff
-					}
-					tol := 1e-6 * (1 + want)
-					if want < 0 {
-						tol = 1e-6 * (1 - want)
-					}
-					if diff > tol {
-						t.Errorf("seed %d: linear not reproduced at element %d corner %d: got %v want %v",
-							seed, ei, c, data[0][ei][c], want)
-						return
-					}
+			for i, pos := range m.OwnedPos {
+				want := linAt(m.OwnedTree[i], [3]float64{float64(pos[0]), float64(pos[1]), float64(pos[2])})
+				if diff := math.Abs(T.Data[i] - want); diff > 1e-6*(1+math.Abs(want)) {
+					t.Errorf("seed %d: linear not reproduced at node %v of tree %d: got %v want %v",
+						seed, pos, m.OwnedTree[i], T.Data[i], want)
+					return
 				}
 			}
 		})

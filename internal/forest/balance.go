@@ -63,10 +63,36 @@ var cornerMask = func() (m [8]uint32) {
 // balancer is the working state of one Balance call.
 type balancer struct {
 	f      *Forest
+	lo, hi uint64                   // this rank's curve segment
 	leaves []curveOct               // in curve order, tiling this rank's segment
 	todo   [morton.MaxLevel + 1]int // fresh leaves per level
 	spare  []curveOct               // the merge pass's other buffer
 	dem    []uint64                 // the demands apply merges next (demandKey)
+	// With collect set, a sweep follows every demand that falls in one
+	// other rank's segment: virt holds them by level until their
+	// consequences are drawn, and send, per rank, those that enter the
+	// rank's segment from outside it. Without it they are dropped.
+	collect bool
+	virt    [morton.MaxLevel + 1][]uint64
+	send    [][]uint64
+	owners  []int
+	// seen is a direct-mapped cache of the demand keys filed lately:
+	// neighbouring families ask about the same octants, and a repeat is
+	// dropped before it costs a search, a place in a sort or a message.
+	// A key is never 0 (demandKey), so an empty slot matches none.
+	seen [1 << seenBits]uint64
+}
+
+const seenBits = 10
+
+// repeat reports whether key is in the seen cache, and puts it there.
+func (b *balancer) repeat(key uint64) bool {
+	slot := &b.seen[key*0x9e3779b97f4a7c15>>(64-seenBits)]
+	if *slot == key {
+		return true
+	}
+	*slot = key
+	return false
 }
 
 // Balance enforces the full face+edge+corner 2:1 condition, within each
@@ -79,30 +105,27 @@ type balancer struct {
 //
 // The balanced closure of a forest is unique; only the cost depends on
 // how it is reached (docs/ARCHITECTURE.md, "Adaptation on sorted
-// arrays"). Each round sweeps the sorted leaf array from the finest level
-// to the coarsest, sends the demands that fall outside this rank's curve
-// segment to the ranks that own them, applies what it received, and stops
-// when no rank split a leaf for a neighbour.
+// arrays"). Balance reaches it in one exchange (Isaac, Burstedde and
+// Ghattas, "Low-cost parallel algorithms for 2:1 octree balance", IPDPS
+// 2012): each rank sweeps its sorted leaf array from the finest level to
+// the coarsest, following each demand that leaves its segment through the
+// other segments too, so that every rank learns, at the point where it
+// enters, each requirement this rank's leaves impose on it. Each rank
+// then sends each other rank those entry demands once, and applies and
+// sweeps what it received, locally.
 func (f *Forest) Balance() int {
-	b := balancer{f: f, leaves: make([]curveOct, len(f.leaves))}
+	me := f.rank.ID()
+	b := balancer{f: f, lo: f.starts[me], hi: f.starts[me+1], leaves: make([]curveOct, len(f.leaves)),
+		collect: true, send: make([][]uint64, f.rank.Size())}
 	for i, o := range f.leaves {
 		b.leaves[i] = curveOct{pos: gpos(o), level: o.O.Level, fresh: true}
 		b.todo[o.O.Level]++
 	}
-	var remote []Octant
-	for {
-		remote = b.sweep(remote[:0])
-		for _, q := range f.exchange(remote) {
-			b.dem = append(b.dem, demandKey(gpos(q), q.O.Level))
-		}
-		changed := int64(0)
-		if b.apply() {
-			changed = 1
-		}
-		if f.rank.AllreduceInt64(changed) == 0 {
-			break
-		}
-	}
+	b.sweep()
+	b.dem = append(b.dem, exchangeSparse(f.rank, b.send, 8)...)
+	b.collect = false
+	b.apply()
+	b.sweep()
 	added := len(b.leaves) - len(f.leaves)
 	if added > 0 {
 		f.leaves = make([]Octant, len(b.leaves))
@@ -114,66 +137,192 @@ func (f *Forest) Balance() int {
 }
 
 // sweep lets every fresh leaf issue its demands, finest level first, and
-// applies the local ones level by level; those not inside this rank's
-// segment are appended to remote. A level-L leaf demands that its parent's
-// neighbours in its cornerMask directions not lie strictly inside a leaf.
-// The leaves a pass creates are coarser than L and fresh, so a later pass
-// of the same sweep reaches them: on return no local leaf is fresh.
-func (b *balancer) sweep(remote []Octant) []Octant {
+// applies the local ones level by level. A level-L leaf demands that its
+// parent's neighbours in its cornerMask directions not lie strictly
+// inside a leaf. The leaves a pass creates are coarser than L and fresh,
+// so a later pass of the same sweep reaches them: on return no local leaf
+// is fresh. With collect set, the demands that fall in another rank's
+// segment are followed too (follow).
+func (b *balancer) sweep() {
 	f := b.f
-	lo, hi := f.starts[f.rank.ID()], f.starts[f.rank.ID()+1]
 	for level := morton.MaxLevel; level >= 2; level-- {
-		if b.todo[level] == 0 {
-			continue
-		}
-		b.todo[level] = 0
 		shift := 3 * uint(morton.MaxLevel-level) // a level's child id sits above this many bits
-		var parent Octant
-		parentPos, asked := ^uint64(0), uint32(0)
-		for i := range b.leaves {
-			a := &b.leaves[i]
-			if !a.fresh || int(a.level) != level {
-				continue
-			}
-			a.fresh = false
-			// Fresh siblings are visited back to back (only their own
-			// descendants lie between them on the curve), so one mask per
-			// parent keeps a family from asking twice. It starts with the
-			// directions of the parent's own siblings: their common parent
-			// contains this leaf, so no leaf contains them.
-			if pp := a.pos &^ (8<<shift - 1); pp != parentPos {
-				parentPos, asked = pp, cornerMask[7-(pp>>(shift+3)&7)]
-				parent = curveOct{pos: pp, level: a.level - 1}.octant()
-			}
-			ask := cornerMask[a.pos>>shift&7] &^ asked
-			asked |= ask
-			for ; ask != 0; ask &= ask - 1 {
-				bit := bits.TrailingZeros32(ask)
-				q, ok := f.Neighbor(parent, [3]int{bit%3 - 1, bit/3%3 - 1, bit/9 - 1})
-				if !ok {
+		if b.todo[level] > 0 {
+			b.todo[level] = 0
+			parentPos, asked := ^uint64(0), uint32(0)
+			for i := range b.leaves {
+				a := &b.leaves[i]
+				if !a.fresh || int(a.level) != level {
 					continue
 				}
-				if qp := gpos(q); lo <= qp && qp+gspan(q) <= hi {
-					b.dem = append(b.dem, demandKey(qp, q.O.Level))
-				} else {
-					remote = append(remote, q)
+				a.fresh = false
+				// Fresh siblings are visited back to back (only their own
+				// descendants lie between them on the curve), so one mask per
+				// parent keeps a family from asking twice. It starts with the
+				// directions of the parent's own siblings: their common parent
+				// contains this leaf, so no leaf contains them.
+				if pp := a.pos &^ (8<<shift - 1); pp != parentPos {
+					parentPos, asked = pp, cornerMask[7-(pp>>(shift+3)&7)]
+				}
+				ask := cornerMask[a.pos>>shift&7] &^ asked
+				asked |= ask
+				for ; ask != 0; ask &= ask - 1 {
+					if qp, ok := f.neighborPos(parentPos, a.level-1, bits.TrailingZeros32(ask)); ok {
+						b.demand(qp, a.level-1, f.rank.ID())
+					}
 				}
 			}
+		}
+		if len(b.virt[level]) > 0 {
+			b.follow(level, shift)
 		}
 		b.apply()
 	}
-	return remote
+}
+
+// demand files the requirement that no leaf strictly contain q, which the
+// demands of rank from's segment imply: for apply if q lies in this
+// rank's segment and the leaf array does not satisfy it yet; with collect
+// set, in virt and, unless from is q's owner itself, in the owner's send
+// list if q lies in one other segment; nowhere if q spans a segment
+// boundary, since no leaf can then contain it.
+func (b *balancer) demand(qp uint64, level uint8, from int) {
+	span, key := levelSpan(level), demandKey(qp, level)
+	if b.lo <= qp && qp+span <= b.hi {
+		if !b.repeat(key) && b.leaves[b.holding(qp)].level < level {
+			b.dem = append(b.dem, key)
+		}
+		return
+	}
+	if !b.collect || b.repeat(key) {
+		return
+	}
+	if b.owners = b.f.owners(qp, span, b.owners[:0]); len(b.owners) != 1 {
+		return
+	}
+	b.virt[level] = append(b.virt[level], key)
+	if o := b.owners[0]; o != from {
+		b.send[o] = append(b.send[o], key)
+	}
+}
+
+// follow draws the consequences of the level's demands outside this
+// rank's segment. An octant q that no leaf strictly contains is tiled by
+// leaves at its level or finer, and so are its seven siblings (a leaf
+// containing one would contain q's parent), so the 2:1 condition on those
+// leaves requires every neighbour of q's parent, in all 26 directions,
+// not to lie strictly inside a leaf either. The balanced closure is the
+// set of demands the leaves imply by this rule, which is why it is
+// unique, and the rule never needs to know which leaves lie in between.
+//
+// A parent that spans a segment boundary is skipped: no leaf contains
+// it, so the leaves tiling its children imply its consequences on their
+// own ranks. Demands that stay inside the parent's own segment are not
+// sent: that rank's sweep draws them from the demand that entered it. A
+// repeated demand is not filed again, whatever its parent: the first one
+// already reaches the owner, sent or drawn there. Sorted, the demands of
+// one parent lie together, and the parent is followed once.
+func (b *balancer) follow(level int, shift uint) {
+	f := b.f
+	v := b.virt[level]
+	b.virt[level] = nil
+	slices.Sort(v)
+	last := ^uint64(0)
+	for _, key := range v {
+		pp := key &^ (8<<shift - 1)
+		if pp == last {
+			continue
+		}
+		last = pp
+		if b.owners = f.owners(pp, levelSpan(uint8(level-1)), b.owners[:0]); len(b.owners) != 1 {
+			continue
+		}
+		from := b.owners[0]
+		for bit := range bitDir {
+			if bit == 13 { // (0, 0, 0)
+				continue
+			}
+			if qp, ok := f.neighborPos(pp, uint8(level-1), bit); ok {
+				b.demand(qp, uint8(level-1), from)
+			}
+		}
+	}
+}
+
+// axisLanes has the bits of the x coordinate in a curve position set;
+// shifted by a, those of axis a.
+const axisLanes = 0x0049249249249249
+
+// neighborPos returns the curve position of the neighbour of the octant
+// of the given level at curve position pos in direction bit, (d_x+1) + 3(d_y+1) +
+// 9(d_z+1), and false at a physical boundary. Within the tree it steps
+// each coordinate in place on the interleaved bits; a step that leaves the
+// tree goes through Neighbor and the face transforms.
+func (f *Forest) neighborPos(pos uint64, level uint8, bit int) (uint64, bool) {
+	tree, p := pos-pos%curveEnd, pos%curveEnd
+	shift := 3 * uint(morton.MaxLevel-level)
+	for a, d := range bitDir[bit] {
+		lanes, unit := uint64(axisLanes)<<a, uint64(1)<<(shift+uint(a))
+		x := p & lanes
+		switch d {
+		case 0:
+			continue
+		case -1:
+			if x < unit {
+				return f.neighborPosAcross(pos, level, bit)
+			}
+			x = (x - unit) & lanes
+		case 1:
+			if x = ((p | ^lanes) + unit) & lanes; x < p&lanes {
+				return f.neighborPosAcross(pos, level, bit)
+			}
+		}
+		p = p&^lanes | x
+	}
+	return tree + p, true
+}
+
+// neighborPosAcross is neighborPos through the octant and its face
+// transforms, for a neighbour in another tree.
+func (f *Forest) neighborPosAcross(pos uint64, level uint8, bit int) (uint64, bool) {
+	d := bitDir[bit]
+	q, ok := f.Neighbor(curveOct{pos: pos, level: level}.octant(), [3]int{int(d[0]), int(d[1]), int(d[2])})
+	return gpos(q), ok
+}
+
+// bitDir[bit] is the direction (d_x, d_y, d_z) with bit = (d_x+1) +
+// 3(d_y+1) + 9(d_z+1).
+var bitDir = func() (t [27][3]int8) {
+	for bit := range t {
+		t[bit] = [3]int8{int8(bit%3 - 1), int8(bit/3%3 - 1), int8(bit/9 - 1)}
+	}
+	return t
+}()
+
+// holding returns the index of the leaf that holds curve position pos,
+// which lies in this rank's segment.
+func (b *balancer) holding(pos uint64) int {
+	ls := b.leaves
+	lo, hi := 0, len(ls) // the leaf is ls[i] for the last i with ls[i].pos <= pos, lo <= i < hi
+	for hi-lo > 1 {
+		if m := int(uint(lo+hi) >> 1); ls[m].pos <= pos {
+			lo = m
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // apply sorts the collected demands along the curve and merges them with
 // the leaf array in one pass, replacing every leaf that strictly contains
 // a demand by the minimal refinement that does not. It consumes the
-// demands and reports whether any leaf was split.
-func (b *balancer) apply() bool {
+// demands.
+func (b *balancer) apply() {
 	dem := b.dem
 	b.dem = dem[:0]
 	if len(dem) == 0 || len(b.leaves) == 0 {
-		return false
+		return
 	}
 	slices.Sort(dem)
 	j := 0
@@ -206,11 +355,9 @@ func (b *balancer) apply() bool {
 			out = append(out, a)
 		}
 	}
-	if out == nil {
-		return false
+	if out != nil {
+		b.leaves, b.spare = out, b.leaves
 	}
-	b.leaves, b.spare = out, b.leaves
-	return true
 }
 
 // split appends to out, in curve order, the coarsest refinement of leaf a
@@ -242,20 +389,4 @@ func (f *Forest) Contains(o Octant) bool {
 	lo := gpos(o)
 	me := f.rank.ID()
 	return f.starts[me] <= lo && lo+gspan(o) <= f.starts[me+1]
-}
-
-// exchange sends each request to the other ranks whose segment overlaps
-// it and returns the requests received (collective).
-func (f *Forest) exchange(reqs []Octant) []Octant {
-	byRank := make([][]Octant, f.rank.Size())
-	var owners []int
-	for _, n := range reqs {
-		owners = f.Owners(n, owners[:0])
-		for _, rk := range owners {
-			if rk != f.rank.ID() {
-				byRank[rk] = append(byRank[rk], n)
-			}
-		}
-	}
-	return f.ExchangeOctants(byRank)
 }

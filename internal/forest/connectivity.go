@@ -39,6 +39,9 @@ type Connectivity struct {
 	// which it leaves the tree: MapOctant crosses the same faces for the
 	// octant as for its tree's root.
 	across [][26]int32
+	// tied is across as a mask per tree: bit (d_x+1) + 3(d_y+1) +
+	// 9(d_z+1) is set when a tree lies across in direction d.
+	tied []uint32
 }
 
 // faceConn describes the neighbor across one tree face.
@@ -128,12 +131,14 @@ func (c *Connectivity) Finalize() error {
 		c.conns[b.tree][b.face] = cb
 	}
 	c.across = make([][26]int32, nt)
+	c.tied = make([]uint32, nt)
 	for t := range c.across {
 		for i, d := range Dirs26 {
 			c.across[t][i] = -1
 			p := [3]int64{int64(d[0]) * morton.RootLen, int64(d[1]) * morton.RootLen, int64(d[2]) * morton.RootLen}
 			if n, ok := c.MapOctant(int32(t), p, 0); ok {
 				c.across[t][i] = n.Tree
+				c.tied[t] |= 1 << ((d[0] + 1) + 3*(d[1]+1) + 9*(d[2]+1))
 			}
 		}
 	}

@@ -225,6 +225,13 @@ func (f *Forest) Coarsen(should func(parent Octant) bool) int {
 // to send, and returns the octants received, concatenated in source-rank
 // order (collective).
 func (f *Forest) ExchangeOctants(byRank [][]Octant) []Octant {
+	return exchangeSparse(f.rank, byRank, octantBytes)
+}
+
+// exchangeSparse sends byRank[j] to rank j, for every j with something to
+// send, counting size bytes per item on the wire, and returns the items
+// received, concatenated in source-rank order (collective).
+func exchangeSparse[T any](r *sim.Rank, byRank [][]T, size int) []T {
 	var dests []int
 	var out []any
 	var nb []int
@@ -234,12 +241,12 @@ func (f *Forest) ExchangeOctants(byRank [][]Octant) []Octant {
 		}
 		dests = append(dests, j)
 		out = append(out, s)
-		nb = append(nb, octantBytes*len(s))
+		nb = append(nb, size*len(s))
 	}
-	_, in := f.rank.AlltoallvSparse(dests, out, nb)
-	var got []Octant
+	_, in := r.AlltoallvSparse(dests, out, nb)
+	var got []T
 	for _, d := range in {
-		got = append(got, d.([]Octant)...)
+		got = append(got, d.([]T)...)
 	}
 	return got
 }
@@ -249,7 +256,7 @@ func (f *Forest) ExchangeOctants(byRank [][]Octant) []Octant {
 // of them to rank SendTo[k], and its new leaves came as RecvCnt[k] from
 // rank RecvFrom[k]. Both lists ascend and include the rank itself where
 // it keeps leaves. The element data of the same leaves travels over it
-// (field.Transfer).
+// (field.Routed.Transfer).
 type Route struct {
 	SendTo, SendCnt   []int
 	RecvFrom, RecvCnt []int
@@ -301,7 +308,9 @@ func ShareRoute(counts []int64, p, me int) Route {
 // Partition redistributes leaves evenly along the forest curve
 // (collective). One allgather of the leaf counts gives every rank the
 // whole route (ShareRoute), the leaves move without a handshake, and the
-// partition markers are exchanged once. It returns this rank's Route.
+// partition markers are exchanged once. It returns this rank's Route. The
+// slice Leaves returned before the call is left as it was, so data on
+// those leaves can follow the route after them (field.Project).
 func (f *Forest) Partition() Route {
 	rt := ShareRoute(f.rank.AllgatherInt64(int64(len(f.leaves))), f.rank.Size(), f.rank.ID())
 	out := make([]sim.Payload, len(rt.SendTo))

@@ -158,6 +158,27 @@ func (c *Connectivity) NodeReps(tree int32, pos [3]uint32, dst []NodePos) []Node
 	return dst
 }
 
+// leaving returns the directions, as bits (d_x+1) + 3(d_y+1) + 9(d_z+1),
+// in which an octant's neighbours leave its tree on the axes where they
+// do: each d_a is an offset in leave[a] (bit d_a+1), 0 included, and d
+// is not 0.
+func leaving(leave [3]uint8) uint32 {
+	if leave == [3]uint8{2, 2, 2} {
+		return 0
+	}
+	var m uint32
+	for dz := 0; dz < 3; dz++ {
+		for dy := 0; dy < 3; dy++ {
+			for dx := 0; dx < 3; dx++ {
+				if (leave[0]>>dx)&(leave[1]>>dy)&(leave[2]>>dz)&1 != 0 {
+					m |= 1 << (dx + 3*dy + 9*dz)
+				}
+			}
+		}
+	}
+	return m &^ (1 << 13)
+}
+
 // dilX selects the x bits of a Morton interleave (morton.Octant.Key
 // without its level field); y and z are the same mask shifted by 1 and 2.
 const dilX = 0x1249249249249249 & (1<<(3*morton.MaxLevel) - 1)
@@ -173,14 +194,20 @@ const dilX = 0x1249249249249249 & (1<<(3*morton.MaxLevel) - 1)
 // monotone in each coordinate, so the in-tree neighbours lie between the
 // lowest and the highest: when both lie in this rank's segment, so do the
 // others, and when one remote rank's segment alone meets that range, the
-// in-tree neighbours are done once they have found it.
+// in-tree neighbours are done once they have found it. A leaf on its
+// tree's boundary looks across only where a tree lies across (the tree's
+// tied mask): on a physical boundary it is as sealed as inside.
 func (f *Forest) GhostRanks(o Octant, dst []int) []int {
 	const off = ^uint64(0) // the offset leaves the tree
 	me, span := f.rank.ID(), gspan(o)
 	first, end := f.starts[me], f.starts[me+1]
 	base, key := uint64(o.Tree)*curveEnd, o.O.Key()>>5
-	low, high, crosses := base, base+span, false
+	low, high := base, base+span
 	var bits [3][3]uint64 // per axis, the neighbour's bits at -h, 0, +h
+	// Per axis, bit d+1 for each offset d a neighbour may take on the
+	// axes where it leaves the tree: 0, and -1 or +1 where o touches
+	// that face.
+	leave := [3]uint8{2, 2, 2}
 	for a, x := range [3]uint32{o.O.X, o.O.Y, o.O.Z} {
 		mask, hd := uint64(dilX)<<a, span<<a // the edge length, dilated
 		k := key & mask
@@ -193,14 +220,15 @@ func (f *Forest) GhostRanks(o Octant, dst []int) []int {
 		}
 		lo, hi := bits[a][0], bits[a][2]
 		if lo == off {
-			lo, crosses = k, true
+			lo, leave[a] = k, leave[a]|1
 		}
 		if hi == off {
-			hi, crosses = k, true
+			hi, leave[a] = k, leave[a]|4
 		}
 		low, high = low+lo, high+hi
 	}
-	sealed := first <= low && high <= end // every in-tree neighbour is local
+	crosses := f.Conn.tied[o.Tree]&leaving(leave) != 0 // some neighbour lies in another tree
+	sealed := first <= low && high <= end              // every in-tree neighbour is local
 	if sealed && !crosses {
 		return dst
 	}

@@ -134,11 +134,14 @@ func TestNodeRepsConsistency(t *testing.T) {
 // its definition: for every leaf, and every leaf's parent, GhostRanks
 // lists exactly the ranks other than this one that Owners gives for the
 // neighbours Neighbor finds and Contains rejects, in first-met order.
-// Randomly refined bricks of 2x1x1 and 2x2x1 trees and the cubed sphere
-// put leaves at tree faces, edges and corners; 1 to 4 ranks cut them
-// anywhere.
+// Randomly refined bricks of 2x1x1, 2x2x1 and 3x1x1 trees and the cubed
+// sphere put leaves at tree faces, edges and corners; the one-tree unit
+// box and the bricks put them on physical boundaries, where the sealed
+// leaves return at once; 1 to 4 ranks cut them anywhere.
 func TestGhostRanksMatchNeighborOwners(t *testing.T) {
 	conns := map[string]*Connectivity{
+		"box":      BrickConnectivity(1, 1, 1),
+		"brick311": BrickConnectivity(3, 1, 1),
 		"brick211": BrickConnectivity(2, 1, 1),
 		"brick221": BrickConnectivity(2, 2, 1),
 		"sphere2":  CubedSphere(2),

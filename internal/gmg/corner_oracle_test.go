@@ -220,13 +220,14 @@ func oracleRate(m *mesh.Mesh, dom fem.Domain, kappa float64, vel [][8][3]float64
 	return rate
 }
 
-// oracleFromNodal is field.FromNodal: every corner summed from zero
+// oracleFromNodal samples every field at every element corner, as
+// field.Project reads the old corners: every corner summed from zero
 // through its weights.
-func oracleFromNodal(m *mesh.Mesh, fields []*la.Vec) []field.ElemData {
-	out := make([]field.ElemData, len(fields))
+func oracleFromNodal(m *mesh.Mesh, fields []*la.Vec) [][][8]float64 {
+	out := make([][][8]float64, len(fields))
 	for f, v := range fields {
 		vals := m.GatherSlots(v.Data)[0]
-		out[f] = make(field.ElemData, len(m.Leaves))
+		out[f] = make([][8]float64, len(m.Leaves))
 		for ei := range m.Leaves {
 			cs := oracleCorners(m, ei)
 			for c := 0; c < 8; c++ {
@@ -240,10 +241,33 @@ func oracleFromNodal(m *mesh.Mesh, fields []*la.Vec) []field.ElemData {
 	return out
 }
 
-// oracleToNodal is field.ToNodal: each owned node takes the value of
-// its corner in the element that holds its canonical cell
+// oracleRefine interpolates element-corner data on m's elements onto
+// their children, eight per element in curve order, as field.Project
+// does for a leaf refined once: fem's shape values at the child corner,
+// summed from zero in corner order.
+func oracleRefine(data [][][8]float64) [][][8]float64 {
+	out := make([][][8]float64, len(data))
+	for f, d := range data {
+		out[f] = make([][8]float64, 8*len(d))
+		for j := range out[f] {
+			ch := j % 8
+			for c := 0; c < 8; c++ {
+				xi := [3]float64{float64(ch&1+c&1) / 2, float64(ch>>1&1+c>>1&1) / 2, float64(ch>>2&1+c>>2&1) / 2}
+				var v float64
+				for k, s := range d[j/8] {
+					v += s * fem.ShapeValue(k, xi)
+				}
+				out[f][j][c] = v
+			}
+		}
+	}
+	return out
+}
+
+// oracleToNodal is field.Routed.ToNodal: each owned node takes the value
+// of its corner in the element that holds its canonical cell
 // (Mesh.OwnedCell), the corner found by slot.
-func oracleToNodal(m *mesh.Mesh, data []field.ElemData) []*la.Vec {
+func oracleToNodal(m *mesh.Mesh, data [][][8]float64) []*la.Vec {
 	out := make([]*la.Vec, len(data))
 	for f := range out {
 		out[f] = la.NewVec(m.Layout())
@@ -318,13 +342,14 @@ func adaptedShell(r *sim.Rank) *mesh.Mesh {
 
 // TestCornerRowsMatchOracles runs the production loops that read
 // Mesh.Rows and Mesh.Hang — the matrix-free Stokes apply, a width-1 and
-// a width-3 multigrid level apply, advect.RateOfChange, field.FromNodal
-// and ToNodal, errind.Variation — against the per-corner {N, Slot, W}
-// oracles above, on one and two ranks of the front box and of an adapted
-// cubed-sphere shell (both with hanging corners, at two ranks also across
-// the rank boundary), and requires every output bit for bit. At one rank
-// the matrix-free apply is the whole mesh's plain element-order
-// accumulation, whatever the host's core count.
+// a width-3 multigrid level apply, advect.RateOfChange, field.Project
+// and Routed.ToNodal through one uniform refinement, errind.Variation —
+// against the per-corner {N, Slot, W} oracles above, on one and two
+// ranks of the front box and of an adapted cubed-sphere shell (both with
+// hanging corners, at two ranks also across the rank boundary), and
+// requires every output bit for bit. At one rank the matrix-free apply
+// is the whole mesh's plain element-order accumulation, whatever the
+// host's core count.
 func TestCornerRowsMatchOracles(t *testing.T) {
 	frontBox2 := func(r *sim.Rank) *mesh.Mesh { return frontBox(r, 2) }
 	cases := []struct {
@@ -429,25 +454,24 @@ func TestCornerRowsMatchOracles(t *testing.T) {
 			advect.New(m, dom, 1e-3, vel, nil, bc).RateOfChange(T, rate)
 			same("advect RateOfChange", rate.Data, oracleRate(m, dom, 1e-3, vel, bc, T).Data)
 
-			// field and errind.
+			// field: every leaf refined once and kept on its rank, so each
+			// new corner interpolates all eight old corners, hanging ones
+			// included, and the new nodes read them back.
 			fields := []*la.Vec{T, nodal(1.1)}
-			ed, edo := field.FromNodal(m, fields), oracleFromNodal(m, fields)
-			flat := func(d field.ElemData) []float64 {
-				out := make([]float64, 0, 8*len(d))
-				for ei := range d {
-					out = append(out, d[ei][:]...)
-				}
-				return out
+			old := make([]forest.Octant, len(m.Leaves))
+			for ei, o := range m.Leaves {
+				old[ei] = forest.Octant{Tree: m.Trees[ei], O: o}
 			}
-			for f := range ed {
-				same(fmt.Sprintf("field FromNodal %d", f), flat(ed[f]), flat(edo[f]))
-			}
-			for ei := range ed[1] {
-				ed[1][ei][ei%8] += 0.01 * float64(ei%5) // corners now disagree
-			}
-			back, backo := field.ToNodal(m, ed), oracleToNodal(m, ed)
+			fine := forest.FromLeaves(r, m.Conn, old)
+			fine.Refine(func(forest.Octant) bool { return true })
+			n := fine.NumLocal()
+			kept := forest.Route{SendTo: []int{r.ID()}, SendCnt: []int{n}, RecvFrom: []int{r.ID()}, RecvCnt: []int{n}}
+			routed := field.Project(m, fields, fine.Leaves(), kept)
+			routed.Transfer(r)
+			nm := mesh.Extract(fine, m.Geom)
+			back, backo := routed.ToNodal(nm), oracleToNodal(nm, oracleRefine(oracleFromNodal(m, fields)))
 			for f := range back {
-				same(fmt.Sprintf("field ToNodal %d", f), back[f].Data, backo[f].Data)
+				same(fmt.Sprintf("field Project+ToNodal %d", f), back[f].Data, backo[f].Data)
 			}
 			same("errind Variation", errind.Variation(m, T), oracleVariation(m, T))
 		})

@@ -24,33 +24,28 @@ type AdaptStats struct {
 }
 
 // AdaptFields runs the paper's adaptation stage sequence on the forest f
-// behind mesh m (collective) and carries the nodal fields across it: the
-// fields are snapshotted as element-corner data, then CoarsenTree,
-// RefineTree, BalanceTree, projection onto the adapted leaves,
-// PartitionTree, TransferFields, ExtractMesh (with m's geometry), and
-// conversion back to nodal vectors on the new mesh. marks are
-// errind.MarkElements' decisions for f's current leaves. f is adapted in
-// place; the new mesh and the fields on it, in the order given, are
-// returned. Each stage's wall-clock is added to its bucket of tm.
+// behind mesh m (collective) and carries the nodal fields across it:
+// CoarsenTree, RefineTree, BalanceTree, PartitionTree, projection of the
+// fields from m onto the adapted leaves, TransferFields, ExtractMesh (with
+// m's geometry), and conversion back to nodal vectors on the new mesh.
+// marks are errind.MarkElements' decisions for f's current leaves. f is
+// adapted in place; the new mesh and the fields on it, in the order given,
+// are returned. Each stage's wall-clock is added to its bucket of tm.
 //
-// With no fields the four field stages (snapshot, projection, transfer,
-// nodal conversion) are skipped, their ghost gather and two exchanges
-// included: every rank passes the same number of fields, so every rank
-// skips the same collectives.
+// The projection runs after the partition, on the adapted leaves as they
+// were before it, so each projected value is written once, where it is
+// read: the leaves that change rank into their messages, those a rank
+// keeps straight into the nodal vectors, at the one corner each owned
+// node reads (field.Routed).
+//
+// With no fields the three field stages (projection, transfer, nodal
+// conversion) are skipped, their ghost gather and exchange included:
+// every rank passes the same number of fields, so every rank skips the
+// same collectives.
 func AdaptFields(f *forest.Forest, m *mesh.Mesh, fields []*la.Vec, marks errind.Marks, tm *Timings) (*mesh.Mesh, []*la.Vec, AdaptStats) {
 	r := f.Rank()
 	nPrev := f.NumLocal()
 	carry := len(fields) > 0
-
-	// Snapshot fields as element data on the old mesh.
-	var data []field.ElemData
-	var oldLeaves []forest.Octant
-	if carry {
-		t0 := time.Now()
-		data = field.FromNodal(m, fields)
-		oldLeaves = append([]forest.Octant(nil), f.Leaves()...)
-		tm.InterpolateFld += time.Since(t0).Seconds()
-	}
 
 	// Coarsen + refine; the mark sets are disjoint, so coarsened regions
 	// are never refine-marked.
@@ -62,20 +57,19 @@ func AdaptFields(f *forest.Forest, m *mesh.Mesh, fields []*la.Vec, marks errind.
 	added := f.Balance()
 	tm.BalanceTree += time.Since(t0).Seconds()
 
-	// Project fields onto the adapted (still old-partition) leaves.
-	if carry {
-		t0 = time.Now()
-		data = field.ProjectData(oldLeaves, f.Leaves(), data)
-		tm.InterpolateFld += time.Since(t0).Seconds()
-	}
-
+	// Partition leaves the adapted leaf slice as it was.
+	adapted := f.Leaves()
 	t0 = time.Now()
 	route := f.Partition()
 	tm.PartitionTree += time.Since(t0).Seconds()
 
+	var routed *field.Routed
 	if carry {
 		t0 = time.Now()
-		data = field.Transfer(r, route, data)
+		routed = field.Project(m, fields, adapted, route)
+		tm.InterpolateFld += time.Since(t0).Seconds()
+		t0 = time.Now()
+		routed.Transfer(r)
 		tm.TransferFld += time.Since(t0).Seconds()
 	}
 
@@ -86,7 +80,7 @@ func AdaptFields(f *forest.Forest, m *mesh.Mesh, fields []*la.Vec, marks errind.
 	var out []*la.Vec
 	if carry {
 		t0 = time.Now()
-		out = field.ToNodal(nm, data)
+		out = routed.ToNodal(nm)
 		tm.InterpolateFld += time.Since(t0).Seconds()
 	}
 

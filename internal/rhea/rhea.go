@@ -353,7 +353,7 @@ type Timings struct {
 	BalanceTree    float64
 	PartitionTree  float64
 	ExtractMesh    float64
-	InterpolateFld float64 // InterpolateFields (projection)
+	InterpolateFld float64 // InterpolateFields (projection and nodal conversion)
 	TransferFld    float64 // TransferFields (repartition shipping)
 	MarkElements   float64
 	TimeIntegrate  float64 // explicit advection-diffusion stepping
