@@ -32,14 +32,16 @@ import (
 	"go/types"
 	"log"
 	"math"
-	"os"
 	"sort"
 	"strings"
+
+	"rhea/tools/lanes"
 )
 
-var buf bytes.Buffer
-
-func p(format string, args ...any) { fmt.Fprintf(&buf, format+"\n", args...) }
+var (
+	g = lanes.New("gen_stokesapply.go")
+	p = g.P
+)
 
 func bit(n, axis int) int { return n >> axis & 1 }
 
@@ -132,10 +134,7 @@ func interp3(in, out []string, tmp, op string) {
 }
 
 func main() {
-	p("// Code generated by gen_stokesapply.go; DO NOT EDIT.")
-	p("")
-	p("package fem")
-	p("")
+	g.Go("", "fem")
 	p(`// StokesApply computes the action of the coupled Q1-Q1 Stokes element
 // operator of the mapped element g with viscosity eta — the same
 // contract and 4a+c dof layout as StokesKernels.Apply, to which it is
@@ -269,14 +268,7 @@ func main() {
 	interp3(names("r", 8), yout, "r", "=")
 	p("}")
 
-	src, err := format.Source(buf.Bytes())
-	if err != nil {
-		log.Fatalf("formatting generated code: %v\n%s", err, buf.Bytes())
-	}
-	if err := os.WriteFile("stokesapply.go", src, 0o644); err != nil {
-		log.Fatal(err)
-	}
-	genAsm(src)
+	genAsm(g.Save("stokesapply.go"))
 }
 
 // The AVX2 kernel is not written by hand: it is compiled from the AST of
@@ -909,71 +901,52 @@ func genAsm(code []byte) {
 			ops++
 		}
 	}
-	var b bytes.Buffer
-	w := func(format string, args ...any) { fmt.Fprintf(&b, format+"\n", args...) }
-	w("// Code generated by gen_stokesapply.go; DO NOT EDIT.")
-	w("")
-	w("// StokesApply on four elements, one per lane: %d packed arithmetic ops,", ops)
-	w("// %d gathered geometry fields, %d stack slots for values the 14", gathers, a.nslots)
-	w("// value registers cannot hold.")
-	w("")
-	w("#include \"textflag.h\"")
-	w("")
+	g.Asm(fmt.Sprintf("StokesApply on four elements, one per lane: %d packed arithmetic ops,", ops),
+		fmt.Sprintf("%d gathered geometry fields, %d stack slots for values the 14", gathers, a.nslots),
+		"value registers cannot hold.")
 	for i, bits := range k.consts {
 		for l := 0; l < 4; l++ {
-			w("DATA stokesconst<>+%d(SB)/8, $0x%016x // %v", 32*i+8*l, bits, math.Float64frombits(bits))
+			p("DATA stokesconst<>+%d(SB)/8, $0x%016x // %v", 32*i+8*l, bits, math.Float64frombits(bits))
 		}
 	}
-	w("GLOBL stokesconst<>(SB), RODATA|NOPTR, $%d", 32*len(k.consts))
-	w("")
+	p("GLOBL stokesconst<>(SB), RODATA|NOPTR, $%d", 32*len(k.consts))
+	p("")
 	for l := 0; l < 4; l++ {
-		w("DATA stokessign<>+%d(SB)/8, $0x8000000000000000", 8*l)
+		p("DATA stokessign<>+%d(SB)/8, $0x8000000000000000", 8*l)
 	}
-	w("GLOBL stokessign<>(SB), RODATA|NOPTR, $32")
-	w("")
-	w("// func stokesApply4AVX2(geo *[4]*ElemGeom, eta *[4]float64, xe, ye *Lanes4)")
-	w("TEXT ·stokesApply4AVX2(SB), 0, $%d-32", 32*a.nslots+32)
-	w("\tMOVQ geo+0(FP), AX")
-	w("\tVMOVDQU (AX), Y15")
-	w("\tXORQ AX, AX")
-	w("\tMOVQ eta+8(FP), BX")
-	w("\tMOVQ xe+16(FP), SI")
-	w("\tMOVQ ye+24(FP), DI")
-	w("\tLEAQ 31(SP), R11")
-	w("\tANDQ $~31, R11")
-	b.Write(a.out.Bytes())
-	w("\tVZEROUPPER")
-	w("\tRET")
-	if err := os.WriteFile("stokesapply_amd64.s", b.Bytes(), 0o644); err != nil {
-		log.Fatal(err)
-	}
+	p("GLOBL stokessign<>(SB), RODATA|NOPTR, $32")
+	p("")
+	p("// func stokesApply4AVX2(geo *[4]*ElemGeom, eta *[4]float64, xe, ye *Lanes4)")
+	p("TEXT ·stokesApply4AVX2(SB), 0, $%d-32", 32*a.nslots+32)
+	g.I("MOVQ geo+0(FP), AX")
+	g.I("VMOVDQU (AX), Y15")
+	g.I("XORQ AX, AX")
+	g.I("MOVQ eta+8(FP), BX")
+	g.I("MOVQ xe+16(FP), SI")
+	g.I("MOVQ ye+24(FP), DI")
+	g.I("LEAQ 31(SP), R11")
+	g.I("ANDQ $~31, R11")
+	g.Write(a.out.Bytes())
+	g.I("VZEROUPPER")
+	g.I("RET")
+	g.Save("stokesapply_amd64.s")
 
-	b.Reset()
-	w("// Code generated by gen_stokesapply.go; DO NOT EDIT.")
-	w("")
-	w("package fem")
-	w("")
-	w("// stokesApply4AVX2 is StokesApply on the four elements *geo[0:4], one")
-	w("// per lane (stokesapply_amd64.s). The CPU must have AVX2.")
-	w("//")
-	w("//go:noescape")
-	w("func stokesApply4AVX2(geo *[4]*ElemGeom, eta *[4]float64, xe, ye *Lanes4)")
-	w("")
-	w("// The struct layout stokesApply4AVX2 reads; TestLanesLayout fails when")
-	w("// ElemGeom or QJac no longer has it.")
-	w("const (")
-	w("asmGeomSize = %d", geomSize)
-	w("asmQJacSize = %d", qjacSize)
-	w("asmOffQ = %d", offQ)
-	w("asmOffVol = %d", offVol)
-	w("asmOffJi = %d", offJi)
-	w("asmOffW = %d", offW)
-	w(")")
-	out, err := format.Source(b.Bytes())
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile("stokesapply_amd64.go", out, 0o644); err != nil {
-		log.Fatal(err)
-	}
+	g.Go("", "fem")
+	p("// stokesApply4AVX2 is StokesApply on the four elements *geo[0:4], one")
+	p("// per lane (stokesapply_amd64.s). The CPU must have AVX2.")
+	p("//")
+	p("//go:noescape")
+	p("func stokesApply4AVX2(geo *[4]*ElemGeom, eta *[4]float64, xe, ye *Lanes4)")
+	p("")
+	p("// The struct layout stokesApply4AVX2 reads; TestLanesLayout fails when")
+	p("// ElemGeom or QJac no longer has it.")
+	p("const (")
+	p("asmGeomSize = %d", geomSize)
+	p("asmQJacSize = %d", qjacSize)
+	p("asmOffQ = %d", offQ)
+	p("asmOffVol = %d", offVol)
+	p("asmOffJi = %d", offJi)
+	p("asmOffW = %d", offW)
+	p(")")
+	g.Save("stokesapply_amd64.go")
 }

@@ -23,42 +23,26 @@
 // operations as the Go loop's per field, never fused into an FMA. It
 // runs every element in order, so every accumulation keeps its order.
 // An element without a hanging corner runs straight-line code; one with
-// a hanging corner runs a second copy that branches per corner: a
-// hanging corner sums its masters from zero in master order at weight
-// 1/N (read from a table of 1/1..1/4), and its row adds w*s into each
-// master in master order, as the Go loop's scatterHang3 does.
+// a hanging corner runs a second copy that branches per corner and
+// applies the hanging-corner rule of package lanes, as the Go loop does.
 package main
 
 import (
-	"bytes"
 	"fmt"
-	"go/format"
-	"log"
-	"math"
-	"os"
 	"unsafe"
 
 	"rhea/internal/fem"
-	"rhea/internal/mesh"
+	"rhea/tools/lanes"
 )
 
-var buf bytes.Buffer
-
-func p(format string, args ...any) { fmt.Fprintf(&buf, format+"\n", args...) }
-
-// off returns the packed offset of entry (a, b), as fem.SymIndex has it.
-func off(a, b int) int {
-	if a > b {
-		a, b = b, a
-	}
-	return 8*a - a*(a-1)/2 + b - a
-}
+var (
+	g = lanes.New("gen_levelkernel.go")
+	p = g.P
+	w = g.I
+)
 
 func main() {
-	p("// Code generated by gen_levelkernel.go; DO NOT EDIT.")
-	p("")
-	p("package gmg")
-	p("")
+	g.Go("", "gmg")
 	p(`// applyElems1 accumulates acc += sum_e C_e^T (eta_e K_e) C_e x for one
 // field in slot space: gather the eight corner values, multiply by the
 // scaled kernel, scatter. An independent corner reads its slot straight
@@ -84,7 +68,7 @@ func main() {
 		p("{")
 		p("var s float64")
 		for b := 0; b < 8; b++ {
-			p("s += K[%d] * xe[%d]", off(a, b), b)
+			p("s += K[%d] * xe[%d]", fem.SymIndex[a][b], b)
 		}
 		p("s *= eta")
 		p("if r := row[%d]; r >= 0 {", a)
@@ -129,7 +113,7 @@ func main() {
 		p("{")
 		p("var s0, s1, s2, k float64")
 		for b := 0; b < 8; b++ {
-			p("k = K[%d]", off(a, b))
+			p("k = K[%d]", fem.SymIndex[a][b])
 			for c := 0; c < 3; c++ {
 				p("s%d += k * xe[%d][%d]", c, b, c)
 			}
@@ -150,47 +134,19 @@ func main() {
 	p("}")
 	p("}")
 
-	src, err := format.Source(buf.Bytes())
-	if err != nil {
-		log.Fatalf("formatting generated code: %v\n%s", err, buf.Bytes())
-	}
-	if err := os.WriteFile("levelkernel.go", src, 0o644); err != nil {
-		log.Fatal(err)
-	}
+	g.Save("levelkernel.go")
 	genAsm()
 }
 
-// The layout the AVX2 loop bakes in, read from the compiled packages.
-var (
-	kernSize = int(unsafe.Sizeof(fem.SymKernel{}))
-	rowSize  = int(unsafe.Sizeof(mesh.Mesh{}.Rows[0]))
-	hangSize = int(unsafe.Sizeof(mesh.Hang{}))
-	hangN    = int(unsafe.Offsetof(mesh.Hang{}.N))
-	hangSlot = int(unsafe.Offsetof(mesh.Hang{}.Slot))
-	maxN     = len(mesh.Hang{}.Slot)
-)
+// The size of a level kernel, which the AVX2 loop bakes in with the
+// mesh's layout.
+var kernSize = int(unsafe.Sizeof(fem.SymKernel{}))
 
-func write(name string, code []byte) {
-	if err := os.WriteFile(name, code, 0o644); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func gofmt(code []byte) []byte {
-	src, err := format.Source(code)
-	if err != nil {
-		log.Fatalf("formatting generated code: %v\n%s", err, code)
-	}
-	return src
-}
+// The hanging-corner walk's registers; a master's slot scales by 3.
+var hang = lanes.Hang{Table: "R12", Weights: "R9", Entry: "R13", N: "R10", Scale: "LEAQ (%[1]s)(%[1]s*2), %[1]s"}
 
 func genAsm() {
-	buf.Reset()
-	w := func(format string, args ...any) { p("\t"+format, args...) }
-	p("// Code generated by gen_levelkernel.go; DO NOT EDIT.")
-	p("")
-	p("#include \"textflag.h\"")
-	p("")
+	g.Asm()
 	p("// Lanes 0..2 of a corner's register: its three fields.")
 	for l := 0; l < 4; l++ {
 		v := "0xffffffffffffffff"
@@ -201,17 +157,7 @@ func genAsm() {
 	}
 	p("GLOBL levelmask3<>(SB), RODATA|NOPTR, $32")
 	p("")
-	p("// The weight of each master of a hanging corner with N masters,")
-	p("// mesh.Hang.W, at N*8 (N = 0 has no masters and reads none).")
-	for n := 0; n <= maxN; n++ {
-		var v float64
-		if n > 0 {
-			v = (&mesh.Hang{N: int32(n)}).W()
-		}
-		p("DATA levelw<>+%d(SB)/8, $0x%016x", 8*n, math.Float64bits(v))
-	}
-	p("GLOBL levelw<>(SB), RODATA|NOPTR, $%d", 8*(maxN+1))
-	p("")
+	g.Weights("levelw<>")
 	p("// func levelRun3(rows *[8]int32, kern *fem.SymKernel, kidx *int32, eta *float64, hang *mesh.Hang, x, acc *float64, n int) int")
 	p("TEXT ·levelRun3(SB), NOSPLIT, $0-72")
 	w("MOVQ rows+0(FP), SI")
@@ -235,26 +181,6 @@ func genAsm() {
 			p("\t// R9: the weight table; R12: the hanging table; R13: one entry of it.")
 			w("LEAQ levelw<>(SB), R9")
 		}
-		// hangEntry points R13 at the entry ^R11 of the hanging table,
-		// puts its N in R10 and broadcasts its weight into Y9.
-		hangEntry := func() {
-			w("NOTQ R11")
-			w("IMUL3Q $%d, R11, R13", hangSize)
-			w("ADDQ R12, R13")
-			w("MOVLQSX %d(R13), R10", hangN)
-			w("VBROADCASTSD (R9)(R10*8), Y9")
-		}
-		// masters emits body once per master k, in order, stopping after
-		// the N-th at label end; R11 holds 3 * the master's slot.
-		masters := func(end string, body func()) {
-			for k := 0; k < maxN; k++ {
-				w("CMPQ R10, $%d", k+1)
-				w("JLT %s", end)
-				w("MOVLQSX %d(R13), R11", hangSlot+4*k)
-				w("LEAQ (R11)(R11*2), R11")
-				body()
-			}
-		}
 		p("\t// Y0..Y7: the three fields of corners 0..7.")
 		for b := 0; b < 8; b++ {
 			w("MOVLQSX %d(SI), R11", 4*b)
@@ -268,9 +194,9 @@ func genAsm() {
 				w("JMP gd%d", b)
 				p("gh%d:", b)
 				p("\t// A hanging corner: its masters' fields at weight w, summed from zero.")
-				hangEntry()
+				g.HangEntry(hang, "R11", "Y9")
 				w("VXORPD Y%d, Y%d, Y%d", b, b, b)
-				masters(fmt.Sprintf("gd%d", b), func() {
+				g.Masters(hang, "R11", fmt.Sprintf("gd%d", b), func() {
 					w("VMASKMOVPD (DI)(R11*8), Y15, Y10")
 					w("VMULPD Y10, Y9, Y10")
 					w("VADDPD Y10, Y%d, Y%d", b, b)
@@ -282,7 +208,7 @@ func genAsm() {
 			p("\t// Row %d, scaled by eta and added to the corner's three values.", a)
 			w("VXORPD Y8, Y8, Y8")
 			for b := 0; b < 8; b++ {
-				w("VBROADCASTSD %d(BX), Y9", 8*off(a, b))
+				w("VBROADCASTSD %d(BX), Y9", 8*fem.SymIndex[a][b])
 				w("VMULPD Y%d, Y9, Y9", b)
 				w("VADDPD Y9, Y8, Y8")
 			}
@@ -303,10 +229,10 @@ func genAsm() {
 				w("JMP sd%d", a)
 				p("sh%d:", a)
 				p("\t// A hanging corner: w times the row added into each master.")
-				hangEntry()
+				g.HangEntry(hang, "R11", "Y9")
 				w("VMULPD Y8, Y9, Y9")
 				w("VEXTRACTF128 $1, Y9, X11")
-				masters(fmt.Sprintf("sd%d", a), func() {
+				g.Masters(hang, "R11", fmt.Sprintf("sd%d", a), func() {
 					w("VMOVUPD (DX)(R11*8), X10")
 					w("VADDPD X9, X10, X10")
 					w("VMOVUPD X10, (DX)(R11*8)")
@@ -320,7 +246,7 @@ func genAsm() {
 			w("MOVQ kidx+16(FP), R9")
 			w("MOVQ eta+24(FP), R10")
 		}
-		w("ADDQ $%d, SI", rowSize)
+		w("ADDQ $%d, SI", lanes.RowSize)
 		w("INCQ AX")
 		w("JMP loop")
 	}
@@ -340,20 +266,9 @@ func genAsm() {
 	w("MOVQ AX, ret+64(FP)")
 	w("VZEROUPPER")
 	w("RET")
-	write("levelkernel_amd64.s", buf.Bytes())
+	g.Save("levelkernel_amd64.s")
 
-	buf.Reset()
-	p("// Code generated by gen_levelkernel.go; DO NOT EDIT.")
-	p("")
-	p("package gmg")
-	p("")
-	p("import (")
-	p(`"unsafe"`)
-	p("")
-	p(`"rhea/internal/fem"`)
-	p(`"rhea/internal/mesh"`)
-	p(")")
-	p("")
+	g.Go("", "gmg", `"unsafe"`, "", `"rhea/internal/fem"`, `"rhea/internal/mesh"`)
 	p(`// levelRun3 is applyRange3 in AVX2 over the n elements from rows[0] on
 // (levelkernel_amd64.s), hanging corners included: kidx and eta point at
 // those elements' entries, kern at the level's first kernel, hang at the
@@ -371,7 +286,7 @@ const (
 	asmHangSize = %d
 	asmHangN    = %d
 	asmHangSlot = %d
-)`, kernSize, rowSize, hangSize, hangN, hangSlot)
+)`, kernSize, lanes.RowSize, lanes.HangSize, lanes.HangN, lanes.HangSlot)
 	p("")
 	p(`// applyElems3 runs applyRange3 over every element: on AVX2 CPUs in one
 // levelRun3 call, elements with a hanging corner included.
@@ -395,16 +310,10 @@ func (lv *level) applyVec3(x, acc []float64) {
 		levelRun3(&rows[0], &lv.kern[0], &lv.kidx[0], &lv.eta[0], unsafe.SliceData(lv.mesh.Hang), &x[0], &acc[0], len(rows))
 	}
 }`)
-	write("levelkernel_amd64.go", gofmt(buf.Bytes()))
+	g.Save("levelkernel_amd64.go")
 
-	buf.Reset()
-	p("// Code generated by gen_levelkernel.go; DO NOT EDIT.")
-	p("")
-	p("//go:build !amd64")
-	p("")
-	p("package gmg")
-	p("")
+	g.Go("!amd64", "gmg")
 	p("// applyElems3 runs applyRange3 over every element.")
 	p("func (lv *level) applyElems3(x, acc []float64) { lv.applyRange3(x, acc, 0, len(lv.mesh.Rows)) }")
-	write("levelkernel_other.go", gofmt(buf.Bytes()))
+	g.Save("levelkernel_other.go")
 }
