@@ -3,7 +3,7 @@
 // report of mesh, solver and diagnostics, then a final solve with its
 // Nu/Vrms table row and the paper's §VI accounting (AMR elements against
 // the uniform mesh at the finest level, the resolved length, the
-// viscosity range) and a timing breakdown.
+// viscosity range) and this process's timing breakdown.
 //
 // The scenario is -case NAME from the benchmark registry (internal/bench:
 // box, shell, bunge1..bunge4) or, without -case, the paper's §VI yielding

@@ -33,17 +33,17 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 
 	"rhea/internal/sim"
 )
 
 // Version is the current checkpoint format version. Readers reject
-// snapshots written by a different major format. Version 2 carries a
-// tree id with every leaf (the unit box is a one-tree forest) where
-// version 1 had a second, tree-less shard layout.
-const Version = 2
+// snapshots written by any other version. Version 3 holds the leaves and
+// the temperature and velocity only; version 2 also carried the pressure
+// and named timing scalars, and version 1 had a second, tree-less shard
+// layout.
+const Version = 3
 
 // magic seals every shard file.
 var magic = [8]byte{'R', 'H', 'E', 'A', 'C', 'K', 'P', 'T'}
@@ -54,8 +54,7 @@ const ManifestName = "manifest.json"
 // State is one rank's share of a resumable simulation snapshot: the
 // application layer (rhea) fills it from a running Sim and rebuilds the
 // Sim from it. The forest partition is carried as leaf keys (see
-// forest.LeafKeys), nodal fields as this rank's owned blocks, and small
-// named scalars (accumulated timings, counters) in Extra.
+// forest.LeafKeys) and the nodal fields as this rank's owned blocks.
 type State struct {
 	Step     int64
 	TimeNow  float64
@@ -66,9 +65,6 @@ type State struct {
 
 	T []float64 // owned temperature block
 	U [3][]float64
-	P []float64
-
-	Extra map[string]float64
 }
 
 // manifest is the snapshot's JSON commit record. Authoritative float
@@ -100,11 +96,10 @@ func shardName(rank int) string { return fmt.Sprintf("shard-%05d.bin", rank) }
 // encodeShard serializes one rank's state. Layout (all little-endian):
 //
 //	magic[8] version:u32 step:i64 timeBits:u64 configFP:u64
-//	nLeaves:u64 nNodes:u64 nExtra:u64
+//	nLeaves:u64 nNodes:u64
 //	trees[nLeaves]:i32
 //	leaves[nLeaves]:u64
-//	T,U0,U1,U2,P: nNodes each, float64 bits
-//	extra entries, key-sorted: klen:u32 key[klen] valBits:u64
+//	T,U0,U1,U2: nNodes each, float64 bits
 //	crc32(all preceding bytes):u32
 func encodeShard(st *State) ([]byte, error) {
 	nNodes := len(st.T)
@@ -112,9 +107,6 @@ func encodeShard(st *State) ([]byte, error) {
 		if len(st.U[c]) != nNodes {
 			return nil, fmt.Errorf("ckpt: U[%d] has %d entries, T has %d", c, len(st.U[c]), nNodes)
 		}
-	}
-	if len(st.P) != nNodes {
-		return nil, fmt.Errorf("ckpt: P has %d entries, T has %d", len(st.P), nNodes)
 	}
 	if len(st.Trees) != len(st.Leaves) {
 		return nil, fmt.Errorf("ckpt: %d tree ids for %d leaves", len(st.Trees), len(st.Leaves))
@@ -131,27 +123,16 @@ func encodeShard(st *State) ([]byte, error) {
 	put64(st.ConfigFP)
 	put64(uint64(len(st.Leaves)))
 	put64(uint64(nNodes))
-	put64(uint64(len(st.Extra)))
 	for _, t := range st.Trees {
 		put32(uint32(t))
 	}
 	for _, k := range st.Leaves {
 		put64(k)
 	}
-	for _, f := range [][]float64{st.T, st.U[0], st.U[1], st.U[2], st.P} {
+	for _, f := range [][]float64{st.T, st.U[0], st.U[1], st.U[2]} {
 		for _, v := range f {
 			put64(math.Float64bits(v))
 		}
-	}
-	keys := make([]string, 0, len(st.Extra))
-	for k := range st.Extra {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		put32(uint32(len(k)))
-		buf.WriteString(k)
-		put64(math.Float64bits(st.Extra[k]))
 	}
 	put32(crc32.ChecksumIEEE(buf.Bytes()))
 	return buf.Bytes(), nil
@@ -180,7 +161,7 @@ func decodeShard(b []byte) (*State, error) {
 	}
 	get32 := func() uint32 { v := le.Uint32(body[off:]); off += 4; return v }
 	get64 := func() uint64 { v := le.Uint64(body[off:]); off += 8; return v }
-	if err := need(4 + 8*6); err != nil {
+	if err := need(4 + 8*5); err != nil {
 		return nil, err
 	}
 	if v := get32(); v != Version {
@@ -192,10 +173,9 @@ func decodeShard(b []byte) (*State, error) {
 	st.ConfigFP = get64()
 	nLeaves := get64()
 	nNodes := get64()
-	nExtra := get64()
 	const maxCount = 1 << 40 // sanity bound against corrupted headers
-	if nLeaves > maxCount || nNodes > maxCount || nExtra > maxCount {
-		return nil, fmt.Errorf("ckpt: implausible shard header (leaves %d, nodes %d, extras %d)", nLeaves, nNodes, nExtra)
+	if nLeaves > maxCount || nNodes > maxCount {
+		return nil, fmt.Errorf("ckpt: implausible shard header (leaves %d, nodes %d)", nLeaves, nNodes)
 	}
 	if err := need((4 + 8) * int(nLeaves)); err != nil {
 		return nil, err
@@ -208,31 +188,14 @@ func decodeShard(b []byte) (*State, error) {
 	for i := range st.Leaves {
 		st.Leaves[i] = get64()
 	}
-	if err := need(5 * 8 * int(nNodes)); err != nil {
+	if err := need(4 * 8 * int(nNodes)); err != nil {
 		return nil, err
 	}
-	fields := make([][]float64, 5)
-	for f := range fields {
-		fields[f] = make([]float64, nNodes)
-		for i := range fields[f] {
-			fields[f][i] = math.Float64frombits(get64())
+	for _, f := range []*[]float64{&st.T, &st.U[0], &st.U[1], &st.U[2]} {
+		*f = make([]float64, nNodes)
+		for i := range *f {
+			(*f)[i] = math.Float64frombits(get64())
 		}
-	}
-	st.T, st.U[0], st.U[1], st.U[2], st.P = fields[0], fields[1], fields[2], fields[3], fields[4]
-	if nExtra > 0 {
-		st.Extra = make(map[string]float64, nExtra)
-	}
-	for i := uint64(0); i < nExtra; i++ {
-		if err := need(4); err != nil {
-			return nil, err
-		}
-		klen := int(get32())
-		if err := need(klen + 8); err != nil {
-			return nil, err
-		}
-		key := string(body[off : off+klen])
-		off += klen
-		st.Extra[key] = math.Float64frombits(get64())
 	}
 	if off != len(body) {
 		return nil, fmt.Errorf("ckpt: %d trailing bytes after shard payload", len(body)-off)

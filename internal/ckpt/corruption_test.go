@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -24,9 +25,9 @@ import (
 	"rhea/internal/sim"
 )
 
-// fuzzShard is a small but fully featured shard: tree ids, leaves, all
-// five fields and extra scalars, so every encoder branch contributes
-// bytes to the corpus.
+// fuzzShard is a small but fully featured shard: tree ids, leaves and
+// all four fields, so every encoder branch contributes bytes to the
+// corpus.
 func fuzzShard(t *testing.T) []byte {
 	t.Helper()
 	b, err := encodeShard(testState(0))
@@ -145,7 +146,7 @@ func TestReadCorruptShardEveryOffsetCollective(t *testing.T) {
 		if st.Step != want.Step || math.Float64bits(st.TimeNow) != math.Float64bits(want.TimeNow) {
 			t.Errorf("rank %d: restored header differs", r.ID())
 		}
-		if !bitsEqual(st.T, want.T) || !bitsEqual(st.P, want.P) {
+		if !bitsEqual(st.T, want.T) || !bitsEqual(st.U[1], want.U[1]) {
 			t.Errorf("rank %d: restored fields are not bit-identical", r.ID())
 		}
 	})
@@ -177,81 +178,125 @@ func TestPeek(t *testing.T) {
 	}
 }
 
-// encodeShardV1 forges the tree-less shard layout format version 1 wrote
-// for box runs (magic, version 1, flags 0, header, leaves, fields, no
-// extras), correctly sealed — what a snapshot directory left over from
-// before the one-layout format holds.
-func encodeShardV1(st *State) []byte {
+// encodeOldShard forges, correctly sealed, the shard layout an older
+// format version wrote: what a snapshot directory left over from before
+// a format change holds. Version 1 had no tree ids (a flags word in their
+// place) and version 2 had them; both carried the pressure as a fifth
+// field (here zeros) and a count of named scalars (here none).
+func encodeOldShard(st *State, version uint32) []byte {
 	var buf bytes.Buffer
 	buf.Write(magic[:])
 	le := binary.LittleEndian
 	put := func(v any) { binary.Write(&buf, le, v) }
-	put(uint32(1)) // version
-	put(uint32(0)) // flags: no tree ids
+	put(version)
+	if version == 1 {
+		put(uint32(0)) // flags: no tree ids
+	}
 	put(st.Step)
 	put(math.Float64bits(st.TimeNow))
 	put(st.ConfigFP)
 	put(uint64(len(st.Leaves)))
 	put(uint64(len(st.T)))
-	put(uint64(0))
+	put(uint64(0)) // named scalars
+	if version > 1 {
+		put(st.Trees)
+	}
 	put(st.Leaves)
-	for _, f := range [][]float64{st.T, st.U[0], st.U[1], st.U[2], st.P} {
+	for _, f := range [][]float64{st.T, st.U[0], st.U[1], st.U[2], make([]float64, len(st.T))} {
 		put(f)
 	}
 	put(crc32.ChecksumIEEE(buf.Bytes()))
 	return buf.Bytes()
 }
 
-// TestReadRejectsVersion1 pins the format break: a version-1 snapshot
-// must be refused with the version error on every rank — never
-// mis-parsed under the version-2 layout — whether the reader meets the
-// old version in the manifest or, behind a manifest that claims the
-// current version, in a shard.
-func TestReadRejectsVersion1(t *testing.T) {
+// TestReadRejectsOldVersions pins the format breaks: a version-1 or
+// version-2 snapshot must be refused with the version error on every rank
+// — never mis-parsed under the current layout — whether the reader meets
+// the old version in the manifest or, behind a manifest that claims the
+// current version, in a shard; Peek refuses the old manifest too.
+func TestReadRejectsOldVersions(t *testing.T) {
 	const p = 3
-	for _, manifestToo := range []bool{true, false} {
-		dir := filepath.Join(t.TempDir(), "snap")
-		sim.Run(p, func(r *sim.Rank) {
-			if err := Write(r, dir, testState(r.ID())); err != nil {
-				t.Errorf("Write: %v", err)
-			}
-		})
-		mb, err := os.ReadFile(filepath.Join(dir, ManifestName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var m manifest
-		if err := json.Unmarshal(mb, &m); err != nil {
-			t.Fatal(err)
-		}
-		// Only rank 1's shard is old when the manifest is current: the
-		// other ranks must still hear about it.
-		for rank := range m.Shards {
-			if !manifestToo && rank != 1 {
-				continue
-			}
-			old := encodeShardV1(testState(rank))
-			if _, err := decodeShard(old); err == nil || !strings.Contains(err.Error(), "format version 1") {
-				t.Fatalf("decodeShard(version-1 shard) = %v, want the version error", err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, m.Shards[rank].File), old, 0o666); err != nil {
+	for _, version := range []uint32{1, 2} {
+		want := fmt.Sprintf("format version %d", version)
+		for _, manifestToo := range []bool{true, false} {
+			dir := filepath.Join(t.TempDir(), "snap")
+			sim.Run(p, func(r *sim.Rank) {
+				if err := Write(r, dir, testState(r.ID())); err != nil {
+					t.Errorf("Write: %v", err)
+				}
+			})
+			mb, err := os.ReadFile(filepath.Join(dir, ManifestName))
+			if err != nil {
 				t.Fatal(err)
 			}
-			m.Shards[rank].Bytes = int64(len(old))
-			m.Shards[rank].CRC32 = crc32.ChecksumIEEE(old)
-		}
-		if manifestToo {
-			m.Version = 1
-		}
-		if mb, err = json.Marshal(m); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, ManifestName), mb, 0o666); err != nil {
-			t.Fatal(err)
-		}
-		expectReadError(t, p, dir, "format version 1")
-		if _, err := Peek(dir); manifestToo && (err == nil || !strings.Contains(err.Error(), "format version 1")) {
-			t.Errorf("Peek(version-1 manifest) = %v, want the version error", err)
+			var m manifest
+			if err := json.Unmarshal(mb, &m); err != nil {
+				t.Fatal(err)
+			}
+			// Only rank 1's shard is old when the manifest is current: the
+			// other ranks must still hear about it.
+			for rank := range m.Shards {
+				if !manifestToo && rank != 1 {
+					continue
+				}
+				old := encodeOldShard(testState(rank), version)
+				if _, err := decodeShard(old); err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("decodeShard(version-%d shard) = %v, want the version error", version, err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, m.Shards[rank].File), old, 0o666); err != nil {
+					t.Fatal(err)
+				}
+				m.Shards[rank].Bytes = int64(len(old))
+				m.Shards[rank].CRC32 = crc32.ChecksumIEEE(old)
+			}
+			if manifestToo {
+				m.Version = int(version)
+			}
+			if mb, err = json.Marshal(m); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, ManifestName), mb, 0o666); err != nil {
+				t.Fatal(err)
+			}
+			expectReadError(t, p, dir, want)
+			if _, err := Peek(dir); manifestToo && (err == nil || !strings.Contains(err.Error(), want)) {
+				t.Errorf("Peek(version-%d manifest) = %v, want the version error", version, err)
+			}
 		}
 	}
+}
+
+// FuzzDecodeShard feeds decodeShard arbitrary shard bodies, each sealed
+// with its own CRC-32 so mutations reach the parser instead of stopping
+// at the checksum. decodeShard must never panic, and every shard it
+// accepts must re-encode to the same bytes: the format has one encoding
+// per state. The seeds are a valid two-leaf shard, the same shard cut in
+// half, and a version-2 shard.
+func FuzzDecodeShard(f *testing.F) {
+	shard, err := encodeShard(testState(0))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := decodeShard(shard); err != nil {
+		f.Fatalf("seed shard does not decode: %v", err)
+	}
+	body := shard[:len(shard)-4]
+	old := encodeOldShard(testState(0), 2)
+	f.Add(body)
+	f.Add(body[:len(body)/2])
+	f.Add(old[:len(old)-4])
+	f.Fuzz(func(t *testing.T, body []byte) {
+		b := binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.ChecksumIEEE(body))
+		st, err := decodeShard(b)
+		if err != nil {
+			return
+		}
+		again, err := encodeShard(st)
+		if err != nil {
+			t.Fatalf("decodeShard accepted a state encodeShard refuses: %v", err)
+		}
+		if !bytes.Equal(again, b) {
+			t.Fatalf("accepted shard re-encodes to different bytes:\n got %x\nwant %x", again, b)
+		}
+	})
 }

@@ -20,7 +20,6 @@ func writeSnap(t *testing.T, dir string, step int64) {
 			Leaves:  []uint64{uint64(r.ID()) + 1},
 			T:       []float64{float64(r.ID()) + float64(step)},
 			U:       [3][]float64{{1}, {2}, {3}},
-			P:       []float64{4},
 		}
 		if err := Write(r, dir, st); err != nil {
 			t.Errorf("write snapshot step %d: %v", step, err)

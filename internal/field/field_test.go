@@ -198,7 +198,7 @@ func TestFullPipelinePreservesLinear(t *testing.T) {
 }
 
 // Fields that cross an adaptation together must come out bit for bit as
-// each would alone: the restart and chaos pins compare T, U and P that
+// each would alone: the restart and chaos pins compare T and U that
 // travelled in different company.
 func TestFieldsTogetherMatchAlone(t *testing.T) {
 	sim.Run(3, func(r *sim.Rank) {

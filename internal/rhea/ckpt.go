@@ -1,19 +1,21 @@
 package rhea
 
-// Checkpoint/restart: Sim.Checkpoint serializes the complete resumable
-// state — the forest leaves with their partition boundaries, the
-// nodal T/U/P fields, the time-loop position and the accumulated
-// timings — through internal/ckpt's sharded snapshot format, and
-// Restore rebuilds a Sim from a snapshot without re-running the initial
-// adaptation rounds or re-evaluating the initial temperature. Everything
-// else a run needs (mesh, ghost plans, the Stokes solver, multigrid
-// hierarchies) is deterministically derived state: it is rebuilt on
-// demand from the restored leaves and fields, exactly as the
-// uninterrupted run rebuilds it after each Adapt. Because the mesh
-// extraction, solver setup and all reductions are deterministic (and
-// rank-order bit-exact), a restored run continues the exact trajectory
-// of the uninterrupted one: same Adapt decisions, same MINRES iteration
-// counts, bit-identical diagnostics.
+// Checkpoint/restart: Sim.Checkpoint serializes the state that cannot be
+// recomputed — the forest leaves with their partition boundaries, the
+// nodal T and U fields and the time-loop position — through
+// internal/ckpt's sharded snapshot format, and Restore rebuilds a Sim
+// from a snapshot without re-running the initial adaptation rounds or
+// re-evaluating the initial temperature. Everything else a run needs
+// (mesh, ghost plans, the Stokes solver, multigrid hierarchies) is
+// deterministically derived state: it is rebuilt on demand from the
+// restored leaves and fields, exactly as the uninterrupted run rebuilds
+// it after each Adapt. The pressure is not state: every solve recomputes
+// it from T and U. Neither are the Timings, which measure the process
+// that accumulated them. Because the mesh extraction, solver setup and
+// all reductions are deterministic (and rank-order bit-exact), a
+// restored run continues the exact trajectory of the uninterrupted one:
+// same Adapt decisions, same MINRES iteration counts, bit-identical
+// diagnostics.
 
 import (
 	"encoding/binary"
@@ -53,7 +55,10 @@ func (c Config) Fingerprint() uint64 {
 		}
 		return 0
 	}
-	w(uint32(ckpt.Version))
+	// 2 fills the slot of the snapshot format version, the value it held
+	// when the fingerprint stopped reading it: the format refuses its
+	// own old versions, and no pinned fingerprint moves.
+	w(uint32(2))
 	w(c.Dom.Box[0], c.Dom.Box[1], c.Dom.Box[2])
 	// 0.0 fills the slot of the retired internal-heating rate, which was
 	// always zero, so existing fingerprints and snapshots still match.
@@ -97,44 +102,6 @@ func slipCode(s string) int64 {
 	return 0
 }
 
-// timings <-> snapshot scalar conversion. Keys are part of the on-disk
-// format; renaming one is a format change.
-func timingsToExtra(t Timings) map[string]float64 {
-	return map[string]float64{
-		"t.new_tree":        t.NewTree,
-		"t.coarsen_refine":  t.CoarsenRefine,
-		"t.balance_tree":    t.BalanceTree,
-		"t.partition_tree":  t.PartitionTree,
-		"t.extract_mesh":    t.ExtractMesh,
-		"t.interpolate_fld": t.InterpolateFld,
-		"t.transfer_fld":    t.TransferFld,
-		"t.mark_elements":   t.MarkElements,
-		"t.time_integrate":  t.TimeIntegrate,
-		"t.stokes_setup":    t.StokesSetup,
-		"t.stokes_update":   t.StokesUpdate,
-		"t.minres":          t.MINRES,
-		"t.stokes_setups":   float64(t.StokesSetups),
-	}
-}
-
-func timingsFromExtra(x map[string]float64) Timings {
-	return Timings{
-		NewTree:        x["t.new_tree"],
-		CoarsenRefine:  x["t.coarsen_refine"],
-		BalanceTree:    x["t.balance_tree"],
-		PartitionTree:  x["t.partition_tree"],
-		ExtractMesh:    x["t.extract_mesh"],
-		InterpolateFld: x["t.interpolate_fld"],
-		TransferFld:    x["t.transfer_fld"],
-		MarkElements:   x["t.mark_elements"],
-		TimeIntegrate:  x["t.time_integrate"],
-		StokesSetup:    x["t.stokes_setup"],
-		StokesUpdate:   x["t.stokes_update"],
-		MINRES:         x["t.minres"],
-		StokesSetups:   int(x["t.stokes_setups"]),
-	}
-}
-
 // Checkpoint writes a committed snapshot of the complete resumable state
 // into dir (collective): per-rank shards with checksums plus a manifest
 // (the commit point — see internal/ckpt). Any failure returns the same
@@ -152,8 +119,6 @@ func (s *Sim) Checkpoint(dir string) error {
 		Leaves:   leaves,
 		T:        s.T.Data,
 		U:        [3][]float64{s.U[0].Data, s.U[1].Data, s.U[2].Data},
-		P:        s.P.Data,
-		Extra:    timingsToExtra(s.Times),
 	}
 	return ckpt.Write(s.Rank, dir, st)
 }
@@ -166,7 +131,8 @@ func (s *Sim) Checkpoint(dir string) error {
 // leaves, partition boundaries and nodal fields are restored
 // bit-exactly, and no initial adaptation rounds or initial-temperature
 // evaluation run, so the restored Sim continues the interrupted
-// trajectory exactly.
+// trajectory exactly. Its Times start at zero: they measure this
+// process.
 func Restore(r *sim.Rank, cfg Config, dir string) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -184,7 +150,7 @@ func Restore(r *sim.Rank, cfg Config, dir string) (*Sim, error) {
 		return nil, fmt.Errorf("rhea: snapshot %s was written under a different configuration (fingerprint %016x, this config %016x)", dir, st.ConfigFP, fp)
 	}
 
-	s := &Sim{Cfg: cfg, Rank: r}
+	s := &Sim{Cfg: cfg, Rank: r, P: new(la.Vec)}
 	s.Forest, err = forest.FromKeys(r, cfg.conn(), st.Trees, st.Leaves)
 	if err = r.AllreduceError(err); err != nil {
 		return nil, fmt.Errorf("rhea: rebuilding partition from snapshot %s: %w", dir, err)
@@ -201,15 +167,11 @@ func Restore(r *sim.Rank, cfg Config, dir string) (*Sim, error) {
 			s.U[c], err = la.NewVecFromOwned(layout, st.U[c])
 		}
 	}
-	if err == nil {
-		s.P, err = la.NewVecFromOwned(layout, st.P)
-	}
 	if err = r.AllreduceError(err); err != nil {
 		return nil, fmt.Errorf("rhea: snapshot %s node data does not match the extracted mesh (mesh extraction changed since it was written?): %w", dir, err)
 	}
 
 	s.Step = int(st.Step)
 	s.TimeNow = st.TimeNow
-	s.Times = timingsFromExtra(st.Extra)
 	return s, nil
 }

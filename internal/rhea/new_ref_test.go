@@ -1,9 +1,9 @@
 package rhea
 
 // New's initial rounds as they were while they carried every field: each
-// round ran Sim.Adapt, which takes T, U and P through the four field
-// stages of AdaptFields, and then overwrote T with the initial condition
-// (U and P were zeros throughout). Kept as the oracle New's zero-field
+// round ran Sim.Adapt, which takes T and U through the four field stages
+// of AdaptFields, and then overwrote T with the initial condition (U was
+// zero throughout). Kept as the oracle New's zero-field
 // rounds must reproduce bit for bit.
 
 import (
@@ -30,7 +30,6 @@ func newFieldCarrying(r *sim.Rank, cfg Config) *Sim {
 	for c := range s.U {
 		s.U[c] = la.NewVec(s.Mesh.Layout())
 	}
-	s.P = la.NewVec(s.Mesh.Layout())
 	for i := 0; i < cfg.InitAdapt; i++ {
 		s.Adapt()
 		s.setInitialTemp()
@@ -41,7 +40,7 @@ func newFieldCarrying(r *sim.Rank, cfg Config) *Sim {
 // TestNewMatchesFieldCarryingOracle holds New, whose initial rounds adapt
 // with no field and re-seed T, to the field-carrying rounds it replaced:
 // the same forest, corner rows, hanging table, numbering, ghost plan and
-// T, U, P bit for bit (U = P = +0), on a box-amr-shaped front box and
+// T and U bit for bit (U = +0), on a box-amr-shaped front box and
 // the free-slip shell at 1 and 2 ranks. New must also spend nothing in
 // the field stages.
 func TestNewMatchesFieldCarryingOracle(t *testing.T) {
@@ -92,9 +91,6 @@ func TestNewMatchesFieldCarryingOracle(t *testing.T) {
 					if !sameBits(got.U[c], want.U[c]) {
 						fail("U")
 					}
-				}
-				if !sameBits(got.P, want.P) {
-					fail("P")
 				}
 				if got.Times.InterpolateFld != 0 || got.Times.TransferFld != 0 {
 					t.Errorf("%s, %d ranks, rank %d: New spent %g s interpolating and %g s transferring fields, want 0",

@@ -234,7 +234,7 @@ func TestColdSolveIsStateless(t *testing.T) {
 }
 
 // TestCycleBitsIndependentOfGOMAXPROCS: a 2-rank shell cycle (solve,
-// advect, adapt) and the verdict after it give the same T, U, P, Nu, Vrms
+// advect, adapt) and the verdict after it give the same T, U, Nu, Vrms
 // and per-rank sim.Stats, bit for bit, under GOMAXPROCS 1, 2 and 4. The
 // core count changes how a rank waits for a message (sim's wait policy)
 // and nothing that is computed.

@@ -219,11 +219,17 @@ func (c Config) Validate() error {
 	case c.MatFree.Workers > 1:
 		return fmt.Errorf("rhea: Config.MatFree.Workers %d above 1: every element loop runs on its rank's goroutine", c.MatFree.Workers)
 	}
+	// The clamp takes ViscMax last, so an inverted pair gives every
+	// element ViscMax whatever the law.
+	if lo, hi := c.viscBounds(); lo > hi {
+		return fmt.Errorf("rhea: Config.ViscMin %g above ViscMax %g (after their defaults)", lo, hi)
+	}
 	// Zero picks the default; a negative value can never run: no Picard
-	// pass solves, no step advances time, MINRES cannot reach it, and
-	// NoInitAdapt is the one way to ask for no initial rounds.
-	vals := [...]float64{float64(c.TargetElems), float64(c.AdaptEvery), float64(c.Picard), c.MinresTol, float64(c.MinresMax), float64(c.InitAdapt)}
-	for i, name := range [...]string{"TargetElems", "AdaptEvery", "Picard", "MinresTol", "MinresMax", "InitAdapt"} {
+	// pass solves, no step advances time (a negative CFL steps it
+	// backwards), MINRES cannot reach it, and NoInitAdapt is the one way
+	// to ask for no initial rounds.
+	vals := [...]float64{float64(c.TargetElems), float64(c.AdaptEvery), float64(c.Picard), c.CFL, c.MinresTol, float64(c.MinresMax), float64(c.InitAdapt)}
+	for i, name := range [...]string{"TargetElems", "AdaptEvery", "Picard", "CFL", "MinresTol", "MinresMax", "InitAdapt"} {
 		if vals[i] < 0 {
 			hint := ""
 			if name == "InitAdapt" {
@@ -269,12 +275,7 @@ func (c Config) withDefaults() Config {
 		// and the Nusselt normalization.
 		c.Dom = fem.UnitDomain
 	}
-	if c.ViscMin == 0 {
-		c.ViscMin = 1e-6
-	}
-	if c.ViscMax == 0 {
-		c.ViscMax = 1e6
-	}
+	c.ViscMin, c.ViscMax = c.viscBounds()
 	if c.AdaptEvery == 0 {
 		c.AdaptEvery = 16
 	}
@@ -315,6 +316,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// viscBounds is the viscosity clamp [ViscMin, ViscMax] with zeros
+// replaced by the defaults 1e-6 and 1e6.
+func (c Config) viscBounds() (lo, hi float64) {
+	lo, hi = c.ViscMin, c.ViscMax
+	if lo == 0 {
+		lo = 1e-6
+	}
+	if hi == 0 {
+		hi = 1e6
+	}
+	return lo, hi
+}
+
 // conn returns the forest connectivity of the domain: Conn, or the
 // one-tree unit cube when Conn is nil.
 func (c Config) conn() *forest.Connectivity {
@@ -338,11 +352,12 @@ func (c Config) geom() mesh.Geometry {
 }
 
 // Timings is the per-function wall-clock breakdown of the paper's Figure
-// 10 (seconds, accumulated on this rank). The Stokes solver build is
-// split into its mesh-dependent half (StokesSetup: layouts, Dirichlet
-// gather, matrix-free constraint tables, GMG level meshes and
-// transfer stencils — paid once per mesh, at the first solve after an
-// adaptation) and its viscosity-dependent half (StokesUpdate:
+// 10 (seconds, accumulated on this rank by this process: a snapshot
+// does not carry them, and a restored Sim starts from zero). The Stokes
+// solver build is split into its mesh-dependent half (StokesSetup:
+// layouts, Dirichlet gather, matrix-free constraint tables, GMG level
+// meshes and transfer stencils — paid once per mesh, at the first solve
+// after an adaptation) and its viscosity-dependent half (StokesUpdate:
 // viscosity/force evaluation, operator viscosity, smoother diagonals and
 // coarsest-level factors, Schur diagonal — paid every Picard iteration).
 // New's initial rounds carry no field, so they add nothing to
@@ -384,7 +399,10 @@ type Sim struct {
 
 	T *la.Vec    // temperature (nodal)
 	U [3]*la.Vec // velocity components (nodal)
-	P *la.Vec    // pressure (nodal); output of the last Stokes solve
+	// P holds nothing: every solve recomputes the pressure from T and U,
+	// so no Sim carries it. It stays a non-nil empty vector only for the
+	// benchmark harness, which reads P.Data.
+	P *la.Vec
 
 	Times   Timings
 	Step    int
@@ -427,7 +445,7 @@ func New(r *sim.Rank, cfg Config) *Sim {
 		panic(err)
 	}
 	cfg = cfg.withDefaults()
-	s := &Sim{Cfg: cfg, Rank: r}
+	s := &Sim{Cfg: cfg, Rank: r, P: new(la.Vec)}
 
 	t0 := time.Now()
 	s.Forest = forest.New(r, cfg.conn(), cfg.BaseLevel)
@@ -437,8 +455,8 @@ func New(r *sim.Rank, cfg Config) *Sim {
 	s.setInitialTemp()
 	// Initial solution-adaptive refinement rounds. Each marks on the
 	// initial temperature and samples it afresh on the new mesh, so no
-	// field crosses the adaptation; the velocity and pressure are zero
-	// until the first solve.
+	// field crosses the adaptation; the velocity is zero until the first
+	// solve.
 	for i := 0; i < cfg.InitAdapt; i++ {
 		m, _, _ := AdaptFields(s.Forest, s.Mesh, nil, s.mark(), &s.Times)
 		s.setMesh(m)
@@ -447,7 +465,6 @@ func New(r *sim.Rank, cfg Config) *Sim {
 	for c := range s.U {
 		s.U[c] = la.NewVec(s.Mesh.Layout())
 	}
-	s.P = la.NewVec(s.Mesh.Layout())
 	return s
 }
 
@@ -521,13 +538,13 @@ func (s *Sim) TempBC() fem.ScalarBC {
 }
 
 // Adapt runs one full mesh adaptation pipeline — MarkElements, then the
-// AdaptFields stage sequence — and carries the temperature, velocity and
-// pressure fields to the new mesh, re-imposing the temperature boundary
-// values there (collective).
+// AdaptFields stage sequence — and carries the temperature and velocity
+// fields to the new mesh, re-imposing the temperature boundary values
+// there (collective).
 func (s *Sim) Adapt() AdaptStats {
-	m, f, st := AdaptFields(s.Forest, s.Mesh, []*la.Vec{s.T, s.U[0], s.U[1], s.U[2], s.P}, s.mark(), &s.Times)
+	m, f, st := AdaptFields(s.Forest, s.Mesh, []*la.Vec{s.T, s.U[0], s.U[1], s.U[2]}, s.mark(), &s.Times)
 	s.setMesh(m)
-	s.T, s.U, s.P = f[0], [3]*la.Vec{f[1], f[2], f[3]}, f[4]
+	s.T, s.U = f[0], [3]*la.Vec{f[1], f[2], f[3]}
 
 	t0 := time.Now()
 	bc := s.TempBC()
@@ -670,14 +687,14 @@ func (s *Sim) stokesOptions() stokes.Options {
 	return stokes.Options{GMG: s.Cfg.GMG, Order: s.Cfg.Order, Slip: s.Cfg.SlipBC}
 }
 
-// SolveStokes updates the velocity and pressure from the current
-// temperature with Picard iteration on the strain-rate-dependent
-// viscosity (collective). The mesh-dependent solver setup is cached
-// across Picard iterations and timesteps until the next Adapt; each
-// iteration only refreshes the viscosity-dependent half and runs MINRES
-// from zero, so the result depends on the mesh, T and (where the
-// viscosity law reads the strain rate) U alone, never on the previous
-// solve's P. It returns the last MINRES result.
+// SolveStokes updates the velocity from the current temperature with
+// Picard iteration on the strain-rate-dependent viscosity (collective).
+// The mesh-dependent solver setup is cached across Picard iterations and
+// timesteps until the next Adapt; each iteration only refreshes the
+// viscosity-dependent half and runs MINRES from zero, so the result
+// depends on the mesh, T and (where the viscosity law reads the strain
+// rate) U alone. The solve's pressure is not kept. It returns the last
+// MINRES result.
 func (s *Sim) SolveStokes() krylov.Result {
 	var res krylov.Result
 	for pic := 0; pic < s.Cfg.Picard; pic++ {
@@ -696,7 +713,7 @@ func (s *Sim) SolveStokes() krylov.Result {
 		var x *la.Vec
 		x, res = s.solver.Solve(s.Cfg.MinresTol, s.Cfg.MinresMax)
 		s.Times.MINRES += time.Since(t0).Seconds()
-		s.U, s.P = s.solver.SplitSolution(x)
+		s.U = s.solver.SplitSolution(x)
 	}
 	s.lastMinres = &res
 	return res

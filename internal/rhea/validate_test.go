@@ -57,6 +57,8 @@ func TestConfigValidate(t *testing.T) {
 		{"target", "TargetElems", regressionConfig, func(c *Config) { c.TargetElems = -5 }},
 		{"adapt every", "AdaptEvery", regressionConfig, func(c *Config) { c.AdaptEvery = -1 }},
 		{"picard", "Picard", regressionConfig, func(c *Config) { c.Picard = -1 }},
+		{"cfl", "CFL", regressionConfig, func(c *Config) { c.CFL = -0.5 }},
+		{"visc min above default max", "ViscMin", regressionConfig, func(c *Config) { c.ViscMin, c.ViscMax = 2e6, 0 }},
 		{"minres tol", "MinresTol", regressionConfig, func(c *Config) { c.MinresTol = -1e-6 }},
 		{"minres max", "MinresMax", regressionConfig, func(c *Config) { c.MinresMax = -1 }},
 		{"negative init adapt", "NoInitAdapt", regressionConfig, func(c *Config) { c.InitAdapt = -1 }},

@@ -69,7 +69,7 @@ func sameDiags(t *testing.T, label string, want, got []CycleDiag) {
 }
 
 // sameShards asserts two committed snapshots hold bit-identical
-// per-rank T, U and P blocks (and the same mesh).
+// per-rank T and U blocks (and the same mesh).
 func sameShards(t *testing.T, label, wantDir, gotDir string, ranks int) {
 	t.Helper()
 	for rank := 0; rank < ranks; rank++ {
@@ -103,9 +103,6 @@ func sameShards(t *testing.T, label, wantDir, gotDir string, ranks int) {
 				t.Errorf("%s: shard %d velocity component %d is not bit-identical", label, rank, d)
 			}
 		}
-		if !bitsEqual(a.P, b.P) {
-			t.Errorf("%s: shard %d pressure block is not bit-identical", label, rank)
-		}
 	}
 }
 
@@ -113,7 +110,7 @@ func sameShards(t *testing.T, label, wantDir, gotDir string, ranks int) {
 // property: for box and shell scenarios at 1, 2 and 4 ranks, killing a
 // rank at every cycle boundary — and once in the middle of a collective
 // — must leave a healed run whose per-cycle diagnostics (Nu, Vrms,
-// MINRES iterations, element counts) and final per-rank T/U/P shard bit
+// MINRES iterations, element counts) and final per-rank T/U shard bit
 // patterns are identical to an undisturbed run of the same spec. Every
 // fault must actually fire (Retries >= 1), and no communicator
 // goroutines may leak.

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -242,6 +243,53 @@ func TestResumeRefusesAMGEraSnapshot(t *testing.T) {
 	}
 	if !strings.Contains(v.Error, "different configuration") {
 		t.Errorf("job error %q, want the fingerprint error", v.Error)
+	}
+}
+
+// TestResumeRefusesVersion2Snapshot: a job whose committed snapshot was
+// written in format version 2 (which also carried the pressure and the
+// writing process's timings) is refused by the version check, not
+// mis-parsed. Resumed after the upgrade, it ends failed with the version
+// error after one attempt, without retry.
+func TestResumeRefusesVersion2Snapshot(t *testing.T) {
+	m := newTestManager(t, t.TempDir(), 1)
+	m.retryBase = time.Millisecond
+	defer m.Close()
+	v, err := m.Submit(tinySpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v = waitTerminal(t, m, v.ID)
+	if v.State != StateDone || v.Snapshot == "" {
+		t.Fatalf("job finished %s with snapshot %q (%q)", v.State, v.Snapshot, v.Error)
+	}
+	// The same snapshot, stamped as a version-2 writer stamped it.
+	path := filepath.Join(v.Snapshot, ckpt.ManifestName)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man map[string]any
+	if err := json.Unmarshal(b, &man); err != nil {
+		t.Fatal(err)
+	}
+	man["version"] = 2
+	if b, err = json.Marshal(man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Resume(v.ID, 1); err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	v = waitTerminal(t, m, v.ID)
+	if v.State != StateFailed || v.Retries != 0 || v.CyclesDone != 1 {
+		t.Errorf("resumed job finished %s after %d retries with %d cycles (%q), want failed, 0, 1",
+			v.State, v.Retries, v.CyclesDone, v.Error)
+	}
+	if !strings.Contains(v.Error, "format version 2") {
+		t.Errorf("job error %q, want the format-version error", v.Error)
 	}
 }
 

@@ -77,7 +77,7 @@ func mmsVelError(t *testing.T, lvl uint8) float64 {
 		if !res.Converged {
 			t.Errorf("level %d: MINRES failed: %v after %d", lvl, res.Residual, res.Iterations)
 		}
-		u, _ := sys.SplitSolution(x)
+		u := sys.SplitSolution(x)
 		maps := m.GatherSlots(u[0].Data, u[1].Data, u[2].Data)
 		var sum float64
 		for ei, leaf := range m.Leaves {

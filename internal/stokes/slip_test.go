@@ -133,7 +133,7 @@ func TestSlipSolveNoPenetration(t *testing.T) {
 		if !res.Converged {
 			t.Errorf("free-slip solve failed to converge: %v after %d", res.Residual, res.Iterations)
 		}
-		u, _ := s.SplitSolution(x)
+		u := s.SplitSolution(x)
 		tol := 1e-9 * g.ROuter
 		maxN, maxT := 0.0, 0.0
 		for i := 0; i < m.NumOwned; i++ {

@@ -675,29 +675,26 @@ func (s *Solver) Solve(rtol float64, maxIt int) (*la.Vec, krylov.Result) {
 	return x, krylov.MINRES(op, pc, b, x, rtol, maxIt)
 }
 
-// SplitSolution extracts nodal velocity components and pressure from the
-// interleaved solution vector (node layout vectors).
-func (s *Solver) SplitSolution(x *la.Vec) (u [3]*la.Vec, p *la.Vec) {
-	nodeL := s.nodeL
+// SplitSolution extracts the nodal velocity components from the
+// interleaved solution vector (node layout vectors). The pressure is not
+// extracted: no caller carries it.
+func (s *Solver) SplitSolution(x *la.Vec) (u [3]*la.Vec) {
+	for c := 0; c < 3; c++ {
+		u[c] = la.NewVec(s.nodeL)
+	}
 	if s.q2 != nil {
-		// Order 2: sample the Q2 solution at the vertices (where the
-		// pressure dofs live), returning Q1 node-layout vectors so the
-		// advection, output and diagnostic layers work unchanged.
-		for c := 0; c < 3; c++ {
-			u[c] = la.NewVec(nodeL)
-		}
-		p = la.NewVec(nodeL)
+		// Order 2: sample the Q2 solution at the vertices, returning Q1
+		// node-layout vectors so the advection, output and diagnostic
+		// layers work unchanged.
 		for li := 0; li < s.M.NumOwned; li++ {
 			qi := int(s.q2.Q1ToQ2[li])
 			for c := 0; c < 3; c++ {
 				u[c].Data[li] = x.Data[4*qi+c]
 			}
-			p.Data[li] = x.Data[4*qi+3]
 		}
 		return
 	}
 	for c := 0; c < 3; c++ {
-		u[c] = la.NewVec(nodeL)
 		for i := 0; i < s.nOwned; i++ {
 			u[c].Data[i] = x.Data[4*i+c]
 		}
@@ -714,10 +711,6 @@ func (s *Solver) SplitSolution(x *la.Vec) (u [3]*la.Vec, p *la.Vec) {
 			u[1].Data[i] = Q[1][0]*v0 + Q[1][1]*v1 + Q[1][2]*v2
 			u[2].Data[i] = Q[2][0]*v0 + Q[2][1]*v1 + Q[2][2]*v2
 		}
-	}
-	p = la.NewVec(nodeL)
-	for i := 0; i < s.nOwned; i++ {
-		p.Data[i] = x.Data[4*i+3]
 	}
 	return
 }

@@ -17,7 +17,7 @@ import (
 // coupling give an indication; here we recompute element-wise).
 func (s *Solver) DivergenceNorm(x *la.Vec) float64 {
 	// Gather velocity at referenced nodes.
-	u, _ := s.SplitSolution(x)
+	u := s.SplitSolution(x)
 	ub := s.M.GatherSlots(u[0].Data, u[1].Data, u[2].Data)
 	var sum float64
 	for ei, leaf := range s.M.Leaves {
@@ -141,7 +141,7 @@ func TestHydrostaticBalance(t *testing.T) {
 		// With Q1 pressure and Dohrmann-Bochev stabilization the quadratic
 		// hydrostatic potential is represented to O(h^2), so the spurious
 		// velocity is small but not zero.
-		u, _ := s.SplitSolution(x)
+		u := s.SplitSolution(x)
 		for c := 0; c < 3; c++ {
 			if n := u[c].NormInf(); n > 0.01 {
 				t.Errorf("hydrostatic velocity component %d = %v, want O(h^2) small", c, n)
@@ -181,7 +181,7 @@ func TestBuoyantFlowDivergenceFree(t *testing.T) {
 		if !res.Converged {
 			t.Fatalf("MINRES failed: %v after %d", res.Residual, res.Iterations)
 		}
-		u, _ := s.SplitSolution(x)
+		u := s.SplitSolution(x)
 		umax := 0.0
 		for c := 0; c < 3; c++ {
 			if n := u[c].NormInf(); n > umax {
@@ -288,15 +288,12 @@ func TestSplitSolutionRoundTrip(t *testing.T) {
 		for i := range x.Data {
 			x.Data[i] = float64(i)
 		}
-		u, p := s.SplitSolution(x)
+		u := s.SplitSolution(x)
 		for i := 0; i < m.NumOwned; i++ {
 			for c := 0; c < 3; c++ {
 				if u[c].Data[i] != float64(4*i+c) {
 					t.Fatalf("split u mismatch")
 				}
-			}
-			if p.Data[i] != float64(4*i+3) {
-				t.Fatalf("split p mismatch")
 			}
 		}
 	})

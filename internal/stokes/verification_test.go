@@ -77,7 +77,7 @@ func solveManufactured(t *testing.T, level uint8) float64 {
 			t.Errorf("level %d: MINRES failed (%v)", level, res.Residual)
 			return
 		}
-		u, _ := s.SplitSolution(x)
+		u := s.SplitSolution(x)
 		var e float64
 		for i, pos := range m.OwnedPos {
 			exact := manuU(dom.Coord(pos))
